@@ -74,7 +74,6 @@ pub struct ParaHashConfig {
     pub(crate) auto_lambda: Option<usize>,
     pub(crate) strict: bool,
     pub(crate) retry: RetryPolicy,
-    pub(crate) indexed_fastq: bool,
     pub(crate) partition_memory_budget: u64,
     pub(crate) table_memory_budget: u64,
     pub(crate) out_of_core: bool,
@@ -165,13 +164,6 @@ impl ParaHashConfig {
         self.retry
     }
 
-    /// Whether [`crate::run_step1_fastq`] uses the two-pass indexed
-    /// batching (`true`) instead of the default single-pass streaming cut
-    /// (`false`).
-    pub fn indexed_fastq(&self) -> bool {
-        self.indexed_fastq
-    }
-
     /// Byte budget for resident partitions in the fused pipeline (see
     /// [`ParaHashConfigBuilder::partition_memory_budget`]).
     pub fn partition_memory_budget(&self) -> u64 {
@@ -249,7 +241,6 @@ pub struct ParaHashConfigBuilder {
     auto_lambda: Option<usize>,
     strict: bool,
     retry: RetryPolicy,
-    indexed_fastq: bool,
     partition_memory_budget: u64,
     table_memory_budget: u64,
     out_of_core: bool,
@@ -277,7 +268,6 @@ impl Default for ParaHashConfigBuilder {
             auto_lambda: None,
             strict: true,
             retry: RetryPolicy::default(),
-            indexed_fastq: false,
             partition_memory_budget: 256 << 20, // 256 MiB resident by default
             table_memory_budget: u64::MAX,      // unlimited: never sub-partition
             out_of_core: true,
@@ -373,19 +363,9 @@ impl ParaHashConfigBuilder {
         self
     }
 
-    /// Makes [`crate::run_step1_fastq`] run a two-pass *indexed* batching:
-    /// a pre-pass counts records per batch, then the pipeline re-reads the
-    /// file. The default (`false`) is the single-pass streaming cut, which
-    /// reads the file exactly once. The indexed mode exists for
-    /// byte-budget-exact batch cuts on storage where a second sequential
-    /// scan is cheaper than slightly uneven batches.
-    pub fn indexed_fastq(mut self, yes: bool) -> Self {
-        self.indexed_fastq = yes;
-        self
-    }
-
     /// Sets the byte budget for **resident** partitions in the fused
-    /// pipeline ([`crate::run_fused`] / [`crate::run_fused_fastq`]):
+    /// pipeline ([`crate::ParaHash::run_fused`] /
+    /// [`crate::ParaHash::run_fused_fastq`]):
     /// Step-1 partitions accumulate in memory until the budget is
     /// exceeded, then the largest are spilled to the usual partition
     /// files. `0` forces every partition to disk (the classic two-phase
@@ -479,9 +459,9 @@ impl ParaHashConfigBuilder {
     /// subgraphs are reloaded instead of rebuilt, and only
     /// missing/invalid partitions are re-run. A journal written under a
     /// different config/input fingerprint is refused with
-    /// [`crate::ParaHashError::FingerprintMismatch`]. Equivalent to
-    /// calling [`crate::ParaHash::resume`] explicitly. Off by default —
-    /// a fresh run truncates any previous journal.
+    /// [`crate::ParaHashError::FingerprintMismatch`]; without a journal
+    /// the run simply starts fresh. Off by default — a fresh run
+    /// truncates any previous journal.
     pub fn resume(mut self, yes: bool) -> Self {
         self.resume = yes;
         self
@@ -535,7 +515,7 @@ impl ParaHashConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ParaHashError::Config`] — with the specific
+    /// Returns [`crate::ParaHashError::Config`] — with the specific
     /// [`ConfigError`] rule — when parameters are out of range
     /// (`k` beyond [`dna::MAX_K`], `p > k` or `p == 0`, zero partitions), the work
     /// dir is missing, or no compute device is configured.
@@ -585,7 +565,6 @@ impl ParaHashConfigBuilder {
             auto_lambda: self.auto_lambda,
             strict: self.strict,
             retry: self.retry,
-            indexed_fastq: self.indexed_fastq,
             partition_memory_budget: self.partition_memory_budget,
             table_memory_budget: self.table_memory_budget,
             out_of_core: self.out_of_core,

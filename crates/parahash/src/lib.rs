@@ -66,7 +66,7 @@ pub use once_error::OnceError;
 pub use pipeline::SplitPolicy;
 pub use report::{CoprocSummary, RunReport, Step1Stats, StepReport};
 pub use shard::{run_remote_worker, worker_from_env};
-pub use step1::{run_step1, run_step1_fastq};
+pub use step1::run_step1;
 pub use step2::{decode_subgraph, decode_subgraph_checked, encode_subgraph, run_step2};
 pub use system::{ParaHash, RunOutcome};
 

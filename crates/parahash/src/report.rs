@@ -157,7 +157,12 @@ pub struct RunReport {
     pub step1: StepReport,
     /// Step 2 (hash construction).
     pub step2: StepReport,
-    /// End-to-end wall-clock including the inter-step barrier.
+    /// End-to-end wall-clock of the `ParaHash::run*` call, measured from
+    /// entry for every handoff: it covers the input digest, resume
+    /// planning (journal replay and re-verification of committed
+    /// subgraphs), both steps — with the two-phase flow's inter-step
+    /// barrier, or overlapped when fused — and the closing journal
+    /// records.
     pub total_elapsed: Duration,
     /// Distinct vertices in the final graph.
     pub distinct_vertices: usize,

@@ -749,9 +749,11 @@ struct ShardStats {
 /// child processes, accept whoever connects (children and remote
 /// `dbg worker` joiners alike), lease them partitions largest-first,
 /// verify and absorb their committed subgraphs. Drop-in replacement for
-/// [`run_step2_with`](crate::step2::run_step2_with) on the two-phase
-/// path — same signature, same journal records in the parent's
-/// `run.journal`, byte-identical subgraph files and graph.
+/// [`run_step2_feed`](crate::step2::run_step2_feed) over a
+/// [`manifest_feed`](crate::step2::manifest_feed) on the disk handoff —
+/// same journal records in the parent's `run.journal`, byte-identical
+/// subgraph files and graph, and like it leaves the manifest marks to
+/// the driver's [`persist_marks`](crate::step2::persist_marks).
 ///
 /// # Errors
 ///
@@ -1012,16 +1014,6 @@ pub(crate) fn run_step2_sharded(
         for q in &quarantined {
             journal.append(&JournalEvent::Quarantined(q.index, q.reason.clone()))?;
         }
-    }
-    if !quarantined.is_empty() || !stats.sub_splits.is_empty() {
-        let mut marked = manifest.clone();
-        for q in &quarantined {
-            marked.quarantine(q.index, q.reason.clone());
-        }
-        for &(i, fanout) in &stats.sub_splits {
-            marked.set_sub_split(i, fanout);
-        }
-        marked.save()?;
     }
     if !config.write_subgraphs {
         // The files were only ever the wire's result channel; the user

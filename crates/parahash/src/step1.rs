@@ -1,3 +1,4 @@
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -8,7 +9,7 @@ use msp::{
     SuperkmerScanner,
 };
 use parking_lot::Mutex;
-use pipeline::{run_coprocessed_with, CancelToken, PipelineReport, ThrottledIo};
+use pipeline::{run_pipeline, CancelToken, PipelineReport, SharedCounterQueue, ThrottledIo};
 
 use crate::once_error::OnceError;
 use crate::staging::{ShardPool, StagingShard, WorkerShards, WriteOnceSlots};
@@ -47,6 +48,18 @@ fn batch_ranges(reads: &[SeqRead], batch_bytes: usize) -> Vec<std::ops::Range<us
     ranges
 }
 
+/// What a run builds its graph from.
+#[derive(Clone, Copy)]
+pub(crate) enum Input<'a> {
+    /// A read set already in memory, cut into the "equal-size input
+    /// partitions" of Fig 3 by [`batch_ranges`].
+    Reads(&'a [SeqRead]),
+    /// A FASTQ file (plain or gzip), parsed one batch at a time so the
+    /// whole read set is **never resident in memory** — the property the
+    /// paper's partition-by-partition workflow depends on for big genomes.
+    Fastq(&'a Path),
+}
+
 /// Step 1 of ParaHash: pipelined, co-processed MSP partitioning of an
 /// in-memory read set.
 ///
@@ -72,95 +85,34 @@ pub fn run_step1(
     reads: &[SeqRead],
     io: &ThrottledIo,
 ) -> Result<(PartitionManifest, StepReport)> {
-    let dir = config.work_dir.join("superkmers");
-    let mut writer = PartitionWriter::create_scoped(&dir, config.partitions, config.k, config.p, &config.run_token)?;
-    let cancel = CancelToken::new();
-    let baselines = device_baselines(config);
-    match step1_sink_reads(config, reads, io, &cancel, &mut writer) {
-        Ok((stats, pipeline_report, peak_batch)) => {
-            let deltas = device_deltas(config, &baselines);
-            let manifest = writer.finish()?;
-            Ok((manifest, step1_report(config, stats, pipeline_report, peak_batch, &deltas)))
-        }
-        Err(e) => {
-            // The partition directory holds an inconsistent prefix —
-            // remove it so Step 2 can never be pointed at it.
-            drop(writer);
-            let _ = std::fs::remove_dir_all(&dir);
-            Err(e)
-        }
-    }
+    step1_to_disk(config, Input::Reads(reads), io)
 }
 
-/// The sink-agnostic body of [`run_step1`]: streams in-memory reads
-/// through the Step-1 pipeline into any [`PartitionSink`] (the classic
-/// all-disk writer or the fused pipeline's budget-governed
-/// [`msp::PartitionStore`]). Returns the emit stats, the pipeline report
-/// and the peak in-flight batch bytes; the caller owns manifest
-/// finalisation and error cleanup.
-pub(crate) fn step1_sink_reads<S: PartitionSink + Send>(
-    config: &ParaHashConfig,
-    reads: &[SeqRead],
-    io: &ThrottledIo,
-    cancel: &CancelToken,
-    sink: &mut S,
-) -> Result<(Step1Stats, PipelineReport, u64)> {
-    let ranges = batch_ranges(reads, config.read_batch_bytes);
-    let peak_batch = AtomicU64::new(0);
-    let (stats, report) = run_step1_batches(
-        config,
-        ranges.len(),
-        |i| {
-            let batch = &reads[ranges[i].clone()];
-            let bytes: usize = batch.iter().map(SeqRead::approx_bytes).sum();
-            peak_batch.fetch_max(bytes as u64, Ordering::Relaxed);
-            io.charge(bytes as u64);
-            batch
-        },
-        io,
-        cancel,
-        sink,
-    )?;
-    Ok((stats, report, peak_batch.into_inner()))
-}
-
-/// Streaming Step 1 over a FASTQ file: the input stage parses one batch
-/// of reads at a time, so the whole read set is **never resident in
-/// memory** — the property the paper's partition-by-partition workflow
-/// (Fig 3) depends on for big genomes.
-///
-/// By default the file is read **exactly once**: the input stage cuts a
-/// batch as soon as ~`read_batch_bytes` of sequence has been parsed
-/// (the batch count is conservatively bounded by the file size, and
-/// trailing batches are simply empty). With
-/// [`indexed_fastq(true)`](crate::ParaHashConfigBuilder::indexed_fastq)
-/// a two-pass variant runs instead: a cheap indexing pre-pass counts
-/// records per batch, then the pipeline re-reads the file.
+/// Step 1 with the classic disk handoff: `input` is partitioned into the
+/// files of `work_dir/superkmers`, which only leave their staging names
+/// when the returned manifest is finished.
 ///
 /// # Errors
 ///
-/// Propagates FASTQ parse failures (as [`crate::ParaHashError::Msp`] is
-/// *not* used here — malformed records surface as
-/// [`crate::ParaHashError::InvalidConfig`] with the parser's message) and
-/// partition-file I/O failures.
-pub fn run_step1_fastq(
+/// As [`step1_into`]; the partial partition directory is removed.
+pub(crate) fn step1_to_disk(
     config: &ParaHashConfig,
-    path: impl AsRef<std::path::Path>,
+    input: Input<'_>,
     io: &ThrottledIo,
 ) -> Result<(PartitionManifest, StepReport)> {
     let dir = config.work_dir.join("superkmers");
     let mut writer = PartitionWriter::create_scoped(&dir, config.partitions, config.k, config.p, &config.run_token)?;
     let cancel = CancelToken::new();
     let baselines = device_baselines(config);
-    match step1_sink_fastq(config, path.as_ref(), io, &cancel, &mut writer) {
+    match step1_into(config, input, io, &cancel, &mut writer) {
         Ok((stats, pipeline_report, peak_batch)) => {
             let deltas = device_deltas(config, &baselines);
             let manifest = writer.finish()?;
             Ok((manifest, step1_report(config, stats, pipeline_report, peak_batch, &deltas)))
         }
         Err(e) => {
-            // Abandon the partial partition directory: it covers an
-            // unknown prefix of the input.
+            // The partition directory holds an inconsistent prefix of the
+            // input — remove it so Step 2 can never be pointed at it.
             drop(writer);
             let _ = std::fs::remove_dir_all(&dir);
             Err(e)
@@ -168,46 +120,61 @@ pub fn run_step1_fastq(
     }
 }
 
-/// The sink-agnostic body of [`run_step1_fastq`] (both the single-pass
-/// and the indexed two-pass variants): streams a FASTQ file through the
-/// Step-1 pipeline into any [`PartitionSink`]. Parse failures poison the
-/// stream (the position is lost) and surface as `Err`; the caller owns
-/// manifest finalisation and directory cleanup.
-pub(crate) fn step1_sink_fastq<S: PartitionSink + Send>(
+/// The sink-agnostic body of Step 1: streams `input` through the Step-1
+/// pipeline into any [`PartitionSink`] (the classic all-disk writer or
+/// the fused pipeline's budget-governed [`msp::PartitionStore`]). Returns
+/// the emit stats, the pipeline report and the peak in-flight batch
+/// bytes; the caller owns manifest finalisation and error cleanup.
+///
+/// A FASTQ file is read **exactly once**. On an all-CPU roster every
+/// worker parses its own record-aligned slice of the mapped file
+/// ([`step1_fastq_chunks`]); simulated GPUs meter per-batch transfers and
+/// `PARAHASH_FORCE_SCALAR` pins every fallback path, so those runs keep
+/// the sequential reader, whose input stage cuts a batch as soon as
+/// ~`read_batch_bytes` of sequence has been parsed.
+///
+/// # Errors
+///
+/// Partition-sink I/O failures, and FASTQ parse failures — which poison
+/// the stream (the position is lost) and surface as
+/// [`crate::ParaHashError::InvalidConfig`] with the parser's message.
+pub(crate) fn step1_into<S: PartitionSink + Send>(
     config: &ParaHashConfig,
-    path: &std::path::Path,
+    input: Input<'_>,
     io: &ThrottledIo,
     cancel: &CancelToken,
     sink: &mut S,
 ) -> Result<(Step1Stats, PipelineReport, u64)> {
-    use std::io::BufReader;
-
-    // Indexed (two-pass) mode: pass 1 indexes the file into record-exact
-    // batch cuts, pass 2 re-reads it through the pipeline. Single-pass
-    // mode needs no index: the batch count only has to *bound* the number
-    // of batches the input stage will produce. A FASTQ record spends at
-    // least its sequence length in file bytes (plus header, '+' line and
-    // qualities), so `file_len / read_batch_bytes + 1` batches of
-    // ~`read_batch_bytes` of sequence each can never fall short; the
-    // surplus batches parse nothing and flow through as empty.
-    // Parallel chunked ingest: map the file (inflating gzip members in
-    // parallel), cut it into record-aligned chunks, and let every Step-1
-    // worker parse its own slice — the sequential `FastqReader` below
-    // otherwise caps ingest at one core. Only taken when it cannot
-    // change observable behaviour: the indexed two-pass mode promises
-    // exact batch cuts, simulated GPUs meter per-batch transfers, and
-    // `PARAHASH_FORCE_SCALAR` pins every fallback path.
-    if !config.indexed_fastq
-        && !dna::simd::force_scalar()
-        && config.devices().iter().all(|d| d.kind() == DeviceKind::Cpu)
-    {
-        return step1_sink_fastq_chunks(config, path, io, cancel, sink);
+    match input {
+        Input::Reads(reads) => {
+            let ranges = batch_ranges(reads, config.read_batch_bytes);
+            let batch = |i: usize| &reads[ranges[i].clone()];
+            run_step1_batches(config, ranges.len(), batch, io, cancel, sink)
+        }
+        Input::Fastq(path)
+            if !dna::simd::force_scalar()
+                && config.devices().iter().all(|d| d.kind() == DeviceKind::Cpu) =>
+        {
+            step1_fastq_chunks(config, path, io, cancel, sink)
+        }
+        Input::Fastq(path) => step1_fastq_sequential(config, path, io, cancel, sink),
     }
+}
 
+/// Sequential FASTQ ingest: one reader on the input stage, cutting a
+/// batch of owned reads as soon as ~`read_batch_bytes` of sequence has
+/// been parsed.
+fn step1_fastq_sequential<S: PartitionSink + Send>(
+    config: &ParaHashConfig,
+    path: &Path,
+    io: &ThrottledIo,
+    cancel: &CancelToken,
+    sink: &mut S,
+) -> Result<(Step1Stats, PipelineReport, u64)> {
     // Gzip inputs are inflated up front so the sequential path accepts
     // exactly the same files as the chunked one — the scalar escape
-    // hatch (and the indexed/GPU modes) must not change which inputs
-    // parse, only how fast.
+    // hatch (and the GPU rosters) must not change which inputs parse,
+    // only how fast.
     let inflated: Option<Vec<u8>> = {
         use std::io::Read;
         let mut magic = [0u8; 2];
@@ -218,106 +185,49 @@ pub(crate) fn step1_sink_fastq<S: PartitionSink + Send>(
             None
         }
     };
-    let open_reader = || -> Result<Box<dyn Iterator<Item = dna::Result<dna::SeqRead>> + Send + '_>> {
-        Ok(match &inflated {
-            Some(text) => Box::new(dna::FastqSliceReader::new(text)),
-            None => Box::new(dna::FastqReader::new(BufReader::new(std::fs::File::open(path)?))),
-        })
-    };
-
-    let batch_records: Option<Vec<usize>> = if config.indexed_fastq {
-        let mut cuts: Vec<usize> = Vec::new();
-        let mut records = 0usize;
+    let (mut reader, text_len): (Box<dyn Iterator<Item = dna::Result<SeqRead>> + Send + '_>, u64) =
+        match &inflated {
+            Some(text) => (Box::new(dna::FastqSliceReader::new(text)), text.len() as u64),
+            None => {
+                let file = std::fs::File::open(path)?;
+                let len = file.metadata()?.len();
+                (Box::new(dna::FastqReader::new(std::io::BufReader::new(file))), len)
+            }
+        };
+    // The batch count only has to *bound* the number of batches the input
+    // stage will produce. A FASTQ record spends at least its sequence
+    // length in file bytes (plus header, '+' line and qualities), so
+    // `text_len / read_batch_bytes + 1` batches of ~`read_batch_bytes` of
+    // sequence each can never fall short; the surplus batches parse
+    // nothing and flow through as empty.
+    let n_batches = (text_len / config.read_batch_bytes.max(1) as u64) as usize + 1;
+    let parse_failure: OnceError<crate::ParaHashError> = OnceError::new();
+    let next_batch = |_| {
+        let mut batch = Vec::new();
         let mut bytes = 0usize;
-        for record in open_reader()? {
-            let record = record.map_err(parse_error)?;
-            records += 1;
-            bytes += record.approx_bytes();
-            if bytes >= config.read_batch_bytes {
-                cuts.push(records);
-                records = 0;
-                bytes = 0;
+        while bytes < config.read_batch_bytes {
+            match reader.next() {
+                Some(Ok(read)) => {
+                    bytes += read.approx_bytes();
+                    batch.push(read);
+                }
+                None => break,
+                Some(Err(e)) => {
+                    // Stop feeding the pipeline rather than scanning
+                    // whatever follows the lost position.
+                    parse_failure.set(parse_error(e));
+                    cancel.cancel();
+                    break;
+                }
             }
         }
-        if records > 0 {
-            cuts.push(records);
-        }
-        Some(cuts)
-    } else {
-        None
+        batch
     };
-    let n_batches = match &batch_records {
-        Some(cuts) => cuts.len(),
-        None => {
-            let file_len = match &inflated {
-                Some(text) => text.len() as u64,
-                None => std::fs::metadata(path)?.len(),
-            };
-            (file_len / config.read_batch_bytes.max(1) as u64) as usize + 1
-        }
-    };
-
-    let mut reader = open_reader()?;
-    let peak_batch = AtomicU64::new(0);
-    let parse_failure: OnceError<crate::ParaHashError> = OnceError::new();
-    let result = {
-        let parse_failure = &parse_failure;
-        let peak_batch = &peak_batch;
-        let batch_records = &batch_records;
-        run_step1_batches(
-            config,
-            n_batches,
-            move |i| {
-                let mut batch = match batch_records {
-                    Some(cuts) => Vec::with_capacity(cuts[i]),
-                    None => Vec::new(),
-                };
-                let mut bytes = 0usize;
-                loop {
-                    match batch_records {
-                        // Indexed: stop at this batch's record count.
-                        Some(cuts) => {
-                            if batch.len() >= cuts[i] {
-                                break;
-                            }
-                        }
-                        // Single pass: cut once enough sequence arrived.
-                        None => {
-                            if bytes >= config.read_batch_bytes {
-                                break;
-                            }
-                        }
-                    }
-                    match reader.next() {
-                        Some(Ok(read)) => {
-                            bytes += read.approx_bytes();
-                            batch.push(read);
-                        }
-                        None => break,
-                        Some(Err(e)) => {
-                            // A parse failure poisons everything after it
-                            // (the stream position is lost): stop feeding
-                            // the pipeline rather than scanning the rest.
-                            parse_failure.set(parse_error(e));
-                            cancel.cancel();
-                            break;
-                        }
-                    }
-                }
-                peak_batch.fetch_max(bytes as u64, Ordering::Relaxed);
-                io.charge(bytes as u64);
-                batch
-            },
-            io,
-            cancel,
-            sink,
-        )
-    };
-    if let Some(e) = parse_failure.into_inner() {
-        return Err(e);
+    let result = run_step1_batches(config, n_batches, next_batch, io, cancel, sink);
+    match parse_failure.into_inner() {
+        Some(e) => Err(e),
+        None => result,
     }
-    let (stats, report) = result?;
-    Ok((stats, report, peak_batch.into_inner()))
 }
 
 fn parse_error(e: dna::DnaError) -> crate::ParaHashError {
@@ -340,9 +250,9 @@ fn parse_error(e: dna::DnaError) -> crate::ParaHashError {
 /// order-independent. Batch *counts* differ from the sequential path
 /// (chunks replace byte-budget batches), which no consumer observes —
 /// stats are cross-checked against manifest totals only.
-fn step1_sink_fastq_chunks<S: PartitionSink + Send>(
+fn step1_fastq_chunks<S: PartitionSink + Send>(
     config: &ParaHashConfig,
-    path: &std::path::Path,
+    path: &Path,
     io: &ThrottledIo,
     cancel: &CancelToken,
     sink: &mut S,
@@ -354,7 +264,7 @@ fn step1_sink_fastq_chunks<S: PartitionSink + Send>(
     let write_error: OnceError<msp::MspError> = OnceError::new();
     let parse_failure: OnceError<crate::ParaHashError> = OnceError::new();
     let mut stats = Step1Stats::default();
-    let peak_batch = AtomicU64::new(0);
+    let mut peak_batch = 0u64;
     let shard_pool = ShardPool::new(config.partitions, config.k, config.p);
 
     let pipeline_report = {
@@ -366,16 +276,17 @@ fn step1_sink_fastq_chunks<S: PartitionSink + Send>(
         let parse_failure = &parse_failure;
         let shard_pool = &shard_pool;
         let stats = &mut stats;
-        let peak_batch = &peak_batch;
-        run_coprocessed_with(
-            chunks.n_chunks(),
+        let peak_batch = &mut peak_batch;
+        run_pipeline(
+            &SharedCounterQueue::filled(0..chunks.n_chunks()),
             config.devices(),
             cancel,
+            None,
             |i| {
                 let len = chunks.ranges()[i].len() as u64;
-                peak_batch.fetch_max(len, Ordering::Relaxed);
+                *peak_batch = (*peak_batch).max(len);
                 io.charge(len);
-                i
+                (i, i)
             },
             |device: &dyn Device, _idx, chunk_idx: usize| {
                 let chunk = chunks.chunk(chunk_idx);
@@ -443,7 +354,7 @@ fn step1_sink_fastq_chunks<S: PartitionSink + Send>(
     if let Some(e) = write_error.into_inner() {
         return Err(e.into());
     }
-    Ok((stats, pipeline_report, peak_batch.into_inner()))
+    Ok((stats, pipeline_report, peak_batch))
 }
 
 /// Rebases a chunk-relative [`dna::DnaError::MalformedRecord`] line
@@ -514,15 +425,16 @@ fn emit_run(
 
 /// The shared Step-1 pipeline over any batch source (in-memory slices or
 /// a streaming parser) and any [`PartitionSink`] (disk writer or the
-/// fused pipeline's budget-governed store).
+/// fused pipeline's budget-governed store). The input stage charges each
+/// batch's bytes to `io` and tracks the peak batch, returned last.
 fn run_step1_batches<B, FP, S>(
     config: &ParaHashConfig,
     n_batches: usize,
-    produce: FP,
+    mut produce: FP,
     io: &ThrottledIo,
     cancel: &CancelToken,
     sink: &mut S,
-) -> Result<(Step1Stats, PipelineReport)>
+) -> Result<(Step1Stats, PipelineReport, u64)>
 where
     B: AsRef<[SeqRead]> + Send,
     FP: FnMut(usize) -> B + Send,
@@ -533,6 +445,7 @@ where
     let k = config.k;
     let write_error: OnceError<msp::MspError> = OnceError::new();
     let mut stats = Step1Stats::default();
+    let mut peak_batch = 0u64;
 
     // All staging capacity lives in these two pools and is recycled
     // across batches: at steady state the compute stage allocates
@@ -548,11 +461,20 @@ where
         let shard_pool = &shard_pool;
         let boundary_pool = &boundary_pool;
         let stats = &mut stats;
-        run_coprocessed_with(
-            n_batches,
+        let peak_batch = &mut peak_batch;
+        run_pipeline(
+            &SharedCounterQueue::filled(0..n_batches),
             config.devices(),
             cancel,
-            produce,
+            None,
+            // Stage 1: one batch of reads, paying its input I/O.
+            |i| {
+                let batch = produce(i);
+                let bytes: usize = batch.as_ref().iter().map(SeqRead::approx_bytes).sum();
+                *peak_batch = (*peak_batch).max(bytes as u64);
+                io.charge(bytes as u64);
+                (i, batch)
+            },
             // Stage 2: scan + encode on an idle device. Emits go to
             // thread-private shards — no locks, no per-read allocation.
             |device: &dyn Device, _idx, batch: B| {
@@ -625,7 +547,7 @@ where
     if let Some(e) = write_error.into_inner() {
         return Err(e.into());
     }
-    Ok((stats, pipeline_report))
+    Ok((stats, pipeline_report, peak_batch))
 }
 
 /// Output-stage drain shared by the batched and chunked Step-1 pipelines:
@@ -881,52 +803,5 @@ mod tests {
             "flushes bounded by batches × partitions × shards"
         );
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
-    }
-
-    fn write_fastq(path: &std::path::Path, reads: &[SeqRead]) {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(path).unwrap();
-        for r in reads {
-            let seq: String = r.seq().bases().map(|b| b.to_ascii() as char).collect();
-            writeln!(f, "@{}\n{}\n+\n{}", r.id(), seq, "I".repeat(seq.len())).unwrap();
-        }
-    }
-
-    #[test]
-    fn single_pass_and_indexed_fastq_agree() {
-        let rs = reads();
-        let path = std::env::temp_dir()
-            .join(format!("parahash-step1-fastq-{}.fastq", std::process::id()));
-        write_fastq(&path, &rs);
-
-        let run = |dir: &str, indexed: bool| {
-            let cfg = ParaHashConfig::builder()
-                .k(7)
-                .p(4)
-                .partitions(8)
-                .cpu_threads(2)
-                .read_batch_bytes(64)
-                .indexed_fastq(indexed)
-                .work_dir(std::env::temp_dir().join(dir))
-                .build()
-                .unwrap();
-            let _ = std::fs::remove_dir_all(cfg.work_dir());
-            let io = ThrottledIo::new(IoMode::Unthrottled);
-            let (manifest, report) = run_step1_fastq(&cfg, &path, &io).unwrap();
-            let per_part: Vec<(u64, u64)> = manifest
-                .stats()
-                .iter()
-                .map(|s| (s.superkmers, s.kmers))
-                .collect();
-            let totals = (manifest.total_superkmers(), manifest.total_kmers());
-            assert_eq!(report.pipeline.total_work(), rs.len() as u64, "indexed={indexed}");
-            std::fs::remove_dir_all(cfg.work_dir()).unwrap();
-            (per_part, totals)
-        };
-
-        let single = run("parahash-step1-fastq-single", false);
-        let indexed = run("parahash-step1-fastq-indexed", true);
-        assert_eq!(single, indexed, "single-pass and indexed batching must partition identically");
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -13,8 +13,8 @@ use msp::{
 };
 use parking_lot::Mutex;
 use pipeline::{
-    failpoint, run_coprocessed_streaming_steered, run_coprocessed_with, CancelToken,
-    PipelineReport, SharedCounterQueue, SplitTuner, ThrottledIo, TunerWarmStart,
+    failpoint, run_pipeline, CancelToken, PipelineReport, SharedCounterQueue, SplitTuner,
+    Steering, ThrottledIo,
 };
 
 use crate::journal::{JournalEvent, RunJournal};
@@ -181,8 +181,8 @@ pub fn decode_subgraph_checked(bytes: &[u8], partition: Option<usize>) -> Result
 ///
 /// Each superkmer partition is read from disk (checksummed frames are
 /// verified in place), decoded, and replayed into a
-/// [`ConcurrentDbgTable`] sized by the Property-1 rule from the
-/// manifest's per-partition k-mer count. On a GPU device, the encoded
+/// [`hashgraph::ConcurrentDbgTable`] sized by the Property-1 rule from
+/// the manifest's per-partition k-mer count. On a GPU device, the encoded
 /// partition pays the host→device transfer and the table reserves device
 /// memory; the snapshot pays the device→host transfer.
 ///
@@ -211,136 +211,106 @@ pub fn run_step2(
     manifest: &PartitionManifest,
     io: &ThrottledIo,
 ) -> Result<(DeBruijnGraph, StepReport)> {
-    run_step2_with(config, manifest, io, None, &BTreeSet::new())
-}
-
-/// [`run_step2`] with crash-recovery hooks: an optional [`RunJournal`]
-/// that receives a `subgraph-committed` record after every atomic
-/// subgraph commit (and `quarantined` records at the end), and a `skip`
-/// set of partitions whose subgraphs were already committed by an
-/// interrupted run — they flow through the pipeline as no-ops and the
-/// resume driver absorbs their persisted subgraphs instead.
-pub(crate) fn run_step2_with(
-    config: &ParaHashConfig,
-    manifest: &PartitionManifest,
-    io: &ThrottledIo,
-    journal: Option<&RunJournal>,
-    skip: &BTreeSet<usize>,
-) -> Result<(DeBruijnGraph, StepReport)> {
-    let n = manifest.num_partitions();
+    let feed = manifest_feed(manifest);
     let cancel = CancelToken::new();
-    let shared = Step2Shared::new(config, &cancel, journal)?;
-    let mut graph = DeBruijnGraph::new(config.k);
-
-    let pipeline_report = {
-        let shared = &shared;
-        let graph = &mut graph;
-        run_coprocessed_with(
-            n,
-            config.devices(),
-            &cancel,
-            // Stage 1: load a partition file (pays input I/O, with
-            // transient-error retries inside `ThrottledIo`). `None` is
-            // the sentinel for an already-recorded failure — or, on a
-            // resumed run, for a partition whose subgraph is already
-            // committed and will be absorbed from disk by the driver.
-            |i| {
-                if skip.contains(&i) {
-                    return None;
-                }
-                match io.read_file(manifest.partition_path(i)) {
-                    Ok(bytes) => Some(bytes),
-                    Err(e) => {
-                        shared.partition_failed(i, ParaHashError::Io(e));
-                        None
-                    }
-                }
-            },
-            // Stage 2: hash-construct the subgraph on an idle device.
-            |device: &dyn Device, idx, bytes: Option<Vec<u8>>| {
-                let Some(bytes) = bytes else {
-                    return (None, 0);
-                };
-                shared.build(device, idx, &bytes, manifest.stats()[idx].kmers)
-            },
-            // Stage 3: absorb (and optionally persist) the subgraph.
-            |idx, out: Option<Part2Out>| shared.consume(io, graph, idx, out),
-        )
-    };
-
-    let (graph, report) = shared.finish(pipeline_report, graph, None)?;
-    if !report.quarantined.is_empty() || !report.sub_splits.is_empty() {
-        // Persist the quarantine and sub-split marks so any later
-        // consumer of the partition directory knows which subgraphs are
-        // missing and which were built out of core.
-        let mut marked = manifest.clone();
-        for q in &report.quarantined {
-            marked.quarantine(q.index, q.reason.clone());
-        }
-        for &(i, fanout) in &report.sub_splits {
-            marked.set_sub_split(i, fanout);
-        }
-        marked.save()?;
-    }
-    Ok((graph, report))
+    let out = run_step2_feed(config, &feed, io, &cancel, None, &BTreeSet::new(), None)?;
+    persist_marks(manifest, &out.1)?;
+    Ok(out)
 }
 
-/// Streaming Step 2 for the fused pipeline: partitions arrive as
-/// [`SealedPartition`]s over a [`SharedCounterQueue`] as Step 1 seals
-/// them, instead of being enumerated from a finished manifest. Resident
-/// payloads skip the disk entirely; spilled payloads are read back with
-/// the usual retry policy. Shares all failure semantics with
-/// [`run_step2`], except quarantine marks are *not* persisted here — the
-/// fused driver owns the manifest and records them after the run.
+/// The disk handoff as a Step-2 feed: every partition of a finished
+/// manifest, in index order, as a payload to read back from its file —
+/// exactly what a [`msp::PartitionStore`] seals for a partition it
+/// spilled.
+pub(crate) fn manifest_feed(manifest: &PartitionManifest) -> SharedCounterQueue<SealedPartition> {
+    SharedCounterQueue::filled(manifest.stats().iter().enumerate().map(|(index, stats)| {
+        SealedPartition {
+            index,
+            superkmers: stats.superkmers,
+            kmers: stats.kmers,
+            bytes: stats.bytes,
+            payload: SealedPayload::Spilled(manifest.partition_path(index)),
+        }
+    }))
+}
+
+/// Records a finished Step 2's quarantine and sub-split marks in the
+/// partition manifest, so any later consumer of the partition directory
+/// knows which subgraphs are missing and which were built out of core.
+/// A step that set nothing aside and split nothing rewrites nothing.
+pub(crate) fn persist_marks(manifest: &PartitionManifest, step2: &StepReport) -> Result<()> {
+    if step2.quarantined.is_empty() && step2.sub_splits.is_empty() {
+        return Ok(());
+    }
+    let mut marked = manifest.clone();
+    for q in &step2.quarantined {
+        marked.quarantine(q.index, q.reason.clone());
+    }
+    for &(i, fanout) in &step2.sub_splits {
+        marked.set_sub_split(i, fanout);
+    }
+    Ok(marked.save()?)
+}
+
+/// The one Step-2 runner: builds the subgraph of every
+/// [`SealedPartition`] arriving on `feed`. The handoff between the steps
+/// is a storage choice carried by the payload, not a second algorithm —
+/// resident payloads (the fused pipeline's in-memory handoff) are used by
+/// value and skip the disk entirely; spilled payloads (a partition the
+/// store spilled, or every partition of a [`manifest_feed`]) are read
+/// back with the usual retry policy. The feed may still be growing: the
+/// fused driver pushes partitions as Step 1 seals them.
 ///
-/// Dispatch is **model-driven**: a [`SplitTuner`] executing the
-/// configured [`crate::ParaHashConfigBuilder::split`] policy routes each
-/// arriving partition to the CPU or GPU device class, feeding its rolling
-/// `T_cpu`/`T_gpu`/`T_io` measurements back into the §IV model as the
-/// stream progresses. `warm` seeds the tuner from a previous run's
-/// journaled state so a resume starts at the converged split. The
-/// tuner's final state is reported in [`StepReport::coproc`].
+/// Crash-recovery hooks: an optional [`RunJournal`] receives a
+/// `subgraph-committed` record after every atomic subgraph commit (and
+/// `quarantined` records at the end); partitions in `skip` — their
+/// subgraphs were committed by an interrupted run — flow through as
+/// no-ops and the driver absorbs the persisted subgraphs instead.
 ///
-/// The caller is responsible for closing `feed` (abort) or finishing it
-/// (end of stream); a fatal error in here cancels the shared token, which
-/// the Step-1 side must observe.
+/// Dispatch: with `tuner = None`, the paper's work stealing (two-phase
+/// Step 2); with a [`SplitTuner`] executing the configured
+/// [`split`](crate::ParaHashConfigBuilder::split) policy, each arriving
+/// partition is routed to the CPU or GPU device class and the tuner's
+/// final state is reported in [`StepReport::coproc`].
+///
+/// The caller owns `feed` (finish it at end of stream, close it to
+/// abort), the manifest (see [`persist_marks`]) and `cancel`; a fatal
+/// error in here cancels the token, which a concurrent Step 1 must
+/// observe.
 ///
 /// # Errors
 ///
 /// Same as [`run_step2`].
-pub(crate) fn run_step2_streaming(
+pub(crate) fn run_step2_feed(
     config: &ParaHashConfig,
     feed: &SharedCounterQueue<SealedPartition>,
     io: &ThrottledIo,
     cancel: &CancelToken,
     journal: Option<&RunJournal>,
     skip: &BTreeSet<usize>,
-    warm: Option<TunerWarmStart>,
+    tuner: Option<&SplitTuner>,
 ) -> Result<(DeBruijnGraph, StepReport)> {
     let shared = Step2Shared::new(config, cancel, journal)?;
     let mut graph = DeBruijnGraph::new(config.k);
-    let n_gpus =
-        config.devices().iter().filter(|d| d.kind() == DeviceKind::SimGpu).count();
-    let tuner = SplitTuner::new(config.split, n_gpus, warm);
 
     let pipeline_report = {
         let shared = &shared;
         let graph = &mut graph;
-        run_coprocessed_streaming_steered(
+        run_pipeline(
             feed,
             config.devices(),
             cancel,
-            &tuner,
-            // Stage 1: materialise the sealed payload. Resident bytes are
-            // handed over by value — the fused win: no disk round-trip.
-            // A partition in the resume `skip` set flows through as a
-            // no-op; its committed subgraph is absorbed by the driver.
+            tuner.map(|t| t as &dyn Steering),
+            // Stage 1: materialise the sealed payload (spilled ones pay
+            // input I/O, with transient-error retries inside
+            // `ThrottledIo`). `None` is the sentinel for an
+            // already-recorded failure — or, on a resumed run, for a
+            // partition in the `skip` set.
             |sealed: SealedPartition| {
                 let idx = sealed.index;
                 if skip.contains(&idx) {
                     return (idx, None);
                 }
-                let kmers = sealed.kmers;
                 let bytes = match sealed.payload {
                     SealedPayload::Resident(bytes) => Some(bytes),
                     SealedPayload::Spilled(path) => match io.read_file(&path) {
@@ -351,22 +321,24 @@ pub(crate) fn run_step2_streaming(
                         }
                     },
                 };
-                (idx, bytes.map(|b| (b, kmers)))
+                (idx, bytes.map(|b| (b, sealed.kmers)))
             },
-            // Stage 2: identical hash construction to the two-phase path.
+            // Stage 2: hash-construct the subgraph on an idle device.
             |device: &dyn Device, idx, input: Option<(Vec<u8>, u64)>| {
                 let Some((bytes, kmers)) = input else {
                     return (None, 0);
                 };
                 shared.build(device, idx, &bytes, kmers)
             },
+            // Stage 3: absorb (and optionally persist) the subgraph.
             |idx, out: Option<Part2Out>| shared.consume(io, graph, idx, out),
         )
     };
-    shared.finish(pipeline_report, graph, Some(&tuner))
+    shared.finish(pipeline_report, graph, tuner)
 }
 
-/// The machinery both Step-2 entry points share: failure routing
+/// The machinery [`run_step2_feed`] and the shard worker's
+/// [`build_and_commit_partition`] share: failure routing
 /// (fatal-vs-quarantine), the pooled capacity-retry hash construction,
 /// subgraph absorption/persistence, and report assembly.
 struct Step2Shared<'a> {

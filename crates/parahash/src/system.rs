@@ -1,24 +1,34 @@
 use std::collections::BTreeSet;
-use std::fs::File;
-use std::io::BufReader;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use dna::{FastqReader, SeqRead};
+use dna::SeqRead;
 use hashgraph::DeBruijnGraph;
 use msp::{PartitionManifest, SealedPayload};
-use pipeline::{CancelToken, PipelineReport, SharedCounterQueue, ThrottledIo};
+use pipeline::perfmodel::Regime;
+use pipeline::{CancelToken, PipelineReport, SharedCounterQueue, SplitTuner, ThrottledIo};
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal, TunerState};
-use crate::step1::{device_baselines, device_deltas, step1_report, step1_sink_fastq, step1_sink_reads};
-use crate::step2::{decode_subgraph_checked, run_step2_streaming, run_step2_with};
-use crate::{
-    run_step1, run_step1_fastq, ParaHashConfig, ParaHashError, Result, RunReport, Step1Stats,
-    StepReport,
-};
+use crate::step1::{device_baselines, device_deltas, step1_into, step1_report, step1_to_disk, Input};
+use crate::step2::{decode_subgraph_checked, manifest_feed, persist_marks, run_step2_feed};
+use crate::{ParaHashConfig, ParaHashError, Result, RunReport, Step1Stats, StepReport};
 
 /// The assembled system: run both steps against a read set and collect
 /// the full report.
+///
+/// One driver serves every entry point; the four `run*` cells differ only
+/// in where the input comes from (reads in memory, or a FASTQ file
+/// streamed one batch at a time) and where the partitions wait between
+/// the steps (on disk, or in a budget-governed in-memory store). The
+/// graph, and every persisted subgraph file, is byte-identical across
+/// all four.
+///
+/// Every run journals its progress to `work_dir/run.journal`. A config
+/// built with [`resume(true)`](crate::ParaHashConfigBuilder::resume)
+/// picks an interrupted run up from that journal instead of starting
+/// over; a journal written under a different config or input is refused
+/// with [`ParaHashError::FingerprintMismatch`], and without a journal a
+/// resume is simply a fresh run.
 ///
 /// See the crate docs for the workflow; construction only validates that
 /// the working directory can be created.
@@ -35,6 +45,22 @@ pub struct RunOutcome {
     /// Timing, workload-distribution and memory accounting.
     pub report: RunReport,
 }
+
+/// Where the partitions wait between Step 1 and Step 2.
+#[derive(Clone, Copy)]
+enum Handoff {
+    /// In the partition files of `work_dir/superkmers`: Step 2 starts
+    /// once Step 1 has finished them (and may run as worker processes).
+    Disk,
+    /// In a [`msp::PartitionStore`] holding up to
+    /// [`partition_memory_budget`](crate::ParaHashConfigBuilder::partition_memory_budget)
+    /// bytes and spilling the rest: Step 2 runs concurrently, fed as
+    /// Step 1 seals partitions.
+    Memory,
+}
+
+/// What the two-arm middle of [`ParaHash::execute`] hands to its tail.
+type Built = (PartitionManifest, StepReport, DeBruijnGraph, StepReport);
 
 impl ParaHash {
     /// Creates a runner, ensuring the working directory exists.
@@ -53,100 +79,32 @@ impl ParaHash {
         &self.config
     }
 
-    /// Constructs the De Bruijn graph of `reads`, running both pipelined
-    /// steps. Progress is journaled to `work_dir/run.journal`; when the
-    /// config was built with [`resume(true)`](crate::ParaHashConfigBuilder::resume)
-    /// and a journal from an interrupted run exists, the run picks up
-    /// where that one died (see [`resume`](Self::resume)).
+    /// Constructs the De Bruijn graph of `reads`, running the two
+    /// pipelined steps one after the other with the partitions handed
+    /// over on disk.
     ///
     /// # Errors
     ///
-    /// Propagates any step failure (I/O, corruption, device memory).
-    pub fn run(&self, reads: &[SeqRead]) -> Result<RunOutcome> {
-        self.run_inner(reads, self.config.resume)
-    }
-
-    /// Resumes an interrupted [`run`](Self::run) (or
-    /// [`run_fused`](Self::run_fused)) from its `run.journal`,
-    /// regardless of the config's `resume` flag:
-    ///
-    /// * the journal is replayed (a torn final record — the signature of
-    ///   a crash mid-append — is dropped);
-    /// * if its config fingerprint (k, p, partitions, input digest)
-    ///   differs from this run's, the resume is refused with
-    ///   [`ParaHashError::FingerprintMismatch`];
-    /// * Step 1 is skipped iff every partition was sealed and the
-    ///   manifest survives; otherwise it re-runs from scratch;
-    /// * partitions whose subgraphs were committed (journaled *and*
-    ///   still decoding cleanly on disk) are skipped — their persisted
-    ///   subgraphs are absorbed directly; everything else re-runs.
-    ///
-    /// When no journal exists this is simply a fresh run.
-    ///
-    /// # Errors
-    ///
-    /// [`ParaHashError::FingerprintMismatch`] as above,
+    /// Propagates any step failure (I/O, corruption, device memory);
+    /// when resuming, [`ParaHashError::FingerprintMismatch`] and
     /// [`ParaHashError::Journal`] for a journal whose valid-CRC records
-    /// are malformed, plus every [`run`](Self::run) failure mode.
-    pub fn resume(&self, reads: &[SeqRead]) -> Result<RunOutcome> {
-        self.run_inner(reads, true)
+    /// are malformed.
+    pub fn run(&self, reads: &[SeqRead]) -> Result<RunOutcome> {
+        self.execute(Input::Reads(reads), Handoff::Disk, &self.io())
     }
 
-    fn run_inner(&self, reads: &[SeqRead], resume: bool) -> Result<RunOutcome> {
-        let io = ThrottledIo::with_retry(self.config.io_mode, self.config.retry);
-        let started = Instant::now();
-        // Optional data-driven sizing: recover Property-1's λ from the
-        // input's quality strings before allocating any tables.
-        let mut config = self.config.clone();
-        if let Some(sample) = config.auto_lambda {
-            if let Some(lambda) = dna::quality::estimate_lambda(reads, sample) {
-                // Keep a small floor so pristine data still gets headroom.
-                config.sizing.lambda = lambda.max(0.05);
-            }
-        }
-        let fingerprint = fingerprint_of(&config, Fingerprint::digest_reads(reads));
-        config.run_token = fingerprint.token();
-        config.input_digest = fingerprint.input_digest;
-        let plan = ResumePlan::prepare(&config, fingerprint, resume)?;
-        two_phase(&config, &io, started, plan, |cfg, io| run_step1(cfg, reads, io))
-    }
-
-    /// Streams a FASTQ file through construction **without loading the
-    /// read set into memory**: Step 1's input stage parses one batch at a
-    /// time (the paper's partition-by-partition workflow for inputs that
-    /// exceed host memory). λ auto-sizing is not applied in this mode —
-    /// the reads are never all in hand; pass an explicit
+    /// [`run`](Self::run) streamed from a FASTQ file **without loading
+    /// the read set into memory**: Step 1's input stage parses one batch
+    /// at a time (the paper's partition-by-partition workflow for inputs
+    /// that exceed host memory). λ auto-sizing is not applied in this
+    /// mode — the reads are never all in hand; pass an explicit
     /// [`crate::ParaHashConfigBuilder::sizing`] instead.
     ///
     /// # Errors
     ///
-    /// Propagates parse failures and any step failure.
+    /// Propagates parse failures and every [`run`](Self::run) failure.
     pub fn run_fastq_streaming(&self, path: impl AsRef<Path>) -> Result<RunOutcome> {
-        let path = path.as_ref();
-        let io = ThrottledIo::with_retry(self.config.io_mode, self.config.retry);
-        let started = Instant::now();
-        // The streamed input is never all in hand, so its digest is the
-        // cheap path+length one (see `Fingerprint::digest_path`).
-        let mut config = self.config.clone();
-        let fingerprint = fingerprint_of(&config, Fingerprint::digest_path(path)?);
-        config.run_token = fingerprint.token();
-        config.input_digest = fingerprint.input_digest;
-        let plan = ResumePlan::prepare(&config, fingerprint, config.resume)?;
-        two_phase(&config, &io, started, plan, |cfg, io| run_step1_fastq(cfg, path, io))
-    }
-
-    /// Parses a FASTQ file and runs construction on its reads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse failures and any step failure.
-    pub fn run_fastq(&self, path: impl AsRef<Path>) -> Result<RunOutcome> {
-        let reader = FastqReader::new(BufReader::new(File::open(path)?));
-        let reads = reader.collect::<std::result::Result<Vec<_>, _>>().map_err(|e| match e {
-            dna::DnaError::Io(io) => crate::ParaHashError::Io(io),
-            other => crate::ParaHashError::InvalidConfig(format!("bad fastq input: {other}")),
-        })?;
-        self.run(&reads)
+        self.execute(Input::Fastq(path.as_ref()), Handoff::Disk, &self.io())
     }
 
     /// **Fused** construction: Step 1 stages partitions in a
@@ -162,63 +120,32 @@ impl ParaHash {
     ///
     /// The manifest (with `resident`/`spilled` residency marks) is still
     /// written to `work_dir/superkmers/manifest.txt`, so a fused run's
-    /// partition directory is inspectable and any quarantined partitions
-    /// are recorded exactly as in the two-phase flow.
+    /// partition directory is inspectable and its quarantine and
+    /// sub-split marks are recorded exactly as in the two-phase flow.
+    ///
+    /// A resumed fused run always redoes Step 1 (resident partition
+    /// payloads died with the crashed process), but partitions whose
+    /// subgraphs were journaled as committed and still verify on disk are
+    /// skipped by Step 2 and absorbed directly.
     ///
     /// # Errors
     ///
-    /// Propagates any step failure; a Step-1 failure takes precedence
-    /// and cleans up the partial partition directory.
+    /// As [`run`](Self::run); a Step-1 failure takes precedence and
+    /// cleans up the partial partition directory.
     pub fn run_fused(&self, reads: &[SeqRead]) -> Result<RunOutcome> {
-        let io = ThrottledIo::with_retry(self.config.io_mode, self.config.retry);
-        self.run_fused_with_io(reads, &io)
+        self.run_fused_with_io(reads, &self.io())
     }
 
     /// [`run_fused`](Self::run_fused) against a caller-owned I/O channel —
-    /// the fused analogue of handing [`run_step1`]/[`run_step2`] your own
-    /// [`ThrottledIo`], so fault-injection hooks and retry counters remain
-    /// observable across the fused run.
+    /// the fused analogue of handing [`crate::run_step1`] /
+    /// [`crate::run_step2`] your own [`ThrottledIo`], so fault-injection
+    /// hooks and retry counters remain observable across the fused run.
     ///
     /// # Errors
     ///
     /// Same as [`run_fused`](Self::run_fused).
     pub fn run_fused_with_io(&self, reads: &[SeqRead], io: &ThrottledIo) -> Result<RunOutcome> {
-        self.run_fused_inner(reads, io, self.config.resume)
-    }
-
-    /// Resumes an interrupted run through the **fused** flow — the fused
-    /// analogue of [`resume`](Self::resume). Step 1 always re-runs
-    /// (resident partition payloads died with the crashed process), but
-    /// partitions whose subgraphs were journaled as committed and still
-    /// verify on disk are skipped by Step 2 and absorbed directly.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`resume`](Self::resume).
-    pub fn resume_fused(&self, reads: &[SeqRead]) -> Result<RunOutcome> {
-        let io = ThrottledIo::with_retry(self.config.io_mode, self.config.retry);
-        self.run_fused_inner(reads, &io, true)
-    }
-
-    fn run_fused_inner(
-        &self,
-        reads: &[SeqRead],
-        io: &ThrottledIo,
-        resume: bool,
-    ) -> Result<RunOutcome> {
-        let mut config = self.config.clone();
-        if let Some(sample) = config.auto_lambda {
-            if let Some(lambda) = dna::quality::estimate_lambda(reads, sample) {
-                config.sizing.lambda = lambda.max(0.05);
-            }
-        }
-        let fingerprint = fingerprint_of(&config, Fingerprint::digest_reads(reads));
-        config.run_token = fingerprint.token();
-        config.input_digest = fingerprint.input_digest;
-        let plan = ResumePlan::prepare(&config, fingerprint, resume)?;
-        fused_run(&config, io, plan, |cfg, io, cancel, store| {
-            step1_sink_reads(cfg, reads, io, cancel, store)
-        })
+        self.execute(Input::Reads(reads), Handoff::Memory, io)
     }
 
     /// Fused construction streamed from a FASTQ file: combines
@@ -231,25 +158,82 @@ impl ParaHash {
     ///
     /// # Errors
     ///
-    /// Propagates parse failures and any step failure.
+    /// Propagates parse failures and every [`run_fused`](Self::run_fused)
+    /// failure.
     pub fn run_fused_fastq(&self, path: impl AsRef<Path>) -> Result<RunOutcome> {
-        let path = path.as_ref();
-        let io = ThrottledIo::with_retry(self.config.io_mode, self.config.retry);
-        let mut config = self.config.clone();
-        let fingerprint = fingerprint_of(&config, Fingerprint::digest_path(path)?);
-        config.run_token = fingerprint.token();
-        config.input_digest = fingerprint.input_digest;
-        let plan = ResumePlan::prepare(&config, fingerprint, config.resume)?;
-        fused_run(&config, &io, plan, |cfg, io, cancel, store| {
-            step1_sink_fastq(cfg, path, io, cancel, store)
-        })
+        self.execute(Input::Fastq(path.as_ref()), Handoff::Memory, &self.io())
     }
-}
 
-/// This run's identity: the parameters whose artifacts a journal
-/// describes, plus the input digest supplied by the entry point.
-fn fingerprint_of(config: &ParaHashConfig, input_digest: u64) -> Fingerprint {
-    Fingerprint { k: config.k, p: config.p, partitions: config.partitions, input_digest }
+    fn io(&self) -> ThrottledIo {
+        ThrottledIo::with_retry(self.config.io_mode, self.config.retry)
+    }
+
+    /// The one run driver: a preamble that fixes the run's identity and
+    /// resume plan, the handoff's own way of getting from input to
+    /// subgraphs, and a tail that makes the result durable and reports
+    /// it.
+    fn execute(&self, input: Input<'_>, handoff: Handoff, io: &ThrottledIo) -> Result<RunOutcome> {
+        let started = Instant::now();
+        let mut config = self.config.clone();
+        let input_digest = match input {
+            Input::Reads(reads) => {
+                // Optional data-driven sizing: recover Property-1's λ
+                // from the input's quality strings before allocating any
+                // tables, with a small floor so pristine data still gets
+                // headroom.
+                let sampled = config.auto_lambda.and_then(|n| dna::quality::estimate_lambda(reads, n));
+                if let Some(lambda) = sampled {
+                    config.sizing.lambda = lambda.max(0.05);
+                }
+                Fingerprint::digest_reads(reads)
+            }
+            // The streamed input is never all in hand, so its digest is
+            // the cheap path+length one.
+            Input::Fastq(path) => Fingerprint::digest_path(path)?,
+        };
+        // This run's identity: the parameters whose artifacts a journal
+        // describes, plus the input digest.
+        let fingerprint =
+            Fingerprint { k: config.k, p: config.p, partitions: config.partitions, input_digest };
+        config.run_token = fingerprint.token();
+        config.input_digest = input_digest;
+        let plan = ResumePlan::prepare(&config, fingerprint)?;
+
+        let (manifest, step1, mut graph, step2) = match handoff {
+            Handoff::Disk => disk_handoff(&config, input, io, &plan)?,
+            Handoff::Memory => memory_handoff(&config, input, io, &plan)?,
+        };
+
+        persist_marks(&manifest, &step2)?;
+        plan.absorb_committed(&config, &mut graph)?;
+        // Persist the tuner's converged state just before `run-complete`:
+        // a finished run's record is the warm start for the *next* steered
+        // run over the same artifacts, and a crash after this point still
+        // leaves the record for a resume to seed from.
+        if let Some(coproc) = &step2.coproc {
+            let state = TunerState::quantise(coproc.gpu_share, coproc.regime);
+            plan.journal.append(&JournalEvent::TunerState(state))?;
+        }
+        plan.journal.append(&JournalEvent::RunComplete)?;
+        let report = RunReport {
+            // Resident partitions coexist with both the in-flight Step-1
+            // batch and Step 2's buffer + table (which coexist during a
+            // launch, so they add), so the store's peak *adds* to the
+            // larger of the two steps' transients.
+            peak_host_bytes: graph.approx_bytes() as u64
+                + step1.peak_resident_store_bytes
+                + step1
+                    .peak_partition_bytes
+                    .max(step2.peak_partition_bytes + step2.peak_table_bytes),
+            partition_bytes: manifest.total_bytes(),
+            distinct_vertices: graph.distinct_vertices(),
+            total_kmers: graph.total_kmer_occurrences(),
+            step1,
+            step2,
+            total_elapsed: started.elapsed(),
+        };
+        Ok(RunOutcome { graph, report })
+    }
 }
 
 /// The resume decision made before any step runs: the (created or
@@ -274,7 +258,20 @@ struct ResumePlan {
 }
 
 impl ResumePlan {
-    fn prepare(config: &ParaHashConfig, fingerprint: Fingerprint, resume: bool) -> Result<ResumePlan> {
+    /// Opens the run's journal: a fresh one, unless the config asks to
+    /// [`resume`](crate::ParaHashConfigBuilder::resume) and an
+    /// interrupted run's journal exists, in which case
+    ///
+    /// * the journal is replayed (a torn final record — the signature of
+    ///   a crash mid-append — is dropped);
+    /// * if its config fingerprint (k, p, partitions, input digest)
+    ///   differs from this run's, the resume is refused with
+    ///   [`ParaHashError::FingerprintMismatch`];
+    /// * Step 1's artifacts count as surviving iff every partition was
+    ///   journaled as sealed and the manifest loads;
+    /// * subgraphs journaled as committed *and* still decoding cleanly on
+    ///   disk are set aside to be absorbed instead of rebuilt.
+    fn prepare(config: &ParaHashConfig, fingerprint: Fingerprint) -> Result<ResumePlan> {
         let fresh = |journal| ResumePlan {
             journal,
             skip_step1: false,
@@ -284,7 +281,7 @@ impl ResumePlan {
         // A vacant journal (zero complete records) is the signature of a
         // crash at creation: nothing was journaled, nothing was done —
         // treat it exactly like a missing journal.
-        if !resume
+        if !config.resume
             || !RunJournal::exists(&config.work_dir)
             || RunJournal::is_vacant(&config.work_dir)?
         {
@@ -386,23 +383,19 @@ fn skipped_step1_report() -> StepReport {
     }
 }
 
-/// The two-phase driver shared by [`ParaHash::run`] and
-/// [`ParaHash::run_fastq_streaming`]: Step 1 (unless the resume plan
-/// says its artifacts survived), `partition-sealed` journaling, Step 2
-/// with committed-subgraph skipping, absorption of surviving subgraphs,
-/// and the final `run-complete` record.
-fn two_phase(
+/// The disk handoff: Step 1 into partition files (unless the resume plan
+/// says they survived whole), then Step 2 over the finished manifest.
+fn disk_handoff(
     config: &ParaHashConfig,
+    input: Input<'_>,
     io: &ThrottledIo,
-    started: Instant,
-    plan: ResumePlan,
-    step1: impl FnOnce(&ParaHashConfig, &ThrottledIo) -> Result<(PartitionManifest, StepReport)>,
-) -> Result<RunOutcome> {
+    plan: &ResumePlan,
+) -> Result<Built> {
     let (manifest, step1) = if plan.skip_step1 {
         (PartitionManifest::load(config.work_dir.join("superkmers"))?, skipped_step1_report())
     } else {
-        let out = step1(config, io)?;
-        // Two-phase Step 1 is all-or-nothing (partition files only leave
+        let out = step1_to_disk(config, input, io)?;
+        // Step 1 to disk is all-or-nothing (partition files only leave
         // their `.tmp` names at `finish()`), so every partition seals at
         // once, right here.
         for i in 0..config.partitions {
@@ -413,70 +406,51 @@ fn two_phase(
     // `workers(N)` swaps the in-process Step 2 for the multi-process
     // shard; the two produce byte-identical subgraphs and graphs (see
     // `crate::shard`), so everything downstream is oblivious.
-    let (mut graph, step2) = if config.workers > 0 || config.listen.is_some() {
-        crate::shard::run_step2_sharded(config, &manifest, io, Some(&plan.journal), &plan.committed)?
+    let journal = Some(&plan.journal);
+    let (graph, step2) = if config.workers > 0 || config.listen.is_some() {
+        crate::shard::run_step2_sharded(config, &manifest, io, journal, &plan.committed)?
     } else {
-        run_step2_with(config, &manifest, io, Some(&plan.journal), &plan.committed)?
+        let feed = manifest_feed(&manifest);
+        run_step2_feed(config, &feed, io, &CancelToken::new(), journal, &plan.committed, None)?
     };
-    plan.absorb_committed(config, &mut graph)?;
-    plan.journal.append(&JournalEvent::RunComplete)?;
-    let total_elapsed = started.elapsed();
-    let report = RunReport {
-        // During a Step-2 launch the loaded partition buffer and its
-        // hash table coexist, so they add; Step 1 holds one batch.
-        peak_host_bytes: graph.approx_bytes() as u64
-            + step1
-                .peak_partition_bytes
-                .max(step2.peak_partition_bytes + step2.peak_table_bytes),
-        partition_bytes: manifest.total_bytes(),
-        distinct_vertices: graph.distinct_vertices(),
-        total_kmers: graph.total_kmer_occurrences(),
-        step1,
-        step2,
-        total_elapsed,
-    };
-    Ok(RunOutcome { graph, report })
+    Ok((manifest, step1, graph, step2))
 }
 
-/// The fused driver shared by [`ParaHash::run_fused`] and
-/// [`ParaHash::run_fused_fastq`]: Step 1 feeds a [`msp::PartitionStore`]
-/// on the calling thread while Step 2 consumes sealed partitions from a
+/// The memory handoff: Step 1 feeds a [`msp::PartitionStore`] on the
+/// calling thread while Step 2 consumes sealed partitions from a
 /// [`SharedCounterQueue`] on a second thread. A shared [`CancelToken`]
 /// links the two — a fatal error on either side drains the other.
-fn fused_run(
+fn memory_handoff(
     config: &ParaHashConfig,
+    input: Input<'_>,
     io: &ThrottledIo,
-    plan: ResumePlan,
-    step1: impl FnOnce(
-        &ParaHashConfig,
-        &ThrottledIo,
-        &CancelToken,
-        &mut msp::PartitionStore,
-    ) -> Result<(Step1Stats, PipelineReport, u64)>,
-) -> Result<RunOutcome> {
-    let started = Instant::now();
+    plan: &ResumePlan,
+) -> Result<Built> {
     let cancel = CancelToken::new();
     // Capacity = partition count: Step 1 seals each partition exactly
     // once, so the queue never wraps and `push` never blocks.
     let feed: SharedCounterQueue<msp::SealedPartition> =
         SharedCounterQueue::new(config.partitions);
     let dir = config.work_dir.join("superkmers");
-    // Fused resume always re-runs Step 1: resident payloads died with
-    // the crashed process, so `skip_step1` cannot be honoured here. The
+    // A resumed run always redoes Step 1 here: resident payloads died
+    // with the crashed process, so `skip_step1` cannot be honoured. The
     // committed-subgraph skips still apply — re-partitioning the same
     // input yields the same per-partition k-mer content, and the
     // canonical subgraph encoding makes the surviving files exact.
     let journal = &plan.journal;
-    // Model-driven resume steering: a journaled `tuner-state` record
-    // seeds the split tuner (below) and, when the dead run was
-    // I/O-bound (Case 2: disk the bottleneck), doubles a finite
-    // partition budget so fewer partitions spill this time. Residency
-    // never changes partition *content*, only where the bytes wait, so
-    // the result stays byte-identical.
-    let warm = plan.tuner.map(|t| t.warm_start());
+    // Model-driven dispatch: a tuner executing the configured split
+    // policy routes each partition to a device class. A journaled
+    // `tuner-state` record seeds it at the converged split and, when the
+    // dead run was I/O-bound (Case 2: disk the bottleneck), doubles a
+    // finite partition budget so fewer partitions spill this time.
+    // Residency never changes partition *content*, only where the bytes
+    // wait, so the result stays byte-identical.
+    let n_gpus =
+        config.devices().iter().filter(|d| d.kind() == hetsim::DeviceKind::SimGpu).count();
+    let tuner = SplitTuner::new(config.split, n_gpus, plan.tuner.map(|t| t.warm_start()));
     let budget = match plan.tuner {
         Some(t)
-            if t.regime == pipeline::perfmodel::Regime::IoBound
+            if t.regime == Regime::IoBound
                 && config.partition_memory_budget > 0
                 && config.partition_memory_budget < u64::MAX =>
         {
@@ -485,13 +459,11 @@ fn fused_run(
         _ => config.partition_memory_budget,
     };
 
-    type Step1Done =
-        (Step1Stats, PipelineReport, u64, u64, msp::PartitionManifest, Vec<hetsim::DeviceMetrics>);
     let (step1_out, step2_out) = std::thread::scope(|s| {
         let step2_handle = s.spawn(|| {
-            run_step2_streaming(config, &feed, io, &cancel, Some(journal), &plan.committed, warm)
+            run_step2_feed(config, &feed, io, &cancel, Some(journal), &plan.committed, Some(&tuner))
         });
-        let step1_out = (|| -> Result<Option<Step1Done>> {
+        let step1_out = (|| -> Result<Option<(PartitionManifest, StepReport)>> {
             let mut store = msp::PartitionStore::create_scoped(
                 &dir,
                 config.partitions,
@@ -505,13 +477,14 @@ fn fused_run(
             // (below), so the window between these two snapshots is
             // exclusively Step 1's.
             let baselines = device_baselines(config);
-            let (stats, preport, peak_batch) = step1(config, io, &cancel, &mut store)?;
+            let (stats, preport, peak_batch) = step1_into(config, input, io, &cancel, &mut store)?;
             let deltas = device_deltas(config, &baselines);
             if cancel.is_cancelled() {
                 // Step 2 failed underneath us; its error wins below.
                 return Ok(None);
             }
-            let peak_resident = store.peak_resident_bytes();
+            let mut step1 = step1_report(config, stats, preport, peak_batch, &deltas);
+            step1.peak_resident_store_bytes = store.peak_resident_bytes();
             let manifest = store.finish_manifest()?;
             // Hand every partition over — resident ones by value, spilled
             // ones as their file path — then mark end-of-stream so the
@@ -543,7 +516,7 @@ fn fused_run(
                 }
             }
             feed.finish();
-            Ok(Some((stats, preport, peak_batch, peak_resident, manifest, deltas)))
+            Ok(Some((manifest, step1)))
         })();
         if !matches!(step1_out, Ok(Some(_))) {
             // Step-1 failure (or observed cancellation): wake the Step-2
@@ -558,63 +531,19 @@ fn fused_run(
         (step1_out, step2_out)
     });
 
-    let (stats, preport, peak_batch, peak_resident, mut manifest, step1_deltas) = match step1_out {
-        Ok(Some(done)) => done,
-        Ok(None) => {
-            // Step 1 was cancelled by a Step-2 fatal error: the partition
-            // directory covers an unknown prefix of the input.
+    match (step1_out, step2_out) {
+        (Ok(Some((manifest, step1))), Ok((graph, step2))) => Ok((manifest, step1, graph, step2)),
+        (Ok(Some(_)), Err(e)) => Err(e),
+        (step1_out, step2_out) => {
+            // Step 1 failed, or was cancelled by a Step-2 fatal error
+            // (which then wins): the partition directory covers an
+            // unknown prefix of the input.
             let _ = std::fs::remove_dir_all(&dir);
-            return Err(step2_out.err().unwrap_or_else(|| {
-                ParaHashError::InvalidConfig(
-                    "fused run cancelled without a recorded error".into(),
-                )
-            }));
+            Err(step1_out.err().or(step2_out.err()).unwrap_or_else(|| {
+                ParaHashError::InvalidConfig("fused run cancelled without a recorded error".into())
+            }))
         }
-        Err(e) => {
-            let _ = std::fs::remove_dir_all(&dir);
-            return Err(e);
-        }
-    };
-    let (mut graph, step2) = step2_out?;
-    // The streaming Step 2 does not own the manifest, so the fused driver
-    // persists its quarantine marks (the two-phase flow does this inside
-    // `run_step2`).
-    if !step2.quarantined.is_empty() {
-        for q in &step2.quarantined {
-            manifest.quarantine(q.index, q.reason.clone());
-        }
-        manifest.save()?;
     }
-    plan.absorb_committed(config, &mut graph)?;
-    // Persist the tuner's converged state just before `run-complete`: a
-    // finished run's record is the warm start for the *next* fused run
-    // over the same artifacts, and a crash after this point still leaves
-    // the record for `resume_fused` to seed from.
-    if let Some(coproc) = &step2.coproc {
-        plan.journal
-            .append(&JournalEvent::TunerState(TunerState::quantise(coproc.gpu_share, coproc.regime)))?;
-    }
-    plan.journal.append(&JournalEvent::RunComplete)?;
-    let mut step1 = step1_report(config, stats, preport, peak_batch, &step1_deltas);
-    step1.peak_resident_store_bytes = peak_resident;
-    let total_elapsed = started.elapsed();
-    let report = RunReport {
-        // Fused accounting: resident partitions coexist with both the
-        // in-flight Step-1 batch and Step-2's buffer+table, so the
-        // store's peak *adds* to the larger of the two steps' transients.
-        peak_host_bytes: graph.approx_bytes() as u64
-            + peak_resident
-            + step1
-                .peak_partition_bytes
-                .max(step2.peak_partition_bytes + step2.peak_table_bytes),
-        partition_bytes: manifest.total_bytes(),
-        distinct_vertices: graph.distinct_vertices(),
-        total_kmers: graph.total_kmer_occurrences(),
-        step1,
-        step2,
-        total_elapsed,
-    };
-    Ok(RunOutcome { graph, report })
 }
 
 #[cfg(test)]
@@ -671,24 +600,6 @@ mod tests {
         assert_eq!(a.graph, b.graph, "I/O regime must not change the result");
         std::fs::remove_dir_all(fast.config().work_dir()).unwrap();
         std::fs::remove_dir_all(slow.config().work_dir()).unwrap();
-    }
-
-    #[test]
-    fn run_fastq_roundtrip() {
-        let ph = runner("parahash-sys-fastq", IoMode::Unthrottled);
-        let path = std::env::temp_dir().join("parahash-sys-input.fastq");
-        {
-            let mut w = dna::FastqWriter::new(std::fs::File::create(&path).unwrap());
-            for r in reads() {
-                w.write_record(&r).unwrap();
-            }
-            w.into_inner().unwrap().sync_all().unwrap();
-        }
-        let via_file = ph.run_fastq(&path).unwrap();
-        let via_mem = ph.run(&reads()).unwrap();
-        assert_eq!(via_file.graph, via_mem.graph);
-        std::fs::remove_file(path).unwrap();
-        std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
     }
 
     #[test]
@@ -812,7 +723,7 @@ mod tests {
     fn missing_fastq_is_io_error() {
         let ph = runner("parahash-sys-missing", IoMode::Unthrottled);
         assert!(matches!(
-            ph.run_fastq("/no/such/file.fastq"),
+            ph.run_fastq_streaming("/no/such/file.fastq"),
             Err(crate::ParaHashError::Io(_))
         ));
         std::fs::remove_dir_all(ph.config().work_dir()).unwrap();

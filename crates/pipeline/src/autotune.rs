@@ -3,8 +3,7 @@
 //! [`perfmodel`](crate::perfmodel) predicts step times from *measured*
 //! component times; this module closes the loop. A [`SplitTuner`]
 //! accumulates per-partition `T_cpu` / `T_gpu` / `T_io` observations
-//! while the steered streaming pipeline
-//! ([`crate::run_coprocessed_streaming_steered`]) is running, converts
+//! while a steered [`crate::run_pipeline`] is running, converts
 //! the rolling rates into the Eq. 2 work split
 //! ([`perfmodel::eq2_gpu_work_share`]), classifies the regime
 //! ([`perfmodel::classify_regime`]), and answers the scheduler's one

@@ -3,11 +3,11 @@
 //! The paper's pipeline assumes every partition flows cleanly from input
 //! to output; a production run cannot. [`CancelToken`] is the one-way
 //! "abandon ship" switch the fail-fast layer threads through
-//! [`run_coprocessed_with`](crate::run_coprocessed_with): the first fatal
-//! error (or a stage panic, via the scheduler's drop guards) flips it,
-//! every stage observes it at its next loop boundary, and both shared
-//! counter queues are closed so blocked workers drain promptly instead of
-//! grinding through the remaining partitions.
+//! [`run_pipeline`](crate::run_pipeline): the first fatal error (or a
+//! stage panic, via the scheduler's drop guard) flips it, every stage
+//! observes it at its next loop boundary, and the feed and every internal
+//! queue are closed so blocked workers drain promptly instead of grinding
+//! through the remaining partitions.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -10,25 +10,26 @@
 //!   output side): producers reserve a position with a fetch-add and
 //!   publish with a per-slot ready flag; consumers claim queuing ids with
 //!   a fetch-add on the head counter.
-//! * [`run_coprocessed`] — the work-stealing pipeline: one thread feeds
-//!   partitions in, one driver thread per [`hetsim::Device`] repeatedly
-//!   claims the next available partition (so faster processors simply
-//!   claim more — the dynamic distribution of Fig 11), one thread drains
-//!   outputs. Input, every device, and output all overlap.
-//! * [`run_sequential`] — the non-pipelined baseline (input all, compute
-//!   all, output all) whose stage breakdown Fig 12 compares against.
+//! * [`run_pipeline`] — the one scheduler: an input thread drains a feed
+//!   queue, one driver thread per [`hetsim::Device`] claims inputs, the
+//!   calling thread drains outputs, and all three overlap. Its modes are
+//!   arguments, not entry points. The feed is a
+//!   [`SharedCounterQueue::filled`] batch or a stream that grows while
+//!   the run consumes it (the fused Step 1 → Step 2 handoff). Without a
+//!   [`Steering`] policy every driver pops one shared queue, so faster
+//!   processors simply claim more — the dynamic distribution of Fig 11;
+//!   with one ([`autotune`]'s [`SplitTuner`], the §IV model executed
+//!   *online*) inputs are routed to a CPU or a GPU class queue toward the
+//!   Eq. 2 split, with `static:<frac>` / `cpu` escape hatches. Fig 12's
+//!   non-pipelined baseline is the sum of the report's stage times.
+//! * [`CancelToken`] — the fail-fast layer: the first fatal error (or a
+//!   stage panic, via the scheduler's drop guard) closes the feed and
+//!   every internal queue, so all workers and the upstream feeder drain
+//!   promptly instead of grinding through the remaining partitions.
 //! * [`ThrottledIo`] — a token-metered byte channel that realises the
 //!   paper's two regimes on any machine: unthrottled ≈ the memory-cached
 //!   file of Case 1, a bandwidth cap ≈ the disk-bound Case 2.
 //! * [`perfmodel`] — Eq. 1 and Eq. 2 estimators used by Fig 13 / Fig 14.
-//! * [`autotune`] + [`run_coprocessed_streaming_steered`] — the §IV model
-//!   executed *online*: rolling `T_cpu`/`T_gpu`/`T_io` measurements steer
-//!   the CPU/GPU partition split toward the Eq. 2 optimum while the
-//!   stream is running, with `static:<frac>` / `cpu` escape hatches.
-//! * [`CancelToken`] + [`run_coprocessed_with`] — the fail-fast layer: the
-//!   first fatal error (or a stage panic, via drop guards) closes both
-//!   queues and drains all workers promptly instead of grinding through
-//!   the remaining partitions.
 //! * [`RetryPolicy`] — bounded retry with exponential backoff for
 //!   transient I/O inside [`ThrottledIo`], with a fault-injection hook for
 //!   the failure-injection test suite.
@@ -51,7 +52,4 @@ pub use autotune::{SplitPolicy, SplitTuner, Steering, TunerSnapshot, TunerWarmSt
 pub use cancel::CancelToken;
 pub use io::{IoMode, IoOp, RetryPolicy, ThrottledIo};
 pub use queue::SharedCounterQueue;
-pub use scheduler::{
-    run_coprocessed, run_coprocessed_streaming, run_coprocessed_streaming_steered,
-    run_coprocessed_with, run_sequential, DeviceShare, PipelineReport, Span, Stage,
-};
+pub use scheduler::{run_pipeline, DeviceShare, PipelineReport, Span, Stage};

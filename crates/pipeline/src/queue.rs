@@ -13,10 +13,12 @@ use parking_lot::{Condvar, Mutex};
 ///
 /// Because a consumer's id is fixed at claim time, arrival order is
 /// consumption order — the property the paper uses to "fix the consuming
-/// order of different processors". Capacity is the total number of items
-/// that will ever flow (the partition count, known up front); [`close`]
-/// releases consumers early when a run aborts.
+/// order of different processors". Capacity bounds the number of items
+/// that will ever flow (the partition count, known up front); [`finish`]
+/// ends a stream that turned out shorter and [`close`] releases
+/// consumers early when a run aborts.
 ///
+/// [`finish`]: SharedCounterQueue::finish
 /// [`close`]: SharedCounterQueue::close
 ///
 /// # Examples
@@ -65,6 +67,19 @@ impl<T> SharedCounterQueue<T> {
             wait_lock: Mutex::new(()),
             wait_cv: Condvar::new(),
         }
+    }
+
+    /// A queue that already holds all of `items` and is
+    /// [`finish`](SharedCounterQueue::finish)ed: the feed of a batch run,
+    /// whose whole work list is known before the pipeline starts.
+    pub fn filled(items: impl IntoIterator<Item = T>) -> SharedCounterQueue<T> {
+        let items: Vec<T> = items.into_iter().collect();
+        let queue = SharedCounterQueue::new(items.len());
+        for item in items {
+            queue.push(item);
+        }
+        queue.finish();
+        queue
     }
 
     /// Total items the queue will carry.
@@ -306,6 +321,15 @@ mod tests {
         // … and the short stream then ends despite spare capacity.
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn filled_queue_drains_in_order_then_ends() {
+        let q = SharedCounterQueue::filled(["a", "b", "c"]);
+        assert_eq!((q.capacity(), q.produced()), (3, 3));
+        assert!(q.is_finished());
+        assert_eq!([q.pop(), q.pop(), q.pop(), q.pop()], [Some("a"), Some("b"), Some("c"), None]);
+        assert_eq!(SharedCounterQueue::<u8>::filled([]).pop(), None);
     }
 
     #[test]

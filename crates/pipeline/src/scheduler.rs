@@ -1,3 +1,4 @@
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,7 +63,7 @@ pub struct DeviceShare {
     pub busy: Duration,
 }
 
-/// Timing summary of one pipelined (or sequential) run.
+/// Timing summary of one pipelined run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// End-to-end wall-clock of the run.
@@ -118,690 +119,237 @@ impl PipelineReport {
     }
 }
 
-/// Runs `total` partitions through the paper's three-stage work-stealing
-/// pipeline:
+/// Every queue a run can block on, plus the run's cancel token. Each
+/// stage thread holds one: [`close_if_cancelled`](Self::close_if_cancelled)
+/// is how the first observer of the token releases all blocked peers
+/// (the upstream feeder included), and dropping it during a panic unwind
+/// does the same after latching the token — so a dying stage drains the
+/// run instead of deadlocking it, and the thread scope's join then
+/// re-propagates the panic.
+struct Shutdown<'a, T, I, O> {
+    feed: &'a SharedCounterQueue<T>,
+    work: &'a [SharedCounterQueue<I>; 2],
+    done: &'a SharedCounterQueue<O>,
+    cancel: &'a CancelToken,
+}
+
+impl<T, I, O> Shutdown<'_, T, I, O> {
+    fn close_if_cancelled(&self) {
+        if self.cancel.is_cancelled() {
+            self.feed.close();
+            self.work.iter().for_each(SharedCounterQueue::close);
+            self.done.close();
+        }
+    }
+}
+
+impl<T, I, O> Drop for Shutdown<'_, T, I, O> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.cancel.cancel();
+            self.close_if_cancelled();
+        }
+    }
+}
+
+/// The paper's three-stage pipeline (§III-E) — the one scheduler both
+/// ParaHash steps, in every mode, run through:
 ///
-/// * an **input thread** drives `produce(i)` for `i in 0..total` (stage 1:
-///   disk read + parse) and publishes each partition;
-/// * **one driver thread per device** repeatedly claims the next
-///   available partition and runs `process(device, index, input)` (stage
-///   2) — an idle processor claims more often, which *is* the dynamic
-///   distribution;
-/// * an **output thread** claims results in completion order and runs
+/// * an **input thread** pops work descriptors from `feed` and drives
+///   `produce(t) -> (partition_index, input)` (stage 1: disk read +
+///   parse);
+/// * **one driver thread per device** claims inputs and runs
+///   `process(device, index, input) -> (output, work_units)` (stage 2);
+///   work units feed the Fig 11 accounting;
+/// * the **calling thread** claims results in completion order and runs
 ///   `consume(index, output)` (stage 3: format + disk write).
 ///
-/// `process` returns `(output, work_units)`; work units feed the Fig 11
-/// accounting.
+/// **The feed.** Its capacity is an *upper bound* on the stream length.
+/// A batch run hands over [`SharedCounterQueue::filled`]; a streaming run
+/// (the fused Step 1 → Step 2 handoff) pushes descriptors while the
+/// pipeline is already consuming earlier ones, then calls
+/// [`SharedCounterQueue::finish`]. Either way the input stage drains the
+/// feed and finishes its own queues, and the last driver out finishes the
+/// output queue, so the run ends without knowing the stream length up
+/// front. [`PipelineReport::partitions`] counts the items consumed.
+///
+/// **Dispatch.** With `steer = None` every driver pops one shared queue,
+/// so an idle processor simply claims more often — the paper's dynamic
+/// work stealing (Fig 11). With `Some(policy)` each input is routed to a
+/// *CPU class queue* or a *GPU class queue* by
+/// [`Steering::assign_gpu`] — in practice
+/// [`SplitTuner`](crate::autotune::SplitTuner) steering toward the Eq. 2
+/// split — and:
+///
+/// * there is **no cross-class stealing**: `static:0.3` must *pin* 30 %
+///   of partitions to the GPU even when that is not the fastest
+///   assignment, or every static split would collapse into the same
+///   dynamic schedule (devices of one class still steal from each other);
+/// * **roster clamping beats policy**: without a GPU everything goes to
+///   the CPU class, and vice versa, whatever the policy asks (it is not
+///   even consulted), so a mis-set split can never stall the stream;
+/// * **the policy hears everything**: per-partition produce, compute and
+///   consume times reach [`Steering::observe_input`],
+///   [`Steering::observe_compute`] and [`Steering::observe_output`].
+///
+/// **Cancellation.** Any thread may call [`CancelToken::cancel`]
+/// (typically a stage callback that hit a fatal error). Every stage
+/// checks the token at its loop boundary; the first to observe it closes
+/// the feed and every internal queue, so the upstream feeder is released
+/// too. Remaining partitions are abandoned and the report has
+/// [`PipelineReport::cancelled`] set.
 ///
 /// # Panics
 ///
-/// Panics if `devices` is empty or if any stage callback panics.
-pub fn run_coprocessed<I, O, FP, FC, FO>(
-    total: usize,
-    devices: &[Arc<dyn Device>],
-    produce: FP,
-    process: FC,
-    consume: FO,
-) -> PipelineReport
-where
-    I: Send,
-    O: Send,
-    FP: FnMut(usize) -> I + Send,
-    FC: Fn(&dyn Device, usize, I) -> (O, u64) + Sync,
-    FO: FnMut(usize, O) + Send,
-{
-    let cancel = CancelToken::new();
-    run_coprocessed_with(total, devices, &cancel, produce, process, consume)
-}
-
-/// Closes both pipeline queues when dropped during a panic unwind, so a
-/// dying stage thread releases every peer blocked on `pop()` instead of
-/// deadlocking the run; the panic then propagates through the thread
-/// scope's join. Also latches the cancel token so loops that are *not*
-/// blocked stop claiming new partitions.
-struct PanicGuard<'a, A, B> {
-    in_q: &'a SharedCounterQueue<A>,
-    out_q: &'a SharedCounterQueue<B>,
-    cancel: &'a CancelToken,
-}
-
-impl<A, B> Drop for PanicGuard<'_, A, B> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.cancel.cancel();
-            self.in_q.close();
-            self.out_q.close();
-        }
-    }
-}
-
-/// [`run_coprocessed`] with an externally observable [`CancelToken`]: the
-/// fail-fast variant the ParaHash steps use.
-///
-/// Cancellation semantics:
-///
-/// * Any thread may call [`CancelToken::cancel`] (typically a stage
-///   callback that hit a fatal error). Every stage checks the token at
-///   its loop boundary; the first stage thread to *observe* the token
-///   closes both queues, releasing all blocked peers promptly.
-/// * The input stage stops producing, device drivers stop claiming, and
-///   the output stage stops consuming — remaining partitions are
-///   abandoned, not processed.
-/// * A panicking stage callback trips a drop guard that closes both
-///   queues and latches the token; the panic is then re-propagated by the
-///   thread scope instead of deadlocking the output stage.
-///
-/// The returned report has [`PipelineReport::cancelled`] set when the run
-/// aborted; its stage counts cover only the partitions that actually
-/// flowed through.
-///
-/// # Panics
-///
-/// Panics if `devices` is empty or if any stage callback panics.
-pub fn run_coprocessed_with<I, O, FP, FC, FO>(
-    total: usize,
-    devices: &[Arc<dyn Device>],
-    cancel: &CancelToken,
-    produce: FP,
-    process: FC,
-    mut consume: FO,
-) -> PipelineReport
-where
-    I: Send,
-    O: Send,
-    FP: FnMut(usize) -> I + Send,
-    FC: Fn(&dyn Device, usize, I) -> (O, u64) + Sync,
-    FO: FnMut(usize, O) + Send,
-{
-    assert!(!devices.is_empty(), "co-processing needs at least one device");
-    let started = Instant::now();
-    let in_queue: SharedCounterQueue<(usize, I)> = SharedCounterQueue::new(total);
-    let out_queue: SharedCounterQueue<(usize, O, usize, u64, Duration)> =
-        SharedCounterQueue::new(total);
-    let spans: Mutex<Vec<Span>> = Mutex::new(Vec::with_capacity(3 * total));
-    let record = |stage: Stage, worker: &str, partition: usize, t0: Instant| {
-        spans.lock().push(Span {
-            stage,
-            worker: worker.to_owned(),
-            partition,
-            start: t0 - started,
-            end: started.elapsed(),
-        });
-    };
-
-    let mut input_time = Duration::ZERO;
-    let mut output_time = Duration::ZERO;
-    let mut shares: Vec<DeviceShare> = devices
-        .iter()
-        .map(|d| DeviceShare { name: d.name().to_owned(), partitions: 0, work_units: 0, busy: Duration::ZERO })
-        .collect();
-
-    std::thread::scope(|s| {
-        // Stage 1: input.
-        let in_q = &in_queue;
-        let out_q = &out_queue;
-        let record = &record;
-        let input_handle = s.spawn({
-            let mut produce = produce;
-            move || {
-                let _guard = PanicGuard { in_q, out_q, cancel };
-                let mut spent = Duration::ZERO;
-                for i in 0..total {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let item = produce(i);
-                    spent += t0.elapsed();
-                    record(Stage::Input, "io", i, t0);
-                    in_q.push((i, item));
-                }
-                if cancel.is_cancelled() {
-                    in_q.close();
-                    out_q.close();
-                }
-                spent
-            }
-        });
-
-        // Stage 2: one driver per device, stealing from the input queue.
-        let process = &process;
-        for (dev_idx, device) in devices.iter().enumerate() {
-            let device = Arc::clone(device);
-            s.spawn(move || {
-                let _guard = PanicGuard { in_q, out_q, cancel };
-                while !cancel.is_cancelled() {
-                    let Some((index, item)) = in_q.pop() else { break };
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let (output, work) = process(device.as_ref(), index, item);
-                    let busy = t0.elapsed();
-                    record(Stage::Compute, device.name(), index, t0);
-                    out_q.push((index, output, dev_idx, work, busy));
-                }
-                if cancel.is_cancelled() {
-                    // First observer releases every blocked peer.
-                    in_q.close();
-                    out_q.close();
-                }
-            });
-        }
-
-        // Stage 3: output, on this thread (the scope owner); the guard
-        // covers a panicking `consume` so spawned stages drain instead of
-        // blocking the scope's implicit join forever.
-        let _guard = PanicGuard { in_q, out_q, cancel };
-        let mut consumed = 0;
-        while let Some((index, output, dev_idx, work, busy)) = out_queue.pop() {
-            let t0 = Instant::now();
-            consume(index, output);
-            output_time += t0.elapsed();
-            record(Stage::Output, "io", index, t0);
-            let share = &mut shares[dev_idx];
-            share.partitions += 1;
-            share.work_units += work;
-            share.busy += busy;
-            consumed += 1;
-            if consumed == total || cancel.is_cancelled() {
-                break;
-            }
-        }
-        if cancel.is_cancelled() {
-            in_queue.close();
-            out_queue.close();
-        }
-        input_time = input_handle.join().expect("input stage panicked");
-    });
-
-    let mut spans = spans.into_inner();
-    spans.sort_by_key(|s| s.start);
-    PipelineReport {
-        elapsed: started.elapsed(),
-        input_time,
-        output_time,
-        shares,
-        partitions: total,
-        spans,
-        cancelled: cancel.is_cancelled(),
-    }
-}
-
-/// Closes the external feed queue *and* both internal pipeline queues on
-/// a panic unwind — the streaming variant of [`PanicGuard`], which must
-/// also release whoever is blocked feeding the pipeline.
-struct StreamingPanicGuard<'a, T, A, B> {
-    feed: &'a SharedCounterQueue<T>,
-    in_q: &'a SharedCounterQueue<A>,
-    out_q: &'a SharedCounterQueue<B>,
-    cancel: &'a CancelToken,
-}
-
-impl<T, A, B> Drop for StreamingPanicGuard<'_, T, A, B> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.cancel.cancel();
-            self.feed.close();
-            self.in_q.close();
-            self.out_q.close();
-        }
-    }
-}
-
-/// The streaming variant of [`run_coprocessed_with`]: instead of driving
-/// `produce(i)` for a fixed `i in 0..total`, the input stage pops work
-/// descriptors from an external `feed` queue that **grows as upstream
-/// work completes** — this is what fuses Step 1 and Step 2, with Step 1's
-/// output stage sealing partitions into the feed while Step 2's devices
-/// are already consuming earlier ones.
-///
-/// * The `feed`'s capacity is an *upper bound* on the stream length; the
-///   upstream producer calls [`SharedCounterQueue::finish`] (short
-///   stream) or pushes exactly `capacity` items. Either way the input
-///   stage drains the feed, forwards each descriptor through
-///   `produce(t) -> (partition_index, input)`, and then declares its own
-///   queue finished.
-/// * Device drivers claim from the internal queue exactly as in
-///   [`run_coprocessed_with`]; the last driver to exit finishes the
-///   output queue so the output stage ends deterministically without
-///   knowing the stream length up front.
-/// * Cancellation and panic semantics are preserved: the first observer
-///   of the [`CancelToken`] closes the feed and both internal queues, so
-///   a fatal error in any stage releases the upstream producer too;
-///   panicking stages trip a guard that does the same before the scope
-///   join re-propagates.
-///
-/// The returned report's `partitions` counts the items actually consumed
-/// (the stream length), not the feed capacity.
-///
-/// # Panics
-///
-/// Panics if `devices` is empty or if any stage callback panics.
-pub fn run_coprocessed_streaming<T, I, O, FP, FC, FO>(
+/// Panics if `devices` is empty or if any stage callback panics (after
+/// releasing every blocked thread, the feeder included).
+pub fn run_pipeline<T, I, O, FP, FC, FO>(
     feed: &SharedCounterQueue<T>,
     devices: &[Arc<dyn Device>],
     cancel: &CancelToken,
-    produce: FP,
-    process: FC,
-    mut consume: FO,
-) -> PipelineReport
-where
-    T: Send,
-    I: Send,
-    O: Send,
-    FP: FnMut(T) -> (usize, I) + Send,
-    FC: Fn(&dyn Device, usize, I) -> (O, u64) + Sync,
-    FO: FnMut(usize, O) + Send,
-{
-    assert!(!devices.is_empty(), "co-processing needs at least one device");
-    let started = Instant::now();
-    let bound = feed.capacity();
-    let in_queue: SharedCounterQueue<(usize, I)> = SharedCounterQueue::new(bound);
-    let out_queue: SharedCounterQueue<(usize, O, usize, u64, Duration)> =
-        SharedCounterQueue::new(bound);
-    let spans: Mutex<Vec<Span>> = Mutex::new(Vec::with_capacity(3 * bound));
-    let record = |stage: Stage, worker: &str, partition: usize, t0: Instant| {
-        spans.lock().push(Span {
-            stage,
-            worker: worker.to_owned(),
-            partition,
-            start: t0 - started,
-            end: started.elapsed(),
-        });
-    };
-
-    let mut input_time = Duration::ZERO;
-    let mut output_time = Duration::ZERO;
-    let mut shares: Vec<DeviceShare> = devices
-        .iter()
-        .map(|d| DeviceShare { name: d.name().to_owned(), partitions: 0, work_units: 0, busy: Duration::ZERO })
-        .collect();
-    let mut consumed = 0usize;
-
-    // Drivers still running; the last one out finishes the output queue.
-    let active_drivers = std::sync::atomic::AtomicUsize::new(devices.len());
-
-    std::thread::scope(|s| {
-        let in_q = &in_queue;
-        let out_q = &out_queue;
-        let active = &active_drivers;
-        let record = &record;
-
-        // Stage 1: input, fed by the upstream queue.
-        let input_handle = s.spawn({
-            let mut produce = produce;
-            move || {
-                let _guard = StreamingPanicGuard { feed, in_q, out_q, cancel };
-                let mut spent = Duration::ZERO;
-                while !cancel.is_cancelled() {
-                    let Some(t) = feed.pop() else { break };
-                    let t0 = Instant::now();
-                    let (index, item) = produce(t);
-                    spent += t0.elapsed();
-                    record(Stage::Input, "io", index, t0);
-                    in_q.push((index, item));
-                }
-                // Graceful: published items drain, blocked drivers wake.
-                in_q.finish();
-                if cancel.is_cancelled() {
-                    feed.close();
-                    in_q.close();
-                    out_q.close();
-                }
-                spent
-            }
-        });
-
-        // Stage 2: one driver per device.
-        let process = &process;
-        for (dev_idx, device) in devices.iter().enumerate() {
-            let device = Arc::clone(device);
-            s.spawn(move || {
-                let _guard = StreamingPanicGuard { feed, in_q, out_q, cancel };
-                while !cancel.is_cancelled() {
-                    let Some((index, item)) = in_q.pop() else { break };
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let (output, work) = process(device.as_ref(), index, item);
-                    let busy = t0.elapsed();
-                    record(Stage::Compute, device.name(), index, t0);
-                    out_q.push((index, output, dev_idx, work, busy));
-                }
-                if active.fetch_sub(1, std::sync::atomic::Ordering::AcqRel) == 1 {
-                    out_q.finish();
-                }
-                if cancel.is_cancelled() {
-                    feed.close();
-                    in_q.close();
-                    out_q.close();
-                }
-            });
-        }
-
-        // Stage 3: output, on the scope owner.
-        let _guard = StreamingPanicGuard { feed, in_q, out_q, cancel };
-        while let Some((index, output, dev_idx, work, busy)) = out_queue.pop() {
-            let t0 = Instant::now();
-            consume(index, output);
-            output_time += t0.elapsed();
-            record(Stage::Output, "io", index, t0);
-            let share = &mut shares[dev_idx];
-            share.partitions += 1;
-            share.work_units += work;
-            share.busy += busy;
-            consumed += 1;
-            if cancel.is_cancelled() {
-                break;
-            }
-        }
-        if cancel.is_cancelled() {
-            feed.close();
-            in_queue.close();
-            out_queue.close();
-        }
-        input_time = input_handle.join().expect("input stage panicked");
-    });
-
-    let mut spans = spans.into_inner();
-    spans.sort_by_key(|s| s.start);
-    PipelineReport {
-        elapsed: started.elapsed(),
-        input_time,
-        output_time,
-        shares,
-        partitions: consumed,
-        spans,
-        cancelled: cancel.is_cancelled(),
-    }
-}
-
-/// Closes the feed, both class queues, and the output queue on a panic
-/// unwind — the steered-scheduler counterpart of [`StreamingPanicGuard`].
-struct SteeredPanicGuard<'a, T, A, B> {
-    feed: &'a SharedCounterQueue<T>,
-    cpu_q: &'a SharedCounterQueue<A>,
-    gpu_q: &'a SharedCounterQueue<A>,
-    out_q: &'a SharedCounterQueue<B>,
-    cancel: &'a CancelToken,
-}
-
-impl<T, A, B> Drop for SteeredPanicGuard<'_, T, A, B> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.cancel.cancel();
-            self.feed.close();
-            self.cpu_q.close();
-            self.gpu_q.close();
-            self.out_q.close();
-        }
-    }
-}
-
-/// [`run_coprocessed_streaming`] with **model-driven dispatch**: instead
-/// of one shared input queue that any idle device steals from, partitions
-/// are routed into a *CPU class queue* or a *GPU class queue* as they
-/// arrive, and the routing decision is delegated to a
-/// [`Steering`] policy — in practice the online autotuner
-/// ([`crate::autotune::SplitTuner`]) steering toward the Eq. 2 split, or
-/// its `static:<frac>` / `cpu` escape hatches.
-///
-/// Differences from the work-stealing variant, all deliberate:
-///
-/// * **No cross-class stealing.** A `static:0.3` split must *pin* 30 % of
-///   partitions to the GPU even when that is not the fastest assignment —
-///   otherwise every static split would collapse into the same dynamic
-///   schedule and the split-sweep benchmark would measure nothing.
-///   Within a class, multiple devices of that class still steal from each
-///   other through the shared class queue.
-/// * **Roster clamping beats policy.** A roster with no GPU routes
-///   everything to the CPU class (and vice versa) regardless of what the
-///   policy asks, so a mis-set split can never stall the stream.
-/// * **The policy hears everything.** Per-partition produce time feeds
-///   [`Steering::observe_input`], per-launch compute time and class feed
-///   [`Steering::observe_compute`], and per-result consume time feeds
-///   [`Steering::observe_output`] — the measurements the tuner folds into
-///   [`crate::perfmodel::StepComponents`] while the run progresses.
-///
-/// Cancellation, panic, and termination semantics mirror
-/// [`run_coprocessed_streaming`]: first cancel observer closes the feed
-/// and all queues; the last driver out finishes the output queue; stage
-/// panics trip a guard and re-propagate.
-///
-/// # Panics
-///
-/// Panics if `devices` is empty or if any stage callback panics.
-pub fn run_coprocessed_streaming_steered<T, I, O, FP, FC, FO>(
-    feed: &SharedCounterQueue<T>,
-    devices: &[Arc<dyn Device>],
-    cancel: &CancelToken,
-    steer: &(dyn Steering + '_),
-    produce: FP,
-    process: FC,
-    mut consume: FO,
-) -> PipelineReport
-where
-    T: Send,
-    I: Send,
-    O: Send,
-    FP: FnMut(T) -> (usize, I) + Send,
-    FC: Fn(&dyn Device, usize, I) -> (O, u64) + Sync,
-    FO: FnMut(usize, O) + Send,
-{
-    assert!(!devices.is_empty(), "co-processing needs at least one device");
-    let started = Instant::now();
-    let bound = feed.capacity();
-    let gpu_class: Vec<bool> =
-        devices.iter().map(|d| matches!(d.kind(), DeviceKind::SimGpu)).collect();
-    let has_gpu = gpu_class.iter().any(|&g| g);
-    let has_cpu = gpu_class.iter().any(|&g| !g);
-    let cpu_queue: SharedCounterQueue<(usize, I)> = SharedCounterQueue::new(bound);
-    let gpu_queue: SharedCounterQueue<(usize, I)> = SharedCounterQueue::new(bound);
-    let out_queue: SharedCounterQueue<(usize, O, usize, u64, Duration)> =
-        SharedCounterQueue::new(bound);
-    let spans: Mutex<Vec<Span>> = Mutex::new(Vec::with_capacity(3 * bound));
-    let record = |stage: Stage, worker: &str, partition: usize, t0: Instant| {
-        spans.lock().push(Span {
-            stage,
-            worker: worker.to_owned(),
-            partition,
-            start: t0 - started,
-            end: started.elapsed(),
-        });
-    };
-
-    let mut input_time = Duration::ZERO;
-    let mut output_time = Duration::ZERO;
-    let mut shares: Vec<DeviceShare> = devices
-        .iter()
-        .map(|d| DeviceShare { name: d.name().to_owned(), partitions: 0, work_units: 0, busy: Duration::ZERO })
-        .collect();
-    let mut consumed = 0usize;
-
-    // Drivers still running (both classes); the last one out finishes the
-    // output queue.
-    let active_drivers = std::sync::atomic::AtomicUsize::new(devices.len());
-
-    std::thread::scope(|s| {
-        let cpu_q = &cpu_queue;
-        let gpu_q = &gpu_queue;
-        let out_q = &out_queue;
-        let active = &active_drivers;
-        let record = &record;
-
-        // Stage 1: input, fed by the upstream queue, routing per the
-        // steering policy (clamped to the classes the roster has).
-        let input_handle = s.spawn({
-            let mut produce = produce;
-            move || {
-                let _guard = SteeredPanicGuard { feed, cpu_q, gpu_q, out_q, cancel };
-                let mut spent = Duration::ZERO;
-                while !cancel.is_cancelled() {
-                    let Some(t) = feed.pop() else { break };
-                    let t0 = Instant::now();
-                    let (index, item) = produce(t);
-                    let took = t0.elapsed();
-                    spent += took;
-                    steer.observe_input(took);
-                    record(Stage::Input, "io", index, t0);
-                    let to_gpu = if !has_gpu {
-                        false
-                    } else if !has_cpu {
-                        true
-                    } else {
-                        steer.assign_gpu(index)
-                    };
-                    if to_gpu { gpu_q.push((index, item)) } else { cpu_q.push((index, item)) };
-                }
-                // Graceful end of both class streams.
-                cpu_q.finish();
-                gpu_q.finish();
-                if cancel.is_cancelled() {
-                    feed.close();
-                    cpu_q.close();
-                    gpu_q.close();
-                    out_q.close();
-                }
-                spent
-            }
-        });
-
-        // Stage 2: one driver per device, draining its own class queue.
-        let process = &process;
-        for (dev_idx, device) in devices.iter().enumerate() {
-            let device = Arc::clone(device);
-            let is_gpu = gpu_class[dev_idx];
-            s.spawn(move || {
-                let _guard = SteeredPanicGuard { feed, cpu_q, gpu_q, out_q, cancel };
-                let own_q = if is_gpu { gpu_q } else { cpu_q };
-                while !cancel.is_cancelled() {
-                    let Some((index, item)) = own_q.pop() else { break };
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let (output, work) = process(device.as_ref(), index, item);
-                    let busy = t0.elapsed();
-                    steer.observe_compute(is_gpu, busy, work);
-                    record(Stage::Compute, device.name(), index, t0);
-                    out_q.push((index, output, dev_idx, work, busy));
-                }
-                if active.fetch_sub(1, std::sync::atomic::Ordering::AcqRel) == 1 {
-                    out_q.finish();
-                }
-                if cancel.is_cancelled() {
-                    feed.close();
-                    cpu_q.close();
-                    gpu_q.close();
-                    out_q.close();
-                }
-            });
-        }
-
-        // Stage 3: output, on the scope owner.
-        let _guard = SteeredPanicGuard { feed, cpu_q, gpu_q, out_q, cancel };
-        while let Some((index, output, dev_idx, work, busy)) = out_queue.pop() {
-            let t0 = Instant::now();
-            consume(index, output);
-            let took = t0.elapsed();
-            output_time += took;
-            steer.observe_output(took);
-            record(Stage::Output, "io", index, t0);
-            let share = &mut shares[dev_idx];
-            share.partitions += 1;
-            share.work_units += work;
-            share.busy += busy;
-            consumed += 1;
-            if cancel.is_cancelled() {
-                break;
-            }
-        }
-        if cancel.is_cancelled() {
-            feed.close();
-            cpu_queue.close();
-            gpu_queue.close();
-            out_queue.close();
-        }
-        input_time = input_handle.join().expect("input stage panicked");
-    });
-
-    let mut spans = spans.into_inner();
-    spans.sort_by_key(|s| s.start);
-    PipelineReport {
-        elapsed: started.elapsed(),
-        input_time,
-        output_time,
-        shares,
-        partitions: consumed,
-        spans,
-        cancelled: cancel.is_cancelled(),
-    }
-}
-
-/// The non-pipelined baseline for Fig 12: input **all** partitions, then
-/// compute **all** on the single given device, then output **all**. The
-/// report's `input_time`/`output_time`/device-busy sum to (almost exactly)
-/// `elapsed`, which is the point of the comparison.
-///
-/// # Panics
-///
-/// Panics if a stage callback panics.
-pub fn run_sequential<I, O, FP, FC, FO>(
-    total: usize,
-    device: &Arc<dyn Device>,
+    steer: Option<&(dyn Steering + '_)>,
     mut produce: FP,
     process: FC,
     mut consume: FO,
 ) -> PipelineReport
 where
-    FP: FnMut(usize) -> I,
-    FC: Fn(&dyn Device, usize, I) -> (O, u64),
+    T: Send,
+    I: Send,
+    O: Send,
+    FP: FnMut(T) -> (usize, I) + Send,
+    FC: Fn(&dyn Device, usize, I) -> (O, u64) + Sync,
     FO: FnMut(usize, O),
 {
+    assert!(!devices.is_empty(), "co-processing needs at least one device");
     let started = Instant::now();
-    let t0 = Instant::now();
-    let inputs: Vec<I> = (0..total).map(&mut produce).collect();
-    let input_time = t0.elapsed();
+    let bound = feed.capacity();
+    // Device classes only exist under a steering policy; unsteered, every
+    // driver is "CPU class" and shares `work[0]`.
+    let gpu_class: Vec<bool> =
+        devices.iter().map(|d| steer.is_some() && d.kind() == DeviceKind::SimGpu).collect();
+    let has_gpu = gpu_class.contains(&true);
+    let has_cpu = gpu_class.contains(&false);
+    let work: [SharedCounterQueue<(usize, I)>; 2] =
+        [SharedCounterQueue::new(bound), SharedCounterQueue::new(if has_gpu { bound } else { 0 })];
+    let done: SharedCounterQueue<(usize, O, usize, u64, Duration)> = SharedCounterQueue::new(bound);
+    let shutdown = || Shutdown { feed, work: &work, done: &done, cancel };
 
-    let mut share = DeviceShare {
-        name: device.name().to_owned(),
-        partitions: total,
-        work_units: 0,
-        busy: Duration::ZERO,
+    let spans: Mutex<Vec<Span>> = Mutex::new(Vec::with_capacity(3 * bound));
+    let record = |stage: Stage, worker: &str, partition: usize, t0: Instant| {
+        spans.lock().push(Span {
+            stage,
+            worker: worker.to_owned(),
+            partition,
+            start: t0 - started,
+            end: started.elapsed(),
+        });
     };
-    let mut outputs = Vec::with_capacity(total);
-    let t0 = Instant::now();
-    for (i, item) in inputs.into_iter().enumerate() {
-        let (out, work) = process(device.as_ref(), i, item);
-        share.work_units += work;
-        outputs.push(out);
-    }
-    share.busy = t0.elapsed();
 
-    let t0 = Instant::now();
-    for (i, out) in outputs.into_iter().enumerate() {
-        consume(i, out);
-    }
-    let output_time = t0.elapsed();
+    let mut input_time = Duration::ZERO;
+    let mut output_time = Duration::ZERO;
+    let mut shares: Vec<DeviceShare> = devices
+        .iter()
+        .map(|d| DeviceShare { name: d.name().to_owned(), partitions: 0, work_units: 0, busy: Duration::ZERO })
+        .collect();
+    let mut consumed = 0usize;
+    // Drivers still running; the last one out finishes the output queue.
+    let active = AtomicUsize::new(devices.len());
 
+    std::thread::scope(|s| {
+        let (work, done, active, record, process) = (&work, &done, &active, &record, &process);
+
+        // Stage 1: input, fed by the upstream queue.
+        let input = s.spawn(move || {
+            let shutdown = shutdown();
+            let mut spent = Duration::ZERO;
+            while !cancel.is_cancelled() {
+                let Some(t) = feed.pop() else { break };
+                let t0 = Instant::now();
+                let (index, item) = produce(t);
+                let took = t0.elapsed();
+                spent += took;
+                if let Some(steer) = steer {
+                    steer.observe_input(took);
+                }
+                record(Stage::Input, "io", index, t0);
+                let to_gpu = has_gpu && (!has_cpu || steer.is_some_and(|s| s.assign_gpu(index)));
+                work[usize::from(to_gpu)].push((index, item));
+            }
+            // Graceful: published items drain, blocked drivers wake.
+            work.iter().for_each(SharedCounterQueue::finish);
+            shutdown.close_if_cancelled();
+            spent
+        });
+
+        // Stage 2: one driver per device, claiming from its class queue.
+        for (dev_idx, device) in devices.iter().enumerate() {
+            let is_gpu = gpu_class[dev_idx];
+            s.spawn(move || {
+                let shutdown = shutdown();
+                while !cancel.is_cancelled() {
+                    let Some((index, item)) = work[usize::from(is_gpu)].pop() else { break };
+                    if cancel.is_cancelled() {
+                        break;
+                    }
+                    let t0 = Instant::now();
+                    let (output, units) = process(device.as_ref(), index, item);
+                    let busy = t0.elapsed();
+                    if let Some(steer) = steer {
+                        steer.observe_compute(is_gpu, busy, units);
+                    }
+                    record(Stage::Compute, device.name(), index, t0);
+                    done.push((index, output, dev_idx, units, busy));
+                }
+                if active.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    done.finish();
+                }
+                shutdown.close_if_cancelled();
+            });
+        }
+
+        // Stage 3: output, on this thread (the scope owner).
+        let shutdown = shutdown();
+        while let Some((index, output, dev_idx, units, busy)) = done.pop() {
+            let t0 = Instant::now();
+            consume(index, output);
+            let took = t0.elapsed();
+            output_time += took;
+            if let Some(steer) = steer {
+                steer.observe_output(took);
+            }
+            record(Stage::Output, "io", index, t0);
+            let share = &mut shares[dev_idx];
+            share.partitions += 1;
+            share.work_units += units;
+            share.busy += busy;
+            consumed += 1;
+            if cancel.is_cancelled() {
+                break;
+            }
+        }
+        shutdown.close_if_cancelled();
+        input_time = input.join().expect("input stage panicked");
+    });
+
+    let mut spans = spans.into_inner();
+    spans.sort_by_key(|s| s.start);
     PipelineReport {
         elapsed: started.elapsed(),
         input_time,
         output_time,
-        shares: vec![share],
-        partitions: total,
-        spans: Vec::new(),
-        cancelled: false,
+        shares,
+        partitions: consumed,
+        spans,
+        cancelled: cancel.is_cancelled(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autotune::{SplitPolicy, SplitTuner};
     use hetsim::{CpuDevice, SimGpuConfig, SimGpuDevice, TransferModel};
-    use parking_lot::Mutex;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn cpu(threads: usize) -> Arc<dyn Device> {
         Arc::new(CpuDevice::new("cpu0", threads))
@@ -820,55 +368,276 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn all_partitions_processed_once_in_order() {
-        let seen = Mutex::new(Vec::new());
-        let report = run_coprocessed(
-            20,
-            &[cpu(2)],
-            |i| i * 10,
-            |_, _, v| (v + 1, 1),
-            |idx, out| seen.lock().push((idx, out)),
-        );
-        let mut got = seen.into_inner();
-        got.sort();
-        assert_eq!(got, (0..20).map(|i| (i, i * 10 + 1)).collect::<Vec<_>>());
-        assert_eq!(report.partitions, 20);
-        assert_eq!(report.total_work(), 20);
-        assert_eq!(report.shares.len(), 1);
-        assert_eq!(report.shares[0].partitions, 20);
+    /// How the work descriptors reach the pipeline.
+    #[derive(Debug, Clone, Copy)]
+    enum Feed {
+        /// A batch: `SharedCounterQueue::filled`, finished before the run.
+        Filled,
+        /// Pushed by an upstream thread while the pipeline is already
+        /// running — the fused-mode shape.
+        Concurrent,
+        /// Finished well short of the feed's capacity.
+        Short,
+        /// Finished with nothing in it.
+        Empty,
     }
 
+    /// Who decides which device runs a partition.
+    #[derive(Debug, Clone, Copy)]
+    enum Steer {
+        /// Work stealing over `[cpu, gpu]`.
+        None,
+        /// This GPU share pinned over `[cpu, gpu]`.
+        Static(f64),
+        /// A GPU-hungry policy over `[cpu]`: the roster clamp wins.
+        GpuLess,
+        /// A CPU-only policy over `[gpu]`: the roster clamp wins.
+        CpuLess,
+    }
+
+    const FEEDS: [Feed; 4] = [Feed::Filled, Feed::Concurrent, Feed::Short, Feed::Empty];
+    const STEERS: [Steer; 6] = [
+        Steer::None,
+        Steer::Static(0.0),
+        Steer::Static(0.5),
+        Steer::Static(1.0),
+        Steer::GpuLess,
+        Steer::CpuLess,
+    ];
+    /// Items in every non-empty feed.
+    const N: usize = 24;
+
+    impl Feed {
+        fn items(self) -> usize {
+            if matches!(self, Feed::Empty) { 0 } else { N }
+        }
+
+        /// Builds the feed and runs `body` against it. A `Concurrent`
+        /// feeder that does not `finish` never ends the stream on its
+        /// own: only the pipeline closing the feed (cancel or panic) can
+        /// release whoever pops it.
+        fn with<R>(self, finish: bool, body: impl FnOnce(&SharedCounterQueue<usize>) -> R) -> R {
+            match self {
+                Feed::Filled => body(&SharedCounterQueue::filled(0..N)),
+                Feed::Empty => body(&SharedCounterQueue::filled(0..0)),
+                Feed::Short => {
+                    let feed = SharedCounterQueue::new(N + 40);
+                    for i in 0..N {
+                        feed.push(i);
+                    }
+                    feed.finish();
+                    body(&feed)
+                }
+                Feed::Concurrent => {
+                    let feed = Arc::new(SharedCounterQueue::new(N));
+                    let feeder = std::thread::spawn({
+                        let feed = Arc::clone(&feed);
+                        move || {
+                            for i in 0..N {
+                                std::thread::sleep(Duration::from_micros(100));
+                                feed.push(i);
+                            }
+                            if finish {
+                                feed.finish();
+                            }
+                        }
+                    });
+                    let ran = body(&feed);
+                    feeder.join().expect("feeder panicked");
+                    ran
+                }
+            }
+        }
+    }
+
+    impl Steer {
+        fn roster(self) -> Vec<Arc<dyn Device>> {
+            match self {
+                Steer::None | Steer::Static(_) => vec![cpu(1), slow_gpu(0)],
+                Steer::GpuLess => vec![cpu(1)],
+                Steer::CpuLess => vec![slow_gpu(0)],
+            }
+        }
+
+        fn tuner(self) -> Option<SplitTuner> {
+            let policy = match self {
+                Steer::None => return None,
+                Steer::Static(frac) => SplitPolicy::Static(frac),
+                Steer::GpuLess => SplitPolicy::Static(1.0),
+                Steer::CpuLess => SplitPolicy::CpuOnly,
+            };
+            Some(SplitTuner::new(policy, 1, None))
+        }
+    }
+
+    /// Which callback misbehaves, and how.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        None,
+        CancelInProcess,
+        CancelInConsume,
+        PanicInProduce,
+        PanicInProcess,
+        PanicInConsume,
+    }
+
+    struct Ran {
+        report: PipelineReport,
+        /// `(index, output)` pairs the output stage saw.
+        seen: Vec<(usize, usize)>,
+        processed: usize,
+        feed_closed: bool,
+        tuner: Option<SplitTuner>,
+    }
+
+    /// One run of one table cell: every stage sleeps `stage`, produce
+    /// maps `i -> i * 10`, process adds one, and `fault` fires on the
+    /// first item its stage handles.
+    fn run_cell(feed: Feed, steer: Steer, fault: Fault, stage: Duration) -> Ran {
+        let cancel = CancelToken::new();
+        let tuner = steer.tuner();
+        let seen = Mutex::new(Vec::new());
+        let processed = AtomicUsize::new(0);
+        let (report, feed_closed) = feed.with(fault == Fault::None, |queue| {
+            let report = run_pipeline(
+                queue,
+                &steer.roster(),
+                &cancel,
+                tuner.as_ref().map(|t| t as &dyn Steering),
+                |i| {
+                    assert!(fault != Fault::PanicInProduce, "injected input panic");
+                    std::thread::sleep(stage);
+                    (i, i * 10)
+                },
+                |_, _, v| {
+                    assert!(fault != Fault::PanicInProcess, "injected compute panic");
+                    processed.fetch_add(1, Ordering::Relaxed);
+                    if fault == Fault::CancelInProcess {
+                        cancel.cancel();
+                    }
+                    std::thread::sleep(stage);
+                    (v + 1, 1u64)
+                },
+                |idx, out| {
+                    assert!(fault != Fault::PanicInConsume, "injected output panic");
+                    if fault == Fault::CancelInConsume {
+                        cancel.cancel();
+                    }
+                    std::thread::sleep(stage);
+                    seen.lock().push((idx, out));
+                },
+            );
+            (report, queue.is_closed())
+        });
+        Ran { report, seen: seen.into_inner(), processed: processed.into_inner(), feed_closed, tuner }
+    }
+
+    /// The whole scheduler contract, checked once per feed shape ×
+    /// steering cell.
     #[test]
-    fn two_devices_split_the_work() {
-        let report = run_coprocessed(
-            30,
-            &[cpu(1), slow_gpu(0)],
-            |i| i,
-            |_, _, v| {
-                // A little real work so both devices get a chance to claim.
-                std::thread::sleep(Duration::from_micros(300));
-                (v, 1u64)
-            },
-            |_, _| {},
-        );
-        assert_eq!(report.total_work(), 30);
-        let claimed: usize = report.shares.iter().map(|s| s.partitions).sum();
-        assert_eq!(claimed, 30);
+    fn every_feed_shape_and_steering_honours_the_contract() {
+        for feed in FEEDS {
+            for steer in STEERS {
+                let cell = format!("{feed:?} × {steer:?}");
+                let n = feed.items();
+                clean_run(feed, steer, n, &cell);
+                if n == 0 {
+                    continue; // nothing flows, so no callback can misbehave
+                }
+                for fault in [Fault::CancelInProcess, Fault::CancelInConsume] {
+                    let ran = run_cell(feed, steer, fault, Duration::from_micros(200));
+                    assert!(ran.report.cancelled, "{cell} {fault:?}");
+                    assert!(ran.feed_closed, "{cell} {fault:?}: cancel must release the feeder");
+                    assert!(ran.processed < n, "{cell} {fault:?}: processed {}", ran.processed);
+                    assert!(ran.seen.len() < n, "{cell} {fault:?}: consumed {}", ran.seen.len());
+                }
+                for fault in [Fault::PanicInProduce, Fault::PanicInProcess, Fault::PanicInConsume] {
+                    let result =
+                        catch_unwind(AssertUnwindSafe(|| run_cell(feed, steer, fault, Duration::ZERO)));
+                    assert!(result.is_err(), "{cell} {fault:?} must propagate, not hang");
+                }
+            }
+        }
+    }
+
+    fn clean_run(feed: Feed, steer: Steer, n: usize, cell: &str) {
+        let Ran { report, mut seen, tuner, .. } =
+            run_cell(feed, steer, Fault::None, Duration::from_millis(1));
+
+        // Every item consumed exactly once, with the right output.
+        seen.sort_unstable();
+        assert_eq!(seen, (0..n).map(|i| (i, i * 10 + 1)).collect::<Vec<_>>(), "{cell}");
+        assert_eq!(report.partitions, n, "{cell}");
+        assert_eq!(report.total_work(), n as u64, "{cell}");
+        assert!(!report.cancelled, "{cell}");
+
+        // The split the steering promises.
+        let claimed: Vec<usize> = report.shares.iter().map(|s| s.partitions).collect();
+        assert_eq!(claimed.iter().sum::<usize>(), n, "{cell}");
+        match steer {
+            Steer::None => {
+                assert!(n == 0 || claimed.iter().all(|&c| c > 0), "{cell}: both steal: {claimed:?}");
+            }
+            Steer::Static(frac) => {
+                let gpu = (n as f64 * frac).round() as usize;
+                assert_eq!(claimed, [n - gpu, gpu], "{cell}");
+            }
+            Steer::GpuLess | Steer::CpuLess => assert_eq!(claimed, [n], "{cell}: roster clamp"),
+        }
+
+        // Spans: every stage saw every partition once, in causal order,
+        // inside the run window.
+        for stage in [Stage::Input, Stage::Compute, Stage::Output] {
+            let mut parts: Vec<usize> =
+                report.spans.iter().filter(|s| s.stage == stage).map(|s| s.partition).collect();
+            parts.sort_unstable();
+            assert_eq!(parts, (0..n).collect::<Vec<_>>(), "{cell} stage {stage}");
+        }
+        for s in &report.spans {
+            assert!(s.end >= s.start, "{cell}");
+            assert!(s.end <= report.elapsed + Duration::from_millis(5), "{cell}");
+        }
+        for i in 0..n {
+            let at = |stage: Stage| {
+                report.spans.iter().find(|s| s.stage == stage && s.partition == i).unwrap()
+            };
+            assert!(at(Stage::Input).end <= at(Stage::Compute).end, "{cell}");
+            assert!(at(Stage::Compute).end <= at(Stage::Output).end, "{cell}");
+        }
+
+        // Input, compute and output overlap: the run is well under the
+        // sum of its stages (the Fig 12 comparison).
+        let stages: Duration = report.input_time
+            + report.output_time
+            + report.shares.iter().map(|s| s.busy).sum::<Duration>();
         assert!(
-            report.shares.iter().all(|s| s.partitions > 0),
-            "both devices should claim some work: {:?}",
-            report.shares
+            n == 0 || report.elapsed < stages.mul_f64(0.75),
+            "{cell}: pipelined {:?} vs stage sum {stages:?}",
+            report.elapsed
         );
+
+        // A steering policy hears every stage of every partition.
+        if let Some(tuner) = tuner {
+            let heard = tuner.components();
+            assert_eq!(heard.partitions, n, "{cell}: every launch observed");
+            assert!(n == 0 || heard.input > Duration::ZERO, "{cell}: produce time heard");
+            assert!(n == 0 || heard.output > Duration::ZERO, "{cell}: consume time heard");
+            if matches!(steer, Steer::Static(_)) {
+                let snap = tuner.snapshot();
+                assert_eq!(snap.cpu_assigned + snap.gpu_assigned, n, "{cell}");
+            }
+        }
     }
 
     #[test]
     fn faster_device_claims_more() {
         // CPU processes instantly; GPU pays 2 ms per item (4 items/partition).
-        let report = run_coprocessed(
-            24,
+        let report = run_pipeline(
+            &SharedCounterQueue::filled(0..24usize),
             &[cpu(1), slow_gpu(2000)],
-            |i| i,
+            &CancelToken::new(),
+            None,
+            |i| (i, i),
             |d, _, v| {
                 d.execute(4, &|_| {});
                 (v, 4u64)
@@ -887,10 +656,12 @@ mod tests {
 
     #[test]
     fn work_fractions_sum_to_one() {
-        let report = run_coprocessed(
-            10,
+        let report = run_pipeline(
+            &SharedCounterQueue::filled(0..10usize),
             &[cpu(1), cpu(1)],
-            |i| i,
+            &CancelToken::new(),
+            None,
+            |i| (i, i),
             |_, _, v| (v, 3u64),
             |_, _| {},
         );
@@ -901,537 +672,16 @@ mod tests {
     }
 
     #[test]
-    fn sequential_report_breaks_down_stages() {
-        let dev = cpu(1);
-        let report = run_sequential(
-            8,
-            &dev,
-            |i| {
-                std::thread::sleep(Duration::from_millis(2));
-                i
-            },
-            |_, _, v| {
-                std::thread::sleep(Duration::from_millis(2));
-                (v, 1u64)
-            },
-            |_, _| std::thread::sleep(Duration::from_millis(2)),
-        );
-        assert!(report.input_time >= Duration::from_millis(14));
-        assert!(report.output_time >= Duration::from_millis(14));
-        assert!(report.shares[0].busy >= Duration::from_millis(14));
-        // Sequential: stages sum to roughly the elapsed time.
-        let sum = report.input_time + report.output_time + report.shares[0].busy;
-        assert!(report.elapsed >= sum.mul_f64(0.95));
-    }
-
-    #[test]
-    fn pipelined_overlaps_io_with_compute() {
-        // Input and output each sleep; compute sleeps too. Pipelined
-        // elapsed must be well under the sequential sum of stages.
-        let stage = Duration::from_millis(3);
-        let n = 12;
-        let dev = cpu(1);
-        let seq = run_sequential(
-            n,
-            &dev,
-            |i| {
-                std::thread::sleep(stage);
-                i
-            },
-            |_, _, v| {
-                std::thread::sleep(stage);
-                (v, 1u64)
-            },
-            |_, _| std::thread::sleep(stage),
-        );
-        let pip = run_coprocessed(
-            n,
-            &[cpu(1)],
-            |i| {
-                std::thread::sleep(stage);
-                i
-            },
-            |_, _, v| {
-                std::thread::sleep(stage);
-                (v, 1u64)
-            },
-            |_, _| std::thread::sleep(stage),
-        );
-        assert!(
-            pip.elapsed < seq.elapsed.mul_f64(0.75),
-            "pipelining should hide ~2/3 of stage time: pipelined {:?} vs sequential {:?}",
-            pip.elapsed,
-            seq.elapsed
-        );
-    }
-
-    #[test]
-    fn spans_cover_every_partition_and_stage() {
-        let report = run_coprocessed(
-            12,
-            &[cpu(1), cpu(2)],
-            |i| i,
-            |_, _, v| {
-                std::thread::sleep(Duration::from_micros(200));
-                (v, 1u64)
-            },
-            |_, _| {},
-        );
-        for stage in [Stage::Input, Stage::Compute, Stage::Output] {
-            let mut parts: Vec<usize> = report
-                .spans
-                .iter()
-                .filter(|s| s.stage == stage)
-                .map(|s| s.partition)
-                .collect();
-            parts.sort();
-            assert_eq!(parts, (0..12).collect::<Vec<_>>(), "stage {stage}");
-        }
-        // Spans are well-formed and inside the run window.
-        for s in &report.spans {
-            assert!(s.end >= s.start);
-            assert!(s.end <= report.elapsed + Duration::from_millis(5));
-        }
-        // Causality per partition: input ends before its compute ends
-        // before its output ends.
-        for i in 0..12 {
-            let at = |stage: Stage| {
-                report.spans.iter().find(|s| s.stage == stage && s.partition == i).unwrap()
-            };
-            assert!(at(Stage::Input).end <= at(Stage::Compute).end);
-            assert!(at(Stage::Compute).end <= at(Stage::Output).end);
-        }
-    }
-
-    #[test]
-    fn zero_partitions_complete_immediately() {
-        let report = run_coprocessed(0, &[cpu(1)], |i| i, |_, _, v| (v, 0u64), |_, _: usize| {});
-        assert_eq!(report.partitions, 0);
-        assert_eq!(report.total_work(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one device")]
     fn no_devices_panics() {
-        run_coprocessed(1, &[], |i| i, |_, _, v: usize| (v, 0u64), |_, _| {});
-    }
-
-    #[test]
-    fn uncancelled_runs_report_not_cancelled() {
-        let report = run_coprocessed(4, &[cpu(1)], |i| i, |_, _, v| (v, 1u64), |_, _| {});
-        assert!(!report.cancelled);
-    }
-
-    #[test]
-    fn cancel_from_compute_abandons_remaining_partitions() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cancel = CancelToken::new();
-        let processed = AtomicUsize::new(0);
-        let total = 64;
-        let report = run_coprocessed_with(
-            total,
-            &[cpu(1)],
-            &cancel,
-            |i| {
-                // Slow input so cancellation beats production.
-                std::thread::sleep(Duration::from_micros(300));
-                i
-            },
-            |_, idx, v| {
-                processed.fetch_add(1, Ordering::Relaxed);
-                if idx == 0 {
-                    cancel.cancel();
-                }
-                (v, 1u64)
-            },
-            |_, _| {},
-        );
-        assert!(report.cancelled);
-        let done = processed.load(Ordering::Relaxed);
-        assert!(done < total, "cancel must abandon partitions, processed {done}/{total}");
-    }
-
-    #[test]
-    fn cancel_from_consume_stops_the_run() {
-        let cancel = CancelToken::new();
-        let seen = Mutex::new(0usize);
-        let report = run_coprocessed_with(
-            32,
-            &[cpu(2)],
-            &cancel,
-            |i| {
-                std::thread::sleep(Duration::from_micros(200));
-                i
-            },
-            |_, _, v| (v, 1u64),
-            |_, _| {
-                *seen.lock() += 1;
-                cancel.cancel();
-            },
-        );
-        assert!(report.cancelled);
-        let observed = *seen.lock();
-        assert!(observed < 32, "consume observed {observed} outputs");
-    }
-
-    #[test]
-    fn panicking_process_propagates_instead_of_hanging() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_coprocessed(
-                16,
-                &[cpu(1)],
-                |i| i,
-                |_, idx, v: usize| {
-                    if idx == 3 {
-                        panic!("injected compute panic");
-                    }
-                    (v, 1u64)
-                },
-                |_, _| {},
-            )
-        }));
-        assert!(result.is_err(), "panic must propagate, not deadlock stage 3");
-    }
-
-    #[test]
-    fn panicking_produce_propagates_instead_of_hanging() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_coprocessed(
-                16,
-                &[cpu(2)],
-                |i| {
-                    if i == 2 {
-                        panic!("injected input panic");
-                    }
-                    i
-                },
-                |_, _, v: usize| (v, 1u64),
-                |_, _| {},
-            )
-        }));
-        assert!(result.is_err(), "input panic must propagate");
-    }
-
-    #[test]
-    fn streaming_consumes_everything_fed_concurrently() {
-        let feed = SharedCounterQueue::new(40);
-        let cancel = CancelToken::new();
-        let seen = Mutex::new(Vec::new());
-        let report = std::thread::scope(|s| {
-            s.spawn(|| {
-                // Upstream producer trickles descriptors in while the
-                // pipeline is already running — the fused-mode shape.
-                for i in 0..40usize {
-                    std::thread::sleep(Duration::from_micros(100));
-                    feed.push(i);
-                }
-                feed.finish();
-            });
-            run_coprocessed_streaming(
-                &feed,
-                &[cpu(2)],
-                &cancel,
-                |t| (t, t * 10),
-                |_, _, v| (v + 1, 1u64),
-                |idx, out| seen.lock().push((idx, out)),
-            )
-        });
-        let mut got = seen.into_inner();
-        got.sort();
-        assert_eq!(got, (0..40).map(|i| (i, i * 10 + 1)).collect::<Vec<_>>());
-        assert_eq!(report.partitions, 40);
-        assert!(!report.cancelled);
-    }
-
-    #[test]
-    fn streaming_short_stream_ends_despite_spare_capacity() {
-        let feed = SharedCounterQueue::new(64);
-        let cancel = CancelToken::new();
-        for i in 0..5usize {
-            feed.push(i);
-        }
-        feed.finish(); // only 5 of 64 will ever arrive
-        let consumed = Mutex::new(0usize);
-        let report = run_coprocessed_streaming(
-            &feed,
-            &[cpu(1), cpu(2)],
-            &cancel,
-            |t| (t, t),
-            |_, _, v| (v, 1u64),
-            |_, _| *consumed.lock() += 1,
-        );
-        assert_eq!(*consumed.lock(), 5);
-        assert_eq!(report.partitions, 5);
-        assert_eq!(report.total_work(), 5);
-    }
-
-    #[test]
-    fn streaming_empty_stream_completes() {
-        let feed = SharedCounterQueue::<usize>::new(8);
-        let cancel = CancelToken::new();
-        feed.finish();
-        let report = run_coprocessed_streaming(
-            &feed,
-            &[cpu(1)],
-            &cancel,
-            |t| (t, t),
+        run_pipeline(
+            &SharedCounterQueue::filled(0..1usize),
+            &[],
+            &CancelToken::new(),
+            None,
+            |i| (i, i),
             |_, _, v: usize| (v, 0u64),
             |_, _| {},
         );
-        assert_eq!(report.partitions, 0);
-        assert!(!report.cancelled);
-    }
-
-    #[test]
-    fn streaming_cancel_releases_upstream_feeder() {
-        let feed = SharedCounterQueue::new(32);
-        let cancel = CancelToken::new();
-        let report = std::thread::scope(|s| {
-            s.spawn(|| {
-                // The feeder never finishes on its own; only the
-                // pipeline's cancel-close can release the pop below.
-                for i in 0..4usize {
-                    feed.push(i);
-                }
-            });
-            run_coprocessed_streaming(
-                &feed,
-                &[cpu(1)],
-                &cancel,
-                |t| (t, t),
-                |_, idx, v| {
-                    if idx == 1 {
-                        cancel.cancel();
-                    }
-                    (v, 1u64)
-                },
-                |_, _| {},
-            )
-        });
-        assert!(report.cancelled);
-        assert!(feed.is_closed(), "cancel must close the upstream feed");
-    }
-
-    #[test]
-    fn streaming_panicking_process_propagates() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let feed = SharedCounterQueue::new(16);
-            let cancel = CancelToken::new();
-            for i in 0..16usize {
-                feed.push(i);
-            }
-            feed.finish();
-            run_coprocessed_streaming(
-                &feed,
-                &[cpu(1)],
-                &cancel,
-                |t| (t, t),
-                |_, idx, v: usize| {
-                    if idx == 3 {
-                        panic!("injected streaming compute panic");
-                    }
-                    (v, 1u64)
-                },
-                |_, _| {},
-            )
-        }));
-        assert!(result.is_err(), "panic must propagate, not deadlock");
-    }
-
-    fn fed(n: usize) -> SharedCounterQueue<usize> {
-        let feed = SharedCounterQueue::new(n);
-        for i in 0..n {
-            feed.push(i);
-        }
-        feed.finish();
-        feed
-    }
-
-    fn tuner(policy: crate::autotune::SplitPolicy) -> crate::autotune::SplitTuner {
-        crate::autotune::SplitTuner::new(policy, 1, None)
-    }
-
-    #[test]
-    fn steered_static_split_pins_partitions_to_classes() {
-        use crate::autotune::SplitPolicy;
-        for (frac, want_gpu) in [(0.0, 0usize), (1.0, 40), (0.5, 20)] {
-            let feed = fed(40);
-            let cancel = CancelToken::new();
-            let t = tuner(SplitPolicy::Static(frac));
-            let report = run_coprocessed_streaming_steered(
-                &feed,
-                &[cpu(1), slow_gpu(0)],
-                &cancel,
-                &t,
-                |i| (i, i),
-                |_, _, v| {
-                    std::thread::sleep(Duration::from_micros(100));
-                    (v, 1u64)
-                },
-                |_, _| {},
-            );
-            assert_eq!(report.partitions, 40, "frac {frac}");
-            assert_eq!(report.shares[1].partitions, want_gpu, "frac {frac}");
-            assert_eq!(report.shares[0].partitions, 40 - want_gpu, "frac {frac}");
-        }
-    }
-
-    #[test]
-    fn steered_results_match_unsteered() {
-        use crate::autotune::SplitPolicy;
-        let feed = fed(30);
-        let cancel = CancelToken::new();
-        let t = tuner(SplitPolicy::Auto);
-        let seen = Mutex::new(Vec::new());
-        let report = run_coprocessed_streaming_steered(
-            &feed,
-            &[cpu(2), slow_gpu(0)],
-            &cancel,
-            &t,
-            |i| (i, i * 10),
-            |_, _, v| (v + 1, 1u64),
-            |idx, out| seen.lock().push((idx, out)),
-        );
-        let mut got = seen.into_inner();
-        got.sort();
-        assert_eq!(got, (0..30).map(|i| (i, i * 10 + 1)).collect::<Vec<_>>());
-        assert_eq!(report.partitions, 30);
-        assert!(!report.cancelled);
-    }
-
-    #[test]
-    fn steered_gpuless_roster_ignores_a_gpu_hungry_policy() {
-        use crate::autotune::SplitPolicy;
-        let feed = fed(12);
-        let cancel = CancelToken::new();
-        let t = tuner(SplitPolicy::Static(1.0));
-        let report = run_coprocessed_streaming_steered(
-            &feed,
-            &[cpu(1)],
-            &cancel,
-            &t,
-            |i| (i, i),
-            |_, _, v| (v, 1u64),
-            |_, _| {},
-        );
-        assert_eq!(report.partitions, 12);
-        assert_eq!(report.shares[0].partitions, 12, "roster clamp routes all to CPU");
-    }
-
-    #[test]
-    fn steered_cpu_less_roster_routes_everything_to_gpu() {
-        use crate::autotune::SplitPolicy;
-        let feed = fed(8);
-        let cancel = CancelToken::new();
-        let t = tuner(SplitPolicy::CpuOnly);
-        let report = run_coprocessed_streaming_steered(
-            &feed,
-            &[slow_gpu(0)],
-            &cancel,
-            &t,
-            |i| (i, i),
-            |_, _, v| (v, 1u64),
-            |_, _| {},
-        );
-        assert_eq!(report.partitions, 8);
-        assert_eq!(report.shares[0].partitions, 8, "roster clamp beats the cpu policy");
-    }
-
-    #[test]
-    fn steered_cancel_releases_upstream_feeder() {
-        use crate::autotune::SplitPolicy;
-        let feed = SharedCounterQueue::new(32);
-        let cancel = CancelToken::new();
-        let t = tuner(SplitPolicy::Auto);
-        let report = std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..4usize {
-                    feed.push(i);
-                }
-            });
-            run_coprocessed_streaming_steered(
-                &feed,
-                &[cpu(1), slow_gpu(0)],
-                &cancel,
-                &t,
-                |i| (i, i),
-                |_, idx, v| {
-                    if idx == 1 {
-                        cancel.cancel();
-                    }
-                    (v, 1u64)
-                },
-                |_, _| {},
-            )
-        });
-        assert!(report.cancelled);
-        assert!(feed.is_closed(), "cancel must close the upstream feed");
-    }
-
-    #[test]
-    fn steered_panicking_process_propagates() {
-        use crate::autotune::SplitPolicy;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let feed = fed(16);
-            let cancel = CancelToken::new();
-            let t = tuner(SplitPolicy::Static(0.5));
-            run_coprocessed_streaming_steered(
-                &feed,
-                &[cpu(1), slow_gpu(0)],
-                &cancel,
-                &t,
-                |i| (i, i),
-                |_, idx, v: usize| {
-                    if idx == 3 {
-                        panic!("injected steered compute panic");
-                    }
-                    (v, 1u64)
-                },
-                |_, _| {},
-            )
-        }));
-        assert!(result.is_err(), "panic must propagate, not deadlock");
-    }
-
-    #[test]
-    fn steered_policy_hears_io_and_compute() {
-        use crate::autotune::SplitPolicy;
-        let feed = fed(10);
-        let cancel = CancelToken::new();
-        let t = tuner(SplitPolicy::Static(0.5));
-        run_coprocessed_streaming_steered(
-            &feed,
-            &[cpu(1), slow_gpu(0)],
-            &cancel,
-            &t,
-            |i| {
-                std::thread::sleep(Duration::from_micros(200));
-                (i, i)
-            },
-            |_, _, v| (v, 1u64),
-            |_, _| {},
-        );
-        let c = t.components();
-        assert_eq!(c.partitions, 10, "every launch observed");
-        assert!(c.input > Duration::ZERO, "produce time reached the tuner");
-        let snap = t.snapshot();
-        assert_eq!(snap.cpu_assigned + snap.gpu_assigned, 10);
-    }
-
-    #[test]
-    fn panicking_consume_propagates_and_drains_workers() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_coprocessed(
-                16,
-                &[cpu(1)],
-                |i| {
-                    std::thread::sleep(Duration::from_micros(100));
-                    i
-                },
-                |_, _, v: usize| (v, 1u64),
-                |_, _| panic!("injected output panic"),
-            )
-        }));
-        assert!(result.is_err(), "consume panic must propagate");
     }
 }

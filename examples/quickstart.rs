@@ -9,7 +9,7 @@ use parahash_repro::parahash::{ParaHash, ParaHashConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A few short reads (in practice these come from a FASTQ file; see
-    // `ParaHash::run_fastq`). Note the third read repeats the first —
+    // `ParaHash::run_fastq_streaming`). Note the third read repeats the first —
     // its k-mers will merge into the same vertices with count 2.
     let reads = vec![
         SeqRead::from_ascii("read/1", b"TGATGGATGAACCAGTTTGAGGCATTAGCC"),

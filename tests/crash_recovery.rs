@@ -42,6 +42,15 @@ fn reads() -> Vec<SeqRead> {
 }
 
 fn config(dir: &Path, fused: bool) -> ParaHashConfig {
+    builder(dir, fused).build().expect("valid config")
+}
+
+/// A runner over `dir` that picks an interrupted run up from its journal.
+fn resuming(dir: &Path, fused: bool) -> ParaHash {
+    ParaHash::new(builder(dir, fused).resume(true).build().expect("valid config")).unwrap()
+}
+
+fn builder(dir: &Path, fused: bool) -> parahash::ParaHashConfigBuilder {
     let mut b = ParaHashConfig::builder()
         .k(K)
         .p(P)
@@ -54,7 +63,7 @@ fn config(dir: &Path, fused: bool) -> ParaHashConfig {
         // `msp.store.spill` site is guaranteed to fire.
         b = b.partition_memory_budget(0);
     }
-    b.build().expect("valid config")
+    b
 }
 
 /// The subgraph files of a finished run, keyed by partition index.
@@ -129,9 +138,9 @@ fn crash_matrix(fused: bool, sites: &[&str], triggers: &[u32]) {
                 spawn_crashing_child(&dir, fused, site, trigger),
                 "child must die at {site}@{trigger} ({mode})"
             );
-            let ph = ParaHash::new(config(&dir, fused)).unwrap();
+            let ph = resuming(&dir, fused);
             let rs = reads();
-            let outcome = if fused { ph.resume_fused(&rs) } else { ph.resume(&rs) }
+            let outcome = if fused { ph.run_fused(&rs) } else { ph.run(&rs) }
                 .unwrap_or_else(|e| panic!("resume after {site}@{trigger} ({mode}): {e}"));
             assert_eq!(outcome.graph, ref_graph, "graph after {site}@{trigger} ({mode})");
             assert_eq!(
@@ -171,7 +180,7 @@ fn resume_refuses_a_mismatched_fingerprint() {
     ph.run(&reads()).unwrap();
     // Same work dir, different input: the journal belongs to another run.
     let other = vec![SeqRead::from_ascii("x", b"ACGTACGTACGTACGTACGT")];
-    match ph.resume(&other) {
+    match resuming(&dir, false).run(&other) {
         Err(ParaHashError::FingerprintMismatch { .. }) => {}
         other => panic!("expected FingerprintMismatch, got {other:?}"),
     }
@@ -183,9 +192,8 @@ fn resume_refuses_a_mismatched_fingerprint() {
 #[test]
 fn resume_without_a_journal_is_a_fresh_run() {
     let dir = fresh_dir("no-journal");
-    let ph = ParaHash::new(config(&dir, false)).unwrap();
     let (ref_graph, _) = reference(false, "ref-nojournal");
-    let outcome = ph.resume(&reads()).unwrap();
+    let outcome = resuming(&dir, false).run(&reads()).unwrap();
     assert_eq!(outcome.graph, ref_graph);
     assert!(RunJournal::replay(&dir).unwrap().complete);
     let _ = std::fs::remove_dir_all(&dir);
@@ -209,7 +217,7 @@ fn resume_skips_verified_subgraphs_and_redoes_damaged_ones() {
     damaged[mid] ^= 0x20;
     std::fs::write(&victim, &damaged).unwrap();
 
-    let resumed = ph.resume(&rs).unwrap();
+    let resumed = resuming(&dir, false).run(&rs).unwrap();
     assert_eq!(resumed.graph, full.graph);
     assert_eq!(subgraph_bytes(&dir), before, "damaged partition must be rewritten identically");
     assert!(RunJournal::replay(&dir).unwrap().complete);
@@ -265,7 +273,7 @@ fn resume_sweep_spares_a_concurrent_runs_staging() {
     std::fs::write(&stale, b"run A's crashed staging").unwrap();
     std::fs::write(&live, b"run B's live staging").unwrap();
 
-    let resumed = ph.resume(&rs).unwrap();
+    let resumed = resuming(&dir, false).run(&rs).unwrap();
     assert_eq!(resumed.graph, full.graph);
     assert!(!stale.exists(), "own-token leftover must be reclaimed by the resume sweep");
     assert!(live.exists(), "another run's scoped staging must survive the resume sweep");

@@ -118,7 +118,7 @@ fn malformed_fastq_is_rejected_with_context() {
         .build()
         .unwrap();
     let ph = ParaHash::new(config).unwrap();
-    let err = ph.run_fastq(&path).unwrap_err();
+    let err = ph.run_fastq_streaming(&path).unwrap_err();
     assert!(err.to_string().contains("bad fastq input"), "{err}");
     std::fs::remove_file(&path).unwrap();
     let _ = std::fs::remove_dir_all(ph.config().work_dir());

@@ -84,45 +84,49 @@ fn forced_split_is_byte_identical_to_unsplit_build() {
             "unconstrained run must not split"
         );
 
-        let split_dir = fresh_dir(&format!("split-{threads}"));
-        let split = ParaHash::new(config(&split_dir, threads, PARTITIONS, Some(TIGHT_BUDGET)))
-            .unwrap()
-            .run(&rs)
-            .unwrap();
+        // Both handoffs: partitions on disk between the steps, or fused.
+        for fused in [false, true] {
+            let split_dir = fresh_dir(&format!("split-{threads}-{fused}"));
+            let ph = ParaHash::new(config(&split_dir, threads, PARTITIONS, Some(TIGHT_BUDGET))).unwrap();
+            let split = if fused { ph.run_fused(&rs) } else { ph.run(&rs) }.unwrap();
 
-        assert_eq!(split.graph, reference.graph, "graph must survive the split ({threads} threads)");
-        assert_eq!(
-            subgraph_bytes(&split_dir, PARTITIONS),
-            ref_bytes,
-            "subgraph files must be byte-identical ({threads} threads)"
-        );
-        assert!(
-            !split.report.step2.sub_splits.is_empty(),
-            "tight budget must actually force sub-partitioning"
-        );
-        for &(i, fanout) in &split.report.step2.sub_splits {
-            assert!(fanout >= 2, "partition {i} reports fanout {fanout}");
+            assert_eq!(split.graph, reference.graph, "graph must survive the split ({threads} threads)");
+            assert_eq!(
+                subgraph_bytes(&split_dir, PARTITIONS),
+                ref_bytes,
+                "subgraph files must be byte-identical ({threads} threads)"
+            );
+            assert!(
+                !split.report.step2.sub_splits.is_empty(),
+                "tight budget must actually force sub-partitioning"
+            );
+            for &(i, fanout) in &split.report.step2.sub_splits {
+                assert!(fanout >= 2, "partition {i} reports fanout {fanout}");
+            }
+            // The report is sorted by partition index regardless of the
+            // nondeterministic build completion order.
+            let indices: Vec<usize> = split.report.step2.sub_splits.iter().map(|&(i, _)| i).collect();
+            assert!(indices.windows(2).all(|w| w[0] < w[1]), "{indices:?}");
+
+            // The split is durable state: journaled and marked in the manifest.
+            let state = RunJournal::replay(&split_dir).unwrap();
+            let journaled: Vec<(usize, usize)> = {
+                let mut v = state.sub_splits.clone();
+                v.sort_unstable();
+                v
+            };
+            assert_eq!(journaled, split.report.step2.sub_splits, "journal and report must agree");
+            let manifest = PartitionManifest::load(split_dir.join("superkmers")).unwrap();
+            for &(i, fanout) in &split.report.step2.sub_splits {
+                assert_eq!(manifest.sub_split(i), Some(fanout), "manifest mark for partition {i}");
+            }
+            let marked: Vec<(usize, usize)> =
+                (0..PARTITIONS).filter_map(|i| Some((i, manifest.sub_split(i)?))).collect();
+            assert_eq!(marked, split.report.step2.sub_splits, "manifest marks (fused: {fused})");
+
+            let _ = std::fs::remove_dir_all(&split_dir);
         }
-        // The report is sorted by partition index regardless of the
-        // nondeterministic build completion order.
-        let indices: Vec<usize> = split.report.step2.sub_splits.iter().map(|&(i, _)| i).collect();
-        assert!(indices.windows(2).all(|w| w[0] < w[1]), "{indices:?}");
-
-        // The split is durable state: journaled and marked in the manifest.
-        let state = RunJournal::replay(&split_dir).unwrap();
-        let journaled: Vec<(usize, usize)> = {
-            let mut v = state.sub_splits.clone();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(journaled, split.report.step2.sub_splits, "journal and report must agree");
-        let manifest = PartitionManifest::load(split_dir.join("superkmers")).unwrap();
-        for &(i, fanout) in &split.report.step2.sub_splits {
-            assert_eq!(manifest.sub_split(i), Some(fanout), "manifest mark for partition {i}");
-        }
-
         let _ = std::fs::remove_dir_all(&ref_dir);
-        let _ = std::fs::remove_dir_all(&split_dir);
     }
 }
 
