@@ -1,6 +1,59 @@
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dna::{Base, Kmer, Orientation};
+
+/// Hasher of the merged graph's map: the splitmix-style word mixer of
+/// [`Kmer::hash64_of_words`], one round per 8 key bytes, in place of
+/// SipHash — absorbing a subgraph is one probe per vertex, and hashing
+/// the 41-byte key cost 2.5× more keyed than mixed.
+///
+/// **Seed rule:** the state starts from a constant *different from* the
+/// vertex table's (`hash64_of_words` starts from the golden-ratio
+/// constant). A table snapshot lists its entries in slot order, i.e.
+/// sorted by the table hash's high bits; a map hashing with that same
+/// function would be fed in its own bucket order, the insertion pattern
+/// under which open-addressing maps cluster while they grow. A distinct
+/// seed makes the two orders independent.
+///
+/// Unkeyed, like the vertex table's slot hash: k-mers crafted to collide
+/// here could as well be crafted to collide there, so the map adds no
+/// exposure the construction did not already have.
+#[derive(Debug, Clone, Copy)]
+struct KmerHasher(u64);
+
+impl Default for KmerHasher {
+    fn default() -> KmerHasher {
+        KmerHasher(0xD1B5_4A32_D192_ED03)
+    }
+}
+
+impl Hasher for KmerHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let mut h = self.0 ^ word;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 27;
+        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^= h >> 31;
+        self.0 = h;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KmerMap = HashMap<Kmer, VertexData, BuildHasherDefault<KmerHasher>>;
 
 /// Which side of a canonical vertex an edge leaves from.
 ///
@@ -140,13 +193,13 @@ impl SubGraph {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeBruijnGraph {
     k: usize,
-    map: HashMap<Kmer, VertexData>,
+    map: KmerMap,
 }
 
 impl DeBruijnGraph {
     /// An empty graph for k-mers of length `k`.
     pub fn new(k: usize) -> DeBruijnGraph {
-        DeBruijnGraph { k, map: HashMap::new() }
+        DeBruijnGraph { k, map: KmerMap::default() }
     }
 
     /// The k-mer length.
@@ -163,9 +216,19 @@ impl DeBruijnGraph {
     /// Panics if the subgraph was built for a different `k`.
     pub fn absorb(&mut self, sub: SubGraph) {
         assert_eq!(sub.k(), self.k, "cannot absorb a k={} subgraph into a k={} graph", sub.k(), self.k);
+        // Subgraphs of one run are key-disjoint, so every entry is new.
+        self.map.reserve(sub.len());
         for (kmer, data) in sub.into_entries() {
             self.map.entry(kmer).or_default().merge(&data);
         }
+    }
+
+    /// Makes room for at least `additional` more distinct vertices, so
+    /// that absorbing them does not regrow the map — for a caller that
+    /// knows what is coming and would rather pay the regrowth (old and
+    /// new table side by side) now than at a worse moment.
+    pub fn reserve(&mut self, additional: usize) {
+        self.map.reserve(additional);
     }
 
     /// Merges one vertex record.
@@ -335,6 +398,91 @@ mod tests {
         assert_eq!(g.get(&a).unwrap().count, 4);
         assert_eq!(g.total_kmer_occurrences(), 6);
         assert_eq!(g.duplicate_vertices(), 4);
+    }
+
+    /// Distinct canonical-looking k = 27 keys from a fixed xorshift
+    /// stream, recorded into a vertex table so the snapshot comes back in
+    /// the table's own slot order.
+    fn slot_ordered_subgraph(n: usize) -> SubGraph {
+        use crate::{ConcurrentDbgTable, VertexTable};
+        let table = ConcurrentDbgTable::new(2 * n, 27);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..n {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let key = Kmer::from_words([state, 0, 0, 0], 27).unwrap();
+            table.record(&key, [Some((i % 8) as u8), None]).unwrap();
+        }
+        table.snapshot()
+    }
+
+    #[test]
+    fn absorb_order_does_not_change_the_graph() {
+        let slot_order = slot_ordered_subgraph(5_000).into_entries();
+        let mut canonical = slot_order.clone();
+        canonical.sort_unstable_by_key(|entry| entry.0);
+        let reversed: Vec<_> = canonical.iter().rev().copied().collect();
+        let build = |entries: &[(Kmer, VertexData)]| {
+            let mut g = DeBruijnGraph::new(27);
+            // Several subgraphs, as a run absorbs them.
+            for chunk in entries.chunks(700) {
+                g.absorb(SubGraph::new(27, chunk.to_vec()));
+            }
+            g
+        };
+        let a = build(&slot_order);
+        assert_eq!(a.distinct_vertices(), slot_order.len());
+        assert_eq!(a, build(&canonical));
+        assert_eq!(a, build(&reversed));
+    }
+
+    /// The adversarial feed the graph hasher's seed rule exists for: a
+    /// table snapshot, i.e. entries sorted by the *table's* hash. The
+    /// map's own hash must see that order as noise — half of the
+    /// neighbouring pairs ascend, in the bits that pick the bucket and in
+    /// the top bits alike — and absorbing it must cost what absorbing
+    /// the same entries in key order costs.
+    #[test]
+    fn slot_order_feed_is_not_bucket_order() {
+        use std::hash::BuildHasher;
+        let slot_order = slot_ordered_subgraph(200_000).into_entries();
+        let table_hashes: Vec<u64> = slot_order.iter().map(|(k, _)| k.hash64()).collect();
+        let in_order = table_hashes.windows(2).filter(|w| w[0] <= w[1]).count() as f64;
+        assert!(
+            in_order > 0.75 * table_hashes.len() as f64,
+            "the fixture must really be in table-hash order (linear-probe displacement \
+             aside): {in_order} of {} neighbours ascend",
+            table_hashes.len()
+        );
+        let hasher = BuildHasherDefault::<KmerHasher>::default();
+        let graph_hashes: Vec<u64> = slot_order.iter().map(|(k, _)| hasher.hash_one(k)).collect();
+        for (what, shift, mask) in [("bucket bits", 0, 0xF_FFFFu64), ("top bits", 44, !0u64)] {
+            let ascending = graph_hashes
+                .windows(2)
+                .filter(|w| (w[0] >> shift) & mask <= (w[1] >> shift) & mask)
+                .count() as f64;
+            let share = ascending / (graph_hashes.len() - 1) as f64;
+            assert!((0.48..0.52).contains(&share), "{what}: {share} of neighbours ascend");
+        }
+
+        let mut canonical = slot_order.clone();
+        canonical.sort_unstable_by_key(|entry| entry.0);
+        let time = |entries: Vec<(Kmer, VertexData)>| {
+            let started = std::time::Instant::now();
+            let mut g = DeBruijnGraph::new(27);
+            g.absorb(SubGraph::new(27, entries));
+            assert_eq!(g.distinct_vertices(), 200_000);
+            started.elapsed()
+        };
+        // Warm the allocator, then the best of three each: clustering
+        // would cost orders of magnitude, not a factor of four.
+        time(canonical.clone());
+        let best = |entries: &Vec<(Kmer, VertexData)>| {
+            (0..3).map(|_| time(entries.clone())).min().unwrap()
+        };
+        let (slot, key) = (best(&slot_order), best(&canonical));
+        assert!(slot < 4 * key, "slot-order absorb {slot:?} vs key-order {key:?}");
     }
 
     #[test]

@@ -441,6 +441,55 @@ impl ConcurrentDbgTable {
         }
         Err(HashGraphError::CapacityExhausted { capacity: self.capacity })
     }
+
+    /// [`snapshot`](VertexTable::snapshot) and
+    /// [`contention`](VertexTable::contention) from **one** walk of the
+    /// table — the same values the two calls return on a quiescent
+    /// table. The snapshot already loads every occupied slot's duplicity
+    /// count, and Σ counts is all `contention` walks the table for, so
+    /// Step 2 (which wants both, once per partition) pays for the
+    /// counter lines once. The entry vector is sized up front from the
+    /// insertions counter.
+    pub fn snapshot_with_contention(&self) -> (SubGraph, ContentionStats) {
+        let r = Ordering::Relaxed;
+        let mut entries = Vec::with_capacity(self.stats.insertions.load(r) as usize);
+        let mut occurrences = 0u64;
+        for slot in 0..self.capacity {
+            if self.states[slot].load(Ordering::Acquire) & STATE_MASK != OCCUPIED {
+                continue;
+            }
+            let kmer = Kmer::from_words(self.read_key(slot), self.k)
+                .expect("stored keys are valid k-mers");
+            let counters = &self.counters[slot];
+            let mut edges = [0u32; 8];
+            for (e, out) in edges.iter_mut().enumerate() {
+                *out = counters.edges[e].load(r);
+            }
+            let count = counters.count.load(r);
+            occurrences += count as u64;
+            entries.push((kmer, VertexData { count, edges }));
+        }
+        (SubGraph::new(self.k, entries), self.contention_given(occurrences))
+    }
+
+    /// The table-wide counters, with `updates` derived from the Σ of slot
+    /// duplicity counts the caller walked the table for.
+    fn contention_given(&self, occurrences: u64) -> ContentionStats {
+        let r = Ordering::Relaxed;
+        let insertions = self.stats.insertions.load(r);
+        ContentionStats {
+            insertions,
+            // Every successful record bumps its slot's duplicity count
+            // exactly once, so Σ counts = insertions + updates; the
+            // subtraction saturates because a record in flight bumps its
+            // slot count before the insertions counter.
+            updates: occurrences.saturating_sub(insertions),
+            cas_failures: self.stats.cas_failures.load(r),
+            lock_waits: self.stats.lock_waits.load(r),
+            probe_steps: self.stats.probe_steps.load(r),
+            tag_rejects: self.stats.tag_rejects.load(r),
+        }
+    }
 }
 
 impl VertexTable for ConcurrentDbgTable {
@@ -491,24 +540,7 @@ impl VertexTable for ConcurrentDbgTable {
     }
 
     fn snapshot(&self) -> SubGraph {
-        let mut entries = Vec::new();
-        for slot in 0..self.capacity {
-            if self.states[slot].load(Ordering::Acquire) & STATE_MASK != OCCUPIED {
-                continue;
-            }
-            let kmer = Kmer::from_words(self.read_key(slot), self.k)
-                .expect("stored keys are valid k-mers");
-            let counters = &self.counters[slot];
-            let mut edges = [0u32; 8];
-            for (e, out) in edges.iter_mut().enumerate() {
-                *out = counters.edges[e].load(Ordering::Relaxed);
-            }
-            entries.push((
-                kmer,
-                VertexData { count: counters.count.load(Ordering::Relaxed), edges },
-            ));
-        }
-        SubGraph::new(self.k, entries)
+        self.snapshot_with_contention().0
     }
 
     fn distinct(&self) -> usize {
@@ -519,23 +551,19 @@ impl VertexTable for ConcurrentDbgTable {
 
     fn contention(&self) -> ContentionStats {
         let r = Ordering::Relaxed;
-        let insertions = self.stats.insertions.load(r);
-        // Every successful record bumps its slot's duplicity count exactly
-        // once, so Σ counts = insertions + updates; the subtraction
-        // saturates because a record in flight bumps its slot count
-        // before the insertions counter.
-        let occurrences: u64 = self.counters.iter().map(|c| c.count.load(r) as u64).sum();
-        ContentionStats {
-            insertions,
-            updates: occurrences.saturating_sub(insertions),
-            cas_failures: self.stats.cas_failures.load(r),
-            lock_waits: self.stats.lock_waits.load(r),
-            probe_steps: self.stats.probe_steps.load(r),
-            tag_rejects: self.stats.tag_rejects.load(r),
-        }
+        // A slot's count is only ever bumped once its state word reads
+        // OCCUPIED, so the 2-byte state array says which 64-byte counter
+        // lines are worth loading at all.
+        let occurrences: u64 = self
+            .states
+            .iter()
+            .zip(self.counters.iter())
+            .filter(|(state, _)| state.load(r) & STATE_MASK == OCCUPIED)
+            .map(|(_, c)| c.count.load(r) as u64)
+            .sum();
+        self.contention_given(occurrences)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,6 +590,24 @@ mod tests {
         let c = t.contention();
         assert_eq!(c.insertions, 1);
         assert_eq!(c.updates, 2);
+    }
+
+    #[test]
+    fn one_walk_matches_the_two_calls() {
+        let t = ConcurrentDbgTable::new(64, 6);
+        // Before any record, and after: the combined walk returns what
+        // `snapshot` and `contention` return separately.
+        assert_eq!(t.snapshot_with_contention(), (t.snapshot(), t.contention()));
+        let seq = PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGACGTTGCATGG");
+        for (i, kmer) in seq.kmers(6).enumerate() {
+            t.record(&kmer.canonical().0, [Some((i % 8) as u8), None]).unwrap();
+        }
+        let (sub, stats) = t.snapshot_with_contention();
+        assert_eq!(sub, t.snapshot());
+        assert_eq!(stats, t.contention());
+        assert_eq!(stats.insertions as usize, sub.len());
+        assert!(stats.updates > 0, "the fixture repeats k-mers");
+        assert_eq!(stats.operations(), (seq.len() - 6 + 1) as u64);
     }
 
     #[test]

@@ -11,7 +11,8 @@ use crate::{MspError, Result};
 /// This is the O(K·P) brute force the paper describes; the sliding-window
 /// [`MinimizerScanner`] produces identical results in O(L) per read and is
 /// what the system uses. Keep this around as the reference for tests and
-/// the ablation bench.
+/// the ablation bench, and as the `p > 32` / `PARAHASH_FORCE_SCALAR` path
+/// of the out-of-core record router ([`split_framed`](crate::split_framed)).
 ///
 /// # Examples
 ///
@@ -34,6 +35,45 @@ pub fn minimizer_of_kmer(kmer: &Kmer, p: usize) -> Kmer {
     assert!(p >= 1 && p <= kmer.k(), "invalid minimizer length {p} for k={}", kmer.k());
     let strand_min = |km: &Kmer| (0..=km.k() - p).map(|i| km.sub(i, p)).min().expect("k >= p");
     strand_min(kmer).min(strand_min(&kmer.revcomp()))
+}
+
+/// [`minimizer_of_kmer`] for `p ≤ 32` without materialising either
+/// k-mer: the canonical minimizer of the k-mer spelled by the first `k`
+/// codes of `codes`, as the p-mer's MSB-aligned packed word
+/// (`Kmer::words()[0]` of the minimizer; words 1–3 are zero).
+///
+/// The forward and reverse-complement p-mers roll in two `u64`s, two
+/// shifts and an OR per base — the single-word trick of
+/// [`MinimizerCursor`]'s fast path, whose ordering argument applies
+/// unchanged: the top word of a left-aligned p-mer orders exactly like
+/// the four-word key. O(k) per call where the brute force is O(k·p)
+/// sub-k-mer extractions.
+pub(crate) fn minimizer_word_of_first_kmer(
+    mut codes: crate::view::CodeWords<'_>,
+    k: usize,
+    p: usize,
+) -> u64 {
+    debug_assert!((1..=32).contains(&p) && p <= k, "invalid p={p} for k={k}");
+    // As in `scan_runs_fast`: a new forward base lands at bits
+    // [64−2p, 66−2p), the expiring one shifts out of the top.
+    let shift = 64 - 2 * p;
+    let pmask = !0u64 << shift;
+    let (mut fwd, mut rc, mut min) = (0u64, 0u64, u64::MAX);
+    let mut seen = 0usize;
+    while seen < k {
+        let mut chunk = codes.next_chunk();
+        for _ in 0..(k - seen).min(32) {
+            let code = chunk & 3;
+            chunk >>= 2;
+            fwd = (fwd << 2) | (code << shift);
+            rc = ((rc >> 2) & pmask) | ((code ^ 3) << 62);
+            seen += 1;
+            if seen >= p {
+                min = min.min(fwd.min(rc));
+            }
+        }
+    }
+    min
 }
 
 /// O(L) sliding-window minimizer scanner for whole reads.

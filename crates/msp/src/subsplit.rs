@@ -29,7 +29,7 @@
 use dna::Kmer;
 
 use crate::frame::{append_frame, frame_payloads_in, DEFAULT_FRAME_TARGET};
-use crate::minimizer::minimizer_of_kmer;
+use crate::minimizer::{minimizer_of_kmer, minimizer_word_of_first_kmer};
 use crate::view::SuperkmerView;
 use crate::{MspError, Result};
 
@@ -59,7 +59,11 @@ pub struct SubPartition {
 /// Panics if `fanout` is zero.
 pub fn sub_route(minimizer: &Kmer, fanout: usize) -> usize {
     assert!(fanout > 0, "sub-partition fanout must be at least 1");
-    let mut x = minimizer.hash64();
+    route_hash(minimizer.hash64(), fanout)
+}
+
+/// [`sub_route`] given the minimizer's [`Kmer::hash64`] value.
+fn route_hash(mut x: u64, fanout: usize) -> usize {
     x ^= x >> 33;
     x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
     x ^= x >> 33;
@@ -79,7 +83,11 @@ pub fn sub_route(minimizer: &Kmer, fanout: usize) -> usize {
 /// The per-record minimizer is recomputed from the record's first k-mer
 /// — the same recovery [`SuperkmerView::to_superkmer`] performs — which
 /// is valid because a superkmer's minimizer is by construction the
-/// canonical minimizer of each of its k-mers, the first included.
+/// canonical minimizer of each of its k-mers, the first included. For
+/// `p ≤ 32` that is one rolling pass over the record's first `k` packed
+/// codes (two `u64`s, no `Kmer` built); `p > 32` and
+/// `PARAHASH_FORCE_SCALAR` take the brute-force [`minimizer_of_kmer`],
+/// which routes every record identically.
 ///
 /// # Errors
 ///
@@ -96,6 +104,7 @@ pub fn split_framed(
     if p < 1 || p > k || k > dna::MAX_K {
         return Err(MspError::InvalidParams { k, p });
     }
+    let rolling = p <= 32 && !dna::simd::force_scalar();
     let mut subs = vec![SubPartition::default(); fanout];
     // Pending whole-record buffers, flushed into frames at the same
     // threshold the Step-1 writer uses so sub-partition files look like
@@ -107,13 +116,18 @@ pub fn split_framed(
         while offset < payload.len() {
             let (view, consumed) =
                 SuperkmerView::parse(&payload[offset..], k).map_err(|e| relocate(e, base_offset))?;
-            let first = Kmer::from_bases(k, view.bases().take(k)).map_err(|e| {
-                MspError::CorruptRecord {
-                    offset: base_offset + offset as u64,
-                    reason: format!("undecodable first k-mer: {e}"),
-                }
-            })?;
-            let sub = sub_route(&minimizer_of_kmer(&first, p), fanout);
+            let sub = if rolling {
+                let word = minimizer_word_of_first_kmer(view.code_words(), k, p);
+                route_hash(Kmer::hash64_of_words(&[word, 0, 0, 0], p), fanout)
+            } else {
+                let first = Kmer::from_bases(k, view.bases().take(k)).map_err(|e| {
+                    MspError::CorruptRecord {
+                        offset: base_offset + offset as u64,
+                        reason: format!("undecodable first k-mer: {e}"),
+                    }
+                })?;
+                sub_route(&minimizer_of_kmer(&first, p), fanout)
+            };
             pending[sub].extend_from_slice(&payload[offset..offset + consumed]);
             if pending[sub].len() >= DEFAULT_FRAME_TARGET {
                 append_frame(&mut subs[sub].bytes, &pending[sub]);
@@ -258,6 +272,50 @@ mod tests {
                     let view = view.unwrap();
                     let first = Kmer::from_bases(K, view.bases().take(K)).unwrap();
                     assert_eq!(sub_route(&minimizer_of_kmer(&first, P), 4), idx);
+                }
+            }
+        }
+    }
+
+    /// The rolling router against the brute-force reference, on random
+    /// records, and `split_framed` itself under both settings of the
+    /// scalar escape hatch.
+    #[test]
+    fn rolling_route_matches_brute_force() {
+        let _guard = dna::simd::override_guard();
+        for k in [15usize, 27, 31, 32] {
+            for p in [1usize, 7, 11, 32] {
+                if p > k {
+                    continue;
+                }
+                let mut framed = Vec::new();
+                let mut pending = Vec::new();
+                let mut want = Vec::new();
+                for seed in 0..40u64 {
+                    // Cores from exactly k bases up to several words long.
+                    let core = lcg_read(seed * 131 + (k * 37 + p) as u64, k + (seed as usize * 7) % 90);
+                    let first = core.kmer_at(0, k).unwrap();
+                    let minimizer = minimizer_of_kmer(&first, p);
+                    want.push(sub_route(&minimizer, 5));
+                    let sk = crate::Superkmer::new(core, minimizer, k, None, Some(Base::G));
+                    encode_superkmer(&sk, &mut pending);
+                }
+                append_frame(&mut framed, &pending);
+                for payload in frame_payloads_in(&framed, None).unwrap() {
+                    for (view, want) in iter_views(payload, k).zip(&want) {
+                        let word = minimizer_word_of_first_kmer(view.unwrap().code_words(), k, p);
+                        let got = route_hash(Kmer::hash64_of_words(&[word, 0, 0, 0], p), 5);
+                        assert_eq!(got, *want, "k={k} p={p}");
+                    }
+                }
+                dna::simd::set_force_scalar_override(Some(true));
+                let scalar = split_framed(&framed, k, p, 5, 0).unwrap();
+                dna::simd::set_force_scalar_override(Some(false));
+                let rolled = split_framed(&framed, k, p, 5, 0).unwrap();
+                dna::simd::set_force_scalar_override(None);
+                for (a, b) in scalar.iter().zip(&rolled) {
+                    assert_eq!(a.bytes, b.bytes, "k={k} p={p}");
+                    assert_eq!((a.superkmers, a.kmers), (b.superkmers, b.kmers), "k={k} p={p}");
                 }
             }
         }

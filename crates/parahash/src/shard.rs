@@ -61,7 +61,7 @@ use pipeline::shard::{
 use pipeline::{failpoint, IoMode, PipelineReport, RetryPolicy, ThrottledIo};
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
-use crate::step2::{build_and_commit_partition, decode_subgraph_checked};
+use crate::step2::{build_and_commit_partition, decode_subgraph_checked, Resumed};
 use crate::{ParaHashConfig, ParaHashError, Result, StepReport};
 
 /// Environment variable carrying the parent's Unix socket path into
@@ -765,9 +765,10 @@ pub(crate) fn run_step2_sharded(
     manifest: &PartitionManifest,
     io: &ThrottledIo,
     journal: Option<&RunJournal>,
-    skip: &BTreeSet<usize>,
+    resumed: Resumed,
 ) -> Result<(DeBruijnGraph, StepReport)> {
     debug_assert!(config.workers > 0 || config.listen.is_some());
+    let Resumed { committed: skip, mut graph } = resumed;
     let started = Instant::now();
     let tuning = ShardTuning::from_env();
     let n = manifest.num_partitions();
@@ -788,7 +789,7 @@ pub(crate) fn run_step2_sharded(
     // out their config deadline against a drained cluster.
     if order.is_empty() {
         return Ok((
-            DeBruijnGraph::new(config.k),
+            graph,
             StepReport {
                 step: 2,
                 pipeline: PipelineReport {
@@ -997,10 +998,9 @@ pub(crate) fn run_step2_sharded(
     }
 
     // Absorb what this step built (resume-skipped partitions are
-    // absorbed by the driver, as on the in-process path). Files were
+    // already in the graph, as on the in-process path). Files were
     // already verified when the worker reported them; fallback builds
     // are trusted like in-process commits.
-    let mut graph = DeBruijnGraph::new(config.k);
     let mut peak_partition = 0u64;
     for &p in &stats.built {
         let bytes = std::fs::read(sub_dir.join(format!("sub-{p:05}.dbg")))?;

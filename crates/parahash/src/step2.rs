@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use hashgraph::{
     table_capacity_for, ContentionStats, DeBruijnGraph, HashGraphError, ReplayKernel, SubGraph,
-    TablePool, VertexTable,
+    TablePool,
 };
 use hetsim::{Device, DeviceKind};
 use msp::{
@@ -28,9 +28,19 @@ use crate::{ParaHashConfig, ParaHashError, Result, StepReport};
 /// stage must neither absorb nor persist it.
 struct Part2Out {
     subgraph: SubGraph,
+    /// The finished `sub-XXXXX.dbg` file image ([`encode_subgraph`]'s
+    /// bytes, CRC trailer included), formatted by the compute stage so
+    /// the output stage only writes. `None` iff
+    /// [`write_subgraphs`](crate::ParaHashConfigBuilder::write_subgraphs)
+    /// is off — nothing is encoded that nothing will persist.
+    encoded: Option<Vec<u8>>,
     contention: ContentionStats,
     resizes: usize,
 }
+
+/// What one table build (or the merge of a split partition's sub-builds)
+/// yields: the entries in no particular order, and what building cost.
+type Built = (SubGraph, ContentionStats, usize);
 
 /// Bytes per vertex in the serialised subgraph format (4 × u64 key words,
 /// count, 8 edge counters).
@@ -55,19 +65,23 @@ const MAX_SUB_FANOUT: usize = 256;
 /// that a resumed run's subgraph files are *byte-identical* to an
 /// uninterrupted run's — only a canonical order survives that comparison.
 pub fn encode_subgraph(sub: &SubGraph) -> Vec<u8> {
+    // Keys are distinct, so an unstable sort on the key alone is
+    // deterministic.
     let mut entries: Vec<&(dna::Kmer, hashgraph::VertexData)> = sub.entries().iter().collect();
-    entries.sort_by_key(|(kmer, _)| *kmer);
+    entries.sort_unstable_by_key(|entry| entry.0);
     let mut out = Vec::with_capacity(9 + entries.len() * VERTEX_BYTES + 4);
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     out.push(sub.k() as u8);
     for (kmer, data) in entries {
-        for w in kmer.words() {
-            out.extend_from_slice(&w.to_le_bytes());
+        let mut record = [0u8; VERTEX_BYTES];
+        for (dst, w) in record[..32].chunks_exact_mut(8).zip(kmer.words()) {
+            dst.copy_from_slice(&w.to_le_bytes());
         }
-        out.extend_from_slice(&data.count.to_le_bytes());
-        for e in &data.edges {
-            out.extend_from_slice(&e.to_le_bytes());
+        record[32..36].copy_from_slice(&data.count.to_le_bytes());
+        for (dst, e) in record[36..].chunks_exact_mut(4).zip(&data.edges) {
+            dst.copy_from_slice(&e.to_le_bytes());
         }
+        out.extend_from_slice(&record);
     }
     let crc = msp::crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -213,9 +227,26 @@ pub fn run_step2(
 ) -> Result<(DeBruijnGraph, StepReport)> {
     let feed = manifest_feed(manifest);
     let cancel = CancelToken::new();
-    let out = run_step2_feed(config, &feed, io, &cancel, None, &BTreeSet::new(), None)?;
+    let out = run_step2_feed(config, &feed, io, &cancel, None, Resumed::nothing(config.k), None)?;
     persist_marks(manifest, &out.1)?;
     Ok(out)
+}
+
+/// What an interrupted run already finished, as the resume plan verified
+/// it: the partitions whose subgraph files are committed and whole, and
+/// the graph those files were decoded into. Step 2 skips the former and
+/// merges everything it builds into the latter — the persisted half of a
+/// resumed build is read, checked and absorbed exactly once.
+pub(crate) struct Resumed {
+    pub committed: BTreeSet<usize>,
+    pub graph: DeBruijnGraph,
+}
+
+impl Resumed {
+    /// A run that starts from scratch.
+    pub(crate) fn nothing(k: usize) -> Resumed {
+        Resumed { committed: BTreeSet::new(), graph: DeBruijnGraph::new(k) }
+    }
 }
 
 /// The disk handoff as a Step-2 feed: every partition of a finished
@@ -263,9 +294,10 @@ pub(crate) fn persist_marks(manifest: &PartitionManifest, step2: &StepReport) ->
 ///
 /// Crash-recovery hooks: an optional [`RunJournal`] receives a
 /// `subgraph-committed` record after every atomic subgraph commit (and
-/// `quarantined` records at the end); partitions in `skip` — their
-/// subgraphs were committed by an interrupted run — flow through as
-/// no-ops and the driver absorbs the persisted subgraphs instead.
+/// `quarantined` records at the end); partitions in
+/// [`Resumed::committed`] — their subgraphs were committed by an
+/// interrupted run and are already in [`Resumed::graph`] — flow through
+/// as no-ops.
 ///
 /// Dispatch: with `tuner = None`, the paper's work stealing (two-phase
 /// Step 2); with a [`SplitTuner`] executing the configured
@@ -287,11 +319,11 @@ pub(crate) fn run_step2_feed(
     io: &ThrottledIo,
     cancel: &CancelToken,
     journal: Option<&RunJournal>,
-    skip: &BTreeSet<usize>,
+    resumed: Resumed,
     tuner: Option<&SplitTuner>,
 ) -> Result<(DeBruijnGraph, StepReport)> {
     let shared = Step2Shared::new(config, cancel, journal)?;
-    let mut graph = DeBruijnGraph::new(config.k);
+    let Resumed { committed: skip, mut graph } = resumed;
 
     let pipeline_report = {
         let shared = &shared;
@@ -323,14 +355,15 @@ pub(crate) fn run_step2_feed(
                 };
                 (idx, bytes.map(|b| (b, sealed.kmers)))
             },
-            // Stage 2: hash-construct the subgraph on an idle device.
+            // Stage 2: hash-construct the subgraph on an idle device and
+            // format it (canonical sort, record encode, CRC trailer).
             |device: &dyn Device, idx, input: Option<(Vec<u8>, u64)>| {
                 let Some((bytes, kmers)) = input else {
                     return (None, 0);
                 };
-                shared.build(device, idx, &bytes, kmers)
+                shared.build(device, idx, bytes, kmers)
             },
-            // Stage 3: absorb (and optionally persist) the subgraph.
+            // Stage 3: commit the formatted bytes, journal, merge.
             |idx, out: Option<Part2Out>| shared.consume(io, graph, idx, out),
         )
     };
@@ -425,38 +458,45 @@ impl<'a> Step2Shared<'a> {
     }
 
     /// The compute stage: admit the partition against the per-table
-    /// memory budget, then hash-construct — in one table when the
-    /// Property-1 projection fits, or out of core through second-level
-    /// sub-partitions when it does not.
+    /// memory budget, hash-construct — in one table when the Property-1
+    /// projection fits, or out of core through second-level
+    /// sub-partitions when it does not — and, when subgraphs are
+    /// persisted, format the result: canonical sort, record encode and
+    /// CRC trailer are CPU work, so they run here, on the device driver's
+    /// thread (one per device, overlapping the previous partition's
+    /// commit), and leave the output stage nothing to do but write.
     fn build(
         &self,
         device: &dyn Device,
         idx: usize,
-        bytes: &[u8],
+        bytes: Vec<u8>,
         n_kmers: u64,
     ) -> (Option<Part2Out>, u64) {
         self.baselines.get_or_init(|| device_baselines(self.config));
         self.peak_partition.fetch_max(bytes.len() as u64, Ordering::Relaxed);
         let projected = hashgraph::projected_table_bytes(n_kmers, self.config.sizing);
         let budget = self.config.table_memory_budget;
-        if projected > budget {
-            if !self.config.out_of_core {
-                self.fatal(ParaHashError::TableOverBudget {
-                    partition: idx,
-                    projected_bytes: projected,
-                    budget,
-                });
-                return (None, 0);
-            }
-            return self.build_split(device, idx, bytes, projected);
-        }
-        match self.build_one_table(device, idx, bytes, n_kmers) {
-            Some((subgraph, contention, resizes)) => {
-                let work = subgraph.len() as u64;
-                (Some(Part2Out { subgraph, contention, resizes }), work)
-            }
-            None => (None, 0),
-        }
+        let built = if projected <= budget {
+            self.build_one_table(device, idx, &bytes, n_kmers)
+        } else if self.config.out_of_core {
+            self.build_split(device, idx, &bytes, projected)
+        } else {
+            self.fatal(ParaHashError::TableOverBudget {
+                partition: idx,
+                projected_bytes: projected,
+                budget,
+            });
+            None
+        };
+        // The partition buffer has been replayed: release it before the
+        // encoded copy of the subgraph is allocated, not after.
+        drop(bytes);
+        let Some((subgraph, contention, resizes)) = built else {
+            return (None, 0);
+        };
+        let work = subgraph.len() as u64;
+        let encoded = self.config.write_subgraphs.then(|| encode_subgraph(&subgraph));
+        (Some(Part2Out { subgraph, encoded, contention, resizes }), work)
     }
 
     /// Out-of-core build of one over-budget partition: split its records
@@ -481,7 +521,7 @@ impl<'a> Step2Shared<'a> {
         idx: usize,
         bytes: &[u8],
         projected: u64,
-    ) -> (Option<Part2Out>, u64) {
+    ) -> Option<Built> {
         let fanout = projected
             .div_ceil(self.config.table_memory_budget.max(1))
             .clamp(2, MAX_SUB_FANOUT as u64) as usize;
@@ -489,14 +529,14 @@ impl<'a> Step2Shared<'a> {
             Ok(subs) => subs,
             Err(e) => {
                 self.partition_failed(idx, e.into());
-                return (None, 0);
+                return None;
             }
         };
         self.sub_splits.lock().push((idx, fanout));
         if let Some(journal) = self.journal {
             if let Err(e) = journal.append(&JournalEvent::SubSplit(idx, fanout)) {
                 self.fatal(e);
-                return (None, 0);
+                return None;
             }
         }
         let mut entries = Vec::new();
@@ -506,18 +546,16 @@ impl<'a> Step2Shared<'a> {
             if sub.superkmers == 0 {
                 continue;
             }
-            let Some((subgraph, sub_contention, sub_resizes)) =
-                self.build_one_table(device, idx, &sub.bytes, sub.kmers)
-            else {
-                return (None, 0);
-            };
+            let (subgraph, sub_contention, sub_resizes) =
+                self.build_one_table(device, idx, &sub.bytes, sub.kmers)?;
             contention.merge(&sub_contention);
             resizes += sub_resizes;
             entries.extend(subgraph.into_entries());
         }
-        let subgraph = SubGraph::new(self.config.k, entries);
-        let work = subgraph.len() as u64;
-        (Some(Part2Out { subgraph, contention, resizes }), work)
+        // The merged entries wait in the output queue next: don't let
+        // the growth slack of `extend` (up to 2×) wait with them.
+        entries.shrink_to_fit();
+        Some((SubGraph::new(self.config.k, entries), contention, resizes))
     }
 
     /// One table build: index the framed bytes once, then hash-construct
@@ -531,7 +569,7 @@ impl<'a> Step2Shared<'a> {
         idx: usize,
         bytes: &[u8],
         n_kmers: u64,
-    ) -> Option<(SubGraph, ContentionStats, usize)> {
+    ) -> Option<Built> {
         let transfer_in = bytes.len() as u64;
         // Zero-copy decode of the framed bytes: verify every frame's
         // CRC32 once, index the record boundaries, then replay borrowed
@@ -587,12 +625,12 @@ impl<'a> Step2Shared<'a> {
             });
             match kernel_error.into_inner() {
                 None => {
-                    let subgraph = table.snapshot();
+                    let (subgraph, contention) = table.snapshot_with_contention();
                     if is_gpu {
                         device.transfer_from_device((subgraph.len() * VERTEX_BYTES) as u64);
                         device.free(table_bytes);
                     }
-                    return Some((subgraph, table.contention(), resizes));
+                    return Some((subgraph, contention, resizes));
                 }
                 Some(HashGraphError::CapacityExhausted { .. }) => {
                     if is_gpu {
@@ -615,7 +653,8 @@ impl<'a> Step2Shared<'a> {
         }
     }
 
-    /// The output stage: absorb (and optionally persist) the subgraph.
+    /// The output stage, I/O only: commit the bytes the compute stage
+    /// formatted, journal the commit, merge the subgraph into the graph.
     /// Failure sentinels are skipped outright — an error partition must
     /// never leave a bogus `sub-XXXXX.dbg` behind or leak empty entries
     /// into the merged graph.
@@ -631,8 +670,7 @@ impl<'a> Step2Shared<'a> {
         };
         self.total_contention.lock().merge(&out.contention);
         self.total_resizes.fetch_add(out.resizes, Ordering::Relaxed);
-        if self.config.write_subgraphs {
-            let bytes = encode_subgraph(&out.subgraph);
+        if let Some(bytes) = out.encoded {
             let path = self.sub_dir.join(format!("sub-{idx:05}.dbg"));
             // Atomic commit (tmp + fsync + rename + dir fsync): a crash
             // anywhere in here leaves either no `sub-XXXXX.dbg` or a
@@ -643,6 +681,9 @@ impl<'a> Step2Shared<'a> {
                 self.partition_failed(idx, ParaHashError::Io(e));
                 return; // quarantined partitions stay out of the graph
             }
+            // The file image is on disk; free it before the merge grows
+            // the graph.
+            drop(bytes);
             // The journal record is written strictly *after* the rename:
             // `subgraph-committed` in the journal implies the file is
             // durable and whole. (The converse is allowed — a file with
@@ -774,7 +815,7 @@ pub(crate) fn build_and_commit_partition(
     let cancel = CancelToken::new();
     let shared = Step2Shared::new(config, &cancel, journal)?;
     let bytes = io.read_file(path).map_err(ParaHashError::Io)?;
-    let (out, _) = shared.build(config.devices()[0].as_ref(), idx, &bytes, n_kmers);
+    let (out, _) = shared.build(config.devices()[0].as_ref(), idx, bytes, n_kmers);
     let mut graph = DeBruijnGraph::new(config.k);
     shared.consume(io, &mut graph, idx, out);
     if let Some(e) = shared.first_error.into_inner() {
@@ -878,6 +919,157 @@ mod tests {
         a.sort_by_key(|x| x.0);
         b.sort_by_key(|x| x.0);
         assert_eq!(a, b);
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    /// The bytes the previous encoder (reference-vector `sort_by_key`,
+    /// byte-wise CRC) wrote for these two shuffled subgraphs, captured
+    /// from it verbatim: the on-disk format is frozen, whatever sorts and
+    /// checksums it. In the k = 40 case the first 32 bases tie pairwise,
+    /// so the order is decided in the second key word.
+    #[test]
+    fn encoding_matches_golden_bytes() {
+        fn data(i: u32) -> hashgraph::VertexData {
+            hashgraph::VertexData {
+                count: 1000 + i,
+                edges: std::array::from_fn(|e| i * 10 + e as u32),
+            }
+        }
+        fn unhex(lines: &[&str]) -> Vec<u8> {
+            let hex = lines.concat();
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect()
+        }
+        let encode = |k: usize, kmers: &[String]| {
+            let entries = kmers
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (s.parse::<dna::Kmer>().unwrap(), data(i as u32)))
+                .collect();
+            encode_subgraph(&SubGraph::new(k, entries))
+        };
+
+        let narrow = [
+            "GATTACAGATTACAGATTACAGATTAC",
+            "ACGTACGTACGTACGTACGTACGTACG",
+            "TTTTTTTTTTTTTTTTTTTTTTTTTTT",
+            "ACGTACGTACGTACGTACGTACGTACC",
+            "CCCCCCCCCCCCCCCCCCCCCCCCCCA",
+        ]
+        .map(String::from);
+        let golden27 = unhex(&[
+            "05000000000000001b00141b1b1b1b1b1b000000000000000000000000000000000000000000000000eb0300",
+            "001e0000001f00000020000000210000002200000023000000240000002500000000181b1b1b1b1b1b000000",
+            "000000000000000000000000000000000000000000e90300000a0000000b0000000c0000000d0000000e0000",
+            "000f000000100000001100000000505555555555550000000000000000000000000000000000000000000000",
+            "00ec03000028000000290000002a0000002b0000002c0000002d0000002e0000002f00000000c423f1483c12",
+            "8f000000000000000000000000000000000000000000000000e8030000000000000100000002000000030000",
+            "000400000005000000060000000700000000fcffffffffffff00000000000000000000000000000000000000",
+            "0000000000ea0300001400000015000000160000001700000018000000190000001a0000001b000000304f16",
+            "1b",
+        ]);
+        assert_eq!(encode(27, &narrow), golden27);
+        assert_eq!(&golden27[golden27.len() - 4..], &0x1B16_4F30u32.to_le_bytes());
+
+        let (head_a, head_b) =
+            ("ACGTACGTACGTACGTACGTACGTACGTACGT", "ACGTACGTACGTACGTACGTACGTACGTACGA");
+        let wide = [
+            format!("{head_a}TTTTTTTT"),
+            format!("{head_b}GGGGGGGG"),
+            format!("{head_a}AAAAAAAC"),
+            format!("{head_b}GGGGGGGA"),
+            format!("{head_a}AAAAAAAA"),
+        ];
+        let golden40 = unhex(&[
+            "050000000000000028181b1b1b1b1b1b1b000000000000a8aa00000000000000000000000000000000eb0300",
+            "001e0000001f000000200000002100000022000000230000002400000025000000181b1b1b1b1b1b1b000000",
+            "000000aaaa00000000000000000000000000000000e90300000a0000000b0000000c0000000d0000000e0000",
+            "000f00000010000000110000001b1b1b1b1b1b1b1b0000000000000000000000000000000000000000000000",
+            "00ec03000028000000290000002a0000002b0000002c0000002d0000002e0000002f0000001b1b1b1b1b1b1b",
+            "1b000000000000010000000000000000000000000000000000ea030000140000001500000016000000170000",
+            "0018000000190000001a0000001b0000001b1b1b1b1b1b1b1b000000000000ffff0000000000000000000000",
+            "0000000000e8030000000000000100000002000000030000000400000005000000060000000700000018a06d",
+            "7f",
+        ]);
+        assert_eq!(encode(40, &wide), golden40);
+        assert_eq!(&golden40[golden40.len() - 4..], &0x7F6D_A018u32.to_le_bytes());
+    }
+
+    /// Formatting is compute-stage work and only happens for subgraphs
+    /// that will be persisted: with `write_subgraphs(false)` a built
+    /// partition carries no bytes, with it on it carries exactly
+    /// [`encode_subgraph`]'s.
+    #[test]
+    fn compute_stage_encodes_iff_subgraphs_are_persisted() {
+        for write in [false, true] {
+            let cfg = ParaHashConfig::builder()
+                .k(7)
+                .p(4)
+                .partitions(3)
+                .cpu_threads(2)
+                .write_subgraphs(write)
+                .work_dir(std::env::temp_dir().join(format!("parahash-step2-encodes-{write}")))
+                .build()
+                .unwrap();
+            let _ = std::fs::remove_dir_all(cfg.work_dir());
+            let io = ThrottledIo::new(IoMode::Unthrottled);
+            let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
+            let cancel = CancelToken::new();
+            let shared = Step2Shared::new(&cfg, &cancel, None).unwrap();
+            for i in 0..manifest.num_partitions() {
+                let bytes = std::fs::read(manifest.partition_path(i)).unwrap();
+                let (out, work) =
+                    shared.build(cfg.devices()[0].as_ref(), i, bytes, manifest.stats()[i].kmers);
+                let out = out.expect("clean partition builds");
+                assert_eq!(work, out.subgraph.len() as u64);
+                assert_eq!(out.encoded, write.then(|| encode_subgraph(&out.subgraph)), "partition {i}");
+            }
+            std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+        }
+    }
+
+    /// A subgraph whose commit fails in a non-strict run is quarantined
+    /// *before* the merge: no file, and none of its vertices in the graph.
+    #[test]
+    fn non_strict_commit_failure_keeps_the_partition_out_of_the_graph() {
+        let cfg = ParaHashConfig::builder()
+            .k(7)
+            .p(4)
+            .partitions(6)
+            .cpu_threads(2)
+            .strict(false)
+            .write_subgraphs(true)
+            .work_dir(std::env::temp_dir().join("parahash-step2-commitfail"))
+            .build()
+            .unwrap();
+        let _ = std::fs::remove_dir_all(cfg.work_dir());
+        let io = ThrottledIo::new(IoMode::Unthrottled);
+        let rs = reads();
+        let (manifest, _) = run_step1(&cfg, &rs, &io).unwrap();
+        let victim = (0..manifest.num_partitions())
+            .max_by_key(|&i| manifest.stats()[i].kmers)
+            .unwrap();
+        let victim_file = format!("sub-{victim:05}.dbg");
+        let doomed = victim_file.clone();
+        io.set_fault_hook(Box::new(move |path, op, _| {
+            (op == pipeline::IoOp::Write && path.ends_with(&doomed)).then(|| {
+                std::io::Error::new(std::io::ErrorKind::PermissionDenied, "injected commit failure")
+            })
+        }));
+        let (graph, report) = run_step2(&cfg, &manifest, &io).unwrap();
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].index, victim);
+        assert!(report.quarantined[0].reason.contains("injected commit failure"));
+        assert_eq!(
+            graph.total_kmer_occurrences(),
+            manifest.total_kmers() - manifest.stats()[victim].kmers,
+            "the graph must miss exactly the uncommitted partition"
+        );
+        let sub_dir = cfg.work_dir().join("subgraphs");
+        assert!(!sub_dir.join(&victim_file).exists());
+        assert_eq!(std::fs::read_dir(&sub_dir).unwrap().count(), 5, "the other five committed");
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 

@@ -1,4 +1,4 @@
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -10,7 +10,9 @@ use pipeline::{CancelToken, PipelineReport, SharedCounterQueue, SplitTuner, Thro
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal, TunerState};
 use crate::step1::{device_baselines, device_deltas, step1_into, step1_report, step1_to_disk, Input};
-use crate::step2::{decode_subgraph_checked, manifest_feed, persist_marks, run_step2_feed};
+use crate::step2::{
+    decode_subgraph_checked, manifest_feed, persist_marks, run_step2_feed, Resumed,
+};
 use crate::{ParaHashConfig, ParaHashError, Result, RunReport, Step1Stats, StepReport};
 
 /// The assembled system: run both steps against a read set and collect
@@ -197,15 +199,15 @@ impl ParaHash {
             Fingerprint { k: config.k, p: config.p, partitions: config.partitions, input_digest };
         config.run_token = fingerprint.token();
         config.input_digest = input_digest;
-        let plan = ResumePlan::prepare(&config, fingerprint)?;
+        let (plan, resumed) = ResumePlan::prepare(&config, fingerprint)?;
 
-        let (manifest, step1, mut graph, step2) = match handoff {
-            Handoff::Disk => disk_handoff(&config, input, io, &plan)?,
-            Handoff::Memory => memory_handoff(&config, input, io, &plan)?,
+        let (manifest, step1, graph, step2) = match handoff {
+            Handoff::Disk => disk_handoff(&config, input, io, &plan, resumed)?,
+            Handoff::Memory => memory_handoff(&config, input, io, &plan, resumed)?,
         };
 
         persist_marks(&manifest, &step2)?;
-        plan.absorb_committed(&config, &mut graph)?;
+        plan.recheck_committed(&config)?;
         // Persist the tuner's converged state just before `run-complete`:
         // a finished run's record is the warm start for the *next* steered
         // run over the same artifacts, and a crash after this point still
@@ -244,12 +246,13 @@ struct ResumePlan {
     /// Every partition was journaled as sealed *and* the manifest loads:
     /// Step 1's output is complete on disk, skip the step.
     skip_step1: bool,
-    /// Subgraphs journaled as committed whose files still decode
-    /// cleanly: Step 2 skips these partitions and the driver absorbs the
-    /// persisted subgraphs instead. A committed record whose file is
-    /// missing or damaged is silently dropped from this set — the
-    /// partition simply re-runs.
-    committed: BTreeSet<usize>,
+    /// Subgraphs journaled as committed whose files decoded cleanly, with
+    /// the byte length each file had when it was read: Step 2 skips
+    /// these partitions (their vertices are already in the
+    /// [`Resumed::graph`] handed out beside this plan). A committed
+    /// record whose file is missing or damaged is silently left out —
+    /// the partition simply re-runs.
+    committed: BTreeMap<usize, u64>,
     /// The interrupted run's final autotuner state (`tuner-state`
     /// record), if it got far enough to write one. Seeds the resumed
     /// run's split tuner — and, when the dead run was I/O-bound, its
@@ -270,13 +273,14 @@ impl ResumePlan {
     /// * Step 1's artifacts count as surviving iff every partition was
     ///   journaled as sealed and the manifest loads;
     /// * subgraphs journaled as committed *and* still decoding cleanly on
-    ///   disk are set aside to be absorbed instead of rebuilt.
-    fn prepare(config: &ParaHashConfig, fingerprint: Fingerprint) -> Result<ResumePlan> {
-        let fresh = |journal| ResumePlan {
-            journal,
-            skip_step1: false,
-            committed: BTreeSet::new(),
-            tuner: None,
+    ///   disk are absorbed into the returned [`Resumed::graph`] right
+    ///   here — each file is read, CRC-checked and decoded once — instead
+    ///   of being rebuilt.
+    fn prepare(config: &ParaHashConfig, fingerprint: Fingerprint) -> Result<(ResumePlan, Resumed)> {
+        let fresh = |journal| {
+            let plan =
+                ResumePlan { journal, skip_step1: false, committed: BTreeMap::new(), tuner: None };
+            (plan, Resumed::nothing(config.k))
         };
         // A vacant journal (zero complete records) is the signature of a
         // crash at creation: nothing was journaled, nothing was done —
@@ -322,35 +326,61 @@ impl ResumePlan {
         claimed.extend(crate::journal::worker_committed(&config.work_dir, &fingerprint));
         // Only trust commit records whose files verify end-to-end right
         // now: the journal says the rename happened, the CRC trailer
-        // says the bytes are still whole.
-        let committed = if config.write_subgraphs {
-            let sub_dir = config.work_dir.join("subgraphs");
-            claimed
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    let path = sub_dir.join(format!("sub-{i:05}.dbg"));
-                    std::fs::read(&path)
-                        .ok()
-                        .is_some_and(|bytes| decode_subgraph_checked(&bytes, Some(i)).is_ok())
-                })
-                .collect()
-        } else {
-            BTreeSet::new()
-        };
-        Ok(ResumePlan { journal, skip_step1, committed, tuner: state.tuner })
+        // says the bytes are still whole. What verifies goes straight
+        // into the graph.
+        let mut committed = BTreeMap::new();
+        let mut resumed = Resumed::nothing(config.k);
+        if config.write_subgraphs {
+            for i in claimed {
+                let verified = std::fs::read(subgraph_path(config, i)).ok().and_then(|bytes| {
+                    let sub = decode_subgraph_checked(&bytes, Some(i)).ok()?;
+                    Some((sub, bytes.len() as u64))
+                });
+                if let Some((sub, len)) = verified {
+                    resumed.graph.absorb(sub);
+                    resumed.committed.insert(i);
+                    committed.insert(i, len);
+                }
+            }
+            // Partitions are hash-balanced, so the committed share
+            // predicts the final vertex count. If the map has to regrow
+            // to hold (a cautious three quarters of) it, regrow now:
+            // mid-Step-2 the old and new tables would sit beside the
+            // step's hash tables and buffers, the run's peak memory.
+            if !committed.is_empty() {
+                let have = resumed.graph.distinct_vertices();
+                let projected = have / committed.len() * config.partitions;
+                resumed.graph.reserve((projected / 4 * 3).saturating_sub(have));
+            }
+        }
+        Ok((ResumePlan { journal, skip_step1, committed, tuner: state.tuner }, resumed))
     }
 
-    /// Absorbs the skipped partitions' persisted subgraphs into the
-    /// final graph — the redo-free half of a resumed Step 2.
-    fn absorb_committed(&self, config: &ParaHashConfig, graph: &mut DeBruijnGraph) -> Result<()> {
-        let sub_dir = config.work_dir.join("subgraphs");
-        for &i in &self.committed {
-            let bytes = std::fs::read(sub_dir.join(format!("sub-{i:05}.dbg")))?;
-            graph.absorb(decode_subgraph_checked(&bytes, Some(i))?);
+    /// The tail's look at the subgraph files [`prepare`](Self::prepare)
+    /// absorbed: the finished work directory must still hold every one of
+    /// them. The files are not read again — a `stat` per file — unless
+    /// one changed size since it was verified, in which case decoding it
+    /// names the damage.
+    ///
+    /// # Errors
+    ///
+    /// [`ParaHashError::Io`] for a file that vanished while the run was
+    /// rebuilding the rest, the decoder's corruption error for one that
+    /// was cut or extended.
+    fn recheck_committed(&self, config: &ParaHashConfig) -> Result<()> {
+        for (&i, &verified_len) in &self.committed {
+            let path = subgraph_path(config, i);
+            if std::fs::metadata(&path)?.len() != verified_len {
+                decode_subgraph_checked(&std::fs::read(&path)?, Some(i))?;
+            }
         }
         Ok(())
     }
+}
+
+/// Where partition `i`'s committed subgraph lives.
+fn subgraph_path(config: &ParaHashConfig, i: usize) -> std::path::PathBuf {
+    config.work_dir.join("subgraphs").join(format!("sub-{i:05}.dbg"))
 }
 
 /// Step-1 report for a resumed run that skipped Step 1 entirely: every
@@ -390,6 +420,7 @@ fn disk_handoff(
     input: Input<'_>,
     io: &ThrottledIo,
     plan: &ResumePlan,
+    resumed: Resumed,
 ) -> Result<Built> {
     let (manifest, step1) = if plan.skip_step1 {
         (PartitionManifest::load(config.work_dir.join("superkmers"))?, skipped_step1_report())
@@ -408,10 +439,10 @@ fn disk_handoff(
     // `crate::shard`), so everything downstream is oblivious.
     let journal = Some(&plan.journal);
     let (graph, step2) = if config.workers > 0 || config.listen.is_some() {
-        crate::shard::run_step2_sharded(config, &manifest, io, journal, &plan.committed)?
+        crate::shard::run_step2_sharded(config, &manifest, io, journal, resumed)?
     } else {
         let feed = manifest_feed(&manifest);
-        run_step2_feed(config, &feed, io, &CancelToken::new(), journal, &plan.committed, None)?
+        run_step2_feed(config, &feed, io, &CancelToken::new(), journal, resumed, None)?
     };
     Ok((manifest, step1, graph, step2))
 }
@@ -425,6 +456,7 @@ fn memory_handoff(
     input: Input<'_>,
     io: &ThrottledIo,
     plan: &ResumePlan,
+    resumed: Resumed,
 ) -> Result<Built> {
     let cancel = CancelToken::new();
     // Capacity = partition count: Step 1 seals each partition exactly
@@ -461,7 +493,7 @@ fn memory_handoff(
 
     let (step1_out, step2_out) = std::thread::scope(|s| {
         let step2_handle = s.spawn(|| {
-            run_step2_feed(config, &feed, io, &cancel, Some(journal), &plan.committed, Some(&tuner))
+            run_step2_feed(config, &feed, io, &cancel, Some(journal), resumed, Some(&tuner))
         });
         let step1_out = (|| -> Result<Option<(PartitionManifest, StepReport)>> {
             let mut store = msp::PartitionStore::create_scoped(
@@ -759,6 +791,72 @@ mod tests {
             assert_eq!(outcome.report.total_kmers, 4 * (32 - 9 + 1));
             std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
         }
+    }
+
+    /// A resumed run reads each committed subgraph once, in
+    /// [`ResumePlan::prepare`]: what verifies is absorbed there and
+    /// skipped by Step 2, what is damaged drops out and rebuilds, and the
+    /// tail still notices a file that vanished or was cut in between.
+    #[test]
+    fn resume_absorbs_committed_subgraphs_once_and_rechecks_them() {
+        let cfg = ParaHashConfig::builder()
+            .k(9)
+            .p(5)
+            .partitions(5)
+            .cpu_threads(2)
+            .write_subgraphs(true)
+            .resume(true)
+            .work_dir(std::env::temp_dir().join("parahash-sys-resume-once"))
+            .build()
+            .unwrap();
+        let _ = std::fs::remove_dir_all(cfg.work_dir());
+        let ph = ParaHash::new(cfg.clone()).unwrap();
+        let rs = reads();
+        let full = ph.run(&rs).unwrap();
+        let sub = |i: usize| subgraph_path(&cfg, i);
+        let pristine: Vec<Vec<u8>> = (0..5).map(|i| std::fs::read(sub(i)).unwrap()).collect();
+
+        // Tear the journal's final `run-complete` record: the run now
+        // looks interrupted right after its last commit.
+        let interrupt = || {
+            let journal = RunJournal::path_in(cfg.work_dir());
+            let len = std::fs::metadata(&journal).unwrap().len();
+            std::fs::OpenOptions::new().write(true).open(&journal).unwrap().set_len(len - 1).unwrap();
+        };
+        interrupt();
+        // Bit-rot in one committed file: it must drop out of the plan.
+        let mut rotten = pristine[0].clone();
+        rotten[20] ^= 1;
+        std::fs::write(sub(0), &rotten).unwrap();
+
+        let fingerprint =
+            Fingerprint { k: 9, p: 5, partitions: 5, input_digest: Fingerprint::digest_reads(&rs) };
+        let (plan, resumed) = ResumePlan::prepare(&cfg, fingerprint).unwrap();
+        assert_eq!(resumed.committed, (1..5).collect());
+        assert_eq!(plan.committed.keys().copied().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+        let lost = crate::decode_subgraph(&pristine[0]).unwrap().len();
+        assert_eq!(resumed.graph.distinct_vertices() + lost, full.graph.distinct_vertices());
+        plan.recheck_committed(&cfg).unwrap();
+
+        // Cut short after verification: the decoder names the damage.
+        std::fs::write(sub(1), &pristine[1][..pristine[1].len() - 1]).unwrap();
+        let err = plan.recheck_committed(&cfg).unwrap_err().to_string();
+        assert!(err.contains("partition 1") && err.contains("truncated tail"), "{err}");
+        std::fs::write(sub(1), &pristine[1]).unwrap();
+        // Gone after verification: the I/O error a second read gave.
+        std::fs::remove_file(sub(2)).unwrap();
+        assert!(matches!(plan.recheck_committed(&cfg), Err(ParaHashError::Io(_))));
+        std::fs::write(sub(2), &pristine[2]).unwrap();
+        drop(plan);
+
+        // End to end: the resumed run rebuilds the rotten partition and
+        // lands on the uninterrupted run's graph and files.
+        let again = ph.run(&rs).unwrap();
+        assert_eq!(again.graph, full.graph);
+        for (i, bytes) in pristine.iter().enumerate() {
+            assert_eq!(&std::fs::read(sub(i)).unwrap(), bytes, "sub-{i:05}.dbg");
+        }
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 
     #[test]
