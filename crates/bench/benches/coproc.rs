@@ -1,20 +1,14 @@
 //! Model-driven co-processing benchmarks.
 //!
-//! * **`coproc/*`** — one fused construction (CPU roster + one simulated
-//!   GPU) per split policy: the full static sweep `static:0.00` …
-//!   `static:1.00` plus the §IV Eq. 2 online autotuner. The acceptance
-//!   criterion this group tracks: `auto` lands within ~10 % of the best
-//!   static split without being told the device balance in advance.
-//! * **`cas_vs_tagged/*`** — the lock-free ablation: the single-word
-//!   pure-CAS table against the paper's tagged state-transfer table on
-//!   identical update-heavy traffic at 8–32 threads. What the state
-//!   machine's fingerprint fast path buys (or costs) once keys fit in
-//!   one word.
+//! **`coproc/*`** — one fused construction (CPU roster + one simulated
+//! GPU) per split policy: the full static sweep `static:0.00` …
+//! `static:1.00` plus the §IV Eq. 2 online autotuner. The acceptance
+//! criterion this group tracks: `auto` lands within ~10 % of the best
+//! static split without being told the device balance in advance.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use datagen::{GenomeSpec, Sequencer, SequencingSpec};
-use dna::{Kmer, SeqRead};
-use hashgraph::{CasDbgTable, ConcurrentDbgTable, VertexTable};
+use dna::SeqRead;
 use hetsim::SimGpuConfig;
 use parahash::{ParaHash, ParaHashConfig, SplitPolicy};
 use pipeline::IoMode;
@@ -75,56 +69,5 @@ fn bench_coproc(c: &mut Criterion) {
     g.finish();
 }
 
-/// Canonical kmers of the corpus: update-heavy traffic like real Step-2
-/// replay (most records hit an already-occupied slot).
-fn keys() -> Vec<Kmer> {
-    let mut keys = Vec::new();
-    for r in &corpus() {
-        for kmer in r.seq().kmers(K) {
-            keys.push(kmer.canonical().0);
-        }
-    }
-    keys
-}
-
-fn record_all<T: VertexTable>(table: &T, keys: &[Kmer], threads: usize) {
-    let chunk = keys.len().div_ceil(threads).max(1);
-    std::thread::scope(|s| {
-        for chunk in keys.chunks(chunk) {
-            s.spawn(move || {
-                for (i, k) in chunk.iter().enumerate() {
-                    table.record(k, [Some((i % 8) as u8), None]).expect("capacity ok");
-                }
-            });
-        }
-    });
-}
-
-fn bench_cas_vs_tagged(c: &mut Criterion) {
-    let keys = keys();
-    let capacity = keys.len();
-    let mut g = c.benchmark_group("cas_vs_tagged");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(keys.len() as u64));
-
-    for threads in [8usize, 16, 32] {
-        g.bench_with_input(BenchmarkId::new("tagged", threads), &threads, |b, &threads| {
-            b.iter(|| {
-                let table = ConcurrentDbgTable::new(capacity, K);
-                record_all(&table, &keys, threads);
-                table.distinct()
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("cas", threads), &threads, |b, &threads| {
-            b.iter(|| {
-                let table = CasDbgTable::new(capacity, K);
-                record_all(&table, &keys, threads);
-                table.distinct()
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_coproc, bench_cas_vs_tagged);
+criterion_group!(benches, bench_coproc);
 criterion_main!(benches);

@@ -14,7 +14,8 @@
 //!
 //! dbg worker --connect <addr:port> [--id n]
 //!     Join a remote parent's shard cluster: claim partition leases,
-//!     build them in a scratch directory, stream the subgraphs back.
+//!     build them in memory from the shipped bytes, stream the subgraphs
+//!     back (nothing is written to this machine's disk).
 //!     Run one per machine (or more) against the parent's `--listen`
 //!     address; exits when the parent finishes the run.
 //!

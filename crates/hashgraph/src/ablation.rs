@@ -1,5 +1,3 @@
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
 use parking_lot::Mutex;
 
 use dna::Kmer;
@@ -136,217 +134,6 @@ impl VertexTable for MutexDbgTable {
     }
 }
 
-/// Sentinel marking an unoccupied key slot in [`CasDbgTable`]. An
-/// all-ones word can never be a stored key: for k < 32 the tail bits of
-/// a packed key are zero, and for k = 32 the all-ones word decodes to
-/// the all-`T` 32-mer, whose canonical form (the lexicographic min of
-/// itself and its all-`A` reverse complement) is all-`A` — so a
-/// canonical-key stream, which is all the Step-2 builders ever feed a
-/// table, cannot collide with the sentinel.
-const CAS_EMPTY: u64 = u64::MAX;
-
-/// Per-slot counters, cache-line padded like the production table's (that
-/// type is private to its module, hence the twin here).
-#[repr(align(64))]
-struct CasSlotCounters {
-    count: AtomicU32,
-    edges: [AtomicU32; 8],
-}
-
-impl CasSlotCounters {
-    fn new() -> CasSlotCounters {
-        CasSlotCounters { count: AtomicU32::new(0), edges: std::array::from_fn(|_| AtomicU32::new(0)) }
-    }
-}
-
-#[derive(Default)]
-struct CasCounters {
-    insertions: AtomicU64,
-    cas_failures: AtomicU64,
-    probe_steps: AtomicU64,
-}
-
-/// The **fully lock-free** ablation point of the design spectrum: no
-/// state word, no fingerprint tag, no locked phase at all. Each slot is
-/// one `AtomicU64` key word ([`CAS_EMPTY`] when vacant); insertion is a
-/// single `compare_exchange` publishing the key, and every counter bump
-/// is a relaxed atomic add — a thread never waits on another, not even
-/// spinning for a key publication.
-///
-/// What it gives up against [`crate::ConcurrentDbgTable`]:
-///
-/// * **narrow keys only** — the one-CAS publication needs the whole key
-///   in a single word, so k ≤ 32 (the tagged table goes to
-///   [`dna::MAX_K`]);
-/// * **no fingerprint rejects** — every occupied-slot probe loads and
-///   compares the key word itself. Same cache line as the state word
-///   would be, so the cost shows up only through longer probe chains.
-///
-/// The `hashtable` bench's `cas-vs-tagged` group runs both on identical
-/// input at 8–32 threads to measure whether the paper's partial-locking
-/// state machine costs anything once keys fit in a word.
-pub struct CasDbgTable {
-    k: usize,
-    capacity: usize,
-    keys: Box<[AtomicU64]>,
-    counters: Box<[CasSlotCounters]>,
-    stats: CasCounters,
-}
-
-impl std::fmt::Debug for CasDbgTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CasDbgTable")
-            .field("k", &self.k)
-            .field("capacity", &self.capacity)
-            .finish()
-    }
-}
-
-impl CasDbgTable {
-    /// Allocates a table with room for `capacity` distinct `k`-mers
-    /// (minimum 16, like the production table).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is 0 or exceeds 32 — the single-word CAS publication
-    /// cannot carry a wider key.
-    pub fn new(capacity: usize, k: usize) -> CasDbgTable {
-        assert!((1..=32).contains(&k), "CasDbgTable requires 1 <= k <= 32, got {k}");
-        let capacity = capacity.max(16);
-        CasDbgTable {
-            k,
-            capacity,
-            keys: (0..capacity).map(|_| AtomicU64::new(CAS_EMPTY)).collect(),
-            counters: (0..capacity).map(|_| CasSlotCounters::new()).collect(),
-            stats: CasCounters::default(),
-        }
-    }
-
-    /// The slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    #[inline]
-    fn bump(&self, slot: usize, edge_slots: [Option<u8>; 2]) {
-        let counters = &self.counters[slot];
-        counters.count.fetch_add(1, Ordering::Relaxed);
-        for e in edge_slots.into_iter().flatten() {
-            debug_assert!(e < 8, "edge slot {e} out of range");
-            counters.edges[(e & 7) as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The lock-free probe loop: same multiply-shift home slot and linear
-    /// walk as the tagged table, but occupancy *is* the key word.
-    fn probe_record(&self, word: u64, hash: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
-        debug_assert_ne!(word, CAS_EMPTY, "all-ones key collides with the vacancy sentinel");
-        let relaxed = Ordering::Relaxed;
-        let mut slot = ((hash as u128 * self.capacity as u128) >> 64) as usize;
-        for _probe in 0..self.capacity {
-            let cur = self.keys[slot].load(Ordering::Acquire);
-            if cur == word {
-                self.bump(slot, edge_slots);
-                return Ok(());
-            }
-            if cur == CAS_EMPTY {
-                match self.keys[slot].compare_exchange(
-                    CAS_EMPTY,
-                    word,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        self.bump(slot, edge_slots);
-                        self.stats.insertions.fetch_add(1, relaxed);
-                        return Ok(());
-                    }
-                    Err(now) => {
-                        // Lost the race. The winner may have published
-                        // exactly our key — then this is an update after
-                        // all; otherwise probe onwards.
-                        self.stats.cas_failures.fetch_add(1, relaxed);
-                        if now == word {
-                            self.bump(slot, edge_slots);
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-            slot = (slot + 1) % self.capacity;
-            self.stats.probe_steps.fetch_add(1, relaxed);
-        }
-        Err(HashGraphError::CapacityExhausted { capacity: self.capacity })
-    }
-}
-
-impl VertexTable for CasDbgTable {
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn record(&self, key: &Kmer, edge_slots: [Option<u8>; 2]) -> Result<()> {
-        if key.k() != self.k {
-            return Err(HashGraphError::WrongK { expected: self.k, got: key.k() });
-        }
-        self.probe_record(key.words()[0], key.hash64(), edge_slots)
-    }
-
-    fn record_narrow(&self, word: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
-        let words = [word, 0, 0, 0];
-        self.probe_record(word, Kmer::hash64_of_words(&words, self.k), edge_slots)
-    }
-
-    fn record_narrow_hashed(&self, word: u64, hash: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
-        debug_assert_eq!(
-            hash,
-            Kmer::hash64_of_words(&[word, 0, 0, 0], self.k),
-            "caller-supplied hash must match the key"
-        );
-        self.probe_record(word, hash, edge_slots)
-    }
-
-    fn snapshot(&self) -> SubGraph {
-        let mut entries = Vec::new();
-        for slot in 0..self.capacity {
-            let word = self.keys[slot].load(Ordering::Acquire);
-            if word == CAS_EMPTY {
-                continue;
-            }
-            let kmer = Kmer::from_words([word, 0, 0, 0], self.k).expect("stored keys are valid");
-            let counters = &self.counters[slot];
-            let mut edges = [0u32; 8];
-            for (e, out) in edges.iter_mut().enumerate() {
-                *out = counters.edges[e].load(Ordering::Relaxed);
-            }
-            entries.push((
-                kmer,
-                VertexData { count: counters.count.load(Ordering::Relaxed), edges },
-            ));
-        }
-        SubGraph::new(self.k, entries)
-    }
-
-    fn distinct(&self) -> usize {
-        self.keys.iter().filter(|k| k.load(Ordering::Relaxed) != CAS_EMPTY).count()
-    }
-
-    fn contention(&self) -> ContentionStats {
-        let r = Ordering::Relaxed;
-        let insertions = self.stats.insertions.load(r);
-        let occurrences: u64 = self.counters.iter().map(|c| c.count.load(r) as u64).sum();
-        ContentionStats {
-            insertions,
-            updates: occurrences.saturating_sub(insertions),
-            cas_failures: self.stats.cas_failures.load(r),
-            // The whole point: no waiting phase and no tag fast path.
-            lock_waits: 0,
-            probe_steps: self.stats.probe_steps.load(r),
-            tag_rejects: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,103 +199,5 @@ mod tests {
             t.record(&key, [None, None]),
             Err(HashGraphError::WrongK { .. })
         ));
-    }
-
-    #[test]
-    fn cas_table_matches_concurrent_table() {
-        let part = test_partition();
-        let cas = CasDbgTable::new(1024, 7);
-        let tagged = ConcurrentDbgTable::new(1024, 7);
-        build_subgraph_with(&cas, &part, 4).unwrap();
-        build_subgraph_with(&tagged, &part, 4).unwrap();
-        let mut a = cas.snapshot().into_entries();
-        let mut b = tagged.snapshot().into_entries();
-        a.sort_by_key(|x| x.0);
-        b.sort_by_key(|x| x.0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cas_narrow_paths_match_record() {
-        let via_kmer = CasDbgTable::new(256, 9);
-        let via_word = CasDbgTable::new(256, 9);
-        let via_hashed = CasDbgTable::new(256, 9);
-        let seq = PackedSeq::from_ascii(
-            b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCACCGTATGCAATG",
-        );
-        for (i, kmer) in seq.kmers(9).enumerate() {
-            let c = kmer.canonical().0;
-            let edges = [Some((i % 8) as u8), if i % 3 == 0 { None } else { Some(2) }];
-            let word = c.words()[0];
-            via_kmer.record(&c, edges).unwrap();
-            via_word.record_narrow(word, edges).unwrap();
-            via_hashed
-                .record_narrow_hashed(word, Kmer::hash64_of_words(&[word, 0, 0, 0], 9), edges)
-                .unwrap();
-        }
-        assert_eq!(via_kmer.snapshot(), via_word.snapshot());
-        assert_eq!(via_kmer.snapshot(), via_hashed.snapshot());
-        let c = via_kmer.contention();
-        assert_eq!(c.lock_waits, 0, "no locking phase exists to wait on");
-        assert_eq!(c.tag_rejects, 0, "no fingerprint fast path exists");
-    }
-
-    #[test]
-    fn cas_capacity_exhaustion_reported() {
-        let t = CasDbgTable::new(16, 7);
-        let part = test_partition();
-        let mut hit_capacity = false;
-        for sk in &part {
-            if crate::record_superkmer(&t, sk).is_err() {
-                hit_capacity = true;
-                break;
-            }
-        }
-        assert!(hit_capacity, "16 slots must overflow on this input");
-    }
-
-    #[test]
-    fn cas_wrong_k_rejected_and_wide_k_refused() {
-        let t = CasDbgTable::new(16, 5);
-        let key: Kmer = "ACG".parse().unwrap();
-        assert!(matches!(t.record(&key, [None, None]), Err(HashGraphError::WrongK { .. })));
-        assert!(std::panic::catch_unwind(|| CasDbgTable::new(16, 33)).is_err());
-    }
-
-    #[test]
-    fn cas_concurrent_records_are_linearizable() {
-        use std::sync::Arc;
-        let t = Arc::new(CasDbgTable::new(4096, 9));
-        let seq = PackedSeq::from_ascii(
-            &"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCACCGTATGCAATG"
-                .repeat(4)
-                .into_bytes(),
-        );
-        let kmers: Vec<Kmer> = seq.kmers(9).map(|k| k.canonical().0).collect();
-        let threads = 8;
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let t = Arc::clone(&t);
-                let kmers = &kmers;
-                s.spawn(move || {
-                    for i in 0..kmers.len() {
-                        let c = &kmers[(i + tid * 7) % kmers.len()];
-                        t.record(c, [Some((i % 8) as u8), None]).unwrap();
-                    }
-                });
-            }
-        });
-        let mut expected = std::collections::HashMap::new();
-        for c in &kmers {
-            *expected.entry(*c).or_insert(0u64) += threads as u64;
-        }
-        let sub = t.snapshot();
-        assert_eq!(sub.len(), expected.len());
-        for (k, d) in sub.entries() {
-            assert_eq!(d.count as u64, expected[k], "lost updates for {k}");
-        }
-        let c = t.contention();
-        assert_eq!(c.insertions, expected.len() as u64);
-        assert_eq!(c.updates, (threads * kmers.len()) as u64 - expected.len() as u64);
     }
 }

@@ -55,7 +55,7 @@ mod store;
 mod table;
 mod unitig;
 
-pub use ablation::{CasDbgTable, MutexDbgTable};
+pub use ablation::MutexDbgTable;
 pub use build::{
     build_subgraph, build_subgraph_serial, build_subgraph_with, edge_slots_for, record_superkmer,
     record_superkmer_naive, record_superkmer_view, BuildOutput, ReplayKernel, ReplayPipeline,

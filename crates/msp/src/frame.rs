@@ -19,10 +19,10 @@
 //! ([`PartitionSlices::index_framed`](crate::PartitionSlices::index_framed))
 //! still borrows straight out of the loaded file buffer.
 //!
-//! The checksum is CRC-32/ISO-HDLC (the zlib/PNG polynomial), implemented
-//! locally — the container has no crc crate and none is needed for a
-//! table-driven loop (slicing-by-8, with the byte-at-a-time loop as its
-//! tail handler and `PARAHASH_FORCE_SCALAR` twin).
+//! The checksum is CRC-32/ISO-HDLC (the zlib/PNG polynomial), computed by
+//! the workspace's one table-driven routine, [`pipeline::crc`] (slicing-by-8,
+//! with the byte-at-a-time loop as its tail handler and
+//! `PARAHASH_FORCE_SCALAR` twin).
 
 use crate::{MspError, Result};
 
@@ -34,57 +34,10 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// frame localises the damage.
 pub const DEFAULT_FRAME_TARGET: usize = 64 << 10;
 
-/// Slicing-by-8 lookup tables. `CRC_TABLES[0]` is the classic byte-wise
-/// table (the CRC of the single byte `i`); `CRC_TABLES[j][i]` is the CRC
-/// of byte `i` followed by `j` zero bytes, so eight lookups — one per
-/// table — advance the register over eight input bytes at once. Same
-/// polynomial, so the sliced and byte-wise loops agree on every input.
-const CRC_TABLES: [[u32; 256]; 8] = make_crc_tables();
-
-const fn make_crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            bit += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[j - 1][i];
-            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        j += 1;
-    }
-    tables
-}
-
-/// Advances the (pre-complemented) CRC register over `bytes` one byte at
-/// a time: the tail handler of [`crc32`], its whole body under
-/// `PARAHASH_FORCE_SCALAR`, and the reference the sliced loop is tested
-/// against.
-fn crc32_update_bytewise(mut c: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
-}
-
 /// CRC-32/ISO-HDLC of `bytes` (polynomial `0xEDB88320`, init/final
-/// complement) — the same variant zlib and PNG use.
-///
-/// Eight bytes per step (slicing-by-8): the register is folded into the
-/// first four bytes of each chunk and all eight bytes index their own
-/// table, so the loop-carried dependency is one XOR tree per 8 bytes
-/// instead of one table load per byte.
+/// complement) — the same variant zlib and PNG use. The tables and both
+/// loops are [`pipeline::crc`]'s: eight bytes per step (slicing-by-8), or
+/// one byte per step under `PARAHASH_FORCE_SCALAR`.
 ///
 /// # Examples
 ///
@@ -93,25 +46,11 @@ fn crc32_update_bytewise(mut c: u32, bytes: &[u8]) -> u32 {
 /// assert_eq!(msp::crc32(b"123456789"), 0xCBF4_3926); // the standard check value
 /// ```
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let mut rest = bytes;
-    if !dna::simd::force_scalar() {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-            c = CRC_TABLES[7][(lo & 0xFF) as usize]
-                ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[4][(lo >> 24) as usize]
-                ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-                ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[0][(hi >> 24) as usize];
-        }
-        rest = chunks.remainder();
+    if dna::simd::force_scalar() {
+        pipeline::crc::crc32_bytewise(bytes)
+    } else {
+        pipeline::crc::crc32(bytes)
     }
-    !crc32_update_bytewise(c, rest)
 }
 
 /// Appends one frame (header + payload) to `out`. Empty payloads are
@@ -297,7 +236,7 @@ mod tests {
                     let bytes = &buf[start..start + len];
                     assert_eq!(
                         crc32(bytes),
-                        !crc32_update_bytewise(0xFFFF_FFFF, bytes),
+                        pipeline::crc::crc32_bytewise(bytes),
                         "force_scalar={force} start={start} len={len}"
                     );
                 }

@@ -430,8 +430,8 @@ impl ParaHashConfigBuilder {
     /// partition payloads shipped over the wire (and ship their subgraph
     /// results back). Implies the sharded Step 2 even when
     /// [`workers`](Self::workers) is `0` — a listen-only parent waits
-    /// (bounded by `PARAHASH_SHARD_WAIT_MS`) for remote workers and
-    /// falls back to the in-process build if none show up.
+    /// 30 s for the first remote worker and falls back to the
+    /// in-process build if none shows up.
     pub fn listen(mut self, addr: impl Into<String>) -> Self {
         self.listen = Some(addr.into());
         self

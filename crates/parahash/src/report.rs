@@ -118,6 +118,36 @@ pub struct StepReport {
 }
 
 impl StepReport {
+    /// The report of a step that did nothing: every counter zero, every
+    /// list empty. A step that was skipped reports exactly this; a driver
+    /// that assembles its report from parts starts from it.
+    pub fn idle(step: u8) -> StepReport {
+        StepReport {
+            step,
+            pipeline: PipelineReport {
+                elapsed: Duration::ZERO,
+                input_time: Duration::ZERO,
+                output_time: Duration::ZERO,
+                shares: Vec::new(),
+                partitions: 0,
+                spans: Vec::new(),
+                cancelled: false,
+            },
+            cpu_compute: Duration::ZERO,
+            gpu_compute: Duration::ZERO,
+            contention: None,
+            step1_stats: None,
+            resizes: 0,
+            peak_partition_bytes: 0,
+            peak_table_bytes: 0,
+            peak_resident_store_bytes: 0,
+            quarantined: Vec::new(),
+            sub_splits: Vec::new(),
+            coproc: None,
+            exhausted_leases: Vec::new(),
+        }
+    }
+
     /// The measured components in the shape the §IV model consumes.
     pub fn components(&self) -> StepComponents {
         StepComponents {
@@ -304,6 +334,29 @@ mod tests {
         assert!(s.contains("10 distinct"));
         assert!(s.contains("1234 partition bytes"));
         assert!(!s.contains("QUARANTINED"), "healthy runs stay quiet: {s}");
+    }
+
+    /// An idle step is a whole report: the model helpers and the summary
+    /// line take it without dividing by its zeros.
+    #[test]
+    fn idle_steps_summarise_without_panicking() {
+        let r = RunReport {
+            step1: StepReport::idle(1),
+            step2: StepReport::idle(2),
+            total_elapsed: Duration::ZERO,
+            distinct_vertices: 0,
+            total_kmers: 0,
+            peak_host_bytes: 0,
+            partition_bytes: 0,
+        };
+        assert_eq!((r.step1.step, r.step2.step), (1, 2));
+        for step in [&r.step1, &r.step2] {
+            assert_eq!(step.model_accuracy(), 1.0);
+            assert_eq!(step.eq1_estimate(), Duration::ZERO);
+        }
+        let s = r.summary();
+        assert!(s.starts_with("step1 0.000s + step2 0.000s = 0.000s | 0 distinct"), "{s}");
+        assert!(!s.contains("ingest") && !s.contains("QUARANTINED") && !s.contains("exhausted"), "{s}");
     }
 
     #[test]

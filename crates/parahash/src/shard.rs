@@ -2,29 +2,40 @@
 //! drivers behind [`workers(N)`](crate::ParaHashConfigBuilder::workers)
 //! and [`listen(addr)`](crate::ParaHashConfigBuilder::listen).
 //!
-//! The parent runs Step 1 as usual and seals the partition directory;
-//! then, instead of building subgraphs in-process, it binds a listener
-//! — a Unix socket in the work directory, or a TCP socket when remote
-//! workers are expected — spawns `N` copies of its own executable (the
-//! `tests/crash_recovery.rs` self-exec pattern), and leases partitions
-//! to whoever connects, one at a time in LPT (largest-first) order over
-//! the [`pipeline::shard`] wire protocol. Each worker builds its leased
-//! partition with [`build_and_commit_partition`] — read, budget-admit
-//! (sub-partitioning out of core when projected over budget),
-//! hash-construct, atomically commit `sub-<i>.dbg` — and journals into
-//! its own `worker-<id>/run.journal`.
+//! A sharded Step 2 is the in-process Step 2 with some partitions built
+//! elsewhere. The parent runs Step 1 as usual, seals the partition
+//! directory and owns the step's one [`Step2Shared`] — the engine state
+//! that decides strict-vs-quarantine, journals, counts and assembles the
+//! report. Then, in three phases:
 //!
-//! **Local (Unix) workers** share the parent's filesystem: the
-//! committed subgraph file is the result channel, and the parent
-//! re-reads and CRC-verifies every file a worker reports before
-//! trusting it. **Remote (TCP) workers** get their partition payloads
-//! shipped over the wire in the same CRC-framed format the partition
-//! store uses on disk, build in a scratch directory, and stream the
-//! committed subgraph bytes back; the parent commits those bytes
-//! locally and then runs the *same* re-read verification seam. Either
-//! way, byte-identity with the in-process build holds by construction —
-//! every path funnels through the canonical-order
-//! [`crate::encode_subgraph`].
+//! 1. **Lease phase.** It binds a listener — a Unix socket in the work
+//!    directory, or a TCP socket when remote workers are expected —
+//!    spawns `N` copies of its own executable (the
+//!    `tests/crash_recovery.rs` self-exec pattern), and leases partitions
+//!    to whoever connects, one at a time in LPT (largest-first) order
+//!    over the [`pipeline::shard`] wire protocol. Each worker builds its
+//!    lease with [`build_lease`]; every subgraph a worker reports is read
+//!    back from `subgraphs/`, CRC-checked and decoded **once**, and that
+//!    decoded value is merged into the graph on the spot.
+//! 2. **Fallback.** Whatever the cluster left unbuilt — every worker
+//!    died, or all drew `finished` while a failure was requeueing — runs
+//!    through the engine in this process: pipelined, journaled and
+//!    quarantining by the engine's own rules.
+//! 3. **Finish.** [`Step2Shared::finish`] turns the counters into the
+//!    report, journals the quarantines, or deletes partial output and
+//!    returns the first fatal error.
+//!
+//! **Local (Unix) workers** share the parent's filesystem: they read the
+//! partition files, commit `sub-<i>.dbg` themselves and journal into
+//! their own `worker-<id>/run.journal`; the committed file is the result
+//! channel. **Remote (TCP) workers** are diskless: partition payloads
+//! arrive over the wire in the same CRC-framed format the partition store
+//! uses on disk, the worker builds from the received bytes and streams
+//! the formatted subgraph back, and the parent commits those bytes
+//! locally. Either way the parent trusts no subgraph it has not re-read
+//! from its own disk and checked end to end, and byte-identity with the
+//! in-process build holds by construction — every path funnels through
+//! the canonical-order [`crate::encode_subgraph`].
 //!
 //! Failure handling: a worker that dies mid-lease drops its socket; one
 //! that *hangs* mid-lease stops heartbeating and is evicted when the
@@ -32,12 +43,11 @@
 //! partitions (bounded by the board's attempt cap, so a partition that
 //! crashes builders cannot re-lease forever). Workers reconnect with
 //! bounded exponential backoff and deterministically jittered pacing;
-//! a reconnecting worker's journal is *reopened*, not truncated, so
-//! its committed records survive for cluster-wide resume. Partitions
-//! still unbuilt after the cluster drains — all workers died, or a
-//! lease exhausted its attempts — are built in-process by the parent
-//! as a fallback; only when that too fails does the run abort (strict)
-//! or quarantine (non-strict).
+//! a reconnecting local worker's journal is *reopened*, not truncated,
+//! so its committed records survive for cluster-wide resume. A partition
+//! whose leases burned every attempt fails like an unreadable partition
+//! file does in-process: the run aborts (strict) or sets it aside
+//! (non-strict). A parent-side journal failure is fatal in both modes.
 //!
 //! Worker processes are CPU-only and run with unthrottled I/O: the
 //! sharded path exists for real multi-process throughput (separate
@@ -45,23 +55,25 @@
 //! the simulated-device regimes, which remain in-process features.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hashgraph::DeBruijnGraph;
 use hetsim::DeviceKind;
-use msp::{PartitionManifest, QuarantinedPartition};
+use msp::{PartitionManifest, SealedPayload};
 use parking_lot::Mutex;
 use pipeline::shard::{
-    connect_tcp, connect_unix, decode_blob, encode_blob, FrameSender, LeaseBoard, Recv,
+    connect_tcp, connect_unix, decode_blob, encode_blob, net_delay, FrameSender, LeaseBoard, Recv,
     ShardListener, Transport, WireMsg, BLOB_TAG, MAX_FRAME, MAX_PAYLOAD_FRAME, PROTO_VERSION,
 };
-use pipeline::{failpoint, IoMode, PipelineReport, RetryPolicy, ThrottledIo};
+use pipeline::{failpoint, CancelToken, IoMode, RetryPolicy, ThrottledIo};
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
-use crate::step2::{build_and_commit_partition, decode_subgraph_checked, Resumed};
+use crate::step2::{
+    build_lease, decode_subgraph_checked, manifest_feed, LeaseOutcome, Resumed, Step2Shared,
+};
 use crate::{ParaHashConfig, ParaHashError, Result, StepReport};
 
 /// Environment variable carrying the parent's Unix socket path into
@@ -98,23 +110,35 @@ const MAX_LEASE_ATTEMPTS: usize = 2;
 /// Socket filename inside the work directory.
 const SOCKET_FILE: &str = "shard.sock";
 
+/// Worker reconnect pacing: five consecutive unproductive sessions end
+/// the worker; between them it sleeps 100 ms doubling to a 2 s cap,
+/// jittered deterministically by worker id so a restarted cluster
+/// doesn't stampede.
+const RECONNECT: RetryPolicy = RetryPolicy {
+    attempts: 5,
+    backoff: Duration::from_millis(100),
+    max_backoff: Duration::from_secs(2),
+};
+
+/// How long a listen-only parent (no spawned children) waits for the
+/// first remote worker before building everything itself.
+const WAIT_FOR_FIRST: Duration = Duration::from_secs(30);
+
 fn shard_err(msg: impl Into<String>) -> ParaHashError {
     ParaHashError::Shard(msg.into())
 }
 
 // ---------------------------------------------------------------------
-// Tuning: every deadline and pacing knob, environment-overridable so
-// the chaos suites can compress minutes of failure detection into
-// milliseconds without touching production defaults.
+// Tuning: the deadlines the chaos suites compress from minutes of
+// failure detection into milliseconds, environment-overridable without
+// touching production defaults.
 // ---------------------------------------------------------------------
 
-fn env_ms(var: &str, default: u64) -> Duration {
-    Duration::from_millis(
-        std::env::var(var).ok().and_then(|v| v.parse().ok()).unwrap_or(default),
-    )
+fn env_ms(var: &str) -> Option<Duration> {
+    std::env::var(var).ok().and_then(|v| v.parse().ok()).map(Duration::from_millis)
 }
 
-/// The shard protocol's timing knobs, shared by both sides.
+/// The shard protocol's deadlines, shared by both sides.
 #[derive(Debug, Clone)]
 struct ShardTuning {
     /// Worker → parent liveness pulse period during builds
@@ -128,51 +152,19 @@ struct ShardTuning {
     /// payload transfer (`PARAHASH_SHARD_REQUEST_TIMEOUT_MS`,
     /// default 30 000).
     request_timeout: Duration,
-    /// Worker reconnect pacing: attempts bound and exponential backoff
-    /// (`PARAHASH_SHARD_RECONNECT_ATTEMPTS` default 5,
-    /// `PARAHASH_SHARD_RECONNECT_MS` base default 100, capped at 2 s),
-    /// jittered deterministically by worker id so a restarted cluster
-    /// doesn't stampede.
-    reconnect: RetryPolicy,
-    /// How long a listen-only parent (no spawned children) waits for
-    /// the first remote worker before degrading to the in-process
-    /// fallback (`PARAHASH_SHARD_WAIT_MS`, default 30 000).
-    wait_for_first: Duration,
 }
 
 impl ShardTuning {
     fn from_env() -> ShardTuning {
-        let heartbeat = env_ms("PARAHASH_SHARD_HEARTBEAT_MS", 1000);
-        let idle_timeout = match std::env::var("PARAHASH_SHARD_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            Some(ms) => Duration::from_millis(ms),
-            None => heartbeat.saturating_mul(5),
-        };
-        let attempts: u32 = std::env::var("PARAHASH_SHARD_RECONNECT_ATTEMPTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(5);
+        let heartbeat = env_ms("PARAHASH_SHARD_HEARTBEAT_MS").unwrap_or(Duration::from_secs(1));
         ShardTuning {
             heartbeat,
-            idle_timeout,
-            request_timeout: env_ms("PARAHASH_SHARD_REQUEST_TIMEOUT_MS", 30_000),
-            reconnect: RetryPolicy::capped(
-                attempts,
-                env_ms("PARAHASH_SHARD_RECONNECT_MS", 100),
-                Duration::from_secs(2),
-            ),
-            wait_for_first: env_ms("PARAHASH_SHARD_WAIT_MS", 30_000),
+            idle_timeout: env_ms("PARAHASH_SHARD_TIMEOUT_MS")
+                .unwrap_or(heartbeat.saturating_mul(5)),
+            request_timeout: env_ms("PARAHASH_SHARD_REQUEST_TIMEOUT_MS")
+                .unwrap_or(Duration::from_secs(30)),
         }
     }
-}
-
-/// How long an armed `shard.net.delay` stall lasts (shared with the
-/// wire layer's delayed-send semantics; `PARAHASH_SHARD_DELAY_MS`,
-/// default 100).
-fn stall_delay() -> Duration {
-    env_ms("PARAHASH_SHARD_DELAY_MS", 100)
 }
 
 // ---------------------------------------------------------------------
@@ -217,9 +209,9 @@ fn config_blob(config: &ParaHashConfig, wire: bool) -> String {
 /// Parses [`config_blob`] back into a worker-side configuration: same
 /// build parameters, but CPU-only, strict (every failure must surface
 /// as a wire `failed` message — quarantine policy belongs to the
-/// parent), and with subgraph persistence forced on (the committed file
-/// is the result channel). The third return says whether partition
-/// bytes travel over the wire (`transfer wire`).
+/// parent), and with subgraph formatting forced on (the encoded subgraph
+/// is the product, committed here or shipped). The third return says
+/// whether partition bytes travel over the wire (`transfer wire`).
 fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
     let mut k = None;
     let mut p = None;
@@ -366,7 +358,8 @@ pub fn worker_from_env() -> Result<bool> {
 /// `dbg worker --connect <addr>`: run it on any machine that can reach
 /// the parent's [`listen`](crate::ParaHashConfigBuilder::listen)
 /// address; partition payloads and subgraph results travel over the
-/// wire, so no shared filesystem is needed.
+/// wire, so no shared filesystem is needed — the worker writes nothing
+/// to its own disk.
 ///
 /// # Errors
 ///
@@ -423,14 +416,13 @@ enum SessionEnd {
 }
 
 /// The worker loop: connect, serve one session, and on connection loss
-/// retry with the tuned backoff — exponential, capped, and jittered by
-/// worker id so a cluster restarting against a rebooted parent doesn't
-/// stampede. A session that got as far as the config refunds the
-/// attempt budget: transient mid-run drops shouldn't accumulate into
-/// a permanent exit while the parent keeps coming back.
+/// retry with the [`RECONNECT`] backoff — exponential, capped, and
+/// jittered by worker id so a cluster restarting against a rebooted
+/// parent doesn't stampede. A session that got as far as the config
+/// refunds the attempt budget: transient mid-run drops shouldn't
+/// accumulate into a permanent exit while the parent keeps coming back.
 fn run_worker_loop(endpoint: &Endpoint, worker: usize) -> Result<()> {
     let tuning = ShardTuning::from_env();
-    let attempts = tuning.reconnect.attempts.max(1);
     let mut sess =
         WorkerSession { worker, assigned: 0, served_any: false, progressed: false };
     let mut failures: u32 = 0;
@@ -449,7 +441,7 @@ fn run_worker_loop(endpoint: &Endpoint, worker: usize) -> Result<()> {
         // `true` here would refund forever — a worker outliving the
         // parent's listener must run out of attempts, not spin.
         sess.progressed = false;
-        if failures >= attempts {
+        if failures >= RECONNECT.attempts {
             if sess.served_any {
                 // The parent vanished for good after real work was
                 // served; its supervision loop already requeued our
@@ -462,7 +454,7 @@ fn run_worker_loop(endpoint: &Endpoint, worker: usize) -> Result<()> {
                 endpoint.describe()
             )));
         }
-        std::thread::sleep(tuning.reconnect.delay(failures, worker as u64));
+        std::thread::sleep(RECONNECT.delay(failures, worker as u64));
     }
 }
 
@@ -516,6 +508,25 @@ impl Drop for HeartbeatTicker {
     }
 }
 
+/// One request-deadline-bounded receive on the worker side. Anything but
+/// a frame ends the session; `what` names the message that never came.
+fn recv_or_lost(
+    conn: &mut dyn Transport,
+    cap: u32,
+    tuning: &ShardTuning,
+    what: &str,
+) -> std::result::Result<Vec<u8>, SessionEnd> {
+    let lost = match conn.recv(cap, Some(tuning.request_timeout)) {
+        Ok(Recv::Frame(frame)) => return Ok(frame),
+        Ok(Recv::Eof) => format!("parent closed before {what}"),
+        Ok(Recv::TimedOut) => {
+            format!("no {what} within {}ms", tuning.request_timeout.as_millis())
+        }
+        Err(e) => format!("receiving {what}: {e}"),
+    };
+    Err(SessionEnd::Lost(lost))
+}
+
 /// One connected session: hello/config handshake, then claim-build-
 /// report until `finished` or the connection dies. Connection-scoped
 /// failures return [`SessionEnd::Lost`] (the caller may reconnect);
@@ -530,16 +541,9 @@ fn serve_session(
     if let Err(e) = conn.send(&WireMsg::Hello(sess.worker, PROTO_VERSION).encode()) {
         return Ok(SessionEnd::Lost(format!("sending hello: {e}")));
     }
-    let frame = match conn.recv(MAX_FRAME, Some(tuning.request_timeout)) {
-        Ok(Recv::Frame(frame)) => frame,
-        Ok(Recv::Eof) => return Ok(SessionEnd::Lost("parent closed before `config`".into())),
-        Ok(Recv::TimedOut) => {
-            return Ok(SessionEnd::Lost(format!(
-                "no `config` within {}ms",
-                tuning.request_timeout.as_millis()
-            )))
-        }
-        Err(e) => return Ok(SessionEnd::Lost(format!("receiving `config`: {e}"))),
+    let frame = match recv_or_lost(conn.as_mut(), MAX_FRAME, tuning, "`config`") {
+        Ok(frame) => frame,
+        Err(end) => return Ok(end),
     };
     let blob = match WireMsg::decode(&frame) {
         Ok(WireMsg::Config(blob)) => blob,
@@ -557,30 +561,24 @@ fn serve_session(
     };
     sess.progressed = true;
     sess.served_any = true;
-    let (mut config, fingerprint, wire) = config_from_blob(&blob)?;
-    let manifest = if wire {
-        // Remote worker: the parent's filesystem does not exist here.
-        // Build in a per-run scratch directory named by the run
-        // fingerprint, so concurrent runs (or stale leftovers) don't
-        // collide; payloads land under `superkmers/` exactly as the
-        // partition store would have written them.
-        let scratch = std::env::temp_dir()
-            .join(format!("parahash-remote-{}-w{}", fingerprint.token(), sess.worker));
-        std::fs::create_dir_all(scratch.join("superkmers"))?;
-        std::fs::create_dir_all(scratch.join("subgraphs"))?;
-        config.work_dir = scratch;
+    let (config, fingerprint, wire) = config_from_blob(&blob)?;
+    // A worker on the parent's filesystem reads the partition files the
+    // manifest names and keeps its own journal, in its own subdirectory:
+    // `sub-split` and `subgraph-committed` records for the leases it
+    // built, replayable for post-mortems and aggregated by cluster-wide
+    // resume — reopened (not truncated) so records survive reconnects. A
+    // wire worker has neither: the parent's paths do not exist here, and
+    // it leaves nothing on this machine's disk.
+    let local = if wire {
         None
     } else {
-        Some(PartitionManifest::load(config.work_dir.join("superkmers"))?)
+        let manifest = PartitionManifest::load(config.work_dir.join("superkmers"))?;
+        let journal = RunJournal::open_or_create(
+            &config.work_dir.join(format!("worker-{}", sess.worker)),
+            fingerprint,
+        )?;
+        Some((manifest, journal))
     };
-    // The worker's own journal, in its own subdirectory: `sub-split` and
-    // `subgraph-committed` records for the leases it built, replayable
-    // for post-mortems and aggregated by cluster-wide resume. Reopened
-    // (not truncated) so records survive reconnects.
-    let journal = RunJournal::open_or_create(
-        &config.work_dir.join(format!("worker-{}", sess.worker)),
-        fingerprint,
-    )?;
     let io = ThrottledIo::new(IoMode::Unthrottled);
     let kill = kill_before(sess.worker);
     let stall = stall_before(sess.worker);
@@ -588,16 +586,9 @@ fn serve_session(
         if let Err(e) = conn.send(&WireMsg::Claim(sess.worker).encode()) {
             return Ok(SessionEnd::Lost(format!("sending claim: {e}")));
         }
-        let frame = match conn.recv(MAX_FRAME, Some(tuning.request_timeout)) {
-            Ok(Recv::Frame(frame)) => frame,
-            Ok(Recv::Eof) => return Ok(SessionEnd::Lost("parent closed mid-run".into())),
-            Ok(Recv::TimedOut) => {
-                return Ok(SessionEnd::Lost(format!(
-                    "no claim reply within {}ms",
-                    tuning.request_timeout.as_millis()
-                )))
-            }
-            Err(e) => return Ok(SessionEnd::Lost(format!("receiving claim reply: {e}"))),
+        let frame = match recv_or_lost(conn.as_mut(), MAX_FRAME, tuning, "a claim reply") {
+            Ok(frame) => frame,
+            Err(end) => return Ok(end),
         };
         let reply = match WireMsg::decode(&frame) {
             Ok(msg) => msg,
@@ -621,87 +612,45 @@ fn serve_session(
                     // trigger.
                     failpoint::arm("shard.net.delay", failpoint::FailAction::ReturnError, 1);
                 }
-                let (path, n_kmers) = if wire {
-                    let payload = match conn.recv(MAX_PAYLOAD_FRAME, Some(tuning.request_timeout))
-                    {
-                        Ok(Recv::Frame(frame)) => frame,
-                        Ok(Recv::Eof) => {
-                            return Ok(SessionEnd::Lost("parent closed mid-payload".into()))
-                        }
-                        Ok(Recv::TimedOut) => {
-                            return Ok(SessionEnd::Lost(format!(
-                                "partition {p} payload never arrived ({}ms)",
-                                tuning.request_timeout.as_millis()
-                            )))
-                        }
-                        Err(e) => {
-                            return Ok(SessionEnd::Lost(format!(
-                                "receiving partition {p} payload: {e}"
-                            )))
-                        }
-                    };
-                    let bytes = match decode_blob(payload) {
-                        Ok(bytes) => bytes,
-                        Err(e) => {
-                            return Ok(SessionEnd::Lost(format!(
-                                "partition {p} payload rejected: {e}"
-                            )))
-                        }
-                    };
-                    let path =
-                        config.work_dir.join("superkmers").join(format!("part-{p:05}.skm"));
-                    if let Err(e) = std::fs::write(&path, &bytes) {
-                        // Local scratch trouble: a polite failure the
-                        // parent can re-lease elsewhere.
-                        let detail =
-                            format!("storing shipped partition: {e}").replace(['\n', '\r'], " ");
-                        if conn.send(&WireMsg::Failed(p, detail).encode()).is_err() {
-                            return Ok(SessionEnd::Lost("sending failure report".into()));
-                        }
-                        continue;
+                // The lease, in the engine's terms: a partition file to
+                // read back, or the bytes the parent ships next.
+                let (payload, n_kmers) = match &local {
+                    Some((manifest, _)) => {
+                        let path = manifest.partition_path(p);
+                        (SealedPayload::Spilled(path), manifest.stats()[p].kmers)
                     }
-                    (path, kmers)
-                } else {
-                    let manifest = manifest.as_ref().expect("fs transfer has a manifest");
-                    (manifest.partition_path(p), manifest.stats()[p].kmers)
+                    None => {
+                        let what = format!("partition {p}'s payload");
+                        let shipped = recv_or_lost(conn.as_mut(), MAX_PAYLOAD_FRAME, tuning, &what)
+                            .and_then(|frame| {
+                                decode_blob(frame)
+                                    .map_err(|e| SessionEnd::Lost(format!("{what} rejected: {e}")))
+                            });
+                        match shipped {
+                            Ok(bytes) => (SealedPayload::Resident(bytes), kmers),
+                            Err(end) => return Ok(end),
+                        }
+                    }
                 };
                 if failpoint::hit("shard.net.delay").is_err() {
                     // Injected hang: hold the lease in silence — no
                     // heartbeats are running yet, so a short parent
                     // deadline evicts us as hung, which is the point.
-                    std::thread::sleep(stall_delay());
+                    std::thread::sleep(net_delay());
                 }
                 let ticker =
                     HeartbeatTicker::start(conn.sender(), sess.worker, tuning.heartbeat);
-                let built =
-                    build_and_commit_partition(&config, p, &path, n_kmers, &io, Some(&journal));
+                let journal = local.as_ref().map(|(_, journal)| journal);
+                let built = build_lease(&config, p, payload, n_kmers, &io, journal);
                 // Stop (and join) the pulse *before* replying: a
                 // heartbeat must never interleave with the result and
                 // its payload.
                 drop(ticker);
                 let (reply, payload) = match built {
-                    Ok(out) => {
+                    Ok((out, encoded)) => {
                         let detail =
                             format!("ok {} {} {}", out.resizes, out.peak_table_bytes, out.fanout);
-                        if wire {
-                            // Read the committed bytes *before* claiming
-                            // success: the parent must never be left
-                            // waiting for a payload that cannot come.
-                            let sub =
-                                config.work_dir.join("subgraphs").join(format!("sub-{p:05}.dbg"));
-                            match std::fs::read(&sub) {
-                                Ok(bytes) => {
-                                    (WireMsg::Result(p, detail), Some(encode_blob(&bytes)))
-                                }
-                                Err(e) => {
-                                    let detail = format!("re-reading built subgraph: {e}")
-                                        .replace(['\n', '\r'], " ");
-                                    (WireMsg::Failed(p, detail), None)
-                                }
-                            }
-                        } else {
-                            (WireMsg::Result(p, detail), None)
-                        }
+                        (WireMsg::Result(p, detail), encoded.map(|bytes| encode_blob(&bytes)))
                     }
                     Err(e) => {
                         (WireMsg::Failed(p, e.to_string().replace(['\n', '\r'], " ")), None)
@@ -716,14 +665,7 @@ fn serve_session(
                     }
                 }
             }
-            WireMsg::Finished => {
-                if wire {
-                    // The scratch directory was only ever the wire's
-                    // staging area.
-                    let _ = std::fs::remove_dir_all(&config.work_dir);
-                }
-                return Ok(SessionEnd::Finished);
-            }
+            WireMsg::Finished => return Ok(SessionEnd::Finished),
             other => {
                 return Ok(SessionEnd::Lost(format!("unexpected message from parent: {other:?}")))
             }
@@ -735,30 +677,28 @@ fn serve_session(
 // Parent side.
 // ---------------------------------------------------------------------
 
-/// What the connection handlers accumulate across workers.
-#[derive(Default)]
-struct ShardStats {
-    resizes: usize,
-    peak_table_bytes: u64,
-    sub_splits: Vec<(usize, usize)>,
-    built: BTreeSet<usize>,
-}
-
 /// Step 2 as a multi-process (and optionally multi-node) shard: bind a
 /// listener, spawn [`workers`](crate::ParaHashConfigBuilder::workers)
 /// child processes, accept whoever connects (children and remote
 /// `dbg worker` joiners alike), lease them partitions largest-first,
-/// verify and absorb their committed subgraphs. Drop-in replacement for
-/// [`run_step2_feed`](crate::step2::run_step2_feed) over a
-/// [`manifest_feed`](crate::step2::manifest_feed) on the disk handoff —
-/// same journal records in the parent's `run.journal`, byte-identical
-/// subgraph files and graph, and like it leaves the manifest marks to
-/// the driver's [`persist_marks`](crate::step2::persist_marks).
+/// verify and merge their committed subgraphs as they are reported, and
+/// build whatever the cluster leaves behind through the engine. Drop-in
+/// replacement for [`run_step2_feed`](crate::step2::run_step2_feed) over
+/// a [`manifest_feed`] on the disk handoff — same journal records in the
+/// parent's `run.journal`, byte-identical subgraph files and graph, the
+/// same [`Step2Shared`] deciding what a failure means, and like it leaves
+/// the manifest marks to the driver's
+/// [`persist_marks`](crate::step2::persist_marks).
+///
+/// [`StepReport::pipeline`]'s `elapsed` is the wall-clock of the whole
+/// step and `partitions` what it built, here or elsewhere; stage times,
+/// shares and spans are the fallback's (empty when the cluster built
+/// everything — the device meters of a leased build live in its worker).
 ///
 /// # Errors
 ///
 /// Socket/spawn failures, a partition that exhausted its lease attempts
-/// *and* the in-process fallback (strict mode), or any error of the
+/// (strict mode), a parent-side journal failure, or any error of the
 /// fallback builds.
 pub(crate) fn run_step2_sharded(
     config: &ParaHashConfig,
@@ -768,12 +708,9 @@ pub(crate) fn run_step2_sharded(
     resumed: Resumed,
 ) -> Result<(DeBruijnGraph, StepReport)> {
     debug_assert!(config.workers > 0 || config.listen.is_some());
-    let Resumed { committed: skip, mut graph } = resumed;
+    let Resumed { committed: skip, graph } = resumed;
     let started = Instant::now();
-    let tuning = ShardTuning::from_env();
     let n = manifest.num_partitions();
-    let sub_dir = config.work_dir.join("subgraphs");
-    std::fs::create_dir_all(&sub_dir)?;
 
     // LPT dispatch order, as in the in-process scheduler: the biggest
     // partitions start first so the tail stays short. Ties break to the
@@ -788,34 +725,19 @@ pub(crate) fn run_step2_sharded(
     // spawn workers: children of a parent with no work would only wait
     // out their config deadline against a drained cluster.
     if order.is_empty() {
-        return Ok((
-            graph,
-            StepReport {
-                step: 2,
-                pipeline: PipelineReport {
-                    elapsed: started.elapsed(),
-                    input_time: Duration::ZERO,
-                    output_time: Duration::ZERO,
-                    shares: Vec::new(),
-                    partitions: 0,
-                    spans: Vec::new(),
-                    cancelled: false,
-                },
-                cpu_compute: Duration::ZERO,
-                gpu_compute: Duration::ZERO,
-                contention: None,
-                step1_stats: None,
-                resizes: 0,
-                peak_partition_bytes: 0,
-                peak_table_bytes: 0,
-                peak_resident_store_bytes: 0,
-                quarantined: Vec::new(),
-                sub_splits: Vec::new(),
-                coproc: None,
-                exhausted_leases: Vec::new(),
-            },
-        ));
+        let mut report = StepReport::idle(2);
+        report.pipeline.elapsed = started.elapsed();
+        return Ok((graph, report));
     }
+
+    // The committed files are the result channel, whatever the user
+    // asked to keep: the engine state persists every subgraph.
+    let mut persisting = config.clone();
+    persisting.write_subgraphs = true;
+    let sub_dir = config.work_dir.join("subgraphs");
+    std::fs::create_dir_all(&sub_dir)?;
+    let cancel = CancelToken::new();
+    let shared = Step2Shared::new(&persisting, &cancel, journal);
 
     let tcp = config.listen.is_some()
         || std::env::var(ENV_TRANSPORT).map(|v| v == "tcp").unwrap_or(false);
@@ -846,14 +768,20 @@ pub(crate) fn run_step2_sharded(
         children.push(child);
     }
 
-    let board = Mutex::new(LeaseBoard::new(order, n, MAX_LEASE_ATTEMPTS));
-    let stats = Mutex::new(ShardStats::default());
-    let fs_blob = config_blob(config, false);
-    let wire_blob = config_blob(config, true);
+    let phase = LeasePhase {
+        shared: &shared,
+        cancel: &cancel,
+        board: Mutex::new(LeaseBoard::new(order, n, MAX_LEASE_ATTEMPTS)),
+        merged: Mutex::new((graph, BTreeSet::new())),
+        manifest,
+        io,
+        tuning: ShardTuning::from_env(),
+        fs_blob: config_blob(config, false),
+        wire_blob: config_blob(config, true),
+    };
     let shutdown = AtomicBool::new(false);
     let active = AtomicUsize::new(0);
     let ever_connected = AtomicBool::new(false);
-    let mut handler_faults: Vec<ParaHashError> = Vec::new();
 
     std::thread::scope(|s| {
         let accept = s.spawn(|| {
@@ -869,23 +797,20 @@ pub(crate) fn run_step2_sharded(
                 ever_connected.store(true, Ordering::SeqCst);
                 active.fetch_add(1, Ordering::SeqCst);
                 handlers.push(s.spawn(|| {
-                    let served = serve_worker(
-                        conn, &board, &stats, &fs_blob, &wire_blob, &sub_dir, journal, io,
-                        manifest, &tuning,
-                    );
+                    phase.serve(conn);
                     active.fetch_sub(1, Ordering::SeqCst);
-                    served
                 }));
             }
-            handlers.into_iter().filter_map(|h| h.join().ok().and_then(|r| r.err())).collect()
+            for handler in handlers {
+                let _ = handler.join();
+            }
         });
-        // Supervision: the run ends when the board drains, or when the
-        // cluster does — no live child process and no active connection
-        // (remote joiners get `wait_for_first` to show up when nothing
-        // was spawned locally). Whatever is left un-built falls back to
-        // the in-process path below.
+        // Supervision: the lease phase ends when the board drains, when
+        // the run turns fatal, or when the cluster drains — no live child
+        // process and no active connection (remote joiners get
+        // `WAIT_FOR_FIRST` to show up when nothing was spawned locally).
         loop {
-            if board.lock().remaining() == 0 {
+            if cancel.is_cancelled() || phase.board.lock().remaining() == 0 {
                 break;
             }
             let child_alive =
@@ -896,7 +821,7 @@ pub(crate) fn run_step2_sharded(
             }
             if children.is_empty()
                 && !ever_connected.load(Ordering::SeqCst)
-                && started.elapsed() < tuning.wait_for_first
+                && started.elapsed() < WAIT_FOR_FIRST
             {
                 std::thread::sleep(Duration::from_millis(20));
                 continue;
@@ -905,373 +830,281 @@ pub(crate) fn run_step2_sharded(
         }
         shutdown.store(true, Ordering::SeqCst);
         listener.unblock();
-        handler_faults = accept.join().unwrap_or_default();
+        let _ = accept.join();
     });
-    // Reap every child before trusting shared state: an evicted-but-
-    // alive worker could otherwise still be writing under the work
-    // directory while the parent verifies and absorbs.
-    for child in &mut children {
-        let _ = child.wait();
-    }
+    // Stop listening, then reap every child before trusting shared
+    // state: an evicted-but-alive worker could otherwise still be writing
+    // under the work directory while the parent builds the leftovers. A
+    // worker that reconnects now is refused, runs out of attempts and
+    // exits.
     if let ShardListener::Unix(_, path) = &listener {
         let _ = std::fs::remove_file(path);
     }
-
-    // A handler fault is a *parent-side* failure (journal append) — the
-    // affected worker's leases were requeued when its connection
-    // closed, but a journaling failure must abort like in-process.
-    if let Some(e) = handler_faults.into_iter().next() {
-        if config.strict {
-            let _ = std::fs::remove_dir_all(&sub_dir);
-            return Err(e);
-        }
+    drop(listener);
+    for child in &mut children {
+        let _ = child.wait();
     }
 
-    let mut board = board.into_inner();
-    let mut stats = stats.into_inner();
-    let mut quarantined: Vec<QuarantinedPartition> = Vec::new();
-    // De-race: a worker's reconnection can cross its old connection's
+    let LeasePhase { board, merged, .. } = phase;
+    let (mut graph, built) = merged.into_inner();
+    // Leases that burned every attempt fail like an unreadable partition
+    // file: the engine state aborts (strict) or sets them aside. De-race
+    // first: a worker's reconnection can cross its old connection's
     // teardown, letting `release_worker` charge — and even exhaust — a
-    // lease whose build actually finished and verified. A partition
-    // that is both exhausted-on-paper and verified-built is built.
-    let mut exhausted_leases = board.exhausted().to_vec();
-    exhausted_leases.retain(|x| !stats.built.contains(&x.partition));
-
-    // Leases that burned every attempt: strict runs abort, non-strict
-    // runs set the partition aside exactly like an in-process read
-    // failure would.
+    // lease whose build actually finished and verified. A partition that
+    // is both exhausted-on-paper and verified-built is built.
+    let mut exhausted_leases = board.into_inner().exhausted().to_vec();
+    exhausted_leases.retain(|x| !built.contains(&x.partition));
     for x in &exhausted_leases {
-        if config.strict {
-            let _ = std::fs::remove_dir_all(&sub_dir);
-            return Err(shard_err(format!(
+        shared.partition_failed(
+            x.partition,
+            shard_err(format!(
                 "partition {} failed {} worker attempt(s): {}",
                 x.partition, x.attempts, x.reason
-            )));
-        }
-        quarantined.push(QuarantinedPartition {
-            index: x.partition,
-            reason: format!("{} (after {} worker attempts)", x.reason, x.attempts),
-        });
+            )),
+        );
     }
 
-    // Orphans — partitions still pending after the cluster drained
-    // (workers all died or were evicted, or all drew `finished` while a
-    // failure was requeueing) — fall back to in-process builds by the
-    // parent: graceful degradation, not an error.
-    let mut orphans = Vec::new();
-    while let Some(p) = board.claim(usize::MAX) {
-        orphans.push(p);
-    }
-    if !orphans.is_empty() {
-        let mut local = config.clone();
-        local.workers = 0;
-        local.listen = None;
-        local.strict = true;
-        local.write_subgraphs = true;
-        for p in orphans {
-            match build_and_commit_partition(
-                &local,
-                p,
-                &manifest.partition_path(p),
-                manifest.stats()[p].kmers,
-                io,
-                journal,
-            ) {
-                Ok(out) => {
-                    stats.resizes += out.resizes;
-                    stats.peak_table_bytes = stats.peak_table_bytes.max(out.peak_table_bytes);
-                    if out.fanout >= 2 {
-                        stats.sub_splits.push((p, out.fanout));
-                    }
-                    stats.built.insert(p);
-                }
-                Err(e) if config.strict => {
-                    let _ = std::fs::remove_dir_all(&sub_dir);
-                    return Err(e);
-                }
-                Err(e) => {
-                    quarantined
-                        .push(QuarantinedPartition { index: p, reason: e.to_string() });
-                }
-            }
+    // Fallback: whatever is neither merged nor given up on — the workers
+    // all died or were evicted, or all drew `finished` while a failure
+    // was requeueing — goes through the engine here, everything already
+    // settled in its skip set. Graceful degradation, not an error.
+    let mut settled = skip;
+    settled.extend(&built);
+    settled.extend(exhausted_leases.iter().map(|x| x.partition));
+    let leftover = n - settled.len();
+    let mut pipeline = StepReport::idle(2).pipeline;
+    if leftover > 0 && !cancel.is_cancelled() {
+        let offset = started.elapsed();
+        pipeline = shared.run(&manifest_feed(manifest), io, &settled, &mut graph, None);
+        for span in &mut pipeline.spans {
+            span.start += offset;
+            span.end += offset;
         }
     }
-
-    // Absorb what this step built (resume-skipped partitions are
-    // already in the graph, as on the in-process path). Files were
-    // already verified when the worker reported them; fallback builds
-    // are trusted like in-process commits.
-    let mut peak_partition = 0u64;
-    for &p in &stats.built {
-        let bytes = std::fs::read(sub_dir.join(format!("sub-{p:05}.dbg")))?;
-        graph.absorb(decode_subgraph_checked(&bytes, Some(p))?);
-        peak_partition = peak_partition.max(manifest.stats()[p].bytes);
-    }
-
-    stats.sub_splits.sort_unstable();
-    stats.sub_splits.dedup();
-    if let Some(journal) = journal {
-        for q in &quarantined {
-            journal.append(&JournalEvent::Quarantined(q.index, q.reason.clone()))?;
-        }
-    }
+    let (graph, mut report) = shared.finish(pipeline, graph, None)?;
     if !config.write_subgraphs {
-        // The files were only ever the wire's result channel; the user
-        // asked for none. (The resume skip-set is always empty in this
+        // The files were only ever the result channel; the user asked
+        // for none. (The resume skip-set is always empty in this
         // configuration, so nothing downstream reads them.)
         std::fs::remove_dir_all(&sub_dir)?;
     }
-
-    let partitions_built = stats.built.len();
-    let report = StepReport {
-        step: 2,
-        pipeline: PipelineReport {
-            elapsed: started.elapsed(),
-            input_time: Duration::ZERO,
-            output_time: Duration::ZERO,
-            shares: Vec::new(),
-            partitions: partitions_built,
-            spans: Vec::new(),
-            cancelled: false,
-        },
-        // Device meters live in the worker processes; the parent's own
-        // devices did no Step-2 work (fallback builds excepted, whose
-        // compute is folded into `elapsed`).
-        cpu_compute: Duration::ZERO,
-        gpu_compute: Duration::ZERO,
-        contention: None,
-        step1_stats: None,
-        resizes: stats.resizes,
-        peak_partition_bytes: peak_partition,
-        peak_table_bytes: stats.peak_table_bytes,
-        peak_resident_store_bytes: 0,
-        quarantined,
-        sub_splits: stats.sub_splits,
-        coproc: None,
-        exhausted_leases,
-    };
+    report.pipeline.elapsed = started.elapsed();
+    report.pipeline.partitions = built.len() + leftover;
+    report.exhausted_leases = exhausted_leases;
     Ok((graph, report))
 }
 
-/// One connection's server loop: handshake (with version check),
-/// configure the worker, lease it partitions, verify what it reports
-/// back. A connection that closes, stalls past the heartbeat deadline,
-/// or turns to garbage frees the worker's outstanding leases — the
-/// *connection* is expendable; only a parent-side journal failure is a
-/// real fault (`Err`).
-#[allow(clippy::too_many_arguments)]
-fn serve_worker(
-    mut conn: Box<dyn Transport>,
-    board: &Mutex<LeaseBoard>,
-    stats: &Mutex<ShardStats>,
-    fs_blob: &str,
-    wire_blob: &str,
-    sub_dir: &Path,
-    journal: Option<&RunJournal>,
-    io: &ThrottledIo,
-    manifest: &PartitionManifest,
-    tuning: &ShardTuning,
-) -> Result<()> {
-    // Handshake. Nothing is leased yet, so every failure mode here —
-    // the shutdown dummy connection, a garbled or dropped hello, a
-    // version-skewed worker — just ends the connection.
-    let frame = match conn.recv(MAX_FRAME, Some(tuning.request_timeout)) {
-        Ok(Recv::Frame(frame)) => frame,
-        _ => return Ok(()),
-    };
-    let (worker, version) = match WireMsg::decode(&frame) {
-        Ok(WireMsg::Hello(worker, version)) => (worker, version),
-        _ => return Ok(()),
-    };
-    if version != PROTO_VERSION {
-        let why = format!(
-            "protocol version {version} does not match the parent's {PROTO_VERSION}; \
-             update the worker binary to the parent's build and reconnect"
-        );
-        let _ = conn.send(&WireMsg::Deny(why).encode());
-        return Ok(());
-    }
-    // Remote connections cannot read the parent's filesystem: they get
-    // the `transfer wire` config and shipped payloads.
-    let wire = conn.remote();
-    let blob = if wire { wire_blob } else { fs_blob };
-    if conn.send(&WireMsg::Config(blob.to_string()).encode()).is_err() {
-        return Ok(());
-    }
-    loop {
-        let msg = match conn.recv(MAX_FRAME, Some(tuning.idle_timeout)) {
-            Ok(Recv::Frame(frame)) => match WireMsg::decode(&frame) {
-                Ok(msg) => msg,
-                Err(e) => {
+/// What the lease phase's connection handlers share.
+struct LeasePhase<'a> {
+    /// The step's engine state: failure policy, journal, counters.
+    shared: &'a Step2Shared<'a>,
+    cancel: &'a CancelToken,
+    board: Mutex<LeaseBoard>,
+    /// The graph and the partitions this step has merged into it, under
+    /// one lock: a partition is in the set exactly when its vertices are
+    /// in the graph.
+    merged: Mutex<(DeBruijnGraph, BTreeSet<usize>)>,
+    manifest: &'a PartitionManifest,
+    io: &'a ThrottledIo,
+    tuning: ShardTuning,
+    /// [`config_blob`] for workers on this filesystem, and for wire ones.
+    fs_blob: String,
+    wire_blob: String,
+}
+
+impl LeasePhase<'_> {
+    /// One connection's server loop: handshake (with version check),
+    /// configure the worker, lease it partitions, verify and merge what
+    /// it reports back. A connection that closes, stalls past the
+    /// heartbeat deadline, or turns to garbage frees the worker's
+    /// outstanding leases — the *connection* is expendable.
+    fn serve(&self, mut conn: Box<dyn Transport>) {
+        let tuning = &self.tuning;
+        // Handshake. Nothing is leased yet, so every failure mode here —
+        // the shutdown dummy connection, a garbled or dropped hello, a
+        // version-skewed worker — just ends the connection.
+        let frame = match conn.recv(MAX_FRAME, Some(tuning.request_timeout)) {
+            Ok(Recv::Frame(frame)) => frame,
+            _ => return,
+        };
+        let (worker, version) = match WireMsg::decode(&frame) {
+            Ok(WireMsg::Hello(worker, version)) => (worker, version),
+            _ => return,
+        };
+        if version != PROTO_VERSION {
+            let why = format!(
+                "protocol version {version} does not match the parent's {PROTO_VERSION}; \
+                 update the worker binary to the parent's build and reconnect"
+            );
+            let _ = conn.send(&WireMsg::Deny(why).encode());
+            return;
+        }
+        // Remote connections cannot read the parent's filesystem: they
+        // get the `transfer wire` config and shipped payloads.
+        let wire = conn.remote();
+        let blob = if wire { &self.wire_blob } else { &self.fs_blob };
+        if conn.send(&WireMsg::Config(blob.clone()).encode()).is_err() {
+            return;
+        }
+        // The loop breaks with why the worker lost whatever it still
+        // holds; a lease that failed on its own merits is failed on the
+        // board and the connection simply returns.
+        let released = loop {
+            if self.cancel.is_cancelled() {
+                break "was dropped by an aborting run".to_string();
+            }
+            let msg = match conn.recv(MAX_FRAME, Some(tuning.idle_timeout)) {
+                Ok(Recv::Frame(frame)) => match WireMsg::decode(&frame) {
+                    Ok(msg) => msg,
                     // Garbled traffic costs the connection, never the
                     // run: requeue and let the worker reconnect.
-                    board
-                        .lock()
-                        .release_worker(worker, &format!("sent an undecodable frame: {e}"));
-                    return Ok(());
-                }
-            },
-            // Clean exit and crash look the same from here: requeue
-            // whatever the worker still held (crash) — a no-op after a
-            // clean `finished` exit (it held nothing).
-            Ok(Recv::Eof) => {
-                board.lock().release_worker(worker, "disconnected holding the lease");
-                return Ok(());
-            }
-            // The heartbeat deadline lapsed: hung, not slow. Evict.
-            Ok(Recv::TimedOut) => {
-                board.lock().release_worker(
-                    worker,
-                    &format!(
+                    Err(e) => break format!("sent an undecodable frame: {e}"),
+                },
+                // Clean exit and crash look the same from here: requeue
+                // whatever the worker still held (crash) — a no-op after
+                // a clean `finished` exit (it held nothing).
+                Ok(Recv::Eof) => break "disconnected holding the lease".to_string(),
+                // The heartbeat deadline lapsed: hung, not slow. Evict.
+                Ok(Recv::TimedOut) => {
+                    break format!(
                         "sent no heartbeat within {}ms; evicted as hung",
                         tuning.idle_timeout.as_millis()
-                    ),
-                );
-                return Ok(());
-            }
-            Err(e) => {
-                board.lock().release_worker(worker, &format!("connection failed: {e}"));
-                return Ok(());
+                    )
+                }
+                Err(e) => break format!("connection failed: {e}"),
+            };
+            match msg {
+                // Liveness pulse: its arrival already reset the receive
+                // deadline; it carries nothing else.
+                WireMsg::Heartbeat(_) => continue,
+                WireMsg::Claim(w) => {
+                    let leased = self.board.lock().claim(w);
+                    let Some(p) = leased else {
+                        if conn.send(&WireMsg::Finished.encode()).is_err() {
+                            return;
+                        }
+                        continue;
+                    };
+                    // Journaled *before* the assignment goes out: after
+                    // a parent crash, replay shows exactly which
+                    // partitions were in flight.
+                    if !self.shared.journaled(JournalEvent::WorkerLease(w, p)) {
+                        break "was leased a partition the parent could not journal".to_string();
+                    }
+                    let assign = WireMsg::Assign(p, self.manifest.stats()[p].kmers);
+                    if conn.send(&assign.encode()).is_err() {
+                        break "disconnected during assignment".to_string();
+                    }
+                    if wire {
+                        let bytes = match self.io.read_file(self.manifest.partition_path(p)) {
+                            Ok(bytes) => bytes,
+                            Err(e) => {
+                                // A parent-side read failure is the
+                                // partition's problem, not the worker's
+                                // — but the worker is now waiting for a
+                                // payload this connection can't deliver.
+                                self.board
+                                    .lock()
+                                    .fail(p, &format!("reading partition to ship: {e}"));
+                                return;
+                            }
+                        };
+                        if conn.send(&encode_blob(&bytes)).is_err() {
+                            break "disconnected mid-payload".to_string();
+                        }
+                    }
+                }
+                WireMsg::Result(p, detail) => {
+                    if wire {
+                        // The subgraph payload follows the result frame;
+                        // a final heartbeat may still be queued ahead of
+                        // it.
+                        let payload = loop {
+                            match conn.recv(MAX_PAYLOAD_FRAME, Some(tuning.request_timeout)) {
+                                Ok(Recv::Frame(frame)) => {
+                                    if frame.first() == Some(&BLOB_TAG) {
+                                        break Some(frame);
+                                    }
+                                    match WireMsg::decode(&frame) {
+                                        Ok(WireMsg::Heartbeat(_)) => continue,
+                                        _ => break None,
+                                    }
+                                }
+                                _ => break None,
+                            }
+                        };
+                        let Some(payload) = payload else {
+                            self.board.lock().fail(
+                                p,
+                                &format!(
+                                    "worker {worker} reported success but its subgraph payload \
+                                     never arrived"
+                                ),
+                            );
+                            return;
+                        };
+                        let committed = decode_blob(payload).and_then(|bytes| {
+                            pipeline::commit::commit_bytes(&self.shared.subgraph_path(p), &bytes)
+                        });
+                        if let Err(e) = committed {
+                            // The connection is still framed correctly —
+                            // only this lease failed.
+                            self.board.lock().fail(p, &format!("committing shipped subgraph: {e}"));
+                            continue;
+                        }
+                    }
+                    self.accept(worker, p, &detail);
+                }
+                WireMsg::Failed(p, detail) => self.board.lock().fail(p, &detail),
+                other => break format!("sent an unexpected message: {other:?}"),
             }
         };
-        match msg {
-            // Liveness pulse: its arrival already reset the receive
-            // deadline; it carries nothing else.
-            WireMsg::Heartbeat(_) => continue,
-            WireMsg::Claim(w) => {
-                let leased = board.lock().claim(w);
-                match leased {
-                    Some(p) => {
-                        // Journaled *before* the assignment goes out:
-                        // after a parent crash, replay shows exactly
-                        // which partitions were in flight.
-                        if let Some(journal) = journal {
-                            journal.append(&JournalEvent::WorkerLease(w, p))?;
-                        }
-                        let assign = WireMsg::Assign(p, manifest.stats()[p].kmers);
-                        if conn.send(&assign.encode()).is_err() {
-                            board.lock().release_worker(worker, "disconnected during assignment");
-                            return Ok(());
-                        }
-                        if wire {
-                            let bytes = match io.read_file(manifest.partition_path(p)) {
-                                Ok(bytes) => bytes,
-                                Err(e) => {
-                                    // A parent-side read failure is the
-                                    // partition's problem, not the
-                                    // worker's — but the worker is now
-                                    // waiting for a payload this
-                                    // connection can't deliver.
-                                    board
-                                        .lock()
-                                        .fail(p, &format!("reading partition to ship: {e}"));
-                                    return Ok(());
-                                }
-                            };
-                            if conn.send(&encode_blob(&bytes)).is_err() {
-                                board.lock().release_worker(worker, "disconnected mid-payload");
-                                return Ok(());
-                            }
-                        }
-                    }
-                    None => {
-                        if conn.send(&WireMsg::Finished.encode()).is_err() {
-                            return Ok(());
-                        }
-                    }
-                }
+        self.board.lock().release_worker(worker, &released);
+    }
+
+    /// A worker says partition `p` is built and committed. Trust nothing:
+    /// the file must exist in this process's `subgraphs/` and pass its
+    /// end-to-end checks before the lease completes — the same seam for
+    /// a local worker's commit and for shipped bytes this process just
+    /// committed. The file is read and decoded once, outside the graph
+    /// lock, and what that decode produced is what the graph absorbs. A
+    /// partition two connections report (a requeue race, see
+    /// [`run_step2_sharded`]) is merged — and journaled — the first time
+    /// only.
+    fn accept(&self, worker: usize, p: usize, detail: &str) {
+        let verified = std::fs::read(self.shared.subgraph_path(p))
+            .map_err(ParaHashError::Io)
+            .and_then(|bytes| decode_subgraph_checked(&bytes, Some(p)));
+        let subgraph = match verified {
+            Ok(subgraph) => subgraph,
+            Err(e) => {
+                self.board.lock().fail(
+                    p,
+                    &format!("worker {worker} reported success but the file fails: {e}"),
+                );
+                return;
             }
-            WireMsg::Result(p, detail) => {
-                if wire {
-                    // The subgraph payload follows the result frame; a
-                    // final heartbeat may still be queued ahead of it.
-                    let payload = loop {
-                        match conn.recv(MAX_PAYLOAD_FRAME, Some(tuning.request_timeout)) {
-                            Ok(Recv::Frame(frame)) => {
-                                if frame.first() == Some(&BLOB_TAG) {
-                                    break Some(frame);
-                                }
-                                match WireMsg::decode(&frame) {
-                                    Ok(WireMsg::Heartbeat(_)) => continue,
-                                    _ => break None,
-                                }
-                            }
-                            _ => break None,
-                        }
-                    };
-                    let Some(payload) = payload else {
-                        board.lock().fail(
-                            p,
-                            &format!(
-                                "worker {worker} reported success but its subgraph payload \
-                                 never arrived"
-                            ),
-                        );
-                        return Ok(());
-                    };
-                    let committed = decode_blob(payload).and_then(|bytes| {
-                        pipeline::commit::commit_bytes(
-                            &sub_dir.join(format!("sub-{p:05}.dbg")),
-                            &bytes,
-                        )
-                    });
-                    if let Err(e) = committed {
-                        // The connection is still framed correctly —
-                        // only this lease failed.
-                        board.lock().fail(p, &format!("committing shipped subgraph: {e}"));
-                        continue;
-                    }
-                }
-                // Trust nothing: the committed file must exist and pass
-                // its end-to-end checks before the lease completes —
-                // the same seam for local commits and shipped bytes.
-                let verified = std::fs::read(sub_dir.join(format!("sub-{p:05}.dbg")))
-                    .map_err(ParaHashError::Io)
-                    .and_then(|bytes| decode_subgraph_checked(&bytes, Some(p)).map(|_| ()));
-                match verified {
-                    Ok(()) => {
-                        let mut board = board.lock();
-                        board.complete(p);
-                        drop(board);
-                        if let Some(journal) = journal {
-                            journal.append(&JournalEvent::SubgraphCommitted(p))?;
-                        }
-                        let mut st = stats.lock();
-                        st.built.insert(p);
-                        let mut fields = detail.split_whitespace();
-                        if fields.next() == Some("ok") {
-                            if let (Some(r), Some(t), Some(f)) = (
-                                fields.next().and_then(|v| v.parse::<usize>().ok()),
-                                fields.next().and_then(|v| v.parse::<u64>().ok()),
-                                fields.next().and_then(|v| v.parse::<usize>().ok()),
-                            ) {
-                                st.resizes += r;
-                                st.peak_table_bytes = st.peak_table_bytes.max(t);
-                                if f >= 2 {
-                                    st.sub_splits.push((p, f));
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        board.lock().fail(
-                            p,
-                            &format!("worker {worker} reported success but the file fails: {e}"),
-                        );
-                    }
-                }
-            }
-            WireMsg::Failed(p, detail) => {
-                board.lock().fail(p, &detail);
-            }
-            other => {
-                board
-                    .lock()
-                    .release_worker(worker, &format!("sent an unexpected message: {other:?}"));
-                return Ok(());
-            }
+        };
+        self.board.lock().complete(p);
+        let mut merged = self.merged.lock();
+        let (graph, built) = &mut *merged;
+        if built.insert(p) {
+            let bytes = self.manifest.stats()[p].bytes;
+            self.shared.absorb_verified(graph, p, subgraph, bytes, parse_outcome(detail));
         }
     }
+}
+
+/// Parses the accounting a worker's `result` carries:
+/// `ok <resizes> <peak table bytes> <fanout>`.
+fn parse_outcome(detail: &str) -> Option<LeaseOutcome> {
+    let mut fields = detail.strip_prefix("ok ")?.split_whitespace();
+    Some(LeaseOutcome {
+        resizes: fields.next()?.parse().ok()?,
+        peak_table_bytes: fields.next()?.parse().ok()?,
+        fanout: fields.next()?.parse().ok()?,
+    })
 }
 
 #[cfg(test)]
@@ -1334,6 +1167,83 @@ mod tests {
         assert!(config_from_blob(&missing).is_err(), "missing key must be rejected");
     }
 
+    /// A lease two connections report (the requeue race) is verified,
+    /// journaled and merged once: the second `result` leaves the graph
+    /// and the built set as they were. Every merged subgraph is the value
+    /// the verifying decode produced, so the graph after one `result` per
+    /// partition is the in-process graph.
+    #[test]
+    fn a_second_result_for_a_built_partition_changes_nothing() {
+        let cfg = ParaHashConfig::builder()
+            .k(9)
+            .p(5)
+            .partitions(4)
+            .cpu_threads(2)
+            .write_subgraphs(true)
+            .work_dir(std::env::temp_dir().join("parahash-shard-absorb-once"))
+            .build()
+            .unwrap();
+        let _ = std::fs::remove_dir_all(cfg.work_dir());
+        let io = ThrottledIo::new(IoMode::Unthrottled);
+        let reads: Vec<dna::SeqRead> = [
+            "ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGT",
+            "TGATGGATGATGGATGGTAGCATACGTTGCATGGACCAG",
+            "GGCATTAGCCAGTACGGATCACCGTATGCAATTGACCGA",
+        ]
+        .iter()
+        .map(|s| dna::SeqRead::from_ascii("r", s.as_bytes()))
+        .collect();
+        let (manifest, _) = crate::run_step1(&cfg, &reads, &io).unwrap();
+        // The in-process build leaves the committed files a worker would.
+        let (reference, _) = crate::run_step2(&cfg, &manifest, &io).unwrap();
+
+        let fingerprint = Fingerprint { k: 9, p: 5, partitions: 4, input_digest: 0 };
+        let journal = RunJournal::create(cfg.work_dir(), fingerprint).unwrap();
+        let cancel = CancelToken::new();
+        let shared = Step2Shared::new(&cfg, &cancel, Some(&journal));
+        let phase = LeasePhase {
+            shared: &shared,
+            cancel: &cancel,
+            board: Mutex::new(LeaseBoard::new((0..4).collect(), 4, MAX_LEASE_ATTEMPTS)),
+            merged: Mutex::new((DeBruijnGraph::new(9), BTreeSet::new())),
+            manifest: &manifest,
+            io: &io,
+            tuning: ShardTuning::from_env(),
+            fs_blob: String::new(),
+            wire_blob: String::new(),
+        };
+        assert_eq!(phase.board.lock().claim(0), Some(0));
+        phase.accept(0, 0, "ok 0 4096 0");
+        let once = phase.merged.lock().clone();
+        assert_eq!(once.1, BTreeSet::from([0]));
+        assert!(once.0.distinct_vertices() > 0, "partition 0 is not empty");
+        // The same lease again, as the other side of the race reports it.
+        assert_eq!(phase.board.lock().claim(1), Some(1));
+        phase.accept(1, 0, "ok 3 8192 2");
+        assert!(*phase.merged.lock() == once, "graph and built set unchanged");
+        assert_eq!(phase.board.lock().remaining(), 3, "only partition 0 completed");
+
+        phase.accept(1, 1, "ok 0 4096 0");
+        for p in 2..4 {
+            assert_eq!(phase.board.lock().claim(0), Some(p));
+            phase.accept(0, p, "ok 0 4096 0");
+        }
+        let LeasePhase { merged, .. } = phase;
+        let (graph, built) = merged.into_inner();
+        assert_eq!(built.len(), 4);
+        assert_eq!(graph, reference);
+        let (_, report) =
+            shared.finish(StepReport::idle(2).pipeline, DeBruijnGraph::new(9), None).unwrap();
+        assert_eq!((report.resizes, report.peak_table_bytes), (0, 4096), "counted once");
+        assert!(report.sub_splits.is_empty(), "the duplicate's fanout was not recorded");
+        let state = RunJournal::replay(cfg.work_dir()).unwrap();
+        assert_eq!(state.committed, BTreeSet::from([0, 1, 2, 3]));
+        let records = std::fs::read(RunJournal::path_in(cfg.work_dir())).unwrap();
+        let needle = b"subgraph-committed ";
+        assert_eq!(records.windows(needle.len()).filter(|w| w == needle).count(), 4);
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
     #[test]
     fn kill_spec_parses_and_scopes_to_the_worker() {
         // Uses a scoped fake env because the real one is process-global.
@@ -1361,7 +1271,7 @@ mod tests {
         // suites set them per-child).
         let t = ShardTuning::from_env();
         assert!(t.idle_timeout >= t.heartbeat.saturating_mul(2), "deadline outlives a pulse");
-        assert!(t.reconnect.attempts >= 1);
-        assert!(!t.reconnect.delay(1, 0).is_zero(), "reconnects are paced");
+        const { assert!(RECONNECT.attempts >= 1) };
+        assert!(!RECONNECT.delay(1, 0).is_zero(), "reconnects are paced");
     }
 }

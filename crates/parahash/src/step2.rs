@@ -322,59 +322,24 @@ pub(crate) fn run_step2_feed(
     resumed: Resumed,
     tuner: Option<&SplitTuner>,
 ) -> Result<(DeBruijnGraph, StepReport)> {
-    let shared = Step2Shared::new(config, cancel, journal)?;
+    if config.write_subgraphs {
+        std::fs::create_dir_all(config.work_dir.join("subgraphs"))?;
+    }
+    let shared = Step2Shared::new(config, cancel, journal);
     let Resumed { committed: skip, mut graph } = resumed;
-
-    let pipeline_report = {
-        let shared = &shared;
-        let graph = &mut graph;
-        run_pipeline(
-            feed,
-            config.devices(),
-            cancel,
-            tuner.map(|t| t as &dyn Steering),
-            // Stage 1: materialise the sealed payload (spilled ones pay
-            // input I/O, with transient-error retries inside
-            // `ThrottledIo`). `None` is the sentinel for an
-            // already-recorded failure — or, on a resumed run, for a
-            // partition in the `skip` set.
-            |sealed: SealedPartition| {
-                let idx = sealed.index;
-                if skip.contains(&idx) {
-                    return (idx, None);
-                }
-                let bytes = match sealed.payload {
-                    SealedPayload::Resident(bytes) => Some(bytes),
-                    SealedPayload::Spilled(path) => match io.read_file(&path) {
-                        Ok(bytes) => Some(bytes),
-                        Err(e) => {
-                            shared.partition_failed(idx, ParaHashError::Io(e));
-                            None
-                        }
-                    },
-                };
-                (idx, bytes.map(|b| (b, sealed.kmers)))
-            },
-            // Stage 2: hash-construct the subgraph on an idle device and
-            // format it (canonical sort, record encode, CRC trailer).
-            |device: &dyn Device, idx, input: Option<(Vec<u8>, u64)>| {
-                let Some((bytes, kmers)) = input else {
-                    return (None, 0);
-                };
-                shared.build(device, idx, bytes, kmers)
-            },
-            // Stage 3: commit the formatted bytes, journal, merge.
-            |idx, out: Option<Part2Out>| shared.consume(io, graph, idx, out),
-        )
-    };
+    let pipeline_report = shared.run(feed, io, &skip, &mut graph, tuner);
     shared.finish(pipeline_report, graph, tuner)
 }
 
-/// The machinery [`run_step2_feed`] and the shard worker's
-/// [`build_and_commit_partition`] share: failure routing
+/// The Step-2 engine's state, one per step: failure routing
 /// (fatal-vs-quarantine), the pooled capacity-retry hash construction,
-/// subgraph absorption/persistence, and report assembly.
-struct Step2Shared<'a> {
+/// subgraph persistence and absorption, and report assembly.
+/// [`run_step2_feed`] is [`run`](Self::run) then [`finish`](Self::finish);
+/// the sharded driver ([`crate::shard`]) puts a lease phase in front —
+/// partitions built by other processes enter through
+/// [`absorb_verified`](Self::absorb_verified) — and a shard worker builds
+/// one lease at a time through [`build_lease`].
+pub(crate) struct Step2Shared<'a> {
     config: &'a ParaHashConfig,
     cancel: &'a CancelToken,
     /// Recycles table allocations across partitions (and across the
@@ -411,16 +376,14 @@ struct Step2Shared<'a> {
 }
 
 impl<'a> Step2Shared<'a> {
-    fn new(
+    /// The caller creates `work_dir/subgraphs` before anything commits
+    /// there (a wire worker never does, and must not touch its disk).
+    pub(crate) fn new(
         config: &'a ParaHashConfig,
         cancel: &'a CancelToken,
         journal: Option<&'a RunJournal>,
-    ) -> Result<Step2Shared<'a>> {
-        let sub_dir = config.work_dir.join("subgraphs");
-        if config.write_subgraphs {
-            std::fs::create_dir_all(&sub_dir)?;
-        }
-        Ok(Step2Shared {
+    ) -> Step2Shared<'a> {
+        Step2Shared {
             config,
             cancel,
             journal,
@@ -432,22 +395,85 @@ impl<'a> Step2Shared<'a> {
             first_error: OnceError::new(),
             quarantined: Mutex::new(Vec::new()),
             sub_splits: Mutex::new(Vec::new()),
-            sub_dir,
+            sub_dir: config.work_dir.join("subgraphs"),
             kernel: ReplayKernel::new(config.k),
             baselines: OnceLock::new(),
-        })
+        }
+    }
+
+    /// The three stages over `feed`, merging into `graph`; partitions in
+    /// `skip` flow through as no-ops.
+    pub(crate) fn run(
+        &self,
+        feed: &SharedCounterQueue<SealedPartition>,
+        io: &ThrottledIo,
+        skip: &BTreeSet<usize>,
+        graph: &mut DeBruijnGraph,
+        tuner: Option<&SplitTuner>,
+    ) -> PipelineReport {
+        run_pipeline(
+            feed,
+            self.config.devices(),
+            self.cancel,
+            tuner.map(|t| t as &dyn Steering),
+            // Stage 1: materialise the sealed payload (spilled ones pay
+            // input I/O, with transient-error retries inside
+            // `ThrottledIo`). `None` is the sentinel for an
+            // already-recorded failure — or for a partition in `skip`.
+            |sealed: SealedPartition| {
+                let idx = sealed.index;
+                if skip.contains(&idx) {
+                    return (idx, None);
+                }
+                let bytes = match sealed.payload {
+                    SealedPayload::Resident(bytes) => Some(bytes),
+                    SealedPayload::Spilled(path) => match io.read_file(&path) {
+                        Ok(bytes) => Some(bytes),
+                        Err(e) => {
+                            self.partition_failed(idx, ParaHashError::Io(e));
+                            None
+                        }
+                    },
+                };
+                (idx, bytes.map(|b| (b, sealed.kmers)))
+            },
+            // Stage 2: hash-construct the subgraph on an idle device and
+            // format it (canonical sort, record encode, CRC trailer).
+            |device: &dyn Device, idx, input: Option<(Vec<u8>, u64)>| {
+                let Some((bytes, kmers)) = input else {
+                    return (None, 0);
+                };
+                self.build(device, idx, bytes, kmers)
+            },
+            // Stage 3: commit the formatted bytes, journal, merge.
+            |idx, out: Option<Part2Out>| self.consume(io, graph, idx, out),
+        )
     }
 
     /// The first *fatal* error cancels the whole pipeline so remaining
     /// partitions are abandoned instead of processed to completion.
-    fn fatal(&self, e: ParaHashError) {
+    pub(crate) fn fatal(&self, e: ParaHashError) {
         self.first_error.set(e);
         self.cancel.cancel();
     }
 
+    /// Appends `event` to the run journal, if there is one. A journal
+    /// that cannot be written no longer describes the work directory, so
+    /// the failure is fatal in strict and non-strict runs alike. Returns
+    /// whether the run may go on.
+    pub(crate) fn journaled(&self, event: JournalEvent) -> bool {
+        match self.journal.map(|journal| journal.append(&event)) {
+            Some(Err(e)) => {
+                self.fatal(e);
+                false
+            }
+            _ => true,
+        }
+    }
+
     /// Partition-local failures (unreadable or corrupt file) either abort
     /// (strict) or set the partition aside and keep going.
-    fn partition_failed(&self, idx: usize, e: ParaHashError) {
+    pub(crate) fn partition_failed(&self, idx: usize, e: ParaHashError) {
         if self.config.strict {
             self.fatal(e);
         } else {
@@ -533,11 +559,8 @@ impl<'a> Step2Shared<'a> {
             }
         };
         self.sub_splits.lock().push((idx, fanout));
-        if let Some(journal) = self.journal {
-            if let Err(e) = journal.append(&JournalEvent::SubSplit(idx, fanout)) {
-                self.fatal(e);
-                return None;
-            }
+        if !self.journaled(JournalEvent::SubSplit(idx, fanout)) {
+            return None;
         }
         let mut entries = Vec::new();
         let mut contention = ContentionStats::default();
@@ -671,37 +694,73 @@ impl<'a> Step2Shared<'a> {
         self.total_contention.lock().merge(&out.contention);
         self.total_resizes.fetch_add(out.resizes, Ordering::Relaxed);
         if let Some(bytes) = out.encoded {
-            let path = self.sub_dir.join(format!("sub-{idx:05}.dbg"));
-            // Atomic commit (tmp + fsync + rename + dir fsync): a crash
-            // anywhere in here leaves either no `sub-XXXXX.dbg` or a
-            // complete, checksummed one — never a torn file.
-            let committed = failpoint::hit("step2.subgraph.write")
-                .and_then(|()| io.commit_file(&path, &bytes));
-            if let Err(e) = committed {
-                self.partition_failed(idx, ParaHashError::Io(e));
+            if !self.commit(io, idx, bytes) {
                 return; // quarantined partitions stay out of the graph
-            }
-            // The file image is on disk; free it before the merge grows
-            // the graph.
-            drop(bytes);
-            // The journal record is written strictly *after* the rename:
-            // `subgraph-committed` in the journal implies the file is
-            // durable and whole. (The converse is allowed — a file with
-            // no record is simply re-verified or redone on resume.)
-            if let Some(journal) = self.journal {
-                if let Err(e) = journal.append(&JournalEvent::SubgraphCommitted(idx)) {
-                    self.fatal(e);
-                    return;
-                }
             }
         }
         graph.absorb(out.subgraph);
     }
 
+    /// Where partition `idx`'s committed subgraph lives.
+    pub(crate) fn subgraph_path(&self, idx: usize) -> PathBuf {
+        self.sub_dir.join(format!("sub-{idx:05}.dbg"))
+    }
+
+    /// Commits one formatted subgraph as `sub-<idx>.dbg` and journals the
+    /// commit. `false` means the failure was already routed through
+    /// [`partition_failed`](Self::partition_failed) / [`fatal`](Self::fatal).
+    fn commit(&self, io: &ThrottledIo, idx: usize, bytes: Vec<u8>) -> bool {
+        let path = self.subgraph_path(idx);
+        // Atomic commit (tmp + fsync + rename + dir fsync): a crash
+        // anywhere in here leaves either no `sub-XXXXX.dbg` or a
+        // complete, checksummed one — never a torn file.
+        let committed =
+            failpoint::hit("step2.subgraph.write").and_then(|()| io.commit_file(&path, &bytes));
+        if let Err(e) = committed {
+            self.partition_failed(idx, ParaHashError::Io(e));
+            return false;
+        }
+        // The file image is on disk; free it before the merge grows the
+        // graph.
+        drop(bytes);
+        // The journal record is written strictly *after* the rename:
+        // `subgraph-committed` in the journal implies the file is
+        // durable and whole. (The converse is allowed — a file with no
+        // record is simply re-verified or redone on resume.)
+        self.journaled(JournalEvent::SubgraphCommitted(idx))
+    }
+
+    /// The output stage for a partition another process built: `subgraph`
+    /// is what this process decoded from the committed, CRC-checked
+    /// `sub-<idx>.dbg`, `built` what the builder measured. Journals the
+    /// commit, folds the accounting into this step's and merges — the
+    /// tail of [`consume`](Self::consume), the file being on disk already.
+    pub(crate) fn absorb_verified(
+        &self,
+        graph: &mut DeBruijnGraph,
+        idx: usize,
+        subgraph: SubGraph,
+        partition_bytes: u64,
+        built: Option<LeaseOutcome>,
+    ) {
+        if !self.journaled(JournalEvent::SubgraphCommitted(idx)) {
+            return;
+        }
+        self.peak_partition.fetch_max(partition_bytes, Ordering::Relaxed);
+        if let Some(built) = built {
+            self.total_resizes.fetch_add(built.resizes, Ordering::Relaxed);
+            self.peak_table.fetch_max(built.peak_table_bytes, Ordering::Relaxed);
+            if built.fanout >= 2 {
+                self.sub_splits.lock().push((idx, built.fanout));
+            }
+        }
+        graph.absorb(subgraph);
+    }
+
     /// Turns the accumulated counters into the step report — or, on the
     /// abort path, deletes partial subgraph output and surfaces the first
     /// fatal error.
-    fn finish(
+    pub(crate) fn finish(
         self,
         pipeline_report: PipelineReport,
         graph: DeBruijnGraph,
@@ -779,9 +838,9 @@ impl<'a> Step2Shared<'a> {
     }
 }
 
-/// What [`build_and_commit_partition`] measured while building one
-/// partition — the payload of a shard worker's `result` wire message.
-pub(crate) struct StandaloneOutcome {
+/// What [`build_lease`] measured while building one partition — the
+/// payload of a shard worker's `result` wire message.
+pub(crate) struct LeaseOutcome {
     /// Capacity-retry rebuilds this partition needed.
     pub resizes: usize,
     /// Peak hash-table bytes (the largest sub-table when split).
@@ -791,42 +850,54 @@ pub(crate) struct StandaloneOutcome {
     pub fanout: usize,
 }
 
-/// Builds **one** partition end to end — read, budget-admit (splitting
-/// out of core if projected over budget), hash-construct, and commit the
-/// encoded subgraph as `subgraphs/sub-<idx>.dbg` — outside any pipeline.
-/// This is the unit of work a shard worker executes per lease: the
-/// committed file *is* the result channel back to the parent, so the
-/// caller's config must have `write_subgraphs` forced on, and `strict`
-/// on so every failure surfaces as an error (the parent owns
-/// quarantine policy, not the worker).
+/// Builds **one** leased partition — budget-admit (splitting out of core
+/// if projected over budget), hash-construct, format — outside any
+/// pipeline: the unit of work of a shard worker. The lease is the
+/// engine's own [`SealedPayload`]. `Spilled(path)` is a worker on the
+/// parent's filesystem: it reads the partition file and commits
+/// `subgraphs/sub-<idx>.dbg` (journaling into `journal`, its own), and the
+/// committed file is the result channel. `Resident(bytes)` is a wire
+/// worker: it builds from the bytes it was sent and gets the formatted
+/// subgraph back to ship — it writes nothing. Either way no graph is
+/// merged here; that is the parent's job. The caller's config must have
+/// `write_subgraphs` on (the formatted bytes are the product) and `strict`
+/// on, so every failure surfaces as an error: the parent owns quarantine
+/// policy, not the worker.
 ///
 /// # Errors
 ///
 /// Any read, frame, device, or commit failure for this partition.
-pub(crate) fn build_and_commit_partition(
+pub(crate) fn build_lease(
     config: &ParaHashConfig,
     idx: usize,
-    path: &std::path::Path,
+    payload: SealedPayload,
     n_kmers: u64,
     io: &ThrottledIo,
     journal: Option<&RunJournal>,
-) -> Result<StandaloneOutcome> {
+) -> Result<(LeaseOutcome, Option<Vec<u8>>)> {
     debug_assert!(config.strict && config.write_subgraphs);
     let cancel = CancelToken::new();
-    let shared = Step2Shared::new(config, &cancel, journal)?;
-    let bytes = io.read_file(path).map_err(ParaHashError::Io)?;
+    let shared = Step2Shared::new(config, &cancel, journal);
+    let (bytes, ship) = match payload {
+        SealedPayload::Resident(bytes) => (bytes, true),
+        SealedPayload::Spilled(path) => (io.read_file(path).map_err(ParaHashError::Io)?, false),
+    };
     let (out, _) = shared.build(config.devices()[0].as_ref(), idx, bytes, n_kmers);
-    let mut graph = DeBruijnGraph::new(config.k);
-    shared.consume(io, &mut graph, idx, out);
+    let (resizes, mut encoded) = out.map_or((0, None), |out| (out.resizes, out.encoded));
+    if !ship {
+        if let Some(bytes) = encoded.take() {
+            shared.commit(io, idx, bytes);
+        }
+    }
     if let Some(e) = shared.first_error.into_inner() {
         return Err(e);
     }
-    let splits = shared.sub_splits.into_inner();
-    Ok(StandaloneOutcome {
-        resizes: shared.total_resizes.into_inner(),
+    let outcome = LeaseOutcome {
+        resizes,
         peak_table_bytes: shared.peak_table.into_inner(),
-        fanout: splits.first().map_or(0, |&(_, f)| f),
-    })
+        fanout: shared.sub_splits.into_inner().first().map_or(0, |&(_, f)| f),
+    };
+    Ok((outcome, encoded))
 }
 
 #[cfg(test)]
@@ -1017,7 +1088,7 @@ mod tests {
             let io = ThrottledIo::new(IoMode::Unthrottled);
             let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
             let cancel = CancelToken::new();
-            let shared = Step2Shared::new(&cfg, &cancel, None).unwrap();
+            let shared = Step2Shared::new(&cfg, &cancel, None);
             for i in 0..manifest.num_partitions() {
                 let bytes = std::fs::read(manifest.partition_path(i)).unwrap();
                 let (out, work) =
@@ -1028,6 +1099,44 @@ mod tests {
             }
             std::fs::remove_dir_all(cfg.work_dir()).unwrap();
         }
+    }
+
+    /// A lease is the engine's sealed payload: a spilled one is read,
+    /// built and committed in place (the file is the result), a resident
+    /// one is built from the bytes in hand and comes back formatted — the
+    /// same bytes — with nothing written anywhere.
+    #[test]
+    fn a_resident_lease_ships_the_bytes_a_spilled_lease_commits() {
+        let cfg = ParaHashConfig::builder()
+            .k(7)
+            .p(4)
+            .partitions(3)
+            .cpu_threads(2)
+            .write_subgraphs(true)
+            .work_dir(std::env::temp_dir().join("parahash-step2-lease"))
+            .build()
+            .unwrap();
+        let _ = std::fs::remove_dir_all(cfg.work_dir());
+        let io = ThrottledIo::new(IoMode::Unthrottled);
+        let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
+        let sub_dir = cfg.work_dir().join("subgraphs");
+        for i in 0..manifest.num_partitions() {
+            let kmers = manifest.stats()[i].kmers;
+            let bytes = std::fs::read(manifest.partition_path(i)).unwrap();
+            let (_, shipped) =
+                build_lease(&cfg, i, SealedPayload::Resident(bytes), kmers, &io, None).unwrap();
+            assert!(!sub_dir.exists(), "a wire worker touches no disk");
+            let shipped = shipped.expect("a resident lease returns its subgraph");
+
+            std::fs::create_dir_all(&sub_dir).unwrap();
+            let spilled = SealedPayload::Spilled(manifest.partition_path(i));
+            let (_, kept) = build_lease(&cfg, i, spilled, kmers, &io, None).unwrap();
+            assert!(kept.is_none(), "a committed lease ships nothing");
+            let file = sub_dir.join(format!("sub-{i:05}.dbg"));
+            assert_eq!(std::fs::read(&file).unwrap(), shipped, "partition {i}");
+            std::fs::remove_dir_all(&sub_dir).unwrap();
+        }
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 
     /// A subgraph whose commit fails in a non-strict run is quarantined

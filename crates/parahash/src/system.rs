@@ -1,12 +1,12 @@
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dna::SeqRead;
 use hashgraph::DeBruijnGraph;
 use msp::{PartitionManifest, SealedPayload};
 use pipeline::perfmodel::Regime;
-use pipeline::{CancelToken, PipelineReport, SharedCounterQueue, SplitTuner, ThrottledIo};
+use pipeline::{CancelToken, SharedCounterQueue, SplitTuner, ThrottledIo};
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal, TunerState};
 use crate::step1::{device_baselines, device_deltas, step1_into, step1_report, step1_to_disk, Input};
@@ -387,30 +387,7 @@ fn subgraph_path(config: &ParaHashConfig, i: usize) -> std::path::PathBuf {
 /// counter is zero — the work was done (and reported) by the interrupted
 /// run, not this one.
 fn skipped_step1_report() -> StepReport {
-    StepReport {
-        step: 1,
-        pipeline: PipelineReport {
-            elapsed: Duration::ZERO,
-            input_time: Duration::ZERO,
-            output_time: Duration::ZERO,
-            shares: Vec::new(),
-            partitions: 0,
-            spans: Vec::new(),
-            cancelled: false,
-        },
-        cpu_compute: Duration::ZERO,
-        gpu_compute: Duration::ZERO,
-        contention: None,
-        step1_stats: Some(Step1Stats::default()),
-        resizes: 0,
-        peak_partition_bytes: 0,
-        peak_table_bytes: 0,
-        peak_resident_store_bytes: 0,
-        quarantined: Vec::new(),
-        sub_splits: Vec::new(),
-        coproc: None,
-        exhausted_leases: Vec::new(),
-    }
+    StepReport { step1_stats: Some(Step1Stats::default()), ..StepReport::idle(1) }
 }
 
 /// The disk handoff: Step 1 into partition files (unless the resume plan

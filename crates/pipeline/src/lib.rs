@@ -37,10 +37,13 @@
 //!   rename + dir fsync) shared by every durable file the pipeline writes.
 //! * [`failpoint`] — deterministic named crash/fault injection sites used
 //!   by the crash-recovery suite (see `docs/RECOVERY.md`).
+//! * [`crc`] — the one table-driven CRC-32 behind partition frames,
+//!   journal records, subgraph trailers and the shard wire frames.
 
 pub mod autotune;
 mod cancel;
 pub mod commit;
+pub mod crc;
 pub mod failpoint;
 mod io;
 pub mod perfmodel;

@@ -22,9 +22,8 @@
 //! # Wire format
 //!
 //! Every message is one frame: `u32 len LE | u32 crc32 LE | payload`,
-//! the same framing as the superkmer partition files (independently
-//! implemented here — this crate sits *below* `msp` in the dependency
-//! order). Zero-length frames are rejected outright; a frame longer
+//! the same framing as the superkmer partition files, checksummed by the
+//! same routine ([`crate::crc`]). Zero-length frames are rejected outright; a frame longer
 //! than the receiver's cap ([`MAX_FRAME`] for control traffic,
 //! [`MAX_PAYLOAD_FRAME`] while expecting a shipped partition or
 //! subgraph) is a protocol violation naming the offending size.
@@ -93,24 +92,10 @@ pub const MAX_PAYLOAD_FRAME: u32 = 1 << 30;
 /// First byte of every blob frame (see the module docs).
 pub const BLOB_TAG: u8 = 0x00;
 
-/// CRC32 (ISO-HDLC, the zlib polynomial) — bitwise, no table. Wire
-/// messages are tens of bytes and blob CRCs are off the hot path;
-/// simplicity beats throughput here. Kept local because `pipeline`
-/// must not depend on `msp` (the dependency points the other way).
-pub fn wire_crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// How long an armed `shard.net.delay` failpoint stalls the send.
-fn net_delay() -> Duration {
+/// How long an armed `shard.net.delay` failpoint stalls — a send here,
+/// a silently held lease in the worker loop (`PARAHASH_SHARD_DELAY_MS`,
+/// default 100).
+pub fn net_delay() -> Duration {
     let ms = std::env::var("PARAHASH_SHARD_DELAY_MS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -137,7 +122,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let garble = crate::failpoint::hit("shard.net.garble").is_err();
     let mut buf = Vec::with_capacity(8 + payload.len());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&wire_crc32(payload).to_le_bytes());
+    buf.extend_from_slice(&crate::crc::crc32(payload).to_le_bytes());
     buf.extend_from_slice(payload);
     if garble && buf.len() > 8 {
         // Flip one payload byte *after* the checksum was computed: the
@@ -214,31 +199,13 @@ pub fn recv_frame(r: &mut impl Read, cap: u32) -> std::io::Result<Recv> {
             Err(e) => return Err(e),
         }
     }
-    let computed = wire_crc32(&payload);
+    let computed = crate::crc::crc32(&payload);
     if computed != stored {
         return Err(bad(format!(
             "wire frame checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
         )));
     }
     Ok(Recv::Frame(payload))
-}
-
-/// Reads one control frame (cap [`MAX_FRAME`]). `Ok(None)` is a clean
-/// EOF between frames. A deadline elapsing mid-wait is an error here —
-/// use [`Transport::recv`] when timeouts are expected.
-///
-/// # Errors
-///
-/// Everything [`recv_frame`] rejects, plus an unexpected timeout.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
-    match recv_frame(r, MAX_FRAME)? {
-        Recv::Frame(p) => Ok(Some(p)),
-        Recv::Eof => Ok(None),
-        Recv::TimedOut => Err(std::io::Error::new(
-            std::io::ErrorKind::TimedOut,
-            "wire read deadline elapsed",
-        )),
-    }
 }
 
 /// Wraps raw bytes as a blob-frame payload (see the module docs).
@@ -793,27 +760,41 @@ impl LeaseBoard {
 mod tests {
     use super::*;
 
+    /// The wire bytes of one frame, captured from the bit-at-a-time
+    /// checksum this codec used to carry: same polynomial, init and
+    /// final complement, so old and new peers agree on every frame.
+    #[test]
+    fn frame_bytes_match_the_golden_hello() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello 3 2").unwrap();
+        let golden = [
+            0x09, 0x00, 0x00, 0x00, 0x34, 0x11, 0xb7, 0x6a, b'h', b'e', b'l', b'l', b'o', b' ',
+            b'3', b' ', b'2',
+        ];
+        assert_eq!(buf, golden);
+    }
+
     #[test]
     fn frames_roundtrip_and_reject_corruption() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello 3 2").unwrap();
         write_frame(&mut buf, b"claim 3").unwrap();
         let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello 3 2");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"claim 3");
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF between frames");
+        assert_eq!(recv_frame(&mut r, MAX_FRAME).unwrap(), Recv::Frame(b"hello 3 2".to_vec()));
+        assert_eq!(recv_frame(&mut r, MAX_FRAME).unwrap(), Recv::Frame(b"claim 3".to_vec()));
+        assert_eq!(recv_frame(&mut r, MAX_FRAME).unwrap(), Recv::Eof, "clean EOF between frames");
 
         // Flip a payload byte: checksum must catch it.
         let mut bent = buf.clone();
         bent[8] ^= 0x01;
-        let err = read_frame(&mut &bent[..]).unwrap_err();
+        let err = recv_frame(&mut &bent[..], MAX_FRAME).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "{err}");
 
         // Truncate mid-frame: torn, not clean EOF.
         let mut r = &buf[..buf.len() - 3];
-        assert!(read_frame(&mut r).unwrap().is_some());
-        let err = read_frame(&mut r).unwrap_err();
+        assert!(matches!(recv_frame(&mut r, MAX_FRAME).unwrap(), Recv::Frame(_)));
+        let err = recv_frame(&mut r, MAX_FRAME).unwrap_err();
         assert!(err.to_string().contains("torn"), "{err}");
     }
 
@@ -822,8 +803,8 @@ mod tests {
         // Hand-built zero-length frame: valid CRC of nothing, len 0.
         let mut zero = Vec::new();
         zero.extend_from_slice(&0u32.to_le_bytes());
-        zero.extend_from_slice(&wire_crc32(b"").to_le_bytes());
-        let err = read_frame(&mut &zero[..]).unwrap_err();
+        zero.extend_from_slice(&crate::crc::crc32(b"").to_le_bytes());
+        let err = recv_frame(&mut &zero[..], MAX_FRAME).unwrap_err();
         assert!(err.to_string().contains("zero-length"), "{err}");
 
         // Over-cap length: rejected before any payload read, naming
@@ -831,7 +812,7 @@ mod tests {
         let mut big = Vec::new();
         big.extend_from_slice(&(MAX_FRAME + 7).to_le_bytes());
         big.extend_from_slice(&0u32.to_le_bytes());
-        let err = read_frame(&mut &big[..]).unwrap_err();
+        let err = recv_frame(&mut &big[..], MAX_FRAME).unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains(&(MAX_FRAME + 7).to_string()) && msg.contains(&MAX_FRAME.to_string()),
@@ -967,7 +948,7 @@ mod tests {
         let mut bent = Vec::new();
         write_frame(&mut bent, b"result 3 ok").unwrap();
         disarm("shard.net.garble");
-        let err = read_frame(&mut &bent[..]).unwrap_err();
+        let err = recv_frame(&mut &bent[..], MAX_FRAME).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 

@@ -3,9 +3,12 @@
 //! Unix-socket builds; a worker that *hangs* (heartbeat loss) is
 //! evicted and its partition re-leased; a worker killed over TCP is
 //! recovered exactly like the Unix-socket case; injected frame drops
-//! and garbles cost a reconnect, never the run; and a parent restart
+//! and garbles cost a reconnect, never the run; a parent restart
 //! mid-distribution resumes from the aggregated per-worker journals
-//! without re-leasing (or re-shipping) committed partitions.
+//! without re-leasing (or re-shipping) committed partitions; a cluster
+//! that drains before building anything degrades to the in-process
+//! engine, quarantine rules included; wire workers leave nothing on
+//! disk; and a parent whose journal fails aborts in either mode.
 //!
 //! Lives in its own test binary because the chaos knobs travel through
 //! the process environment (workers inherit them), so tests that set
@@ -18,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use dna::SeqRead;
-use parahash::{JournalEvent, ParaHash, ParaHashConfig, RunJournal};
+use parahash::{JournalEvent, ParaHash, ParaHashConfig, ParaHashConfigBuilder, RunJournal};
 use pipeline::failpoint;
 
 const K: usize = 15;
@@ -123,8 +126,8 @@ fn lease_counts(state: &parahash::JournalState) -> BTreeMap<usize, usize> {
 /// table budgets are byte-identical to the in-process reference *and*
 /// to a Unix-socket sharded build — the transport must be invisible in
 /// the output. TCP workers run in wire mode (payloads shipped both
-/// ways, scratch directories, no shared filesystem assumptions), so
-/// this is the full remote path on one machine.
+/// ways, nothing on the worker's disk, no shared filesystem
+/// assumptions), so this is the full remote path on one machine.
 #[test]
 fn tcp_loopback_matrix_is_byte_identical() {
     let _guard = lock();
@@ -312,4 +315,187 @@ fn parent_restart_resumes_from_aggregated_worker_journals() {
         state.leases
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A non-strict Unix-socket sharded configuration, still open for the
+/// knobs `config` does not take.
+fn lenient(dir: &Path, workers: usize) -> ParaHashConfigBuilder {
+    ParaHashConfig::builder()
+        .k(K)
+        .p(P)
+        .partitions(PARTITIONS)
+        .cpu_threads(2)
+        .write_subgraphs(true)
+        .strict(false)
+        .workers(workers)
+        .worker_spawn_args(["chaos_worker_entry", "--exact", "--nocapture"])
+        .work_dir(dir.to_path_buf())
+}
+
+/// How many `subgraph-committed` records the parent's journal holds
+/// (records are plain text lines inside their frames; a replayed
+/// [`parahash::JournalState`] would fold duplicates into a set).
+fn committed_records(dir: &Path) -> usize {
+    let bytes = std::fs::read(RunJournal::path_in(dir)).unwrap();
+    let needle = b"subgraph-committed ";
+    bytes.windows(needle.len()).filter(|w| w == needle).count()
+}
+
+/// The cluster drains before it builds anything: the only worker dies
+/// on its first assignment. Everything falls back to the in-process
+/// engine — pipelined, journaled, byte-identical to a run that never
+/// asked for workers — and the report counts those builds.
+#[test]
+fn drained_cluster_falls_back_to_the_engine() {
+    let _guard = lock();
+    let rs = reads();
+    let ref_dir = fresh_dir("fallback-ref");
+    let reference = ParaHash::new(config(&ref_dir, 0, None, false)).unwrap().run(&rs).unwrap();
+    let ref_bytes = subgraph_bytes(&ref_dir);
+
+    let env = EnvGuard::set(&[("PARAHASH_SHARD_KILL", "0@1")]);
+    let dir = fresh_dir("fallback");
+    let sharded = ParaHash::new(config(&dir, 1, None, false)).unwrap().run(&rs).unwrap();
+    drop(env);
+
+    assert_eq!(sharded.graph, reference.graph);
+    assert_eq!(subgraph_bytes(&dir), ref_bytes);
+    let step2 = &sharded.report.step2;
+    assert_eq!(step2.pipeline.partitions, PARTITIONS, "fallback builds are counted");
+    assert!(step2.quarantined.is_empty() && step2.exhausted_leases.is_empty());
+    assert!(step2.pipeline.elapsed >= step2.pipeline.output_time, "elapsed spans the step");
+    let state = RunJournal::replay(&dir).unwrap();
+    assert!(state.complete);
+    assert_eq!(state.leases.len(), 1, "one lease went out before the worker died");
+    assert_eq!(state.committed.len(), PARTITIONS);
+    assert_eq!(committed_records(&dir), PARTITIONS, "one record per partition");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
+/// The same drained cluster over a damaged partition file, non-strict:
+/// the fallback quarantines by the engine's own rule — exactly the
+/// partition whose frames fail their checksum, nothing else.
+#[test]
+fn fallback_quarantines_exactly_the_corrupt_partition() {
+    let _guard = lock();
+    let rs = reads();
+    let dir = fresh_dir("fallback-quarantine");
+    let reference = ParaHash::new(config(&dir, 0, None, false)).unwrap().run(&rs).unwrap();
+    let ref_bytes = subgraph_bytes(&dir);
+    let fingerprint = RunJournal::replay(&dir).unwrap().fingerprint;
+
+    // Rewind to "Step 1 sealed, Step 2 not begun", then flip one payload
+    // byte of the largest partition file.
+    std::fs::remove_dir_all(dir.join("subgraphs")).unwrap();
+    let journal = RunJournal::create(&dir, fingerprint).unwrap();
+    for i in 0..PARTITIONS {
+        journal.append(&JournalEvent::PartitionSealed(i)).unwrap();
+    }
+    drop(journal);
+    let manifest = msp::PartitionManifest::load(dir.join("superkmers")).unwrap();
+    let victim = (0..PARTITIONS).max_by_key(|&i| manifest.stats()[i].bytes).unwrap();
+    let path = manifest.partition_path(victim);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = msp::FRAME_HEADER_LEN + (bytes.len() - msp::FRAME_HEADER_LEN) / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let env = EnvGuard::set(&[("PARAHASH_SHARD_KILL", "0@1")]);
+    let resumed = lenient(&dir, 1).resume(true).build().unwrap();
+    let outcome = ParaHash::new(resumed).unwrap().run(&rs).unwrap();
+    drop(env);
+
+    let quarantined: Vec<usize> =
+        outcome.report.step2.quarantined.iter().map(|q| q.index).collect();
+    assert_eq!(quarantined, [victim]);
+    assert!(
+        outcome.report.step2.quarantined[0].reason.contains("checksum mismatch"),
+        "{}",
+        outcome.report.step2.quarantined[0].reason
+    );
+    assert_eq!(
+        outcome.graph.total_kmer_occurrences(),
+        reference.graph.total_kmer_occurrences() - manifest.stats()[victim].kmers
+    );
+    for (i, bytes) in &ref_bytes {
+        let path = dir.join("subgraphs").join(format!("sub-{i:05}.dbg"));
+        if *i == victim {
+            assert!(!path.exists(), "a quarantined partition commits nothing");
+        } else {
+            assert_eq!(&std::fs::read(&path).unwrap(), bytes, "partition {i}");
+        }
+    }
+    let state = RunJournal::replay(&dir).unwrap();
+    assert!(state.complete);
+    assert_eq!(state.quarantined.len(), 1);
+    assert_eq!(state.quarantined[0].0, victim);
+    assert_eq!(committed_records(&dir), PARTITIONS - 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Wire workers are diskless: a loopback-TCP build stays byte-identical
+/// to the in-process one while its workers leave no scratch directory
+/// under the temp dir, no journal of their own, and nothing in the
+/// parent's work directory but what the parent wrote there.
+#[test]
+fn wire_workers_leave_nothing_on_disk() {
+    let _guard = lock();
+    let rs = reads();
+    let ref_dir = fresh_dir("diskless-ref");
+    let reference = ParaHash::new(config(&ref_dir, 0, None, false)).unwrap().run(&rs).unwrap();
+    let ref_bytes = subgraph_bytes(&ref_dir);
+
+    let ours = |name: &str| name.starts_with("parahash-");
+    let listing = |dir: &Path| -> BTreeSet<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
+    };
+    let dir = fresh_dir("diskless");
+    let before = listing(&std::env::temp_dir());
+    let sharded = ParaHash::new(config(&dir, 2, None, true)).unwrap().run(&rs).unwrap();
+    let after = listing(&std::env::temp_dir());
+
+    assert_eq!(sharded.graph, reference.graph);
+    assert_eq!(subgraph_bytes(&dir), ref_bytes);
+    let new: Vec<&String> = after.difference(&before).filter(|n| ours(n)).collect();
+    assert_eq!(new, [dir.file_name().unwrap().to_str().unwrap()], "only the parent's work dir");
+    assert!(!after.iter().any(|n| n.starts_with("parahash-remote-")), "{after:?}");
+    assert_eq!(
+        listing(&dir),
+        BTreeSet::from(["run.journal", "subgraphs", "superkmers"].map(String::from)),
+        "no worker journal, no scratch"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
+/// A parent-side journal failure is fatal in strict and non-strict runs
+/// alike, sharded exactly as in-process: the run aborts and deletes its
+/// partial `subgraphs/`. (The journal sees `config`, then one
+/// `partition-sealed` per partition, before Step 2's first record.)
+#[test]
+fn journal_failure_aborts_a_non_strict_sharded_run() {
+    let _guard = lock();
+    let rs = reads();
+    let step2_first = 1 + PARTITIONS as u64 + 1;
+    // In-process the first Step-2 record is a `subgraph-committed`;
+    // sharded it is the `worker-lease`, and the commit record the next.
+    for (tag, workers, trigger) in [
+        ("inproc", 0, step2_first),
+        ("lease", 1, step2_first),
+        ("commit", 1, step2_first + 1),
+    ] {
+        let dir = fresh_dir(&format!("journal-{tag}"));
+        failpoint::arm("journal.append", failpoint::FailAction::ReturnError, trigger);
+        let result = ParaHash::new(lenient(&dir, workers).build().unwrap()).unwrap().run(&rs);
+        failpoint::disarm("journal.append");
+        let err = result.expect_err("a journal that cannot be written must abort the run");
+        assert!(err.to_string().contains("journal.append"), "{tag}: {err}");
+        assert!(!dir.join("subgraphs").exists(), "{tag}: partial subgraphs must be deleted");
+        assert!(!RunJournal::replay(&dir).unwrap().complete, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -103,8 +103,8 @@ fn sharded_build_is_byte_identical_to_in_process() {
 
         // Each worker left its own journal behind — except over TCP
         // (the CI loopback rerun sets PARAHASH_SHARD_TRANSPORT=tcp),
-        // where workers are treated as remote and journal into their
-        // own scratch directories instead of the parent's work dir.
+        // where workers are treated as remote: diskless, so they keep
+        // no journal at all.
         let tcp = std::env::var("PARAHASH_SHARD_TRANSPORT").is_ok_and(|v| v == "tcp");
         for w in 0..workers {
             assert!(
