@@ -1,23 +1,25 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 use dna::{Base, Kmer, Orientation};
 
-/// Hasher of the merged graph's map: the splitmix-style word mixer of
+/// Hasher of the graph's position index: the splitmix-style word mixer of
 /// [`Kmer::hash64_of_words`], one round per 8 key bytes, in place of
-/// SipHash — absorbing a subgraph is one probe per vertex, and hashing
-/// the 41-byte key cost 2.5× more keyed than mixed.
+/// SipHash — indexing is one probe per vertex, and hashing the 41-byte
+/// key cost 2.5× more keyed than mixed.
 ///
 /// **Seed rule:** the state starts from a constant *different from* the
 /// vertex table's (`hash64_of_words` starts from the golden-ratio
 /// constant). A table snapshot lists its entries in slot order, i.e.
-/// sorted by the table hash's high bits; a map hashing with that same
-/// function would be fed in its own bucket order, the insertion pattern
-/// under which open-addressing maps cluster while they grow. A distinct
-/// seed makes the two orders independent.
+/// sorted by the table hash's high bits, and the index is filled run by
+/// run in that order; a map hashing with that same function would be fed
+/// in its own bucket order, the insertion pattern under which
+/// open-addressing maps cluster. A distinct seed makes the two orders
+/// independent.
 ///
 /// Unkeyed, like the vertex table's slot hash: k-mers crafted to collide
-/// here could as well be crafted to collide there, so the map adds no
+/// here could as well be crafted to collide there, so the index adds no
 /// exposure the construction did not already have.
 #[derive(Debug, Clone, Copy)]
 struct KmerHasher(u64);
@@ -53,7 +55,8 @@ impl Hasher for KmerHasher {
     }
 }
 
-type KmerMap = HashMap<Kmer, VertexData, BuildHasherDefault<KmerHasher>>;
+/// Where each vertex sits: canonical k-mer → `(run, position in run)`.
+type KmerIndex = HashMap<Kmer, (u32, u32), BuildHasherDefault<KmerHasher>>;
 
 /// Which side of a canonical vertex an edge leaves from.
 ///
@@ -168,8 +171,20 @@ impl SubGraph {
     }
 }
 
-/// The full De Bruijn graph: canonical k-mer → vertex data, assembled by
-/// absorbing per-partition [`SubGraph`]s.
+/// The full De Bruijn graph, held the way Step 2 produces it: a list of
+/// key-disjoint vertex *runs* (one per absorbed [`SubGraph`], entries in
+/// the order they arrived) plus a position index, canonical k-mer →
+/// `(run, position)`, that exists only once somebody asks for a vertex
+/// by key.
+///
+/// Assembling a graph and walking all of it — [`absorb`](Self::absorb),
+/// [`iter`](Self::iter), the totals, [`crate::write_graph`] — never
+/// hashes a k-mer. The first keyed access ([`get`](Self::get),
+/// [`successors`](Self::successors) / [`predecessors`](Self::predecessors),
+/// `==`, [`merge_vertex`](Self::merge_vertex),
+/// [`remove_vertex`](Self::remove_vertex)) builds the index in one pass
+/// at its exact final capacity, and that pass is where the disjointness
+/// [`absorb`](Self::absorb) relies on is checked.
 ///
 /// # Examples
 ///
@@ -190,16 +205,34 @@ impl SubGraph {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct DeBruijnGraph {
     k: usize,
-    map: KmerMap,
+    /// The vertices. No key occurs twice, within a run or across runs.
+    runs: Vec<Vec<(Kmer, VertexData)>>,
+    /// Σ run lengths.
+    len: usize,
+    /// Position of every vertex in `runs`. Unset until the first keyed
+    /// access; every `&mut` method either keeps it exact or unsets it.
+    index: OnceLock<KmerIndex>,
 }
+
+impl PartialEq for DeBruijnGraph {
+    /// Set equality: the same `k` and the same vertices with the same
+    /// data, however they are split into runs and whatever the order.
+    fn eq(&self, other: &DeBruijnGraph) -> bool {
+        self.k == other.k
+            && self.len == other.len
+            && self.iter().all(|(kmer, data)| other.get(kmer) == Some(data))
+    }
+}
+
+impl Eq for DeBruijnGraph {}
 
 impl DeBruijnGraph {
     /// An empty graph for k-mers of length `k`.
     pub fn new(k: usize) -> DeBruijnGraph {
-        DeBruijnGraph { k, map: KmerMap::default() }
+        DeBruijnGraph { k, runs: Vec::new(), len: 0, index: OnceLock::new() }
     }
 
     /// The k-mer length.
@@ -207,49 +240,92 @@ impl DeBruijnGraph {
         self.k
     }
 
-    /// Merges a subgraph into the graph. Vertices already present (only
-    /// possible when two builders are combined on overlapping inputs) have
-    /// their counts merged.
+    /// Takes a subgraph's vertices into the graph: its entry vector
+    /// becomes one more run — O(1), nothing is copied or hashed.
+    ///
+    /// Every key of `sub` must be **new to the graph** (and distinct
+    /// within `sub`). Subgraphs of one run are, by the MSP cut: every
+    /// copy of a canonical k-mer lands in one partition. To combine
+    /// records that may repeat a vertex, use
+    /// [`merge_vertex`](Self::merge_vertex).
     ///
     /// # Panics
     ///
-    /// Panics if the subgraph was built for a different `k`.
+    /// Panics if the subgraph was built for a different `k`. A repeated
+    /// key panics at the next keyed access (see [`DeBruijnGraph`]), with
+    /// the k-mer in the message.
     pub fn absorb(&mut self, sub: SubGraph) {
         assert_eq!(sub.k(), self.k, "cannot absorb a k={} subgraph into a k={} graph", sub.k(), self.k);
-        // Subgraphs of one run are key-disjoint, so every entry is new.
-        self.map.reserve(sub.len());
-        for (kmer, data) in sub.into_entries() {
-            self.map.entry(kmer).or_default().merge(&data);
+        if sub.is_empty() {
+            return;
         }
+        self.index.take();
+        self.len += sub.len();
+        self.runs.push(sub.into_entries());
     }
 
-    /// Makes room for at least `additional` more distinct vertices, so
-    /// that absorbing them does not regrow the map — for a caller that
-    /// knows what is coming and would rather pay the regrowth (old and
-    /// new table side by side) now than at a worse moment.
-    pub fn reserve(&mut self, additional: usize) {
-        self.map.reserve(additional);
+    /// The position index, built on first use: one pass over the runs
+    /// into a map allocated at its final size.
+    fn index(&self) -> &KmerIndex {
+        self.index.get_or_init(|| {
+            // No run is longer than `len`, so both halves of a position fit.
+            let fits = |n: usize| u32::try_from(n).is_ok();
+            assert!(fits(self.runs.len()) && fits(self.len), "positions are (u32 run, u32 pos)");
+            let mut index = KmerIndex::with_capacity_and_hasher(self.len, Default::default());
+            for (r, run) in self.runs.iter().enumerate() {
+                for (pos, (kmer, _)) in run.iter().enumerate() {
+                    let clash = index.insert(*kmer, (r as u32, pos as u32));
+                    assert!(
+                        clash.is_none(),
+                        "k-mer {kmer} was absorbed twice: `absorb` takes vertices new to the \
+                         graph, overlapping records go through `merge_vertex`"
+                    );
+                }
+            }
+            index
+        })
     }
 
-    /// Merges one vertex record.
+    /// Whether the position index exists. Building and writing out a
+    /// graph never needs it.
+    pub fn is_indexed(&self) -> bool {
+        self.index.get().is_some()
+    }
+
+    /// Merges one vertex record: added to the vertex's data if the graph
+    /// has it, a new vertex otherwise.
     pub fn merge_vertex(&mut self, kmer: Kmer, data: VertexData) {
         debug_assert!(kmer.is_canonical(), "vertices must be canonical k-mers");
-        self.map.entry(kmer).or_default().merge(&data);
+        self.index();
+        let index = self.index.get_mut().expect("built on the line above");
+        if let Some(&(r, pos)) = index.get(&kmer) {
+            self.runs[r as usize][pos as usize].1.merge(&data);
+            return;
+        }
+        assert!(self.len < u32::MAX as usize, "positions are (u32 run, u32 pos)");
+        if self.runs.is_empty() {
+            self.runs.push(Vec::new());
+        }
+        let r = self.runs.len() - 1;
+        index.insert(kmer, (r as u32, self.runs[r].len() as u32));
+        self.runs[r].push((kmer, data));
+        self.len += 1;
     }
 
     /// The data for a canonical k-mer, if present.
     pub fn get(&self, kmer: &Kmer) -> Option<&VertexData> {
-        self.map.get(kmer)
+        let &(r, pos) = self.index().get(kmer)?;
+        Some(&self.runs[r as usize][pos as usize].1)
     }
 
     /// Number of distinct vertices (the paper's graph-size metric).
     pub fn distinct_vertices(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Total k-mer occurrences merged into the graph.
     pub fn total_kmer_occurrences(&self) -> u64 {
-        self.map.values().map(|v| v.count as u64).sum()
+        self.iter().map(|(_, v)| v.count as u64).sum()
     }
 
     /// Occurrences that were duplicates of an already-present vertex
@@ -260,12 +336,12 @@ impl DeBruijnGraph {
 
     /// Sum of all edge multiplicities over all vertices.
     pub fn total_edge_multiplicity(&self) -> u64 {
-        self.map.values().map(VertexData::total_edge_multiplicity).sum()
+        self.iter().map(|(_, v)| v.total_edge_multiplicity()).sum()
     }
 
     /// Iterates over `(canonical k-mer, data)` in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&Kmer, &VertexData)> {
-        self.map.iter()
+        self.runs.iter().flatten().map(|(kmer, data)| (kmer, data))
     }
 
     /// The canonical successors of `kmer` when read in orientation
@@ -275,7 +351,7 @@ impl DeBruijnGraph {
     /// Successor vertices are returned in canonical form with the
     /// orientation the walk continues in.
     pub fn successors(&self, kmer: &Kmer, orient: Orientation) -> Vec<(Kmer, Orientation, u32)> {
-        let Some(data) = self.map.get(kmer) else {
+        let Some(data) = self.get(kmer) else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -302,7 +378,7 @@ impl DeBruijnGraph {
 
     /// The canonical predecessors of `kmer` read in orientation `orient`.
     pub fn predecessors(&self, kmer: &Kmer, orient: Orientation) -> Vec<(Kmer, Orientation, u32)> {
-        let Some(data) = self.map.get(kmer) else {
+        let Some(data) = self.get(kmer) else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -330,7 +406,19 @@ impl DeBruijnGraph {
     /// [`filter_min_count`](Self::filter_min_count); traversals ignore
     /// them.
     pub fn remove_vertex(&mut self, kmer: &Kmer) -> bool {
-        self.map.remove(kmer).is_some()
+        self.index();
+        let index = self.index.get_mut().expect("built on the line above");
+        let Some((r, pos)) = index.remove(kmer) else {
+            return false;
+        };
+        let run = &mut self.runs[r as usize];
+        run.swap_remove(pos as usize);
+        // The run's last vertex now sits where the removed one was.
+        if let Some((moved, _)) = run.get(pos as usize) {
+            index.insert(*moved, (r, pos));
+        }
+        self.len -= 1;
+        true
     }
 
     /// Removes vertices whose occurrence count is below `min_count` (the
@@ -339,21 +427,33 @@ impl DeBruijnGraph {
     /// dangling multiplicities on the survivors, as in the paper's output
     /// ("invalid vertices filtered").
     pub fn filter_min_count(&mut self, min_count: u32) -> usize {
-        let before = self.map.len();
-        self.map.retain(|_, v| v.count >= min_count);
-        before - self.map.len()
+        let before = self.len;
+        for run in &mut self.runs {
+            run.retain(|(_, v)| v.count >= min_count);
+        }
+        self.len = self.runs.iter().map(Vec::len).sum();
+        if self.len != before {
+            self.index.take();
+        }
+        before - self.len
     }
 
     /// Approximate in-memory footprint in bytes (used by the memory
-    /// accounting in the Table III experiment).
+    /// accounting in the Table III experiment): what the runs have
+    /// allocated, plus the index once it exists.
     pub fn approx_bytes(&self) -> usize {
-        self.map.len() * (std::mem::size_of::<Kmer>() + std::mem::size_of::<VertexData>())
+        let vertex = std::mem::size_of::<(Kmer, VertexData)>();
+        // A map bucket: the entry and its control byte.
+        let bucket = std::mem::size_of::<(Kmer, (u32, u32))>() + 1;
+        self.runs.iter().map(|run| run.capacity() * vertex).sum::<usize>()
+            + self.index.get().map_or(0, |index| index.capacity() * bucket)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn km(s: &str) -> Kmer {
         s.parse().unwrap()
@@ -385,19 +485,36 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_disjoint_and_overlapping() {
+    fn absorb_takes_disjoint_runs_and_merge_vertex_takes_overlap() {
         let mut g = DeBruijnGraph::new(3);
         let a = km("AAC").canonical().0;
         let b = km("ACC").canonical().0;
-        assert_ne!(a, b, "test requires two distinct canonical vertices");
+        let c = km("AGC").canonical().0;
         let data = VertexData { count: 2, edges: [0; 8] };
         g.absorb(SubGraph::new(3, vec![(a, data), (b, data)]));
-        assert_eq!(g.distinct_vertices(), 2);
-        g.absorb(SubGraph::new(3, vec![(a, data)]));
-        assert_eq!(g.distinct_vertices(), 2);
+        g.absorb(SubGraph::new(3, vec![(c, data)]));
+        g.absorb(SubGraph::new(3, Vec::new()));
+        assert_eq!(g.distinct_vertices(), 3);
+        assert!(!g.is_indexed(), "assembling and counting never index");
+        // A record for a vertex the graph already has is a merge.
+        g.merge_vertex(a, data);
+        assert!(g.is_indexed());
+        assert_eq!(g.distinct_vertices(), 3);
         assert_eq!(g.get(&a).unwrap().count, 4);
-        assert_eq!(g.total_kmer_occurrences(), 6);
-        assert_eq!(g.duplicate_vertices(), 4);
+        assert_eq!(g.total_kmer_occurrences(), 8);
+        assert_eq!(g.duplicate_vertices(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "k-mer AAC was absorbed twice")]
+    fn a_repeated_key_panics_at_the_first_keyed_access() {
+        let mut g = DeBruijnGraph::new(3);
+        let a = km("AAC").canonical().0;
+        let data = VertexData { count: 1, edges: [0; 8] };
+        g.absorb(SubGraph::new(3, vec![(a, data), (km("ACC").canonical().0, data)]));
+        g.absorb(SubGraph::new(3, vec![(a, data)]));
+        assert_eq!(g.distinct_vertices(), 3, "not noticed while nothing is looked up");
+        g.get(&a);
     }
 
     /// Distinct canonical-looking k = 27 keys from a fixed xorshift
@@ -418,35 +535,44 @@ mod tests {
     }
 
     #[test]
-    fn absorb_order_does_not_change_the_graph() {
+    fn equality_ignores_how_vertices_are_split_into_runs_and_their_order() {
         let slot_order = slot_ordered_subgraph(5_000).into_entries();
         let mut canonical = slot_order.clone();
         canonical.sort_unstable_by_key(|entry| entry.0);
         let reversed: Vec<_> = canonical.iter().rev().copied().collect();
-        let build = |entries: &[(Kmer, VertexData)]| {
+        let build = |entries: &[(Kmer, VertexData)], run: usize| {
             let mut g = DeBruijnGraph::new(27);
-            // Several subgraphs, as a run absorbs them.
-            for chunk in entries.chunks(700) {
+            for chunk in entries.chunks(run) {
                 g.absorb(SubGraph::new(27, chunk.to_vec()));
             }
             g
         };
-        let a = build(&slot_order);
+        let a = build(&slot_order, 700);
         assert_eq!(a.distinct_vertices(), slot_order.len());
-        assert_eq!(a, build(&canonical));
-        assert_eq!(a, build(&reversed));
+        assert_eq!(a, build(&canonical, 5_000));
+        assert_eq!(a, build(&reversed, 1));
+        assert_eq!(build(&reversed, 33), a);
+        // Same keys, one vertex's data off by one; one vertex fewer.
+        let mut off = canonical.clone();
+        off[17].1.count += 1;
+        assert_ne!(a, build(&off, 700));
+        assert_ne!(a, build(&canonical[1..], 700));
+        assert_ne!(build(&canonical[1..], 700), a);
     }
 
-    /// The adversarial feed the graph hasher's seed rule exists for: a
-    /// table snapshot, i.e. entries sorted by the *table's* hash. The
-    /// map's own hash must see that order as noise — half of the
-    /// neighbouring pairs ascend, in the bits that pick the bucket and in
-    /// the top bits alike — and absorbing it must cost what absorbing
-    /// the same entries in key order costs.
+    /// The adversarial feed the index hasher's seed rule exists for: a
+    /// table snapshot, i.e. entries sorted by the *table's* hash, which
+    /// is the order the index build inserts a run in. The index's own
+    /// hash must see that order as noise — half of the neighbouring pairs
+    /// ascend, in the bits that pick the bucket and in the top bits
+    /// alike.
     #[test]
     fn slot_order_feed_is_not_bucket_order() {
         use std::hash::BuildHasher;
-        let slot_order = slot_ordered_subgraph(200_000).into_entries();
+        // One run: `iter` walks it in the order the index build will.
+        let mut g = DeBruijnGraph::new(27);
+        g.absorb(slot_ordered_subgraph(200_000));
+        let slot_order: Vec<(&Kmer, &VertexData)> = g.iter().collect();
         let table_hashes: Vec<u64> = slot_order.iter().map(|(k, _)| k.hash64()).collect();
         let in_order = table_hashes.windows(2).filter(|w| w[0] <= w[1]).count() as f64;
         assert!(
@@ -465,24 +591,110 @@ mod tests {
             let share = ascending / (graph_hashes.len() - 1) as f64;
             assert!((0.48..0.52).contains(&share), "{what}: {share} of neighbours ascend");
         }
+        // And the index built from that feed finds every vertex where it is.
+        assert!(!g.is_indexed());
+        for (kmer, data) in slot_order {
+            assert_eq!(g.get(kmer), Some(data));
+        }
+    }
 
-        let mut canonical = slot_order.clone();
-        canonical.sort_unstable_by_key(|entry| entry.0);
-        let time = |entries: Vec<(Kmer, VertexData)>| {
-            let started = std::time::Instant::now();
-            let mut g = DeBruijnGraph::new(27);
-            g.absorb(SubGraph::new(27, entries));
-            assert_eq!(g.distinct_vertices(), 200_000);
-            started.elapsed()
-        };
-        // Warm the allocator, then the best of three each: clustering
-        // would cost orders of magnitude, not a factor of four.
-        time(canonical.clone());
-        let best = |entries: &Vec<(Kmer, VertexData)>| {
-            (0..3).map(|_| time(entries.clone())).min().unwrap()
-        };
-        let (slot, key) = (best(&slot_order), best(&canonical));
-        assert!(slot < 4 * key, "slot-order absorb {slot:?} vs key-order {key:?}");
+    /// What the model test does to the graph and to its `BTreeMap` twin.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Absorb these keys as one run (those the graph lacks — `absorb`
+        /// takes new keys only), each with this count.
+        Absorb(Vec<usize>, u32),
+        Merge(usize, u32),
+        Remove(usize),
+        Filter(u32),
+        /// Look every key of the domain up, which builds the index.
+        Lookup,
+    }
+
+    /// 48 distinct canonical 5-mers: few enough that operations collide.
+    fn key_domain() -> Vec<Kmer> {
+        let mut keys: Vec<Kmer> = (0u32..1024)
+            .map(|code| {
+                let bases = (0..5).map(|i| Base::ALL[(code >> (2 * i)) as usize & 3]);
+                Kmer::from_bases(5, bases).unwrap().canonical().0
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.truncate(48);
+        keys
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (prop::collection::vec(0usize..48, 0..12), 1u32..6).prop_map(|(keys, n)| Op::Absorb(keys, n)),
+            (0usize..48, 1u32..6).prop_map(|(key, n)| Op::Merge(key, n)),
+            (0usize..48).prop_map(Op::Remove),
+            (0u32..5).prop_map(Op::Filter),
+            Just(Op::Lookup),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Random interleavings of every mutation against a `BTreeMap`:
+        /// the unkeyed view (`iter`, the totals) agrees after every step
+        /// whether or not the index exists at that moment, the keyed view
+        /// whenever it is asked — so an index that survived a mutation it
+        /// should not have (`absorb`, `filter_min_count`), or that
+        /// `remove_vertex`'s swap left pointing at the wrong position,
+        /// shows up as a wrong `get`.
+        #[test]
+        fn graph_agrees_with_a_btreemap_model(ops in prop::collection::vec(op(), 1..40)) {
+            use std::collections::BTreeMap;
+            let keys = key_domain();
+            let data = |count: u32| VertexData { count, edges: [count; 8] };
+            let mut g = DeBruijnGraph::new(5);
+            let mut model: BTreeMap<Kmer, VertexData> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    Op::Absorb(mut ids, n) => {
+                        ids.sort_unstable();
+                        ids.dedup();
+                        ids.retain(|&i| !model.contains_key(&keys[i]));
+                        let run: Vec<_> = ids.iter().map(|&i| (keys[i], data(n))).collect();
+                        model.extend(run.iter().copied());
+                        let grew = !run.is_empty();
+                        g.absorb(SubGraph::new(5, run));
+                        prop_assert!(!(grew && g.is_indexed()));
+                    }
+                    Op::Merge(i, n) => {
+                        model.entry(keys[i]).or_default().merge(&data(n));
+                        g.merge_vertex(keys[i], data(n));
+                    }
+                    Op::Remove(i) => {
+                        prop_assert_eq!(g.remove_vertex(&keys[i]), model.remove(&keys[i]).is_some());
+                    }
+                    Op::Filter(min) => {
+                        let before = model.len();
+                        model.retain(|_, v| v.count >= min);
+                        prop_assert_eq!(g.filter_min_count(min), before - model.len());
+                    }
+                    Op::Lookup => {
+                        for key in &keys {
+                            prop_assert_eq!(g.get(key), model.get(key));
+                        }
+                        prop_assert!(g.is_indexed());
+                    }
+                }
+                let mut seen: Vec<(Kmer, VertexData)> = g.iter().map(|(k, v)| (*k, *v)).collect();
+                seen.sort_unstable_by_key(|entry| entry.0);
+                let want: Vec<(Kmer, VertexData)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+                prop_assert_eq!(seen, want);
+                prop_assert_eq!(g.distinct_vertices(), model.len());
+                let occurrences: u64 = model.values().map(|v| v.count as u64).sum();
+                prop_assert_eq!(g.total_kmer_occurrences(), occurrences);
+            }
+            for key in &keys {
+                prop_assert_eq!(g.get(key), model.get(key));
+            }
+        }
     }
 
     #[test]
@@ -563,10 +775,14 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_scales_with_vertices() {
+    fn approx_bytes_counts_the_runs_and_the_index_once_built() {
         let mut g = DeBruijnGraph::new(3);
-        let empty = g.approx_bytes();
-        g.merge_vertex(km("AAC").canonical().0, VertexData::default());
-        assert!(g.approx_bytes() > empty);
+        assert_eq!(g.approx_bytes(), 0);
+        let run = vec![(km("AAC").canonical().0, VertexData::default()); 1];
+        g.absorb(SubGraph::new(3, run));
+        let unindexed = g.approx_bytes();
+        assert!(unindexed >= std::mem::size_of::<(Kmer, VertexData)>());
+        assert!(g.get(&km("AAC").canonical().0).is_some());
+        assert!(g.approx_bytes() > unindexed, "the index is memory too");
     }
 }

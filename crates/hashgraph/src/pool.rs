@@ -7,8 +7,10 @@
 //! because partition sizes cluster. [`TablePool`] recycles the backing
 //! allocations: tables are checked out by **capacity class** (the
 //! requested capacity rounded up to the next power of two, so nearby
-//! sizes share a shelf), wiped with [`ConcurrentDbgTable::reset`] (three
-//! memsets, no allocation) and returned to their shelf on drop.
+//! sizes share a shelf), wiped with [`ConcurrentDbgTable::reset`] (one
+//! memset of the 2-byte state words, no allocation — a slot's stale key
+//! and counter line are overwritten by whoever claims it next) and
+//! returned to their shelf on drop.
 //!
 //! The pool is shared across device driver threads — checkout and return
 //! take one short mutex each, trivially amortised against the work of
@@ -239,8 +241,9 @@ mod tests {
     /// Eight threads hammer one capacity class. Each checkout writes a
     /// thread-unique k-mer set and then audits the table: any extra entry
     /// would mean the pool handed the same table to two threads at once,
-    /// and any *stale* entry (or a count/edge surviving from a previous
-    /// tenant) would mean [`ConcurrentDbgTable::reset`] missed state.
+    /// any *stale* entry that [`ConcurrentDbgTable::reset`] missed a state
+    /// word, and a count or edge surviving from a previous tenant that a
+    /// claimant published its slot without zeroing the counter line.
     #[test]
     fn stress_no_table_is_handed_out_twice_and_reset_is_complete() {
         const THREADS: usize = 8;
@@ -262,7 +265,7 @@ mod tests {
                         packed.kmers(9).map(|kmer| kmer.canonical().0).collect();
                     for round in 0..ROUNDS {
                         let table = pool.checkout(512);
-                        // Reset must leave no counts and no edges behind.
+                        // Reset must leave no slot occupied.
                         assert_eq!(
                             table.distinct(),
                             0,
@@ -273,9 +276,18 @@ mod tests {
                             table.record(kmer, exts).unwrap();
                         }
                         std::thread::yield_now();
-                        // Audit: exactly our own writes, nothing foreign.
-                        let mut got: Vec<Kmer> =
-                            table.snapshot().into_entries().into_iter().map(|e| e.0).collect();
+                        // Audit: exactly our own writes, nothing foreign,
+                        // and each vertex counted from zero — every tenant
+                        // of this class records every one of its k-mers
+                        // with two edge slots, so a line a claimant did
+                        // not zero would show a previous tenant's counts.
+                        let entries = table.snapshot().into_entries();
+                        for (kmer, data) in &entries {
+                            let times = own.iter().filter(|o| *o == kmer).count() as u64;
+                            assert_eq!(data.count as u64, times, "thread {t} round {round}: {kmer}");
+                            assert_eq!(data.total_edge_multiplicity(), 2 * times);
+                        }
+                        let mut got: Vec<Kmer> = entries.into_iter().map(|e| e.0).collect();
                         got.sort_unstable();
                         got.dedup();
                         let mut want = own.clone();
@@ -299,11 +311,13 @@ mod tests {
         );
     }
 
-    /// A reused table reports zeroed per-vertex data, not just an empty
-    /// index: re-record one k-mer after heavy prior use and demand the
-    /// fresh-table vertex payload (counts and edge sets) byte-for-byte.
+    /// A reused table reports per-vertex data counted from zero, not just
+    /// an empty index: `reset` clears the state words, and whoever claims
+    /// a slot zeroes its counter line. Re-record one k-mer after heavy
+    /// prior use and demand the fresh-table vertex payload (counts and
+    /// edge sets) byte-for-byte.
     #[test]
-    fn reset_zeroes_counts_and_edges() {
+    fn reuse_counts_and_edges_from_zero() {
         let pool = TablePool::new(7);
         let seq = PackedSeq::from_ascii(b"ACGTACGTTGCAGGCATCAGGCATTAGACCA");
         {

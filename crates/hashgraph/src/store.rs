@@ -116,7 +116,9 @@ pub fn write_graph<W: Write>(graph: &DeBruijnGraph, w: W) -> Result<(), StoreErr
     out.write(&[graph.k() as u8])?;
     out.write(&(graph.distinct_vertices() as u64).to_le_bytes())?;
     let mut entries: Vec<(&Kmer, &VertexData)> = graph.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
+    // Keys are distinct, so an unstable sort on the key alone is
+    // deterministic.
+    entries.sort_unstable_by_key(|entry| entry.0);
     for (kmer, data) in entries {
         for word in kmer.words() {
             out.write(&word.to_le_bytes())?;

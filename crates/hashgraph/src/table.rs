@@ -283,23 +283,19 @@ impl ConcurrentDbgTable {
 
     /// Clears the table for reuse without touching its allocations — the
     /// [`TablePool`](crate::TablePool) reset. Exclusive access (`&mut`)
-    /// makes every atomic plain memory, so this is three memsets.
+    /// makes every atomic plain memory, so this is one memset of the
+    /// 2-byte state words.
     ///
-    /// Key cells are deliberately *not* cleared: a key is only ever read
-    /// after observing `OCCUPIED` on its slot's state word, and every
-    /// state word returns to `EMPTY` here, so stale keys are unreachable
-    /// until a future insert overwrites them under its slot lock.
-    /// Counts and edge counters **must** clear — the record path bumps
-    /// them with `fetch_add`, which would absorb stale values silently.
+    /// Key cells and counter lines are deliberately *not* cleared: both
+    /// are only ever read after observing `OCCUPIED` on their slot's state
+    /// word, every state word returns to `EMPTY` here, and the thread
+    /// that next claims a slot overwrites its key and zeroes its counter
+    /// line under the slot lock, before it publishes `OCCUPIED` (see
+    /// the claim arm of `probe_record_impl`). A stale line is
+    /// unreachable until then — 2 bytes per slot to wipe instead of 66.
     pub fn reset(&mut self) {
         for s in self.states.iter_mut() {
             *s.get_mut() = EMPTY;
-        }
-        for c in self.counters.iter_mut() {
-            *c.count.get_mut() = 0;
-            for e in c.edges.iter_mut() {
-                *e.get_mut() = 0;
-            }
         }
         self.stats = Counters::default();
     }
@@ -407,9 +403,29 @@ impl ConcurrentDbgTable {
                         ) {
                             Ok(_) => {
                                 // We own the slot: the single multi-word
-                                // write of its lifetime.
-                                // SAFETY: see KeyCell — we hold the lock.
+                                // write of its lifetime — and, since a
+                                // recycled table's `reset` clears state
+                                // words only, the zeroing of the counter
+                                // line its last tenant left behind.
+                                // SAFETY: see KeyCell — we hold the lock,
+                                // and `slot < capacity` as above. The
+                                // counter line rides on the key's argument:
+                                // `bump`, `snapshot_with_contention` and
+                                // `contention` touch a slot's line only
+                                // after an Acquire load of its state word
+                                // read OCCUPIED (`distinct` reads state
+                                // words alone), and these Relaxed stores
+                                // are sequenced before the Release store
+                                // that publishes OCCUPIED, so every such
+                                // access happens-after the zeroing. Pinned
+                                // by `recycled_table_with_stale_counter_
+                                // lines_equals_fresh`.
                                 unsafe { *self.keys.get_unchecked(slot).0.get() = words };
+                                let line = unsafe { self.counters.get_unchecked(slot) };
+                                line.count.store(0, relaxed);
+                                for edge in &line.edges {
+                                    edge.store(0, relaxed);
+                                }
                                 state.store(OCCUPIED | tag, Ordering::Release);
                                 self.bump(slot, edge_slots);
                                 self.stats.insertions.fetch_add(1, relaxed);
@@ -553,12 +569,13 @@ impl VertexTable for ConcurrentDbgTable {
         let r = Ordering::Relaxed;
         // A slot's count is only ever bumped once its state word reads
         // OCCUPIED, so the 2-byte state array says which 64-byte counter
-        // lines are worth loading at all.
+        // lines are worth loading at all — and, on a recycled table, which
+        // are not stale: the Acquire pairs with the claimant's Release.
         let occurrences: u64 = self
             .states
             .iter()
             .zip(self.counters.iter())
-            .filter(|(state, _)| state.load(r) & STATE_MASK == OCCUPIED)
+            .filter(|(state, _)| state.load(Ordering::Acquire) & STATE_MASK == OCCUPIED)
             .map(|(_, c)| c.count.load(r) as u64)
             .sum();
         self.contention_given(occurrences)
@@ -796,6 +813,102 @@ mod tests {
         a.sort_by_key(|x| x.0);
         b.sort_by_key(|x| x.0);
         assert_eq!(a, b, "reset table must reproduce a fresh table's contents");
+    }
+
+    /// `reset` leaves every counter line as its last tenant left it; the
+    /// thread that claims a slot zeroes the line before it publishes
+    /// `OCCUPIED` (the `SAFETY` argument in `probe_record_impl`). So:
+    /// fill a table densely with partition A — every occupied line holds
+    /// counts well above anything B will reach — `reset`, replay a
+    /// different partition B through the production pipeline with 1, 2
+    /// and 8 threads, vectorized and forced-scalar, and demand a fresh
+    /// table's result: same entries, same insertions and updates (the
+    /// interleaving-free counters), and on one thread — where the probe
+    /// walk is deterministic — the same snapshot order and the same
+    /// contention counters throughout.
+    #[test]
+    fn recycled_table_with_stale_counter_lines_equals_fresh() {
+        use crate::{ReplayKernel, ReplayPipeline};
+        const K: usize = 15;
+        const P: usize = 7;
+        let partition = |seed: u64, copies: usize| {
+            let mut state = seed;
+            let reads: Vec<PackedSeq> = (0..40)
+                .map(|_| {
+                    let ascii: Vec<u8> = (0..150)
+                        .map(|_| {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            b"ACGT"[(state >> 33) as usize & 3]
+                        })
+                        .collect();
+                    PackedSeq::from_ascii(&ascii)
+                })
+                .collect();
+            let parts = msp::partition_in_memory(&reads, K, P, 1).unwrap();
+            let mut buf = Vec::new();
+            for _ in 0..copies {
+                for sk in &parts[0] {
+                    msp::encode_superkmer(sk, &mut buf);
+                }
+            }
+            buf
+        };
+        let (a, b) = (partition(0x9E37_79B9_7F4A_7C15, 9), partition(0x2545_F491_4F6C_DD1D, 2));
+        let replay = |table: &ConcurrentDbgTable, bytes: &[u8], threads: usize| {
+            let slices = msp::PartitionSlices::index(bytes, K, P).unwrap();
+            let kernel = ReplayKernel::new(K);
+            let chunk = slices.len().div_ceil(threads);
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let slices = &slices;
+                    s.spawn(move || {
+                        let mut pipe = ReplayPipeline::new(kernel, table);
+                        for i in (t * chunk)..((t + 1) * chunk).min(slices.len()) {
+                            pipe.record_view(&slices.view(i)).unwrap();
+                        }
+                        pipe.flush().unwrap();
+                    });
+                }
+            });
+        };
+        let sorted = |sub: SubGraph| {
+            let mut entries = sub.into_entries();
+            entries.sort_unstable_by_key(|entry| entry.0);
+            entries
+        };
+        let _guard = dna::simd::override_guard();
+        for scalar in [false, true] {
+            dna::simd::set_force_scalar_override(Some(scalar));
+            for threads in [1, 2, 8] {
+                // 40 × 136 k-mers, nearly all distinct, in 8 192 slots.
+                let mut recycled = ConcurrentDbgTable::new(8192, K);
+                replay(&recycled, &a, 2);
+                assert!(recycled.load_factor() > 0.6, "A must leave most lines dirty");
+                assert!(recycled.snapshot().entries().iter().all(|(_, d)| d.count >= 9));
+                recycled.reset();
+                assert_eq!(recycled.distinct(), 0);
+                let fresh = ConcurrentDbgTable::new(8192, K);
+                replay(&recycled, &b, threads);
+                replay(&fresh, &b, threads);
+                let (got, got_stats) = recycled.snapshot_with_contention();
+                let (want, want_stats) = fresh.snapshot_with_contention();
+                let what = format!("scalar={scalar} threads={threads}");
+                assert_eq!(got_stats, recycled.contention(), "{what}");
+                assert_eq!(
+                    (got_stats.insertions, got_stats.updates),
+                    (want_stats.insertions, want_stats.updates),
+                    "{what}"
+                );
+                if threads == 1 {
+                    assert_eq!((&got, got_stats), (&want, want_stats), "{what}");
+                }
+                assert!(want.entries().iter().all(|(_, d)| d.count < 9), "B stays below A's counts");
+                assert_eq!(sorted(got), sorted(want), "{what}");
+            }
+        }
+        dna::simd::set_force_scalar_override(None);
     }
 
     #[test]

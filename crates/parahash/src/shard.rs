@@ -41,7 +41,12 @@
 //! that *hangs* mid-lease stops heartbeating and is evicted when the
 //! parent's receive deadline lapses. Both requeue the worker's
 //! partitions (bounded by the board's attempt cap, so a partition that
-//! crashes builders cannot re-lease forever). Workers reconnect with
+//! crashes builders cannot re-lease forever) — except a lease that was
+//! built and lost only its `result` frame, which is not a failed build:
+//! a local worker's lease whose `sub-<i>.dbg` is committed and verifies
+//! completes when its connection is released, and a remote worker's
+//! payload that arrives unannounced completes the one lease its
+//! connection has out. Workers reconnect with
 //! bounded exponential backoff and deterministically jittered pacing;
 //! a reconnecting local worker's journal is *reopened*, not truncated,
 //! so its committed records survive for cluster-wide resume. A partition
@@ -60,7 +65,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hashgraph::DeBruijnGraph;
+use hashgraph::{DeBruijnGraph, SubGraph};
 use hetsim::DeviceKind;
 use msp::{PartitionManifest, SealedPayload};
 use parking_lot::Mutex;
@@ -738,6 +743,12 @@ pub(crate) fn run_step2_sharded(
     std::fs::create_dir_all(&sub_dir)?;
     let cancel = CancelToken::new();
     let shared = Step2Shared::new(&persisting, &cancel, journal);
+    // Whatever is about to be leased has no verified file (the resume
+    // plan would have skipped it); an unverified leftover must not pass
+    // for this step's work when a lease is released.
+    for &p in &order {
+        let _ = std::fs::remove_file(shared.subgraph_path(p));
+    }
 
     let tcp = config.listen.is_some()
         || std::env::var(ENV_TRANSPORT).map(|v| v == "tcp").unwrap_or(false);
@@ -947,6 +958,10 @@ impl LeasePhase<'_> {
         if conn.send(&WireMsg::Config(blob.clone()).encode()).is_err() {
             return;
         }
+        // The lease a wire worker is building for this connection (a
+        // worker holds one at a time): the partition a subgraph payload
+        // belongs to when the `result` frame announcing it was lost.
+        let mut shipping: Option<usize> = None;
         // The loop breaks with why the worker lost whatever it still
         // holds; a lease that failed on its own merits is failed on the
         // board and the connection simply returns.
@@ -954,7 +969,19 @@ impl LeasePhase<'_> {
             if self.cancel.is_cancelled() {
                 break "was dropped by an aborting run".to_string();
             }
-            let msg = match conn.recv(MAX_FRAME, Some(tuning.idle_timeout)) {
+            let cap = if shipping.is_some() { MAX_PAYLOAD_FRAME } else { MAX_FRAME };
+            let msg = match conn.recv(cap, Some(tuning.idle_timeout)) {
+                // A payload with no `result` ahead of it: the worker
+                // built the lease and that one frame went missing. A
+                // lost frame is not a failed build — take the payload
+                // through the same commit and verification.
+                Ok(Recv::Frame(frame)) if frame.first() == Some(&BLOB_TAG) => {
+                    let Some(p) = shipping.take() else {
+                        break "sent a payload no lease was waiting for".to_string();
+                    };
+                    self.accept_shipped(worker, p, frame, "");
+                    continue;
+                }
                 Ok(Recv::Frame(frame)) => match WireMsg::decode(&frame) {
                     Ok(msg) => msg,
                     // Garbled traffic costs the connection, never the
@@ -1013,10 +1040,12 @@ impl LeasePhase<'_> {
                         if conn.send(&encode_blob(&bytes)).is_err() {
                             break "disconnected mid-payload".to_string();
                         }
+                        shipping = Some(p);
                     }
                 }
                 WireMsg::Result(p, detail) => {
                     if wire {
+                        shipping = None;
                         // The subgraph payload follows the result frame;
                         // a final heartbeat may still be queued ahead of
                         // it.
@@ -1044,23 +1073,57 @@ impl LeasePhase<'_> {
                             );
                             return;
                         };
-                        let committed = decode_blob(payload).and_then(|bytes| {
-                            pipeline::commit::commit_bytes(&self.shared.subgraph_path(p), &bytes)
-                        });
-                        if let Err(e) = committed {
-                            // The connection is still framed correctly —
-                            // only this lease failed.
-                            self.board.lock().fail(p, &format!("committing shipped subgraph: {e}"));
-                            continue;
-                        }
+                        self.accept_shipped(worker, p, payload, &detail);
+                    } else {
+                        self.accept(worker, p, &detail);
                     }
-                    self.accept(worker, p, &detail);
                 }
-                WireMsg::Failed(p, detail) => self.board.lock().fail(p, &detail),
+                WireMsg::Failed(p, detail) => {
+                    shipping = None;
+                    self.board.lock().fail(p, &detail);
+                }
                 other => break format!("sent an unexpected message: {other:?}"),
             }
         };
-        self.board.lock().release_worker(worker, &released);
+        self.release(worker, wire, &released);
+    }
+
+    /// A connection ended holding leases; `why` says how. A worker on
+    /// this filesystem commits `sub-<p>.dbg` *before* it reports, so a
+    /// held lease whose file is there and passes [`accept`](Self::accept)'s
+    /// verification was built — only its `result` frame was lost — and
+    /// completes instead of being charged an attempt: two workers each
+    /// losing the `result` of the same partition must not abort a strict
+    /// run that has the subgraph on disk twice over. (The file cannot
+    /// predate this step: [`run_step2_sharded`] removes the file of every
+    /// partition it is about to lease.) Everything else the worker held —
+    /// and everything a wire worker held, whose result *is* the frame —
+    /// is requeued and charged by the board.
+    fn release(&self, worker: usize, wire: bool, why: &str) {
+        if !wire {
+            let held = self.board.lock().held_by(worker);
+            for p in held {
+                if let Ok(subgraph) = self.verified(p) {
+                    self.complete(p, subgraph, None);
+                }
+            }
+        }
+        self.board.lock().release_worker(worker, why);
+    }
+
+    /// A wire worker's subgraph for `p`, as shipped: commit the bytes to
+    /// this process's `subgraphs/`, then [`accept`](Self::accept) them
+    /// like any worker's file.
+    fn accept_shipped(&self, worker: usize, p: usize, payload: Vec<u8>, detail: &str) {
+        let committed = decode_blob(payload).and_then(|bytes| {
+            pipeline::commit::commit_bytes(&self.shared.subgraph_path(p), &bytes)
+        });
+        match committed {
+            Ok(()) => self.accept(worker, p, detail),
+            // The connection is still framed correctly — only this lease
+            // failed.
+            Err(e) => self.board.lock().fail(p, &format!("committing shipped subgraph: {e}")),
+        }
     }
 
     /// A worker says partition `p` is built and committed. Trust nothing:
@@ -1073,25 +1136,31 @@ impl LeasePhase<'_> {
     /// [`run_step2_sharded`]) is merged — and journaled — the first time
     /// only.
     fn accept(&self, worker: usize, p: usize, detail: &str) {
-        let verified = std::fs::read(self.shared.subgraph_path(p))
-            .map_err(ParaHashError::Io)
-            .and_then(|bytes| decode_subgraph_checked(&bytes, Some(p)));
-        let subgraph = match verified {
-            Ok(subgraph) => subgraph,
-            Err(e) => {
-                self.board.lock().fail(
-                    p,
-                    &format!("worker {worker} reported success but the file fails: {e}"),
-                );
-                return;
-            }
-        };
+        match self.verified(p) {
+            Ok(subgraph) => self.complete(p, subgraph, parse_outcome(detail)),
+            Err(e) => self.board.lock().fail(
+                p,
+                &format!("worker {worker} reported success but the file fails: {e}"),
+            ),
+        }
+    }
+
+    /// The one verification: `sub-<p>.dbg` read from this process's
+    /// `subgraphs/` and decoded, CRC trailer and all.
+    fn verified(&self, p: usize) -> Result<SubGraph> {
+        let bytes = std::fs::read(self.shared.subgraph_path(p)).map_err(ParaHashError::Io)?;
+        decode_subgraph_checked(&bytes, Some(p))
+    }
+
+    /// Completes `p`'s lease and, the first time only, journals the
+    /// commit and hands the verified vertices to the graph.
+    fn complete(&self, p: usize, subgraph: SubGraph, outcome: Option<LeaseOutcome>) {
         self.board.lock().complete(p);
         let mut merged = self.merged.lock();
         let (graph, built) = &mut *merged;
         if built.insert(p) {
             let bytes = self.manifest.stats()[p].bytes;
-            self.shared.absorb_verified(graph, p, subgraph, bytes, parse_outcome(detail));
+            self.shared.absorb_verified(graph, p, subgraph, bytes, outcome);
         }
     }
 }
@@ -1167,20 +1236,17 @@ mod tests {
         assert!(config_from_blob(&missing).is_err(), "missing key must be rejected");
     }
 
-    /// A lease two connections report (the requeue race) is verified,
-    /// journaled and merged once: the second `result` leaves the graph
-    /// and the built set as they were. Every merged subgraph is the value
-    /// the verifying decode produced, so the graph after one `result` per
-    /// partition is the in-process graph.
-    #[test]
-    fn a_second_result_for_a_built_partition_changes_nothing() {
+    /// Four partitions built in process under `dir` — which leaves the
+    /// committed `sub-<p>.dbg` files a local worker would — and the graph
+    /// they add up to.
+    fn built_in_process(dir: &str) -> (ParaHashConfig, ThrottledIo, PartitionManifest, DeBruijnGraph) {
         let cfg = ParaHashConfig::builder()
             .k(9)
             .p(5)
             .partitions(4)
             .cpu_threads(2)
             .write_subgraphs(true)
-            .work_dir(std::env::temp_dir().join("parahash-shard-absorb-once"))
+            .work_dir(std::env::temp_dir().join(dir))
             .build()
             .unwrap();
         let _ = std::fs::remove_dir_all(cfg.work_dir());
@@ -1194,24 +1260,42 @@ mod tests {
         .map(|s| dna::SeqRead::from_ascii("r", s.as_bytes()))
         .collect();
         let (manifest, _) = crate::run_step1(&cfg, &reads, &io).unwrap();
-        // The in-process build leaves the committed files a worker would.
         let (reference, _) = crate::run_step2(&cfg, &manifest, &io).unwrap();
+        (cfg, io, manifest, reference)
+    }
 
+    fn lease_phase<'a>(
+        shared: &'a Step2Shared<'a>,
+        cancel: &'a CancelToken,
+        manifest: &'a PartitionManifest,
+        io: &'a ThrottledIo,
+    ) -> LeasePhase<'a> {
+        LeasePhase {
+            shared,
+            cancel,
+            board: Mutex::new(LeaseBoard::new((0..4).collect(), 4, MAX_LEASE_ATTEMPTS)),
+            merged: Mutex::new((DeBruijnGraph::new(9), BTreeSet::new())),
+            manifest,
+            io,
+            tuning: ShardTuning::from_env(),
+            fs_blob: String::new(),
+            wire_blob: String::new(),
+        }
+    }
+
+    /// A lease two connections report (the requeue race) is verified,
+    /// journaled and merged once: the second `result` leaves the graph
+    /// and the built set as they were. Every merged subgraph is the value
+    /// the verifying decode produced, so the graph after one `result` per
+    /// partition is the in-process graph.
+    #[test]
+    fn a_second_result_for_a_built_partition_changes_nothing() {
+        let (cfg, io, manifest, reference) = built_in_process("parahash-shard-absorb-once");
         let fingerprint = Fingerprint { k: 9, p: 5, partitions: 4, input_digest: 0 };
         let journal = RunJournal::create(cfg.work_dir(), fingerprint).unwrap();
         let cancel = CancelToken::new();
         let shared = Step2Shared::new(&cfg, &cancel, Some(&journal));
-        let phase = LeasePhase {
-            shared: &shared,
-            cancel: &cancel,
-            board: Mutex::new(LeaseBoard::new((0..4).collect(), 4, MAX_LEASE_ATTEMPTS)),
-            merged: Mutex::new((DeBruijnGraph::new(9), BTreeSet::new())),
-            manifest: &manifest,
-            io: &io,
-            tuning: ShardTuning::from_env(),
-            fs_blob: String::new(),
-            wire_blob: String::new(),
-        };
+        let phase = lease_phase(&shared, &cancel, &manifest, &io);
         assert_eq!(phase.board.lock().claim(0), Some(0));
         phase.accept(0, 0, "ok 0 4096 0");
         let once = phase.merged.lock().clone();
@@ -1241,6 +1325,108 @@ mod tests {
         let records = std::fs::read(RunJournal::path_in(cfg.work_dir())).unwrap();
         let needle = b"subgraph-committed ";
         assert_eq!(records.windows(needle.len()).filter(|w| w == needle).count(), 4);
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    /// The dropped-`result` scenario that used to abort strict runs:
+    /// partition 0's lease is lost twice — once before its file exists
+    /// (a real failure: charged and requeued), once after the worker
+    /// committed it and only the `result` frame went missing. The second
+    /// loss must complete the lease, not exhaust it; a wire worker's
+    /// leases, whose result *is* the frame, are charged as ever.
+    #[test]
+    fn a_lost_result_frame_completes_the_lease_if_the_file_verifies() {
+        let (cfg, io, manifest, reference) = built_in_process("parahash-shard-lost-result");
+        let cancel = CancelToken::new();
+        let shared = Step2Shared::new(&cfg, &cancel, None);
+        let phase = lease_phase(&shared, &cancel, &manifest, &io);
+        let file = shared.subgraph_path(0);
+        let committed = std::fs::read(&file).unwrap();
+
+        // Worker 0 dies holding partition 0 before committing anything.
+        std::fs::remove_file(&file).unwrap();
+        assert_eq!(phase.board.lock().claim(0), Some(0));
+        phase.release(0, false, "disconnected holding the lease");
+        assert!(phase.merged.lock().1.is_empty());
+        // Requeued at the front with one attempt spent; worker 1 takes it
+        // (and partition 1), commits partition 0, loses the `result`.
+        assert_eq!(phase.board.lock().claim(1), Some(0));
+        assert_eq!(phase.board.lock().claim(1), Some(1));
+        std::fs::write(&file, &committed).unwrap();
+        std::fs::write(shared.subgraph_path(1), b"torn").unwrap();
+        phase.release(1, false, "disconnected holding the lease");
+        assert_eq!(phase.merged.lock().1, BTreeSet::from([0]), "the verified file was merged");
+        assert!(phase.board.lock().exhausted().is_empty(), "no attempt charged for partition 0");
+        assert_eq!(phase.board.lock().done(), &[0]);
+        // Partition 1's file does not verify: charged and requeued.
+        assert_eq!(phase.board.lock().claim(2), Some(1));
+
+        // A wire worker's lease is never completed from a local file.
+        assert_eq!(phase.board.lock().claim(3), Some(2));
+        phase.release(3, true, "disconnected holding the lease");
+        assert_eq!(phase.merged.lock().1, BTreeSet::from([0]));
+        assert_eq!(phase.board.lock().claim(3), Some(2), "requeued, attempt charged");
+        phase.release(3, true, "disconnected holding the lease");
+        let exhausted: Vec<usize> =
+            phase.board.lock().exhausted().iter().map(|x| x.partition).collect();
+        assert_eq!(exhausted, [2]);
+
+        // What was merged is what the in-process build has for that
+        // partition.
+        let merged = phase.merged.lock();
+        assert!(merged.0.distinct_vertices() > 0);
+        assert!(merged.0.iter().all(|(kmer, data)| reference.get(kmer) == Some(data)));
+        drop(merged);
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    /// The wire twin: a diskless worker's `result` frame is lost and its
+    /// subgraph payload arrives unannounced. The connection holds one
+    /// lease, so the payload is that lease's — committed, verified and
+    /// merged like an announced one, no attempt charged. A scripted
+    /// worker over loopback TCP plays the frames.
+    #[test]
+    fn a_wire_payload_whose_result_frame_was_lost_completes_the_lease() {
+        let (cfg, io, manifest, reference) = built_in_process("parahash-shard-lost-wire-result");
+        let cancel = CancelToken::new();
+        let shared = Step2Shared::new(&cfg, &cancel, None);
+        let phase = lease_phase(&shared, &cancel, &manifest, &io);
+        let built = std::fs::read(shared.subgraph_path(0)).unwrap();
+        std::fs::remove_file(shared.subgraph_path(0)).unwrap();
+
+        let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
+        let mut worker = connect_tcp(&listener.addr()).unwrap();
+        let conn = listener.accept().unwrap();
+        assert!(conn.remote());
+        std::thread::scope(|s| {
+            s.spawn(|| phase.serve(conn));
+            let expect = |worker: &mut Box<dyn Transport>, cap: u32| {
+                match worker.recv(cap, Some(Duration::from_secs(10))) {
+                    Ok(Recv::Frame(frame)) => frame,
+                    other => panic!("expected a frame, got {other:?}"),
+                }
+            };
+            worker.send(&WireMsg::Hello(7, PROTO_VERSION).encode()).unwrap();
+            assert!(matches!(WireMsg::decode(&expect(&mut worker, MAX_FRAME)), Ok(WireMsg::Config(_))));
+            worker.send(&WireMsg::Claim(7).encode()).unwrap();
+            assert!(matches!(WireMsg::decode(&expect(&mut worker, MAX_FRAME)), Ok(WireMsg::Assign(0, _))));
+            assert_eq!(expect(&mut worker, MAX_PAYLOAD_FRAME).first(), Some(&BLOB_TAG), "partition 0's payload");
+            // `result 0 ok …` is the frame that goes missing.
+            worker.send(&encode_blob(&built)).unwrap();
+            // The next claim is answered normally: the stream stayed in
+            // step, and partition 0 is not what comes back.
+            worker.send(&WireMsg::Claim(7).encode()).unwrap();
+            assert!(matches!(WireMsg::decode(&expect(&mut worker, MAX_FRAME)), Ok(WireMsg::Assign(1, _))));
+            drop(worker);
+        });
+        assert_eq!(std::fs::read(shared.subgraph_path(0)).unwrap(), built, "committed by the parent");
+        assert_eq!(phase.board.lock().done(), &[0]);
+        let merged = phase.merged.lock();
+        assert_eq!(merged.1, BTreeSet::from([0]));
+        assert!(merged.0.iter().all(|(kmer, data)| reference.get(kmer) == Some(data)));
+        drop(merged);
+        // Partition 1 went down with the connection: charged, requeued.
+        assert_eq!(phase.board.lock().claim(8), Some(1));
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 

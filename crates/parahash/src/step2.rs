@@ -677,10 +677,12 @@ impl<'a> Step2Shared<'a> {
     }
 
     /// The output stage, I/O only: commit the bytes the compute stage
-    /// formatted, journal the commit, merge the subgraph into the graph.
-    /// Failure sentinels are skipped outright — an error partition must
-    /// never leave a bogus `sub-XXXXX.dbg` behind or leak empty entries
-    /// into the merged graph.
+    /// formatted, journal the commit, hand the subgraph's vertices to the
+    /// graph — one `Vec` changing owner ([`DeBruijnGraph::absorb`]; the
+    /// MSP cut makes every partition's keys new to it), nothing hashed or
+    /// copied. Failure sentinels are skipped outright — an error
+    /// partition must never leave a bogus `sub-XXXXX.dbg` behind or leak
+    /// empty entries into the graph.
     fn consume(
         &self,
         io: &ThrottledIo,
@@ -720,8 +722,8 @@ impl<'a> Step2Shared<'a> {
             self.partition_failed(idx, ParaHashError::Io(e));
             return false;
         }
-        // The file image is on disk; free it before the merge grows the
-        // graph.
+        // The file image is on disk; don't hold it across the journal
+        // fsync.
         drop(bytes);
         // The journal record is written strictly *after* the rename:
         // `subgraph-committed` in the journal implies the file is
@@ -733,8 +735,9 @@ impl<'a> Step2Shared<'a> {
     /// The output stage for a partition another process built: `subgraph`
     /// is what this process decoded from the committed, CRC-checked
     /// `sub-<idx>.dbg`, `built` what the builder measured. Journals the
-    /// commit, folds the accounting into this step's and merges — the
-    /// tail of [`consume`](Self::consume), the file being on disk already.
+    /// commit, folds the accounting into this step's and hands the
+    /// vertices over — the tail of [`consume`](Self::consume), the file
+    /// being on disk already.
     pub(crate) fn absorb_verified(
         &self,
         graph: &mut DeBruijnGraph,

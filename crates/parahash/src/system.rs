@@ -342,16 +342,6 @@ impl ResumePlan {
                     committed.insert(i, len);
                 }
             }
-            // Partitions are hash-balanced, so the committed share
-            // predicts the final vertex count. If the map has to regrow
-            // to hold (a cautious three quarters of) it, regrow now:
-            // mid-Step-2 the old and new tables would sit beside the
-            // step's hash tables and buffers, the run's peak memory.
-            if !committed.is_empty() {
-                let have = resumed.graph.distinct_vertices();
-                let projected = have / committed.len() * config.partitions;
-                resumed.graph.reserve((projected / 4 * 3).saturating_sub(have));
-            }
         }
         Ok((ResumePlan { journal, skip_step1, committed, tuner: state.tuner }, resumed))
     }
@@ -829,10 +819,37 @@ mod tests {
         // End to end: the resumed run rebuilds the rotten partition and
         // lands on the uninterrupted run's graph and files.
         let again = ph.run(&rs).unwrap();
+        assert!(!again.graph.is_indexed(), "resuming looks no k-mer up");
         assert_eq!(again.graph, full.graph);
         for (i, bytes) in pristine.iter().enumerate() {
             assert_eq!(&std::fs::read(sub(i)).unwrap(), bytes, "sub-{i:05}.dbg");
         }
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    /// Building a graph and writing it out — all `dbg build` and the
+    /// benchmark do with one — hands vertex runs over and walks them; the
+    /// k-mer index is for whoever looks a vertex up.
+    #[test]
+    fn a_build_that_is_only_saved_never_indexes_the_graph() {
+        let cfg = ParaHashConfig::builder()
+            .k(9)
+            .p(5)
+            .partitions(4)
+            .cpu_threads(2)
+            .write_subgraphs(true)
+            .work_dir(std::env::temp_dir().join("parahash-sys-unindexed"))
+            .build()
+            .unwrap();
+        let _ = std::fs::remove_dir_all(cfg.work_dir());
+        let ph = ParaHash::new(cfg.clone()).unwrap();
+        let fused = ph.run_fused(&reads()).unwrap();
+        assert!(fused.graph.distinct_vertices() > 0 && !fused.graph.is_indexed());
+        let saved = cfg.work_dir().join("graph.dbg");
+        hashgraph::save_graph(&fused.graph, &saved).unwrap();
+        assert!(!fused.graph.is_indexed(), "saving sorts the runs, it looks nothing up");
+        assert_eq!(hashgraph::load_graph(&saved).unwrap(), fused.graph);
+        assert!(fused.graph.is_indexed(), "`==` is a keyed access");
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 

@@ -706,6 +706,11 @@ impl LeaseBoard {
         }
     }
 
+    /// The partitions currently leased to `worker`.
+    pub fn held_by(&self, worker: usize) -> Vec<usize> {
+        self.leased.iter().filter(|&&(_, w)| w == worker).map(|&(p, _)| p).collect()
+    }
+
     /// Requeues every partition `worker` holds — the worker died (EOF
     /// on its connection) or was evicted (`why` says which: heartbeat
     /// loss, deadline overrun). Death and eviction both consume the
@@ -714,15 +719,8 @@ impl LeaseBoard {
     /// politely (a poison partition that *crashes* builders must not
     /// re-lease forever).
     pub fn release_worker(&mut self, worker: usize, why: &str) {
-        let mut held: Vec<usize> = Vec::new();
-        self.leased.retain(|&(p, w)| {
-            if w == worker {
-                held.push(p);
-                false
-            } else {
-                true
-            }
-        });
+        let held = self.held_by(worker);
+        self.leased.retain(|&(_, w)| w != worker);
         for p in held {
             let reason = format!("worker {worker} {why}");
             self.last_reason[p] = reason.clone();
