@@ -15,9 +15,8 @@ use crate::{BaselineError, BaselineReport, DbgBuilder, Result};
 /// state-transfer table exists precisely to lift both limits (multi-word
 /// keys, per-edge multiplicities) while keeping updates lock-free.
 ///
-/// Included as a baseline/ablation: the `counting` experiment and the
-/// `hashtable` bench compare its raw counting throughput against the full
-/// graph table.
+/// Included as a baseline/ablation: the `counting` experiment compares
+/// its raw counting throughput against the full graph table.
 ///
 /// # Examples
 ///

@@ -33,8 +33,8 @@
 //! mmap-chunked parallel FASTQ ingest in `parahash` — back to the scalar
 //! reference implementation. The determinism suites run both ways and
 //! the outputs must agree byte-for-byte. The flag is read once and
-//! cached; [`set_force_scalar_override`] exists for tests and benches
-//! that need to flip it within one process.
+//! cached; [`set_force_scalar_override`] exists for tests that need to
+//! flip it within one process.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -64,12 +64,12 @@ fn init_mode() -> bool {
     scalar
 }
 
-/// Test/bench hook: pins [`force_scalar`] to the given value (`None`
+/// Test hook: pins [`force_scalar`] to the given value (`None`
 /// re-arms the environment lookup). Process-global — callers that flip it
 /// must serialise themselves and restore the previous state. Kernels that
 /// capture the mode at construction (cursors, scanners, tables) only see
 /// a change made *before* they are built.
-/// Serialises tests/benches that flip [`set_force_scalar_override`]
+/// Serialises tests that flip [`set_force_scalar_override`]
 /// within one process: hold the returned guard across the set → use →
 /// restore sequence. Poisoning is ignored — the lock only orders access.
 #[doc(hidden)]
@@ -141,7 +141,8 @@ pub fn reverse_codes(mut w: u64) -> u64 {
 }
 
 /// The best vector kernel for this machine, ignoring the scalar gate
-/// (benches call this directly to compare against the scalar baseline).
+/// (the parity tests call this directly to compare against the scalar
+/// reference).
 pub fn pack_ascii_vector(ascii: &[u8], words: &mut Vec<u64>) {
     #[cfg(target_arch = "x86_64")]
     {

@@ -12,9 +12,8 @@ use crate::{ContentionStats, HashGraphError, Result, SubGraph, VertexData, Verte
 ///
 /// The paper's state-transfer design exists to beat exactly this: it locks
 /// only the one insertion per distinct vertex (~20 % of operations on real
-/// read sets) instead of 100 %. The `lockstats` experiment and the
-/// `hashtable` bench run both tables on identical input to quantify the
-/// difference.
+/// read sets) instead of 100 %. The `lockstats` experiment runs both
+/// tables on identical input to quantify the difference.
 pub struct MutexDbgTable {
     k: usize,
     slots: Box<[Mutex<Slot>]>,
@@ -180,15 +179,13 @@ mod tests {
     #[test]
     fn capacity_exhaustion_reported() {
         let t = MutexDbgTable::new(16, 7);
-        let part = test_partition();
-        let mut hit_capacity = false;
-        for sk in &part {
-            if crate::record_superkmer(&t, sk).is_err() {
-                hit_capacity = true;
-                break;
-            }
-        }
-        assert!(hit_capacity, "16 slots must overflow on this input");
+        assert!(
+            matches!(
+                build_subgraph_with(&t, &test_partition(), 1),
+                Err(HashGraphError::CapacityExhausted { .. })
+            ),
+            "16 slots must overflow on this input"
+        );
     }
 
     #[test]

@@ -66,22 +66,22 @@ fn record_core<T: VertexTable + ?Sized>(
 /// boundaries). This is the `<kmer, edge>` pair generation of §III-C.2.
 ///
 /// Canonical forms are maintained incrementally by a
-/// [`CanonicalKmerCursor`]; see [`record_superkmer_naive`] for the O(k)
-/// per-position reference implementation it replaced.
+/// [`CanonicalKmerCursor`]; the unit tests check it against an O(k)
+/// per-position replay.
 ///
 /// # Errors
 ///
 /// Propagates table errors ([`HashGraphError::CapacityExhausted`],
 /// [`HashGraphError::WrongK`]).
-pub fn record_superkmer<T: VertexTable + ?Sized>(table: &T, sk: &Superkmer) -> Result<()> {
+fn record_superkmer<T: VertexTable + ?Sized>(table: &T, sk: &Superkmer) -> Result<()> {
     let core = sk.core();
     record_core(table, sk.k(), core.len(), |i| core.base(i), sk.left_ext(), sk.right_ext())
 }
 
 /// Replays one *borrowed* superkmer record ([`SuperkmerView`]) into a
-/// vertex table — the Step-2 zero-allocation hot path. Bases are decoded
-/// straight from the partition byte buffer; canonical forms roll
-/// incrementally; nothing touches the heap.
+/// vertex table — [`ReplayPipeline`]'s path for wide k and forced-scalar
+/// kernels. Bases are decoded straight from the partition byte buffer;
+/// canonical forms roll incrementally; nothing touches the heap.
 ///
 /// Output is identical to decoding the record into an owned
 /// [`Superkmer`] and calling [`record_superkmer`].
@@ -90,7 +90,7 @@ pub fn record_superkmer<T: VertexTable + ?Sized>(table: &T, sk: &Superkmer) -> R
 ///
 /// Propagates table errors ([`HashGraphError::CapacityExhausted`],
 /// [`HashGraphError::WrongK`]).
-pub fn record_superkmer_view<T: VertexTable + ?Sized>(
+fn record_superkmer_view<T: VertexTable + ?Sized>(
     table: &T,
     view: &SuperkmerView<'_>,
 ) -> Result<()> {
@@ -104,9 +104,10 @@ pub fn record_superkmer_view<T: VertexTable + ?Sized>(
     )
 }
 
-/// The Step-2 replay dispatcher: a word-parallel single-`u64` fast path
-/// for k ≤ 32, with [`record_superkmer_view`] as the scalar reference
-/// for wide k (or when `PARAHASH_FORCE_SCALAR` is set).
+/// The Step-2 replay mode, consumed by [`ReplayPipeline`]: a
+/// word-parallel single-`u64` fast path for k ≤ 32, with the rolling
+/// cursor replay as the scalar reference for wide k (or when
+/// `PARAHASH_FORCE_SCALAR` is set).
 ///
 /// The narrow path mirrors `MinimizerCursor`'s p ≤ 32 trick on the
 /// *replay* side: the superkmer core is decoded 32 bases per 8-byte load
@@ -134,33 +135,6 @@ impl ReplayKernel {
     pub fn new(k: usize) -> ReplayKernel {
         ReplayKernel { k, narrow: (1..=32).contains(&k) && !dna::simd::force_scalar() }
     }
-
-    /// Whether replays will take the single-word fast path.
-    pub fn is_narrow(&self) -> bool {
-        self.narrow
-    }
-
-    /// Replays one borrowed superkmer record into `table`, taking the
-    /// narrow fast path when enabled. Allocation-free on both paths.
-    ///
-    /// For replaying a *stream* of records, prefer [`ReplayPipeline`],
-    /// which carries its prefetch lookahead across record boundaries;
-    /// this convenience wrapper drains per record, so short superkmers
-    /// cap its lookahead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates table errors ([`HashGraphError::CapacityExhausted`],
-    /// [`HashGraphError::WrongK`]).
-    pub fn record_view<T: VertexTable + ?Sized>(
-        &self,
-        table: &T,
-        view: &SuperkmerView<'_>,
-    ) -> Result<()> {
-        let mut pipe = ReplayPipeline::new(*self, table);
-        pipe.record_view(view)?;
-        pipe.flush()
-    }
 }
 
 /// Branchless [`edge_slots_for`] over raw base codes: with `rev` the
@@ -175,10 +149,10 @@ fn edge_slots_narrow(rev: bool, left: Option<u8>, right: Option<u8>) -> [Option<
     [left.map(|c| (c ^ m) + ((r ^ 1) << 2)), right.map(|c| (c ^ m) + (r << 2))]
 }
 
-/// The single-`u64` two-strand rolling scan shared by [`ReplayKernel`]
-/// and [`ReplayPipeline`]: decodes `view`'s core 32 bases per 8-byte
-/// load and emits `(canonical word, hash, edge slots)` for every
-/// position, in scan order. Caller guarantees `view.k() == k ≤ 32`.
+/// [`ReplayPipeline`]'s single-`u64` two-strand rolling scan: decodes
+/// `view`'s core 32 bases per 8-byte load and emits `(canonical word,
+/// hash, edge slots)` for every position, in scan order. Caller
+/// guarantees `view.k() == k ≤ 32`.
 #[inline]
 fn scan_narrow_view<E>(k: usize, view: &SuperkmerView<'_>, mut emit: E) -> Result<()>
 where
@@ -264,16 +238,15 @@ const BUF: usize = 256;
 /// ([`VertexTable::prefetch_narrow`]) before recording position `i`
 /// ([`VertexTable::record_narrow_hashed`]) — by the time each probe
 /// runs, its lines have been in flight for [`PIPE`] probes' worth of
-/// work. Unlike [`ReplayKernel::record_view`], the buffer carries over
-/// between records, so batches stay full across superkmer boundaries
-/// (partition superkmers average only a handful of k-mers each). Call
-/// [`flush`](Self::flush) after the last record; records land in scan
-/// order, so graph bytes and contention counters are identical to the
-/// unpipelined path. A table error for a buffered position surfaces on
-/// the push or flush that drains it.
+/// work. The buffer carries over between records, so batches stay full
+/// across superkmer boundaries (partition superkmers average only a
+/// handful of k-mers each). Call [`flush`](Self::flush) after the last
+/// record; records land in scan order, so graph bytes and contention
+/// counters are identical to the unpipelined path. A table error for a
+/// buffered position surfaces on the push or flush that drains it.
 ///
 /// Wide k (or forced-scalar kernels) fall back to the cursor replay
-/// record-by-record, exactly like [`ReplayKernel::record_view`].
+/// record-by-record.
 pub struct ReplayPipeline<'t, T: VertexTable + ?Sized> {
     kernel: ReplayKernel,
     table: &'t T,
@@ -338,27 +311,6 @@ impl<'t, T: VertexTable + ?Sized> ReplayPipeline<'t, T> {
     pub fn flush(&mut self) -> Result<()> {
         self.drain()
     }
-}
-
-/// The pre-cursor replay: derives each position's canonical k-mer from
-/// scratch (`kmers` iterator + O(k) `canonical`). Kept as the honest
-/// baseline for the decode/replay benchmarks and as an oracle in tests.
-///
-/// # Errors
-///
-/// Propagates table errors ([`HashGraphError::CapacityExhausted`],
-/// [`HashGraphError::WrongK`]).
-pub fn record_superkmer_naive<T: VertexTable + ?Sized>(table: &T, sk: &Superkmer) -> Result<()> {
-    let k = sk.k();
-    let core = sk.core();
-    let last = core.len() - k;
-    for (i, kmer) in core.kmers(k).enumerate() {
-        let left = if i > 0 { Some(core.base(i - 1)) } else { sk.left_ext() };
-        let right = if i < last { Some(core.base(i + k)) } else { sk.right_ext() };
-        let (canon, orient) = kmer.canonical();
-        table.record(&canon, edge_slots_for(orient, left, right))?;
-    }
-    Ok(())
 }
 
 /// Drives a prepared table over a partition with `threads` workers
@@ -524,6 +476,35 @@ mod tests {
             g.absorb(out.subgraph);
         }
         g
+    }
+
+    /// The reference the rolling replay is checked against: derives each
+    /// position's canonical k-mer from scratch (`kmers` iterator + O(k)
+    /// `canonical`).
+    fn record_superkmer_naive<T: VertexTable + ?Sized>(table: &T, sk: &Superkmer) -> Result<()> {
+        let k = sk.k();
+        let core = sk.core();
+        let last = core.len() - k;
+        for (i, kmer) in core.kmers(k).enumerate() {
+            let left = if i > 0 { Some(core.base(i - 1)) } else { sk.left_ext() };
+            let right = if i < last { Some(core.base(i + k)) } else { sk.right_ext() };
+            let (canon, orient) = kmer.canonical();
+            table.record(&canon, edge_slots_for(orient, left, right))?;
+        }
+        Ok(())
+    }
+
+    /// One record through a pipeline of its own, drained at once: the
+    /// per-record reference [`ReplayPipeline`]'s carried-over buffer is
+    /// checked against.
+    fn record_view_drained<T: VertexTable + ?Sized>(
+        kernel: ReplayKernel,
+        table: &T,
+        view: &SuperkmerView<'_>,
+    ) -> Result<()> {
+        let mut pipe = ReplayPipeline::new(kernel, table);
+        pipe.record_view(view)?;
+        pipe.flush()
     }
 
     fn test_reads() -> Vec<PackedSeq> {
@@ -695,12 +676,12 @@ mod tests {
             dna::simd::set_force_scalar_override(Some(false));
             let kernel = ReplayKernel::new(k);
             dna::simd::set_force_scalar_override(None);
-            assert_eq!(kernel.is_narrow(), k <= 32, "k={k}");
+            assert_eq!(kernel.narrow, k <= 32, "k={k}");
 
             let via_kernel = ConcurrentDbgTable::new(4096, k);
             let via_cursor = ConcurrentDbgTable::new(4096, k);
             for i in 0..slices.len() {
-                kernel.record_view(&via_kernel, &slices.view(i)).unwrap();
+                record_view_drained(kernel, &via_kernel, &slices.view(i)).unwrap();
                 record_superkmer_view(&via_cursor, &slices.view(i)).unwrap();
             }
             assert_eq!(via_kernel.snapshot(), via_cursor.snapshot(), "k={k} p={p}");
@@ -719,7 +700,7 @@ mod tests {
         dna::simd::set_force_scalar_override(Some(true));
         let kernel = ReplayKernel::new(15);
         dna::simd::set_force_scalar_override(None);
-        assert!(!kernel.is_narrow(), "forced-scalar kernels must not use the word path");
+        assert!(!kernel.narrow, "forced-scalar kernels must not use the word path");
         // Captured at construction: the kernel stays scalar even after
         // the override is lifted, and still produces the same graph.
         let reads = test_reads();
@@ -732,7 +713,7 @@ mod tests {
         let scalar = ConcurrentDbgTable::new(4096, 15);
         let reference = ConcurrentDbgTable::new(4096, 15);
         for i in 0..slices.len() {
-            kernel.record_view(&scalar, &slices.view(i)).unwrap();
+            record_view_drained(kernel, &scalar, &slices.view(i)).unwrap();
             record_superkmer_view(&reference, &slices.view(i)).unwrap();
         }
         assert_eq!(scalar.snapshot(), reference.snapshot());
@@ -762,7 +743,7 @@ mod tests {
             let mut pipe = ReplayPipeline::new(kernel, &via_pipe);
             for i in 0..slices.len() {
                 pipe.record_view(&slices.view(i)).unwrap();
-                kernel.record_view(&via_kernel, &slices.view(i)).unwrap();
+                record_view_drained(kernel, &via_kernel, &slices.view(i)).unwrap();
             }
             pipe.flush().unwrap();
             assert_eq!(via_pipe.snapshot(), via_kernel.snapshot(), "k={k} p={p}");
@@ -856,7 +837,7 @@ mod scan_timing {
         let slices = msp::PartitionSlices::index(&bytes, K, P).unwrap();
         let n = slices.total_kmers();
         let kernel = ReplayKernel::new(K);
-        assert!(kernel.is_narrow());
+        assert!(kernel.narrow);
 
         // Warm table + pre-scanned stream, built once outside the reps.
         let table = ConcurrentDbgTable::new(n * 2, K);

@@ -57,8 +57,8 @@ mod unitig;
 
 pub use ablation::MutexDbgTable;
 pub use build::{
-    build_subgraph, build_subgraph_serial, build_subgraph_with, edge_slots_for, record_superkmer,
-    record_superkmer_naive, record_superkmer_view, BuildOutput, ReplayKernel, ReplayPipeline,
+    build_subgraph, build_subgraph_serial, build_subgraph_with, edge_slots_for, BuildOutput,
+    ReplayKernel, ReplayPipeline,
 };
 pub use cleaning::{clip_tips, pop_bubbles};
 pub use contention::ContentionStats;

@@ -10,9 +10,9 @@ use crate::{MspError, Result};
 ///
 /// This is the O(K·P) brute force the paper describes; the sliding-window
 /// [`MinimizerScanner`] produces identical results in O(L) per read and is
-/// what the system uses. Keep this around as the reference for tests and
-/// the ablation bench, and as the `p > 32` / `PARAHASH_FORCE_SCALAR` path
-/// of the out-of-core record router ([`split_framed`](crate::split_framed)).
+/// what the system uses. Keep this around as the reference for tests
+/// and as the `p > 32` / `PARAHASH_FORCE_SCALAR` path of the out-of-core
+/// record router ([`split_framed`](crate::split_framed)).
 ///
 /// # Examples
 ///
@@ -149,7 +149,7 @@ impl MinimizerScanner {
     }
 
     /// Brute-force scan: per-position [`minimizer_of_kmer`]. Identical
-    /// output, O(L·K·P) cost; exists for testing and the ablation bench.
+    /// output, O(L·K·P) cost; exists for testing.
     pub fn scan_naive(&self, read: &PackedSeq) -> Vec<Kmer> {
         if read.len() < self.k {
             return Vec::new();

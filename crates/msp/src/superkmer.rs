@@ -148,7 +148,7 @@ impl SuperkmerScanner {
     }
 
     /// Scans with the naive minimizer search; identical output to
-    /// [`SuperkmerScanner::scan`], used by tests and the ablation bench.
+    /// [`SuperkmerScanner::scan`], used by tests.
     pub fn scan_naive(&self, read: &PackedSeq) -> Vec<Superkmer> {
         let mins = self.scanner.scan_naive(read);
         self.superkmers_from_boundaries(read, &cut_runs(&mins))

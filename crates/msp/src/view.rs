@@ -18,8 +18,8 @@
 //!   at a cost of 4 bytes per record — versus ~`core_len` bytes plus an
 //!   allocation for the owned decode.
 //! * [`iter_views`] — a purely streaming variant that borrows the buffer
-//!   and performs **no heap allocation at all**, for sequential consumers
-//!   and the allocation-counting benchmarks.
+//!   and performs **no heap allocation at all**, for sequential
+//!   consumers.
 //!
 //! Validation happens once, at indexing time ([`PartitionSlices::index`]
 //! checks every header against the buffer length and `core_len ≥ k`), so
