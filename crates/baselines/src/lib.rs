@@ -13,6 +13,10 @@
 //! * **bcalm2** — reproduced by [`SortMergeBuilder`]: minimizer-based
 //!   partitioning followed by per-partition *sort-merge* counting
 //!   (generate `<vertex, edge>` pairs, sort by vertex, merge duplicates).
+//!   Its partitioning is an independent Step 1 ([`reference_partition`]:
+//!   an allocating two-strand scan into [`OwnedSuperkmer`]s) that shares
+//!   only the routing hash with `msp`, so the builder can serve as the
+//!   oracle production Step 1 and Step 2 are checked against.
 //!   Memory-lean — one partition in flight at a time — but pays an
 //!   `O(n log n)` sort per partition, the "memory-efficient but slow"
 //!   corner the paper contrasts hashing against.
@@ -25,11 +29,13 @@ mod common;
 mod counter;
 mod soap;
 mod sortmerge;
+mod step1;
 
 pub use common::{reference_graph, BaselineReport, DbgBuilder};
 pub use counter::{CounterBuilder, LockFreeCounter};
 pub use soap::SoapBuilder;
 pub use sortmerge::SortMergeBuilder;
+pub use step1::{reference_partition, OwnedSuperkmer};
 
 /// Errors from baseline builders.
 #[derive(Debug)]

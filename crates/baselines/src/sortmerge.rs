@@ -4,8 +4,8 @@ use std::time::{Duration, Instant};
 
 use dna::{Kmer, SeqRead};
 use hashgraph::{edge_slots_for, DeBruijnGraph, SubGraph, VertexData};
-use msp::{partition_in_memory, Superkmer};
 
+use crate::step1::{reference_partition, OwnedSuperkmer};
 use crate::{BaselineError, BaselineReport, DbgBuilder, Result};
 
 /// bcalm2-style partition–sort–merge builder (see the crate docs).
@@ -65,14 +65,14 @@ impl SortMergeBuilder {
     }
 
     /// Expands the `<vertex, edge-slots>` pairs of one partition.
-    fn expand_pairs(&self, superkmers: &[Superkmer]) -> Vec<(Kmer, [Option<u8>; 2])> {
+    fn expand_pairs(&self, superkmers: &[OwnedSuperkmer]) -> Vec<(Kmer, [Option<u8>; 2])> {
         let mut pairs = Vec::new();
         for sk in superkmers {
-            let core = sk.core();
+            let core = &sk.core;
             let last = core.len() - self.k;
             for (i, kmer) in core.kmers(self.k).enumerate() {
-                let left = if i > 0 { Some(core.base(i - 1)) } else { sk.left_ext() };
-                let right = if i < last { Some(core.base(i + self.k)) } else { sk.right_ext() };
+                let left = if i > 0 { Some(core.base(i - 1)) } else { sk.left_ext };
+                let right = if i < last { Some(core.base(i + self.k)) } else { sk.right_ext };
                 let (canon, orient) = kmer.canonical();
                 pairs.push((canon, edge_slots_for(orient, left, right)));
             }
@@ -109,7 +109,7 @@ impl SortMergeBuilder {
     /// External-sort path: spill sorted runs to disk, k-way merge.
     fn build_partition_external(
         &self,
-        superkmers: &[Superkmer],
+        superkmers: &[OwnedSuperkmer],
         work_dir: &std::path::Path,
         run_pairs: usize,
         partition_idx: usize,
@@ -197,7 +197,7 @@ impl SortMergeBuilder {
 
     /// Sort-merges one partition in memory: expand pairs, sort by vertex,
     /// merge runs.
-    fn build_partition(&self, superkmers: &[Superkmer]) -> (SubGraph, usize) {
+    fn build_partition(&self, superkmers: &[OwnedSuperkmer]) -> (SubGraph, usize) {
         let mut pairs = self.expand_pairs(superkmers);
         let peak = pairs.len();
         // Sort by vertex; equal vertices become adjacent runs.
@@ -215,7 +215,7 @@ impl DbgBuilder for SortMergeBuilder {
         let started = Instant::now();
         let t0 = Instant::now();
         let seqs: Vec<dna::PackedSeq> = reads.iter().map(|r| r.seq().clone()).collect();
-        let parts = partition_in_memory(&seqs, self.k, self.p, self.partitions)?;
+        let parts = reference_partition(&seqs, self.k, self.p, self.partitions)?;
         let partition_time = t0.elapsed();
 
         let mut graph = DeBruijnGraph::new(self.k);

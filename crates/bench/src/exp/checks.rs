@@ -29,7 +29,6 @@ pub fn checks(scale: f64) -> i32 {
     header("checks", "programmatic verification of the reproduction's key shapes");
     let mut results: Vec<Check> = Vec::new();
     let data = workloads::chr14(scale);
-    let seqs: Vec<dna::PackedSeq> = data.reads.iter().map(|r| r.seq().clone()).collect();
 
     // Table I: duplicates dominate distinct roughly 1:6 (paper: ~6).
     {
@@ -45,9 +44,9 @@ pub fn checks(scale: f64) -> i32 {
     // Table II: doubling partitions roughly halves the max table.
     {
         let table_for = |n: usize| -> u64 {
-            let parts = msp::partition_in_memory(&seqs, K, P, n).expect("params");
+            let parts = workloads::partitions(&data.reads, P, n);
             let kms: Vec<u64> =
-                parts.iter().map(|p| p.iter().map(|s| s.kmer_count() as u64).sum()).collect();
+                workloads::indexed(&parts, P).iter().map(|s| s.total_kmers() as u64).collect();
             let summary = DistributionSummary::from_counts(&kms);
             table_capacity_for(summary.max, SizingParams::default()) as u64
         };
@@ -63,10 +62,10 @@ pub fn checks(scale: f64) -> i32 {
     // Fig 6: larger P balances partitions and fragments superkmers.
     {
         let stats = |p: usize| {
-            let parts = msp::partition_in_memory(&seqs, K, p, 32).expect("params");
-            let kms: Vec<u64> =
-                parts.iter().map(|pt| pt.iter().map(|s| s.kmer_count() as u64).sum()).collect();
-            let total_sk: u64 = parts.iter().map(|pt| pt.len() as u64).sum();
+            let parts = workloads::partitions(&data.reads, p, 32);
+            let indexed = workloads::indexed(&parts, p);
+            let kms: Vec<u64> = indexed.iter().map(|s| s.total_kmers() as u64).collect();
+            let total_sk: u64 = indexed.iter().map(|s| s.len() as u64).sum();
             (DistributionSummary::from_counts(&kms).coefficient_of_variation(), total_sk)
         };
         let (cv5, sk5) = stats(5);
@@ -80,11 +79,10 @@ pub fn checks(scale: f64) -> i32 {
 
     // lockstats: state transfer locks <30% of operations.
     {
-        let parts = msp::partition_in_memory(&seqs, K, P, 8).expect("params");
+        let parts = workloads::partitions(&data.reads, P, 8);
         let mut stats = hashgraph::ContentionStats::default();
-        for part in &parts {
-            let n: usize = part.iter().map(|s| s.kmer_count()).sum();
-            let table = hashgraph::ConcurrentDbgTable::new(n + n / 4 + 16, K);
+        for part in &workloads::indexed(&parts, P) {
+            let table = hashgraph::ConcurrentDbgTable::new(workloads::roomy_capacity(part), K);
             hashgraph::build_subgraph_with(&table, part, 2).expect("build");
             stats.merge(&hashgraph::VertexTable::contention(&table));
         }
@@ -97,13 +95,13 @@ pub fn checks(scale: f64) -> i32 {
 
     // encoding: 2-bit records are under 0.35x of text.
     {
-        let parts = msp::partition_in_memory(&seqs, K, P, 16).expect("params");
-        let mut enc = 0u64;
-        let mut txt = 0u64;
-        for sk in parts.iter().flatten() {
-            enc += msp::encoded_len(sk.core().len()) as u64;
-            txt += sk.core().len() as u64 + 3;
-        }
+        let parts = workloads::partitions(&data.reads, P, 16);
+        let enc: u64 = parts.iter().map(|part| part.len() as u64).sum();
+        let txt: u64 = workloads::indexed(&parts, P)
+            .iter()
+            .flat_map(|slices| slices.iter())
+            .map(|record| record.core_len() as u64 + 3)
+            .sum();
         let ratio = enc as f64 / txt.max(1) as f64;
         results.push(check(
             "encoding: encoded output is ~1/4 of text (< 0.35x)",

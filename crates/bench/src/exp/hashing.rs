@@ -3,7 +3,6 @@
 
 use std::time::Instant;
 
-use dna::Kmer;
 use hashgraph::{
     build_subgraph_with, ConcurrentDbgTable, ContentionStats, MutexDbgTable, VertexTable,
 };
@@ -80,16 +79,17 @@ pub fn fig8(scale: f64) {
 pub fn fig9(scale: f64) {
     header("Fig 9", "CPU hashing scalability vs threads (log-log fit)");
     let data = workloads::chr14(scale);
-    // One partitioning pass, reused for every thread count.
-    let seqs: Vec<dna::PackedSeq> = data.reads.iter().map(|r| r.seq().clone()).collect();
-    let parts = msp::partition_in_memory(&seqs, K, workloads::P, 64).expect("valid params");
+    // One partitioning and indexing pass, reused for every thread count;
+    // what is timed is the table plus the production replay
+    // (`build_subgraph_with`: one `ReplayPipeline` per thread chunk).
+    let parts = workloads::partitions(&data.reads, workloads::P, 64);
+    let parts = workloads::indexed(&parts, workloads::P);
     let mut t = Table::new(&["threads", "hashing time (s)"]);
     let mut points = Vec::new();
     for threads in [1usize, 2, 4, 6, 8, 12, 16, 20] {
         let t0 = Instant::now();
         for part in &parts {
-            let n_kmers: usize = part.iter().map(|s| s.kmer_count()).sum();
-            let table = ConcurrentDbgTable::new(n_kmers + n_kmers / 4 + 16, K);
+            let table = ConcurrentDbgTable::new(workloads::roomy_capacity(part), K);
             build_subgraph_with(&table, part, threads).expect("build succeeds");
         }
         let elapsed = t0.elapsed();
@@ -114,45 +114,23 @@ pub fn fig10(scale: f64) {
     header("Fig 10", "CPU hashing vs SOAP, phase breakdown (20 partitions, P=K)");
     let data = workloads::chr14(scale);
     let threads = workloads::cpu_threads();
-    let seqs: Vec<dna::PackedSeq> = data.reads.iter().map(|r| r.seq().clone()).collect();
     // P = K: superkmer runs carry single canonical kmers, so partitions
     // hold (nearly) raw kmers — the apples-to-apples setting vs SOAP.
-    let parts = msp::partition_in_memory(&seqs, K, K, 20).expect("valid params");
+    let parts = workloads::partitions(&data.reads, K, 20);
 
-    // ParaHash side, phased like SOAP: materialise <vertex, slots> pairs
-    // ("Read data"), then concurrent-table inserts ("Insertion/Update").
+    // ParaHash side, phased like SOAP. "Read data": bring each partition
+    // in for replay — Step 2's validating index pass over its records.
+    // "Insertion/Update": the production replay, which decodes records
+    // and probes the shared table in one software-pipelined pass (there
+    // is no materialised <vertex, edge> pair list to time separately).
     let t0 = Instant::now();
-    let mut pairs_per_part: Vec<Vec<(Kmer, [Option<u8>; 2])>> = Vec::with_capacity(parts.len());
-    for part in &parts {
-        let mut pairs = Vec::new();
-        for sk in part {
-            let core = sk.core();
-            let last = core.len() - K;
-            for (i, kmer) in core.kmers(K).enumerate() {
-                let left = if i > 0 { Some(core.base(i - 1)) } else { sk.left_ext() };
-                let right = if i < last { Some(core.base(i + K)) } else { sk.right_ext() };
-                let (canon, orient) = kmer.canonical();
-                pairs.push((canon, hashgraph::edge_slots_for(orient, left, right)));
-            }
-        }
-        pairs_per_part.push(pairs);
-    }
+    let indexed = workloads::indexed(&parts, K);
     let read_data = t0.elapsed();
 
     let t0 = Instant::now();
-    for pairs in &pairs_per_part {
-        let table = ConcurrentDbgTable::new(pairs.len() + pairs.len() / 4 + 16, K);
-        let chunk_size = pairs.len().div_ceil(threads).max(1);
-        std::thread::scope(|s| {
-            for chunk in pairs.chunks(chunk_size) {
-                let table = &table;
-                s.spawn(move || {
-                    for (canon, slots) in chunk {
-                        table.record(canon, *slots).expect("capacity sufficient");
-                    }
-                });
-            }
-        });
+    for part in &indexed {
+        let table = ConcurrentDbgTable::new(workloads::roomy_capacity(part), K);
+        build_subgraph_with(&table, part, threads).expect("build succeeds");
     }
     let insert = t0.elapsed();
 
@@ -176,6 +154,7 @@ pub fn fig10(scale: f64) {
         secs(soap_report.elapsed),
     ]);
     print!("{}", t.render());
+    println!("(ParaHash decodes records inside insertion/update: the production replay fuses the two)");
     paper_note(
         "ParaHash is faster on both phases: accessing <vertex, edge> pairs (partitioned, \
          cache-friendly reads vs SOAP's every-thread-scans-all-kmers) and insert/update \
@@ -197,16 +176,14 @@ pub fn lockstats(scale: f64) {
         "full-lock acquisitions",
     ]);
     for data in workloads::datasets(scale) {
-        let seqs: Vec<dna::PackedSeq> = data.reads.iter().map(|r| r.seq().clone()).collect();
-        let parts = msp::partition_in_memory(&seqs, K, workloads::P, 16).expect("valid params");
+        let parts = workloads::partitions(&data.reads, workloads::P, 16);
         let mut stats = ContentionStats::default();
         let mut full_locks = 0u64;
-        for part in &parts {
-            let n_kmers: usize = part.iter().map(|s| s.kmer_count()).sum();
-            let table = ConcurrentDbgTable::new(n_kmers + n_kmers / 4 + 16, K);
+        for part in &workloads::indexed(&parts, workloads::P) {
+            let table = ConcurrentDbgTable::new(workloads::roomy_capacity(part), K);
             build_subgraph_with(&table, part, 4).expect("build succeeds");
             stats.merge(&table.contention());
-            let mutex_table = MutexDbgTable::new(n_kmers + n_kmers / 4 + 16, K);
+            let mutex_table = MutexDbgTable::new(workloads::roomy_capacity(part), K);
             build_subgraph_with(&mutex_table, part, 4).expect("build succeeds");
             full_locks += mutex_table.contention().lock_waits;
         }

@@ -7,20 +7,14 @@ use msp::DistributionSummary;
 
 use crate::exp::{header, paper_note};
 use crate::fmt::{bytes, count, Table};
-use crate::workloads::{self, K};
+use crate::workloads;
 
-/// Per-partition superkmer/kmer counts for a read set at `(k, p, n)`.
-fn partition_counts(
-    data: &datagen::ProfileData,
-    k: usize,
-    p: usize,
-    n: usize,
-) -> (Vec<u64>, Vec<u64>) {
-    let seqs: Vec<dna::PackedSeq> = data.reads.iter().map(|r| r.seq().clone()).collect();
-    let parts = msp::partition_in_memory(&seqs, k, p, n).expect("valid params");
-    let sks: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
-    let kms: Vec<u64> =
-        parts.iter().map(|p| p.iter().map(|s| s.kmer_count() as u64).sum()).collect();
+/// Per-partition superkmer/kmer counts for a read set at `(workloads::K, p, n)`.
+fn partition_counts(data: &datagen::ProfileData, p: usize, n: usize) -> (Vec<u64>, Vec<u64>) {
+    let parts = workloads::partitions(&data.reads, p, n);
+    let indexed = workloads::indexed(&parts, p);
+    let sks: Vec<u64> = indexed.iter().map(|s| s.len() as u64).collect();
+    let kms: Vec<u64> = indexed.iter().map(|s| s.total_kmers() as u64).collect();
     (sks, kms)
 }
 
@@ -38,7 +32,7 @@ pub fn fig6(scale: f64) {
         "sk/part CV",
     ]);
     for p in [5, 8, 11, 14, 17] {
-        let (sks, kms) = partition_counts(&data, K, p, 32);
+        let (sks, kms) = partition_counts(&data, p, 32);
         let sk_sum: u64 = sks.iter().sum();
         let km = DistributionSummary::from_counts(&kms);
         let sk = DistributionSummary::from_counts(&sks);
@@ -66,7 +60,7 @@ pub fn table2(scale: f64) {
     let data = workloads::chr14(scale);
     let mut t = Table::new(&["# partitions", "kmers/partition (mean)", "max table size"]);
     for n in [16usize, 32, 64, 128, 256, 512, 960] {
-        let (_, kms) = partition_counts(&data, K, workloads::P, n);
+        let (_, kms) = partition_counts(&data, workloads::P, n);
         let summary = DistributionSummary::from_counts(&kms);
         // Table bytes: capacity from the Property-1 rule x per-slot cost
         // (1 state + 32 key + 4 count + 32 edges).
@@ -90,15 +84,14 @@ pub fn table2(scale: f64) {
 pub fn encoding(scale: f64) {
     header("encoding", "2-bit encoded superkmer output vs plain text (§III-B)");
     let data = workloads::chr14(scale);
-    let seqs: Vec<dna::PackedSeq> = data.reads.iter().map(|r| r.seq().clone()).collect();
-    let parts = msp::partition_in_memory(&seqs, K, workloads::P, 64).expect("valid params");
-    let mut encoded = 0u64;
-    let mut text = 0u64;
-    for sk in parts.iter().flatten() {
-        encoded += msp::encoded_len(sk.core().len()) as u64;
-        // Text form: one byte per base, two extension chars, newline.
-        text += sk.core().len() as u64 + 3;
-    }
+    let parts = workloads::partitions(&data.reads, workloads::P, 64);
+    let encoded: u64 = parts.iter().map(|part| part.len() as u64).sum();
+    // Text form: one byte per base, two extension chars, newline.
+    let text: u64 = workloads::indexed(&parts, workloads::P)
+        .iter()
+        .flat_map(|slices| slices.iter())
+        .map(|record| record.core_len() as u64 + 3)
+        .sum();
     let mut t = Table::new(&["representation", "partition bytes", "ratio vs text"]);
     t.row_owned(vec!["plain text".into(), bytes(text), "1.00".into()]);
     t.row_owned(vec![

@@ -66,42 +66,62 @@ pub fn fig5(scale: f64) {
 }
 
 /// §III-D ablations: (a) the Step-1 kernel split — offsets-only on the
-/// device, memory movement on the host — vs scanning whole superkmers on
-/// the device; (b) the SIMT lockstep penalty of the Step-2 hash kernel
-/// (divergent probe walks) vs the regular Step-1 scan kernel.
+/// device, memory movement on the host — vs scanning *and* encoding whole
+/// superkmers on the device; (b) the SIMT lockstep penalty of the Step-2
+/// hash kernel (divergent probe walks) vs the regular Step-1 scan kernel.
 pub fn ablation(scale: f64) {
     header("ablation", "§III-D design choices: kernel split and warp divergence");
     let data = workloads::chr14(scale);
     let scanner = msp::SuperkmerScanner::new(K, workloads::P).expect("valid params");
 
-    // (a) Split vs whole-scan Step-1 kernel on a GPU device.
+    // (a) Split vs whole-scan Step-1 kernel on a GPU device, built from
+    // the calls Step 1 itself makes (`scan_runs_into` on the device +
+    // `encode_superkmer_slice` on the host is its SimGpu path; scan and
+    // encode in one pass is its CPU path). Records go to one buffer per
+    // work item or one host buffer — routing is the same on both sides.
     let gpu_cfg = workloads::experiment_gpu();
     let reads = &data.reads;
+    let encode_run = |read: &dna::PackedSeq, first: usize, last: usize, out: &mut Vec<u8>| {
+        let left = first.checked_sub(1).map(|i| read.base(i));
+        let right = (last + K < read.len()).then(|| read.base(last + K));
+        msp::encode_superkmer_slice(read, first, last, K, left, right, out);
+    };
     let time_kernel = |split: bool| -> std::time::Duration {
         let gpu = hetsim::SimGpuDevice::new("abl", gpu_cfg);
+        // Per-worker scan state, checked out per work item like Step 1's
+        // staging shards, so neither variant allocates per read.
+        let shards: parking_lot::Mutex<Vec<(msp::MinimizerCursor, Vec<u8>)>> = Default::default();
+        let checkout = || shards.lock().pop().unwrap_or_else(|| (scanner.cursor(), Vec::new()));
         let t0 = std::time::Instant::now();
-        if split {
+        let encoded = if split {
             // Offsets on the device (fixed-size output per run)...
             let boundaries: Vec<parking_lot::Mutex<Vec<(usize, usize, dna::Kmer)>>> =
                 (0..reads.len()).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
             hetsim::Device::execute(&gpu, reads.len(), &|i| {
-                *boundaries[i].lock() = scanner.scan_boundaries(reads[i].seq());
+                let (mut cursor, records) = checkout();
+                scanner.scan_runs_into(reads[i].seq(), &mut cursor, &mut boundaries[i].lock());
+                shards.lock().push((cursor, records));
             });
-            // ...irregular materialisation on the host.
-            let mut total = 0usize;
-            for (read, b) in reads.iter().zip(&boundaries) {
-                total += scanner.superkmers_from_boundaries(read.seq(), &b.lock()).len();
+            // ...irregular record movement on the host.
+            let mut records = Vec::new();
+            for (read, runs) in reads.iter().zip(&boundaries) {
+                for &(first, last, _) in runs.lock().iter() {
+                    encode_run(read.seq(), first, last, &mut records);
+                }
             }
-            assert!(total > 0);
+            records.len()
         } else {
-            let count = std::sync::atomic::AtomicUsize::new(0);
             hetsim::Device::execute(&gpu, reads.len(), &|i| {
-                count.fetch_add(
-                    scanner.scan(reads[i].seq()).len(),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
+                let (mut cursor, mut records) = checkout();
+                let read = reads[i].seq();
+                scanner.scan_runs(read, &mut cursor, |first, last, _| {
+                    encode_run(read, first, last, &mut records);
+                });
+                shards.lock().push((cursor, records));
             });
-        }
+            shards.into_inner().iter().map(|(_, records)| records.len()).sum()
+        };
+        assert!(encoded > 0);
         t0.elapsed()
     };
     let whole = time_kernel(false);
@@ -125,11 +145,11 @@ pub fn ablation(scale: f64) {
     let scan_weights: Vec<u64> = reads.iter().map(|r| r.len() as u64).collect();
     // Hash kernel: one superkmer per lane, cost ∝ kmers inserted (its
     // probe-walk length) — variable, the §III-D divergence source.
-    let seqs: Vec<dna::PackedSeq> = reads.iter().map(|r| r.seq().clone()).collect();
-    let part = msp::partition_in_memory(&seqs, K, workloads::P, 1)
-        .expect("valid params")
-        .remove(0);
-    let hash_weights: Vec<u64> = part.iter().map(|s| s.kmer_count() as u64).collect();
+    let part = workloads::partitions(reads, workloads::P, 1);
+    let hash_weights: Vec<u64> = workloads::indexed(&part, workloads::P)[0]
+        .iter()
+        .map(|record| record.kmer_count() as u64)
+        .collect();
     let warp = gpu_cfg.warp_size;
 
     let mut t = Table::new(&["measurement", "value"]);
@@ -164,13 +184,12 @@ pub fn counting(scale: f64) {
     let (distinct, total, _) = CounterBuilder::new(K, threads).count(&data.reads).expect("k<=31");
     let counter_time = t0.elapsed();
 
-    let seqs: Vec<dna::PackedSeq> = data.reads.iter().map(|r| r.seq().clone()).collect();
-    let parts = msp::partition_in_memory(&seqs, K, workloads::P, 16).expect("valid params");
+    let parts = workloads::partitions(&data.reads, workloads::P, 16);
+    let parts = workloads::indexed(&parts, workloads::P);
     let t0 = std::time::Instant::now();
     let mut graph_distinct = 0usize;
     for part in &parts {
-        let n: usize = part.iter().map(|s| s.kmer_count()).sum();
-        let table = hashgraph::ConcurrentDbgTable::new(n + n / 4 + 16, K);
+        let table = hashgraph::ConcurrentDbgTable::new(workloads::roomy_capacity(part), K);
         hashgraph::build_subgraph_with(&table, part, threads).expect("build");
         graph_distinct += hashgraph::VertexTable::distinct(&table);
     }

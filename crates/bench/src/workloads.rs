@@ -5,7 +5,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use datagen::{DatasetProfile, ProfileData};
+use dna::SeqRead;
 use hetsim::{CpuDevice, Device, SimGpuConfig, SimGpuDevice, TransferModel};
+use msp::PartitionSlices;
 use parahash::{ParaHash, ParaHashConfig};
 use pipeline::IoMode;
 
@@ -36,6 +38,27 @@ pub fn bumblebee(scale: f64) -> ProfileData {
 pub const K: usize = 27;
 /// Default minimizer length.
 pub const P: usize = 11;
+
+/// Step 1 without the pipeline, at [`K`]: the reads' superkmer records,
+/// one encoded buffer per partition (`msp::partition_in_memory` — the
+/// scan, routing and encoding every build runs).
+pub fn partitions(reads: &[SeqRead], p: usize, n: usize) -> Vec<Vec<u8>> {
+    let seqs: Vec<dna::PackedSeq> = reads.iter().map(|r| r.seq().clone()).collect();
+    msp::partition_in_memory(&seqs, K, p, n).expect("valid params")
+}
+
+/// Indexes each partition buffer of [`partitions`] for replay, as Step 2
+/// does after loading one.
+pub fn indexed(parts: &[Vec<u8>], p: usize) -> Vec<PartitionSlices<'_>> {
+    parts.iter().map(|part| PartitionSlices::index(part, K, p).expect("own records")).collect()
+}
+
+/// A table capacity the partition cannot exhaust: one slot per k-mer
+/// occurrence plus headroom, so experiments never time a resize.
+pub fn roomy_capacity(slices: &PartitionSlices<'_>) -> usize {
+    let n = slices.total_kmers();
+    n + n / 4 + 16
+}
 
 /// Simulated-GPU configuration used across experiments: a K40m-ish card
 /// whose per-item cost and link speed are scaled so that, at mini-dataset

@@ -89,9 +89,7 @@ impl<R: BufRead> FastaReader<R> {
                 self.pending_header = Some(h.to_owned());
                 break;
             }
-            for &ch in line.as_bytes() {
-                seq.push(crate::Base::from_ascii(ch));
-            }
+            seq.extend_from_ascii(line.as_bytes());
         }
         Ok(Some(SeqRead::new(header, seq)))
     }

@@ -138,8 +138,10 @@ mod tests {
     use super::*;
     use crate::{build_subgraph_with, ConcurrentDbgTable};
     use dna::PackedSeq;
+    use msp::PartitionSlices;
 
-    fn test_partition() -> Vec<msp::Superkmer> {
+    /// Two reads as one partition's record bytes.
+    fn test_partition() -> Vec<u8> {
         let reads: Vec<PackedSeq> = [
             "ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGT",
             "TGATGGATGATGGATGGTAGCATACGTTGCATGGACCAG",
@@ -153,10 +155,11 @@ mod tests {
     #[test]
     fn mutex_table_matches_concurrent_table() {
         let part = test_partition();
+        let slices = PartitionSlices::index(&part, 7, 4).unwrap();
         let mutex = MutexDbgTable::new(1024, 7);
         let lockfree = ConcurrentDbgTable::new(1024, 7);
-        build_subgraph_with(&mutex, &part, 4).unwrap();
-        build_subgraph_with(&lockfree, &part, 4).unwrap();
+        build_subgraph_with(&mutex, &slices, 4).unwrap();
+        build_subgraph_with(&lockfree, &slices, 4).unwrap();
         let mut a = mutex.snapshot().into_entries();
         let mut b = lockfree.snapshot().into_entries();
         a.sort_by_key(|x| x.0);
@@ -167,10 +170,11 @@ mod tests {
     #[test]
     fn every_operation_locks() {
         let part = test_partition();
+        let slices = PartitionSlices::index(&part, 7, 4).unwrap();
         let t = MutexDbgTable::new(1024, 7);
-        build_subgraph_with(&t, &part, 1).unwrap();
+        build_subgraph_with(&t, &slices, 1).unwrap();
         let c = t.contention();
-        let total_kmers: u64 = part.iter().map(|s| s.kmer_count() as u64).sum();
+        let total_kmers = slices.total_kmers() as u64;
         assert_eq!(c.operations(), total_kmers);
         // Lock count ≥ one per operation (more with probing).
         assert!(c.lock_waits >= total_kmers);
@@ -179,9 +183,10 @@ mod tests {
     #[test]
     fn capacity_exhaustion_reported() {
         let t = MutexDbgTable::new(16, 7);
+        let part = test_partition();
         assert!(
             matches!(
-                build_subgraph_with(&t, &test_partition(), 1),
+                build_subgraph_with(&t, &PartitionSlices::index(&part, 7, 4).unwrap(), 1),
                 Err(HashGraphError::CapacityExhausted { .. })
             ),
             "16 slots must overflow on this input"

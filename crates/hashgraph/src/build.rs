@@ -1,10 +1,9 @@
-use dna::{Base, CanonicalKmerCursor, Kmer, Orientation};
-use msp::{Superkmer, SuperkmerView};
+use std::ops::Range;
 
-use crate::{
-    table_capacity_for, ConcurrentDbgTable, ContentionStats, EdgeDir, HashGraphError, Result,
-    SizingParams, SubGraph, VertexTable,
-};
+use dna::{Base, CanonicalKmerCursor, Kmer, Orientation};
+use msp::{PartitionSlices, SuperkmerView};
+
+use crate::{EdgeDir, HashGraphError, Result, VertexTable};
 
 /// Maps an observed occurrence's read-text neighbours onto the canonical
 /// vertex's edge slots.
@@ -33,75 +32,38 @@ pub fn edge_slots_for(
     [left_slot, right_slot]
 }
 
-/// Shared replay core: walks `core_len` bases (supplied by `base`) with a
-/// rolling [`CanonicalKmerCursor`], recording each canonical k-mer with
-/// its edge increments. O(1) amortised work per position instead of the
-/// O(k) `sub`+`revcomp`+`canonical` chain, and no heap allocation.
-fn record_core<T: VertexTable + ?Sized>(
-    table: &T,
-    k: usize,
-    core_len: usize,
-    base: impl Fn(usize) -> Base,
-    left_ext: Option<Base>,
-    right_ext: Option<Base>,
-) -> Result<()> {
-    let last = core_len - k;
+/// Replays one borrowed superkmer record ([`SuperkmerView`]) into a vertex
+/// table — [`ReplayPipeline`]'s path for wide k and forced-scalar
+/// kernels: each of its k-mers becomes a `record` of the canonical vertex
+/// with up to two edge increments (its neighbours inside the core, or the
+/// adjacency-extension bases at the boundaries). This is the
+/// `<kmer, edge>` pair generation of §III-C.2.
+///
+/// Bases are decoded straight from the partition byte buffer and
+/// canonical forms roll incrementally in a [`CanonicalKmerCursor`] — O(1)
+/// amortised work per position instead of the O(k)
+/// `sub`+`revcomp`+`canonical` chain the unit tests check it against,
+/// and nothing touches the heap.
+///
+/// # Errors
+///
+/// Propagates table errors ([`HashGraphError::CapacityExhausted`],
+/// [`HashGraphError::WrongK`]).
+fn record_core<T: VertexTable + ?Sized>(table: &T, view: &SuperkmerView<'_>) -> Result<()> {
+    let k = view.k();
+    let last = view.core_len() - k;
     let mut cursor = CanonicalKmerCursor::new(k).expect("superkmer k validated upstream");
     for i in 0..k - 1 {
-        cursor.push(base(i));
+        cursor.push(view.base(i));
     }
     for i in 0..=last {
-        cursor.push(base(i + k - 1));
-        let left = if i > 0 { Some(base(i - 1)) } else { left_ext };
-        let right = if i < last { Some(base(i + k)) } else { right_ext };
+        cursor.push(view.base(i + k - 1));
+        let left = if i > 0 { Some(view.base(i - 1)) } else { view.left_ext() };
+        let right = if i < last { Some(view.base(i + k)) } else { view.right_ext() };
         let (canon, orient) = cursor.canonical();
         table.record(&canon, edge_slots_for(orient, left, right))?;
     }
     Ok(())
-}
-
-/// Replays one superkmer into a vertex table: each of its k-mers becomes a
-/// `record` of the canonical vertex with up to two edge increments (its
-/// neighbours inside the core, or the adjacency-extension bases at the
-/// boundaries). This is the `<kmer, edge>` pair generation of §III-C.2.
-///
-/// Canonical forms are maintained incrementally by a
-/// [`CanonicalKmerCursor`]; the unit tests check it against an O(k)
-/// per-position replay.
-///
-/// # Errors
-///
-/// Propagates table errors ([`HashGraphError::CapacityExhausted`],
-/// [`HashGraphError::WrongK`]).
-fn record_superkmer<T: VertexTable + ?Sized>(table: &T, sk: &Superkmer) -> Result<()> {
-    let core = sk.core();
-    record_core(table, sk.k(), core.len(), |i| core.base(i), sk.left_ext(), sk.right_ext())
-}
-
-/// Replays one *borrowed* superkmer record ([`SuperkmerView`]) into a
-/// vertex table — [`ReplayPipeline`]'s path for wide k and forced-scalar
-/// kernels. Bases are decoded straight from the partition byte buffer;
-/// canonical forms roll incrementally; nothing touches the heap.
-///
-/// Output is identical to decoding the record into an owned
-/// [`Superkmer`] and calling [`record_superkmer`].
-///
-/// # Errors
-///
-/// Propagates table errors ([`HashGraphError::CapacityExhausted`],
-/// [`HashGraphError::WrongK`]).
-fn record_superkmer_view<T: VertexTable + ?Sized>(
-    table: &T,
-    view: &SuperkmerView<'_>,
-) -> Result<()> {
-    record_core(
-        table,
-        view.k(),
-        view.core_len(),
-        |i| view.base(i),
-        view.left_ext(),
-        view.right_ext(),
-    )
 }
 
 /// The Step-2 replay mode, consumed by [`ReplayPipeline`]: a
@@ -114,7 +76,7 @@ fn record_superkmer_view<T: VertexTable + ?Sized>(
 /// ([`SuperkmerView::code_words`]), both strands roll in one `u64` each
 /// (two shifts + OR per base), canonical choice is a single integer
 /// compare, and the table is fed through
-/// [`VertexTable::record_narrow`] — no `Kmer` is materialised per
+/// [`VertexTable::record_narrow_hashed`] — no `Kmer` is materialised per
 /// position. Output (graph bytes *and* contention counters) is identical
 /// to the cursor path: same canonical words, same hash, same probe walk.
 ///
@@ -270,7 +232,7 @@ impl<'t, T: VertexTable + ?Sized> ReplayPipeline<'t, T> {
     /// [`HashGraphError::WrongK`]).
     pub fn record_view(&mut self, view: &SuperkmerView<'_>) -> Result<()> {
         if !self.kernel.narrow || view.k() != self.kernel.k {
-            return record_superkmer_view(self.table, view);
+            return record_core(self.table, view);
         }
         scan_narrow_view(self.kernel.k, view, |word, hash, edges| self.push(word, hash, edges))
     }
@@ -313,38 +275,63 @@ impl<'t, T: VertexTable + ?Sized> ReplayPipeline<'t, T> {
     }
 }
 
-/// Drives a prepared table over a partition with `threads` workers
-/// (superkmers are split into contiguous chunks; the shared table is the
-/// only point of synchronisation). The generic engine behind both the
-/// production build and the ablation baselines.
+/// Replays an indexed partition into a prepared table with `threads`
+/// workers: the records are split into contiguous chunks, each chunk runs
+/// through a [`ReplayPipeline`] of its own — the replay every build
+/// executes — and the shared table is the only point of synchronisation.
+/// Generic over [`VertexTable`], so the full-locking ablation table rides
+/// the trait's default narrow methods.
 ///
 /// # Errors
 ///
-/// Returns the first table error any worker hit.
+/// Returns [`HashGraphError::WrongK`] if the partition was cut for another
+/// `k` than the table's, otherwise the first table error any worker hit.
+///
+/// # Examples
+///
+/// ```
+/// use dna::PackedSeq;
+/// use hashgraph::{build_subgraph_with, ConcurrentDbgTable, VertexTable};
+/// use msp::PartitionSlices;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let read = PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCA");
+/// let records = msp::partition_in_memory(&[read], 7, 4, 1)?.remove(0);
+/// let slices = PartitionSlices::index(&records, 7, 4)?;
+/// let table = ConcurrentDbgTable::new(2 * slices.total_kmers(), 7);
+/// build_subgraph_with(&table, &slices, 2)?;
+/// assert_eq!(table.contention().operations(), 20); // 26 − 7 + 1 kmers
+/// assert!(table.snapshot().len() > 0);
+/// # Ok(())
+/// # }
+/// ```
 pub fn build_subgraph_with<T: VertexTable + ?Sized>(
     table: &T,
-    superkmers: &[Superkmer],
+    slices: &PartitionSlices<'_>,
     threads: usize,
 ) -> Result<()> {
-    let threads = threads.max(1);
-    if threads == 1 || superkmers.len() < 2 {
-        for sk in superkmers {
-            record_superkmer(table, sk)?;
-        }
-        return Ok(());
+    if slices.k() != table.k() {
+        return Err(HashGraphError::WrongK { expected: table.k(), got: slices.k() });
     }
-    let chunk = superkmers.len().div_ceil(threads);
+    let kernel = ReplayKernel::new(slices.k());
+    let replay = |records: Range<usize>| -> Result<()> {
+        let mut pipe = ReplayPipeline::new(kernel, table);
+        for i in records {
+            pipe.record_view(&slices.view(i))?;
+        }
+        pipe.flush()
+    };
+    let n = slices.len();
+    let threads = threads.max(1);
+    if threads == 1 || n < 2 {
+        return replay(0..n);
+    }
+    let chunk = n.div_ceil(threads);
     std::thread::scope(|s| {
-        let handles: Vec<_> = superkmers
-            .chunks(chunk)
-            .map(|chunk| {
-                s.spawn(move || -> Result<()> {
-                    for sk in chunk {
-                        record_superkmer(table, sk)?;
-                    }
-                    Ok(())
-                })
-            })
+        let replay = &replay;
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|start| s.spawn(move || replay(start..(start + chunk).min(n))))
             .collect();
         for h in handles {
             h.join().expect("worker panicked")?;
@@ -353,95 +340,31 @@ pub fn build_subgraph_with<T: VertexTable + ?Sized>(
     })
 }
 
-/// Outcome of a sized, parallel subgraph construction.
-#[derive(Debug)]
-pub struct BuildOutput {
-    /// The constructed subgraph.
-    pub subgraph: SubGraph,
-    /// Concurrency counters from the table.
-    pub contention: ContentionStats,
-    /// How many times the table had to be rebuilt bigger because the
-    /// Property-1 estimate was too low (0 in the intended regime — the
-    /// estimate exists to avoid exactly this).
-    pub resizes: usize,
-    /// Final table capacity.
-    pub capacity: usize,
-}
-
-/// Builds one partition's subgraph with the production configuration:
-/// a [`ConcurrentDbgTable`] sized by the Property-1 rule
-/// ([`table_capacity_for`]), filled by `threads` workers. If the estimate
-/// proves too low the table is rebuilt at double capacity (counted in
-/// [`BuildOutput::resizes`]).
-///
-/// # Errors
-///
-/// Returns [`HashGraphError::WrongK`] if the partition contains superkmers
-/// cut for a different `k`.
-///
-/// # Examples
-///
-/// ```
-/// use dna::PackedSeq;
-/// use hashgraph::SizingParams;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let parts = msp::partition_in_memory(
-///     &[PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCA")], 7, 4, 1)?;
-/// let out = hashgraph::build_subgraph(&parts[0], 7, 4, SizingParams::default())?;
-/// assert!(out.subgraph.len() > 0);
-/// assert_eq!(out.contention.operations(), 20); // 26 − 7 + 1 kmers
-/// # Ok(())
-/// # }
-/// ```
-pub fn build_subgraph(
-    superkmers: &[Superkmer],
+/// Fixture for this crate's unit tests: Step 1 in memory over `n`
+/// partitions, each replayed by `threads` workers into a table that cannot
+/// fill up, merged into one graph.
+#[cfg(test)]
+pub(crate) fn graph_of_reads(
+    reads: &[dna::PackedSeq],
     k: usize,
+    p: usize,
+    n: usize,
     threads: usize,
-    params: SizingParams,
-) -> Result<BuildOutput> {
-    let n_kmers: u64 = superkmers.iter().map(|s| s.kmer_count() as u64).sum();
-    let mut capacity = table_capacity_for(n_kmers, params);
-    let mut resizes = 0;
-    loop {
-        let table = ConcurrentDbgTable::new(capacity, k);
-        match build_subgraph_with(&table, superkmers, threads) {
-            Ok(()) => {
-                return Ok(BuildOutput {
-                    subgraph: table.snapshot(),
-                    contention: table.contention(),
-                    resizes,
-                    capacity: table.capacity(),
-                })
-            }
-            Err(HashGraphError::CapacityExhausted { .. }) => {
-                resizes += 1;
-                capacity = capacity.saturating_mul(2).max(32);
-            }
-            Err(e) => return Err(e),
-        }
+) -> crate::DeBruijnGraph {
+    let mut g = crate::DeBruijnGraph::new(k);
+    for part in msp::partition_in_memory(reads, k, p, n).unwrap() {
+        let slices = PartitionSlices::index(&part, k, p).unwrap();
+        let table = crate::ConcurrentDbgTable::new(2 * slices.total_kmers() + 16, k);
+        build_subgraph_with(&table, &slices, threads).unwrap();
+        g.absorb(table.snapshot());
     }
-}
-
-/// Single-threaded build with a capacity that can never be exhausted
-/// (one slot per k-mer occurrence plus headroom). The convenient form for
-/// tests, examples and reference comparisons.
-///
-/// # Errors
-///
-/// Returns [`HashGraphError::WrongK`] if the partition contains superkmers
-/// cut for a different `k`.
-pub fn build_subgraph_serial(superkmers: &[Superkmer], k: usize) -> Result<SubGraph> {
-    let n_kmers: usize = superkmers.iter().map(Superkmer::kmer_count).sum();
-    let table = ConcurrentDbgTable::new(n_kmers + n_kmers / 4 + 16, k);
-    build_subgraph_with(&table, superkmers, 1)?;
-    Ok(table.snapshot())
+    g
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeBruijnGraph, VertexData};
+    use crate::{ConcurrentDbgTable, VertexData};
     use dna::{Kmer, PackedSeq};
     use std::collections::HashMap;
 
@@ -468,26 +391,16 @@ mod tests {
         map
     }
 
-    fn graph_from_partitions(reads: &[PackedSeq], k: usize, p: usize, n: usize, threads: usize) -> DeBruijnGraph {
-        let parts = msp::partition_in_memory(reads, k, p, n).unwrap();
-        let mut g = DeBruijnGraph::new(k);
-        for part in &parts {
-            let out = build_subgraph(part, k, threads, SizingParams { lambda: 2.0, alpha: 0.6 }).unwrap();
-            g.absorb(out.subgraph);
-        }
-        g
-    }
-
     /// The reference the rolling replay is checked against: derives each
     /// position's canonical k-mer from scratch (`kmers` iterator + O(k)
-    /// `canonical`).
-    fn record_superkmer_naive<T: VertexTable + ?Sized>(table: &T, sk: &Superkmer) -> Result<()> {
-        let k = sk.k();
-        let core = sk.core();
+    /// `canonical`) over an owned copy of the core.
+    fn record_view_naive<T: VertexTable + ?Sized>(table: &T, view: &SuperkmerView<'_>) -> Result<()> {
+        let k = view.k();
+        let core: PackedSeq = view.bases().collect();
         let last = core.len() - k;
         for (i, kmer) in core.kmers(k).enumerate() {
-            let left = if i > 0 { Some(core.base(i - 1)) } else { sk.left_ext() };
-            let right = if i < last { Some(core.base(i + k)) } else { sk.right_ext() };
+            let left = if i > 0 { Some(core.base(i - 1)) } else { view.left_ext() };
+            let right = if i < last { Some(core.base(i + k)) } else { view.right_ext() };
             let (canon, orient) = kmer.canonical();
             table.record(&canon, edge_slots_for(orient, left, right))?;
         }
@@ -518,12 +431,17 @@ mod tests {
         .collect()
     }
 
+    /// The test reads as one partition's record bytes.
+    fn test_records(k: usize, p: usize) -> Vec<u8> {
+        msp::partition_in_memory(&test_reads(), k, p, 1).unwrap().remove(0)
+    }
+
     #[test]
     fn partitioned_build_matches_reference() {
         let reads = test_reads();
-        for (k, p, n, threads) in [(5, 3, 4, 1), (7, 4, 8, 2), (15, 11, 3, 4)] {
+        for (k, p, n, threads) in [(5, 3, 4, 1), (7, 4, 8, 2), (15, 11, 3, 4), (33, 11, 2, 2)] {
             let reference = reference_graph(&reads, k);
-            let g = graph_from_partitions(&reads, k, p, n, threads);
+            let g = graph_of_reads(&reads, k, p, n, threads);
             assert_eq!(g.distinct_vertices(), reference.len(), "k={k} p={p} n={n}");
             for (kmer, data) in reference {
                 assert_eq!(g.get(&kmer), Some(&data), "vertex {kmer} differs (k={k})");
@@ -537,8 +455,8 @@ mod tests {
         // their graphs must coincide (with doubled counts).
         let fwd = vec![PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCA")];
         let both = vec![fwd[0].clone(), fwd[0].revcomp()];
-        let g1 = graph_from_partitions(&fwd, 7, 4, 4, 1);
-        let g2 = graph_from_partitions(&both, 7, 4, 4, 1);
+        let g1 = graph_of_reads(&fwd, 7, 4, 4, 1);
+        let g2 = graph_of_reads(&both, 7, 4, 4, 1);
         assert_eq!(g1.distinct_vertices(), g2.distinct_vertices());
         for (kmer, data) in g1.iter() {
             let d2 = g2.get(kmer).expect("vertex must exist in doubled graph");
@@ -554,7 +472,7 @@ mod tests {
             PackedSeq::from_ascii(b"TGATGG"),
             PackedSeq::from_ascii(b"TGATGA"),
         ];
-        let g = graph_from_partitions(&reads, 5, 3, 2, 1);
+        let g = graph_of_reads(&reads, 5, 3, 2, 1);
         let (canon, _) = "TGATG".parse::<Kmer>().unwrap().canonical();
         let v = g.get(&canon).unwrap();
         assert_eq!(v.count, 3, "TGATG seen three times");
@@ -573,23 +491,10 @@ mod tests {
     }
 
     #[test]
-    fn build_resizes_when_estimate_too_low() {
-        // λ=0 yields a floor-sized table; a diverse read overflows it.
-        let reads = vec![PackedSeq::from_ascii(
-            b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCACCGTATGCAATGCCGGATTAACGG",
-        )];
-        let parts = msp::partition_in_memory(&reads, 9, 3, 1).unwrap();
-        let out = build_subgraph(&parts[0], 9, 1, SizingParams { lambda: 0.001, alpha: 1.0 }).unwrap();
-        assert!(out.resizes > 0, "expected at least one resize");
-        let reference = reference_graph(&reads, 9);
-        assert_eq!(out.subgraph.len(), reference.len());
-    }
-
-    #[test]
     fn multithreaded_build_is_deterministic_up_to_order() {
         let reads = test_reads();
-        let a = graph_from_partitions(&reads, 7, 4, 2, 1);
-        let b = graph_from_partitions(&reads, 7, 4, 2, 8);
+        let a = graph_of_reads(&reads, 7, 4, 2, 1);
+        let b = graph_of_reads(&reads, 7, 4, 2, 8);
         assert_eq!(a, b);
     }
 
@@ -598,31 +503,48 @@ mod tests {
         // High-coverage duplicated reads: updates should dwarf insertions.
         let read = PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGGCATT");
         let reads: Vec<PackedSeq> = (0..10).map(|_| read.clone()).collect();
-        let parts = msp::partition_in_memory(&reads, 7, 4, 1).unwrap();
-        let out = build_subgraph(&parts[0], 7, 2, SizingParams::default()).unwrap();
-        let c = out.contention;
+        let records = msp::partition_in_memory(&reads, 7, 4, 1).unwrap().remove(0);
+        let slices = PartitionSlices::index(&records, 7, 4).unwrap();
+        let table = ConcurrentDbgTable::new(1024, 7);
+        build_subgraph_with(&table, &slices, 2).unwrap();
+        let c = table.contention();
         assert!(c.lock_reduction() > 0.85, "10× coverage should reduce locks ~90%, got {}", c.lock_reduction());
         assert_eq!(c.operations(), 10 * (read.len() as u64 - 7 + 1));
     }
 
     #[test]
     fn empty_partition_builds_empty_subgraph() {
-        let out = build_subgraph(&[], 7, 4, SizingParams::default()).unwrap();
-        assert!(out.subgraph.is_empty());
-        assert_eq!(out.resizes, 0);
-        assert!(build_subgraph_serial(&[], 7).unwrap().is_empty());
+        let slices = PartitionSlices::index(&[], 7, 4).unwrap();
+        let table = ConcurrentDbgTable::new(16, 7);
+        build_subgraph_with(&table, &slices, 4).unwrap();
+        assert!(table.snapshot().is_empty());
+    }
+
+    #[test]
+    fn partition_cut_for_another_k_is_rejected() {
+        let records = test_records(7, 4);
+        let slices = PartitionSlices::index(&records, 7, 4).unwrap();
+        for threads in [1, 3] {
+            let table = ConcurrentDbgTable::new(1024, 9);
+            assert!(matches!(
+                build_subgraph_with(&table, &slices, threads),
+                Err(HashGraphError::WrongK { expected: 9, got: 7 })
+            ));
+            assert_eq!(table.distinct(), 0);
+        }
     }
 
     #[test]
     fn rolling_replay_matches_naive_replay() {
-        let reads = test_reads();
         for k in [5, 7, 31, 32, 33] {
-            let parts = msp::partition_in_memory(&reads, k, 3.min(k), 1).unwrap();
+            let p = 3.min(k);
+            let records = test_records(k, p);
+            let slices = PartitionSlices::index(&records, k, p).unwrap();
             let fast = ConcurrentDbgTable::new(4096, k);
             let naive = ConcurrentDbgTable::new(4096, k);
-            for sk in &parts[0] {
-                record_superkmer(&fast, sk).unwrap();
-                record_superkmer_naive(&naive, sk).unwrap();
+            for view in slices.iter() {
+                record_core(&fast, &view).unwrap();
+                record_view_naive(&naive, &view).unwrap();
             }
             let mut a = fast.snapshot().into_entries();
             let mut b = naive.snapshot().into_entries();
@@ -633,45 +555,14 @@ mod tests {
     }
 
     #[test]
-    fn view_replay_matches_owned_replay() {
-        let reads = test_reads();
-        for (k, p) in [(5, 3), (7, 4), (33, 11)] {
-            let parts = msp::partition_in_memory(&reads, k, p, 1).unwrap();
-            let mut buf = Vec::new();
-            for sk in &parts[0] {
-                msp::encode_superkmer(sk, &mut buf);
-            }
-            let slices = msp::PartitionSlices::index(&buf, k, p).unwrap();
-            let via_view = ConcurrentDbgTable::new(4096, k);
-            for i in 0..slices.len() {
-                record_superkmer_view(&via_view, &slices.view(i)).unwrap();
-            }
-            let via_owned = ConcurrentDbgTable::new(4096, k);
-            for sk in &parts[0] {
-                record_superkmer(&via_owned, sk).unwrap();
-            }
-            let mut a = via_view.snapshot().into_entries();
-            let mut b = via_owned.snapshot().into_entries();
-            a.sort_by_key(|x| x.0);
-            b.sort_by_key(|x| x.0);
-            assert_eq!(a, b, "k={k} p={p}");
-        }
-    }
-
-    #[test]
     fn replay_kernel_matches_scalar_cursor_exactly() {
         // The word-parallel kernel must match the cursor replay on graph
         // content *and* contention counters, for narrow k, the k = 32
         // boundary, and the k = 33 fallback; extension flags included.
         let _guard = dna::simd::override_guard();
-        let reads = test_reads();
         for (k, p) in [(5, 3), (7, 4), (15, 11), (31, 11), (32, 11), (32, 32), (33, 11)] {
-            let parts = msp::partition_in_memory(&reads, k, p, 1).unwrap();
-            let mut buf = Vec::new();
-            for sk in &parts[0] {
-                msp::encode_superkmer(sk, &mut buf);
-            }
-            let slices = msp::PartitionSlices::index(&buf, k, p).unwrap();
+            let records = test_records(k, p);
+            let slices = PartitionSlices::index(&records, k, p).unwrap();
 
             dna::simd::set_force_scalar_override(Some(false));
             let kernel = ReplayKernel::new(k);
@@ -680,9 +571,9 @@ mod tests {
 
             let via_kernel = ConcurrentDbgTable::new(4096, k);
             let via_cursor = ConcurrentDbgTable::new(4096, k);
-            for i in 0..slices.len() {
-                record_view_drained(kernel, &via_kernel, &slices.view(i)).unwrap();
-                record_superkmer_view(&via_cursor, &slices.view(i)).unwrap();
+            for view in slices.iter() {
+                record_view_drained(kernel, &via_kernel, &view).unwrap();
+                record_core(&via_cursor, &view).unwrap();
             }
             assert_eq!(via_kernel.snapshot(), via_cursor.snapshot(), "k={k} p={p}");
             let (a, b) = (via_kernel.contention(), via_cursor.contention());
@@ -703,18 +594,13 @@ mod tests {
         assert!(!kernel.narrow, "forced-scalar kernels must not use the word path");
         // Captured at construction: the kernel stays scalar even after
         // the override is lifted, and still produces the same graph.
-        let reads = test_reads();
-        let parts = msp::partition_in_memory(&reads, 15, 11, 1).unwrap();
-        let mut buf = Vec::new();
-        for sk in &parts[0] {
-            msp::encode_superkmer(sk, &mut buf);
-        }
-        let slices = msp::PartitionSlices::index(&buf, 15, 11).unwrap();
+        let records = test_records(15, 11);
+        let slices = PartitionSlices::index(&records, 15, 11).unwrap();
         let scalar = ConcurrentDbgTable::new(4096, 15);
         let reference = ConcurrentDbgTable::new(4096, 15);
-        for i in 0..slices.len() {
-            record_view_drained(kernel, &scalar, &slices.view(i)).unwrap();
-            record_superkmer_view(&reference, &slices.view(i)).unwrap();
+        for view in slices.iter() {
+            record_view_drained(kernel, &scalar, &view).unwrap();
+            record_core(&reference, &view).unwrap();
         }
         assert_eq!(scalar.snapshot(), reference.snapshot());
     }
@@ -729,21 +615,16 @@ mod tests {
         // of record boundaries per drain.
         let _guard = dna::simd::override_guard();
         dna::simd::set_force_scalar_override(Some(false));
-        let reads = test_reads();
         for (k, p) in [(5, 3), (15, 11), (31, 11), (32, 11), (33, 11)] {
-            let parts = msp::partition_in_memory(&reads, k, p, 1).unwrap();
-            let mut buf = Vec::new();
-            for sk in &parts[0] {
-                msp::encode_superkmer(sk, &mut buf);
-            }
-            let slices = msp::PartitionSlices::index(&buf, k, p).unwrap();
+            let records = test_records(k, p);
+            let slices = PartitionSlices::index(&records, k, p).unwrap();
             let kernel = ReplayKernel::new(k);
             let via_pipe = ConcurrentDbgTable::new(4096, k);
             let via_kernel = ConcurrentDbgTable::new(4096, k);
             let mut pipe = ReplayPipeline::new(kernel, &via_pipe);
-            for i in 0..slices.len() {
-                pipe.record_view(&slices.view(i)).unwrap();
-                record_view_drained(kernel, &via_kernel, &slices.view(i)).unwrap();
+            for view in slices.iter() {
+                pipe.record_view(&view).unwrap();
+                record_view_drained(kernel, &via_kernel, &view).unwrap();
             }
             pipe.flush().unwrap();
             assert_eq!(via_pipe.snapshot(), via_kernel.snapshot(), "k={k} p={p}");
@@ -765,18 +646,13 @@ mod tests {
         dna::simd::set_force_scalar_override(Some(false));
         let kernel = ReplayKernel::new(7);
         dna::simd::set_force_scalar_override(None);
-        let reads = test_reads();
-        let parts = msp::partition_in_memory(&reads, 7, 4, 1).unwrap();
-        let mut buf = Vec::new();
-        for sk in &parts[0] {
-            msp::encode_superkmer(sk, &mut buf);
-        }
-        let slices = msp::PartitionSlices::index(&buf, 7, 4).unwrap();
+        let records = test_records(7, 4);
+        let slices = PartitionSlices::index(&records, 7, 4).unwrap();
         let tiny = ConcurrentDbgTable::new(2, 7);
         let mut pipe = ReplayPipeline::new(kernel, &tiny);
         let mut result = Ok(());
-        for i in 0..slices.len() {
-            result = pipe.record_view(&slices.view(i));
+        for view in slices.iter() {
+            result = pipe.record_view(&view);
             if result.is_err() {
                 break;
             }
@@ -788,116 +664,5 @@ mod tests {
             matches!(result, Err(HashGraphError::CapacityExhausted { .. })),
             "expected CapacityExhausted, got {result:?}"
         );
-    }
-
-    #[test]
-    fn serial_matches_parallel() {
-        let reads = test_reads();
-        let parts = msp::partition_in_memory(&reads, 7, 4, 1).unwrap();
-        let serial = build_subgraph_serial(&parts[0], 7).unwrap();
-        let parallel = build_subgraph(&parts[0], 7, 4, SizingParams::default()).unwrap().subgraph;
-        let mut a = serial.into_entries();
-        let mut b = parallel.into_entries();
-        a.sort_by_key(|x| x.0);
-        b.sort_by_key(|x| x.0);
-        assert_eq!(a, b);
-    }
-}
-
-#[cfg(test)]
-mod scan_timing {
-    use super::*;
-    use std::time::Instant;
-
-    // Ad-hoc throughput probe for the narrow scan, run manually with
-    // `cargo test -p hashgraph --release -- --ignored scan_timing --nocapture`.
-    #[test]
-    #[ignore]
-    fn scan_throughput() {
-        const K: usize = 27;
-        const P: usize = 11;
-        let mut state: u64 = 12345;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        let reads: Vec<dna::PackedSeq> = (0..800)
-            .map(|_| {
-                let s: Vec<u8> = (0..101).map(|_| b"ACGT"[(next() % 4) as usize]).collect();
-                dna::PackedSeq::from_ascii(&s)
-            })
-            .collect();
-        let scanner = msp::SuperkmerScanner::new(K, P).unwrap();
-        let mut bytes = Vec::new();
-        for r in &reads {
-            for sk in scanner.scan(r) {
-                msp::encode_superkmer(&sk, &mut bytes);
-            }
-        }
-        let slices = msp::PartitionSlices::index(&bytes, K, P).unwrap();
-        let n = slices.total_kmers();
-        let kernel = ReplayKernel::new(K);
-        assert!(kernel.narrow);
-
-        // Warm table + pre-scanned stream, built once outside the reps.
-        let table = ConcurrentDbgTable::new(n * 2, K);
-        let mut pipe = ReplayPipeline::new(kernel, &table);
-        for i in 0..slices.len() {
-            pipe.record_view(&slices.view(i)).unwrap();
-        }
-        pipe.flush().unwrap();
-        let mut stream = Vec::new();
-        for i in 0..slices.len() {
-            scan_narrow_view(K, &slices.view(i), |w, h, e| {
-                stream.push((w, h, e));
-                Ok(())
-            })
-            .unwrap();
-        }
-
-        // Min over reps: the box is a noisy shared VM, so the minimum is
-        // the only stable statistic.
-        let (mut scan_min, mut full_min) = (f64::INFINITY, f64::INFINITY);
-        let mut tbl_min = [f64::INFINITY; 4];
-        let mut acc = 0u64;
-        for _rep in 0..10 {
-            // scan only, no table
-            let t = Instant::now();
-            acc = 0;
-            for i in 0..slices.len() {
-                scan_narrow_view(K, &slices.view(i), |w, h, e| {
-                    acc ^= w ^ h ^ e[0].unwrap_or(0) as u64;
-                    Ok(())
-                })
-                .unwrap();
-            }
-            scan_min = scan_min.min(t.elapsed().as_nanos() as f64 / n as f64);
-
-            // full pipeline into the warm table
-            let t = Instant::now();
-            let mut pipe = ReplayPipeline::new(kernel, &table);
-            for i in 0..slices.len() {
-                pipe.record_view(&slices.view(i)).unwrap();
-            }
-            pipe.flush().unwrap();
-            full_min = full_min.min(t.elapsed().as_nanos() as f64 / n as f64);
-
-            // table only: replay the pre-scanned stream directly
-            for (di, d) in [0usize, 8, 16, 32].into_iter().enumerate() {
-                let t = Instant::now();
-                for i in 0..stream.len() {
-                    if let Some(&(_, ph, _)) = stream.get(i + d) {
-                        table.prefetch_narrow(ph);
-                    }
-                    let (w, h, e) = stream[i];
-                    table.record_narrow_hashed(w, h, e).unwrap();
-                }
-                tbl_min[di] = tbl_min[di].min(t.elapsed().as_nanos() as f64 / stream.len() as f64);
-            }
-        }
-        eprintln!("scan only: {scan_min:.1} ns/kmer (acc {acc}), full warm replay: {full_min:.1} ns/kmer, n={n}");
-        for (di, d) in [0usize, 8, 16, 32].into_iter().enumerate() {
-            eprintln!("  table only, prefetch d={d}: {:.1} ns/kmer", tbl_min[di]);
-        }
     }
 }

@@ -67,7 +67,9 @@ fn remove_path(graph: &mut DeBruijnGraph, path: &Path) -> usize {
 ///
 /// ```
 /// use dna::PackedSeq;
-/// use hashgraph::{build_subgraph_serial, clip_tips, unitigs, DeBruijnGraph};
+/// use hashgraph::{
+///     build_subgraph_with, clip_tips, unitigs, ConcurrentDbgTable, DeBruijnGraph, VertexTable,
+/// };
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // A clean path plus a short erroneous dead-end branch.
@@ -75,9 +77,12 @@ fn remove_path(graph: &mut DeBruijnGraph, path: &Path) -> usize {
 ///     PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGG"),
 ///     PackedSeq::from_ascii(b"ACGTTGCATGGACCAATG"), // diverges, then stops
 /// ];
-/// let parts = msp::partition_in_memory(&reads, 9, 4, 1)?;
+/// let records = msp::partition_in_memory(&reads, 9, 4, 1)?.remove(0);
+/// let slices = msp::PartitionSlices::index(&records, 9, 4)?;
+/// let table = ConcurrentDbgTable::new(2 * slices.total_kmers(), 9);
+/// build_subgraph_with(&table, &slices, 1)?;
 /// let mut g = DeBruijnGraph::new(9);
-/// g.absorb(build_subgraph_serial(&parts[0], 9)?);
+/// g.absorb(table.snapshot());
 /// assert!(unitigs(&g).len() > 1);
 /// let removed = clip_tips(&mut g, 2 * 9);
 /// assert!(removed > 0);
@@ -145,7 +150,9 @@ pub fn clip_tips(graph: &mut DeBruijnGraph, max_len: usize) -> usize {
 ///
 /// ```
 /// use dna::PackedSeq;
-/// use hashgraph::{build_subgraph_serial, pop_bubbles, unitigs, DeBruijnGraph};
+/// use hashgraph::{
+///     build_subgraph_with, pop_bubbles, unitigs, ConcurrentDbgTable, DeBruijnGraph, VertexTable,
+/// };
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let clean = b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCC";
@@ -155,9 +162,12 @@ pub fn clip_tips(graph: &mut DeBruijnGraph, max_len: usize) -> usize {
 ///     .map(|_| PackedSeq::from_ascii(clean))
 ///     .collect();
 /// reads.push(PackedSeq::from_ascii(&snp));
-/// let parts = msp::partition_in_memory(&reads, 9, 4, 1)?;
+/// let records = msp::partition_in_memory(&reads, 9, 4, 1)?.remove(0);
+/// let slices = msp::PartitionSlices::index(&records, 9, 4)?;
+/// let table = ConcurrentDbgTable::new(2 * slices.total_kmers(), 9);
+/// build_subgraph_with(&table, &slices, 1)?;
 /// let mut g = DeBruijnGraph::new(9);
-/// g.absorb(build_subgraph_serial(&parts[0], 9)?);
+/// g.absorb(table.snapshot());
 /// assert!(unitigs(&g).len() > 1, "the SNP opens a bubble");
 /// pop_bubbles(&mut g, 3 * 9);
 /// assert_eq!(unitigs(&g).len(), 1, "popping restores one contig");
@@ -215,17 +225,12 @@ pub fn pop_bubbles(graph: &mut DeBruijnGraph, max_len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_subgraph_serial, unitigs};
+    use crate::unitigs;
     use dna::PackedSeq;
 
     fn graph_of(reads: &[&[u8]], k: usize) -> DeBruijnGraph {
         let seqs: Vec<PackedSeq> = reads.iter().map(|s| PackedSeq::from_ascii(s)).collect();
-        let parts = msp::partition_in_memory(&seqs, k, (k / 2).max(1), 4).unwrap();
-        let mut g = DeBruijnGraph::new(k);
-        for part in &parts {
-            g.absorb(build_subgraph_serial(part, k).unwrap());
-        }
-        g
+        crate::build::graph_of_reads(&seqs, k, (k / 2).max(1), 4, 1)
     }
 
     #[test]

@@ -190,14 +190,16 @@ impl SubGraph {
 ///
 /// ```
 /// use dna::PackedSeq;
-/// use hashgraph::{build_subgraph_serial, DeBruijnGraph};
+/// use hashgraph::{build_subgraph_with, ConcurrentDbgTable, DeBruijnGraph, VertexTable};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let reads = vec![PackedSeq::from_ascii(b"ACGTACGTAC")];
-/// let parts = msp::partition_in_memory(&reads, 4, 2, 2)?;
 /// let mut g = DeBruijnGraph::new(4);
-/// for p in &parts {
-///     g.absorb(build_subgraph_serial(p, 4)?);
+/// for records in msp::partition_in_memory(&reads, 4, 2, 2)? {
+///     let slices = msp::PartitionSlices::index(&records, 4, 2)?;
+///     let table = ConcurrentDbgTable::new(2 * slices.total_kmers() + 16, 4);
+///     build_subgraph_with(&table, &slices, 1)?;
+///     g.absorb(table.snapshot());
 /// }
 /// // 7 k-mer occurrences; ACGT-periodic so few distinct vertices.
 /// assert_eq!(g.total_kmer_occurrences(), 7);

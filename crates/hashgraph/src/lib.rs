@@ -28,14 +28,20 @@
 //!
 //! ```
 //! use dna::PackedSeq;
-//! use hashgraph::{build_subgraph_serial, DeBruijnGraph};
+//! use hashgraph::{build_subgraph_with, ConcurrentDbgTable, DeBruijnGraph, VertexTable};
+//! use msp::PartitionSlices;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! // Step 1: four partitions of encoded superkmer records.
 //! let parts = msp::partition_in_memory(
 //!     &[PackedSeq::from_ascii(b"TGATGGATGAACCAGTTTGA")], 5, 3, 4)?;
+//! // Step 2: one table per partition, replayed and merged.
 //! let mut graph = DeBruijnGraph::new(5);
 //! for part in &parts {
-//!     graph.absorb(build_subgraph_serial(part, 5)?);
+//!     let slices = PartitionSlices::index(part, 5, 3)?;
+//!     let table = ConcurrentDbgTable::new(2 * slices.total_kmers() + 16, 5);
+//!     build_subgraph_with(&table, &slices, 1)?;
+//!     graph.absorb(table.snapshot());
 //! }
 //! assert_eq!(graph.total_kmer_occurrences(), 20 - 5 + 1);
 //! # Ok(())
@@ -56,10 +62,7 @@ mod table;
 mod unitig;
 
 pub use ablation::MutexDbgTable;
-pub use build::{
-    build_subgraph, build_subgraph_serial, build_subgraph_with, edge_slots_for, BuildOutput,
-    ReplayKernel, ReplayPipeline,
-};
+pub use build::{build_subgraph_with, edge_slots_for, ReplayKernel, ReplayPipeline};
 pub use cleaning::{clip_tips, pop_bubbles};
 pub use contention::ContentionStats;
 pub use estimate::{

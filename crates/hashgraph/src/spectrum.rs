@@ -15,13 +15,18 @@ use crate::DeBruijnGraph;
 ///
 /// ```
 /// use dna::PackedSeq;
-/// use hashgraph::{build_subgraph_serial, DeBruijnGraph, Spectrum};
+/// use hashgraph::{
+///     build_subgraph_with, ConcurrentDbgTable, DeBruijnGraph, Spectrum, VertexTable,
+/// };
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let reads: Vec<PackedSeq> = (0..4).map(|_| PackedSeq::from_ascii(b"ACGTTGCATGGAC")).collect();
-/// let parts = msp::partition_in_memory(&reads, 7, 4, 1)?;
+/// let records = msp::partition_in_memory(&reads, 7, 4, 1)?.remove(0);
+/// let slices = msp::PartitionSlices::index(&records, 7, 4)?;
+/// let table = ConcurrentDbgTable::new(2 * slices.total_kmers(), 7);
+/// build_subgraph_with(&table, &slices, 1)?;
 /// let mut g = DeBruijnGraph::new(7);
-/// g.absorb(build_subgraph_serial(&parts[0], 7)?);
+/// g.absorb(table.snapshot());
 /// let spectrum = Spectrum::of(&g);
 /// // Every vertex was seen exactly 4 times (4 identical reads).
 /// assert_eq!(spectrum.vertices_with_multiplicity(4), 7);
@@ -139,7 +144,7 @@ impl Spectrum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_subgraph_serial, VertexData};
+    use crate::VertexData;
     use dna::{Kmer, PackedSeq};
 
     fn graph_with_counts(counts: &[(&str, u32)]) -> DeBruijnGraph {
@@ -205,9 +210,7 @@ mod tests {
     fn uniform_coverage_without_errors() {
         let reads: Vec<PackedSeq> =
             (0..8).map(|_| PackedSeq::from_ascii(b"ACGTTGCATGGACCAGT")).collect();
-        let parts = msp::partition_in_memory(&reads, 7, 4, 1).unwrap();
-        let mut g = DeBruijnGraph::new(7);
-        g.absorb(build_subgraph_serial(&parts[0], 7).unwrap());
+        let g = crate::build::graph_of_reads(&reads, 7, 4, 1, 1);
         let s = Spectrum::of(&g);
         assert_eq!(s.coverage_peak(), Some(8));
         assert_eq!(s.total_occurrences(), g.total_kmer_occurrences());

@@ -123,11 +123,8 @@ mod tests {
 
     #[test]
     fn of_unitigs_matches_lengths() {
-        use crate::build_subgraph_serial;
         let reads = vec![dna::PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGG")];
-        let parts = msp::partition_in_memory(&reads, 9, 5, 1).unwrap();
-        let mut g = crate::DeBruijnGraph::new(9);
-        g.absorb(build_subgraph_serial(&parts[0], 9).unwrap());
+        let g = crate::build::graph_of_reads(&reads, 9, 5, 1, 1);
         let us = crate::unitigs(&g);
         let s = AssemblyStats::of(&us);
         assert_eq!(s.contigs, us.len());

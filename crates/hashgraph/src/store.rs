@@ -227,7 +227,6 @@ pub fn load_graph(path: impl AsRef<Path>) -> Result<DeBruijnGraph, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_subgraph_serial;
     use dna::PackedSeq;
 
     fn sample_graph() -> DeBruijnGraph {
@@ -235,12 +234,7 @@ mod tests {
             PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGGCATT"),
             PackedSeq::from_ascii(b"TGATGGATGATGGATGGTAGCATACGTTGCAT"),
         ];
-        let parts = msp::partition_in_memory(&reads, 9, 5, 3).unwrap();
-        let mut g = DeBruijnGraph::new(9);
-        for p in &parts {
-            g.absorb(build_subgraph_serial(p, 9).unwrap());
-        }
-        g
+        crate::build::graph_of_reads(&reads, 9, 5, 3, 1)
     }
 
     #[test]

@@ -43,26 +43,6 @@ pub trait VertexTable: Sync {
     /// [`HashGraphError::WrongK`] for a key of the wrong length.
     fn record(&self, key: &Kmer, edge_slots: [Option<u8>; 2]) -> Result<()>;
 
-    /// [`record`](Self::record) for a canonical k-mer of k ≤ 32 whose
-    /// packed bases fit entirely in `word` (left-aligned MSB-first, tail
-    /// bits zero — the layout of `Kmer`'s first word). The word-parallel
-    /// Step-2 replay kernel feeds the table through this, skipping the
-    /// `Kmer` materialisation per position.
-    ///
-    /// The default implementation reassembles the `Kmer` and delegates to
-    /// [`record`](Self::record), so every table is automatically correct;
-    /// tables with a cheaper route (hashing the word array directly) may
-    /// override it, provided the observable behaviour stays identical.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`record`](Self::record).
-    fn record_narrow(&self, word: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
-        debug_assert!(self.k() <= 32, "record_narrow requires k <= 32, got {}", self.k());
-        let key = Kmer::from_words([word, 0, 0, 0], self.k()).expect("1 <= k <= 32");
-        self.record(&key, edge_slots)
-    }
-
     /// Hint that a narrow key whose [`Kmer::hash64_of_words`] value is
     /// `hash` will shortly be recorded. Tables backed by hash-addressed
     /// storage may start pulling the target slot's cache lines toward
@@ -72,21 +52,29 @@ pub trait VertexTable: Sync {
         let _ = hash;
     }
 
-    /// [`record_narrow`](Self::record_narrow) with the key's
-    /// [`Kmer::hash64_of_words`] value supplied by the caller — the
-    /// replay kernel already computed it to issue
-    /// [`prefetch_narrow`](Self::prefetch_narrow) a few positions ahead,
-    /// so the table need not re-run the mix chain. `hash` **must** equal
-    /// `Kmer::hash64_of_words(&[word, 0, 0, 0], k)`; the default ignores
-    /// it and delegates, so implementations only honour the caller's
-    /// hash by explicit opt-in.
+    /// [`record`](Self::record) for a canonical k-mer of k ≤ 32 whose
+    /// packed bases fit entirely in `word` (left-aligned MSB-first, tail
+    /// bits zero — the layout of `Kmer`'s first word), with the key's
+    /// [`Kmer::hash64_of_words`] value supplied by the caller. The
+    /// word-parallel Step-2 replay feeds the table through this: it
+    /// never materialises a `Kmer` per position, and it already computed
+    /// the hash to issue [`prefetch_narrow`](Self::prefetch_narrow) a few
+    /// positions ahead, so the table need not re-run the mix chain.
+    /// `hash` **must** equal `Kmer::hash64_of_words(&[word, 0, 0, 0], k)`.
+    ///
+    /// The default implementation reassembles the `Kmer`, ignores the
+    /// hash and delegates to [`record`](Self::record), so every table is
+    /// automatically correct; tables with a cheaper route may override
+    /// it, provided the observable behaviour stays identical.
     ///
     /// # Errors
     ///
     /// Same as [`record`](Self::record).
     fn record_narrow_hashed(&self, word: u64, hash: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
         let _ = hash;
-        self.record_narrow(word, edge_slots)
+        debug_assert!(self.k() <= 32, "narrow keys require k <= 32, got {}", self.k());
+        let key = Kmer::from_words([word, 0, 0, 0], self.k()).expect("1 <= k <= 32");
+        self.record(&key, edge_slots)
     }
 
     /// Copies the current contents out as a subgraph.
@@ -326,7 +314,7 @@ impl ConcurrentDbgTable {
     }
 
     /// The state-transfer probe loop shared by [`VertexTable::record`]
-    /// and [`VertexTable::record_narrow`]: `words` must be the tail-clean
+    /// and [`VertexTable::record_narrow_hashed`]: `words` must be the tail-clean
     /// packed key and `hash` its [`Kmer::hash64_of_words`] value, so both
     /// entry points take the same slot, tag, and probe sequence.
     fn probe_record(&self, words: [u64; 4], hash: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
@@ -520,16 +508,6 @@ impl VertexTable for ConcurrentDbgTable {
         self.probe_record(*key.words(), key.hash64(), edge_slots)
     }
 
-    /// The narrow fast path: hash the single-word key array directly —
-    /// [`Kmer::hash64_of_words`] is the same function `Kmer::hash64`
-    /// delegates to, so slot, fingerprint tag, probe order, and every
-    /// contention counter are bit-identical to [`record`](Self::record).
-    fn record_narrow(&self, word: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
-        debug_assert!(self.k <= 32, "record_narrow requires k <= 32, got {}", self.k);
-        let words = [word, 0, 0, 0];
-        self.probe_record_impl::<true>(words, Kmer::hash64_of_words(&words, self.k), edge_slots)
-    }
-
     /// Pulls the home slot's state, key and counter lines toward the
     /// core. Issued by the replay kernel several positions before the
     /// matching [`record_narrow_hashed`](VertexTable::record_narrow_hashed),
@@ -544,8 +522,13 @@ impl VertexTable for ConcurrentDbgTable {
         }
     }
 
+    /// The narrow fast path: the caller hashed the single-word key array
+    /// directly — [`Kmer::hash64_of_words`] is the same function
+    /// `Kmer::hash64` delegates to, so slot, fingerprint tag, probe order,
+    /// and every contention counter are bit-identical to
+    /// [`record`](Self::record).
     fn record_narrow_hashed(&self, word: u64, hash: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
-        debug_assert!(self.k <= 32, "record_narrow requires k <= 32, got {}", self.k);
+        debug_assert!(self.k <= 32, "narrow keys require k <= 32, got {}", self.k);
         let words = [word, 0, 0, 0];
         debug_assert_eq!(
             hash,
@@ -646,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn record_narrow_matches_record_exactly() {
+    fn record_narrow_hashed_matches_record_exactly() {
         // Same key stream through both entry points: identical snapshot
         // *and* identical contention counters (same hash → same slots,
         // tags, and probe walks).
@@ -660,7 +643,9 @@ mod tests {
                 let c = kmer.canonical().0;
                 let edges = [Some((i % 8) as u8), if i % 3 == 0 { None } else { Some(7) }];
                 via_kmer.record(&c, edges).unwrap();
-                via_word.record_narrow(c.words()[0], edges).unwrap();
+                let word = c.words()[0];
+                let hash = Kmer::hash64_of_words(&[word, 0, 0, 0], k);
+                via_word.record_narrow_hashed(word, hash, edges).unwrap();
             }
             assert_eq!(via_kmer.snapshot(), via_word.snapshot(), "k={k}");
             let (a, b) = (via_kmer.contention(), via_word.contention());
@@ -828,7 +813,6 @@ mod tests {
     /// contention counters throughout.
     #[test]
     fn recycled_table_with_stale_counter_lines_equals_fresh() {
-        use crate::{ReplayKernel, ReplayPipeline};
         const K: usize = 15;
         const P: usize = 7;
         let partition = |seed: u64, copies: usize| {
@@ -846,32 +830,12 @@ mod tests {
                     PackedSeq::from_ascii(&ascii)
                 })
                 .collect();
-            let parts = msp::partition_in_memory(&reads, K, P, 1).unwrap();
-            let mut buf = Vec::new();
-            for _ in 0..copies {
-                for sk in &parts[0] {
-                    msp::encode_superkmer(sk, &mut buf);
-                }
-            }
-            buf
+            msp::partition_in_memory(&reads, K, P, 1).unwrap().remove(0).repeat(copies)
         };
         let (a, b) = (partition(0x9E37_79B9_7F4A_7C15, 9), partition(0x2545_F491_4F6C_DD1D, 2));
         let replay = |table: &ConcurrentDbgTable, bytes: &[u8], threads: usize| {
             let slices = msp::PartitionSlices::index(bytes, K, P).unwrap();
-            let kernel = ReplayKernel::new(K);
-            let chunk = slices.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let slices = &slices;
-                    s.spawn(move || {
-                        let mut pipe = ReplayPipeline::new(kernel, table);
-                        for i in (t * chunk)..((t + 1) * chunk).min(slices.len()) {
-                            pipe.record_view(&slices.view(i)).unwrap();
-                        }
-                        pipe.flush().unwrap();
-                    });
-                }
-            });
+            crate::build_subgraph_with(table, &slices, threads).unwrap();
         };
         let sorted = |sub: SubGraph| {
             let mut entries = sub.into_entries();

@@ -118,14 +118,17 @@ fn unique_next(
 ///
 /// ```
 /// use dna::PackedSeq;
-/// use hashgraph::{build_subgraph_serial, unitigs, DeBruijnGraph};
+/// use hashgraph::{build_subgraph_with, unitigs, ConcurrentDbgTable, DeBruijnGraph, VertexTable};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // One linear sequence, full coverage, no errors ⇒ one unitig.
 /// let genome = PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGG");
-/// let parts = msp::partition_in_memory(&[genome.clone()], 9, 5, 1)?;
+/// let records = msp::partition_in_memory(&[genome.clone()], 9, 5, 1)?.remove(0);
+/// let slices = msp::PartitionSlices::index(&records, 9, 5)?;
+/// let table = ConcurrentDbgTable::new(2 * slices.total_kmers(), 9);
+/// build_subgraph_with(&table, &slices, 1)?;
 /// let mut g = DeBruijnGraph::new(9);
-/// g.absorb(build_subgraph_serial(&parts[0], 9)?);
+/// g.absorb(table.snapshot());
 /// let us = unitigs(&g);
 /// assert_eq!(us.len(), 1);
 /// let s = us[0].seq();
@@ -215,16 +218,10 @@ pub fn unitigs_with(graph: &DeBruijnGraph, min_edge_weight: u32) -> Vec<Unitig> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_subgraph_serial;
 
     fn graph_of(reads: &[&str], k: usize) -> DeBruijnGraph {
         let seqs: Vec<PackedSeq> = reads.iter().map(|s| PackedSeq::from_ascii(s.as_bytes())).collect();
-        let parts = msp::partition_in_memory(&seqs, k, (k / 2).max(1), 4).unwrap();
-        let mut g = DeBruijnGraph::new(k);
-        for part in &parts {
-            g.absorb(build_subgraph_serial(part, k).unwrap());
-        }
-        g
+        crate::build::graph_of_reads(&seqs, k, (k / 2).max(1), 4, 1)
     }
 
     #[test]

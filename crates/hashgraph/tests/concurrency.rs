@@ -116,10 +116,12 @@ proptest! {
     #[test]
     fn graph_store_roundtrips_random_graphs(reads in prop::collection::vec(prop::collection::vec(base(), 0..80), 0..8)) {
         let seqs: Vec<PackedSeq> = reads.into_iter().map(|v| v.into_iter().collect()).collect();
-        let parts = msp::partition_in_memory(&seqs, 9, 5, 2).unwrap();
         let mut g = hashgraph::DeBruijnGraph::new(9);
-        for p in &parts {
-            g.absorb(hashgraph::build_subgraph_serial(p, 9).unwrap());
+        for records in msp::partition_in_memory(&seqs, 9, 5, 2).unwrap() {
+            let slices = msp::PartitionSlices::index(&records, 9, 5).unwrap();
+            let table = ConcurrentDbgTable::new(2 * slices.total_kmers() + 16, 9);
+            hashgraph::build_subgraph_with(&table, &slices, 2).unwrap();
+            g.absorb(table.snapshot());
         }
         let mut buf = Vec::new();
         hashgraph::write_graph(&g, &mut buf).unwrap();

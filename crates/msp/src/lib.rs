@@ -1,7 +1,7 @@
 //! Minimum Substring Partitioning (MSP) — Step 1 of ParaHash.
 //!
 //! Partitions the De Bruijn graph *before it exists* by cutting each read
-//! into [`Superkmer`]s: maximal runs of adjacent k-mers that share one
+//! into *superkmers*: maximal runs of adjacent k-mers that share one
 //! *minimizer* (the minimal length-`P` substring, Definition 1 of the
 //! paper). All duplicates of a vertex share its minimizer, so routing
 //! superkmers by `hash(minimizer) mod n` sends every duplicate — and its
@@ -14,8 +14,13 @@
 //!   base pairs (the read base immediately before and after it), restoring
 //!   the edge information that plain MSP k-mer counting loses.
 //! * **2-bit encoding** — partition files store packed records
-//!   ([`encode_superkmer`]), about ¼ the size of the textual
+//!   ([`encode_superkmer_slice`]), about ¼ the size of the textual
 //!   representation, cutting disk and host↔device transfer volume.
+//!
+//! The encoded record is the *only* superkmer representation in this
+//! crate: Step 1 writes records straight out of the read's packed words
+//! and Step 2 replays them through borrowed [`SuperkmerView`]s, so no
+//! owned per-superkmer value exists between the two.
 //!
 //! One deliberate deviation from the paper's Definition 1: minimizers are
 //! computed over the *canonical pair* (the k-mer and its reverse
@@ -28,14 +33,17 @@
 //!
 //! ```
 //! use dna::PackedSeq;
-//! use msp::SuperkmerScanner;
+//! use msp::PartitionSlices;
 //!
 //! # fn main() -> msp::Result<()> {
 //! let read = PackedSeq::from_ascii(b"TGATGGATGAACCAGTTTGA");
-//! let scanner = SuperkmerScanner::new(5, 3)?;
-//! let superkmers = scanner.scan(&read);
-//! // Every k-mer of the read appears in exactly one superkmer:
-//! let total: usize = superkmers.iter().map(|s| s.kmer_count()).sum();
+//! // Step 1 in memory: scan, route by minimizer, encode — 4 partitions.
+//! let parts = msp::partition_in_memory(std::slice::from_ref(&read), 5, 3, 4)?;
+//! // Every k-mer of the read appears in exactly one record:
+//! let mut total = 0;
+//! for records in &parts {
+//!     total += PartitionSlices::index(records, 5, 3)?.total_kmers();
+//! }
 //! assert_eq!(total, read.len() - 5 + 1);
 //! # Ok(())
 //! # }
@@ -57,15 +65,15 @@ pub use frame::{
     append_frame, crc32, deframe, deframe_in, frame_payloads, frame_payloads_in, FrameFault,
     DEFAULT_FRAME_TARGET, FRAME_HEADER_LEN,
 };
-pub use minimizer::{minimizer_of_kmer, MinimizerCursor, MinimizerScanner};
+pub use minimizer::{minimizer_of_kmer, MinimizerCursor};
 pub use partition::{partition_in_memory, PartitionRouter};
-pub use reader::{FastqChunks, PartitionReader};
-pub use record::{decode_superkmer, encode_superkmer, encode_superkmer_slice, encoded_len};
+pub use reader::FastqChunks;
+pub use record::{encode_superkmer_slice, encoded_len};
 pub use stats::{DistributionSummary, PartitionStats};
 pub use store::{PartitionSink, PartitionStore, SealedPartition, SealedPayload};
 pub use subsplit::{split_framed, sub_route, SubPartition};
-pub use superkmer::{Superkmer, SuperkmerScanner};
-pub use view::{iter_views, CodeWords, PartitionSlices, SuperkmerView, ViewIter};
+pub use superkmer::SuperkmerScanner;
+pub use view::{CodeWords, PartitionSlices, SuperkmerView};
 pub use writer::{PartitionManifest, PartitionWriter, QuarantinedPartition};
 
 /// Errors from MSP partition I/O and parameter validation.
@@ -125,3 +133,6 @@ impl From<std::io::Error> for MspError {
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, MspError>;
+
+#[cfg(test)]
+mod testutil;

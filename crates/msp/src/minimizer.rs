@@ -8,11 +8,12 @@ use crate::{MspError, Result};
 /// length-`p` substring over the k-mer **and its reverse complement** (the
 /// canonical pair — see the crate docs for why both strands are needed).
 ///
-/// This is the O(K·P) brute force the paper describes; the sliding-window
-/// [`MinimizerScanner`] produces identical results in O(L) per read and is
-/// what the system uses. Keep this around as the reference for tests
-/// and as the `p > 32` / `PARAHASH_FORCE_SCALAR` path of the out-of-core
-/// record router ([`split_framed`](crate::split_framed)).
+/// This is the O(K·P) brute force the paper describes, and the
+/// *definition* both scan paths are tested against; the sliding-window
+/// [`MinimizerCursor`] produces identical results in O(L) per read and is
+/// what the system uses. It also serves the `p > 32` /
+/// `PARAHASH_FORCE_SCALAR` path of the out-of-core record router
+/// ([`split_framed`](crate::split_framed)).
 ///
 /// # Examples
 ///
@@ -76,105 +77,16 @@ pub(crate) fn minimizer_word_of_first_kmer(
     min
 }
 
-/// O(L) sliding-window minimizer scanner for whole reads.
-///
-/// For a read of length `L` it reports, for each of the `L−K+1` k-mer
-/// positions, that k-mer's canonical minimizer. Internally it runs a
-/// monotone-deque window minimum over the read's p-mers on both strands —
-/// each p-mer enters and leaves the deque at most once, so the whole scan
-/// is linear regardless of `K` or `P`.
-///
-/// # Examples
-///
-/// ```
-/// use dna::PackedSeq;
-/// use msp::{minimizer_of_kmer, MinimizerScanner};
-///
-/// # fn main() -> msp::Result<()> {
-/// let read = PackedSeq::from_ascii(b"ACGTTGCATGGA");
-/// let scanner = MinimizerScanner::new(5, 3)?;
-/// let mins = scanner.scan(&read);
-/// assert_eq!(mins.len(), read.len() - 5 + 1);
-/// // Matches the brute force at every position:
-/// for (i, m) in mins.iter().enumerate() {
-///     let kmer = read.kmer_at(i, 5).unwrap();
-///     assert_eq!(*m, minimizer_of_kmer(&kmer, 3));
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct MinimizerScanner {
-    k: usize,
-    p: usize,
-}
-
-impl MinimizerScanner {
-    /// Creates a scanner for k-mers of length `k` and minimizers of
-    /// length `p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MspError::InvalidParams`] unless `1 ≤ p ≤ k ≤ MAX_K`.
-    pub fn new(k: usize, p: usize) -> Result<MinimizerScanner> {
-        if p < 1 || p > k || k > dna::MAX_K {
-            return Err(MspError::InvalidParams { k, p });
-        }
-        Ok(MinimizerScanner { k, p })
-    }
-
-    /// The k-mer length.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The minimizer length.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Scans a read, returning one canonical minimizer per k-mer position
-    /// (empty if the read is shorter than `k`).
-    pub fn scan(&self, read: &PackedSeq) -> Vec<Kmer> {
-        if read.len() < self.k {
-            return Vec::new();
-        }
-        let window = self.k - self.p + 1;
-        let fwd = window_minima(read, self.p, window);
-        let rc = window_minima(&read.revcomp(), self.p, window);
-        let n = read.len() - self.k + 1;
-        debug_assert_eq!(fwd.len(), n);
-        debug_assert_eq!(rc.len(), n);
-        (0..n).map(|i| fwd[i].min(rc[n - 1 - i])).collect()
-    }
-
-    /// Brute-force scan: per-position [`minimizer_of_kmer`]. Identical
-    /// output, O(L·K·P) cost; exists for testing.
-    pub fn scan_naive(&self, read: &PackedSeq) -> Vec<Kmer> {
-        if read.len() < self.k {
-            return Vec::new();
-        }
-        (0..=read.len() - self.k)
-            .map(|i| minimizer_of_kmer(&read.kmer_at(i, self.k).expect("in range"), self.p))
-            .collect()
-    }
-
-    /// Creates a reusable streaming cursor for this scanner's `k`/`p`.
-    /// One cursor per worker thread; see [`MinimizerCursor::scan_runs`].
-    pub fn cursor(&self) -> MinimizerCursor {
-        MinimizerCursor::new(self.k, self.p).expect("scanner params already validated")
-    }
-}
-
 /// Reusable per-worker state for the streaming minimizer scan.
 ///
-/// Where [`MinimizerScanner::scan`] materialises the read's reverse
-/// complement plus two per-position minima vectors, the cursor streams:
-/// it rolls the forward p-mer window *and its reverse complement*
-/// incrementally (a [`CanonicalKmerCursor`] of length `p` — the rc p-mer
-/// is derived arithmetically from the forward window, never from a
-/// `revcomp()` copy of the read) and maintains a single monotone deque of
-/// **canonical** p-mers. The canonical minimizer of the k-mer at position
+/// For a read of length `L` the scan visits each of the `L−K+1` k-mer
+/// positions' canonical minimizer without materialising the read's
+/// reverse complement or any per-position vector: the cursor rolls the
+/// forward p-mer window *and its reverse complement* incrementally (a
+/// [`CanonicalKmerCursor`] of length `p` — the rc p-mer is derived
+/// arithmetically from the forward window, never from a `revcomp()` copy
+/// of the read) and maintains a single monotone deque of **canonical**
+/// p-mers. The canonical minimizer of the k-mer at position
 /// `i` equals
 ///
 /// ```text
@@ -198,21 +110,20 @@ impl MinimizerScanner {
 ///
 /// ```
 /// use dna::PackedSeq;
-/// use msp::{MinimizerCursor, MinimizerScanner};
+/// use msp::{minimizer_of_kmer, MinimizerCursor};
 ///
 /// # fn main() -> msp::Result<()> {
 /// let read = PackedSeq::from_ascii(b"TGATGGATGAACCAGT");
-/// let scanner = MinimizerScanner::new(5, 3)?;
-/// let mut cursor = scanner.cursor();
+/// let mut cursor = MinimizerCursor::new(5, 3)?;
 /// let mut runs = Vec::new();
 /// cursor.scan_runs(&read, |first, last, m| runs.push((first, last, m)));
-/// // Runs tile the k-mer index range and agree with the batch scan.
-/// let mins = scanner.scan(&read);
+/// // Runs tile the k-mer index range and match the brute force at
+/// // every position.
 /// assert_eq!(runs.first().unwrap().0, 0);
-/// assert_eq!(runs.last().unwrap().1, mins.len() - 1);
+/// assert_eq!(runs.last().unwrap().1, read.len() - 5);
 /// for &(first, last, m) in &runs {
 ///     for i in first..=last {
-///         assert_eq!(mins[i], m);
+///         assert_eq!(minimizer_of_kmer(&read.kmer_at(i, 5).unwrap(), 3), m);
 ///     }
 /// }
 /// # Ok(())
@@ -276,9 +187,9 @@ impl MinimizerCursor {
 
     /// Streams `read` once, invoking `emit(first, last, minimizer)` for
     /// each **maximal equal-minimizer run** of k-mer positions — the
-    /// superkmer boundaries of the paper's Definition 2. Produces exactly
-    /// the runs of [`MinimizerScanner::scan`] grouped by equality, without
-    /// allocating: no `revcomp` copy, no minima vectors, no output `Vec`.
+    /// superkmer boundaries of the paper's Definition 2: per-position
+    /// [`minimizer_of_kmer`] grouped by equality, computed without
+    /// allocating (no `revcomp` copy, no minima vectors, no output `Vec`).
     ///
     /// Emits nothing for reads shorter than `k`. The cursor resets itself,
     /// so it can be reused across reads (and that reuse is what makes the
@@ -424,31 +335,6 @@ impl MinimizerCursor {
     }
 }
 
-/// Minimum p-mer in every length-`window` window of p-mer positions, via a
-/// monotone deque. Returns one entry per window, i.e.
-/// `len − p + 1 − window + 1` values.
-fn window_minima(seq: &PackedSeq, p: usize, window: usize) -> Vec<Kmer> {
-    let n_pmers = seq.len() + 1 - p;
-    let mut out = Vec::with_capacity(n_pmers + 1 - window);
-    // Deque of (position, pmer); values increase from front to back.
-    let mut deque: VecDeque<(usize, Kmer)> = VecDeque::new();
-    for (i, pmer) in seq.kmers(p).enumerate() {
-        while deque.back().is_some_and(|&(_, back)| back > pmer) {
-            deque.pop_back();
-        }
-        deque.push_back((i, pmer));
-        // Window covering p-mer positions [i + 1 − window, i].
-        if i + 1 >= window {
-            let start = i + 1 - window;
-            while deque.front().is_some_and(|&(pos, _)| pos < start) {
-                deque.pop_front();
-            }
-            out.push(deque.front().expect("deque non-empty").1);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,68 +367,15 @@ mod tests {
     }
 
     #[test]
-    fn scanner_matches_naive() {
-        let reads = [
-            "ACGTTGCATGGACCAGTTACGGA",
-            "AAAAAAAAAAAAAAA",
-            "TGATGGATGATGGATGGTAGCAT",
-            "ACGT",
-        ];
-        for r in reads {
-            let read = seq(r);
-            for (k, p) in [(4, 1), (4, 4), (5, 3), (7, 4), (15, 11)] {
-                if read.len() < k {
-                    continue;
-                }
-                let sc = MinimizerScanner::new(k, p).unwrap();
-                assert_eq!(sc.scan(&read), sc.scan_naive(&read), "read={r} k={k} p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn short_read_yields_nothing() {
-        let sc = MinimizerScanner::new(10, 4).unwrap();
-        assert!(sc.scan(&seq("ACGT")).is_empty());
-        assert!(sc.scan_naive(&seq("ACGT")).is_empty());
-    }
-
-    #[test]
-    fn read_of_exactly_k() {
-        let sc = MinimizerScanner::new(6, 3).unwrap();
-        let read = seq("GATTAC");
-        let mins = sc.scan(&read);
-        assert_eq!(mins.len(), 1);
-        assert_eq!(mins[0], minimizer_of_kmer(&read.kmer_at(0, 6).unwrap(), 3));
-    }
-
-    #[test]
-    fn p_equal_k_minimizer_is_canonical_kmer() {
-        let sc = MinimizerScanner::new(5, 5).unwrap();
-        let read = seq("TGATGGA");
-        let mins = sc.scan(&read);
-        for (i, m) in mins.iter().enumerate() {
-            let kmer = read.kmer_at(i, 5).unwrap();
-            assert_eq!(*m, kmer.canonical().0);
-        }
-    }
-
-    #[test]
-    fn invalid_params_rejected() {
-        assert!(matches!(MinimizerScanner::new(5, 0), Err(MspError::InvalidParams { .. })));
-        assert!(matches!(MinimizerScanner::new(5, 6), Err(MspError::InvalidParams { .. })));
-        assert!(matches!(MinimizerScanner::new(dna::MAX_K + 1, 3), Err(MspError::InvalidParams { .. })));
-        assert!(MinimizerScanner::new(1, 1).is_ok());
-    }
-
-    #[test]
     #[should_panic(expected = "invalid minimizer length")]
     fn brute_force_rejects_p_zero() {
         minimizer_of_kmer(&"ACGT".parse().unwrap(), 0);
     }
 
-    /// Reference run-cutting from a per-position minimizer vector.
-    fn runs_of(mins: &[Kmer]) -> Vec<(usize, usize, Kmer)> {
+    /// The definition the scan is held to: per-position
+    /// [`minimizer_of_kmer`], cut into maximal equal runs.
+    fn runs_by_definition(read: &PackedSeq, k: usize, p: usize) -> Vec<(usize, usize, Kmer)> {
+        let mins: Vec<Kmer> = read.kmers(k).map(|km| minimizer_of_kmer(&km, p)).collect();
         let mut out = Vec::new();
         let mut start = 0usize;
         for pos in 1..=mins.len() {
@@ -561,36 +394,40 @@ mod tests {
     }
 
     #[test]
-    fn scan_runs_matches_batch_scan() {
+    fn scan_runs_matches_the_definition() {
         let reads = [
             "ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCA",
             "AAAAAAAAAAAAAAAAAAAA",
             "ATATATATATATATATATAT",
             "TGATGGATGATGGATGGTAGCAT",
             "GATTACA",
+            "ACGT",
         ];
         for r in reads {
             let read = seq(r);
             for (k, p) in [(4, 1), (4, 4), (5, 3), (7, 4), (7, 7), (15, 11), (20, 1)] {
-                if read.len() < k {
-                    continue;
-                }
-                let sc = MinimizerScanner::new(k, p).unwrap();
-                let mut cursor = sc.cursor();
-                let got = collect_runs(&mut cursor, &read);
-                let want = runs_of(&sc.scan(&read));
-                assert_eq!(got, want, "read={r} k={k} p={p}");
+                let got = collect_runs(&mut MinimizerCursor::new(k, p).unwrap(), &read);
+                assert_eq!(got, runs_by_definition(&read, k, p), "read={r} k={k} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn p_equal_k_minimizer_is_canonical_kmer() {
+        let read = seq("TGATGGA");
+        for (first, last, m) in collect_runs(&mut MinimizerCursor::new(5, 5).unwrap(), &read) {
+            for i in first..=last {
+                assert_eq!(m, read.kmer_at(i, 5).unwrap().canonical().0);
             }
         }
     }
 
     #[test]
     fn cursor_is_reusable_across_reads() {
-        let sc = MinimizerScanner::new(7, 4).unwrap();
-        let mut cursor = sc.cursor();
+        let mut cursor = MinimizerCursor::new(7, 4).unwrap();
         for r in ["ACGTTGCATGGACCAGTTACGGATCA", "TTTTTTTTTT", "GATTACAGATTACA"] {
             let read = seq(r);
-            assert_eq!(collect_runs(&mut cursor, &read), runs_of(&sc.scan(&read)), "read={r}");
+            assert_eq!(collect_runs(&mut cursor, &read), runs_by_definition(&read, 7, 4), "read={r}");
         }
     }
 
@@ -603,9 +440,8 @@ mod tests {
 
     #[test]
     fn scan_runs_exactly_k_read_is_one_run() {
-        let sc = MinimizerScanner::new(6, 3).unwrap();
         let read = seq("GATTAC");
-        let runs = collect_runs(&mut sc.cursor(), &read);
+        let runs = collect_runs(&mut MinimizerCursor::new(6, 3).unwrap(), &read);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].0, 0);
         assert_eq!(runs[0].1, 0);
@@ -626,11 +462,16 @@ mod tests {
     fn cursor_rejects_invalid_params() {
         assert!(matches!(MinimizerCursor::new(5, 0), Err(MspError::InvalidParams { .. })));
         assert!(matches!(MinimizerCursor::new(5, 6), Err(MspError::InvalidParams { .. })));
+        assert!(matches!(
+            MinimizerCursor::new(dna::MAX_K + 1, 3),
+            Err(MspError::InvalidParams { .. })
+        ));
         assert!(MinimizerCursor::new(dna::MAX_K, dna::MAX_K).is_ok());
+        assert!(MinimizerCursor::new(1, 1).is_ok());
     }
 
     #[test]
-    fn fast_and_generic_paths_agree() {
+    fn fast_and_generic_paths_match_the_definition() {
         let _guard = dna::simd::override_guard();
         // Deterministic xorshift corpus: varied lengths straddling word
         // boundaries plus low-complexity tails.
@@ -663,11 +504,9 @@ mod tests {
             assert!(!generic.fast && fast.fast, "construction must capture the mode");
             for r in &reads {
                 let read = seq(r);
-                assert_eq!(
-                    collect_runs(&mut fast, &read),
-                    collect_runs(&mut generic, &read),
-                    "k={k} p={p} read={r}"
-                );
+                let want = runs_by_definition(&read, k, p);
+                assert_eq!(collect_runs(&mut fast, &read), want, "fast k={k} p={p} read={r}");
+                assert_eq!(collect_runs(&mut generic, &read), want, "generic k={k} p={p} read={r}");
             }
         }
     }
@@ -683,10 +522,7 @@ mod tests {
         // The paper's Fig 6 observation: larger P ⇒ more, shorter superkmer
         // runs. Here: more distinct adjacent-minimizer changes.
         let read = seq(&"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGT".repeat(4));
-        let changes = |p: usize| {
-            let mins = MinimizerScanner::new(15, p).unwrap().scan(&read);
-            mins.windows(2).filter(|w| w[0] != w[1]).count()
-        };
+        let changes = |p: usize| collect_runs(&mut MinimizerCursor::new(15, p).unwrap(), &read).len();
         assert!(changes(13) >= changes(5), "larger P should fragment at least as much");
     }
 }

@@ -1,128 +1,7 @@
-use std::fs;
 use std::ops::Range;
 use std::path::Path;
 
-use crate::{decode_superkmer, MspError, PartitionManifest, Result, Superkmer};
-
-/// Reads one encoded superkmer partition file back into [`Superkmer`]s.
-///
-/// The whole file is slurped at open time — partitions are sized (via the
-/// partition count) to fit comfortably in memory; that is the point of
-/// partitioning — and records are decoded lazily by the iterator.
-///
-/// # Examples
-///
-/// ```no_run
-/// use msp::{PartitionManifest, PartitionReader};
-///
-/// # fn main() -> msp::Result<()> {
-/// let manifest = PartitionManifest::load("/tmp/parts")?;
-/// let reader = PartitionReader::open(&manifest, 3)?;
-/// for sk in reader {
-///     let sk = sk?;
-///     println!("{} kmers", sk.kmer_count());
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct PartitionReader {
-    bytes: Vec<u8>,
-    offset: usize,
-    k: usize,
-    p: usize,
-    failed: bool,
-}
-
-impl PartitionReader {
-    /// Opens partition `index` of a manifest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MspError::Io`] if the partition file cannot be read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range for the manifest.
-    pub fn open(manifest: &PartitionManifest, index: usize) -> Result<PartitionReader> {
-        Self::from_path(manifest.partition_path(index), manifest.k(), manifest.p())
-    }
-
-    /// Opens an arbitrary partition file written with parameters `k`, `p`.
-    /// The file's CRC32 frames (see [`crate::frame`]) are verified and
-    /// stripped up front, so every record handed out decoded from bytes
-    /// that passed their checksum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MspError::InvalidParams`] for bad parameters,
-    /// [`MspError::Io`] if the file cannot be read, or
-    /// [`MspError::CorruptRecord`] if a frame is truncated or fails its
-    /// checksum.
-    pub fn from_path(path: impl AsRef<Path>, k: usize, p: usize) -> Result<PartitionReader> {
-        if p < 1 || p > k || k > dna::MAX_K {
-            return Err(MspError::InvalidParams { k, p });
-        }
-        let framed = fs::read(path)?;
-        Ok(PartitionReader { bytes: crate::frame::deframe(&framed)?, offset: 0, k, p, failed: false })
-    }
-
-    /// Decodes a partition already held in memory (the pipeline hands
-    /// byte buffers between its input stage and the compute stage). The
-    /// buffer must be *raw* records — already deframed; use
-    /// [`crate::deframe`] first when starting from file bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MspError::InvalidParams`] for bad parameters.
-    pub fn from_bytes(bytes: Vec<u8>, k: usize, p: usize) -> Result<PartitionReader> {
-        if p < 1 || p > k || k > dna::MAX_K {
-            return Err(MspError::InvalidParams { k, p });
-        }
-        Ok(PartitionReader { bytes, offset: 0, k, p, failed: false })
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.offset
-    }
-
-    /// Decodes every remaining record into a vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first decode error (e.g. a truncated final record).
-    pub fn read_all(self) -> Result<Vec<Superkmer>> {
-        self.collect()
-    }
-}
-
-impl Iterator for PartitionReader {
-    type Item = Result<Superkmer>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.offset >= self.bytes.len() {
-            return None;
-        }
-        match decode_superkmer(&self.bytes[self.offset..], self.k, self.p) {
-            Ok((sk, used)) => {
-                self.offset += used;
-                Some(Ok(sk))
-            }
-            Err(MspError::CorruptRecord { offset, reason }) => {
-                self.failed = true;
-                Some(Err(MspError::CorruptRecord {
-                    offset: offset + self.offset as u64,
-                    reason,
-                }))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
+use crate::{MspError, Result};
 
 /// A FASTQ input file prepared for parallel ingest: the whole file
 /// addressable as one byte slice (memory-mapped when possible, inflated
@@ -237,131 +116,13 @@ fn decompress_parallel(data: &[u8]) -> std::result::Result<Vec<u8>, dna::DnaErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PartitionWriter, SuperkmerScanner};
-    use dna::PackedSeq;
+    use std::fs;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("msp-reader-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
-    }
-
-    #[test]
-    fn write_then_read_recovers_superkmers_per_partition() {
-        let dir = tmpdir("rw");
-        let scanner = SuperkmerScanner::new(7, 4).unwrap();
-        let reads: Vec<PackedSeq> = [
-            "ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGT",
-            "TTTTGGGGCCCCAAAATTTTGGGGCCCCAAAA",
-        ]
-        .iter()
-        .map(|s| PackedSeq::from_ascii(s.as_bytes()))
-        .collect();
-
-        let n = 6;
-        let mut w = PartitionWriter::create(&dir, n, 7, 4).unwrap();
-        let mut expected: Vec<Vec<Superkmer>> = vec![Vec::new(); n];
-        let router = crate::PartitionRouter::new(n).unwrap();
-        for r in &reads {
-            for sk in scanner.scan(r) {
-                expected[router.route(&sk)].push(sk.clone());
-                w.write(&sk).unwrap();
-            }
-        }
-        let manifest = w.finish().unwrap();
-        for (i, want) in expected.iter().enumerate() {
-            let got = PartitionReader::open(&manifest, i).unwrap().read_all().unwrap();
-            assert_eq!(&got, want, "partition {i}");
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncated_file_reports_corrupt_record() {
-        let dir = tmpdir("trunc");
-        let scanner = SuperkmerScanner::new(5, 3).unwrap();
-        let mut w = PartitionWriter::create(&dir, 1, 5, 3).unwrap();
-        for sk in scanner.scan(&PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTT")) {
-            w.write(&sk).unwrap();
-        }
-        let manifest = w.finish().unwrap();
-        let path = manifest.partition_path(0);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 1);
-        fs::write(&path, &bytes).unwrap();
-
-        // Frame verification happens at open time, before any decoding.
-        let err = PartitionReader::open(&manifest, 0).unwrap_err();
-        assert!(matches!(err, MspError::CorruptRecord { .. }), "{err}");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn interior_byte_flip_reports_corrupt_record() {
-        let dir = tmpdir("bitflip");
-        let scanner = SuperkmerScanner::new(5, 3).unwrap();
-        let mut w = PartitionWriter::create(&dir, 1, 5, 3).unwrap();
-        for sk in scanner.scan(&PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTT")) {
-            w.write(&sk).unwrap();
-        }
-        let manifest = w.finish().unwrap();
-        let path = manifest.partition_path(0);
-        let mut bytes = fs::read(&path).unwrap();
-        // Flip a base inside the payload: still decodes as valid DNA in the
-        // raw format, so only the checksum can catch it.
-        let mid = crate::FRAME_HEADER_LEN + (bytes.len() - crate::FRAME_HEADER_LEN) / 2;
-        bytes[mid] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-
-        let err = PartitionReader::open(&manifest, 0).unwrap_err();
-        assert!(err.to_string().contains("checksum mismatch"), "{err}");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn reader_fuses_after_raw_decode_error() {
-        let dir = tmpdir("fuse");
-        let scanner = SuperkmerScanner::new(5, 3).unwrap();
-        let mut w = PartitionWriter::create(&dir, 1, 5, 3).unwrap();
-        for sk in scanner.scan(&PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTT")) {
-            w.write(&sk).unwrap();
-        }
-        let manifest = w.finish().unwrap();
-        let mut raw = crate::deframe(&fs::read(manifest.partition_path(0)).unwrap()).unwrap();
-        raw.truncate(raw.len() - 1); // cut the last record mid-payload
-        let mut r = PartitionReader::from_bytes(raw, 5, 3).unwrap();
-        let mut saw_err = false;
-        while let Some(item) = r.next() {
-            if item.is_err() {
-                saw_err = true;
-                assert!(r.next().is_none(), "reader must fuse after an error");
-                break;
-            }
-        }
-        assert!(saw_err, "truncated record must surface an error");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn from_bytes_matches_from_path() {
-        let dir = tmpdir("bytes");
-        let scanner = SuperkmerScanner::new(5, 2).unwrap();
-        let mut w = PartitionWriter::create(&dir, 1, 5, 2).unwrap();
-        for sk in scanner.scan(&PackedSeq::from_ascii(b"GGCATTAGCCAGTACG")) {
-            w.write(&sk).unwrap();
-        }
-        let manifest = w.finish().unwrap();
-        let path = manifest.partition_path(0);
-        let via_path = PartitionReader::from_path(&path, 5, 2).unwrap().read_all().unwrap();
-        let raw = crate::deframe(&fs::read(&path).unwrap()).unwrap();
-        let via_bytes = PartitionReader::from_bytes(raw, 5, 2)
-            .unwrap()
-            .read_all()
-            .unwrap();
-        assert_eq!(via_path, via_bytes);
-        assert!(!via_path.is_empty());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Deterministic FASTQ text of `n` records with varied lengths.
@@ -437,17 +198,5 @@ mod tests {
         fs::write(&path, &gz).unwrap();
         assert!(matches!(FastqChunks::open(&path, 1024), Err(MspError::Io(_))));
         fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn empty_partition_iterates_nothing() {
-        let r = PartitionReader::from_bytes(Vec::new(), 5, 3).unwrap();
-        assert_eq!(r.count(), 0);
-    }
-
-    #[test]
-    fn invalid_params_rejected() {
-        assert!(PartitionReader::from_bytes(Vec::new(), 3, 5).is_err());
-        assert!(PartitionReader::from_path("/nonexistent", 3, 5).is_err());
     }
 }

@@ -1,8 +1,6 @@
 use dna::{Base, PackedSeq};
 
-use crate::{minimizer_of_kmer, MspError, Result, Superkmer};
-
-/// Number of bytes [`encode_superkmer`] produces for a core of
+/// Number of bytes [`encode_superkmer_slice`] produces for a core of
 /// `core_len` bases: a 3-byte header plus 2-bit packed bases.
 ///
 /// The 2-bit packing is the paper's I/O optimisation: roughly ¼ of the
@@ -12,8 +10,8 @@ pub fn encoded_len(core_len: usize) -> usize {
     3 + core_len.div_ceil(4)
 }
 
-/// Serialises a superkmer into `out` (appending) in the compact partition
-/// file format:
+/// Serialises the superkmer covering k-mer positions `first..=last` of
+/// `read` into `out` (appending) in the compact partition record format:
 ///
 /// | bytes | content |
 /// |---|---|
@@ -22,44 +20,13 @@ pub fn encoded_len(core_len: usize) -> usize {
 /// | 3… | core bases, 2-bit packed, 4 per byte, LSB-first |
 ///
 /// The minimizer is *not* stored: every k-mer of the superkmer shares it,
-/// so the decoder recomputes it from the first k-mer, and partition
-/// membership is implied by the file the record lives in.
+/// so a consumer that needs it recomputes it from the first k-mer, and
+/// partition membership is implied by the file the record lives in.
+/// [`SuperkmerView::parse`](crate::SuperkmerView::parse) is the reader.
 ///
-/// # Panics
-///
-/// Panics if the core exceeds 65 535 bases (no realistic read is close).
-pub fn encode_superkmer(sk: &Superkmer, out: &mut Vec<u8>) {
-    let core = sk.core();
-    let len = u16::try_from(core.len()).expect("superkmer core exceeds u16 length");
-    out.extend_from_slice(&len.to_le_bytes());
-    let mut flags = 0u8;
-    if let Some(b) = sk.left_ext() {
-        flags |= 1 | (b.code() << 2);
-    }
-    if let Some(b) = sk.right_ext() {
-        flags |= 2 | (b.code() << 4);
-    }
-    out.push(flags);
-    let mut byte = 0u8;
-    for (i, b) in core.bases().enumerate() {
-        byte |= b.code() << (2 * (i % 4));
-        if i % 4 == 3 {
-            out.push(byte);
-            byte = 0;
-        }
-    }
-    if !core.len().is_multiple_of(4) {
-        out.push(byte);
-    }
-}
-
-/// Serialises the superkmer covering k-mer positions `first..=last` of
-/// `read` directly into `out`, byte-identical to running
-/// [`encode_superkmer`] on the owned [`Superkmer`] for the same run —
-/// but with **zero intermediate allocation**: the core's 2-bit payload is
-/// bit-shifted straight out of the read's packed words
-/// ([`PackedSeq::write_packed_range`]), and no `Superkmer`/`PackedSeq`
-/// slice is ever materialised. This is Step 1's emit primitive.
+/// This is Step 1's emit primitive, with **zero intermediate
+/// allocation**: the core's 2-bit payload is bit-shifted straight out of
+/// the read's packed words ([`PackedSeq::write_packed_range`]).
 ///
 /// `left_ext`/`right_ext` are the adjacency extension bases; callers
 /// scanning a whole read derive them as `read[first−1]` / `read[last+k]`
@@ -69,21 +36,18 @@ pub fn encode_superkmer(sk: &Superkmer, out: &mut Vec<u8>) {
 ///
 /// ```
 /// use dna::PackedSeq;
-/// use msp::{encode_superkmer, encode_superkmer_slice, SuperkmerScanner};
+/// use msp::{encode_superkmer_slice, encoded_len, SuperkmerView};
 ///
 /// # fn main() -> msp::Result<()> {
 /// let read = PackedSeq::from_ascii(b"TGATGGATGAACCAGTTTGA");
-/// let scanner = SuperkmerScanner::new(5, 3)?;
-/// let mut owned = Vec::new();
-/// let mut borrowed = Vec::new();
-/// let mut first = 0usize;
-/// for sk in scanner.scan(&read) {
-///     encode_superkmer(&sk, &mut owned);
-///     let last = first + sk.kmer_count() - 1;
-///     encode_superkmer_slice(&read, first, last, 5, sk.left_ext(), sk.right_ext(), &mut borrowed);
-///     first = last + 1;
-/// }
-/// assert_eq!(owned, borrowed);
+/// // K-mer positions 2..=4 at k = 5: the core is read[2..9].
+/// let mut record = Vec::new();
+/// encode_superkmer_slice(&read, 2, 4, 5, Some(read.base(1)), Some(read.base(9)), &mut record);
+/// assert_eq!(record.len(), encoded_len(7));
+/// let (view, used) = SuperkmerView::parse(&record, 5)?;
+/// assert_eq!(used, record.len());
+/// assert_eq!(view.bases().collect::<PackedSeq>(), read.slice(2, 7));
+/// assert_eq!(view.left_ext(), Some(read.base(1)));
 /// # Ok(())
 /// # }
 /// ```
@@ -91,7 +55,8 @@ pub fn encode_superkmer(sk: &Superkmer, out: &mut Vec<u8>) {
 /// # Panics
 ///
 /// Panics if the run does not fit the read (`last + k > read.len()` or
-/// `first > last`) or the core exceeds 65 535 bases.
+/// `first > last`) or the core exceeds 65 535 bases (no realistic read is
+/// close).
 pub fn encode_superkmer_slice(
     read: &PackedSeq,
     first: usize,
@@ -116,177 +81,60 @@ pub fn encode_superkmer_slice(
     read.write_packed_range(first, core_len, out);
 }
 
-/// Deserialises one superkmer from the front of `bytes`, returning it and
-/// the number of bytes consumed. `k` and `p` are the partitioning
-/// parameters the file was written with (recorded in the manifest).
-///
-/// # Errors
-///
-/// Returns [`MspError::CorruptRecord`] if `bytes` is too short for the
-/// header or the declared payload, or if the core cannot hold one k-mer.
-/// `offset` is reported relative to the start of `bytes`; callers add
-/// their own file offset.
-pub fn decode_superkmer(bytes: &[u8], k: usize, p: usize) -> Result<(Superkmer, usize)> {
-    if bytes.len() < 3 {
-        return Err(MspError::CorruptRecord {
-            offset: 0,
-            reason: format!("{} bytes left, header needs 3", bytes.len()),
-        });
-    }
-    let core_len = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-    let flags = bytes[2];
-    let payload = core_len.div_ceil(4);
-    let total = 3 + payload;
-    if bytes.len() < total {
-        return Err(MspError::CorruptRecord {
-            offset: 0,
-            reason: format!("payload of {payload} bytes truncated to {}", bytes.len() - 3),
-        });
-    }
-    if core_len < k {
-        return Err(MspError::CorruptRecord {
-            offset: 0,
-            reason: format!("core of {core_len} bases cannot hold a {k}-mer"),
-        });
-    }
-    let mut core = PackedSeq::with_capacity(core_len);
-    for i in 0..core_len {
-        let b = bytes[3 + i / 4] >> (2 * (i % 4));
-        core.push(Base::from_code(b));
-    }
-    let left_ext = (flags & 1 != 0).then(|| Base::from_code(flags >> 2));
-    let right_ext = (flags & 2 != 0).then(|| Base::from_code(flags >> 4));
-    let minimizer = minimizer_of_kmer(&core.kmer_at(0, k).expect("core_len >= k"), p);
-    Ok((Superkmer::new(core, minimizer, k, left_ext, right_ext), total))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SuperkmerScanner;
+    use crate::SuperkmerView;
 
-    fn superkmers(read: &str, k: usize, p: usize) -> Vec<Superkmer> {
-        SuperkmerScanner::new(k, p).unwrap().scan(&PackedSeq::from_ascii(read.as_bytes()))
-    }
-
-    #[test]
-    fn roundtrip_preserves_everything() {
-        let sks = superkmers("TGATGGATGAACCAGTTTGAGGCATTAGGCAT", 5, 3);
-        assert!(sks.len() >= 2);
-        for sk in &sks {
-            let mut buf = Vec::new();
-            encode_superkmer(sk, &mut buf);
-            assert_eq!(buf.len(), encoded_len(sk.core().len()));
-            let (back, used) = decode_superkmer(&buf, 5, 3).unwrap();
-            assert_eq!(used, buf.len());
-            assert_eq!(&back, sk);
+    /// The format spelled out base by base — what the word-shifting
+    /// encoder must reproduce at every alignment.
+    fn encode_by_definition(core: &str, left: Option<Base>, right: Option<Base>) -> Vec<u8> {
+        let mut out = (core.len() as u16).to_le_bytes().to_vec();
+        out.push(
+            left.map_or(0, |b| 1 | (b.code() << 2)) | right.map_or(0, |b| 2 | (b.code() << 4)),
+        );
+        for chunk in core.as_bytes().chunks(4) {
+            let byte = chunk.iter().enumerate().fold(0u8, |acc, (i, &ch)| {
+                acc | (Base::from_ascii(ch).code() << (2 * i))
+            });
+            out.push(byte);
         }
+        out
     }
 
     #[test]
-    fn roundtrip_concatenated_stream() {
-        let sks = superkmers("ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGT", 7, 4);
-        let mut buf = Vec::new();
-        for sk in &sks {
-            encode_superkmer(sk, &mut buf);
-        }
-        let mut offset = 0;
-        let mut decoded = Vec::new();
-        while offset < buf.len() {
-            let (sk, used) = decode_superkmer(&buf[offset..], 7, 4).unwrap();
-            decoded.push(sk);
-            offset += used;
-        }
-        assert_eq!(decoded, sks);
-    }
-
-    #[test]
-    fn encoding_is_compact() {
-        // ~¼ of byte-per-base, the paper's claim for the encoded output.
-        let sks = superkmers(&"ACGT".repeat(64), 21, 11);
-        for sk in &sks {
-            let text_size = sk.core().len() + 2;
-            assert!(encoded_len(sk.core().len()) <= text_size / 3, "encoding not compact enough");
-        }
-    }
-
-    #[test]
-    fn truncated_header_rejected() {
-        assert!(matches!(
-            decode_superkmer(&[5, 0], 3, 2),
-            Err(MspError::CorruptRecord { .. })
-        ));
-        assert!(decode_superkmer(&[], 3, 2).is_err());
-    }
-
-    #[test]
-    fn truncated_payload_rejected() {
-        let sks = superkmers("GATTACAGATTACA", 5, 3);
-        let mut buf = Vec::new();
-        encode_superkmer(&sks[0], &mut buf);
-        let err = decode_superkmer(&buf[..buf.len() - 1], 5, 3).unwrap_err();
-        assert!(err.to_string().contains("truncated"), "{err}");
-    }
-
-    #[test]
-    fn core_shorter_than_k_rejected() {
-        // Hand-craft a record whose core (4 bases) is shorter than k=5.
-        let buf = [4u8, 0, 0, 0b00011011];
-        let err = decode_superkmer(&buf, 5, 3).unwrap_err();
-        assert!(err.to_string().contains("cannot hold"), "{err}");
-    }
-
-    #[test]
-    fn slice_encoding_is_byte_identical_to_owned() {
-        // Reads long enough to fragment, plus word-boundary-crossing cores.
-        let reads = [
-            "TGATGGATGAACCAGTTTGAGGCATTAGGCAT",
-            &"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGT".repeat(3),
-            &"A".repeat(80),
-        ];
-        for r in reads {
-            let read = PackedSeq::from_ascii(r.as_bytes());
-            for (k, p) in [(5, 3), (7, 4), (21, 11), (33, 15)] {
-                if read.len() < k {
-                    continue;
-                }
-                let scanner = crate::SuperkmerScanner::new(k, p).unwrap();
-                let mut first = 0usize;
-                for sk in scanner.scan(&read) {
-                    let last = first + sk.kmer_count() - 1;
-                    let mut owned = Vec::new();
-                    encode_superkmer(&sk, &mut owned);
-                    let mut borrowed = Vec::new();
-                    encode_superkmer_slice(
-                        &read,
-                        first,
-                        last,
-                        k,
-                        sk.left_ext(),
-                        sk.right_ext(),
-                        &mut borrowed,
-                    );
-                    assert_eq!(owned, borrowed, "r-len={} k={k} p={p} first={first}", read.len());
-                    first = last + 1;
+    fn slice_encoding_follows_the_format_at_every_alignment() {
+        // Cores starting at every offset mod 32 and crossing word
+        // boundaries, with every extension combination.
+        let text: String = (0..150).map(|i| "ACGTTGCA".as_bytes()[(i * 7 + i / 5) % 8] as char).collect();
+        let read = PackedSeq::from_ascii(text.as_bytes());
+        let exts = [(None, None), (Some(Base::G), None), (None, Some(Base::T)), (Some(Base::C), Some(Base::A))];
+        for k in [5usize, 21, 33] {
+            for first in 0..40 {
+                for span in [0usize, 1, 3, 30, 70] {
+                    let last = first + span;
+                    let (left, right) = exts[(first + span) % 4];
+                    let mut buf = Vec::new();
+                    encode_superkmer_slice(&read, first, last, k, left, right, &mut buf);
+                    let core = &text[first..last + k];
+                    assert_eq!(buf, encode_by_definition(core, left, right), "k={k} first={first} last={last}");
+                    assert_eq!(buf.len(), encoded_len(core.len()));
+                    let (view, used) = SuperkmerView::parse(&buf, k).unwrap();
+                    assert_eq!(used, buf.len());
+                    assert_eq!(view.bases().collect::<PackedSeq>().to_string(), core);
+                    assert_eq!((view.left_ext(), view.right_ext()), (left, right));
+                    assert_eq!(view.kmer_count(), span + 1);
                 }
             }
         }
     }
 
     #[test]
-    fn slice_encoding_roundtrips_through_decoder() {
-        let read = PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGGCATT");
-        let scanner = crate::SuperkmerScanner::new(7, 4).unwrap();
-        let sks = scanner.scan(&read);
-        let mut first = 0usize;
-        for sk in &sks {
-            let last = first + sk.kmer_count() - 1;
-            let mut buf = Vec::new();
-            encode_superkmer_slice(&read, first, last, 7, sk.left_ext(), sk.right_ext(), &mut buf);
-            let (back, used) = decode_superkmer(&buf, 7, 4).unwrap();
-            assert_eq!(used, buf.len());
-            assert_eq!(&back, sk);
-            first = last + 1;
+    fn encoding_is_compact() {
+        // ~¼ of byte-per-base, the paper's claim for the encoded output.
+        for core_len in [31usize, 40, 101] {
+            let text_size = core_len + 2;
+            assert!(encoded_len(core_len) <= text_size / 3, "encoding not compact enough");
         }
     }
 
@@ -295,17 +143,5 @@ mod tests {
     fn slice_encoding_rejects_inverted_run() {
         let read = PackedSeq::from_ascii(b"ACGTACGT");
         encode_superkmer_slice(&read, 2, 1, 4, None, None, &mut Vec::new());
-    }
-
-    #[test]
-    fn flags_encode_extensions_independently() {
-        for (l, r) in [(None, None), (Some(Base::G), None), (None, Some(Base::T)), (Some(Base::C), Some(Base::A))] {
-            let sk = Superkmer::new(PackedSeq::from_ascii(b"ACGTA"), "AC".parse().unwrap(), 5, l, r);
-            let mut buf = Vec::new();
-            encode_superkmer(&sk, &mut buf);
-            let (back, _) = decode_superkmer(&buf, 5, 2).unwrap();
-            assert_eq!(back.left_ext(), l);
-            assert_eq!(back.right_ext(), r);
-        }
     }
 }

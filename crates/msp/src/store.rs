@@ -478,7 +478,8 @@ impl PartitionSink for crate::PartitionWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode_superkmer, PartitionSlices, SuperkmerScanner};
+    use crate::testutil::records_of;
+    use crate::PartitionSlices;
     use dna::PackedSeq;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -488,19 +489,13 @@ mod tests {
     }
 
     fn encoded_corpus(k: usize, p: usize, parts: usize) -> Vec<(usize, Vec<u8>, u64)> {
-        let scanner = SuperkmerScanner::new(k, p).unwrap();
         let router = PartitionRouter::new(parts).unwrap();
         let read = PackedSeq::from_ascii(
             b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTTGCATGGAACGTAGCATCAGGATCCA",
         );
-        scanner
-            .scan(&read)
-            .iter()
-            .map(|sk| {
-                let mut buf = Vec::new();
-                encode_superkmer(sk, &mut buf);
-                (router.route(sk), buf, sk.kmer_count() as u64)
-            })
+        records_of(&read, k, p)
+            .into_iter()
+            .map(|(minimizer, record, kmers)| (router.route_minimizer(&minimizer), record, kmers))
             .collect()
     }
 

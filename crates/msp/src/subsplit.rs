@@ -81,8 +81,7 @@ fn route_hash(mut x: u64, fanout: usize) -> usize {
 /// (frame faults surface as that partition's corruption).
 ///
 /// The per-record minimizer is recomputed from the record's first k-mer
-/// — the same recovery [`SuperkmerView::to_superkmer`] performs — which
-/// is valid because a superkmer's minimizer is by construction the
+/// (records do not store it), which is valid because a superkmer's minimizer is by construction the
 /// canonical minimizer of each of its k-mers, the first included. For
 /// `p ≤ 32` that is one rolling pass over the record's first `k` packed
 /// codes (two `u64`s, no `Kmer` built); `p > 32` and
@@ -159,7 +158,8 @@ fn relocate(e: MspError, base: u64) -> MspError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode_superkmer, iter_views, SuperkmerScanner};
+    use crate::testutil::records_of;
+    use crate::{encode_superkmer_slice, PartitionSlices};
     use dna::{Base, Kmer, PackedSeq};
 
     const K: usize = 7;
@@ -179,15 +179,12 @@ mod tests {
     /// Builds a framed buffer of superkmer records from random reads,
     /// returning the framed bytes and each record's encoding.
     fn framed_corpus(seed: u64, reads: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
-        let scanner = SuperkmerScanner::new(K, P).unwrap();
         let mut records = Vec::new();
         let mut framed = Vec::new();
         let mut pending = Vec::new();
         for r in 0..reads {
             let read = lcg_read(seed + r as u64, 40);
-            for sk in scanner.scan(&read) {
-                let mut rec = Vec::new();
-                encode_superkmer(&sk, &mut rec);
+            for (_, rec, _) in records_of(&read, K, P) {
                 pending.extend_from_slice(&rec);
                 records.push(rec);
             }
@@ -248,9 +245,7 @@ mod tests {
         let (framed, _) = framed_corpus(23, 40);
         let mut expect = 0u64;
         for payload in frame_payloads_in(&framed, None).unwrap() {
-            for view in iter_views(payload, K) {
-                expect += view.unwrap().kmer_count() as u64;
-            }
+            expect += PartitionSlices::index(payload, K, P).unwrap().total_kmers() as u64;
         }
         let subs = split_framed(&framed, K, P, 4, 0).unwrap();
         assert_eq!(subs.iter().map(|s| s.kmers).sum::<u64>(), expect);
@@ -268,8 +263,7 @@ mod tests {
         // each record's recomputed minimizer directly.
         for (idx, sub) in a.iter().enumerate() {
             for payload in frame_payloads_in(&sub.bytes, None).unwrap() {
-                for view in iter_views(payload, K) {
-                    let view = view.unwrap();
+                for view in PartitionSlices::index(payload, K, P).unwrap().iter() {
                     let first = Kmer::from_bases(K, view.bases().take(K)).unwrap();
                     assert_eq!(sub_route(&minimizer_of_kmer(&first, P), 4), idx);
                 }
@@ -297,13 +291,14 @@ mod tests {
                     let first = core.kmer_at(0, k).unwrap();
                     let minimizer = minimizer_of_kmer(&first, p);
                     want.push(sub_route(&minimizer, 5));
-                    let sk = crate::Superkmer::new(core, minimizer, k, None, Some(Base::G));
-                    encode_superkmer(&sk, &mut pending);
+                    let last = core.len() - k;
+                    encode_superkmer_slice(&core, 0, last, k, None, Some(Base::G), &mut pending);
                 }
                 append_frame(&mut framed, &pending);
                 for payload in frame_payloads_in(&framed, None).unwrap() {
-                    for (view, want) in iter_views(payload, k).zip(&want) {
-                        let word = minimizer_word_of_first_kmer(view.unwrap().code_words(), k, p);
+                    let slices = PartitionSlices::index(payload, k, p).unwrap();
+                    for (view, want) in slices.iter().zip(&want) {
+                        let word = minimizer_word_of_first_kmer(view.code_words(), k, p);
                         let got = route_hash(Kmer::hash64_of_words(&[word, 0, 0, 0], p), 5);
                         assert_eq!(got, *want, "k={k} p={p}");
                     }

@@ -1,13 +1,11 @@
 //! Zero-copy decoding of encoded partition buffers.
 //!
-//! [`decode_superkmer`](crate::decode_superkmer) materialises every record
-//! into an owned [`Superkmer`] — one `PackedSeq` heap allocation per
-//! record, plus the `Vec<Superkmer>` that collects them. For Step 2 that
-//! is pure overhead: the hash-graph kernel only ever *reads* the core
-//! bases left to right, so the loaded partition buffer itself can serve as
-//! the backing store.
+//! The record bytes are the only superkmer representation: the
+//! hash-graph kernel only ever *reads* the core bases left to right, so
+//! the loaded partition buffer itself is the backing store and nothing is
+//! materialised per record.
 //!
-//! This module provides the borrowed view API the Step-2 hot path uses:
+//! This module provides the borrowed view API Step 2 replays through:
 //!
 //! * [`SuperkmerView`] — a non-owning record view (a slice into the
 //!   partition buffer plus the decoded 3-byte header). Base access is one
@@ -15,11 +13,7 @@
 //! * [`PartitionSlices`] — a record index over a whole partition buffer,
 //!   built in one validating pass. Provides O(1) random access to views,
 //!   which the data-parallel device kernels need (`execute(n, |i| …)`),
-//!   at a cost of 4 bytes per record — versus ~`core_len` bytes plus an
-//!   allocation for the owned decode.
-//! * [`iter_views`] — a purely streaming variant that borrows the buffer
-//!   and performs **no heap allocation at all**, for sequential
-//!   consumers.
+//!   at a cost of 4 bytes per record.
 //!
 //! Validation happens once, at indexing time ([`PartitionSlices::index`]
 //! checks every header against the buffer length and `core_len ≥ k`), so
@@ -27,7 +21,7 @@
 
 use dna::Base;
 
-use crate::{minimizer_of_kmer, MspError, Result, Superkmer};
+use crate::{MspError, Result};
 
 /// A borrowed, validated view of one encoded superkmer record.
 ///
@@ -39,14 +33,11 @@ use crate::{minimizer_of_kmer, MspError, Result, Superkmer};
 ///
 /// ```
 /// use dna::PackedSeq;
-/// use msp::{encode_superkmer, PartitionSlices, SuperkmerScanner};
+/// use msp::PartitionSlices;
 ///
 /// # fn main() -> msp::Result<()> {
 /// let read = PackedSeq::from_ascii(b"TGATGGATGAACCAGTTTGA");
-/// let mut buf = Vec::new();
-/// for sk in SuperkmerScanner::new(5, 3)?.scan(&read) {
-///     encode_superkmer(&sk, &mut buf);
-/// }
+/// let buf = msp::partition_in_memory(std::slice::from_ref(&read), 5, 3, 1)?.remove(0);
 /// let slices = PartitionSlices::index(&buf, 5, 3)?;
 /// let total: usize = slices.iter().map(|v| v.kmer_count()).sum();
 /// assert_eq!(total, read.len() - 5 + 1);
@@ -65,9 +56,9 @@ pub struct SuperkmerView<'a> {
 
 impl<'a> SuperkmerView<'a> {
     /// Cuts one record view from the front of `bytes`, returning it and
-    /// the encoded length consumed. This is the borrowed twin of
-    /// [`decode_superkmer`](crate::decode_superkmer): same format, same
-    /// errors, no allocation.
+    /// the encoded length consumed — the reader of the format
+    /// [`encode_superkmer_slice`](crate::encode_superkmer_slice) writes,
+    /// with no allocation.
     ///
     /// # Errors
     ///
@@ -176,20 +167,6 @@ impl<'a> SuperkmerView<'a> {
     pub fn code_words(&self) -> CodeWords<'a> {
         CodeWords { payload: self.payload }
     }
-
-    /// Materialises an owned [`Superkmer`], recomputing the minimizer
-    /// from the first k-mer exactly as the owned decoder does. This is
-    /// the bridge back to the allocating API — used by tests and
-    /// equivalence checks, never by the hot path.
-    pub fn to_superkmer(&self, p: usize) -> Superkmer {
-        let mut core = dna::PackedSeq::with_capacity(self.core_len);
-        for b in self.bases() {
-            core.push(b);
-        }
-        let minimizer =
-            minimizer_of_kmer(&core.kmer_at(0, self.k).expect("core_len >= k"), p);
-        Superkmer::new(core, minimizer, self.k, self.left_ext(), self.right_ext())
-    }
 }
 
 /// Iterator over a superkmer core's packed codes in 32-code `u64` chunks,
@@ -225,9 +202,7 @@ impl CodeWords<'_> {
 /// [`view`](Self::view) is unconditional O(1) arithmetic — exactly what
 /// the index-parallel Step-2 kernels (`device.execute(n, |i| …)`) need.
 ///
-/// Memory cost is 4 bytes per record (a `u32` start offset), compared to
-/// the owned decode's per-record `PackedSeq` allocation of
-/// `~core_len/4 + 56` bytes.
+/// Memory cost is 4 bytes per record (a `u32` start offset).
 #[derive(Debug)]
 pub struct PartitionSlices<'a> {
     bytes: &'a [u8],
@@ -397,64 +372,21 @@ impl<'a> PartitionSlices<'a> {
     }
 }
 
-/// Streams record views straight off an encoded buffer with **zero heap
-/// allocation** — no offset index, no owned records.
-///
-/// Errors fuse the iterator, mirroring
-/// [`PartitionReader`](crate::PartitionReader) semantics.
-pub fn iter_views(bytes: &[u8], k: usize) -> ViewIter<'_> {
-    ViewIter { bytes, offset: 0, k, failed: false }
-}
-
-/// Iterator returned by [`iter_views`].
-#[derive(Debug)]
-pub struct ViewIter<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-    k: usize,
-    failed: bool,
-}
-
-impl<'a> Iterator for ViewIter<'a> {
-    type Item = Result<SuperkmerView<'a>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.offset >= self.bytes.len() {
-            return None;
-        }
-        match SuperkmerView::parse(&self.bytes[self.offset..], self.k) {
-            Ok((view, used)) => {
-                self.offset += used;
-                Some(Ok(view))
-            }
-            Err(MspError::CorruptRecord { offset, reason }) => {
-                self.failed = true;
-                Some(Err(MspError::CorruptRecord {
-                    offset: offset + self.offset as u64,
-                    reason,
-                }))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode_superkmer, PartitionReader, SuperkmerScanner};
     use dna::PackedSeq;
 
+    /// All of one read's records, in scan order.
     fn encode_all(read: &str, k: usize, p: usize) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for sk in SuperkmerScanner::new(k, p).unwrap().scan(&PackedSeq::from_ascii(read.as_bytes()))
-        {
-            encode_superkmer(&sk, &mut buf);
-        }
-        buf
+        let read = PackedSeq::from_ascii(read.as_bytes());
+        crate::partition_in_memory(&[read], k, p, 1).unwrap().remove(0)
+    }
+
+    /// Record `i`'s encoded bytes.
+    fn record_bytes<'a>(slices: &PartitionSlices<'a>, i: usize) -> &'a [u8] {
+        let start = slices.offsets[i] as usize;
+        &slices.bytes[start..start + crate::encoded_len(slices.view(i).core_len())]
     }
 
     #[test]
@@ -487,22 +419,27 @@ mod tests {
     }
 
     #[test]
-    fn views_match_owned_decode() {
+    fn views_spell_the_read_they_were_cut_from() {
         let read = "ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCA";
+        let text = read.as_bytes();
         for (k, p) in [(5, 3), (7, 4), (15, 11)] {
             let buf = encode_all(read, k, p);
-            let owned =
-                PartitionReader::from_bytes(buf.clone(), k, p).unwrap().read_all().unwrap();
             let slices = PartitionSlices::index(&buf, k, p).unwrap();
-            assert_eq!(slices.len(), owned.len(), "k={k} p={p}");
-            for (v, sk) in slices.iter().zip(&owned) {
-                assert_eq!(&v.to_superkmer(p), sk, "k={k} p={p}");
-                assert_eq!(v.kmer_count(), sk.kmer_count());
-                assert_eq!(v.left_ext(), sk.left_ext());
-                assert_eq!(v.right_ext(), sk.right_ext());
-                for (i, b) in sk.core().bases().enumerate() {
+            assert_eq!(slices.total_kmers(), read.len() - k + 1, "k={k} p={p}");
+            let mut first = 0usize; // k-mer index of the record's first k-mer
+            for v in slices.iter() {
+                let core: String = v.bases().map(|b| b.to_ascii() as char).collect();
+                assert_eq!(core, read[first..first + v.core_len()], "k={k} p={p}");
+                for (i, b) in v.bases().enumerate() {
                     assert_eq!(v.base(i), b);
                 }
+                assert_eq!(v.k(), k);
+                assert_eq!(v.left_ext(), first.checked_sub(1).map(|i| Base::from_ascii(text[i])));
+                assert_eq!(
+                    v.right_ext(),
+                    text.get(first + v.core_len()).map(|&b| Base::from_ascii(b))
+                );
+                first += v.kmer_count();
             }
         }
     }
@@ -520,14 +457,17 @@ mod tests {
     }
 
     #[test]
-    fn streaming_views_match_indexed() {
-        let buf = encode_all("ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGT", 7, 4);
-        let slices = PartitionSlices::index(&buf, 7, 4).unwrap();
-        let streamed: Vec<_> = iter_views(&buf, 7).map(|r| r.unwrap()).collect();
-        assert_eq!(streamed.len(), slices.len());
-        for (a, b) in streamed.iter().zip(slices.iter()) {
-            assert_eq!(a.to_superkmer(4), b.to_superkmer(4));
-        }
+    fn parse_rejects_truncated_header_and_payload() {
+        assert!(matches!(SuperkmerView::parse(&[5, 0], 3), Err(MspError::CorruptRecord { .. })));
+        assert!(SuperkmerView::parse(&[], 3).is_err());
+        let buf = encode_all("GATTACAGATTACA", 5, 3);
+        let (first, used) = SuperkmerView::parse(&buf, 5).unwrap();
+        assert_eq!(used, crate::encoded_len(first.core_len()));
+        let err = SuperkmerView::parse(&buf[..used - 1], 5).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+        // A record whose core (4 bases) is shorter than k = 5.
+        let err = SuperkmerView::parse(&[4u8, 0, 0, 0b0001_1011], 5).unwrap_err();
+        assert!(err.to_string().contains("cannot hold"), "{err}");
     }
 
     #[test]
@@ -541,17 +481,6 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
-        // Streaming iterator fuses after the same error.
-        let mut it = iter_views(cut, 5);
-        let mut saw_err = false;
-        for item in it.by_ref() {
-            if item.is_err() {
-                saw_err = true;
-                break;
-            }
-        }
-        assert!(saw_err);
-        assert!(it.next().is_none(), "iterator must fuse after error");
     }
 
     #[test]
@@ -564,29 +493,23 @@ mod tests {
         // boundaries exactly as the writer does.
         let mut framed = Vec::new();
         let mut pending = Vec::new();
-        for item in iter_views(&raw, 7) {
-            let v = item.unwrap();
-            encode_superkmer(&v.to_superkmer(4), &mut pending);
+        for i in 0..slices_raw.len() {
+            pending.extend_from_slice(record_bytes(&slices_raw, i));
             if pending.len() >= 20 {
                 crate::append_frame(&mut framed, &pending);
                 pending.clear();
             }
         }
         crate::append_frame(&mut framed, &pending);
+        assert!(crate::frame_payloads(&framed).unwrap().len() >= 2, "test needs several frames");
 
         let slices = PartitionSlices::index_framed(&framed, 7, 4).unwrap();
         assert!(framed.len() > raw.len(), "framing adds headers");
         assert_eq!(slices.len(), slices_raw.len());
         assert_eq!(slices.total_kmers(), slices_raw.total_kmers());
-        for (a, b) in slices.iter().zip(slices_raw.iter()) {
-            assert_eq!(a.to_superkmer(4), b.to_superkmer(4));
-        }
         // Random access works across frame boundaries.
         for i in (0..slices.len()).rev() {
-            assert_eq!(
-                slices.view(i).to_superkmer(4),
-                slices_raw.view(i).to_superkmer(4)
-            );
+            assert_eq!(record_bytes(&slices, i), record_bytes(&slices_raw, i), "record {i}");
         }
     }
 
@@ -637,6 +560,5 @@ mod tests {
         let slices = PartitionSlices::index(&[], 5, 3).unwrap();
         assert!(slices.is_empty());
         assert_eq!(slices.len(), 0);
-        assert_eq!(iter_views(&[], 5).count(), 0);
     }
 }

@@ -5,9 +5,9 @@ use std::path::{Path, PathBuf};
 use pipeline::{commit, failpoint};
 
 use crate::frame::{crc32, DEFAULT_FRAME_TARGET};
-use crate::{encode_superkmer, MspError, PartitionRouter, PartitionStats, Result, Superkmer};
+use crate::{MspError, PartitionStats, Result};
 
-/// Writes superkmers into a directory of encoded partition files
+/// Writes encoded superkmer records into a directory of partition files
 /// (`part-00000.skm` …) plus a `manifest.txt` describing them.
 ///
 /// Records are buffered per partition and flushed as CRC32-checksummed
@@ -23,14 +23,14 @@ use crate::{encode_superkmer, MspError, PartitionRouter, PartitionStats, Result,
 ///
 /// ```no_run
 /// use dna::PackedSeq;
-/// use msp::{PartitionWriter, SuperkmerScanner};
+/// use msp::{PartitionSlices, PartitionWriter};
 ///
 /// # fn main() -> msp::Result<()> {
-/// let scanner = SuperkmerScanner::new(27, 11)?;
 /// let mut writer = PartitionWriter::create("/tmp/parts", 64, 27, 11)?;
-/// let read = PackedSeq::from_ascii(b"...");
-/// for sk in scanner.scan(&read) {
-///     writer.write(&sk)?;
+/// let reads = [PackedSeq::from_ascii(b"...")];
+/// for (i, records) in msp::partition_in_memory(&reads, 27, 11, 64)?.iter().enumerate() {
+///     let slices = PartitionSlices::index(records, 27, 11)?;
+///     writer.append_encoded(i, records, slices.len() as u64, slices.total_kmers() as u64)?;
 /// }
 /// let manifest = writer.finish()?;
 /// assert_eq!(manifest.num_partitions(), 64);
@@ -42,10 +42,8 @@ pub struct PartitionWriter {
     dir: PathBuf,
     k: usize,
     p: usize,
-    router: PartitionRouter,
     files: Vec<BufWriter<File>>,
     stats: Vec<PartitionStats>,
-    buf: Vec<u8>,
     /// Whole records awaiting their next checksummed frame, per partition.
     pending: Vec<Vec<u8>>,
     /// Flush a partition's pending buffer once it reaches this many bytes.
@@ -88,7 +86,9 @@ impl PartitionWriter {
         if p < 1 || p > k || k > dna::MAX_K {
             return Err(MspError::InvalidParams { k, p });
         }
-        let router = PartitionRouter::new(num_partitions)?;
+        if num_partitions == 0 {
+            return Err(MspError::NoPartitions);
+        }
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         // Partition files are staged as `*.skm[.{token}].tmp` and only
@@ -104,10 +104,8 @@ impl PartitionWriter {
             dir,
             k,
             p,
-            router,
             files,
             stats: vec![PartitionStats::default(); num_partitions],
-            buf: Vec::with_capacity(256),
             pending: vec![Vec::new(); num_partitions],
             frame_target: DEFAULT_FRAME_TARGET,
             run_token: run_token.to_owned(),
@@ -121,41 +119,13 @@ impl PartitionWriter {
         self.frame_target = bytes.max(1);
     }
 
-    /// Routes one superkmer by its minimizer and appends it to that
-    /// partition's file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn write(&mut self, sk: &Superkmer) -> Result<()> {
-        let idx = self.router.route(sk);
-        self.write_to(idx, sk)
-    }
-
-    /// Appends a superkmer to an explicit partition — used by the pipeline
-    /// when routing happened on another processor (e.g. the simulated GPU
-    /// computed superkmer IDs in bulk).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` is out of range.
-    pub fn write_to(&mut self, partition: usize, sk: &Superkmer) -> Result<()> {
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        encode_superkmer(sk, &mut buf);
-        let result = self.push_bytes(partition, &buf, 1, sk.kmer_count() as u64);
-        self.buf = buf;
-        result
-    }
-
     /// Appends already-encoded superkmer records to a partition file. The
     /// pipeline's compute stage encodes on whichever processor ran the
     /// scan; the output stage only appends bytes. `superkmers` and `kmers`
-    /// are the record counts the caller tallied while encoding.
+    /// are the record counts the caller tallied while encoding. The whole
+    /// records join the partition's pending buffer (stats count payload
+    /// bytes, excluding frame headers), which is flushed as a checksummed
+    /// frame once it crosses the target.
     ///
     /// # Errors
     ///
@@ -165,19 +135,6 @@ impl PartitionWriter {
     ///
     /// Panics if `partition` is out of range.
     pub fn append_encoded(
-        &mut self,
-        partition: usize,
-        bytes: &[u8],
-        superkmers: u64,
-        kmers: u64,
-    ) -> Result<()> {
-        self.push_bytes(partition, bytes, superkmers, kmers)
-    }
-
-    /// Appends whole records to a partition's pending buffer, tallies the
-    /// stats (payload bytes, excluding frame headers), and flushes a
-    /// checksummed frame once the buffer crosses the target.
-    fn push_bytes(
         &mut self,
         partition: usize,
         bytes: &[u8],
@@ -564,7 +521,8 @@ pub(crate) fn partition_path(dir: &Path, index: usize) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SuperkmerScanner;
+    use crate::testutil::records_of;
+    use crate::{PartitionRouter, PartitionSlices};
     use dna::PackedSeq;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -573,51 +531,42 @@ mod tests {
         d
     }
 
+    /// Routes `read`'s records over the writer's partitions and appends
+    /// them one at a time; returns what each partition was given.
+    fn write_read(w: &mut PartitionWriter, read: &PackedSeq) -> Vec<Vec<u8>> {
+        let router = PartitionRouter::new(w.files.len()).unwrap();
+        let mut given = vec![Vec::new(); w.files.len()];
+        for (minimizer, record, kmers) in records_of(read, w.k, w.p) {
+            let part = router.route_minimizer(&minimizer);
+            w.append_encoded(part, &record, 1, kmers).unwrap();
+            given[part].extend_from_slice(&record);
+        }
+        given
+    }
+
     #[test]
     fn write_finish_load_roundtrip() {
         let dir = tmpdir("roundtrip");
-        let scanner = SuperkmerScanner::new(7, 4).unwrap();
         let mut w = PartitionWriter::create(&dir, 8, 7, 4).unwrap();
         let read = PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGT");
-        let sks = scanner.scan(&read);
-        for sk in &sks {
-            w.write(sk).unwrap();
-        }
+        let given = write_read(&mut w, &read);
         let manifest = w.finish().unwrap();
-        assert_eq!(manifest.total_superkmers(), sks.len() as u64);
+        assert_eq!(manifest.total_superkmers(), records_of(&read, 7, 4).len() as u64);
         assert_eq!(manifest.total_kmers(), (read.len() - 7 + 1) as u64);
         assert!(manifest.total_bytes() > 0);
+        // Each file deframes to exactly the records its partition was
+        // given, in order, and indexes to the manifest's counts.
+        for (i, want) in given.iter().enumerate() {
+            let framed = fs::read(manifest.partition_path(i)).unwrap();
+            assert_eq!(&crate::deframe(&framed).unwrap(), want, "partition {i}");
+            let slices = PartitionSlices::index_framed(&framed, 7, 4).unwrap();
+            let stat = &manifest.stats()[i];
+            assert_eq!((slices.len() as u64, slices.total_kmers() as u64), (stat.superkmers, stat.kmers));
+        }
 
         let loaded = PartitionManifest::load(&dir).unwrap();
         assert_eq!(loaded, manifest);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn append_encoded_matches_write() {
-        let dir_a = tmpdir("enc-a");
-        let dir_b = tmpdir("enc-b");
-        let scanner = SuperkmerScanner::new(5, 3).unwrap();
-        let read = PackedSeq::from_ascii(b"TGATGGATGAACCAGTTTGA");
-        let sks = scanner.scan(&read);
-
-        let mut direct = PartitionWriter::create(&dir_a, 2, 5, 3).unwrap();
-        let mut raw = PartitionWriter::create(&dir_b, 2, 5, 3).unwrap();
-        let router = crate::PartitionRouter::new(2).unwrap();
-        for sk in &sks {
-            direct.write(sk).unwrap();
-            let mut buf = Vec::new();
-            crate::encode_superkmer(sk, &mut buf);
-            raw.append_encoded(router.route(sk), &buf, 1, sk.kmer_count() as u64).unwrap();
-        }
-        let ma = direct.finish().unwrap();
-        let mb = raw.finish().unwrap();
-        assert_eq!(ma.stats(), mb.stats());
-        for i in 0..2 {
-            assert_eq!(fs::read(ma.partition_path(i)).unwrap(), fs::read(mb.partition_path(i)).unwrap());
-        }
-        fs::remove_dir_all(&dir_a).unwrap();
-        fs::remove_dir_all(&dir_b).unwrap();
     }
 
     #[test]
@@ -656,18 +605,14 @@ mod tests {
     #[test]
     fn tiny_frame_target_produces_multiple_valid_frames() {
         let dir = tmpdir("multiframe");
-        let scanner = SuperkmerScanner::new(7, 4).unwrap();
         let mut w = PartitionWriter::create(&dir, 1, 7, 4).unwrap();
         w.set_frame_target(1); // flush a frame after every record
         let read = PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGT");
-        let sks = scanner.scan(&read);
-        for sk in &sks {
-            w.write_to(0, sk).unwrap();
-        }
+        write_read(&mut w, &read);
         let manifest = w.finish().unwrap();
         let bytes = fs::read(manifest.partition_path(0)).unwrap();
         let payloads = crate::frame_payloads(&bytes).unwrap();
-        assert_eq!(payloads.len(), sks.len(), "one frame per record");
+        assert_eq!(payloads.len(), records_of(&read, 7, 4).len(), "one frame per record");
         // Stats count payload bytes only, never framing overhead.
         let payload_total: usize = payloads.iter().map(|p| p.len()).sum();
         assert_eq!(manifest.total_bytes(), payload_total as u64);
@@ -741,12 +686,8 @@ mod tests {
     #[test]
     fn partitions_are_staged_as_tmp_until_finish() {
         let dir = tmpdir("staged");
-        let scanner = SuperkmerScanner::new(7, 4).unwrap();
         let mut w = PartitionWriter::create(&dir, 2, 7, 4).unwrap();
-        let read = PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGG");
-        for sk in scanner.scan(&read) {
-            w.write(&sk).unwrap();
-        }
+        write_read(&mut w, &PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGG"));
         // Before finish: only obviously-uncommitted tmp files, no manifest.
         for i in 0..2 {
             let final_path = partition_path(&dir, i);

@@ -2,8 +2,8 @@
 
 use dna::{Base, Kmer, PackedSeq};
 use msp::{
-    decode_superkmer, encode_superkmer, encode_superkmer_slice, minimizer_of_kmer,
-    partition_in_memory, MinimizerScanner, PartitionRouter, SuperkmerScanner,
+    encode_superkmer_slice, minimizer_of_kmer, partition_in_memory, PartitionSlices,
+    SuperkmerScanner, SuperkmerView,
 };
 use proptest::prelude::*;
 
@@ -15,10 +15,10 @@ fn seq(max: usize) -> impl Strategy<Value = PackedSeq> {
     prop::collection::vec(base(), 0..max).prop_map(|v| v.into_iter().collect())
 }
 
-/// Reference implementation of run-cutting: per-kmer minimizers from the
-/// brute-force scanner, grouped into maximal equal runs.
+/// Run-cutting by definition: the brute-force minimizer of every k-mer,
+/// grouped into maximal equal runs.
 fn naive_runs(k: usize, p: usize, read: &PackedSeq) -> Vec<(usize, usize, Kmer)> {
-    let mins = MinimizerScanner::new(k, p).unwrap().scan_naive(read);
+    let mins: Vec<Kmer> = read.kmers(k).map(|km| minimizer_of_kmer(&km, p)).collect();
     let mut out = Vec::new();
     let mut start = 0usize;
     for pos in 1..=mins.len() {
@@ -42,13 +42,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sliding_window_equals_brute_force(read in seq(200), k in 2usize..24, p_frac in 1usize..100) {
-        let p = 1 + (p_frac * (k - 1)) / 100;
-        let sc = MinimizerScanner::new(k, p).unwrap();
-        prop_assert_eq!(sc.scan(&read), sc.scan_naive(&read));
-    }
-
-    #[test]
     fn minimizer_is_strand_invariant(read in seq(60), p in 1usize..8) {
         for kmer in read.kmers(p.max(6) + 3) {
             prop_assert_eq!(
@@ -58,81 +51,60 @@ proptest! {
         }
     }
 
+    /// The cover property: one read's records, in scan order, overlap by
+    /// K−1 bases and reassemble to the read; each carries the read's
+    /// neighbouring bases as extensions, and all of its k-mers share one
+    /// minimizer that differs from the next record's.
     #[test]
-    fn superkmers_cover_every_kmer_exactly_once(read in seq(250), k in 2usize..28, p_frac in 1usize..100) {
+    fn records_cover_every_kmer_exactly_once(read in seq(250), k in 2usize..28, p_frac in 1usize..100) {
         let p = 1 + (p_frac * (k - 1)) / 100;
-        let sks = SuperkmerScanner::new(k, p).unwrap().scan(&read);
-        let covered: usize = sks.iter().map(|s| s.kmer_count()).sum();
-        prop_assert_eq!(covered, (read.len() + 1).saturating_sub(k));
-        // Reassembling consecutive cores (K−1 overlap) restores the read.
-        if !sks.is_empty() {
-            let mut rebuilt: Vec<Base> = sks[0].core().bases().collect();
-            for s in &sks[1..] {
-                rebuilt.extend(s.core().bases().skip(k - 1));
+        let buf = partition_in_memory(std::slice::from_ref(&read), k, p, 1).unwrap().remove(0);
+        let slices = PartitionSlices::index(&buf, k, p).unwrap();
+        prop_assert_eq!(slices.total_kmers(), (read.len() + 1).saturating_sub(k));
+        let mut first = 0usize; // read position of the record's first k-mer
+        let mut previous: Option<Kmer> = None;
+        for view in slices.iter() {
+            let core: PackedSeq = view.bases().collect();
+            prop_assert_eq!(&core, &read.slice(first, view.core_len()));
+            prop_assert_eq!(view.left_ext(), first.checked_sub(1).map(|i| read.base(i)));
+            let end = first + view.core_len();
+            prop_assert_eq!(view.right_ext(), (end < read.len()).then(|| read.base(end)));
+            let shared = minimizer_of_kmer(&core.kmer_at(0, k).unwrap(), p);
+            for kmer in core.kmers(k) {
+                prop_assert_eq!(minimizer_of_kmer(&kmer, p), shared);
             }
-            let original: Vec<Base> = read.bases().collect();
-            prop_assert_eq!(rebuilt, original);
+            // Runs are maximal: neighbours differ in minimizer.
+            prop_assert_ne!(previous, Some(shared));
+            previous = Some(shared);
+            first += view.kmer_count();
         }
+        prop_assert_eq!(first, (read.len() + 1).saturating_sub(k));
     }
 
+    /// Every run of a read, encoded straight from the packed words and
+    /// read back through `SuperkmerView`, spells the read's bases and
+    /// neighbours — including the first/last runs whose left/right
+    /// extensions are absent, for wide k and every core alignment.
     #[test]
-    fn every_kmer_in_a_superkmer_shares_the_minimizer(read in seq(120), k in 3usize..16) {
-        let p = (k / 2).max(1);
-        for sk in SuperkmerScanner::new(k, p).unwrap().scan(&read) {
-            for kmer in sk.kmers() {
-                prop_assert_eq!(&minimizer_of_kmer(&kmer, p), sk.minimizer());
+    fn slice_encoding_round_trips_through_views(read in seq(260), k in 1usize..=48, p_frac in 0usize..=100) {
+        let p = 1 + (p_frac * (k - 1)).div_ceil(100).min(k - 1);
+        let scanner = SuperkmerScanner::new(k, p).unwrap();
+        for (first, last, _) in streamed_runs(&scanner, &read) {
+            let left = first.checked_sub(1).map(|i| read.base(i));
+            let right = (last + k < read.len()).then(|| read.base(last + k));
+            let mut record = Vec::new();
+            encode_superkmer_slice(&read, first, last, k, left, right, &mut record);
+            prop_assert_eq!(record.len(), msp::encoded_len(last - first + k));
+            let (view, used) = SuperkmerView::parse(&record, k).unwrap();
+            prop_assert_eq!(used, record.len());
+            prop_assert_eq!(view.kmer_count(), last - first + 1);
+            prop_assert_eq!((view.left_ext(), view.right_ext()), (left, right));
+            let core: PackedSeq = view.bases().collect();
+            prop_assert_eq!(core, read.slice(first, last - first + k), "run {}..={} of k={} p={}", first, last, k, p);
+            for i in 0..view.core_len() {
+                prop_assert_eq!(view.base(i), read.base(first + i));
             }
         }
-    }
-
-    #[test]
-    fn record_roundtrip(read in seq(200), k in 2usize..20) {
-        let p = (k / 2).max(1);
-        let sks = SuperkmerScanner::new(k, p).unwrap().scan(&read);
-        let mut buf = Vec::new();
-        for sk in &sks {
-            encode_superkmer(sk, &mut buf);
-        }
-        let mut offset = 0;
-        let mut decoded = Vec::new();
-        while offset < buf.len() {
-            let (sk, used) = decode_superkmer(&buf[offset..], k, p).unwrap();
-            decoded.push(sk);
-            offset += used;
-        }
-        prop_assert_eq!(decoded, sks);
-    }
-
-    /// The zero-copy view path (`PartitionSlices` / `SuperkmerView`) must
-    /// expose byte-for-byte the same records as the owned decoder, at
-    /// every access granularity: per-base, extensions, and full
-    /// round-trip back to `Superkmer`.
-    #[test]
-    fn views_equal_owned_decode(read in seq(220), k in 2usize..24) {
-        let p = (k / 2).max(1);
-        let sks = SuperkmerScanner::new(k, p).unwrap().scan(&read);
-        let mut buf = Vec::new();
-        for sk in &sks {
-            encode_superkmer(sk, &mut buf);
-        }
-        let slices = msp::PartitionSlices::index(&buf, k, p).unwrap();
-        prop_assert_eq!(slices.len(), sks.len());
-        prop_assert_eq!(slices.total_kmers(), sks.iter().map(|s| s.kmer_count()).sum::<usize>());
-        for (i, sk) in sks.iter().enumerate() {
-            let view = slices.view(i);
-            prop_assert_eq!(view.core_len(), sk.core().len());
-            prop_assert_eq!(view.left_ext(), sk.left_ext());
-            prop_assert_eq!(view.right_ext(), sk.right_ext());
-            let view_bases: Vec<dna::Base> = view.bases().collect();
-            let core_bases: Vec<dna::Base> = sk.core().bases().collect();
-            prop_assert_eq!(view_bases, core_bases);
-            prop_assert_eq!(&view.to_superkmer(p), sk);
-        }
-        // The streaming iterator visits the same records in order.
-        let streamed: Vec<_> = msp::iter_views(&buf, k)
-            .map(|r| r.unwrap().to_superkmer(p))
-            .collect();
-        prop_assert_eq!(streamed, sks);
     }
 
     #[test]
@@ -142,18 +114,18 @@ proptest! {
         let k = 9;
         let p = 5;
         prop_assume!(read.len() >= k);
-        let router = PartitionRouter::new(n).unwrap();
-        let scanner = SuperkmerScanner::new(k, p).unwrap();
         let mut home: std::collections::HashMap<dna::Kmer, usize> = Default::default();
         for strand in [read.clone(), read.revcomp()] {
-            for sk in scanner.scan(&strand) {
-                let part = router.route(&sk);
-                for kmer in sk.kmers() {
-                    let canon = kmer.canonical().0;
-                    if let Some(&prev) = home.get(&canon) {
-                        prop_assert_eq!(prev, part, "vertex {} split across partitions", canon);
-                    } else {
-                        home.insert(canon, part);
+            for (part, records) in partition_in_memory(&[strand], k, p, n).unwrap().iter().enumerate() {
+                for view in PartitionSlices::index(records, k, p).unwrap().iter() {
+                    let core: PackedSeq = view.bases().collect();
+                    for kmer in core.kmers(k) {
+                        let canon = kmer.canonical().0;
+                        if let Some(&prev) = home.get(&canon) {
+                            prop_assert_eq!(prev, part, "vertex {} split across partitions", canon);
+                        } else {
+                            home.insert(canon, part);
+                        }
                     }
                 }
             }
@@ -164,7 +136,8 @@ proptest! {
     fn partition_in_memory_is_strand_union_consistent(reads in prop::collection::vec(seq(100), 0..6)) {
         let (k, p, n) = (7, 4, 5);
         let parts = partition_in_memory(&reads, k, p, n).unwrap();
-        let total: usize = parts.iter().flatten().map(|s| s.kmer_count()).sum();
+        let total: usize =
+            parts.iter().map(|b| PartitionSlices::index(b, k, p).unwrap().total_kmers()).sum();
         let expected: usize = reads.iter().map(|r| (r.len() + 1).saturating_sub(k)).sum();
         prop_assert_eq!(total, expected);
     }
@@ -197,26 +170,6 @@ proptest! {
         let p = 1 + (p_frac * (k - 1)).div_ceil(100).min(k - 1);
         let scanner = SuperkmerScanner::new(k, p).unwrap();
         prop_assert_eq!(streamed_runs(&scanner, &read), naive_runs(k, p, &read));
-    }
-
-    /// Direct-from-read slice encoding must be byte-identical to encoding
-    /// the owned `Superkmer`, for every run of the read — including the
-    /// first/last runs whose left/right extensions are absent.
-    #[test]
-    fn slice_encoding_equals_owned_encoding(read in seq(260), k in 1usize..=48, p_frac in 0usize..=100) {
-        let p = 1 + (p_frac * (k - 1)).div_ceil(100).min(k - 1);
-        let scanner = SuperkmerScanner::new(k, p).unwrap();
-        let sks = scanner.scan(&read);
-        let mut first = 0usize;
-        for sk in &sks {
-            let last = first + sk.kmer_count() - 1;
-            let mut owned = Vec::new();
-            encode_superkmer(sk, &mut owned);
-            let mut borrowed = Vec::new();
-            encode_superkmer_slice(&read, first, last, k, sk.left_ext(), sk.right_ext(), &mut borrowed);
-            prop_assert_eq!(owned, borrowed, "run {}..={} of k={} p={}", first, last, k, p);
-            first = last + 1;
-        }
     }
 }
 

@@ -929,11 +929,22 @@ mod tests {
             .unwrap()
     }
 
+    /// Ground truth without MSP, tables or replay: every k-mer of every
+    /// read merged straight into the graph.
     fn reference(reads: &[SeqRead], k: usize) -> DeBruijnGraph {
-        let seqs: Vec<dna::PackedSeq> = reads.iter().map(|r| r.seq().clone()).collect();
-        let parts = msp::partition_in_memory(&seqs, k, 4, 1).unwrap();
         let mut g = DeBruijnGraph::new(k);
-        g.absorb(hashgraph::build_subgraph_serial(&parts[0], k).unwrap());
+        for seq in reads.iter().map(SeqRead::seq) {
+            for (i, kmer) in seq.kmers(k).enumerate() {
+                let left = i.checked_sub(1).map(|j| seq.base(j));
+                let right = (i + k < seq.len()).then(|| seq.base(i + k));
+                let (canon, orient) = kmer.canonical();
+                let mut data = hashgraph::VertexData { count: 1, edges: [0; 8] };
+                for slot in hashgraph::edge_slots_for(orient, left, right).into_iter().flatten() {
+                    data.edges[slot as usize] += 1;
+                }
+                g.merge_vertex(canon, data);
+            }
+        }
         g
     }
 

@@ -10,9 +10,7 @@ use std::cell::Cell;
 use datagen::{GenomeSpec, Sequencer, SequencingSpec};
 use dna::PackedSeq;
 use hashgraph::{ConcurrentDbgTable, ReplayKernel, ReplayPipeline, TablePool, VertexTable};
-use msp::{
-    encode_superkmer, encode_superkmer_slice, PartitionRouter, PartitionSlices, SuperkmerScanner,
-};
+use msp::{encode_superkmer_slice, PartitionRouter, PartitionSlices, SuperkmerScanner};
 
 /// Counts `alloc`/`alloc_zeroed`/`realloc` calls (not bytes) per thread.
 struct CountingAlloc;
@@ -141,11 +139,7 @@ fn step2_replay_path_does_not_allocate() {
     // forced-scalar twin.
     for (k, scalar) in [(K, false), (40, false), (K, true)] {
         let _mode = Kernels::pin(scalar);
-        let scanner = SuperkmerScanner::new(k, P).unwrap();
-        let mut bytes = Vec::new();
-        for sk in reads.iter().flat_map(|r| scanner.scan(r)) {
-            encode_superkmer(&sk, &mut bytes);
-        }
+        let bytes = msp::partition_in_memory(&reads, k, P, 1).unwrap().remove(0);
         let slices = PartitionSlices::index(&bytes, k, P).unwrap();
         let table = ConcurrentDbgTable::new(slices.total_kmers() * 2, k);
         let kernel = ReplayKernel::new(k);
