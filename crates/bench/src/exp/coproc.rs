@@ -27,11 +27,19 @@ fn run_both(
 }
 
 /// Fig 11: workload distribution across co-processors — per-device
-/// elapsed time and real vs ideal work shares.
+/// elapsed time and real vs ideal work shares, for the two-phase steps
+/// and for Step 2 of the fused flow (same roster, same work queue, fed
+/// in one burst when Step 1 seals).
 pub fn fig11(scale: f64) {
     header("Fig 11", "workload distribution with CPU+1GPU co-processing");
     let data = workloads::chr14(scale);
     let (s1, s2) = run_both(&data, Setup::CpuOneGpu, IoMode::Unthrottled, "f11");
+    let fused = {
+        let ph = workloads::runner("f11-fused", Setup::CpuOneGpu, 64, IoMode::Unthrottled);
+        let outcome = ph.run_fused(&data.reads).expect("fused run");
+        workloads::cleanup(&ph);
+        outcome.report.step2
+    };
     let mut t = Table::new(&[
         "step",
         "device",
@@ -40,7 +48,9 @@ pub fn fig11(scale: f64) {
         "work share",
         "ideal share",
     ]);
-    for (label, report) in [("Step 1 (reads)", &s1), ("Step 2 (vertices)", &s2)] {
+    for (label, report) in
+        [("Step 1 (reads)", &s1), ("Step 2 (vertices)", &s2), ("Step 2, fused (vertices)", &fused)]
+    {
         let real = report.pipeline.work_fractions();
         let ideal = report.pipeline.ideal_fractions();
         for (i, share) in report.pipeline.shares.iter().enumerate() {

@@ -3,7 +3,7 @@ use std::sync::Arc;
 
 use hashgraph::SizingParams;
 use hetsim::{CpuDevice, Device, SimGpuConfig, SimGpuDevice};
-use pipeline::{IoMode, RetryPolicy, SplitPolicy};
+use pipeline::{IoMode, RetryPolicy};
 
 use crate::Result;
 
@@ -89,7 +89,6 @@ pub struct ParaHashConfig {
     /// set it to route the child into their worker-entry test.
     pub(crate) worker_args: Vec<String>,
     pub(crate) resume: bool,
-    pub(crate) split: SplitPolicy,
     pub(crate) devices: Vec<Arc<dyn Device>>,
     /// Run-scope token for long-lived staging files; set by the system
     /// entry points from the run fingerprint, empty until then.
@@ -199,12 +198,6 @@ impl ParaHashConfig {
     pub fn resume(&self) -> bool {
         self.resume
     }
-
-    /// The CPU/GPU split policy steering the fused Step-2 stream (see
-    /// [`ParaHashConfigBuilder::split`]).
-    pub fn split(&self) -> SplitPolicy {
-        self.split
-    }
 }
 
 /// Builder for [`ParaHashConfig`].
@@ -248,7 +241,6 @@ pub struct ParaHashConfigBuilder {
     listen: Option<String>,
     worker_args: Vec<String>,
     resume: bool,
-    split: Option<SplitPolicy>,
     cpu_threads: Option<usize>,
     gpus: Vec<SimGpuConfig>,
     extra_devices: Vec<Arc<dyn Device>>,
@@ -275,7 +267,6 @@ impl Default for ParaHashConfigBuilder {
             listen: None,
             worker_args: Vec::new(),
             resume: false,
-            split: None,
             cpu_threads: Some(0), // 0 = all available
             gpus: Vec::new(),
             extra_devices: Vec::new(),
@@ -467,24 +458,6 @@ impl ParaHashConfigBuilder {
         self
     }
 
-    /// Sets the CPU/GPU split policy for the fused Step-2 stream:
-    /// [`SplitPolicy::Auto`] (the default) lets the online tuner steer the
-    /// partition split toward the Eq. 2 optimum from rolling
-    /// `T_cpu`/`T_gpu`/`T_io` measurements; `SplitPolicy::Static(f)` pins
-    /// the GPU share to `f` (the `--split static:<frac>` escape hatch that
-    /// proves autotuned ≡ static byte-identical); `SplitPolicy::CpuOnly`
-    /// disables offload without changing the roster. When this method is
-    /// not called, the `PARAHASH_SPLIT` environment variable
-    /// (`cpu` / `auto` / `static:<frac>`) is honoured before falling back
-    /// to `Auto` — an unparsable value is ignored. Rosters without a GPU
-    /// degenerate to CPU-only dispatch under every policy. The two-phase
-    /// entry points keep the paper's dynamic work stealing and ignore
-    /// this setting.
-    pub fn split(mut self, policy: SplitPolicy) -> Self {
-        self.split = Some(policy);
-        self
-    }
-
     /// Uses a CPU device with `threads` workers (0 = all available cores).
     /// This is the default; call [`no_cpu`](Self::no_cpu) for GPU-only runs.
     pub fn cpu_threads(mut self, threads: usize) -> Self {
@@ -547,12 +520,6 @@ impl ParaHashConfigBuilder {
         if devices.is_empty() {
             return Err(ConfigError::NoDevices.into());
         }
-        let split = self.split.unwrap_or_else(|| {
-            std::env::var("PARAHASH_SPLIT")
-                .ok()
-                .and_then(|s| SplitPolicy::parse(&s).ok())
-                .unwrap_or(SplitPolicy::Auto)
-        });
         Ok(ParaHashConfig {
             k: self.k,
             p: self.p,
@@ -572,7 +539,6 @@ impl ParaHashConfigBuilder {
             listen: self.listen,
             worker_args: self.worker_args,
             resume: self.resume,
-            split,
             devices,
             run_token: String::new(),
             input_digest: 0,
@@ -694,16 +660,6 @@ mod tests {
         assert_eq!(names, ["cpu0", "gpu0", "gpu1"]);
         let gpu_only = base().no_cpu().sim_gpu(SimGpuConfig::default()).build().unwrap();
         assert_eq!(gpu_only.devices().len(), 1);
-    }
-
-    #[test]
-    fn split_policy_defaults_to_auto_and_roundtrips() {
-        // NB: no env manipulation here — PARAHASH_SPLIT is only consulted
-        // when the builder method is absent, and tests run with it unset.
-        assert_eq!(base().build().unwrap().split(), SplitPolicy::Auto);
-        let c = base().split(SplitPolicy::Static(0.25)).build().unwrap();
-        assert_eq!(c.split(), SplitPolicy::Static(0.25));
-        assert_eq!(base().split(SplitPolicy::CpuOnly).build().unwrap().split(), SplitPolicy::CpuOnly);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //!     "partition-sealed <i>"
 //!     "subgraph-committed <i>"
 //!     "quarantined <i> <reason…>"
-//!     "tuner-state <gpu-share-milli> <regime>"
 //!     "run-complete"
 //! ```
 //!
@@ -35,8 +34,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
-use pipeline::perfmodel::Regime;
-use pipeline::{commit, failpoint, TunerWarmStart};
+use pipeline::{commit, failpoint};
 
 use crate::{ParaHashError, Result};
 
@@ -172,10 +170,6 @@ pub enum JournalEvent {
     SubgraphCommitted(usize),
     /// Partition `i` was quarantined (non-strict mode) with a reason.
     Quarantined(usize, String),
-    /// The autotuner's converged state at run end: GPU work-share in
-    /// thousandths and the classified regime. A resumed run warm-starts
-    /// its tuner (and its memory budget) from this instead of re-probing.
-    TunerState(TunerState),
     /// Partition `i`'s projected table busted the memory budget and its
     /// build went out of core through `fanout` second-level
     /// sub-partitions. Informational: the merged subgraph is
@@ -193,49 +187,6 @@ pub enum JournalEvent {
     RunComplete,
 }
 
-/// Journal-durable autotuner state (see [`JournalEvent::TunerState`]).
-/// The share is kept in integer thousandths so the record — and
-/// [`JournalState`] equality — stays exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TunerState {
-    /// GPU work-share in thousandths (0..=1000).
-    pub gpu_share_milli: u32,
-    /// The regime the run converged to.
-    pub regime: Regime,
-}
-
-impl TunerState {
-    /// Quantises a measured share + regime for journaling.
-    pub fn quantise(gpu_share: f64, regime: Regime) -> TunerState {
-        TunerState {
-            gpu_share_milli: (gpu_share.clamp(0.0, 1.0) * 1000.0).round() as u32,
-            regime,
-        }
-    }
-
-    /// The warm-start value a fresh [`pipeline::SplitTuner`] takes.
-    pub fn warm_start(&self) -> TunerWarmStart {
-        TunerWarmStart { gpu_share: self.gpu_share_milli as f64 / 1000.0, regime: self.regime }
-    }
-}
-
-fn regime_tag(regime: Regime) -> &'static str {
-    match regime {
-        Regime::ComputeBound => "compute-bound",
-        Regime::IoBound => "io-bound",
-        Regime::Mixed => "mixed",
-    }
-}
-
-fn parse_regime_tag(tag: &str) -> Option<Regime> {
-    match tag {
-        "compute-bound" => Some(Regime::ComputeBound),
-        "io-bound" => Some(Regime::IoBound),
-        "mixed" => Some(Regime::Mixed),
-        _ => None,
-    }
-}
-
 impl JournalEvent {
     fn to_line(&self) -> String {
         match self {
@@ -244,9 +195,6 @@ impl JournalEvent {
             JournalEvent::Quarantined(i, reason) => {
                 // Keep the line-oriented payload parseable.
                 format!("quarantined {i} {}", reason.replace(['\n', '\r'], " "))
-            }
-            JournalEvent::TunerState(t) => {
-                format!("tuner-state {} {}", t.gpu_share_milli, regime_tag(t.regime))
             }
             JournalEvent::SubSplit(i, fanout) => format!("sub-split {i} {fanout}"),
             JournalEvent::WorkerLease(worker, i) => format!("worker-lease {worker} {i}"),
@@ -268,9 +216,6 @@ pub struct JournalState {
     /// Quarantine marks, in append order (later marks for the same
     /// partition override earlier ones).
     pub quarantined: Vec<(usize, String)>,
-    /// The last `tuner-state` record, if the run got far enough to write
-    /// one (the tuner's converged split + regime, for warm starts).
-    pub tuner: Option<TunerState>,
     /// `sub-split` marks in append order: `(partition, fanout)` pairs
     /// recording which partitions went out of core (a later mark for the
     /// same partition overrides an earlier one, e.g. a retry that picked
@@ -456,7 +401,6 @@ impl RunJournal {
             sealed: BTreeSet::new(),
             committed: BTreeSet::new(),
             quarantined: Vec::new(),
-            tuner: None,
             sub_splits: Vec::new(),
             leases: Vec::new(),
             complete: false,
@@ -483,22 +427,6 @@ impl RunJournal {
                 let (idx, reason) = rest.split_once(' ').unwrap_or((rest, ""));
                 let i = index_in_range(idx, off, "quarantined")?;
                 state.quarantined.push((i, reason.to_string()));
-            } else if let Some(rest) = line.strip_prefix("tuner-state ") {
-                let (milli, tag) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| journal_err(off, format!("bad tuner-state record {rest:?}")))?;
-                let gpu_share_milli: u32 = milli
-                    .parse()
-                    .map_err(|e| journal_err(off, format!("bad tuner-state share: {e}")))?;
-                if gpu_share_milli > 1000 {
-                    return Err(journal_err(
-                        off,
-                        format!("tuner-state share {gpu_share_milli} exceeds 1000 thousandths"),
-                    ));
-                }
-                let regime = parse_regime_tag(tag)
-                    .ok_or_else(|| journal_err(off, format!("unknown tuner-state regime {tag:?}")))?;
-                state.tuner = Some(TunerState { gpu_share_milli, regime });
             } else if let Some(rest) = line.strip_prefix("sub-split ") {
                 let (idx, fanout) = rest
                     .split_once(' ')
@@ -779,44 +707,6 @@ mod tests {
         let err = RunJournal::replay(&dir).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn tuner_state_roundtrips_and_validates() {
-        let dir = tmpdir("tuner");
-        let j = RunJournal::create(&dir, fp()).unwrap();
-        let t = TunerState::quantise(0.6667, Regime::ComputeBound);
-        assert_eq!(t.gpu_share_milli, 667);
-        j.append(&JournalEvent::TunerState(t)).unwrap();
-        // A later record overrides an earlier one.
-        let t2 = TunerState::quantise(0.25, Regime::IoBound);
-        j.append(&JournalEvent::TunerState(t2)).unwrap();
-        j.append(&JournalEvent::RunComplete).unwrap();
-        drop(j);
-        let state = RunJournal::replay(&dir).unwrap();
-        assert_eq!(state.tuner, Some(t2));
-        let warm = state.tuner.unwrap().warm_start();
-        assert!((warm.gpu_share - 0.25).abs() < 1e-9);
-        assert_eq!(warm.regime, Regime::IoBound);
-
-        // An out-of-range share in a CRC-valid record is an error, not a
-        // torn tail.
-        let mut bytes = std::fs::read(RunJournal::path_in(&dir)).unwrap();
-        let payload = b"tuner-state 2000 mixed";
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&msp::crc32(payload.as_slice()).to_le_bytes());
-        bytes.extend_from_slice(payload);
-        std::fs::write(RunJournal::path_in(&dir), &bytes).unwrap();
-        let err = RunJournal::replay(&dir).unwrap_err();
-        assert!(err.to_string().contains("exceeds 1000"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn quantise_clamps_and_rounds() {
-        assert_eq!(TunerState::quantise(-0.5, Regime::Mixed).gpu_share_milli, 0);
-        assert_eq!(TunerState::quantise(1.5, Regime::Mixed).gpu_share_milli, 1000);
-        assert_eq!(TunerState::quantise(0.5, Regime::Mixed).gpu_share_milli, 500);
     }
 
     #[test]

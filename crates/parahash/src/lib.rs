@@ -12,9 +12,12 @@
 //!    on an idle CPU/GPU, with the table sized by Property 1 → subgraph
 //!    absorbed into the final graph, optionally persisted).
 //!
-//! Both steps share the work-stealing scheduler of the `pipeline` crate
-//! and the (possibly throttled) I/O channel, so the Case-1/Case-2 regimes
-//! of §IV are directly reproducible.
+//! Both steps, in every mode, share the work-stealing scheduler of the
+//! `pipeline` crate — whichever processor is idle claims the next
+//! partition, so "don't offload" is a roster without a GPU — and the
+//! (possibly throttled) I/O channel, so the Case-1/Case-2 regimes of §IV
+//! are directly reproducible; [`StepReport`] evaluates the §IV model
+//! against each finished step.
 //!
 //! Beyond the two-phase flow above, [`ParaHash::run_fused`] runs the
 //! steps **fused**: Step 1 stages partitions in a budget-governed
@@ -61,10 +64,9 @@ mod step2;
 mod system;
 
 pub use config::{ConfigError, ParaHashConfig, ParaHashConfigBuilder};
-pub use journal::{Fingerprint, JournalEvent, JournalState, RunJournal, TunerState};
+pub use journal::{Fingerprint, JournalEvent, JournalState, RunJournal};
 pub use once_error::OnceError;
-pub use pipeline::SplitPolicy;
-pub use report::{CoprocSummary, RunReport, Step1Stats, StepReport};
+pub use report::{RunReport, Step1Stats, StepReport};
 pub use shard::{run_remote_worker, worker_from_env};
 pub use step1::run_step1;
 pub use step2::{decode_subgraph, decode_subgraph_checked, encode_subgraph, run_step2};

@@ -30,38 +30,6 @@ pub struct Step1Stats {
     pub bases: u64,
 }
 
-/// How the model-driven scheduler split one step's partitions between
-/// the device classes — recorded by the steered (fused Step-2) path,
-/// `None` on the classic work-stealing paths.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoprocSummary {
-    /// The split policy that ran (`auto`, `static:<frac>`, `cpu`).
-    pub policy: String,
-    /// Partitions processed by CPU-class devices.
-    pub cpu_partitions: usize,
-    /// Partitions processed by GPU-class devices.
-    pub gpu_partitions: usize,
-    /// The tuner's final GPU work-share target.
-    pub gpu_share: f64,
-    /// The regime the tuner's rolling measurements classified into.
-    pub regime: Regime,
-}
-
-impl std::fmt::Display for CoprocSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let regime = match self.regime {
-            Regime::ComputeBound => "compute-bound",
-            Regime::IoBound => "io-bound",
-            Regime::Mixed => "mixed",
-        };
-        write!(
-            f,
-            "coproc: {} partitions cpu / {} gpu, split {} (target {:.2}), regime {}",
-            self.cpu_partitions, self.gpu_partitions, self.policy, self.gpu_share, regime
-        )
-    }
-}
-
 /// Timing and accounting of one pipelined step.
 #[derive(Debug, Clone)]
 pub struct StepReport {
@@ -105,9 +73,6 @@ pub struct StepReport {
     /// Sorted by partition index (the build order is nondeterministic
     /// under multithreading; the report is not).
     pub sub_splits: Vec<(usize, usize)>,
-    /// Model-driven dispatch accounting when the steered scheduler ran
-    /// this step (fused Step 2); `None` on the work-stealing paths.
-    pub coproc: Option<CoprocSummary>,
     /// Sharded Step 2 only: partitions whose leases burned every worker
     /// attempt — who held the last lease, how many attempts, and the
     /// final failure reason. Empty on non-sharded paths and on healthy
@@ -143,7 +108,6 @@ impl StepReport {
             peak_resident_store_bytes: 0,
             quarantined: Vec::new(),
             sub_splits: Vec::new(),
-            coproc: None,
             exhausted_leases: Vec::new(),
         }
     }
@@ -234,9 +198,6 @@ impl RunReport {
             self.partition_bytes,
             self.peak_host_bytes >> 20,
         );
-        if let Some(coproc) = &self.step2.coproc {
-            s.push_str(&format!(" | {coproc}"));
-        }
         if let Some(stats) = &self.step1.step1_stats {
             if stats.bases > 0 {
                 let secs = self.step1.pipeline.elapsed.as_secs_f64();
@@ -294,7 +255,6 @@ mod tests {
             peak_resident_store_bytes: 0,
             quarantined: Vec::new(),
             sub_splits: Vec::new(),
-            coproc: None,
             exhausted_leases: Vec::new(),
         }
     }
@@ -375,32 +335,6 @@ mod tests {
         let s = r.summary();
         assert!(s.contains("ingest 2000000 bases @"), "{s}");
         assert!(s.contains("Mbases/s"), "{s}");
-    }
-
-    #[test]
-    fn summary_reports_coproc_split() {
-        let mut r = RunReport {
-            step1: fake_step(10, 0, 1, 1, 2),
-            step2: fake_step(20, 0, 1, 1, 2),
-            total_elapsed: Duration::from_millis(35),
-            distinct_vertices: 10,
-            total_kmers: 50,
-            peak_host_bytes: 4 << 20,
-            partition_bytes: 1234,
-        };
-        assert!(!r.summary().contains("coproc"), "no steered run, no coproc line");
-        r.step2.coproc = Some(CoprocSummary {
-            policy: "auto".into(),
-            cpu_partitions: 3,
-            gpu_partitions: 5,
-            gpu_share: 0.6,
-            regime: Regime::ComputeBound,
-        });
-        let s = r.summary();
-        assert!(
-            s.contains("coproc: 3 partitions cpu / 5 gpu, split auto (target 0.60), regime compute-bound"),
-            "{s}"
-        );
     }
 
     #[test]

@@ -887,13 +887,13 @@ pub(crate) fn run_step2_sharded(
     let mut pipeline = StepReport::idle(2).pipeline;
     if leftover > 0 && !cancel.is_cancelled() {
         let offset = started.elapsed();
-        pipeline = shared.run(&manifest_feed(manifest), io, &settled, &mut graph, None);
+        pipeline = shared.run(&manifest_feed(manifest), io, &settled, &mut graph);
         for span in &mut pipeline.spans {
             span.start += offset;
             span.end += offset;
         }
     }
-    let (graph, mut report) = shared.finish(pipeline, graph, None)?;
+    let (graph, mut report) = shared.finish(pipeline, graph)?;
     if !config.write_subgraphs {
         // The files were only ever the result channel; the user asked
         // for none. (The resume skip-set is always empty in this
@@ -1317,7 +1317,7 @@ mod tests {
         assert_eq!(built.len(), 4);
         assert_eq!(graph, reference);
         let (_, report) =
-            shared.finish(StepReport::idle(2).pipeline, DeBruijnGraph::new(9), None).unwrap();
+            shared.finish(StepReport::idle(2).pipeline, DeBruijnGraph::new(9)).unwrap();
         assert_eq!((report.resizes, report.peak_table_bytes), (0, 4096), "counted once");
         assert!(report.sub_splits.is_empty(), "the duplicate's fanout was not recorded");
         let state = RunJournal::replay(cfg.work_dir()).unwrap();

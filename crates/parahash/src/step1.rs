@@ -281,7 +281,6 @@ fn step1_fastq_chunks<S: PartitionSink + Send>(
             &SharedCounterQueue::filled(0..chunks.n_chunks()),
             config.devices(),
             cancel,
-            None,
             |i| {
                 let len = chunks.ranges()[i].len() as u64;
                 *peak_batch = (*peak_batch).max(len);
@@ -395,7 +394,6 @@ pub(crate) fn step1_report(
         peak_resident_store_bytes: 0, // filled in by the fused driver
         quarantined: Vec::new(),
         sub_splits: Vec::new(),
-        coproc: None, // Step 1 is not split-scheduled
         exhausted_leases: Vec::new(),
     }
 }
@@ -466,7 +464,6 @@ where
             &SharedCounterQueue::filled(0..n_batches),
             config.devices(),
             cancel,
-            None,
             // Stage 1: one batch of reads, paying its input I/O.
             |i| {
                 let batch = produce(i);

@@ -13,13 +13,11 @@ use msp::{
 };
 use parking_lot::Mutex;
 use pipeline::{
-    failpoint, run_pipeline, CancelToken, PipelineReport, SharedCounterQueue, SplitTuner,
-    Steering, ThrottledIo,
+    failpoint, run_pipeline, CancelToken, PipelineReport, SharedCounterQueue, ThrottledIo,
 };
 
 use crate::journal::{JournalEvent, RunJournal};
 use crate::once_error::OnceError;
-use crate::report::CoprocSummary;
 use crate::step1::{device_baselines, device_deltas, split_device_times};
 use crate::{ParaHashConfig, ParaHashError, Result, StepReport};
 
@@ -227,7 +225,7 @@ pub fn run_step2(
 ) -> Result<(DeBruijnGraph, StepReport)> {
     let feed = manifest_feed(manifest);
     let cancel = CancelToken::new();
-    let out = run_step2_feed(config, &feed, io, &cancel, None, Resumed::nothing(config.k), None)?;
+    let out = run_step2_feed(config, &feed, io, &cancel, None, Resumed::nothing(config.k))?;
     persist_marks(manifest, &out.1)?;
     Ok(out)
 }
@@ -299,12 +297,6 @@ pub(crate) fn persist_marks(manifest: &PartitionManifest, step2: &StepReport) ->
 /// interrupted run and are already in [`Resumed::graph`] — flow through
 /// as no-ops.
 ///
-/// Dispatch: with `tuner = None`, the paper's work stealing (two-phase
-/// Step 2); with a [`SplitTuner`] executing the configured
-/// [`split`](crate::ParaHashConfigBuilder::split) policy, each arriving
-/// partition is routed to the CPU or GPU device class and the tuner's
-/// final state is reported in [`StepReport::coproc`].
-///
 /// The caller owns `feed` (finish it at end of stream, close it to
 /// abort), the manifest (see [`persist_marks`]) and `cancel`; a fatal
 /// error in here cancels the token, which a concurrent Step 1 must
@@ -320,15 +312,14 @@ pub(crate) fn run_step2_feed(
     cancel: &CancelToken,
     journal: Option<&RunJournal>,
     resumed: Resumed,
-    tuner: Option<&SplitTuner>,
 ) -> Result<(DeBruijnGraph, StepReport)> {
     if config.write_subgraphs {
         std::fs::create_dir_all(config.work_dir.join("subgraphs"))?;
     }
     let shared = Step2Shared::new(config, cancel, journal);
     let Resumed { committed: skip, mut graph } = resumed;
-    let pipeline_report = shared.run(feed, io, &skip, &mut graph, tuner);
-    shared.finish(pipeline_report, graph, tuner)
+    let pipeline_report = shared.run(feed, io, &skip, &mut graph);
+    shared.finish(pipeline_report, graph)
 }
 
 /// The Step-2 engine's state, one per step: failure routing
@@ -409,13 +400,11 @@ impl<'a> Step2Shared<'a> {
         io: &ThrottledIo,
         skip: &BTreeSet<usize>,
         graph: &mut DeBruijnGraph,
-        tuner: Option<&SplitTuner>,
     ) -> PipelineReport {
         run_pipeline(
             feed,
             self.config.devices(),
             self.cancel,
-            tuner.map(|t| t as &dyn Steering),
             // Stage 1: materialise the sealed payload (spilled ones pay
             // input I/O, with transient-error retries inside
             // `ThrottledIo`). `None` is the sentinel for an
@@ -767,7 +756,6 @@ impl<'a> Step2Shared<'a> {
         self,
         pipeline_report: PipelineReport,
         graph: DeBruijnGraph,
-        tuner: Option<&SplitTuner>,
     ) -> Result<(DeBruijnGraph, StepReport)> {
         let quarantined = self.quarantined.into_inner();
         // Compute-stage completion order is nondeterministic under
@@ -800,27 +788,6 @@ impl<'a> Step2Shared<'a> {
         };
         let (cpu_compute, gpu_compute) =
             split_device_times(self.config, &pipeline_report.shares, &deltas);
-        // Per-class partition counts come from the shares (ground truth of
-        // what each device actually processed), the split target and
-        // regime from the tuner's rolling measurements.
-        let coproc = tuner.map(|t| {
-            let snap = t.snapshot();
-            let mut cpu_partitions = 0;
-            let mut gpu_partitions = 0;
-            for (device, share) in self.config.devices().iter().zip(&pipeline_report.shares) {
-                match device.kind() {
-                    DeviceKind::Cpu => cpu_partitions += share.partitions,
-                    DeviceKind::SimGpu => gpu_partitions += share.partitions,
-                }
-            }
-            CoprocSummary {
-                policy: t.policy().to_string(),
-                cpu_partitions,
-                gpu_partitions,
-                gpu_share: snap.gpu_share,
-                regime: snap.regime,
-            }
-        });
         let report = StepReport {
             step: 2,
             pipeline: pipeline_report,
@@ -834,7 +801,6 @@ impl<'a> Step2Shared<'a> {
             peak_resident_store_bytes: 0,
             quarantined,
             sub_splits,
-            coproc,
             exhausted_leases: Vec::new(),
         };
         Ok((graph, report))

@@ -5,10 +5,9 @@ use std::time::Instant;
 use dna::SeqRead;
 use hashgraph::DeBruijnGraph;
 use msp::{PartitionManifest, SealedPayload};
-use pipeline::perfmodel::Regime;
-use pipeline::{CancelToken, SharedCounterQueue, SplitTuner, ThrottledIo};
+use pipeline::{CancelToken, SharedCounterQueue, ThrottledIo};
 
-use crate::journal::{Fingerprint, JournalEvent, RunJournal, TunerState};
+use crate::journal::{Fingerprint, JournalEvent, RunJournal};
 use crate::step1::{device_baselines, device_deltas, step1_into, step1_report, step1_to_disk, Input};
 use crate::step2::{
     decode_subgraph_checked, manifest_feed, persist_marks, run_step2_feed, Resumed,
@@ -208,14 +207,6 @@ impl ParaHash {
 
         persist_marks(&manifest, &step2)?;
         plan.recheck_committed(&config)?;
-        // Persist the tuner's converged state just before `run-complete`:
-        // a finished run's record is the warm start for the *next* steered
-        // run over the same artifacts, and a crash after this point still
-        // leaves the record for a resume to seed from.
-        if let Some(coproc) = &step2.coproc {
-            let state = TunerState::quantise(coproc.gpu_share, coproc.regime);
-            plan.journal.append(&JournalEvent::TunerState(state))?;
-        }
         plan.journal.append(&JournalEvent::RunComplete)?;
         let report = RunReport {
             // Resident partitions coexist with both the in-flight Step-1
@@ -253,11 +244,6 @@ struct ResumePlan {
     /// record whose file is missing or damaged is silently left out —
     /// the partition simply re-runs.
     committed: BTreeMap<usize, u64>,
-    /// The interrupted run's final autotuner state (`tuner-state`
-    /// record), if it got far enough to write one. Seeds the resumed
-    /// run's split tuner — and, when the dead run was I/O-bound, its
-    /// partition memory budget — instead of re-probing from scratch.
-    tuner: Option<TunerState>,
 }
 
 impl ResumePlan {
@@ -278,8 +264,7 @@ impl ResumePlan {
     ///   of being rebuilt.
     fn prepare(config: &ParaHashConfig, fingerprint: Fingerprint) -> Result<(ResumePlan, Resumed)> {
         let fresh = |journal| {
-            let plan =
-                ResumePlan { journal, skip_step1: false, committed: BTreeMap::new(), tuner: None };
+            let plan = ResumePlan { journal, skip_step1: false, committed: BTreeMap::new() };
             (plan, Resumed::nothing(config.k))
         };
         // A vacant journal (zero complete records) is the signature of a
@@ -343,7 +328,7 @@ impl ResumePlan {
                 }
             }
         }
-        Ok((ResumePlan { journal, skip_step1, committed, tuner: state.tuner }, resumed))
+        Ok((ResumePlan { journal, skip_step1, committed }, resumed))
     }
 
     /// The tail's look at the subgraph files [`prepare`](Self::prepare)
@@ -409,7 +394,7 @@ fn disk_handoff(
         crate::shard::run_step2_sharded(config, &manifest, io, journal, resumed)?
     } else {
         let feed = manifest_feed(&manifest);
-        run_step2_feed(config, &feed, io, &CancelToken::new(), journal, resumed, None)?
+        run_step2_feed(config, &feed, io, &CancelToken::new(), journal, resumed)?
     };
     Ok((manifest, step1, graph, step2))
 }
@@ -437,30 +422,9 @@ fn memory_handoff(
     // input yields the same per-partition k-mer content, and the
     // canonical subgraph encoding makes the surviving files exact.
     let journal = &plan.journal;
-    // Model-driven dispatch: a tuner executing the configured split
-    // policy routes each partition to a device class. A journaled
-    // `tuner-state` record seeds it at the converged split and, when the
-    // dead run was I/O-bound (Case 2: disk the bottleneck), doubles a
-    // finite partition budget so fewer partitions spill this time.
-    // Residency never changes partition *content*, only where the bytes
-    // wait, so the result stays byte-identical.
-    let n_gpus =
-        config.devices().iter().filter(|d| d.kind() == hetsim::DeviceKind::SimGpu).count();
-    let tuner = SplitTuner::new(config.split, n_gpus, plan.tuner.map(|t| t.warm_start()));
-    let budget = match plan.tuner {
-        Some(t)
-            if t.regime == Regime::IoBound
-                && config.partition_memory_budget > 0
-                && config.partition_memory_budget < u64::MAX =>
-        {
-            config.partition_memory_budget.saturating_mul(2)
-        }
-        _ => config.partition_memory_budget,
-    };
-
     let (step1_out, step2_out) = std::thread::scope(|s| {
         let step2_handle = s.spawn(|| {
-            run_step2_feed(config, &feed, io, &cancel, Some(journal), resumed, Some(&tuner))
+            run_step2_feed(config, &feed, io, &cancel, Some(journal), resumed)
         });
         let step1_out = (|| -> Result<Option<(PartitionManifest, StepReport)>> {
             let mut store = msp::PartitionStore::create_scoped(
@@ -468,7 +432,7 @@ fn memory_handoff(
                 config.partitions,
                 config.k,
                 config.p,
-                budget,
+                config.partition_memory_budget,
                 &config.run_token,
             )?;
             // One device roster serves both steps. Step 2's device work
@@ -489,7 +453,7 @@ fn memory_handoff(
             // ones as their file path — then mark end-of-stream so the
             // Step-2 input stage terminates once the queue drains.
             //
-            // Dispatch order is steered, not index order: spilled
+            // Hand-over order is chosen, not index order: spilled
             // partitions first (their loads overlap compute on the
             // resident ones, hiding T_IO per §IV Case 2), largest first
             // within each residency class (longest-processing-time

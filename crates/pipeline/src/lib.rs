@@ -15,13 +15,10 @@
 //!   calling thread drains outputs, and all three overlap. Its modes are
 //!   arguments, not entry points. The feed is a
 //!   [`SharedCounterQueue::filled`] batch or a stream that grows while
-//!   the run consumes it (the fused Step 1 → Step 2 handoff). Without a
-//!   [`Steering`] policy every driver pops one shared queue, so faster
-//!   processors simply claim more — the dynamic distribution of Fig 11;
-//!   with one ([`autotune`]'s [`SplitTuner`], the §IV model executed
-//!   *online*) inputs are routed to a CPU or a GPU class queue toward the
-//!   Eq. 2 split, with `static:<frac>` / `cpu` escape hatches. Fig 12's
-//!   non-pipelined baseline is the sum of the report's stage times.
+//!   the run consumes it (the fused Step 1 → Step 2 handoff). Every
+//!   driver pops one shared queue, so faster processors simply claim
+//!   more — the dynamic distribution of Fig 11. Fig 12's non-pipelined
+//!   baseline is the sum of the report's stage times.
 //! * [`CancelToken`] — the fail-fast layer: the first fatal error (or a
 //!   stage panic, via the scheduler's drop guard) closes the feed and
 //!   every internal queue, so all workers and the upstream feeder drain
@@ -29,7 +26,8 @@
 //! * [`ThrottledIo`] — a token-metered byte channel that realises the
 //!   paper's two regimes on any machine: unthrottled ≈ the memory-cached
 //!   file of Case 1, a bandwidth cap ≈ the disk-bound Case 2.
-//! * [`perfmodel`] — Eq. 1 and Eq. 2 estimators used by Fig 13 / Fig 14.
+//! * [`perfmodel`] — Eq. 1 and Eq. 2 estimators used by Fig 13 / Fig 14
+//!   and by the step reports, evaluated after a run, never steering one.
 //! * [`RetryPolicy`] — bounded retry with exponential backoff for
 //!   transient I/O inside [`ThrottledIo`], with a fault-injection hook for
 //!   the failure-injection test suite.
@@ -40,7 +38,6 @@
 //! * [`crc`] — the one table-driven CRC-32 behind partition frames,
 //!   journal records, subgraph trailers and the shard wire frames.
 
-pub mod autotune;
 mod cancel;
 pub mod commit;
 pub mod crc;
@@ -51,7 +48,6 @@ mod queue;
 mod scheduler;
 pub mod shard;
 
-pub use autotune::{SplitPolicy, SplitTuner, Steering, TunerSnapshot, TunerWarmStart};
 pub use cancel::CancelToken;
 pub use io::{IoMode, IoOp, RetryPolicy, ThrottledIo};
 pub use queue::SharedCounterQueue;

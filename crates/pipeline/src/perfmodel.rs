@@ -155,105 +155,6 @@ pub fn classify_regime(c: &StepComponents) -> Regime {
     }
 }
 
-/// Eq. 2 work split: the fraction of a step's work the GPU roster should
-/// take so every processor finishes together. Processors work at their
-/// individual rates (`1/T`), so the GPU share is
-/// `(N_GPU/T_single_GPU) / (1/T_only_CPU + N_GPU/T_single_GPU)`.
-///
-/// This is the steering target of the online autotuner: feed it the
-/// *measured* per-partition CPU and GPU times and assign that fraction of
-/// the remaining partitions to the GPU. Returns `0.0` when the GPU
-/// contributes no rate (no GPUs, or no measurement yet) and `1.0` when
-/// only the GPU does.
-///
-/// # Examples
-///
-/// ```
-/// use pipeline::perfmodel::eq2_gpu_work_share;
-/// use std::time::Duration;
-///
-/// // GPU twice as fast as the CPU → it should take 2/3 of the work.
-/// let f = eq2_gpu_work_share(Some(Duration::from_secs(12)), Duration::from_secs(6), 1);
-/// assert!((f - 2.0 / 3.0).abs() < 1e-12);
-/// ```
-pub fn eq2_gpu_work_share(cpu: Option<Duration>, single_gpu: Duration, n_gpus: usize) -> f64 {
-    let cpu_rate = match cpu {
-        Some(c) if !c.is_zero() => 1.0 / c.as_secs_f64(),
-        _ => 0.0,
-    };
-    let gpu_rate = if n_gpus > 0 && !single_gpu.is_zero() {
-        n_gpus as f64 / single_gpu.as_secs_f64()
-    } else {
-        0.0
-    };
-    if gpu_rate == 0.0 {
-        return 0.0;
-    }
-    if cpu_rate == 0.0 {
-        return 1.0;
-    }
-    gpu_rate / (cpu_rate + gpu_rate)
-}
-
-/// Case-2 estimate: when I/O dominates, the step time approaches
-/// `T_IO + (T_input + T_output)/n` (Eq. 1 with the I/O term winning).
-pub fn io_bound_step_time(c: &StepComponents) -> Duration {
-    if c.partitions == 0 {
-        return Duration::ZERO;
-    }
-    let n = c.partitions as f64;
-    c.input.max(c.output).mul_f64((n - 1.0) / n) + (c.input + c.output).div_f64(n)
-}
-
-/// Speedup of `faster` over `baseline` (`baseline / faster`); 1.0 when
-/// either duration is zero.
-pub fn speedup(baseline: Duration, faster: Duration) -> f64 {
-    if baseline.is_zero() || faster.is_zero() {
-        return 1.0;
-    }
-    baseline.as_secs_f64() / faster.as_secs_f64()
-}
-
-/// Parallel efficiency of a co-processed run: achieved speedup over the
-/// Eq.-2 ideal speedup for the same processor roster. 1.0 means the run
-/// matched the model exactly.
-pub fn coprocessing_efficiency(
-    cpu_only: Duration,
-    single_gpu: Duration,
-    n_gpus: usize,
-    measured: Duration,
-) -> f64 {
-    let ideal = eq2_ideal_coprocessing(Some(cpu_only), single_gpu, n_gpus);
-    if ideal == Duration::MAX || measured.is_zero() {
-        return 0.0;
-    }
-    ideal.as_secs_f64() / measured.as_secs_f64()
-}
-
-/// What-if projection: given measured CPU-only and single-GPU step times,
-/// the Eq.-2 ideal elapsed time for every GPU count in `0..=max_gpus`,
-/// with and without the CPU. Lets an operator read off the paper's
-/// "offloading to more devices improves performance" curve before buying
-/// hardware.
-///
-/// Returns `(n_gpus, with_cpu, gpu_only)` triples; `gpu_only` at
-/// `n_gpus = 0` is `Duration::MAX` (no processor at all).
-pub fn project_rosters(
-    cpu_only: Duration,
-    single_gpu: Duration,
-    max_gpus: usize,
-) -> Vec<(usize, Duration, Duration)> {
-    (0..=max_gpus)
-        .map(|n| {
-            (
-                n,
-                eq2_ideal_coprocessing(Some(cpu_only), single_gpu, n),
-                eq2_ideal_coprocessing(None, single_gpu, n),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,13 +185,11 @@ mod tests {
         // T_IO = 3/4·16 = 12 > compute; + (16+8)/4 = 6 → 18.
         assert_eq!(eq1_step_time(&c), Duration::from_secs(18));
         assert_eq!(classify_regime(&c), Regime::IoBound);
-        assert_eq!(io_bound_step_time(&c), Duration::from_secs(18));
     }
 
     #[test]
     fn eq1_zero_partitions() {
         assert_eq!(eq1_step_time(&comps(1, 1, 1, 1, 0)), Duration::ZERO);
-        assert_eq!(io_bound_step_time(&comps(1, 1, 1, 1, 0)), Duration::ZERO);
     }
 
     #[test]
@@ -326,33 +225,6 @@ mod tests {
     fn eq2_no_processors_is_unbounded() {
         assert_eq!(eq2_ideal_coprocessing(None, Duration::from_secs(1), 0), Duration::MAX);
         assert_eq!(eq2_ideal_coprocessing(Some(Duration::ZERO), Duration::ZERO, 3), Duration::MAX);
-    }
-
-    #[test]
-    fn speedup_and_efficiency() {
-        assert_eq!(speedup(Duration::from_secs(10), Duration::from_secs(2)), 5.0);
-        assert_eq!(speedup(Duration::ZERO, Duration::from_secs(2)), 1.0);
-        // A run that exactly meets the Eq.-2 ideal has efficiency 1.
-        let cpu = Duration::from_secs(12);
-        let gpu = Duration::from_secs(6);
-        let ideal = eq2_ideal_coprocessing(Some(cpu), gpu, 1); // 4 s
-        assert!((coprocessing_efficiency(cpu, gpu, 1, ideal) - 1.0).abs() < 1e-12);
-        // Twice as slow as ideal → efficiency 0.5.
-        assert!((coprocessing_efficiency(cpu, gpu, 1, ideal * 2) - 0.5).abs() < 1e-12);
-        assert_eq!(coprocessing_efficiency(cpu, gpu, 1, Duration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn roster_projection_is_monotone() {
-        let rows = project_rosters(Duration::from_secs(12), Duration::from_secs(6), 4);
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0].1, Duration::from_secs(12)); // CPU alone
-        assert_eq!(rows[0].2, Duration::MAX); // nothing alone
-        for w in rows.windows(2) {
-            assert!(w[1].1 <= w[0].1, "adding a GPU never hurts the ideal");
-            assert!(w[1].2 <= w[0].2);
-        }
-        assert_eq!(rows[2].1, Duration::from_millis(2_400)); // 1/(1/12+2/6)
     }
 
     #[test]
@@ -432,7 +304,6 @@ mod tests {
         // steady = max{120, 80, 900} = 900; + (960+320)/16 = 80 → 980.
         let c = comps(120, 80, 960, 320, 16);
         assert_eq!(eq1_step_time(&c), Duration::from_secs(980));
-        assert_eq!(io_bound_step_time(&c), Duration::from_secs(980));
         assert_eq!(classify_regime(&c), Regime::IoBound);
         // With the I/O stream throttled away (Case 1, Fig-13 setup), the
         // same compute degenerates to max-compute + fill/drain.
@@ -455,26 +326,5 @@ mod tests {
         assert!(close(eq2_ideal_coprocessing(Some(cpu), gpu, 1), 323.0 * 259.0 / 582.0));
         assert!(close(eq2_ideal_coprocessing(Some(cpu), gpu, 2), 323.0 * 259.0 / 905.0));
         assert!(close(eq2_ideal_coprocessing(None, gpu, 2), 129.5));
-        // And the matching work split: the GPU's rate share.
-        //   1 GPU: (1/259)/(1/323 + 1/259) = 323/582 ≈ 0.5550
-        let f = eq2_gpu_work_share(Some(cpu), gpu, 1);
-        assert!((f - 323.0 / 582.0).abs() < 1e-12);
-        let f2 = eq2_gpu_work_share(Some(cpu), gpu, 2);
-        assert!((f2 - 2.0 * 323.0 / 905.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eq2_work_share_degenerate_rosters() {
-        let t = Duration::from_secs(5);
-        assert_eq!(eq2_gpu_work_share(Some(t), t, 0), 0.0); // no GPU
-        assert_eq!(eq2_gpu_work_share(Some(t), Duration::ZERO, 2), 0.0); // unmeasured GPU
-        assert_eq!(eq2_gpu_work_share(None, t, 1), 1.0); // GPU-only
-        assert_eq!(eq2_gpu_work_share(Some(Duration::ZERO), t, 1), 1.0); // unmeasured CPU
-        // Equal speeds split evenly; shares stay within [0, 1].
-        assert!((eq2_gpu_work_share(Some(t), t, 1) - 0.5).abs() < 1e-12);
-        for n in 0..=8 {
-            let f = eq2_gpu_work_share(Some(t), Duration::from_secs(3), n);
-            assert!((0.0..=1.0).contains(&f));
-        }
     }
 }

@@ -2,10 +2,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hetsim::{Device, DeviceKind};
+use hetsim::Device;
 use parking_lot::Mutex;
 
-use crate::autotune::Steering;
 use crate::{CancelToken, SharedCounterQueue};
 
 /// Which pipeline stage a [`Span`] belongs to.
@@ -128,7 +127,7 @@ impl PipelineReport {
 /// re-propagates the panic.
 struct Shutdown<'a, T, I, O> {
     feed: &'a SharedCounterQueue<T>,
-    work: &'a [SharedCounterQueue<I>; 2],
+    work: &'a SharedCounterQueue<I>,
     done: &'a SharedCounterQueue<O>,
     cancel: &'a CancelToken,
 }
@@ -137,7 +136,7 @@ impl<T, I, O> Shutdown<'_, T, I, O> {
     fn close_if_cancelled(&self) {
         if self.cancel.is_cancelled() {
             self.feed.close();
-            self.work.iter().for_each(SharedCounterQueue::close);
+            self.work.close();
             self.done.close();
         }
     }
@@ -173,24 +172,10 @@ impl<T, I, O> Drop for Shutdown<'_, T, I, O> {
 /// output queue, so the run ends without knowing the stream length up
 /// front. [`PipelineReport::partitions`] counts the items consumed.
 ///
-/// **Dispatch.** With `steer = None` every driver pops one shared queue,
-/// so an idle processor simply claims more often — the paper's dynamic
-/// work stealing (Fig 11). With `Some(policy)` each input is routed to a
-/// *CPU class queue* or a *GPU class queue* by
-/// [`Steering::assign_gpu`] — in practice
-/// [`SplitTuner`](crate::autotune::SplitTuner) steering toward the Eq. 2
-/// split — and:
-///
-/// * there is **no cross-class stealing**: `static:0.3` must *pin* 30 %
-///   of partitions to the GPU even when that is not the fastest
-///   assignment, or every static split would collapse into the same
-///   dynamic schedule (devices of one class still steal from each other);
-/// * **roster clamping beats policy**: without a GPU everything goes to
-///   the CPU class, and vice versa, whatever the policy asks (it is not
-///   even consulted), so a mis-set split can never stall the stream;
-/// * **the policy hears everything**: per-partition produce, compute and
-///   consume times reach [`Steering::observe_input`],
-///   [`Steering::observe_compute`] and [`Steering::observe_output`].
+/// **Dispatch.** Every driver pops the one work queue, so an idle
+/// processor simply claims more often — the paper's dynamic work stealing
+/// (Fig 11): the split follows relative speed by construction. "Don't
+/// offload" is a roster without a GPU.
 ///
 /// **Cancellation.** Any thread may call [`CancelToken::cancel`]
 /// (typically a stage callback that hit a fatal error). Every stage
@@ -207,7 +192,6 @@ pub fn run_pipeline<T, I, O, FP, FC, FO>(
     feed: &SharedCounterQueue<T>,
     devices: &[Arc<dyn Device>],
     cancel: &CancelToken,
-    steer: Option<&(dyn Steering + '_)>,
     mut produce: FP,
     process: FC,
     mut consume: FO,
@@ -223,14 +207,7 @@ where
     assert!(!devices.is_empty(), "co-processing needs at least one device");
     let started = Instant::now();
     let bound = feed.capacity();
-    // Device classes only exist under a steering policy; unsteered, every
-    // driver is "CPU class" and shares `work[0]`.
-    let gpu_class: Vec<bool> =
-        devices.iter().map(|d| steer.is_some() && d.kind() == DeviceKind::SimGpu).collect();
-    let has_gpu = gpu_class.contains(&true);
-    let has_cpu = gpu_class.contains(&false);
-    let work: [SharedCounterQueue<(usize, I)>; 2] =
-        [SharedCounterQueue::new(bound), SharedCounterQueue::new(if has_gpu { bound } else { 0 })];
+    let work: SharedCounterQueue<(usize, I)> = SharedCounterQueue::new(bound);
     let done: SharedCounterQueue<(usize, O, usize, u64, Duration)> = SharedCounterQueue::new(bound);
     let shutdown = || Shutdown { feed, work: &work, done: &done, cancel };
 
@@ -266,37 +243,28 @@ where
                 let Some(t) = feed.pop() else { break };
                 let t0 = Instant::now();
                 let (index, item) = produce(t);
-                let took = t0.elapsed();
-                spent += took;
-                if let Some(steer) = steer {
-                    steer.observe_input(took);
-                }
+                spent += t0.elapsed();
                 record(Stage::Input, "io", index, t0);
-                let to_gpu = has_gpu && (!has_cpu || steer.is_some_and(|s| s.assign_gpu(index)));
-                work[usize::from(to_gpu)].push((index, item));
+                work.push((index, item));
             }
             // Graceful: published items drain, blocked drivers wake.
-            work.iter().for_each(SharedCounterQueue::finish);
+            work.finish();
             shutdown.close_if_cancelled();
             spent
         });
 
-        // Stage 2: one driver per device, claiming from its class queue.
+        // Stage 2: one driver per device, all claiming from the one queue.
         for (dev_idx, device) in devices.iter().enumerate() {
-            let is_gpu = gpu_class[dev_idx];
             s.spawn(move || {
                 let shutdown = shutdown();
                 while !cancel.is_cancelled() {
-                    let Some((index, item)) = work[usize::from(is_gpu)].pop() else { break };
+                    let Some((index, item)) = work.pop() else { break };
                     if cancel.is_cancelled() {
                         break;
                     }
                     let t0 = Instant::now();
                     let (output, units) = process(device.as_ref(), index, item);
                     let busy = t0.elapsed();
-                    if let Some(steer) = steer {
-                        steer.observe_compute(is_gpu, busy, units);
-                    }
                     record(Stage::Compute, device.name(), index, t0);
                     done.push((index, output, dev_idx, units, busy));
                 }
@@ -312,11 +280,7 @@ where
         while let Some((index, output, dev_idx, units, busy)) = done.pop() {
             let t0 = Instant::now();
             consume(index, output);
-            let took = t0.elapsed();
-            output_time += took;
-            if let Some(steer) = steer {
-                steer.observe_output(took);
-            }
+            output_time += t0.elapsed();
             record(Stage::Output, "io", index, t0);
             let share = &mut shares[dev_idx];
             share.partitions += 1;
@@ -347,7 +311,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autotune::{SplitPolicy, SplitTuner};
     use hetsim::{CpuDevice, SimGpuConfig, SimGpuDevice, TransferModel};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -382,28 +345,7 @@ mod tests {
         Empty,
     }
 
-    /// Who decides which device runs a partition.
-    #[derive(Debug, Clone, Copy)]
-    enum Steer {
-        /// Work stealing over `[cpu, gpu]`.
-        None,
-        /// This GPU share pinned over `[cpu, gpu]`.
-        Static(f64),
-        /// A GPU-hungry policy over `[cpu]`: the roster clamp wins.
-        GpuLess,
-        /// A CPU-only policy over `[gpu]`: the roster clamp wins.
-        CpuLess,
-    }
-
     const FEEDS: [Feed; 4] = [Feed::Filled, Feed::Concurrent, Feed::Short, Feed::Empty];
-    const STEERS: [Steer; 6] = [
-        Steer::None,
-        Steer::Static(0.0),
-        Steer::Static(0.5),
-        Steer::Static(1.0),
-        Steer::GpuLess,
-        Steer::CpuLess,
-    ];
     /// Items in every non-empty feed.
     const N: usize = 24;
 
@@ -450,26 +392,6 @@ mod tests {
         }
     }
 
-    impl Steer {
-        fn roster(self) -> Vec<Arc<dyn Device>> {
-            match self {
-                Steer::None | Steer::Static(_) => vec![cpu(1), slow_gpu(0)],
-                Steer::GpuLess => vec![cpu(1)],
-                Steer::CpuLess => vec![slow_gpu(0)],
-            }
-        }
-
-        fn tuner(self) -> Option<SplitTuner> {
-            let policy = match self {
-                Steer::None => return None,
-                Steer::Static(frac) => SplitPolicy::Static(frac),
-                Steer::GpuLess => SplitPolicy::Static(1.0),
-                Steer::CpuLess => SplitPolicy::CpuOnly,
-            };
-            Some(SplitTuner::new(policy, 1, None))
-        }
-    }
-
     /// Which callback misbehaves, and how.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Fault {
@@ -487,23 +409,20 @@ mod tests {
         seen: Vec<(usize, usize)>,
         processed: usize,
         feed_closed: bool,
-        tuner: Option<SplitTuner>,
     }
 
-    /// One run of one table cell: every stage sleeps `stage`, produce
-    /// maps `i -> i * 10`, process adds one, and `fault` fires on the
-    /// first item its stage handles.
-    fn run_cell(feed: Feed, steer: Steer, fault: Fault, stage: Duration) -> Ran {
+    /// One run of one table cell over `[cpu, gpu]`: every stage sleeps
+    /// `stage`, produce maps `i -> i * 10`, process adds one, and `fault`
+    /// fires on the first item its stage handles.
+    fn run_cell(feed: Feed, fault: Fault, stage: Duration) -> Ran {
         let cancel = CancelToken::new();
-        let tuner = steer.tuner();
         let seen = Mutex::new(Vec::new());
         let processed = AtomicUsize::new(0);
         let (report, feed_closed) = feed.with(fault == Fault::None, |queue| {
             let report = run_pipeline(
                 queue,
-                &steer.roster(),
+                &[cpu(1), slow_gpu(0)],
                 &cancel,
-                tuner.as_ref().map(|t| t as &dyn Steering),
                 |i| {
                     assert!(fault != Fault::PanicInProduce, "injected input panic");
                     std::thread::sleep(stage);
@@ -529,40 +448,35 @@ mod tests {
             );
             (report, queue.is_closed())
         });
-        Ran { report, seen: seen.into_inner(), processed: processed.into_inner(), feed_closed, tuner }
+        Ran { report, seen: seen.into_inner(), processed: processed.into_inner(), feed_closed }
     }
 
-    /// The whole scheduler contract, checked once per feed shape ×
-    /// steering cell.
+    /// The whole scheduler contract, checked once per feed shape.
     #[test]
-    fn every_feed_shape_and_steering_honours_the_contract() {
+    fn every_feed_shape_honours_the_contract() {
         for feed in FEEDS {
-            for steer in STEERS {
-                let cell = format!("{feed:?} × {steer:?}");
-                let n = feed.items();
-                clean_run(feed, steer, n, &cell);
-                if n == 0 {
-                    continue; // nothing flows, so no callback can misbehave
-                }
-                for fault in [Fault::CancelInProcess, Fault::CancelInConsume] {
-                    let ran = run_cell(feed, steer, fault, Duration::from_micros(200));
-                    assert!(ran.report.cancelled, "{cell} {fault:?}");
-                    assert!(ran.feed_closed, "{cell} {fault:?}: cancel must release the feeder");
-                    assert!(ran.processed < n, "{cell} {fault:?}: processed {}", ran.processed);
-                    assert!(ran.seen.len() < n, "{cell} {fault:?}: consumed {}", ran.seen.len());
-                }
-                for fault in [Fault::PanicInProduce, Fault::PanicInProcess, Fault::PanicInConsume] {
-                    let result =
-                        catch_unwind(AssertUnwindSafe(|| run_cell(feed, steer, fault, Duration::ZERO)));
-                    assert!(result.is_err(), "{cell} {fault:?} must propagate, not hang");
-                }
+            let cell = format!("{feed:?}");
+            let n = feed.items();
+            clean_run(feed, n, &cell);
+            if n == 0 {
+                continue; // nothing flows, so no callback can misbehave
+            }
+            for fault in [Fault::CancelInProcess, Fault::CancelInConsume] {
+                let ran = run_cell(feed, fault, Duration::from_micros(200));
+                assert!(ran.report.cancelled, "{cell} {fault:?}");
+                assert!(ran.feed_closed, "{cell} {fault:?}: cancel must release the feeder");
+                assert!(ran.processed < n, "{cell} {fault:?}: processed {}", ran.processed);
+                assert!(ran.seen.len() < n, "{cell} {fault:?}: consumed {}", ran.seen.len());
+            }
+            for fault in [Fault::PanicInProduce, Fault::PanicInProcess, Fault::PanicInConsume] {
+                let result = catch_unwind(AssertUnwindSafe(|| run_cell(feed, fault, Duration::ZERO)));
+                assert!(result.is_err(), "{cell} {fault:?} must propagate, not hang");
             }
         }
     }
 
-    fn clean_run(feed: Feed, steer: Steer, n: usize, cell: &str) {
-        let Ran { report, mut seen, tuner, .. } =
-            run_cell(feed, steer, Fault::None, Duration::from_millis(1));
+    fn clean_run(feed: Feed, n: usize, cell: &str) {
+        let Ran { report, mut seen, .. } = run_cell(feed, Fault::None, Duration::from_millis(1));
 
         // Every item consumed exactly once, with the right output.
         seen.sort_unstable();
@@ -571,19 +485,10 @@ mod tests {
         assert_eq!(report.total_work(), n as u64, "{cell}");
         assert!(!report.cancelled, "{cell}");
 
-        // The split the steering promises.
+        // Both devices pop the one queue, so both steal.
         let claimed: Vec<usize> = report.shares.iter().map(|s| s.partitions).collect();
         assert_eq!(claimed.iter().sum::<usize>(), n, "{cell}");
-        match steer {
-            Steer::None => {
-                assert!(n == 0 || claimed.iter().all(|&c| c > 0), "{cell}: both steal: {claimed:?}");
-            }
-            Steer::Static(frac) => {
-                let gpu = (n as f64 * frac).round() as usize;
-                assert_eq!(claimed, [n - gpu, gpu], "{cell}");
-            }
-            Steer::GpuLess | Steer::CpuLess => assert_eq!(claimed, [n], "{cell}: roster clamp"),
-        }
+        assert!(n == 0 || claimed.iter().all(|&c| c > 0), "{cell}: both steal: {claimed:?}");
 
         // Spans: every stage saw every partition once, in causal order,
         // inside the run window.
@@ -615,18 +520,6 @@ mod tests {
             "{cell}: pipelined {:?} vs stage sum {stages:?}",
             report.elapsed
         );
-
-        // A steering policy hears every stage of every partition.
-        if let Some(tuner) = tuner {
-            let heard = tuner.components();
-            assert_eq!(heard.partitions, n, "{cell}: every launch observed");
-            assert!(n == 0 || heard.input > Duration::ZERO, "{cell}: produce time heard");
-            assert!(n == 0 || heard.output > Duration::ZERO, "{cell}: consume time heard");
-            if matches!(steer, Steer::Static(_)) {
-                let snap = tuner.snapshot();
-                assert_eq!(snap.cpu_assigned + snap.gpu_assigned, n, "{cell}");
-            }
-        }
     }
 
     #[test]
@@ -636,7 +529,6 @@ mod tests {
             &SharedCounterQueue::filled(0..24usize),
             &[cpu(1), slow_gpu(2000)],
             &CancelToken::new(),
-            None,
             |i| (i, i),
             |d, _, v| {
                 d.execute(4, &|_| {});
@@ -660,7 +552,6 @@ mod tests {
             &SharedCounterQueue::filled(0..10usize),
             &[cpu(1), cpu(1)],
             &CancelToken::new(),
-            None,
             |i| (i, i),
             |_, _, v| (v, 3u64),
             |_, _| {},
@@ -678,7 +569,6 @@ mod tests {
             &SharedCounterQueue::filled(0..1usize),
             &[],
             &CancelToken::new(),
-            None,
             |i| (i, i),
             |_, _, v: usize| (v, 0u64),
             |_, _| {},

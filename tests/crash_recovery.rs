@@ -229,14 +229,66 @@ fn resume_skips_verified_subgraphs_and_redoes_damaged_ones() {
 fn drop_final_journal_record(dir: &Path) {
     let journal_path = dir.join("run.journal");
     let bytes = std::fs::read(&journal_path).unwrap();
-    let mut cut = 0usize;
-    let mut last = 0usize;
-    while cut < bytes.len() {
-        let len = u32::from_le_bytes(bytes[cut..cut + 4].try_into().unwrap()) as usize;
-        last = cut;
-        cut += 8 + len;
-    }
+    let last = journal_records(&bytes).last().expect("a journal has records").0;
     std::fs::write(&journal_path, &bytes[..last]).unwrap();
+}
+
+/// Frame-aware walk of a journal: `(offset, payload line)` per record.
+fn journal_records(bytes: &[u8]) -> Vec<(usize, String)> {
+    let mut records = Vec::new();
+    let mut at = 0usize;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        records.push((at, String::from_utf8(bytes[at + 8..at + 8 + len].to_vec()).unwrap()));
+        at += 8 + len;
+    }
+    records
+}
+
+/// The journal grammar is what docs/FORMATS.md says: a completed fused
+/// run writes one `config`, one `partition-sealed` per *spilled*
+/// partition, one `subgraph-committed` per partition and one
+/// `run-complete` — nothing derived from timings, so two builds of the
+/// same input write the same records (commits land in completion order,
+/// hence multiset rather than byte equality).
+#[test]
+fn fused_journal_holds_exactly_the_documented_records() {
+    let rs = reads();
+    for (tag, budget) in [("spill", 0u64), ("resident", u64::MAX)] {
+        let build = |n: usize| {
+            let dir = fresh_dir(&format!("grammar-{tag}-{n}"));
+            let cfg = builder(&dir, false).partition_memory_budget(budget).build().unwrap();
+            ParaHash::new(cfg).unwrap().run_fused(&rs).unwrap();
+            let bytes = std::fs::read(dir.join("run.journal")).unwrap();
+            let state = RunJournal::replay(&dir).unwrap();
+            let spilled: Vec<usize> = (0..PARTITIONS)
+                .filter(|i| dir.join("superkmers").join(format!("part-{i:05}.skm")).exists())
+                .collect();
+            let _ = std::fs::remove_dir_all(&dir);
+            (bytes, state, spilled)
+        };
+        let (bytes, state, spilled) = build(0);
+        assert!(state.complete && !state.torn_tail, "{tag}");
+        assert_eq!(state.sealed.iter().copied().collect::<Vec<_>>(), spilled, "{tag}");
+        assert_eq!(spilled.is_empty(), budget == u64::MAX, "{tag}");
+        assert_eq!(state.committed.len(), PARTITIONS, "{tag}");
+        let sorted_lines = |bytes: &[u8]| {
+            let mut lines: Vec<String> =
+                journal_records(bytes).into_iter().map(|(_, line)| line).collect();
+            lines.sort_unstable();
+            lines
+        };
+        let lines = sorted_lines(&bytes);
+        assert_eq!(
+            lines.len(),
+            1 + spilled.len() + PARTITIONS + 1,
+            "{tag}: config + spilled seals + commits + run-complete, got {lines:?}"
+        );
+
+        let (again, ..) = build(1);
+        assert_eq!(again.len(), bytes.len(), "{tag}: identical builds, identical journal length");
+        assert_eq!(lines, sorted_lines(&again), "{tag}");
+    }
 }
 
 /// Two runs interleaved in one output directory: resuming run A must
