@@ -32,10 +32,15 @@
 //! ```
 
 use std::io::BufWriter;
+use std::path::Path;
 
 use dna::{FastaWriter, SeqRead};
-use hashgraph::{clip_tips, load_graph, pop_bubbles, save_graph, unitigs_with, Spectrum};
+use hashgraph::{
+    clip_tips, load_graph, pop_bubbles, save_graph, unitigs_with, DeBruijnGraph, Spectrum,
+    StoreError,
+};
 use parahash::{ParaHash, ParaHashConfig};
+use pipeline::commit;
 
 struct Args {
     positional: Vec<String>,
@@ -150,9 +155,23 @@ fn build(args: &Args) {
         .run_fastq_streaming(input)
         .unwrap_or_else(|e| die(&format!("construction failed: {e}")));
     eprintln!("{}", outcome.report.summary());
-    save_graph(&outcome.graph, out).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
+    store_graph(&outcome.graph, Path::new(out))
+        .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
     eprintln!("graph stored in {out}");
     let _ = std::fs::remove_dir_all(&work_dir);
+}
+
+/// Stores `graph` at `out` the way every other artifact is committed:
+/// streamed to `out`'s `*.tmp` staging name, then promoted (fsync, rename,
+/// directory fsync). A crash leaves a `*.tmp`; a failed write removes it;
+/// neither leaves a torn file at the final name.
+fn store_graph(graph: &DeBruijnGraph, out: &Path) -> Result<(), StoreError> {
+    let tmp = commit::tmp_path(out);
+    let stored = save_graph(graph, &tmp).and_then(|()| Ok(commit::commit_staged(&tmp, out)?));
+    if stored.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    stored
 }
 
 fn stats(args: &Args) {
@@ -248,4 +267,42 @@ fn diff(args: &Args) {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn graph() -> DeBruijnGraph {
+        let reads = [SeqRead::from_ascii("r", b"ACGTTGCATGGACCAGTTACGGATCAGGCATT")];
+        baselines::reference_graph(&reads, 9)
+    }
+
+    #[test]
+    fn store_graph_promotes_a_complete_file_and_leaves_no_staging() {
+        let dir = std::env::temp_dir().join(format!("dbg-store-ok-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("graph.dbg");
+        let g = graph();
+        store_graph(&g, &out).unwrap();
+        assert_eq!(load_graph(&out).unwrap(), g);
+        assert!(!commit::tmp_path(&out).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The staging name is a symlink to `/dev/full`, so the write itself
+    /// fails with ENOSPC — the disk-full case a plain `File::create` at
+    /// the final name turned into a torn `graph.dbg`.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn failed_write_leaves_no_file_at_the_final_name() {
+        let dir = std::env::temp_dir().join(format!("dbg-store-full-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("graph.dbg");
+        std::os::unix::fs::symlink("/dev/full", commit::tmp_path(&out)).unwrap();
+        assert!(matches!(store_graph(&graph(), &out), Err(StoreError::Io(_))));
+        assert!(!out.exists(), "nothing may appear at the final name");
+        assert!(!commit::tmp_path(&out).exists(), "the staging name is cleaned up");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

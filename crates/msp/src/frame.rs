@@ -53,15 +53,23 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     }
 }
 
+/// Writes one frame (header + payload) to `out` — the one place the
+/// `len | crc32 | payload` layout is spelled, for memory buffers
+/// ([`append_frame`]) and partition files alike. Empty payloads are
+/// skipped — a zero-length frame carries no information.
+pub(crate) fn write_frame<W: std::io::Write>(out: &mut W, payload: &[u8]) -> std::io::Result<()> {
+    if payload.is_empty() {
+        return Ok(());
+    }
+    out.write_all(&(payload.len() as u32).to_le_bytes())?;
+    out.write_all(&crc32(payload).to_le_bytes())?;
+    out.write_all(payload)
+}
+
 /// Appends one frame (header + payload) to `out`. Empty payloads are
 /// skipped — a zero-length frame carries no information.
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    if payload.is_empty() {
-        return;
-    }
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    write_frame(out, payload).expect("writing to a Vec cannot fail");
 }
 
 /// How a framed buffer failed verification — recovery treats the two

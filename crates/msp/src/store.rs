@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 
 use pipeline::{commit, failpoint};
 
-use crate::frame::{append_frame, crc32, DEFAULT_FRAME_TARGET, FRAME_HEADER_LEN};
+use crate::frame::{append_frame, write_frame, DEFAULT_FRAME_TARGET, FRAME_HEADER_LEN};
 use crate::writer::partition_path;
 use crate::{MspError, PartitionManifest, PartitionRouter, PartitionStats, Result};
 
@@ -372,14 +372,8 @@ impl PartitionStore {
             return Ok(());
         }
         match &mut slot.backing {
-            Backing::Resident(backing) => {
-                append_frame(backing, &slot.pending);
-            }
-            Backing::Spilled(file) => {
-                file.write_all(&(slot.pending.len() as u32).to_le_bytes())?;
-                file.write_all(&crc32(&slot.pending).to_le_bytes())?;
-                file.write_all(&slot.pending)?;
-            }
+            Backing::Resident(backing) => append_frame(backing, &slot.pending),
+            Backing::Spilled(file) => write_frame(file, &slot.pending)?,
             Backing::Sealed => panic!("write to sealed partition {partition}"),
         }
         slot.pending.clear();
@@ -427,15 +421,12 @@ impl PartitionStore {
                 SealedPayload::Resident(v)
             }
             Backing::Spilled(file) => {
-                // Commit the staged spill: flush buffers, fsync the data,
-                // rename `*.skm.tmp` → `*.skm`, fsync the directory. Only
-                // now does the final name exist.
-                let file = file.into_inner().map_err(|e| MspError::Io(e.into()))?;
-                file.sync_all()?;
-                drop(file);
+                // Commit the staged spill: flush buffers, then fsync the
+                // data, rename `*.skm.tmp` → `*.skm`, fsync the directory.
+                // Only now does the final name exist.
+                drop(file.into_inner().map_err(|e| MspError::Io(e.into()))?);
                 let path = partition_path(&self.dir, index);
-                fs::rename(commit::tmp_path_scoped(&path, &self.run_token), &path)?;
-                commit::sync_dir(&self.dir);
+                commit::commit_staged(&commit::tmp_path_scoped(&path, &self.run_token), &path)?;
                 SealedPayload::Spilled(path)
             }
             Backing::Sealed => panic!("partition {index} sealed twice"),

@@ -4,7 +4,7 @@ use std::path::{Path, PathBuf};
 
 use pipeline::{commit, failpoint};
 
-use crate::frame::{crc32, DEFAULT_FRAME_TARGET};
+use crate::frame::{write_frame, DEFAULT_FRAME_TARGET};
 use crate::{MspError, PartitionStats, Result};
 
 /// Writes encoded superkmer records into a directory of partition files
@@ -159,10 +159,7 @@ impl PartitionWriter {
             return Ok(());
         }
         failpoint::hit("msp.frame.append")?;
-        let file = &mut self.files[partition];
-        file.write_all(&(payload.len() as u32).to_le_bytes())?;
-        file.write_all(&crc32(payload).to_le_bytes())?;
-        file.write_all(payload)?;
+        write_frame(&mut self.files[partition], payload)?;
         self.pending[partition].clear();
         Ok(())
     }
@@ -182,6 +179,8 @@ impl PartitionWriter {
         for i in 0..self.files.len() {
             self.flush_frame(i)?;
         }
+        // A batched `commit::commit_staged`: N fsyncs and N renames under
+        // *one* directory fsync, instead of one directory fsync per file.
         for (i, f) in self.files.drain(..).enumerate() {
             let file = f.into_inner().map_err(|e| MspError::Io(e.into()))?;
             file.sync_all()?;

@@ -3,7 +3,7 @@ use std::sync::Arc;
 
 use hashgraph::SizingParams;
 use hetsim::{CpuDevice, Device, SimGpuConfig, SimGpuDevice};
-use pipeline::{IoMode, RetryPolicy};
+use pipeline::IoMode;
 
 use crate::Result;
 
@@ -71,9 +71,7 @@ pub struct ParaHashConfig {
     pub(crate) io_mode: IoMode,
     pub(crate) work_dir: PathBuf,
     pub(crate) write_subgraphs: bool,
-    pub(crate) auto_lambda: Option<usize>,
     pub(crate) strict: bool,
-    pub(crate) retry: RetryPolicy,
     pub(crate) partition_memory_budget: u64,
     pub(crate) table_memory_budget: u64,
     pub(crate) out_of_core: bool,
@@ -158,11 +156,6 @@ impl ParaHashConfig {
         self.strict
     }
 
-    /// The transient-I/O retry policy applied to partition reads/writes.
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Byte budget for resident partitions in the fused pipeline (see
     /// [`ParaHashConfigBuilder::partition_memory_budget`]).
     pub fn partition_memory_budget(&self) -> u64 {
@@ -185,12 +178,6 @@ impl ParaHashConfig {
     /// [`ParaHashConfigBuilder::workers`]); `0` = in-process Step 2.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// TCP listen address of the sharded Step 2, when TCP transport was
-    /// requested (see [`ParaHashConfigBuilder::listen`]).
-    pub fn listen(&self) -> Option<&str> {
-        self.listen.as_deref()
     }
 
     /// Whether runs should resume from the work directory's `run.journal`
@@ -231,9 +218,7 @@ pub struct ParaHashConfigBuilder {
     io_mode: IoMode,
     work_dir: Option<PathBuf>,
     write_subgraphs: bool,
-    auto_lambda: Option<usize>,
     strict: bool,
-    retry: RetryPolicy,
     partition_memory_budget: u64,
     table_memory_budget: u64,
     out_of_core: bool,
@@ -257,9 +242,7 @@ impl Default for ParaHashConfigBuilder {
             io_mode: IoMode::Unthrottled,
             work_dir: None,
             write_subgraphs: false,
-            auto_lambda: None,
             strict: true,
-            retry: RetryPolicy::default(),
             partition_memory_budget: 256 << 20, // 256 MiB resident by default
             table_memory_budget: u64::MAX,      // unlimited: never sub-partition
             out_of_core: true,
@@ -325,16 +308,6 @@ impl ParaHashConfigBuilder {
         self
     }
 
-    /// Estimates Property-1's λ from the first `sample` reads' FASTQ
-    /// quality strings at run time (Σ 10^(−Q/10) per read, averaged) and
-    /// sizes hash tables with it, instead of the static
-    /// [`sizing`](Self::sizing) λ. Reads without quality leave the static
-    /// value in force.
-    pub fn auto_sizing(mut self, sample: usize) -> Self {
-        self.auto_lambda = Some(sample.max(1));
-        self
-    }
-
     /// Strict mode (`true`, the default): the first unrecoverable
     /// partition failure aborts the whole run. Non-strict mode
     /// quarantines the failing partition in the manifest instead and
@@ -343,14 +316,6 @@ impl ParaHashConfigBuilder {
     /// partial graph over losing a multi-hour run.
     pub fn strict(mut self, yes: bool) -> Self {
         self.strict = yes;
-        self
-    }
-
-    /// Sets the retry policy for transient partition-file I/O failures
-    /// (defaults to [`RetryPolicy::default`]: 3 attempts with exponential
-    /// backoff). Use [`RetryPolicy::none`] to fail on the first error.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -529,9 +494,7 @@ impl ParaHashConfigBuilder {
             io_mode: self.io_mode,
             work_dir,
             write_subgraphs: self.write_subgraphs,
-            auto_lambda: self.auto_lambda,
             strict: self.strict,
-            retry: self.retry,
             partition_memory_budget: self.partition_memory_budget,
             table_memory_budget: self.table_memory_budget,
             out_of_core: self.out_of_core,
@@ -639,13 +602,9 @@ mod tests {
     }
 
     #[test]
-    fn strict_and_retry_knobs() {
-        let c = base().build().unwrap();
-        assert!(c.strict(), "strict is the default");
-        assert_eq!(c.retry(), RetryPolicy::default());
-        let c = base().strict(false).retry(RetryPolicy::none()).build().unwrap();
-        assert!(!c.strict());
-        assert_eq!(c.retry().attempts, 1);
+    fn strict_knob() {
+        assert!(base().build().unwrap().strict(), "strict is the default");
+        assert!(!base().strict(false).build().unwrap().strict());
     }
 
     #[test]

@@ -301,11 +301,8 @@ impl RunJournal {
 
     fn append_line(&self, line: &str) -> Result<()> {
         failpoint::hit("journal.append")?;
-        let payload = line.as_bytes();
-        let mut record = Vec::with_capacity(8 + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&msp::crc32(payload).to_le_bytes());
-        record.extend_from_slice(payload);
+        let mut record = Vec::with_capacity(msp::FRAME_HEADER_LEN + line.len());
+        msp::append_frame(&mut record, line.as_bytes());
         let file = self.file.lock();
         let mut f = &*file;
         f.write_all(&record)?;

@@ -55,7 +55,6 @@
 
 mod config;
 mod journal;
-mod once_error;
 mod report;
 mod shard;
 mod staging;
@@ -65,7 +64,6 @@ mod system;
 
 pub use config::{ConfigError, ParaHashConfig, ParaHashConfigBuilder};
 pub use journal::{Fingerprint, JournalEvent, JournalState, RunJournal};
-pub use once_error::OnceError;
 pub use report::{RunReport, Step1Stats, StepReport};
 pub use shard::{run_remote_worker, worker_from_env};
 pub use step1::run_step1;

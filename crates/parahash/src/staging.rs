@@ -1,26 +1,29 @@
-//! Lock-free per-worker staging for the Step-1 emit path.
+//! Per-worker staging for the Step-1 emit path.
 //!
 //! The seed Step-1 kernel funnelled every superkmer through a
 //! `Vec<Mutex<Vec<u8>>>` of shared partition buffers — one lock
 //! acquisition *per superkmer*, straight across every worker thread. The
 //! KMC 2/3 shape adopted here instead gives each worker an exclusive
 //! [`StagingShard`]: one flat byte buffer plus counts per partition, and
-//! the worker's reusable [`msp::MinimizerCursor`]. Workers check shards
-//! out of a [`WorkerShards`] roster with a single atomic CAS per *read*;
-//! every per-superkmer emit is then a plain append into thread-private
-//! memory. After the kernel, the output stage drains the shards into the
-//! partition writer in bulk and returns them to the [`ShardPool`], so all
-//! buffer capacity (and the cursor's deque) is reused across batches —
-//! zero heap allocation and zero cross-thread locks on the per-read path.
+//! the worker's reusable [`msp::MinimizerCursor`]. A worker takes one shard
+//! out of a [`ShardRoster`] for its whole part of the batch (one
+//! uncontended `try_lock`); every per-superkmer emit is then a plain append
+//! into memory no other thread touches. After the kernel, the output stage
+//! drains the shards into the partition writer in bulk and returns them to
+//! the [`ShardPool`], so all buffer capacity (and the cursor's deque) is
+//! reused across batches — zero heap allocation and zero cross-thread
+//! locks on the per-read path.
 //!
-//! The only mutex in this module is the pool's free list, touched twice
-//! per *batch* (take/put), never per read or per superkmer.
+//! The pool's free list is locked twice per *batch* (take/put) and a
+//! roster slot once per *part*; only the SimGpu boundary kernel, whose
+//! work item is one read, checks a shard out per read.
 
 use std::cell::UnsafeCell;
+#[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use msp::MinimizerCursor;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// One worker's private staging area: per-partition encoded superkmer
 /// bytes, per-partition `(superkmers, kmers)` counts, and the worker's
@@ -48,12 +51,6 @@ impl StagingShard {
     /// Total staged payload bytes across partitions.
     pub fn staged_bytes(&self) -> u64 {
         self.buffers.iter().map(|b| b.len() as u64).sum()
-    }
-
-    /// Total staged superkmers across partitions.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn staged_superkmers(&self) -> u64 {
-        self.counts.iter().map(|&(s, _)| s).sum()
     }
 
     /// Empties buffers and counts, retaining every allocation.
@@ -88,65 +85,35 @@ impl ShardPool {
     /// every shard is recycled).
     pub fn take(&self, n: usize) -> Vec<StagingShard> {
         let mut free = self.free.lock();
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match free.pop() {
-                Some(shard) => out.push(shard),
-                None => out.push(StagingShard::new(self.n_parts, self.k, self.p)),
-            }
-        }
-        out
+        let fresh = || StagingShard::new(self.n_parts, self.k, self.p);
+        (0..n).map(|_| free.pop().unwrap_or_else(fresh)).collect()
     }
 
     /// Returns drained shards to the pool, clearing them (capacity kept).
-    pub fn put(&self, shards: impl IntoIterator<Item = StagingShard>) {
-        let mut cleared: Vec<StagingShard> = shards
-            .into_iter()
-            .map(|mut s| {
-                s.clear();
-                s
-            })
-            .collect();
-        self.free.lock().append(&mut cleared);
+    pub fn put(&self, mut shards: Vec<StagingShard>) {
+        shards.iter_mut().for_each(StagingShard::clear);
+        self.free.lock().append(&mut shards);
     }
 }
 
-/// Roster of shards shared by the worker threads of one kernel launch.
-///
-/// Workers [`checkout`](Self::checkout) a shard at the start of each read
-/// and release it (guard drop) at the end: one CAS acquire + one release
-/// store per read, no mutex. Exclusivity is enforced by the `busy` flags
-/// — a shard whose flag was won by CAS is referenced by exactly one
-/// worker, which is what makes the `UnsafeCell` access sound.
-pub(crate) struct WorkerShards {
-    slots: Vec<UnsafeCell<StagingShard>>,
-    busy: Vec<AtomicBool>,
-}
+/// Roster of shards shared by the worker threads of one kernel launch:
+/// a mutex per shard, so exclusivity is the lock's own.
+pub(crate) struct ShardRoster(Vec<Mutex<StagingShard>>);
 
-// SAFETY: a slot is only dereferenced while its `busy` flag is held (won
-// via compare_exchange with Acquire ordering; released with a Release
-// store), so no two threads ever alias a shard mutably.
-unsafe impl Sync for WorkerShards {}
-
-impl WorkerShards {
+impl ShardRoster {
     /// Wraps `shards` for concurrent checkout. Size the roster to the
     /// kernel's parallelism: checkout spins only if more workers than
     /// shards run simultaneously.
-    pub fn new(shards: Vec<StagingShard>) -> WorkerShards {
-        let busy = shards.iter().map(|_| AtomicBool::new(false)).collect();
-        WorkerShards { slots: shards.into_iter().map(UnsafeCell::new).collect(), busy }
+    pub fn new(shards: Vec<StagingShard>) -> ShardRoster {
+        ShardRoster(shards.into_iter().map(Mutex::new).collect())
     }
 
-    /// Acquires an idle shard (lock-free: scans the flag array with CAS).
-    pub fn checkout(&self) -> ShardGuard<'_> {
+    /// Acquires an idle shard — a `try_lock` scan, so a worker never
+    /// sleeps behind another's shard — released when the guard drops.
+    pub fn checkout(&self) -> MutexGuard<'_, StagingShard> {
         loop {
-            for (i, flag) in self.busy.iter().enumerate() {
-                if flag
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return ShardGuard { roster: self, idx: i };
-                }
+            if let Some(shard) = self.0.iter().find_map(Mutex::try_lock) {
+                return shard;
             }
             // More concurrent workers than shards — only possible if the
             // roster was under-sized for the device's parallelism.
@@ -155,41 +122,9 @@ impl WorkerShards {
     }
 
     /// Unwraps the shards once the kernel has completed (single owner
-    /// again, so no flags needed).
+    /// again).
     pub fn into_shards(self) -> Vec<StagingShard> {
-        debug_assert!(
-            self.busy.iter().all(|b| !b.load(Ordering::Acquire)),
-            "shard still checked out after kernel completion"
-        );
-        self.slots.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-}
-
-/// Exclusive access to one [`StagingShard`], released on drop.
-pub(crate) struct ShardGuard<'a> {
-    roster: &'a WorkerShards,
-    idx: usize,
-}
-
-impl std::ops::Deref for ShardGuard<'_> {
-    type Target = StagingShard;
-
-    fn deref(&self) -> &StagingShard {
-        // SAFETY: the busy flag guarantees exclusive access (see Sync impl).
-        unsafe { &*self.roster.slots[self.idx].get() }
-    }
-}
-
-impl std::ops::DerefMut for ShardGuard<'_> {
-    fn deref_mut(&mut self) -> &mut StagingShard {
-        // SAFETY: as above.
-        unsafe { &mut *self.roster.slots[self.idx].get() }
-    }
-}
-
-impl Drop for ShardGuard<'_> {
-    fn drop(&mut self) {
-        self.roster.busy[self.idx].store(false, Ordering::Release);
+        self.0.into_iter().map(Mutex::into_inner).collect()
     }
 }
 
@@ -208,7 +143,8 @@ pub(crate) struct WriteOnceSlots<T> {
 
 // SAFETY: callers uphold the write-once-per-index contract of `with_mut`
 // (each index touched by exactly one kernel work item), so no two threads
-// alias a slot; debug builds verify the contract with `written` flags.
+// alias a slot. Debug builds check the contract with the `written` flags;
+// `tests::write_once_double_write_panics_in_debug` holds that check.
 unsafe impl<T: Send> Sync for WriteOnceSlots<T> {}
 
 impl<T> WriteOnceSlots<T> {
@@ -219,12 +155,6 @@ impl<T> WriteOnceSlots<T> {
             written: slots.iter().map(|_| AtomicBool::new(false)).collect(),
             slots: slots.into_iter().map(UnsafeCell::new).collect(),
         }
-    }
-
-    /// Number of slots.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn len(&self) -> usize {
-        self.slots.len()
     }
 
     /// Grants mutable access to slot `index`.
@@ -240,7 +170,9 @@ impl<T> WriteOnceSlots<T> {
             !self.written[index].swap(true, Ordering::AcqRel),
             "write-once slot {index} written twice"
         );
-        // SAFETY: the write-once contract makes this the only reference.
+        // SAFETY: the write-once contract makes this the only reference to
+        // the slot; the debug-build assertion above (tested by
+        // `write_once_double_write_panics_in_debug`) catches a second one.
         f(unsafe { &mut *self.slots[index].get() });
     }
 
@@ -253,7 +185,7 @@ impl<T> WriteOnceSlots<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn shard_pool_recycles_capacity() {
@@ -263,7 +195,6 @@ mod tests {
         shards[0].counts[1] = (1, 3);
         let cap = shards[0].buffers[1].capacity();
         assert_eq!(shards[0].staged_bytes(), 6);
-        assert_eq!(shards[0].staged_superkmers(), 1);
         pool.put(shards);
         let again = pool.take(2);
         // Cleared but capacity retained on the recycled shard.
@@ -275,7 +206,7 @@ mod tests {
     #[test]
     fn worker_shards_are_mutually_exclusive() {
         let pool = ShardPool::new(1, 5, 2);
-        let roster = WorkerShards::new(pool.take(4));
+        let roster = ShardRoster::new(pool.take(4));
         let max_seen = AtomicUsize::new(0);
         let live = AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -295,7 +226,7 @@ mod tests {
         });
         assert!(max_seen.load(Ordering::SeqCst) <= 4, "more holders than shards");
         let shards = roster.into_shards();
-        let total: u64 = shards.iter().map(StagingShard::staged_superkmers).sum();
+        let total: u64 = shards.iter().map(|s| s.counts[0].0).sum();
         assert_eq!(total, 8 * 500, "no emit lost");
         let bytes: u64 = shards.iter().map(StagingShard::staged_bytes).sum();
         assert_eq!(bytes, 8 * 500);
@@ -314,8 +245,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(slots.len(), 64);
         let out = slots.into_inner();
+        assert_eq!(out.len(), 64);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i * 10));
     }
 

@@ -1,19 +1,21 @@
+use std::borrow::Cow;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use dna::{Kmer, PackedSeq, SeqRead};
 use hetsim::{Device, DeviceKind};
 use msp::{
-    encode_superkmer_slice, PartitionManifest, PartitionRouter, PartitionSink, PartitionWriter,
-    SuperkmerScanner,
+    encode_superkmer_slice, FastqChunks, PartitionManifest, PartitionRouter, PartitionSink,
+    PartitionWriter, SuperkmerScanner,
 };
 use parking_lot::Mutex;
 use pipeline::{run_pipeline, CancelToken, PipelineReport, SharedCounterQueue, ThrottledIo};
 
-use crate::once_error::OnceError;
-use crate::staging::{ShardPool, StagingShard, WorkerShards, WriteOnceSlots};
-use crate::{ParaHashConfig, Result, Step1Stats, StepReport};
+use crate::staging::{ShardPool, ShardRoster, StagingShard, WriteOnceSlots};
+use crate::{ParaHashConfig, ParaHashError, Result, Step1Stats, StepReport};
 
 /// Output of one Step-1 compute launch: the worker shards holding the
 /// per-partition encoded superkmer bytes and `(superkmers, kmers)`
@@ -30,7 +32,7 @@ type BoundaryRuns = Vec<(usize, usize, Kmer)>;
 
 /// Splits reads into the "equal-size input partitions" of Fig 3 by
 /// cumulative byte size.
-fn batch_ranges(reads: &[SeqRead], batch_bytes: usize) -> Vec<std::ops::Range<usize>> {
+fn batch_ranges(reads: &[SeqRead], batch_bytes: usize) -> Vec<Range<usize>> {
     let mut ranges = Vec::new();
     let mut start = 0usize;
     let mut acc = 0usize;
@@ -54,26 +56,132 @@ pub(crate) enum Input<'a> {
     /// A read set already in memory, cut into the "equal-size input
     /// partitions" of Fig 3 by [`batch_ranges`].
     Reads(&'a [SeqRead]),
-    /// A FASTQ file (plain or gzip), parsed one batch at a time so the
-    /// whole read set is **never resident in memory** — the property the
+    /// A FASTQ file (plain or gzip), cut into record-aligned chunks by
+    /// [`FastqChunks`] and parsed one worker slice at a time, so the
+    /// decoded read set is **never resident in memory** — the property the
     /// paper's partition-by-partition workflow depends on for big genomes.
     Fastq(&'a Path),
+}
+
+/// An opened [`Input`], cut into batches. Which arm runs depends on the
+/// input kind alone — never on the device roster or the kernel selection.
+enum Source<'a> {
+    Reads(&'a [SeqRead], Vec<Range<usize>>),
+    Fastq(FastqChunks),
+}
+
+impl<'a> Source<'a> {
+    fn open(input: Input<'a>, batch_bytes: usize) -> Result<Source<'a>> {
+        Ok(match input {
+            Input::Reads(reads) => Source::Reads(reads, batch_ranges(reads, batch_bytes)),
+            Input::Fastq(path) => Source::Fastq(FastqChunks::open(path, batch_bytes)?),
+        })
+    }
+
+    fn n_batches(&self) -> usize {
+        match self {
+            Source::Reads(_, ranges) => ranges.len(),
+            Source::Fastq(chunks) => chunks.n_chunks(),
+        }
+    }
+
+    fn batch(&self, i: usize) -> Batch<'_> {
+        match self {
+            Source::Reads(reads, ranges) => Batch::Reads(&reads[ranges[i].clone()]),
+            Source::Fastq(chunks) => {
+                Batch::Text { file: chunks.bytes(), at: chunks.ranges()[i].clone() }
+            }
+        }
+    }
+}
+
+/// One input batch, as its [`Source`] holds it.
+enum Batch<'a> {
+    Reads(&'a [SeqRead]),
+    /// The record-aligned range `at` of the FASTQ text `file`. The whole
+    /// file rides along so a parse error can name its absolute line.
+    Text { file: &'a [u8], at: Range<usize> },
+}
+
+impl<'a> Batch<'a> {
+    /// The input I/O this batch is charged for.
+    fn input_bytes(&self) -> u64 {
+        match self {
+            Batch::Reads(reads) => reads.iter().map(SeqRead::approx_bytes).sum::<usize>() as u64,
+            Batch::Text { at, .. } => at.len() as u64,
+        }
+    }
+
+    /// Cuts the batch into at most `n` parts of about equal size, one per
+    /// worker: read-index ranges, or record-aligned byte ranges of the
+    /// text (the cut search yields at most `n` ranges for this target).
+    fn parts(&self, n: usize) -> Vec<Range<usize>> {
+        match self {
+            Batch::Reads(reads) => {
+                let per = reads.len().div_ceil(n).max(1);
+                (0..reads.len()).step_by(per).map(|lo| lo..(lo + per).min(reads.len())).collect()
+            }
+            Batch::Text { file, at } => {
+                let text = &file[at.clone()];
+                dna::chunk_record_ranges(text, text.len().div_ceil(n).max(1))
+            }
+        }
+    }
+
+    /// Hands every read of `part` to `f` as a 2-bit sequence: borrowed
+    /// from memory, or parsed from the text and packed into one reused
+    /// scratch sequence, so every record is parsed by exactly one worker.
+    ///
+    /// # Errors
+    ///
+    /// A malformed record ends the part; its line number is rebased from
+    /// the slice the parser saw onto the whole file.
+    fn for_each_read(&self, part: Range<usize>, mut f: impl FnMut(&PackedSeq)) -> Result<()> {
+        match self {
+            Batch::Reads(reads) => reads[part].iter().for_each(|r| f(r.seq())),
+            Batch::Text { file, at } => {
+                let start = at.start + part.start;
+                let mut reader = dna::FastqSliceReader::new(&file[start..at.start + part.end]);
+                let rebase = |e| parse_error(offset_parse_lines(e, &file[..start]));
+                let mut scratch = PackedSeq::new();
+                while let Some(view) = reader.read_record_view().map_err(rebase)? {
+                    scratch.clear();
+                    scratch.extend_from_ascii(view.seq);
+                    f(&scratch);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The whole batch as the 2-bit reads a device receives; a text batch
+    /// is parsed and packed on the host first.
+    fn packed(&self) -> Result<Vec<Cow<'a, PackedSeq>>> {
+        match self {
+            Batch::Reads(reads) => Ok(reads.iter().map(|r| Cow::Borrowed(r.seq())).collect()),
+            Batch::Text { at, .. } => {
+                let mut reads = Vec::new();
+                self.for_each_read(0..at.len(), |read| reads.push(Cow::Owned(read.clone())))?;
+                Ok(reads)
+            }
+        }
+    }
 }
 
 /// Step 1 of ParaHash: pipelined, co-processed MSP partitioning of an
 /// in-memory read set.
 ///
 /// Input batches flow through the three-stage pipeline; whichever device
-/// is idle scans a batch into superkmers (each read's scan is one
-/// data-parallel item — one GPU lane per read, one CPU thread per group,
-/// as in §III-D), encodes them to the 2-bit record format, and the output
-/// stage appends the bytes to the per-partition files.
+/// is idle scans a batch into superkmers (one GPU lane per read, one CPU
+/// thread per contiguous group of reads, as in §III-D), encodes them to
+/// the 2-bit record format, and the output stage appends the bytes to the
+/// per-partition files.
 ///
 /// The compute stage is **allocation- and lock-free per read**: each
-/// worker checks a [`StagingShard`] out of a roster (one atomic CAS),
-/// streams the read through a reusable minimizer cursor, and encodes every
-/// superkmer straight from the read's packed words into the shard's
-/// thread-private partition buffer.
+/// worker takes one [`StagingShard`] for its whole part of the batch,
+/// streams every read through the shard's reusable minimizer cursor, and
+/// encodes every superkmer straight from the read's packed words into the
+/// shard's thread-private partition buffer.
 ///
 /// Returns the partition manifest (input to Step 2) and the step report.
 ///
@@ -120,24 +228,29 @@ pub(crate) fn step1_to_disk(
     }
 }
 
-/// The sink-agnostic body of Step 1: streams `input` through the Step-1
-/// pipeline into any [`PartitionSink`] (the classic all-disk writer or
-/// the fused pipeline's budget-governed [`msp::PartitionStore`]). Returns
-/// the emit stats, the pipeline report and the peak in-flight batch
-/// bytes; the caller owns manifest finalisation and error cleanup.
+/// The one body of Step 1: opens `input`, cuts it into batches — index
+/// ranges of ~`read_batch_bytes` over reads in memory, or the
+/// record-aligned chunks of a FASTQ file that is mapped (or inflated, for
+/// gzip) exactly once — and streams them through the three-stage pipeline
+/// into any [`PartitionSink`] (the classic all-disk writer or the fused
+/// pipeline's budget-governed [`msp::PartitionStore`]). Returns the emit
+/// stats, the pipeline report and the peak in-flight batch bytes; the
+/// caller owns manifest finalisation and error cleanup.
 ///
-/// A FASTQ file is read **exactly once**. On an all-CPU roster every
-/// worker parses its own record-aligned slice of the mapped file
-/// ([`step1_fastq_chunks`]); simulated GPUs meter per-batch transfers and
-/// `PARAHASH_FORCE_SCALAR` pins every fallback path, so those runs keep
-/// the sequential reader, whose input stage cuts a batch as soon as
-/// ~`read_batch_bytes` of sequence has been parsed.
+/// Every roster and every kernel selection runs this same ingest. The
+/// compute stage re-splits its batch across the device's workers, so every
+/// worker parses *and* scans its own reads; a simulated GPU instead
+/// receives the batch 2-bit packed, one lane per read. Per-partition
+/// output multisets do not depend on the cut: batch and part boundaries
+/// land only between reads, every read is scanned by exactly one worker,
+/// and superkmer routing is order-independent.
 ///
 /// # Errors
 ///
 /// Partition-sink I/O failures, and FASTQ parse failures — which poison
 /// the stream (the position is lost) and surface as
-/// [`crate::ParaHashError::InvalidConfig`] with the parser's message.
+/// [`crate::ParaHashError::InvalidConfig`] with the parser's message and
+/// the record's line in the whole file.
 pub(crate) fn step1_into<S: PartitionSink + Send>(
     config: &ParaHashConfig,
     input: Input<'_>,
@@ -145,202 +258,114 @@ pub(crate) fn step1_into<S: PartitionSink + Send>(
     cancel: &CancelToken,
     sink: &mut S,
 ) -> Result<(Step1Stats, PipelineReport, u64)> {
-    match input {
-        Input::Reads(reads) => {
-            let ranges = batch_ranges(reads, config.read_batch_bytes);
-            let batch = |i: usize| &reads[ranges[i].clone()];
-            run_step1_batches(config, ranges.len(), batch, io, cancel, sink)
-        }
-        Input::Fastq(path)
-            if !dna::simd::force_scalar()
-                && config.devices().iter().all(|d| d.kind() == DeviceKind::Cpu) =>
-        {
-            step1_fastq_chunks(config, path, io, cancel, sink)
-        }
-        Input::Fastq(path) => step1_fastq_sequential(config, path, io, cancel, sink),
-    }
-}
-
-/// Sequential FASTQ ingest: one reader on the input stage, cutting a
-/// batch of owned reads as soon as ~`read_batch_bytes` of sequence has
-/// been parsed.
-fn step1_fastq_sequential<S: PartitionSink + Send>(
-    config: &ParaHashConfig,
-    path: &Path,
-    io: &ThrottledIo,
-    cancel: &CancelToken,
-    sink: &mut S,
-) -> Result<(Step1Stats, PipelineReport, u64)> {
-    // Gzip inputs are inflated up front so the sequential path accepts
-    // exactly the same files as the chunked one — the scalar escape
-    // hatch (and the GPU rosters) must not change which inputs parse,
-    // only how fast.
-    let inflated: Option<Vec<u8>> = {
-        use std::io::Read;
-        let mut magic = [0u8; 2];
-        let n = std::fs::File::open(path)?.read(&mut magic)?;
-        if n == 2 && dna::gzip::is_gzip(&magic) {
-            Some(dna::gzip::decompress(&std::fs::read(path)?).map_err(parse_error)?)
-        } else {
-            None
-        }
-    };
-    let (mut reader, text_len): (Box<dyn Iterator<Item = dna::Result<SeqRead>> + Send + '_>, u64) =
-        match &inflated {
-            Some(text) => (Box::new(dna::FastqSliceReader::new(text)), text.len() as u64),
-            None => {
-                let file = std::fs::File::open(path)?;
-                let len = file.metadata()?.len();
-                (Box::new(dna::FastqReader::new(std::io::BufReader::new(file))), len)
-            }
-        };
-    // The batch count only has to *bound* the number of batches the input
-    // stage will produce. A FASTQ record spends at least its sequence
-    // length in file bytes (plus header, '+' line and qualities), so
-    // `text_len / read_batch_bytes + 1` batches of ~`read_batch_bytes` of
-    // sequence each can never fall short; the surplus batches parse
-    // nothing and flow through as empty.
-    let n_batches = (text_len / config.read_batch_bytes.max(1) as u64) as usize + 1;
-    let parse_failure: OnceError<crate::ParaHashError> = OnceError::new();
-    let next_batch = |_| {
-        let mut batch = Vec::new();
-        let mut bytes = 0usize;
-        while bytes < config.read_batch_bytes {
-            match reader.next() {
-                Some(Ok(read)) => {
-                    bytes += read.approx_bytes();
-                    batch.push(read);
-                }
-                None => break,
-                Some(Err(e)) => {
-                    // Stop feeding the pipeline rather than scanning
-                    // whatever follows the lost position.
-                    parse_failure.set(parse_error(e));
-                    cancel.cancel();
-                    break;
-                }
-            }
-        }
-        batch
-    };
-    let result = run_step1_batches(config, n_batches, next_batch, io, cancel, sink);
-    match parse_failure.into_inner() {
-        Some(e) => Err(e),
-        None => result,
-    }
-}
-
-fn parse_error(e: dna::DnaError) -> crate::ParaHashError {
-    match e {
-        dna::DnaError::Io(io) => crate::ParaHashError::Io(io),
-        other => crate::ParaHashError::InvalidConfig(format!("bad fastq input: {other}")),
-    }
-}
-
-/// Parallel chunked FASTQ ingest: the whole file is mapped (or inflated,
-/// for gzip) once, split into record-aligned chunks of
-/// ~`read_batch_bytes`, and each chunk flows through the pipeline as one
-/// batch whose compute stage re-splits it across the device's workers —
-/// every Step-1 worker parses *and* scans its own byte slice, so ingest
-/// is no longer serialised on one parser thread.
-///
-/// Per-partition output multisets are identical to the sequential path:
-/// chunk and sub-chunk cuts land only on record boundaries, every record
-/// is parsed by exactly one worker, and superkmer routing is
-/// order-independent. Batch *counts* differ from the sequential path
-/// (chunks replace byte-budget batches), which no consumer observes —
-/// stats are cross-checked against manifest totals only.
-fn step1_fastq_chunks<S: PartitionSink + Send>(
-    config: &ParaHashConfig,
-    path: &Path,
-    io: &ThrottledIo,
-    cancel: &CancelToken,
-    sink: &mut S,
-) -> Result<(Step1Stats, PipelineReport, u64)> {
-    let chunks = msp::FastqChunks::open(path, config.read_batch_bytes.max(1))?;
+    let source = Source::open(input, config.read_batch_bytes)?;
     let scanner = SuperkmerScanner::new(config.k, config.p)?;
     let router = PartitionRouter::new(config.partitions)?;
     let k = config.k;
-    let write_error: OnceError<msp::MspError> = OnceError::new();
-    let parse_failure: OnceError<crate::ParaHashError> = OnceError::new();
+    let write_error: OnceLock<msp::MspError> = OnceLock::new();
+    let parse_failure: OnceLock<ParaHashError> = OnceLock::new();
     let mut stats = Step1Stats::default();
     let mut peak_batch = 0u64;
+
+    // All staging capacity lives in these two pools and is recycled
+    // across batches: at steady state the compute stage allocates
+    // nothing per read. Both free lists are locked once per batch.
     let shard_pool = ShardPool::new(config.partitions, config.k, config.p);
+    let boundary_pool: Mutex<Vec<BoundaryRuns>> = Mutex::new(Vec::new());
 
     let pipeline_report = {
-        let chunks = &chunks;
-        let scanner = &scanner;
-        let router = &router;
-        let sink = &mut *sink;
-        let write_error = &write_error;
-        let parse_failure = &parse_failure;
-        let shard_pool = &shard_pool;
-        let stats = &mut stats;
-        let peak_batch = &mut peak_batch;
+        let (source, scanner, router) = (&source, &scanner, &router);
+        let (write_error, parse_failure) = (&write_error, &parse_failure);
+        let (shard_pool, boundary_pool) = (&shard_pool, &boundary_pool);
+        let (sink, stats, peak_batch) = (&mut *sink, &mut stats, &mut peak_batch);
         run_pipeline(
-            &SharedCounterQueue::filled(0..chunks.n_chunks()),
+            &SharedCounterQueue::filled(0..source.n_batches()),
             config.devices(),
             cancel,
+            // Stage 1: one batch, paying its input I/O.
             |i| {
-                let len = chunks.ranges()[i].len() as u64;
-                *peak_batch = (*peak_batch).max(len);
-                io.charge(len);
-                (i, i)
+                let batch = source.batch(i);
+                let bytes = batch.input_bytes();
+                *peak_batch = (*peak_batch).max(bytes);
+                io.charge(bytes);
+                (i, batch)
             },
-            |device: &dyn Device, _idx, chunk_idx: usize| {
-                let chunk = chunks.chunk(chunk_idx);
-                let n_workers = device.parallelism().max(1);
-                // Re-split the chunk at record boundaries, one sub-slice
-                // per worker (the cut search yields at most `n_workers`
-                // ranges for this target).
-                let subs =
-                    dna::chunk_record_ranges(chunk, chunk.len().div_ceil(n_workers).max(1));
-                debug_assert!(subs.len() <= n_workers);
-                let roster = WorkerShards::new(shard_pool.take(n_workers));
-                let records = AtomicU64::new(0);
-                let bases = AtomicU64::new(0);
-                device.execute(subs.len(), &|w| {
-                    let sub = &chunk[subs[w].clone()];
-                    let mut shard = roster.checkout();
-                    let mut reader = dna::FastqSliceReader::new(sub);
-                    let mut scratch = PackedSeq::new();
-                    let mut sub_records = 0u64;
-                    let mut sub_bases = 0u64;
-                    loop {
-                        match reader.read_record_view() {
-                            Ok(Some(view)) => {
-                                sub_records += 1;
-                                sub_bases += view.seq.len() as u64;
-                                scratch.clear();
-                                scratch.extend_from_ascii(view.seq);
-                                let read = &scratch;
-                                let StagingShard { buffers, counts, cursor } = &mut *shard;
-                                scanner.scan_runs(read, cursor, |first, last, m| {
-                                    emit_run(router, k, read, (first, last), &m, buffers, counts);
-                                });
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                // Report the line relative to the whole
-                                // file: the slice parser only knows its
-                                // own offset.
-                                let sub_start = chunks.ranges()[chunk_idx].start + subs[w].start;
-                                parse_failure.set(parse_error(offset_parse_lines(
-                                    e,
-                                    &chunks.bytes()[..sub_start],
-                                )));
-                                cancel.cancel();
-                                break;
+            // Stage 2: scan + encode on an idle device. Emits go to
+            // thread-private shards — no locks, no per-read allocation.
+            |device: &dyn Device, _idx, batch: Batch<'_>| {
+                // Stop feeding the pipeline rather than scanning whatever
+                // follows the lost position.
+                let poison = |e| {
+                    let _ = parse_failure.set(e);
+                    cancel.cancel();
+                };
+                let (shards, reads, bases) = if device.kind() == DeviceKind::SimGpu {
+                    // The paper's §III-D split: reads travel to the device
+                    // 2-bit encoded (¼ byte per base), the *kernel* only
+                    // computes superkmer ids and offsets (regular,
+                    // fixed-width output: one write-once slot per read),
+                    // and the irregular memory movement — materialising
+                    // and encoding superkmers — stays on the host.
+                    let seqs = batch.packed().unwrap_or_else(|e| {
+                        poison(e);
+                        Vec::new()
+                    });
+                    let n_workers = device.parallelism().min(seqs.len()).max(1);
+                    let roster = ShardRoster::new(shard_pool.take(n_workers));
+                    device.transfer_to_device(seqs.iter().map(|r| r.len() as u64 / 4 + 1).sum());
+                    let slots =
+                        WriteOnceSlots::new(take_boundary_slots(boundary_pool, seqs.len()));
+                    device.execute(seqs.len(), &|i| {
+                        // Work item i writes slot i — disjoint by
+                        // construction, so no lock is needed; the cursor
+                        // comes from a checked-out shard.
+                        let mut shard = roster.checkout();
+                        slots.with_mut(i, |runs| {
+                            scanner.scan_runs_into(&seqs[i], &mut shard.cursor, runs);
+                        });
+                    });
+                    // Host half: encode the runs into one shard's buffers.
+                    let boundaries = slots.into_inner();
+                    {
+                        let mut shard = roster.checkout();
+                        let StagingShard { buffers, counts, .. } = &mut *shard;
+                        for (read, runs) in seqs.iter().zip(&boundaries) {
+                            for &(first, last, m) in runs {
+                                emit_run(router, k, read, (first, last), &m, buffers, counts);
                             }
                         }
                     }
-                    records.fetch_add(sub_records, Ordering::Relaxed);
-                    bases.fetch_add(sub_bases, Ordering::Relaxed);
-                });
-                let out =
-                    Batch1Out { shards: roster.into_shards(), bases: bases.into_inner() };
-                (out, records.into_inner())
+                    boundary_pool.lock().extend(boundaries);
+                    let shards = roster.into_shards();
+                    device.transfer_from_device(shards.iter().map(StagingShard::staged_bytes).sum());
+                    (shards, seqs.len() as u64, seqs.iter().map(|r| r.len() as u64).sum())
+                } else {
+                    let parts = batch.parts(device.parallelism().max(1));
+                    let roster = ShardRoster::new(shard_pool.take(parts.len()));
+                    let (reads, bases) = (AtomicU64::new(0), AtomicU64::new(0));
+                    device.execute(parts.len(), &|w| {
+                        let mut shard = roster.checkout();
+                        let StagingShard { buffers, counts, cursor } = &mut *shard;
+                        let (mut part_reads, mut part_bases) = (0u64, 0u64);
+                        let parsed = batch.for_each_read(parts[w].clone(), |read| {
+                            part_reads += 1;
+                            part_bases += read.len() as u64;
+                            scanner.scan_runs(read, cursor, |first, last, m| {
+                                emit_run(router, k, read, (first, last), &m, buffers, counts);
+                            });
+                        });
+                        if let Err(e) = parsed {
+                            poison(e);
+                        }
+                        reads.fetch_add(part_reads, Ordering::Relaxed);
+                        bases.fetch_add(part_bases, Ordering::Relaxed);
+                    });
+                    (roster.into_shards(), reads.into_inner(), bases.into_inner())
+                };
+                (Batch1Out { shards, bases }, reads)
             },
+            // Stage 3: drain the shards into the partition files in bulk,
+            // then hand them back to the pool for the next batch.
             |_idx, out: Batch1Out| {
                 drain_batch(out, stats, io, sink, write_error, cancel, shard_pool);
             },
@@ -354,6 +379,13 @@ fn step1_fastq_chunks<S: PartitionSink + Send>(
         return Err(e.into());
     }
     Ok((stats, pipeline_report, peak_batch))
+}
+
+fn parse_error(e: dna::DnaError) -> ParaHashError {
+    match e {
+        dna::DnaError::Io(io) => ParaHashError::Io(io),
+        other => ParaHashError::InvalidConfig(format!("bad fastq input: {other}")),
+    }
 }
 
 /// Rebases a chunk-relative [`dna::DnaError::MalformedRecord`] line
@@ -421,133 +453,7 @@ fn emit_run(
     counts[part].1 += (last - first + 1) as u64;
 }
 
-/// The shared Step-1 pipeline over any batch source (in-memory slices or
-/// a streaming parser) and any [`PartitionSink`] (disk writer or the
-/// fused pipeline's budget-governed store). The input stage charges each
-/// batch's bytes to `io` and tracks the peak batch, returned last.
-fn run_step1_batches<B, FP, S>(
-    config: &ParaHashConfig,
-    n_batches: usize,
-    mut produce: FP,
-    io: &ThrottledIo,
-    cancel: &CancelToken,
-    sink: &mut S,
-) -> Result<(Step1Stats, PipelineReport, u64)>
-where
-    B: AsRef<[SeqRead]> + Send,
-    FP: FnMut(usize) -> B + Send,
-    S: PartitionSink + Send,
-{
-    let scanner = SuperkmerScanner::new(config.k, config.p)?;
-    let router = PartitionRouter::new(config.partitions)?;
-    let k = config.k;
-    let write_error: OnceError<msp::MspError> = OnceError::new();
-    let mut stats = Step1Stats::default();
-    let mut peak_batch = 0u64;
-
-    // All staging capacity lives in these two pools and is recycled
-    // across batches: at steady state the compute stage allocates
-    // nothing. Both free lists are locked once per batch, never per read.
-    let shard_pool = ShardPool::new(config.partitions, config.k, config.p);
-    let boundary_pool: Mutex<Vec<BoundaryRuns>> = Mutex::new(Vec::new());
-
-    let pipeline_report = {
-        let scanner = &scanner;
-        let router = &router;
-        let sink = &mut *sink;
-        let write_error = &write_error;
-        let shard_pool = &shard_pool;
-        let boundary_pool = &boundary_pool;
-        let stats = &mut stats;
-        let peak_batch = &mut peak_batch;
-        run_pipeline(
-            &SharedCounterQueue::filled(0..n_batches),
-            config.devices(),
-            cancel,
-            // Stage 1: one batch of reads, paying its input I/O.
-            |i| {
-                let batch = produce(i);
-                let bytes: usize = batch.as_ref().iter().map(SeqRead::approx_bytes).sum();
-                *peak_batch = (*peak_batch).max(bytes as u64);
-                io.charge(bytes as u64);
-                (i, batch)
-            },
-            // Stage 2: scan + encode on an idle device. Emits go to
-            // thread-private shards — no locks, no per-read allocation.
-            |device: &dyn Device, _idx, batch: B| {
-                let batch = batch.as_ref();
-                let bases: u64 = batch.iter().map(|r| r.len() as u64).sum();
-                let n_workers = device.parallelism().min(batch.len()).max(1);
-                let roster = WorkerShards::new(shard_pool.take(n_workers));
-                if device.kind() == DeviceKind::SimGpu {
-                    // The paper's §III-D split: reads travel to the device
-                    // 2-bit encoded (¼ byte per base), the *kernel* only
-                    // computes superkmer ids and offsets (regular,
-                    // fixed-width output: one write-once slot per read),
-                    // and the irregular memory movement — materialising
-                    // and encoding superkmers — stays on the host.
-                    let encoded: u64 = batch.iter().map(|r| r.len() as u64 / 4 + 1).sum();
-                    device.transfer_to_device(encoded);
-                    let slots = WriteOnceSlots::new(take_boundary_slots(
-                        boundary_pool,
-                        batch.len(),
-                    ));
-                    device.execute(batch.len(), &|i| {
-                        // Work item i writes slot i — disjoint by
-                        // construction, so no lock is needed; the cursor
-                        // comes from a CAS-checked-out shard.
-                        let mut shard = roster.checkout();
-                        slots.with_mut(i, |runs| {
-                            scanner.scan_runs_into(batch[i].seq(), &mut shard.cursor, runs);
-                        });
-                    });
-                    // Host half: encode the runs into one shard's buffers.
-                    let boundaries = slots.into_inner();
-                    {
-                        let mut shard = roster.checkout();
-                        let StagingShard { buffers, counts, .. } = &mut *shard;
-                        for (read, runs) in batch.iter().zip(&boundaries) {
-                            let read = read.seq();
-                            for &(first, last, m) in runs {
-                                emit_run(router, k, read, (first, last), &m, buffers, counts);
-                            }
-                        }
-                    }
-                    boundary_pool.lock().extend(boundaries);
-                } else {
-                    device.execute(batch.len(), &|i| {
-                        let mut shard = roster.checkout();
-                        let read = batch[i].seq();
-                        let StagingShard { buffers, counts, cursor } = &mut *shard;
-                        scanner.scan_runs(read, cursor, |first, last, m| {
-                            emit_run(router, k, read, (first, last), &m, buffers, counts);
-                        });
-                    });
-                }
-                let shards = roster.into_shards();
-                if device.kind() == DeviceKind::SimGpu {
-                    let out_bytes: u64 =
-                        shards.iter().map(StagingShard::staged_bytes).sum();
-                    device.transfer_from_device(out_bytes);
-                }
-                let work = batch.len() as u64;
-                (Batch1Out { shards, bases }, work)
-            },
-            // Stage 3: drain the shards into the partition files in bulk,
-            // then hand them back to the pool for the next batch.
-            |_idx, out: Batch1Out| {
-                drain_batch(out, stats, io, sink, write_error, cancel, shard_pool);
-            },
-        )
-    };
-
-    if let Some(e) = write_error.into_inner() {
-        return Err(e.into());
-    }
-    Ok((stats, pipeline_report, peak_batch))
-}
-
-/// Output-stage drain shared by the batched and chunked Step-1 pipelines:
+/// The output stage's drain:
 /// flushes every shard's partition buffers into the sink, tallies the
 /// emit stats, and recycles the shards into the pool.
 fn drain_batch<S: PartitionSink>(
@@ -555,7 +461,7 @@ fn drain_batch<S: PartitionSink>(
     stats: &mut Step1Stats,
     io: &ThrottledIo,
     sink: &mut S,
-    write_error: &OnceError<msp::MspError>,
+    write_error: &OnceLock<msp::MspError>,
     cancel: &CancelToken,
     shard_pool: &ShardPool,
 ) {
@@ -582,7 +488,7 @@ fn drain_batch<S: PartitionSink>(
                 // A failed append means the partition data no longer
                 // matches the stats; abandon the run now rather than
                 // scanning the remaining batches.
-                write_error.set(e);
+                let _ = write_error.set(e);
                 cancel.cancel();
             }
         }
@@ -594,11 +500,7 @@ fn drain_batch<S: PartitionSink>(
 /// with fresh empties only while the pool is cold).
 fn take_boundary_slots(pool: &Mutex<Vec<BoundaryRuns>>, n: usize) -> Vec<BoundaryRuns> {
     let mut free = pool.lock();
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        out.push(free.pop().unwrap_or_default());
-    }
-    out
+    (0..n).map(|_| free.pop().unwrap_or_default()).collect()
 }
 
 /// Snapshot of every device's cumulative metrics, taken at step start so

@@ -17,7 +17,6 @@ use pipeline::{
 };
 
 use crate::journal::{JournalEvent, RunJournal};
-use crate::once_error::OnceError;
 use crate::step1::{device_baselines, device_deltas, split_device_times};
 use crate::{ParaHashConfig, ParaHashError, Result, StepReport};
 
@@ -343,7 +342,7 @@ pub(crate) struct Step2Shared<'a> {
     total_resizes: AtomicUsize,
     peak_table: AtomicU64,
     peak_partition: AtomicU64,
-    first_error: OnceError<ParaHashError>,
+    first_error: OnceLock<ParaHashError>,
     quarantined: Mutex<Vec<QuarantinedPartition>>,
     /// `(partition, fanout)` for every partition whose projected table
     /// busted [`table_memory_budget`](crate::ParaHashConfigBuilder::table_memory_budget)
@@ -383,7 +382,7 @@ impl<'a> Step2Shared<'a> {
             total_resizes: AtomicUsize::new(0),
             peak_table: AtomicU64::new(0),
             peak_partition: AtomicU64::new(0),
-            first_error: OnceError::new(),
+            first_error: OnceLock::new(),
             quarantined: Mutex::new(Vec::new()),
             sub_splits: Mutex::new(Vec::new()),
             sub_dir: config.work_dir.join("subgraphs"),
@@ -442,7 +441,7 @@ impl<'a> Step2Shared<'a> {
     /// The first *fatal* error cancels the whole pipeline so remaining
     /// partitions are abandoned instead of processed to completion.
     pub(crate) fn fatal(&self, e: ParaHashError) {
-        self.first_error.set(e);
+        let _ = self.first_error.set(e);
         self.cancel.cancel();
     }
 
@@ -617,22 +616,22 @@ impl<'a> Step2Shared<'a> {
             // in place from the partition buffer. Each worker's chunk is
             // replayed through one software-pipelined [`ReplayPipeline`],
             // so the slot-prefetch lookahead spans superkmer boundaries.
-            // The `OnceError` check lets surviving chunks bail out
+            // The `OnceLock` check lets surviving chunks bail out
             // cheaply once any item has failed.
-            let kernel_error: OnceError<HashGraphError> = OnceError::new();
+            let kernel_error: OnceLock<HashGraphError> = OnceLock::new();
             device.execute_chunks(slices.len(), &|range| {
                 let mut pipe = hashgraph::ReplayPipeline::new(self.kernel, &*table);
                 for i in range {
-                    if kernel_error.is_set() {
+                    if kernel_error.get().is_some() {
                         return;
                     }
                     if let Err(e) = pipe.record_view(&slices.view(i)) {
-                        kernel_error.set(e);
+                        let _ = kernel_error.set(e);
                         return;
                     }
                 }
                 if let Err(e) = pipe.flush() {
-                    kernel_error.set(e);
+                    let _ = kernel_error.set(e);
                 }
             });
             match kernel_error.into_inner() {

@@ -19,10 +19,10 @@ use crate::{ParaHashConfig, ParaHashError, Result, RunReport, Step1Stats, StepRe
 ///
 /// One driver serves every entry point; the four `run*` cells differ only
 /// in where the input comes from (reads in memory, or a FASTQ file
-/// streamed one batch at a time) and where the partitions wait between
-/// the steps (on disk, or in a budget-governed in-memory store). The
-/// graph, and every persisted subgraph file, is byte-identical across
-/// all four.
+/// ingested one record-aligned chunk at a time) and where the partitions
+/// wait between the steps (on disk, or in a budget-governed in-memory
+/// store). The graph, and every persisted subgraph file, is
+/// byte-identical across all four.
 ///
 /// Every run journals its progress to `work_dir/run.journal`. A config
 /// built with [`resume(true)`](crate::ParaHashConfigBuilder::resume)
@@ -94,12 +94,14 @@ impl ParaHash {
         self.execute(Input::Reads(reads), Handoff::Disk, &self.io())
     }
 
-    /// [`run`](Self::run) streamed from a FASTQ file **without loading
-    /// the read set into memory**: Step 1's input stage parses one batch
-    /// at a time (the paper's partition-by-partition workflow for inputs
-    /// that exceed host memory). λ auto-sizing is not applied in this
-    /// mode — the reads are never all in hand; pass an explicit
-    /// [`crate::ParaHashConfigBuilder::sizing`] instead.
+    /// [`run`](Self::run) streamed from a FASTQ file (plain, gzip or
+    /// BGZF) **without loading the decoded read set into memory**: the
+    /// file is mapped once and cut into record-aligned chunks of
+    /// ~`read_batch_bytes`, and every Step-1 worker parses, packs and
+    /// scans its own slice of the chunk in flight (the paper's
+    /// partition-by-partition workflow for inputs that exceed host
+    /// memory). Every device roster runs this same ingest; a simulated
+    /// GPU receives its chunk parsed and 2-bit packed by the host.
     ///
     /// # Errors
     ///
@@ -151,11 +153,9 @@ impl ParaHash {
 
     /// Fused construction streamed from a FASTQ file: combines
     /// [`run_fused`](Self::run_fused)'s in-memory partition handoff with
-    /// [`run_fastq_streaming`](Self::run_fastq_streaming)'s one-batch-at-a-
-    /// time input parsing, so neither the read set nor (within budget) the
-    /// partitions ever hit the disk. λ auto-sizing is not applied (the
-    /// reads are never all in hand); pass an explicit
-    /// [`sizing`](crate::ParaHashConfigBuilder::sizing) instead.
+    /// [`run_fastq_streaming`](Self::run_fastq_streaming)'s chunk-at-a-time
+    /// ingest, so neither the decoded read set nor (within budget) the
+    /// partitions are ever materialised.
     ///
     /// # Errors
     ///
@@ -166,7 +166,7 @@ impl ParaHash {
     }
 
     fn io(&self) -> ThrottledIo {
-        ThrottledIo::with_retry(self.config.io_mode, self.config.retry)
+        ThrottledIo::new(self.config.io_mode)
     }
 
     /// The one run driver: a preamble that fixes the run's identity and
@@ -177,17 +177,7 @@ impl ParaHash {
         let started = Instant::now();
         let mut config = self.config.clone();
         let input_digest = match input {
-            Input::Reads(reads) => {
-                // Optional data-driven sizing: recover Property-1's λ
-                // from the input's quality strings before allocating any
-                // tables, with a small floor so pristine data still gets
-                // headroom.
-                let sampled = config.auto_lambda.and_then(|n| dna::quality::estimate_lambda(reads, n));
-                if let Some(lambda) = sampled {
-                    config.sizing.lambda = lambda.max(0.05);
-                }
-                Fingerprint::digest_reads(reads)
-            }
+            Input::Reads(reads) => Fingerprint::digest_reads(reads),
             // The streamed input is never all in hand, so its digest is
             // the cheap path+length one.
             Input::Fastq(path) => Fingerprint::digest_path(path)?,
@@ -672,14 +662,39 @@ mod tests {
         std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
     }
 
+    /// Five good records (lines 1–20), then a line that is no header: the
+    /// error names line 21 of the *file* — not of the 64-byte chunk or the
+    /// worker slice that met it — whichever roster or kernels parse it.
     #[test]
     fn streaming_malformed_fastq_is_rejected() {
-        let ph = runner("parahash-sys-streambad", IoMode::Unthrottled);
         let path = std::env::temp_dir().join(format!("parahash-streambad-{}.fastq", std::process::id()));
-        std::fs::write(&path, "@ok\nACGTACGTACGT\n+\nIIIIIIIIIIII\nnot-a-header\n").unwrap();
-        assert!(ph.run_fastq_streaming(&path).is_err());
+        let good = "@ok\nACGTACGTACGT\n+\nIIIIIIIIIIII\n".repeat(5);
+        std::fs::write(&path, good + "not-a-header\nACGT\n+\nIIII\n").unwrap();
+        let _guard = dna::simd::override_guard();
+        for (gpu, scalar) in [(false, false), (true, false), (false, true), (true, true)] {
+            dna::simd::set_force_scalar_override(Some(scalar));
+            let builder = ParaHashConfig::builder()
+                .k(9)
+                .p(5)
+                .partitions(5)
+                .read_batch_bytes(64)
+                .work_dir(std::env::temp_dir().join("parahash-sys-streambad"));
+            let builder = if gpu {
+                let transfer = hetsim::TransferModel::instant();
+                builder.no_cpu().sim_gpu(hetsim::SimGpuConfig { transfer, ..Default::default() })
+            } else {
+                builder.cpu_threads(2)
+            };
+            let ph = ParaHash::new(builder.build().unwrap()).unwrap();
+            let err = ph.run_fastq_streaming(&path).unwrap_err().to_string();
+            assert!(
+                err.contains("bad fastq input") && err.contains("at line 21:"),
+                "gpu={gpu} scalar={scalar}: {err}"
+            );
+            std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
+        }
+        dna::simd::set_force_scalar_override(None);
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
     }
 
     #[test]
@@ -690,38 +705,6 @@ mod tests {
             Err(crate::ParaHashError::Io(_))
         ));
         std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
-    }
-
-    #[test]
-    fn auto_sizing_estimates_lambda_from_quality() {
-        // High-quality reads (tiny λ) with auto-sizing still build the
-        // correct graph; low-quality reads do too (bigger tables).
-        let mk = |q: u8| -> Vec<SeqRead> {
-            reads()
-                .into_iter()
-                .map(|r| {
-                    let l = r.len();
-                    let id = r.id().to_owned();
-                    SeqRead::new(id, r.into_seq())
-                        .with_quality(vec![dna::quality::phred_char(q); l])
-                })
-                .collect()
-        };
-        for q in [2u8, 40u8] {
-            let cfg = ParaHashConfig::builder()
-                .k(9)
-                .p(5)
-                .partitions(4)
-                .auto_sizing(16)
-                .work_dir(std::env::temp_dir().join(format!("parahash-sys-auto-{q}")))
-                .build()
-                .unwrap();
-            let _ = std::fs::remove_dir_all(cfg.work_dir());
-            let ph = ParaHash::new(cfg).unwrap();
-            let outcome = ph.run(&mk(q)).unwrap();
-            assert_eq!(outcome.report.total_kmers, 4 * (32 - 9 + 1));
-            std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
-        }
     }
 
     /// A resumed run reads each committed subgraph once, in

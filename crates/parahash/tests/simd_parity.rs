@@ -4,9 +4,16 @@
 //! **byte-identical** to the forced-scalar fallbacks, across thread
 //! counts and input framings (plain, gzip, BGZF). The acceptance gate of
 //! the SIMD work: `PARAHASH_FORCE_SCALAR=1` is a pure performance knob.
+//!
+//! The flag selects kernels *below* the ingest — scalar packer,
+//! monotone-deque scan, `read` instead of `mmap`, single-threaded inflate
+//! — never a second FASTQ reader: `fastq_ingest_matches_the_streaming_parser`
+//! holds every roster × kernel × framing cell of the one chunked ingest to
+//! the streaming `dna::FastqReader`, the reference parser.
 
 use datagen::{GenomeSpec, Sequencer, SequencingSpec};
-use dna::SeqRead;
+use dna::{Base, PackedSeq, SeqRead};
+use hetsim::{SimGpuConfig, TransferModel};
 use parahash::{ParaHash, ParaHashConfig, RunOutcome};
 use pipeline::IoMode;
 
@@ -189,8 +196,9 @@ fn gzip_framings_match_plain_input() {
     let reference = run_streaming("parahash-simd-plain", 4, &plain);
     let via_gz = run_streaming("parahash-simd-gzip", 4, &gz);
     let via_bgzf = run_streaming("parahash-simd-bgzf", 4, &bgzf);
-    // Gzip must also parse on the sequential fallback path: the scalar
-    // escape hatch may not change which inputs are accepted.
+    // Gzip must also parse over the forced-scalar kernels (`read` instead
+    // of `mmap`, single-threaded inflate): the scalar escape hatch may not
+    // change which inputs are accepted.
     dna::simd::set_force_scalar_override(Some(true));
     let scalar_gz = run_streaming("parahash-simd-gzip-scalar", 4, &gz);
     dna::simd::set_force_scalar_override(None);
@@ -198,6 +206,125 @@ fn gzip_framings_match_plain_input() {
     assert_eq!(via_gz.graph, reference.graph, "single-member gzip diverged");
     assert_eq!(via_bgzf.graph, reference.graph, "multi-member BGZF diverged");
     assert_eq!(scalar_gz.graph, reference.graph, "forced-scalar gzip diverged");
+    for p in [plain, gz, bgzf] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+/// One partition's identity: its `(core, left, right)` records as a
+/// sorted multiset (order inside a partition is scheduling-dependent;
+/// content is not).
+type Records = Vec<(String, Option<Base>, Option<Base>)>;
+
+/// Every partition file a finished run left in `work`, as record
+/// multisets (a fused run spills no file for a partition it never fed).
+fn partition_records(work: &std::path::Path) -> Vec<Records> {
+    (0..PARTS)
+        .map(|i| {
+            let path = work.join("superkmers").join(format!("part-{i:05}.skm"));
+            let framed = std::fs::read(path).unwrap_or_default();
+            let slices = msp::PartitionSlices::index_framed(&framed, K, P).unwrap();
+            let mut records: Records = slices
+                .iter()
+                .map(|v| (v.bases().collect::<PackedSeq>().to_string(), v.left_ext(), v.right_ext()))
+                .collect();
+            records.sort();
+            records
+        })
+        .collect()
+}
+
+/// The FASTQ ingest is one body: whatever the roster, the kernel selection
+/// or the framing, `run_fastq_streaming` and `run_fused_fastq` cut the file
+/// with `msp::FastqChunks` and must leave the graph and every partition's
+/// record multiset of (a) the same corpus parsed by the streaming
+/// `dna::FastqReader` — the reference parser — and built through `run`.
+#[test]
+fn fastq_ingest_matches_the_streaming_parser() {
+    const BATCH: usize = 2048;
+    let _guard = dna::simd::override_guard();
+    let pid = std::process::id();
+    let tmp = std::env::temp_dir();
+    let plain = tmp.join(format!("parahash-ingest-{pid}.fastq"));
+    write_fastq(&plain, &corpus());
+    let text = std::fs::read(&plain).unwrap();
+    let gz = tmp.join(format!("parahash-ingest-{pid}.fastq.gz"));
+    std::fs::write(&gz, dna::gzip::compress_stored(&text)).unwrap();
+    let bgzf = tmp.join(format!("parahash-ingest-bgzf-{pid}.fastq.gz"));
+    std::fs::write(&bgzf, dna::gzip::compress_bgzf(&text)).unwrap();
+
+    // (name, CPU threads — `None` for `no_cpu()` —, with a SimGpu).
+    let rosters = [
+        ("cpu1", Some(1), false),
+        ("cpu2", Some(2), false),
+        ("cpu4", Some(4), false),
+        ("cpu2+gpu", Some(2), true),
+        ("gpu", None, true),
+    ];
+    let runner = |(_, cpu, gpu): (&str, Option<usize>, bool), tag: &str| {
+        // Budget 0 spills every fused partition, so both entry points
+        // leave partition files to compare.
+        let builder = ParaHashConfig::builder()
+            .k(K)
+            .p(P)
+            .partitions(PARTS)
+            .read_batch_bytes(BATCH)
+            .partition_memory_budget(0)
+            .work_dir(tmp.join(format!("parahash-ingest-{pid}-{tag}")));
+        let builder = match cpu {
+            Some(threads) => builder.cpu_threads(threads),
+            None => builder.no_cpu(),
+        };
+        let sim = SimGpuConfig { sm_count: 2, transfer: TransferModel::instant(), ..Default::default() };
+        let cfg = if gpu { builder.sim_gpu(sim) } else { builder }.build().unwrap();
+        let _ = std::fs::remove_dir_all(cfg.work_dir());
+        ParaHash::new(cfg).unwrap()
+    };
+
+    // (a) The reference: the streaming parser's reads, through `run`.
+    dna::simd::set_force_scalar_override(Some(false));
+    let parsed: Vec<SeqRead> = dna::FastqReader::new(&text[..]).collect::<Result<_, _>>().unwrap();
+    assert_eq!(parsed.len(), corpus().len());
+    let reference = runner(rosters[0], "ref");
+    let want_graph = reference.run(&parsed).unwrap().graph;
+    let want_parts = partition_records(reference.config().work_dir());
+    assert!(want_graph.distinct_vertices() > 100, "corpus too small to be meaningful");
+    std::fs::remove_dir_all(reference.config().work_dir()).unwrap();
+    // What the chunked ingest cuts this text into. Its input stage charges
+    // a batch its chunk's text bytes (a reader handing over parsed reads
+    // could only charge their decoded size), so the batch tally and the
+    // peak batch below say which ingest a cell ran.
+    let chunks = dna::chunk_record_ranges(&text, BATCH);
+    let peak_chunk = chunks.iter().map(|r| r.len() as u64).max().unwrap();
+
+    // (b) Every cell of the FASTQ path.
+    for scalar in [false, true] {
+        dna::simd::set_force_scalar_override(Some(scalar));
+        for roster in rosters {
+            for (framing, path) in [("plain", &plain), ("gzip", &gz), ("bgzf", &bgzf)] {
+                let cell = format!("{}, scalar={scalar}, {framing}", roster.0);
+                for fused in [false, true] {
+                    let ph = runner(roster, "cell");
+                    let out = if fused { ph.run_fused_fastq(path) } else { ph.run_fastq_streaming(path) }
+                        .unwrap_or_else(|e| panic!("{cell}, fused={fused}: {e}"));
+                    assert_eq!(out.graph, want_graph, "graph diverged: {cell}, fused={fused}");
+                    let parts = partition_records(ph.config().work_dir());
+                    for (i, (want, have)) in want_parts.iter().zip(&parts).enumerate() {
+                        assert_eq!(want, have, "partition {i} records: {cell}, fused={fused}");
+                    }
+                    let stats = out.report.step1.step1_stats.expect("step1 reports stats");
+                    assert_eq!(
+                        (stats.batches, out.report.step1.peak_partition_bytes),
+                        (chunks.len() as u64, peak_chunk),
+                        "not the chunked ingest: {cell}, fused={fused}"
+                    );
+                    assert_eq!(out.report.step1.pipeline.total_work(), parsed.len() as u64);
+                    std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
+                }
+            }
+        }
+    }
+    dna::simd::set_force_scalar_override(None);
     for p in [plain, gz, bgzf] {
         std::fs::remove_file(p).unwrap();
     }

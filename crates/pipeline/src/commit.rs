@@ -111,7 +111,7 @@ pub fn commit_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// Promotes an already-written-and-flushed staging file to its final
 /// name: fsync `tmp`, rename to `path`, fsync the directory. Used when
 /// the artifact was streamed to the tmp file incrementally (partition
-/// spills) rather than buffered in memory.
+/// spills, the graph `dbg build` stores) rather than buffered in memory.
 ///
 /// # Errors
 ///

@@ -106,22 +106,38 @@ fn gpu_with_too_little_memory_fails_with_device_error() {
     let _ = std::fs::remove_dir_all(ph.config().work_dir());
 }
 
+/// The context is the record's line in the whole file: 40 good records
+/// put the bad line at 161, deep inside a later 256-byte chunk, and the
+/// fused and two-phase entry points, a GPU-only roster and the
+/// forced-scalar kernels all run the one ingest that reports it.
 #[test]
 fn malformed_fastq_is_rejected_with_context() {
     let path = std::env::temp_dir().join(format!("parahash-fail-bad-{}.fastq", std::process::id()));
-    std::fs::write(&path, "@ok\nACGT\n+\nIIII\nnot-a-header\nACGT\n+\nIIII\n").unwrap();
-    let config = ParaHashConfig::builder()
-        .k(13)
-        .p(7)
-        .partitions(2)
-        .work_dir(dir("badfastq"))
-        .build()
-        .unwrap();
-    let ph = ParaHash::new(config).unwrap();
-    let err = ph.run_fastq_streaming(&path).unwrap_err();
-    assert!(err.to_string().contains("bad fastq input"), "{err}");
+    let good = "@ok\nACGTTGCATGGACCAGTTACGG\n+\nIIIIIIIIIIIIIIIIIIIIII\n".repeat(40);
+    std::fs::write(&path, good + "not-a-header\nACGT\n+\nIIII\n").unwrap();
+    let _guard = dna::simd::override_guard();
+    for (gpu, scalar) in [(false, false), (true, false), (false, true)] {
+        dna::simd::set_force_scalar_override(Some(scalar));
+        let builder =
+            ParaHashConfig::builder().k(13).p(7).partitions(2).read_batch_bytes(256).work_dir(dir("badfastq"));
+        let builder = if gpu {
+            builder.no_cpu().sim_gpu(SimGpuConfig { transfer: TransferModel::instant(), ..Default::default() })
+        } else {
+            builder
+        };
+        let ph = ParaHash::new(builder.build().unwrap()).unwrap();
+        for fused in [false, true] {
+            let run = if fused { ph.run_fused_fastq(&path) } else { ph.run_fastq_streaming(&path) };
+            let err = run.map(|_| ()).unwrap_err().to_string();
+            assert!(
+                err.contains("bad fastq input") && err.contains("at line 161:"),
+                "gpu={gpu} scalar={scalar} fused={fused}: {err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(ph.config().work_dir());
+    }
+    dna::simd::set_force_scalar_override(None);
     std::fs::remove_file(&path).unwrap();
-    let _ = std::fs::remove_dir_all(ph.config().work_dir());
 }
 
 #[test]
