@@ -20,7 +20,9 @@
 //!     address; exits when the parent finishes the run.
 //!
 //! dbg stats <graph.dbg> [--spectrum]
-//!     Print graph statistics (and the multiplicity spectrum).
+//!     Print graph statistics (and the multiplicity spectrum). Here and
+//!     below `<graph.dbg>` is any vertex-run container: a stored graph or
+//!     one `subgraphs/sub-NNNNN.dbg` of a library run's work directory.
 //!
 //! dbg unitigs <graph.dbg> --out <contigs.fasta> [--min-count c] [--clean]
 //!     Error-filter, optionally tip-clip/bubble-pop, compact unitigs, and

@@ -343,7 +343,13 @@ impl DeBruijnGraph {
 
     /// Iterates over `(canonical k-mer, data)` in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&Kmer, &VertexData)> {
-        self.runs.iter().flatten().map(|(kmer, data)| (kmer, data))
+        self.entries().map(|(kmer, data)| (kmer, data))
+    }
+
+    /// The vertices as the runs hold them — what the store's encoder
+    /// takes from a [`SubGraph`] too.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &(Kmer, VertexData)> {
+        self.runs.iter().flatten()
     }
 
     /// The canonical successors of `kmer` when read in orientation

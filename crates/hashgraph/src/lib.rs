@@ -72,7 +72,10 @@ pub use graph::{DeBruijnGraph, EdgeDir, SubGraph, VertexData};
 pub use pool::{PooledTable, TablePool};
 pub use spectrum::Spectrum;
 pub use stats::AssemblyStats;
-pub use store::{load_graph, read_graph, save_graph, write_graph, StoreError};
+pub use store::{
+    decode_subgraph, encode_subgraph, load_graph, read_graph, save_graph, write_graph, StoreError,
+    VERTEX_BYTES,
+};
 pub use table::{ConcurrentDbgTable, VertexTable, SLOT_BYTES};
 pub use unitig::{unitigs, unitigs_with, Unitig};
 

@@ -1,18 +1,18 @@
-//! On-disk storage for constructed De Bruijn graphs.
+//! On-disk storage for constructed De Bruijn graphs: the **vertex-run
+//! container**.
 //!
-//! ParaHash's output — the thing a downstream assembler consumes — is the
-//! full vertex/adjacency map. This module gives it a versioned,
-//! checksummed binary format:
+//! A graph is nothing but its sorted vertex runs, so one container holds
+//! a partition's subgraph (`subgraphs/sub-NNNNN.dbg`, the shard wire
+//! payload) and a whole graph (`dbg build --out`) alike:
 //!
 //! ```text
-//! magic "PHDBG1\n"  |  u8 k  |  u64 vertex count
+//! u64 vertex count | u8 k
 //! per vertex: 4×u64 key words | u32 count | 8×u32 edges   (fixed 68 B)
-//! trailer: u64 FNV-1a checksum of everything before it
+//! trailer: u32 CRC-32 of everything before it
 //! ```
 //!
-//! All integers little-endian. The per-vertex record matches the layout
-//! the Step-2 pipeline streams between devices, so persisting costs one
-//! sequential write.
+//! All integers little-endian; vertices in ascending k-mer order, so
+//! equal vertex sets serialise to identical bytes.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -21,23 +21,27 @@ use dna::Kmer;
 
 use crate::{DeBruijnGraph, SubGraph, VertexData};
 
-const MAGIC: &[u8; 7] = b"PHDBG1\n";
-const RECORD_BYTES: usize = 32 + 4 + 32;
+/// Bytes per vertex record (4 × u64 key words, count, 8 edge counters).
+pub const VERTEX_BYTES: usize = 32 + 4 + 32;
+/// `u64 count | u8 k`.
+const HEADER_BYTES: usize = 9;
+/// The CRC-32 trailer.
+const TRAILER_BYTES: usize = 4;
 
 /// Errors from reading a stored graph.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum StoreError {
-    /// The stream does not start with the format magic.
-    BadMagic,
-    /// The header or a record was malformed (bad k, short read).
-    Corrupt(String),
-    /// The trailing checksum did not match the content.
-    ChecksumMismatch {
-        /// Checksum stored in the file.
-        stored: u64,
-        /// Checksum computed over the content.
-        computed: u64,
+    /// The bytes are not one whole container. `reason` classifies the
+    /// damage: a **truncated tail** (the buffer ends before the bytes its
+    /// header promises — a torn write) or **interior corruption** (the
+    /// length bookkeeping is intact but the content is not: CRC-32
+    /// mismatch, invalid k-mer, undeclared trailing bytes).
+    Corrupt {
+        /// Byte offset at which the damage was detected.
+        offset: u64,
+        /// The classification and what exactly was found.
+        reason: String,
     },
     /// An underlying I/O failure.
     Io(io::Error),
@@ -46,10 +50,8 @@ pub enum StoreError {
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StoreError::BadMagic => write!(f, "not a parahash graph file (bad magic)"),
-            StoreError::Corrupt(msg) => write!(f, "corrupt graph file: {msg}"),
-            StoreError::ChecksumMismatch { stored, computed } => {
-                write!(f, "checksum mismatch: stored {stored:#x}, computed {computed:#x}")
+            StoreError::Corrupt { offset, reason } => {
+                write!(f, "corrupt graph file: byte {offset}: {reason}")
             }
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
         }
@@ -60,7 +62,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            _ => None,
+            StoreError::Corrupt { .. } => None,
         }
     }
 }
@@ -71,38 +73,115 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// Streaming FNV-1a over written bytes.
-struct Checksummed<W> {
-    inner: W,
-    hash: u64,
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-impl<W: Write> Checksummed<W> {
-    fn new(inner: W) -> Self {
-        Checksummed { inner, hash: FNV_OFFSET }
-    }
-
-    fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
+/// One container over `entries`, which it sorts. Keys are distinct, so an
+/// unstable sort on the key alone is deterministic.
+fn encode_run(k: usize, mut entries: Vec<&(Kmer, VertexData)>) -> Vec<u8> {
+    entries.sort_unstable_by_key(|entry| entry.0);
+    let mut out =
+        Vec::with_capacity(HEADER_BYTES + entries.len() * VERTEX_BYTES + TRAILER_BYTES);
+    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    out.push(k as u8);
+    for (kmer, data) in entries {
+        let mut record = [0u8; VERTEX_BYTES];
+        for (dst, w) in record[..32].chunks_exact_mut(8).zip(kmer.words()) {
+            dst.copy_from_slice(&w.to_le_bytes());
         }
-        self.inner.write_all(bytes)
+        record[32..36].copy_from_slice(&data.count.to_le_bytes());
+        for (dst, e) in record[36..].chunks_exact_mut(4).zip(&data.edges) {
+            dst.copy_from_slice(&e.to_le_bytes());
+        }
+        out.extend_from_slice(&record);
     }
+    let crc = msp::crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
 }
 
-fn fnv_update(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
+/// Serialises a subgraph as one vertex-run container: a `u64` vertex
+/// count and a `u8` k, the fixed-width ([`VERTEX_BYTES`]) records, and a
+/// `u32` CRC-32 trailer over everything before it (so bit-rot in a
+/// persisted subgraph is detected on reload, as in the partition-file
+/// frames) — all little-endian.
+///
+/// Records are written in **canonical (sorted-by-k-mer) order**, not the
+/// hash table's slot order: slot order depends on insertion interleaving
+/// under multithreaded construction, and the crash-recovery guarantee is
+/// that a resumed run's subgraph files are *byte-identical* to an
+/// uninterrupted run's — only a canonical order survives that comparison.
+pub fn encode_subgraph(sub: &SubGraph) -> Vec<u8> {
+    encode_run(sub.k(), sub.entries().iter().collect())
 }
 
-/// Writes a graph to `w` in the `PHDBG1` format. Vertices are emitted in
-/// sorted key order, so equal graphs serialise to identical bytes.
+/// Parses one vertex-run container, trusting nothing: the header's count
+/// is checked against the buffer's length before anything is allocated
+/// for it, then the CRC-32 trailer, then every k-mer.
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] with the byte offset and the classification
+/// described there.
+pub fn decode_subgraph(bytes: &[u8]) -> Result<SubGraph, StoreError> {
+    let bad = |offset: usize, fault: &str, detail: String| StoreError::Corrupt {
+        offset: offset as u64,
+        reason: format!("{fault} — {detail}"),
+    };
+    if bytes.len() < HEADER_BYTES + TRAILER_BYTES {
+        return Err(bad(
+            bytes.len(),
+            "truncated tail",
+            format!("{} bytes is shorter than the minimal (13-byte) empty encoding", bytes.len()),
+        ));
+    }
+    let n = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")) as usize;
+    let k = bytes[8] as usize;
+    let expected =
+        HEADER_BYTES.saturating_add(n.saturating_mul(VERTEX_BYTES)).saturating_add(TRAILER_BYTES);
+    if bytes.len() < expected {
+        return Err(bad(
+            bytes.len(),
+            "truncated tail",
+            format!(
+                "header declares {n} record(s) ({expected} bytes total) but the buffer holds {}",
+                bytes.len()
+            ),
+        ));
+    }
+    if bytes.len() > expected {
+        return Err(bad(
+            expected,
+            "interior corruption",
+            format!("{} byte(s) beyond the declared {n} record(s)", bytes.len() - expected),
+        ));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_BYTES);
+    let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
+    let computed = msp::crc32(body);
+    if computed != stored {
+        return Err(bad(
+            body.len(),
+            "interior corruption",
+            format!("CRC32 trailer mismatch (stored {stored:#010x}, computed {computed:#010x})"),
+        ));
+    }
+    if k == 0 || k > dna::MAX_K {
+        return Err(bad(8, "interior corruption", format!("k={k} out of range")));
+    }
+    let mut entries = Vec::with_capacity(n);
+    for (rec, record) in body[HEADER_BYTES..].chunks_exact(VERTEX_BYTES).enumerate() {
+        let word = |j: usize| u64::from_le_bytes(record[j * 8..j * 8 + 8].try_into().expect("8 bytes"));
+        let kmer = Kmer::from_words([word(0), word(1), word(2), word(3)], k).map_err(|e| {
+            let at = HEADER_BYTES + rec * VERTEX_BYTES;
+            bad(at, "interior corruption", format!("record {rec}: invalid k-mer: {e}"))
+        })?;
+        let half = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"));
+        let data = VertexData { count: half(32), edges: std::array::from_fn(|e| half(36 + e * 4)) };
+        entries.push((kmer, data));
+    }
+    Ok(SubGraph::new(k, entries))
+}
+
+/// Writes the whole graph to `w` as one vertex-run container — for a
+/// graph of one partition, the bytes of its `sub-00000.dbg`.
 ///
 /// A shared or mutable reference can be passed wherever `W: Write` is
 /// required.
@@ -110,118 +189,45 @@ fn fnv_update(hash: &mut u64, bytes: &[u8]) {
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn write_graph<W: Write>(graph: &DeBruijnGraph, w: W) -> Result<(), StoreError> {
-    let mut out = Checksummed::new(w);
-    out.write(MAGIC)?;
-    out.write(&[graph.k() as u8])?;
-    out.write(&(graph.distinct_vertices() as u64).to_le_bytes())?;
-    let mut entries: Vec<(&Kmer, &VertexData)> = graph.iter().collect();
-    // Keys are distinct, so an unstable sort on the key alone is
-    // deterministic.
-    entries.sort_unstable_by_key(|entry| entry.0);
-    for (kmer, data) in entries {
-        for word in kmer.words() {
-            out.write(&word.to_le_bytes())?;
-        }
-        out.write(&data.count.to_le_bytes())?;
-        for e in &data.edges {
-            out.write(&e.to_le_bytes())?;
-        }
-    }
-    let checksum = out.hash;
-    out.inner.write_all(&checksum.to_le_bytes())?;
-    out.inner.flush()?;
+pub fn write_graph<W: Write>(graph: &DeBruijnGraph, mut w: W) -> Result<(), StoreError> {
+    w.write_all(&encode_run(graph.k(), graph.entries().collect()))?;
+    w.flush()?;
     Ok(())
 }
 
-/// Reads a graph from `r`, verifying magic, structure and checksum.
+/// Reads a graph from `r`: everything `r` holds must be one vertex-run
+/// container ([`decode_subgraph`]), so a `sub-*.dbg` file opens as readily
+/// as a whole-graph file.
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::BadMagic`] / [`StoreError::Corrupt`] /
-/// [`StoreError::ChecksumMismatch`] on malformed input and
-/// [`StoreError::Io`] on read failures.
+/// [`StoreError::Corrupt`] on malformed input and [`StoreError::Io`] on
+/// read failures.
 pub fn read_graph<R: Read>(mut r: R) -> Result<DeBruijnGraph, StoreError> {
-    let mut hash = FNV_OFFSET;
-    let mut magic = [0u8; 7];
-    r.read_exact(&mut magic).map_err(short_read)?;
-    if &magic != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    fnv_update(&mut hash, &magic);
-
-    let mut header = [0u8; 9];
-    r.read_exact(&mut header).map_err(short_read)?;
-    fnv_update(&mut hash, &header);
-    let k = header[0] as usize;
-    if k == 0 || k > dna::MAX_K {
-        return Err(StoreError::Corrupt(format!("k={k} out of range")));
-    }
-    let n = u64::from_le_bytes(header[1..9].try_into().expect("9-byte header")) as usize;
-
-    let mut entries = Vec::with_capacity(n);
-    let mut record = [0u8; RECORD_BYTES];
-    for i in 0..n {
-        r.read_exact(&mut record).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                StoreError::Corrupt(format!("file ends inside record {i} of {n}"))
-            } else {
-                StoreError::Io(e)
-            }
-        })?;
-        fnv_update(&mut hash, &record);
-        let mut words = [0u64; 4];
-        for (j, word) in words.iter_mut().enumerate() {
-            *word = u64::from_le_bytes(record[j * 8..j * 8 + 8].try_into().expect("in range"));
-        }
-        let kmer = Kmer::from_words(words, k)
-            .map_err(|e| StoreError::Corrupt(format!("record {i}: {e}")))?;
-        let count = u32::from_le_bytes(record[32..36].try_into().expect("in range"));
-        let mut edges = [0u32; 8];
-        for (j, e) in edges.iter_mut().enumerate() {
-            *e = u32::from_le_bytes(record[36 + j * 4..40 + j * 4].try_into().expect("in range"));
-        }
-        entries.push((kmer, VertexData { count, edges }));
-    }
-
-    let mut trailer = [0u8; 8];
-    r.read_exact(&mut trailer).map_err(short_read)?;
-    let stored = u64::from_le_bytes(trailer);
-    if stored != hash {
-        return Err(StoreError::ChecksumMismatch { stored, computed: hash });
-    }
-
-    let mut graph = DeBruijnGraph::new(k);
-    graph.absorb(SubGraph::new(k, entries));
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    let sub = decode_subgraph(&bytes)?;
+    let mut graph = DeBruijnGraph::new(sub.k());
+    graph.absorb(sub);
     Ok(graph)
 }
 
-fn short_read(e: io::Error) -> StoreError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        StoreError::Corrupt("file truncated".into())
-    } else {
-        StoreError::Io(e)
-    }
-}
-
-/// Convenience: [`write_graph`] to a buffered file.
+/// Convenience: [`write_graph`] to a file.
 ///
 /// # Errors
 ///
 /// Propagates file-creation and write failures.
 pub fn save_graph(graph: &DeBruijnGraph, path: impl AsRef<Path>) -> Result<(), StoreError> {
-    let file = std::fs::File::create(path)?;
-    write_graph(graph, io::BufWriter::new(file))
+    write_graph(graph, std::fs::File::create(path)?)
 }
 
-/// Convenience: [`read_graph`] from a buffered file.
+/// Convenience: [`read_graph`] from a file.
 ///
 /// # Errors
 ///
 /// Propagates open/read/validation failures.
 pub fn load_graph(path: impl AsRef<Path>) -> Result<DeBruijnGraph, StoreError> {
-    let file = std::fs::File::open(path)?;
-    read_graph(io::BufReader::new(file))
+    read_graph(std::fs::File::open(path)?)
 }
 
 #[cfg(test)]
@@ -249,7 +255,7 @@ mod tests {
     #[test]
     fn roundtrip_on_disk() {
         let g = sample_graph();
-        let path = std::env::temp_dir().join(format!("phdbg-test-{}.dbg", std::process::id()));
+        let path = std::env::temp_dir().join(format!("graph-store-test-{}.dbg", std::process::id()));
         save_graph(&g, &path).unwrap();
         let back = load_graph(&path).unwrap();
         assert_eq!(back, g);
@@ -277,21 +283,16 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_rejected() {
-        assert!(matches!(read_graph(&b"NOTDBG1rest"[..]), Err(StoreError::BadMagic)));
-        assert!(matches!(read_graph(&b""[..]), Err(StoreError::Corrupt(_))));
-    }
-
-    #[test]
     fn truncation_rejected() {
         let g = sample_graph();
         let mut buf = Vec::new();
         write_graph(&g, &mut buf).unwrap();
-        for cut in [buf.len() - 9, buf.len() / 2, 10] {
+        for cut in [buf.len() - 1, buf.len() / 2, 10, 0] {
             let err = read_graph(&buf[..cut]).unwrap_err();
             assert!(
-                matches!(err, StoreError::Corrupt(_)),
-                "cut at {cut}: expected Corrupt, got {err:?}"
+                matches!(&err, StoreError::Corrupt { offset, reason }
+                    if *offset == cut as u64 && reason.starts_with("truncated tail")),
+                "cut at {cut}: {err:?}"
             );
         }
     }
@@ -305,20 +306,49 @@ mod tests {
         // decodable but changes content).
         let victim = buf.len() - 20;
         buf[victim] ^= 0x01;
-        let err = read_graph(&buf[..]).unwrap_err();
-        assert!(
-            matches!(err, StoreError::ChecksumMismatch { .. } | StoreError::Corrupt(_)),
-            "got {err:?}"
-        );
+        let err = read_graph(&buf[..]).unwrap_err().to_string();
+        assert!(err.contains("interior corruption") && err.contains("CRC32"), "{err}");
     }
 
     #[test]
     fn invalid_k_rejected() {
+        for k in [0u8, dna::MAX_K as u8 + 1] {
+            let mut buf = 0u64.to_le_bytes().to_vec();
+            buf.push(k);
+            let crc = msp::crc32(&buf);
+            buf.extend_from_slice(&crc.to_le_bytes());
+            let err = read_graph(&buf[..]).unwrap_err().to_string();
+            assert!(err.contains("byte 8") && err.contains("out of range"), "{err}");
+        }
+    }
+
+    /// The header's count is checked against the bytes in hand before
+    /// anything is sized from it: a count no buffer could back is a
+    /// truncated tail at the buffer's end, not an allocation.
+    #[test]
+    fn a_vertex_count_the_buffer_does_not_back_is_truncation() {
+        let mut buf = (u64::MAX / 128).to_le_bytes().to_vec();
+        buf.push(27);
+        buf.extend_from_slice(&[0u8; VERTEX_BYTES + 4]);
+        match read_graph(&buf[..]) {
+            Err(StoreError::Corrupt { offset, reason }) => {
+                assert_eq!(offset, buf.len() as u64);
+                assert!(reason.starts_with("truncated tail"), "{reason}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// One container: a graph of one subgraph is written as that
+    /// subgraph's bytes, and those bytes read back as the graph.
+    #[test]
+    fn a_graph_file_is_a_subgraph_container() {
+        let g = sample_graph();
+        let sub = SubGraph::new(g.k(), g.iter().map(|(k, v)| (*k, *v)).collect());
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.push(0); // k = 0
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes()); // bogus checksum
-        assert!(matches!(read_graph(&buf[..]), Err(StoreError::Corrupt(_))));
+        write_graph(&g, &mut buf).unwrap();
+        assert_eq!(buf, encode_subgraph(&sub));
+        assert_eq!(decode_subgraph(&buf).unwrap().len(), g.distinct_vertices());
+        assert_eq!(read_graph(&buf[..]).unwrap(), g);
     }
 }

@@ -74,7 +74,7 @@ pub use store::{PartitionSink, PartitionStore, SealedPartition, SealedPayload};
 pub use subsplit::{split_framed, sub_route, SubPartition};
 pub use superkmer::SuperkmerScanner;
 pub use view::{CodeWords, PartitionSlices, SuperkmerView};
-pub use writer::{PartitionManifest, PartitionWriter, QuarantinedPartition};
+pub use writer::{PartitionManifest, PartitionWriter};
 
 /// Errors from MSP partition I/O and parameter validation.
 #[derive(Debug)]

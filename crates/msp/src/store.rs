@@ -380,24 +380,16 @@ impl PartitionStore {
         Ok(())
     }
 
-    /// Builds and saves the manifest (with `resident`/`spilled` lines)
-    /// from the stats accumulated so far. Call once appends are complete;
-    /// sealing does not change the recorded residency.
+    /// Builds and saves the manifest from the stats accumulated so far —
+    /// the same file [`PartitionWriter::finish`](crate::PartitionWriter::finish)
+    /// writes for these records, wherever the bytes wait. Call once
+    /// appends are complete.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures from writing `manifest.txt`.
     pub fn finish_manifest(&self) -> Result<PartitionManifest> {
-        let manifest = PartitionManifest::from_parts(
-            self.dir.clone(),
-            self.k,
-            self.p,
-            self.stats.clone(),
-            Vec::new(),
-            Some(self.residency.clone()),
-        );
-        manifest.save()?;
-        Ok(manifest)
+        PartitionManifest::commit(self.dir.clone(), self.k, self.p, self.stats.clone())
     }
 
     /// Flushes and hands off one partition for Step 2: resident bytes
@@ -607,6 +599,11 @@ mod tests {
             }
             let sm = store.finish_manifest().unwrap();
             assert_eq!(sm.stats(), wm.stats(), "budget {budget}");
+            // One manifest format: the file says nothing of where the
+            // bytes waited, and loads back to what was saved.
+            let on_disk = |dir: &Path| fs::read(dir.join("manifest.txt")).unwrap();
+            assert_eq!(on_disk(&dir_s), on_disk(&dir_w), "budget {budget}");
+            assert_eq!(PartitionManifest::load(&dir_s).unwrap(), sm);
             for i in 0..4 {
                 let sealed = store.seal(i).unwrap();
                 let bytes = match &sealed.payload {
@@ -649,20 +646,6 @@ mod tests {
         store.append_encoded(1, &[2u8; 200], 1, 1).unwrap();
         assert!(store.is_resident(0));
         assert!(!store.is_resident(1));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn manifest_residency_roundtrips() {
-        let dir = tmpdir("residency");
-        let mut store = PartitionStore::create(&dir, 3, 7, 4, 40).unwrap();
-        store.append_encoded(0, &[1u8; 16], 1, 1).unwrap();
-        store.append_encoded(1, &[2u8; 30], 1, 1).unwrap(); // spills someone
-        let manifest = store.finish_manifest().unwrap();
-        let loaded = PartitionManifest::load(&dir).unwrap();
-        assert_eq!(loaded, manifest);
-        assert_eq!(loaded.residency(), manifest.residency());
-        assert!(loaded.residency().is_some());
         fs::remove_dir_all(&dir).unwrap();
     }
 

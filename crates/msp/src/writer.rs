@@ -189,71 +189,28 @@ impl PartitionWriter {
             fs::rename(commit::tmp_path_scoped(&path, &self.run_token), &path)?;
         }
         commit::sync_dir(&self.dir);
-        let manifest = PartitionManifest {
-            dir: self.dir.clone(),
-            k: self.k,
-            p: self.p,
-            stats: std::mem::take(&mut self.stats),
-            quarantined: Vec::new(),
-            residency: None,
-            sub_splits: Vec::new(),
-        };
-        manifest.save()?;
-        Ok(manifest)
+        PartitionManifest::commit(self.dir.clone(), self.k, self.p, std::mem::take(&mut self.stats))
     }
 }
 
-/// One partition that repeatedly failed in Step 2 and was set aside
-/// instead of aborting the whole run (non-strict mode). Recorded in the
-/// manifest so downstream consumers know the graph is missing its
-/// k-mers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantinedPartition {
-    /// Which partition failed.
-    pub index: usize,
-    /// Human-readable description of the final failure.
-    pub reason: String,
-}
 /// Metadata for a directory of superkmer partitions: the `k`/`p`
-/// parameters and per-partition statistics. Persisted as a small text
-/// file so Step 2 (possibly a different process) can size its hash tables
-/// from the kmer counts without rescanning.
+/// parameters and per-partition statistics — all that Step 1 tells
+/// Step 2 beyond the partition bytes. Persisted as a small text file so
+/// Step 2 (possibly a different process) can size its hash tables from
+/// the kmer counts without rescanning. The file is written once, by the
+/// Step-1 sink that finished the directory ([`PartitionWriter::finish`]
+/// or [`PartitionStore::finish_manifest`](crate::PartitionStore::finish_manifest)),
+/// and never rewritten: what Step 2 later does with a partition is
+/// recorded in the run journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionManifest {
     dir: PathBuf,
     k: usize,
     p: usize,
     stats: Vec<PartitionStats>,
-    quarantined: Vec<QuarantinedPartition>,
-    /// `Some` for manifests written by the fused pipeline's
-    /// [`PartitionStore`](crate::PartitionStore): `residency[i]` says
-    /// whether partition `i` stayed in memory (`true`) or was spilled to
-    /// its `part-NNNNN.skm` file (`false`). `None` for classic all-disk
-    /// manifests, where every partition is implicitly on disk.
-    residency: Option<Vec<bool>>,
-    /// `(partition, fanout)` marks left by out-of-core Step 2: partition
-    /// `i`'s projected table busted the memory budget and its records
-    /// were split into `fanout` second-level sub-partitions
-    /// ([`split_framed`](crate::split_framed)) before building. Purely
-    /// informational for resume and reporting — the merged subgraph is
-    /// byte-identical either way.
-    sub_splits: Vec<(usize, usize)>,
 }
 
 impl PartitionManifest {
-    /// Assembles a manifest from parts — used by the sibling
-    /// [`PartitionStore`](crate::PartitionStore) module, which tracks its
-    /// own stats and residency.
-    pub(crate) fn from_parts(
-        dir: PathBuf,
-        k: usize,
-        p: usize,
-        stats: Vec<PartitionStats>,
-        quarantined: Vec<QuarantinedPartition>,
-        residency: Option<Vec<bool>>,
-    ) -> PartitionManifest {
-        PartitionManifest { dir, k, p, stats, quarantined, residency, sub_splits: Vec::new() }
-    }
     /// The directory holding the partition files.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -277,54 +234,6 @@ impl PartitionManifest {
     /// Per-partition statistics.
     pub fn stats(&self) -> &[PartitionStats] {
         &self.stats
-    }
-
-    /// Partitions that were set aside after repeated Step-2 failures
-    /// (non-strict mode). Empty for a healthy run.
-    pub fn quarantined(&self) -> &[QuarantinedPartition] {
-        &self.quarantined
-    }
-
-    /// Per-partition residency recorded by the fused pipeline's
-    /// [`PartitionStore`](crate::PartitionStore) (`true` = stayed in
-    /// memory, `false` = spilled to disk), or `None` for classic all-disk
-    /// manifests.
-    pub fn residency(&self) -> Option<&[bool]> {
-        self.residency.as_deref()
-    }
-
-    /// Whether partition `index` has been quarantined.
-    pub fn is_quarantined(&self, index: usize) -> bool {
-        self.quarantined.iter().any(|q| q.index == index)
-    }
-
-    /// Records partition `index` as quarantined with a human-readable
-    /// `reason`. Call [`save`](Self::save) afterwards to persist the mark.
-    /// Re-quarantining the same index updates its reason in place.
-    pub fn quarantine(&mut self, index: usize, reason: impl Into<String>) {
-        let reason = reason.into();
-        if let Some(q) = self.quarantined.iter_mut().find(|q| q.index == index) {
-            q.reason = reason;
-        } else {
-            self.quarantined.push(QuarantinedPartition { index, reason });
-        }
-    }
-
-    /// The sub-partition fanout recorded for partition `index`, if
-    /// out-of-core Step 2 had to split it (`None` = built unsplit).
-    pub fn sub_split(&self, index: usize) -> Option<usize> {
-        self.sub_splits.iter().find(|(i, _)| *i == index).map(|&(_, fanout)| fanout)
-    }
-
-    /// Records that partition `index` was built through `fanout`
-    /// second-level sub-partitions. Call [`save`](Self::save) afterwards
-    /// to persist the mark. Re-marking the same index updates its fanout
-    /// in place.
-    pub fn set_sub_split(&mut self, index: usize, fanout: usize) {
-        match self.sub_splits.iter_mut().find(|(i, _)| *i == index) {
-            Some(entry) => entry.1 = fanout,
-            None => self.sub_splits.push((index, fanout)),
-        }
     }
 
     /// Path of partition `index`'s file.
@@ -356,42 +265,27 @@ impl PartitionManifest {
         dir.join("manifest.txt")
     }
 
-    /// Writes `manifest.txt` into the partition directory, atomically:
-    /// the full contents are staged to `manifest.txt.tmp`, fsynced, and
-    /// renamed over the old manifest, so a reader (or a resumed run)
-    /// sees either the previous manifest or the new one — never a torn
-    /// mixture. Quarantine marks are kept deduplicated by
-    /// [`quarantine`](Self::quarantine), so repeated non-strict runs
-    /// rewrite one line per partition instead of appending duplicates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save(&self) -> Result<()> {
-        let mut out = Vec::with_capacity(64 + 32 * self.stats.len());
+    /// A finished partition directory's manifest, written to its
+    /// `manifest.txt` atomically: the full contents are staged to
+    /// `manifest.txt.tmp`, fsynced, and renamed into place, so a reader
+    /// sees a whole manifest or none. The two Step-1 sinks call this once
+    /// each, as their last act.
+    pub(crate) fn commit(
+        dir: PathBuf,
+        k: usize,
+        p: usize,
+        stats: Vec<PartitionStats>,
+    ) -> Result<PartitionManifest> {
+        let mut out = Vec::with_capacity(64 + 32 * stats.len());
         writeln!(out, "parahash-msp-manifest v1")?;
-        writeln!(out, "k {}", self.k)?;
-        writeln!(out, "p {}", self.p)?;
-        writeln!(out, "partitions {}", self.stats.len())?;
-        for (i, s) in self.stats.iter().enumerate() {
+        writeln!(out, "k {k}")?;
+        writeln!(out, "p {p}")?;
+        writeln!(out, "partitions {}", stats.len())?;
+        for (i, s) in stats.iter().enumerate() {
             writeln!(out, "part {i} {} {} {}", s.superkmers, s.kmers, s.bytes)?;
         }
-        if let Some(residency) = &self.residency {
-            for (i, resident) in residency.iter().enumerate() {
-                writeln!(out, "{} {i}", if *resident { "resident" } else { "spilled" })?;
-            }
-        }
-        for q in &self.quarantined {
-            // Reasons are free text; fold any newlines so the line-oriented
-            // format stays parseable.
-            let reason = q.reason.replace(['\n', '\r'], " ");
-            writeln!(out, "quarantined {} {reason}", q.index)?;
-        }
-        for &(i, fanout) in &self.sub_splits {
-            writeln!(out, "sub-split {i} {fanout}")?;
-        }
-        commit::commit_bytes(&Self::manifest_path(&self.dir), &out)?;
-        Ok(())
+        commit::commit_bytes(&Self::manifest_path(&dir), &out)?;
+        Ok(PartitionManifest { dir, k, p, stats })
     }
 
     /// Loads the manifest from a partition directory.
@@ -425,7 +319,9 @@ impl PartitionManifest {
         let k = field(next(1)?, 1, "k")?;
         let p = field(next(2)?, 2, "p")?;
         let n = field(next(3)?, 3, "partitions")?;
-        let mut stats = Vec::with_capacity(n);
+        // Nothing is reserved from the header's word: a count the file
+        // does not back fails as truncation at the first missing line.
+        let mut stats = Vec::new();
         for i in 0..n {
             let line = next(4 + i as u64)?;
             let parts: Vec<&str> = line.split_whitespace().collect();
@@ -441,75 +337,15 @@ impl PartitionManifest {
                 bytes: parse(parts[4])?,
             });
         }
-        // Optional trailing lines, in any order: `resident <i>` /
-        // `spilled <i>` residency marks (fused-pipeline manifests),
-        // `quarantined <i> <reason>` marks, and `sub-split <i> <fanout>`
-        // out-of-core marks. All are absent in classic healthy-run
-        // manifests.
-        let mut quarantined = Vec::new();
-        let mut residency: Option<Vec<bool>> = None;
-        let mut sub_splits: Vec<(usize, usize)> = Vec::new();
-        let mut lineno = 4 + n as u64;
-        for line in lines {
+        // The `part` block ends the manifest: anything but blank lines
+        // after it is corruption.
+        for (line, lineno) in lines.zip(4 + n as u64..) {
             let line = line?;
-            if line.trim().is_empty() {
-                lineno += 1;
-                continue;
-            }
-            let index_in_range = |idx: &str, what: &str, lineno: u64| -> Result<usize> {
-                let index: usize = idx
-                    .parse()
-                    .map_err(|e| corrupt(lineno, format!("bad {what} index: {e}")))?;
-                if index >= n {
-                    return Err(corrupt(
-                        lineno,
-                        format!("{what} index {index} out of range (partitions {n})"),
-                    ));
-                }
-                Ok(index)
-            };
-            if let Some(rest) = line.strip_prefix("quarantined ") {
-                let (idx, reason) = rest.split_once(' ').unwrap_or((rest, ""));
-                let index = index_in_range(idx, "quarantined", lineno)?;
-                // Merge duplicate marks for the same partition (older
-                // manifests could accumulate one line per non-strict
-                // run); the last line wins, matching `quarantine`'s
-                // update-in-place semantics.
-                match quarantined.iter_mut().find(|q: &&mut QuarantinedPartition| q.index == index)
-                {
-                    Some(q) => q.reason = reason.to_string(),
-                    None => {
-                        quarantined.push(QuarantinedPartition { index, reason: reason.to_string() })
-                    }
-                }
-            } else if let Some(rest) = line.strip_prefix("resident ") {
-                let index = index_in_range(rest.trim(), "resident", lineno)?;
-                residency.get_or_insert_with(|| vec![false; n])[index] = true;
-            } else if let Some(rest) = line.strip_prefix("spilled ") {
-                let index = index_in_range(rest.trim(), "spilled", lineno)?;
-                residency.get_or_insert_with(|| vec![false; n])[index] = false;
-            } else if let Some(rest) = line.strip_prefix("sub-split ") {
-                let (idx, fanout) = rest.trim().split_once(' ').ok_or_else(|| {
-                    corrupt(lineno, format!("expected 'sub-split <i> <fanout>', got {line:?}"))
-                })?;
-                let index = index_in_range(idx, "sub-split", lineno)?;
-                let fanout: usize = fanout
-                    .trim()
-                    .parse()
-                    .map_err(|e| corrupt(lineno, format!("bad sub-split fanout: {e}")))?;
-                if fanout < 2 {
-                    return Err(corrupt(lineno, format!("sub-split fanout {fanout} below 2")));
-                }
-                match sub_splits.iter_mut().find(|(i, _)| *i == index) {
-                    Some(entry) => entry.1 = fanout,
-                    None => sub_splits.push((index, fanout)),
-                }
-            } else {
+            if !line.trim().is_empty() {
                 return Err(corrupt(lineno, format!("unexpected trailing line {line:?}")));
             }
-            lineno += 1;
         }
-        Ok(PartitionManifest { dir, k, p, stats, quarantined, residency, sub_splits })
+        Ok(PartitionManifest { dir, k, p, stats })
     }
 }
 
@@ -623,66 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_roundtrips_through_save_and_load() {
-        let dir = tmpdir("quarantine");
-        let w = PartitionWriter::create(&dir, 4, 5, 3).unwrap();
-        let mut manifest = w.finish().unwrap();
-        assert!(manifest.quarantined().is_empty());
-        manifest.quarantine(2, "i/o error: simulated disk fault (attempt 3)");
-        manifest.quarantine(0, "first reason");
-        manifest.quarantine(0, "checksum mismatch after retries"); // updates in place
-        manifest.save().unwrap();
-
-        let loaded = PartitionManifest::load(&dir).unwrap();
-        assert_eq!(loaded.quarantined(), manifest.quarantined());
-        assert!(loaded.is_quarantined(0));
-        assert!(loaded.is_quarantined(2));
-        assert!(!loaded.is_quarantined(1));
-        assert_eq!(
-            loaded.quarantined()[1].reason,
-            "checksum mismatch after retries"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sub_split_marks_roundtrip_through_save_and_load() {
-        let dir = tmpdir("subsplit");
-        let w = PartitionWriter::create(&dir, 4, 5, 3).unwrap();
-        let mut manifest = w.finish().unwrap();
-        assert_eq!(manifest.sub_split(1), None);
-        manifest.set_sub_split(1, 4);
-        manifest.set_sub_split(3, 2);
-        manifest.set_sub_split(1, 8); // updates in place
-        // Sub-split marks coexist with quarantine marks.
-        manifest.quarantine(2, "simulated");
-        manifest.save().unwrap();
-
-        let loaded = PartitionManifest::load(&dir).unwrap();
-        assert_eq!(loaded, manifest);
-        assert_eq!(loaded.sub_split(1), Some(8));
-        assert_eq!(loaded.sub_split(3), Some(2));
-        assert_eq!(loaded.sub_split(0), None);
-        assert!(loaded.is_quarantined(2));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn malformed_sub_split_lines_are_rejected() {
-        let dir = tmpdir("subsplit-bad");
-        fs::create_dir_all(&dir).unwrap();
-        let head = "parahash-msp-manifest v1\nk 5\np 3\npartitions 1\npart 0 0 0 0\n";
-        for bad in ["sub-split 0\n", "sub-split 9 4\n", "sub-split 0 1\n", "sub-split 0 x\n"] {
-            fs::write(dir.join("manifest.txt"), format!("{head}{bad}")).unwrap();
-            assert!(
-                matches!(PartitionManifest::load(&dir), Err(MspError::CorruptRecord { .. })),
-                "accepted {bad:?}"
-            );
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn partitions_are_staged_as_tmp_until_finish() {
         let dir = tmpdir("staged");
         let mut w = PartitionWriter::create(&dir, 2, 7, 4).unwrap();
@@ -705,44 +481,52 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn duplicate_quarantine_lines_merge_on_load() {
-        let dir = tmpdir("quarantine-dup");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join("manifest.txt"),
-            "parahash-msp-manifest v1\nk 5\np 3\npartitions 2\npart 0 0 0 0\npart 1 0 0 0\n\
-             quarantined 1 first failure\nquarantined 1 second failure\nquarantined 0 other\n",
-        )
-        .unwrap();
-        let loaded = PartitionManifest::load(&dir).unwrap();
-        assert_eq!(loaded.quarantined().len(), 2, "{:?}", loaded.quarantined());
-        assert_eq!(loaded.quarantined()[0].index, 1);
-        assert_eq!(loaded.quarantined()[0].reason, "second failure");
-        // Save rewrites exactly one line per quarantined partition.
-        loaded.save().unwrap();
-        let text = fs::read_to_string(dir.join("manifest.txt")).unwrap();
-        assert_eq!(text.matches("quarantined 1 ").count(), 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     // NOTE: arming the real `msp.frame.append` site in a unit test would
     // race with sibling tests flushing frames on other threads (the
     // registry is process-global); real-site coverage lives in the
     // crash-recovery integration suite, which arms sites in forked child
     // processes via PARAHASH_FAILPOINTS.
 
+    /// Step-2 outcomes are journal records, not manifest lines: a
+    /// manifest carrying one of the four retired marks (or anything else
+    /// after its `part` block) is corrupt, and the error names the line.
     #[test]
-    fn quarantine_line_with_bad_index_is_rejected() {
-        let dir = tmpdir("quarantine-bad");
+    fn lines_after_the_part_block_are_rejected_with_their_line_number() {
+        let dir = tmpdir("trailing");
+        fs::create_dir_all(&dir).unwrap();
+        let head = "parahash-msp-manifest v1\nk 5\np 3\npartitions 1\npart 0 0 0 0\n";
+        for retired in ["resident 0", "spilled 0", "quarantined 0 checksum mismatch", "sub-split 0 4"] {
+            fs::write(dir.join("manifest.txt"), format!("{head}\n{retired}\n")).unwrap();
+            match PartitionManifest::load(&dir) {
+                Err(MspError::CorruptRecord { offset: 6, reason }) => {
+                    assert!(reason.contains(retired), "{reason}")
+                }
+                other => panic!("{retired:?}: {other:?}"),
+            }
+        }
+        fs::write(dir.join("manifest.txt"), format!("{head}\n\n")).unwrap();
+        assert_eq!(PartitionManifest::load(&dir).unwrap().num_partitions(), 1, "blank lines pass");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The header's partition count is a claim, not a length to allocate:
+    /// a count the file does not back is truncation at the first missing
+    /// `part` line.
+    #[test]
+    fn a_partition_count_the_file_does_not_back_is_truncation() {
+        let dir = tmpdir("hostile-count");
         fs::create_dir_all(&dir).unwrap();
         fs::write(
             dir.join("manifest.txt"),
-            "parahash-msp-manifest v1\nk 5\np 3\npartitions 1\npart 0 0 0 0\nquarantined 7 out of range\n",
+            "parahash-msp-manifest v1\nk 5\np 3\npartitions 1152921504606846975\npart 0 0 0 0\n",
         )
         .unwrap();
-        let err = PartitionManifest::load(&dir).unwrap_err();
-        assert!(err.to_string().contains("out of range"), "{err}");
+        match PartitionManifest::load(&dir) {
+            Err(MspError::CorruptRecord { offset: 5, reason }) => {
+                assert!(reason.contains("truncated"), "{reason}")
+            }
+            other => panic!("{other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

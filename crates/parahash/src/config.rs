@@ -310,7 +310,8 @@ impl ParaHashConfigBuilder {
 
     /// Strict mode (`true`, the default): the first unrecoverable
     /// partition failure aborts the whole run. Non-strict mode
-    /// quarantines the failing partition in the manifest instead and
+    /// quarantines the failing partition instead (a `quarantined` record
+    /// in the run journal, an entry in the step report) and
     /// finishes the run without its k-mers — the paper's workloads
     /// (terabyte read sets on shared clusters) often prefer a flagged
     /// partial graph over losing a multi-hour run.

@@ -64,7 +64,7 @@ mod system;
 
 pub use config::{ConfigError, ParaHashConfig, ParaHashConfigBuilder};
 pub use journal::{Fingerprint, JournalEvent, JournalState, RunJournal};
-pub use report::{RunReport, Step1Stats, StepReport};
+pub use report::{QuarantinedPartition, RunReport, Step1Stats, StepReport};
 pub use shard::{run_remote_worker, worker_from_env};
 pub use step1::run_step1;
 pub use step2::{decode_subgraph, decode_subgraph_checked, encode_subgraph, run_step2};

@@ -30,6 +30,18 @@ pub struct Step1Stats {
     pub bases: u64,
 }
 
+/// One partition that repeatedly failed in Step 2 and was set aside
+/// instead of aborting the whole run (non-strict mode): the graph is
+/// missing its k-mers. Journaled as a `quarantined` record by the
+/// [`ParaHash`](crate::ParaHash) drivers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QuarantinedPartition {
+    /// Which partition failed.
+    pub index: usize,
+    /// Human-readable description of the final failure.
+    pub reason: String,
+}
+
 /// Timing and accounting of one pipelined step.
 #[derive(Debug, Clone)]
 pub struct StepReport {
@@ -65,7 +77,7 @@ pub struct StepReport {
     pub peak_resident_store_bytes: u64,
     /// Partitions set aside after repeated failures instead of aborting
     /// the run (non-strict mode only; always empty in strict mode).
-    pub quarantined: Vec<msp::QuarantinedPartition>,
+    pub quarantined: Vec<QuarantinedPartition>,
     /// Step-2 only: `(partition, fanout)` for every partition whose
     /// projected Property-1 table busted
     /// [`table_memory_budget`](crate::ParaHashConfigBuilder::table_memory_budget)
@@ -348,7 +360,7 @@ mod tests {
             peak_host_bytes: 4 << 20,
             partition_bytes: 1234,
         };
-        r.step2.quarantined.push(msp::QuarantinedPartition {
+        r.step2.quarantined.push(QuarantinedPartition {
             index: 1,
             reason: "checksum mismatch after 3 attempts".into(),
         });

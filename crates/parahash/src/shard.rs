@@ -690,10 +690,9 @@ fn serve_session(
 /// build whatever the cluster leaves behind through the engine. Drop-in
 /// replacement for [`run_step2_feed`](crate::step2::run_step2_feed) over
 /// a [`manifest_feed`] on the disk handoff — same journal records in the
-/// parent's `run.journal`, byte-identical subgraph files and graph, the
-/// same [`Step2Shared`] deciding what a failure means, and like it leaves
-/// the manifest marks to the driver's
-/// [`persist_marks`](crate::step2::persist_marks).
+/// parent's `run.journal` (a worker's sub-split included), byte-identical
+/// subgraph files and graph, and the same [`Step2Shared`] deciding what a
+/// failure means.
 ///
 /// [`StepReport::pipeline`]'s `elapsed` is the wall-clock of the whole
 /// step and `partitions` what it built, here or elsewhere; stage times,

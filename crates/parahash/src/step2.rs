@@ -1,16 +1,15 @@
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+pub use hashgraph::encode_subgraph;
 use hashgraph::{
     table_capacity_for, ContentionStats, DeBruijnGraph, HashGraphError, ReplayKernel, SubGraph,
-    TablePool,
+    TablePool, VERTEX_BYTES,
 };
 use hetsim::{Device, DeviceKind};
-use msp::{
-    PartitionManifest, PartitionSlices, QuarantinedPartition, SealedPartition, SealedPayload,
-};
+use msp::{PartitionManifest, PartitionSlices, SealedPartition, SealedPayload};
 use parking_lot::Mutex;
 use pipeline::{
     failpoint, run_pipeline, CancelToken, PipelineReport, SharedCounterQueue, ThrottledIo,
@@ -18,7 +17,7 @@ use pipeline::{
 
 use crate::journal::{JournalEvent, RunJournal};
 use crate::step1::{device_baselines, device_deltas, split_device_times};
-use crate::{ParaHashConfig, ParaHashError, Result, StepReport};
+use crate::{ParaHashConfig, ParaHashError, QuarantinedPartition, Result, StepReport};
 
 /// Output of one Step-2 compute launch. `None` marks a partition whose
 /// failure was already recorded (fatal error or quarantine) — the output
@@ -39,10 +38,6 @@ struct Part2Out {
 /// yields: the entries in no particular order, and what building cost.
 type Built = (SubGraph, ContentionStats, usize);
 
-/// Bytes per vertex in the serialised subgraph format (4 × u64 key words,
-/// count, 8 edge counters).
-const VERTEX_BYTES: usize = 32 + 4 + 32;
-
 /// Hard cap on the out-of-core sub-partition fanout. A tiny table budget
 /// against a huge partition would otherwise ask for thousands of
 /// sub-buffers whose per-sub framing and bookkeeping dwarf the split's
@@ -50,40 +45,6 @@ const VERTEX_BYTES: usize = 32 + 4 + 32;
 /// split is best-effort, never recursive — see
 /// [`Step2Shared::build_split`]).
 const MAX_SUB_FANOUT: usize = 256;
-
-/// Serialises a subgraph to the on-disk format: little-endian,
-/// fixed-width records preceded by a u64 count and a u8 k, followed by a
-/// u32 CRC32 trailer over everything before it (so bit-rot in a persisted
-/// subgraph is detected on reload, mirroring the partition-file frames).
-///
-/// Records are written in **canonical (sorted-by-k-mer) order**, not the
-/// hash table's slot order: slot order depends on insertion interleaving
-/// under multithreaded construction, and the crash-recovery guarantee is
-/// that a resumed run's subgraph files are *byte-identical* to an
-/// uninterrupted run's — only a canonical order survives that comparison.
-pub fn encode_subgraph(sub: &SubGraph) -> Vec<u8> {
-    // Keys are distinct, so an unstable sort on the key alone is
-    // deterministic.
-    let mut entries: Vec<&(dna::Kmer, hashgraph::VertexData)> = sub.entries().iter().collect();
-    entries.sort_unstable_by_key(|entry| entry.0);
-    let mut out = Vec::with_capacity(9 + entries.len() * VERTEX_BYTES + 4);
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    out.push(sub.k() as u8);
-    for (kmer, data) in entries {
-        let mut record = [0u8; VERTEX_BYTES];
-        for (dst, w) in record[..32].chunks_exact_mut(8).zip(kmer.words()) {
-            dst.copy_from_slice(&w.to_le_bytes());
-        }
-        record[32..36].copy_from_slice(&data.count.to_le_bytes());
-        for (dst, e) in record[36..].chunks_exact_mut(4).zip(&data.edges) {
-            dst.copy_from_slice(&e.to_le_bytes());
-        }
-        out.extend_from_slice(&record);
-    }
-    let crc = msp::crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
 
 /// Parses the format written by [`encode_subgraph`]. Used by tests and by
 /// downstream consumers of persisted subgraphs.
@@ -97,95 +58,24 @@ pub fn decode_subgraph(bytes: &[u8]) -> Option<SubGraph> {
     decode_subgraph_checked(bytes, None).ok()
 }
 
-/// [`decode_subgraph`] with a diagnosable error instead of `None`.
-///
-/// The error names the partition the subgraph belongs to (when the
-/// caller supplies it), the byte offset at which the problem was
-/// detected, and classifies the damage:
-///
-/// * **truncated tail** — the buffer ends before the bytes its header
-///   promises; the expected signature of a crash mid-write (impossible
-///   for files written through the atomic commit protocol, but persisted
-///   subgraphs may come from elsewhere).
-/// * **interior corruption** — the length bookkeeping is intact but the
-///   content is not (CRC32 trailer mismatch, invalid k-mer, undeclared
-///   trailing bytes): bit-rot or tampering, not a torn write.
+/// [`hashgraph::decode_subgraph`] as this crate's error: names the
+/// partition the subgraph belongs to (when the caller supplies it) ahead
+/// of the decoder's byte offset and damage classification (truncated
+/// tail / interior corruption — see [`hashgraph::StoreError::Corrupt`]).
 ///
 /// # Errors
 ///
 /// [`ParaHashError::Msp`] wrapping [`msp::MspError::CorruptRecord`] with
 /// the offset and classification above.
 pub fn decode_subgraph_checked(bytes: &[u8], partition: Option<usize>) -> Result<SubGraph> {
-    let bad = |offset: usize, fault: &str, detail: String| -> ParaHashError {
-        let whose = match partition {
-            Some(i) => format!("subgraph for partition {i}, "),
-            None => String::new(),
-        };
-        ParaHashError::Msp(msp::MspError::CorruptRecord {
-            offset: offset as u64,
-            reason: format!("{whose}byte {offset}: {fault} — {detail}"),
-        })
-    };
-    // u64 count + u8 k + u32 crc is the minimum (empty) encoding.
-    if bytes.len() < 9 + 4 {
-        return Err(bad(
-            bytes.len(),
-            "truncated tail",
-            format!("{} bytes is shorter than the minimal (13-byte) empty encoding", bytes.len()),
-        ));
-    }
-    let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-    let k = bytes[8] as usize;
-    let expected = 9usize.saturating_add(n.saturating_mul(VERTEX_BYTES)).saturating_add(4);
-    if bytes.len() < expected {
-        return Err(bad(
-            bytes.len(),
-            "truncated tail",
-            format!(
-                "header declares {n} record(s) ({expected} bytes total) but the buffer holds {}",
-                bytes.len()
-            ),
-        ));
-    }
-    if bytes.len() > expected {
-        return Err(bad(
-            expected,
-            "interior corruption",
-            format!("{} byte(s) beyond the declared {n} record(s)", bytes.len() - expected),
-        ));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-    let computed = msp::crc32(body);
-    if computed != stored {
-        return Err(bad(
-            body.len(),
-            "interior corruption",
-            format!("CRC32 trailer mismatch (stored {stored:#010x}, computed {computed:#010x})"),
-        ));
-    }
-    let mut offset = 9;
-    let mut entries = Vec::with_capacity(n);
-    for rec in 0..n {
-        let record_start = offset;
-        let mut words = [0u64; 4];
-        for w in &mut words {
-            *w = u64::from_le_bytes(body[offset..offset + 8].try_into().unwrap());
-            offset += 8;
+    hashgraph::decode_subgraph(bytes).map_err(|e| match e {
+        hashgraph::StoreError::Corrupt { offset, reason } => {
+            let whose = partition.map_or(String::new(), |i| format!("subgraph for partition {i}, "));
+            let reason = format!("{whose}byte {offset}: {reason}");
+            ParaHashError::Msp(msp::MspError::CorruptRecord { offset, reason })
         }
-        let kmer = dna::Kmer::from_words(words, k).map_err(|e| {
-            bad(record_start, "interior corruption", format!("record {rec}: invalid k-mer: {e}"))
-        })?;
-        let count = u32::from_le_bytes(body[offset..offset + 4].try_into().unwrap());
-        offset += 4;
-        let mut edges = [0u32; 8];
-        for e in &mut edges {
-            *e = u32::from_le_bytes(body[offset..offset + 4].try_into().unwrap());
-            offset += 4;
-        }
-        entries.push((kmer, hashgraph::VertexData { count, edges }));
-    }
-    Ok(SubGraph::new(k, entries))
+        other => ParaHashError::Io(std::io::Error::other(other)),
+    })
 }
 
 /// Step 2 of ParaHash: pipelined, co-processed subgraph construction.
@@ -206,12 +96,15 @@ pub fn decode_subgraph_checked(bytes: &[u8], partition: Option<usize>) -> Result
 ///   ([`strict(false)`](crate::ParaHashConfigBuilder::strict)): a
 ///   partition whose file
 ///   cannot be read (after [`pipeline::RetryPolicy`] retries) or fails
-///   its checksums is *quarantined* — recorded in the manifest and the
-///   step report — and the run completes without its k-mers. Device and
-///   hash-table failures stay fatal in both modes: they indicate the run
+///   its checksums is *quarantined* — recorded in the step report — and
+///   the run completes without its k-mers. Device and hash-table
+///   failures stay fatal in both modes: they indicate the run
 ///   environment, not one bad file.
 ///
-/// Returns the merged De Bruijn graph and the step report.
+/// Returns the merged De Bruijn graph and the step report. This
+/// step-level entry keeps no journal: quarantines and sub-splits are in
+/// the returned [`StepReport`] only. The durable record is the run
+/// journal the [`ParaHash`](crate::ParaHash) `run*` drivers write.
 ///
 /// # Errors
 ///
@@ -224,9 +117,12 @@ pub fn run_step2(
 ) -> Result<(DeBruijnGraph, StepReport)> {
     let feed = manifest_feed(manifest);
     let cancel = CancelToken::new();
-    let out = run_step2_feed(config, &feed, io, &cancel, None, Resumed::nothing(config.k))?;
-    persist_marks(manifest, &out.1)?;
-    Ok(out)
+    run_step2_feed(config, &feed, io, &cancel, None, Resumed::nothing(config.k))
+}
+
+/// Where partition `i`'s committed subgraph lives under `work_dir`.
+pub(crate) fn subgraph_path(work_dir: &Path, i: usize) -> PathBuf {
+    work_dir.join("subgraphs").join(format!("sub-{i:05}.dbg"))
 }
 
 /// What an interrupted run already finished, as the resume plan verified
@@ -262,24 +158,6 @@ pub(crate) fn manifest_feed(manifest: &PartitionManifest) -> SharedCounterQueue<
     }))
 }
 
-/// Records a finished Step 2's quarantine and sub-split marks in the
-/// partition manifest, so any later consumer of the partition directory
-/// knows which subgraphs are missing and which were built out of core.
-/// A step that set nothing aside and split nothing rewrites nothing.
-pub(crate) fn persist_marks(manifest: &PartitionManifest, step2: &StepReport) -> Result<()> {
-    if step2.quarantined.is_empty() && step2.sub_splits.is_empty() {
-        return Ok(());
-    }
-    let mut marked = manifest.clone();
-    for q in &step2.quarantined {
-        marked.quarantine(q.index, q.reason.clone());
-    }
-    for &(i, fanout) in &step2.sub_splits {
-        marked.set_sub_split(i, fanout);
-    }
-    Ok(marked.save()?)
-}
-
 /// The one Step-2 runner: builds the subgraph of every
 /// [`SealedPartition`] arriving on `feed`. The handoff between the steps
 /// is a storage choice carried by the payload, not a second algorithm —
@@ -297,9 +175,8 @@ pub(crate) fn persist_marks(manifest: &PartitionManifest, step2: &StepReport) ->
 /// as no-ops.
 ///
 /// The caller owns `feed` (finish it at end of stream, close it to
-/// abort), the manifest (see [`persist_marks`]) and `cancel`; a fatal
-/// error in here cancels the token, which a concurrent Step 1 must
-/// observe.
+/// abort) and `cancel`; a fatal error in here cancels the token, which a
+/// concurrent Step 1 must observe.
 ///
 /// # Errors
 ///
@@ -691,9 +568,9 @@ impl<'a> Step2Shared<'a> {
         graph.absorb(out.subgraph);
     }
 
-    /// Where partition `idx`'s committed subgraph lives.
+    /// [`subgraph_path`] in this step's work directory.
     pub(crate) fn subgraph_path(&self, idx: usize) -> PathBuf {
-        self.sub_dir.join(format!("sub-{idx:05}.dbg"))
+        subgraph_path(&self.config.work_dir, idx)
     }
 
     /// Commits one formatted subgraph as `sub-<idx>.dbg` and journals the
@@ -723,7 +600,10 @@ impl<'a> Step2Shared<'a> {
     /// The output stage for a partition another process built: `subgraph`
     /// is what this process decoded from the committed, CRC-checked
     /// `sub-<idx>.dbg`, `built` what the builder measured. Journals the
-    /// commit, folds the accounting into this step's and hands the
+    /// builder's sub-split (this journal is the run's record of it — a
+    /// wire worker keeps none) and the commit, in the order
+    /// [`build_split`](Self::build_split) and [`commit`](Self::commit)
+    /// write them, folds the accounting into this step's and hands the
     /// vertices over — the tail of [`consume`](Self::consume), the file
     /// being on disk already.
     pub(crate) fn absorb_verified(
@@ -734,6 +614,10 @@ impl<'a> Step2Shared<'a> {
         partition_bytes: u64,
         built: Option<LeaseOutcome>,
     ) {
+        let fanout = built.as_ref().map_or(0, |built| built.fanout);
+        if fanout >= 2 && !self.journaled(JournalEvent::SubSplit(idx, fanout)) {
+            return;
+        }
         if !self.journaled(JournalEvent::SubgraphCommitted(idx)) {
             return;
         }
@@ -741,8 +625,8 @@ impl<'a> Step2Shared<'a> {
         if let Some(built) = built {
             self.total_resizes.fetch_add(built.resizes, Ordering::Relaxed);
             self.peak_table.fetch_max(built.peak_table_bytes, Ordering::Relaxed);
-            if built.fanout >= 2 {
-                self.sub_splits.lock().push((idx, built.fanout));
+            if fanout >= 2 {
+                self.sub_splits.lock().push((idx, fanout));
             }
         }
         graph.absorb(subgraph);
@@ -758,8 +642,7 @@ impl<'a> Step2Shared<'a> {
     ) -> Result<(DeBruijnGraph, StepReport)> {
         let quarantined = self.quarantined.into_inner();
         // Compute-stage completion order is nondeterministic under
-        // multithreading; the report (and everything derived from it,
-        // like manifest marks) must not be.
+        // multithreading; the report must not be.
         let mut sub_splits = self.sub_splits.into_inner();
         sub_splits.sort_unstable();
         if let Some(e) = self.first_error.into_inner() {
@@ -1247,10 +1130,9 @@ mod tests {
             graph.total_kmer_occurrences(),
             manifest.total_kmers() - manifest.stats()[victim].kmers
         );
-        // The quarantine mark was persisted into the manifest on disk.
-        let reloaded = PartitionManifest::load(manifest.dir()).unwrap();
-        assert!(reloaded.is_quarantined(victim));
-        assert_eq!(reloaded.quarantined().len(), 1);
+        // The report is this un-journaled entry's record of it; the
+        // manifest on disk is still what Step 1 wrote.
+        assert_eq!(PartitionManifest::load(manifest.dir()).unwrap(), manifest);
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 

@@ -10,7 +10,7 @@ use pipeline::{CancelToken, SharedCounterQueue, ThrottledIo};
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
 use crate::step1::{device_baselines, device_deltas, step1_into, step1_report, step1_to_disk, Input};
 use crate::step2::{
-    decode_subgraph_checked, manifest_feed, persist_marks, run_step2_feed, Resumed,
+    decode_subgraph_checked, manifest_feed, run_step2_feed, subgraph_path, Resumed,
 };
 use crate::{ParaHashConfig, ParaHashError, Result, RunReport, Step1Stats, StepReport};
 
@@ -121,10 +121,10 @@ impl ParaHash {
     /// [`run`](Self::run): only where the partition bytes live changes,
     /// never what they contain.
     ///
-    /// The manifest (with `resident`/`spilled` residency marks) is still
-    /// written to `work_dir/superkmers/manifest.txt`, so a fused run's
-    /// partition directory is inspectable and its quarantine and
-    /// sub-split marks are recorded exactly as in the two-phase flow.
+    /// The manifest is still written to `work_dir/superkmers/manifest.txt`
+    /// — the same bytes the two-phase flow writes for this input — and
+    /// which partitions spilled, split or were quarantined is in
+    /// `run.journal`, as in the two-phase flow.
     ///
     /// A resumed fused run always redoes Step 1 (resident partition
     /// payloads died with the crashed process), but partitions whose
@@ -195,7 +195,6 @@ impl ParaHash {
             Handoff::Memory => memory_handoff(&config, input, io, &plan, resumed)?,
         };
 
-        persist_marks(&manifest, &step2)?;
         plan.recheck_committed(&config)?;
         plan.journal.append(&JournalEvent::RunComplete)?;
         let report = RunReport {
@@ -307,7 +306,7 @@ impl ResumePlan {
         let mut resumed = Resumed::nothing(config.k);
         if config.write_subgraphs {
             for i in claimed {
-                let verified = std::fs::read(subgraph_path(config, i)).ok().and_then(|bytes| {
+                let verified = std::fs::read(subgraph_path(&config.work_dir, i)).ok().and_then(|bytes| {
                     let sub = decode_subgraph_checked(&bytes, Some(i)).ok()?;
                     Some((sub, bytes.len() as u64))
                 });
@@ -334,18 +333,13 @@ impl ResumePlan {
     /// was cut or extended.
     fn recheck_committed(&self, config: &ParaHashConfig) -> Result<()> {
         for (&i, &verified_len) in &self.committed {
-            let path = subgraph_path(config, i);
+            let path = subgraph_path(&config.work_dir, i);
             if std::fs::metadata(&path)?.len() != verified_len {
                 decode_subgraph_checked(&std::fs::read(&path)?, Some(i))?;
             }
         }
         Ok(())
     }
-}
-
-/// Where partition `i`'s committed subgraph lives.
-fn subgraph_path(config: &ParaHashConfig, i: usize) -> std::path::PathBuf {
-    config.work_dir.join("subgraphs").join(format!("sub-{i:05}.dbg"))
 }
 
 /// Step-1 report for a resumed run that skipped Step 1 entirely: every
@@ -727,7 +721,7 @@ mod tests {
         let ph = ParaHash::new(cfg.clone()).unwrap();
         let rs = reads();
         let full = ph.run(&rs).unwrap();
-        let sub = |i: usize| subgraph_path(&cfg, i);
+        let sub = |i: usize| subgraph_path(cfg.work_dir(), i);
         let pristine: Vec<Vec<u8>> = (0..5).map(|i| std::fs::read(sub(i)).unwrap()).collect();
 
         // Tear the journal's final `run-complete` record: the run now

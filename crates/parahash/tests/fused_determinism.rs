@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use datagen::{GenomeSpec, Sequencer, SequencingSpec};
 use dna::SeqRead;
 use hetsim::SimGpuConfig;
-use parahash::{ParaHash, ParaHashConfig, ParaHashConfigBuilder, RunOutcome};
+use parahash::{ParaHash, ParaHashConfig, ParaHashConfigBuilder, RunJournal, RunOutcome};
 use pipeline::{IoMode, IoOp, ThrottledIo};
 
 const K: usize = 15;
@@ -153,12 +153,9 @@ fn fused_matches_two_phase_across_threads_and_budgets() {
                         spilled.is_empty(),
                         "unbounded budget must not touch the disk, found {spilled:?}"
                     );
-                    // ... and the manifest records every partition resident.
-                    let manifest =
-                        msp::PartitionManifest::load(ph.config().work_dir().join("superkmers"))
-                            .unwrap();
-                    let residency = manifest.residency().expect("store manifests carry residency");
-                    assert!(residency.iter().all(|&r| r), "all partitions resident");
+                    // ... and no partition was journaled as sealed to disk.
+                    let state = RunJournal::replay(ph.config().work_dir()).unwrap();
+                    assert!(state.sealed.is_empty(), "all partitions resident: {:?}", state.sealed);
                 }
             }
             std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
@@ -244,10 +241,11 @@ fn fused_quarantines_corrupted_spill_in_non_strict_mode() {
         "quarantined index must match the corrupted file"
     );
 
-    // The graph is missing exactly the victim's k-mers, and the mark was
-    // persisted into the on-disk manifest by the fused driver.
+    // The graph is missing exactly the victim's k-mers, and the fused
+    // driver journaled the quarantine.
+    let state = RunJournal::replay(ph.config().work_dir()).unwrap();
+    assert_eq!(state.quarantined, vec![(q.index, q.reason.clone())]);
     let manifest = msp::PartitionManifest::load(ph.config().work_dir().join("superkmers")).unwrap();
-    assert!(manifest.is_quarantined(q.index));
     assert_eq!(
         fused.graph.total_kmer_occurrences(),
         manifest.total_kmers() - manifest.stats()[q.index].kmers

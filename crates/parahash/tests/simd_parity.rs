@@ -8,8 +8,10 @@
 //! The flag selects kernels *below* the ingest — scalar packer,
 //! monotone-deque scan, `read` instead of `mmap`, single-threaded inflate
 //! — never a second FASTQ reader: `fastq_ingest_matches_the_streaming_parser`
-//! holds every roster × kernel × framing cell of the one chunked ingest to
-//! the streaming `dna::FastqReader`, the reference parser.
+//! holds every roster (CPU × 1/2/4, CPU + SimGpu, SimGpu only) × kernel ×
+//! framing cell of the one chunked ingest to the streaming
+//! `dna::FastqReader`, the reference parser — graph and partition record
+//! multisets alike.
 
 use datagen::{GenomeSpec, Sequencer, SequencingSpec};
 use dna::{Base, PackedSeq, SeqRead};

@@ -150,6 +150,18 @@ fn stored_graph_roundtrips_through_the_full_system() {
     hashgraph::save_graph(&outcome.graph, &path).expect("save");
     let reloaded = hashgraph::load_graph(&path).expect("load");
     assert_eq!(reloaded, outcome.graph);
+
+    // One vertex-run container: the graph of a one-partition build is
+    // stored as the bytes of its `sub-00000.dbg`, and that file opens as
+    // a graph.
+    let cfg = base_config("store-one").partitions(1).write_subgraphs(true).build().unwrap();
+    let ph = ParaHash::new(cfg).expect("work dir");
+    let outcome = ph.run(&d.reads).expect("run succeeds");
+    let sub = ph.config().work_dir().join("subgraphs").join("sub-00000.dbg");
+    hashgraph::save_graph(&outcome.graph, &path).expect("save");
+    assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&sub).unwrap());
+    assert_eq!(hashgraph::load_graph(&sub).expect("load"), outcome.graph);
+    std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
     std::fs::remove_file(path).unwrap();
 }
 

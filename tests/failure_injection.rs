@@ -204,9 +204,9 @@ fn exhausted_retries_poison_the_partition_in_non_strict_mode() {
         manifest.total_kmers() - manifest.stats()[0].kmers,
         "graph must be missing exactly the quarantined partition's kmers"
     );
-    // The poisoning is durable: the manifest on disk records it.
-    let reloaded = msp::PartitionManifest::load(manifest.dir()).unwrap();
-    assert!(reloaded.is_quarantined(0));
+    // `run_step2` keeps no journal: the report above is its record, and
+    // the manifest on disk is still Step 1's.
+    assert_eq!(msp::PartitionManifest::load(manifest.dir()).unwrap(), manifest);
     let _ = std::fs::remove_dir_all(ph.config().work_dir());
 }
 

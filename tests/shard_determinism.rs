@@ -3,7 +3,10 @@
 //! must produce a graph and persisted subgraph files **byte-identical**
 //! to the in-process build's, for every worker count, with and without
 //! a table budget that forces out-of-core sub-partitioning inside the
-//! workers.
+//! workers. It also holds the one-status-board contract for all three
+//! flows (two-phase, fused, sharded): Step 2's outcomes are journal
+//! records that agree with the step report, and `manifest.txt` stays what
+//! Step 1 wrote.
 //!
 //! Workers are this test binary re-exec'ed with
 //! `shard_worker_entry --exact` (the `crash_recovery.rs` self-exec
@@ -16,6 +19,7 @@ use std::path::{Path, PathBuf};
 
 use dna::SeqRead;
 use parahash::{ParaHash, ParaHashConfig, RunJournal};
+use pipeline::{IoMode, IoOp, ThrottledIo};
 
 const K: usize = 15;
 const P: usize = 5;
@@ -120,7 +124,7 @@ fn sharded_build_is_byte_identical_to_in_process() {
 /// Sharding composed with the out-of-core path: a budget that forces
 /// sub-partitioning *inside the workers* must still match the
 /// unconstrained in-process reference byte for byte, and the sub-split
-/// marks must flow back into the parent's report and manifest.
+/// marks must flow back into the parent's report and journal.
 #[test]
 fn sharded_build_with_forced_splits_matches_reference() {
     let rs = reads();
@@ -136,10 +140,92 @@ fn sharded_build_with_forced_splits_matches_reference() {
         !sharded.report.step2.sub_splits.is_empty(),
         "tight budget must force sub-partitioning in the workers"
     );
-    let manifest = msp::PartitionManifest::load(dir.join("superkmers")).unwrap();
-    for &(i, fanout) in &sharded.report.step2.sub_splits {
-        assert_eq!(manifest.sub_split(i), Some(fanout), "manifest mark for partition {i}");
-    }
+    assert_eq!(journaled_sub_splits(&dir), sharded.report.step2.sub_splits);
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `sub-split` records of `dir`'s run journal, sorted by partition as
+/// the step report sorts them.
+fn journaled_sub_splits(dir: &Path) -> Vec<(usize, usize)> {
+    let mut marks = RunJournal::replay(dir).unwrap().sub_splits;
+    marks.sort_unstable();
+    marks
+}
+
+/// One status board: what Step 2 did with a partition — set it aside,
+/// built it out of core — is a `run.journal` record and a line of the
+/// step report, which agree; `manifest.txt` is Step 1's output, byte for
+/// byte the one a healthy unconstrained run over the same input writes.
+/// Two-phase, fused and sharded, each non-strict with one corrupted
+/// partition and a table budget that splits the rest.
+#[test]
+fn step2_outcomes_are_journaled_and_the_manifest_stays_step1s() {
+    let rs = reads();
+    let ref_dir = fresh_dir("board-ref");
+    ParaHash::new(config(&ref_dir, 0, None)).unwrap().run(&rs).unwrap();
+    let manifest_file =
+        |dir: &Path| std::fs::read_to_string(dir.join("superkmers/manifest.txt")).unwrap();
+    let manifest = msp::PartitionManifest::load(ref_dir.join("superkmers")).unwrap();
+    let victim = (0..PARTITIONS).max_by_key(|&i| manifest.stats()[i].bytes).unwrap();
+    let corrupt = |path: &Path| {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[msp::FRAME_HEADER_LEN] ^= 0xff;
+        std::fs::write(path, bytes).unwrap();
+    };
+
+    for flow in ["two-phase", "fused", "workers-2"] {
+        let dir = fresh_dir(&format!("board-{flow}"));
+        let builder = || {
+            ParaHashConfig::builder()
+                .k(K)
+                .p(P)
+                .partitions(PARTITIONS)
+                .cpu_threads(2)
+                .write_subgraphs(true)
+                .worker_spawn_args(["shard_worker_entry", "--exact", "--nocapture"])
+                .work_dir(&dir)
+        };
+        let unhealthy = builder().strict(false).table_memory_budget(16 << 10);
+        let outcome = if flow == "fused" {
+            // Every partition spills; the victim's file is damaged as
+            // Step 2 first reads it back.
+            let ph = ParaHash::new(unhealthy.partition_memory_budget(0).build().unwrap()).unwrap();
+            let io = ThrottledIo::new(IoMode::Unthrottled);
+            let part = format!("part-{victim:05}.skm");
+            io.set_fault_hook(Box::new(move |path, op, attempt| {
+                if op == IoOp::Read && attempt == 1 && path.ends_with(&part) {
+                    corrupt(path);
+                }
+                None
+            }));
+            ph.run_fused_with_io(&rs, &io).unwrap()
+        } else {
+            // A first run that dies in Step 2 (a 1-byte table budget it
+            // may not split under) leaves Step 1's output sealed; the
+            // victim is damaged on disk; the resumed run is the one under
+            // test.
+            let doomed = builder().table_memory_budget(1).out_of_core(false).build().unwrap();
+            ParaHash::new(doomed).unwrap().run(&rs).expect_err("over budget");
+            corrupt(&dir.join("superkmers").join(format!("part-{victim:05}.skm")));
+            let workers = if flow == "workers-2" { 2 } else { 0 };
+            let resumed = unhealthy.resume(true).workers(workers).build().unwrap();
+            ParaHash::new(resumed).unwrap().run(&rs).unwrap()
+        };
+
+        assert_eq!(manifest_file(&dir), manifest_file(&ref_dir), "{flow}: manifest.txt");
+        let step2 = &outcome.report.step2;
+        assert_eq!(step2.quarantined.len(), 1, "{flow}: {:?}", step2.quarantined);
+        assert_eq!(step2.quarantined[0].index, victim, "{flow}");
+        assert!(!step2.sub_splits.is_empty(), "{flow}: the budget must split");
+        assert!(step2.sub_splits.iter().all(|&(i, _)| i != victim), "{flow}");
+        let state = RunJournal::replay(&dir).unwrap();
+        let set_aside: Vec<_> =
+            step2.quarantined.iter().map(|q| (q.index, q.reason.clone())).collect();
+        assert_eq!(state.quarantined, set_aside, "{flow}: journal and report");
+        assert_eq!(journaled_sub_splits(&dir), step2.sub_splits, "{flow}: journal and report");
+        assert!(state.complete, "{flow}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&ref_dir);
 }

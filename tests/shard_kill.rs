@@ -2,7 +2,9 @@
 //! mid-lease (a real `SIGABRT`, injected through `PARAHASH_SHARD_KILL`)
 //! must not cost the run anything — the parent observes the dropped
 //! connection, requeues the dead worker's partitions, and the final
-//! graph and subgraph files stay byte-identical to an undisturbed run.
+//! graph and subgraph files stay byte-identical to an undisturbed run,
+//! with nothing quarantined and the reassignment witnessed in the lease
+//! log.
 //!
 //! Lives in its own test binary because the kill spec travels through
 //! the process environment (workers inherit it), and the other shard

@@ -4,7 +4,8 @@
 //! multiset of an independent implementation: the sort-merge oracle's own
 //! allocating two-strand scan (`baselines::reference_partition`), which
 //! shares only the routing hash with `msp`. Fuzzed corpora; narrow and
-//! wide k; p = k.
+//! wide k (k = 33 included); p = k. A root test: it is the one suite that
+//! sees both `parahash` and `baselines`.
 
 use baselines::reference_partition;
 use datagen::{GenomeSpec, Sequencer, SequencingSpec};
