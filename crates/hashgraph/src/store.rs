@@ -6,13 +6,16 @@
 //! payload) and a whole graph (`dbg build --out`) alike:
 //!
 //! ```text
-//! u64 vertex count | u8 k
-//! per vertex: 4×u64 key words | u32 count | 8×u32 edges   (fixed 68 B)
+//! u64 vertex count | u8 k | u8 w
+//! per vertex: ⌈k/32⌉×u64 key words | count | 8 edges   (counters w bytes each)
 //! trailer: u32 CRC-32 of everything before it
 //! ```
 //!
-//! All integers little-endian; vertices in ascending k-mer order, so
-//! equal vertex sets serialise to identical bytes.
+//! All integers little-endian; vertices in ascending k-mer order. The
+//! counter width `w ∈ {1, 2, 4}` is the smallest that holds the file's
+//! largest counter, so it follows from the data: equal vertex sets
+//! serialise to identical bytes, and every record of a file has the same
+//! width (`8·⌈k/32⌉ + 9·w` bytes — 17 at k ≤ 32 with counters under 256).
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -21,12 +24,17 @@ use dna::Kmer;
 
 use crate::{DeBruijnGraph, SubGraph, VertexData};
 
-/// Bytes per vertex record (4 × u64 key words, count, 8 edge counters).
-pub const VERTEX_BYTES: usize = 32 + 4 + 32;
-/// `u64 count | u8 k`.
-const HEADER_BYTES: usize = 9;
+/// `u64 count | u8 k | u8 w`.
+const HEADER_BYTES: usize = 10;
 /// The CRC-32 trailer.
 const TRAILER_BYTES: usize = 4;
+/// The widest record: `MAX_K`'s key words and nine 4-byte counters.
+const MAX_RECORD_BYTES: usize = dna::MAX_K / 4 + 9 * 4;
+
+/// Bytes of one record of a `k`-mer file with `w`-byte counters.
+fn record_bytes(k: usize, w: usize) -> usize {
+    k.div_ceil(32) * 8 + 9 * w
+}
 
 /// Errors from reading a stored graph.
 #[derive(Debug)]
@@ -36,7 +44,8 @@ pub enum StoreError {
     /// damage: a **truncated tail** (the buffer ends before the bytes its
     /// header promises — a torn write) or **interior corruption** (the
     /// length bookkeeping is intact but the content is not: CRC-32
-    /// mismatch, invalid k-mer, undeclared trailing bytes).
+    /// mismatch, k or counter width out of range, undeclared trailing
+    /// bytes).
     Corrupt {
         /// Byte offset at which the damage was detected.
         offset: u64,
@@ -74,23 +83,40 @@ impl From<io::Error> for StoreError {
 }
 
 /// One container over `entries`, which it sorts. Keys are distinct, so an
-/// unstable sort on the key alone is deterministic.
+/// unstable sort on the key alone is deterministic. The counter width is
+/// that of the largest counter (the OR of all of them has its bit length).
 fn encode_run(k: usize, mut entries: Vec<&(Kmer, VertexData)>) -> Vec<u8> {
     entries.sort_unstable_by_key(|entry| entry.0);
-    let mut out =
-        Vec::with_capacity(HEADER_BYTES + entries.len() * VERTEX_BYTES + TRAILER_BYTES);
+    let bits = entries
+        .iter()
+        .fold(0u32, |acc, (_, data)| data.edges.iter().fold(acc | data.count, |a, &e| a | e));
+    match bits {
+        0..=0xFF => encode_records::<1>(k, &entries),
+        0x100..=0xFFFF => encode_records::<2>(k, &entries),
+        _ => encode_records::<4>(k, &entries),
+    }
+}
+
+/// [`encode_run`]'s body at counter width `W`: each record is built in a
+/// stack buffer and appended with one `extend`.
+fn encode_records<const W: usize>(k: usize, entries: &[&(Kmer, VertexData)]) -> Vec<u8> {
+    let words = k.div_ceil(32);
+    let len = record_bytes(k, W);
+    let mut out = Vec::with_capacity(HEADER_BYTES + entries.len() * len + TRAILER_BYTES);
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    out.push(k as u8);
+    out.extend_from_slice(&[k as u8, W as u8]);
+    // Every byte of `record[..len]` is rewritten per vertex.
+    let mut record = [0u8; MAX_RECORD_BYTES];
     for (kmer, data) in entries {
-        let mut record = [0u8; VERTEX_BYTES];
-        for (dst, w) in record[..32].chunks_exact_mut(8).zip(kmer.words()) {
+        let (keys, counters) = record[..len].split_at_mut(words * 8);
+        for (dst, w) in keys.chunks_exact_mut(8).zip(kmer.words()) {
             dst.copy_from_slice(&w.to_le_bytes());
         }
-        record[32..36].copy_from_slice(&data.count.to_le_bytes());
-        for (dst, e) in record[36..].chunks_exact_mut(4).zip(&data.edges) {
-            dst.copy_from_slice(&e.to_le_bytes());
+        let values = std::iter::once(&data.count).chain(&data.edges);
+        for (dst, c) in counters.chunks_exact_mut(W).zip(values) {
+            dst.copy_from_slice(&c.to_le_bytes()[..W]);
         }
-        out.extend_from_slice(&record);
+        out.extend_from_slice(&record[..len]);
     }
     let crc = msp::crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -98,10 +124,10 @@ fn encode_run(k: usize, mut entries: Vec<&(Kmer, VertexData)>) -> Vec<u8> {
 }
 
 /// Serialises a subgraph as one vertex-run container: a `u64` vertex
-/// count and a `u8` k, the fixed-width ([`VERTEX_BYTES`]) records, and a
-/// `u32` CRC-32 trailer over everything before it (so bit-rot in a
+/// count, a `u8` k and a `u8` counter width, the fixed-width records, and
+/// a `u32` CRC-32 trailer over everything before it (so bit-rot in a
 /// persisted subgraph is detected on reload, as in the partition-file
-/// frames) — all little-endian.
+/// frames) — all little-endian. See the module docs for the record.
 ///
 /// Records are written in **canonical (sorted-by-k-mer) order**, not the
 /// hash table's slot order: slot order depends on insertion interleaving
@@ -112,9 +138,10 @@ pub fn encode_subgraph(sub: &SubGraph) -> Vec<u8> {
     encode_run(sub.k(), sub.entries().iter().collect())
 }
 
-/// Parses one vertex-run container, trusting nothing: the header's count
-/// is checked against the buffer's length before anything is allocated
-/// for it, then the CRC-32 trailer, then every k-mer.
+/// Parses one vertex-run container, trusting nothing: k and the counter
+/// width are range-checked and the header's count is checked against the
+/// buffer's length (overflow included) before anything is allocated for
+/// it, then the CRC-32 trailer, then every k-mer.
 ///
 /// # Errors
 ///
@@ -129,23 +156,32 @@ pub fn decode_subgraph(bytes: &[u8]) -> Result<SubGraph, StoreError> {
         return Err(bad(
             bytes.len(),
             "truncated tail",
-            format!("{} bytes is shorter than the minimal (13-byte) empty encoding", bytes.len()),
+            format!("{} bytes is shorter than the minimal (14-byte) empty encoding", bytes.len()),
         ));
     }
-    let n = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")) as usize;
-    let k = bytes[8] as usize;
-    let expected =
-        HEADER_BYTES.saturating_add(n.saturating_mul(VERTEX_BYTES)).saturating_add(TRAILER_BYTES);
-    if bytes.len() < expected {
+    let n = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+    let (k, w) = (bytes[8] as usize, bytes[9] as usize);
+    if k == 0 || k > dna::MAX_K {
+        return Err(bad(8, "interior corruption", format!("k={k} out of range")));
+    }
+    if !matches!(w, 1 | 2 | 4) {
+        return Err(bad(9, "interior corruption", format!("counter width {w} is not 1, 2 or 4")));
+    }
+    let len = record_bytes(k, w);
+    let expected = usize::try_from(n)
+        .ok()
+        .and_then(|n| n.checked_mul(len))
+        .and_then(|body| body.checked_add(HEADER_BYTES + TRAILER_BYTES));
+    let Some(expected) = expected.filter(|&expected| expected <= bytes.len()) else {
         return Err(bad(
             bytes.len(),
             "truncated tail",
             format!(
-                "header declares {n} record(s) ({expected} bytes total) but the buffer holds {}",
+                "header declares {n} {len}-byte record(s) but the buffer holds {} bytes",
                 bytes.len()
             ),
         ));
-    }
+    };
     if bytes.len() > expected {
         return Err(bad(
             expected,
@@ -163,18 +199,21 @@ pub fn decode_subgraph(bytes: &[u8]) -> Result<SubGraph, StoreError> {
             format!("CRC32 trailer mismatch (stored {stored:#010x}, computed {computed:#010x})"),
         ));
     }
-    if k == 0 || k > dna::MAX_K {
-        return Err(bad(8, "interior corruption", format!("k={k} out of range")));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for (rec, record) in body[HEADER_BYTES..].chunks_exact(VERTEX_BYTES).enumerate() {
-        let word = |j: usize| u64::from_le_bytes(record[j * 8..j * 8 + 8].try_into().expect("8 bytes"));
-        let kmer = Kmer::from_words([word(0), word(1), word(2), word(3)], k).map_err(|e| {
-            let at = HEADER_BYTES + rec * VERTEX_BYTES;
-            bad(at, "interior corruption", format!("record {rec}: invalid k-mer: {e}"))
-        })?;
-        let half = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"));
-        let data = VertexData { count: half(32), edges: std::array::from_fn(|e| half(36 + e * 4)) };
+    let words = k.div_ceil(32);
+    let mut entries = Vec::with_capacity((body.len() - HEADER_BYTES) / len);
+    for record in body[HEADER_BYTES..].chunks_exact(len) {
+        let (keys, counters) = record.split_at(words * 8);
+        let mut key = [0u64; 4];
+        for (dst, src) in key.iter_mut().zip(keys.chunks_exact(8)) {
+            *dst = u64::from_le_bytes(src.try_into().expect("8 bytes"));
+        }
+        let kmer = Kmer::from_words(key, k).expect("k was range-checked above");
+        let counter = |i: usize| {
+            let mut le = [0u8; 4];
+            le[..w].copy_from_slice(&counters[i * w..(i + 1) * w]);
+            u32::from_le_bytes(le)
+        };
+        let data = VertexData { count: counter(0), edges: std::array::from_fn(|e| counter(e + 1)) };
         entries.push((kmer, data));
     }
     Ok(SubGraph::new(k, entries))
@@ -314,7 +353,7 @@ mod tests {
     fn invalid_k_rejected() {
         for k in [0u8, dna::MAX_K as u8 + 1] {
             let mut buf = 0u64.to_le_bytes().to_vec();
-            buf.push(k);
+            buf.extend_from_slice(&[k, 1]);
             let crc = msp::crc32(&buf);
             buf.extend_from_slice(&crc.to_le_bytes());
             let err = read_graph(&buf[..]).unwrap_err().to_string();
@@ -323,19 +362,68 @@ mod tests {
     }
 
     /// The header's count is checked against the bytes in hand before
-    /// anything is sized from it: a count no buffer could back is a
-    /// truncated tail at the buffer's end, not an allocation.
+    /// anything is sized from it: a count no buffer could back — here one
+    /// whose product with the 17-byte record overflows — is a truncated
+    /// tail at the buffer's end, not an allocation.
     #[test]
     fn a_vertex_count_the_buffer_does_not_back_is_truncation() {
-        let mut buf = (u64::MAX / 128).to_le_bytes().to_vec();
-        buf.push(27);
-        buf.extend_from_slice(&[0u8; VERTEX_BYTES + 4]);
-        match read_graph(&buf[..]) {
-            Err(StoreError::Corrupt { offset, reason }) => {
-                assert_eq!(offset, buf.len() as u64);
-                assert!(reason.starts_with("truncated tail"), "{reason}");
+        for n in [u64::MAX / 17 + 1, u64::MAX / 128, 2] {
+            let mut buf = n.to_le_bytes().to_vec();
+            buf.extend_from_slice(&[27, 1]);
+            buf.extend_from_slice(&[0u8; 17 + 4]);
+            match read_graph(&buf[..]) {
+                Err(StoreError::Corrupt { offset, reason }) => {
+                    assert_eq!(offset, buf.len() as u64);
+                    assert!(reason.starts_with("truncated tail"), "{reason}");
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A file of the earlier layout (`u64 count | u8 k`, then 4×`u64` key
+    /// words and nine `u32` counters per vertex) is refused, never misread:
+    /// its byte 9 is the low byte of the first key word, zero for any
+    /// k < 29 (the k-mer is left-aligned), so the width check names it.
+    #[test]
+    fn a_68_byte_record_file_is_rejected() {
+        let g = sample_graph();
+        let mut old = (g.distinct_vertices() as u64).to_le_bytes().to_vec();
+        old.push(g.k() as u8);
+        let mut entries: Vec<_> = g.iter().collect();
+        entries.sort_unstable_by_key(|entry| *entry.0);
+        for (kmer, data) in entries {
+            kmer.words().iter().for_each(|w| old.extend_from_slice(&w.to_le_bytes()));
+            old.extend_from_slice(&data.count.to_le_bytes());
+            data.edges.iter().for_each(|e| old.extend_from_slice(&e.to_le_bytes()));
+        }
+        let crc = msp::crc32(&old);
+        old.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(old.len(), 13 + 68 * g.distinct_vertices());
+        let path = std::env::temp_dir().join(format!("graph-store-old-{}.dbg", std::process::id()));
+        std::fs::write(&path, &old).unwrap();
+        let err = load_graph(&path).unwrap_err();
+        std::fs::remove_file(path).unwrap();
+        assert!(
+            matches!(&err, StoreError::Corrupt { offset: 9, reason }
+                if reason.contains("counter width 0")),
+            "{err:?}"
+        );
+    }
+
+    /// Counters pick the narrowest width holding the largest of them, and
+    /// every width round-trips.
+    #[test]
+    fn counter_width_follows_the_largest_counter() {
+        let kmer: Kmer = "ACGTACGTA".parse().unwrap();
+        for (max, w) in [(0, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4), (u32::MAX, 4)] {
+            let mut data = VertexData { count: 1, edges: [0; 8] };
+            data.edges[5] = max;
+            let sub = SubGraph::new(9, vec![(kmer, data)]);
+            let bytes = encode_subgraph(&sub);
+            assert_eq!(bytes[9], w, "max counter {max}");
+            assert_eq!(bytes.len(), 10 + 8 + 9 * w as usize + 4);
+            assert_eq!(decode_subgraph(&bytes).unwrap().entries(), sub.entries());
         }
     }
 
@@ -350,5 +438,88 @@ mod tests {
         assert_eq!(buf, encode_subgraph(&sub));
         assert_eq!(decode_subgraph(&buf).unwrap().len(), g.distinct_vertices());
         assert_eq!(read_graph(&buf[..]).unwrap(), g);
+    }
+
+    use proptest::prelude::*;
+
+    /// `n` random distinct vertices of length `k` (an LCG over `seed`)
+    /// whose counters stay below `limit`.
+    fn random_subgraph(k: usize, n: usize, limit: u64, seed: u64) -> SubGraph {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state
+        };
+        let mut vertices = std::collections::BTreeMap::new();
+        for _ in 0..n {
+            let kmer = Kmer::from_words(std::array::from_fn(|_| next()), k).unwrap();
+            let mut counter = || (next() >> 32) % limit;
+            let data = VertexData {
+                count: counter() as u32,
+                edges: std::array::from_fn(|_| counter() as u32),
+            };
+            vertices.insert(kmer, data);
+        }
+        SubGraph::new(k, vertices.into_iter().collect())
+    }
+
+    fn corrupt_within(result: Result<SubGraph, StoreError>, len: usize) -> Option<(u64, String)> {
+        match result {
+            Err(StoreError::Corrupt { offset, reason }) if offset <= len as u64 => {
+                Some((offset, reason))
+            }
+            _ => None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Hostile bytes: every truncation, every single bit flip, every
+        /// counter width outside {1, 2, 4}, every k outside 1..=MAX_K, and
+        /// counts whose record bytes overflow are `Corrupt` at an offset
+        /// inside the buffer — never a panic, never a graph.
+        #[test]
+        fn hostile_bytes_are_corrupt_at_an_in_buffer_offset(
+            k in 1usize..=dna::MAX_K,
+            n in 0usize..6,
+            limit in prop_oneof![Just(256u64), Just(65_536u64), Just(1u64 << 32)],
+            seed in 0u64..u64::MAX,
+        ) {
+            let sub = random_subgraph(k, n, limit, seed);
+            let bytes = encode_subgraph(&sub);
+            let back = decode_subgraph(&bytes).unwrap();
+            prop_assert_eq!(back.entries(), sub.entries());
+            for cut in 0..bytes.len() {
+                let (offset, reason) = corrupt_within(decode_subgraph(&bytes[..cut]), cut)
+                    .expect("a cut buffer is corrupt");
+                prop_assert!(offset == cut as u64 && reason.starts_with("truncated tail"));
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(corrupt_within(decode_subgraph(&flipped), bytes.len()).is_some());
+            }
+            let mut hostile = bytes.clone();
+            for w in (0..=u8::MAX).filter(|w| !matches!(w, 1 | 2 | 4)) {
+                hostile[9] = w;
+                let (offset, _) = corrupt_within(decode_subgraph(&hostile), bytes.len()).unwrap();
+                prop_assert_eq!(offset, 9);
+            }
+            let mut hostile = bytes.clone();
+            for k in std::iter::once(0).chain(dna::MAX_K as u8 + 1..=u8::MAX) {
+                hostile[8] = k;
+                let (offset, _) = corrupt_within(decode_subgraph(&hostile), bytes.len()).unwrap();
+                prop_assert_eq!(offset, 8);
+            }
+            let record = record_bytes(k, bytes[9] as usize) as u64;
+            let mut hostile = bytes.clone();
+            for count in [u64::MAX / record + 1, u64::MAX] {
+                hostile[..8].copy_from_slice(&count.to_le_bytes());
+                let (offset, reason) =
+                    corrupt_within(decode_subgraph(&hostile), bytes.len()).unwrap();
+                prop_assert!(offset == bytes.len() as u64 && reason.starts_with("truncated tail"));
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 pub use hashgraph::encode_subgraph;
 use hashgraph::{
     table_capacity_for, ContentionStats, DeBruijnGraph, HashGraphError, ReplayKernel, SubGraph,
-    TablePool, VERTEX_BYTES,
+    TablePool,
 };
 use hetsim::{Device, DeviceKind};
 use msp::{PartitionManifest, PartitionSlices, SealedPartition, SealedPayload};
@@ -45,6 +45,11 @@ type Built = (SubGraph, ContentionStats, usize);
 /// split is best-effort, never recursive — see
 /// [`Step2Shared::build_split`]).
 const MAX_SUB_FANOUT: usize = 256;
+
+/// What the simulated device→host copy of a table snapshot charges per
+/// vertex: the in-memory record (4×`u64` key words, `u32` count, 8×`u32`
+/// edge counters), whatever width the subgraph file later stores.
+const SNAPSHOT_VERTEX_BYTES: usize = 32 + 4 + 32;
 
 /// Parses the format written by [`encode_subgraph`]. Used by tests and by
 /// downstream consumers of persisted subgraphs.
@@ -515,7 +520,8 @@ impl<'a> Step2Shared<'a> {
                 None => {
                     let (subgraph, contention) = table.snapshot_with_contention();
                     if is_gpu {
-                        device.transfer_from_device((subgraph.len() * VERTEX_BYTES) as u64);
+                        let snapshot = subgraph.len() * SNAPSHOT_VERTEX_BYTES;
+                        device.transfer_from_device(snapshot as u64);
                         device.free(table_bytes);
                     }
                     return Some((subgraph, contention, resizes));
@@ -855,79 +861,140 @@ mod tests {
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 
-    /// The bytes the previous encoder (reference-vector `sort_by_key`,
-    /// byte-wise CRC) wrote for these two shuffled subgraphs, captured
-    /// from it verbatim: the on-disk format is frozen, whatever sorts and
-    /// checksums it. In the k = 40 case the first 32 bases tie pairwise,
-    /// so the order is decided in the second key word.
+    /// The on-disk format is frozen, whatever sorts and checksums it:
+    /// these are the bytes of five shuffled vertices at k = 27, 40 and 65
+    /// (one, two and three key words) with counters of width 1, 2 and 4
+    /// (count `base + i` for `base` = 10, 1000, 100 000; edges `10·i + e`).
+    ///
+    /// Derivation, independent of this encoder: the previous (68-byte
+    /// record) encoder wrote the same vertices; each of its files was
+    /// narrowed by inserting `w` after `k`, keeping each record's first
+    /// ⌈k/32⌉ key words and each `u32` counter's low `w` bytes (the
+    /// dropped bytes all zero), and recomputing the CRC-32. Its `w = 2`
+    /// k = 27 and 40 files were this test's earlier fixtures. Equal
+    /// leading bases tie the sort across key words: the k = 40 order is
+    /// decided in the second word, the k = 65 order in the third.
     #[test]
     fn encoding_matches_golden_bytes() {
-        fn data(i: u32) -> hashgraph::VertexData {
-            hashgraph::VertexData {
-                count: 1000 + i,
-                edges: std::array::from_fn(|e| i * 10 + e as u32),
+        let (head_a, head_b) =
+            ("ACGTACGTACGTACGTACGTACGTACGTACGT", "ACGTACGTACGTACGTACGTACGTACGTACGA");
+        let (long_a, long_b) = (head_a.repeat(2), format!("{head_a}{head_b}"));
+        let kmers = |k: usize| -> Vec<String> {
+            match k {
+                27 => [
+                    "GATTACAGATTACAGATTACAGATTAC",
+                    "ACGTACGTACGTACGTACGTACGTACG",
+                    "TTTTTTTTTTTTTTTTTTTTTTTTTTT",
+                    "ACGTACGTACGTACGTACGTACGTACC",
+                    "CCCCCCCCCCCCCCCCCCCCCCCCCCA",
+                ]
+                .map(String::from)
+                .to_vec(),
+                40 => vec![
+                    format!("{head_a}TTTTTTTT"),
+                    format!("{head_b}GGGGGGGG"),
+                    format!("{head_a}AAAAAAAC"),
+                    format!("{head_b}GGGGGGGA"),
+                    format!("{head_a}AAAAAAAA"),
+                ],
+                _ => vec![
+                    format!("{long_a}T"),
+                    format!("{long_b}G"),
+                    format!("{long_a}C"),
+                    format!("{long_b}A"),
+                    format!("{long_a}A"),
+                ],
             }
-        }
-        fn unhex(lines: &[&str]) -> Vec<u8> {
-            let hex = lines.concat();
-            (0..hex.len())
-                .step_by(2)
-                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-                .collect()
-        }
-        let encode = |k: usize, kmers: &[String]| {
-            let entries = kmers
+        };
+        let encode = |w: usize, k: usize| {
+            let base = [10, 1000, 100_000][w.trailing_zeros() as usize];
+            let entries = kmers(k)
                 .iter()
-                .enumerate()
-                .map(|(i, s)| (s.parse::<dna::Kmer>().unwrap(), data(i as u32)))
+                .zip(0u32..)
+                .map(|(s, i)| {
+                    let edges = std::array::from_fn(|e| i * 10 + e as u32);
+                    (s.parse::<dna::Kmer>().unwrap(), hashgraph::VertexData { count: base + i, edges })
+                })
                 .collect();
             encode_subgraph(&SubGraph::new(k, entries))
         };
-
-        let narrow = [
-            "GATTACAGATTACAGATTACAGATTAC",
-            "ACGTACGTACGTACGTACGTACGTACG",
-            "TTTTTTTTTTTTTTTTTTTTTTTTTTT",
-            "ACGTACGTACGTACGTACGTACGTACC",
-            "CCCCCCCCCCCCCCCCCCCCCCCCCCA",
-        ]
-        .map(String::from);
-        let golden27 = unhex(&[
-            "05000000000000001b00141b1b1b1b1b1b000000000000000000000000000000000000000000000000eb0300",
-            "001e0000001f00000020000000210000002200000023000000240000002500000000181b1b1b1b1b1b000000",
-            "000000000000000000000000000000000000000000e90300000a0000000b0000000c0000000d0000000e0000",
-            "000f000000100000001100000000505555555555550000000000000000000000000000000000000000000000",
-            "00ec03000028000000290000002a0000002b0000002c0000002d0000002e0000002f00000000c423f1483c12",
-            "8f000000000000000000000000000000000000000000000000e8030000000000000100000002000000030000",
-            "000400000005000000060000000700000000fcffffffffffff00000000000000000000000000000000000000",
-            "0000000000ea0300001400000015000000160000001700000018000000190000001a0000001b000000304f16",
-            "1b",
-        ]);
-        assert_eq!(encode(27, &narrow), golden27);
-        assert_eq!(&golden27[golden27.len() - 4..], &0x1B16_4F30u32.to_le_bytes());
-
-        let (head_a, head_b) =
-            ("ACGTACGTACGTACGTACGTACGTACGTACGT", "ACGTACGTACGTACGTACGTACGTACGTACGA");
-        let wide = [
-            format!("{head_a}TTTTTTTT"),
-            format!("{head_b}GGGGGGGG"),
-            format!("{head_a}AAAAAAAC"),
-            format!("{head_b}GGGGGGGA"),
-            format!("{head_a}AAAAAAAA"),
+        let golden: [(usize, usize, u32, &[&str]); 9] = [
+            (1, 27, 0xAACE_6D86, &[
+                "05000000000000001b0100141b1b1b1b1b1b0d1e1f20212223242500181b1b1b1b1b1b0b0a0b0c0d0e0f1011",
+                "00505555555555550e28292a2b2c2d2e2f00c423f1483c128f0a000102030405060700fcffffffffffff0c14",
+                "15161718191a1b866dceaa",
+            ]),
+            (1, 40, 0xD85F_DA64, &[
+                "05000000000000002801181b1b1b1b1b1b1b000000000000a8aa0d1e1f202122232425181b1b1b1b1b1b1b00",
+                "0000000000aaaa0b0a0b0c0d0e0f10111b1b1b1b1b1b1b1b00000000000000000e28292a2b2c2d2e2f1b1b1b",
+                "1b1b1b1b1b00000000000001000c1415161718191a1b1b1b1b1b1b1b1b1b000000000000ffff0a0001020304",
+                "05060764da5fd8",
+            ]),
+            (1, 65, 0x7957_3FC0, &[
+                "050000000000000041011b1b1b1b1b1b1b1b181b1b1b1b1b1b1b00000000000000000d1e1f2021222324251b",
+                "1b1b1b1b1b1b1b181b1b1b1b1b1b1b00000000000000800b0a0b0c0d0e0f10111b1b1b1b1b1b1b1b1b1b1b1b",
+                "1b1b1b1b00000000000000000e28292a2b2c2d2e2f1b1b1b1b1b1b1b1b1b1b1b1b1b1b1b1b00000000000000",
+                "400c1415161718191a1b1b1b1b1b1b1b1b1b1b1b1b1b1b1b1b1b00000000000000c00a0001020304050607c0",
+                "3f5779",
+            ]),
+            (2, 27, 0xC04F_D90B, &[
+                "05000000000000001b0200141b1b1b1b1b1beb031e001f0020002100220023002400250000181b1b1b1b1b1b",
+                "e9030a000b000c000d000e000f00100011000050555555555555ec03280029002a002b002c002d002e002f00",
+                "00c423f1483c128fe8030000010002000300040005000600070000fcffffffffffffea031400150016001700",
+                "180019001a001b000bd94fc0",
+            ]),
+            (2, 40, 0x76FE_40D8, &[
+                "05000000000000002802181b1b1b1b1b1b1b000000000000a8aaeb031e001f00200021002200230024002500",
+                "181b1b1b1b1b1b1b000000000000aaaae9030a000b000c000d000e000f00100011001b1b1b1b1b1b1b1b0000",
+                "000000000000ec03280029002a002b002c002d002e002f001b1b1b1b1b1b1b1b0000000000000100ea031400",
+                "150016001700180019001a001b001b1b1b1b1b1b1b1b000000000000ffffe803000001000200030004000500",
+                "06000700d840fe76",
+            ]),
+            (2, 65, 0x5446_B723, &[
+                "050000000000000041021b1b1b1b1b1b1b1b181b1b1b1b1b1b1b0000000000000000eb031e001f0020002100",
+                "22002300240025001b1b1b1b1b1b1b1b181b1b1b1b1b1b1b0000000000000080e9030a000b000c000d000e00",
+                "0f00100011001b1b1b1b1b1b1b1b1b1b1b1b1b1b1b1b0000000000000000ec03280029002a002b002c002d00",
+                "2e002f001b1b1b1b1b1b1b1b1b1b1b1b1b1b1b1b0000000000000040ea031400150016001700180019001a00",
+                "1b001b1b1b1b1b1b1b1b1b1b1b1b1b1b1b1b00000000000000c0e80300000100020003000400050006000700",
+                "23b74654",
+            ]),
+            (4, 27, 0x2519_E830, &[
+                "05000000000000001b0400141b1b1b1b1b1ba38601001e0000001f0000002000000021000000220000002300",
+                "0000240000002500000000181b1b1b1b1b1ba18601000a0000000b0000000c0000000d0000000e0000000f00",
+                "000010000000110000000050555555555555a486010028000000290000002a0000002b0000002c0000002d00",
+                "00002e0000002f00000000c423f1483c128fa086010000000000010000000200000003000000040000000500",
+                "0000060000000700000000fcffffffffffffa286010014000000150000001600000017000000180000001900",
+                "00001a0000001b00000030e81925",
+            ]),
+            (4, 40, 0xFA49_D99C, &[
+                "05000000000000002804181b1b1b1b1b1b1b000000000000a8aaa38601001e0000001f000000200000002100",
+                "000022000000230000002400000025000000181b1b1b1b1b1b1b000000000000aaaaa18601000a0000000b00",
+                "00000c0000000d0000000e0000000f00000010000000110000001b1b1b1b1b1b1b1b0000000000000000a486",
+                "010028000000290000002a0000002b0000002c0000002d0000002e0000002f0000001b1b1b1b1b1b1b1b0000",
+                "000000000100a28601001400000015000000160000001700000018000000190000001a0000001b0000001b1b",
+                "1b1b1b1b1b1b000000000000ffffa08601000000000001000000020000000300000004000000050000000600",
+                "0000070000009cd949fa",
+            ]),
+            (4, 65, 0xCC05_9825, &[
+                "050000000000000041041b1b1b1b1b1b1b1b181b1b1b1b1b1b1b0000000000000000a38601001e0000001f00",
+                "00002000000021000000220000002300000024000000250000001b1b1b1b1b1b1b1b181b1b1b1b1b1b1b0000",
+                "000000000080a18601000a0000000b0000000c0000000d0000000e0000000f00000010000000110000001b1b",
+                "1b1b1b1b1b1b1b1b1b1b1b1b1b1b0000000000000000a486010028000000290000002a0000002b0000002c00",
+                "00002d0000002e0000002f0000001b1b1b1b1b1b1b1b1b1b1b1b1b1b1b1b0000000000000040a28601001400",
+                "000015000000160000001700000018000000190000001a0000001b0000001b1b1b1b1b1b1b1b1b1b1b1b1b1b",
+                "1b1b00000000000000c0a0860100000000000100000002000000030000000400000005000000060000000700",
+                "0000259805cc",
+            ]),
         ];
-        let golden40 = unhex(&[
-            "050000000000000028181b1b1b1b1b1b1b000000000000a8aa00000000000000000000000000000000eb0300",
-            "001e0000001f000000200000002100000022000000230000002400000025000000181b1b1b1b1b1b1b000000",
-            "000000aaaa00000000000000000000000000000000e90300000a0000000b0000000c0000000d0000000e0000",
-            "000f00000010000000110000001b1b1b1b1b1b1b1b0000000000000000000000000000000000000000000000",
-            "00ec03000028000000290000002a0000002b0000002c0000002d0000002e0000002f0000001b1b1b1b1b1b1b",
-            "1b000000000000010000000000000000000000000000000000ea030000140000001500000016000000170000",
-            "0018000000190000001a0000001b0000001b1b1b1b1b1b1b1b000000000000ffff0000000000000000000000",
-            "0000000000e8030000000000000100000002000000030000000400000005000000060000000700000018a06d",
-            "7f",
-        ]);
-        assert_eq!(encode(40, &wide), golden40);
-        assert_eq!(&golden40[golden40.len() - 4..], &0x7F6D_A018u32.to_le_bytes());
+        for (w, k, crc, lines) in golden {
+            let hex = lines.concat();
+            let bytes: Vec<u8> =
+                (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect();
+            assert_eq!(encode(w, k), bytes, "w={w} k={k}");
+            assert_eq!((bytes[8], bytes[9]), (k as u8, w as u8));
+            assert_eq!(bytes.len(), 10 + 5 * (k.div_ceil(32) * 8 + 9 * w) + 4, "w={w} k={k}");
+            assert_eq!(&bytes[bytes.len() - 4..], &crc.to_le_bytes(), "w={w} k={k}");
+        }
     }
 
     /// Formatting is compute-stage work and only happens for subgraphs

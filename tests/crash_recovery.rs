@@ -202,6 +202,43 @@ fn resume_skips_verified_subgraphs_and_redoes_damaged_ones() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Subgraph files in the earlier 68-byte-record layout no longer decode,
+/// so resume finds every committed partition unverified and rebuilds it:
+/// the run ends byte-identical to a fresh one.
+#[test]
+fn resume_rebuilds_subgraphs_of_the_68_byte_record_layout() {
+    let dir = common::fresh_dir("old-layout");
+    let rs = reads();
+    let full = ParaHash::new(config(&dir, false)).unwrap().run(&rs).unwrap();
+    let before = common::subgraph_bytes(&dir);
+    drop_final_journal_record(&dir);
+    for (name, bytes) in &before {
+        let old = old_layout(&hashgraph::decode_subgraph(bytes).unwrap());
+        assert!(hashgraph::decode_subgraph(&old).is_err(), "{name}");
+        std::fs::write(dir.join("subgraphs").join(name), old).unwrap();
+    }
+    let resumed = resuming(&dir, false).run(&rs).unwrap();
+    assert_eq!(resumed.graph, full.graph);
+    assert_eq!(common::subgraph_bytes(&dir), before, "every partition must be rewritten identically");
+    assert!(RunJournal::replay(&dir).unwrap().complete);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The earlier vertex-run layout: `u64 count | u8 k`, then per vertex
+/// 4×`u64` key words, a `u32` count and 8×`u32` edges, then the CRC-32.
+fn old_layout(sub: &hashgraph::SubGraph) -> Vec<u8> {
+    let mut out = (sub.len() as u64).to_le_bytes().to_vec();
+    out.push(sub.k() as u8);
+    for (kmer, data) in sub.entries() {
+        kmer.words().iter().for_each(|w| out.extend_from_slice(&w.to_le_bytes()));
+        out.extend_from_slice(&data.count.to_le_bytes());
+        data.edges.iter().for_each(|e| out.extend_from_slice(&e.to_le_bytes()));
+    }
+    let crc = msp::crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
 /// Frame-aware cut of the journal's trailing `run-complete` record, so
 /// the directory reads as an interrupted (resumable) run.
 fn drop_final_journal_record(dir: &Path) {
