@@ -444,7 +444,7 @@ mod tests {
             let g = graph_of_reads(&reads, k, p, n, threads);
             assert_eq!(g.distinct_vertices(), reference.len(), "k={k} p={p} n={n}");
             for (kmer, data) in reference {
-                assert_eq!(g.get(&kmer), Some(&data), "vertex {kmer} differs (k={k})");
+                assert_eq!(g.get(&kmer), Some(data), "vertex {kmer} differs (k={k})");
             }
         }
     }
@@ -459,7 +459,7 @@ mod tests {
         let g2 = graph_of_reads(&both, 7, 4, 4, 1);
         assert_eq!(g1.distinct_vertices(), g2.distinct_vertices());
         for (kmer, data) in g1.iter() {
-            let d2 = g2.get(kmer).expect("vertex must exist in doubled graph");
+            let d2 = g2.get(&kmer).expect("vertex must exist in doubled graph");
             assert_eq!(d2.count, 2 * data.count);
         }
     }

@@ -4,6 +4,8 @@ use std::sync::OnceLock;
 
 use dna::{Base, Kmer, Orientation};
 
+use crate::store::{self, Codec};
+
 /// Hasher of the graph's position index: the splitmix-style word mixer of
 /// [`Kmer::hash64_of_words`], one round per 8 key bytes, in place of
 /// SipHash — indexing is one probe per vertex, and hashing the 41-byte
@@ -171,20 +173,28 @@ impl SubGraph {
     }
 }
 
-/// The full De Bruijn graph, held the way Step 2 produces it: a list of
-/// key-disjoint vertex *runs* (one per absorbed [`SubGraph`], entries in
-/// the order they arrived) plus a position index, canonical k-mer →
-/// `(run, position)`, that exists only once somebody asks for a vertex
-/// by key.
+/// The full De Bruijn graph, held the way Step 2 commits it: a list of
+/// key-disjoint vertex *runs*, each in the record layout of a `sub-*.dbg`
+/// file ([`crate::encode_subgraph`]) — ⌈k/32⌉ little-endian key words, then the
+/// count and eight edge counters at one width `w ∈ {1, 2, 4}` per run,
+/// 17 bytes a vertex at k ≤ 32 with counters under 256 — plus a position
+/// index, canonical k-mer → `(run, position)`, that exists only once
+/// somebody asks for a vertex by key.
 ///
-/// Assembling a graph and walking all of it — [`absorb`](Self::absorb),
+/// A committed subgraph file *is* a run: [`absorb_encoded`](Self::absorb_encoded)
+/// keeps its bytes, header and trailer trimmed, without a copy.
+/// [`absorb`](Self::absorb) packs a table snapshot into the same layout.
+/// Vertices come out by value ([`iter`](Self::iter), [`get`](Self::get)),
+/// decoded by a codec chosen once per run.
+///
+/// Assembling a graph and walking all of it — the `absorb`s,
 /// [`iter`](Self::iter), the totals, [`crate::write_graph`] — never
 /// hashes a k-mer. The first keyed access ([`get`](Self::get),
 /// [`successors`](Self::successors) / [`predecessors`](Self::predecessors),
 /// `==`, [`merge_vertex`](Self::merge_vertex),
 /// [`remove_vertex`](Self::remove_vertex)) builds the index in one pass
 /// at its exact final capacity, and that pass is where the disjointness
-/// [`absorb`](Self::absorb) relies on is checked.
+/// the `absorb`s rely on is checked.
 ///
 /// # Examples
 ///
@@ -211,12 +221,103 @@ impl SubGraph {
 pub struct DeBruijnGraph {
     k: usize,
     /// The vertices. No key occurs twice, within a run or across runs.
-    runs: Vec<Vec<(Kmer, VertexData)>>,
+    runs: Vec<Run>,
     /// Σ run lengths.
     len: usize,
     /// Position of every vertex in `runs`. Unset until the first keyed
     /// access; every `&mut` method either keeps it exact or unsets it.
     index: OnceLock<KmerIndex>,
+}
+
+/// One run of vertices: `bytes[start..]` is a whole number of records of
+/// `codec`'s shape. `start` skips the header of an absorbed container
+/// image; a run packed here starts at 0.
+#[derive(Debug, Clone)]
+struct Run {
+    bytes: Vec<u8>,
+    start: usize,
+    codec: Codec,
+}
+
+impl Run {
+    fn records(&self) -> &[u8] {
+        &self.bytes[self.start..]
+    }
+
+    fn len(&self) -> usize {
+        self.records().len() / self.codec.len()
+    }
+
+    /// Where record `pos` sits in `bytes`.
+    fn span(&self, pos: usize) -> std::ops::Range<usize> {
+        let at = self.start + pos * self.codec.len();
+        at..at + self.codec.len()
+    }
+
+    fn vertex(&self, pos: usize) -> (Kmer, VertexData) {
+        self.codec.read(&self.bytes[self.span(pos)])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Kmer, VertexData)> + '_ {
+        let codec = self.codec;
+        self.records().chunks_exact(codec.len()).map(move |record| codec.read(record))
+    }
+
+    /// Repacks the run at the width `data`'s counters need, if that is
+    /// wider than the run's.
+    fn fit(&mut self, data: &VertexData) {
+        let w = store::width_of(store::counter_bits(data));
+        if w <= self.codec.w() {
+            return;
+        }
+        let wider = Codec::new(self.codec.k(), w);
+        let mut bytes = vec![0; self.len() * wider.len()];
+        let records = self.records().chunks_exact(self.codec.len());
+        for (dst, src) in bytes.chunks_exact_mut(wider.len()).zip(records) {
+            let (kmer, vertex) = self.codec.read(src);
+            wider.write(dst, &kmer, &vertex);
+        }
+        *self = Run { bytes, start: 0, codec: wider };
+    }
+
+    /// Overwrites record `pos`, widening the run first if need be.
+    fn set(&mut self, pos: usize, kmer: &Kmer, data: &VertexData) {
+        self.fit(data);
+        let span = self.span(pos);
+        self.codec.write(&mut self.bytes[span], kmer, data);
+    }
+
+    /// Appends a record, widening the run first if need be.
+    fn push(&mut self, kmer: Kmer, data: VertexData) {
+        self.fit(&data);
+        self.codec.pack(&mut self.bytes, [(kmer, data)].iter());
+    }
+
+    /// Removes record `pos` by moving the last record into its place;
+    /// returns the moved record's k-mer, if one moved.
+    fn swap_remove(&mut self, pos: usize) -> Option<Kmer> {
+        let (hole, last) = (self.span(pos), self.span(self.len() - 1));
+        let moved = (hole != last).then(|| {
+            self.bytes.copy_within(last.clone(), hole.start);
+            self.codec.key(&self.bytes[hole])
+        });
+        self.bytes.truncate(last.start);
+        moved
+    }
+
+    /// Keeps the records whose count is at least `min_count`, compacted
+    /// in place in their order.
+    fn retain(&mut self, min_count: u32) {
+        let len = self.codec.len();
+        let mut kept = self.start;
+        for at in (self.start..self.bytes.len()).step_by(len) {
+            if self.codec.sum(&self.bytes[at..at + len], 0..1) >= u64::from(min_count) {
+                self.bytes.copy_within(at..at + len, kept);
+                kept += len;
+            }
+        }
+        self.bytes.truncate(kept);
+    }
 }
 
 impl PartialEq for DeBruijnGraph {
@@ -225,7 +326,7 @@ impl PartialEq for DeBruijnGraph {
     fn eq(&self, other: &DeBruijnGraph) -> bool {
         self.k == other.k
             && self.len == other.len
-            && self.iter().all(|(kmer, data)| other.get(kmer) == Some(data))
+            && self.iter().all(|(kmer, data)| other.get(&kmer) == Some(data))
     }
 }
 
@@ -242,8 +343,9 @@ impl DeBruijnGraph {
         self.k
     }
 
-    /// Takes a subgraph's vertices into the graph: its entry vector
-    /// becomes one more run — O(1), nothing is copied or hashed.
+    /// Takes a subgraph's vertices into the graph as one more run, packed
+    /// in the snapshot's order at the narrowest counter width that holds
+    /// them ([`crate::pack_subgraph`]'s records). Nothing is hashed.
     ///
     /// Every key of `sub` must be **new to the graph** (and distinct
     /// within `sub`). Subgraphs of one run are, by the MSP cut: every
@@ -261,13 +363,44 @@ impl DeBruijnGraph {
         if sub.is_empty() {
             return;
         }
-        self.index.take();
-        self.len += sub.len();
-        self.runs.push(sub.into_entries());
+        let (bytes, codec) = store::pack_run(self.k, 0, 0, sub.entries().iter());
+        self.push_run(Run { bytes, start: 0, codec });
     }
 
-    /// The position index, built on first use: one pass over the runs
-    /// into a map allocated at its final size.
+    /// Takes one vertex-run container image — a committed `sub-*.dbg`
+    /// file's bytes, [`crate::encode_subgraph`]'s or
+    /// [`crate::pack_subgraph`]'s — into the graph as one more run: the
+    /// header and CRC trailer are trimmed off, the records stay where
+    /// they are. O(1), nothing is copied, decoded or hashed.
+    ///
+    /// The caller has checked the image ([`crate::check_subgraph`], or it
+    /// encoded the image itself); only the header is read here, and the
+    /// trailer is not recomputed. Keys must be new to the graph, as for
+    /// [`absorb`](Self::absorb).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the header is malformed or does not match the image's
+    /// length, or declares a different `k`.
+    pub fn absorb_encoded(&mut self, image: Vec<u8>) {
+        let (bytes, start, codec) = store::records_of(image)
+            .unwrap_or_else(|e| panic!("`absorb_encoded` takes a checked container: {e}"));
+        let k = codec.k();
+        assert_eq!(k, self.k, "cannot absorb a k={k} subgraph into a k={} graph", self.k);
+        let run = Run { bytes, start, codec };
+        if run.len() > 0 {
+            self.push_run(run);
+        }
+    }
+
+    fn push_run(&mut self, run: Run) {
+        self.index.take();
+        self.len += run.len();
+        self.runs.push(run);
+    }
+
+    /// The position index, built on first use: one pass over the runs'
+    /// keys into a map allocated at its final size.
     fn index(&self) -> &KmerIndex {
         self.index.get_or_init(|| {
             // No run is longer than `len`, so both halves of a position fit.
@@ -275,8 +408,9 @@ impl DeBruijnGraph {
             assert!(fits(self.runs.len()) && fits(self.len), "positions are (u32 run, u32 pos)");
             let mut index = KmerIndex::with_capacity_and_hasher(self.len, Default::default());
             for (r, run) in self.runs.iter().enumerate() {
-                for (pos, (kmer, _)) in run.iter().enumerate() {
-                    let clash = index.insert(*kmer, (r as u32, pos as u32));
+                for (pos, record) in run.records().chunks_exact(run.codec.len()).enumerate() {
+                    let kmer = run.codec.key(record);
+                    let clash = index.insert(kmer, (r as u32, pos as u32));
                     assert!(
                         clash.is_none(),
                         "k-mer {kmer} was absorbed twice: `absorb` takes vertices new to the \
@@ -295,29 +429,33 @@ impl DeBruijnGraph {
     }
 
     /// Merges one vertex record: added to the vertex's data if the graph
-    /// has it, a new vertex otherwise.
+    /// has it, a new vertex at the end of the last run otherwise. A
+    /// counter that outgrows its run's width repacks that run wider.
     pub fn merge_vertex(&mut self, kmer: Kmer, data: VertexData) {
         debug_assert!(kmer.is_canonical(), "vertices must be canonical k-mers");
         self.index();
         let index = self.index.get_mut().expect("built on the line above");
         if let Some(&(r, pos)) = index.get(&kmer) {
-            self.runs[r as usize][pos as usize].1.merge(&data);
+            let run = &mut self.runs[r as usize];
+            let mut merged = run.vertex(pos as usize).1;
+            merged.merge(&data);
+            run.set(pos as usize, &kmer, &merged);
             return;
         }
         assert!(self.len < u32::MAX as usize, "positions are (u32 run, u32 pos)");
         if self.runs.is_empty() {
-            self.runs.push(Vec::new());
+            self.runs.push(Run { bytes: Vec::new(), start: 0, codec: Codec::new(self.k, 1) });
         }
         let r = self.runs.len() - 1;
         index.insert(kmer, (r as u32, self.runs[r].len() as u32));
-        self.runs[r].push((kmer, data));
+        self.runs[r].push(kmer, data);
         self.len += 1;
     }
 
     /// The data for a canonical k-mer, if present.
-    pub fn get(&self, kmer: &Kmer) -> Option<&VertexData> {
+    pub fn get(&self, kmer: &Kmer) -> Option<VertexData> {
         let &(r, pos) = self.index().get(kmer)?;
-        Some(&self.runs[r as usize][pos as usize].1)
+        Some(self.runs[r as usize].vertex(pos as usize).1)
     }
 
     /// Number of distinct vertices (the paper's graph-size metric).
@@ -325,9 +463,10 @@ impl DeBruijnGraph {
         self.len
     }
 
-    /// Total k-mer occurrences merged into the graph.
+    /// Total k-mer occurrences merged into the graph: a read of the count
+    /// column, no vertex decoded.
     pub fn total_kmer_occurrences(&self) -> u64 {
-        self.iter().map(|(_, v)| v.count as u64).sum()
+        self.runs.iter().map(|run| run.codec.sum(run.records(), 0..1)).sum()
     }
 
     /// Occurrences that were duplicates of an already-present vertex
@@ -336,20 +475,16 @@ impl DeBruijnGraph {
         self.total_kmer_occurrences() - self.distinct_vertices() as u64
     }
 
-    /// Sum of all edge multiplicities over all vertices.
+    /// Sum of all edge multiplicities over all vertices: a read of the
+    /// eight edge columns, no vertex decoded.
     pub fn total_edge_multiplicity(&self) -> u64 {
-        self.iter().map(|(_, v)| v.total_edge_multiplicity()).sum()
+        self.runs.iter().map(|run| run.codec.sum(run.records(), 1..9)).sum()
     }
 
-    /// Iterates over `(canonical k-mer, data)` in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Kmer, &VertexData)> {
-        self.entries().map(|(kmer, data)| (kmer, data))
-    }
-
-    /// The vertices as the runs hold them — what the store's encoder
-    /// takes from a [`SubGraph`] too.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = &(Kmer, VertexData)> {
-        self.runs.iter().flatten()
+    /// Iterates over `(canonical k-mer, data)` in arbitrary order, each
+    /// vertex decoded from its record.
+    pub fn iter(&self) -> impl Iterator<Item = (Kmer, VertexData)> + '_ {
+        self.runs.iter().flat_map(Run::iter)
     }
 
     /// The canonical successors of `kmer` when read in orientation
@@ -419,11 +554,9 @@ impl DeBruijnGraph {
         let Some((r, pos)) = index.remove(kmer) else {
             return false;
         };
-        let run = &mut self.runs[r as usize];
-        run.swap_remove(pos as usize);
         // The run's last vertex now sits where the removed one was.
-        if let Some((moved, _)) = run.get(pos as usize) {
-            index.insert(*moved, (r, pos));
+        if let Some(moved) = self.runs[r as usize].swap_remove(pos as usize) {
+            index.insert(moved, (r, pos));
         }
         self.len -= 1;
         true
@@ -437,9 +570,9 @@ impl DeBruijnGraph {
     pub fn filter_min_count(&mut self, min_count: u32) -> usize {
         let before = self.len;
         for run in &mut self.runs {
-            run.retain(|(_, v)| v.count >= min_count);
+            run.retain(min_count);
         }
-        self.len = self.runs.iter().map(Vec::len).sum();
+        self.len = self.runs.iter().map(Run::len).sum();
         if self.len != before {
             self.index.take();
         }
@@ -450,10 +583,9 @@ impl DeBruijnGraph {
     /// accounting in the Table III experiment): what the runs have
     /// allocated, plus the index once it exists.
     pub fn approx_bytes(&self) -> usize {
-        let vertex = std::mem::size_of::<(Kmer, VertexData)>();
         // A map bucket: the entry and its control byte.
         let bucket = std::mem::size_of::<(Kmer, (u32, u32))>() + 1;
-        self.runs.iter().map(|run| run.capacity() * vertex).sum::<usize>()
+        self.runs.iter().map(|run| run.bytes.capacity()).sum::<usize>()
             + self.index.get().map_or(0, |index| index.capacity() * bucket)
     }
 }
@@ -580,7 +712,7 @@ mod tests {
         // One run: `iter` walks it in the order the index build will.
         let mut g = DeBruijnGraph::new(27);
         g.absorb(slot_ordered_subgraph(200_000));
-        let slot_order: Vec<(&Kmer, &VertexData)> = g.iter().collect();
+        let slot_order: Vec<(Kmer, VertexData)> = g.iter().collect();
         let table_hashes: Vec<u64> = slot_order.iter().map(|(k, _)| k.hash64()).collect();
         let in_order = table_hashes.windows(2).filter(|w| w[0] <= w[1]).count() as f64;
         assert!(
@@ -602,43 +734,74 @@ mod tests {
         // And the index built from that feed finds every vertex where it is.
         assert!(!g.is_indexed());
         for (kmer, data) in slot_order {
-            assert_eq!(g.get(kmer), Some(data));
+            assert_eq!(g.get(&kmer), Some(data));
         }
     }
 
+    /// How a model-test run enters the graph.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        /// [`DeBruijnGraph::absorb`] of the snapshot.
+        Snapshot,
+        /// [`DeBruijnGraph::absorb_encoded`] of the committed file image.
+        File,
+        /// [`DeBruijnGraph::absorb_encoded`] of the unsorted packing.
+        Packed,
+    }
+
     /// What the model test does to the graph and to its `BTreeMap` twin.
+    /// Every vertex is [`vertex`]`(n, hot)`.
     #[derive(Debug, Clone)]
     enum Op {
-        /// Absorb these keys as one run (those the graph lacks — `absorb`
-        /// takes new keys only), each with this count.
-        Absorb(Vec<usize>, u32),
-        Merge(usize, u32),
+        /// Absorb these keys as one run (those the graph lacks — the
+        /// `absorb`s take new keys only).
+        Absorb(Vec<usize>, u32, usize, Entry),
+        Merge(usize, u32, usize),
         Remove(usize),
         Filter(u32),
         /// Look every key of the domain up, which builds the index.
         Lookup,
     }
 
-    /// 48 distinct canonical 5-mers: few enough that operations collide.
-    fn key_domain() -> Vec<Kmer> {
-        let mut keys: Vec<Kmer> = (0u32..1024)
-            .map(|code| {
-                let bases = (0..5).map(|i| Base::ALL[(code >> (2 * i)) as usize & 3]);
-                Kmer::from_bases(5, bases).unwrap().canonical().0
-            })
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.truncate(48);
-        keys
+    /// Counter `hot` (0 the count, 1..9 an edge) is `n`, the others 1:
+    /// a large `n` widens a run through the count alone or one edge alone.
+    fn vertex(n: u32, hot: usize) -> VertexData {
+        let mut counters = [1u32; 9];
+        counters[hot] = n;
+        VertexData { count: counters[0], edges: std::array::from_fn(|e| counters[e + 1]) }
+    }
+
+    /// 48 distinct canonical `k`-mers from a fixed stream: few enough that
+    /// operations collide.
+    fn key_domain(k: usize) -> Vec<Kmer> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut keys = std::collections::BTreeSet::new();
+        while keys.len() < 48 {
+            let bases: Vec<Base> = (0..k)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    Base::ALL[(state >> 62) as usize]
+                })
+                .collect();
+            keys.insert(Kmer::from_bases(k, bases).unwrap().canonical().0);
+        }
+        keys.into_iter().collect()
+    }
+
+    /// Small amounts, and amounts that take a counter past 255 and 65 535
+    /// on their own or in a few merges.
+    fn amount() -> impl Strategy<Value = u32> {
+        prop_oneof![1u32..6, Just(200), Just(300), Just(65_000), Just(70_000)]
     }
 
     fn op() -> impl Strategy<Value = Op> {
+        let entry = prop_oneof![Just(Entry::Snapshot), Just(Entry::File), Just(Entry::Packed)];
         prop_oneof![
-            (prop::collection::vec(0usize..48, 0..12), 1u32..6).prop_map(|(keys, n)| Op::Absorb(keys, n)),
-            (0usize..48, 1u32..6).prop_map(|(key, n)| Op::Merge(key, n)),
+            (prop::collection::vec(0usize..48, 0..12), amount(), 0usize..9, entry)
+                .prop_map(|(keys, n, hot, entry)| Op::Absorb(keys, n, hot, entry)),
+            (0usize..48, amount(), 0usize..9).prop_map(|(key, n, hot)| Op::Merge(key, n, hot)),
             (0usize..48).prop_map(Op::Remove),
-            (0u32..5).prop_map(Op::Filter),
+            prop_oneof![0u32..5, Just(256), Just(65_536)].prop_map(Op::Filter),
             Just(Op::Lookup),
         ]
     }
@@ -646,39 +809,47 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
-        /// Random interleavings of every mutation against a `BTreeMap`:
-        /// the unkeyed view (`iter`, the totals) agrees after every step
-        /// whether or not the index exists at that moment, the keyed view
-        /// whenever it is asked — so an index that survived a mutation it
-        /// should not have (`absorb`, `filter_min_count`), or that
-        /// `remove_vertex`'s swap left pointing at the wrong position,
-        /// shows up as a wrong `get`.
+        /// Random interleavings of every mutation against a `BTreeMap`, at
+        /// k = 5 (one key word) and k = 65 (three): the unkeyed view
+        /// (`iter`, the totals) agrees after every step whether or not the
+        /// index exists at that moment, the keyed view whenever it is
+        /// asked — so an index that survived a mutation it should not have
+        /// (an `absorb`, `filter_min_count`), or that `remove_vertex`'s
+        /// swap left pointing at the wrong position, shows up as a wrong
+        /// `get`. Runs enter as snapshots and as container images, and
+        /// merges widen them from 1- to 2- to 4-byte counters between
+        /// removals and filters.
         #[test]
         fn graph_agrees_with_a_btreemap_model(ops in prop::collection::vec(op(), 1..40)) {
             use std::collections::BTreeMap;
-            let keys = key_domain();
-            let data = |count: u32| VertexData { count, edges: [count; 8] };
             // Both kernel modes: no graph answer may depend on which is live.
             let _guard = dna::simd::override_guard();
-            for scalar in [false, true] {
+            for (k, scalar) in [(5, false), (5, true), (65, false), (65, true)] {
                 dna::simd::set_force_scalar_override(Some(scalar));
-                let mut g = DeBruijnGraph::new(5);
+                let keys = key_domain(k);
+                let mut g = DeBruijnGraph::new(k);
                 let mut model: BTreeMap<Kmer, VertexData> = BTreeMap::new();
                 for op in ops.iter().cloned() {
                     match op {
-                        Op::Absorb(mut ids, n) => {
+                        Op::Absorb(mut ids, n, hot, entry) => {
                             ids.sort_unstable();
                             ids.dedup();
                             ids.retain(|&i| !model.contains_key(&keys[i]));
-                            let run: Vec<_> = ids.iter().map(|&i| (keys[i], data(n))).collect();
+                            let run: Vec<_> =
+                                ids.iter().map(|&i| (keys[i], vertex(n, hot))).collect();
                             model.extend(run.iter().copied());
                             let grew = !run.is_empty();
-                            g.absorb(SubGraph::new(5, run));
+                            let sub = SubGraph::new(k, run);
+                            match entry {
+                                Entry::Snapshot => g.absorb(sub),
+                                Entry::File => g.absorb_encoded(crate::encode_subgraph(&sub)),
+                                Entry::Packed => g.absorb_encoded(crate::pack_subgraph(&sub)),
+                            }
                             prop_assert!(!(grew && g.is_indexed()));
                         }
-                        Op::Merge(i, n) => {
-                            model.entry(keys[i]).or_default().merge(&data(n));
-                            g.merge_vertex(keys[i], data(n));
+                        Op::Merge(i, n, hot) => {
+                            model.entry(keys[i]).or_default().merge(&vertex(n, hot));
+                            g.merge_vertex(keys[i], vertex(n, hot));
                         }
                         Op::Remove(i) => {
                             prop_assert_eq!(g.remove_vertex(&keys[i]), model.remove(&keys[i]).is_some());
@@ -690,25 +861,52 @@ mod tests {
                         }
                         Op::Lookup => {
                             for key in &keys {
-                                prop_assert_eq!(g.get(key), model.get(key));
+                                prop_assert_eq!(g.get(key), model.get(key).copied());
                             }
                             prop_assert!(g.is_indexed());
                         }
                     }
-                    let mut seen: Vec<(Kmer, VertexData)> = g.iter().map(|(k, v)| (*k, *v)).collect();
+                    let mut seen: Vec<(Kmer, VertexData)> = g.iter().collect();
                     seen.sort_unstable_by_key(|entry| entry.0);
                     let want: Vec<(Kmer, VertexData)> = model.iter().map(|(k, v)| (*k, *v)).collect();
                     prop_assert_eq!(seen, want);
                     prop_assert_eq!(g.distinct_vertices(), model.len());
                     let occurrences: u64 = model.values().map(|v| v.count as u64).sum();
                     prop_assert_eq!(g.total_kmer_occurrences(), occurrences);
+                    let edges: u64 = model.values().map(VertexData::total_edge_multiplicity).sum();
+                    prop_assert_eq!(g.total_edge_multiplicity(), edges);
                 }
                 for key in &keys {
-                    prop_assert_eq!(g.get(key), model.get(key));
+                    prop_assert_eq!(g.get(key), model.get(key).copied());
                 }
             }
             dna::simd::set_force_scalar_override(None);
         }
+    }
+
+    /// The widths the model test passes through, pinned: a merge that
+    /// takes a counter past 255 repacks its run at 2 bytes, past 65 535
+    /// at 4, every other vertex of the run keeping its value; removal and
+    /// the filter then work on the 4-byte records.
+    #[test]
+    fn merge_vertex_repacks_its_run_wider() {
+        let keys = key_domain(27);
+        let mut g = DeBruijnGraph::new(27);
+        g.absorb(SubGraph::new(27, keys[..6].iter().map(|&k| (k, vertex(2, 0))).collect()));
+        let widths = |g: &DeBruijnGraph| g.runs.iter().map(|run| run.codec.w()).collect::<Vec<_>>();
+        assert_eq!(widths(&g), [1]);
+        g.merge_vertex(keys[1], vertex(300, 4));
+        assert_eq!(widths(&g), [2]);
+        assert_eq!(g.get(&keys[1]).unwrap().edges[3], 301);
+        g.merge_vertex(keys[6], vertex(70_000, 0));
+        assert_eq!(widths(&g), [4], "a new vertex lands in the last run");
+        assert_eq!(g.runs[0].records().len(), 7 * (8 + 9 * 4));
+        assert!(g.remove_vertex(&keys[0]));
+        assert_eq!(g.get(&keys[6]), Some(vertex(70_000, 0)), "the swapped-in vertex is found");
+        assert_eq!(g.filter_min_count(3), 4);
+        let left: Vec<_> = g.iter().map(|(k, _)| k).collect();
+        assert_eq!(left, [keys[6], keys[1]]);
+        assert_eq!(g.total_kmer_occurrences(), 70_000 + 3);
     }
 
     #[test]
@@ -795,7 +993,7 @@ mod tests {
         let run = vec![(km("AAC").canonical().0, VertexData::default()); 1];
         g.absorb(SubGraph::new(3, run));
         let unindexed = g.approx_bytes();
-        assert!(unindexed >= std::mem::size_of::<(Kmer, VertexData)>());
+        assert_eq!(unindexed, 8 + 9, "one record: a key word and nine 1-byte counters");
         assert!(g.get(&km("AAC").canonical().0).is_some());
         assert!(g.approx_bytes() > unindexed, "the index is memory too");
     }

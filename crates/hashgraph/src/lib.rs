@@ -73,7 +73,8 @@ pub use pool::{PooledTable, TablePool};
 pub use spectrum::Spectrum;
 pub use stats::AssemblyStats;
 pub use store::{
-    decode_subgraph, encode_subgraph, load_graph, read_graph, save_graph, write_graph, StoreError,
+    check_subgraph, decode_subgraph, encode_subgraph, load_graph, pack_subgraph, read_graph,
+    save_graph, write_graph, StoreError,
 };
 pub use table::{ConcurrentDbgTable, VertexTable, SLOT_BYTES};
 pub use unitig::{unitigs, unitigs_with, Unitig};

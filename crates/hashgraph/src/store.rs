@@ -16,8 +16,13 @@
 //! largest counter, so it follows from the data: equal vertex sets
 //! serialise to identical bytes, and every record of a file has the same
 //! width (`8·⌈k/32⌉ + 9·w` bytes — 17 at k ≤ 32 with counters under 256).
+//!
+//! The record layout is also how a [`DeBruijnGraph`] holds its vertices
+//! in memory: one [`Codec`] packs and unpacks records for the file
+//! encoder, the file decoder and the graph alike.
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use dna::Kmer;
@@ -28,12 +33,191 @@ use crate::{DeBruijnGraph, SubGraph, VertexData};
 const HEADER_BYTES: usize = 10;
 /// The CRC-32 trailer.
 const TRAILER_BYTES: usize = 4;
-/// The widest record: `MAX_K`'s key words and nine 4-byte counters.
-const MAX_RECORD_BYTES: usize = dna::MAX_K / 4 + 9 * 4;
 
 /// Bytes of one record of a `k`-mer file with `w`-byte counters.
 fn record_bytes(k: usize, w: usize) -> usize {
     k.div_ceil(32) * 8 + 9 * w
+}
+
+/// The OR of a vertex's nine counters: its bit length is the width the
+/// largest of them needs.
+pub(crate) fn counter_bits(data: &VertexData) -> u32 {
+    data.edges.iter().fold(data.count, |acc, &e| acc | e)
+}
+
+/// The narrowest counter width, in bytes, that holds a counter of `bits`.
+pub(crate) fn width_of(bits: u32) -> usize {
+    match bits {
+        0..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        _ => 4,
+    }
+}
+
+/// The record codec of one run shape — `N = ⌈k/32⌉` key words and counter
+/// width `W` — as functions monomorphic in both. It is chosen once per
+/// run ([`Codec::new`]), so a walk over a run's records never branches on
+/// the shape: each record costs one call through a function pointer whose
+/// body knows every offset.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Codec {
+    k: usize,
+    w: usize,
+    len: usize,
+    read: fn(&[u8], usize) -> (Kmer, VertexData),
+    key: fn(&[u8], usize) -> Kmer,
+    write: fn(&mut [u8], &Kmer, &VertexData),
+    sum: fn(&[u8], Range<usize>) -> u64,
+}
+
+impl Codec {
+    /// The codec of `k`-mer records with `w`-byte counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ k ≤ MAX_K` and `w ∈ {1, 2, 4}` — a container's
+    /// header is checked before it gets here.
+    pub(crate) fn new(k: usize, w: usize) -> Codec {
+        fn widths<const N: usize>(k: usize, w: usize) -> Codec {
+            match w {
+                1 => Codec::of::<N, 1>(k),
+                2 => Codec::of::<N, 2>(k),
+                4 => Codec::of::<N, 4>(k),
+                _ => unreachable!("counter width {w} is not 1, 2 or 4"),
+            }
+        }
+        assert!((1..=dna::MAX_K).contains(&k), "k={k} out of range");
+        match k.div_ceil(32) {
+            1 => widths::<1>(k, w),
+            2 => widths::<2>(k, w),
+            3 => widths::<3>(k, w),
+            _ => widths::<4>(k, w),
+        }
+    }
+
+    fn of<const N: usize, const W: usize>(k: usize) -> Codec {
+        Codec {
+            k,
+            w: W,
+            len: 8 * N + 9 * W,
+            read: read_record::<N, W>,
+            key: read_key::<N>,
+            write: write_record::<N, W>,
+            sum: sum_counters::<N, W>,
+        }
+    }
+
+    /// The k-mer length.
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Counter width in bytes.
+    pub(crate) fn w(&self) -> usize {
+        self.w
+    }
+
+    /// Bytes per record.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The vertex in `record`.
+    #[inline]
+    pub(crate) fn read(&self, record: &[u8]) -> (Kmer, VertexData) {
+        (self.read)(record, self.k)
+    }
+
+    /// The k-mer in `record`, its counters unread.
+    #[inline]
+    pub(crate) fn key(&self, record: &[u8]) -> Kmer {
+        (self.key)(record, self.k)
+    }
+
+    /// Writes `(kmer, data)` over `record`. Counters must fit the width.
+    #[inline]
+    pub(crate) fn write(&self, record: &mut [u8], kmer: &Kmer, data: &VertexData) {
+        debug_assert!(width_of(counter_bits(data)) <= self.w, "{data:?} overflows w={}", self.w);
+        (self.write)(record, kmer, data)
+    }
+
+    /// Σ over whole records of counters `counters` (0 is the count, 1..9
+    /// the edges): a strided read of those columns, no k-mer built.
+    pub(crate) fn sum(&self, records: &[u8], counters: Range<usize>) -> u64 {
+        (self.sum)(records, counters)
+    }
+
+    /// Appends `entries` to `out` as records.
+    pub(crate) fn pack<'a>(
+        &self,
+        out: &mut Vec<u8>,
+        entries: impl ExactSizeIterator<Item = &'a (Kmer, VertexData)>,
+    ) {
+        let start = out.len();
+        out.resize(start + entries.len() * self.len, 0);
+        for (record, (kmer, data)) in out[start..].chunks_exact_mut(self.len).zip(entries) {
+            self.write(record, kmer, data);
+        }
+    }
+}
+
+/// Counter `i` of a record with `N` key words and `W`-byte counters.
+#[inline(always)]
+fn counter<const N: usize, const W: usize>(record: &[u8], i: usize) -> u32 {
+    let at = 8 * N + W * i;
+    let mut le = [0u8; 4];
+    le[..W].copy_from_slice(&record[at..at + W]);
+    u32::from_le_bytes(le)
+}
+
+fn read_key<const N: usize>(record: &[u8], k: usize) -> Kmer {
+    let mut words = [0u64; 4];
+    for (word, src) in words[..N].iter_mut().zip(record[..8 * N].chunks_exact(8)) {
+        *word = u64::from_le_bytes(src.try_into().expect("8 bytes"));
+    }
+    Kmer::from_words(words, k).expect("a codec's k is in range")
+}
+
+fn read_record<const N: usize, const W: usize>(record: &[u8], k: usize) -> (Kmer, VertexData) {
+    let record = &record[..8 * N + 9 * W];
+    let data = VertexData {
+        count: counter::<N, W>(record, 0),
+        edges: std::array::from_fn(|e| counter::<N, W>(record, e + 1)),
+    };
+    (read_key::<N>(record, k), data)
+}
+
+fn write_record<const N: usize, const W: usize>(record: &mut [u8], kmer: &Kmer, data: &VertexData) {
+    let (keys, counters) = record[..8 * N + 9 * W].split_at_mut(8 * N);
+    for (dst, word) in keys.chunks_exact_mut(8).zip(kmer.words()) {
+        dst.copy_from_slice(&word.to_le_bytes());
+    }
+    let values = std::iter::once(&data.count).chain(&data.edges);
+    for (dst, c) in counters.chunks_exact_mut(W).zip(values) {
+        dst.copy_from_slice(&c.to_le_bytes()[..W]);
+    }
+}
+
+fn sum_counters<const N: usize, const W: usize>(records: &[u8], counters: Range<usize>) -> u64 {
+    records
+        .chunks_exact(8 * N + 9 * W)
+        .map(|record| counters.clone().map(|i| u64::from(counter::<N, W>(record, i))).sum::<u64>())
+        .sum()
+}
+
+/// `entries` as records at the narrowest counter width that holds every
+/// one of them, after `head` zero bytes, in a buffer with room for `tail`
+/// more — the one packer of a container image and of a graph's run.
+pub(crate) fn pack_run<'a, I>(k: usize, head: usize, tail: usize, entries: I) -> (Vec<u8>, Codec)
+where
+    I: ExactSizeIterator<Item = &'a (Kmer, VertexData)> + Clone,
+{
+    let bits = entries.clone().fold(0, |acc, (_, data)| acc | counter_bits(data));
+    let codec = Codec::new(k, width_of(bits));
+    let mut out = Vec::with_capacity(head + entries.len() * codec.len + tail);
+    out.resize(head, 0);
+    codec.pack(&mut out, entries);
+    (out, codec)
 }
 
 /// Errors from reading a stored graph.
@@ -82,42 +266,16 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// One container over `entries`, which it sorts. Keys are distinct, so an
-/// unstable sort on the key alone is deterministic. The counter width is
-/// that of the largest counter (the OR of all of them has its bit length).
-fn encode_run(k: usize, mut entries: Vec<&(Kmer, VertexData)>) -> Vec<u8> {
-    entries.sort_unstable_by_key(|entry| entry.0);
-    let bits = entries
-        .iter()
-        .fold(0u32, |acc, (_, data)| data.edges.iter().fold(acc | data.count, |a, &e| a | e));
-    match bits {
-        0..=0xFF => encode_records::<1>(k, &entries),
-        0x100..=0xFFFF => encode_records::<2>(k, &entries),
-        _ => encode_records::<4>(k, &entries),
-    }
-}
-
-/// [`encode_run`]'s body at counter width `W`: each record is built in a
-/// stack buffer and appended with one `extend`.
-fn encode_records<const W: usize>(k: usize, entries: &[&(Kmer, VertexData)]) -> Vec<u8> {
-    let words = k.div_ceil(32);
-    let len = record_bytes(k, W);
-    let mut out = Vec::with_capacity(HEADER_BYTES + entries.len() * len + TRAILER_BYTES);
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    out.extend_from_slice(&[k as u8, W as u8]);
-    // Every byte of `record[..len]` is rewritten per vertex.
-    let mut record = [0u8; MAX_RECORD_BYTES];
-    for (kmer, data) in entries {
-        let (keys, counters) = record[..len].split_at_mut(words * 8);
-        for (dst, w) in keys.chunks_exact_mut(8).zip(kmer.words()) {
-            dst.copy_from_slice(&w.to_le_bytes());
-        }
-        let values = std::iter::once(&data.count).chain(&data.edges);
-        for (dst, c) in counters.chunks_exact_mut(W).zip(values) {
-            dst.copy_from_slice(&c.to_le_bytes()[..W]);
-        }
-        out.extend_from_slice(&record[..len]);
-    }
+/// One container over `entries`, in the order given. The counter width
+/// is that of the largest counter.
+fn encode<'a, I>(k: usize, entries: I) -> Vec<u8>
+where
+    I: ExactSizeIterator<Item = &'a (Kmer, VertexData)> + Clone,
+{
+    let n = entries.len() as u64;
+    let (mut out, codec) = pack_run(k, HEADER_BYTES, TRAILER_BYTES, entries);
+    out[..8].copy_from_slice(&n.to_le_bytes());
+    out[8..HEADER_BYTES].copy_from_slice(&[k as u8, codec.w() as u8]);
     let crc = msp::crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
@@ -135,25 +293,34 @@ fn encode_records<const W: usize>(k: usize, entries: &[&(Kmer, VertexData)]) -> 
 /// that a resumed run's subgraph files are *byte-identical* to an
 /// uninterrupted run's — only a canonical order survives that comparison.
 pub fn encode_subgraph(sub: &SubGraph) -> Vec<u8> {
-    encode_run(sub.k(), sub.entries().iter().collect())
+    // Keys are distinct, so an unstable sort on the key alone is
+    // deterministic.
+    let mut entries: Vec<&(Kmer, VertexData)> = sub.entries().iter().collect();
+    entries.sort_unstable_by_key(|entry| entry.0);
+    encode(sub.k(), entries.into_iter())
 }
 
-/// Parses one vertex-run container, trusting nothing: k and the counter
-/// width are range-checked and the header's count is checked against the
-/// buffer's length (overflow included) before anything is allocated for
-/// it, then the CRC-32 trailer, then every k-mer.
-///
-/// # Errors
-///
-/// [`StoreError::Corrupt`] with the byte offset and the classification
-/// described there.
-pub fn decode_subgraph(bytes: &[u8]) -> Result<SubGraph, StoreError> {
-    let bad = |offset: usize, fault: &str, detail: String| StoreError::Corrupt {
-        offset: offset as u64,
-        reason: format!("{fault} — {detail}"),
-    };
+/// [`encode_subgraph`] without the canonical sort: the same container,
+/// records in the snapshot's own order — what a graph holds when no file
+/// is written ([`DeBruijnGraph::absorb_encoded`] takes it). Only canonical
+/// order gives equal vertex sets equal bytes, so this is never a file.
+pub fn pack_subgraph(sub: &SubGraph) -> Vec<u8> {
+    encode(sub.k(), sub.entries().iter())
+}
+
+/// A [`StoreError::Corrupt`] at `offset`: `fault` classifies it, `detail`
+/// says what was found.
+fn corrupt(offset: usize, fault: &str, detail: String) -> StoreError {
+    StoreError::Corrupt { offset: offset as u64, reason: format!("{fault} — {detail}") }
+}
+
+/// The header and length checks, O(1): k and the counter width in range,
+/// and the header's count times the record width (overflow included)
+/// exactly the buffer's length between header and trailer. Returns the
+/// codec of the records.
+fn header(bytes: &[u8]) -> Result<Codec, StoreError> {
     if bytes.len() < HEADER_BYTES + TRAILER_BYTES {
-        return Err(bad(
+        return Err(corrupt(
             bytes.len(),
             "truncated tail",
             format!("{} bytes is shorter than the minimal (14-byte) empty encoding", bytes.len()),
@@ -162,10 +329,11 @@ pub fn decode_subgraph(bytes: &[u8]) -> Result<SubGraph, StoreError> {
     let n = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
     let (k, w) = (bytes[8] as usize, bytes[9] as usize);
     if k == 0 || k > dna::MAX_K {
-        return Err(bad(8, "interior corruption", format!("k={k} out of range")));
+        return Err(corrupt(8, "interior corruption", format!("k={k} out of range")));
     }
     if !matches!(w, 1 | 2 | 4) {
-        return Err(bad(9, "interior corruption", format!("counter width {w} is not 1, 2 or 4")));
+        let detail = format!("counter width {w} is not 1, 2 or 4");
+        return Err(corrupt(9, "interior corruption", detail));
     }
     let len = record_bytes(k, w);
     let expected = usize::try_from(n)
@@ -173,7 +341,7 @@ pub fn decode_subgraph(bytes: &[u8]) -> Result<SubGraph, StoreError> {
         .and_then(|n| n.checked_mul(len))
         .and_then(|body| body.checked_add(HEADER_BYTES + TRAILER_BYTES));
     let Some(expected) = expected.filter(|&expected| expected <= bytes.len()) else {
-        return Err(bad(
+        return Err(corrupt(
             bytes.len(),
             "truncated tail",
             format!(
@@ -183,40 +351,67 @@ pub fn decode_subgraph(bytes: &[u8]) -> Result<SubGraph, StoreError> {
         ));
     };
     if bytes.len() > expected {
-        return Err(bad(
+        return Err(corrupt(
             expected,
             "interior corruption",
             format!("{} byte(s) beyond the declared {n} record(s)", bytes.len() - expected),
         ));
     }
+    Ok(Codec::new(k, w))
+}
+
+/// [`header`], then the CRC-32 trailer.
+fn checked(bytes: &[u8]) -> Result<Codec, StoreError> {
+    let codec = header(bytes)?;
     let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_BYTES);
     let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
     let computed = msp::crc32(body);
     if computed != stored {
-        return Err(bad(
+        return Err(corrupt(
             body.len(),
             "interior corruption",
             format!("CRC32 trailer mismatch (stored {stored:#010x}, computed {computed:#010x})"),
         ));
     }
-    let words = k.div_ceil(32);
-    let mut entries = Vec::with_capacity((body.len() - HEADER_BYTES) / len);
-    for record in body[HEADER_BYTES..].chunks_exact(len) {
-        let (keys, counters) = record.split_at(words * 8);
-        let mut key = [0u64; 4];
-        for (dst, src) in key.iter_mut().zip(keys.chunks_exact(8)) {
-            *dst = u64::from_le_bytes(src.try_into().expect("8 bytes"));
-        }
-        let kmer = Kmer::from_words(key, k).expect("k was range-checked above");
-        let counter = |i: usize| {
-            let mut le = [0u8; 4];
-            le[..w].copy_from_slice(&counters[i * w..(i + 1) * w]);
-            u32::from_le_bytes(le)
-        };
-        let data = VertexData { count: counter(0), edges: std::array::from_fn(|e| counter(e + 1)) };
-        entries.push((kmer, data));
-    }
-    Ok(SubGraph::new(k, entries))
+    Ok(codec)
+}
+
+/// A checked container image as a run's storage, without a copy: the
+/// image with its trailer cut off, the offset of its first record, and
+/// the records' codec. Only the header is read; the caller has checked
+/// the rest.
+pub(crate) fn records_of(mut image: Vec<u8>) -> Result<(Vec<u8>, usize, Codec), StoreError> {
+    let codec = header(&image)?;
+    image.truncate(image.len() - TRAILER_BYTES);
+    Ok((image, HEADER_BYTES, codec))
+}
+
+/// The checks every reader makes before it trusts a vertex-run container,
+/// trusting nothing: k and the counter width are range-checked, the
+/// header's count is checked against the buffer's length (overflow
+/// included), then the CRC-32 trailer. Allocates nothing, so no length
+/// the header claims is ever allocated. A buffer that passes can be
+/// handed to [`DeBruijnGraph::absorb_encoded`] as it is.
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] with the byte offset and the classification
+/// described there.
+pub fn check_subgraph(bytes: &[u8]) -> Result<(), StoreError> {
+    checked(bytes).map(|_| ())
+}
+
+/// Parses one vertex-run container: [`check_subgraph`], then every
+/// record materialised.
+///
+/// # Errors
+///
+/// As [`check_subgraph`].
+pub fn decode_subgraph(bytes: &[u8]) -> Result<SubGraph, StoreError> {
+    let codec = checked(bytes)?;
+    let records = &bytes[HEADER_BYTES..bytes.len() - TRAILER_BYTES];
+    let entries = records.chunks_exact(codec.len()).map(|r| codec.read(r)).collect();
+    Ok(SubGraph::new(codec.k(), entries))
 }
 
 /// Writes the whole graph to `w` as one vertex-run container — for a
@@ -229,14 +424,16 @@ pub fn decode_subgraph(bytes: &[u8]) -> Result<SubGraph, StoreError> {
 ///
 /// Propagates I/O failures.
 pub fn write_graph<W: Write>(graph: &DeBruijnGraph, mut w: W) -> Result<(), StoreError> {
-    w.write_all(&encode_run(graph.k(), graph.entries().collect()))?;
+    let mut entries: Vec<(Kmer, VertexData)> = graph.iter().collect();
+    entries.sort_unstable_by_key(|entry| entry.0);
+    w.write_all(&encode(graph.k(), entries.iter()))?;
     w.flush()?;
     Ok(())
 }
 
 /// Reads a graph from `r`: everything `r` holds must be one vertex-run
-/// container ([`decode_subgraph`]), so a `sub-*.dbg` file opens as readily
-/// as a whole-graph file.
+/// container ([`check_subgraph`]), so a `sub-*.dbg` file opens as readily
+/// as a whole-graph file. The checked bytes become the graph's one run.
 ///
 /// # Errors
 ///
@@ -245,9 +442,8 @@ pub fn write_graph<W: Write>(graph: &DeBruijnGraph, mut w: W) -> Result<(), Stor
 pub fn read_graph<R: Read>(mut r: R) -> Result<DeBruijnGraph, StoreError> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
-    let sub = decode_subgraph(&bytes)?;
-    let mut graph = DeBruijnGraph::new(sub.k());
-    graph.absorb(sub);
+    let mut graph = DeBruijnGraph::new(checked(&bytes)?.k());
+    graph.absorb_encoded(bytes);
     Ok(graph)
 }
 
@@ -391,7 +587,7 @@ mod tests {
         let mut old = (g.distinct_vertices() as u64).to_le_bytes().to_vec();
         old.push(g.k() as u8);
         let mut entries: Vec<_> = g.iter().collect();
-        entries.sort_unstable_by_key(|entry| *entry.0);
+        entries.sort_unstable_by_key(|entry| entry.0);
         for (kmer, data) in entries {
             kmer.words().iter().for_each(|w| old.extend_from_slice(&w.to_le_bytes()));
             old.extend_from_slice(&data.count.to_le_bytes());
@@ -432,7 +628,7 @@ mod tests {
     #[test]
     fn a_graph_file_is_a_subgraph_container() {
         let g = sample_graph();
-        let sub = SubGraph::new(g.k(), g.iter().map(|(k, v)| (*k, *v)).collect());
+        let sub = SubGraph::new(g.k(), g.iter().collect());
         let mut buf = Vec::new();
         write_graph(&g, &mut buf).unwrap();
         assert_eq!(buf, encode_subgraph(&sub));
@@ -463,13 +659,17 @@ mod tests {
         SubGraph::new(k, vertices.into_iter().collect())
     }
 
-    fn corrupt_within(result: Result<SubGraph, StoreError>, len: usize) -> Option<(u64, String)> {
-        match result {
-            Err(StoreError::Corrupt { offset, reason }) if offset <= len as u64 => {
-                Some((offset, reason))
-            }
+    /// `bytes` through both readers: the `Corrupt` error's offset and
+    /// reason when [`check_subgraph`] and [`decode_subgraph`] report the
+    /// same one at an offset inside the buffer, `None` otherwise.
+    fn corrupt_within(bytes: &[u8]) -> Option<(u64, String)> {
+        let corrupt = |result: Result<(), StoreError>| match result {
+            Err(StoreError::Corrupt { offset, reason }) => Some((offset, reason)),
             _ => None,
-        }
+        };
+        let checked = corrupt(check_subgraph(bytes))?;
+        let decoded = corrupt(decode_subgraph(bytes).map(|_| ()))?;
+        (checked == decoded && checked.0 <= bytes.len() as u64).then_some(checked)
     }
 
     proptest! {
@@ -478,7 +678,10 @@ mod tests {
         /// Hostile bytes: every truncation, every single bit flip, every
         /// counter width outside {1, 2, 4}, every k outside 1..=MAX_K, and
         /// counts whose record bytes overflow are `Corrupt` at an offset
-        /// inside the buffer — never a panic, never a graph.
+        /// inside the buffer — never a panic, never a graph — and the
+        /// check alone reports exactly what the decoder does. The clean
+        /// image decodes, and is absorbed as it is, to the vertices it was
+        /// encoded from, at every k and counter width.
         #[test]
         fn hostile_bytes_are_corrupt_at_an_in_buffer_offset(
             k in 1usize..=dna::MAX_K,
@@ -488,36 +691,40 @@ mod tests {
         ) {
             let sub = random_subgraph(k, n, limit, seed);
             let bytes = encode_subgraph(&sub);
+            prop_assert!(check_subgraph(&bytes).is_ok());
             let back = decode_subgraph(&bytes).unwrap();
             prop_assert_eq!(back.entries(), sub.entries());
+            let mut graph = DeBruijnGraph::new(k);
+            graph.absorb_encoded(bytes.clone());
+            let absorbed: Vec<_> = graph.iter().collect();
+            prop_assert_eq!(&absorbed[..], sub.entries());
             for cut in 0..bytes.len() {
-                let (offset, reason) = corrupt_within(decode_subgraph(&bytes[..cut]), cut)
-                    .expect("a cut buffer is corrupt");
+                let (offset, reason) =
+                    corrupt_within(&bytes[..cut]).expect("a cut buffer is corrupt");
                 prop_assert!(offset == cut as u64 && reason.starts_with("truncated tail"));
             }
             for bit in 0..bytes.len() * 8 {
                 let mut flipped = bytes.clone();
                 flipped[bit / 8] ^= 1 << (bit % 8);
-                prop_assert!(corrupt_within(decode_subgraph(&flipped), bytes.len()).is_some());
+                prop_assert!(corrupt_within(&flipped).is_some());
             }
             let mut hostile = bytes.clone();
             for w in (0..=u8::MAX).filter(|w| !matches!(w, 1 | 2 | 4)) {
                 hostile[9] = w;
-                let (offset, _) = corrupt_within(decode_subgraph(&hostile), bytes.len()).unwrap();
+                let (offset, _) = corrupt_within(&hostile).unwrap();
                 prop_assert_eq!(offset, 9);
             }
             let mut hostile = bytes.clone();
             for k in std::iter::once(0).chain(dna::MAX_K as u8 + 1..=u8::MAX) {
                 hostile[8] = k;
-                let (offset, _) = corrupt_within(decode_subgraph(&hostile), bytes.len()).unwrap();
+                let (offset, _) = corrupt_within(&hostile).unwrap();
                 prop_assert_eq!(offset, 8);
             }
             let record = record_bytes(k, bytes[9] as usize) as u64;
             let mut hostile = bytes.clone();
             for count in [u64::MAX / record + 1, u64::MAX] {
                 hostile[..8].copy_from_slice(&count.to_le_bytes());
-                let (offset, reason) =
-                    corrupt_within(decode_subgraph(&hostile), bytes.len()).unwrap();
+                let (offset, reason) = corrupt_within(&hostile).unwrap();
                 prop_assert!(offset == bytes.len() as u64 && reason.starts_with("truncated tail"));
             }
         }

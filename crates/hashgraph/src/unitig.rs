@@ -149,7 +149,7 @@ pub fn unitigs_with(graph: &DeBruijnGraph, min_edge_weight: u32) -> Vec<Unitig> 
     let mut visited: HashSet<Kmer> = HashSet::with_capacity(graph.distinct_vertices());
     let mut out = Vec::new();
     // Deterministic start order helps test reproducibility.
-    let mut starts: Vec<Kmer> = graph.iter().map(|(k, _)| *k).collect();
+    let mut starts: Vec<Kmer> = graph.iter().map(|(k, _)| k).collect();
     starts.sort();
     for start in starts {
         if visited.contains(&start) {

@@ -67,7 +67,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hashgraph::{DeBruijnGraph, SubGraph};
+use hashgraph::DeBruijnGraph;
 use hetsim::DeviceKind;
 use msp::{PartitionManifest, SealedPayload};
 use parking_lot::Mutex;
@@ -79,7 +79,7 @@ use pipeline::{failpoint, CancelToken, IoMode, RetryPolicy, ThrottledIo};
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
 use crate::step2::{
-    build_lease, decode_subgraph_checked, manifest_feed, LeaseOutcome, Resumed, Step2Shared,
+    build_lease, check_committed, manifest_feed, LeaseOutcome, Resumed, Step2Shared,
 };
 use crate::{ParaHashConfig, ParaHashError, Result, StepReport};
 
@@ -1067,8 +1067,8 @@ impl LeasePhase<'_> {
         if !wire {
             let held = self.board.lock().held_by(worker);
             for p in held {
-                if let Ok(subgraph) = self.verified(p) {
-                    self.complete(p, subgraph, None);
+                if let Ok(image) = self.verified(p) {
+                    self.complete(p, image, None);
                 }
             }
         }
@@ -1099,14 +1099,14 @@ impl LeasePhase<'_> {
     /// the file must exist in this process's `subgraphs/` and pass its
     /// end-to-end checks before the lease completes — the same seam for
     /// a local worker's commit and for shipped bytes this process just
-    /// committed. The file is read and decoded once, outside the graph
-    /// lock, and what that decode produced is what the graph absorbs. A
+    /// committed. The file is read and checked once, outside the graph
+    /// lock, and the bytes that passed are what the graph absorbs. A
     /// partition two connections report (a requeue race, see
     /// [`run_step2_sharded`]) is merged — and journaled — the first time
     /// only.
     fn accept(&self, worker: usize, p: usize, detail: &str) {
         match self.verified(p) {
-            Ok(subgraph) => self.complete(p, subgraph, parse_outcome(detail)),
+            Ok(image) => self.complete(p, image, parse_outcome(detail)),
             Err(e) => self.board.lock().fail(
                 p,
                 &format!("worker {worker} reported success but the file fails: {e}"),
@@ -1115,21 +1115,23 @@ impl LeasePhase<'_> {
     }
 
     /// The one verification: `sub-<p>.dbg` read from this process's
-    /// `subgraphs/` and decoded, CRC trailer and all.
-    fn verified(&self, p: usize) -> Result<SubGraph> {
+    /// `subgraphs/` and checked — header, length, CRC trailer — but not
+    /// decoded: the checked bytes are what the graph keeps.
+    fn verified(&self, p: usize) -> Result<Vec<u8>> {
         let bytes = std::fs::read(self.shared.subgraph_path(p)).map_err(ParaHashError::Io)?;
-        decode_subgraph_checked(&bytes, Some(p))
+        check_committed(&bytes, p)?;
+        Ok(bytes)
     }
 
     /// Completes `p`'s lease and, the first time only, journals the
-    /// commit and hands the verified vertices to the graph.
-    fn complete(&self, p: usize, subgraph: SubGraph, outcome: Option<LeaseOutcome>) {
+    /// commit and hands the verified image to the graph.
+    fn complete(&self, p: usize, image: Vec<u8>, outcome: Option<LeaseOutcome>) {
         self.board.lock().complete(p);
         let mut merged = self.merged.lock();
         let (graph, built) = &mut *merged;
         if built.insert(p) {
             let bytes = self.manifest.stats()[p].bytes;
-            self.shared.absorb_verified(graph, p, subgraph, bytes, outcome);
+            self.shared.absorb_verified(graph, p, image, bytes, outcome);
         }
     }
 }
@@ -1254,8 +1256,8 @@ mod tests {
 
     /// A lease two connections report (the requeue race) is verified,
     /// journaled and merged once: the second `result` leaves the graph
-    /// and the built set as they were. Every merged subgraph is the value
-    /// the verifying decode produced, so the graph after one `result` per
+    /// and the built set as they were. Every merged subgraph is the image
+    /// the verifying check passed, so the graph after one `result` per
     /// partition is the in-process graph.
     #[test]
     fn a_second_result_for_a_built_partition_changes_nothing() {
@@ -1344,7 +1346,7 @@ mod tests {
         // partition.
         let merged = phase.merged.lock();
         assert!(merged.0.distinct_vertices() > 0);
-        assert!(merged.0.iter().all(|(kmer, data)| reference.get(kmer) == Some(data)));
+        assert!(merged.0.iter().all(|(kmer, data)| reference.get(&kmer) == Some(data)));
         drop(merged);
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
@@ -1392,7 +1394,7 @@ mod tests {
         assert_eq!(phase.board.lock().done(), &[0]);
         let merged = phase.merged.lock();
         assert_eq!(merged.1, BTreeSet::from([0]));
-        assert!(merged.0.iter().all(|(kmer, data)| reference.get(kmer) == Some(data)));
+        assert!(merged.0.iter().all(|(kmer, data)| reference.get(&kmer) == Some(data)));
         drop(merged);
         // Partition 1 went down with the connection: charged, requeued.
         assert_eq!(phase.board.lock().claim(8), Some(1));

@@ -23,13 +23,15 @@ use crate::{ParaHashConfig, ParaHashError, QuarantinedPartition, Result, StepRep
 /// failure was already recorded (fatal error or quarantine) — the output
 /// stage must neither absorb nor persist it.
 struct Part2Out {
-    subgraph: SubGraph,
-    /// The finished `sub-XXXXX.dbg` file image ([`encode_subgraph`]'s
-    /// bytes, CRC trailer included), formatted by the compute stage so
-    /// the output stage only writes. `None` iff
+    /// The partition's vertices as one vertex-run container image,
+    /// formatted by the compute stage so the output stage only writes and
+    /// hands the bytes to the graph ([`DeBruijnGraph::absorb_encoded`]):
+    /// the finished `sub-XXXXX.dbg` file ([`encode_subgraph`]: canonical
+    /// order, CRC trailer) when
     /// [`write_subgraphs`](crate::ParaHashConfigBuilder::write_subgraphs)
-    /// is off — nothing is encoded that nothing will persist.
-    encoded: Option<Vec<u8>>,
+    /// is on, the snapshot packed in table order
+    /// ([`hashgraph::pack_subgraph`]) when nothing will persist it.
+    image: Vec<u8>,
     contention: ContentionStats,
     resizes: usize,
 }
@@ -73,14 +75,26 @@ pub fn decode_subgraph(bytes: &[u8]) -> Option<SubGraph> {
 /// [`ParaHashError::Msp`] wrapping [`msp::MspError::CorruptRecord`] with
 /// the offset and classification above.
 pub fn decode_subgraph_checked(bytes: &[u8], partition: Option<usize>) -> Result<SubGraph> {
-    hashgraph::decode_subgraph(bytes).map_err(|e| match e {
+    hashgraph::decode_subgraph(bytes).map_err(|e| store_error(e, partition))
+}
+
+/// [`hashgraph::check_subgraph`] on partition `i`'s committed file, as
+/// this crate's error (see [`decode_subgraph_checked`]). What passes is
+/// what the resume plan and the sharded parent hand to
+/// [`DeBruijnGraph::absorb_encoded`] — nothing is decoded.
+pub(crate) fn check_committed(bytes: &[u8], i: usize) -> Result<()> {
+    hashgraph::check_subgraph(bytes).map_err(|e| store_error(e, Some(i)))
+}
+
+fn store_error(e: hashgraph::StoreError, partition: Option<usize>) -> ParaHashError {
+    match e {
         hashgraph::StoreError::Corrupt { offset, reason } => {
             let whose = partition.map_or(String::new(), |i| format!("subgraph for partition {i}, "));
             let reason = format!("{whose}byte {offset}: {reason}");
             ParaHashError::Msp(msp::MspError::CorruptRecord { offset, reason })
         }
         other => ParaHashError::Io(std::io::Error::other(other)),
-    })
+    }
 }
 
 /// Step 2 of ParaHash: pipelined, co-processed subgraph construction.
@@ -132,7 +146,7 @@ pub(crate) fn subgraph_path(work_dir: &Path, i: usize) -> PathBuf {
 
 /// What an interrupted run already finished, as the resume plan verified
 /// it: the partitions whose subgraph files are committed and whole, and
-/// the graph those files were decoded into. Step 2 skips the former and
+/// the graph holding those files' bytes. Step 2 skips the former and
 /// merges everything it builds into the latter — the persisted half of a
 /// resumed build is read, checked and absorbed exactly once.
 pub(crate) struct Resumed {
@@ -308,7 +322,8 @@ impl<'a> Step2Shared<'a> {
                 (idx, bytes.map(|b| (b, sealed.kmers)))
             },
             // Stage 2: hash-construct the subgraph on an idle device and
-            // format it (canonical sort, record encode, CRC trailer).
+            // format it (canonical sort, record encode, CRC trailer — or
+            // just the record packing when nothing is persisted).
             |device: &dyn Device, idx, input: Option<(Vec<u8>, u64)>| {
                 let Some((bytes, kmers)) = input else {
                     return (None, 0);
@@ -356,11 +371,12 @@ impl<'a> Step2Shared<'a> {
     /// The compute stage: admit the partition against the per-table
     /// memory budget, hash-construct — in one table when the Property-1
     /// projection fits, or out of core through second-level
-    /// sub-partitions when it does not — and, when subgraphs are
-    /// persisted, format the result: canonical sort, record encode and
-    /// CRC trailer are CPU work, so they run here, on the device driver's
-    /// thread (one per device, overlapping the previous partition's
-    /// commit), and leave the output stage nothing to do but write.
+    /// sub-partitions when it does not — and format the result as a
+    /// container image: canonical sort, record encode and CRC trailer
+    /// when subgraphs are persisted, the record packing alone otherwise.
+    /// That is CPU work, so it runs here, on the device driver's thread
+    /// (one per device, overlapping the previous partition's commit), and
+    /// leaves the output stage nothing to do but write and hand over.
     fn build(
         &self,
         device: &dyn Device,
@@ -391,8 +407,15 @@ impl<'a> Step2Shared<'a> {
             return (None, 0);
         };
         let work = subgraph.len() as u64;
-        let encoded = self.config.write_subgraphs.then(|| encode_subgraph(&subgraph));
-        (Some(Part2Out { subgraph, encoded, contention, resizes }), work)
+        // The snapshot — 80 bytes a vertex — ends here, on this thread;
+        // the image keeps each vertex as one record (17 bytes at k ≤ 32
+        // with counters under 256).
+        let image = if self.config.write_subgraphs {
+            encode_subgraph(&subgraph)
+        } else {
+            hashgraph::pack_subgraph(&subgraph)
+        };
+        (Some(Part2Out { image, contention, resizes }), work)
     }
 
     /// Out-of-core build of one over-budget partition: split its records
@@ -547,13 +570,13 @@ impl<'a> Step2Shared<'a> {
         }
     }
 
-    /// The output stage, I/O only: commit the bytes the compute stage
-    /// formatted, journal the commit, hand the subgraph's vertices to the
-    /// graph — one `Vec` changing owner ([`DeBruijnGraph::absorb`]; the
-    /// MSP cut makes every partition's keys new to it), nothing hashed or
-    /// copied. Failure sentinels are skipped outright — an error
-    /// partition must never leave a bogus `sub-XXXXX.dbg` behind or leak
-    /// empty entries into the graph.
+    /// The output stage, I/O only: commit the image the compute stage
+    /// formatted, journal the commit, hand the image to the graph — one
+    /// `Vec` changing owner ([`DeBruijnGraph::absorb_encoded`]; the MSP
+    /// cut makes every partition's keys new to it), nothing decoded,
+    /// hashed or copied. Failure sentinels are skipped outright — an
+    /// error partition must never leave a bogus `sub-XXXXX.dbg` behind or
+    /// leak empty entries into the graph.
     fn consume(
         &self,
         io: &ThrottledIo,
@@ -566,12 +589,10 @@ impl<'a> Step2Shared<'a> {
         };
         self.total_contention.lock().merge(&out.contention);
         self.total_resizes.fetch_add(out.resizes, Ordering::Relaxed);
-        if let Some(bytes) = out.encoded {
-            if !self.commit(io, idx, bytes) {
-                return; // quarantined partitions stay out of the graph
-            }
+        if self.config.write_subgraphs && !self.commit(io, idx, &out.image) {
+            return; // quarantined partitions stay out of the graph
         }
-        graph.absorb(out.subgraph);
+        graph.absorb_encoded(out.image);
     }
 
     /// [`subgraph_path`] in this step's work directory.
@@ -582,20 +603,17 @@ impl<'a> Step2Shared<'a> {
     /// Commits one formatted subgraph as `sub-<idx>.dbg` and journals the
     /// commit. `false` means the failure was already routed through
     /// [`partition_failed`](Self::partition_failed) / [`fatal`](Self::fatal).
-    fn commit(&self, io: &ThrottledIo, idx: usize, bytes: Vec<u8>) -> bool {
+    fn commit(&self, io: &ThrottledIo, idx: usize, bytes: &[u8]) -> bool {
         let path = self.subgraph_path(idx);
         // Atomic commit (tmp + fsync + rename + dir fsync): a crash
         // anywhere in here leaves either no `sub-XXXXX.dbg` or a
         // complete, checksummed one — never a torn file.
         let committed =
-            failpoint::hit("step2.subgraph.write").and_then(|()| io.commit_file(&path, &bytes));
+            failpoint::hit("step2.subgraph.write").and_then(|()| io.commit_file(&path, bytes));
         if let Err(e) = committed {
             self.partition_failed(idx, ParaHashError::Io(e));
             return false;
         }
-        // The file image is on disk; don't hold it across the journal
-        // fsync.
-        drop(bytes);
         // The journal record is written strictly *after* the rename:
         // `subgraph-committed` in the journal implies the file is
         // durable and whole. (The converse is allowed — a file with no
@@ -603,9 +621,9 @@ impl<'a> Step2Shared<'a> {
         self.journaled(JournalEvent::SubgraphCommitted(idx))
     }
 
-    /// The output stage for a partition another process built: `subgraph`
-    /// is what this process decoded from the committed, CRC-checked
-    /// `sub-<idx>.dbg`, `built` what the builder measured. Journals the
+    /// The output stage for a partition another process built: `image` is
+    /// the committed `sub-<idx>.dbg` as this process read and checked it
+    /// ([`check_committed`]), `built` what the builder measured. Journals the
     /// builder's sub-split (this journal is the run's record of it — a
     /// wire worker keeps none) and the commit, in the order
     /// [`build_split`](Self::build_split) and [`commit`](Self::commit)
@@ -616,7 +634,7 @@ impl<'a> Step2Shared<'a> {
         &self,
         graph: &mut DeBruijnGraph,
         idx: usize,
-        subgraph: SubGraph,
+        image: Vec<u8>,
         partition_bytes: u64,
         built: Option<LeaseOutcome>,
     ) {
@@ -635,7 +653,7 @@ impl<'a> Step2Shared<'a> {
                 self.sub_splits.lock().push((idx, fanout));
             }
         }
-        graph.absorb(subgraph);
+        graph.absorb_encoded(image);
     }
 
     /// Turns the accumulated counters into the step report — or, on the
@@ -740,10 +758,10 @@ pub(crate) fn build_lease(
         SealedPayload::Spilled(path) => (io.read_file(path).map_err(ParaHashError::Io)?, false),
     };
     let (out, _) = shared.build(config.devices()[0].as_ref(), idx, bytes, n_kmers);
-    let (resizes, mut encoded) = out.map_or((0, None), |out| (out.resizes, out.encoded));
+    let (resizes, mut encoded) = out.map_or((0, None), |out| (out.resizes, Some(out.image)));
     if !ship {
         if let Some(bytes) = encoded.take() {
-            shared.commit(io, idx, bytes);
+            shared.commit(io, idx, &bytes);
         }
     }
     if let Some(e) = shared.first_error.into_inner() {
@@ -850,7 +868,7 @@ mod tests {
         let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
         let (graph, _) = run_step2(&cfg, &manifest, &io).unwrap();
         // Round-trip the whole graph as one subgraph.
-        let entries: Vec<_> = graph.iter().map(|(k, v)| (*k, *v)).collect();
+        let entries: Vec<_> = graph.iter().collect();
         let sub = SubGraph::new(7, entries);
         let decoded = decode_subgraph(&encode_subgraph(&sub)).unwrap();
         let mut a = sub.into_entries();
@@ -997,13 +1015,13 @@ mod tests {
         }
     }
 
-    /// Formatting is compute-stage work and only happens for subgraphs
-    /// that will be persisted: with `write_subgraphs(false)` a built
-    /// partition carries no bytes, with it on it carries exactly
-    /// [`encode_subgraph`]'s.
+    /// Formatting is compute-stage work, and only a subgraph that will be
+    /// persisted is sorted: with `write_subgraphs(false)` a built
+    /// partition carries its vertices packed in table order, with it on
+    /// exactly [`encode_subgraph`]'s bytes of the same vertices.
     #[test]
-    fn compute_stage_encodes_iff_subgraphs_are_persisted() {
-        for write in [false, true] {
+    fn compute_stage_sorts_only_what_is_persisted() {
+        let images = |write: bool| {
             let cfg = ParaHashConfig::builder()
                 .k(7)
                 .p(4)
@@ -1018,15 +1036,22 @@ mod tests {
             let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
             let cancel = CancelToken::new();
             let shared = Step2Shared::new(&cfg, &cancel, None);
-            for i in 0..manifest.num_partitions() {
-                let bytes = std::fs::read(manifest.partition_path(i)).unwrap();
-                let (out, work) =
-                    shared.build(cfg.devices()[0].as_ref(), i, bytes, manifest.stats()[i].kmers);
-                let out = out.expect("clean partition builds");
-                assert_eq!(work, out.subgraph.len() as u64);
-                assert_eq!(out.encoded, write.then(|| encode_subgraph(&out.subgraph)), "partition {i}");
-            }
+            let images: Vec<(Vec<u8>, u64)> = (0..manifest.num_partitions())
+                .map(|i| {
+                    let bytes = std::fs::read(manifest.partition_path(i)).unwrap();
+                    let kmers = manifest.stats()[i].kmers;
+                    let (out, work) = shared.build(cfg.devices()[0].as_ref(), i, bytes, kmers);
+                    (out.expect("clean partition builds").image, work)
+                })
+                .collect();
             std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+            images
+        };
+        let both = images(false).into_iter().zip(images(true));
+        for (i, ((packed, work), (encoded, _))) in both.enumerate() {
+            let vertices = decode_subgraph(&packed).expect("a packed image is a whole container");
+            assert_eq!(work, vertices.len() as u64);
+            assert_eq!(encoded, encode_subgraph(&vertices), "partition {i}");
         }
     }
 
@@ -1129,7 +1154,7 @@ mod tests {
         let io = ThrottledIo::new(IoMode::Unthrottled);
         let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
         let (graph, _) = run_step2(&cfg, &manifest, &io).unwrap();
-        let entries: Vec<_> = graph.iter().map(|(k, v)| (*k, *v)).collect();
+        let entries: Vec<_> = graph.iter().collect();
         assert!(entries.len() >= 2, "need several records for this test");
         let sub = SubGraph::new(7, entries.clone());
         let encoded = encode_subgraph(&sub);

@@ -9,9 +9,7 @@ use pipeline::{CancelToken, SharedCounterQueue, ThrottledIo};
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
 use crate::step1::{device_baselines, device_deltas, step1_into, step1_report, step1_to_disk, Input};
-use crate::step2::{
-    decode_subgraph_checked, manifest_feed, run_step2_feed, subgraph_path, Resumed,
-};
+use crate::step2::{check_committed, manifest_feed, run_step2_feed, subgraph_path, Resumed};
 use crate::{ParaHashConfig, ParaHashError, Result, RunReport, Step1Stats, StepReport};
 
 /// The assembled system: run both steps against a read set and collect
@@ -226,7 +224,7 @@ struct ResumePlan {
     /// Every partition was journaled as sealed *and* the manifest loads:
     /// Step 1's output is complete on disk, skip the step.
     skip_step1: bool,
-    /// Subgraphs journaled as committed whose files decoded cleanly, with
+    /// Subgraphs journaled as committed whose files checked clean, with
     /// the byte length each file had when it was read: Step 2 skips
     /// these partitions (their vertices are already in the
     /// [`Resumed::graph`] handed out beside this plan). A committed
@@ -247,10 +245,11 @@ impl ResumePlan {
     ///   [`ParaHashError::FingerprintMismatch`];
     /// * Step 1's artifacts count as surviving iff every partition was
     ///   journaled as sealed and the manifest loads;
-    /// * subgraphs journaled as committed *and* still decoding cleanly on
+    /// * subgraphs journaled as committed *and* still checking clean on
     ///   disk are absorbed into the returned [`Resumed::graph`] right
-    ///   here — each file is read, CRC-checked and decoded once — instead
-    ///   of being rebuilt.
+    ///   here — each file is read and checked (header, length, CRC) once,
+    ///   and the bytes read become a run of the graph — instead of being
+    ///   rebuilt.
     fn prepare(config: &ParaHashConfig, fingerprint: Fingerprint) -> Result<(ResumePlan, Resumed)> {
         let fresh = |journal| {
             let plan = ResumePlan { journal, skip_step1: false, committed: BTreeMap::new() };
@@ -306,14 +305,13 @@ impl ResumePlan {
         let mut resumed = Resumed::nothing(config.k);
         if config.write_subgraphs {
             for i in claimed {
-                let verified = std::fs::read(subgraph_path(&config.work_dir, i)).ok().and_then(|bytes| {
-                    let sub = decode_subgraph_checked(&bytes, Some(i)).ok()?;
-                    Some((sub, bytes.len() as u64))
-                });
-                if let Some((sub, len)) = verified {
-                    resumed.graph.absorb(sub);
+                let path = subgraph_path(&config.work_dir, i);
+                let verified =
+                    std::fs::read(path).ok().filter(|bytes| check_committed(bytes, i).is_ok());
+                if let Some(bytes) = verified {
+                    committed.insert(i, bytes.len() as u64);
+                    resumed.graph.absorb_encoded(bytes);
                     resumed.committed.insert(i);
-                    committed.insert(i, len);
                 }
             }
         }
@@ -323,19 +321,19 @@ impl ResumePlan {
     /// The tail's look at the subgraph files [`prepare`](Self::prepare)
     /// absorbed: the finished work directory must still hold every one of
     /// them. The files are not read again — a `stat` per file — unless
-    /// one changed size since it was verified, in which case decoding it
+    /// one changed size since it was verified, in which case checking it
     /// names the damage.
     ///
     /// # Errors
     ///
     /// [`ParaHashError::Io`] for a file that vanished while the run was
-    /// rebuilding the rest, the decoder's corruption error for one that
-    /// was cut or extended.
+    /// rebuilding the rest, the check's corruption error for one that was
+    /// cut or extended.
     fn recheck_committed(&self, config: &ParaHashConfig) -> Result<()> {
         for (&i, &verified_len) in &self.committed {
             let path = subgraph_path(&config.work_dir, i);
             if std::fs::metadata(&path)?.len() != verified_len {
-                decode_subgraph_checked(&std::fs::read(&path)?, Some(i))?;
+                check_committed(&std::fs::read(&path)?, i)?;
             }
         }
         Ok(())
@@ -746,7 +744,7 @@ mod tests {
         assert_eq!(resumed.graph.distinct_vertices() + lost, full.graph.distinct_vertices());
         plan.recheck_committed(&cfg).unwrap();
 
-        // Cut short after verification: the decoder names the damage.
+        // Cut short after verification: the check names the damage.
         std::fs::write(sub(1), &pristine[1][..pristine[1].len() - 1]).unwrap();
         let err = plan.recheck_committed(&cfg).unwrap_err().to_string();
         assert!(err.contains("partition 1") && err.contains("truncated tail"), "{err}");
@@ -792,6 +790,55 @@ mod tests {
         assert_eq!(hashgraph::load_graph(&saved).unwrap(), fused.graph);
         assert!(fused.graph.is_indexed(), "`==` is a keyed access");
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    /// The resident graph is the committed records: a fused build of the
+    /// determinism matrix's corpus (`tests/determinism.rs`: 3 kb genome,
+    /// 30 % repeats, 80 bp reads at 5×, K 15, P 7, 12 partitions) holds
+    /// every vertex at the `sub-*.dbg` record width — ⌈k/32⌉ key words and
+    /// nine counters at the widest run's width — plus each run's container
+    /// header and trailer, and no index, whether or not the subgraphs are
+    /// written.
+    #[test]
+    fn a_fused_build_holds_its_graph_at_the_record_width() {
+        let genome = datagen::GenomeSpec::new(3_000).seed(42).repeat_fraction(0.3).generate();
+        let spec = datagen::SequencingSpec {
+            read_len: 80,
+            coverage: 5.0,
+            lambda: 1.0,
+            reverse_strand_prob: 0.5,
+            seed: 42,
+        };
+        let reads = datagen::Sequencer::new(spec).sequence(&genome);
+        for write in [true, false] {
+            let cfg = ParaHashConfig::builder()
+                .k(15)
+                .p(7)
+                .partitions(12)
+                .cpu_threads(2)
+                .write_subgraphs(write)
+                .work_dir(std::env::temp_dir().join(format!("parahash-sys-record-width-{write}")))
+                .build()
+                .unwrap();
+            let _ = std::fs::remove_dir_all(cfg.work_dir());
+            let outcome = ParaHash::new(cfg.clone()).unwrap().run_fused(&reads).unwrap();
+            let graph = &outcome.graph;
+            assert!(!graph.is_indexed(), "write_subgraphs({write})");
+            let bits = graph
+                .iter()
+                .fold(0, |acc, (_, data)| data.edges.iter().fold(acc | data.count, |a, &e| a | e));
+            let w_max = [1, 2, 4].into_iter().find(|&w| u64::from(bits) >> (8 * w) == 0).unwrap();
+            let record = 8 * 15usize.div_ceil(32) + 9 * w_max;
+            let slack = 12 * (10 + 4);
+            assert!(graph.distinct_vertices() > 1_000, "corpus too small to be meaningful");
+            assert!(
+                graph.approx_bytes() <= graph.distinct_vertices() * record + slack,
+                "write_subgraphs({write}): {} bytes for {} vertices of {record}",
+                graph.approx_bytes(),
+                graph.distinct_vertices()
+            );
+            std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_by_key(|(_, d)| d.count)
         .expect("graph is non-empty");
     println!("\nbusiest vertex {kmer} (count {}):", data.count);
-    for (succ, _, mult) in graph.successors(kmer, parahash_repro::dna::Orientation::Forward) {
+    for (succ, _, mult) in graph.successors(&kmer, parahash_repro::dna::Orientation::Forward) {
         println!("  -> {succ} (weight {mult})");
     }
     Ok(())
