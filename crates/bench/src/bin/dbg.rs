@@ -138,6 +138,10 @@ fn build(args: &Args) {
         .get("work-dir")
         .cloned()
         .unwrap_or_else(|| std::env::temp_dir().join("parahash-dbg-cli").display().to_string());
+    // Only a work dir this command owns — the default one, or one that did
+    // not exist yet — is deleted after the build: a directory the user
+    // named may hold the input, or anything else.
+    let owned = !args.flags.contains_key("work-dir") || !Path::new(&work_dir).exists();
 
     let mut builder = ParaHashConfig::builder().k(k).p(p).partitions(partitions).work_dir(&work_dir);
     for _ in 0..gpus {
@@ -160,7 +164,9 @@ fn build(args: &Args) {
     store_graph(&outcome.graph, Path::new(out))
         .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
     eprintln!("graph stored in {out}");
-    let _ = std::fs::remove_dir_all(&work_dir);
+    if owned {
+        let _ = std::fs::remove_dir_all(&work_dir);
+    }
 }
 
 /// Stores `graph` at `out` the way every other artifact is committed:

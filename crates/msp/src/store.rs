@@ -1,28 +1,28 @@
-//! Budget-governed partition staging for the fused Step-1→Step-2 pipeline.
+//! Budget-governed partition staging: the one Step-1 sink.
 //!
-//! [`PartitionStore`] is the in-memory sibling of
-//! [`PartitionWriter`](crate::PartitionWriter): it accepts the same
-//! encoded superkmer records, cuts the same CRC32-checksummed frames, and
-//! produces the same manifest — but partitions stay **resident** (framed
-//! byte buffers) until a configurable byte budget is exceeded, at which
-//! point the largest resident partitions are **spilled** to the usual
-//! `part-NNNNN.skm` files. Because spilled bytes keep the exact on-disk
-//! frame format, [`PartitionSlices::index_framed`](crate::PartitionSlices)
-//! consumes both backends unchanged.
+//! [`PartitionStore`] accepts encoded superkmer records, cuts them into
+//! CRC32-checksummed frames (see [`crate::frame`]'s module docs) at record
+//! boundaries, and produces the partition manifest. Partitions stay
+//! **resident** (framed byte buffers) until a configurable byte budget is
+//! exceeded, at which point the largest resident partitions are
+//! **spilled** to their `part-NNNNN.skm` files. Because spilled bytes keep
+//! the exact in-memory frame format,
+//! [`PartitionSlices::index_framed`](crate::PartitionSlices) consumes both
+//! residencies unchanged.
 //!
 //! The budget invariant — *resident payload bytes (including the frame
 //! header reserved for each partition's pending buffer) never exceed the
 //! budget* — holds after **every** append, not just at flush points:
 //! frame headers are accounted the moment a pending buffer becomes
 //! non-empty, so flushing pending records into the resident backing is
-//! cost-neutral. A budget of `0` therefore degenerates to the classic
-//! all-on-disk behaviour (every partition spills on first touch), and a
-//! huge budget keeps Step 2 entirely off the disk.
+//! cost-neutral. A huge budget keeps Step 2 entirely off the disk. A
+//! budget of `0` is the paper's two-phase data path: every partition's
+//! file is opened at creation, so every partition — one no record was
+//! routed to included — ends up committed as a file when it is sealed.
 //!
 //! Spilled partitions retain only a bounded pending buffer (at most the
-//! frame target, same as `PartitionWriter`); that working memory is not
-//! counted against the budget, which governs resident partition
-//! *payloads*.
+//! frame target); that working memory is not counted against the budget,
+//! which governs resident partition *payloads*.
 
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
@@ -34,10 +34,8 @@ use crate::frame::{append_frame, write_frame, DEFAULT_FRAME_TARGET, FRAME_HEADER
 use crate::writer::partition_path;
 use crate::{MspError, PartitionManifest, PartitionRouter, PartitionStats, Result};
 
-/// Destination-agnostic Step-1 output: both the all-disk
-/// [`PartitionWriter`](crate::PartitionWriter) and the budget-governed
-/// [`PartitionStore`] accept encoded superkmer records through this
-/// trait, so the Step-1 pipeline is written once against the sink.
+/// How Step 1 hands encoded superkmer records to [`PartitionStore`],
+/// partition by partition.
 pub trait PartitionSink {
     /// Appends already-encoded superkmer records to a partition.
     /// `superkmers` and `kmers` are the record counts the caller tallied
@@ -45,8 +43,11 @@ pub trait PartitionSink {
     ///
     /// # Errors
     ///
-    /// Propagates write failures (spill I/O for stores, file I/O for
-    /// writers).
+    /// Propagates write failures (spill and frame I/O).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partition` is out of range or already sealed.
     fn append_encoded(
         &mut self,
         partition: usize,
@@ -63,7 +64,7 @@ pub enum SealedPayload {
     /// over directly, no disk round-trip.
     Resident(Vec<u8>),
     /// The partition was spilled: read the framed bytes back from this
-    /// file (identical format to `PartitionWriter` output).
+    /// file (the same framed bytes a resident payload holds).
     Spilled(PathBuf),
 }
 
@@ -153,8 +154,9 @@ pub struct PartitionStore {
 }
 
 impl PartitionStore {
-    /// Creates the directory (spill files are created lazily, only when a
-    /// partition actually exceeds the budget).
+    /// Creates the directory. Spill files are created when a partition
+    /// exceeds the budget — at creation, for every partition, when the
+    /// budget is `0`.
     ///
     /// # Errors
     ///
@@ -191,14 +193,13 @@ impl PartitionStore {
         if p < 1 || p > k || k > dna::MAX_K {
             return Err(MspError::InvalidParams { k, p });
         }
-        // Validates num_partitions > 0 exactly like the writer.
         let _ = PartitionRouter::new(num_partitions)?;
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let slots = (0..num_partitions)
             .map(|_| Slot { backing: Backing::Resident(Vec::new()), pending: Vec::new() })
             .collect();
-        Ok(PartitionStore {
+        let mut store = PartitionStore {
             dir,
             k,
             p,
@@ -211,7 +212,13 @@ impl PartitionStore {
             peak_resident_bytes: 0,
             spills: 0,
             run_token: run_token.to_owned(),
-        })
+        };
+        if budget_bytes == 0 {
+            for i in 0..num_partitions {
+                store.spill(i)?;
+            }
+        }
+        Ok(store)
     }
 
     /// The partition directory (holds spill files and the manifest).
@@ -259,8 +266,11 @@ impl PartitionStore {
         &self.stats
     }
 
-    /// Appends records to partition `partition`, spilling as needed to
-    /// keep resident bytes within the budget.
+    /// [`PartitionSink::append_encoded`]: the records join the
+    /// partition's pending buffer (stats count payload bytes, excluding
+    /// frame headers), which is flushed as a checksummed frame once it
+    /// crosses the frame target, spilling as needed to keep resident
+    /// bytes within the budget.
     fn push_bytes(
         &mut self,
         partition: usize,
@@ -371,6 +381,7 @@ impl PartitionStore {
         if slot.pending.is_empty() {
             return Ok(());
         }
+        failpoint::hit("msp.frame.append")?;
         match &mut slot.backing {
             Backing::Resident(backing) => append_frame(backing, &slot.pending),
             Backing::Spilled(file) => write_frame(file, &slot.pending)?,
@@ -381,9 +392,8 @@ impl PartitionStore {
     }
 
     /// Builds and saves the manifest from the stats accumulated so far —
-    /// the same file [`PartitionWriter::finish`](crate::PartitionWriter::finish)
-    /// writes for these records, wherever the bytes wait. Call once
-    /// appends are complete.
+    /// the same file for these records, wherever the bytes wait. Call
+    /// once appends are complete.
     ///
     /// # Errors
     ///
@@ -407,6 +417,9 @@ impl PartitionStore {
         self.flush_frame(index)?;
         let cost = self.slots[index].resident_cost();
         let slot = &mut self.slots[index];
+        // A sealed slot takes no more records: free its pending buffer's
+        // capacity now rather than when the store is dropped.
+        slot.pending = Vec::new();
         let payload = match std::mem::replace(&mut slot.backing, Backing::Sealed) {
             Backing::Resident(v) => {
                 self.resident_bytes -= cost;
@@ -443,18 +456,6 @@ impl PartitionSink for PartitionStore {
         kmers: u64,
     ) -> Result<()> {
         self.push_bytes(partition, bytes, superkmers, kmers)
-    }
-}
-
-impl PartitionSink for crate::PartitionWriter {
-    fn append_encoded(
-        &mut self,
-        partition: usize,
-        bytes: &[u8],
-        superkmers: u64,
-        kmers: u64,
-    ) -> Result<()> {
-        crate::PartitionWriter::append_encoded(self, partition, bytes, superkmers, kmers)
     }
 }
 

@@ -1,23 +1,15 @@
-use std::fs::{self, File};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use pipeline::{commit, failpoint};
+use pipeline::commit;
 
-use crate::frame::{write_frame, DEFAULT_FRAME_TARGET};
-use crate::{MspError, PartitionStats, Result};
+use crate::{MspError, PartitionSink, PartitionStats, PartitionStore, Result};
 
 /// Writes encoded superkmer records into a directory of partition files
-/// (`part-00000.skm` …) plus a `manifest.txt` describing them.
-///
-/// Records are buffered per partition and flushed as CRC32-checksummed
-/// frames (see [`crate::frame`]'s module docs) cut at record boundaries,
-/// so readers detect interior bit-flips, not just truncation, while the
-/// zero-copy Step-2 replay still borrows records straight from the file
-/// buffer.
-///
-/// One writer owns all `n` partition files — the paper notes the OS
-/// file-handle cap (1000 on their platform) as the practical limit on `n`.
+/// (`part-00000.skm` …) plus a `manifest.txt` describing them: a
+/// [`PartitionStore`] at budget `0`, which keeps nothing resident and
+/// commits every partition's file when it is [finished](Self::finish).
 ///
 /// # Examples
 ///
@@ -39,18 +31,7 @@ use crate::{MspError, PartitionStats, Result};
 /// ```
 #[derive(Debug)]
 pub struct PartitionWriter {
-    dir: PathBuf,
-    k: usize,
-    p: usize,
-    files: Vec<BufWriter<File>>,
-    stats: Vec<PartitionStats>,
-    /// Whole records awaiting their next checksummed frame, per partition.
-    pending: Vec<Vec<u8>>,
-    /// Flush a partition's pending buffer once it reaches this many bytes.
-    frame_target: usize,
-    /// Run-scope token carried by the staged `*.tmp` names (empty =
-    /// unscoped). See [`pipeline::commit::tmp_path_scoped`].
-    run_token: String,
+    store: PartitionStore,
 }
 
 impl PartitionWriter {
@@ -66,12 +47,8 @@ impl PartitionWriter {
         PartitionWriter::create_scoped(dir, num_partitions, k, p, "")
     }
 
-    /// [`create`](Self::create) with a run-scope token: the long-lived
-    /// staging files are named `part-NNNNN.skm.{token}.tmp`, so a resume
-    /// of *this* run can reclaim them while sweeps scoped to other runs
-    /// in the same directory leave them alone
-    /// ([`pipeline::commit::sweep_tmp_scoped`]). An empty token keeps the
-    /// plain `.tmp` names.
+    /// [`create`](Self::create) with a run-scope token (see
+    /// [`PartitionStore::create_scoped`]).
     ///
     /// # Errors
     ///
@@ -83,49 +60,18 @@ impl PartitionWriter {
         p: usize,
         run_token: &str,
     ) -> Result<PartitionWriter> {
-        if p < 1 || p > k || k > dna::MAX_K {
-            return Err(MspError::InvalidParams { k, p });
-        }
-        if num_partitions == 0 {
-            return Err(MspError::NoPartitions);
-        }
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        // Partition files are staged as `*.skm[.{token}].tmp` and only
-        // renamed to their final names (fsync file, rename, fsync dir) in
-        // [`finish`](Self::finish) — a crash mid-run can never leave a
-        // half-written file at a name recovery would trust.
-        let mut files = Vec::with_capacity(num_partitions);
-        for i in 0..num_partitions {
-            let staged = commit::tmp_path_scoped(&partition_path(&dir, i), run_token);
-            files.push(BufWriter::new(File::create(staged)?));
-        }
-        Ok(PartitionWriter {
-            dir,
-            k,
-            p,
-            files,
-            stats: vec![PartitionStats::default(); num_partitions],
-            pending: vec![Vec::new(); num_partitions],
-            frame_target: DEFAULT_FRAME_TARGET,
-            run_token: run_token.to_owned(),
-        })
+        let store = PartitionStore::create_scoped(dir, num_partitions, k, p, 0, run_token)?;
+        Ok(PartitionWriter { store })
     }
 
-    /// Overrides the frame flush threshold (default
-    /// [`DEFAULT_FRAME_TARGET`]). Smaller targets produce more frames —
-    /// useful for tests that need multi-frame files from tiny inputs.
+    /// Overrides the frame flush threshold (see
+    /// [`PartitionStore::set_frame_target`]).
     pub fn set_frame_target(&mut self, bytes: usize) {
-        self.frame_target = bytes.max(1);
+        self.store.set_frame_target(bytes);
     }
 
-    /// Appends already-encoded superkmer records to a partition file. The
-    /// pipeline's compute stage encodes on whichever processor ran the
-    /// scan; the output stage only appends bytes. `superkmers` and `kmers`
-    /// are the record counts the caller tallied while encoding. The whole
-    /// records join the partition's pending buffer (stats count payload
-    /// bytes, excluding frame headers), which is flushed as a checksummed
-    /// frame once it crosses the target.
+    /// Appends already-encoded superkmer records to a partition file (see
+    /// [`PartitionSink::append_encoded`]).
     ///
     /// # Errors
     ///
@@ -141,55 +87,24 @@ impl PartitionWriter {
         superkmers: u64,
         kmers: u64,
     ) -> Result<()> {
-        self.pending[partition].extend_from_slice(bytes);
-        let s = &mut self.stats[partition];
-        s.superkmers += superkmers;
-        s.kmers += kmers;
-        s.bytes += bytes.len() as u64;
-        if self.pending[partition].len() >= self.frame_target {
-            self.flush_frame(partition)?;
-        }
-        Ok(())
+        self.store.append_encoded(partition, bytes, superkmers, kmers)
     }
 
-    /// Writes the partition's pending records as one checksummed frame.
-    fn flush_frame(&mut self, partition: usize) -> Result<()> {
-        let payload = &self.pending[partition];
-        if payload.is_empty() {
-            return Ok(());
-        }
-        failpoint::hit("msp.frame.append")?;
-        write_frame(&mut self.files[partition], payload)?;
-        self.pending[partition].clear();
-        Ok(())
-    }
-
-    /// Flushes every pending frame and file, atomically commits each
-    /// staged `*.skm.tmp` to its final `part-NNNNN.skm` name (fsync,
-    /// rename, dir fsync), writes `manifest.txt` (also atomically), and
-    /// returns the manifest. Until this returns, the directory holds
-    /// only obviously-uncommitted `*.tmp` files and no manifest — a
-    /// crash anywhere before the manifest commit leaves nothing a later
-    /// run could mistake for a complete Step-1 output.
+    /// Seals every partition — its last frame written, its staged file
+    /// committed to its final `part-NNNNN.skm` name — then writes
+    /// `manifest.txt` (also atomically) and returns the manifest. Until
+    /// this returns, the directory holds no manifest, so a crash anywhere
+    /// before the manifest commit leaves nothing a later run could mistake
+    /// for a complete Step-1 output.
     ///
     /// # Errors
     ///
     /// Propagates flush/fsync/rename failures.
     pub fn finish(mut self) -> Result<PartitionManifest> {
-        for i in 0..self.files.len() {
-            self.flush_frame(i)?;
+        for i in 0..self.store.num_partitions() {
+            self.store.seal(i)?;
         }
-        // A batched `commit::commit_staged`: N fsyncs and N renames under
-        // *one* directory fsync, instead of one directory fsync per file.
-        for (i, f) in self.files.drain(..).enumerate() {
-            let file = f.into_inner().map_err(|e| MspError::Io(e.into()))?;
-            file.sync_all()?;
-            drop(file);
-            let path = partition_path(&self.dir, i);
-            fs::rename(commit::tmp_path_scoped(&path, &self.run_token), &path)?;
-        }
-        commit::sync_dir(&self.dir);
-        PartitionManifest::commit(self.dir.clone(), self.k, self.p, std::mem::take(&mut self.stats))
+        self.store.finish_manifest()
     }
 }
 
@@ -197,11 +112,9 @@ impl PartitionWriter {
 /// parameters and per-partition statistics — all that Step 1 tells
 /// Step 2 beyond the partition bytes. Persisted as a small text file so
 /// Step 2 (possibly a different process) can size its hash tables from
-/// the kmer counts without rescanning. The file is written once, by the
-/// Step-1 sink that finished the directory ([`PartitionWriter::finish`]
-/// or [`PartitionStore::finish_manifest`](crate::PartitionStore::finish_manifest)),
-/// and never rewritten: what Step 2 later does with a partition is
-/// recorded in the run journal.
+/// the kmer counts without rescanning. The file is written once, by
+/// [`PartitionStore::finish_manifest`], and never rewritten: what Step 2
+/// later does with a partition is recorded in the run journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionManifest {
     dir: PathBuf,
@@ -268,8 +181,7 @@ impl PartitionManifest {
     /// A finished partition directory's manifest, written to its
     /// `manifest.txt` atomically: the full contents are staged to
     /// `manifest.txt.tmp`, fsynced, and renamed into place, so a reader
-    /// sees a whole manifest or none. The two Step-1 sinks call this once
-    /// each, as their last act.
+    /// sees a whole manifest or none.
     pub(crate) fn commit(
         dir: PathBuf,
         k: usize,
@@ -356,6 +268,7 @@ pub(crate) fn partition_path(dir: &Path, index: usize) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use crate::testutil::records_of;
     use crate::{PartitionRouter, PartitionSlices};
     use dna::PackedSeq;
@@ -366,12 +279,13 @@ mod tests {
         d
     }
 
-    /// Routes `read`'s records over the writer's partitions and appends
-    /// them one at a time; returns what each partition was given.
+    /// Routes `read`'s records (k = 7, p = 4, as every caller's writer)
+    /// over the writer's partitions and appends them one at a time;
+    /// returns what each partition was given.
     fn write_read(w: &mut PartitionWriter, read: &PackedSeq) -> Vec<Vec<u8>> {
-        let router = PartitionRouter::new(w.files.len()).unwrap();
-        let mut given = vec![Vec::new(); w.files.len()];
-        for (minimizer, record, kmers) in records_of(read, w.k, w.p) {
+        let router = PartitionRouter::new(w.store.num_partitions()).unwrap();
+        let mut given = vec![Vec::new(); w.store.num_partitions()];
+        for (minimizer, record, kmers) in records_of(read, 7, 4) {
             let part = router.route_minimizer(&minimizer);
             w.append_encoded(part, &record, 1, kmers).unwrap();
             given[part].extend_from_slice(&record);

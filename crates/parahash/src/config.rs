@@ -326,10 +326,10 @@ impl ParaHashConfigBuilder {
     /// Step-1 partitions accumulate in memory until the budget is
     /// exceeded, then the largest are spilled to the usual partition
     /// files. `0` forces every partition to disk (the classic two-phase
-    /// data path, still fused in time); a huge budget keeps the whole
-    /// Step-1→Step-2 handoff off the disk. Default: 256 MiB. The
-    /// two-phase entry points ([`crate::run_step1`] + [`crate::run_step2`])
-    /// ignore this setting.
+    /// data path); a huge budget keeps the whole Step-1→Step-2 handoff off
+    /// the disk. Default: 256 MiB. The two-phase entry points
+    /// ([`crate::ParaHash::run`], [`crate::ParaHash::run_fastq_streaming`],
+    /// [`crate::run_step1`]) run at budget `0`.
     pub fn partition_memory_budget(mut self, bytes: u64) -> Self {
         self.partition_memory_budget = bytes;
         self
@@ -369,10 +369,11 @@ impl ParaHashConfigBuilder {
     /// `work_dir/subgraphs/`; the parent verifies and absorbs the
     /// committed files and reassigns the leases of any worker that dies.
     /// `0` (the default) keeps the classic in-process Step 2. Applies to
-    /// the two-phase flows ([`crate::ParaHash::run`]); the fused
-    /// pipeline ignores it. The process `main` (or test harness entry)
-    /// of the spawned binary must call [`crate::worker_from_env`] before
-    /// doing anything else — see
+    /// the two-phase entry points ([`crate::ParaHash::run`],
+    /// [`crate::ParaHash::run_fastq_streaming`]), whose partitions are all
+    /// files once sealed; the fused ones ignore it. The process `main`
+    /// (or test harness entry) of the spawned binary must call
+    /// [`crate::worker_from_env`] before doing anything else — see
     /// [`worker_spawn_args`](Self::worker_spawn_args).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;

@@ -24,9 +24,9 @@
 //! partition-file CRC-32 ([`msp::crc32`]), and the full format is
 //! documented in `docs/FORMATS.md` / `docs/RECOVERY.md`.
 //!
-//! Events may be appended from multiple threads (the fused pipeline
-//! seals partitions on one thread while Step 2 commits subgraphs on
-//! another); the journal serialises appends behind a mutex.
+//! Events may be appended from multiple threads (Step 2's compute and
+//! output stages, a sharded parent's connection handlers); the journal
+//! serialises appends behind a mutex.
 
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};

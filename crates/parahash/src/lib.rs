@@ -24,10 +24,12 @@
 //! in-memory [`msp::PartitionStore`] (spilling the largest to disk only
 //! when
 //! [`partition_memory_budget`](ParaHashConfigBuilder::partition_memory_budget)
-//! is exceeded) while Step 2 consumes sealed partitions concurrently
-//! from a streaming queue, recycling hash-table allocations through a
-//! [`hashgraph::TablePool`]. The fused result is byte-identical to the
-//! two-phase one — only where the partition bytes live changes.
+//! is exceeded), and Step 2 takes the resident partitions over by value,
+//! recycling hash-table allocations through a [`hashgraph::TablePool`]
+//! (as it does in every mode). The fused
+//! result is byte-identical to the two-phase one — only where the
+//! partition bytes live changes. Both are one driver: the two-phase
+//! entry points are the fused build at partition budget 0.
 //!
 //! # Examples
 //!

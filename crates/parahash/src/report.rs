@@ -6,7 +6,7 @@ use pipeline::PipelineReport;
 
 /// Step-1 emit-path counters: how much work the sharded staging layer
 /// moved and how often the output stage flushed staged bytes into the
-/// partition writer. The Step-1 analogue of Step 2's
+/// partition store. The Step-1 analogue of Step 2's
 /// [`ContentionStats`] — cheap (tallied once per batch on the output
 /// stage, never on the per-superkmer emit path) and useful for spotting
 /// skew: `staging_bytes / merge_flushes` is the mean flush size, and a
@@ -69,9 +69,9 @@ pub struct StepReport {
     /// buffer and the table coexist during a launch — host-memory
     /// accounting must *add* them, not take the max.
     pub peak_table_bytes: u64,
-    /// Fused mode only: peak bytes held by the resident
-    /// [`msp::PartitionStore`] during Step 1 (0 in two-phase runs and in
-    /// Step-2 reports). Resident partitions coexist with the in-flight
+    /// Step-1 only: peak bytes held by the resident
+    /// [`msp::PartitionStore`] (0 at partition budget 0 — every two-phase
+    /// run — and in Step-2 reports). Resident partitions coexist with the in-flight
     /// batch and, later, with Step-2's tables — host-memory accounting
     /// must *add* this component.
     pub peak_resident_store_bytes: u64,
@@ -164,11 +164,11 @@ pub struct RunReport {
     /// Step 2 (hash construction).
     pub step2: StepReport,
     /// End-to-end wall-clock of the `ParaHash::run*` call, measured from
-    /// entry for every handoff: it covers the input digest, resume
+    /// entry for every entry point: it covers the input digest, resume
     /// planning (journal replay and re-verification of committed
-    /// subgraphs), both steps — with the two-phase flow's inter-step
-    /// barrier, or overlapped when fused — and the closing journal
-    /// records.
+    /// subgraphs), both steps — Step 2 starting once Step 1 has sealed
+    /// every partition — and the closing journal records, so it is never
+    /// less than [`steps_elapsed`](Self::steps_elapsed).
     pub total_elapsed: Duration,
     /// Distinct vertices in the final graph.
     pub distinct_vertices: usize,

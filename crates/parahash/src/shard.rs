@@ -644,10 +644,10 @@ fn serve_session(
 /// verify and merge their committed subgraphs as they are reported, and
 /// build whatever the cluster leaves behind through the engine. Drop-in
 /// replacement for [`run_step2_feed`](crate::step2::run_step2_feed) over
-/// a [`manifest_feed`] on the disk handoff — same journal records in the
-/// parent's `run.journal` (a worker's sub-split included), byte-identical
-/// subgraph files and graph, and the same [`Step2Shared`] deciding what a
-/// failure means.
+/// a [`manifest_feed`] of sealed partition files — same journal records
+/// in the parent's `run.journal` (a worker's sub-split included),
+/// byte-identical subgraph files and graph, and the same [`Step2Shared`]
+/// deciding what a failure means.
 ///
 /// [`StepReport::pipeline`]'s `elapsed` is the wall-clock of the whole
 /// step and `partitions` what it built, here or elsewhere; stage times,

@@ -9,7 +9,7 @@
 //! out of a [`ShardRoster`] for its whole part of the batch (one
 //! uncontended `try_lock`); every per-superkmer emit is then a plain append
 //! into memory no other thread touches. After the kernel, the output stage
-//! drains the shards into the partition writer in bulk and returns them to
+//! drains the shards into the partition store in bulk and returns them to
 //! the [`ShardPool`], so all buffer capacity (and the cursor's deque) is
 //! reused across batches — zero heap allocation and zero cross-thread
 //! locks on the per-read path.

@@ -9,18 +9,19 @@ use dna::{Kmer, PackedSeq, SeqRead};
 use hetsim::{Device, DeviceKind};
 use msp::{
     encode_superkmer_slice, FastqChunks, PartitionManifest, PartitionRouter, PartitionSink,
-    PartitionWriter, SuperkmerScanner,
+    PartitionStore, SealedPartition, SealedPayload, SuperkmerScanner,
 };
 use parking_lot::Mutex;
-use pipeline::{run_pipeline, CancelToken, PipelineReport, SharedCounterQueue, ThrottledIo};
+use pipeline::{run_pipeline, CancelToken, SharedCounterQueue, ThrottledIo};
 
+use crate::journal::{JournalEvent, RunJournal};
 use crate::staging::{ShardPool, ShardRoster, StagingShard, WriteOnceSlots};
 use crate::{ParaHashConfig, ParaHashError, Result, Step1Stats, StepReport};
 
 /// Output of one Step-1 compute launch: the worker shards holding the
 /// per-partition encoded superkmer bytes and `(superkmers, kmers)`
 /// counts, plus the number of input bases the launch consumed. The
-/// output stage drains the shards into the partition writer and returns
+/// output stage drains the shards into the partition store and returns
 /// them to the [`ShardPool`] so their capacity is reused.
 struct Batch1Out {
     shards: Vec<StagingShard>,
@@ -175,7 +176,8 @@ impl<'a> Batch<'a> {
 /// is idle scans a batch into superkmers (one GPU lane per read, one CPU
 /// thread per contiguous group of reads, as in §III-D), encodes them to
 /// the 2-bit record format, and the output stage appends the bytes to the
-/// per-partition files.
+/// per-partition files — a [`PartitionStore`] at budget `0`, every
+/// partition sealed into its file once the input is consumed.
 ///
 /// The compute stage is **allocation- and lock-free per read**: each
 /// worker takes one [`StagingShard`] for its whole part of the batch,
@@ -187,55 +189,90 @@ impl<'a> Batch<'a> {
 ///
 /// # Errors
 ///
-/// Propagates partition-file I/O failures and invalid parameters.
+/// Propagates partition-file I/O failures and invalid parameters; the
+/// partial partition directory is removed.
 pub fn run_step1(
     config: &ParaHashConfig,
     reads: &[SeqRead],
     io: &ThrottledIo,
 ) -> Result<(PartitionManifest, StepReport)> {
-    step1_to_disk(config, Input::Reads(reads), io)
+    let (manifest, report, _) = step1_sealed(config, Input::Reads(reads), 0, io, None)?;
+    Ok((manifest, report))
 }
 
-/// Step 1 with the classic disk handoff: `input` is partitioned into the
-/// files of `work_dir/superkmers`, which only leave their staging names
-/// when the returned manifest is finished.
+/// Step 1 into a [`PartitionStore`] of `budget` resident bytes, then every
+/// partition sealed onto a finished Step-2 feed. The run driver starts
+/// Step 2 only after this returns, so Step 2's report window — and its
+/// device-metric baselines — exclude Step 1, and a run that crashes in
+/// Step 2 has journaled every partition it can have sealed: at budget 0,
+/// all of them, which is what lets its resume skip Step 1.
 ///
 /// # Errors
 ///
-/// As [`step1_into`]; the partial partition directory is removed.
-pub(crate) fn step1_to_disk(
+/// Step-1 and sealing failures; the partition directory, covering an
+/// unknown prefix of the input, is removed.
+pub(crate) fn step1_sealed(
     config: &ParaHashConfig,
     input: Input<'_>,
+    budget: u64,
     io: &ThrottledIo,
-) -> Result<(PartitionManifest, StepReport)> {
+    journal: Option<&RunJournal>,
+) -> Result<(PartitionManifest, StepReport, SharedCounterQueue<SealedPartition>)> {
     let dir = config.work_dir.join("superkmers");
-    let mut writer = PartitionWriter::create_scoped(&dir, config.partitions, config.k, config.p, &config.run_token)?;
-    let cancel = CancelToken::new();
-    let baselines = device_baselines(config);
-    match step1_into(config, input, io, &cancel, &mut writer) {
-        Ok((stats, pipeline_report, peak_batch)) => {
-            let deltas = device_deltas(config, &baselines);
-            let manifest = writer.finish()?;
-            Ok((manifest, step1_report(config, stats, pipeline_report, peak_batch, &deltas)))
-        }
-        Err(e) => {
-            // The partition directory holds an inconsistent prefix of the
-            // input — remove it so Step 2 can never be pointed at it.
-            drop(writer);
-            let _ = std::fs::remove_dir_all(&dir);
-            Err(e)
+    let n = config.partitions;
+    let mut store =
+        PartitionStore::create_scoped(&dir, n, config.k, config.p, budget, &config.run_token)?;
+    // Capacity = partition count: each partition is sealed exactly once,
+    // so the queue never wraps and `push` never blocks.
+    let feed = SharedCounterQueue::new(n);
+    let sealed = step1_into(config, input, io, &CancelToken::new(), &mut store).and_then(|step1| {
+        let manifest = store.finish_manifest()?;
+        seal_all(&mut store, journal, &feed)?;
+        Ok((manifest, step1))
+    });
+    drop(store);
+    let (manifest, step1) = sealed.inspect_err(|_| {
+        let _ = std::fs::remove_dir_all(&dir);
+    })?;
+    feed.finish();
+    Ok((manifest, step1, feed))
+}
+
+/// Seals every partition of `store` onto `feed`, journaling each durable
+/// one (when there is a journal) — only a *spilled* partition is: a
+/// resident one's bytes exist nowhere but in this process's memory.
+///
+/// Hand-over order is chosen, not index order: spilled partitions first
+/// (their loads overlap compute on the resident ones, hiding T_IO per §IV
+/// Case 2), largest first within each residency class
+/// (longest-processing-time ordering tightens the Eq. 1 makespan), index
+/// as the deterministic tiebreak. Order affects only scheduling — each
+/// partition's subgraph is canonical regardless.
+fn seal_all(
+    store: &mut PartitionStore,
+    journal: Option<&RunJournal>,
+    feed: &SharedCounterQueue<SealedPartition>,
+) -> Result<()> {
+    let mut order: Vec<usize> = (0..store.num_partitions()).collect();
+    order.sort_by_key(|&i| (store.is_resident(i), std::cmp::Reverse(store.stats()[i].bytes), i));
+    for i in order {
+        let sealed = store.seal(i)?;
+        let durable = matches!(sealed.payload, SealedPayload::Spilled(_));
+        feed.push(sealed);
+        if let Some(journal) = journal.filter(|_| durable) {
+            journal.append(&JournalEvent::PartitionSealed(i))?;
         }
     }
+    Ok(())
 }
 
 /// The one body of Step 1: opens `input`, cuts it into batches — index
 /// ranges of ~`read_batch_bytes` over reads in memory, or the
 /// record-aligned chunks of a FASTQ file that is mapped (or inflated, for
 /// gzip) exactly once — and streams them through the three-stage pipeline
-/// into any [`PartitionSink`] (the classic all-disk writer or the fused
-/// pipeline's budget-governed [`msp::PartitionStore`]). Returns the emit
-/// stats, the pipeline report and the peak in-flight batch bytes; the
-/// caller owns manifest finalisation and error cleanup.
+/// into `store`. Returns the step report, its device times measured over
+/// this call alone; the caller owns sealing, manifest finalisation and
+/// error cleanup.
 ///
 /// Every roster and every kernel selection runs this same ingest. The
 /// compute stage re-splits its batch across the device's workers, so every
@@ -247,17 +284,17 @@ pub(crate) fn step1_to_disk(
 ///
 /// # Errors
 ///
-/// Partition-sink I/O failures, and FASTQ parse failures — which poison
+/// Partition-store I/O failures, and FASTQ parse failures — which poison
 /// the stream (the position is lost) and surface as
 /// [`crate::ParaHashError::InvalidConfig`] with the parser's message and
 /// the record's line in the whole file.
-pub(crate) fn step1_into<S: PartitionSink + Send>(
+pub(crate) fn step1_into(
     config: &ParaHashConfig,
     input: Input<'_>,
     io: &ThrottledIo,
     cancel: &CancelToken,
-    sink: &mut S,
-) -> Result<(Step1Stats, PipelineReport, u64)> {
+    store: &mut PartitionStore,
+) -> Result<StepReport> {
     let source = Source::open(input, config.read_batch_bytes)?;
     let scanner = SuperkmerScanner::new(config.k, config.p)?;
     let router = PartitionRouter::new(config.partitions)?;
@@ -266,6 +303,9 @@ pub(crate) fn step1_into<S: PartitionSink + Send>(
     let parse_failure: OnceLock<ParaHashError> = OnceLock::new();
     let mut stats = Step1Stats::default();
     let mut peak_batch = 0u64;
+    // One device roster serves both steps of a run; Step 2's device work
+    // starts only after this returns.
+    let baselines = device_baselines(config);
 
     // All staging capacity lives in these two pools and is recycled
     // across batches: at steady state the compute stage allocates
@@ -277,7 +317,7 @@ pub(crate) fn step1_into<S: PartitionSink + Send>(
         let (source, scanner, router) = (&source, &scanner, &router);
         let (write_error, parse_failure) = (&write_error, &parse_failure);
         let (shard_pool, boundary_pool) = (&shard_pool, &boundary_pool);
-        let (sink, stats, peak_batch) = (&mut *sink, &mut stats, &mut peak_batch);
+        let (store, stats, peak_batch) = (&mut *store, &mut stats, &mut peak_batch);
         run_pipeline(
             &SharedCounterQueue::filled(0..source.n_batches()),
             config.devices(),
@@ -367,7 +407,7 @@ pub(crate) fn step1_into<S: PartitionSink + Send>(
             // Stage 3: drain the shards into the partition files in bulk,
             // then hand them back to the pool for the next batch.
             |_idx, out: Batch1Out| {
-                drain_batch(out, stats, io, sink, write_error, cancel, shard_pool);
+                drain_batch(out, stats, io, store, write_error, cancel, shard_pool);
             },
         )
     };
@@ -378,7 +418,23 @@ pub(crate) fn step1_into<S: PartitionSink + Send>(
     if let Some(e) = write_error.into_inner() {
         return Err(e.into());
     }
-    Ok((stats, pipeline_report, peak_batch))
+    let deltas = device_deltas(config, &baselines);
+    let (cpu_compute, gpu_compute) = split_device_times(config, &pipeline_report.shares, &deltas);
+    Ok(StepReport {
+        step: 1,
+        pipeline: pipeline_report,
+        cpu_compute,
+        gpu_compute,
+        contention: None,
+        step1_stats: Some(stats),
+        resizes: 0,
+        peak_partition_bytes: peak_batch,
+        peak_table_bytes: 0, // Step 1 allocates no hash tables
+        peak_resident_store_bytes: store.peak_resident_bytes(),
+        quarantined: Vec::new(),
+        sub_splits: Vec::new(),
+        exhausted_leases: Vec::new(),
+    })
 }
 
 fn parse_error(e: dna::DnaError) -> ParaHashError {
@@ -398,35 +454,6 @@ fn offset_parse_lines(e: dna::DnaError, prefix: &[u8]) -> dna::DnaError {
             dna::DnaError::MalformedRecord { line: before + line, reason }
         }
         other => other,
-    }
-}
-
-/// Assembles Step 1's [`StepReport`] from the pipeline outputs.
-/// `deltas` are the per-device metric deltas for the step window (see
-/// [`device_deltas`]).
-pub(crate) fn step1_report(
-    config: &ParaHashConfig,
-    stats: Step1Stats,
-    pipeline_report: PipelineReport,
-    peak_batch: u64,
-    deltas: &[hetsim::DeviceMetrics],
-) -> StepReport {
-    let (cpu_compute, gpu_compute) =
-        split_device_times(config, &pipeline_report.shares, deltas);
-    StepReport {
-        step: 1,
-        pipeline: pipeline_report,
-        cpu_compute,
-        gpu_compute,
-        contention: None,
-        step1_stats: Some(stats),
-        resizes: 0,
-        peak_partition_bytes: peak_batch,
-        peak_table_bytes: 0, // Step 1 allocates no hash tables
-        peak_resident_store_bytes: 0, // filled in by the fused driver
-        quarantined: Vec::new(),
-        sub_splits: Vec::new(),
-        exhausted_leases: Vec::new(),
     }
 }
 
@@ -454,13 +481,13 @@ fn emit_run(
 }
 
 /// The output stage's drain:
-/// flushes every shard's partition buffers into the sink, tallies the
+/// flushes every shard's partition buffers into the store, tallies the
 /// emit stats, and recycles the shards into the pool.
-fn drain_batch<S: PartitionSink>(
+fn drain_batch(
     out: Batch1Out,
     stats: &mut Step1Stats,
     io: &ThrottledIo,
-    sink: &mut S,
+    store: &mut PartitionStore,
     write_error: &OnceLock<msp::MspError>,
     cancel: &CancelToken,
     shard_pool: &ShardPool,
@@ -479,11 +506,11 @@ fn drain_batch<S: PartitionSink>(
             stats.merge_flushes += 1;
             io.charge(bytes.len() as u64);
             // `step1.staging.flush` is the canonical crash site *before*
-            // any partition data reaches its sink — everything staged so
+            // any partition data reaches the store — everything staged so
             // far is discarded.
             let appended = pipeline::failpoint::hit("step1.staging.flush")
                 .map_err(msp::MspError::Io)
-                .and_then(|()| sink.append_encoded(part, bytes, sks, kms));
+                .and_then(|()| store.append_encoded(part, bytes, sks, kms));
             if let Err(e) = appended {
                 // A failed append means the partition data no longer
                 // matches the stats; abandon the run now rather than
@@ -512,10 +539,7 @@ pub(crate) fn device_baselines(config: &ParaHashConfig) -> Vec<hetsim::DeviceMet
 }
 
 /// Per-device metric deltas for one step window: current meters minus the
-/// `baselines` snapshot. Callers capture the deltas at the *end* of their
-/// device work (not at report time) so a concurrently running other step
-/// — the fused flow runs both on one roster — cannot leak into the
-/// window.
+/// `baselines` snapshot.
 pub(crate) fn device_deltas(
     config: &ParaHashConfig,
     baselines: &[hetsim::DeviceMetrics],

@@ -161,10 +161,10 @@ impl Resumed {
     }
 }
 
-/// The disk handoff as a Step-2 feed: every partition of a finished
-/// manifest, in index order, as a payload to read back from its file —
-/// exactly what a [`msp::PartitionStore`] seals for a partition it
-/// spilled.
+/// A finished manifest as a Step-2 feed: every partition, in index
+/// order, as a payload to read back from its file — exactly what a
+/// [`msp::PartitionStore`] seals for a partition it spilled. This is how
+/// [`run_step2`] and a resumed run that skips Step 1 feed Step 2.
 pub(crate) fn manifest_feed(manifest: &PartitionManifest) -> SharedCounterQueue<SealedPartition> {
     SharedCounterQueue::filled(manifest.stats().iter().enumerate().map(|(index, stats)| {
         SealedPartition {
@@ -180,11 +180,9 @@ pub(crate) fn manifest_feed(manifest: &PartitionManifest) -> SharedCounterQueue<
 /// The one Step-2 runner: builds the subgraph of every
 /// [`SealedPartition`] arriving on `feed`. The handoff between the steps
 /// is a storage choice carried by the payload, not a second algorithm —
-/// resident payloads (the fused pipeline's in-memory handoff) are used by
-/// value and skip the disk entirely; spilled payloads (a partition the
-/// store spilled, or every partition of a [`manifest_feed`]) are read
-/// back with the usual retry policy. The feed may still be growing: the
-/// fused driver pushes partitions as Step 1 seals them.
+/// resident payloads are used by value and skip the disk entirely;
+/// spilled payloads (a partition the store spilled, or every partition of
+/// a [`manifest_feed`]) are read back with the usual retry policy.
 ///
 /// Crash-recovery hooks: an optional [`RunJournal`] receives a
 /// `subgraph-committed` record after every atomic subgraph commit (and
@@ -194,8 +192,7 @@ pub(crate) fn manifest_feed(manifest: &PartitionManifest) -> SharedCounterQueue<
 /// as no-ops.
 ///
 /// The caller owns `feed` (finish it at end of stream, close it to
-/// abort) and `cancel`; a fatal error in here cancels the token, which a
-/// concurrent Step 1 must observe.
+/// abort) and `cancel`; a fatal error in here cancels the token.
 ///
 /// # Errors
 ///
@@ -253,12 +250,10 @@ pub(crate) struct Step2Shared<'a> {
     /// single-`u64` fast path for k ≤ 32, scalar cursor otherwise (and
     /// under `PARAHASH_FORCE_SCALAR`, captured at construction).
     kernel: ReplayKernel,
-    /// Device-metric snapshots taken at the *first* compute launch (not
-    /// at construction): in the fused flow this struct exists while
-    /// Step 1 still owns the shared device roster, but Step 2's first
-    /// build strictly follows Step 1's last device call — so a lazy
-    /// baseline fences Step 1's meters out of this step's window.
-    baselines: OnceLock<Vec<hetsim::DeviceMetrics>>,
+    /// Device-metric snapshots taken at construction: every driver builds
+    /// this struct after Step 1 has returned, so Step 1's meters stay out
+    /// of this step's window.
+    baselines: Vec<hetsim::DeviceMetrics>,
 }
 
 impl<'a> Step2Shared<'a> {
@@ -283,7 +278,7 @@ impl<'a> Step2Shared<'a> {
             sub_splits: Mutex::new(Vec::new()),
             sub_dir: config.work_dir.join("subgraphs"),
             kernel: ReplayKernel::new(config.k),
-            baselines: OnceLock::new(),
+            baselines: device_baselines(config),
         }
     }
 
@@ -384,7 +379,6 @@ impl<'a> Step2Shared<'a> {
         bytes: Vec<u8>,
         n_kmers: u64,
     ) -> (Option<Part2Out>, u64) {
-        self.baselines.get_or_init(|| device_baselines(self.config));
         self.peak_partition.fetch_max(bytes.len() as u64, Ordering::Relaxed);
         let projected = hashgraph::projected_table_bytes(n_kmers, self.config.sizing);
         let budget = self.config.table_memory_budget;
@@ -686,12 +680,7 @@ impl<'a> Step2Shared<'a> {
                 journal.append(&JournalEvent::Quarantined(q.index, q.reason.clone()))?;
             }
         }
-        let deltas = match self.baselines.get() {
-            Some(baselines) => device_deltas(self.config, baselines),
-            // No partition ever reached the compute stage: the step did
-            // no device work, so its window is empty.
-            None => Vec::new(),
-        };
+        let deltas = device_deltas(self.config, &self.baselines);
         let (cpu_compute, gpu_compute) =
             split_device_times(self.config, &pipeline_report.shares, &deltas);
         let report = StepReport {

@@ -15,7 +15,7 @@
 //!   calling thread drains outputs, and all three overlap. Its modes are
 //!   arguments, not entry points. The feed is a
 //!   [`SharedCounterQueue::filled`] batch or a stream that grows while
-//!   the run consumes it (the fused Step 1 → Step 2 handoff). Every
+//!   the run consumes it. Every
 //!   driver pops one shared queue, so faster processors simply claim
 //!   more — the dynamic distribution of Fig 11. Fig 12's non-pipelined
 //!   baseline is the sum of the report's stage times.

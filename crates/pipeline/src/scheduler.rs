@@ -165,9 +165,8 @@ impl<T, I, O> Drop for Shutdown<'_, T, I, O> {
 ///
 /// **The feed.** Its capacity is an *upper bound* on the stream length.
 /// A batch run hands over [`SharedCounterQueue::filled`]; a streaming run
-/// (the fused Step 1 → Step 2 handoff) pushes descriptors while the
-/// pipeline is already consuming earlier ones, then calls
-/// [`SharedCounterQueue::finish`]. Either way the input stage drains the
+/// may push descriptors while the pipeline is already consuming earlier
+/// ones, then call [`SharedCounterQueue::finish`]. Either way the input stage drains the
 /// feed and finishes its own queues, and the last driver out finishes the
 /// output queue, so the run ends without knowing the stream length up
 /// front. [`PipelineReport::partitions`] counts the items consumed.

@@ -10,8 +10,9 @@
 //! directory and compares against a reference run.
 //!
 //! Sites are crossed with several trigger counts ("seeds") so the crash
-//! lands at different points of each run, and both the two-phase and the
-//! fused flow are covered.
+//! lands at different points of each run, at partition budget 0 (the
+//! two-phase flow) and at a partial budget (the fused flow, some
+//! partitions resident and some spilled).
 
 mod common;
 
@@ -21,9 +22,47 @@ use std::process::Command;
 
 use common::{K, P};
 use dna::SeqRead;
-use parahash::{Fingerprint, ParaHash, ParaHashConfig, ParaHashError, RunJournal};
+use parahash::{
+    Fingerprint, ParaHash, ParaHashConfig, ParaHashError, Result, RunJournal, RunOutcome, Step1Stats,
+};
 
 const PARTITIONS: usize = 6;
+
+/// The fused flow's partition budget: over [`reads`], four of the six
+/// partitions spill — so `msp.store.spill` fires at triggers 1–3 — and
+/// two stay resident.
+const PARTIAL_BUDGET: u64 = 6 << 10;
+
+/// Which entry point, at which partition budget, a crashed run and its
+/// resume build with.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Flow {
+    /// `run`: budget 0, every partition a file.
+    TwoPhase,
+    /// `run_fused` at [`PARTIAL_BUDGET`].
+    Fused,
+    /// `run_fused` at budget 0: the two-phase data path, fused entry.
+    FusedSpill,
+}
+
+impl Flow {
+    const ALL: [Flow; 3] = [Flow::TwoPhase, Flow::Fused, Flow::FusedSpill];
+
+    fn name(self) -> &'static str {
+        match self {
+            Flow::TwoPhase => "two-phase",
+            Flow::Fused => "fused",
+            Flow::FusedSpill => "fused-spill",
+        }
+    }
+
+    fn build(self, ph: &ParaHash, rs: &[SeqRead]) -> Result<RunOutcome> {
+        match self {
+            Flow::TwoPhase => ph.run(rs),
+            Flow::Fused | Flow::FusedSpill => ph.run_fused(rs),
+        }
+    }
+}
 
 /// The sites each flow passes, every one a crash point below; together
 /// they are `pipeline::failpoint::SITES`.
@@ -38,33 +77,30 @@ fn reads() -> Vec<SeqRead> {
     common::reads(200, 80, 0x9E37_79B9_7F4A_7C15)
 }
 
-fn config(dir: &Path, fused: bool) -> ParaHashConfig {
-    builder(dir, fused).build().expect("valid config")
+fn config(dir: &Path, flow: Flow) -> ParaHashConfig {
+    builder(dir, flow).build().expect("valid config")
 }
 
 /// A runner over `dir` that picks an interrupted run up from its journal.
-fn resuming(dir: &Path, fused: bool) -> ParaHash {
-    ParaHash::new(builder(dir, fused).resume(true).build().expect("valid config")).unwrap()
+fn resuming(dir: &Path, flow: Flow) -> ParaHash {
+    ParaHash::new(builder(dir, flow).resume(true).build().expect("valid config")).unwrap()
 }
 
-fn builder(dir: &Path, fused: bool) -> parahash::ParaHashConfigBuilder {
-    let mut b = common::builder(dir).partitions(PARTITIONS);
-    if fused {
-        // Budget 0 forces every partition through the spill path, so the
-        // `msp.store.spill` site is guaranteed to fire.
-        b = b.partition_memory_budget(0);
+fn builder(dir: &Path, flow: Flow) -> parahash::ParaHashConfigBuilder {
+    let b = common::builder(dir).partitions(PARTITIONS);
+    match flow {
+        Flow::TwoPhase => b,
+        Flow::Fused => b.partition_memory_budget(PARTIAL_BUDGET),
+        Flow::FusedSpill => b.partition_memory_budget(0),
     }
-    b
 }
 
 /// Runs the reference (uninterrupted) flow and returns its graph and
 /// subgraph bytes.
-fn reference(fused: bool, tag: &str) -> (hashgraph::DeBruijnGraph, BTreeMap<String, Vec<u8>>) {
+fn reference(flow: Flow, tag: &str) -> (hashgraph::DeBruijnGraph, BTreeMap<String, Vec<u8>>) {
     let dir = common::fresh_dir(tag);
-    let ph = ParaHash::new(config(&dir, fused)).unwrap();
-    let rs = reads();
-    let outcome =
-        if fused { ph.run_fused(&rs).unwrap() } else { ph.run(&rs).unwrap() };
+    let ph = ParaHash::new(config(&dir, flow)).unwrap();
+    let outcome = flow.build(&ph, &reads()).unwrap();
     let bytes = common::subgraph_bytes(&dir);
     let _ = std::fs::remove_dir_all(&dir);
     (outcome.graph, bytes)
@@ -73,12 +109,12 @@ fn reference(fused: bool, tag: &str) -> (hashgraph::DeBruijnGraph, BTreeMap<Stri
 /// Spawns this test binary as a child that runs the pipeline with one
 /// failpoint armed to `abort`. Returns whether the child terminated
 /// abnormally (it should — the abort fires mid-run).
-fn spawn_crashing_child(dir: &Path, fused: bool, site: &str, trigger: u32) -> bool {
+fn spawn_crashing_child(dir: &Path, flow: Flow, site: &str, trigger: u32) -> bool {
     let exe = std::env::current_exe().expect("own test binary");
     let status = Command::new(exe)
         .args(["child_runner", "--exact", "--nocapture"])
         .env("PARAHASH_CRASH_CHILD_DIR", dir)
-        .env("PARAHASH_CRASH_CHILD_MODE", if fused { "fused" } else { "two-phase" })
+        .env("PARAHASH_CRASH_CHILD_MODE", flow.name())
         .env("PARAHASH_FAILPOINTS", format!("{site}=abort@{trigger}"))
         .status()
         .expect("spawn child");
@@ -91,31 +127,30 @@ fn spawn_crashing_child(dir: &Path, fused: bool, site: &str, trigger: u32) -> bo
 #[test]
 fn child_runner() {
     let Ok(dir) = std::env::var("PARAHASH_CRASH_CHILD_DIR") else { return };
-    let fused = std::env::var("PARAHASH_CRASH_CHILD_MODE").as_deref() == Ok("fused");
-    let ph = ParaHash::new(config(Path::new(&dir), fused)).unwrap();
-    let rs = reads();
+    let mode = std::env::var("PARAHASH_CRASH_CHILD_MODE").unwrap();
+    let flow = Flow::ALL.into_iter().find(|flow| flow.name() == mode).unwrap();
+    let ph = ParaHash::new(config(Path::new(&dir), flow)).unwrap();
     // With an `abort` failpoint armed the process dies inside here; if
     // the trigger count exceeds the site's hits, the run completes and
     // the parent's assertion on the exit status catches the misfire.
-    let _ = if fused { ph.run_fused(&rs) } else { ph.run(&rs) };
+    let _ = flow.build(&ph, &reads());
 }
 
 /// The matrix driver: crash at `site` under several trigger counts,
 /// resume, compare with the reference.
-fn crash_matrix(fused: bool, sites: &[&str], triggers: &[u32]) {
-    let mode = if fused { "fused" } else { "two-phase" };
-    let (ref_graph, ref_bytes) = reference(fused, &format!("ref-{mode}"));
+fn crash_matrix(flow: Flow, sites: &[&str], triggers: &[u32]) {
+    let mode = flow.name();
+    let (ref_graph, ref_bytes) = reference(flow, &format!("ref-{mode}"));
     for site in sites {
         for &trigger in triggers {
             let tag = format!("{mode}-{}-{trigger}", site.replace('.', "_"));
             let dir = common::fresh_dir(&tag);
             assert!(
-                spawn_crashing_child(&dir, fused, site, trigger),
+                spawn_crashing_child(&dir, flow, site, trigger),
                 "child must die at {site}@{trigger} ({mode})"
             );
-            let ph = resuming(&dir, fused);
-            let rs = reads();
-            let outcome = if fused { ph.run_fused(&rs) } else { ph.run(&rs) }
+            let outcome = flow
+                .build(&resuming(&dir, flow), &reads())
                 .unwrap_or_else(|e| panic!("resume after {site}@{trigger} ({mode}): {e}"));
             assert_eq!(outcome.graph, ref_graph, "graph after {site}@{trigger} ({mode})");
             assert_eq!(
@@ -132,12 +167,64 @@ fn crash_matrix(fused: bool, sites: &[&str], triggers: &[u32]) {
 
 #[test]
 fn two_phase_crash_at_every_site_resumes_byte_identical() {
-    crash_matrix(false, TWO_PHASE_SITES, &[1, 2, 3]);
+    crash_matrix(Flow::TwoPhase, TWO_PHASE_SITES, &[1, 2, 3]);
 }
 
 #[test]
 fn fused_crash_at_every_site_resumes_byte_identical() {
-    crash_matrix(true, FUSED_SITES, &[1, 2, 3]);
+    crash_matrix(Flow::Fused, FUSED_SITES, &[1, 2, 3]);
+}
+
+/// One resume rule for every entry point: a fused run at budget 0 killed
+/// in Step 2 has journaled every partition sealed, so its resume skips
+/// Step 1 — an idle Step-1 report — and still ends byte-identical.
+#[test]
+fn a_fused_run_whose_partitions_all_spilled_resumes_without_step1() {
+    let flow = Flow::FusedSpill;
+    let (ref_graph, ref_bytes) = reference(flow, "ref-fused-spill");
+    let dir = common::fresh_dir("fused-spill-skip");
+    assert!(spawn_crashing_child(&dir, flow, "step2.subgraph.write", 2), "child must die");
+    let outcome = flow.build(&resuming(&dir, flow), &reads()).unwrap();
+    assert_eq!(outcome.report.step1.step1_stats, Some(Step1Stats::default()), "Step 1 ran");
+    assert_eq!(outcome.graph, ref_graph);
+    assert_eq!(common::subgraph_bytes(&dir), ref_bytes);
+    assert!(RunJournal::replay(&dir).unwrap().complete);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A budget-0 run commits a file for every partition — one no record was
+/// routed to included — and journals each sealed, so a resume skips
+/// Step 1 and a worker process can lease any partition from its file.
+#[test]
+fn every_partition_of_a_budget_0_run_is_a_sealed_file() {
+    const MANY: usize = 64;
+    let dir = common::fresh_dir("budget0-every-file");
+    let builder = || common::builder(&dir).partitions(MANY);
+    let rs = reads();
+    let full = ParaHash::new(builder().build().unwrap()).unwrap().run(&rs).unwrap();
+    let manifest = msp::PartitionManifest::load(dir.join("superkmers")).unwrap();
+    let empty = manifest.stats().iter().filter(|stats| stats.bytes == 0).count();
+    assert!(empty > 0 && empty < MANY, "{empty} of {MANY} partitions empty");
+    for i in 0..MANY {
+        assert!(manifest.partition_path(i).exists(), "part-{i:05}.skm");
+    }
+    assert_eq!(RunJournal::replay(&dir).unwrap().sealed, (0..MANY).collect());
+    let before = common::subgraph_bytes(&dir);
+
+    // Interrupted with nothing of Step 2 left: every partition goes to the
+    // one worker, read from its file.
+    drop_final_journal_record(&dir);
+    std::fs::remove_dir_all(dir.join("subgraphs")).unwrap();
+    let resumed = builder().workers(1).resume(true).build().unwrap();
+    let outcome = ParaHash::new(resumed).unwrap().run(&rs).unwrap();
+    assert_eq!(outcome.report.step1.step1_stats, Some(Step1Stats::default()), "Step 1 ran");
+    assert_eq!(outcome.graph, full.graph);
+    assert_eq!(common::subgraph_bytes(&dir), before);
+    let journal = RunJournal::replay(&dir).unwrap();
+    let leased: std::collections::BTreeSet<usize> = journal.leases.iter().map(|&(_, p)| p).collect();
+    assert_eq!(leased.len(), MANY, "every partition leased");
+    assert!(journal.complete);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A site registered but in neither list would never be crashed at.
@@ -154,24 +241,24 @@ fn the_flows_cover_every_registered_site() {
 #[test]
 fn resume_refuses_a_mismatched_fingerprint() {
     let dir = common::fresh_dir("fpr-mismatch");
-    let ph = ParaHash::new(config(&dir, false)).unwrap();
+    let ph = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap();
     ph.run(&reads()).unwrap();
     // Same work dir, different input: the journal belongs to another run.
     let other = vec![SeqRead::from_ascii("x", b"ACGTACGTACGTACGTACGT")];
-    match resuming(&dir, false).run(&other) {
+    match resuming(&dir, Flow::TwoPhase).run(&other) {
         Err(ParaHashError::FingerprintMismatch { .. }) => {}
         other => panic!("expected FingerprintMismatch, got {other:?}"),
     }
     // A non-resume run in the same dir simply starts fresh.
-    ParaHash::new(config(&dir, false)).unwrap().run(&other).unwrap();
+    ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap().run(&other).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resume_without_a_journal_is_a_fresh_run() {
     let dir = common::fresh_dir("no-journal");
-    let (ref_graph, _) = reference(false, "ref-nojournal");
-    let outcome = resuming(&dir, false).run(&reads()).unwrap();
+    let (ref_graph, _) = reference(Flow::TwoPhase, "ref-nojournal");
+    let outcome = resuming(&dir, Flow::TwoPhase).run(&reads()).unwrap();
     assert_eq!(outcome.graph, ref_graph);
     assert!(RunJournal::replay(&dir).unwrap().complete);
     let _ = std::fs::remove_dir_all(&dir);
@@ -180,7 +267,7 @@ fn resume_without_a_journal_is_a_fresh_run() {
 #[test]
 fn resume_skips_verified_subgraphs_and_redoes_damaged_ones() {
     let dir = common::fresh_dir("partial");
-    let ph = ParaHash::new(config(&dir, false)).unwrap();
+    let ph = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap();
     let rs = reads();
     let full = ph.run(&rs).unwrap();
     let before = common::subgraph_bytes(&dir);
@@ -195,7 +282,7 @@ fn resume_skips_verified_subgraphs_and_redoes_damaged_ones() {
     damaged[mid] ^= 0x20;
     std::fs::write(&victim, &damaged).unwrap();
 
-    let resumed = resuming(&dir, false).run(&rs).unwrap();
+    let resumed = resuming(&dir, Flow::TwoPhase).run(&rs).unwrap();
     assert_eq!(resumed.graph, full.graph);
     assert_eq!(common::subgraph_bytes(&dir), before, "damaged partition must be rewritten identically");
     assert!(RunJournal::replay(&dir).unwrap().complete);
@@ -209,7 +296,7 @@ fn resume_skips_verified_subgraphs_and_redoes_damaged_ones() {
 fn resume_rebuilds_subgraphs_of_the_68_byte_record_layout() {
     let dir = common::fresh_dir("old-layout");
     let rs = reads();
-    let full = ParaHash::new(config(&dir, false)).unwrap().run(&rs).unwrap();
+    let full = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap().run(&rs).unwrap();
     let before = common::subgraph_bytes(&dir);
     drop_final_journal_record(&dir);
     for (name, bytes) in &before {
@@ -217,7 +304,7 @@ fn resume_rebuilds_subgraphs_of_the_68_byte_record_layout() {
         assert!(hashgraph::decode_subgraph(&old).is_err(), "{name}");
         std::fs::write(dir.join("subgraphs").join(name), old).unwrap();
     }
-    let resumed = resuming(&dir, false).run(&rs).unwrap();
+    let resumed = resuming(&dir, Flow::TwoPhase).run(&rs).unwrap();
     assert_eq!(resumed.graph, full.graph);
     assert_eq!(common::subgraph_bytes(&dir), before, "every partition must be rewritten identically");
     assert!(RunJournal::replay(&dir).unwrap().complete);
@@ -270,7 +357,7 @@ fn fused_journal_holds_exactly_the_documented_records() {
     for (tag, budget) in [("spill", 0u64), ("resident", u64::MAX)] {
         let build = |n: usize| {
             let dir = common::fresh_dir(&format!("grammar-{tag}-{n}"));
-            let cfg = builder(&dir, false).partition_memory_budget(budget).build().unwrap();
+            let cfg = builder(&dir, Flow::TwoPhase).partition_memory_budget(budget).build().unwrap();
             ParaHash::new(cfg).unwrap().run_fused(&rs).unwrap();
             let bytes = std::fs::read(dir.join("run.journal")).unwrap();
             let state = RunJournal::replay(&dir).unwrap();
@@ -312,7 +399,7 @@ fn fused_journal_holds_exactly_the_documented_records() {
 #[test]
 fn resume_sweep_spares_a_concurrent_runs_staging() {
     let dir = common::fresh_dir("scoped-sweep");
-    let ph = ParaHash::new(config(&dir, false)).unwrap();
+    let ph = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap();
     let rs = reads();
     let full = ph.run(&rs).unwrap();
     drop_final_journal_record(&dir);
@@ -338,10 +425,11 @@ fn resume_sweep_spares_a_concurrent_runs_staging() {
     std::fs::write(&stale, b"run A's crashed staging").unwrap();
     std::fs::write(&live, b"run B's live staging").unwrap();
 
-    let resumed = resuming(&dir, false).run(&rs).unwrap();
+    let resumed = resuming(&dir, Flow::TwoPhase).run(&rs).unwrap();
     assert_eq!(resumed.graph, full.graph);
     assert!(!stale.exists(), "own-token leftover must be reclaimed by the resume sweep");
     assert!(live.exists(), "another run's scoped staging must survive the resume sweep");
     assert!(RunJournal::replay(&dir).unwrap().complete);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
