@@ -1,11 +1,13 @@
 //! Step-2 (concurrent hashing) studies: Figs 7–10 and the §III-C lock
 //! statistics.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use hashgraph::{
     build_subgraph_with, ConcurrentDbgTable, ContentionStats, MutexDbgTable, VertexTable,
 };
+use hetsim::Device;
 use parahash::{run_step1, run_step2};
 use pipeline::{IoMode, ThrottledIo};
 
@@ -14,14 +16,14 @@ use crate::fmt::{count, loglog_slope, secs, Table};
 use crate::workloads::{self, Setup, K};
 
 /// Shared harness: run Step 1 once per partition count, then time Step 2
-/// under `setup`, returning (elapsed, the Step-2 report, gpu metrics).
+/// on `devices`, returning (elapsed, the Step-2 report, device metrics).
 fn step2_time(
     data: &datagen::ProfileData,
     partitions: usize,
-    setup: Setup,
+    devices: Vec<Arc<dyn Device>>,
     tag: &str,
 ) -> (std::time::Duration, parahash::StepReport, Vec<hetsim::DeviceMetrics>) {
-    let ph = workloads::runner(tag, setup, partitions, IoMode::Unthrottled);
+    let ph = workloads::runner_on(tag, devices, partitions, IoMode::Unthrottled);
     let io = ThrottledIo::new(IoMode::Unthrottled);
     let (manifest, _) = run_step1(ph.config(), &data.reads, &io).expect("step1 runs");
     let t0 = Instant::now();
@@ -33,14 +35,16 @@ fn step2_time(
 }
 
 /// Fig 7: CPU hashing vs GPU hashing time as the number of partitions
-/// (and therefore the hash table size) varies.
+/// (and therefore the hash table size) varies. The CPU is the paper's:
+/// every core on one shared table per partition
+/// ([`workloads::concurrent_cpu`]).
 pub fn fig7(scale: f64) {
     header("Fig 7", "CPU hashing vs GPU hashing time vs number of partitions");
     let data = workloads::chr14(scale);
     let mut t = Table::new(&["# partitions", "CPU hashing (s)", "GPU hashing (s)"]);
     for n in [16usize, 32, 64, 128, 256] {
-        let (cpu_t, _, _) = step2_time(&data, n, Setup::CpuOnly, &format!("f7c{n}"));
-        let (gpu_t, _, _) = step2_time(&data, n, Setup::OneGpu, &format!("f7g{n}"));
+        let (cpu_t, _, _) = step2_time(&data, n, workloads::concurrent_cpu(), &format!("f7c{n}"));
+        let (gpu_t, _, _) = step2_time(&data, n, Setup::OneGpu.devices(), &format!("f7g{n}"));
         t.row_owned(vec![n.to_string(), secs(cpu_t), secs(gpu_t)]);
     }
     print!("{}", t.render());
@@ -58,7 +62,8 @@ pub fn fig8(scale: f64) {
     let data = workloads::chr14(scale);
     let mut t = Table::new(&["# partitions", "GPU total (s)", "kernel (s)", "transfer (s)"]);
     for n in [16usize, 32, 64, 128, 256] {
-        let (elapsed, _, metrics) = step2_time(&data, n, Setup::OneGpu, &format!("f8-{n}"));
+        let (elapsed, _, metrics) =
+            step2_time(&data, n, Setup::OneGpu.devices(), &format!("f8-{n}"));
         let m = &metrics[0];
         t.row_owned(vec![
             n.to_string(),

@@ -75,8 +75,8 @@ pub fn experiment_gpu() -> SimGpuConfig {
     }
 }
 
-/// Number of CPU worker threads experiments give the host device (the
-/// paper uses its 20 cores; we use what the machine offers).
+/// Number of CPU cores experiments give the host (the paper uses its 20
+/// cores; we use what the machine offers).
 pub fn cpu_threads() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
@@ -113,7 +113,9 @@ impl Setup {
         }
     }
 
-    /// Builds the device roster for this setup.
+    /// Builds the device roster for this setup. The CPU is one
+    /// one-worker device per core (`cpu0`, `cpu1`, …), as
+    /// `ParaHashConfigBuilder::cpu_threads` builds it in production.
     pub fn devices(self) -> Vec<Arc<dyn Device>> {
         let mut out: Vec<Arc<dyn Device>> = Vec::new();
         let (cpu, gpus) = match self {
@@ -124,7 +126,9 @@ impl Setup {
             Setup::CpuTwoGpu => (true, 2),
         };
         if cpu {
-            out.push(Arc::new(CpuDevice::new("cpu0", cpu_threads())));
+            for i in 0..cpu_threads() {
+                out.push(Arc::new(CpuDevice::new(format!("cpu{i}"), 1)));
+            }
         }
         for i in 0..gpus {
             out.push(Arc::new(SimGpuDevice::new(format!("gpu{i}"), experiment_gpu())));
@@ -140,6 +144,14 @@ pub fn work_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The paper's concurrent CPU kernel as a roster: one device whose
+/// [`cpu_threads`] workers share each partition's table. Step-2 hashing
+/// studies (Fig 7) measure this, not the one-core-per-partition roster of
+/// [`Setup::CpuOnly`].
+pub fn concurrent_cpu() -> Vec<Arc<dyn Device>> {
+    vec![Arc::new(CpuDevice::new("cpu0", cpu_threads()))]
+}
+
 /// Builds a ParaHash runner for a dataset and setup.
 ///
 /// # Panics
@@ -151,6 +163,20 @@ pub fn runner(
     partitions: usize,
     io_mode: IoMode,
 ) -> ParaHash {
+    runner_on(tag, setup.devices(), partitions, io_mode)
+}
+
+/// [`runner`] over an explicit device roster.
+///
+/// # Panics
+///
+/// Panics on invalid configuration (experiment parameters are static).
+pub fn runner_on(
+    tag: &str,
+    devices: Vec<Arc<dyn Device>>,
+    partitions: usize,
+    io_mode: IoMode,
+) -> ParaHash {
     let mut builder = ParaHashConfig::builder()
         .k(K)
         .p(P)
@@ -159,7 +185,7 @@ pub fn runner(
         .io_mode(io_mode)
         .work_dir(work_dir(tag))
         .no_cpu();
-    for d in setup.devices() {
+    for d in devices {
         builder = builder.device(d);
     }
     ParaHash::new(builder.build().expect("experiment config is valid")).expect("work dir creatable")
@@ -182,9 +208,12 @@ mod tests {
 
     #[test]
     fn setups_assemble_expected_rosters() {
-        assert_eq!(Setup::CpuOnly.devices().len(), 1);
+        let cores = cpu_threads();
+        assert_eq!(Setup::CpuOnly.devices().len(), cores);
+        assert!(Setup::CpuOnly.devices().iter().all(|d| d.parallelism() == 1));
         assert_eq!(Setup::TwoGpu.devices().len(), 2);
-        assert_eq!(Setup::CpuTwoGpu.devices().len(), 3);
+        assert_eq!(Setup::CpuTwoGpu.devices().len(), cores + 2);
+        assert_eq!(concurrent_cpu()[0].parallelism(), cores);
         assert_eq!(Setup::ALL.len(), 5);
         assert_eq!(Setup::CpuOneGpu.label(), "CPU+1GPU");
     }

@@ -79,30 +79,34 @@ pub fn table_capacity_for(n_kmers: u64, params: SizingParams) -> usize {
 
 /// Projected allocation size of the Property-1 table a partition with
 /// `n_kmers` k-mer occurrences would need, in bytes — the §IV-A capacity
-/// rule priced at [`SLOT_BYTES`](crate::SLOT_BYTES) per slot.
+/// rule, rounded up to the [`TablePool`](crate::TablePool) class Step 2
+/// checks it out at, priced at [`SLOT_BYTES`](crate::SLOT_BYTES) per
+/// slot.
 ///
 /// This is the out-of-core admission check: it can be computed from the
 /// Step-1 manifest alone, *before* any table is allocated, and it equals
 /// what [`ConcurrentDbgTable::approx_bytes`](crate::ConcurrentDbgTable::approx_bytes)
-/// would report for a table sized by [`table_capacity_for`] — so a
-/// partition that passes the projection also fits the budget once built
-/// (capacity-doubling retries on pathological inputs excepted).
+/// reports for the table a pool checkout of [`table_capacity_for`]
+/// slots hands out — so a partition that passes the projection also fits
+/// the budget once built (capacity-doubling retries on pathological
+/// inputs excepted).
 ///
 /// # Examples
 ///
 /// ```
-/// use hashgraph::{projected_table_bytes, table_capacity_for, SizingParams};
+/// use hashgraph::{projected_table_bytes, table_capacity_for, SizingParams, TablePool};
 ///
 /// let params = SizingParams::default();
-/// let projected = projected_table_bytes(1_000_000, params);
-/// assert_eq!(projected, table_capacity_for(1_000_000, params) as u64 * 98);
+/// let slots = TablePool::capacity_class(table_capacity_for(1_000_000, params));
+/// assert_eq!(projected_table_bytes(1_000_000, params), slots as u64 * 70);
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if `alpha` is not in `(0, 1]` or `lambda` is negative.
 pub fn projected_table_bytes(n_kmers: u64, params: SizingParams) -> u64 {
-    table_capacity_for(n_kmers, params) as u64 * crate::table::SLOT_BYTES as u64
+    let slots = crate::TablePool::capacity_class(table_capacity_for(n_kmers, params));
+    slots as u64 * crate::SLOT_BYTES as u64
 }
 
 #[cfg(test)]
@@ -167,12 +171,13 @@ mod tests {
     #[test]
     fn projection_matches_allocated_table() {
         // The admission check and the post-allocation meter must agree:
-        // what the projection promises is what approx_bytes() charges.
-        for n_kmers in [0u64, 3, 1_000, 123_456] {
+        // what the projection promises is what the table Step 2 checks
+        // out of its pool charges — class rounding included.
+        let pool = crate::TablePool::new(27);
+        for n_kmers in [0u64, 3, 1_000, 97_959, 123_456] {
             let params = SizingParams::default();
             let projected = projected_table_bytes(n_kmers, params);
-            let table =
-                crate::ConcurrentDbgTable::new(table_capacity_for(n_kmers, params), 27);
+            let table = pool.checkout(table_capacity_for(n_kmers, params));
             assert_eq!(projected, table.approx_bytes() as u64, "n_kmers={n_kmers}");
         }
     }

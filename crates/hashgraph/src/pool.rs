@@ -1,22 +1,34 @@
 //! Table memory pooling for the fused pipeline.
 //!
 //! Step 2 allocates (and zeroes) one [`ConcurrentDbgTable`] per partition
-//! — ~70 bytes per slot — and throws it away after the snapshot. Across
-//! hundreds of partitions (plus the occasional capacity-retry rebuild)
-//! that alloc+zero churn is pure overhead: the table shapes repeat,
-//! because partition sizes cluster. [`TablePool`] recycles the backing
-//! allocations: tables are checked out by **capacity class** (the
-//! requested capacity rounded up to the next power of two, so nearby
-//! sizes share a shelf), wiped with [`ConcurrentDbgTable::reset`] (one
+//! — [`SLOT_BYTES`](crate::SLOT_BYTES) per slot — and throws it away
+//! after the snapshot. Across hundreds of partitions (plus the occasional
+//! capacity-retry rebuild) that alloc+zero churn is pure overhead: the
+//! table shapes repeat, because partition sizes cluster. [`TablePool`]
+//! recycles the backing allocations: tables are checked out by
+//! **capacity class**, wiped with [`ConcurrentDbgTable::reset`] (one
 //! memset of the 2-byte state words, no allocation — a slot's stale key
-//! and counter line are overwritten by whoever claims it next) and
+//! and counter cell are overwritten by whoever claims it next) and
 //! returned to their shelf on drop.
+//!
+//! A class is the requested capacity rounded up to a multiple of an
+//! eighth of its next power of two — four classes an octave, so a table
+//! is at most 25 % over its request and nearby sizes still share a
+//! shelf.
+//!
+//! A checkout that misses its shelf first drops one shelved table, the
+//! largest class first, then allocates. Tables alive — checked out plus
+//! shelved — therefore never exceed the peak number of concurrent
+//! checkouts, however many classes a run passes through: a table no
+//! device will ask for again is not kept on a shelf. Step 2 hands
+//! partitions over largest first, so each device's classes mostly go
+//! down and a miss evicts the class it just outgrew.
 //!
 //! The pool is shared across device driver threads — checkout and return
 //! take one short mutex each, trivially amortised against the work of
 //! building a partition's subgraph.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,7 +57,10 @@ use crate::ConcurrentDbgTable;
 #[derive(Debug)]
 pub struct TablePool {
     k: usize,
-    shelves: Mutex<HashMap<usize, Vec<ConcurrentDbgTable>>>,
+    /// Idle tables by capacity class. A class whose shelf empties keeps
+    /// its (empty) entry, so a warm checkout/return cycle allocates no
+    /// map node.
+    shelves: Mutex<BTreeMap<usize, Vec<ConcurrentDbgTable>>>,
     allocations: AtomicU64,
     reuses: AtomicU64,
 }
@@ -60,25 +75,48 @@ impl TablePool {
     pub fn new(k: usize) -> TablePool {
         TablePool {
             k,
-            shelves: Mutex::new(HashMap::new()),
+            shelves: Mutex::new(BTreeMap::new()),
             allocations: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
         }
     }
 
     /// The shelf a requested capacity maps to: at least the table's
-    /// 16-slot minimum, rounded up to the next power of two so partitions
-    /// of similar size recycle the same allocation.
+    /// 16-slot minimum, rounded up to a multiple of an eighth of its next
+    /// power of two, so partitions of similar size recycle the same
+    /// allocation while no table is more than 25 % over its request.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hashgraph::TablePool;
+    ///
+    /// assert_eq!(TablePool::capacity_class(3), 16);
+    /// assert_eq!(TablePool::capacity_class(100), 112); // 7 × 128/8
+    /// assert_eq!(TablePool::capacity_class(75_354), 81_920); // 5 × 131 072/8
+    /// ```
     pub fn capacity_class(capacity: usize) -> usize {
-        capacity.max(16).next_power_of_two()
+        let capacity = capacity.max(16);
+        let step = capacity.next_power_of_two() / 8;
+        capacity.div_ceil(step) * step
     }
 
     /// Checks out a table with room for at least `capacity` distinct
-    /// vertices: a reset shelf table when one exists, a fresh allocation
-    /// otherwise. The table returns to its shelf when the guard drops.
+    /// vertices: a reset shelf table when its class has one; otherwise a
+    /// fresh allocation, made after dropping one shelved table of another
+    /// class (the largest). The table returns to its shelf when the guard
+    /// drops.
     pub fn checkout(&self, capacity: usize) -> PooledTable<'_> {
         let class = Self::capacity_class(capacity);
-        let shelved = self.shelves.lock().get_mut(&class).and_then(Vec::pop);
+        let (shelved, evicted) = {
+            let mut shelves = self.shelves.lock();
+            match shelves.get_mut(&class).and_then(Vec::pop) {
+                Some(table) => (Some(table), None),
+                None => (None, shelves.values_mut().rev().find_map(Vec::pop)),
+            }
+        };
+        // Freed outside the lock, and before the replacement exists.
+        drop(evicted);
         let table = match shelved {
             Some(mut t) => {
                 t.reset();
@@ -151,7 +189,7 @@ impl Drop for PooledTable<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VertexTable;
+    use crate::{VertexTable, SLOT_BYTES};
     use dna::{Kmer, PackedSeq};
 
     // Every test runs with the vectorized kernels, then forced-scalar ones
@@ -163,10 +201,10 @@ mod tests {
         dna::simd::for_each_kernel_mode(|_| {
             let pool = TablePool::new(7);
             let a = pool.checkout(100);
-            assert_eq!(a.capacity(), 128);
+            assert_eq!(a.capacity(), 112);
             drop(a);
-            let b = pool.checkout(70); // same class (128)
-            assert_eq!(b.capacity(), 128);
+            let b = pool.checkout(97); // same class (112)
+            assert_eq!(b.capacity(), 112);
             drop(b);
             assert_eq!(pool.allocations(), 1);
             assert_eq!(pool.reuses(), 1);
@@ -181,7 +219,7 @@ mod tests {
             let small = pool.checkout(10);
             let big = pool.checkout(5000);
             assert_eq!(small.capacity(), 16);
-            assert_eq!(big.capacity(), 8192);
+            assert_eq!(big.capacity(), 5120);
             drop(small);
             drop(big);
             assert_eq!(pool.allocations(), 2);
@@ -189,9 +227,47 @@ mod tests {
             let small2 = pool.checkout(16);
             let big2 = pool.checkout(4097);
             assert_eq!(small2.capacity(), 16);
-            assert_eq!(big2.capacity(), 8192);
+            assert_eq!(big2.capacity(), 5120);
             assert_eq!(pool.allocations(), 2);
             assert_eq!(pool.reuses(), 2);
+        });
+    }
+
+    #[test]
+    fn classes_stay_within_a_quarter_of_the_request() {
+        for capacity in (1..5000).chain([65_537, 75_354, 131_072, 1 << 20, (1 << 20) + 1]) {
+            let class = TablePool::capacity_class(capacity);
+            assert!(class >= capacity.max(16), "capacity {capacity} → {class}");
+            assert!(4 * class <= 5 * capacity.max(16), "capacity {capacity} → {class}");
+            assert_eq!(TablePool::capacity_class(class), class, "classes are fixed points");
+        }
+    }
+
+    /// One device walking down the classes, as Step 2's largest-first
+    /// hand-over makes it: every miss evicts the class it outgrew, so the
+    /// pool never holds more tables than the one checked out.
+    #[test]
+    fn a_miss_evicts_the_largest_shelved_class() {
+        dna::simd::for_each_kernel_mode(|_| {
+            let pool = TablePool::new(7);
+            for capacity in [8192, 4096, 2048] {
+                let table = pool.checkout(capacity);
+                assert_eq!(table.capacity(), capacity);
+                assert_eq!(pool.shelved_bytes(), 0, "the previous class was evicted");
+            }
+            assert_eq!(pool.allocations(), 3);
+            assert_eq!(pool.shelved_bytes(), 2048 * SLOT_BYTES, "only the last class stays");
+            // Two tenants at once: the second misses an empty shelf set
+            // and allocates; both come back, and a third class evicts the
+            // larger of them first.
+            let a = pool.checkout(2048);
+            let b = pool.checkout(1024);
+            drop((a, b));
+            assert_eq!(pool.shelved_bytes(), 3072 * SLOT_BYTES);
+            let c = pool.checkout(512);
+            assert_eq!(pool.shelved_bytes(), 1024 * SLOT_BYTES, "2048 went first");
+            drop(c);
+            assert_eq!(pool.allocations(), 5);
         });
     }
 

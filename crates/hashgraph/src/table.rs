@@ -87,12 +87,14 @@ pub trait VertexTable: Sync {
     fn contention(&self) -> ContentionStats;
 }
 
-/// Per-slot duplicity count and eight edge-multiplicity counters, padded
-/// to one cache line. Packing them together (instead of two slot-major
-/// arrays) means the counter bumps after a successful probe touch exactly
-/// one line, and the line never straddles two slots — so concurrent bumps
-/// on different slots never false-share.
-#[repr(align(64))]
+/// Per-slot duplicity count and eight edge-multiplicity counters: 36
+/// bytes, unpadded. Packing them together (instead of two slot-major
+/// arrays) means the counter bumps after a successful probe touch one
+/// cell, at most two cache lines. Neighbouring slots may share a line;
+/// a production CPU table has one writer (one table per core-device),
+/// so there is no false sharing to pad against — the simulated GPU's
+/// SMs, which do share a table, pay for that in line traffic rather
+/// than in 28 idle bytes a slot.
 struct SlotCounters {
     count: AtomicU32,
     edges: [AtomicU32; 8],
@@ -105,7 +107,7 @@ impl SlotCounters {
 }
 
 /// Bytes one table slot costs: the 2-byte tagged state word, the 32-byte
-/// key cell, and the 64-byte-aligned [`SlotCounters`] cache line. This is
+/// key cell, and the 36-byte [`SlotCounters`] cell — 70 in all. This is
 /// the unit price behind [`ConcurrentDbgTable::approx_bytes`] and the
 /// pre-allocation projection [`crate::projected_table_bytes`] — keep the
 /// two accountings on the same constant so a budget check made before a
@@ -137,7 +139,9 @@ unsafe impl Sync for KeyCell {}
 
 /// The paper's concurrent open-addressing De Bruijn hash table.
 ///
-/// One table is shared by every thread working on a partition. Each slot
+/// One table serves every worker building a partition: one core in a
+/// production CPU build (each core is its own device), every SM of a
+/// simulated GPU, every thread of a multi-worker `CpuDevice`. Each slot
 /// holds a 16-bit state word (occupancy flag in the low byte, an 8-bit
 /// hash *fingerprint tag* in the high byte), the multi-word k-mer key, a
 /// duplicity counter and eight edge-multiplicity counters. Concurrency
@@ -159,7 +163,7 @@ unsafe impl Sync for KeyCell {}
 /// the 64-bit division on every record with one widening multiply.
 ///
 /// Each slot's duplicity count and eight edge counters live together in
-/// one 64-byte-aligned [`SlotCounters`] cache line, and the record path
+/// one unpadded [`SlotCounters`] cell, and the record path
 /// issues software prefetches for the home slot's key and counter lines
 /// the moment the slot index is known — the probe's dependent loads then
 /// mostly hit L1. `PARAHASH_FORCE_SCALAR` disables the prefetch hints
@@ -194,7 +198,7 @@ pub struct ConcurrentDbgTable {
     /// Per-slot `state | tag << 8` words; see the type-level docs.
     states: Box<[AtomicU16]>,
     keys: Box<[KeyCell]>,
-    /// One cache line of counters per slot (count + 8 edge counters).
+    /// One counter cell per slot (count + 8 edge counters).
     counters: Box<[SlotCounters]>,
     /// Issue software prefetches for the home slot's key and counter
     /// lines as soon as the slot index is known. Captured at construction
@@ -258,8 +262,8 @@ impl ConcurrentDbgTable {
     }
 
     /// Approximate allocation size in bytes, for memory accounting
-    /// (2-byte tagged state word + 32-byte key + one 64-byte counter
-    /// cache line per slot).
+    /// ([`SLOT_BYTES`] per slot: 2-byte tagged state word, 32-byte key,
+    /// 36-byte counter cell).
     pub fn approx_bytes(&self) -> usize {
         self.capacity * SLOT_BYTES
     }
@@ -275,7 +279,7 @@ impl ConcurrentDbgTable {
     /// that next claims a slot overwrites its key and zeroes its counter
     /// line under the slot lock, before it publishes `OCCUPIED` (see
     /// the claim arm of `probe_record_impl`). A stale line is
-    /// unreachable until then — 2 bytes per slot to wipe instead of 66.
+    /// unreachable until then — 2 bytes per slot to wipe instead of 68.
     pub fn reset(&mut self) {
         for s in self.states.iter_mut() {
             *s.get_mut() = EMPTY;
@@ -546,8 +550,8 @@ impl VertexTable for ConcurrentDbgTable {
     fn contention(&self) -> ContentionStats {
         let r = Ordering::Relaxed;
         // A slot's count is only ever bumped once its state word reads
-        // OCCUPIED, so the 2-byte state array says which 64-byte counter
-        // lines are worth loading at all — and, on a recycled table, which
+        // OCCUPIED, so the 2-byte state array says which counter cells
+        // are worth loading at all — and, on a recycled table, which
         // are not stale: the Acquire pairs with the claimant's Release.
         let occurrences: u64 = self
             .states
@@ -888,9 +892,9 @@ mod tests {
     }
 
     #[test]
-    fn slot_counters_fill_exactly_one_cache_line() {
-        assert_eq!(std::mem::size_of::<SlotCounters>(), 64);
-        assert_eq!(std::mem::align_of::<SlotCounters>(), 64);
+    fn slot_costs_seventy_unpadded_bytes() {
+        assert_eq!(std::mem::size_of::<SlotCounters>(), 36);
+        assert_eq!(SLOT_BYTES, 70);
     }
 
     #[test]

@@ -4,9 +4,17 @@ use std::time::Instant;
 use crate::metrics::MetricsCell;
 use crate::{Device, DeviceKind, DeviceMetrics, KernelReport};
 
-/// The host CPU as a [`Device`]: a fork-join worker pool with free
-/// transfers (its data is already in host memory) and no allocation limit
-/// (host memory is accounted by the system-level report, not per device).
+/// Host CPU cores as a [`Device`]: a fork-join pool of `threads` workers
+/// with free transfers (its data is already in host memory) and no
+/// allocation limit (host memory is accounted by the system-level report,
+/// not per device).
+///
+/// A one-worker device runs each kernel inline on the calling thread: that
+/// is one core, the unit a production roster is built from (one device
+/// per core, each building its own partition). A multi-worker device
+/// splits one kernel over scoped threads that share its data — the
+/// paper's concurrent-kernel setting, kept for experiments that measure
+/// it.
 ///
 /// # Examples
 ///
@@ -30,7 +38,7 @@ pub struct CpuDevice {
 
 impl CpuDevice {
     /// A CPU device driving `threads` worker threads per kernel
-    /// (minimum 1).
+    /// (minimum 1; 1 runs every kernel on the calling thread).
     pub fn new(name: impl Into<String>, threads: usize) -> CpuDevice {
         CpuDevice { name: name.into(), threads: threads.max(1), metrics: MetricsCell::default() }
     }

@@ -4,9 +4,12 @@
 //! the documented GPU substitution (DESIGN.md §2): a [`Device`] abstraction
 //! with two implementations —
 //!
-//! * [`CpuDevice`] — the host processor: a plain fork-join worker pool with
-//!   free (zero-cost) "transfers", since its data already lives in host
-//!   memory.
+//! * [`CpuDevice`] — host cores: a plain fork-join worker pool with free
+//!   (zero-cost) "transfers", since its data already lives in host
+//!   memory. A production roster makes every core its own one-worker
+//!   device, so the scheduler hands each core whole partitions, exactly
+//!   as it hands them to a GPU; a multi-worker device (several threads on
+//!   one kernel) is the paper's concurrent-kernel setting.
 //! * [`SimGpuDevice`] — a software co-processor that mimics the properties
 //!   of a discrete accelerator that the paper's design actually depends
 //!   on: work arrives in **warp-granular** batches executed by a pool of

@@ -205,7 +205,7 @@ impl ParaHashConfig {
 ///     .sim_gpu(SimGpuConfig::default())
 ///     .work_dir("/tmp/parahash-run")
 ///     .build()?;
-/// assert_eq!(config.devices().len(), 3); // cpu + 2 gpus
+/// assert_eq!(config.devices().len(), 10); // 8 one-core cpus + 2 gpus
 /// # Ok(())
 /// # }
 /// ```
@@ -425,7 +425,16 @@ impl ParaHashConfigBuilder {
         self
     }
 
-    /// Uses a CPU device with `threads` workers (0 = all available cores).
+    /// Uses `threads` CPU cores (0 = all available), each as its own
+    /// one-worker device: `cpu0` … `cpu{threads-1}`. The scheduler hands
+    /// every ready batch or partition to whichever device is idle, so a
+    /// partition's whole Step 2 — index, replay, snapshot, sort, encode,
+    /// CRC — runs on one core with one writer per table, and `threads`
+    /// partitions are in flight at once. Table memory therefore scales
+    /// with cores: one live table per core. A partition built by several
+    /// threads sharing one table (the paper's concurrent kernel) is a
+    /// multi-worker [`CpuDevice`] added through [`device`](Self::device).
+    ///
     /// This is the default; call [`no_cpu`](Self::no_cpu) for GPU-only runs.
     pub fn cpu_threads(mut self, threads: usize) -> Self {
         self.cpu_threads = Some(threads);
@@ -478,7 +487,9 @@ impl ParaHashConfigBuilder {
             } else {
                 threads
             };
-            devices.push(Arc::new(CpuDevice::new("cpu0", threads)));
+            for i in 0..threads {
+                devices.push(Arc::new(CpuDevice::new(format!("cpu{i}"), 1)));
+            }
         }
         for (i, gpu) in self.gpus.into_iter().enumerate() {
             devices.push(Arc::new(SimGpuDevice::new(format!("gpu{i}"), gpu)));
@@ -515,6 +526,7 @@ impl ParaHashConfigBuilder {
 mod tests {
     use super::*;
     use crate::ParaHashError;
+    use hetsim::DeviceKind;
 
     fn base() -> ParaHashConfigBuilder {
         ParaHashConfig::builder().work_dir("/tmp/parahash-config-test")
@@ -526,7 +538,10 @@ mod tests {
         assert_eq!(c.k(), 27);
         assert_eq!(c.p(), 11);
         assert_eq!(c.partitions(), 64);
-        assert_eq!(c.devices().len(), 1);
+        // Every available core, each its own one-worker device.
+        let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+        assert_eq!(c.devices().len(), cores);
+        assert!(c.devices().iter().all(|d| d.kind() == DeviceKind::Cpu && d.parallelism() == 1));
         assert_eq!(c.io_mode(), IoMode::Unthrottled);
     }
 
@@ -618,7 +633,10 @@ mod tests {
             .build()
             .unwrap();
         let names: Vec<_> = c.devices().iter().map(|d| d.name().to_owned()).collect();
-        assert_eq!(names, ["cpu0", "gpu0", "gpu1"]);
+        assert_eq!(names, ["cpu0", "cpu1", "cpu2", "cpu3", "gpu0", "gpu1"]);
+        for cpu in &c.devices()[..4] {
+            assert_eq!((cpu.kind(), cpu.parallelism()), (DeviceKind::Cpu, 1), "{}", cpu.name());
+        }
         let gpu_only = base().no_cpu().sim_gpu(SimGpuConfig::default()).build().unwrap();
         assert_eq!(gpu_only.devices().len(), 1);
     }

@@ -49,7 +49,9 @@ pub struct StepReport {
     pub step: u8,
     /// The scheduler's run report (elapsed, stage times, device shares).
     pub pipeline: PipelineReport,
-    /// Sum of CPU-device busy time.
+    /// The CPU's makespan: max of CPU-device busy time. The CPU devices
+    /// (one per core) run side by side, so this — not their sum — is the
+    /// wall-clock the CPU spent computing, Eq. 1's `T_CPU`.
     pub cpu_compute: Duration,
     /// Max of GPU-device busy time (includes metered transfers), 0 when
     /// no GPU ran.

@@ -172,11 +172,15 @@ impl ShardTuning {
 /// `work-dir` is last and consumes the rest of its line — paths may
 /// contain spaces.
 fn config_blob(config: &ParaHashConfig, wire: bool) -> String {
+    // The parent's CPU cores, however its devices group them; a worker
+    // rebuilds them as one-core devices.
     let threads = config
         .devices()
         .iter()
-        .find(|d| d.kind() == DeviceKind::Cpu)
-        .map_or(1, |d| d.parallelism());
+        .filter(|d| d.kind() == DeviceKind::Cpu)
+        .map(|d| d.parallelism())
+        .sum::<usize>()
+        .max(1);
     let token = if config.run_token.is_empty() { "-" } else { &config.run_token };
     format!(
         "k {}\np {}\npartitions {}\nlambda {:016x}\nalpha {:016x}\n\
@@ -1176,7 +1180,8 @@ mod tests {
         assert_eq!(back.table_memory_budget, cfg.table_memory_budget);
         assert_eq!(back.out_of_core, cfg.out_of_core);
         assert_eq!(back.work_dir, cfg.work_dir);
-        assert_eq!(back.devices()[0].parallelism(), 3, "thread count crosses the wire");
+        let cores: Vec<_> = back.devices().iter().map(|d| (d.kind(), d.parallelism())).collect();
+        assert_eq!(cores, [(DeviceKind::Cpu, 1); 3], "core count crosses the wire");
         assert!(back.strict && back.write_subgraphs, "worker invariants forced on");
         assert!(!wire, "fs transfer decodes as local");
         assert_eq!(fp.k, 9);

@@ -555,8 +555,11 @@ pub(crate) fn device_deltas(
         .collect()
 }
 
-/// Splits per-device time into the model's `T_CPU` (sum of wall busy over
-/// CPU devices) and `T_GPU` (max over GPU devices, paper §IV-B).
+/// Splits per-device time into the model's `T_CPU` and `T_GPU`: each the
+/// makespan of its processor kind, the max over its devices (paper
+/// §IV-B). A CPU is one device per core, which run side by side, so their
+/// busy times overlap — summing them would charge one wall-clock second
+/// once per core.
 ///
 /// `T_GPU` is taken from the device's **own meters** for the step window
 /// (`deltas`, see [`device_deltas`]): kernel time plus host↔device
@@ -574,7 +577,7 @@ pub(crate) fn split_device_times(
     let mut gpu = Duration::ZERO;
     for (i, (device, share)) in config.devices().iter().zip(shares).enumerate() {
         match device.kind() {
-            DeviceKind::Cpu => cpu += share.busy,
+            DeviceKind::Cpu => cpu = cpu.max(share.busy),
             DeviceKind::SimGpu => {
                 let metered = deltas.get(i).copied().unwrap_or_default().occupied();
                 gpu = gpu.max(metered);

@@ -693,26 +693,12 @@ mod tests {
     /// written.
     #[test]
     fn a_fused_build_holds_its_graph_at_the_record_width() {
-        let genome = datagen::GenomeSpec::new(3_000).seed(42).repeat_fraction(0.3).generate();
-        let spec = datagen::SequencingSpec {
-            read_len: 80,
-            coverage: 5.0,
-            lambda: 1.0,
-            reverse_strand_prob: 0.5,
-            seed: 42,
-        };
-        let reads = datagen::Sequencer::new(spec).sequence(&genome);
+        let reads = repeat_rich_reads();
         for write in [true, false] {
-            let cfg = ParaHashConfig::builder()
-                .k(15)
-                .p(7)
-                .partitions(12)
-                .cpu_threads(2)
+            let cfg = corpus_builder(&format!("parahash-sys-record-width-{write}"))
                 .write_subgraphs(write)
-                .work_dir(std::env::temp_dir().join(format!("parahash-sys-record-width-{write}")))
                 .build()
                 .unwrap();
-            let _ = std::fs::remove_dir_all(cfg.work_dir());
             let outcome = ParaHash::new(cfg.clone()).unwrap().run_fused(&reads).unwrap();
             let graph = &outcome.graph;
             assert!(!graph.is_indexed(), "write_subgraphs({write})");
@@ -731,6 +717,101 @@ mod tests {
             );
             std::fs::remove_dir_all(cfg.work_dir()).unwrap();
         }
+    }
+
+    /// A 3 kb genome, 30 % repeats, 80 bp reads at 5× with one error a
+    /// read, both strands: a few thousand vertices over 12 partitions.
+    fn repeat_rich_reads() -> Vec<SeqRead> {
+        let genome = datagen::GenomeSpec::new(3_000).seed(42).repeat_fraction(0.3).generate();
+        let spec = datagen::SequencingSpec {
+            read_len: 80,
+            coverage: 5.0,
+            lambda: 1.0,
+            reverse_strand_prob: 0.5,
+            seed: 42,
+        };
+        datagen::Sequencer::new(spec).sequence(&genome)
+    }
+
+    /// K 15, P 7, 12 partitions on two one-core CPU devices, in a fresh
+    /// `dir` under the temp dir.
+    fn corpus_builder(dir: &str) -> crate::ParaHashConfigBuilder {
+        let dir = std::env::temp_dir().join(dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        ParaHashConfig::builder().k(15).p(7).partitions(12).cpu_threads(2).work_dir(dir)
+    }
+
+    /// Eq. 1's `T_CPU` is the CPU's makespan. With one device per core
+    /// the cores' busy times overlap, so their sum would exceed the step
+    /// they ran in; the max never can.
+    #[test]
+    fn cpu_compute_is_the_makespan_of_the_cores() {
+        let cfg = corpus_builder("parahash-sys-cpu-makespan").read_batch_bytes(2_000);
+        let ph = ParaHash::new(cfg.build().unwrap()).unwrap();
+        let report = ph.run(&repeat_rich_reads()).unwrap().report;
+        for step in [&report.step1, &report.step2] {
+            let busy: Vec<_> = step.pipeline.shares.iter().map(|s| s.busy).collect();
+            assert_eq!(busy.len(), 2, "step {}: two one-core devices", step.step);
+            assert!(
+                step.cpu_compute <= step.pipeline.elapsed,
+                "step {}: T_CPU {:?} > elapsed {:?} (device busy {busy:?})",
+                step.step,
+                step.cpu_compute,
+                step.pipeline.elapsed
+            );
+            assert_eq!(Some(step.cpu_compute), busy.into_iter().max(), "step {}", step.step);
+        }
+        std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
+    }
+
+    /// The admission check prices the table Step 2 actually checks out:
+    /// at a budget equal to the largest partition's projection, nothing
+    /// splits and no table exceeds the budget — pool rounding included.
+    #[test]
+    fn a_budget_at_the_largest_projection_bounds_every_table() {
+        let reads = repeat_rich_reads();
+        let probe = corpus_builder("parahash-sys-budget-probe").build().unwrap();
+        let io = ThrottledIo::new(IoMode::Unthrottled);
+        let (manifest, _) = crate::run_step1(&probe, &reads, &io).unwrap();
+        let largest = manifest.stats().iter().map(|s| s.kmers).max().unwrap();
+        std::fs::remove_dir_all(probe.work_dir()).unwrap();
+        let budget = hashgraph::projected_table_bytes(largest, probe.sizing);
+        let ph = ParaHash::new(
+            corpus_builder("parahash-sys-budget").table_memory_budget(budget).build().unwrap(),
+        )
+        .unwrap();
+        let step2 = ph.run(&reads).unwrap().report.step2;
+        assert!(step2.sub_splits.is_empty(), "every partition fits: {:?}", step2.sub_splits);
+        assert_eq!(step2.resizes, 0, "Property 1 sized every table");
+        assert!(
+            step2.peak_table_bytes <= budget,
+            "a {} B table under a {budget} B budget",
+            step2.peak_table_bytes
+        );
+        std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
+    }
+
+    /// A core is a device: a fused CPU-only build on two cores hands each
+    /// partition to exactly one of them, and each table has one writer —
+    /// no lost claim race, no wait on a locked slot.
+    #[test]
+    fn each_core_builds_whole_partitions_alone() {
+        let cfg = corpus_builder("parahash-sys-core-device").build().unwrap();
+        let ph = ParaHash::new(cfg).unwrap();
+        let step2 = ph.run_fused(&repeat_rich_reads()).unwrap().report.step2;
+        let mut built: Vec<usize> = step2
+            .pipeline
+            .spans
+            .iter()
+            .filter(|s| s.stage == pipeline::Stage::Compute)
+            .map(|s| s.partition)
+            .collect();
+        built.sort_unstable();
+        assert_eq!(built, (0..12).collect::<Vec<_>>(), "one compute span per partition");
+        let contention = step2.contention.expect("Step 2 reports contention");
+        assert!(contention.insertions > 0);
+        assert_eq!((contention.cas_failures, contention.lock_waits), (0, 0), "{contention:?}");
+        std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
     }
 
     #[test]

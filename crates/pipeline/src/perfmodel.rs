@@ -11,7 +11,9 @@ use std::time::Duration;
 /// Measured per-step component times feeding Eq. 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StepComponents {
-    /// Total CPU compute time for the step (`T_CPU_compute`).
+    /// CPU compute time for the step (`T_CPU_compute`): the CPU's
+    /// makespan, maxed over CPU devices (one per core, running side by
+    /// side) like [`gpu`](Self::gpu) is over GPUs — not their sum.
     pub cpu_compute: Duration,
     /// Total GPU time for the step: compute **plus** host↔device
     /// transfer (`T_GPU_compute + T_DH_transfer`), maxed over devices when

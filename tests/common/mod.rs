@@ -17,7 +17,7 @@ pub const P: usize = 5;
 pub const PARTITIONS: usize = 8;
 
 /// A per-table budget small enough that every partition of [`corpus`]
-/// projects a table over it (98 bytes/slot × a few hundred slots), so
+/// projects a table over it (70 bytes/slot × a few hundred slots), so
 /// Step 2 builds each one out of core.
 pub const TIGHT_TABLE_BUDGET: u64 = 16 << 10;
 
