@@ -7,7 +7,7 @@
 use hashgraph::{table_capacity_for, SizingParams};
 use msp::DistributionSummary;
 use pipeline::perfmodel::Regime;
-use pipeline::{IoMode, ThrottledIo};
+use pipeline::IoMode;
 
 use crate::exp::header;
 use crate::fmt::Table;
@@ -113,9 +113,7 @@ pub fn checks(scale: f64) -> i32 {
     // Fig 11: work share tracks speed-ideal within 15 points.
     {
         let ph = workloads::runner("chk-f11", Setup::CpuOneGpu, 32, IoMode::Unthrottled);
-        let io = ThrottledIo::new(IoMode::Unthrottled);
-        let (manifest, _) = parahash::run_step1(ph.config(), &data.reads, &io).expect("step1");
-        let (_, s2) = parahash::run_step2(ph.config(), &manifest, &io).expect("step2");
+        let s2 = ph.run(&data.reads).expect("build").report.step2;
         workloads::cleanup(&ph);
         let real = s2.pipeline.work_fractions();
         let ideal = s2.pipeline.ideal_fractions();
@@ -136,9 +134,8 @@ pub fn checks(scale: f64) -> i32 {
     {
         let io_mode = workloads::case2_io();
         let ph = workloads::runner("chk-f14", Setup::CpuOnly, 32, io_mode);
-        let io = ThrottledIo::new(io_mode);
-        let (manifest, s1) = parahash::run_step1(ph.config(), &data.reads, &io).expect("step1");
-        let (_, s2) = parahash::run_step2(ph.config(), &manifest, &io).expect("step2");
+        let report = ph.run(&data.reads).expect("build").report;
+        let (s1, s2) = (report.step1, report.step2);
         workloads::cleanup(&ph);
         let acc1 = s1.model_accuracy();
         let acc2 = s2.model_accuracy();

@@ -2,16 +2,16 @@
 
 use std::time::Duration;
 
-use parahash::{run_step1, run_step2, StepReport};
+use parahash::StepReport;
 use pipeline::perfmodel::eq2_ideal_coprocessing;
-use pipeline::{IoMode, ThrottledIo};
+use pipeline::IoMode;
 
 use crate::exp::{header, paper_note};
 use crate::fmt::{secs, Table};
 use crate::workloads::{self, Setup};
 
-/// Runs both steps under `setup`/`io_mode`, returning the two step
-/// reports.
+/// Builds the graph under `setup`/`io_mode` (the two-phase build),
+/// returning its two step reports.
 fn run_both(
     data: &datagen::ProfileData,
     setup: Setup,
@@ -19,11 +19,9 @@ fn run_both(
     tag: &str,
 ) -> (StepReport, StepReport) {
     let ph = workloads::runner(tag, setup, 64, io_mode);
-    let io = ThrottledIo::new(io_mode);
-    let (manifest, s1) = run_step1(ph.config(), &data.reads, &io).expect("step1 runs");
-    let (_, s2) = run_step2(ph.config(), &manifest, &io).expect("step2 runs");
+    let report = ph.run(&data.reads).expect("build runs").report;
     workloads::cleanup(&ph);
-    (s1, s2)
+    (report.step1, report.step2)
 }
 
 /// Fig 11: workload distribution across co-processors — per-device

@@ -1,51 +1,45 @@
 //! Step-2 (concurrent hashing) studies: Figs 7–10 and the §III-C lock
 //! statistics.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use hashgraph::{
     build_subgraph_with, ConcurrentDbgTable, ContentionStats, MutexDbgTable, VertexTable,
 };
-use hetsim::Device;
-use parahash::{run_step1, run_step2};
-use pipeline::{IoMode, ThrottledIo};
+use parahash::StepReport;
+use pipeline::IoMode;
 
 use crate::exp::{header, paper_note};
 use crate::fmt::{count, loglog_slope, secs, Table};
 use crate::workloads::{self, Setup, K};
 
-/// Shared harness: run Step 1 once per partition count, then time Step 2
-/// on `devices`, returning (elapsed, the Step-2 report, device metrics).
-fn step2_time(
+/// Shared harness: builds the graph on `setup`'s roster with `partitions`
+/// partitions and returns the build's Step-2 report — its elapsed time
+/// and each device's meters over Step 2 alone.
+fn step2_report(
     data: &datagen::ProfileData,
     partitions: usize,
-    devices: Vec<Arc<dyn Device>>,
+    setup: Setup,
     tag: &str,
-) -> (std::time::Duration, parahash::StepReport, Vec<hetsim::DeviceMetrics>) {
-    let ph = workloads::runner_on(tag, devices, partitions, IoMode::Unthrottled);
-    let io = ThrottledIo::new(IoMode::Unthrottled);
-    let (manifest, _) = run_step1(ph.config(), &data.reads, &io).expect("step1 runs");
-    let t0 = Instant::now();
-    let (_, report) = run_step2(ph.config(), &manifest, &io).expect("step2 runs");
-    let elapsed = t0.elapsed();
-    let metrics = ph.config().devices().iter().map(|d| d.metrics()).collect();
+) -> StepReport {
+    let ph = workloads::runner(tag, setup, partitions, IoMode::Unthrottled);
+    let outcome = ph.run(&data.reads).expect("build runs");
     workloads::cleanup(&ph);
-    (elapsed, report, metrics)
+    outcome.report.step2
 }
 
 /// Fig 7: CPU hashing vs GPU hashing time as the number of partitions
-/// (and therefore the hash table size) varies. The CPU is the paper's:
-/// every core on one shared table per partition
-/// ([`workloads::concurrent_cpu`]).
+/// (and therefore the hash table size) varies. The CPU is the roster
+/// every build runs ([`Setup::CpuOnly`]): one device per core, each
+/// building whole partitions.
 pub fn fig7(scale: f64) {
     header("Fig 7", "CPU hashing vs GPU hashing time vs number of partitions");
     let data = workloads::chr14(scale);
     let mut t = Table::new(&["# partitions", "CPU hashing (s)", "GPU hashing (s)"]);
     for n in [16usize, 32, 64, 128, 256] {
-        let (cpu_t, _, _) = step2_time(&data, n, workloads::concurrent_cpu(), &format!("f7c{n}"));
-        let (gpu_t, _, _) = step2_time(&data, n, Setup::OneGpu.devices(), &format!("f7g{n}"));
-        t.row_owned(vec![n.to_string(), secs(cpu_t), secs(gpu_t)]);
+        let cpu = step2_report(&data, n, Setup::CpuOnly, &format!("f7c{n}"));
+        let gpu = step2_report(&data, n, Setup::OneGpu, &format!("f7g{n}"));
+        t.row_owned(vec![n.to_string(), secs(cpu.pipeline.elapsed), secs(gpu.pipeline.elapsed)]);
     }
     print!("{}", t.render());
     paper_note(
@@ -62,12 +56,11 @@ pub fn fig8(scale: f64) {
     let data = workloads::chr14(scale);
     let mut t = Table::new(&["# partitions", "GPU total (s)", "kernel (s)", "transfer (s)"]);
     for n in [16usize, 32, 64, 128, 256] {
-        let (elapsed, _, metrics) =
-            step2_time(&data, n, Setup::OneGpu.devices(), &format!("f8-{n}"));
-        let m = &metrics[0];
+        let step2 = step2_report(&data, n, Setup::OneGpu, &format!("f8-{n}"));
+        let m = &step2.device_metrics[0];
         t.row_owned(vec![
             n.to_string(),
-            secs(elapsed),
+            secs(step2.pipeline.elapsed),
             secs(m.busy),
             secs(m.transfer_time),
         ]);

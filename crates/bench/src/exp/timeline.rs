@@ -4,8 +4,7 @@
 use std::time::Duration;
 
 use baselines::CounterBuilder;
-use parahash::{run_step1, run_step2};
-use pipeline::{IoMode, Span, Stage, ThrottledIo};
+use pipeline::{IoMode, Span, Stage};
 
 use crate::exp::{header, paper_note};
 use crate::fmt::{count, secs, Table};
@@ -52,9 +51,7 @@ pub fn fig5(scale: f64) {
     let data = workloads::chr14(scale);
     let io_mode = IoMode::Throttled { bytes_per_sec: 3_000_000 };
     let ph = workloads::runner("f5", Setup::CpuOneGpu, 24, io_mode);
-    let io = ThrottledIo::new(io_mode);
-    let (manifest, _) = run_step1(ph.config(), &data.reads, &io).expect("step1 runs");
-    let (_, report) = run_step2(ph.config(), &manifest, &io).expect("step2 runs");
+    let report = ph.run(&data.reads).expect("build runs").report.step2;
     workloads::cleanup(&ph);
     print!("{}", render_gantt(&report.pipeline.spans, report.pipeline.elapsed, 100));
     println!("(i = partition input, # = compute on the named device, o = partition output)");

@@ -113,8 +113,8 @@ impl Setup {
         }
     }
 
-    /// Builds the device roster for this setup. The CPU is one
-    /// one-worker device per core (`cpu0`, `cpu1`, …), as
+    /// Builds the device roster for this setup. The CPU is one device
+    /// per core (`cpu0`, `cpu1`, …), as
     /// `ParaHashConfigBuilder::cpu_threads` builds it in production.
     pub fn devices(self) -> Vec<Arc<dyn Device>> {
         let mut out: Vec<Arc<dyn Device>> = Vec::new();
@@ -127,7 +127,7 @@ impl Setup {
         };
         if cpu {
             for i in 0..cpu_threads() {
-                out.push(Arc::new(CpuDevice::new(format!("cpu{i}"), 1)));
+                out.push(Arc::new(CpuDevice::new(format!("cpu{i}"))));
             }
         }
         for i in 0..gpus {
@@ -144,39 +144,12 @@ pub fn work_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The paper's concurrent CPU kernel as a roster: one device whose
-/// [`cpu_threads`] workers share each partition's table. Step-2 hashing
-/// studies (Fig 7) measure this, not the one-core-per-partition roster of
-/// [`Setup::CpuOnly`].
-pub fn concurrent_cpu() -> Vec<Arc<dyn Device>> {
-    vec![Arc::new(CpuDevice::new("cpu0", cpu_threads()))]
-}
-
 /// Builds a ParaHash runner for a dataset and setup.
 ///
 /// # Panics
 ///
 /// Panics on invalid configuration (experiment parameters are static).
-pub fn runner(
-    tag: &str,
-    setup: Setup,
-    partitions: usize,
-    io_mode: IoMode,
-) -> ParaHash {
-    runner_on(tag, setup.devices(), partitions, io_mode)
-}
-
-/// [`runner`] over an explicit device roster.
-///
-/// # Panics
-///
-/// Panics on invalid configuration (experiment parameters are static).
-pub fn runner_on(
-    tag: &str,
-    devices: Vec<Arc<dyn Device>>,
-    partitions: usize,
-    io_mode: IoMode,
-) -> ParaHash {
+pub fn runner(tag: &str, setup: Setup, partitions: usize, io_mode: IoMode) -> ParaHash {
     let mut builder = ParaHashConfig::builder()
         .k(K)
         .p(P)
@@ -185,7 +158,7 @@ pub fn runner_on(
         .io_mode(io_mode)
         .work_dir(work_dir(tag))
         .no_cpu();
-    for d in devices {
+    for d in setup.devices() {
         builder = builder.device(d);
     }
     ParaHash::new(builder.build().expect("experiment config is valid")).expect("work dir creatable")
@@ -213,7 +186,6 @@ mod tests {
         assert!(Setup::CpuOnly.devices().iter().all(|d| d.parallelism() == 1));
         assert_eq!(Setup::TwoGpu.devices().len(), 2);
         assert_eq!(Setup::CpuTwoGpu.devices().len(), cores + 2);
-        assert_eq!(concurrent_cpu()[0].parallelism(), cores);
         assert_eq!(Setup::ALL.len(), 5);
         assert_eq!(Setup::CpuOneGpu.label(), "CPU+1GPU");
     }

@@ -141,8 +141,9 @@ unsafe impl Sync for KeyCell {}
 ///
 /// One table serves every worker building a partition: one core in a
 /// production CPU build (each core is its own device), every SM of a
-/// simulated GPU, every thread of a multi-worker `CpuDevice`. Each slot
-/// holds a 16-bit state word (occupancy flag in the low byte, an 8-bit
+/// simulated GPU, every thread of
+/// [`build_subgraph_with`](crate::build_subgraph_with). Each slot holds
+/// a 16-bit state word (occupancy flag in the low byte, an 8-bit
 /// hash *fingerprint tag* in the high byte), the multi-word k-mer key, a
 /// duplicity counter and eight edge-multiplicity counters. Concurrency
 /// control is **state-transfer partial locking**:

@@ -1,20 +1,17 @@
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::metrics::MetricsCell;
 use crate::{Device, DeviceKind, DeviceMetrics, KernelReport};
 
-/// Host CPU cores as a [`Device`]: a fork-join pool of `threads` workers
-/// with free transfers (its data is already in host memory) and no
-/// allocation limit (host memory is accounted by the system-level report,
-/// not per device).
+/// One host CPU core as a [`Device`]: every kernel runs inline on the
+/// calling thread, transfers are free (its data is already in host
+/// memory) and there is no allocation limit (host memory is accounted by
+/// the system-level report, not per device).
 ///
-/// A one-worker device runs each kernel inline on the calling thread: that
-/// is one core, the unit a production roster is built from (one device
-/// per core, each building its own partition). A multi-worker device
-/// splits one kernel over scoped threads that share its data — the
-/// paper's concurrent-kernel setting, kept for experiments that measure
-/// it.
+/// A core is the unit a roster is built from: one device per core, each
+/// building its own partition, exactly as the scheduler hands partitions
+/// to a GPU. Several threads sharing one partition's table — the paper's
+/// concurrent kernel — is `hashgraph::build_subgraph_with`, not a device.
 ///
 /// # Examples
 ///
@@ -22,7 +19,7 @@ use crate::{Device, DeviceKind, DeviceMetrics, KernelReport};
 /// use hetsim::{CpuDevice, Device};
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 ///
-/// let cpu = CpuDevice::new("cpu0", 8);
+/// let cpu = CpuDevice::new("cpu0");
 /// let hits = AtomicUsize::new(0);
 /// let report = cpu.execute(1000, &|_| { hits.fetch_add(1, Ordering::Relaxed); });
 /// assert_eq!(hits.load(Ordering::Relaxed), 1000);
@@ -32,15 +29,13 @@ use crate::{Device, DeviceKind, DeviceMetrics, KernelReport};
 #[derive(Debug)]
 pub struct CpuDevice {
     name: String,
-    threads: usize,
     metrics: MetricsCell,
 }
 
 impl CpuDevice {
-    /// A CPU device driving `threads` worker threads per kernel
-    /// (minimum 1; 1 runs every kernel on the calling thread).
-    pub fn new(name: impl Into<String>, threads: usize) -> CpuDevice {
-        CpuDevice { name: name.into(), threads: threads.max(1), metrics: MetricsCell::default() }
+    /// A one-core CPU device named `name`.
+    pub fn new(name: impl Into<String>) -> CpuDevice {
+        CpuDevice { name: name.into(), metrics: MetricsCell::default() }
     }
 }
 
@@ -54,7 +49,7 @@ impl Device for CpuDevice {
     }
 
     fn parallelism(&self) -> usize {
-        self.threads
+        1
     }
 
     fn execute(&self, items: usize, kernel: &(dyn Fn(usize) + Sync)) -> KernelReport {
@@ -65,9 +60,8 @@ impl Device for CpuDevice {
         })
     }
 
-    /// The CPU's native granularity: each worker's load-balancing batch is
-    /// handed to `kernel` as one contiguous range (single-threaded, the
-    /// whole item space is one range).
+    /// The CPU's native granularity: one core walks the whole item space
+    /// as one range.
     fn execute_chunks(
         &self,
         items: usize,
@@ -75,27 +69,7 @@ impl Device for CpuDevice {
     ) -> KernelReport {
         let start = Instant::now();
         if items > 0 {
-            if self.threads == 1 {
-                kernel(0..items);
-            } else {
-                // Atomic work counter: threads grab batches, which keeps
-                // load balanced when per-item cost is uneven (one CPU
-                // thread handles a *group* of nearby items at a time, the
-                // paper's CPU granularity).
-                let next = AtomicUsize::new(0);
-                let batch = (items / (self.threads * 8)).max(1);
-                std::thread::scope(|s| {
-                    for _ in 0..self.threads.min(items) {
-                        s.spawn(|| loop {
-                            let lo = next.fetch_add(batch, Ordering::Relaxed);
-                            if lo >= items {
-                                break;
-                            }
-                            kernel(lo..(lo + batch).min(items));
-                        });
-                    }
-                });
-            }
+            kernel(0..items);
         }
         let duration = start.elapsed();
         self.metrics.record_kernel(items, duration, 0);
@@ -129,11 +103,11 @@ impl Device for CpuDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn every_item_processed_exactly_once() {
-        let cpu = CpuDevice::new("cpu", 4);
+        let cpu = CpuDevice::new("cpu");
         for items in [0, 1, 7, 100, 1001] {
             let sum = AtomicU64::new(0);
             let r = cpu.execute(items, &|i| {
@@ -146,23 +120,8 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_matches_multi_thread() {
-        let one = CpuDevice::new("one", 1);
-        let many = CpuDevice::new("many", 8);
-        let a = AtomicU64::new(0);
-        let b = AtomicU64::new(0);
-        one.execute(500, &|i| {
-            a.fetch_add((i * i) as u64, Ordering::Relaxed);
-        });
-        many.execute(500, &|i| {
-            b.fetch_add((i * i) as u64, Ordering::Relaxed);
-        });
-        assert_eq!(a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
-    }
-
-    #[test]
     fn transfers_are_free_and_counted() {
-        let cpu = CpuDevice::new("cpu", 2);
+        let cpu = CpuDevice::new("cpu");
         assert_eq!(cpu.transfer_to_device(1 << 30), std::time::Duration::ZERO);
         assert_eq!(cpu.transfer_from_device(123), std::time::Duration::ZERO);
         let m = cpu.metrics();
@@ -173,7 +132,7 @@ mod tests {
 
     #[test]
     fn alloc_never_fails_and_tracks_peak() {
-        let cpu = CpuDevice::new("cpu", 2);
+        let cpu = CpuDevice::new("cpu");
         cpu.alloc(u64::MAX / 4).unwrap();
         cpu.free(u64::MAX / 4);
         assert_eq!(cpu.metrics().peak_memory, u64::MAX / 4);
@@ -181,7 +140,7 @@ mod tests {
 
     #[test]
     fn metrics_accumulate_across_kernels() {
-        let cpu = CpuDevice::new("cpu", 2);
+        let cpu = CpuDevice::new("cpu");
         cpu.execute(10, &|_| {});
         cpu.execute(20, &|_| {});
         let m = cpu.metrics();
@@ -189,11 +148,19 @@ mod tests {
         assert_eq!(m.items, 30);
     }
 
+    /// One core: the kernel runs on the caller's thread, as one range.
     #[test]
-    fn zero_threads_clamped_to_one() {
-        let cpu = CpuDevice::new("cpu", 0);
+    fn a_cpu_device_is_one_core() {
+        let cpu = CpuDevice::new("cpu");
         assert_eq!(cpu.parallelism(), 1);
         assert_eq!(cpu.kind(), DeviceKind::Cpu);
         assert_eq!(cpu.name(), "cpu");
+        let caller = std::thread::current().id();
+        let chunks = std::sync::Mutex::new(Vec::new());
+        cpu.execute_chunks(500, &|range| {
+            assert_eq!(std::thread::current().id(), caller);
+            chunks.lock().unwrap().push(range);
+        });
+        assert_eq!(chunks.into_inner().unwrap(), vec![0..500]);
     }
 }

@@ -48,7 +48,7 @@ pub trait Device: Send + Sync {
     /// What this device models.
     fn kind(&self) -> DeviceKind;
 
-    /// Number of parallel workers (threads for the CPU, SMs for the GPU).
+    /// Number of parallel workers (1 for a CPU core, SMs for the GPU).
     fn parallelism(&self) -> usize;
 
     /// Runs `kernel` for every index in `0..items`, in parallel, returning
@@ -61,8 +61,8 @@ pub trait Device: Send + Sync {
     /// with cheap per-batch state (a software-pipelined replay, a local
     /// accumulator) amortise it over the whole range instead of paying it
     /// per item. The default degrades to one-item ranges; devices with a
-    /// coarser internal granularity (the CPU worker pool's load-balancing
-    /// batches) override it to expose their true chunks.
+    /// coarser internal granularity (a CPU core walks the whole item space
+    /// as one range) override it to expose their true chunks.
     fn execute_chunks(
         &self,
         items: usize,

@@ -4,12 +4,11 @@
 //! the documented GPU substitution (DESIGN.md §2): a [`Device`] abstraction
 //! with two implementations —
 //!
-//! * [`CpuDevice`] — host cores: a plain fork-join worker pool with free
-//!   (zero-cost) "transfers", since its data already lives in host
-//!   memory. A production roster makes every core its own one-worker
-//!   device, so the scheduler hands each core whole partitions, exactly
-//!   as it hands them to a GPU; a multi-worker device (several threads on
-//!   one kernel) is the paper's concurrent-kernel setting.
+//! * [`CpuDevice`] — one host core: kernels run inline on the calling
+//!   thread, with free (zero-cost) "transfers", since its data already
+//!   lives in host memory. A roster makes every core its own device, so
+//!   the scheduler hands each core whole partitions, exactly as it hands
+//!   them to a GPU.
 //! * [`SimGpuDevice`] — a software co-processor that mimics the properties
 //!   of a discrete accelerator that the paper's design actually depends
 //!   on: work arrives in **warp-granular** batches executed by a pool of
@@ -29,7 +28,7 @@
 //! use hetsim::{CpuDevice, Device, SimGpuConfig, SimGpuDevice};
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
-//! let cpu = CpuDevice::new("cpu0", 4);
+//! let cpu = CpuDevice::new("cpu0");
 //! let gpu = SimGpuDevice::new("gpu0", SimGpuConfig::default());
 //!
 //! let sum = AtomicU64::new(0);

@@ -25,8 +25,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn cpu_kernel_touches_each_item_once(items in 0usize..500, threads in 1usize..9) {
-        let dev = CpuDevice::new("cpu", threads);
+    fn cpu_kernel_touches_each_item_once(items in 0usize..500) {
+        let dev = CpuDevice::new("cpu");
         let sum = AtomicU64::new(0);
         let hits = AtomicU64::new(0);
         let r = dev.execute(items, &|i| {

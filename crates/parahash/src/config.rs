@@ -328,8 +328,8 @@ impl ParaHashConfigBuilder {
     /// files. `0` forces every partition to disk (the classic two-phase
     /// data path); a huge budget keeps the whole Step-1→Step-2 handoff off
     /// the disk. Default: 256 MiB. The two-phase entry points
-    /// ([`crate::ParaHash::run`], [`crate::ParaHash::run_fastq_streaming`],
-    /// [`crate::run_step1`]) run at budget `0`.
+    /// ([`crate::ParaHash::run`], [`crate::ParaHash::run_fastq_streaming`])
+    /// run at budget `0`.
     pub fn partition_memory_budget(mut self, bytes: u64) -> Self {
         self.partition_memory_budget = bytes;
         self
@@ -371,7 +371,8 @@ impl ParaHashConfigBuilder {
     /// `0` (the default) keeps the classic in-process Step 2. Applies to
     /// the two-phase entry points ([`crate::ParaHash::run`],
     /// [`crate::ParaHash::run_fastq_streaming`]), whose partitions are all
-    /// files once sealed; the fused ones ignore it. The process `main`
+    /// files once sealed; the fused ones reject it with
+    /// [`crate::ParaHashError::InvalidConfig`]. The process `main`
     /// (or test harness entry) of the spawned binary must call
     /// [`crate::worker_from_env`] before doing anything else — see
     /// [`worker_spawn_args`](Self::worker_spawn_args).
@@ -389,7 +390,9 @@ impl ParaHashConfigBuilder {
     /// results back). Implies the sharded Step 2 even when
     /// [`workers`](Self::workers) is `0` — a listen-only parent waits
     /// 30 s for the first remote worker and falls back to the
-    /// in-process build if none shows up.
+    /// in-process build if none shows up. Like `workers`, it applies to
+    /// the two-phase entry points; the fused ones reject it with
+    /// [`crate::ParaHashError::InvalidConfig`].
     pub fn listen(mut self, addr: impl Into<String>) -> Self {
         self.listen = Some(addr.into());
         self
@@ -426,14 +429,12 @@ impl ParaHashConfigBuilder {
     }
 
     /// Uses `threads` CPU cores (0 = all available), each as its own
-    /// one-worker device: `cpu0` … `cpu{threads-1}`. The scheduler hands
+    /// device: `cpu0` … `cpu{threads-1}`. The scheduler hands
     /// every ready batch or partition to whichever device is idle, so a
     /// partition's whole Step 2 — index, replay, snapshot, sort, encode,
     /// CRC — runs on one core with one writer per table, and `threads`
     /// partitions are in flight at once. Table memory therefore scales
-    /// with cores: one live table per core. A partition built by several
-    /// threads sharing one table (the paper's concurrent kernel) is a
-    /// multi-worker [`CpuDevice`] added through [`device`](Self::device).
+    /// with cores: one live table per core.
     ///
     /// This is the default; call [`no_cpu`](Self::no_cpu) for GPU-only runs.
     pub fn cpu_threads(mut self, threads: usize) -> Self {
@@ -488,7 +489,7 @@ impl ParaHashConfigBuilder {
                 threads
             };
             for i in 0..threads {
-                devices.push(Arc::new(CpuDevice::new(format!("cpu{i}"), 1)));
+                devices.push(Arc::new(CpuDevice::new(format!("cpu{i}"))));
             }
         }
         for (i, gpu) in self.gpus.into_iter().enumerate() {
@@ -538,7 +539,7 @@ mod tests {
         assert_eq!(c.k(), 27);
         assert_eq!(c.p(), 11);
         assert_eq!(c.partitions(), 64);
-        // Every available core, each its own one-worker device.
+        // Every available core, each its own device.
         let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
         assert_eq!(c.devices().len(), cores);
         assert!(c.devices().iter().all(|d| d.kind() == DeviceKind::Cpu && d.parallelism() == 1));

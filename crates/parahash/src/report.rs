@@ -56,6 +56,11 @@ pub struct StepReport {
     /// Max of GPU-device busy time (includes metered transfers), 0 when
     /// no GPU ran.
     pub gpu_compute: Duration,
+    /// Each device's meters over this step's window alone, in roster
+    /// order: kernel time, transfer time and bytes, the split behind
+    /// [`gpu_compute`](Self::gpu_compute) (`peak_memory` stays the
+    /// device's absolute peak). Empty for a skipped step.
+    pub device_metrics: Vec<hetsim::DeviceMetrics>,
     /// Step-2 only: aggregated hash table contention counters.
     pub contention: Option<ContentionStats>,
     /// Step-1 only: sharded-staging emit/merge counters.
@@ -114,6 +119,7 @@ impl StepReport {
             },
             cpu_compute: Duration::ZERO,
             gpu_compute: Duration::ZERO,
+            device_metrics: Vec::new(),
             contention: None,
             step1_stats: None,
             resizes: 0,
@@ -261,6 +267,7 @@ mod tests {
             },
             cpu_compute: Duration::from_millis(cpu_ms),
             gpu_compute: Duration::from_millis(gpu_ms),
+            device_metrics: Vec::new(),
             contention: None,
             step1_stats: None,
             resizes: 0,

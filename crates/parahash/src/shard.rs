@@ -62,13 +62,13 @@
 //! the simulated-device regimes, which remain in-process features.
 
 use std::collections::BTreeSet;
+use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hashgraph::DeBruijnGraph;
-use hetsim::DeviceKind;
 use msp::{PartitionManifest, SealedPayload};
 use parking_lot::Mutex;
 use pipeline::shard::{
@@ -172,19 +172,10 @@ impl ShardTuning {
 /// `work-dir` is last and consumes the rest of its line — paths may
 /// contain spaces.
 fn config_blob(config: &ParaHashConfig, wire: bool) -> String {
-    // The parent's CPU cores, however its devices group them; a worker
-    // rebuilds them as one-core devices.
-    let threads = config
-        .devices()
-        .iter()
-        .filter(|d| d.kind() == DeviceKind::Cpu)
-        .map(|d| d.parallelism())
-        .sum::<usize>()
-        .max(1);
     let token = if config.run_token.is_empty() { "-" } else { &config.run_token };
     format!(
         "k {}\np {}\npartitions {}\nlambda {:016x}\nalpha {:016x}\n\
-         table-memory-budget {}\nout-of-core {}\nthreads {}\ndigest {:016x}\n\
+         table-memory-budget {}\nout-of-core {}\ndigest {:016x}\n\
          run-token {}\ntransfer {}\nwork-dir {}",
         config.k,
         config.p,
@@ -193,7 +184,6 @@ fn config_blob(config: &ParaHashConfig, wire: bool) -> String {
         config.sizing.alpha.to_bits(),
         config.table_memory_budget,
         config.out_of_core as u8,
-        threads,
         config.input_digest,
         token,
         if wire { "wire" } else { "fs" },
@@ -202,7 +192,8 @@ fn config_blob(config: &ParaHashConfig, wire: bool) -> String {
 }
 
 /// Parses [`config_blob`] back into a worker-side configuration: same
-/// build parameters, but CPU-only, strict (every failure must surface
+/// build parameters, but one CPU core (a worker builds one lease at a
+/// time), strict (every failure must surface
 /// as a wire `failed` message — quarantine policy belongs to the
 /// parent), and with subgraph formatting forced on (the encoded subgraph
 /// is the product, committed here or shipped). The third return says
@@ -215,7 +206,6 @@ fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
     let mut alpha = None;
     let mut budget = None;
     let mut out_of_core = None;
-    let mut threads = None;
     let mut digest = None;
     let mut token = None;
     let mut wire = None;
@@ -240,7 +230,6 @@ fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
             "alpha" => alpha = Some(bits("alpha")?),
             "table-memory-budget" => budget = Some(int("table-memory-budget")?),
             "out-of-core" => out_of_core = Some(int("out-of-core")? != 0),
-            "threads" => threads = Some(int("threads")? as usize),
             "digest" => {
                 digest = Some(
                     u64::from_str_radix(value, 16)
@@ -277,7 +266,7 @@ fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
         })
         .table_memory_budget(budget.ok_or_else(|| missing("table-memory-budget"))?)
         .out_of_core(out_of_core.ok_or_else(|| missing("out-of-core"))?)
-        .cpu_threads(threads.ok_or_else(|| missing("threads"))?)
+        .cpu_threads(1)
         .work_dir(work_dir.ok_or_else(|| missing("work-dir"))?)
         .write_subgraphs(true)
         .strict(true)
@@ -344,7 +333,7 @@ pub fn worker_from_env() -> Result<bool> {
     let worker: usize = worker
         .parse()
         .map_err(|e| shard_err(format!("{ENV_WORKER}=`{worker}` is not a worker id: {e}")))?;
-    run_worker_loop(&endpoint, worker)?;
+    run_worker_loop(&endpoint, worker, true)?;
     Ok(true)
 }
 
@@ -362,7 +351,7 @@ pub fn worker_from_env() -> Result<bool> {
 /// version-skew denial, or a protocol/configuration failure. Individual
 /// partition build failures are reported to the parent, not returned.
 pub fn run_remote_worker(addr: &str, worker: usize) -> Result<()> {
-    run_worker_loop(&Endpoint::Tcp(addr.to_string()), worker)
+    run_worker_loop(&Endpoint::Tcp(addr.to_string()), worker, false)
 }
 
 /// Passes `shard.worker<worker>.lease`, the failpoint each assignment
@@ -404,13 +393,25 @@ enum SessionEnd {
 /// parent doesn't stampede. A session that got as far as the config
 /// refunds the attempt budget: transient mid-run drops shouldn't
 /// accumulate into a permanent exit while the parent keeps coming back.
-fn run_worker_loop(endpoint: &Endpoint, worker: usize) -> Result<()> {
+///
+/// A `spawned` worker's parent bound its listener before spawning it, so
+/// a refused or missing socket means the parent stopped listening — the
+/// lease phase is over, and the worker exits cleanly at once. A remote
+/// worker (`dbg worker --connect`) backs off instead: its address may be
+/// a typo, or a parent that is not up yet.
+fn run_worker_loop(endpoint: &Endpoint, worker: usize, spawned: bool) -> Result<()> {
     let tuning = ShardTuning::from_env();
     let mut sess = WorkerSession { worker, served_any: false, progressed: false };
     let mut failures: u32 = 0;
     loop {
         let end = match endpoint.connect() {
             Ok(conn) => serve_session(conn, &mut sess, &tuning)?,
+            Err(e)
+                if spawned
+                    && matches!(e.kind(), ErrorKind::ConnectionRefused | ErrorKind::NotFound) =>
+            {
+                return Ok(());
+            }
             Err(e) => SessionEnd::Lost(format!("connecting: {e}")),
         };
         let why = match end {
@@ -647,7 +648,7 @@ fn serve_session(
 /// `dbg worker` joiners alike), lease them partitions largest-first,
 /// verify and merge their committed subgraphs as they are reported, and
 /// build whatever the cluster leaves behind through the engine. Drop-in
-/// replacement for [`run_step2_feed`](crate::step2::run_step2_feed) over
+/// replacement for [`step2_feed`](crate::step2::step2_feed) over
 /// a [`manifest_feed`] of sealed partition files — same journal records
 /// in the parent's `run.journal` (a worker's sub-split included),
 /// byte-identical subgraph files and graph, and the same [`Step2Shared`]
@@ -663,11 +664,11 @@ fn serve_session(
 /// Socket/spawn failures, a partition that exhausted its lease attempts
 /// (strict mode), a parent-side journal failure, or any error of the
 /// fallback builds.
-pub(crate) fn run_step2_sharded(
+pub(crate) fn step2_sharded(
     config: &ParaHashConfig,
     manifest: &PartitionManifest,
     io: &ThrottledIo,
-    journal: Option<&RunJournal>,
+    journal: &RunJournal,
     resumed: Resumed,
 ) -> Result<(DeBruijnGraph, StepReport)> {
     debug_assert!(config.workers > 0 || config.listen.is_some());
@@ -700,7 +701,7 @@ pub(crate) fn run_step2_sharded(
     let sub_dir = config.work_dir.join("subgraphs");
     std::fs::create_dir_all(&sub_dir)?;
     let cancel = CancelToken::new();
-    let shared = Step2Shared::new(&persisting, &cancel, journal);
+    let shared = Step2Shared::new(&persisting, &cancel, Some(journal));
     // Whatever is about to be leased has no verified file (the resume
     // plan would have skipped it); an unverified leftover must not pass
     // for this step's work when a lease is released.
@@ -1060,7 +1061,7 @@ impl LeasePhase<'_> {
     /// completes instead of being charged an attempt: two workers each
     /// losing the `result` of the same partition must not abort a strict
     /// run that has the subgraph on disk twice over. (The file cannot
-    /// predate this step: [`run_step2_sharded`] removes the file of every
+    /// predate this step: [`step2_sharded`] removes the file of every
     /// partition it is about to lease.) Everything else the worker held —
     /// and everything a wire worker held, whose result *is* the frame —
     /// is requeued by the board: charged, or refunded when the connection
@@ -1106,7 +1107,7 @@ impl LeasePhase<'_> {
     /// committed. The file is read and checked once, outside the graph
     /// lock, and the bytes that passed are what the graph absorbs. A
     /// partition two connections report (a requeue race, see
-    /// [`run_step2_sharded`]) is merged — and journaled — the first time
+    /// [`step2_sharded`]) is merged — and journaled — the first time
     /// only.
     fn accept(&self, worker: usize, p: usize, detail: &str) {
         match self.verified(p) {
@@ -1154,6 +1155,7 @@ fn parse_outcome(detail: &str) -> Option<LeaseOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsim::DeviceKind;
 
     fn config(dir: &str) -> ParaHashConfig {
         ParaHashConfig::builder()
@@ -1180,8 +1182,8 @@ mod tests {
         assert_eq!(back.table_memory_budget, cfg.table_memory_budget);
         assert_eq!(back.out_of_core, cfg.out_of_core);
         assert_eq!(back.work_dir, cfg.work_dir);
-        let cores: Vec<_> = back.devices().iter().map(|d| (d.kind(), d.parallelism())).collect();
-        assert_eq!(cores, [(DeviceKind::Cpu, 1); 3], "core count crosses the wire");
+        let cores: Vec<_> = back.devices().iter().map(|d| d.kind()).collect();
+        assert_eq!(cores, [DeviceKind::Cpu], "a worker is one core, whatever the parent has");
         assert!(back.strict && back.write_subgraphs, "worker invariants forced on");
         assert!(!wire, "fs transfer decodes as local");
         assert_eq!(fp.k, 9);
@@ -1235,8 +1237,8 @@ mod tests {
         .iter()
         .map(|s| dna::SeqRead::from_ascii("r", s.as_bytes()))
         .collect();
-        let (manifest, _) = crate::run_step1(&cfg, &reads, &io).unwrap();
-        let (reference, _) = crate::run_step2(&cfg, &manifest, &io).unwrap();
+        let reference = crate::ParaHash::new(cfg.clone()).unwrap().run(&reads).unwrap().graph;
+        let manifest = PartitionManifest::load(cfg.work_dir().join("superkmers")).unwrap();
         (cfg, io, manifest, reference)
     }
 
@@ -1468,6 +1470,22 @@ mod tests {
         assert!(started.elapsed() >= Duration::from_millis(40), "the lease was held");
         assert_eq!(failpoint::hits(site), 1);
         failpoint::disarm(site);
+    }
+
+    /// A spawned worker whose parent's socket is gone exits cleanly at
+    /// once; a remote worker pointed at a refused port backs off, then
+    /// fails naming the address.
+    #[test]
+    fn only_a_remote_worker_treats_an_unreachable_parent_as_an_error() {
+        let gone = Endpoint::Unix(std::env::temp_dir().join("parahash-shard-no-such.sock"));
+        let started = Instant::now();
+        run_worker_loop(&gone, 0, true).expect("a vanished parent ends a spawned worker");
+        assert!(started.elapsed() < RECONNECT.delay(1, 0), "no backoff before exiting");
+
+        let port = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
+        let refused = format!("127.0.0.1:{port}");
+        let err = run_remote_worker(&refused, 0).unwrap_err().to_string();
+        assert!(err.contains("cannot reach shard parent") && err.contains(&refused), "{err}");
     }
 
     #[test]

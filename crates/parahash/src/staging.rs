@@ -5,18 +5,17 @@
 //! acquisition *per superkmer*, straight across every worker thread. The
 //! KMC 2/3 shape adopted here instead gives each worker an exclusive
 //! [`StagingShard`]: one flat byte buffer plus counts per partition, and
-//! the worker's reusable [`msp::MinimizerCursor`]. A worker takes one shard
-//! out of a [`ShardRoster`] for its whole part of the batch (one
-//! uncontended `try_lock`); every per-superkmer emit is then a plain append
-//! into memory no other thread touches. After the kernel, the output stage
-//! drains the shards into the partition store in bulk and returns them to
-//! the [`ShardPool`], so all buffer capacity (and the cursor's deque) is
-//! reused across batches — zero heap allocation and zero cross-thread
-//! locks on the per-read path.
+//! the worker's reusable [`msp::MinimizerCursor`]. A CPU core takes one
+//! shard for its whole batch; every per-superkmer emit is then a plain
+//! append into memory no other thread touches. After the kernel, the
+//! output stage drains the shards into the partition store in bulk and
+//! returns them to the [`ShardPool`], so all buffer capacity (and the
+//! cursor's deque) is reused across batches — zero heap allocation and
+//! zero cross-thread locks on the per-read path.
 //!
-//! The pool's free list is locked twice per *batch* (take/put) and a
-//! roster slot once per *part*; only the SimGpu boundary kernel, whose
-//! work item is one read, checks a shard out per read.
+//! The pool's free list is locked twice per *batch* (take/put); only the
+//! SimGpu boundary kernel, whose work item is one read and whose SMs run
+//! side by side, checks a shard out of a [`ShardRoster`] per read.
 
 use std::cell::UnsafeCell;
 #[cfg(debug_assertions)]

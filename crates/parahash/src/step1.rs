@@ -1,7 +1,6 @@
 use std::borrow::Cow;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -113,37 +112,20 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// Cuts the batch into at most `n` parts of about equal size, one per
-    /// worker: read-index ranges, or record-aligned byte ranges of the
-    /// text (the cut search yields at most `n` ranges for this target).
-    fn parts(&self, n: usize) -> Vec<Range<usize>> {
-        match self {
-            Batch::Reads(reads) => {
-                let per = reads.len().div_ceil(n).max(1);
-                (0..reads.len()).step_by(per).map(|lo| lo..(lo + per).min(reads.len())).collect()
-            }
-            Batch::Text { file, at } => {
-                let text = &file[at.clone()];
-                dna::chunk_record_ranges(text, text.len().div_ceil(n).max(1))
-            }
-        }
-    }
-
-    /// Hands every read of `part` to `f` as a 2-bit sequence: borrowed
+    /// Hands every read of the batch to `f` as a 2-bit sequence: borrowed
     /// from memory, or parsed from the text and packed into one reused
-    /// scratch sequence, so every record is parsed by exactly one worker.
+    /// scratch sequence.
     ///
     /// # Errors
     ///
-    /// A malformed record ends the part; its line number is rebased from
+    /// A malformed record ends the batch; its line number is rebased from
     /// the slice the parser saw onto the whole file.
-    fn for_each_read(&self, part: Range<usize>, mut f: impl FnMut(&PackedSeq)) -> Result<()> {
+    fn for_each_read(&self, mut f: impl FnMut(&PackedSeq)) -> Result<()> {
         match self {
-            Batch::Reads(reads) => reads[part].iter().for_each(|r| f(r.seq())),
+            Batch::Reads(reads) => reads.iter().for_each(|r| f(r.seq())),
             Batch::Text { file, at } => {
-                let start = at.start + part.start;
-                let mut reader = dna::FastqSliceReader::new(&file[start..at.start + part.end]);
-                let rebase = |e| parse_error(offset_parse_lines(e, &file[..start]));
+                let mut reader = dna::FastqSliceReader::new(&file[at.clone()]);
+                let rebase = |e| parse_error(offset_parse_lines(e, &file[..at.start]));
                 let mut scratch = PackedSeq::new();
                 while let Some(view) = reader.read_record_view().map_err(rebase)? {
                     scratch.clear();
@@ -160,44 +142,13 @@ impl<'a> Batch<'a> {
     fn packed(&self) -> Result<Vec<Cow<'a, PackedSeq>>> {
         match self {
             Batch::Reads(reads) => Ok(reads.iter().map(|r| Cow::Borrowed(r.seq())).collect()),
-            Batch::Text { at, .. } => {
+            Batch::Text { .. } => {
                 let mut reads = Vec::new();
-                self.for_each_read(0..at.len(), |read| reads.push(Cow::Owned(read.clone())))?;
+                self.for_each_read(|read| reads.push(Cow::Owned(read.clone())))?;
                 Ok(reads)
             }
         }
     }
-}
-
-/// Step 1 of ParaHash: pipelined, co-processed MSP partitioning of an
-/// in-memory read set.
-///
-/// Input batches flow through the three-stage pipeline; whichever device
-/// is idle scans a batch into superkmers (one GPU lane per read, one CPU
-/// thread per contiguous group of reads, as in §III-D), encodes them to
-/// the 2-bit record format, and the output stage appends the bytes to the
-/// per-partition files — a [`PartitionStore`] at budget `0`, every
-/// partition sealed into its file once the input is consumed.
-///
-/// The compute stage is **allocation- and lock-free per read**: each
-/// worker takes one [`StagingShard`] for its whole part of the batch,
-/// streams every read through the shard's reusable minimizer cursor, and
-/// encodes every superkmer straight from the read's packed words into the
-/// shard's thread-private partition buffer.
-///
-/// Returns the partition manifest (input to Step 2) and the step report.
-///
-/// # Errors
-///
-/// Propagates partition-file I/O failures and invalid parameters; the
-/// partial partition directory is removed.
-pub fn run_step1(
-    config: &ParaHashConfig,
-    reads: &[SeqRead],
-    io: &ThrottledIo,
-) -> Result<(PartitionManifest, StepReport)> {
-    let (manifest, report, _) = step1_sealed(config, Input::Reads(reads), 0, io, None)?;
-    Ok((manifest, report))
 }
 
 /// Step 1 into a [`PartitionStore`] of `budget` resident bytes, then every
@@ -216,7 +167,7 @@ pub(crate) fn step1_sealed(
     input: Input<'_>,
     budget: u64,
     io: &ThrottledIo,
-    journal: Option<&RunJournal>,
+    journal: &RunJournal,
 ) -> Result<(PartitionManifest, StepReport, SharedCounterQueue<SealedPartition>)> {
     let dir = config.work_dir.join("superkmers");
     let n = config.partitions;
@@ -239,8 +190,8 @@ pub(crate) fn step1_sealed(
 }
 
 /// Seals every partition of `store` onto `feed`, journaling each durable
-/// one (when there is a journal) — only a *spilled* partition is: a
-/// resident one's bytes exist nowhere but in this process's memory.
+/// one — only a *spilled* partition is: a resident one's bytes exist
+/// nowhere but in this process's memory.
 ///
 /// Hand-over order is chosen, not index order: spilled partitions first
 /// (their loads overlap compute on the resident ones, hiding T_IO per §IV
@@ -250,7 +201,7 @@ pub(crate) fn step1_sealed(
 /// partition's subgraph is canonical regardless.
 fn seal_all(
     store: &mut PartitionStore,
-    journal: Option<&RunJournal>,
+    journal: &RunJournal,
     feed: &SharedCounterQueue<SealedPartition>,
 ) -> Result<()> {
     let mut order: Vec<usize> = (0..store.num_partitions()).collect();
@@ -259,7 +210,7 @@ fn seal_all(
         let sealed = store.seal(i)?;
         let durable = matches!(sealed.payload, SealedPayload::Spilled(_));
         feed.push(sealed);
-        if let Some(journal) = journal.filter(|_| durable) {
+        if durable {
             journal.append(&JournalEvent::PartitionSealed(i))?;
         }
     }
@@ -275,12 +226,14 @@ fn seal_all(
 /// error cleanup.
 ///
 /// Every roster and every kernel selection runs this same ingest. The
-/// compute stage re-splits its batch across the device's workers, so every
-/// worker parses *and* scans its own reads; a simulated GPU instead
+/// CPU core that claims a batch parses *and* scans it, streaming every
+/// read through one [`StagingShard`]'s reusable minimizer cursor and
+/// encoding every superkmer straight into the shard's partition buffers
+/// — no lock and no allocation per read; a simulated GPU instead
 /// receives the batch 2-bit packed, one lane per read. Per-partition
-/// output multisets do not depend on the cut: batch and part boundaries
-/// land only between reads, every read is scanned by exactly one worker,
-/// and superkmer routing is order-independent.
+/// output multisets do not depend on the cut: batch boundaries land only
+/// between reads, every read is scanned exactly once, and superkmer
+/// routing is order-independent.
 ///
 /// # Errors
 ///
@@ -380,16 +333,15 @@ pub(crate) fn step1_into(
                     device.transfer_from_device(shards.iter().map(StagingShard::staged_bytes).sum());
                     (shards, seqs.len() as u64, seqs.iter().map(|r| r.len() as u64).sum())
                 } else {
-                    let parts = batch.parts(device.parallelism().max(1));
-                    let roster = ShardRoster::new(shard_pool.take(parts.len()));
-                    let (reads, bases) = (AtomicU64::new(0), AtomicU64::new(0));
-                    device.execute(parts.len(), &|w| {
-                        let mut shard = roster.checkout();
-                        let StagingShard { buffers, counts, cursor } = &mut *shard;
-                        let (mut part_reads, mut part_bases) = (0u64, 0u64);
-                        let parsed = batch.for_each_read(parts[w].clone(), |read| {
-                            part_reads += 1;
-                            part_bases += read.len() as u64;
+                    // One core scans the whole batch through one staging
+                    // shard; the launch is what meters the core's time.
+                    let staged = Mutex::new((shard_pool.take(1), 0u64, 0u64));
+                    device.execute(1, &|_| {
+                        let (shards, reads, bases) = &mut *staged.lock();
+                        let StagingShard { buffers, counts, cursor } = &mut shards[0];
+                        let parsed = batch.for_each_read(|read| {
+                            *reads += 1;
+                            *bases += read.len() as u64;
                             scanner.scan_runs(read, cursor, |first, last, m| {
                                 emit_run(router, k, read, (first, last), &m, buffers, counts);
                             });
@@ -397,10 +349,8 @@ pub(crate) fn step1_into(
                         if let Err(e) = parsed {
                             poison(e);
                         }
-                        reads.fetch_add(part_reads, Ordering::Relaxed);
-                        bases.fetch_add(part_bases, Ordering::Relaxed);
                     });
-                    (roster.into_shards(), reads.into_inner(), bases.into_inner())
+                    staged.into_inner()
                 };
                 (Batch1Out { shards, bases }, reads)
             },
@@ -425,6 +375,7 @@ pub(crate) fn step1_into(
         pipeline: pipeline_report,
         cpu_compute,
         gpu_compute,
+        device_metrics: deltas,
         contention: None,
         step1_stats: Some(stats),
         resizes: 0,
@@ -588,9 +539,26 @@ pub(crate) fn split_device_times(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::journal::Fingerprint;
     use pipeline::IoMode;
+
+    /// Step 1 of a fresh two-phase run of `reads` — every partition
+    /// sealed into its file and journaled — as its manifest, its report
+    /// and the run's journal, for Step 2 to append to.
+    pub(crate) fn step1(
+        cfg: &ParaHashConfig,
+        reads: &[SeqRead],
+    ) -> (PartitionManifest, StepReport, RunJournal) {
+        let fingerprint =
+            Fingerprint { k: cfg.k, p: cfg.p, partitions: cfg.partitions, input_digest: 0 };
+        let journal = RunJournal::create(&cfg.work_dir, fingerprint).unwrap();
+        let io = ThrottledIo::new(IoMode::Unthrottled);
+        let (manifest, report, _) =
+            step1_sealed(cfg, Input::Reads(reads), 0, &io, &journal).unwrap();
+        (manifest, report, journal)
+    }
 
     fn reads() -> Vec<SeqRead> {
         vec![
@@ -631,9 +599,8 @@ mod tests {
     fn step1_writes_all_kmers() {
         let cfg = config("parahash-step1-all");
         let _ = std::fs::remove_dir_all(cfg.work_dir());
-        let io = ThrottledIo::new(IoMode::Unthrottled);
         let rs = reads();
-        let (manifest, report) = run_step1(&cfg, &rs, &io).unwrap();
+        let (manifest, report, _) = step1(&cfg, &rs);
         let expected_kmers: u64 = rs.iter().map(|r| (r.len() - 7 + 1) as u64).sum();
         assert_eq!(manifest.total_kmers(), expected_kmers);
         assert_eq!(report.pipeline.total_work(), rs.len() as u64);
@@ -646,9 +613,8 @@ mod tests {
     fn step1_matches_in_memory_partitioning() {
         let cfg = config("parahash-step1-match");
         let _ = std::fs::remove_dir_all(cfg.work_dir());
-        let io = ThrottledIo::new(IoMode::Unthrottled);
         let rs = reads();
-        let (manifest, _) = run_step1(&cfg, &rs, &io).unwrap();
+        let (manifest, _, _) = step1(&cfg, &rs);
 
         // The pipeline may interleave batches; compare as record multisets.
         let records = |slices: msp::PartitionSlices<'_>| {
@@ -685,8 +651,7 @@ mod tests {
             .build()
             .unwrap();
         let _ = std::fs::remove_dir_all(cfg.work_dir());
-        let io = ThrottledIo::new(IoMode::Unthrottled);
-        let (_, report) = run_step1(&cfg, &reads(), &io).unwrap();
+        let (_, report, _) = step1(&cfg, &reads());
         let gpu_metrics = cfg.devices()[1].metrics();
         let gpu_share = &report.pipeline.shares[1];
         if gpu_share.partitions > 0 {
@@ -709,9 +674,8 @@ mod tests {
     fn short_reads_are_skipped_cleanly() {
         let cfg = config("parahash-step1-short");
         let _ = std::fs::remove_dir_all(cfg.work_dir());
-        let io = ThrottledIo::new(IoMode::Unthrottled);
         let rs = vec![SeqRead::from_ascii("tiny", b"ACG"), SeqRead::from_ascii("ok", b"ACGTTGCAT")];
-        let (manifest, _) = run_step1(&cfg, &rs, &io).unwrap();
+        let (manifest, _, _) = step1(&cfg, &rs);
         assert_eq!(manifest.total_kmers(), 3); // only the 9-mer read yields 9−7+1
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
@@ -720,9 +684,8 @@ mod tests {
     fn step1_report_carries_emit_stats() {
         let cfg = config("parahash-step1-stats");
         let _ = std::fs::remove_dir_all(cfg.work_dir());
-        let io = ThrottledIo::new(IoMode::Unthrottled);
         let rs = reads();
-        let (manifest, report) = run_step1(&cfg, &rs, &io).unwrap();
+        let (manifest, report, _) = step1(&cfg, &rs);
         let stats = report.step1_stats.expect("step 1 must report emit stats");
         assert_eq!(stats.kmers, manifest.total_kmers());
         assert_eq!(stats.superkmers, manifest.total_superkmers());

@@ -97,48 +97,6 @@ fn store_error(e: hashgraph::StoreError, partition: Option<usize>) -> ParaHashEr
     }
 }
 
-/// Step 2 of ParaHash: pipelined, co-processed subgraph construction.
-///
-/// Each superkmer partition is read from disk (checksummed frames are
-/// verified in place), decoded, and replayed into a
-/// [`hashgraph::ConcurrentDbgTable`] sized by the Property-1 rule from
-/// the manifest's per-partition k-mer count. On a GPU device, the encoded
-/// partition pays the host→device transfer and the table reserves device
-/// memory; the snapshot pays the device→host transfer.
-///
-/// Failure handling is two-tier:
-///
-/// * **Strict mode** (the default): the first fatal error cancels the
-///   pipeline — remaining partitions are abandoned, partial subgraph
-///   output is deleted, and the error is returned.
-/// * **Non-strict mode**
-///   ([`strict(false)`](crate::ParaHashConfigBuilder::strict)): a
-///   partition whose file
-///   cannot be read (after [`pipeline::RetryPolicy`] retries) or fails
-///   its checksums is *quarantined* — recorded in the step report — and
-///   the run completes without its k-mers. Device and hash-table
-///   failures stay fatal in both modes: they indicate the run
-///   environment, not one bad file.
-///
-/// Returns the merged De Bruijn graph and the step report. This
-/// step-level entry keeps no journal: quarantines and sub-splits are in
-/// the returned [`StepReport`] only. The durable record is the run
-/// journal the [`ParaHash`](crate::ParaHash) `run*` drivers write.
-///
-/// # Errors
-///
-/// Propagates partition-file corruption, I/O failures, and device-memory
-/// exhaustion (the first two only in strict mode).
-pub fn run_step2(
-    config: &ParaHashConfig,
-    manifest: &PartitionManifest,
-    io: &ThrottledIo,
-) -> Result<(DeBruijnGraph, StepReport)> {
-    let feed = manifest_feed(manifest);
-    let cancel = CancelToken::new();
-    run_step2_feed(config, &feed, io, &cancel, None, Resumed::nothing(config.k))
-}
-
 /// Where partition `i`'s committed subgraph lives under `work_dir`.
 pub(crate) fn subgraph_path(work_dir: &Path, i: usize) -> PathBuf {
     work_dir.join("subgraphs").join(format!("sub-{i:05}.dbg"))
@@ -164,7 +122,7 @@ impl Resumed {
 /// A finished manifest as a Step-2 feed: every partition, in index
 /// order, as a payload to read back from its file — exactly what a
 /// [`msp::PartitionStore`] seals for a partition it spilled. This is how
-/// [`run_step2`] and a resumed run that skips Step 1 feed Step 2.
+/// a resumed run that skips Step 1 feeds Step 2.
 pub(crate) fn manifest_feed(manifest: &PartitionManifest) -> SharedCounterQueue<SealedPartition> {
     SharedCounterQueue::filled(manifest.stats().iter().enumerate().map(|(index, stats)| {
         SealedPartition {
@@ -177,38 +135,55 @@ pub(crate) fn manifest_feed(manifest: &PartitionManifest) -> SharedCounterQueue<
     }))
 }
 
-/// The one Step-2 runner: builds the subgraph of every
+/// Step 2 of ParaHash, the one in-process runner: pipelined,
+/// co-processed construction of the subgraph of every
 /// [`SealedPartition`] arriving on `feed`. The handoff between the steps
 /// is a storage choice carried by the payload, not a second algorithm —
 /// resident payloads are used by value and skip the disk entirely;
 /// spilled payloads (a partition the store spilled, or every partition of
-/// a [`manifest_feed`]) are read back with the usual retry policy.
+/// a [`manifest_feed`]) are read back with the usual retry policy, their
+/// checksummed frames verified in place. Each partition is replayed into
+/// a table sized by the Property-1 rule from its k-mer count; on a GPU
+/// device the encoded partition pays the host→device transfer and the
+/// table reserves device memory, and the snapshot pays the device→host
+/// transfer.
 ///
-/// Crash-recovery hooks: an optional [`RunJournal`] receives a
-/// `subgraph-committed` record after every atomic subgraph commit (and
-/// `quarantined` records at the end); partitions in
-/// [`Resumed::committed`] — their subgraphs were committed by an
-/// interrupted run and are already in [`Resumed::graph`] — flow through
-/// as no-ops.
+/// Failure handling is two-tier:
 ///
-/// The caller owns `feed` (finish it at end of stream, close it to
-/// abort) and `cancel`; a fatal error in here cancels the token.
+/// * **Strict mode** (the default): the first fatal error cancels the
+///   pipeline — remaining partitions are abandoned, partial subgraph
+///   output is deleted, and the error is returned.
+/// * **Non-strict mode**
+///   ([`strict(false)`](crate::ParaHashConfigBuilder::strict)): a
+///   partition whose file cannot be read (after
+///   [`pipeline::RetryPolicy`] retries), fails its checksums or cannot be
+///   committed is *quarantined* — recorded in the step report and the
+///   journal — and the run completes without its k-mers. Device and
+///   hash-table failures stay fatal in both modes: they indicate the run
+///   environment, not one bad file.
+///
+/// Crash-recovery hooks: `journal` receives a `subgraph-committed`
+/// record after every atomic subgraph commit (and `quarantined` records
+/// at the end); partitions in [`Resumed::committed`] — their subgraphs
+/// were committed by an interrupted run and are already in
+/// [`Resumed::graph`] — flow through as no-ops. The caller owns `feed`.
 ///
 /// # Errors
 ///
-/// Same as [`run_step2`].
-pub(crate) fn run_step2_feed(
+/// Partition-file corruption and I/O failures (strict mode only), and
+/// device-memory exhaustion.
+pub(crate) fn step2_feed(
     config: &ParaHashConfig,
     feed: &SharedCounterQueue<SealedPartition>,
     io: &ThrottledIo,
-    cancel: &CancelToken,
-    journal: Option<&RunJournal>,
+    journal: &RunJournal,
     resumed: Resumed,
 ) -> Result<(DeBruijnGraph, StepReport)> {
     if config.write_subgraphs {
         std::fs::create_dir_all(config.work_dir.join("subgraphs"))?;
     }
-    let shared = Step2Shared::new(config, cancel, journal);
+    let cancel = CancelToken::new();
+    let shared = Step2Shared::new(config, &cancel, Some(journal));
     let Resumed { committed: skip, mut graph } = resumed;
     let pipeline_report = shared.run(feed, io, &skip, &mut graph);
     shared.finish(pipeline_report, graph)
@@ -217,7 +192,7 @@ pub(crate) fn run_step2_feed(
 /// The Step-2 engine's state, one per step: failure routing
 /// (fatal-vs-quarantine), the pooled capacity-retry hash construction,
 /// subgraph persistence and absorption, and report assembly.
-/// [`run_step2_feed`] is [`run`](Self::run) then [`finish`](Self::finish);
+/// [`step2_feed`] is [`run`](Self::run) then [`finish`](Self::finish);
 /// the sharded driver ([`crate::shard`]) puts a lease phase in front —
 /// partitions built by other processes enter through
 /// [`absorb_verified`](Self::absorb_verified) — and a shard worker builds
@@ -688,6 +663,7 @@ impl<'a> Step2Shared<'a> {
             pipeline: pipeline_report,
             cpu_compute,
             gpu_compute,
+            device_metrics: deltas,
             contention: Some(self.total_contention.into_inner()),
             step1_stats: None,
             resizes: self.total_resizes.into_inner(),
@@ -767,9 +743,19 @@ pub(crate) fn build_lease(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_step1;
+    use crate::step1::tests::step1;
     use dna::SeqRead;
     use pipeline::IoMode;
+
+    /// Step 2 over every partition file of `manifest`, journaled.
+    fn step2(
+        cfg: &ParaHashConfig,
+        manifest: &PartitionManifest,
+        journal: &RunJournal,
+        io: &ThrottledIo,
+    ) -> Result<(DeBruijnGraph, StepReport)> {
+        step2_feed(cfg, &manifest_feed(manifest), io, journal, Resumed::nothing(cfg.k))
+    }
 
     fn reads() -> Vec<SeqRead> {
         vec![
@@ -815,8 +801,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let io = ThrottledIo::new(IoMode::Unthrottled);
         let rs = reads();
-        let (manifest, _) = run_step1(&cfg, &rs, &io).unwrap();
-        let (graph, report) = run_step2(&cfg, &manifest, &io).unwrap();
+        let (manifest, _, journal) = step1(&cfg, &rs);
+        let (graph, report) = step2(&cfg, &manifest, &journal, &io).unwrap();
         assert_eq!(graph, reference(&rs, 7));
         assert_eq!(report.step, 2);
         assert_eq!(report.pipeline.partitions, 6);
@@ -839,8 +825,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let io = ThrottledIo::new(IoMode::Unthrottled);
         let rs = reads();
-        let (manifest, _) = run_step1(&cfg, &rs, &io).unwrap();
-        let (graph, _) = run_step2(&cfg, &manifest, &io).unwrap();
+        let (manifest, _, journal) = step1(&cfg, &rs);
+        let (graph, _) = step2(&cfg, &manifest, &journal, &io).unwrap();
         assert_eq!(graph, reference(&rs, 7));
         let m = cfg.devices()[0].metrics();
         assert!(m.bytes_to_device > 0);
@@ -854,8 +840,8 @@ mod tests {
         let cfg = config("parahash-step2-enc");
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let io = ThrottledIo::new(IoMode::Unthrottled);
-        let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
-        let (graph, _) = run_step2(&cfg, &manifest, &io).unwrap();
+        let (manifest, _, journal) = step1(&cfg, &reads());
+        let (graph, _) = step2(&cfg, &manifest, &journal, &io).unwrap();
         // Round-trip the whole graph as one subgraph.
         let entries: Vec<_> = graph.iter().collect();
         let sub = SubGraph::new(7, entries);
@@ -1021,8 +1007,7 @@ mod tests {
                 .build()
                 .unwrap();
             let _ = std::fs::remove_dir_all(cfg.work_dir());
-            let io = ThrottledIo::new(IoMode::Unthrottled);
-            let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
+            let (manifest, _, _) = step1(&cfg, &reads());
             let cancel = CancelToken::new();
             let shared = Step2Shared::new(&cfg, &cancel, None);
             let images: Vec<(Vec<u8>, u64)> = (0..manifest.num_partitions())
@@ -1061,7 +1046,7 @@ mod tests {
             .unwrap();
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let io = ThrottledIo::new(IoMode::Unthrottled);
-        let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
+        let (manifest, _, _) = step1(&cfg, &reads());
         let sub_dir = cfg.work_dir().join("subgraphs");
         for i in 0..manifest.num_partitions() {
             let kmers = manifest.stats()[i].kmers;
@@ -1099,7 +1084,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let io = ThrottledIo::new(IoMode::Unthrottled);
         let rs = reads();
-        let (manifest, _) = run_step1(&cfg, &rs, &io).unwrap();
+        let (manifest, _, journal) = step1(&cfg, &rs);
         let victim = (0..manifest.num_partitions())
             .max_by_key(|&i| manifest.stats()[i].kmers)
             .unwrap();
@@ -1110,7 +1095,7 @@ mod tests {
                 std::io::Error::new(std::io::ErrorKind::PermissionDenied, "injected commit failure")
             })
         }));
-        let (graph, report) = run_step2(&cfg, &manifest, &io).unwrap();
+        let (graph, report) = step2(&cfg, &manifest, &journal, &io).unwrap();
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].index, victim);
         assert!(report.quarantined[0].reason.contains("injected commit failure"));
@@ -1141,8 +1126,8 @@ mod tests {
         let cfg = config("parahash-step2-trailing");
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let io = ThrottledIo::new(IoMode::Unthrottled);
-        let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
-        let (graph, _) = run_step2(&cfg, &manifest, &io).unwrap();
+        let (manifest, _, journal) = step1(&cfg, &reads());
+        let (graph, _) = step2(&cfg, &manifest, &journal, &io).unwrap();
         let entries: Vec<_> = graph.iter().collect();
         assert!(entries.len() >= 2, "need several records for this test");
         let sub = SubGraph::new(7, entries.clone());
@@ -1184,7 +1169,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let io = ThrottledIo::new(IoMode::Unthrottled);
         let rs = reads();
-        let (manifest, _) = run_step1(&cfg, &rs, &io).unwrap();
+        let (manifest, _, journal) = step1(&cfg, &rs);
         // Flip one payload byte in the largest partition: the frame
         // checksum catches it and the partition is set aside.
         let victim = (0..manifest.num_partitions())
@@ -1196,7 +1181,7 @@ mod tests {
         bytes[mid] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (graph, report) = run_step2(&cfg, &manifest, &io).unwrap();
+        let (graph, report) = step2(&cfg, &manifest, &journal, &io).unwrap();
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].index, victim);
         assert!(
@@ -1211,8 +1196,10 @@ mod tests {
             graph.total_kmer_occurrences(),
             manifest.total_kmers() - manifest.stats()[victim].kmers
         );
-        // The report is this un-journaled entry's record of it; the
-        // manifest on disk is still what Step 1 wrote.
+        // The report and the journal record it; the manifest on disk is
+        // still what Step 1 wrote.
+        let journaled = RunJournal::replay(cfg.work_dir()).unwrap().quarantined;
+        assert_eq!(journaled.iter().map(|q| q.0).collect::<Vec<_>>(), [victim]);
         assert_eq!(PartitionManifest::load(manifest.dir()).unwrap(), manifest);
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
@@ -1230,7 +1217,7 @@ mod tests {
             .unwrap();
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let io = ThrottledIo::new(IoMode::Unthrottled);
-        let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
+        let (manifest, _, journal) = step1(&cfg, &reads());
         let victim = (0..manifest.num_partitions())
             .max_by_key(|&i| manifest.stats()[i].bytes)
             .unwrap();
@@ -1239,7 +1226,7 @@ mod tests {
         bytes.truncate(bytes.len() - 1);
         std::fs::write(&path, &bytes).unwrap();
 
-        assert!(run_step2(&cfg, &manifest, &io).is_err());
+        assert!(step2(&cfg, &manifest, &journal, &io).is_err());
         let sub_dir = cfg.work_dir().join("subgraphs");
         assert!(
             !sub_dir.exists(),
@@ -1261,8 +1248,8 @@ mod tests {
             .unwrap();
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let io = ThrottledIo::new(IoMode::Unthrottled);
-        let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
-        let (graph, _) = run_step2(&cfg, &manifest, &io).unwrap();
+        let (manifest, _, journal) = step1(&cfg, &reads());
+        let (graph, _) = step2(&cfg, &manifest, &journal, &io).unwrap();
         // Reload all persisted subgraphs; their union is the graph.
         let mut reloaded = DeBruijnGraph::new(7);
         for i in 0..3 {
@@ -1278,7 +1265,7 @@ mod tests {
         let cfg = config("parahash-step2-corrupt");
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let io = ThrottledIo::new(IoMode::Unthrottled);
-        let (manifest, _) = run_step1(&cfg, &reads(), &io).unwrap();
+        let (manifest, _, journal) = step1(&cfg, &reads());
         // Truncate the largest partition file mid-record.
         let victim = (0..manifest.num_partitions())
             .max_by_key(|&i| manifest.stats()[i].bytes)
@@ -1287,7 +1274,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.truncate(bytes.len() - 1);
         std::fs::write(&path, &bytes).unwrap();
-        assert!(run_step2(&cfg, &manifest, &io).is_err());
+        assert!(step2(&cfg, &manifest, &journal, &io).is_err());
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 }

@@ -5,11 +5,11 @@ use std::time::Instant;
 use dna::SeqRead;
 use hashgraph::DeBruijnGraph;
 use msp::PartitionManifest;
-use pipeline::{CancelToken, ThrottledIo};
+use pipeline::ThrottledIo;
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
 use crate::step1::{step1_sealed, Input};
-use crate::step2::{check_committed, manifest_feed, run_step2_feed, subgraph_path, Resumed};
+use crate::step2::{check_committed, manifest_feed, step2_feed, subgraph_path, Resumed};
 use crate::{ParaHashConfig, ParaHashError, Result, RunReport, Step1Stats, StepReport};
 
 /// The assembled system: run both steps against a read set and collect
@@ -79,7 +79,7 @@ impl ParaHash {
     /// [`ParaHashError::Journal`] for a journal whose valid-CRC records
     /// are malformed.
     pub fn run(&self, reads: &[SeqRead]) -> Result<RunOutcome> {
-        self.execute(Input::Reads(reads), 0, self.sharded(), &self.io())
+        self.execute(Input::Reads(reads), 0, &self.io())
     }
 
     /// [`run`](Self::run) streamed from a FASTQ file (plain, gzip or
@@ -95,7 +95,7 @@ impl ParaHash {
     ///
     /// Propagates parse failures and every [`run`](Self::run) failure.
     pub fn run_fastq_streaming(&self, path: impl AsRef<Path>) -> Result<RunOutcome> {
-        self.execute(Input::Fastq(path.as_ref()), 0, self.sharded(), &self.io())
+        self.execute(Input::Fastq(path.as_ref()), 0, &self.io())
     }
 
     /// **Fused** construction: Step 1 stages partitions in a
@@ -121,22 +121,28 @@ impl ParaHash {
     ///
     /// # Errors
     ///
-    /// As [`run`](Self::run); a Step-1 failure takes precedence and
-    /// cleans up the partial partition directory.
+    /// [`ParaHashError::InvalidConfig`] for a config that asks for worker
+    /// processes ([`workers`](crate::ParaHashConfigBuilder::workers) or
+    /// [`listen`](crate::ParaHashConfigBuilder::listen)), which only the
+    /// two-phase entry points lease to; otherwise as [`run`](Self::run),
+    /// a Step-1 failure taking precedence and cleaning up the partial
+    /// partition directory.
     pub fn run_fused(&self, reads: &[SeqRead]) -> Result<RunOutcome> {
         self.run_fused_with_io(reads, &self.io())
     }
 
-    /// [`run_fused`](Self::run_fused) against a caller-owned I/O channel —
-    /// the fused analogue of handing [`crate::run_step1`] /
-    /// [`crate::run_step2`] your own [`ThrottledIo`], so fault-injection
-    /// hooks and retry counters remain observable across the fused run.
+    /// [`run_fused`](Self::run_fused) against a caller-owned I/O channel,
+    /// so fault-injection hooks and retry counters remain observable
+    /// across the run. At
+    /// [`partition_memory_budget(0)`](crate::ParaHashConfigBuilder::partition_memory_budget)
+    /// this is the two-phase build: every partition is written to its
+    /// file and read back through `io`.
     ///
     /// # Errors
     ///
     /// Same as [`run_fused`](Self::run_fused).
     pub fn run_fused_with_io(&self, reads: &[SeqRead], io: &ThrottledIo) -> Result<RunOutcome> {
-        self.execute(Input::Reads(reads), self.config.partition_memory_budget, false, io)
+        self.execute(Input::Reads(reads), self.fused_budget()?, io)
     }
 
     /// Fused construction streamed from a FASTQ file: combines
@@ -150,8 +156,7 @@ impl ParaHash {
     /// Propagates parse failures and every [`run_fused`](Self::run_fused)
     /// failure.
     pub fn run_fused_fastq(&self, path: impl AsRef<Path>) -> Result<RunOutcome> {
-        let budget = self.config.partition_memory_budget;
-        self.execute(Input::Fastq(path.as_ref()), budget, false, &self.io())
+        self.execute(Input::Fastq(path.as_ref()), self.fused_budget()?, &self.io())
     }
 
     fn io(&self) -> ThrottledIo {
@@ -163,18 +168,27 @@ impl ParaHash {
         self.config.workers > 0 || self.config.listen.is_some()
     }
 
+    /// The fused entry points' partition budget, refusing a config that
+    /// asks for worker processes: only the two-phase build leases its
+    /// partitions, and a fused run must not drop the setting silently.
+    fn fused_budget(&self) -> Result<u64> {
+        if !self.sharded() {
+            return Ok(self.config.partition_memory_budget);
+        }
+        let setting = if self.config.workers > 0 { "workers" } else { "listen" };
+        Err(ParaHashError::InvalidConfig(format!(
+            "`{setting}` runs Step 2 on worker processes, which only the two-phase entry \
+             points (`run`, `run_fastq_streaming`) do; the fused ones cannot honour it"
+        )))
+    }
+
     /// The one run driver: a preamble that fixes the run's identity and
     /// resume plan, Step 1 into a store of `budget` resident bytes (unless
     /// the plan says its output survived whole), Step 2 over the sealed
-    /// partitions (leased to worker processes when `sharded`), and a tail
-    /// that makes the result durable and reports it.
-    fn execute(
-        &self,
-        input: Input<'_>,
-        budget: u64,
-        sharded: bool,
-        io: &ThrottledIo,
-    ) -> Result<RunOutcome> {
+    /// partitions (leased to worker processes when the config asks for
+    /// them — only a two-phase run gets this far with such a config), and
+    /// a tail that makes the result durable and reports it.
+    fn execute(&self, input: Input<'_>, budget: u64, io: &ThrottledIo) -> Result<RunOutcome> {
         let started = Instant::now();
         let mut config = self.config.clone();
         let input_digest = match input {
@@ -196,16 +210,16 @@ impl ParaHash {
             let feed = manifest_feed(&manifest);
             (manifest, skipped_step1_report(), feed)
         } else {
-            step1_sealed(&config, input, budget, io, Some(&plan.journal))?
+            step1_sealed(&config, input, budget, io, &plan.journal)?
         };
         // `workers(N)` swaps the in-process Step 2 for the multi-process
         // shard, which leases the partition files; the two produce
         // byte-identical subgraphs and graphs (see `crate::shard`).
-        let journal = Some(&plan.journal);
-        let (graph, step2) = if sharded {
-            crate::shard::run_step2_sharded(&config, &manifest, io, journal, resumed)?
+        let journal = &plan.journal;
+        let (graph, step2) = if self.sharded() {
+            crate::shard::step2_sharded(&config, &manifest, io, journal, resumed)?
         } else {
-            run_step2_feed(&config, &feed, io, &CancelToken::new(), journal, resumed)?
+            step2_feed(&config, &feed, io, journal, resumed)?
         };
 
         plan.recheck_committed(&config)?;
@@ -771,8 +785,7 @@ mod tests {
     fn a_budget_at_the_largest_projection_bounds_every_table() {
         let reads = repeat_rich_reads();
         let probe = corpus_builder("parahash-sys-budget-probe").build().unwrap();
-        let io = ThrottledIo::new(IoMode::Unthrottled);
-        let (manifest, _) = crate::run_step1(&probe, &reads, &io).unwrap();
+        let (manifest, _, _) = crate::step1::tests::step1(&probe, &reads);
         let largest = manifest.stats().iter().map(|s| s.kmers).max().unwrap();
         std::fs::remove_dir_all(probe.work_dir()).unwrap();
         let budget = hashgraph::projected_table_bytes(largest, probe.sizing);
@@ -812,6 +825,26 @@ mod tests {
         assert!(contention.insertions > 0);
         assert_eq!((contention.cas_failures, contention.lock_waits), (0, 0), "{contention:?}");
         std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
+    }
+
+    /// Worker processes are a two-phase setting: a fused entry point
+    /// refuses a config that asks for them before doing any work, rather
+    /// than building in process as if the setting were not there.
+    #[test]
+    fn fused_entry_points_reject_worker_settings() {
+        for (setting, builder) in [
+            ("workers", corpus_builder("parahash-sys-fused-workers").workers(1)),
+            ("listen", corpus_builder("parahash-sys-fused-listen").listen("127.0.0.1:0")),
+        ] {
+            let ph = ParaHash::new(builder.build().unwrap()).unwrap();
+            let fastq = ph.config().work_dir().join("never-read.fastq");
+            for err in [ph.run_fused(&reads()).unwrap_err(), ph.run_fused_fastq(&fastq).unwrap_err()] {
+                let named = matches!(&err, ParaHashError::InvalidConfig(msg) if msg.contains(setting));
+                assert!(named, "{setting}: {err}");
+            }
+            assert!(!RunJournal::exists(ph.config().work_dir()), "{setting}: no run started");
+            std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
+        }
     }
 
     #[test]

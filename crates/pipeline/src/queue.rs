@@ -153,27 +153,6 @@ impl<T> SharedCounterQueue<T> {
         }
     }
 
-    /// Non-blocking variant of [`pop`](SharedCounterQueue::pop): returns
-    /// `None` without claiming an id when no published item is pending.
-    pub fn try_pop(&self) -> Option<T> {
-        loop {
-            let pos = self.head.load(Ordering::Acquire);
-            if pos >= self.capacity()
-                || pos >= self.tail.load(Ordering::Acquire)
-                || !self.ready[pos].load(Ordering::Acquire)
-            {
-                return None;
-            }
-            if self
-                .head
-                .compare_exchange(pos, pos + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return self.slots[pos].lock().take();
-            }
-        }
-    }
-
     /// Marks the stream as aborted: consumers blocked on unpublished slots
     /// return `None`.
     pub fn close(&self) {
@@ -228,17 +207,6 @@ mod tests {
         }
         assert_eq!(q.pop(), None);
         assert_eq!(q.claimed(), 4);
-    }
-
-    #[test]
-    fn try_pop_does_not_block_or_lose() {
-        let q = SharedCounterQueue::new(2);
-        assert_eq!(q.try_pop(), None);
-        q.push(7);
-        assert_eq!(q.try_pop(), Some(7));
-        assert_eq!(q.try_pop(), None);
-        q.push(8);
-        assert_eq!(q.pop(), Some(8));
     }
 
     #[test]
@@ -383,7 +351,6 @@ mod tests {
     fn zero_capacity_queue() {
         let q = SharedCounterQueue::<u8>::new(0);
         assert_eq!(q.pop(), None);
-        assert_eq!(q.try_pop(), None);
         assert_eq!(q.capacity(), 0);
     }
 }

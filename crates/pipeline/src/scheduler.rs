@@ -313,8 +313,8 @@ mod tests {
     use hetsim::{CpuDevice, SimGpuConfig, SimGpuDevice, TransferModel};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn cpu(threads: usize) -> Arc<dyn Device> {
-        Arc::new(CpuDevice::new("cpu0", threads))
+    fn cpu() -> Arc<dyn Device> {
+        Arc::new(CpuDevice::new("cpu0"))
     }
 
     fn slow_gpu(cost_us: u64) -> Arc<dyn Device> {
@@ -420,7 +420,7 @@ mod tests {
         let (report, feed_closed) = feed.with(fault == Fault::None, |queue| {
             let report = run_pipeline(
                 queue,
-                &[cpu(1), slow_gpu(0)],
+                &[cpu(), slow_gpu(0)],
                 &cancel,
                 |i| {
                     assert!(fault != Fault::PanicInProduce, "injected input panic");
@@ -526,7 +526,7 @@ mod tests {
         // CPU processes instantly; GPU pays 2 ms per item (4 items/partition).
         let report = run_pipeline(
             &SharedCounterQueue::filled(0..24usize),
-            &[cpu(1), slow_gpu(2000)],
+            &[cpu(), slow_gpu(2000)],
             &CancelToken::new(),
             |i| (i, i),
             |d, _, v| {
@@ -549,7 +549,7 @@ mod tests {
     fn work_fractions_sum_to_one() {
         let report = run_pipeline(
             &SharedCounterQueue::filled(0..10usize),
-            &[cpu(1), cpu(1)],
+            &[cpu(), cpu()],
             &CancelToken::new(),
             |i| (i, i),
             |_, _, v| (v, 3u64),

@@ -77,8 +77,9 @@ use parking_lot::Mutex;
 /// error instead of letting skew surface as a confusing parse failure
 /// mid-run. Version 1 is the PR-9 grammar (no version field, no
 /// heartbeats, no blobs); a v1 `hello` decodes as version 1 and is
-/// denied by a v2 parent.
-pub const PROTO_VERSION: u32 = 2;
+/// denied. Version 3 dropped the config blob's `threads` key: a worker
+/// is one core.
+pub const PROTO_VERSION: u32 = 3;
 
 /// Upper bound on a single *control* frame. Control messages are short
 /// text (the config blob is the largest, well under a kilobyte);

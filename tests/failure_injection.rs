@@ -4,11 +4,15 @@
 //! bit-flips caught by the frame checksums, and pipeline fail-fast
 //! cancellation.
 
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use datagen::DatasetProfile;
 use hashgraph::SizingParams;
 use hetsim::{SimGpuConfig, TransferModel};
-use parahash::{run_step1, run_step2, ParaHash, ParaHashConfig, ParaHashError};
-use pipeline::{IoMode, RetryPolicy, ThrottledIo};
+use msp::PartitionManifest;
+use parahash::{ParaHash, ParaHashConfig, ParaHashError, RunJournal};
+use pipeline::{IoMode, IoOp, RetryPolicy, ThrottledIo};
 
 fn dir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("parahash-fail-{tag}-{}", std::process::id()));
@@ -16,29 +20,53 @@ fn dir(tag: &str) -> std::path::PathBuf {
     d
 }
 
-#[test]
-fn truncated_partition_file_fails_loudly_not_silently() {
-    let data = DatasetProfile::tiny().materialize();
+/// A two-phase build (partition budget 0: every partition is written to
+/// its file and read back) of `partitions` partitions, for
+/// [`ParaHash::run_fused_with_io`] to drive through a hooked I/O channel.
+fn two_phase(tag: &str, partitions: usize, strict: bool) -> ParaHash {
     let config = ParaHashConfig::builder()
         .k(13)
         .p(7)
-        .partitions(4)
-        .work_dir(dir("truncate"))
+        .partitions(partitions)
+        .partition_memory_budget(0)
+        .strict(strict)
+        .work_dir(dir(tag))
         .build()
         .unwrap();
-    let ph = ParaHash::new(config).unwrap();
+    ParaHash::new(config).unwrap()
+}
+
+/// Installs a fault hook on `io` that fails nothing but first hands the
+/// first partition file Step 2 reads — the largest: spilled partitions
+/// are handed over largest first — to `damage`, so the build finds the
+/// file as if it had been damaged on disk between the steps.
+fn damage_first_read(io: &ThrottledIo, damage: impl Fn(&Path) + Send + Sync + 'static) {
+    let done = AtomicBool::new(false);
+    io.set_fault_hook(Box::new(move |path, op, _| {
+        if op == IoOp::Read && !done.swap(true, Ordering::Relaxed) {
+            damage(path);
+        }
+        None
+    }));
+}
+
+/// The run's partition manifest, as Step 1 left it in the work dir.
+fn manifest(ph: &ParaHash) -> PartitionManifest {
+    PartitionManifest::load(ph.config().work_dir().join("superkmers")).unwrap()
+}
+
+#[test]
+fn truncated_partition_file_fails_loudly_not_silently() {
+    let data = DatasetProfile::tiny().materialize();
+    let ph = two_phase("truncate", 4, true);
     let io = ThrottledIo::new(IoMode::Unthrottled);
-    let (manifest, _) = run_step1(ph.config(), &data.reads, &io).unwrap();
-    let victim = (0..manifest.num_partitions())
-        .max_by_key(|&i| manifest.stats()[i].bytes)
-        .unwrap();
-    let path = manifest.partition_path(victim);
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes.truncate(bytes.len() / 2);
-    std::fs::write(&path, &bytes).unwrap();
-    match run_step2(ph.config(), &manifest, &io) {
+    damage_first_read(&io, |path| {
+        let bytes = std::fs::read(path).unwrap();
+        std::fs::write(path, &bytes[..bytes.len() / 2]).unwrap();
+    });
+    match ph.run_fused_with_io(&data.reads, &io) {
         Err(ParaHashError::Msp(msp::MspError::CorruptRecord { .. })) => {}
-        other => panic!("expected CorruptRecord, got {other:?}"),
+        other => panic!("expected CorruptRecord, got {:?}", other.map(|_| ())),
     }
     let _ = std::fs::remove_dir_all(ph.config().work_dir());
 }
@@ -46,18 +74,10 @@ fn truncated_partition_file_fails_loudly_not_silently() {
 #[test]
 fn deleted_partition_file_is_an_io_error() {
     let data = DatasetProfile::tiny().materialize();
-    let config = ParaHashConfig::builder()
-        .k(13)
-        .p(7)
-        .partitions(3)
-        .work_dir(dir("delete"))
-        .build()
-        .unwrap();
-    let ph = ParaHash::new(config).unwrap();
+    let ph = two_phase("delete", 3, true);
     let io = ThrottledIo::new(IoMode::Unthrottled);
-    let (manifest, _) = run_step1(ph.config(), &data.reads, &io).unwrap();
-    std::fs::remove_file(manifest.partition_path(0)).unwrap();
-    assert!(matches!(run_step2(ph.config(), &manifest, &io), Err(ParaHashError::Io(_))));
+    damage_first_read(&io, |path| std::fs::remove_file(path).unwrap());
+    assert!(matches!(ph.run_fused_with_io(&data.reads, &io), Err(ParaHashError::Io(_))));
     let _ = std::fs::remove_dir_all(ph.config().work_dir());
 }
 
@@ -143,135 +163,102 @@ fn malformed_fastq_is_rejected_with_context() {
 #[test]
 fn transient_read_faults_are_retried_to_success() {
     let data = DatasetProfile::tiny().materialize();
-    let config = ParaHashConfig::builder()
-        .k(13)
-        .p(7)
-        .partitions(4)
-        .work_dir(dir("retry-ok"))
-        .build()
-        .unwrap();
-    let ph = ParaHash::new(config).unwrap();
+    let ph = two_phase("retry-ok", 4, true);
     let io = ThrottledIo::with_retry(
         IoMode::Unthrottled,
         RetryPolicy { attempts: 3, backoff: std::time::Duration::ZERO, max_backoff: std::time::Duration::ZERO },
     );
-    let (manifest, _) = run_step1(ph.config(), &data.reads, &io).unwrap();
     // Every partition read fails its first two attempts with a transient
     // error; the third attempt reaches the filesystem.
     io.set_fault_hook(Box::new(|_, op, attempt| {
-        (op == pipeline::IoOp::Read && attempt < 3).then(|| {
+        (op == IoOp::Read && attempt < 3).then(|| {
             std::io::Error::new(std::io::ErrorKind::Interrupted, "injected EINTR")
         })
     }));
-    let (graph, report) = run_step2(ph.config(), &manifest, &io).unwrap();
-    assert!(io.retries() >= 2 * manifest.num_partitions() as u64, "retries: {}", io.retries());
-    assert!(report.quarantined.is_empty());
-    assert_eq!(graph, baselines::reference_graph(&data.reads, 13));
+    let outcome = ph.run_fused_with_io(&data.reads, &io).unwrap();
+    assert!(io.retries() >= 2 * 4, "retries: {}", io.retries());
+    assert!(outcome.report.step2.quarantined.is_empty());
+    assert_eq!(outcome.graph, baselines::reference_graph(&data.reads, 13));
     let _ = std::fs::remove_dir_all(ph.config().work_dir());
 }
 
 #[test]
 fn exhausted_retries_poison_the_partition_in_non_strict_mode() {
     let data = DatasetProfile::tiny().materialize();
-    let config = ParaHashConfig::builder()
-        .k(13)
-        .p(7)
-        .partitions(4)
-        .strict(false)
-        .work_dir(dir("quarantine"))
-        .build()
-        .unwrap();
-    let ph = ParaHash::new(config).unwrap();
+    let ph = two_phase("quarantine", 4, false);
     let io = ThrottledIo::with_retry(
         IoMode::Unthrottled,
         RetryPolicy { attempts: 3, backoff: std::time::Duration::ZERO, max_backoff: std::time::Duration::ZERO },
     );
-    let (manifest, _) = run_step1(ph.config(), &data.reads, &io).unwrap();
     // Partition 0 never recovers: every read attempt fails transiently,
     // so the retry budget runs dry.
-    let poisoned = manifest.partition_path(0);
     io.set_fault_hook(Box::new(move |path, op, _| {
-        (op == pipeline::IoOp::Read && path == poisoned).then(|| {
+        (op == IoOp::Read && path.ends_with("part-00000.skm")).then(|| {
             std::io::Error::new(std::io::ErrorKind::TimedOut, "injected persistent timeout")
         })
     }));
-    let (graph, report) = run_step2(ph.config(), &manifest, &io).unwrap();
+    let outcome = ph.run_fused_with_io(&data.reads, &io).unwrap();
+    let report = &outcome.report.step2;
     assert_eq!(report.quarantined.len(), 1, "exactly the poisoned partition");
     assert_eq!(report.quarantined[0].index, 0);
     assert!(report.quarantined[0].reason.contains("timeout"), "{}", report.quarantined[0].reason);
+    let manifest = manifest(&ph);
     assert_eq!(
-        graph.total_kmer_occurrences(),
+        outcome.graph.total_kmer_occurrences(),
         manifest.total_kmers() - manifest.stats()[0].kmers,
         "graph must be missing exactly the quarantined partition's kmers"
     );
-    // `run_step2` keeps no journal: the report above is its record, and
-    // the manifest on disk is still Step 1's.
-    assert_eq!(msp::PartitionManifest::load(manifest.dir()).unwrap(), manifest);
+    // The journal records the quarantine beside the report.
+    let journaled = RunJournal::replay(ph.config().work_dir()).unwrap().quarantined;
+    assert_eq!(journaled.iter().map(|q| q.0).collect::<Vec<_>>(), [0]);
     let _ = std::fs::remove_dir_all(ph.config().work_dir());
 }
 
 #[test]
 fn interior_byte_flip_is_caught_by_frame_checksum() {
     let data = DatasetProfile::tiny().materialize();
-    let config = ParaHashConfig::builder()
-        .k(13)
-        .p(7)
-        .partitions(4)
-        .work_dir(dir("bitflip"))
-        .build()
-        .unwrap();
-    let ph = ParaHash::new(config).unwrap();
+    let ph = two_phase("bitflip", 4, true);
     let io = ThrottledIo::new(IoMode::Unthrottled);
-    let (manifest, _) = run_step1(ph.config(), &data.reads, &io).unwrap();
-    let victim = (0..manifest.num_partitions())
-        .max_by_key(|&i| manifest.stats()[i].bytes)
-        .unwrap();
-    let path = manifest.partition_path(victim);
-    let mut bytes = std::fs::read(&path).unwrap();
     // Flip a single payload bit in the middle of the file. The record
     // still decodes as plausible DNA — without checksums this would be
     // silently absorbed into the graph as wrong k-mers.
-    let mid = msp::FRAME_HEADER_LEN + (bytes.len() - msp::FRAME_HEADER_LEN) / 2;
-    bytes[mid] ^= 0x08;
-    std::fs::write(&path, &bytes).unwrap();
-    match run_step2(ph.config(), &manifest, &io) {
+    damage_first_read(&io, |path| {
+        let mut bytes = std::fs::read(path).unwrap();
+        let mid = msp::FRAME_HEADER_LEN + (bytes.len() - msp::FRAME_HEADER_LEN) / 2;
+        bytes[mid] ^= 0x08;
+        std::fs::write(path, &bytes).unwrap();
+    });
+    match ph.run_fused_with_io(&data.reads, &io) {
         Err(ParaHashError::Msp(msp::MspError::CorruptRecord { reason, .. })) => {
             assert!(reason.contains("checksum mismatch"), "{reason}");
         }
-        other => panic!("expected checksum CorruptRecord, got {other:?}"),
+        other => panic!("expected checksum CorruptRecord, got {:?}", other.map(|_| ())),
     }
     let _ = std::fs::remove_dir_all(ph.config().work_dir());
 }
 
 #[test]
 fn fatal_error_in_first_partition_abandons_the_rest() {
-    // The fail-fast acceptance check: a permanent failure on partition 0
-    // must cancel the pipeline — the input stage must not go on to read
-    // (and the compute stages must not process) every remaining partition.
+    // The fail-fast acceptance check: a permanent failure on the first
+    // partition Step 2 reads must cancel the pipeline — the input stage
+    // must not go on to read (and the compute stages must not process)
+    // every remaining partition.
     let data = DatasetProfile::tiny().materialize();
     let n = 16;
-    let config = ParaHashConfig::builder()
-        .k(13)
-        .p(7)
-        .partitions(n)
-        .work_dir(dir("failfast"))
-        .build()
-        .unwrap();
-    let ph = ParaHash::new(config).unwrap();
+    let ph = two_phase("failfast", n, true);
     let io = ThrottledIo::new(IoMode::Unthrottled);
-    let (manifest, _) = run_step1(ph.config(), &data.reads, &io).unwrap();
     let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let seen_hook = std::sync::Arc::clone(&seen);
     io.set_fault_hook(Box::new(move |path, op, _| {
-        if op != pipeline::IoOp::Read {
+        if op != IoOp::Read {
             return None;
         }
-        seen_hook.lock().unwrap().push(path.to_path_buf());
-        path.to_string_lossy()
-            .contains("part-00000")
+        let mut seen = seen_hook.lock().unwrap();
+        seen.push(path.to_path_buf());
+        (seen.len() == 1)
             .then(|| std::io::Error::new(std::io::ErrorKind::NotFound, "injected permanent loss"))
     }));
-    assert!(matches!(run_step2(ph.config(), &manifest, &io), Err(ParaHashError::Io(_))));
+    assert!(matches!(ph.run_fused_with_io(&data.reads, &io), Err(ParaHashError::Io(_))));
     let attempted = seen.lock().unwrap().len();
     assert!(
         attempted < n,

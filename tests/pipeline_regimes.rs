@@ -2,9 +2,9 @@
 //! regime classification, pipelining savings, and Eq.-1/Eq.-2 agreement.
 
 use datagen::DatasetProfile;
-use parahash::{run_step1, run_step2, ParaHash, ParaHashConfig};
+use parahash::{ParaHash, ParaHashConfig, StepReport};
 use pipeline::perfmodel::Regime;
-use pipeline::{IoMode, ThrottledIo};
+use pipeline::IoMode;
 
 fn runner(tag: &str, io: IoMode) -> ParaHash {
     let dir = std::env::temp_dir().join(format!("parahash-regime-{tag}-{}", std::process::id()));
@@ -22,14 +22,19 @@ fn runner(tag: &str, io: IoMode) -> ParaHash {
     ParaHash::new(config).expect("work dir")
 }
 
+/// Builds the graph (the two-phase build) and returns its two step
+/// reports.
+fn steps(ph: &ParaHash, data: &datagen::ProfileData) -> (StepReport, StepReport) {
+    let report = ph.run(&data.reads).expect("build").report;
+    (report.step1, report.step2)
+}
+
 #[test]
 fn throttled_io_flips_step2_into_the_io_bound_regime() {
     let data = DatasetProfile::human_chr14_mini().scale(0.05).materialize();
     let io_mode = IoMode::Throttled { bytes_per_sec: 150_000 };
     let ph = runner("case2", io_mode);
-    let io = ThrottledIo::new(io_mode);
-    let (manifest, _s1) = run_step1(ph.config(), &data.reads, &io).expect("step1");
-    let (_, s2) = run_step2(ph.config(), &manifest, &io).expect("step2");
+    let (_, s2) = steps(&ph, &data);
     // With a 150 kB/s disk, partition input dominates hashing.
     assert!(
         s2.pipeline.input_time > s2.cpu_compute,
@@ -48,9 +53,7 @@ fn throttled_io_flips_step2_into_the_io_bound_regime() {
 fn unthrottled_io_keeps_step2_out_of_the_io_bound_regime() {
     let data = DatasetProfile::human_chr14_mini().scale(0.05).materialize();
     let ph = runner("case1", IoMode::Unthrottled);
-    let io = ThrottledIo::new(IoMode::Unthrottled);
-    let (manifest, _) = run_step1(ph.config(), &data.reads, &io).expect("step1");
-    let (_, s2) = run_step2(ph.config(), &manifest, &io).expect("step2");
+    let (_, s2) = steps(&ph, &data);
     assert_ne!(s2.regime(), Regime::IoBound, "page-cache files must not be the bottleneck");
     let _ = std::fs::remove_dir_all(ph.config().work_dir());
 }
@@ -63,9 +66,7 @@ fn eq1_estimate_tracks_real_elapsed_in_both_regimes() {
         ("acc-slow", IoMode::Throttled { bytes_per_sec: 400_000 }),
     ] {
         let ph = runner(tag, io_mode);
-        let io = ThrottledIo::new(io_mode);
-        let (manifest, s1) = run_step1(ph.config(), &data.reads, &io).expect("step1");
-        let (_, s2) = run_step2(ph.config(), &manifest, &io).expect("step2");
+        let (s1, s2) = steps(&ph, &data);
         for step in [&s1, &s2] {
             let acc = step.model_accuracy();
             assert!(
@@ -87,9 +88,7 @@ fn pipelined_elapsed_beats_stage_sum_under_throttled_io() {
     let data = DatasetProfile::human_chr14_mini().scale(0.05).materialize();
     let io_mode = IoMode::Throttled { bytes_per_sec: 400_000 };
     let ph = runner("overlap", io_mode);
-    let io = ThrottledIo::new(io_mode);
-    let (manifest, _) = run_step1(ph.config(), &data.reads, &io).expect("step1");
-    let (_, s2) = run_step2(ph.config(), &manifest, &io).expect("step2");
+    let (_, s2) = steps(&ph, &data);
     let stage_sum = s2.pipeline.input_time + s2.cpu_compute.max(s2.gpu_compute) + s2.pipeline.output_time;
     assert!(
         s2.pipeline.elapsed < stage_sum,

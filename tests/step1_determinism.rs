@@ -1,6 +1,6 @@
 //! Step-1 differential suite: production Step 1 — `msp::partition_in_memory`
-//! and the pipelined, sharded `parahash::run_step1` at 1/2/4/8 CPU
-//! threads — must emit, partition by partition, exactly the record
+//! and the pipelined Step 1 of a `ParaHash::run` build at 1/2/4/8 CPU
+//! cores — must emit, partition by partition, exactly the record
 //! multiset of an independent implementation: the sort-merge oracle's own
 //! allocating two-strand scan (`baselines::reference_partition`), which
 //! shares only the routing hash with `msp`. Fuzzed corpora; narrow and
@@ -11,9 +11,8 @@
 use baselines::reference_partition;
 use datagen::{GenomeSpec, Sequencer, SequencingSpec};
 use dna::{Base, PackedSeq, SeqRead};
-use msp::PartitionSlices;
-use parahash::{run_step1, ParaHashConfig};
-use pipeline::{IoMode, ThrottledIo};
+use msp::{PartitionManifest, PartitionSlices};
+use parahash::{ParaHash, ParaHashConfig};
 
 const PARTS: usize = 16;
 
@@ -71,8 +70,9 @@ fn in_memory(reads: &[SeqRead], k: usize, p: usize) -> Vec<Vec<Record>> {
         .collect()
 }
 
-/// Runs pipelined Step 1 with `threads` CPU workers and reads every
-/// partition file back, checking the manifest's counts on the way.
+/// Builds the graph on `threads` one-core CPU devices and reads every
+/// partition file Step 1 left back, checking the manifest's counts on
+/// the way.
 fn pipelined(reads: &[SeqRead], k: usize, p: usize, threads: usize, dir: &str) -> Vec<Vec<Record>> {
     let cfg = ParaHashConfig::builder()
         .k(k)
@@ -84,9 +84,9 @@ fn pipelined(reads: &[SeqRead], k: usize, p: usize, threads: usize, dir: &str) -
         .build()
         .unwrap();
     let _ = std::fs::remove_dir_all(cfg.work_dir());
-    let io = ThrottledIo::new(IoMode::Unthrottled);
-    let (manifest, report) = run_step1(&cfg, reads, &io).unwrap();
-    let stats = report.step1_stats.expect("step1 reports emit stats");
+    let report = ParaHash::new(cfg.clone()).unwrap().run(reads).unwrap().report;
+    let manifest = PartitionManifest::load(cfg.work_dir().join("superkmers")).unwrap();
+    let stats = report.step1.step1_stats.expect("step1 reports emit stats");
     assert_eq!(stats.kmers, manifest.total_kmers(), "threads={threads}");
     assert_eq!(stats.superkmers, manifest.total_superkmers(), "threads={threads}");
     let mut out = Vec::with_capacity(PARTS);
@@ -141,7 +141,7 @@ fn production_step1_matches_the_reference_partitioner() {
                 for threads in [1, 2, 4, 8] {
                     let dir = format!("parahash-det-ref-{k}-{p}-{seed}-{threads}");
                     let got = pipelined(&reads, k, p, threads, &dir);
-                    assert_same(&want, &got, &format!("run_step1 at {threads} threads, {what}"));
+                    assert_same(&want, &got, &format!("Step 1 at {threads} threads, {what}"));
                 }
             }
         }
