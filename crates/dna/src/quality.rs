@@ -131,82 +131,6 @@ pub fn estimate_lambda(reads: &[SeqRead], sample: usize) -> Option<f64> {
     }
 }
 
-/// Quality-trims a read's 3′ tail (BWA's `-q` algorithm): find the
-/// suffix start `i` maximising `Σ_{j≥i} (threshold − Qⱼ)` and cut there.
-/// A read whose tail is all above `threshold` is returned unchanged;
-/// a hopeless read may trim to empty.
-///
-/// Returns the trimmed read (id kept, sequence and quality cut
-/// together). Reads without quality are returned unchanged.
-///
-/// # Examples
-///
-/// ```
-/// use dna::quality::{phred_char, trim_tail};
-/// use dna::SeqRead;
-///
-/// // Good bases (Q40) followed by a bad tail (Q2).
-/// let mut qual = vec![phred_char(40); 6];
-/// qual.extend(vec![phred_char(2); 4]);
-/// let read = SeqRead::from_ascii("r", b"ACGTACGGGG").with_quality(qual);
-/// let trimmed = trim_tail(&read, 20);
-/// assert_eq!(trimmed.len(), 6);
-/// assert_eq!(trimmed.seq().to_string(), "ACGTAC");
-/// ```
-pub fn trim_tail(read: &SeqRead, threshold: u8) -> SeqRead {
-    let Some(qual) = read.quality() else {
-        return read.clone();
-    };
-    // Walk from the 3′ end accumulating (threshold − Q); the position of
-    // the running maximum is the best cut point.
-    let mut running = 0i64;
-    let mut best = 0i64;
-    let mut cut = qual.len(); // no trim
-    for (i, &q) in qual.iter().enumerate().rev() {
-        running += threshold as i64 - phred_score(q) as i64;
-        if running > best {
-            best = running;
-            cut = i;
-        }
-    }
-    if cut == qual.len() {
-        return read.clone();
-    }
-    let seq = read.seq().slice(0, cut);
-    SeqRead::new(read.id().to_owned(), seq).with_quality(qual[..cut].to_vec())
-}
-
-/// Applies [`trim_tail`] to every read, dropping any that trim below
-/// `min_len`. Returns the surviving reads and the number dropped.
-///
-/// # Examples
-///
-/// ```
-/// use dna::quality::{phred_char, trim_reads};
-/// use dna::SeqRead;
-///
-/// let reads = vec![
-///     SeqRead::from_ascii("good", b"ACGTACGT").with_quality(vec![phred_char(40); 8]),
-///     SeqRead::from_ascii("junk", b"ACGTACGT").with_quality(vec![phred_char(2); 8]),
-/// ];
-/// let (kept, dropped) = trim_reads(&reads, 20, 4);
-/// assert_eq!(kept.len(), 1);
-/// assert_eq!(dropped, 1);
-/// ```
-pub fn trim_reads(reads: &[SeqRead], threshold: u8, min_len: usize) -> (Vec<SeqRead>, usize) {
-    let mut kept = Vec::with_capacity(reads.len());
-    let mut dropped = 0usize;
-    for read in reads {
-        let trimmed = trim_tail(read, threshold);
-        if trimmed.len() >= min_len {
-            kept.push(trimmed);
-        } else {
-            dropped += 1;
-        }
-    }
-    (kept, dropped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,54 +186,6 @@ mod tests {
         assert!((lambda - 0.4).abs() < 1e-9);
         assert!(estimate_lambda(&reads[..1], 10).is_none());
         assert!(estimate_lambda(&[], 10).is_none());
-    }
-
-    #[test]
-    fn trim_keeps_clean_reads_untouched() {
-        let r = SeqRead::from_ascii("r", b"ACGTACGT").with_quality(vec![phred_char(40); 8]);
-        let t = trim_tail(&r, 20);
-        assert_eq!(t, r);
-        let bare = SeqRead::from_ascii("noq", b"ACGT");
-        assert_eq!(trim_tail(&bare, 20), bare);
-    }
-
-    #[test]
-    fn trim_cuts_at_the_optimal_point() {
-        // Q pattern: 40 40 10 40 2 2 — one mid-read dip should survive,
-        // the terminal junk should go.
-        let qual: Vec<u8> = [40, 40, 10, 40, 2, 2].iter().map(|&q| phred_char(q)).collect();
-        let r = SeqRead::from_ascii("r", b"ACGTAC").with_quality(qual);
-        let t = trim_tail(&r, 20);
-        assert_eq!(t.len(), 4, "cut before the terminal junk, keeping the dip");
-        assert_eq!(t.seq().to_string(), "ACGT");
-        assert_eq!(t.quality().unwrap().len(), 4);
-    }
-
-    #[test]
-    fn hopeless_read_trims_to_empty() {
-        let r = SeqRead::from_ascii("r", b"ACGT").with_quality(vec![phred_char(2); 4]);
-        assert_eq!(trim_tail(&r, 20).len(), 0);
-    }
-
-    #[test]
-    fn trim_reads_drops_short_survivors() {
-        let reads = vec![
-            SeqRead::from_ascii("a", b"ACGTACGT").with_quality(vec![phred_char(40); 8]),
-            SeqRead::from_ascii("b", b"ACGTACGT").with_quality({
-                let mut q = vec![phred_char(40); 3];
-                q.extend(vec![phred_char(2); 5]);
-                q
-            }),
-        ];
-        let (kept, dropped) = trim_reads(&reads, 20, 5);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].id(), "a");
-        assert_eq!(dropped, 1);
-        // With a lenient floor both survive.
-        let (kept, dropped) = trim_reads(&reads, 20, 2);
-        assert_eq!(kept.len(), 2);
-        assert_eq!(dropped, 0);
-        assert_eq!(kept[1].len(), 3);
     }
 
     #[test]

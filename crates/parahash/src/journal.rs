@@ -24,9 +24,10 @@
 //! partition-file CRC-32 ([`msp::crc32`]), and the full format is
 //! documented in `docs/FORMATS.md` / `docs/RECOVERY.md`.
 //!
-//! Events may be appended from multiple threads (Step 2's compute and
-//! output stages, a sharded parent's connection handlers); the journal
-//! serialises appends behind a mutex.
+//! Events may be appended from multiple threads (Step 1's sealing and
+//! Step 2's output stage in a fused run, a sharded parent's connection
+//! handlers); the journal serialises appends behind a mutex, and
+//! `sub-split` lands right before its partition's `subgraph-committed`.
 
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
@@ -172,7 +173,8 @@ pub enum JournalEvent {
     Quarantined(usize, String),
     /// Partition `i`'s projected table busted the memory budget and its
     /// build went out of core through `fanout` second-level
-    /// sub-partitions. Informational: the merged subgraph is
+    /// sub-partitions. Appended when the partition settles, right before
+    /// its `subgraph-committed`. Informational: the merged subgraph is
     /// byte-identical either way, so resume needs no special handling —
     /// the record explains memory behaviour post hoc and lets reports
     /// attribute the extra split work.
@@ -261,10 +263,10 @@ impl RunJournal {
         let path = Self::path_in(work_dir);
         let file = OpenOptions::new().create(true).write(true).truncate(true).open(&path)?;
         let journal = RunJournal { path, file: Mutex::new(file) };
-        journal.append_line(&format!(
+        journal.append_lines([format!(
             "config {} {} {} {:016x}",
             fingerprint.k, fingerprint.p, fingerprint.partitions, fingerprint.input_digest
-        ))?;
+        )])?;
         if let Some(dir) = journal.path.parent() {
             commit::sync_dir(dir);
         }
@@ -296,17 +298,29 @@ impl RunJournal {
     /// Propagates I/O failures (including an armed `journal.append`
     /// failpoint).
     pub fn append(&self, event: &JournalEvent) -> Result<()> {
-        self.append_line(&event.to_line())
+        self.append_all([event])
     }
 
-    fn append_line(&self, line: &str) -> Result<()> {
-        failpoint::hit("journal.append")?;
-        let mut record = Vec::with_capacity(msp::FRAME_HEADER_LEN + line.len());
-        msp::append_frame(&mut record, line.as_bytes());
+    /// Appends `events` in order, each record fsynced as by
+    /// [`append`](Self::append), with no other thread's record between
+    /// them.
+    pub(crate) fn append_all<'e>(
+        &self,
+        events: impl IntoIterator<Item = &'e JournalEvent>,
+    ) -> Result<()> {
+        self.append_lines(events.into_iter().map(JournalEvent::to_line))
+    }
+
+    fn append_lines(&self, lines: impl IntoIterator<Item = String>) -> Result<()> {
         let file = self.file.lock();
         let mut f = &*file;
-        f.write_all(&record)?;
-        f.sync_data()?;
+        for line in lines {
+            failpoint::hit("journal.append")?;
+            let mut record = Vec::with_capacity(msp::FRAME_HEADER_LEN + line.len());
+            msp::append_frame(&mut record, line.as_bytes());
+            f.write_all(&record)?;
+            f.sync_data()?;
+        }
         Ok(())
     }
 
@@ -573,7 +587,7 @@ mod tests {
         {
             let dir = tmpdir(&format!("shard-bad-{}", bad.len()));
             let j = RunJournal::create(&dir, fp()).unwrap();
-            j.append_line(bad).unwrap();
+            j.append_lines([bad.to_string()]).unwrap();
             drop(j);
             assert!(
                 matches!(RunJournal::replay(&dir), Err(ParaHashError::Journal { .. })),

@@ -13,10 +13,12 @@
 //!    spawns `N` copies of its own executable (the
 //!    `tests/crash_recovery.rs` self-exec pattern), and leases partitions
 //!    to whoever connects, one at a time in LPT (largest-first) order
-//!    over the [`pipeline::shard`] wire protocol. Each worker builds its
-//!    lease with [`build_lease`]; every subgraph a worker reports is read
-//!    back from `subgraphs/`, CRC-checked and decoded **once**, and that
-//!    decoded value is merged into the graph on the spot.
+//!    over the [`pipeline::shard`] wire protocol. Each worker keeps one
+//!    [`PartitionBuilder`] — one table pool — for its whole session and
+//!    builds every lease with it; a partition a worker reports is read
+//!    back from `subgraphs/`, checked **once**, and settled on the spot
+//!    through the engine's own [`Step2Shared::settle`]: journaled,
+//!    counted and handed to the graph as the checked bytes.
 //! 2. **Fallback.** Whatever the cluster left unbuilt — every worker
 //!    died, or all drew `finished` while a failure was requeueing — runs
 //!    through the engine in this process: pipelined, journaled and
@@ -79,7 +81,8 @@ use pipeline::{failpoint, CancelToken, IoMode, RetryPolicy, ThrottledIo};
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
 use crate::step2::{
-    build_lease, check_committed, manifest_feed, LeaseOutcome, Resumed, Step2Shared,
+    check_committed, manifest_feed, persist, Built, Failure, PartitionBuilder, Resumed,
+    Step2Shared,
 };
 use crate::{ParaHashConfig, ParaHashError, Result, StepReport};
 
@@ -193,11 +196,11 @@ fn config_blob(config: &ParaHashConfig, wire: bool) -> String {
 
 /// Parses [`config_blob`] back into a worker-side configuration: same
 /// build parameters, but one CPU core (a worker builds one lease at a
-/// time), strict (every failure must surface
-/// as a wire `failed` message — quarantine policy belongs to the
-/// parent), and with subgraph formatting forced on (the encoded subgraph
-/// is the product, committed here or shipped). The third return says
-/// whether partition bytes travel over the wire (`transfer wire`).
+/// time) and with subgraph formatting forced on (the encoded subgraph
+/// is the product, committed here or shipped). Every failure a worker
+/// meets goes back as a wire `failed` message: quarantine policy belongs
+/// to the parent. The third return says whether partition bytes travel
+/// over the wire (`transfer wire`).
 fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
     let mut k = None;
     let mut p = None;
@@ -269,7 +272,6 @@ fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
         .cpu_threads(1)
         .work_dir(work_dir.ok_or_else(|| missing("work-dir"))?)
         .write_subgraphs(true)
-        .strict(true)
         .build()?;
     config.run_token = token.ok_or_else(|| missing("run-token"))?;
     let fingerprint =
@@ -563,14 +565,34 @@ fn serve_session(
         )?;
         Some((manifest, journal))
     };
+    // One builder for the session: its leases share one table pool.
+    let builder = PartitionBuilder::new(&config);
+    Ok(serve_leases(conn.as_mut(), sess.worker, tuning, &config, &builder, local.as_ref()))
+}
+
+/// A configured session's claim-build-report loop, until `finished` or
+/// the connection dies. Every lease is built by `builder`. With `local`
+/// (a worker on the parent's filesystem) a lease is the partition file
+/// to read back, and its subgraph is committed and journaled here by the
+/// engine's own [`persist`] — the committed file is the result channel;
+/// without, the parent ships the partition's bytes and gets the formatted
+/// subgraph back, and nothing is written anywhere.
+fn serve_leases(
+    conn: &mut dyn Transport,
+    worker: usize,
+    tuning: &ShardTuning,
+    config: &ParaHashConfig,
+    builder: &PartitionBuilder,
+    local: Option<&(PartitionManifest, RunJournal)>,
+) -> SessionEnd {
     let io = ThrottledIo::new(IoMode::Unthrottled);
     loop {
-        if let Err(e) = conn.send(&WireMsg::Claim(sess.worker).encode()) {
-            return Ok(SessionEnd::Lost(format!("sending claim: {e}")));
+        if let Err(e) = conn.send(&WireMsg::Claim(worker).encode()) {
+            return SessionEnd::Lost(format!("sending claim: {e}"));
         }
-        let frame = match recv_or_lost(conn.as_mut(), MAX_FRAME, tuning, "a claim reply") {
+        let frame = match recv_or_lost(conn, MAX_FRAME, tuning, "a claim reply") {
             Ok(frame) => frame,
-            Err(end) => return Ok(end),
+            Err(end) => return end,
         };
         let reply = match WireMsg::decode(&frame) {
             Ok(msg) => msg,
@@ -578,61 +600,66 @@ fn serve_session(
             // next frame on the stream a raw partition blob, which is
             // not a text message. Drop the connection and resync with a
             // fresh session; the parent requeues whatever it leased us.
-            Err(e) => return Ok(SessionEnd::Lost(format!("undecodable claim reply: {e}"))),
+            Err(e) => return SessionEnd::Lost(format!("undecodable claim reply: {e}")),
         };
-        match reply {
-            WireMsg::Assign(p, kmers) => {
-                lease_failpoint(sess.worker, tuning);
-                // The lease, in the engine's terms: a partition file to
-                // read back, or the bytes the parent ships next.
-                let (payload, n_kmers) = match &local {
-                    Some((manifest, _)) => {
-                        let path = manifest.partition_path(p);
-                        (SealedPayload::Spilled(path), manifest.stats()[p].kmers)
-                    }
-                    None => {
-                        let what = format!("partition {p}'s payload");
-                        let shipped = recv_or_lost(conn.as_mut(), MAX_PAYLOAD_FRAME, tuning, &what)
-                            .and_then(|frame| {
-                                decode_blob(frame)
-                                    .map_err(|e| SessionEnd::Lost(format!("{what} rejected: {e}")))
-                            });
-                        match shipped {
-                            Ok(bytes) => (SealedPayload::Resident(bytes), kmers),
-                            Err(end) => return Ok(end),
-                        }
-                    }
-                };
-                let ticker =
-                    HeartbeatTicker::start(conn.sender(), sess.worker, tuning.heartbeat);
-                let journal = local.as_ref().map(|(_, journal)| journal);
-                let built = build_lease(&config, p, payload, n_kmers, &io, journal);
-                // Stop (and join) the pulse *before* replying: a
-                // heartbeat must never interleave with the result and
-                // its payload.
-                drop(ticker);
-                let (reply, payload) = match built {
-                    Ok((out, encoded)) => {
-                        let detail =
-                            format!("ok {} {} {}", out.resizes, out.peak_table_bytes, out.fanout);
-                        (WireMsg::Result(p, detail), encoded.map(|bytes| encode_blob(&bytes)))
-                    }
-                    Err(e) => {
-                        (WireMsg::Failed(p, e.to_string().replace(['\n', '\r'], " ")), None)
-                    }
-                };
-                if conn.send(&reply.encode()).is_err() {
-                    return Ok(SessionEnd::Lost("sending build report".into()));
-                }
-                if let Some(payload) = payload {
-                    if conn.send(&payload).is_err() {
-                        return Ok(SessionEnd::Lost("sending subgraph payload".into()));
-                    }
+        let (p, kmers) = match reply {
+            WireMsg::Assign(p, kmers) => (p, kmers),
+            WireMsg::Finished => return SessionEnd::Finished,
+            other => return SessionEnd::Lost(format!("unexpected message from parent: {other:?}")),
+        };
+        lease_failpoint(worker, tuning);
+        // The lease, in the engine's terms: a partition file to read
+        // back, or the bytes the parent ships next.
+        let payload = match local {
+            Some((manifest, _)) => SealedPayload::Spilled(manifest.partition_path(p)),
+            None => {
+                let what = format!("partition {p}'s payload");
+                let shipped =
+                    recv_or_lost(conn, MAX_PAYLOAD_FRAME, tuning, &what).and_then(|frame| {
+                        let rejected = |e| SessionEnd::Lost(format!("{what} rejected: {e}"));
+                        decode_blob(frame).map_err(rejected)
+                    });
+                match shipped {
+                    Ok(bytes) => SealedPayload::Resident(bytes),
+                    Err(end) => return end,
                 }
             }
-            WireMsg::Finished => return Ok(SessionEnd::Finished),
-            other => {
-                return Ok(SessionEnd::Lost(format!("unexpected message from parent: {other:?}")))
+        };
+        let ticker = HeartbeatTicker::start(conn.sender(), worker, tuning.heartbeat);
+        let bytes = match payload {
+            SealedPayload::Resident(bytes) => Ok(bytes),
+            SealedPayload::Spilled(path) => {
+                io.read_file(path).map_err(|e| Failure::local(ParaHashError::Io(e)))
+            }
+        };
+        let device = config.devices()[0].as_ref();
+        let built = bytes.and_then(|bytes| builder.build(device, p, bytes, kmers));
+        let built = match local {
+            Some((_, journal)) => built.and_then(|built| {
+                persist(&io, journal, &config.work_dir, p, Some(&built.image), built.fanout, true)
+                    .map(|()| built)
+            }),
+            None => built,
+        };
+        // Stop (and join) the pulse *before* replying: a heartbeat must
+        // never interleave with the result and its payload.
+        drop(ticker);
+        let (reply, payload) = match built {
+            Ok(built) => {
+                let ship = local.is_none().then(|| encode_blob(&built.image));
+                (WireMsg::Result(p, outcome_detail(&built)), ship)
+            }
+            Err(failure) => {
+                let why = failure.error.to_string().replace(['\n', '\r'], " ");
+                (WireMsg::Failed(p, why), None)
+            }
+        };
+        if conn.send(&reply.encode()).is_err() {
+            return SessionEnd::Lost("sending build report".into());
+        }
+        if let Some(payload) = payload {
+            if conn.send(&payload).is_err() {
+                return SessionEnd::Lost("sending subgraph payload".into());
             }
         }
     }
@@ -701,7 +728,7 @@ pub(crate) fn step2_sharded(
     let sub_dir = config.work_dir.join("subgraphs");
     std::fs::create_dir_all(&sub_dir)?;
     let cancel = CancelToken::new();
-    let shared = Step2Shared::new(&persisting, &cancel, Some(journal));
+    let shared = Step2Shared::new(&persisting, &cancel, journal);
     // Whatever is about to be leased has no verified file (the resume
     // plan would have skipped it); an unverified leftover must not pass
     // for this step's work when a lease is released.
@@ -824,13 +851,11 @@ pub(crate) fn step2_sharded(
     let mut exhausted_leases = board.into_inner().exhausted().to_vec();
     exhausted_leases.retain(|x| !built.contains(&x.partition));
     for x in &exhausted_leases {
-        shared.partition_failed(
-            x.partition,
-            shard_err(format!(
-                "partition {} failed {} worker attempt(s): {}",
-                x.partition, x.attempts, x.reason
-            )),
+        let why = format!(
+            "partition {} failed {} worker attempt(s): {}",
+            x.partition, x.attempts, x.reason
         );
+        shared.fail(x.partition, Failure::local(shard_err(why)));
     }
 
     // Fallback: whatever is neither merged nor given up on — the workers
@@ -963,12 +988,27 @@ impl LeasePhase<'_> {
                 }
                 Err(e) => break format!("connection failed: {e}"),
             };
+            // A report is believed only from the connection holding the
+            // lease: anything else ends the connection, with nothing
+            // written or merged.
+            if let WireMsg::Result(p, _) | WireMsg::Failed(p, _) = msg {
+                let held = if wire {
+                    shipping == Some(p)
+                } else {
+                    self.board.lock().held_by(worker).contains(&p)
+                };
+                if !held {
+                    break format!("reported partition {p}, which it does not hold");
+                }
+            }
             match msg {
                 // Liveness pulse: its arrival already reset the receive
                 // deadline; it carries nothing else.
                 WireMsg::Heartbeat(_) => continue,
-                WireMsg::Claim(w) => {
-                    let leased = self.board.lock().claim(w);
+                // Leased under the hello id, whatever id the claim names:
+                // the release at the end frees that id's leases.
+                WireMsg::Claim(_) => {
+                    let leased = self.board.lock().claim(worker);
                     let Some(p) = leased else {
                         if conn.send(&WireMsg::Finished.encode()).is_err() {
                             return;
@@ -978,7 +1018,7 @@ impl LeasePhase<'_> {
                     // Journaled *before* the assignment goes out: after
                     // a parent crash, replay shows exactly which
                     // partitions were in flight.
-                    if !self.shared.journaled(JournalEvent::WorkerLease(w, p)) {
+                    if !self.shared.journaled(p, JournalEvent::WorkerLease(worker, p)) {
                         break "was leased a partition the parent could not journal".to_string();
                     }
                     let assign = WireMsg::Assign(p, self.manifest.stats()[p].kmers);
@@ -1073,7 +1113,7 @@ impl LeasePhase<'_> {
             let held = self.board.lock().held_by(worker);
             for p in held {
                 if let Ok(image) = self.verified(p) {
-                    self.complete(p, image, None);
+                    self.complete(p, image, "");
                 }
             }
         }
@@ -1111,7 +1151,7 @@ impl LeasePhase<'_> {
     /// only.
     fn accept(&self, worker: usize, p: usize, detail: &str) {
         match self.verified(p) {
-            Ok(image) => self.complete(p, image, parse_outcome(detail)),
+            Ok(image) => self.complete(p, image, detail),
             Err(e) => self.board.lock().fail(
                 p,
                 &format!("worker {worker} reported success but the file fails: {e}"),
@@ -1128,28 +1168,40 @@ impl LeasePhase<'_> {
         Ok(bytes)
     }
 
-    /// Completes `p`'s lease and, the first time only, journals the
-    /// commit and hands the verified image to the graph.
-    fn complete(&self, p: usize, image: Vec<u8>, outcome: Option<LeaseOutcome>) {
+    /// Completes `p`'s lease and, the first time only, settles the
+    /// verified image — already on disk — with the accounting the
+    /// worker's `result` `detail` carries ([`parse_outcome`]; none when
+    /// no `result` arrived).
+    fn complete(&self, p: usize, image: Vec<u8>, detail: &str) {
         self.board.lock().complete(p);
         let mut merged = self.merged.lock();
         let (graph, built) = &mut *merged;
         if built.insert(p) {
-            let bytes = self.manifest.stats()[p].bytes;
-            self.shared.absorb_verified(graph, p, image, bytes, outcome);
+            let (resizes, peak_table_bytes, fanout) = parse_outcome(detail).unwrap_or_default();
+            let partition_bytes = self.manifest.stats()[p].bytes;
+            let built = Built {
+                image,
+                resizes,
+                peak_table_bytes,
+                fanout,
+                partition_bytes,
+                ..Built::default()
+            };
+            self.shared.settle(self.io, graph, p, built, true);
         }
     }
 }
 
-/// Parses the accounting a worker's `result` carries:
+/// A worker's `result` detail for what it built:
 /// `ok <resizes> <peak table bytes> <fanout>`.
-fn parse_outcome(detail: &str) -> Option<LeaseOutcome> {
+fn outcome_detail(built: &Built) -> String {
+    format!("ok {} {} {}", built.resizes, built.peak_table_bytes, built.fanout)
+}
+
+/// Parses [`outcome_detail`] back into its three counts.
+fn parse_outcome(detail: &str) -> Option<(usize, u64, usize)> {
     let mut fields = detail.strip_prefix("ok ")?.split_whitespace();
-    Some(LeaseOutcome {
-        resizes: fields.next()?.parse().ok()?,
-        peak_table_bytes: fields.next()?.parse().ok()?,
-        fanout: fields.next()?.parse().ok()?,
-    })
+    Some((fields.next()?.parse().ok()?, fields.next()?.parse().ok()?, fields.next()?.parse().ok()?))
 }
 
 #[cfg(test)]
@@ -1184,7 +1236,7 @@ mod tests {
         assert_eq!(back.work_dir, cfg.work_dir);
         let cores: Vec<_> = back.devices().iter().map(|d| d.kind()).collect();
         assert_eq!(cores, [DeviceKind::Cpu], "a worker is one core, whatever the parent has");
-        assert!(back.strict && back.write_subgraphs, "worker invariants forced on");
+        assert!(back.write_subgraphs, "a worker's product is the formatted subgraph");
         assert!(!wire, "fs transfer decodes as local");
         assert_eq!(fp.k, 9);
         assert_eq!(fp.input_digest, 0, "no digest set on a bare config");
@@ -1215,9 +1267,11 @@ mod tests {
     }
 
     /// Four partitions built in process under `dir` — which leaves the
-    /// committed `sub-<p>.dbg` files a local worker would — and the graph
-    /// they add up to.
-    fn built_in_process(dir: &str) -> (ParaHashConfig, ThrottledIo, PartitionManifest, DeBruijnGraph) {
+    /// committed `sub-<p>.dbg` files a local worker would — the graph
+    /// they add up to, and a fresh journal for the step under test.
+    fn built_in_process(
+        dir: &str,
+    ) -> (ParaHashConfig, ThrottledIo, PartitionManifest, DeBruijnGraph, RunJournal) {
         let cfg = ParaHashConfig::builder()
             .k(9)
             .p(5)
@@ -1239,7 +1293,23 @@ mod tests {
         .collect();
         let reference = crate::ParaHash::new(cfg.clone()).unwrap().run(&reads).unwrap().graph;
         let manifest = PartitionManifest::load(cfg.work_dir().join("superkmers")).unwrap();
-        (cfg, io, manifest, reference)
+        let fingerprint = Fingerprint { k: 9, p: 5, partitions: 4, input_digest: 0 };
+        let journal = RunJournal::create(cfg.work_dir(), fingerprint).unwrap();
+        (cfg, io, manifest, reference, journal)
+    }
+
+    /// The next frame a scripted peer receives, heartbeats skipped.
+    fn next_frame(conn: &mut dyn Transport) -> Vec<u8> {
+        loop {
+            match conn.recv(MAX_PAYLOAD_FRAME, Some(Duration::from_secs(10))) {
+                Ok(Recv::Frame(frame)) => {
+                    if !matches!(WireMsg::decode(&frame), Ok(WireMsg::Heartbeat(_))) {
+                        return frame;
+                    }
+                }
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        }
     }
 
     fn lease_phase<'a>(
@@ -1268,11 +1338,9 @@ mod tests {
     /// partition is the in-process graph.
     #[test]
     fn a_second_result_for_a_built_partition_changes_nothing() {
-        let (cfg, io, manifest, reference) = built_in_process("parahash-shard-absorb-once");
-        let fingerprint = Fingerprint { k: 9, p: 5, partitions: 4, input_digest: 0 };
-        let journal = RunJournal::create(cfg.work_dir(), fingerprint).unwrap();
+        let (cfg, io, manifest, reference, journal) = built_in_process("parahash-shard-absorb-once");
         let cancel = CancelToken::new();
-        let shared = Step2Shared::new(&cfg, &cancel, Some(&journal));
+        let shared = Step2Shared::new(&cfg, &cancel, &journal);
         let phase = lease_phase(&shared, &cancel, &manifest, &io);
         assert_eq!(phase.board.lock().claim(0), Some(0));
         phase.accept(0, 0, "ok 0 4096 0");
@@ -1314,9 +1382,9 @@ mod tests {
     /// leases, whose result *is* the frame, are charged as ever.
     #[test]
     fn a_lost_result_frame_completes_the_lease_if_the_file_verifies() {
-        let (cfg, io, manifest, reference) = built_in_process("parahash-shard-lost-result");
+        let (cfg, io, manifest, reference, journal) = built_in_process("parahash-shard-lost-result");
         let cancel = CancelToken::new();
-        let shared = Step2Shared::new(&cfg, &cancel, None);
+        let shared = Step2Shared::new(&cfg, &cancel, &journal);
         let phase = lease_phase(&shared, &cancel, &manifest, &io);
         let file = shared.subgraph_path(0);
         let committed = std::fs::read(&file).unwrap();
@@ -1365,9 +1433,9 @@ mod tests {
     /// worker over loopback TCP plays the frames.
     #[test]
     fn a_wire_payload_whose_result_frame_was_lost_completes_the_lease() {
-        let (cfg, io, manifest, reference) = built_in_process("parahash-shard-lost-wire-result");
+        let (cfg, io, manifest, reference, journal) = built_in_process("parahash-shard-lost-wire-result");
         let cancel = CancelToken::new();
-        let shared = Step2Shared::new(&cfg, &cancel, None);
+        let shared = Step2Shared::new(&cfg, &cancel, &journal);
         let phase = lease_phase(&shared, &cancel, &manifest, &io);
         let built = std::fs::read(shared.subgraph_path(0)).unwrap();
         std::fs::remove_file(shared.subgraph_path(0)).unwrap();
@@ -1417,9 +1485,9 @@ mod tests {
         use pipeline::shard::{recv_frame, write_frame};
         use std::io::Write;
 
-        let (cfg, io, manifest, _) = built_in_process("parahash-shard-damaged-frame");
+        let (cfg, io, manifest, _, journal) = built_in_process("parahash-shard-damaged-frame");
         let cancel = CancelToken::new();
-        let shared = Step2Shared::new(&cfg, &cancel, None);
+        let shared = Step2Shared::new(&cfg, &cancel, &journal);
         let phase = lease_phase(&shared, &cancel, &manifest, &io);
         let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
         for _ in 0..=MAX_LEASE_ATTEMPTS {
@@ -1448,6 +1516,113 @@ mod tests {
         assert!(board.exhausted().is_empty(), "{:?}", board.exhausted());
         assert_eq!(board.claim(8), Some(0), "requeued at the front");
         drop(board);
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    /// A report for a partition the connection does not hold ends the
+    /// connection before anything is written or merged: a wire worker
+    /// holding partition 0 — claimed under another id than its hello's —
+    /// reports an out-of-range partition 99 with a valid payload, then
+    /// partition 2, which nobody holds. Neither file appears, nothing is
+    /// merged, and partition 0 is requeued from the hello id's release.
+    #[test]
+    fn a_report_for_a_partition_not_held_ends_the_connection() {
+        let (cfg, io, manifest, _, journal) = built_in_process("parahash-shard-unheld-report");
+        let cancel = CancelToken::new();
+        let shared = Step2Shared::new(&cfg, &cancel, &journal);
+        let phase = lease_phase(&shared, &cancel, &manifest, &io);
+        let built = std::fs::read(shared.subgraph_path(2)).unwrap();
+        std::fs::remove_file(shared.subgraph_path(2)).unwrap();
+
+        let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
+        let mut worker = connect_tcp(&listener.addr()).unwrap();
+        let conn = listener.accept().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| phase.serve(conn));
+            worker.send(&WireMsg::Hello(7, PROTO_VERSION).encode()).unwrap();
+            assert!(matches!(WireMsg::decode(&next_frame(worker.as_mut())), Ok(WireMsg::Config(_))));
+            worker.send(&WireMsg::Claim(8).encode()).unwrap();
+            assert!(matches!(WireMsg::decode(&next_frame(worker.as_mut())), Ok(WireMsg::Assign(0, _))));
+            assert_eq!(next_frame(worker.as_mut()).first(), Some(&BLOB_TAG), "partition 0's payload");
+            // The parent may hang up at any point from here on.
+            let _ = worker.send(&WireMsg::Result(99, "ok 0 0 0".into()).encode());
+            let _ = worker.send(&encode_blob(&built));
+            let _ = worker.send(&WireMsg::Result(2, "ok 0 0 0".into()).encode());
+            let _ = worker.send(&encode_blob(&built));
+            drop(worker);
+        });
+        assert!(!shared.subgraph_path(99).exists() && !shared.subgraph_path(2).exists());
+        assert!(phase.merged.lock().1.is_empty(), "nothing merged");
+        assert!(phase.board.lock().done().is_empty());
+        assert_eq!(phase.board.lock().claim(9), Some(0), "requeued from the hello id's release");
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    /// One worker session, scripted from the parent's side: two leases
+    /// whose tables fall in one capacity class, then `finished`. The
+    /// session's one builder checks the second lease's table out of the
+    /// shelf the first returned it to — one allocation, one reuse — and
+    /// each result is the in-process build's subgraph file: shipped back
+    /// by a wire worker, committed and journaled by one on this
+    /// filesystem.
+    #[test]
+    fn a_worker_session_builds_its_leases_from_one_pool() {
+        let (cfg, _, manifest, _, _) = built_in_process("parahash-shard-session-pool");
+        let class = |p: usize| {
+            let kmers = manifest.stats()[p].kmers;
+            hashgraph::TablePool::capacity_class(hashgraph::table_capacity_for(kmers, cfg.sizing))
+        };
+        let (a, b) = (0..4)
+            .flat_map(|a| (a + 1..4).map(move |b| (a, b)))
+            .find(|&(a, b)| class(a) == class(b))
+            .expect("two partitions share a capacity class");
+        let sub = |p: usize| crate::step2::subgraph_path(cfg.work_dir(), p);
+        let files = [a, b].map(|p| std::fs::read(sub(p)).unwrap());
+        for p in [a, b] {
+            std::fs::remove_file(sub(p)).unwrap();
+        }
+        let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
+        for wire in [true, false] {
+            let (config, fingerprint, _) = config_from_blob(&config_blob(&cfg, wire)).unwrap();
+            let worker_dir = cfg.work_dir().join("worker-7");
+            let local = (!wire).then(|| {
+                (manifest.clone(), RunJournal::create(&worker_dir, fingerprint).unwrap())
+            });
+            let builder = PartitionBuilder::new(&config);
+            let mut worker = connect_tcp(&listener.addr()).unwrap();
+            let mut parent = listener.accept().unwrap();
+            let tuning = ShardTuning::from_env();
+            std::thread::scope(|s| {
+                let session = s.spawn(|| {
+                    serve_leases(worker.as_mut(), 7, &tuning, &config, &builder, local.as_ref())
+                });
+                for (p, file) in [a, b].into_iter().zip(&files) {
+                    assert!(matches!(WireMsg::decode(&next_frame(parent.as_mut())), Ok(WireMsg::Claim(7))));
+                    parent.send(&WireMsg::Assign(p, manifest.stats()[p].kmers).encode()).unwrap();
+                    if wire {
+                        let bytes = std::fs::read(manifest.partition_path(p)).unwrap();
+                        parent.send(&encode_blob(&bytes)).unwrap();
+                    }
+                    let reply = WireMsg::decode(&next_frame(parent.as_mut())).unwrap();
+                    assert!(matches!(&reply, WireMsg::Result(q, d) if *q == p && d.starts_with("ok 0 ")), "{reply:?}");
+                    if wire {
+                        assert_eq!(&decode_blob(next_frame(parent.as_mut())).unwrap(), file, "shipped {p}");
+                        assert!(!sub(p).exists(), "a wire worker writes nothing");
+                    } else {
+                        assert_eq!(&std::fs::read(sub(p)).unwrap(), file, "committed {p}");
+                    }
+                }
+                assert!(matches!(WireMsg::decode(&next_frame(parent.as_mut())), Ok(WireMsg::Claim(7))));
+                parent.send(&WireMsg::Finished.encode()).unwrap();
+                assert!(matches!(session.join().unwrap(), SessionEnd::Finished));
+            });
+            let pool = &builder.pool;
+            assert_eq!((pool.allocations(), pool.reuses()), (1, 1), "wire: {wire}");
+            if !wire {
+                let committed = RunJournal::replay(&worker_dir).unwrap().committed;
+                assert_eq!(committed, BTreeSet::from([a, b]));
+            }
+        }
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 

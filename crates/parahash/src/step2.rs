@@ -19,33 +19,61 @@ use crate::journal::{JournalEvent, RunJournal};
 use crate::step1::{device_baselines, device_deltas, split_device_times};
 use crate::{ParaHashConfig, ParaHashError, QuarantinedPartition, Result, StepReport};
 
-/// Output of one Step-2 compute launch. `None` marks a partition whose
-/// failure was already recorded (fatal error or quarantine) — the output
-/// stage must neither absorb nor persist it.
-struct Part2Out {
-    /// The partition's vertices as one vertex-run container image,
-    /// formatted by the compute stage so the output stage only writes and
-    /// hands the bytes to the graph ([`DeBruijnGraph::absorb_encoded`]):
-    /// the finished `sub-XXXXX.dbg` file ([`encode_subgraph`]: canonical
+/// What [`PartitionBuilder::build`] measured while building one
+/// partition — what [`Step2Shared::settle`] folds into the step and
+/// hands to the graph.
+#[derive(Default)]
+pub(crate) struct Built {
+    /// The partition's vertices as one vertex-run container image: the
+    /// finished `sub-XXXXX.dbg` file ([`encode_subgraph`]: canonical
     /// order, CRC trailer) when
     /// [`write_subgraphs`](crate::ParaHashConfigBuilder::write_subgraphs)
     /// is on, the snapshot packed in table order
     /// ([`hashgraph::pack_subgraph`]) when nothing will persist it.
-    image: Vec<u8>,
-    contention: ContentionStats,
-    resizes: usize,
+    pub image: Vec<u8>,
+    /// Vertices in the image: the work the scheduler's model is fed.
+    pub vertices: u64,
+    pub contention: ContentionStats,
+    /// Capacity-retry rebuilds this partition needed.
+    pub resizes: usize,
+    /// Peak hash-table bytes (the largest sub-table when split).
+    pub peak_table_bytes: u64,
+    /// Out-of-core fanout: 0 when the partition fit its budget and was
+    /// built in one table, ≥ 2 when it was sub-partitioned.
+    pub fanout: usize,
+    /// Bytes of the partition it was built from.
+    pub partition_bytes: u64,
 }
 
-/// What one table build (or the merge of a split partition's sub-builds)
-/// yields: the entries in no particular order, and what building cost.
-type Built = (SubGraph, ContentionStats, usize);
+/// Why a partition did not build or settle, classed by how far it
+/// reaches.
+pub(crate) struct Failure {
+    pub error: ParaHashError,
+    /// `false`: this partition's own bytes are at fault — unreadable or
+    /// corrupt frames, a failed split, a failed commit — which a
+    /// non-strict run quarantines. `true`: the run environment is —
+    /// device memory, a table error, an over-budget partition without
+    /// out-of-core, a journal that cannot be written — which aborts
+    /// every run.
+    pub fatal: bool,
+}
+
+impl Failure {
+    pub(crate) fn local(error: ParaHashError) -> Failure {
+        Failure { error, fatal: false }
+    }
+
+    fn fatal(error: ParaHashError) -> Failure {
+        Failure { error, fatal: true }
+    }
+}
 
 /// Hard cap on the out-of-core sub-partition fanout. A tiny table budget
 /// against a huge partition would otherwise ask for thousands of
 /// sub-buffers whose per-sub framing and bookkeeping dwarf the split's
 /// benefit; past this point each sub-table simply runs over budget (the
 /// split is best-effort, never recursive — see
-/// [`Step2Shared::build_split`]).
+/// [`PartitionBuilder::build_split`]).
 const MAX_SUB_FANOUT: usize = 256;
 
 /// What the simulated device→host copy of a table snapshot charges per
@@ -162,9 +190,10 @@ pub(crate) fn manifest_feed(manifest: &PartitionManifest) -> SharedCounterQueue<
 ///   hash-table failures stay fatal in both modes: they indicate the run
 ///   environment, not one bad file.
 ///
-/// Crash-recovery hooks: `journal` receives a `subgraph-committed`
-/// record after every atomic subgraph commit (and `quarantined` records
-/// at the end); partitions in [`Resumed::committed`] — their subgraphs
+/// Crash-recovery hooks: `journal` receives, as each partition settles,
+/// its `sub-split` record (when split) and a `subgraph-committed` record
+/// after its atomic subgraph commit (and `quarantined` records at the
+/// end); partitions in [`Resumed::committed`] — their subgraphs
 /// were committed by an interrupted run and are already in
 /// [`Resumed::graph`] — flow through as no-ops. The caller owns `feed`.
 ///
@@ -183,208 +212,78 @@ pub(crate) fn step2_feed(
         std::fs::create_dir_all(config.work_dir.join("subgraphs"))?;
     }
     let cancel = CancelToken::new();
-    let shared = Step2Shared::new(config, &cancel, Some(journal));
+    let shared = Step2Shared::new(config, &cancel, journal);
     let Resumed { committed: skip, mut graph } = resumed;
     let pipeline_report = shared.run(feed, io, &skip, &mut graph);
     shared.finish(pipeline_report, graph)
 }
 
-/// The Step-2 engine's state, one per step: failure routing
-/// (fatal-vs-quarantine), the pooled capacity-retry hash construction,
-/// subgraph persistence and absorption, and report assembly.
-/// [`step2_feed`] is [`run`](Self::run) then [`finish`](Self::finish);
-/// the sharded driver ([`crate::shard`]) puts a lease phase in front —
-/// partitions built by other processes enter through
-/// [`absorb_verified`](Self::absorb_verified) — and a shard worker builds
-/// one lease at a time through [`build_lease`].
-pub(crate) struct Step2Shared<'a> {
+/// Builds a partition on whichever device it is handed (several at once
+/// when several devices share it): admit it against the per-table memory budget, hash-construct — in one
+/// table when the Property-1 projection fits, out of core through
+/// second-level sub-partitions when it does not — and format the result
+/// as a container image. It journals nothing and touches no shared
+/// counter; what it measured comes back in [`Built`]. The in-process
+/// engine keeps one per step, a shard worker one per session, so the
+/// partitions each of them builds share one [`TablePool`].
+pub(crate) struct PartitionBuilder<'a> {
     config: &'a ParaHashConfig,
-    cancel: &'a CancelToken,
     /// Recycles table allocations across partitions (and across the
     /// capacity-retry rebuilds): the alloc+zero churn of one fresh
     /// `ConcurrentDbgTable` per partition becomes a handful of
     /// allocations total, because partition sizes cluster into a few
     /// capacity classes.
-    pool: TablePool,
-    total_contention: Mutex<ContentionStats>,
-    total_resizes: AtomicUsize,
-    peak_table: AtomicU64,
-    peak_partition: AtomicU64,
-    first_error: OnceLock<ParaHashError>,
-    quarantined: Mutex<Vec<QuarantinedPartition>>,
-    /// `(partition, fanout)` for every partition whose projected table
-    /// busted [`table_memory_budget`](crate::ParaHashConfigBuilder::table_memory_budget)
-    /// and was built out of core through second-level sub-partitions.
-    sub_splits: Mutex<Vec<(usize, usize)>>,
-    sub_dir: PathBuf,
-    /// When set, every durable state change (subgraph committed,
-    /// partition quarantined) is appended to the run journal so a
-    /// crashed run can be resumed without redoing the work.
-    journal: Option<&'a RunJournal>,
-    /// The replay dispatcher, built once per step: word-parallel
-    /// single-`u64` fast path for k ≤ 32, scalar cursor otherwise (and
-    /// under `PARAHASH_FORCE_SCALAR`, captured at construction).
+    pub(crate) pool: TablePool,
+    /// The replay dispatcher: word-parallel single-`u64` fast path for
+    /// k ≤ 32, scalar cursor otherwise (and under
+    /// `PARAHASH_FORCE_SCALAR`, captured at construction).
     kernel: ReplayKernel,
-    /// Device-metric snapshots taken at construction: every driver builds
-    /// this struct after Step 1 has returned, so Step 1's meters stay out
-    /// of this step's window.
-    baselines: Vec<hetsim::DeviceMetrics>,
 }
 
-impl<'a> Step2Shared<'a> {
-    /// The caller creates `work_dir/subgraphs` before anything commits
-    /// there (a wire worker never does, and must not touch its disk).
-    pub(crate) fn new(
-        config: &'a ParaHashConfig,
-        cancel: &'a CancelToken,
-        journal: Option<&'a RunJournal>,
-    ) -> Step2Shared<'a> {
-        Step2Shared {
-            config,
-            cancel,
-            journal,
-            pool: TablePool::new(config.k),
-            total_contention: Mutex::new(ContentionStats::default()),
-            total_resizes: AtomicUsize::new(0),
-            peak_table: AtomicU64::new(0),
-            peak_partition: AtomicU64::new(0),
-            first_error: OnceLock::new(),
-            quarantined: Mutex::new(Vec::new()),
-            sub_splits: Mutex::new(Vec::new()),
-            sub_dir: config.work_dir.join("subgraphs"),
-            kernel: ReplayKernel::new(config.k),
-            baselines: device_baselines(config),
-        }
+impl<'a> PartitionBuilder<'a> {
+    pub(crate) fn new(config: &'a ParaHashConfig) -> PartitionBuilder<'a> {
+        let (pool, kernel) = (TablePool::new(config.k), ReplayKernel::new(config.k));
+        PartitionBuilder { config, pool, kernel }
     }
 
-    /// The three stages over `feed`, merging into `graph`; partitions in
-    /// `skip` flow through as no-ops.
-    pub(crate) fn run(
-        &self,
-        feed: &SharedCounterQueue<SealedPartition>,
-        io: &ThrottledIo,
-        skip: &BTreeSet<usize>,
-        graph: &mut DeBruijnGraph,
-    ) -> PipelineReport {
-        run_pipeline(
-            feed,
-            self.config.devices(),
-            self.cancel,
-            // Stage 1: materialise the sealed payload (spilled ones pay
-            // input I/O, with transient-error retries inside
-            // `ThrottledIo`). `None` is the sentinel for an
-            // already-recorded failure — or for a partition in `skip`.
-            |sealed: SealedPartition| {
-                let idx = sealed.index;
-                if skip.contains(&idx) {
-                    return (idx, None);
-                }
-                let bytes = match sealed.payload {
-                    SealedPayload::Resident(bytes) => Some(bytes),
-                    SealedPayload::Spilled(path) => match io.read_file(&path) {
-                        Ok(bytes) => Some(bytes),
-                        Err(e) => {
-                            self.partition_failed(idx, ParaHashError::Io(e));
-                            None
-                        }
-                    },
-                };
-                (idx, bytes.map(|b| (b, sealed.kmers)))
-            },
-            // Stage 2: hash-construct the subgraph on an idle device and
-            // format it (canonical sort, record encode, CRC trailer — or
-            // just the record packing when nothing is persisted).
-            |device: &dyn Device, idx, input: Option<(Vec<u8>, u64)>| {
-                let Some((bytes, kmers)) = input else {
-                    return (None, 0);
-                };
-                self.build(device, idx, bytes, kmers)
-            },
-            // Stage 3: commit the formatted bytes, journal, merge.
-            |idx, out: Option<Part2Out>| self.consume(io, graph, idx, out),
-        )
-    }
-
-    /// The first *fatal* error cancels the whole pipeline so remaining
-    /// partitions are abandoned instead of processed to completion.
-    pub(crate) fn fatal(&self, e: ParaHashError) {
-        let _ = self.first_error.set(e);
-        self.cancel.cancel();
-    }
-
-    /// Appends `event` to the run journal, if there is one. A journal
-    /// that cannot be written no longer describes the work directory, so
-    /// the failure is fatal in strict and non-strict runs alike. Returns
-    /// whether the run may go on.
-    pub(crate) fn journaled(&self, event: JournalEvent) -> bool {
-        match self.journal.map(|journal| journal.append(&event)) {
-            Some(Err(e)) => {
-                self.fatal(e);
-                false
-            }
-            _ => true,
-        }
-    }
-
-    /// Partition-local failures (unreadable or corrupt file) either abort
-    /// (strict) or set the partition aside and keep going.
-    pub(crate) fn partition_failed(&self, idx: usize, e: ParaHashError) {
-        if self.config.strict {
-            self.fatal(e);
-        } else {
-            self.quarantined
-                .lock()
-                .push(QuarantinedPartition { index: idx, reason: e.to_string() });
-        }
-    }
-
-    /// The compute stage: admit the partition against the per-table
-    /// memory budget, hash-construct — in one table when the Property-1
-    /// projection fits, or out of core through second-level
-    /// sub-partitions when it does not — and format the result as a
-    /// container image: canonical sort, record encode and CRC trailer
-    /// when subgraphs are persisted, the record packing alone otherwise.
-    /// That is CPU work, so it runs here, on the device driver's thread
-    /// (one per device, overlapping the previous partition's commit), and
-    /// leaves the output stage nothing to do but write and hand over.
-    fn build(
+    /// Builds partition `idx` from its framed `bytes` holding `n_kmers`
+    /// k-mers on `device`, and formats it: canonical sort, record encode
+    /// and CRC trailer when subgraphs are persisted, the record packing
+    /// alone otherwise. That is CPU work, so it runs on the device
+    /// driver's thread (one per device, overlapping the previous
+    /// partition's commit) and leaves the output stage nothing to do but
+    /// write and hand over.
+    pub(crate) fn build(
         &self,
         device: &dyn Device,
         idx: usize,
         bytes: Vec<u8>,
         n_kmers: u64,
-    ) -> (Option<Part2Out>, u64) {
-        self.peak_partition.fetch_max(bytes.len() as u64, Ordering::Relaxed);
-        let projected = hashgraph::projected_table_bytes(n_kmers, self.config.sizing);
+    ) -> std::result::Result<Built, Failure> {
+        let mut built = Built { partition_bytes: bytes.len() as u64, ..Built::default() };
+        let projected_bytes = hashgraph::projected_table_bytes(n_kmers, self.config.sizing);
         let budget = self.config.table_memory_budget;
-        let built = if projected <= budget {
-            self.build_one_table(device, idx, &bytes, n_kmers)
+        let subgraph = if projected_bytes <= budget {
+            self.build_one_table(device, &bytes, n_kmers, &mut built)?
         } else if self.config.out_of_core {
-            self.build_split(device, idx, &bytes, projected)
+            self.build_split(device, idx, &bytes, projected_bytes, &mut built)?
         } else {
-            self.fatal(ParaHashError::TableOverBudget {
-                partition: idx,
-                projected_bytes: projected,
-                budget,
-            });
-            None
+            let error = ParaHashError::TableOverBudget { partition: idx, projected_bytes, budget };
+            return Err(Failure::fatal(error));
         };
         // The partition buffer has been replayed: release it before the
         // encoded copy of the subgraph is allocated, not after.
         drop(bytes);
-        let Some((subgraph, contention, resizes)) = built else {
-            return (None, 0);
-        };
-        let work = subgraph.len() as u64;
+        built.vertices = subgraph.len() as u64;
         // The snapshot — 80 bytes a vertex — ends here, on this thread;
         // the image keeps each vertex as one record (17 bytes at k ≤ 32
         // with counters under 256).
-        let image = if self.config.write_subgraphs {
+        built.image = if self.config.write_subgraphs {
             encode_subgraph(&subgraph)
         } else {
             hashgraph::pack_subgraph(&subgraph)
         };
-        (Some(Part2Out { image, contention, resizes }), work)
+        Ok(built)
     }
 
     /// Out-of-core build of one over-budget partition: split its records
@@ -409,52 +308,36 @@ impl<'a> Step2Shared<'a> {
         idx: usize,
         bytes: &[u8],
         projected: u64,
-    ) -> Option<Built> {
+        built: &mut Built,
+    ) -> std::result::Result<SubGraph, Failure> {
         let fanout = projected
             .div_ceil(self.config.table_memory_budget.max(1))
             .clamp(2, MAX_SUB_FANOUT as u64) as usize;
-        let subs = match msp::split_framed(bytes, self.config.k, self.config.p, fanout, idx) {
-            Ok(subs) => subs,
-            Err(e) => {
-                self.partition_failed(idx, e.into());
-                return None;
-            }
-        };
-        self.sub_splits.lock().push((idx, fanout));
-        if !self.journaled(JournalEvent::SubSplit(idx, fanout)) {
-            return None;
-        }
+        let subs = msp::split_framed(bytes, self.config.k, self.config.p, fanout, idx)
+            .map_err(|e| Failure::local(e.into()))?;
+        built.fanout = fanout;
         let mut entries = Vec::new();
-        let mut contention = ContentionStats::default();
-        let mut resizes = 0usize;
-        for sub in &subs {
-            if sub.superkmers == 0 {
-                continue;
-            }
-            let (subgraph, sub_contention, sub_resizes) =
-                self.build_one_table(device, idx, &sub.bytes, sub.kmers)?;
-            contention.merge(&sub_contention);
-            resizes += sub_resizes;
+        for sub in subs.iter().filter(|sub| sub.superkmers > 0) {
+            let subgraph = self.build_one_table(device, &sub.bytes, sub.kmers, built)?;
             entries.extend(subgraph.into_entries());
         }
         // The merged entries wait in the output queue next: don't let
         // the growth slack of `extend` (up to 2×) wait with them.
         entries.shrink_to_fit();
-        Some((SubGraph::new(self.config.k, entries), contention, resizes))
+        Ok(SubGraph::new(self.config.k, entries))
     }
 
     /// One table build: index the framed bytes once, then hash-construct
     /// with pooled tables, retrying with a bigger checkout if the
-    /// Property-1 estimate under-sized the table. `None` means the
-    /// failure was already routed through
-    /// [`partition_failed`](Self::partition_failed) / [`fatal`](Self::fatal).
+    /// Property-1 estimate under-sized the table. The cost lands in
+    /// `built`.
     fn build_one_table(
         &self,
         device: &dyn Device,
-        idx: usize,
         bytes: &[u8],
         n_kmers: u64,
-    ) -> Option<Built> {
+        built: &mut Built,
+    ) -> std::result::Result<SubGraph, Failure> {
         let transfer_in = bytes.len() as u64;
         // Zero-copy decode of the framed bytes: verify every frame's
         // CRC32 once, index the record boundaries, then replay borrowed
@@ -462,28 +345,19 @@ impl<'a> Step2Shared<'a> {
         // per-record heap allocation. Indexing happens once, *outside*
         // the capacity-retry loop — a retry re-reads nothing and
         // re-verifies nothing, it only swaps in a bigger table.
-        let slices = match PartitionSlices::index_framed(bytes, self.config.k, self.config.p) {
-            Ok(slices) => slices,
-            Err(e) => {
-                self.partition_failed(idx, e.into());
-                return None;
-            }
-        };
+        let slices = PartitionSlices::index_framed(bytes, self.config.k, self.config.p)
+            .map_err(|e| Failure::local(e.into()))?;
         let mut capacity = table_capacity_for(n_kmers, self.config.sizing);
-        let mut resizes = 0usize;
         loop {
             // Checked out from the pool: a recycled allocation when one
             // of this capacity class is shelved, a fresh one otherwise.
             // Dropping the guard (every exit path below) shelves it.
             let table = self.pool.checkout(capacity);
             let table_bytes = table.approx_bytes() as u64;
-            self.peak_table.fetch_max(table_bytes, Ordering::Relaxed);
+            built.peak_table_bytes = built.peak_table_bytes.max(table_bytes);
             let is_gpu = device.kind() == DeviceKind::SimGpu;
             if is_gpu {
-                if let Err(e) = device.alloc(table_bytes) {
-                    self.fatal(e.into());
-                    return None;
-                }
+                device.alloc(table_bytes).map_err(|e| Failure::fatal(e.into()))?;
                 device.transfer_to_device(transfer_in);
             }
             // The kernel: one superkmer per data-parallel item, decoded
@@ -516,13 +390,14 @@ impl<'a> Step2Shared<'a> {
                         device.transfer_from_device(snapshot as u64);
                         device.free(table_bytes);
                     }
-                    return Some((subgraph, contention, resizes));
+                    built.contention.merge(&contention);
+                    return Ok(subgraph);
                 }
                 Some(HashGraphError::CapacityExhausted { .. }) => {
                     if is_gpu {
                         device.free(table_bytes);
                     }
-                    resizes += 1;
+                    built.resizes += 1;
                     // Double from the capacity actually granted (the pool
                     // rounds up to its class), so the retry is guaranteed
                     // a strictly larger class.
@@ -532,36 +407,183 @@ impl<'a> Step2Shared<'a> {
                     if is_gpu {
                         device.free(table_bytes);
                     }
-                    self.fatal(e.into());
-                    return None;
+                    return Err(Failure::fatal(e.into()));
                 }
             }
         }
     }
+}
 
-    /// The output stage, I/O only: commit the image the compute stage
-    /// formatted, journal the commit, hand the image to the graph — one
-    /// `Vec` changing owner ([`DeBruijnGraph::absorb_encoded`]; the MSP
-    /// cut makes every partition's keys new to it), nothing decoded,
-    /// hashed or copied. Failure sentinels are skipped outright — an
-    /// error partition must never leave a bogus `sub-XXXXX.dbg` behind or
-    /// leak empty entries into the graph.
-    fn consume(
-        &self,
-        io: &ThrottledIo,
-        graph: &mut DeBruijnGraph,
-        idx: usize,
-        out: Option<Part2Out>,
-    ) {
-        let Some(out) = out else {
-            return;
-        };
-        self.total_contention.lock().merge(&out.contention);
-        self.total_resizes.fetch_add(out.resizes, Ordering::Relaxed);
-        if self.config.write_subgraphs && !self.commit(io, idx, &out.image) {
-            return; // quarantined partitions stay out of the graph
+/// The durable half of settling partition `idx`, in this order: commit
+/// `image` as `work_dir`'s `sub-<idx>.dbg` when one is given, then
+/// journal — back to back, no other record between them — the
+/// `sub-split` a fanout ≥ 2 build made and, when `kept` (the file is on
+/// disk, committed here or before), `subgraph-committed`. The record is
+/// written strictly *after* the rename: `subgraph-committed` in a journal
+/// implies the file is durable and whole (the converse is allowed — a
+/// file with no record is re-verified or redone on resume). The engine's
+/// [`settle`](Step2Shared::settle) and a shard worker on the parent's
+/// filesystem (into its own journal) both persist through here.
+pub(crate) fn persist(
+    io: &ThrottledIo,
+    journal: &RunJournal,
+    work_dir: &Path,
+    idx: usize,
+    image: Option<&[u8]>,
+    fanout: usize,
+    kept: bool,
+) -> std::result::Result<(), Failure> {
+    if let Some(bytes) = image {
+        // Atomic commit (tmp + fsync + rename + dir fsync): a crash
+        // anywhere in here leaves either no `sub-XXXXX.dbg` or a
+        // complete, checksummed one — never a torn file.
+        failpoint::hit("step2.subgraph.write")
+            .and_then(|()| io.commit_file(subgraph_path(work_dir, idx), bytes))
+            .map_err(|e| Failure::local(ParaHashError::Io(e)))?;
+    }
+    let split = (fanout >= 2).then_some(JournalEvent::SubSplit(idx, fanout));
+    let committed = kept.then_some(JournalEvent::SubgraphCommitted(idx));
+    journal.append_all(split.iter().chain(&committed)).map_err(Failure::fatal)
+}
+
+/// The Step-2 engine's state, one per step: the partition builder, the
+/// failure routing (strict / quarantine / fatal), the one output path
+/// ([`settle`](Self::settle)), the accounting and report assembly.
+/// [`step2_feed`] is [`run`](Self::run) then [`finish`](Self::finish);
+/// the sharded driver ([`crate::shard`]) puts a lease phase in front,
+/// whose partitions — built by other processes — settle through the same
+/// [`settle`](Self::settle).
+pub(crate) struct Step2Shared<'a> {
+    config: &'a ParaHashConfig,
+    cancel: &'a CancelToken,
+    builder: PartitionBuilder<'a>,
+    total_contention: Mutex<ContentionStats>,
+    total_resizes: AtomicUsize,
+    peak_table: AtomicU64,
+    peak_partition: AtomicU64,
+    first_error: OnceLock<ParaHashError>,
+    quarantined: Mutex<Vec<QuarantinedPartition>>,
+    /// `(partition, fanout)` for every settled partition whose projected
+    /// table busted [`table_memory_budget`](crate::ParaHashConfigBuilder::table_memory_budget)
+    /// and was built out of core through second-level sub-partitions.
+    sub_splits: Mutex<Vec<(usize, usize)>>,
+    /// Every durable state change (subgraph committed, partition split
+    /// or quarantined, worker leased) is appended here so a crashed run
+    /// can be resumed without redoing the work.
+    journal: &'a RunJournal,
+    /// Device-metric snapshots taken at construction: every driver builds
+    /// this struct after Step 1 has returned, so Step 1's meters stay out
+    /// of this step's window.
+    baselines: Vec<hetsim::DeviceMetrics>,
+}
+
+impl<'a> Step2Shared<'a> {
+    /// The caller creates `work_dir/subgraphs` before anything commits
+    /// there.
+    pub(crate) fn new(
+        config: &'a ParaHashConfig,
+        cancel: &'a CancelToken,
+        journal: &'a RunJournal,
+    ) -> Step2Shared<'a> {
+        Step2Shared {
+            config,
+            cancel,
+            journal,
+            builder: PartitionBuilder::new(config),
+            total_contention: Mutex::new(ContentionStats::default()),
+            total_resizes: AtomicUsize::new(0),
+            peak_table: AtomicU64::new(0),
+            peak_partition: AtomicU64::new(0),
+            first_error: OnceLock::new(),
+            quarantined: Mutex::new(Vec::new()),
+            sub_splits: Mutex::new(Vec::new()),
+            baselines: device_baselines(config),
         }
-        graph.absorb_encoded(out.image);
+    }
+
+    /// The three stages over `feed`, merging into `graph`; partitions in
+    /// `skip` flow through as no-ops.
+    pub(crate) fn run(
+        &self,
+        feed: &SharedCounterQueue<SealedPartition>,
+        io: &ThrottledIo,
+        skip: &BTreeSet<usize>,
+        graph: &mut DeBruijnGraph,
+    ) -> PipelineReport {
+        run_pipeline(
+            feed,
+            self.config.devices(),
+            self.cancel,
+            // Stage 1: materialise the sealed payload (spilled ones pay
+            // input I/O, with transient-error retries inside
+            // `ThrottledIo`). `None` is the sentinel for an
+            // already-recorded failure — or for a partition in `skip`.
+            |sealed: SealedPartition| {
+                let idx = sealed.index;
+                if skip.contains(&idx) {
+                    return (idx, None);
+                }
+                let bytes = match sealed.payload {
+                    SealedPayload::Resident(bytes) => Some(bytes),
+                    SealedPayload::Spilled(path) => match io.read_file(&path) {
+                        Ok(bytes) => Some(bytes),
+                        Err(e) => {
+                            self.fail(idx, Failure::local(ParaHashError::Io(e)));
+                            None
+                        }
+                    },
+                };
+                (idx, bytes.map(|b| (b, sealed.kmers)))
+            },
+            // Stage 2: build and format the partition on an idle device.
+            |device: &dyn Device, idx, input: Option<(Vec<u8>, u64)>| {
+                let Some((bytes, kmers)) = input else {
+                    return (None, 0);
+                };
+                match self.builder.build(device, idx, bytes, kmers) {
+                    Ok(built) => {
+                        let work = built.vertices;
+                        (Some(built), work)
+                    }
+                    Err(failure) => {
+                        self.fail(idx, failure);
+                        (None, 0)
+                    }
+                }
+            },
+            // Stage 3: settle what built; failure sentinels are skipped
+            // outright — an error partition must never leave a bogus
+            // `sub-XXXXX.dbg` behind or leak empty entries into the graph.
+            |idx, built: Option<Built>| {
+                if let Some(built) = built {
+                    self.settle(io, graph, idx, built, false);
+                }
+            },
+        )
+    }
+
+    /// Routes partition `idx`'s failure: a fatal one — or any, in a
+    /// strict run — becomes the run's first error and cancels the
+    /// pipeline, so remaining partitions are abandoned instead of
+    /// processed to completion; a partition-local one in a non-strict
+    /// run sets the partition aside and the run goes on.
+    pub(crate) fn fail(&self, idx: usize, failure: Failure) {
+        if failure.fatal || self.config.strict {
+            let _ = self.first_error.set(failure.error);
+            self.cancel.cancel();
+        } else {
+            let reason = failure.error.to_string();
+            self.quarantined.lock().push(QuarantinedPartition { index: idx, reason });
+        }
+    }
+
+    /// Appends `event`, about partition `idx`, to the run journal. A
+    /// journal that cannot be written no longer describes the work
+    /// directory, so the failure is fatal in strict and non-strict runs
+    /// alike. Returns whether the run may go on.
+    pub(crate) fn journaled(&self, idx: usize, event: JournalEvent) -> bool {
+        let appended = self.journal.append(&event);
+        appended.map_err(|e| self.fail(idx, Failure::fatal(e))).is_ok()
     }
 
     /// [`subgraph_path`] in this step's work directory.
@@ -569,60 +591,38 @@ impl<'a> Step2Shared<'a> {
         subgraph_path(&self.config.work_dir, idx)
     }
 
-    /// Commits one formatted subgraph as `sub-<idx>.dbg` and journals the
-    /// commit. `false` means the failure was already routed through
-    /// [`partition_failed`](Self::partition_failed) / [`fatal`](Self::fatal).
-    fn commit(&self, io: &ThrottledIo, idx: usize, bytes: &[u8]) -> bool {
-        let path = self.subgraph_path(idx);
-        // Atomic commit (tmp + fsync + rename + dir fsync): a crash
-        // anywhere in here leaves either no `sub-XXXXX.dbg` or a
-        // complete, checksummed one — never a torn file.
-        let committed =
-            failpoint::hit("step2.subgraph.write").and_then(|()| io.commit_file(&path, bytes));
-        if let Err(e) = committed {
-            self.partition_failed(idx, ParaHashError::Io(e));
-            return false;
-        }
-        // The journal record is written strictly *after* the rename:
-        // `subgraph-committed` in the journal implies the file is
-        // durable and whole. (The converse is allowed — a file with no
-        // record is simply re-verified or redone on resume.)
-        self.journaled(JournalEvent::SubgraphCommitted(idx))
-    }
-
-    /// The output stage for a partition another process built: `image` is
-    /// the committed `sub-<idx>.dbg` as this process read and checked it
-    /// ([`check_committed`]), `built` what the builder measured. Journals the
-    /// builder's sub-split (this journal is the run's record of it — a
-    /// wire worker keeps none) and the commit, in the order
-    /// [`build_split`](Self::build_split) and [`commit`](Self::commit)
-    /// write them, folds the accounting into this step's and hands the
-    /// vertices over — the tail of [`consume`](Self::consume), the file
-    /// being on disk already.
-    pub(crate) fn absorb_verified(
+    /// The one output path, for a partition built here or by another
+    /// process: [`persist`] it — the image committed unless it is
+    /// `on_disk` already or the user keeps no subgraph files, then its
+    /// `sub-split` and `subgraph-committed` journaled — fold what
+    /// building it measured into this step's accounting, and hand the
+    /// image to the graph: one `Vec` changing owner
+    /// ([`DeBruijnGraph::absorb_encoded`]; the MSP cut makes every
+    /// partition's keys new to it), nothing decoded, hashed or copied. A
+    /// partition that fails to persist is routed through
+    /// [`fail`](Self::fail) and stays out of the graph and the counts.
+    pub(crate) fn settle(
         &self,
+        io: &ThrottledIo,
         graph: &mut DeBruijnGraph,
         idx: usize,
-        image: Vec<u8>,
-        partition_bytes: u64,
-        built: Option<LeaseOutcome>,
+        built: Built,
+        on_disk: bool,
     ) {
-        let fanout = built.as_ref().map_or(0, |built| built.fanout);
-        if fanout >= 2 && !self.journaled(JournalEvent::SubSplit(idx, fanout)) {
-            return;
+        let keep = self.config.write_subgraphs;
+        let image = (keep && !on_disk).then_some(built.image.as_slice());
+        let work_dir = &self.config.work_dir;
+        if let Err(failure) = persist(io, self.journal, work_dir, idx, image, built.fanout, keep) {
+            return self.fail(idx, failure);
         }
-        if !self.journaled(JournalEvent::SubgraphCommitted(idx)) {
-            return;
+        self.total_contention.lock().merge(&built.contention);
+        self.total_resizes.fetch_add(built.resizes, Ordering::Relaxed);
+        self.peak_table.fetch_max(built.peak_table_bytes, Ordering::Relaxed);
+        self.peak_partition.fetch_max(built.partition_bytes, Ordering::Relaxed);
+        if built.fanout >= 2 {
+            self.sub_splits.lock().push((idx, built.fanout));
         }
-        self.peak_partition.fetch_max(partition_bytes, Ordering::Relaxed);
-        if let Some(built) = built {
-            self.total_resizes.fetch_add(built.resizes, Ordering::Relaxed);
-            self.peak_table.fetch_max(built.peak_table_bytes, Ordering::Relaxed);
-            if fanout >= 2 {
-                self.sub_splits.lock().push((idx, fanout));
-            }
-        }
-        graph.absorb_encoded(image);
+        graph.absorb_encoded(built.image);
     }
 
     /// Turns the accumulated counters into the step report — or, on the
@@ -634,7 +634,7 @@ impl<'a> Step2Shared<'a> {
         graph: DeBruijnGraph,
     ) -> Result<(DeBruijnGraph, StepReport)> {
         let quarantined = self.quarantined.into_inner();
-        // Compute-stage completion order is nondeterministic under
+        // Output-stage completion order is nondeterministic under
         // multithreading; the report must not be.
         let mut sub_splits = self.sub_splits.into_inner();
         sub_splits.sort_unstable();
@@ -643,17 +643,15 @@ impl<'a> Step2Shared<'a> {
             // a partial run — delete them so nothing downstream mistakes
             // them for a complete graph.
             if self.config.write_subgraphs {
-                let _ = std::fs::remove_dir_all(&self.sub_dir);
+                let _ = std::fs::remove_dir_all(self.config.work_dir.join("subgraphs"));
             }
             return Err(e);
         }
         // Quarantine marks are durable state too: record them so a
         // resumed run knows these partitions were *examined and set
         // aside*, not merely unprocessed.
-        if let Some(journal) = self.journal {
-            for q in &quarantined {
-                journal.append(&JournalEvent::Quarantined(q.index, q.reason.clone()))?;
-            }
+        for q in &quarantined {
+            self.journal.append(&JournalEvent::Quarantined(q.index, q.reason.clone()))?;
         }
         let deltas = device_deltas(self.config, &self.baselines);
         let (cpu_compute, gpu_compute) =
@@ -676,68 +674,6 @@ impl<'a> Step2Shared<'a> {
         };
         Ok((graph, report))
     }
-}
-
-/// What [`build_lease`] measured while building one partition — the
-/// payload of a shard worker's `result` wire message.
-pub(crate) struct LeaseOutcome {
-    /// Capacity-retry rebuilds this partition needed.
-    pub resizes: usize,
-    /// Peak hash-table bytes (the largest sub-table when split).
-    pub peak_table_bytes: u64,
-    /// Out-of-core fanout: 0 when the partition fit its budget and was
-    /// built in one table, ≥ 2 when it was sub-partitioned.
-    pub fanout: usize,
-}
-
-/// Builds **one** leased partition — budget-admit (splitting out of core
-/// if projected over budget), hash-construct, format — outside any
-/// pipeline: the unit of work of a shard worker. The lease is the
-/// engine's own [`SealedPayload`]. `Spilled(path)` is a worker on the
-/// parent's filesystem: it reads the partition file and commits
-/// `subgraphs/sub-<idx>.dbg` (journaling into `journal`, its own), and the
-/// committed file is the result channel. `Resident(bytes)` is a wire
-/// worker: it builds from the bytes it was sent and gets the formatted
-/// subgraph back to ship — it writes nothing. Either way no graph is
-/// merged here; that is the parent's job. The caller's config must have
-/// `write_subgraphs` on (the formatted bytes are the product) and `strict`
-/// on, so every failure surfaces as an error: the parent owns quarantine
-/// policy, not the worker.
-///
-/// # Errors
-///
-/// Any read, frame, device, or commit failure for this partition.
-pub(crate) fn build_lease(
-    config: &ParaHashConfig,
-    idx: usize,
-    payload: SealedPayload,
-    n_kmers: u64,
-    io: &ThrottledIo,
-    journal: Option<&RunJournal>,
-) -> Result<(LeaseOutcome, Option<Vec<u8>>)> {
-    debug_assert!(config.strict && config.write_subgraphs);
-    let cancel = CancelToken::new();
-    let shared = Step2Shared::new(config, &cancel, journal);
-    let (bytes, ship) = match payload {
-        SealedPayload::Resident(bytes) => (bytes, true),
-        SealedPayload::Spilled(path) => (io.read_file(path).map_err(ParaHashError::Io)?, false),
-    };
-    let (out, _) = shared.build(config.devices()[0].as_ref(), idx, bytes, n_kmers);
-    let (resizes, mut encoded) = out.map_or((0, None), |out| (out.resizes, Some(out.image)));
-    if !ship {
-        if let Some(bytes) = encoded.take() {
-            shared.commit(io, idx, &bytes);
-        }
-    }
-    if let Some(e) = shared.first_error.into_inner() {
-        return Err(e);
-    }
-    let outcome = LeaseOutcome {
-        resizes,
-        peak_table_bytes: shared.peak_table.into_inner(),
-        fanout: shared.sub_splits.into_inner().first().map_or(0, |&(_, f)| f),
-    };
-    Ok((outcome, encoded))
 }
 
 #[cfg(test)]
@@ -1008,14 +944,14 @@ mod tests {
                 .unwrap();
             let _ = std::fs::remove_dir_all(cfg.work_dir());
             let (manifest, _, _) = step1(&cfg, &reads());
-            let cancel = CancelToken::new();
-            let shared = Step2Shared::new(&cfg, &cancel, None);
+            let builder = PartitionBuilder::new(&cfg);
             let images: Vec<(Vec<u8>, u64)> = (0..manifest.num_partitions())
                 .map(|i| {
                     let bytes = std::fs::read(manifest.partition_path(i)).unwrap();
                     let kmers = manifest.stats()[i].kmers;
-                    let (out, work) = shared.build(cfg.devices()[0].as_ref(), i, bytes, kmers);
-                    (out.expect("clean partition builds").image, work)
+                    let built = builder.build(cfg.devices()[0].as_ref(), i, bytes, kmers);
+                    let built = built.unwrap_or_else(|_| panic!("clean partition {i} builds"));
+                    (built.image, built.vertices)
                 })
                 .collect();
             std::fs::remove_dir_all(cfg.work_dir()).unwrap();
@@ -1027,44 +963,6 @@ mod tests {
             assert_eq!(work, vertices.len() as u64);
             assert_eq!(encoded, encode_subgraph(&vertices), "partition {i}");
         }
-    }
-
-    /// A lease is the engine's sealed payload: a spilled one is read,
-    /// built and committed in place (the file is the result), a resident
-    /// one is built from the bytes in hand and comes back formatted — the
-    /// same bytes — with nothing written anywhere.
-    #[test]
-    fn a_resident_lease_ships_the_bytes_a_spilled_lease_commits() {
-        let cfg = ParaHashConfig::builder()
-            .k(7)
-            .p(4)
-            .partitions(3)
-            .cpu_threads(2)
-            .write_subgraphs(true)
-            .work_dir(std::env::temp_dir().join("parahash-step2-lease"))
-            .build()
-            .unwrap();
-        let _ = std::fs::remove_dir_all(cfg.work_dir());
-        let io = ThrottledIo::new(IoMode::Unthrottled);
-        let (manifest, _, _) = step1(&cfg, &reads());
-        let sub_dir = cfg.work_dir().join("subgraphs");
-        for i in 0..manifest.num_partitions() {
-            let kmers = manifest.stats()[i].kmers;
-            let bytes = std::fs::read(manifest.partition_path(i)).unwrap();
-            let (_, shipped) =
-                build_lease(&cfg, i, SealedPayload::Resident(bytes), kmers, &io, None).unwrap();
-            assert!(!sub_dir.exists(), "a wire worker touches no disk");
-            let shipped = shipped.expect("a resident lease returns its subgraph");
-
-            std::fs::create_dir_all(&sub_dir).unwrap();
-            let spilled = SealedPayload::Spilled(manifest.partition_path(i));
-            let (_, kept) = build_lease(&cfg, i, spilled, kmers, &io, None).unwrap();
-            assert!(kept.is_none(), "a committed lease ships nothing");
-            let file = sub_dir.join(format!("sub-{i:05}.dbg"));
-            assert_eq!(std::fs::read(&file).unwrap(), shipped, "partition {i}");
-            std::fs::remove_dir_all(&sub_dir).unwrap();
-        }
-        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 
     /// A subgraph whose commit fails in a non-strict run is quarantined

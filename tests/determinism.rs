@@ -293,6 +293,22 @@ fn check(name: &str, row: Row) {
         Some(TIGHT_TABLE_BUDGET) => assert!(!step2.sub_splits.is_empty(), "{name}: no split"),
         Some(_) => {}
     }
+    // And each is written as its partition settles: right before that
+    // partition's `subgraph-committed`, in the run's journal and in every
+    // journal a worker kept.
+    let worker_dirs = (0..row.workers).map(|w| dir.join(format!("worker-{w}")));
+    for journal_dir in std::iter::once(dir.clone()).chain(worker_dirs) {
+        let Ok(bytes) = std::fs::read(RunJournal::path_in(&journal_dir)) else { continue };
+        let records: Vec<&str> = msp::walk_frames(&bytes, None)
+            .map(|frame| std::str::from_utf8(frame.unwrap().1).unwrap())
+            .collect();
+        for (at, record) in records.iter().enumerate() {
+            let Some(split) = record.strip_prefix("sub-split ") else { continue };
+            let committed = format!("subgraph-committed {}", split.split(' ').next().unwrap());
+            let next = records.get(at + 1).copied();
+            assert_eq!(next, Some(committed.as_str()), "{name}: {journal_dir:?} after `{record}`");
+        }
+    }
 
     if row.workers == 0 {
         // Every partition claimed once, by a processor of the roster.
