@@ -65,10 +65,10 @@ pub struct CanonicalKmerCursor {
     last_shift: u32,
     /// Mask clearing bits beyond base `k−1` in word `nwords−1`.
     tail_mask: u64,
-    /// Single-word fast path: `k ≤ 32` and the scalar escape hatch is
-    /// off. Captured at construction (see [`crate::simd::force_scalar`]);
-    /// the specialised rolls are the exact `nwords == 1` instance of the
-    /// generic loops, so both paths are bit-identical by construction.
+    /// Single-word fast path, taken whenever `k ≤ 32`: the specialised
+    /// rolls are the exact `nwords == 1` instance of the generic loops,
+    /// so both paths are bit-identical by construction (the unit tests
+    /// clear this flag to run the generic twin on the same input).
     narrow: bool,
 }
 
@@ -92,7 +92,7 @@ impl CanonicalKmerCursor {
             last_word: (k - 1) / BASES_PER_WORD,
             last_shift: 62 - 2 * ((k - 1) % BASES_PER_WORD) as u32,
             tail_mask: if rem == 0 { u64::MAX } else { u64::MAX << (64 - 2 * rem) },
-            narrow: k <= BASES_PER_WORD && !crate::simd::force_scalar(),
+            narrow: k <= BASES_PER_WORD,
         })
     }
 
@@ -311,17 +311,13 @@ mod tests {
 
     #[test]
     fn narrow_and_generic_paths_agree() {
-        let _guard = crate::simd::override_guard();
         let s = PackedSeq::from_ascii(
             b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCAGGCATTAGCCAGT",
         );
         for k in [1usize, 2, 5, 16, 31, 32] {
-            crate::simd::set_force_scalar_override(Some(true));
-            let mut generic = CanonicalKmerCursor::new(k).unwrap();
-            crate::simd::set_force_scalar_override(Some(false));
             let mut narrow = CanonicalKmerCursor::new(k).unwrap();
-            crate::simd::set_force_scalar_override(None);
-            assert!(!generic.narrow && narrow.narrow, "gate must pick the paths, k={k}");
+            let mut generic = CanonicalKmerCursor { narrow: false, ..narrow.clone() };
+            assert!(narrow.narrow, "k={k} ≤ 32 must take the narrow path");
             for b in s.bases() {
                 generic.push(b);
                 narrow.push(b);

@@ -536,6 +536,35 @@ pub fn compress_bgzf(data: &[u8]) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// A real zlib level-9 member of 600 mixed FASTQ-alphabet bytes,
+    /// whose first block is dynamic-Huffman (type 2).
+    const DYNAMIC_MEMBER: [u8; 311] = [
+        0x1f, 0x8b, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0x1d, 0x92, 0xbb,
+        0x11, 0xc0, 0x30, 0x08, 0x43, 0x7b, 0x56, 0xd1, 0x12, 0x70, 0x2a, 0x38, 0xf5,
+        0xec, 0x3f, 0x4b, 0x9e, 0x93, 0x22, 0x17, 0x63, 0xd0, 0x8f, 0x68, 0x6b, 0x6c,
+        0xcd, 0x8d, 0xab, 0x7c, 0xe6, 0x74, 0x53, 0x1c, 0xb7, 0x6b, 0xdd, 0xeb, 0x93,
+        0x3d, 0x97, 0x52, 0xa2, 0xbe, 0x3d, 0x77, 0x94, 0xb6, 0x6b, 0xb5, 0xa1, 0x5b,
+        0xe2, 0xc6, 0x54, 0x3d, 0x9d, 0x2e, 0x4d, 0xb4, 0xce, 0x5c, 0xef, 0x55, 0xc5,
+        0xf4, 0xf4, 0x16, 0xf5, 0xba, 0xf5, 0xee, 0xdd, 0x64, 0xbb, 0x67, 0x4b, 0xda,
+        0x49, 0xf1, 0x18, 0x94, 0xf3, 0x65, 0x51, 0xe1, 0xf9, 0xdf, 0x57, 0xdb, 0xc0,
+        0xda, 0xe1, 0x69, 0x53, 0xeb, 0xec, 0x1c, 0x13, 0xed, 0xd6, 0xea, 0x74, 0x77,
+        0x75, 0x17, 0xcd, 0x23, 0x3d, 0x45, 0xf2, 0xc3, 0xe0, 0x22, 0x08, 0x40, 0x1d,
+        0x78, 0x25, 0x57, 0x0a, 0xd2, 0x9d, 0xcd, 0x22, 0x6b, 0x67, 0xbc, 0x8c, 0x4d,
+        0x1f, 0x33, 0xf8, 0x1b, 0xa5, 0xa8, 0x82, 0x4d, 0x13, 0x06, 0xa0, 0x9c, 0xbb,
+        0x1e, 0xf4, 0x3b, 0xba, 0x4e, 0x68, 0x04, 0x08, 0x1c, 0xf0, 0x89, 0x07, 0x2d,
+        0xda, 0xde, 0x90, 0x53, 0xf6, 0xb6, 0x9e, 0x2d, 0xa8, 0xc5, 0x64, 0xa6, 0x44,
+        0x2c, 0x47, 0x14, 0xd8, 0xfb, 0x3d, 0xc3, 0xe9, 0x67, 0x95, 0x97, 0x9b, 0x9b,
+        0x06, 0x57, 0xc4, 0x81, 0xdd, 0xa5, 0x7e, 0x8d, 0x0e, 0xd2, 0xd0, 0xf4, 0x0c,
+        0x11, 0x5f, 0x9e, 0xde, 0x3e, 0x4c, 0xa0, 0x7d, 0x96, 0x21, 0x24, 0x9a, 0x4a,
+        0x23, 0x71, 0x3b, 0x43, 0x28, 0x7a, 0xea, 0x09, 0x42, 0xe4, 0x46, 0xeb, 0x03,
+        0x66, 0x83, 0x35, 0x60, 0xf1, 0x21, 0xe0, 0x76, 0xea, 0x31, 0xcc, 0xec, 0xf3,
+        0xff, 0x80, 0x19, 0x37, 0x59, 0x92, 0x1d, 0xb1, 0x25, 0x6f, 0xf2, 0x49, 0x50,
+        0xd3, 0x4b, 0x5c, 0x48, 0x4b, 0xe3, 0x35, 0xcf, 0x1f, 0x24, 0xe1, 0x9e, 0x94,
+        0x8c, 0x48, 0xcc, 0x5a, 0x6f, 0x04, 0x35, 0xf9, 0x37, 0xa9, 0xfa, 0xed, 0x42,
+        0x8f, 0x90, 0xd6, 0xfb, 0x69, 0xb0, 0xc4, 0x5e, 0x86, 0x85, 0xb3, 0xe6, 0x13,
+        0x6a, 0x60, 0xff, 0x00, 0xeb, 0x13, 0xc6, 0xfe, 0x58, 0x02, 0x00, 0x00,
+    ];
+
     fn sample(n: usize) -> Vec<u8> {
         (0..n).map(|i| b"@r0\nACGTACGGATTACA\n+\nIIIIIIIIIIIIII\n"[i % 35]).collect()
     }
@@ -623,41 +652,67 @@ mod tests {
 
     #[test]
     fn dynamic_huffman_member_inflates() {
-        // A real zlib level-9 member of 600 mixed FASTQ-alphabet bytes,
-        // whose first block is dynamic-Huffman (type 2). A successful
-        // decompress proves the decoder byte-exact: the trailer CRC32 and
-        // ISIZE are verified against the inflated output.
-        let gz: [u8; 311] = [
-            0x1f, 0x8b, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0x1d, 0x92, 0xbb,
-            0x11, 0xc0, 0x30, 0x08, 0x43, 0x7b, 0x56, 0xd1, 0x12, 0x70, 0x2a, 0x38, 0xf5,
-            0xec, 0x3f, 0x4b, 0x9e, 0x93, 0x22, 0x17, 0x63, 0xd0, 0x8f, 0x68, 0x6b, 0x6c,
-            0xcd, 0x8d, 0xab, 0x7c, 0xe6, 0x74, 0x53, 0x1c, 0xb7, 0x6b, 0xdd, 0xeb, 0x93,
-            0x3d, 0x97, 0x52, 0xa2, 0xbe, 0x3d, 0x77, 0x94, 0xb6, 0x6b, 0xb5, 0xa1, 0x5b,
-            0xe2, 0xc6, 0x54, 0x3d, 0x9d, 0x2e, 0x4d, 0xb4, 0xce, 0x5c, 0xef, 0x55, 0xc5,
-            0xf4, 0xf4, 0x16, 0xf5, 0xba, 0xf5, 0xee, 0xdd, 0x64, 0xbb, 0x67, 0x4b, 0xda,
-            0x49, 0xf1, 0x18, 0x94, 0xf3, 0x65, 0x51, 0xe1, 0xf9, 0xdf, 0x57, 0xdb, 0xc0,
-            0xda, 0xe1, 0x69, 0x53, 0xeb, 0xec, 0x1c, 0x13, 0xed, 0xd6, 0xea, 0x74, 0x77,
-            0x75, 0x17, 0xcd, 0x23, 0x3d, 0x45, 0xf2, 0xc3, 0xe0, 0x22, 0x08, 0x40, 0x1d,
-            0x78, 0x25, 0x57, 0x0a, 0xd2, 0x9d, 0xcd, 0x22, 0x6b, 0x67, 0xbc, 0x8c, 0x4d,
-            0x1f, 0x33, 0xf8, 0x1b, 0xa5, 0xa8, 0x82, 0x4d, 0x13, 0x06, 0xa0, 0x9c, 0xbb,
-            0x1e, 0xf4, 0x3b, 0xba, 0x4e, 0x68, 0x04, 0x08, 0x1c, 0xf0, 0x89, 0x07, 0x2d,
-            0xda, 0xde, 0x90, 0x53, 0xf6, 0xb6, 0x9e, 0x2d, 0xa8, 0xc5, 0x64, 0xa6, 0x44,
-            0x2c, 0x47, 0x14, 0xd8, 0xfb, 0x3d, 0xc3, 0xe9, 0x67, 0x95, 0x97, 0x9b, 0x9b,
-            0x06, 0x57, 0xc4, 0x81, 0xdd, 0xa5, 0x7e, 0x8d, 0x0e, 0xd2, 0xd0, 0xf4, 0x0c,
-            0x11, 0x5f, 0x9e, 0xde, 0x3e, 0x4c, 0xa0, 0x7d, 0x96, 0x21, 0x24, 0x9a, 0x4a,
-            0x23, 0x71, 0x3b, 0x43, 0x28, 0x7a, 0xea, 0x09, 0x42, 0xe4, 0x46, 0xeb, 0x03,
-            0x66, 0x83, 0x35, 0x60, 0xf1, 0x21, 0xe0, 0x76, 0xea, 0x31, 0xcc, 0xec, 0xf3,
-            0xff, 0x80, 0x19, 0x37, 0x59, 0x92, 0x1d, 0xb1, 0x25, 0x6f, 0xf2, 0x49, 0x50,
-            0xd3, 0x4b, 0x5c, 0x48, 0x4b, 0xe3, 0x35, 0xcf, 0x1f, 0x24, 0xe1, 0x9e, 0x94,
-            0x8c, 0x48, 0xcc, 0x5a, 0x6f, 0x04, 0x35, 0xf9, 0x37, 0xa9, 0xfa, 0xed, 0x42,
-            0x8f, 0x90, 0xd6, 0xfb, 0x69, 0xb0, 0xc4, 0x5e, 0x86, 0x85, 0xb3, 0xe6, 0x13,
-            0x6a, 0x60, 0xff, 0x00, 0xeb, 0x13, 0xc6, 0xfe, 0x58, 0x02, 0x00, 0x00,
-        ];
+        // A successful decompress proves the decoder byte-exact: the
+        // trailer CRC32 and ISIZE are verified against the inflated output.
+        let gz = DYNAMIC_MEMBER;
         let out = decompress(&gz).unwrap();
         assert_eq!(out.len(), 600);
         assert!(out.starts_with(b"+G\nACC+ATAC\n"));
         // Boundary discovery must also work without a BGZF subfield
         // (inflate-to-find-end fallback).
         assert_eq!(member_ranges(&gz).unwrap(), vec![0..gz.len()]);
+    }
+
+    /// Both ways a stream is read: whole, and split into members first
+    /// (the member-parallel ingest's path).
+    fn both_readers(data: &[u8]) -> [Result<Vec<u8>, DnaError>; 2] {
+        let by_member = member_ranges(data).and_then(|ranges| {
+            let mut out = Vec::new();
+            for r in ranges {
+                decompress_member(&data[r], &mut out)?;
+            }
+            Ok(out)
+        });
+        [decompress(data), by_member]
+    }
+
+    /// Hostile bytes at the decoder: every truncation, and one flipped bit
+    /// per byte, of a dynamic-Huffman member and of a two-member BGZF
+    /// stream, through both readers. A flip yields an error or exactly
+    /// the original bytes; a truncation an error, or the plain bytes of
+    /// the whole members before the cut when it lands on a member
+    /// boundary (offset 0 included). Nothing panics.
+    #[test]
+    fn hostile_bytes_fail_cleanly() {
+        let (a, b) = (sample(500), sample(420));
+        let mut bgzf = compress_bgzf(&a);
+        let boundary = bgzf.len();
+        bgzf.extend_from_slice(&compress_bgzf(&b));
+        let dynamic = DYNAMIC_MEMBER.to_vec();
+        let want_dynamic = decompress(&dynamic).unwrap();
+        let mut want_bgzf = a.clone();
+        want_bgzf.extend_from_slice(&b);
+        let streams = [
+            ("dynamic", dynamic, want_dynamic, vec![(0, Vec::new())]),
+            ("bgzf", bgzf, want_bgzf, vec![(0, Vec::new()), (boundary, a)]),
+        ];
+        for (name, stream, want, prefixes) in &streams {
+            let [whole, by_member] = both_readers(stream);
+            assert_eq!(whole.unwrap(), *want, "{name}");
+            assert_eq!(by_member.unwrap(), *want, "{name}");
+            for cut in 0..stream.len() {
+                let prefix = prefixes.iter().find(|(at, _)| *at == cut).map(|(_, plain)| plain);
+                for got in both_readers(&stream[..cut]).into_iter().flatten() {
+                    assert_eq!(Some(&got), prefix, "{name} cut at {cut}");
+                }
+            }
+            for at in 0..stream.len() {
+                let mut flipped = stream.clone();
+                flipped[at] ^= 1 << (at % 8);
+                for got in both_readers(&flipped).into_iter().flatten() {
+                    assert_eq!(got, *want, "{name} bit {} of byte {at} flipped", at % 8);
+                }
+            }
+        }
     }
 }

@@ -4,9 +4,9 @@
 //! so record-boundary chunking can hand disjoint slices to workers
 //! without copying. [`InputBytes`] maps the file read-only via `mmap(2)`
 //! on 64-bit unix (falling back to an owned `std::fs::read` buffer on
-//! other platforms, for empty files, when the map syscall fails, or when
-//! `PARAHASH_FORCE_SCALAR` disables the vectorized input path), so the
-//! OS pages data in on demand instead of the reader copying it up front.
+//! other platforms, for empty files, or when the map syscall fails), so
+//! the OS pages data in on demand instead of the reader copying it up
+//! front.
 //!
 //! The `mmap` binding is declared locally against the C runtime that
 //! `std` already links — this workspace vendors no external crates.
@@ -40,12 +40,8 @@ impl InputBytes {
     pub fn open(path: impl AsRef<Path>) -> io::Result<InputBytes> {
         let path = path.as_ref();
         #[cfg(all(unix, target_pointer_width = "64"))]
-        {
-            if !crate::simd::force_scalar() {
-                if let Some(mapping) = Mapping::open(path)? {
-                    return Ok(InputBytes { data: Data::Mapped(mapping) });
-                }
-            }
+        if let Some(mapping) = Mapping::open(path)? {
+            return Ok(InputBytes { data: Data::Mapped(mapping) });
         }
         Ok(InputBytes { data: Data::Owned(std::fs::read(path)?) })
     }
@@ -184,19 +180,14 @@ mod tests {
     }
 
     #[test]
-    fn scalar_override_gates_the_mapping() {
-        let _guard = crate::simd::override_guard();
-        let contents = vec![7u8; 4096];
+    fn mapping_matches_the_read_fallback() {
+        let contents: Vec<u8> = (0..4096u32).map(|i| (i % 7) as u8).collect();
         let p = tmpfile("gate", &contents);
-        crate::simd::set_force_scalar_override(Some(true));
-        let scalar = InputBytes::open(&p).unwrap();
-        crate::simd::set_force_scalar_override(Some(false));
-        let vector = InputBytes::open(&p).unwrap();
-        crate::simd::set_force_scalar_override(None);
-        assert!(!scalar.is_mapped(), "forced-scalar runs must not map");
+        let mapped = InputBytes::open(&p).unwrap();
+        let owned = InputBytes::from_vec(std::fs::read(&p).unwrap());
         #[cfg(all(unix, target_pointer_width = "64"))]
-        assert!(vector.is_mapped(), "64-bit unix should map");
-        assert_eq!(scalar.as_bytes(), vector.as_bytes());
+        assert!(mapped.is_mapped(), "a non-empty file on 64-bit unix maps");
+        assert_eq!(mapped.as_bytes(), owned.as_bytes());
         std::fs::remove_file(&p).unwrap();
     }
 

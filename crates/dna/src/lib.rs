@@ -11,8 +11,7 @@
 //! * [`Kmer`] — a fixed-length (≤ [`MAX_K`]) multi-word k-mer with
 //!   reverse-complement, canonical form and neighbour operations.
 //! * [`SeqRead`] plus streaming FASTA/FASTQ parsers and writers.
-//! * [`simd`] — runtime-dispatched word-parallel packing kernels and the
-//!   `PARAHASH_FORCE_SCALAR` escape hatch gating every vector path.
+//! * [`simd`] — the word-parallel (SWAR) ASCII packing kernel.
 //! * [`gzip`] + [`InputBytes`] + [`FastqSliceReader`] — the
 //!   memory-mapped, record-chunked input layer behind parallel FASTQ
 //!   ingest.

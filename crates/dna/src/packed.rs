@@ -47,9 +47,8 @@ impl PackedSeq {
     /// Builds a sequence from ASCII characters; unknown characters
     /// normalise to `A` (see [`Base::from_ascii`]).
     ///
-    /// Packs a whole word (32 bases) per step through the runtime-
-    /// dispatched kernels in [`crate::simd`]; `PARAHASH_FORCE_SCALAR`
-    /// routes it back to the per-base reference loop.
+    /// Packs a whole word (32 bases) per step through the SWAR kernel in
+    /// [`crate::simd`].
     pub fn from_ascii(ascii: &[u8]) -> PackedSeq {
         let mut s = PackedSeq::new();
         s.extend_from_ascii(ascii);
@@ -208,15 +207,11 @@ impl PackedSeq {
             self.len
         );
         out.reserve(len.div_ceil(4));
-        if crate::simd::force_scalar() {
-            self.write_packed_range_scalar(start, len, out);
-            return;
-        }
         // Word-batched shift-and-merge: every start offset (aligned or
         // not) emits 8 output bytes (32 bases) per step by splicing two
         // adjacent words, and the sub-word tail is one masked word load
         // instead of a base-at-a-time loop. 32-base steps keep the byte
-        // stream aligned with the scalar path (bytes hold 4 bases each).
+        // stream aligned (bytes hold 4 bases each).
         let mut pos = start;
         let mut remaining = len;
         while remaining >= BASES_PER_WORD {
@@ -242,25 +237,6 @@ impl PackedSeq {
             chunk |= self.words.get(w + 1).copied().unwrap_or(0) << (64 - sh);
         }
         chunk
-    }
-
-    /// The scalar reference serializer behind
-    /// [`write_packed_range`](Self::write_packed_range): one output byte
-    /// (4 bases) per iteration.
-    fn write_packed_range_scalar(&self, start: usize, len: usize, out: &mut Vec<u8>) {
-        let mut produced = 0usize;
-        while produced < len {
-            let take = (len - produced).min(4);
-            let bit = 2 * (start + produced);
-            let (w, sh) = (bit / 64, (bit % 64) as u32);
-            let mut chunk = self.words[w] >> sh;
-            if sh > 56 && w + 1 < self.words.len() {
-                chunk |= self.words[w + 1] << (64 - sh);
-            }
-            let mask: u8 = if take == 4 { 0xFF } else { (1u8 << (2 * take)) - 1 };
-            out.push((chunk as u8) & mask);
-            produced += take;
-        }
     }
 }
 
@@ -511,6 +487,25 @@ mod tests {
         assert_eq!(got, reference(0, s.len()));
     }
 
+    /// The one-byte-per-step reference serializer (4 bases per
+    /// iteration) that the word-batched
+    /// [`write_packed_range`](PackedSeq::write_packed_range) must match.
+    fn write_packed_range_scalar(s: &PackedSeq, start: usize, len: usize, out: &mut Vec<u8>) {
+        let mut produced = 0usize;
+        while produced < len {
+            let take = (len - produced).min(4);
+            let bit = 2 * (start + produced);
+            let (w, sh) = (bit / 64, (bit % 64) as u32);
+            let mut chunk = s.words[w] >> sh;
+            if sh > 56 && w + 1 < s.words.len() {
+                chunk |= s.words[w + 1] << (64 - sh);
+            }
+            let mask: u8 = if take == 4 { 0xFF } else { (1u8 << (2 * take)) - 1 };
+            out.push((chunk as u8) & mask);
+            produced += take;
+        }
+    }
+
     #[test]
     fn write_packed_range_fast_path_matches_scalar() {
         // 150 bases: long ranges hit the 32-base word-batched path.
@@ -524,7 +519,7 @@ mod tests {
                 let mut fast = Vec::new();
                 s.write_packed_range(start, len, &mut fast);
                 let mut scalar = Vec::new();
-                s.write_packed_range_scalar(start, len, &mut scalar);
+                write_packed_range_scalar(&s, start, len, &mut scalar);
                 assert_eq!(fast, scalar, "start={start} len={len}");
             }
         }

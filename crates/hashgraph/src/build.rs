@@ -68,8 +68,7 @@ fn record_core<T: VertexTable + ?Sized>(table: &T, view: &SuperkmerView<'_>) -> 
 
 /// The Step-2 replay mode, consumed by [`ReplayPipeline`]: a
 /// word-parallel single-`u64` fast path for k ≤ 32, with the rolling
-/// cursor replay as the scalar reference for wide k (or when
-/// `PARAHASH_FORCE_SCALAR` is set).
+/// cursor replay for wide k.
 ///
 /// The narrow path mirrors `MinimizerCursor`'s p ≤ 32 trick on the
 /// *replay* side: the superkmer core is decoded 32 bases per 8-byte load
@@ -78,24 +77,19 @@ fn record_core<T: VertexTable + ?Sized>(table: &T, view: &SuperkmerView<'_>) -> 
 /// compare, and the table is fed through
 /// [`VertexTable::record_narrow_hashed`] — no `Kmer` is materialised per
 /// position. Output (graph bytes *and* contention counters) is identical
-/// to the cursor path: same canonical words, same hash, same probe walk.
-///
-/// Like every vectorized kernel in the workspace, the mode is captured at
-/// construction from [`dna::simd::force_scalar`], so a kernel built under
-/// `PARAHASH_FORCE_SCALAR=1` replays through the scalar cursor for its
-/// whole lifetime.
+/// to the cursor path: same canonical words, same hash, same probe walk
+/// (the unit tests clear the flag to replay the same records both ways).
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayKernel {
     k: usize,
-    /// Single-word fast path enabled (k ≤ 32 and not forced scalar).
+    /// Single-word fast path enabled (k ≤ 32).
     narrow: bool,
 }
 
 impl ReplayKernel {
-    /// Builds a kernel for k-mer length `k`, capturing the scalar
-    /// override at construction.
+    /// Builds a kernel for k-mer length `k`.
     pub fn new(k: usize) -> ReplayKernel {
-        ReplayKernel { k, narrow: (1..=32).contains(&k) && !dna::simd::force_scalar() }
+        ReplayKernel { k, narrow: (1..=32).contains(&k) }
     }
 }
 
@@ -559,14 +553,10 @@ mod tests {
         // The word-parallel kernel must match the cursor replay on graph
         // content *and* contention counters, for narrow k, the k = 32
         // boundary, and the k = 33 fallback; extension flags included.
-        let _guard = dna::simd::override_guard();
         for (k, p) in [(5, 3), (7, 4), (15, 11), (31, 11), (32, 11), (32, 32), (33, 11)] {
             let records = test_records(k, p);
             let slices = PartitionSlices::index(&records, k, p).unwrap();
-
-            dna::simd::set_force_scalar_override(Some(false));
             let kernel = ReplayKernel::new(k);
-            dna::simd::set_force_scalar_override(None);
             assert_eq!(kernel.narrow, k <= 32, "k={k}");
 
             let via_kernel = ConcurrentDbgTable::new(4096, k);
@@ -586,14 +576,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_scalar_kernel_takes_cursor_path() {
-        let _guard = dna::simd::override_guard();
-        dna::simd::set_force_scalar_override(Some(true));
-        let kernel = ReplayKernel::new(15);
-        dna::simd::set_force_scalar_override(None);
-        assert!(!kernel.narrow, "forced-scalar kernels must not use the word path");
-        // Captured at construction: the kernel stays scalar even after
-        // the override is lifted, and still produces the same graph.
+    fn cleared_fast_flag_takes_cursor_path() {
+        // A narrow-k kernel with its fast flag cleared replays through
+        // the cursor and produces the same graph as the cursor itself.
+        let kernel = ReplayKernel { narrow: false, ..ReplayKernel::new(15) };
         let records = test_records(15, 11);
         let slices = PartitionSlices::index(&records, 15, 11).unwrap();
         let scalar = ConcurrentDbgTable::new(4096, 15);
@@ -613,8 +599,6 @@ mod tests {
         // narrow k, the k = 32 boundary, and the k = 33 fallback. Many
         // short reads keep records tiny so the buffer crosses hundreds
         // of record boundaries per drain.
-        let _guard = dna::simd::override_guard();
-        dna::simd::set_force_scalar_override(Some(false));
         for (k, p) in [(5, 3), (15, 11), (31, 11), (32, 11), (33, 11)] {
             let records = test_records(k, p);
             let slices = PartitionSlices::index(&records, k, p).unwrap();
@@ -635,17 +619,13 @@ mod tests {
                 "k={k} p={p}"
             );
         }
-        dna::simd::set_force_scalar_override(None);
     }
 
     #[test]
     fn pipeline_surfaces_capacity_errors() {
         // A deferred record's CapacityExhausted must surface on the push
         // or flush that drains it, never be swallowed.
-        let _guard = dna::simd::override_guard();
-        dna::simd::set_force_scalar_override(Some(false));
         let kernel = ReplayKernel::new(7);
-        dna::simd::set_force_scalar_override(None);
         let records = test_records(7, 4);
         let slices = PartitionSlices::index(&records, 7, 4).unwrap();
         let tiny = ConcurrentDbgTable::new(2, 7);

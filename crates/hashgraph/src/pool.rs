@@ -192,45 +192,37 @@ mod tests {
     use crate::{VertexTable, SLOT_BYTES};
     use dna::{Kmer, PackedSeq};
 
-    // Every test runs with the vectorized kernels, then forced-scalar ones
-    // (no probe prefetch): a table captures the mode when it is built, so
-    // each pass makes its own pool.
-
     #[test]
     fn checkout_allocates_then_reuses() {
-        dna::simd::for_each_kernel_mode(|_| {
-            let pool = TablePool::new(7);
-            let a = pool.checkout(100);
-            assert_eq!(a.capacity(), 112);
-            drop(a);
-            let b = pool.checkout(97); // same class (112)
-            assert_eq!(b.capacity(), 112);
-            drop(b);
-            assert_eq!(pool.allocations(), 1);
-            assert_eq!(pool.reuses(), 1);
-            assert!(pool.shelved_bytes() > 0);
-        });
+        let pool = TablePool::new(7);
+        let a = pool.checkout(100);
+        assert_eq!(a.capacity(), 112);
+        drop(a);
+        let b = pool.checkout(97); // same class (112)
+        assert_eq!(b.capacity(), 112);
+        drop(b);
+        assert_eq!(pool.allocations(), 1);
+        assert_eq!(pool.reuses(), 1);
+        assert!(pool.shelved_bytes() > 0);
     }
 
     #[test]
     fn distinct_classes_get_distinct_tables() {
-        dna::simd::for_each_kernel_mode(|_| {
-            let pool = TablePool::new(7);
-            let small = pool.checkout(10);
-            let big = pool.checkout(5000);
-            assert_eq!(small.capacity(), 16);
-            assert_eq!(big.capacity(), 5120);
-            drop(small);
-            drop(big);
-            assert_eq!(pool.allocations(), 2);
-            // Each class reuses its own shelf.
-            let small2 = pool.checkout(16);
-            let big2 = pool.checkout(4097);
-            assert_eq!(small2.capacity(), 16);
-            assert_eq!(big2.capacity(), 5120);
-            assert_eq!(pool.allocations(), 2);
-            assert_eq!(pool.reuses(), 2);
-        });
+        let pool = TablePool::new(7);
+        let small = pool.checkout(10);
+        let big = pool.checkout(5000);
+        assert_eq!(small.capacity(), 16);
+        assert_eq!(big.capacity(), 5120);
+        drop(small);
+        drop(big);
+        assert_eq!(pool.allocations(), 2);
+        // Each class reuses its own shelf.
+        let small2 = pool.checkout(16);
+        let big2 = pool.checkout(4097);
+        assert_eq!(small2.capacity(), 16);
+        assert_eq!(big2.capacity(), 5120);
+        assert_eq!(pool.allocations(), 2);
+        assert_eq!(pool.reuses(), 2);
     }
 
     #[test]
@@ -248,82 +240,76 @@ mod tests {
     /// pool never holds more tables than the one checked out.
     #[test]
     fn a_miss_evicts_the_largest_shelved_class() {
-        dna::simd::for_each_kernel_mode(|_| {
-            let pool = TablePool::new(7);
-            for capacity in [8192, 4096, 2048] {
-                let table = pool.checkout(capacity);
-                assert_eq!(table.capacity(), capacity);
-                assert_eq!(pool.shelved_bytes(), 0, "the previous class was evicted");
-            }
-            assert_eq!(pool.allocations(), 3);
-            assert_eq!(pool.shelved_bytes(), 2048 * SLOT_BYTES, "only the last class stays");
-            // Two tenants at once: the second misses an empty shelf set
-            // and allocates; both come back, and a third class evicts the
-            // larger of them first.
-            let a = pool.checkout(2048);
-            let b = pool.checkout(1024);
-            drop((a, b));
-            assert_eq!(pool.shelved_bytes(), 3072 * SLOT_BYTES);
-            let c = pool.checkout(512);
-            assert_eq!(pool.shelved_bytes(), 1024 * SLOT_BYTES, "2048 went first");
-            drop(c);
-            assert_eq!(pool.allocations(), 5);
-        });
+        let pool = TablePool::new(7);
+        for capacity in [8192, 4096, 2048] {
+            let table = pool.checkout(capacity);
+            assert_eq!(table.capacity(), capacity);
+            assert_eq!(pool.shelved_bytes(), 0, "the previous class was evicted");
+        }
+        assert_eq!(pool.allocations(), 3);
+        assert_eq!(pool.shelved_bytes(), 2048 * SLOT_BYTES, "only the last class stays");
+        // Two tenants at once: the second misses an empty shelf set
+        // and allocates; both come back, and a third class evicts the
+        // larger of them first.
+        let a = pool.checkout(2048);
+        let b = pool.checkout(1024);
+        drop((a, b));
+        assert_eq!(pool.shelved_bytes(), 3072 * SLOT_BYTES);
+        let c = pool.checkout(512);
+        assert_eq!(pool.shelved_bytes(), 1024 * SLOT_BYTES, "2048 went first");
+        drop(c);
+        assert_eq!(pool.allocations(), 5);
     }
 
     #[test]
     fn reused_table_is_indistinguishable_from_fresh() {
-        dna::simd::for_each_kernel_mode(|_| {
-            let pool = TablePool::new(6);
-            let seq = PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAG");
-            {
-                let dirty = pool.checkout(64);
-                for kmer in seq.kmers(6) {
-                    dirty.record(&kmer.canonical().0, [Some(1), Some(6)]).unwrap();
-                }
-                assert!(dirty.distinct() > 0);
+        let pool = TablePool::new(6);
+        let seq = PackedSeq::from_ascii(b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAG");
+        {
+            let dirty = pool.checkout(64);
+            for kmer in seq.kmers(6) {
+                dirty.record(&kmer.canonical().0, [Some(1), Some(6)]).unwrap();
             }
-            let fresh = ConcurrentDbgTable::new(64, 6);
-            let reused = pool.checkout(64);
-            assert_eq!(pool.reuses(), 1);
-            assert_eq!(reused.distinct(), 0);
-            let other = PackedSeq::from_ascii(b"TTGACCAGTACGGATCACCGTATGCAATGCCGG");
-            for kmer in other.kmers(6) {
-                fresh.record(&kmer.canonical().0, [Some(2), None]).unwrap();
-                reused.record(&kmer.canonical().0, [Some(2), None]).unwrap();
-            }
-            let sort = |mut v: Vec<(Kmer, crate::VertexData)>| {
-                v.sort_by_key(|x| x.0);
-                v
-            };
-            assert_eq!(
-                sort(fresh.snapshot().into_entries()),
-                sort(reused.snapshot().into_entries())
-            );
-        });
+            assert!(dirty.distinct() > 0);
+        }
+        let fresh = ConcurrentDbgTable::new(64, 6);
+        let reused = pool.checkout(64);
+        assert_eq!(pool.reuses(), 1);
+        assert_eq!(reused.distinct(), 0);
+        let other = PackedSeq::from_ascii(b"TTGACCAGTACGGATCACCGTATGCAATGCCGG");
+        for kmer in other.kmers(6) {
+            fresh.record(&kmer.canonical().0, [Some(2), None]).unwrap();
+            reused.record(&kmer.canonical().0, [Some(2), None]).unwrap();
+        }
+        let sort = |mut v: Vec<(Kmer, crate::VertexData)>| {
+            v.sort_by_key(|x| x.0);
+            v
+        };
+        assert_eq!(
+            sort(fresh.snapshot().into_entries()),
+            sort(reused.snapshot().into_entries())
+        );
     }
 
     #[test]
     fn concurrent_checkouts_are_independent() {
-        dna::simd::for_each_kernel_mode(|_| {
-            let pool = TablePool::new(5);
-            std::thread::scope(|s| {
-                for t in 0..4 {
-                    let pool = &pool;
-                    s.spawn(move || {
-                        for _ in 0..20 {
-                            let table = pool.checkout(256);
-                            let kmer: Kmer = "ACGTA".parse().unwrap();
-                            table.record(&kmer.canonical().0, [Some(t as u8), None]).unwrap();
-                            assert_eq!(table.distinct(), 1);
-                        }
-                    });
-                }
-            });
-            // Never more live tables than threads.
-            assert!(pool.allocations() <= 4, "allocations {}", pool.allocations());
-            assert_eq!(pool.allocations() + pool.reuses(), 80);
+        let pool = TablePool::new(5);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let pool = &pool;
+                s.spawn(move || {
+                    for _ in 0..20 {
+                        let table = pool.checkout(256);
+                        let kmer: Kmer = "ACGTA".parse().unwrap();
+                        table.record(&kmer.canonical().0, [Some(t as u8), None]).unwrap();
+                        assert_eq!(table.distinct(), 1);
+                    }
+                });
+            }
         });
+        // Never more live tables than threads.
+        assert!(pool.allocations() <= 4, "allocations {}", pool.allocations());
+        assert_eq!(pool.allocations() + pool.reuses(), 80);
     }
 
     /// Eight threads hammer one capacity class. Each checkout writes a
@@ -334,72 +320,70 @@ mod tests {
     /// claimant published its slot without zeroing the counter line.
     #[test]
     fn stress_no_table_is_handed_out_twice_and_reset_is_complete() {
-        dna::simd::for_each_kernel_mode(|_| {
-            const THREADS: usize = 8;
-            const ROUNDS: usize = 50;
-            let pool = TablePool::new(9);
-            std::thread::scope(|s| {
-                for t in 0..THREADS {
-                    let pool = &pool;
-                    s.spawn(move || {
-                        // A thread-unique 9-mer alphabet: the base pattern is
-                        // salted with the thread id so overlapping tenancy
-                        // becomes visible as foreign entries.
-                        let salt = b"ACGT"[t % 4];
-                        let seq: Vec<u8> = (0..40)
-                            .map(|i| if i % 5 == t % 5 { salt } else { b"ACGT"[(i * 7 + t) % 4] })
-                            .collect();
-                        let packed = PackedSeq::from_ascii(&seq);
-                        let own: Vec<Kmer> =
-                            packed.kmers(9).map(|kmer| kmer.canonical().0).collect();
-                        for round in 0..ROUNDS {
-                            let table = pool.checkout(512);
-                            // Reset must leave no slot occupied.
-                            assert_eq!(
-                                table.distinct(),
-                                0,
-                                "thread {t} round {round}: stale entries survived reset"
-                            );
-                            let exts = [Some((t % 4) as u8), Some(((t + round) % 4) as u8)];
-                            for kmer in &own {
-                                table.record(kmer, exts).unwrap();
-                            }
-                            std::thread::yield_now();
-                            // Audit: exactly our own writes, nothing foreign,
-                            // and each vertex counted from zero — every tenant
-                            // of this class records every one of its k-mers
-                            // with two edge slots, so a line a claimant did
-                            // not zero would show a previous tenant's counts.
-                            let entries = table.snapshot().into_entries();
-                            for (kmer, data) in &entries {
-                                let times = own.iter().filter(|o| *o == kmer).count() as u64;
-                                let what = format!("thread {t} round {round}: {kmer}");
-                                assert_eq!(data.count as u64, times, "{what}");
-                                assert_eq!(data.total_edge_multiplicity(), 2 * times);
-                            }
-                            let mut got: Vec<Kmer> = entries.into_iter().map(|e| e.0).collect();
-                            got.sort_unstable();
-                            got.dedup();
-                            let mut want = own.clone();
-                            want.sort_unstable();
-                            want.dedup();
-                            assert_eq!(
-                                got, want,
-                                "thread {t} round {round}: table shared with another tenant"
-                            );
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 50;
+        let pool = TablePool::new(9);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let pool = &pool;
+                s.spawn(move || {
+                    // A thread-unique 9-mer alphabet: the base pattern is
+                    // salted with the thread id so overlapping tenancy
+                    // becomes visible as foreign entries.
+                    let salt = b"ACGT"[t % 4];
+                    let seq: Vec<u8> = (0..40)
+                        .map(|i| if i % 5 == t % 5 { salt } else { b"ACGT"[(i * 7 + t) % 4] })
+                        .collect();
+                    let packed = PackedSeq::from_ascii(&seq);
+                    let own: Vec<Kmer> =
+                        packed.kmers(9).map(|kmer| kmer.canonical().0).collect();
+                    for round in 0..ROUNDS {
+                        let table = pool.checkout(512);
+                        // Reset must leave no slot occupied.
+                        assert_eq!(
+                            table.distinct(),
+                            0,
+                            "thread {t} round {round}: stale entries survived reset"
+                        );
+                        let exts = [Some((t % 4) as u8), Some(((t + round) % 4) as u8)];
+                        for kmer in &own {
+                            table.record(kmer, exts).unwrap();
                         }
-                    });
-                }
-            });
-            // Every round either allocated or reused; the shelf never hands
-            // out more tables than there are concurrent tenants.
-            assert_eq!(pool.allocations() + pool.reuses(), (THREADS * ROUNDS) as u64);
-            assert!(
-                pool.allocations() <= THREADS as u64,
-                "more live tables than threads: {}",
-                pool.allocations()
-            );
+                        std::thread::yield_now();
+                        // Audit: exactly our own writes, nothing foreign,
+                        // and each vertex counted from zero — every tenant
+                        // of this class records every one of its k-mers
+                        // with two edge slots, so a line a claimant did
+                        // not zero would show a previous tenant's counts.
+                        let entries = table.snapshot().into_entries();
+                        for (kmer, data) in &entries {
+                            let times = own.iter().filter(|o| *o == kmer).count() as u64;
+                            let what = format!("thread {t} round {round}: {kmer}");
+                            assert_eq!(data.count as u64, times, "{what}");
+                            assert_eq!(data.total_edge_multiplicity(), 2 * times);
+                        }
+                        let mut got: Vec<Kmer> = entries.into_iter().map(|e| e.0).collect();
+                        got.sort_unstable();
+                        got.dedup();
+                        let mut want = own.clone();
+                        want.sort_unstable();
+                        want.dedup();
+                        assert_eq!(
+                            got, want,
+                            "thread {t} round {round}: table shared with another tenant"
+                        );
+                    }
+                });
+            }
         });
+        // Every round either allocated or reused; the shelf never hands
+        // out more tables than there are concurrent tenants.
+        assert_eq!(pool.allocations() + pool.reuses(), (THREADS * ROUNDS) as u64);
+        assert!(
+            pool.allocations() <= THREADS as u64,
+            "more live tables than threads: {}",
+            pool.allocations()
+        );
     }
 
     /// A reused table reports per-vertex data counted from zero, not just
@@ -409,29 +393,27 @@ mod tests {
     /// edge sets) byte-for-byte.
     #[test]
     fn reuse_counts_and_edges_from_zero() {
-        dna::simd::for_each_kernel_mode(|_| {
-            let pool = TablePool::new(7);
-            let seq = PackedSeq::from_ascii(b"ACGTACGTTGCAGGCATCAGGCATTAGACCA");
-            {
-                let dirty = pool.checkout(128);
-                // Saturate counts and set many edge bits.
-                for _ in 0..300 {
-                    for kmer in seq.kmers(7) {
-                        dirty.record(&kmer.canonical().0, [Some(0), Some(3)]).unwrap();
-                    }
+        let pool = TablePool::new(7);
+        let seq = PackedSeq::from_ascii(b"ACGTACGTTGCAGGCATCAGGCATTAGACCA");
+        {
+            let dirty = pool.checkout(128);
+            // Saturate counts and set many edge bits.
+            for _ in 0..300 {
+                for kmer in seq.kmers(7) {
+                    dirty.record(&kmer.canonical().0, [Some(0), Some(3)]).unwrap();
                 }
             }
-            let reused = pool.checkout(128);
-            assert_eq!(pool.reuses(), 1);
-            let kmer: Kmer = "ACGTACG".parse().unwrap();
-            reused.record(&kmer.canonical().0, [None, Some(2)]).unwrap();
-            let fresh = ConcurrentDbgTable::new(128, 7);
-            fresh.record(&kmer.canonical().0, [None, Some(2)]).unwrap();
-            assert_eq!(
-                reused.snapshot().into_entries(),
-                fresh.snapshot().into_entries(),
-                "vertex payload after reuse must match a fresh table exactly"
-            );
-        });
+        }
+        let reused = pool.checkout(128);
+        assert_eq!(pool.reuses(), 1);
+        let kmer: Kmer = "ACGTACG".parse().unwrap();
+        reused.record(&kmer.canonical().0, [None, Some(2)]).unwrap();
+        let fresh = ConcurrentDbgTable::new(128, 7);
+        fresh.record(&kmer.canonical().0, [None, Some(2)]).unwrap();
+        assert_eq!(
+            reused.snapshot().into_entries(),
+            fresh.snapshot().into_entries(),
+            "vertex payload after reuse must match a fresh table exactly"
+        );
     }
 }

@@ -167,8 +167,7 @@ unsafe impl Sync for KeyCell {}
 /// one unpadded [`SlotCounters`] cell, and the record path
 /// issues software prefetches for the home slot's key and counter lines
 /// the moment the slot index is known — the probe's dependent loads then
-/// mostly hit L1. `PARAHASH_FORCE_SCALAR` disables the prefetch hints
-/// along with every other vectorized path.
+/// mostly hit L1.
 ///
 /// Capacity is fixed at construction (sized via Property 1 — see
 /// [`crate::table_capacity_for`]); exceeding it returns
@@ -201,11 +200,6 @@ pub struct ConcurrentDbgTable {
     keys: Box<[KeyCell]>,
     /// One counter cell per slot (count + 8 edge counters).
     counters: Box<[SlotCounters]>,
-    /// Issue software prefetches for the home slot's key and counter
-    /// lines as soon as the slot index is known. Captured at construction
-    /// from the scalar escape hatch so forced-scalar runs exercise the
-    /// plain load path.
-    prefetch: bool,
     stats: Counters,
 }
 
@@ -252,7 +246,6 @@ impl ConcurrentDbgTable {
             states: (0..capacity).map(|_| AtomicU16::new(EMPTY)).collect(),
             keys: (0..capacity).map(|_| KeyCell(UnsafeCell::new([0; 4]))).collect(),
             counters: (0..capacity).map(|_| SlotCounters::new()).collect(),
-            prefetch: !dna::simd::force_scalar(),
             stats: Counters::default(),
         }
     }
@@ -337,14 +330,12 @@ impl ConcurrentDbgTable {
         // Multiply-shift range reduction: maps the full 64-bit hash onto
         // [0, capacity) with one widening multiply — no division.
         let mut slot = ((hash as u128 * self.capacity as u128) >> 64) as usize;
-        if self.prefetch {
-            // Pull the home slot's key and counter lines toward the core
-            // while the state-word load below is still in flight — on a
-            // hit (the common, update-heavy case) both are needed within
-            // a few instructions.
-            prefetch(&self.keys[slot]);
-            prefetch(&self.counters[slot]);
-        }
+        // Pull the home slot's key and counter lines toward the core
+        // while the state-word load below is still in flight — on a hit
+        // (the common, update-heavy case) both are needed within a few
+        // instructions.
+        prefetch(&self.keys[slot]);
+        prefetch(&self.counters[slot]);
         // 8-bit fingerprint from the hash's low byte (the reduction above
         // consumes mostly high bits, keeping tag and slot independent).
         let tag = ((hash & 0xFF) as u16) << 8;
@@ -514,12 +505,10 @@ impl VertexTable for ConcurrentDbgTable {
     /// so the (random-access) table lines arrive while the rolling scan
     /// is still chewing through the next few bases.
     fn prefetch_narrow(&self, hash: u64) {
-        if self.prefetch {
-            let slot = ((hash as u128 * self.capacity as u128) >> 64) as usize;
-            prefetch(&self.states[slot]);
-            prefetch(&self.keys[slot]);
-            prefetch(&self.counters[slot]);
-        }
+        let slot = ((hash as u128 * self.capacity as u128) >> 64) as usize;
+        prefetch(&self.states[slot]);
+        prefetch(&self.keys[slot]);
+        prefetch(&self.counters[slot]);
     }
 
     /// The narrow fast path: the caller hashed the single-word key array
@@ -806,7 +795,7 @@ mod tests {
     /// fill a table densely with partition A — every occupied line holds
     /// counts well above anything B will reach — `reset`, replay a
     /// different partition B through the production pipeline with 1, 2
-    /// and 8 threads, vectorized and forced-scalar, and demand a fresh
+    /// and 8 threads, and demand a fresh
     /// table's result: same entries, same insertions and updates (the
     /// interleaving-free counters), and on one thread — where the probe
     /// walk is deterministic — the same snapshot order and the same
@@ -842,34 +831,32 @@ mod tests {
             entries.sort_unstable_by_key(|entry| entry.0);
             entries
         };
-        dna::simd::for_each_kernel_mode(|scalar| {
-            for threads in [1, 2, 8] {
-                // 40 × 136 k-mers, nearly all distinct, in 8 192 slots.
-                let mut recycled = ConcurrentDbgTable::new(8192, K);
-                replay(&recycled, &a, 2);
-                assert!(recycled.distinct() > 8192 * 6 / 10, "A must leave most lines dirty");
-                assert!(recycled.snapshot().entries().iter().all(|(_, d)| d.count >= 9));
-                recycled.reset();
-                assert_eq!(recycled.distinct(), 0);
-                let fresh = ConcurrentDbgTable::new(8192, K);
-                replay(&recycled, &b, threads);
-                replay(&fresh, &b, threads);
-                let (got, got_stats) = recycled.snapshot_with_contention();
-                let (want, want_stats) = fresh.snapshot_with_contention();
-                let what = format!("scalar={scalar} threads={threads}");
-                assert_eq!(got_stats, recycled.contention(), "{what}");
-                assert_eq!(
-                    (got_stats.insertions, got_stats.updates),
-                    (want_stats.insertions, want_stats.updates),
-                    "{what}"
-                );
-                if threads == 1 {
-                    assert_eq!((&got, got_stats), (&want, want_stats), "{what}");
-                }
-                assert!(want.entries().iter().all(|(_, d)| d.count < 9), "B stays below A's counts");
-                assert_eq!(sorted(got), sorted(want), "{what}");
+        for threads in [1, 2, 8] {
+            // 40 × 136 k-mers, nearly all distinct, in 8 192 slots.
+            let mut recycled = ConcurrentDbgTable::new(8192, K);
+            replay(&recycled, &a, 2);
+            assert!(recycled.distinct() > 8192 * 6 / 10, "A must leave most lines dirty");
+            assert!(recycled.snapshot().entries().iter().all(|(_, d)| d.count >= 9));
+            recycled.reset();
+            assert_eq!(recycled.distinct(), 0);
+            let fresh = ConcurrentDbgTable::new(8192, K);
+            replay(&recycled, &b, threads);
+            replay(&fresh, &b, threads);
+            let (got, got_stats) = recycled.snapshot_with_contention();
+            let (want, want_stats) = fresh.snapshot_with_contention();
+            let what = format!("threads={threads}");
+            assert_eq!(got_stats, recycled.contention(), "{what}");
+            assert_eq!(
+                (got_stats.insertions, got_stats.updates),
+                (want_stats.insertions, want_stats.updates),
+                "{what}"
+            );
+            if threads == 1 {
+                assert_eq!((&got, got_stats), (&want, want_stats), "{what}");
             }
-        });
+            assert!(want.entries().iter().all(|(_, d)| d.count < 9), "B stays below A's counts");
+            assert_eq!(sorted(got), sorted(want), "{what}");
+        }
     }
 
     #[test]
@@ -896,22 +883,5 @@ mod tests {
     fn slot_costs_seventy_unpadded_bytes() {
         assert_eq!(std::mem::size_of::<SlotCounters>(), 36);
         assert_eq!(SLOT_BYTES, 70);
-    }
-
-    #[test]
-    fn scalar_override_disables_prefetch() {
-        let _guard = dna::simd::override_guard();
-        dna::simd::set_force_scalar_override(Some(true));
-        let scalar = ConcurrentDbgTable::new(16, 5);
-        dna::simd::set_force_scalar_override(Some(false));
-        let vector = ConcurrentDbgTable::new(16, 5);
-        dna::simd::set_force_scalar_override(None);
-        assert!(!scalar.prefetch && vector.prefetch);
-        // Either way the table behaves identically.
-        for t in [&scalar, &vector] {
-            let v = canon("ACGTA");
-            t.record(&v, [Some(1), None]).unwrap();
-            assert_eq!(t.snapshot().entries()[0].1.edges[1], 1);
-        }
     }
 }

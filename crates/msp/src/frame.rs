@@ -21,8 +21,10 @@
 //!
 //! The checksum is CRC-32/ISO-HDLC (the zlib/PNG polynomial), computed by
 //! the workspace's one table-driven routine, [`pipeline::crc`] (slicing-by-8,
-//! with the byte-at-a-time loop as its tail handler and
-//! `PARAHASH_FORCE_SCALAR` twin).
+//! with the byte-at-a-time loop as its tail handler), re-exported here as
+//! [`crc32`].
+
+pub use pipeline::crc::crc32;
 
 use crate::{MspError, Result};
 
@@ -33,25 +35,6 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// enough that framing overhead is ~0.01%, small enough that a corrupt
 /// frame localises the damage.
 pub const DEFAULT_FRAME_TARGET: usize = 64 << 10;
-
-/// CRC-32/ISO-HDLC of `bytes` (polynomial `0xEDB88320`, init/final
-/// complement) — the same variant zlib and PNG use. The tables and both
-/// loops are [`pipeline::crc`]'s: eight bytes per step (slicing-by-8), or
-/// one byte per step under `PARAHASH_FORCE_SCALAR`.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(msp::crc32(b""), 0);
-/// assert_eq!(msp::crc32(b"123456789"), 0xCBF4_3926); // the standard check value
-/// ```
-pub fn crc32(bytes: &[u8]) -> u32 {
-    if dna::simd::force_scalar() {
-        pipeline::crc::crc32_bytewise(bytes)
-    } else {
-        pipeline::crc::crc32(bytes)
-    }
-}
 
 /// Writes one frame (header + payload) to `out` — the one place the
 /// `len | crc32 | payload` layout is spelled, for memory buffers
@@ -243,38 +226,6 @@ pub fn deframe_in(bytes: &[u8], partition: Option<usize>) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The known vectors, then sliced == byte-wise for every length
-    /// 0..=96 at every start offset 0..8 of a pseudo-random buffer (so
-    /// every head alignment and tail length meets the 8-byte loop), with
-    /// the scalar escape hatch both off and on.
-    #[test]
-    fn crc32_sliced_matches_bytewise_and_known_vectors() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let buf: Vec<u8> = (0..104)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 32) as u8
-            })
-            .collect();
-        dna::simd::for_each_kernel_mode(|force| {
-            assert_eq!(crc32(b""), 0);
-            assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-            assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-            for start in 0..8 {
-                for len in 0..=96 {
-                    let bytes = &buf[start..start + len];
-                    assert_eq!(
-                        crc32(bytes),
-                        pipeline::crc::crc32_bytewise(bytes),
-                        "force_scalar={force} start={start} len={len}"
-                    );
-                }
-            }
-        });
-    }
 
     #[test]
     fn roundtrip_multiple_frames() {

@@ -11,9 +11,8 @@ use crate::{MspError, Result};
 /// This is the O(K·P) brute force the paper describes, and the
 /// *definition* both scan paths are tested against; the sliding-window
 /// [`MinimizerCursor`] produces identical results in O(L) per read and is
-/// what the system uses. It also serves the `p > 32` /
-/// `PARAHASH_FORCE_SCALAR` path of the out-of-core record router
-/// ([`split_framed`](crate::split_framed)).
+/// what the system uses. It also serves the `p > 32` path of the
+/// out-of-core record router ([`split_framed`](crate::split_framed)).
 ///
 /// # Examples
 ///
@@ -170,7 +169,7 @@ impl MinimizerCursor {
             // At most `window + 1` entries are live between the push of a
             // new p-mer and the expiry pop that follows it.
             deque: VecDeque::with_capacity(window + 2),
-            fast: p <= 32 && !dna::simd::force_scalar(),
+            fast: p <= 32,
             ring64: vec![0; window],
         })
     }
@@ -472,7 +471,6 @@ mod tests {
 
     #[test]
     fn fast_and_generic_paths_match_the_definition() {
-        let _guard = dna::simd::override_guard();
         // Deterministic xorshift corpus: varied lengths straddling word
         // boundaries plus low-complexity tails.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -496,12 +494,10 @@ mod tests {
             .flat_map(|&len| [read_of(len, 0), read_of(len, len / 3)])
             .collect();
         for (k, p) in [(5, 1), (7, 7), (15, 7), (31, 16), (33, 32), (64, 32), (45, 13)] {
-            dna::simd::set_force_scalar_override(Some(true));
-            let mut generic = MinimizerCursor::new(k, p).unwrap();
-            dna::simd::set_force_scalar_override(Some(false));
             let mut fast = MinimizerCursor::new(k, p).unwrap();
-            dna::simd::set_force_scalar_override(None);
-            assert!(!generic.fast && fast.fast, "construction must capture the mode");
+            let mut generic = MinimizerCursor::new(k, p).unwrap();
+            generic.fast = false;
+            assert!(fast.fast, "p={p} ≤ 32 must take the single-word path");
             for r in &reads {
                 let read = seq(r);
                 let want = runs_by_definition(&read, k, p);

@@ -11,9 +11,8 @@ use crate::{MspError, Result};
 /// Gzip inputs are detected by magic number. Multi-member streams (BGZF
 /// and plain concatenated gzip, the common layout for big sequencing
 /// runs) are inflated member-parallel across the machine's cores;
-/// single-member streams inflate sequentially. `PARAHASH_FORCE_SCALAR`
-/// forces the sequential inflate path along with every other scalar
-/// fallback.
+/// single-member streams (and any stream on a one-core machine) inflate
+/// sequentially.
 ///
 /// # Examples
 ///
@@ -87,9 +86,19 @@ impl FastqChunks {
 fn decompress_parallel(data: &[u8]) -> std::result::Result<Vec<u8>, dna::DnaError> {
     let members = dna::gzip::member_ranges(data)?;
     let threads = std::thread::available_parallelism().map_or(1, usize::from).min(members.len());
-    if threads <= 1 || dna::simd::force_scalar() {
+    if threads <= 1 {
         return dna::gzip::decompress(data);
     }
+    inflate_members(data, &members, threads)
+}
+
+/// Inflates `members` of `data` on `threads` scoped threads, concatenating
+/// the parts in member order.
+fn inflate_members(
+    data: &[u8],
+    members: &[Range<usize>],
+    threads: usize,
+) -> std::result::Result<Vec<u8>, dna::DnaError> {
     let per_thread = members.len().div_ceil(threads);
     let parts: Vec<std::result::Result<Vec<u8>, dna::DnaError>> = std::thread::scope(|s| {
         let handles: Vec<_> = members
@@ -176,6 +185,20 @@ mod tests {
             1500
         );
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn member_parallel_inflate_matches_sequential() {
+        let text = fastq_text(1500);
+        let gz = dna::gzip::compress_bgzf(text.as_bytes());
+        let members = dna::gzip::member_ranges(&gz).unwrap();
+        assert!(members.len() >= 2);
+        let sequential = dna::gzip::decompress(&gz).unwrap();
+        assert_eq!(sequential, text.as_bytes());
+        for threads in [2, 3] {
+            let parallel = inflate_members(&gz, &members, threads).unwrap();
+            assert_eq!(parallel, sequential, "threads={threads}");
+        }
     }
 
     #[test]

@@ -84,9 +84,8 @@ fn route_hash(mut x: u64, fanout: usize) -> usize {
 /// (records do not store it), which is valid because a superkmer's minimizer is by construction the
 /// canonical minimizer of each of its k-mers, the first included. For
 /// `p ≤ 32` that is one rolling pass over the record's first `k` packed
-/// codes (two `u64`s, no `Kmer` built); `p > 32` and
-/// `PARAHASH_FORCE_SCALAR` take the brute-force [`minimizer_of_kmer`],
-/// which routes every record identically.
+/// codes (two `u64`s, no `Kmer` built); `p > 32` takes the brute-force
+/// [`minimizer_of_kmer`], which routes every record identically.
 ///
 /// # Errors
 ///
@@ -99,11 +98,24 @@ pub fn split_framed(
     fanout: usize,
     partition: usize,
 ) -> Result<Vec<SubPartition>> {
+    split_framed_routed(bytes, k, p, fanout, partition, p <= 32)
+}
+
+/// [`split_framed`] with the router chosen by the caller: the rolling
+/// pass (`p ≤ 32` only) or the brute-force [`minimizer_of_kmer`].
+fn split_framed_routed(
+    bytes: &[u8],
+    k: usize,
+    p: usize,
+    fanout: usize,
+    partition: usize,
+    rolling: bool,
+) -> Result<Vec<SubPartition>> {
     assert!(fanout > 0, "sub-partition fanout must be at least 1");
     if p < 1 || p > k || k > dna::MAX_K {
         return Err(MspError::InvalidParams { k, p });
     }
-    let rolling = p <= 32 && !dna::simd::force_scalar();
+    debug_assert!(!rolling || p <= 32, "the rolling router needs p <= 32");
     let mut subs = vec![SubPartition::default(); fanout];
     // Pending whole-record buffers, flushed into frames at the same
     // threshold the Step-1 writer uses so sub-partition files look like
@@ -272,11 +284,9 @@ mod tests {
     }
 
     /// The rolling router against the brute-force reference, on random
-    /// records, and `split_framed` itself under both settings of the
-    /// scalar escape hatch.
+    /// records, and `split_framed` itself through both routers.
     #[test]
     fn rolling_route_matches_brute_force() {
-        let _guard = dna::simd::override_guard();
         for k in [15usize, 27, 31, 32] {
             for p in [1usize, 7, 11, 32] {
                 if p > k {
@@ -303,11 +313,8 @@ mod tests {
                         assert_eq!(got, *want, "k={k} p={p}");
                     }
                 }
-                dna::simd::set_force_scalar_override(Some(true));
-                let scalar = split_framed(&framed, k, p, 5, 0).unwrap();
-                dna::simd::set_force_scalar_override(Some(false));
+                let scalar = split_framed_routed(&framed, k, p, 5, 0, false).unwrap();
                 let rolled = split_framed(&framed, k, p, 5, 0).unwrap();
-                dna::simd::set_force_scalar_override(None);
                 for (a, b) in scalar.iter().zip(&rolled) {
                     assert_eq!(a.bytes, b.bytes, "k={k} p={p}");
                     assert_eq!((a.superkmers, a.kmers), (b.superkmers, b.kmers), "k={k} p={p}");

@@ -115,16 +115,20 @@ impl Fingerprint {
     }
 
     /// Digest of a streamed input file the run never holds in memory:
-    /// the path string plus the file length. Deliberately cheap — a
-    /// streamed input is exactly the input too big to re-read for a
-    /// checksum — so this catches "pointed the resume at a different
-    /// file", not in-place edits that preserve the length.
+    /// the canonical path (absolute, symlinks and `.`/`..` resolved) plus
+    /// the file length. Deliberately cheap — a streamed input is exactly
+    /// the input too big to re-read for a checksum — so this catches
+    /// "pointed the resume at a different file", not in-place edits that
+    /// preserve the length. The same file named another way (relative,
+    /// through `./`, from another working directory) digests the same.
     ///
     /// # Errors
     ///
-    /// Propagates the `metadata` failure when the file is unreadable.
+    /// Propagates the `canonicalize` or `metadata` failure when the file
+    /// is missing or unreadable.
     pub fn digest_path(path: &Path) -> std::io::Result<u64> {
-        let len = std::fs::metadata(path)?.len();
+        let path = std::fs::canonicalize(path)?;
+        let len = std::fs::metadata(&path)?.len();
         let mut h = Fnv::new();
         h.update(path.to_string_lossy().as_bytes());
         h.sep();

@@ -235,8 +235,7 @@ pub(crate) struct PartitionBuilder<'a> {
     /// capacity classes.
     pub(crate) pool: TablePool,
     /// The replay dispatcher: word-parallel single-`u64` fast path for
-    /// k ≤ 32, scalar cursor otherwise (and under
-    /// `PARAHASH_FORCE_SCALAR`, captured at construction).
+    /// k ≤ 32, the rolling cursor otherwise.
     kernel: ReplayKernel,
 }
 

@@ -562,15 +562,13 @@ mod tests {
 
     /// Five good records (lines 1–20), then a line that is no header: the
     /// error names line 21 of the *file* — not of the 64-byte chunk or the
-    /// worker slice that met it — whichever roster or kernels parse it.
+    /// worker slice that met it — whichever roster parses it.
     #[test]
     fn streaming_malformed_fastq_is_rejected() {
         let path = std::env::temp_dir().join(format!("parahash-streambad-{}.fastq", std::process::id()));
         let good = "@ok\nACGTACGTACGT\n+\nIIIIIIIIIIII\n".repeat(5);
         std::fs::write(&path, good + "not-a-header\nACGT\n+\nIIII\n").unwrap();
-        let _guard = dna::simd::override_guard();
-        for (gpu, scalar) in [(false, false), (true, false), (false, true), (true, true)] {
-            dna::simd::set_force_scalar_override(Some(scalar));
+        for gpu in [false, true] {
             let builder = ParaHashConfig::builder()
                 .k(9)
                 .p(5)
@@ -587,11 +585,10 @@ mod tests {
             let err = ph.run_fastq_streaming(&path).unwrap_err().to_string();
             assert!(
                 err.contains("bad fastq input") && err.contains("at line 21:"),
-                "gpu={gpu} scalar={scalar}: {err}"
+                "gpu={gpu}: {err}"
             );
             std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
         }
-        dna::simd::set_force_scalar_override(None);
         std::fs::remove_file(&path).unwrap();
     }
 

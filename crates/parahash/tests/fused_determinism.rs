@@ -1,9 +1,9 @@
 //! The fused Step-1→Step-2 pipeline's own scenarios: it preserves the
 //! two-phase quarantine semantics when a spilled partition file is
-//! corrupted mid-run (on either kernel mode), and its Step 2 gives the
-//! faster device more partitions. (Fused ≡ two-phase byte for byte
-//! across rosters, thread counts, budgets and kernel modes is a set of
-//! rows of the root `tests/determinism.rs`.)
+//! corrupted mid-run, and its Step 2 gives the faster device more
+//! partitions. (Fused ≡ two-phase byte for byte across rosters, thread
+//! counts and budgets is a set of rows of the root
+//! `tests/determinism.rs`.)
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -83,52 +83,48 @@ fn corrupt_first_spill_read(io: &ThrottledIo) -> std::sync::Arc<Mutex<Option<Pat
 #[test]
 fn fused_quarantines_corrupted_spill_in_non_strict_mode() {
     let reads = corpus();
-    dna::simd::for_each_kernel_mode(|_| {
-        let cfg = config("parahash-fused-quarantine", false);
-        let ph = ParaHash::new(cfg).unwrap();
-        let io = ThrottledIo::new(IoMode::Unthrottled);
-        let victim = corrupt_first_spill_read(&io);
+    let cfg = config("parahash-fused-quarantine", false);
+    let ph = ParaHash::new(cfg).unwrap();
+    let io = ThrottledIo::new(IoMode::Unthrottled);
+    let victim = corrupt_first_spill_read(&io);
 
-        let fused = ph.run_fused_with_io(&reads, &io).unwrap();
-        let victim = victim.lock().unwrap().clone().expect("a spill file must have been read");
-        assert_eq!(fused.report.step2.quarantined.len(), 1, "exactly one partition set aside");
-        let q = &fused.report.step2.quarantined[0];
-        assert!(q.reason.contains("checksum mismatch"), "{}", q.reason);
-        assert_eq!(
-            victim.file_name().and_then(|n| n.to_str()).unwrap(),
-            format!("part-{:05}.skm", q.index),
-            "quarantined index must match the corrupted file"
-        );
+    let fused = ph.run_fused_with_io(&reads, &io).unwrap();
+    let victim = victim.lock().unwrap().clone().expect("a spill file must have been read");
+    assert_eq!(fused.report.step2.quarantined.len(), 1, "exactly one partition set aside");
+    let q = &fused.report.step2.quarantined[0];
+    assert!(q.reason.contains("checksum mismatch"), "{}", q.reason);
+    assert_eq!(
+        victim.file_name().and_then(|n| n.to_str()).unwrap(),
+        format!("part-{:05}.skm", q.index),
+        "quarantined index must match the corrupted file"
+    );
 
-        // The graph is missing exactly the victim's k-mers, and the fused
-        // driver journaled the quarantine.
-        let state = RunJournal::replay(ph.config().work_dir()).unwrap();
-        assert_eq!(state.quarantined, vec![(q.index, q.reason.clone())]);
-        let manifest = ph.config().work_dir().join("superkmers");
-        let manifest = msp::PartitionManifest::load(manifest).unwrap();
-        assert_eq!(
-            fused.graph.total_kmer_occurrences(),
-            manifest.total_kmers() - manifest.stats()[q.index].kmers
-        );
-        assert!(fused.report.summary().contains("QUARANTINED"));
-        std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
-    });
+    // The graph is missing exactly the victim's k-mers, and the fused
+    // driver journaled the quarantine.
+    let state = RunJournal::replay(ph.config().work_dir()).unwrap();
+    assert_eq!(state.quarantined, vec![(q.index, q.reason.clone())]);
+    let manifest = ph.config().work_dir().join("superkmers");
+    let manifest = msp::PartitionManifest::load(manifest).unwrap();
+    assert_eq!(
+        fused.graph.total_kmer_occurrences(),
+        manifest.total_kmers() - manifest.stats()[q.index].kmers
+    );
+    assert!(fused.report.summary().contains("QUARANTINED"));
+    std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
 }
 
 #[test]
 fn fused_strict_mode_aborts_on_corrupted_spill() {
     let reads = corpus();
-    dna::simd::for_each_kernel_mode(|_| {
-        let cfg = config("parahash-fused-strictspill", true);
-        let ph = ParaHash::new(cfg).unwrap();
-        let io = ThrottledIo::new(IoMode::Unthrottled);
-        let victim = corrupt_first_spill_read(&io);
+    let cfg = config("parahash-fused-strictspill", true);
+    let ph = ParaHash::new(cfg).unwrap();
+    let io = ThrottledIo::new(IoMode::Unthrottled);
+    let victim = corrupt_first_spill_read(&io);
 
-        let result = ph.run_fused_with_io(&reads, &io);
-        assert!(result.is_err(), "strict mode must surface spill corruption as an error");
-        assert!(victim.lock().unwrap().is_some(), "the fault must actually have fired");
-        let _ = std::fs::remove_dir_all(ph.config().work_dir());
-    });
+    let result = ph.run_fused_with_io(&reads, &io);
+    assert!(result.is_err(), "strict mode must surface spill corruption as an error");
+    assert!(victim.lock().unwrap().is_some(), "the fault must actually have fired");
+    let _ = std::fs::remove_dir_all(ph.config().work_dir());
 }
 
 #[test]

@@ -1,17 +1,16 @@
-//! SIMD/scalar equivalence at the system level: every vectorized kernel
-//! (word-parallel packing, single-word minimizer scan, prefetched table
-//! probes, chunked parallel FASTQ ingest) must leave the final graph
-//! **byte-identical** to the forced-scalar fallbacks, across thread
-//! counts and input framings (plain, gzip, BGZF). The acceptance gate of
-//! the SIMD work: `PARAHASH_FORCE_SCALAR=1` is a pure performance knob.
+//! The word-parallel kernels at the system level: every fast path
+//! (word-parallel packing, single-word minimizer scan and replay,
+//! prefetched table probes, chunked parallel FASTQ ingest) must leave the
+//! final graph equal to `baselines::reference_graph`, which uses none of
+//! them (it walks `PackedSeq::kmers` and `Kmer::canonical`), across the
+//! k/p word boundaries, thread counts and input framings (plain, gzip,
+//! BGZF). Each kernel's fast path meets its scalar twin in that kernel's
+//! own unit tests.
 //!
-//! The flag selects kernels *below* the ingest — scalar packer,
-//! monotone-deque scan, `read` instead of `mmap`, single-threaded inflate
-//! — never a second FASTQ reader: `fastq_ingest_matches_the_streaming_parser`
-//! holds every roster (CPU × 1/2/4, CPU + SimGpu, SimGpu only) × kernel ×
-//! framing cell of the one chunked ingest to the streaming
-//! `dna::FastqReader`, the reference parser — graph and partition record
-//! multisets alike.
+//! `fastq_ingest_matches_the_streaming_parser` holds every roster
+//! (CPU × 1/2/4, CPU + SimGpu, SimGpu only) × framing cell of the one
+//! chunked ingest to the streaming `dna::FastqReader`, the reference
+//! parser — graph and partition record multisets alike.
 
 use datagen::{GenomeSpec, Sequencer, SequencingSpec};
 use dna::{Base, PackedSeq, SeqRead};
@@ -120,21 +119,17 @@ fn run_with_subgraphs(
 /// Differential fuzz across the narrow-word boundary: k = 31 (tail
 /// slack), k = 32 (the single-u64 fast path completely full) and k = 33
 /// (first width that must take the multi-word cursor), crossed with
-/// minimizer lengths at the same boundary. The fast path must leave the
-/// graph *and the persisted subgraph bytes* identical to
-/// `PARAHASH_FORCE_SCALAR=1`; k = 32 is additionally swept over 1/4/8
-/// threads.
+/// minimizer lengths at the same boundary. Every build must equal the
+/// reference graph; k = 32 is additionally swept over 1/4/8 threads,
+/// which must also persist the same subgraph bytes.
 #[test]
-fn replay_fast_path_matches_scalar_at_k_boundaries() {
-    let _guard = dna::simd::override_guard();
+fn k_p_boundary_builds_equal_the_reference_graph() {
     let reads = boundary_corpus();
     for (k, p) in [(31, 31), (32, 31), (32, 32), (33, 31), (33, 32), (33, 33)] {
-        dna::simd::set_force_scalar_override(Some(true));
-        let (scalar_graph, scalar_subs) =
-            run_with_subgraphs(&format!("parahash-kp-scalar-{k}-{p}"), k, p, 4, &reads);
-        assert!(scalar_graph.distinct_vertices() > 100, "corpus too small at k={k}");
-        dna::simd::set_force_scalar_override(Some(false));
+        let want = baselines::reference_graph(&reads, k);
+        assert!(want.distinct_vertices() > 100, "corpus too small at k={k}");
         let threads_list: &[usize] = if k == 32 && p == 32 { &[1, 4, 8] } else { &[4] };
+        let mut first_subs = None;
         for &threads in threads_list {
             let (graph, subs) = run_with_subgraphs(
                 &format!("parahash-kp-fast-{k}-{p}-t{threads}"),
@@ -143,37 +138,25 @@ fn replay_fast_path_matches_scalar_at_k_boundaries() {
                 threads,
                 &reads,
             );
-            assert_eq!(graph, scalar_graph, "graph diverged at k={k} p={p} threads={threads}");
-            assert_eq!(
-                subs, scalar_subs,
-                "subgraph bytes diverged at k={k} p={p} threads={threads}"
-            );
+            assert_eq!(graph, want, "graph diverged at k={k} p={p} threads={threads}");
+            let first = first_subs.get_or_insert_with(|| subs.clone());
+            assert_eq!(&subs, first, "subgraph bytes diverged at k={k} p={p} threads={threads}");
         }
-        dna::simd::set_force_scalar_override(None);
     }
 }
 
 #[test]
-fn graph_is_identical_with_and_without_simd() {
-    let _guard = dna::simd::override_guard();
+fn streaming_fastq_graph_equals_the_reference_graph() {
     let reads = corpus();
     let path = std::env::temp_dir().join(format!("parahash-simd-{}.fastq", std::process::id()));
     write_fastq(&path, &reads);
 
-    dna::simd::set_force_scalar_override(Some(true));
-    let scalar = run_streaming("parahash-simd-scalar", 4, &path);
-    dna::simd::set_force_scalar_override(None);
-
-    assert!(scalar.graph.distinct_vertices() > 100, "corpus too small to be meaningful");
+    let want = baselines::reference_graph(&reads, K);
+    assert!(want.distinct_vertices() > 100, "corpus too small to be meaningful");
     for threads in [1usize, 4, 8] {
-        dna::simd::set_force_scalar_override(Some(false));
-        let simd = run_streaming(&format!("parahash-simd-t{threads}"), threads, &path);
-        dna::simd::set_force_scalar_override(None);
-        assert_eq!(
-            simd.graph, scalar.graph,
-            "SIMD run at {threads} threads diverged from forced-scalar"
-        );
-        let stats = simd.report.step1.step1_stats.expect("step1 reports stats");
+        let built = run_streaming(&format!("parahash-simd-t{threads}"), threads, &path);
+        assert_eq!(built.graph, want, "run at {threads} threads diverged from the reference graph");
+        let stats = built.report.step1.step1_stats.expect("step1 reports stats");
         let expected_bases: u64 = reads.iter().map(|r| r.len() as u64).sum();
         assert_eq!(stats.bases, expected_bases, "ingest base tally (threads={threads})");
     }
@@ -182,7 +165,6 @@ fn graph_is_identical_with_and_without_simd() {
 
 #[test]
 fn gzip_framings_match_plain_input() {
-    let _guard = dna::simd::override_guard();
     let reads = corpus();
     let pid = std::process::id();
     let plain = std::env::temp_dir().join(format!("parahash-simd-gz-{pid}.fastq"));
@@ -194,20 +176,12 @@ fn gzip_framings_match_plain_input() {
     let bgzf = std::env::temp_dir().join(format!("parahash-simd-bgzf-{pid}.fastq.gz"));
     std::fs::write(&bgzf, dna::gzip::compress_bgzf(&text)).unwrap();
 
-    dna::simd::set_force_scalar_override(Some(false));
     let reference = run_streaming("parahash-simd-plain", 4, &plain);
     let via_gz = run_streaming("parahash-simd-gzip", 4, &gz);
     let via_bgzf = run_streaming("parahash-simd-bgzf", 4, &bgzf);
-    // Gzip must also parse over the forced-scalar kernels (`read` instead
-    // of `mmap`, single-threaded inflate): the scalar escape hatch may not
-    // change which inputs are accepted.
-    dna::simd::set_force_scalar_override(Some(true));
-    let scalar_gz = run_streaming("parahash-simd-gzip-scalar", 4, &gz);
-    dna::simd::set_force_scalar_override(None);
 
     assert_eq!(via_gz.graph, reference.graph, "single-member gzip diverged");
     assert_eq!(via_bgzf.graph, reference.graph, "multi-member BGZF diverged");
-    assert_eq!(scalar_gz.graph, reference.graph, "forced-scalar gzip diverged");
     for p in [plain, gz, bgzf] {
         std::fs::remove_file(p).unwrap();
     }
@@ -236,15 +210,13 @@ fn partition_records(work: &std::path::Path) -> Vec<Records> {
         .collect()
 }
 
-/// The FASTQ ingest is one body: whatever the roster, the kernel selection
-/// or the framing, `run_fastq_streaming` and `run_fused_fastq` cut the file
+/// The FASTQ ingest is one body: whatever the roster or the framing, `run_fastq_streaming` and `run_fused_fastq` cut the file
 /// with `msp::FastqChunks` and must leave the graph and every partition's
 /// record multiset of (a) the same corpus parsed by the streaming
 /// `dna::FastqReader` — the reference parser — and built through `run`.
 #[test]
 fn fastq_ingest_matches_the_streaming_parser() {
     const BATCH: usize = 2048;
-    let _guard = dna::simd::override_guard();
     let pid = std::process::id();
     let tmp = std::env::temp_dir();
     let plain = tmp.join(format!("parahash-ingest-{pid}.fastq"));
@@ -284,7 +256,6 @@ fn fastq_ingest_matches_the_streaming_parser() {
     };
 
     // (a) The reference: the streaming parser's reads, through `run`.
-    dna::simd::set_force_scalar_override(Some(false));
     let parsed: Vec<SeqRead> = dna::FastqReader::new(&text[..]).collect::<Result<_, _>>().unwrap();
     assert_eq!(parsed.len(), corpus().len());
     let reference = runner(rosters[0], "ref");
@@ -300,33 +271,29 @@ fn fastq_ingest_matches_the_streaming_parser() {
     let peak_chunk = chunks.iter().map(|r| r.len() as u64).max().unwrap();
 
     // (b) Every cell of the FASTQ path.
-    for scalar in [false, true] {
-        dna::simd::set_force_scalar_override(Some(scalar));
-        for roster in rosters {
-            for (framing, path) in [("plain", &plain), ("gzip", &gz), ("bgzf", &bgzf)] {
-                let cell = format!("{}, scalar={scalar}, {framing}", roster.0);
-                for fused in [false, true] {
-                    let ph = runner(roster, "cell");
-                    let out = if fused { ph.run_fused_fastq(path) } else { ph.run_fastq_streaming(path) }
-                        .unwrap_or_else(|e| panic!("{cell}, fused={fused}: {e}"));
-                    assert_eq!(out.graph, want_graph, "graph diverged: {cell}, fused={fused}");
-                    let parts = partition_records(ph.config().work_dir());
-                    for (i, (want, have)) in want_parts.iter().zip(&parts).enumerate() {
-                        assert_eq!(want, have, "partition {i} records: {cell}, fused={fused}");
-                    }
-                    let stats = out.report.step1.step1_stats.expect("step1 reports stats");
-                    assert_eq!(
-                        (stats.batches, out.report.step1.peak_partition_bytes),
-                        (chunks.len() as u64, peak_chunk),
-                        "not the chunked ingest: {cell}, fused={fused}"
-                    );
-                    assert_eq!(out.report.step1.pipeline.total_work(), parsed.len() as u64);
-                    std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
+    for roster in rosters {
+        for (framing, path) in [("plain", &plain), ("gzip", &gz), ("bgzf", &bgzf)] {
+            let cell = format!("{}, {framing}", roster.0);
+            for fused in [false, true] {
+                let ph = runner(roster, "cell");
+                let out = if fused { ph.run_fused_fastq(path) } else { ph.run_fastq_streaming(path) }
+                    .unwrap_or_else(|e| panic!("{cell}, fused={fused}: {e}"));
+                assert_eq!(out.graph, want_graph, "graph diverged: {cell}, fused={fused}");
+                let parts = partition_records(ph.config().work_dir());
+                for (i, (want, have)) in want_parts.iter().zip(&parts).enumerate() {
+                    assert_eq!(want, have, "partition {i} records: {cell}, fused={fused}");
                 }
+                let stats = out.report.step1.step1_stats.expect("step1 reports stats");
+                assert_eq!(
+                    (stats.batches, out.report.step1.peak_partition_bytes),
+                    (chunks.len() as u64, peak_chunk),
+                    "not the chunked ingest: {cell}, fused={fused}"
+                );
+                assert_eq!(out.report.step1.pipeline.total_work(), parsed.len() as u64);
+                std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
             }
         }
     }
-    dna::simd::set_force_scalar_override(None);
     for p in [plain, gz, bgzf] {
         std::fs::remove_file(p).unwrap();
     }

@@ -6,8 +6,7 @@
 //!
 //! Two loops over one set of tables: [`crc32`] takes eight bytes per step
 //! (slicing-by-8), [`crc32_bytewise`] one — the sliced loop's tail
-//! handler, the `PARAHASH_FORCE_SCALAR` twin `msp::crc32` switches to,
-//! and the reference the sliced loop is tested against.
+//! handler and the reference the sliced loop is tested against.
 
 /// Slicing-by-8 lookup tables. `CRC_TABLES[0]` is the classic byte-wise
 /// table (the CRC of the single byte `i`); `CRC_TABLES[j][i]` is the CRC

@@ -254,6 +254,36 @@ fn resume_refuses_a_mismatched_fingerprint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A streamed input is fingerprinted by its canonical path, so the same
+/// FASTQ named another way (`dir/./reads.fastq`, as a resume from another
+/// working directory or through a relative path would name it) resumes
+/// the build of `dir/reads.fastq` and skips everything it committed.
+#[test]
+fn a_resume_may_name_the_same_fastq_by_another_path() {
+    let dir = common::fresh_dir("fastq-alias");
+    let fastq = dir.with_extension("fastq");
+    let mut w = dna::FastqWriter::new(std::fs::File::create(&fastq).unwrap());
+    for r in &reads() {
+        w.write_record(r).unwrap();
+    }
+    w.into_inner().unwrap().sync_all().unwrap();
+    let full = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap().run_fastq_streaming(&fastq).unwrap();
+    let before = common::subgraph_bytes(&dir);
+    drop_final_journal_record(&dir);
+
+    let alias = fastq.parent().unwrap().join(".").join(fastq.file_name().unwrap());
+    let resumed = resuming(&dir, Flow::TwoPhase)
+        .run_fastq_streaming(&alias)
+        .unwrap_or_else(|e| panic!("resume through {alias:?}: {e}"));
+    assert_eq!(resumed.graph, full.graph);
+    assert_eq!(resumed.report.step1.step1_stats, Some(Step1Stats::default()), "Step 1 ran");
+    assert_eq!(resumed.report.step2.pipeline.total_work(), 0, "a committed subgraph was rebuilt");
+    assert_eq!(common::subgraph_bytes(&dir), before);
+    assert!(RunJournal::replay(&dir).unwrap().complete);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&fastq);
+}
+
 #[test]
 fn resume_without_a_journal_is_a_fresh_run() {
     let dir = common::fresh_dir("no-journal");

@@ -128,16 +128,14 @@ fn gpu_with_too_little_memory_fails_with_device_error() {
 
 /// The context is the record's line in the whole file: 40 good records
 /// put the bad line at 161, deep inside a later 256-byte chunk, and the
-/// fused and two-phase entry points, a GPU-only roster and the
-/// forced-scalar kernels all run the one ingest that reports it.
+/// fused and two-phase entry points and a GPU-only roster all run the one
+/// ingest that reports it.
 #[test]
 fn malformed_fastq_is_rejected_with_context() {
     let path = std::env::temp_dir().join(format!("parahash-fail-bad-{}.fastq", std::process::id()));
     let good = "@ok\nACGTTGCATGGACCAGTTACGG\n+\nIIIIIIIIIIIIIIIIIIIIII\n".repeat(40);
     std::fs::write(&path, good + "not-a-header\nACGT\n+\nIIII\n").unwrap();
-    let _guard = dna::simd::override_guard();
-    for (gpu, scalar) in [(false, false), (true, false), (false, true)] {
-        dna::simd::set_force_scalar_override(Some(scalar));
+    for gpu in [false, true] {
         let builder =
             ParaHashConfig::builder().k(13).p(7).partitions(2).read_batch_bytes(256).work_dir(dir("badfastq"));
         let builder = if gpu {
@@ -151,12 +149,11 @@ fn malformed_fastq_is_rejected_with_context() {
             let err = run.map(|_| ()).unwrap_err().to_string();
             assert!(
                 err.contains("bad fastq input") && err.contains("at line 161:"),
-                "gpu={gpu} scalar={scalar} fused={fused}: {err}"
+                "gpu={gpu} fused={fused}: {err}"
             );
         }
         let _ = std::fs::remove_dir_all(ph.config().work_dir());
     }
-    dna::simd::set_force_scalar_override(None);
     std::fs::remove_file(&path).unwrap();
 }
 

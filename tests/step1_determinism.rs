@@ -4,7 +4,7 @@
 //! multiset of an independent implementation: the sort-merge oracle's own
 //! allocating two-strand scan (`baselines::reference_partition`), which
 //! shares only the routing hash with `msp`. Fuzzed corpora; narrow and
-//! wide k (k = 33 included); p = k; vectorized and forced-scalar kernels.
+//! wide k (k = 33 included); p = k.
 //! A root test: it is the one suite that sees both `parahash` and
 //! `baselines`.
 
@@ -116,34 +116,30 @@ fn assert_same(want: &[Vec<Record>], have: &[Vec<Record>], what: &str) {
 #[test]
 fn step1_output_is_thread_count_invariant() {
     let reads = corpus(42);
-    dna::simd::for_each_kernel_mode(|scalar| {
-        let one = pipelined(&reads, 15, 7, 1, "parahash-det-t1");
-        assert!(one.iter().map(Vec::len).sum::<usize>() > reads.len(), "reads must fragment");
-        for threads in [2, 4, 8] {
-            let got = pipelined(&reads, 15, 7, threads, &format!("parahash-det-t{threads}"));
-            assert_same(&one, &got, &format!("{threads} threads vs 1, scalar={scalar}"));
-        }
-    });
+    let one = pipelined(&reads, 15, 7, 1, "parahash-det-t1");
+    assert!(one.iter().map(Vec::len).sum::<usize>() > reads.len(), "reads must fragment");
+    for threads in [2, 4, 8] {
+        let got = pipelined(&reads, 15, 7, threads, &format!("parahash-det-t{threads}"));
+        assert_same(&one, &got, &format!("{threads} threads vs 1"));
+    }
 }
 
 #[test]
 fn production_step1_matches_the_reference_partitioner() {
     // Narrow k, the first wide k, and p = k (every run a single canonical
     // k-mer's worth of minimizer).
-    dna::simd::for_each_kernel_mode(|scalar| {
-        for (k, p) in [(15, 7), (33, 13), (21, 21)] {
-            for seed in [7u64, 99, 1234] {
-                let reads = corpus(seed);
-                let want = reference(&reads, k, p);
-                let what = format!("k={k} p={p} seed={seed} scalar={scalar}");
-                let got = in_memory(&reads, k, p);
-                assert_same(&want, &got, &format!("partition_in_memory, {what}"));
-                for threads in [1, 2, 4, 8] {
-                    let dir = format!("parahash-det-ref-{k}-{p}-{seed}-{threads}");
-                    let got = pipelined(&reads, k, p, threads, &dir);
-                    assert_same(&want, &got, &format!("Step 1 at {threads} threads, {what}"));
-                }
+    for (k, p) in [(15, 7), (33, 13), (21, 21)] {
+        for seed in [7u64, 99, 1234] {
+            let reads = corpus(seed);
+            let want = reference(&reads, k, p);
+            let what = format!("k={k} p={p} seed={seed}");
+            let got = in_memory(&reads, k, p);
+            assert_same(&want, &got, &format!("partition_in_memory, {what}"));
+            for threads in [1, 2, 4, 8] {
+                let dir = format!("parahash-det-ref-{k}-{p}-{seed}-{threads}");
+                let got = pipelined(&reads, k, p, threads, &dir);
+                assert_same(&want, &got, &format!("Step 1 at {threads} threads, {what}"));
             }
         }
-    });
+    }
 }

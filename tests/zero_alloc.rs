@@ -60,28 +60,6 @@ fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.get() - before, out)
 }
 
-/// Pins the process-wide scalar gate for one test and restores it on
-/// drop. Every hot path consults the gate, and an un-pinned gate answers
-/// its first caller by reading the environment (an allocation), so each
-/// contract test holds one of these across its counted window.
-struct Kernels {
-    _guard: std::sync::MutexGuard<'static, ()>,
-}
-
-impl Kernels {
-    fn pin(scalar: bool) -> Kernels {
-        let _guard = dna::simd::override_guard();
-        dna::simd::set_force_scalar_override(Some(scalar));
-        Kernels { _guard }
-    }
-}
-
-impl Drop for Kernels {
-    fn drop(&mut self) {
-        dna::simd::set_force_scalar_override(None);
-    }
-}
-
 const K: usize = 27;
 const P: usize = 11;
 const PARTS: usize = 16;
@@ -105,7 +83,6 @@ fn counting_allocator_is_installed() {
 
 #[test]
 fn step1_emit_path_does_not_allocate() {
-    let _mode = Kernels::pin(false);
     let reads = corpus();
     let scanner = SuperkmerScanner::new(K, P).unwrap();
     let router = PartitionRouter::new(PARTS).unwrap();
@@ -135,10 +112,8 @@ fn step1_emit_path_does_not_allocate() {
 #[test]
 fn step2_replay_path_does_not_allocate() {
     let reads = corpus();
-    // The word kernel, the wide-k cursor path, and the word kernel's
-    // forced-scalar twin.
-    for (k, scalar) in [(K, false), (40, false), (K, true)] {
-        let _mode = Kernels::pin(scalar);
+    // The word kernel and the wide-k cursor path.
+    for k in [K, 40] {
         let bytes = msp::partition_in_memory(&reads, k, P, 1).unwrap().remove(0);
         let slices = PartitionSlices::index(&bytes, k, P).unwrap();
         let table = ConcurrentDbgTable::new(slices.total_kmers() * 2, k);
@@ -152,14 +127,13 @@ fn step2_replay_path_does_not_allocate() {
             }
             pipe.flush().unwrap();
         });
-        assert_eq!(allocs, 0, "k={k} scalar={scalar}: replay of {} records", slices.len());
+        assert_eq!(allocs, 0, "k={k}: replay of {} records", slices.len());
         assert_eq!(table.contention().operations(), slices.total_kmers() as u64);
     }
 }
 
 #[test]
 fn warm_table_pool_cycle_does_not_allocate() {
-    let _mode = Kernels::pin(false);
     let kmers: Vec<dna::Kmer> = corpus()[0].kmers(K).map(|k| k.canonical().0).collect();
     let pool = TablePool::new(K);
     let cycle = || {
@@ -177,7 +151,6 @@ fn warm_table_pool_cycle_does_not_allocate() {
 
 #[test]
 fn simd_pack_and_scan_do_not_allocate() {
-    let _mode = Kernels::pin(false);
     let lines: Vec<Vec<u8>> = corpus().iter().map(PackedSeq::to_ascii).collect();
     let scanner = SuperkmerScanner::new(K, P).unwrap();
     let mut cursor = scanner.cursor(); // captures the single-word fast path
