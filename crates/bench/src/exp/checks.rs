@@ -91,6 +91,29 @@ pub fn checks(scale: f64) -> i32 {
             stats.lock_reduction() > 0.7,
             format!("reduction {:.1}%", 100.0 * stats.lock_reduction()),
         ));
+
+        // The production build replays each distinct superkmer once,
+        // weighted, into tables its cores own; its insertions and updates
+        // must still be the per-occurrence counts above, so the locked
+        // fraction lockstats reports is the build's.
+        let ph = workloads::runner("chk-lock", Setup::CpuOnly, 8, IoMode::Unthrottled);
+        let s2 = ph.run(&data.reads).expect("build").report.step2;
+        workloads::cleanup(&ph);
+        let build = s2.contention.expect("step 2 reports contention");
+        results.push(check(
+            "lockstats: the build counts every occurrence yet replays fewer k-mers",
+            (build.insertions, build.updates) == (stats.insertions, stats.updates)
+                && s2.replayed_kmers < build.operations(),
+            format!(
+                "{} ins + {} upd (per occurrence {} + {}), replayed {} of {}",
+                build.insertions,
+                build.updates,
+                stats.insertions,
+                stats.updates,
+                s2.replayed_kmers,
+                build.operations()
+            ),
+        ));
     }
 
     // encoding: 2-bit records are under 0.35x of text.

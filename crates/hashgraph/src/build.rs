@@ -3,7 +3,7 @@ use std::ops::Range;
 use dna::{Base, CanonicalKmerCursor, Kmer, Orientation};
 use msp::{PartitionSlices, SuperkmerView};
 
-use crate::{EdgeDir, HashGraphError, Result, VertexTable};
+use crate::{EdgeDir, HashGraphError, Recorder, Result, VertexTable};
 
 /// Maps an observed occurrence's read-text neighbours onto the canonical
 /// vertex's edge slots.
@@ -33,8 +33,8 @@ pub fn edge_slots_for(
 }
 
 /// Replays one borrowed superkmer record ([`SuperkmerView`]) into a vertex
-/// table — [`ReplayPipeline`]'s path for wide k and forced-scalar
-/// kernels: each of its k-mers becomes a `record` of the canonical vertex
+/// table `weight` times over — [`ReplayPipeline`]'s path for wide k
+/// (k > 32): each of its k-mers becomes a `record` of the canonical vertex
 /// with up to two edge increments (its neighbours inside the core, or the
 /// adjacency-extension bases at the boundaries). This is the
 /// `<kmer, edge>` pair generation of §III-C.2.
@@ -49,7 +49,7 @@ pub fn edge_slots_for(
 ///
 /// Propagates table errors ([`HashGraphError::CapacityExhausted`],
 /// [`HashGraphError::WrongK`]).
-fn record_core<T: VertexTable + ?Sized>(table: &T, view: &SuperkmerView<'_>) -> Result<()> {
+fn record_core<R: Recorder>(table: &mut R, view: &SuperkmerView<'_>, weight: u32) -> Result<()> {
     let k = view.k();
     let last = view.core_len() - k;
     let mut cursor = CanonicalKmerCursor::new(k).expect("superkmer k validated upstream");
@@ -61,7 +61,7 @@ fn record_core<T: VertexTable + ?Sized>(table: &T, view: &SuperkmerView<'_>) -> 
         let left = if i > 0 { Some(view.base(i - 1)) } else { view.left_ext() };
         let right = if i < last { Some(view.base(i + k)) } else { view.right_ext() };
         let (canon, orient) = cursor.canonical();
-        table.record(&canon, edge_slots_for(orient, left, right))?;
+        table.record_wide(&canon, edge_slots_for(orient, left, right), weight)?;
     }
     Ok(())
 }
@@ -75,7 +75,7 @@ fn record_core<T: VertexTable + ?Sized>(table: &T, view: &SuperkmerView<'_>) -> 
 /// ([`SuperkmerView::code_words`]), both strands roll in one `u64` each
 /// (two shifts + OR per base), canonical choice is a single integer
 /// compare, and the table is fed through
-/// [`VertexTable::record_narrow_hashed`] — no `Kmer` is materialised per
+/// [`Recorder::record_narrow`] — no `Kmer` is materialised per
 /// position. Output (graph bytes *and* contention counters) is identical
 /// to the cursor path: same canonical words, same hash, same probe walk
 /// (the unit tests clear the flag to replay the same records both ways).
@@ -181,6 +181,10 @@ const PIPE: usize = 16;
 /// resident in L1 alongside the scan state.
 const BUF: usize = 256;
 
+/// One buffered position: canonical word, its hash, edge slots, and the
+/// weight of the record it came from.
+type Pending = (u64, u64, [Option<u8>; 2], u32);
+
 /// Software-pipelined Step-2 replay over a stream of superkmer records.
 ///
 /// The probe's table lines (state word, key cell, counter line) are
@@ -188,11 +192,11 @@ const BUF: usize = 256;
 /// register arithmetic — interleaving them in one loop makes the scan's
 /// rolling state spill and starves the probe of lookahead. The pipeline
 /// therefore splits the phases: [`record_view`](Self::record_view)
-/// appends each position's `(canonical word, hash, edge slots)` to a
+/// appends each position's `(canonical word, hash, edge slots, weight)` to a
 /// [`BUF`]-entry buffer, and whenever the buffer fills, a tight drain
 /// loop walks it, prefetching position `i + `[`PIPE`]'s home slot
-/// ([`VertexTable::prefetch_narrow`]) before recording position `i`
-/// ([`VertexTable::record_narrow_hashed`]) — by the time each probe
+/// ([`Recorder::prefetch`]) before recording position `i`
+/// ([`Recorder::record_narrow`]) — by the time each probe
 /// runs, its lines have been in flight for [`PIPE`] probes' worth of
 /// work. The buffer carries over between records, so batches stay full
 /// across superkmer boundaries (partition superkmers average only a
@@ -201,19 +205,24 @@ const BUF: usize = 256;
 /// counters are identical to the unpipelined path. A table error for a
 /// buffered position surfaces on the push or flush that drains it.
 ///
-/// Wide k (or forced-scalar kernels) fall back to the cursor replay
-/// record-by-record.
-pub struct ReplayPipeline<'t, T: VertexTable + ?Sized> {
+/// The pipeline records through a [`Recorder`]: `&table` shares the
+/// table with other writers, `&mut ConcurrentDbgTable` owns it. A record
+/// may carry a weight ([`record_weighted`](Self::record_weighted)), which
+/// every one of its k-mers adds to its vertex's counters — a partition's
+/// identical records replay once.
+///
+/// Wide k falls back to the cursor replay record-by-record.
+pub struct ReplayPipeline<R: Recorder> {
     kernel: ReplayKernel,
-    table: &'t T,
-    buf: [(u64, u64, [Option<u8>; 2]); BUF],
+    table: R,
+    buf: [Pending; BUF],
     len: usize,
 }
 
-impl<'t, T: VertexTable + ?Sized> ReplayPipeline<'t, T> {
+impl<R: Recorder> ReplayPipeline<R> {
     /// A pipeline feeding `table`, dispatching per `kernel`'s mode.
-    pub fn new(kernel: ReplayKernel, table: &'t T) -> ReplayPipeline<'t, T> {
-        ReplayPipeline { kernel, table, buf: [(0, 0, [None, None]); BUF], len: 0 }
+    pub fn new(kernel: ReplayKernel, table: R) -> ReplayPipeline<R> {
+        ReplayPipeline { kernel, table, buf: [(0, 0, [None, None], 0); BUF], len: 0 }
     }
 
     /// Enqueues one record's k-mers, draining the buffer whenever it
@@ -225,15 +234,30 @@ impl<'t, T: VertexTable + ?Sized> ReplayPipeline<'t, T> {
     /// Propagates table errors ([`HashGraphError::CapacityExhausted`],
     /// [`HashGraphError::WrongK`]).
     pub fn record_view(&mut self, view: &SuperkmerView<'_>) -> Result<()> {
+        self.record_weighted(view, 1)
+    }
+
+    /// [`record_view`](Self::record_view) for `weight` identical copies
+    /// of one record: each k-mer is probed once and its vertex's count
+    /// and edge counters grow by `weight` — the table ends up exactly as
+    /// after `weight` calls of `record_view`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates table errors ([`HashGraphError::CapacityExhausted`],
+    /// [`HashGraphError::WrongK`]).
+    pub fn record_weighted(&mut self, view: &SuperkmerView<'_>, weight: u32) -> Result<()> {
         if !self.kernel.narrow || view.k() != self.kernel.k {
-            return record_core(self.table, view);
+            return record_core(&mut self.table, view, weight);
         }
-        scan_narrow_view(self.kernel.k, view, |word, hash, edges| self.push(word, hash, edges))
+        scan_narrow_view(self.kernel.k, view, |word, hash, edges| {
+            self.push((word, hash, edges, weight))
+        })
     }
 
     #[inline]
-    fn push(&mut self, word: u64, hash: u64, edges: [Option<u8>; 2]) -> Result<()> {
-        self.buf[self.len] = (word, hash, edges);
+    fn push(&mut self, pending: Pending) -> Result<()> {
+        self.buf[self.len] = pending;
         self.len += 1;
         if self.len == BUF {
             self.drain()?;
@@ -248,10 +272,10 @@ impl<'t, T: VertexTable + ?Sized> ReplayPipeline<'t, T> {
         let n = std::mem::take(&mut self.len);
         for i in 0..n {
             if i + PIPE < n {
-                self.table.prefetch_narrow(self.buf[i + PIPE].1);
+                self.table.prefetch(self.buf[i + PIPE].1);
             }
-            let (w, h, e) = self.buf[i];
-            self.table.record_narrow_hashed(w, h, e)?;
+            let (word, hash, edges, weight) = self.buf[i];
+            self.table.record_narrow(word, hash, edges, weight)?;
         }
         Ok(())
     }
@@ -270,11 +294,13 @@ impl<'t, T: VertexTable + ?Sized> ReplayPipeline<'t, T> {
 }
 
 /// Replays an indexed partition into a prepared table with `threads`
-/// workers: the records are split into contiguous chunks, each chunk runs
-/// through a [`ReplayPipeline`] of its own — the replay every build
-/// executes — and the shared table is the only point of synchronisation.
-/// Generic over [`VertexTable`], so the full-locking ablation table rides
-/// the trait's default narrow methods.
+/// workers sharing it: the records are split into contiguous chunks, each
+/// chunk runs through a [`ReplayPipeline`] of its own, and the shared
+/// table is the only point of synchronisation. Every record is replayed
+/// once per occurrence, as in the paper, so the table's contention
+/// counters are the paper's (Figs 9–10, `lockstats`). Generic over
+/// [`VertexTable`], so the full-locking ablation table rides the trait's
+/// default narrow methods.
 ///
 /// # Errors
 ///
@@ -537,7 +563,7 @@ mod tests {
             let fast = ConcurrentDbgTable::new(4096, k);
             let naive = ConcurrentDbgTable::new(4096, k);
             for view in slices.iter() {
-                record_core(&fast, &view).unwrap();
+                record_core(&mut &fast, &view, 1).unwrap();
                 record_view_naive(&naive, &view).unwrap();
             }
             let mut a = fast.snapshot().into_entries();
@@ -563,7 +589,7 @@ mod tests {
             let via_cursor = ConcurrentDbgTable::new(4096, k);
             for view in slices.iter() {
                 record_view_drained(kernel, &via_kernel, &view).unwrap();
-                record_core(&via_cursor, &view).unwrap();
+                record_core(&mut &via_cursor, &view, 1).unwrap();
             }
             assert_eq!(via_kernel.snapshot(), via_cursor.snapshot(), "k={k} p={p}");
             let (a, b) = (via_kernel.contention(), via_cursor.contention());
@@ -586,7 +612,7 @@ mod tests {
         let reference = ConcurrentDbgTable::new(4096, 15);
         for view in slices.iter() {
             record_view_drained(kernel, &scalar, &view).unwrap();
-            record_core(&reference, &view).unwrap();
+            record_core(&mut &reference, &view, 1).unwrap();
         }
         assert_eq!(scalar.snapshot(), reference.snapshot());
     }
@@ -617,6 +643,111 @@ mod tests {
                 (a.insertions, a.updates, a.probe_steps, a.tag_rejects),
                 (b.insertions, b.updates, b.probe_steps, b.tag_rejects),
                 "k={k} p={p}"
+            );
+        }
+    }
+
+    /// `(record, weight)` streams for the weighted-replay tests: every
+    /// record of the test partition with weight 1, 2, 3 in turn.
+    fn weighted(slices: &PartitionSlices<'_>) -> Vec<(usize, u32)> {
+        (0..slices.len()).map(|i| (i, i as u32 % 3 + 1)).collect()
+    }
+
+    fn replay_stream<R: Recorder>(
+        kernel: ReplayKernel,
+        table: R,
+        slices: &PartitionSlices<'_>,
+        stream: &[(usize, u32)],
+    ) -> Result<()> {
+        let mut pipe = ReplayPipeline::new(kernel, table);
+        for &(i, weight) in stream {
+            pipe.record_weighted(&slices.view(i), weight)?;
+        }
+        pipe.flush()
+    }
+
+    /// The owned table walks the shared table's probe sequence over
+    /// plain memory: the same (record, weight) stream leaves the same
+    /// snapshot, in the same slot order, and the same counters — and the
+    /// owned table never waits on a lock or loses a CAS. Tables are
+    /// small enough that probes collide.
+    #[test]
+    fn owned_replay_matches_shared_replay_exactly() {
+        for k in [5, 31, 32, 33] {
+            let p = 3;
+            let records = test_records(k, p);
+            let slices = PartitionSlices::index(&records, k, p).unwrap();
+            let stream = weighted(&slices);
+            let kernel = ReplayKernel::new(k);
+            let capacity = slices.total_kmers() + slices.total_kmers() / 4;
+            let shared = ConcurrentDbgTable::new(capacity, k);
+            let mut owned = ConcurrentDbgTable::new(capacity, k);
+            replay_stream(kernel, &shared, &slices, &stream).unwrap();
+            replay_stream(kernel, &mut owned, &slices, &stream).unwrap();
+            let (want, want_stats) = shared.snapshot_with_contention();
+            let (got, got_stats) = owned.snapshot_with_contention();
+            assert_eq!(got, want, "k={k}");
+            assert_eq!(got_stats, want_stats, "k={k}");
+            let collided = want_stats.probe_steps > 0 && want_stats.tag_rejects > 0;
+            assert!(collided, "k={k}: {want_stats:?}");
+            assert_eq!((got_stats.cas_failures, got_stats.lock_waits), (0, 0), "k={k}");
+        }
+    }
+
+    /// One replay of a record at weight w leaves what w replays at
+    /// weight 1 leave: the same vertices in the same slot order, the
+    /// same insertions and updates — shared or owned, narrow or wide k.
+    #[test]
+    fn weighted_record_equals_repeated_record() {
+        for k in [5, 31, 32, 33] {
+            let p = 3;
+            let records = test_records(k, p);
+            let slices = PartitionSlices::index(&records, k, p).unwrap();
+            let stream = weighted(&slices);
+            let repeated: Vec<(usize, u32)> =
+                stream.iter().flat_map(|&(i, w)| std::iter::repeat_n((i, 1), w as usize)).collect();
+            let kernel = ReplayKernel::new(k);
+            let capacity = 2 * slices.total_kmers();
+            let reference = ConcurrentDbgTable::new(capacity, k);
+            replay_stream(kernel, &reference, &slices, &repeated).unwrap();
+            let (want, want_stats) = reference.snapshot_with_contention();
+            let shared = ConcurrentDbgTable::new(capacity, k);
+            replay_stream(kernel, &shared, &slices, &stream).unwrap();
+            let mut owned = ConcurrentDbgTable::new(capacity, k);
+            replay_stream(kernel, &mut owned, &slices, &stream).unwrap();
+            for (how, table) in [("shared", &shared), ("owned", &owned)] {
+                let (got, got_stats) = table.snapshot_with_contention();
+                assert_eq!(got, want, "k={k} {how}");
+                assert_eq!(
+                    (got_stats.insertions, got_stats.updates),
+                    (want_stats.insertions, want_stats.updates),
+                    "k={k} {how}"
+                );
+                assert!(got_stats.probe_steps <= want_stats.probe_steps, "k={k} {how}");
+            }
+        }
+    }
+
+    #[test]
+    fn owned_pipeline_surfaces_capacity_errors() {
+        for k in [7, 33] {
+            let records = test_records(k, 4);
+            let slices = PartitionSlices::index(&records, k, 4).unwrap();
+            let mut tiny = ConcurrentDbgTable::new(2, k);
+            let mut pipe = ReplayPipeline::new(ReplayKernel::new(k), &mut tiny);
+            let mut result = Ok(());
+            for (i, weight) in weighted(&slices) {
+                result = pipe.record_weighted(&slices.view(i), weight);
+                if result.is_err() {
+                    break;
+                }
+            }
+            if result.is_ok() {
+                result = pipe.flush();
+            }
+            assert!(
+                matches!(result, Err(HashGraphError::CapacityExhausted { capacity: 16 })),
+                "k={k}: expected CapacityExhausted, got {result:?}"
             );
         }
     }

@@ -15,6 +15,12 @@
 //! * every later visit to the slot is a lock-free read of the key plus
 //!   atomic increments on the edge-multiplicity counters.
 //!
+//! A table with one writer — a CPU core building a partition on its own —
+//! is written through `&mut` instead ([`Recorder`]): the same probe walk
+//! over plain memory. Step 2 also replays each distinct superkmer record
+//! of a partition once, weighted by its copies
+//! ([`ReplayPipeline::record_weighted`]).
+//!
 //! Since the number of distinct vertices is roughly ⅕ of all k-mer
 //! occurrences in real read sets, only ~20 % of operations ever take the
 //! lock — the paper's "80 % contention reduction" (reproduced by the
@@ -76,7 +82,7 @@ pub use store::{
     check_subgraph, decode_subgraph, encode_subgraph, load_graph, pack_subgraph, read_graph,
     save_graph, write_graph, StoreError,
 };
-pub use table::{ConcurrentDbgTable, VertexTable, SLOT_BYTES};
+pub use table::{ConcurrentDbgTable, Recorder, VertexTable, SLOT_BYTES};
 pub use unitig::{unitigs, unitigs_with, Unitig};
 
 /// Errors from subgraph construction.

@@ -43,6 +43,18 @@ pub trait VertexTable: Sync {
     /// [`HashGraphError::WrongK`] for a key of the wrong length.
     fn record(&self, key: &Kmer, edge_slots: [Option<u8>; 2]) -> Result<()>;
 
+    /// Records `weight` occurrences of `key` at once: the vertex's count
+    /// and each listed edge slot grow by `weight`. Exactly what `weight`
+    /// calls of [`record`](Self::record) leave in the table — that is the
+    /// default; tables that can add a weight in one step override it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`record`](Self::record).
+    fn record_weighted(&self, key: &Kmer, edge_slots: [Option<u8>; 2], weight: u32) -> Result<()> {
+        (0..weight).try_for_each(|_| self.record(key, edge_slots))
+    }
+
     /// Hint that a narrow key whose [`Kmer::hash64_of_words`] value is
     /// `hash` will shortly be recorded. Tables backed by hash-addressed
     /// storage may start pulling the target slot's cache lines toward
@@ -52,7 +64,7 @@ pub trait VertexTable: Sync {
         let _ = hash;
     }
 
-    /// [`record`](Self::record) for a canonical k-mer of k ≤ 32 whose
+    /// [`record_weighted`](Self::record_weighted) for a canonical k-mer of k ≤ 32 whose
     /// packed bases fit entirely in `word` (left-aligned MSB-first, tail
     /// bits zero — the layout of `Kmer`'s first word), with the key's
     /// [`Kmer::hash64_of_words`] value supplied by the caller. The
@@ -63,18 +75,25 @@ pub trait VertexTable: Sync {
     /// `hash` **must** equal `Kmer::hash64_of_words(&[word, 0, 0, 0], k)`.
     ///
     /// The default implementation reassembles the `Kmer`, ignores the
-    /// hash and delegates to [`record`](Self::record), so every table is
-    /// automatically correct; tables with a cheaper route may override
-    /// it, provided the observable behaviour stays identical.
+    /// hash and delegates to [`record_weighted`](Self::record_weighted),
+    /// so every table is automatically correct; tables with a cheaper
+    /// route may override it, provided the observable behaviour stays
+    /// identical.
     ///
     /// # Errors
     ///
     /// Same as [`record`](Self::record).
-    fn record_narrow_hashed(&self, word: u64, hash: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
+    fn record_narrow_hashed(
+        &self,
+        word: u64,
+        hash: u64,
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> Result<()> {
         let _ = hash;
         debug_assert!(self.k() <= 32, "narrow keys require k <= 32, got {}", self.k());
         let key = Kmer::from_words([word, 0, 0, 0], self.k()).expect("1 <= k <= 32");
-        self.record(&key, edge_slots)
+        self.record_weighted(&key, edge_slots, weight)
     }
 
     /// Copies the current contents out as a subgraph.
@@ -85,6 +104,61 @@ pub trait VertexTable: Sync {
 
     /// Concurrency-behaviour counters accumulated so far.
     fn contention(&self) -> ContentionStats;
+}
+
+/// Where [`ReplayPipeline`](crate::ReplayPipeline) records: a table and
+/// the kind of access it has to it. `&T` for any [`VertexTable`] shares
+/// the table with other writers — for [`ConcurrentDbgTable`] that is the
+/// paper's state-transfer protocol, its counters bumped by `weight` in one
+/// atomic add; tables without a weighted add (the full-locking
+/// [`MutexDbgTable`](crate::MutexDbgTable)) record `weight` single
+/// occurrences. `&mut ConcurrentDbgTable` owns the table: the same probe
+/// walk over plain memory, for a table with one writer.
+pub trait Recorder {
+    /// [`VertexTable::prefetch_narrow`].
+    fn prefetch(&self, hash: u64);
+
+    /// [`VertexTable::record_narrow_hashed`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`VertexTable::record`].
+    fn record_narrow(
+        &mut self,
+        word: u64,
+        hash: u64,
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> Result<()>;
+
+    /// [`VertexTable::record_weighted`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`VertexTable::record`].
+    fn record_wide(&mut self, key: &Kmer, edge_slots: [Option<u8>; 2], weight: u32) -> Result<()>;
+}
+
+impl<T: VertexTable + ?Sized> Recorder for &T {
+    #[inline]
+    fn prefetch(&self, hash: u64) {
+        self.prefetch_narrow(hash);
+    }
+
+    #[inline]
+    fn record_narrow(
+        &mut self,
+        word: u64,
+        hash: u64,
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> Result<()> {
+        self.record_narrow_hashed(word, hash, edge_slots, weight)
+    }
+
+    fn record_wide(&mut self, key: &Kmer, edge_slots: [Option<u8>; 2], weight: u32) -> Result<()> {
+        self.record_weighted(key, edge_slots, weight)
+    }
 }
 
 /// Per-slot duplicity count and eight edge-multiplicity counters: 36
@@ -139,10 +213,12 @@ unsafe impl Sync for KeyCell {}
 
 /// The paper's concurrent open-addressing De Bruijn hash table.
 ///
-/// One table serves every worker building a partition: one core in a
-/// production CPU build (each core is its own device), every SM of a
+/// One table serves every worker building a partition: every SM of a
 /// simulated GPU, every thread of
-/// [`build_subgraph_with`](crate::build_subgraph_with). Each slot holds
+/// [`build_subgraph_with`](crate::build_subgraph_with) — or one core in
+/// a production CPU build (each core is its own device), which records
+/// through `&mut` (the [`Recorder`] for `&mut ConcurrentDbgTable`): the
+/// same probe walk with every atomic turned into plain memory. Each slot holds
 /// a 16-bit state word (occupancy flag in the low byte, an 8-bit
 /// hash *fingerprint tag* in the high byte), the multi-word k-mer key, a
 /// duplicity counter and eight edge-multiplicity counters. Concurrency
@@ -272,7 +348,7 @@ impl ConcurrentDbgTable {
     /// word, every state word returns to `EMPTY` here, and the thread
     /// that next claims a slot overwrites its key and zeroes its counter
     /// line under the slot lock, before it publishes `OCCUPIED` (see
-    /// the claim arm of `probe_record_impl`). A stale line is
+    /// `Shared::claim`). A stale line is
     /// unreachable until then — 2 bytes per slot to wipe instead of 68.
     pub fn reset(&mut self) {
         for s in self.states.iter_mut() {
@@ -291,150 +367,51 @@ impl ConcurrentDbgTable {
         unsafe { *self.keys[slot].0.get() }
     }
 
-    #[inline]
-    fn bump(&self, slot: usize, edge_slots: [Option<u8>; 2]) {
-        // SAFETY: `slot` comes from the probe walk, which reduces every
-        // index mod `capacity`, and `counters` has `capacity` entries.
-        let counters = unsafe { self.counters.get_unchecked(slot) };
-        counters.count.fetch_add(1, Ordering::Relaxed);
-        for e in edge_slots.into_iter().flatten() {
-            debug_assert!(e < 8, "edge slot {e} out of range");
-            // `& 7` keeps the index provably in range (and is a no-op
-            // for every slot `EdgeDir::slot` can produce) so the
-            // compiler drops the bounds check from the hot loop.
-            counters.edges[(e & 7) as usize].fetch_add(1, Ordering::Relaxed);
+    fn check_k(&self, key: &Kmer) -> Result<()> {
+        if key.k() != self.k {
+            return Err(HashGraphError::WrongK { expected: self.k, got: key.k() });
         }
+        Ok(())
     }
 
-    /// The state-transfer probe loop shared by [`VertexTable::record`]
-    /// and [`VertexTable::record_narrow_hashed`]: `words` must be the tail-clean
-    /// packed key and `hash` its [`Kmer::hash64_of_words`] value, so both
-    /// entry points take the same slot, tag, and probe sequence.
-    fn probe_record(&self, words: [u64; 4], hash: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
-        self.probe_record_impl::<false>(words, hash, edge_slots)
+    /// The key words of a narrow record (see
+    /// [`VertexTable::record_narrow_hashed`]).
+    fn narrow_words(&self, word: u64, hash: u64) -> [u64; 4] {
+        debug_assert!(self.k <= 32, "narrow keys require k <= 32, got {}", self.k);
+        let words = [word, 0, 0, 0];
+        debug_assert_eq!(
+            hash,
+            Kmer::hash64_of_words(&words, self.k),
+            "caller-supplied hash must match the key"
+        );
+        words
     }
 
-    /// [`probe_record`](Self::probe_record) monomorphised over the key
-    /// width. With `NARROW` (k ≤ 32, so every key the table will ever
-    /// hold is tail-clean with words 1–3 zero) key equality is decided
-    /// on word 0 alone — one 8-byte load instead of four. The probe
-    /// *decisions* are identical either way, so slot walk, tag rejects
-    /// and every other counter match the wide path bit for bit.
-    #[inline]
-    fn probe_record_impl<const NARROW: bool>(
+    /// The probe walk over the shared protocol: [`VertexTable::record`]
+    /// and [`VertexTable::record_narrow_hashed`] land here. `words` must
+    /// be the tail-clean packed key and `hash` its
+    /// [`Kmer::hash64_of_words`] value, so both entry points take the
+    /// same slot, tag, and probe sequence.
+    fn probe_record<const NARROW: bool>(
         &self,
         words: [u64; 4],
         hash: u64,
         edge_slots: [Option<u8>; 2],
+        weight: u32,
     ) -> Result<()> {
-        // Multiply-shift range reduction: maps the full 64-bit hash onto
-        // [0, capacity) with one widening multiply — no division.
-        let mut slot = ((hash as u128 * self.capacity as u128) >> 64) as usize;
-        // Pull the home slot's key and counter lines toward the core
-        // while the state-word load below is still in flight — on a hit
-        // (the common, update-heavy case) both are needed within a few
-        // instructions.
-        prefetch(&self.keys[slot]);
-        prefetch(&self.counters[slot]);
-        // 8-bit fingerprint from the hash's low byte (the reduction above
-        // consumes mostly high bits, keeping tag and slot independent).
-        let tag = ((hash & 0xFF) as u16) << 8;
-        let relaxed = Ordering::Relaxed;
-        for _probe in 0..self.capacity {
-            let mut spins = 0u32;
-            // SAFETY (all `get_unchecked` below): the multiply-shift
-            // reduction and the `% capacity` advance keep `slot` in
-            // `[0, capacity)`, and `states`/`keys` both have `capacity`
-            // entries. Dropping the bounds checks matters here: this
-            // loop runs once per k-mer occurrence of the whole build.
-            let state = unsafe { self.states.get_unchecked(slot) };
-            loop {
-                let word = state.load(Ordering::Acquire);
-                match word & STATE_MASK {
-                    OCCUPIED => {
-                        if word & TAG_MASK != tag {
-                            // Fingerprint mismatch: provably a different
-                            // key. Reject on the state word alone — the
-                            // key cell is never loaded.
-                            self.stats.tag_rejects.fetch_add(1, relaxed);
-                            break; // probe onwards
-                        }
-                        let matches = if NARROW {
-                            // SAFETY: as for `read_key` — the cell is
-                            // immutable after the Acquire load of
-                            // OCCUPIED; only word 0 is inspected.
-                            unsafe { (*self.keys.get_unchecked(slot).0.get())[0] == words[0] }
-                        } else {
-                            self.read_key(slot) == words
-                        };
-                        if matches {
-                            self.bump(slot, edge_slots);
-                            return Ok(());
-                        }
-                        break; // tag collision, different key: probe on
-                    }
-                    EMPTY => {
-                        match state.compare_exchange(
-                            EMPTY,
-                            LOCKED | tag,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        ) {
-                            Ok(_) => {
-                                // We own the slot: the single multi-word
-                                // write of its lifetime — and, since a
-                                // recycled table's `reset` clears state
-                                // words only, the zeroing of the counter
-                                // line its last tenant left behind.
-                                // SAFETY: see KeyCell — we hold the lock,
-                                // and `slot < capacity` as above. The
-                                // counter line rides on the key's argument:
-                                // `bump`, `snapshot_with_contention` and
-                                // `contention` touch a slot's line only
-                                // after an Acquire load of its state word
-                                // read OCCUPIED (`distinct` reads state
-                                // words alone), and these Relaxed stores
-                                // are sequenced before the Release store
-                                // that publishes OCCUPIED, so every such
-                                // access happens-after the zeroing. Pinned
-                                // by `recycled_table_with_stale_counter_
-                                // lines_equals_fresh`.
-                                unsafe { *self.keys.get_unchecked(slot).0.get() = words };
-                                let line = unsafe { self.counters.get_unchecked(slot) };
-                                line.count.store(0, relaxed);
-                                for edge in &line.edges {
-                                    edge.store(0, relaxed);
-                                }
-                                state.store(OCCUPIED | tag, Ordering::Release);
-                                self.bump(slot, edge_slots);
-                                self.stats.insertions.fetch_add(1, relaxed);
-                                return Ok(());
-                            }
-                            Err(_) => {
-                                // Someone else claimed it between our load
-                                // and CAS; re-examine the same slot.
-                                self.stats.cas_failures.fetch_add(1, relaxed);
-                                continue;
-                            }
-                        }
-                    }
-                    _locked => {
-                        // Writer is publishing the key; wait for it.
-                        self.stats.lock_waits.fetch_add(1, relaxed);
-                        spins += 1;
-                        if spins.is_multiple_of(SPINS_BEFORE_YIELD) {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                        continue;
-                    }
-                }
-            }
-            slot = (slot + 1) % self.capacity;
-            self.stats.probe_steps.fetch_add(1, relaxed);
-        }
-        Err(HashGraphError::CapacityExhausted { capacity: self.capacity })
+        probe_walk::<_, NARROW>(Shared(self), words, hash, edge_slots, weight)
+    }
+
+    /// The same walk through `&mut self`: one writer, so every slot word,
+    /// key cell and counter is plain memory ([`Owned`]).
+    fn probe_record_owned<const NARROW: bool>(
+        &mut self,
+        words: [u64; 4],
+        hash: u64,
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> Result<()> {
+        probe_walk::<_, NARROW>(Owned(self), words, hash, edge_slots, weight)
     }
 
     /// [`snapshot`](VertexTable::snapshot) and
@@ -487,16 +464,313 @@ impl ConcurrentDbgTable {
     }
 }
 
+/// Home slot of `hash` in a table of `capacity` slots: multiply-shift
+/// range reduction maps the full 64-bit hash onto `[0, capacity)` with one
+/// widening multiply — no division.
+#[inline]
+fn home_slot(hash: u64, capacity: usize) -> usize {
+    ((hash as u128 * capacity as u128) >> 64) as usize
+}
+
+/// A table-wide behaviour counter, as [`SlotAccess::count`] names it.
+#[derive(Clone, Copy)]
+enum Stat {
+    Insertion,
+    CasFailure,
+    LockWait,
+    ProbeStep,
+    TagReject,
+}
+
+impl Counters {
+    fn get_mut(&mut self, stat: Stat) -> &mut std::sync::atomic::AtomicU64 {
+        match stat {
+            Stat::Insertion => &mut self.insertions,
+            Stat::CasFailure => &mut self.cas_failures,
+            Stat::LockWait => &mut self.lock_waits,
+            Stat::ProbeStep => &mut self.probe_steps,
+            Stat::TagReject => &mut self.tag_rejects,
+        }
+    }
+
+    fn get(&self, stat: Stat) -> &std::sync::atomic::AtomicU64 {
+        match stat {
+            Stat::Insertion => &self.insertions,
+            Stat::CasFailure => &self.cas_failures,
+            Stat::LockWait => &self.lock_waits,
+            Stat::ProbeStep => &self.probe_steps,
+            Stat::TagReject => &self.tag_rejects,
+        }
+    }
+}
+
+/// How [`probe_walk`] reads and claims slots. The walk — home slot, tag,
+/// linear step — is written once; [`Shared`] runs it over the
+/// state-transfer protocol, [`Owned`] over plain memory. Every probe
+/// *decision* is the walk's, so both count the same `probe_steps`,
+/// `tag_rejects` and `insertions` and leave the same slot layout.
+trait SlotAccess {
+    fn capacity(&self) -> usize;
+    /// Starts pulling the home slot's key and counter lines toward the core.
+    fn prefetch_home(&self, slot: usize);
+    /// The slot's `state | tag` word.
+    fn state(&mut self, slot: usize) -> u16;
+    /// Whether the key in an `OCCUPIED` slot is `words`; with `NARROW`
+    /// (k ≤ 32: words 1–3 of every key are zero) word 0 alone decides.
+    fn key_matches<const NARROW: bool>(&mut self, slot: usize, words: &[u64; 4]) -> bool;
+    /// Claims an `EMPTY` slot for `words`: writes the key, zeroes the
+    /// counter line its last tenant left behind, publishes
+    /// `OCCUPIED | tag`. `false` when another writer got there first.
+    fn claim(&mut self, slot: usize, tag: u16, words: [u64; 4]) -> bool;
+    /// Adds `weight` to the slot's duplicity count and to each listed
+    /// edge counter, wrapping on overflow.
+    fn bump(&mut self, slot: usize, edge_slots: [Option<u8>; 2], weight: u32);
+    fn count(&mut self, stat: Stat);
+    /// Waits out a `LOCKED` slot (`spins` so far).
+    fn wait_locked(&mut self, spins: u32);
+}
+
+/// Records `weight` occurrences of the key `words` (hash `hash`): the one
+/// probe walk of both access kinds. See [`ConcurrentDbgTable`] for the
+/// protocol.
+#[inline(always)]
+fn probe_walk<A: SlotAccess, const NARROW: bool>(
+    mut access: A,
+    words: [u64; 4],
+    hash: u64,
+    edge_slots: [Option<u8>; 2],
+    weight: u32,
+) -> Result<()> {
+    let capacity = access.capacity();
+    let mut slot = home_slot(hash, capacity);
+    // Pull the home slot's key and counter lines toward the core while
+    // the state-word load below is still in flight — on a hit (the
+    // common, update-heavy case) both are needed within a few
+    // instructions.
+    access.prefetch_home(slot);
+    // 8-bit fingerprint from the hash's low byte (the reduction above
+    // consumes mostly high bits, keeping tag and slot independent).
+    let tag = ((hash & 0xFF) as u16) << 8;
+    for _probe in 0..capacity {
+        let mut spins = 0u32;
+        loop {
+            let word = access.state(slot);
+            match word & STATE_MASK {
+                OCCUPIED => {
+                    if word & TAG_MASK != tag {
+                        // Fingerprint mismatch: provably a different key.
+                        // Reject on the state word alone — the key cell
+                        // is never loaded.
+                        access.count(Stat::TagReject);
+                        break; // probe onwards
+                    }
+                    if access.key_matches::<NARROW>(slot, &words) {
+                        access.bump(slot, edge_slots, weight);
+                        return Ok(());
+                    }
+                    break; // tag collision, different key: probe on
+                }
+                EMPTY => {
+                    if access.claim(slot, tag, words) {
+                        access.bump(slot, edge_slots, weight);
+                        access.count(Stat::Insertion);
+                        return Ok(());
+                    }
+                    // Someone else claimed it between our load and CAS;
+                    // re-examine the same slot.
+                    access.count(Stat::CasFailure);
+                }
+                _locked => {
+                    // Writer is publishing the key; wait for it.
+                    access.count(Stat::LockWait);
+                    spins += 1;
+                    access.wait_locked(spins);
+                }
+            }
+        }
+        slot = (slot + 1) % capacity;
+        access.count(Stat::ProbeStep);
+    }
+    Err(HashGraphError::CapacityExhausted { capacity })
+}
+
+/// [`SlotAccess`] through `&ConcurrentDbgTable`: the paper's
+/// state-transfer protocol, for tables whose writers share them.
+struct Shared<'t>(&'t ConcurrentDbgTable);
+
+impl SlotAccess for Shared<'_> {
+    #[inline(always)]
+    fn capacity(&self) -> usize {
+        self.0.capacity
+    }
+
+    #[inline(always)]
+    fn prefetch_home(&self, slot: usize) {
+        prefetch(&self.0.keys[slot]);
+        prefetch(&self.0.counters[slot]);
+    }
+
+    #[inline(always)]
+    fn state(&mut self, slot: usize) -> u16 {
+        // SAFETY (all `get_unchecked` below): the walk's multiply-shift
+        // reduction and `% capacity` advance keep `slot` in
+        // `[0, capacity)`, and `states`, `keys` and `counters` all have
+        // `capacity` entries. Dropping the bounds checks matters here:
+        // this runs once per probe of the whole build.
+        unsafe { self.0.states.get_unchecked(slot) }.load(Ordering::Acquire)
+    }
+
+    #[inline(always)]
+    fn key_matches<const NARROW: bool>(&mut self, slot: usize, words: &[u64; 4]) -> bool {
+        // SAFETY: the caller's Acquire load read OCCUPIED, after which the
+        // key cell is immutable (see `KeyCell`); `slot < capacity`.
+        let key = unsafe { &*self.0.keys.get_unchecked(slot).0.get() };
+        if NARROW {
+            key[0] == words[0]
+        } else {
+            key == words
+        }
+    }
+
+    #[inline(always)]
+    fn claim(&mut self, slot: usize, tag: u16, words: [u64; 4]) -> bool {
+        let relaxed = Ordering::Relaxed;
+        let state = &self.0.states[slot];
+        let locked = LOCKED | tag;
+        if state.compare_exchange(EMPTY, locked, Ordering::AcqRel, Ordering::Acquire).is_err() {
+            return false;
+        }
+        // We own the slot: the single multi-word write of its lifetime —
+        // and, since a recycled table's `reset` clears state words only,
+        // the zeroing of the counter line its last tenant left behind.
+        // SAFETY: see KeyCell — we hold the lock, and `slot < capacity`.
+        // The counter line rides on the key's argument: `bump`,
+        // `snapshot_with_contention` and `contention` touch a slot's line
+        // only after an Acquire load of its state word read OCCUPIED
+        // (`distinct` reads state words alone), and these Relaxed stores
+        // are sequenced before the Release store that publishes OCCUPIED,
+        // so every such access happens-after the zeroing. Pinned by
+        // `recycled_table_with_stale_counter_lines_equals_fresh`.
+        unsafe { *self.0.keys.get_unchecked(slot).0.get() = words };
+        let line = &self.0.counters[slot];
+        line.count.store(0, relaxed);
+        for edge in &line.edges {
+            edge.store(0, relaxed);
+        }
+        state.store(OCCUPIED | tag, Ordering::Release);
+        true
+    }
+
+    #[inline(always)]
+    fn bump(&mut self, slot: usize, edge_slots: [Option<u8>; 2], weight: u32) {
+        // SAFETY: `slot < capacity`, as for `state`.
+        let counters = unsafe { self.0.counters.get_unchecked(slot) };
+        counters.count.fetch_add(weight, Ordering::Relaxed);
+        for e in edge_slots.into_iter().flatten() {
+            debug_assert!(e < 8, "edge slot {e} out of range");
+            // `& 7` keeps the index provably in range (and is a no-op
+            // for every slot `EdgeDir::slot` can produce) so the
+            // compiler drops the bounds check from the hot loop.
+            counters.edges[(e & 7) as usize].fetch_add(weight, Ordering::Relaxed);
+        }
+    }
+
+    #[inline(always)]
+    fn count(&mut self, stat: Stat) {
+        self.0.stats.get(stat).fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn wait_locked(&mut self, spins: u32) {
+        if spins.is_multiple_of(SPINS_BEFORE_YIELD) {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// [`SlotAccess`] through `&mut ConcurrentDbgTable`: the table has one
+/// writer, so `get_mut` turns every atomic into plain memory — no CAS, no
+/// lock-prefixed add, no shared statistics line. A claim publishes
+/// `OCCUPIED` at once, so no slot is ever `LOCKED`, and CAS failures and
+/// lock waits stay 0.
+struct Owned<'t>(&'t mut ConcurrentDbgTable);
+
+impl SlotAccess for Owned<'_> {
+    #[inline(always)]
+    fn capacity(&self) -> usize {
+        self.0.capacity
+    }
+
+    #[inline(always)]
+    fn prefetch_home(&self, slot: usize) {
+        prefetch(&self.0.keys[slot]);
+        prefetch(&self.0.counters[slot]);
+    }
+
+    #[inline(always)]
+    fn state(&mut self, slot: usize) -> u16 {
+        *self.0.states[slot].get_mut()
+    }
+
+    #[inline(always)]
+    fn key_matches<const NARROW: bool>(&mut self, slot: usize, words: &[u64; 4]) -> bool {
+        let key = self.0.keys[slot].0.get_mut();
+        if NARROW {
+            key[0] == words[0]
+        } else {
+            key == words
+        }
+    }
+
+    #[inline(always)]
+    fn claim(&mut self, slot: usize, tag: u16, words: [u64; 4]) -> bool {
+        *self.0.keys[slot].0.get_mut() = words;
+        let line = &mut self.0.counters[slot];
+        *line.count.get_mut() = 0;
+        for edge in &mut line.edges {
+            *edge.get_mut() = 0;
+        }
+        *self.0.states[slot].get_mut() = OCCUPIED | tag;
+        true
+    }
+
+    #[inline(always)]
+    fn bump(&mut self, slot: usize, edge_slots: [Option<u8>; 2], weight: u32) {
+        let counters = &mut self.0.counters[slot];
+        let count = counters.count.get_mut();
+        *count = count.wrapping_add(weight);
+        for e in edge_slots.into_iter().flatten() {
+            debug_assert!(e < 8, "edge slot {e} out of range");
+            let edge = counters.edges[(e & 7) as usize].get_mut();
+            *edge = edge.wrapping_add(weight);
+        }
+    }
+
+    #[inline(always)]
+    fn count(&mut self, stat: Stat) {
+        *self.0.stats.get_mut(stat).get_mut() += 1;
+    }
+
+    fn wait_locked(&mut self, _spins: u32) {
+        unreachable!("an owned table has no claim in flight");
+    }
+}
+
 impl VertexTable for ConcurrentDbgTable {
     fn k(&self) -> usize {
         self.k
     }
 
     fn record(&self, key: &Kmer, edge_slots: [Option<u8>; 2]) -> Result<()> {
-        if key.k() != self.k {
-            return Err(HashGraphError::WrongK { expected: self.k, got: key.k() });
-        }
-        self.probe_record(*key.words(), key.hash64(), edge_slots)
+        self.record_weighted(key, edge_slots, 1)
+    }
+
+    /// One probe walk whatever the weight: the counters grow by `weight`
+    /// with a single atomic add each.
+    fn record_weighted(&self, key: &Kmer, edge_slots: [Option<u8>; 2], weight: u32) -> Result<()> {
+        self.check_k(key)?;
+        self.probe_record::<false>(*key.words(), key.hash64(), edge_slots, weight)
     }
 
     /// Pulls the home slot's state, key and counter lines toward the
@@ -505,7 +779,7 @@ impl VertexTable for ConcurrentDbgTable {
     /// so the (random-access) table lines arrive while the rolling scan
     /// is still chewing through the next few bases.
     fn prefetch_narrow(&self, hash: u64) {
-        let slot = ((hash as u128 * self.capacity as u128) >> 64) as usize;
+        let slot = home_slot(hash, self.capacity);
         prefetch(&self.states[slot]);
         prefetch(&self.keys[slot]);
         prefetch(&self.counters[slot]);
@@ -516,15 +790,14 @@ impl VertexTable for ConcurrentDbgTable {
     /// `Kmer::hash64` delegates to, so slot, fingerprint tag, probe order,
     /// and every contention counter are bit-identical to
     /// [`record`](Self::record).
-    fn record_narrow_hashed(&self, word: u64, hash: u64, edge_slots: [Option<u8>; 2]) -> Result<()> {
-        debug_assert!(self.k <= 32, "narrow keys require k <= 32, got {}", self.k);
-        let words = [word, 0, 0, 0];
-        debug_assert_eq!(
-            hash,
-            Kmer::hash64_of_words(&words, self.k),
-            "caller-supplied hash must match the key"
-        );
-        self.probe_record_impl::<true>(words, hash, edge_slots)
+    fn record_narrow_hashed(
+        &self,
+        word: u64,
+        hash: u64,
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> Result<()> {
+        self.probe_record::<true>(self.narrow_words(word, hash), hash, edge_slots, weight)
     }
 
     fn snapshot(&self) -> SubGraph {
@@ -553,6 +826,31 @@ impl VertexTable for ConcurrentDbgTable {
         self.contention_given(occurrences)
     }
 }
+
+impl Recorder for &mut ConcurrentDbgTable {
+    #[inline]
+    fn prefetch(&self, hash: u64) {
+        self.prefetch_narrow(hash);
+    }
+
+    #[inline]
+    fn record_narrow(
+        &mut self,
+        word: u64,
+        hash: u64,
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> Result<()> {
+        let words = self.narrow_words(word, hash);
+        self.probe_record_owned::<true>(words, hash, edge_slots, weight)
+    }
+
+    fn record_wide(&mut self, key: &Kmer, edge_slots: [Option<u8>; 2], weight: u32) -> Result<()> {
+        self.check_k(key)?;
+        self.probe_record_owned::<false>(*key.words(), key.hash64(), edge_slots, weight)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,7 +932,7 @@ mod tests {
                 via_kmer.record(&c, edges).unwrap();
                 let word = c.words()[0];
                 let hash = Kmer::hash64_of_words(&[word, 0, 0, 0], k);
-                via_word.record_narrow_hashed(word, hash, edges).unwrap();
+                via_word.record_narrow_hashed(word, hash, edges, 1).unwrap();
             }
             assert_eq!(via_kmer.snapshot(), via_word.snapshot(), "k={k}");
             let (a, b) = (via_kmer.contention(), via_word.contention());
@@ -791,7 +1089,7 @@ mod tests {
 
     /// `reset` leaves every counter line as its last tenant left it; the
     /// thread that claims a slot zeroes the line before it publishes
-    /// `OCCUPIED` (the `SAFETY` argument in `probe_record_impl`). So:
+    /// `OCCUPIED` (the `SAFETY` argument in `Shared::claim`). So:
     /// fill a table densely with partition A — every occupied line holds
     /// counts well above anything B will reach — `reset`, replay a
     /// different partition B through the production pipeline with 1, 2

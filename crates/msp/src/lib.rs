@@ -73,7 +73,7 @@ pub use stats::{DistributionSummary, PartitionStats};
 pub use store::{PartitionSink, PartitionStore, SealedPartition, SealedPayload};
 pub use subsplit::{split_framed, sub_route, SubPartition};
 pub use superkmer::SuperkmerScanner;
-pub use view::{CodeWords, PartitionSlices, SuperkmerView};
+pub use view::{CodeWords, PartitionSlices, RecordCollapse, SuperkmerView};
 pub use writer::{PartitionManifest, PartitionWriter};
 
 /// Errors from MSP partition I/O and parameter validation.

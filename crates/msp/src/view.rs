@@ -14,6 +14,8 @@
 //!   built in one validating pass. Provides O(1) random access to views,
 //!   which the data-parallel device kernels need (`execute(n, |i| …)`),
 //!   at a cost of 4 bytes per record.
+//! * [`RecordCollapse`] — the partition's distinct records with their
+//!   multiplicities, so Step 2 replays each distinct record once.
 //!
 //! Validation happens once, at indexing time ([`PartitionSlices::index`]
 //! checks every header against the buffer length and `core_len ≥ k`), so
@@ -370,6 +372,118 @@ impl<'a> PartitionSlices<'a> {
     pub fn iter(&self) -> impl Iterator<Item = SuperkmerView<'a>> + '_ {
         (0..self.offsets.len()).map(|i| self.view(i))
     }
+
+    /// Record `i`'s encoded bytes: its 3-byte header (core length,
+    /// extension flags) and packed payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub(crate) fn record_bytes(&self, i: usize) -> &'a [u8] {
+        let start = self.offsets[i] as usize;
+        let core_len = u16::from_le_bytes([self.bytes[start], self.bytes[start + 1]]) as usize;
+        &self.bytes[start..start + crate::encoded_len(core_len)]
+    }
+}
+
+/// A partition's distinct superkmer records, each with its multiplicity.
+///
+/// A record is a pure function of its bytes — core length, extension
+/// flags, payload — so two records with equal bytes add exactly the same
+/// k-mers and edges to a table. [`collapse`](Self::collapse) keys one
+/// open-addressing pass on those bytes and returns `(first index,
+/// weight)` pairs: the index of the record's first copy in the partition
+/// and how many copies there are, in first-occurrence order. Replaying
+/// each pair once with its weight fills a table exactly as replaying
+/// every record does, and — because every k-mer's first occurrence lies
+/// in the first copy of its record — inserts vertices in the same order.
+///
+/// The scratch (a `u32` slot array and the pairs, about 16 bytes a
+/// record) is kept between calls, so a warm collapse allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use dna::PackedSeq;
+/// use msp::{PartitionSlices, RecordCollapse};
+///
+/// # fn main() -> msp::Result<()> {
+/// let read = PackedSeq::from_ascii(b"TGATGGATGAACCAGTTTGA");
+/// let once = msp::partition_in_memory(std::slice::from_ref(&read), 5, 3, 1)?.remove(0);
+/// let thrice = once.repeat(3);
+/// let slices = PartitionSlices::index(&thrice, 5, 3)?;
+/// let mut collapse = RecordCollapse::default();
+/// let distinct = collapse.collapse(&slices);
+/// assert!(distinct.len() <= slices.len() / 3);
+/// assert_eq!(distinct.iter().map(|&(_, w)| w as usize).sum::<usize>(), slices.len());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Default)]
+pub struct RecordCollapse {
+    /// Open-addressing set over the records seen so far: 0 is empty,
+    /// `d` names `distinct[d − 1]`.
+    slots: Vec<u32>,
+    /// `(first index, weight)` per distinct record, in first-occurrence
+    /// order.
+    distinct: Vec<(u32, u32)>,
+}
+
+impl RecordCollapse {
+    /// Collapses `slices` into `(first index, weight)` pairs in
+    /// first-occurrence order; the weights sum to `slices.len()`.
+    pub fn collapse(&mut self, slices: &PartitionSlices<'_>) -> &[(u32, u32)] {
+        let n = slices.len();
+        // At most two thirds full even when every record is distinct.
+        let size = (n + n / 2).next_power_of_two().max(16);
+        let shift = 64 - size.trailing_zeros();
+        self.slots.clear();
+        self.slots.resize(size, 0);
+        self.distinct.clear();
+        for i in 0..n {
+            let bytes = slices.record_bytes(i);
+            let mut slot = (record_hash(bytes) >> shift) as usize;
+            loop {
+                match self.slots[slot] {
+                    0 => {
+                        self.distinct.push((i as u32, 1));
+                        self.slots[slot] = self.distinct.len() as u32;
+                        break;
+                    }
+                    d => {
+                        let (first, weight) = &mut self.distinct[d as usize - 1];
+                        if slices.record_bytes(*first as usize) == bytes {
+                            *weight += 1;
+                            break;
+                        }
+                        slot = (slot + 1) & (size - 1);
+                    }
+                }
+            }
+        }
+        &self.distinct
+    }
+}
+
+/// [`RecordCollapse`]'s hash of one record's bytes: 8 bytes a step,
+/// multiply-rotate mixing; the high bits pick the slot. The header leads
+/// with the core length, so zero-padding the tail word is unambiguous.
+/// Like the table's k-mer hash it is unkeyed: colliding records cost
+/// probes, never a wrong weight, because a hit compares the bytes.
+#[inline]
+fn record_hash(bytes: &[u8]) -> u64 {
+    const M: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, word: u64| (h.rotate_left(26) ^ word).wrapping_mul(M);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = 0;
+    for word in &mut words {
+        h = mix(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    mix(h, u64::from_le_bytes(last))
 }
 
 #[cfg(test)]
@@ -381,12 +495,6 @@ mod tests {
     fn encode_all(read: &str, k: usize, p: usize) -> Vec<u8> {
         let read = PackedSeq::from_ascii(read.as_bytes());
         crate::partition_in_memory(&[read], k, p, 1).unwrap().remove(0)
-    }
-
-    /// Record `i`'s encoded bytes.
-    fn record_bytes<'a>(slices: &PartitionSlices<'a>, i: usize) -> &'a [u8] {
-        let start = slices.offsets[i] as usize;
-        &slices.bytes[start..start + crate::encoded_len(slices.view(i).core_len())]
     }
 
     #[test]
@@ -494,7 +602,7 @@ mod tests {
         let mut framed = Vec::new();
         let mut pending = Vec::new();
         for i in 0..slices_raw.len() {
-            pending.extend_from_slice(record_bytes(&slices_raw, i));
+            pending.extend_from_slice(slices_raw.record_bytes(i));
             if pending.len() >= 20 {
                 crate::append_frame(&mut framed, &pending);
                 pending.clear();
@@ -509,7 +617,7 @@ mod tests {
         assert_eq!(slices.total_kmers(), slices_raw.total_kmers());
         // Random access works across frame boundaries.
         for i in (0..slices.len()).rev() {
-            assert_eq!(record_bytes(&slices, i), record_bytes(&slices_raw, i), "record {i}");
+            assert_eq!(slices.record_bytes(i), slices_raw.record_bytes(i), "record {i}");
         }
     }
 
@@ -560,5 +668,51 @@ mod tests {
         let slices = PartitionSlices::index(&[], 5, 3).unwrap();
         assert!(slices.is_empty());
         assert_eq!(slices.len(), 0);
+        assert!(RecordCollapse::default().collapse(&slices).is_empty());
+    }
+
+    /// The collapse against a map keyed on record bytes: the same
+    /// distinct records, each at its first index, in first-occurrence
+    /// order, with weights summing to the record count — on a partition
+    /// where records repeat unevenly, and again (warm scratch) on one
+    /// where none repeat.
+    #[test]
+    fn collapse_keeps_first_occurrence_order_and_counts_copies() {
+        let reads: Vec<PackedSeq> = (0..12)
+            .map(|i| {
+                let base = |j: usize| "ACGT".as_bytes()[(j * (i % 3 + 5) + i) % 4] as char;
+                let read: String = (0..40 + i % 5).map(base).collect();
+                PackedSeq::from_ascii(read.as_bytes())
+            })
+            .collect();
+        let mut collapse = RecordCollapse::default();
+        for copies in [4usize, 1] {
+            let mut buf = Vec::new();
+            for c in 0..copies {
+                // Uneven repeats: copy c holds the first reads.len() − c reads.
+                let part = crate::partition_in_memory(&reads[..reads.len() - c], 7, 3, 1).unwrap();
+                buf.extend_from_slice(&part[0]);
+            }
+            let slices = PartitionSlices::index(&buf, 7, 3).unwrap();
+            let mut want: Vec<(u32, u32)> = Vec::new();
+            let mut seen = std::collections::HashMap::<&[u8], usize>::new();
+            for i in 0..slices.len() {
+                match seen.entry(slices.record_bytes(i)) {
+                    std::collections::hash_map::Entry::Occupied(e) => want[*e.get()].1 += 1,
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(want.len());
+                        want.push((i as u32, 1));
+                    }
+                }
+            }
+            let got = collapse.collapse(&slices);
+            assert_eq!(got, want.as_slice(), "copies={copies}");
+            assert_eq!(got.iter().map(|&(_, w)| w as usize).sum::<usize>(), slices.len());
+            assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "first-occurrence order");
+            if copies > 1 {
+                let (distinct, records) = (got.len(), slices.len());
+                assert!(distinct < records / 2, "copies={copies}: {distinct} of {records}");
+            }
+        }
     }
 }

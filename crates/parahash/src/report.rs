@@ -63,6 +63,12 @@ pub struct StepReport {
     pub device_metrics: Vec<hetsim::DeviceMetrics>,
     /// Step-2 only: aggregated hash table contention counters.
     pub contention: Option<ContentionStats>,
+    /// Step-2 only: k-mer positions the tables actually probed. Step 2
+    /// replays each distinct superkmer record of a partition once,
+    /// weighted by its copies, so this is at most
+    /// [`contention`](Self::contention)`.operations()`, the k-mer
+    /// occurrences recorded; their ratio is the collapse factor.
+    pub replayed_kmers: u64,
     /// Step-1 only: sharded-staging emit/merge counters.
     pub step1_stats: Option<Step1Stats>,
     /// Step-2 only: how many tables had to be rebuilt bigger.
@@ -121,6 +127,7 @@ impl StepReport {
             gpu_compute: Duration::ZERO,
             device_metrics: Vec::new(),
             contention: None,
+            replayed_kmers: 0,
             step1_stats: None,
             resizes: 0,
             peak_partition_bytes: 0,
@@ -229,6 +236,13 @@ impl RunReport {
                 ));
             }
         }
+        if let Some(contention) = &self.step2.contention {
+            s.push_str(&format!(
+                " | replayed {} of {} k-mers",
+                self.step2.replayed_kmers,
+                contention.operations()
+            ));
+        }
         let q = self.quarantined_partitions();
         if q > 0 {
             s.push_str(&format!(" | {q} partition(s) QUARANTINED — graph is incomplete"));
@@ -269,6 +283,7 @@ mod tests {
             gpu_compute: Duration::from_millis(gpu_ms),
             device_metrics: Vec::new(),
             contention: None,
+            replayed_kmers: 0,
             step1_stats: None,
             resizes: 0,
             peak_partition_bytes: 0,
@@ -356,6 +371,25 @@ mod tests {
         let s = r.summary();
         assert!(s.contains("ingest 2000000 bases @"), "{s}");
         assert!(s.contains("Mbases/s"), "{s}");
+    }
+
+    #[test]
+    fn summary_reports_replayed_kmers() {
+        let mut r = RunReport {
+            step1: fake_step(10, 0, 1, 1, 2),
+            step2: fake_step(20, 0, 1, 1, 2),
+            total_elapsed: Duration::from_millis(35),
+            distinct_vertices: 10,
+            total_kmers: 50,
+            peak_host_bytes: 4 << 20,
+            partition_bytes: 1234,
+        };
+        assert!(!r.summary().contains("replayed"), "no Step-2 counters, no replay line");
+        let contention = ContentionStats { insertions: 10, updates: 40, ..Default::default() };
+        r.step2.contention = Some(contention);
+        r.step2.replayed_kmers = 18;
+        let s = r.summary();
+        assert!(s.contains(" | replayed 18 of 50 k-mers"), "{s}");
     }
 
     #[test]

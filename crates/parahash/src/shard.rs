@@ -70,7 +70,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hashgraph::DeBruijnGraph;
+use hashgraph::{ContentionStats, DeBruijnGraph};
 use msp::{PartitionManifest, SealedPayload};
 use parking_lot::Mutex;
 use pipeline::shard::{
@@ -1177,31 +1177,56 @@ impl LeasePhase<'_> {
         let mut merged = self.merged.lock();
         let (graph, built) = &mut *merged;
         if built.insert(p) {
-            let (resizes, peak_table_bytes, fanout) = parse_outcome(detail).unwrap_or_default();
-            let partition_bytes = self.manifest.stats()[p].bytes;
-            let built = Built {
-                image,
-                resizes,
-                peak_table_bytes,
-                fanout,
-                partition_bytes,
-                ..Built::default()
-            };
+            let mut built = parse_outcome(detail).unwrap_or_default();
+            built.image = image;
+            built.partition_bytes = self.manifest.stats()[p].bytes;
             self.shared.settle(self.io, graph, p, built, true);
         }
     }
 }
 
-/// A worker's `result` detail for what it built:
-/// `ok <resizes> <peak table bytes> <fanout>`.
+/// A worker's `result` detail for what it built: `ok <resizes> <peak
+/// table bytes> <fanout> <insertions> <updates> <probe steps> <tag
+/// rejects> <replayed k-mers>`. A worker is one core, whose tables take
+/// no CAS and wait on no lock, so those two counters are 0 and not sent.
 fn outcome_detail(built: &Built) -> String {
-    format!("ok {} {} {}", built.resizes, built.peak_table_bytes, built.fanout)
+    let c = &built.contention;
+    format!(
+        "ok {} {} {} {} {} {} {} {}",
+        built.resizes,
+        built.peak_table_bytes,
+        built.fanout,
+        c.insertions,
+        c.updates,
+        c.probe_steps,
+        c.tag_rejects,
+        built.replayed_kmers
+    )
 }
 
-/// Parses [`outcome_detail`] back into its three counts.
-fn parse_outcome(detail: &str) -> Option<(usize, u64, usize)> {
-    let mut fields = detail.strip_prefix("ok ")?.split_whitespace();
-    Some((fields.next()?.parse().ok()?, fields.next()?.parse().ok()?, fields.next()?.parse().ok()?))
+/// Parses [`outcome_detail`] back into the accounting of a [`Built`]
+/// (image and partition bytes left empty); `None` unless all eight
+/// counts are there.
+fn parse_outcome(detail: &str) -> Option<Built> {
+    let mut fields = detail.strip_prefix("ok ")?.split_whitespace().map(str::parse::<u64>);
+    let mut next = || fields.next()?.ok();
+    let (resizes, peak_table_bytes, fanout) = (next()? as usize, next()?, next()? as usize);
+    let contention = ContentionStats {
+        insertions: next()?,
+        updates: next()?,
+        probe_steps: next()?,
+        tag_rejects: next()?,
+        ..ContentionStats::default()
+    };
+    let replayed_kmers = next()?;
+    Some(Built {
+        contention,
+        replayed_kmers,
+        resizes,
+        peak_table_bytes,
+        fanout,
+        ..Built::default()
+    })
 }
 
 #[cfg(test)]
@@ -1331,6 +1356,35 @@ mod tests {
         }
     }
 
+    /// A worker's `result` detail carries its partition's table counters
+    /// to the parent intact; a detail without them (protocol version 3)
+    /// does not parse.
+    #[test]
+    fn outcome_detail_roundtrips_the_table_counters() {
+        let contention = ContentionStats {
+            insertions: 7,
+            updates: 30,
+            probe_steps: 4,
+            tag_rejects: 3,
+            ..ContentionStats::default()
+        };
+        let built = Built {
+            contention,
+            replayed_kmers: 12,
+            resizes: 1,
+            peak_table_bytes: 4096,
+            fanout: 2,
+            ..Built::default()
+        };
+        let back = parse_outcome(&outcome_detail(&built)).expect("own detail parses");
+        assert_eq!(back.contention, contention);
+        assert_eq!(
+            (back.replayed_kmers, back.resizes, back.peak_table_bytes, back.fanout),
+            (12, 1, 4096, 2)
+        );
+        assert!(parse_outcome("ok 0 4096 0").is_none());
+    }
+
     /// A lease two connections report (the requeue race) is verified,
     /// journaled and merged once: the second `result` leaves the graph
     /// and the built set as they were. Every merged subgraph is the image
@@ -1343,20 +1397,20 @@ mod tests {
         let shared = Step2Shared::new(&cfg, &cancel, &journal);
         let phase = lease_phase(&shared, &cancel, &manifest, &io);
         assert_eq!(phase.board.lock().claim(0), Some(0));
-        phase.accept(0, 0, "ok 0 4096 0");
+        phase.accept(0, 0, "ok 0 4096 0 0 0 0 0 0");
         let once = phase.merged.lock().clone();
         assert_eq!(once.1, BTreeSet::from([0]));
         assert!(once.0.distinct_vertices() > 0, "partition 0 is not empty");
         // The same lease again, as the other side of the race reports it.
         assert_eq!(phase.board.lock().claim(1), Some(1));
-        phase.accept(1, 0, "ok 3 8192 2");
+        phase.accept(1, 0, "ok 3 8192 2 0 0 0 0 0");
         assert!(*phase.merged.lock() == once, "graph and built set unchanged");
         assert_eq!(phase.board.lock().remaining(), 3, "only partition 0 completed");
 
-        phase.accept(1, 1, "ok 0 4096 0");
+        phase.accept(1, 1, "ok 0 4096 0 0 0 0 0 0");
         for p in 2..4 {
             assert_eq!(phase.board.lock().claim(0), Some(p));
-            phase.accept(0, p, "ok 0 4096 0");
+            phase.accept(0, p, "ok 0 4096 0 0 0 0 0 0");
         }
         let LeasePhase { merged, .. } = phase;
         let (graph, built) = merged.into_inner();
@@ -1509,7 +1563,7 @@ mod tests {
                     let frame = recv_frame(&mut reader, cap).unwrap();
                     assert!(matches!(frame, Recv::Frame(_)), "{what}: {frame:?}");
                 }
-                send(WireMsg::Result(0, "ok 0 4096 0".into()), true);
+                send(WireMsg::Result(0, "ok 0 4096 0 0 0 0 0 0".into()), true);
             });
         }
         let mut board = phase.board.lock();
@@ -1545,9 +1599,9 @@ mod tests {
             assert!(matches!(WireMsg::decode(&next_frame(worker.as_mut())), Ok(WireMsg::Assign(0, _))));
             assert_eq!(next_frame(worker.as_mut()).first(), Some(&BLOB_TAG), "partition 0's payload");
             // The parent may hang up at any point from here on.
-            let _ = worker.send(&WireMsg::Result(99, "ok 0 0 0".into()).encode());
+            let _ = worker.send(&WireMsg::Result(99, "ok 0 0 0 0 0 0 0 0".into()).encode());
             let _ = worker.send(&encode_blob(&built));
-            let _ = worker.send(&WireMsg::Result(2, "ok 0 0 0".into()).encode());
+            let _ = worker.send(&WireMsg::Result(2, "ok 0 0 0 0 0 0 0 0".into()).encode());
             let _ = worker.send(&encode_blob(&built));
             drop(worker);
         });

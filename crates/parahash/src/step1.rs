@@ -377,6 +377,7 @@ pub(crate) fn step1_into(
         gpu_compute,
         device_metrics: deltas,
         contention: None,
+        replayed_kmers: 0,
         step1_stats: Some(stats),
         resizes: 0,
         peak_partition_bytes: peak_batch,

@@ -5,11 +5,11 @@ use std::sync::OnceLock;
 
 pub use hashgraph::encode_subgraph;
 use hashgraph::{
-    table_capacity_for, ContentionStats, DeBruijnGraph, HashGraphError, ReplayKernel, SubGraph,
-    TablePool,
+    table_capacity_for, ContentionStats, DeBruijnGraph, HashGraphError, Recorder, ReplayKernel,
+    ReplayPipeline, SubGraph, TablePool,
 };
 use hetsim::{Device, DeviceKind};
-use msp::{PartitionManifest, PartitionSlices, SealedPartition, SealedPayload};
+use msp::{PartitionManifest, PartitionSlices, RecordCollapse, SealedPartition, SealedPayload};
 use parking_lot::Mutex;
 use pipeline::{
     failpoint, run_pipeline, CancelToken, PipelineReport, SharedCounterQueue, ThrottledIo,
@@ -34,6 +34,9 @@ pub(crate) struct Built {
     /// Vertices in the image: the work the scheduler's model is fed.
     pub vertices: u64,
     pub contention: ContentionStats,
+    /// K-mer positions the table probed: the k-mers of the partition's
+    /// distinct records (see [`StepReport::replayed_kmers`]).
+    pub replayed_kmers: u64,
     /// Capacity-retry rebuilds this partition needed.
     pub resizes: usize,
     /// Peak hash-table bytes (the largest sub-table when split).
@@ -237,12 +240,15 @@ pub(crate) struct PartitionBuilder<'a> {
     /// The replay dispatcher: word-parallel single-`u64` fast path for
     /// k ≤ 32, the rolling cursor otherwise.
     kernel: ReplayKernel,
+    /// Idle record-collapse scratch, one per device building at once,
+    /// reused across partitions like the tables.
+    collapses: Mutex<Vec<RecordCollapse>>,
 }
 
 impl<'a> PartitionBuilder<'a> {
     pub(crate) fn new(config: &'a ParaHashConfig) -> PartitionBuilder<'a> {
         let (pool, kernel) = (TablePool::new(config.k), ReplayKernel::new(config.k));
-        PartitionBuilder { config, pool, kernel }
+        PartitionBuilder { config, pool, kernel, collapses: Mutex::new(Vec::new()) }
     }
 
     /// Builds partition `idx` from its framed `bytes` holding `n_kmers`
@@ -326,10 +332,10 @@ impl<'a> PartitionBuilder<'a> {
         Ok(SubGraph::new(self.config.k, entries))
     }
 
-    /// One table build: index the framed bytes once, then hash-construct
-    /// with pooled tables, retrying with a bigger checkout if the
-    /// Property-1 estimate under-sized the table. The cost lands in
-    /// `built`.
+    /// One table build: index the framed bytes and collapse identical
+    /// records once, then hash-construct with pooled tables, retrying
+    /// with a bigger checkout if the Property-1 estimate under-sized the
+    /// table. The cost lands in `built`.
     fn build_one_table(
         &self,
         device: &dyn Device,
@@ -337,7 +343,6 @@ impl<'a> PartitionBuilder<'a> {
         n_kmers: u64,
         built: &mut Built,
     ) -> std::result::Result<SubGraph, Failure> {
-        let transfer_in = bytes.len() as u64;
         // Zero-copy decode of the framed bytes: verify every frame's
         // CRC32 once, index the record boundaries, then replay borrowed
         // `SuperkmerView`s straight out of the partition buffer — no
@@ -346,12 +351,37 @@ impl<'a> PartitionBuilder<'a> {
         // re-verifies nothing, it only swaps in a bigger table.
         let slices = PartitionSlices::index_framed(bytes, self.config.k, self.config.p)
             .map_err(|e| Failure::local(e.into()))?;
+        let mut collapse = self.collapses.lock().pop().unwrap_or_default();
+        let records = collapse.collapse(&slices);
+        let subgraph = self.replay(device, &slices, records, bytes.len() as u64, n_kmers, built);
+        self.collapses.lock().push(collapse);
+        subgraph
+    }
+
+    /// Replays each distinct record of `slices` once with its weight
+    /// (`records`: [`RecordCollapse`] pairs) — counts and edges are sums,
+    /// so the table ends up exactly as if every copy were replayed. A
+    /// one-core device owns its checkout and records through `&mut`,
+    /// plain memory; a device whose workers share the table runs the
+    /// state-transfer protocol. A GPU pays `transfer_in` bytes for the
+    /// partition's host→device copy.
+    fn replay(
+        &self,
+        device: &dyn Device,
+        slices: &PartitionSlices<'_>,
+        records: &[(u32, u32)],
+        transfer_in: u64,
+        n_kmers: u64,
+        built: &mut Built,
+    ) -> std::result::Result<SubGraph, Failure> {
+        let replayed: u64 =
+            records.iter().map(|&(i, _)| slices.view(i as usize).kmer_count() as u64).sum();
         let mut capacity = table_capacity_for(n_kmers, self.config.sizing);
         loop {
             // Checked out from the pool: a recycled allocation when one
             // of this capacity class is shelved, a fresh one otherwise.
             // Dropping the guard (every exit path below) shelves it.
-            let table = self.pool.checkout(capacity);
+            let mut table = self.pool.checkout(capacity);
             let table_bytes = table.approx_bytes() as u64;
             built.peak_table_bytes = built.peak_table_bytes.max(table_bytes);
             let is_gpu = device.kind() == DeviceKind::SimGpu;
@@ -359,28 +389,28 @@ impl<'a> PartitionBuilder<'a> {
                 device.alloc(table_bytes).map_err(|e| Failure::fatal(e.into()))?;
                 device.transfer_to_device(transfer_in);
             }
-            // The kernel: one superkmer per data-parallel item, decoded
-            // in place from the partition buffer. Each worker's chunk is
-            // replayed through one software-pipelined [`ReplayPipeline`],
-            // so the slot-prefetch lookahead spans superkmer boundaries.
-            // The `OnceLock` check lets surviving chunks bail out
-            // cheaply once any item has failed.
+            // The kernel: one distinct record per data-parallel item,
+            // decoded in place from the partition buffer. Each worker's
+            // chunk is replayed through one software-pipelined
+            // [`ReplayPipeline`], so the slot-prefetch lookahead spans
+            // superkmer boundaries.
             let kernel_error: OnceLock<HashGraphError> = OnceLock::new();
-            device.execute_chunks(slices.len(), &|range| {
-                let mut pipe = hashgraph::ReplayPipeline::new(self.kernel, &*table);
-                for i in range {
-                    if kernel_error.get().is_some() {
-                        return;
-                    }
-                    if let Err(e) = pipe.record_view(&slices.view(i)) {
-                        let _ = kernel_error.set(e);
-                        return;
-                    }
-                }
-                if let Err(e) = pipe.flush() {
-                    let _ = kernel_error.set(e);
-                }
-            });
+            let (kernel, error) = (self.kernel, &kernel_error);
+            if device.parallelism() == 1 {
+                // One worker, one chunk: the lock is taken once.
+                let owned = Mutex::new(&mut *table);
+                device.execute_chunks(records.len(), &|range| {
+                    let mut table = owned.lock();
+                    let pipe = ReplayPipeline::new(kernel, &mut **table);
+                    replay_chunk(pipe, slices, &records[range], error);
+                });
+            } else {
+                let shared = &*table;
+                device.execute_chunks(records.len(), &|range| {
+                    let pipe = ReplayPipeline::new(kernel, shared);
+                    replay_chunk(pipe, slices, &records[range], error);
+                });
+            }
             match kernel_error.into_inner() {
                 None => {
                     let (subgraph, contention) = table.snapshot_with_contention();
@@ -390,6 +420,7 @@ impl<'a> PartitionBuilder<'a> {
                         device.free(table_bytes);
                     }
                     built.contention.merge(&contention);
+                    built.replayed_kmers += replayed;
                     return Ok(subgraph);
                 }
                 Some(HashGraphError::CapacityExhausted { .. }) => {
@@ -410,6 +441,29 @@ impl<'a> PartitionBuilder<'a> {
                 }
             }
         }
+    }
+}
+
+/// Replays `records` — `(index, weight)` pairs into `slices` — through
+/// `pipe`. The first error any chunk hits lands in `error`, and the
+/// `OnceLock` check lets surviving chunks bail out cheaply.
+fn replay_chunk<R: Recorder>(
+    mut pipe: ReplayPipeline<R>,
+    slices: &PartitionSlices<'_>,
+    records: &[(u32, u32)],
+    error: &OnceLock<HashGraphError>,
+) {
+    for &(i, weight) in records {
+        if error.get().is_some() {
+            return;
+        }
+        if let Err(e) = pipe.record_weighted(&slices.view(i as usize), weight) {
+            let _ = error.set(e);
+            return;
+        }
+    }
+    if let Err(e) = pipe.flush() {
+        let _ = error.set(e);
     }
 }
 
@@ -457,6 +511,7 @@ pub(crate) struct Step2Shared<'a> {
     cancel: &'a CancelToken,
     builder: PartitionBuilder<'a>,
     total_contention: Mutex<ContentionStats>,
+    total_replayed: AtomicU64,
     total_resizes: AtomicUsize,
     peak_table: AtomicU64,
     peak_partition: AtomicU64,
@@ -490,6 +545,7 @@ impl<'a> Step2Shared<'a> {
             journal,
             builder: PartitionBuilder::new(config),
             total_contention: Mutex::new(ContentionStats::default()),
+            total_replayed: AtomicU64::new(0),
             total_resizes: AtomicUsize::new(0),
             peak_table: AtomicU64::new(0),
             peak_partition: AtomicU64::new(0),
@@ -615,6 +671,7 @@ impl<'a> Step2Shared<'a> {
             return self.fail(idx, failure);
         }
         self.total_contention.lock().merge(&built.contention);
+        self.total_replayed.fetch_add(built.replayed_kmers, Ordering::Relaxed);
         self.total_resizes.fetch_add(built.resizes, Ordering::Relaxed);
         self.peak_table.fetch_max(built.peak_table_bytes, Ordering::Relaxed);
         self.peak_partition.fetch_max(built.partition_bytes, Ordering::Relaxed);
@@ -662,6 +719,7 @@ impl<'a> Step2Shared<'a> {
             gpu_compute,
             device_metrics: deltas,
             contention: Some(self.total_contention.into_inner()),
+            replayed_kmers: self.total_replayed.into_inner(),
             step1_stats: None,
             resizes: self.total_resizes.into_inner(),
             peak_partition_bytes: self.peak_partition.into_inner(),

@@ -78,8 +78,10 @@ use parking_lot::Mutex;
 /// mid-run. Version 1 is the PR-9 grammar (no version field, no
 /// heartbeats, no blobs); a v1 `hello` decodes as version 1 and is
 /// denied. Version 3 dropped the config blob's `threads` key: a worker
-/// is one core.
-pub const PROTO_VERSION: u32 = 3;
+/// is one core. Version 4 appended the table counters (insertions,
+/// updates, probe steps, tag rejects, replayed k-mers) to a `result`'s
+/// detail.
+pub const PROTO_VERSION: u32 = 4;
 
 /// Upper bound on a single *control* frame. Control messages are short
 /// text (the config blob is the largest, well under a kilobyte);

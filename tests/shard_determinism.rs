@@ -43,6 +43,27 @@ fn step2_outcomes_are_journaled_and_the_manifest_stays_step1s() {
     board(&[Flow::TwoPhase, Flow::Fused, Flow::Workers, Flow::WorkersTcp]);
 }
 
+/// A sharded build reports what its workers' tables did: the same Step-2
+/// insertions, updates, probe steps, tag rejects and replayed k-mers as
+/// the in-process build of the same input. Either way each partition is
+/// built by one core, into a table of the same capacity.
+#[test]
+fn sharded_step2_reports_its_workers_table_counters() {
+    let rs = common::corpus();
+    let step2 = |tag: &str, workers: usize| {
+        let dir = common::fresh_dir(tag);
+        let config = common::builder(&dir).workers(workers).build().unwrap();
+        let outcome = ParaHash::new(config).unwrap().run(&rs).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        outcome.report.step2
+    };
+    let (inproc, sharded) = (step2("counters-inproc", 0), step2("counters-w2", 2));
+    let (want, got) = (inproc.contention.unwrap(), sharded.contention.unwrap());
+    assert!(want.insertions > 0 && want.updates > 0, "{want:?}");
+    assert_eq!(got, want);
+    assert_eq!(sharded.replayed_kmers, inproc.replayed_kmers);
+}
+
 /// The sharded flows' board with network chaos armed in every process,
 /// parent and workers: a dropped, delayed or damaged frame costs a
 /// connection, never a line of the board. The environment reaches the

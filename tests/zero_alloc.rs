@@ -10,7 +10,9 @@ use std::cell::Cell;
 use datagen::{GenomeSpec, Sequencer, SequencingSpec};
 use dna::PackedSeq;
 use hashgraph::{ConcurrentDbgTable, ReplayKernel, ReplayPipeline, TablePool, VertexTable};
-use msp::{encode_superkmer_slice, PartitionRouter, PartitionSlices, SuperkmerScanner};
+use msp::{
+    encode_superkmer_slice, PartitionRouter, PartitionSlices, RecordCollapse, SuperkmerScanner,
+};
 
 /// Counts `alloc`/`alloc_zeroed`/`realloc` calls (not bytes) per thread.
 struct CountingAlloc;
@@ -129,6 +131,25 @@ fn step2_replay_path_does_not_allocate() {
         });
         assert_eq!(allocs, 0, "k={k}: replay of {} records", slices.len());
         assert_eq!(table.contention().operations(), slices.total_kmers() as u64);
+
+        // Step 2's own path: collapse the partition's identical records,
+        // then replay each distinct one once, weighted, into an owned
+        // table. A first round warms the scratch and the table; the
+        // second, after a `reset`, is counted.
+        let mut collapse = RecordCollapse::default();
+        let mut owned = ConcurrentDbgTable::new(slices.total_kmers() * 2, k);
+        let mut collapse_and_replay = |owned: &mut ConcurrentDbgTable| {
+            let mut pipe = ReplayPipeline::new(kernel, owned);
+            for &(i, weight) in collapse.collapse(&slices) {
+                pipe.record_weighted(&slices.view(i as usize), weight).unwrap();
+            }
+            pipe.flush().unwrap();
+        };
+        collapse_and_replay(&mut owned);
+        owned.reset();
+        let (allocs, ()) = counted(|| collapse_and_replay(&mut owned));
+        assert_eq!(allocs, 0, "k={k}: collapse + owned replay of {} records", slices.len());
+        assert_eq!(owned.snapshot(), table.snapshot(), "k={k}");
     }
 }
 
