@@ -4,7 +4,7 @@
 //! in the reproduction (not just in the code) fail CI. Exits non-zero on
 //! any failure.
 
-use hashgraph::{table_capacity_for, SizingParams};
+use hashgraph::{projected_table_bytes, table_capacity_for, SizingParams};
 use msp::DistributionSummary;
 use pipeline::perfmodel::Regime;
 use pipeline::IoMode;
@@ -80,8 +80,9 @@ pub fn checks(scale: f64) -> i32 {
     // lockstats: state transfer locks <30% of operations.
     {
         let parts = workloads::partitions(&data.reads, P, 8);
+        let indexed = workloads::indexed(&parts, P);
         let mut stats = hashgraph::ContentionStats::default();
-        for part in &workloads::indexed(&parts, P) {
+        for part in &indexed {
             let table = hashgraph::ConcurrentDbgTable::new(workloads::roomy_capacity(part), K);
             hashgraph::build_subgraph_with(&table, part, 2).expect("build");
             stats.merge(&hashgraph::VertexTable::contention(&table));
@@ -112,6 +113,24 @@ pub fn checks(scale: f64) -> i32 {
                 stats.updates,
                 s2.replayed_kmers,
                 build.operations()
+            ),
+        ));
+
+        // The same build sizes each table from its partition's distinct
+        // records: none runs out of slots, and the largest is smaller
+        // than the Property-1 projection admission priced for the
+        // largest partition.
+        let largest = indexed.iter().map(|part| part.total_kmers() as u64).max().unwrap_or(0);
+        let projected = projected_table_bytes(largest, SizingParams::default());
+        results.push(check(
+            "sizing: tables hold every vertex without resizing, under the Property-1 projection",
+            s2.resizes == 0 && s2.peak_table_bytes < projected,
+            format!(
+                "{} resizes, largest table {} of {} projected B ({:.2}x)",
+                s2.resizes,
+                s2.peak_table_bytes,
+                projected,
+                s2.peak_table_bytes as f64 / projected.max(1) as f64
             ),
         ));
     }

@@ -647,6 +647,30 @@ mod tests {
         }
     }
 
+    /// Every k of the owned/shared and weighted-replay tests: each side
+    /// of every key-word boundary, and [`dna::MAX_K`].
+    const WORD_BOUNDARY_KS: [usize; 9] = [5, 31, 32, 33, 64, 65, 96, 97, 128];
+
+    /// The test reads plus four 200-base pseudo-random ones, as one
+    /// partition's record bytes: long enough for k-mers at every k up to
+    /// [`dna::MAX_K`].
+    fn long_records(k: usize, p: usize) -> Vec<u8> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut reads = test_reads();
+        reads.extend((0..4).map(|_| {
+            let ascii: Vec<u8> = (0..200)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    b"ACGT"[(state >> 33) as usize & 3]
+                })
+                .collect();
+            PackedSeq::from_ascii(&ascii)
+        }));
+        msp::partition_in_memory(&reads, k, p, 1).unwrap().remove(0)
+    }
+
     /// `(record, weight)` streams for the weighted-replay tests: every
     /// record of the test partition with weight 1, 2, 3 in turn.
     fn weighted(slices: &PartitionSlices<'_>) -> Vec<(usize, u32)> {
@@ -673,9 +697,9 @@ mod tests {
     /// small enough that probes collide.
     #[test]
     fn owned_replay_matches_shared_replay_exactly() {
-        for k in [5, 31, 32, 33] {
+        for k in WORD_BOUNDARY_KS {
             let p = 3;
-            let records = test_records(k, p);
+            let records = long_records(k, p);
             let slices = PartitionSlices::index(&records, k, p).unwrap();
             let stream = weighted(&slices);
             let kernel = ReplayKernel::new(k);
@@ -699,9 +723,9 @@ mod tests {
     /// same insertions and updates — shared or owned, narrow or wide k.
     #[test]
     fn weighted_record_equals_repeated_record() {
-        for k in [5, 31, 32, 33] {
+        for k in WORD_BOUNDARY_KS {
             let p = 3;
-            let records = test_records(k, p);
+            let records = long_records(k, p);
             let slices = PartitionSlices::index(&records, k, p).unwrap();
             let stream = weighted(&slices);
             let repeated: Vec<(usize, u32)> =

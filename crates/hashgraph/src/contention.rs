@@ -17,7 +17,7 @@ pub struct ContentionStats {
     /// Linear-probe advances past a mismatching occupied slot.
     pub probe_steps: u64,
     /// Occupied slots rejected on the 8-bit fingerprint tag alone,
-    /// without loading the 32-byte key cell. Each one is a probe
+    /// without loading the slot's key words. Each one is a probe
     /// collision resolved from the state word's cache line.
     pub tag_rejects: u64,
 }

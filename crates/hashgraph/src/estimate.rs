@@ -80,16 +80,19 @@ pub fn table_capacity_for(n_kmers: u64, params: SizingParams) -> usize {
 /// Projected allocation size of the Property-1 table a partition with
 /// `n_kmers` k-mer occurrences would need, in bytes — the §IV-A capacity
 /// rule, rounded up to the [`TablePool`](crate::TablePool) class Step 2
-/// checks it out at, priced at [`SLOT_BYTES`](crate::SLOT_BYTES) per
-/// slot.
+/// could check it out at, priced at [`SLOT_BYTES`](crate::SLOT_BYTES)
+/// (four key words) per slot.
 ///
 /// This is the out-of-core admission check: it can be computed from the
-/// Step-1 manifest alone, *before* any table is allocated, and it equals
-/// what [`ConcurrentDbgTable::approx_bytes`](crate::ConcurrentDbgTable::approx_bytes)
-/// reports for the table a pool checkout of [`table_capacity_for`]
-/// slots hands out — so a partition that passes the projection also fits
-/// the budget once built (capacity-doubling retries on pathological
-/// inputs excepted).
+/// Step-1 manifest alone, *before* any table is allocated. The table a
+/// build then checks out is at most this: Step 2 sizes it at the smaller
+/// of Property 1 and the partition's collapsed k-mers over α, and
+/// [`ConcurrentDbgTable::approx_bytes`](crate::ConcurrentDbgTable::approx_bytes)
+/// prices its slots at [`slot_bytes`](crate::slot_bytes)`(k)`, which is
+/// at most [`SLOT_BYTES`](crate::SLOT_BYTES). The two are equal at
+/// k > 96 when Property 1 binds — so a partition that passes the
+/// projection also fits the budget once built (capacity-doubling retries
+/// on pathological inputs excepted).
 ///
 /// # Examples
 ///
@@ -170,15 +173,24 @@ mod tests {
 
     #[test]
     fn projection_matches_allocated_table() {
-        // The admission check and the post-allocation meter must agree:
-        // what the projection promises is what the table Step 2 checks
-        // out of its pool charges — class rounding included.
-        let pool = crate::TablePool::new(27);
-        for n_kmers in [0u64, 3, 1_000, 97_959, 123_456] {
-            let params = SizingParams::default();
-            let projected = projected_table_bytes(n_kmers, params);
-            let table = pool.checkout(table_capacity_for(n_kmers, params));
-            assert_eq!(projected, table.approx_bytes() as u64, "n_kmers={n_kmers}");
+        // The admission check prices the Property-1 class at four key
+        // words a slot; the table a pool checkout of that class hands out
+        // charges its own width — class rounding included in both. The
+        // two agree at k > 96.
+        for k in [27, 33, 97, 128] {
+            let pool = crate::TablePool::new(k);
+            for n_kmers in [0u64, 3, 1_000, 97_959, 123_456] {
+                let params = SizingParams::default();
+                let class = crate::TablePool::capacity_class(table_capacity_for(n_kmers, params));
+                let what = format!("k={k} n_kmers={n_kmers}");
+                let projected = projected_table_bytes(n_kmers, params);
+                assert_eq!(projected, (class * crate::SLOT_BYTES) as u64, "{what}");
+                let table = pool.checkout(table_capacity_for(n_kmers, params));
+                assert_eq!(table.approx_bytes(), class * crate::slot_bytes(k), "{what}");
+                if k > 96 {
+                    assert_eq!(projected, table.approx_bytes() as u64, "{what}");
+                }
+            }
         }
     }
 

@@ -82,7 +82,7 @@ pub use store::{
     check_subgraph, decode_subgraph, encode_subgraph, load_graph, pack_subgraph, read_graph,
     save_graph, write_graph, StoreError,
 };
-pub use table::{ConcurrentDbgTable, Recorder, VertexTable, SLOT_BYTES};
+pub use table::{slot_bytes, ConcurrentDbgTable, Recorder, VertexTable, SLOT_BYTES};
 pub use unitig::{unitigs, unitigs_with, Unitig};
 
 /// Errors from subgraph construction.

@@ -1,7 +1,7 @@
 //! Table memory pooling for the fused pipeline.
 //!
 //! Step 2 allocates (and zeroes) one [`ConcurrentDbgTable`] per partition
-//! — [`SLOT_BYTES`](crate::SLOT_BYTES) per slot — and throws it away
+//! — [`slot_bytes`](crate::slot_bytes)`(k)` per slot — and throws it away
 //! after the snapshot. Across hundreds of partitions (plus the occasional
 //! capacity-retry rebuild) that alloc+zero churn is pure overhead: the
 //! table shapes repeat, because partition sizes cluster. [`TablePool`]
@@ -189,7 +189,7 @@ impl Drop for PooledTable<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{VertexTable, SLOT_BYTES};
+    use crate::{slot_bytes, VertexTable};
     use dna::{Kmer, PackedSeq};
 
     #[test]
@@ -241,22 +241,23 @@ mod tests {
     #[test]
     fn a_miss_evicts_the_largest_shelved_class() {
         let pool = TablePool::new(7);
+        let slot = slot_bytes(7);
         for capacity in [8192, 4096, 2048] {
             let table = pool.checkout(capacity);
             assert_eq!(table.capacity(), capacity);
             assert_eq!(pool.shelved_bytes(), 0, "the previous class was evicted");
         }
         assert_eq!(pool.allocations(), 3);
-        assert_eq!(pool.shelved_bytes(), 2048 * SLOT_BYTES, "only the last class stays");
+        assert_eq!(pool.shelved_bytes(), 2048 * slot, "only the last class stays");
         // Two tenants at once: the second misses an empty shelf set
         // and allocates; both come back, and a third class evicts the
         // larger of them first.
         let a = pool.checkout(2048);
         let b = pool.checkout(1024);
         drop((a, b));
-        assert_eq!(pool.shelved_bytes(), 3072 * SLOT_BYTES);
+        assert_eq!(pool.shelved_bytes(), 3072 * slot);
         let c = pool.checkout(512);
-        assert_eq!(pool.shelved_bytes(), 1024 * SLOT_BYTES, "2048 went first");
+        assert_eq!(pool.shelved_bytes(), 1024 * slot, "2048 went first");
         drop(c);
         assert_eq!(pool.allocations(), 5);
     }

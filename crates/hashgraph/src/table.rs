@@ -1,5 +1,4 @@
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU16, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering};
 
 use dna::Kmer;
 
@@ -9,7 +8,7 @@ use crate::{ContentionStats, HashGraphError, Result, SubGraph, VertexData};
 /// black), stored in the low byte of the slot word. The high byte holds
 /// an 8-bit *fingerprint tag* of the key's hash, published atomically
 /// with the state so probe mismatches can be rejected without touching
-/// the 32-byte key cell at all.
+/// the slot's key words at all.
 const EMPTY: u16 = 0;
 const LOCKED: u16 = 1;
 const OCCUPIED: u16 = 2;
@@ -180,13 +179,36 @@ impl SlotCounters {
     }
 }
 
-/// Bytes one table slot costs: the 2-byte tagged state word, the 32-byte
-/// key cell, and the 36-byte [`SlotCounters`] cell — 70 in all. This is
-/// the unit price behind [`ConcurrentDbgTable::approx_bytes`] and the
-/// pre-allocation projection [`crate::projected_table_bytes`] — keep the
-/// two accountings on the same constant so a budget check made before a
-/// table exists agrees with the meter charged after it does.
-pub const SLOT_BYTES: usize = 2 + 32 + std::mem::size_of::<SlotCounters>();
+/// Key words a slot stores for `k`-mers: ⌈k/32⌉, the words a [`Kmer`]
+/// of that length uses (the rest of its four are zero).
+const fn key_words(k: usize) -> usize {
+    k.div_ceil(32)
+}
+
+/// Bytes one slot of a `k`-mer table costs: the 2-byte tagged state word,
+/// ⌈k/32⌉ 8-byte key words, and the 36-byte counter cell — 46 at
+/// k ≤ 32, then 54, 62 and, past k = 96, [`SLOT_BYTES`]. The unit price
+/// behind [`ConcurrentDbgTable::approx_bytes`].
+///
+/// # Examples
+///
+/// ```
+/// use hashgraph::{slot_bytes, SLOT_BYTES};
+///
+/// assert_eq!(slot_bytes(27), 46);
+/// assert_eq!(slot_bytes(33), 54);
+/// assert_eq!(slot_bytes(128), SLOT_BYTES);
+/// ```
+pub const fn slot_bytes(k: usize) -> usize {
+    2 + 8 * key_words(k) + std::mem::size_of::<SlotCounters>()
+}
+
+/// Bytes a slot with a four-word key costs — 70, [`slot_bytes`] of
+/// [`dna::MAX_K`]. The pre-allocation projection
+/// [`crate::projected_table_bytes`] prices every slot at this, whatever
+/// the k, so the table a build checks out is at most what admission
+/// charged for it, and equal at k > 96.
+pub const SLOT_BYTES: usize = slot_bytes(dna::MAX_K);
 
 /// Best-effort prefetch of the cache line holding `ptr` into all levels.
 /// A no-op on non-x86 targets.
@@ -202,15 +224,6 @@ fn prefetch<T>(ptr: *const T) {
     let _ = ptr;
 }
 
-/// Key storage cell: written exactly once while the slot is `locked`,
-/// immutable (and therefore safely shared) once the slot is `occupied`.
-struct KeyCell(UnsafeCell<[u64; 4]>);
-
-// SAFETY: the state-transfer protocol guarantees a single writer (the
-// CAS winner, while the slot is LOCKED) and readers only after the
-// Release store of OCCUPIED, which the writer performs after the write.
-unsafe impl Sync for KeyCell {}
-
 /// The paper's concurrent open-addressing De Bruijn hash table.
 ///
 /// One table serves every worker building a partition: every SM of a
@@ -220,19 +233,21 @@ unsafe impl Sync for KeyCell {}
 /// through `&mut` (the [`Recorder`] for `&mut ConcurrentDbgTable`): the
 /// same probe walk with every atomic turned into plain memory. Each slot holds
 /// a 16-bit state word (occupancy flag in the low byte, an 8-bit
-/// hash *fingerprint tag* in the high byte), the multi-word k-mer key, a
-/// duplicity counter and eight edge-multiplicity counters. Concurrency
-/// control is **state-transfer partial locking**:
+/// hash *fingerprint tag* in the high byte), the k-mer key in ⌈k/32⌉
+/// words (one flat key array, [`slot_bytes`]), a duplicity counter and
+/// eight edge-multiplicity counters. Concurrency control is
+/// **state-transfer partial locking**:
 ///
-/// * a thread that finds `empty` CASes it to `locked | tag`, writes the
-///   key (the only multi-word write the slot will ever see), and
-///   publishes with a release-store of `occupied | tag`;
+/// * a thread that finds `empty` CASes it to `locked | tag`, stores the
+///   key words (Relaxed — the only key write the slot will ever see),
+///   and publishes with a release-store of `occupied | tag`;
 /// * a thread that finds `locked` spins until the key is published;
 /// * a thread that finds `occupied` first compares the 8-bit tag that
 ///   arrived with the very same atomic load — a mismatch rejects the
-///   slot without reading its 32-byte key cell (no extra cache line
-///   touched); on a tag match it compares keys lock-free — the key can
-///   never change again — and on a key match bumps counters with atomic
+///   slot without loading its key words (no extra cache line touched);
+///   on a tag match it loads the key words (Relaxed: the Acquire of
+///   `occupied` orders them after the claimant's stores, and the key can
+///   never change again) and on a key match bumps counters with atomic
 ///   adds, otherwise probes the next slot linearly.
 ///
 /// The home slot is derived by multiply-shift range reduction
@@ -271,9 +286,12 @@ unsafe impl Sync for KeyCell {}
 pub struct ConcurrentDbgTable {
     k: usize,
     capacity: usize,
+    /// Key words a slot stores: ⌈k/32⌉.
+    width: usize,
     /// Per-slot `state | tag << 8` words; see the type-level docs.
     states: Box<[AtomicU16]>,
-    keys: Box<[KeyCell]>,
+    /// `capacity × width` key words, slot `s`'s at `s * width`.
+    keys: Box<[AtomicU64]>,
     /// One counter cell per slot (count + 8 edge counters).
     counters: Box<[SlotCounters]>,
     stats: Counters,
@@ -316,11 +334,13 @@ impl ConcurrentDbgTable {
     pub fn new(capacity: usize, k: usize) -> ConcurrentDbgTable {
         assert!((1..=dna::MAX_K).contains(&k), "invalid k {k}");
         let capacity = capacity.max(16);
+        let width = key_words(k);
         ConcurrentDbgTable {
             k,
             capacity,
+            width,
             states: (0..capacity).map(|_| AtomicU16::new(EMPTY)).collect(),
-            keys: (0..capacity).map(|_| KeyCell(UnsafeCell::new([0; 4]))).collect(),
+            keys: (0..capacity * width).map(|_| AtomicU64::new(0)).collect(),
             counters: (0..capacity).map(|_| SlotCounters::new()).collect(),
             stats: Counters::default(),
         }
@@ -332,10 +352,10 @@ impl ConcurrentDbgTable {
     }
 
     /// Approximate allocation size in bytes, for memory accounting
-    /// ([`SLOT_BYTES`] per slot: 2-byte tagged state word, 32-byte key,
-    /// 36-byte counter cell).
+    /// ([`slot_bytes`] of this table's k per slot: 2-byte tagged state
+    /// word, ⌈k/32⌉ key words, 36-byte counter cell).
     pub fn approx_bytes(&self) -> usize {
-        self.capacity * SLOT_BYTES
+        self.capacity * slot_bytes(self.k)
     }
 
     /// Clears the table for reuse without touching its allocations — the
@@ -343,13 +363,14 @@ impl ConcurrentDbgTable {
     /// makes every atomic plain memory, so this is one memset of the
     /// 2-byte state words.
     ///
-    /// Key cells and counter lines are deliberately *not* cleared: both
+    /// Key words and counter lines are deliberately *not* cleared: both
     /// are only ever read after observing `OCCUPIED` on their slot's state
     /// word, every state word returns to `EMPTY` here, and the thread
     /// that next claims a slot overwrites its key and zeroes its counter
     /// line under the slot lock, before it publishes `OCCUPIED` (see
     /// `Shared::claim`). A stale line is
-    /// unreachable until then — 2 bytes per slot to wipe instead of 68.
+    /// unreachable until then — 2 bytes per slot to wipe instead of all
+    /// [`slot_bytes`].
     pub fn reset(&mut self) {
         for s in self.states.iter_mut() {
             *s.get_mut() = EMPTY;
@@ -357,14 +378,30 @@ impl ConcurrentDbgTable {
         self.stats = Counters::default();
     }
 
-    /// Reads the key in `slot`; caller must have observed `OCCUPIED` with
-    /// acquire ordering.
+    /// The key words of `slot`, zero-padded to a [`Kmer`]'s four. The
+    /// caller must have observed `OCCUPIED` with Acquire ordering: the
+    /// key words are stored before the Release that publishes it, and
+    /// never again while the slot is occupied.
     #[inline]
     fn read_key(&self, slot: usize) -> [u64; 4] {
-        // SAFETY: key cells are written only between the EMPTY→LOCKED CAS
-        // and the Release store of OCCUPIED; after our Acquire load of
-        // OCCUPIED the cell is immutable.
-        unsafe { *self.keys[slot].0.get() }
+        let mut key = [0u64; 4];
+        for (word, cell) in key.iter_mut().zip(self.key(slot)) {
+            *word = cell.load(Ordering::Relaxed);
+        }
+        key
+    }
+
+    /// The ⌈k/32⌉ key words of `slot`.
+    #[inline(always)]
+    fn key(&self, slot: usize) -> &[AtomicU64] {
+        &self.keys[slot * self.width..][..self.width]
+    }
+
+    /// [`key`](Self::key) for a writer that owns the table.
+    #[inline(always)]
+    fn key_mut(&mut self, slot: usize) -> &mut [AtomicU64] {
+        let width = self.width;
+        &mut self.keys[slot * width..][..width]
     }
 
     fn check_k(&self, key: &Kmer) -> Result<()> {
@@ -378,6 +415,7 @@ impl ConcurrentDbgTable {
     /// [`VertexTable::record_narrow_hashed`]).
     fn narrow_words(&self, word: u64, hash: u64) -> [u64; 4] {
         debug_assert!(self.k <= 32, "narrow keys require k <= 32, got {}", self.k);
+        debug_assert_eq!(self.width, 1, "a narrow key is one key word a slot");
         let words = [word, 0, 0, 0];
         debug_assert_eq!(
             hash,
@@ -403,7 +441,7 @@ impl ConcurrentDbgTable {
     }
 
     /// The same walk through `&mut self`: one writer, so every slot word,
-    /// key cell and counter is plain memory ([`Owned`]).
+    /// key word and counter is plain memory ([`Owned`]).
     fn probe_record_owned<const NARROW: bool>(
         &mut self,
         words: [u64; 4],
@@ -516,10 +554,10 @@ trait SlotAccess {
     /// The slot's `state | tag` word.
     fn state(&mut self, slot: usize) -> u16;
     /// Whether the key in an `OCCUPIED` slot is `words`; with `NARROW`
-    /// (k ≤ 32: words 1–3 of every key are zero) word 0 alone decides.
+    /// (k ≤ 32: a slot stores one key word) word 0 alone decides.
     fn key_matches<const NARROW: bool>(&mut self, slot: usize, words: &[u64; 4]) -> bool;
-    /// Claims an `EMPTY` slot for `words`: writes the key, zeroes the
-    /// counter line its last tenant left behind, publishes
+    /// Claims an `EMPTY` slot for `words`: stores its ⌈k/32⌉ key words,
+    /// zeroes the counter line its last tenant left behind, publishes
     /// `OCCUPIED | tag`. `false` when another writer got there first.
     fn claim(&mut self, slot: usize, tag: u16, words: [u64; 4]) -> bool;
     /// Adds `weight` to the slot's duplicity count and to each listed
@@ -559,8 +597,8 @@ fn probe_walk<A: SlotAccess, const NARROW: bool>(
                 OCCUPIED => {
                     if word & TAG_MASK != tag {
                         // Fingerprint mismatch: provably a different key.
-                        // Reject on the state word alone — the key cell
-                        // is never loaded.
+                        // Reject on the state word alone — the key words
+                        // are never loaded.
                         access.count(Stat::TagReject);
                         break; // probe onwards
                     }
@@ -606,15 +644,15 @@ impl SlotAccess for Shared<'_> {
 
     #[inline(always)]
     fn prefetch_home(&self, slot: usize) {
-        prefetch(&self.0.keys[slot]);
+        prefetch(&self.0.keys[slot * self.0.width]);
         prefetch(&self.0.counters[slot]);
     }
 
     #[inline(always)]
     fn state(&mut self, slot: usize) -> u16 {
-        // SAFETY (all `get_unchecked` below): the walk's multiply-shift
+        // SAFETY (both `get_unchecked` here): the walk's multiply-shift
         // reduction and `% capacity` advance keep `slot` in
-        // `[0, capacity)`, and `states`, `keys` and `counters` all have
+        // `[0, capacity)`, and `states` and `counters` both have
         // `capacity` entries. Dropping the bounds checks matters here:
         // this runs once per probe of the whole build.
         unsafe { self.0.states.get_unchecked(slot) }.load(Ordering::Acquire)
@@ -622,13 +660,13 @@ impl SlotAccess for Shared<'_> {
 
     #[inline(always)]
     fn key_matches<const NARROW: bool>(&mut self, slot: usize, words: &[u64; 4]) -> bool {
-        // SAFETY: the caller's Acquire load read OCCUPIED, after which the
-        // key cell is immutable (see `KeyCell`); `slot < capacity`.
-        let key = unsafe { &*self.0.keys.get_unchecked(slot).0.get() };
+        // The caller's Acquire load read OCCUPIED, which the claimant
+        // published after storing these words: Relaxed loads see them.
+        let relaxed = Ordering::Relaxed;
         if NARROW {
-            key[0] == words[0]
+            self.0.keys[slot].load(relaxed) == words[0]
         } else {
-            key == words
+            self.0.key(slot).iter().zip(words).all(|(cell, &word)| cell.load(relaxed) == word)
         }
     }
 
@@ -640,18 +678,19 @@ impl SlotAccess for Shared<'_> {
         if state.compare_exchange(EMPTY, locked, Ordering::AcqRel, Ordering::Acquire).is_err() {
             return false;
         }
-        // We own the slot: the single multi-word write of its lifetime —
-        // and, since a recycled table's `reset` clears state words only,
-        // the zeroing of the counter line its last tenant left behind.
-        // SAFETY: see KeyCell — we hold the lock, and `slot < capacity`.
-        // The counter line rides on the key's argument: `bump`,
-        // `snapshot_with_contention` and `contention` touch a slot's line
-        // only after an Acquire load of its state word read OCCUPIED
-        // (`distinct` reads state words alone), and these Relaxed stores
-        // are sequenced before the Release store that publishes OCCUPIED,
-        // so every such access happens-after the zeroing. Pinned by
+        // We own the slot: the single key write of its lifetime — and,
+        // since a recycled table's `reset` clears state words only, the
+        // zeroing of the counter line its last tenant left behind. Key
+        // words and counter line are read only after an Acquire load of
+        // the slot's state word read OCCUPIED (`key_matches`, `bump`,
+        // `snapshot_with_contention`, `contention`; `distinct` reads state
+        // words alone), and these Relaxed stores are sequenced before the
+        // Release store that publishes OCCUPIED, so every such access
+        // happens-after them. Pinned by
         // `recycled_table_with_stale_counter_lines_equals_fresh`.
-        unsafe { *self.0.keys.get_unchecked(slot).0.get() = words };
+        for (cell, word) in self.0.key(slot).iter().zip(words) {
+            cell.store(word, relaxed);
+        }
         let line = &self.0.counters[slot];
         line.count.store(0, relaxed);
         for edge in &line.edges {
@@ -704,7 +743,7 @@ impl SlotAccess for Owned<'_> {
 
     #[inline(always)]
     fn prefetch_home(&self, slot: usize) {
-        prefetch(&self.0.keys[slot]);
+        prefetch(&self.0.keys[slot * self.0.width]);
         prefetch(&self.0.counters[slot]);
     }
 
@@ -715,17 +754,18 @@ impl SlotAccess for Owned<'_> {
 
     #[inline(always)]
     fn key_matches<const NARROW: bool>(&mut self, slot: usize, words: &[u64; 4]) -> bool {
-        let key = self.0.keys[slot].0.get_mut();
         if NARROW {
-            key[0] == words[0]
+            *self.0.keys[slot].get_mut() == words[0]
         } else {
-            key == words
+            self.0.key_mut(slot).iter_mut().zip(words).all(|(cell, &word)| *cell.get_mut() == word)
         }
     }
 
     #[inline(always)]
     fn claim(&mut self, slot: usize, tag: u16, words: [u64; 4]) -> bool {
-        *self.0.keys[slot].0.get_mut() = words;
+        for (cell, word) in self.0.key_mut(slot).iter_mut().zip(words) {
+            *cell.get_mut() = word;
+        }
         let line = &mut self.0.counters[slot];
         *line.count.get_mut() = 0;
         for edge in &mut line.edges {
@@ -781,7 +821,7 @@ impl VertexTable for ConcurrentDbgTable {
     fn prefetch_narrow(&self, hash: u64) {
         let slot = home_slot(hash, self.capacity);
         prefetch(&self.states[slot]);
-        prefetch(&self.keys[slot]);
+        prefetch(&self.keys[slot * self.width]);
         prefetch(&self.counters[slot]);
     }
 
@@ -1177,9 +1217,19 @@ mod tests {
         assert_sync::<ConcurrentDbgTable>();
     }
 
+    /// A slot is the state word, ⌈k/32⌉ key words and the unpadded
+    /// counter cell — priced per width at each word boundary and at the
+    /// first k past it, and allocated at that price.
     #[test]
-    fn slot_costs_seventy_unpadded_bytes() {
+    fn slot_costs_its_key_width_unpadded() {
         assert_eq!(std::mem::size_of::<SlotCounters>(), 36);
         assert_eq!(SLOT_BYTES, 70);
+        for (k, bytes) in [(1, 46), (32, 46), (33, 54), (64, 54), (65, 62), (96, 62), (97, 70)] {
+            assert_eq!(slot_bytes(k), bytes, "k={k}");
+            let table = ConcurrentDbgTable::new(100, k);
+            assert_eq!(table.keys.len(), 100 * key_words(k), "k={k}");
+            assert_eq!(table.approx_bytes(), 100 * bytes, "k={k}");
+        }
+        assert_eq!(slot_bytes(128), SLOT_BYTES);
     }
 }

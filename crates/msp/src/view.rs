@@ -497,6 +497,55 @@ mod tests {
         crate::partition_in_memory(&[read], k, p, 1).unwrap().remove(0)
     }
 
+    /// Every vertex of a partition lies in some record, and every copy of
+    /// a record holds the same k-mers, so the k-mers of the distinct
+    /// records bound the partition's distinct vertices — the bound Step 2
+    /// sizes its tables by. Fixed seeds, a repeat-rich genome, errors and
+    /// both strands; both sides of the 32-base word.
+    #[test]
+    fn distinct_records_hold_every_distinct_vertex() {
+        let (p, partitions) = (11, 8);
+        for seed in 1..=3 {
+            let genome =
+                datagen::GenomeSpec::new(4_000).seed(seed).repeat_fraction(0.3).generate();
+            let spec = datagen::SequencingSpec {
+                read_len: 100,
+                coverage: 8.0,
+                lambda: 1.0,
+                reverse_strand_prob: 0.5,
+                seed,
+            };
+            let reads: Vec<PackedSeq> = datagen::Sequencer::new(spec)
+                .sequence(&genome)
+                .into_iter()
+                .map(|read| read.seq().clone())
+                .collect();
+            for k in [21, 27, 33, 40] {
+                let parts = crate::partition_in_memory(&reads, k, p, partitions).unwrap();
+                let mut collapse = RecordCollapse::default();
+                for (i, bytes) in parts.iter().enumerate() {
+                    let slices = PartitionSlices::index(bytes, k, p).unwrap();
+                    let bound: usize = collapse
+                        .collapse(&slices)
+                        .iter()
+                        .map(|&(r, _)| slices.view(r as usize).kmer_count())
+                        .sum();
+                    let vertices: std::collections::HashSet<dna::Kmer> = slices
+                        .iter()
+                        .flat_map(|v| {
+                            let core: PackedSeq = v.bases().collect();
+                            core.kmers(k).map(|kmer| kmer.canonical().0).collect::<Vec<_>>()
+                        })
+                        .collect();
+                    let what = format!("seed {seed} k {k} partition {i}");
+                    assert!(!vertices.is_empty(), "{what}: empty partition");
+                    assert!(bound >= vertices.len(), "{what}: {bound} < {}", vertices.len());
+                    assert!(bound <= slices.total_kmers(), "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn code_words_match_per_base_decode() {
         // Core lengths around every chunk boundary: sub-word, exactly one

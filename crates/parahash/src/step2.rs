@@ -80,9 +80,13 @@ impl Failure {
 const MAX_SUB_FANOUT: usize = 256;
 
 /// What the simulated device→host copy of a table snapshot charges per
-/// vertex: the in-memory record (4×`u64` key words, `u32` count, 8×`u32`
-/// edge counters), whatever width the subgraph file later stores.
-const SNAPSHOT_VERTEX_BYTES: usize = 32 + 4 + 32;
+/// vertex of `k`-mers: the slot's ⌈k/32⌉ `u64` key words, `u32` count and
+/// 8×`u32` edge counters — 44 bytes at k ≤ 32, the width rule of
+/// [`hashgraph::slot_bytes`] without the state word — whatever width the
+/// subgraph file later stores.
+fn snapshot_vertex_bytes(k: usize) -> usize {
+    8 * k.div_ceil(32) + 4 + 32
+}
 
 /// Parses the format written by [`encode_subgraph`]. Used by tests and by
 /// downstream consumers of persisted subgraphs.
@@ -333,9 +337,9 @@ impl<'a> PartitionBuilder<'a> {
     }
 
     /// One table build: index the framed bytes and collapse identical
-    /// records once, then hash-construct with pooled tables, retrying
-    /// with a bigger checkout if the Property-1 estimate under-sized the
-    /// table. The cost lands in `built`.
+    /// records once, then hash-construct with pooled tables sized from
+    /// the collapsed records, retrying with a bigger checkout if the
+    /// sizing fell short. The cost lands in `built`.
     fn build_one_table(
         &self,
         device: &dyn Device,
@@ -376,7 +380,13 @@ impl<'a> PartitionBuilder<'a> {
     ) -> std::result::Result<SubGraph, Failure> {
         let replayed: u64 =
             records.iter().map(|&(i, _)| slices.view(i as usize).kmer_count() as u64).sum();
-        let mut capacity = table_capacity_for(n_kmers, self.config.sizing);
+        // Every vertex lies in some distinct record, so `replayed` bounds
+        // the partition's vertices and a table of `replayed / α` slots
+        // holds them at load ≤ α. Property 1 stays the cap, so the table
+        // is never bigger than admission projected; when it binds and
+        // under-sizes, the retry below doubles.
+        let collapsed = (replayed as f64 / self.config.sizing.alpha).ceil() as usize;
+        let mut capacity = table_capacity_for(n_kmers, self.config.sizing).min(collapsed);
         loop {
             // Checked out from the pool: a recycled allocation when one
             // of this capacity class is shelved, a fresh one otherwise.
@@ -415,7 +425,7 @@ impl<'a> PartitionBuilder<'a> {
                 None => {
                     let (subgraph, contention) = table.snapshot_with_contention();
                     if is_gpu {
-                        let snapshot = subgraph.len() * SNAPSHOT_VERTEX_BYTES;
+                        let snapshot = subgraph.len() * snapshot_vertex_bytes(self.config.k);
                         device.transfer_from_device(snapshot as u64);
                         device.free(table_bytes);
                     }
@@ -826,6 +836,47 @@ mod tests {
         assert!(m.bytes_from_device > 0);
         assert!(m.peak_memory > 0, "hash tables must reserve device memory");
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    /// The simulated GPU's device→host copy of each snapshot is metered
+    /// at the slot's key width: ⌈k/32⌉ key words, the count and eight
+    /// edge counters a vertex — on both sides of the 32-base word.
+    #[test]
+    fn gpu_snapshot_copy_follows_the_key_width() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let reads: Vec<SeqRead> = (0..40)
+            .map(|i| {
+                let ascii: Vec<u8> = (0..100)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        b"ACGT"[(state >> 33) as usize & 3]
+                    })
+                    .collect();
+                SeqRead::from_ascii(format!("r{i}"), &ascii)
+            })
+            .collect();
+        for (k, width) in [(27, 44), (33, 52)] {
+            let cfg = ParaHashConfig::builder()
+                .k(k)
+                .p(11)
+                .partitions(4)
+                .no_cpu()
+                .sim_gpu(hetsim::SimGpuConfig::default())
+                .work_dir(std::env::temp_dir().join(format!("parahash-step2-gpu-width-{k}")))
+                .build()
+                .unwrap();
+            let _ = std::fs::remove_dir_all(cfg.work_dir());
+            let outcome = crate::ParaHash::new(cfg.clone()).unwrap().run(&reads).unwrap();
+            let report = &outcome.report;
+            assert_eq!(report.distinct_vertices, reference(&reads, k).distinct_vertices());
+            let [gpu] = report.step2.device_metrics.as_slice() else {
+                panic!("k={k}: one device, got {:?}", report.step2.device_metrics)
+            };
+            assert_eq!(gpu.bytes_from_device, report.distinct_vertices as u64 * width, "k={k}");
+            std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+        }
     }
 
     #[test]

@@ -224,16 +224,20 @@ impl ParaHash {
 
         plan.recheck_committed(&config)?;
         plan.journal.append(&JournalEvent::RunComplete)?;
+        // Each device of Step 2's roster builds its own partition in its
+        // own table at once (a core is a device), so the step's transient
+        // — buffer + table, which coexist during a launch — is held once
+        // per device that had a partition to build.
+        let step2_builders = step2.device_metrics.len().min(step2.pipeline.partitions) as u64;
+        let step2_transient =
+            step2_builders * (step2.peak_partition_bytes + step2.peak_table_bytes);
         let report = RunReport {
             // Resident partitions coexist with both the in-flight Step-1
-            // batch and Step 2's buffer + table (which coexist during a
-            // launch, so they add), so the store's peak *adds* to the
-            // larger of the two steps' transients.
+            // batch and Step 2's transients, so the store's peak *adds*
+            // to the larger of the two steps' transients.
             peak_host_bytes: graph.approx_bytes() as u64
                 + step1.peak_resident_store_bytes
-                + step1
-                    .peak_partition_bytes
-                    .max(step2.peak_partition_bytes + step2.peak_table_bytes),
+                + step1.peak_partition_bytes.max(step2_transient),
             partition_bytes: manifest.total_bytes(),
             distinct_vertices: graph.distinct_vertices(),
             total_kmers: graph.total_kmer_occurrences(),
@@ -822,6 +826,43 @@ mod tests {
         assert!(contention.insertions > 0);
         assert_eq!((contention.cas_failures, contention.lock_waits), (0, 0), "{contention:?}");
         std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
+    }
+
+    /// Step 2 sizes each table from its partition's distinct records:
+    /// every vertex lies in one, so a fused build of the corpus never
+    /// rebuilds a table, and its largest table is smaller than the
+    /// Property-1 projection admission priced for its largest partition.
+    #[test]
+    fn tables_are_sized_from_the_collapsed_partition() {
+        let reads = repeat_rich_reads();
+        let cfg = corpus_builder("parahash-sys-collapsed-sizing").build().unwrap();
+        let (manifest, _, _) = crate::step1::tests::step1(&cfg, &reads);
+        let largest = manifest.stats().iter().map(|s| s.kmers).max().unwrap();
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+        let projected = hashgraph::projected_table_bytes(largest, cfg.sizing);
+        let step2 = ParaHash::new(cfg.clone()).unwrap().run_fused(&reads).unwrap().report.step2;
+        assert_eq!(step2.resizes, 0, "every table held its partition");
+        assert!(
+            step2.peak_table_bytes < projected,
+            "largest table {} B, Property-1 projection {projected} B",
+            step2.peak_table_bytes
+        );
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    /// Each core builds its own partition in its own table at once, so
+    /// the host peak holds one table and one partition buffer per core.
+    #[test]
+    fn peak_host_bytes_holds_a_table_and_a_partition_per_core() {
+        let cfg = corpus_builder("parahash-sys-peak-host").build().unwrap();
+        let outcome = ParaHash::new(cfg.clone()).unwrap().run_fused(&repeat_rich_reads()).unwrap();
+        let report = &outcome.report;
+        let per_core = report.step2.peak_table_bytes + report.step2.peak_partition_bytes;
+        let floor = outcome.graph.approx_bytes() as u64
+            + report.step1.peak_resident_store_bytes
+            + 2 * per_core;
+        assert!(report.peak_host_bytes >= floor, "{} < {floor}", report.peak_host_bytes);
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 
     /// Worker processes are a two-phase setting: a fused entry point
