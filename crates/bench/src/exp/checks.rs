@@ -29,10 +29,11 @@ pub fn checks(scale: f64) -> i32 {
     header("checks", "programmatic verification of the reproduction's key shapes");
     let mut results: Vec<Check> = Vec::new();
     let data = workloads::chr14(scale);
+    let reference = baselines::reference_graph(&data.reads, K);
 
     // Table I: duplicates dominate distinct roughly 1:6 (paper: ~6).
     {
-        let g = baselines::reference_graph(&data.reads, K);
+        let g = &reference;
         let ratio = g.duplicate_vertices() as f64 / g.distinct_vertices().max(1) as f64;
         results.push(check(
             "table1: duplicate:distinct ratio in the paper's regime (4..12)",
@@ -98,8 +99,9 @@ pub fn checks(scale: f64) -> i32 {
         // must still be the per-occurrence counts above, so the locked
         // fraction lockstats reports is the build's.
         let ph = workloads::runner("chk-lock", Setup::CpuOnly, 8, IoMode::Unthrottled);
-        let s2 = ph.run(&data.reads).expect("build").report.step2;
+        let outcome = ph.run(&data.reads).expect("build");
         workloads::cleanup(&ph);
+        let s2 = &outcome.report.step2;
         let build = s2.contention.expect("step 2 reports contention");
         results.push(check(
             "lockstats: the build counts every occurrence yet replays fewer k-mers",
@@ -131,6 +133,22 @@ pub fn checks(scale: f64) -> i32 {
                 s2.peak_table_bytes,
                 projected,
                 s2.peak_table_bytes as f64 / projected.max(1) as f64
+            ),
+        ));
+
+        // The same build's Step 1 combines each partition's identical
+        // records into weighted ones before it stores them: on the
+        // chr14 shape that stores under half the bytes it staged, and
+        // the graph stays the reference's.
+        let s1 = outcome.report.step1.step1_stats.expect("step 1 reports emit stats");
+        results.push(check(
+            "combining: Step 1 stores < 0.5x the bytes it staged, graph unchanged",
+            2 * s1.stored_bytes < s1.staging_bytes && outcome.graph == reference,
+            format!(
+                "staged {} B, stored {} B ({:.2}x)",
+                s1.staging_bytes,
+                s1.stored_bytes,
+                s1.stored_bytes as f64 / s1.staging_bytes.max(1) as f64
             ),
         ));
     }
@@ -196,7 +214,6 @@ pub fn checks(scale: f64) -> i32 {
     // Correctness keystone: all builders agree.
     {
         use baselines::DbgBuilder as _;
-        let reference = baselines::reference_graph(&data.reads, K);
         let ph = workloads::runner("chk-eq", Setup::CpuOneGpu, 16, IoMode::Unthrottled);
         let outcome = ph.run(&data.reads).expect("run");
         workloads::cleanup(&ph);

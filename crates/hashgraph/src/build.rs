@@ -225,22 +225,24 @@ impl<R: Recorder> ReplayPipeline<R> {
         ReplayPipeline { kernel, table, buf: [(0, 0, [None, None], 0); BUF], len: 0 }
     }
 
-    /// Enqueues one record's k-mers, draining the buffer whenever it
-    /// fills. A table error for a buffered position surfaces on the
-    /// push or [`flush`](Self::flush) that drains it.
+    /// Enqueues one record's k-mers with the record's own
+    /// [`weight`](SuperkmerView::weight) (1 unless Step 1 combined
+    /// copies of it), draining the buffer whenever it fills. A table
+    /// error for a buffered position surfaces on the push or
+    /// [`flush`](Self::flush) that drains it.
     ///
     /// # Errors
     ///
     /// Propagates table errors ([`HashGraphError::CapacityExhausted`],
     /// [`HashGraphError::WrongK`]).
     pub fn record_view(&mut self, view: &SuperkmerView<'_>) -> Result<()> {
-        self.record_weighted(view, 1)
+        self.record_weighted(view, view.weight())
     }
 
-    /// [`record_view`](Self::record_view) for `weight` identical copies
-    /// of one record: each k-mer is probed once and its vertex's count
-    /// and edge counters grow by `weight` — the table ends up exactly as
-    /// after `weight` calls of `record_view`.
+    /// The k-mers of `weight` identical copies of one record, `weight`
+    /// standing in for the view's own: each k-mer is probed once and its
+    /// vertex's count and edge counters grow by `weight` — the table
+    /// ends up exactly as after replaying each copy.
     ///
     /// # Errors
     ///
@@ -297,8 +299,9 @@ impl<R: Recorder> ReplayPipeline<R> {
 /// workers sharing it: the records are split into contiguous chunks, each
 /// chunk runs through a [`ReplayPipeline`] of its own, and the shared
 /// table is the only point of synchronisation. Every record is replayed
-/// once per occurrence, as in the paper, so the table's contention
-/// counters are the paper's (Figs 9–10, `lockstats`). Generic over
+/// once per occurrence, as in the paper — a record of weight `w`, `w`
+/// times — so the table's contention counters are the paper's (Figs
+/// 9–10, `lockstats`) whether or not Step 1 combined the partition. Generic over
 /// [`VertexTable`], so the full-locking ablation table rides the trait's
 /// default narrow methods.
 ///
@@ -337,7 +340,10 @@ pub fn build_subgraph_with<T: VertexTable + ?Sized>(
     let replay = |records: Range<usize>| -> Result<()> {
         let mut pipe = ReplayPipeline::new(kernel, table);
         for i in records {
-            pipe.record_view(&slices.view(i))?;
+            let view = slices.view(i);
+            for _ in 0..view.weight() {
+                pipe.record_weighted(&view, 1)?;
+            }
         }
         pipe.flush()
     };
@@ -530,6 +536,42 @@ mod tests {
         let c = table.contention();
         assert!(c.lock_reduction() > 0.85, "10× coverage should reduce locks ~90%, got {}", c.lock_reduction());
         assert_eq!(c.operations(), 10 * (read.len() as u64 - 7 + 1));
+    }
+
+    /// A partition whose copies Step 1 combined replays, through the
+    /// paper's per-occurrence path, exactly as its uncombined twin: the
+    /// same snapshot in the same slot order and the same contention
+    /// counters, narrow and wide k.
+    #[test]
+    fn combined_partition_replays_like_its_uncombined_twin() {
+        use msp::{PartitionSink, PartitionStore, SealedPayload};
+        let reads: Vec<PackedSeq> = (0..4).flat_map(|c| test_reads().into_iter().skip(c % 2)).collect();
+        let dir = std::env::temp_dir().join(format!("hashgraph-combined-{}", std::process::id()));
+        for (k, p) in [(7, 4), (33, 11)] {
+            let raw = msp::partition_in_memory(&reads, k, p, 1).unwrap().remove(0);
+            // Budget 0: the partition goes to disk, combined.
+            let mut store = PartitionStore::create(&dir, 1, k, p, 0).unwrap();
+            store.append_encoded(0, &raw, 0, 0).unwrap();
+            let SealedPayload::Spilled(path) = store.seal(0).unwrap().payload else {
+                panic!("a store at budget 0 spills every partition");
+            };
+            let combined = std::fs::read(path).unwrap();
+            let twin = PartitionSlices::index(&raw, k, p).unwrap();
+            let slices = PartitionSlices::index_framed(&combined, k, p).unwrap();
+            assert!(slices.len() < twin.len(), "k={k}: nothing combined");
+            assert_eq!(slices.total_kmers(), twin.total_kmers(), "k={k}");
+            let capacity = 2 * twin.total_kmers();
+            let (want_table, got_table) =
+                (ConcurrentDbgTable::new(capacity, k), ConcurrentDbgTable::new(capacity, k));
+            build_subgraph_with(&want_table, &twin, 1).unwrap();
+            build_subgraph_with(&got_table, &slices, 1).unwrap();
+            let (want, want_stats) = want_table.snapshot_with_contention();
+            let (got, got_stats) = got_table.snapshot_with_contention();
+            assert_eq!(got, want, "k={k}");
+            assert_eq!(got_stats, want_stats, "k={k}");
+            assert_eq!(got_stats.operations(), twin.total_kmers() as u64, "k={k}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

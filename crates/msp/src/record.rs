@@ -1,5 +1,7 @@
 use dna::{Base, PackedSeq};
 
+use crate::view::RecordKey;
+
 /// Number of bytes [`encode_superkmer_slice`] produces for a core of
 /// `core_len` bases: a 3-byte header plus 2-bit packed bases.
 ///
@@ -10,14 +12,44 @@ pub fn encoded_len(core_len: usize) -> usize {
     3 + core_len.div_ceil(4)
 }
 
+/// Flag bit 6: a LEB128 `u32` copy count follows the packed core. A
+/// record without it stands for one copy.
+pub(crate) const WEIGHTED: u8 = 1 << 6;
+
+/// Flag bit 7: reserved; a record that sets it is rejected.
+pub(crate) const RESERVED: u8 = 1 << 7;
+
+/// Appends the record `key` names to `out` as a record of `weight`
+/// copies: the paper's record for one copy, flag bit 6 and the LEB128
+/// suffix otherwise.
+pub(crate) fn write_record(key: &RecordKey<'_>, weight: u32, out: &mut Vec<u8>) {
+    let [lo, hi, flags] = key.head;
+    out.extend_from_slice(&[lo, hi, if weight > 1 { flags | WEIGHTED } else { flags }]);
+    out.extend_from_slice(key.payload);
+    if weight <= 1 {
+        return;
+    }
+    let mut w = weight;
+    while w >= 0x80 {
+        out.push(w as u8 | 0x80);
+        w >>= 7;
+    }
+    out.push(w as u8);
+}
+
 /// Serialises the superkmer covering k-mer positions `first..=last` of
 /// `read` into `out` (appending) in the compact partition record format:
 ///
 /// | bytes | content |
 /// |---|---|
 /// | 0–1 | core length in bases, little-endian `u16` |
-/// | 2 | flags: bit 0 = has left ext, bit 1 = has right ext, bits 2–3 = left base code, bits 4–5 = right base code |
+/// | 2 | flags: bit 0 = has left ext, bit 1 = has right ext, bits 2–3 = left base code, bits 4–5 = right base code, bit 6 = weighted ([`WEIGHTED`]), bit 7 reserved |
 /// | 3… | core bases, 2-bit packed, 4 per byte, LSB-first |
+/// | then | weighted records only: the copy count, a LEB128 `u32` ≥ 1 |
+///
+/// This function writes one copy (bit 6 clear, no suffix): the record
+/// Step 1 scans. [`PartitionStore`](crate::PartitionStore) combines
+/// identical records into one weighted record.
 ///
 /// The minimizer is *not* stored: every k-mer of the superkmer shares it,
 /// so a consumer that needs it recomputes it from the first k-mer, and
@@ -126,6 +158,25 @@ mod tests {
                     assert_eq!(view.kmer_count(), span + 1);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn weights_round_trip_through_the_suffix() {
+        let read = PackedSeq::from_ascii(b"TGATGGATGAACCAGTTTGA");
+        let mut record = Vec::new();
+        encode_superkmer_slice(&read, 2, 4, 5, Some(read.base(1)), None, &mut record);
+        let suffixes = [(1u32, 0), (2, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3), (u32::MAX, 5)];
+        for (weight, suffix) in suffixes {
+            let mut out = Vec::new();
+            write_record(&SuperkmerView::parse(&record, 5).unwrap().0.key(), weight, &mut out);
+            assert_eq!(out.len(), record.len() + suffix, "weight {weight}");
+            assert_eq!(out[2] & WEIGHTED != 0, weight > 1, "weight {weight}");
+            let (view, used) = SuperkmerView::parse(&out, 5).unwrap();
+            assert_eq!((view.weight(), used), (weight, out.len()), "weight {weight}");
+            assert_eq!(view.left_ext(), Some(read.base(1)));
+            assert_eq!(view.right_ext(), None);
+            assert_eq!(view.bases().collect::<PackedSeq>(), read.slice(2, 7));
         }
     }
 

@@ -23,6 +23,23 @@
 //! Spilled partitions retain only a bounded pending buffer (at most the
 //! frame target); that working memory is not counted against the budget,
 //! which governs resident partition *payloads*.
+//!
+//! A frame that goes to disk holds each superkmer once: identical
+//! records in it **combine** into one record whose flag bit 6 is set and
+//! whose copy count follows the core as a LEB128 suffix (see
+//! [`encode_superkmer_slice`](crate::encode_superkmer_slice)), in the
+//! order of their first copies. A spilled partition's pending buffer is
+//! combined as it is framed, and a resident partition's frames are
+//! combined on their way to its spill file. Records combine one frame at
+//! a time — one partition's records, through one scratch
+//! [`RecordCollapse`](crate::RecordCollapse) the whole store reuses — so
+//! no record combines across a frame boundary; a partition that spans
+//! many frames may hold a record once per frame, and Step 2's collapse
+//! sums those. A frame that stays resident keeps its records as
+//! appended: it never crosses the disk, and Step 2's collapse combines
+//! it on the cores that build it. The manifest's `superkmers`/`kmers`
+//! count every copy Step 1 scanned; its `bytes` is the payload as
+//! stored.
 
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
@@ -31,15 +48,17 @@ use std::path::{Path, PathBuf};
 use pipeline::{commit, failpoint};
 
 use crate::frame::{append_frame, write_frame, DEFAULT_FRAME_TARGET, FRAME_HEADER_LEN};
+use crate::record::write_record;
+use crate::view::RecordKey;
 use crate::writer::partition_path;
-use crate::{MspError, PartitionManifest, PartitionRouter, PartitionStats, Result};
+use crate::{MspError, PartitionManifest, PartitionRouter, PartitionStats, RecordCollapse, Result};
 
 /// How Step 1 hands encoded superkmer records to [`PartitionStore`],
 /// partition by partition.
 pub trait PartitionSink {
     /// Appends already-encoded superkmer records to a partition.
     /// `superkmers` and `kmers` are the record counts the caller tallied
-    /// while encoding.
+    /// while encoding — every copy, whatever the sink combines.
     ///
     /// # Errors
     ///
@@ -73,11 +92,12 @@ pub enum SealedPayload {
 pub struct SealedPartition {
     /// Partition index.
     pub index: usize,
-    /// Superkmer records in the partition.
+    /// Superkmer records appended to the partition, every copy counted.
     pub superkmers: u64,
-    /// Total k-mers across those records.
+    /// Total k-mer occurrences across those records.
     pub kmers: u64,
-    /// Payload bytes (excluding frame headers), as in the manifest.
+    /// Payload bytes as stored (excluding frame headers), as in the
+    /// manifest.
     pub bytes: u64,
     /// The framed bytes, resident or on disk.
     pub payload: SealedPayload,
@@ -96,7 +116,8 @@ enum Backing {
 #[derive(Debug)]
 struct Slot {
     backing: Backing,
-    /// Whole records awaiting their next checksummed frame.
+    /// Whole records awaiting their next checksummed frame, as
+    /// appended.
     pending: Vec<u8>,
 }
 
@@ -125,7 +146,10 @@ impl Slot {
 ///
 /// # fn main() -> msp::Result<()> {
 /// let mut store = PartitionStore::create("/tmp/parts", 4, 27, 11, 1 << 20)?;
-/// store.append_encoded(0, &[0u8; 16], 1, 3)?;
+/// let read = dna::PackedSeq::from_ascii(b"TGATGGATGAACCAGTTTGAGGCATTAGCCAGT");
+/// let records = msp::partition_in_memory(std::slice::from_ref(&read), 27, 11, 1)?.remove(0);
+/// let slices = msp::PartitionSlices::index(&records, 27, 11)?;
+/// store.append_encoded(0, &records, slices.len() as u64, slices.total_kmers() as u64)?;
 /// let manifest = store.finish_manifest()?;
 /// let sealed = store.seal(0)?;
 /// assert!(matches!(sealed.payload, SealedPayload::Resident(_)));
@@ -151,6 +175,13 @@ pub struct PartitionStore {
     /// Run-scope token carried by the staged spill `*.tmp` names (empty
     /// = unscoped). See [`pipeline::commit::tmp_path_scoped`].
     run_token: String,
+    /// Whether a frame bound for disk combines identical records (false
+    /// only for the [`PartitionWriter`](crate::PartitionWriter)).
+    combine: bool,
+    /// Scratch of the combining: the distinct records of the frame being
+    /// combined, and the frame they make.
+    collapse: RecordCollapse,
+    frame: Vec<u8>,
 }
 
 impl PartitionStore {
@@ -212,6 +243,9 @@ impl PartitionStore {
             peak_resident_bytes: 0,
             spills: 0,
             run_token: run_token.to_owned(),
+            combine: true,
+            collapse: RecordCollapse::default(),
+            frame: Vec::new(),
         };
         if budget_bytes == 0 {
             for i in 0..num_partitions {
@@ -219,6 +253,13 @@ impl PartitionStore {
             }
         }
         Ok(store)
+    }
+
+    /// This store with combining off: records are framed exactly as
+    /// appended, copies and all.
+    pub(crate) fn without_combining(mut self) -> PartitionStore {
+        self.combine = false;
+        self
     }
 
     /// The partition directory (holds spill files and the manifest).
@@ -267,10 +308,11 @@ impl PartitionStore {
     }
 
     /// [`PartitionSink::append_encoded`]: the records join the
-    /// partition's pending buffer (stats count payload bytes, excluding
-    /// frame headers), which is flushed as a checksummed frame once it
-    /// crosses the frame target, spilling as needed to keep resident
-    /// bytes within the budget.
+    /// partition's pending buffer, which is flushed as a checksummed
+    /// frame once it crosses the frame target, spilling as needed to
+    /// keep resident bytes within the budget. Stats count the payload
+    /// bytes a frame stores (excluding frame headers) when it is
+    /// written.
     fn push_bytes(
         &mut self,
         partition: usize,
@@ -324,7 +366,6 @@ impl PartitionStore {
         let s = &mut self.stats[partition];
         s.superkmers += superkmers;
         s.kmers += kmers;
-        s.bytes += bytes.len() as u64;
         if self.slots[partition].pending.len() >= self.frame_target {
             self.flush_frame(partition)?;
         }
@@ -345,7 +386,8 @@ impl PartitionStore {
     }
 
     /// Converts a resident slot to a spill file: the already-framed
-    /// backing bytes stream straight out; pending records stay buffered
+    /// backing frames go out one by one, each combined (or verbatim, for
+    /// a store that does not combine); pending records stay buffered
     /// (they keep framing as usual, just to disk now).
     ///
     /// The spill file is staged as `part-NNNNN.skm.tmp` and only renamed
@@ -365,7 +407,21 @@ impl PartitionStore {
         };
         let staged = commit::tmp_path_scoped(&partition_path(&self.dir, partition), &self.run_token);
         let mut file = BufWriter::new(File::create(staged)?);
-        file.write_all(&backing)?;
+        if self.combine {
+            // The resident frames hold the records as appended: combine
+            // each on its way to disk.
+            let mut at = 0;
+            while at < backing.len() {
+                let len = u32::from_le_bytes(backing[at..at + 4].try_into().expect("4 bytes")) as usize;
+                let raw = &backing[at + FRAME_HEADER_LEN..at + FRAME_HEADER_LEN + len];
+                combine_frame(&mut self.collapse, self.k, raw, &mut self.frame)?;
+                write_frame(&mut file, &self.frame)?;
+                self.stats[partition].bytes -= (len - self.frame.len()) as u64;
+                at += FRAME_HEADER_LEN + len;
+            }
+        } else {
+            file.write_all(&backing)?;
+        }
         slot.backing = Backing::Spilled(file);
         self.residency[partition] = false;
         self.resident_bytes -= cost;
@@ -373,32 +429,49 @@ impl PartitionStore {
         Ok(())
     }
 
-    /// Writes the partition's pending records as one checksummed frame —
-    /// into the resident backing or the spill file. Cost-neutral for
-    /// resident slots (the header was reserved at append time).
+    /// Writes the partition's pending records as one checksummed frame:
+    /// as appended into the resident backing (cost-neutral: the header
+    /// was reserved at append time), or combined — each distinct record
+    /// once, weighted by its copies — into the spill file.
+    ///
+    /// # Errors
+    ///
+    /// [`MspError::CorruptRecord`] when the pending bytes are not
+    /// records (offsets relative to the pending frame), and write
+    /// failures.
     fn flush_frame(&mut self, partition: usize) -> Result<()> {
         let slot = &mut self.slots[partition];
         if slot.pending.is_empty() {
             return Ok(());
         }
         failpoint::hit("msp.frame.append")?;
+        let payload = if self.combine && matches!(slot.backing, Backing::Spilled(_)) {
+            combine_frame(&mut self.collapse, self.k, &slot.pending, &mut self.frame)?;
+            &self.frame
+        } else {
+            &slot.pending
+        };
         match &mut slot.backing {
-            Backing::Resident(backing) => append_frame(backing, &slot.pending),
-            Backing::Spilled(file) => write_frame(file, &slot.pending)?,
+            Backing::Resident(backing) => append_frame(backing, payload),
+            Backing::Spilled(file) => write_frame(file, payload)?,
             Backing::Sealed => panic!("write to sealed partition {partition}"),
         }
+        self.stats[partition].bytes += payload.len() as u64;
         slot.pending.clear();
         Ok(())
     }
 
-    /// Builds and saves the manifest from the stats accumulated so far —
-    /// the same file for these records, wherever the bytes wait. Call
-    /// once appends are complete.
+    /// Frames every partition's pending records, then builds and saves
+    /// the manifest from the stats. Call once appends are complete.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures from writing `manifest.txt`.
-    pub fn finish_manifest(&self) -> Result<PartitionManifest> {
+    /// Propagates frame and I/O failures, those from writing
+    /// `manifest.txt` included.
+    pub fn finish_manifest(&mut self) -> Result<PartitionManifest> {
+        for i in 0..self.slots.len() {
+            self.flush_frame(i)?;
+        }
         PartitionManifest::commit(self.dir.clone(), self.k, self.p, self.stats.clone())
     }
 
@@ -447,6 +520,22 @@ impl PartitionStore {
     }
 }
 
+/// Writes the records of the frame payload `raw` into `frame`, each
+/// distinct record once with its copies as its weight, in the order of
+/// their first copies.
+fn combine_frame(
+    collapse: &mut RecordCollapse,
+    k: usize,
+    raw: &[u8],
+    frame: &mut Vec<u8>,
+) -> Result<()> {
+    frame.clear();
+    for &(at, weight) in collapse.collapse_bytes(raw, k)? {
+        write_record(&RecordKey::at(&raw[at as usize..]), weight, frame);
+    }
+    Ok(())
+}
+
 impl PartitionSink for PartitionStore {
     fn append_encoded(
         &mut self,
@@ -470,6 +559,35 @@ mod tests {
         let d = std::env::temp_dir().join(format!("msp-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
+    }
+
+    /// A valid `len`-byte record (k = 7): a `4·(len − 3)`-base core of
+    /// `fill` bytes and no extensions.
+    fn blob(len: usize, fill: u8) -> Vec<u8> {
+        let mut record = ((4 * (len - 3)) as u16).to_le_bytes().to_vec();
+        record.push(0);
+        record.resize(len, fill);
+        record
+    }
+
+    /// The framed payload of a sealed partition, wherever it waited.
+    fn sealed_bytes(sealed: &SealedPartition) -> Vec<u8> {
+        match &sealed.payload {
+            SealedPayload::Resident(v) => v.clone(),
+            SealedPayload::Spilled(path) => fs::read(path).unwrap(),
+        }
+    }
+
+    /// `(record key bytes, weight)` of every record in framed `bytes`.
+    fn weighted_records(bytes: &[u8]) -> Vec<(Vec<u8>, u32)> {
+        let slices = PartitionSlices::index_framed(bytes, 7, 4).unwrap();
+        slices
+            .iter()
+            .map(|v| {
+                let key = v.key();
+                ([&key.head[..], key.payload].concat(), v.weight())
+            })
+            .collect()
     }
 
     fn encoded_corpus(k: usize, p: usize, parts: usize) -> Vec<(usize, Vec<u8>, u64)> {
@@ -517,7 +635,7 @@ mod tests {
         // spill order — and with it the largest-first Step-2 dispatch
         // order derived from residency — is identical run to run.
         let dir = tmpdir("spilltie");
-        let payload = vec![0u8; 100];
+        let payload = blob(100, 0);
         let per_slot = payload.len() as u64 + FRAME_HEADER_LEN as u64;
         let mut store = PartitionStore::create(&dir, 4, 7, 4, 2 * per_slot + 1).unwrap();
         // Fill partitions 2 then 1 to identical cost (order deliberately
@@ -582,9 +700,12 @@ mod tests {
 
     #[test]
     fn sealed_output_matches_partition_writer_counts() {
-        // Whatever the budget, the total records visible through
-        // index_framed must equal the writer's.
-        let corpus = encoded_corpus(7, 4, 4);
+        // Whatever the budget, the store's manifest keeps the writer's
+        // occurrence counts, and the copies visible through
+        // index_framed — the records' weights summed — are the writer's
+        // records. The corpus goes in twice, so the copies of a partition
+        // that reaches the disk combine; a resident one keeps them.
+        let corpus = [encoded_corpus(7, 4, 4), encoded_corpus(7, 4, 4)].concat();
         let dir_w = tmpdir("parity-writer");
         let mut writer = crate::PartitionWriter::create(&dir_w, 4, 7, 4).unwrap();
         for (part, bytes, kmers) in &corpus {
@@ -599,24 +720,142 @@ mod tests {
                 store.append_encoded(*part, bytes, 1, *kmers).unwrap();
             }
             let sm = store.finish_manifest().unwrap();
-            assert_eq!(sm.stats(), wm.stats(), "budget {budget}");
-            // One manifest format: the file says nothing of where the
-            // bytes waited, and loads back to what was saved.
-            let on_disk = |dir: &Path| fs::read(dir.join("manifest.txt")).unwrap();
-            assert_eq!(on_disk(&dir_s), on_disk(&dir_w), "budget {budget}");
+            for (i, (s, w)) in sm.stats().iter().zip(wm.stats()).enumerate() {
+                assert_eq!((s.superkmers, s.kmers), (w.superkmers, w.kmers), "budget {budget} part {i}");
+                if store.is_resident(i) {
+                    assert_eq!(s.bytes, w.bytes, "budget {budget} part {i}: resident");
+                } else {
+                    assert!(s.bytes < w.bytes, "budget {budget} part {i}: nothing combined");
+                }
+            }
+            // One manifest format, whatever the budget: it loads back to
+            // what was saved.
             assert_eq!(PartitionManifest::load(&dir_s).unwrap(), sm);
             for i in 0..4 {
                 let sealed = store.seal(i).unwrap();
-                let bytes = match &sealed.payload {
-                    SealedPayload::Resident(v) => v.clone(),
-                    SealedPayload::Spilled(path) => fs::read(path).unwrap(),
-                };
+                let bytes = sealed_bytes(&sealed);
+                let stored: usize = crate::frame_payloads(&bytes).unwrap().iter().map(|f| f.len()).sum();
+                assert_eq!(stored as u64, sealed.bytes, "budget {budget} part {i}");
                 let slices = PartitionSlices::index_framed(&bytes, 7, 4).unwrap();
-                assert_eq!(slices.len() as u64, wm.stats()[i].superkmers, "budget {budget} part {i}");
+                let copies: u64 = slices.iter().map(|v| u64::from(v.weight())).sum();
+                assert_eq!(copies, wm.stats()[i].superkmers, "budget {budget} part {i}");
+                assert_eq!(slices.total_kmers() as u64, wm.stats()[i].kmers, "budget {budget} part {i}");
             }
             fs::remove_dir_all(&dir_s).unwrap();
         }
         fs::remove_dir_all(&dir_w).unwrap();
+    }
+
+    #[test]
+    fn repeated_records_come_out_as_one_weighted_record() {
+        let dir = tmpdir("combine");
+        let mut store = PartitionStore::create(&dir, 1, 7, 4, 0).unwrap();
+        let (r, s) = (blob(12, 0x1b), blob(9, 0xe4));
+        // Three copies of r and one of s in one append, a fourth r in the
+        // next: the store counts five superkmers and keeps two records.
+        store.append_encoded(0, &[&r[..], &r, &s, &r].concat(), 4, 4).unwrap();
+        store.append_encoded(0, &r, 1, 1).unwrap();
+        let sealed = store.seal(0).unwrap();
+        assert_eq!((sealed.superkmers, sealed.kmers), (5, 5));
+        assert_eq!(sealed.bytes, (r.len() + 1 + s.len()) as u64, "one weight byte");
+        let bytes = sealed_bytes(&sealed);
+        assert_eq!(weighted_records(&bytes), vec![(r.clone(), 4), (s.clone(), 1)]);
+        // On the wire: r with flag bit 6 and the weight byte, s verbatim.
+        let payload = &bytes[FRAME_HEADER_LEN..];
+        assert_eq!(payload[2], crate::record::WEIGHTED);
+        assert_eq!(&payload[3..r.len()], &r[3..]);
+        assert_eq!(payload[r.len()], 4);
+        assert_eq!(&payload[r.len() + 1..], &s[..]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resident_frames_keep_their_copies() {
+        // A frame that never reaches the disk holds the records as
+        // appended; Step 2's collapse combines them.
+        let dir = tmpdir("resident-copies");
+        let mut store = PartitionStore::create(&dir, 1, 7, 4, u64::MAX).unwrap();
+        let r = blob(12, 0x1b);
+        store.append_encoded(0, &r.repeat(3), 3, 3).unwrap();
+        let sealed = store.seal(0).unwrap();
+        assert!(matches!(sealed.payload, SealedPayload::Resident(_)));
+        assert_eq!(sealed.bytes, 3 * r.len() as u64);
+        assert_eq!(weighted_records(&sealed_bytes(&sealed)), vec![(r.clone(), 1); 3]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn budget_invariant_holds_as_weights_grow() {
+        // 200 copies of one record, one append each, 128 to a frame. With
+        // room for all of them the partition stays resident, and costs
+        // exactly the copies as appended (plus frame headers). With room
+        // for 130 its first frame is resident when it spills, and is
+        // combined on its way to disk; with room for 2 it spills at the
+        // third copy and every frame is combined as it is written. Either
+        // way the weights on disk grow 1 → 2 → 128 within a frame, and
+        // resident bytes stay within the budget after every append.
+        let r = blob(12, 0x6c);
+        for room in [200usize, 130, 2] {
+            let dir = tmpdir(&format!("weights-{room}"));
+            // Two frame headers: a full frame and a pending one.
+            let budget = (2 * FRAME_HEADER_LEN + room * r.len()) as u64;
+            let mut store = PartitionStore::create(&dir, 1, 7, 4, budget).unwrap();
+            store.set_frame_target(128 * r.len());
+            for copies in 1..=200usize {
+                store.append_encoded(0, &r, 1, 1).unwrap();
+                assert!(store.resident_bytes() <= budget, "room {room}, {copies} copies");
+                assert_eq!(store.is_resident(0), copies <= room, "room {room}, {copies} copies");
+                if store.is_resident(0) {
+                    let (framed, pending) = (copies / 128 * 128, copies % 128);
+                    let headers = FRAME_HEADER_LEN * (copies / 128 + usize::from(pending > 0));
+                    let cost = (headers + (framed + pending) * r.len()) as u64;
+                    assert_eq!(store.resident_bytes(), cost, "room {room}, {copies} copies");
+                }
+            }
+            assert_eq!(store.spill_count(), u64::from(room < 200), "room {room}");
+            let sealed = store.seal(0).unwrap();
+            let records = weighted_records(&sealed_bytes(&sealed));
+            if room == 200 {
+                assert_eq!(records, vec![(r.clone(), 1); 200]);
+                assert_eq!(sealed.bytes, 200 * r.len() as u64);
+            } else {
+                // Weight 128 takes two suffix bytes, 72 one.
+                assert_eq!(records, vec![(r.clone(), 128), (r.clone(), 72)], "room {room}");
+                assert_eq!(sealed.bytes, 2 * r.len() as u64 + 3, "room {room}");
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn combining_never_crosses_a_frame_flush() {
+        let dir = tmpdir("frames");
+        let (r, s) = (blob(12, 0x1b), blob(9, 0xe4));
+        for budget in [0, 80] {
+            // At budget 80 the first frame is framed resident, as
+            // appended, and the sixth append spills it, combined.
+            let mut store = PartitionStore::create(&dir, 1, 7, 4, budget).unwrap();
+            // r, r, s and r pass the frame target: one frame of r
+            // (weight 3) and s. The two r after the flush start a record
+            // of the second frame.
+            store.set_frame_target(3 * r.len());
+            for record in [&r, &r, &s, &r, &r, &r] {
+                store.append_encoded(0, record, 1, 1).unwrap();
+            }
+            assert!(!store.is_resident(0), "budget {budget}");
+            let bytes = sealed_bytes(&store.seal(0).unwrap());
+            let frames: Vec<_> =
+                crate::frame_payloads(&bytes).unwrap().iter().map(|f| f.to_vec()).collect();
+            assert_eq!(frames.len(), 2, "budget {budget}");
+            let framed = |frame: &[u8]| {
+                let mut one = Vec::new();
+                append_frame(&mut one, frame);
+                weighted_records(&one)
+            };
+            assert_eq!(framed(&frames[0]), vec![(r.clone(), 3), (s.clone(), 1)], "budget {budget}");
+            assert_eq!(framed(&frames[1]), vec![(r.clone(), 2)], "budget {budget}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -625,11 +864,11 @@ mod tests {
         // Budget fits ~2 small appends; partition 0 gets a big record so
         // it must be the first victim when partition 1 needs room.
         let mut store = PartitionStore::create(&dir, 3, 7, 4, 128).unwrap();
-        store.append_encoded(0, &[7u8; 80], 1, 1).unwrap();
-        store.append_encoded(1, &[9u8; 24], 1, 1).unwrap();
+        store.append_encoded(0, &blob(80, 7), 1, 1).unwrap();
+        store.append_encoded(1, &blob(24, 9), 1, 1).unwrap();
         // 80+8 + 24+8 = 120 resident; appending 24 more to partition 2
         // (24+8=32) busts 128 → partition 0 (cost 88) spills.
-        store.append_encoded(2, &[5u8; 24], 1, 1).unwrap();
+        store.append_encoded(2, &blob(24, 5), 1, 1).unwrap();
         assert!(!store.is_resident(0), "largest partition spills first");
         assert!(store.is_resident(1));
         assert!(store.is_resident(2));
@@ -641,10 +880,10 @@ mod tests {
     fn oversized_record_spills_its_own_partition() {
         let dir = tmpdir("oversized");
         let mut store = PartitionStore::create(&dir, 2, 7, 4, 64).unwrap();
-        store.append_encoded(0, &[1u8; 16], 1, 1).unwrap();
+        store.append_encoded(0, &blob(16, 1), 1, 1).unwrap();
         // 200 bytes can never fit partition 1 in a 64-byte budget: spill
         // partition 1 directly, leave partition 0 resident.
-        store.append_encoded(1, &[2u8; 200], 1, 1).unwrap();
+        store.append_encoded(1, &blob(200, 2), 1, 1).unwrap();
         assert!(store.is_resident(0));
         assert!(!store.is_resident(1));
         fs::remove_dir_all(&dir).unwrap();

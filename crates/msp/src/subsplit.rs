@@ -40,7 +40,7 @@ pub struct SubPartition {
     /// CRC-framed superkmer records — the same on-disk format as a
     /// first-level partition file.
     pub bytes: Vec<u8>,
-    /// Number of superkmer records routed here.
+    /// Superkmers routed here, every copy of a weighted record counted.
     pub superkmers: u64,
     /// Total k-mer occurrences across those records (drives the §IV-A
     /// table sizing for the sub-build).
@@ -75,8 +75,9 @@ fn route_hash(mut x: u64, fanout: usize) -> usize {
 /// Splits one CRC-framed partition buffer into `fanout` sub-partitions
 /// by the second-level minimizer hash.
 ///
-/// Every record keeps its exact encoded bytes and its relative order
-/// among the records of its sub-partition; only the grouping changes.
+/// Every record keeps its exact encoded bytes — a weighted record its
+/// weight — and its relative order among the records of its
+/// sub-partition; only the grouping changes.
 /// `partition` is the first-level index, used for error attribution
 /// (frame faults surface as that partition's corruption).
 ///
@@ -144,8 +145,8 @@ fn split_framed_routed(
                 append_frame(&mut subs[sub].bytes, &pending[sub]);
                 pending[sub].clear();
             }
-            subs[sub].superkmers += 1;
-            subs[sub].kmers += view.kmer_count() as u64;
+            subs[sub].superkmers += u64::from(view.weight());
+            subs[sub].kmers += view.kmer_count() as u64 * u64::from(view.weight());
             offset += consumed;
         }
         base_offset += payload.len() as u64;
@@ -261,6 +262,32 @@ mod tests {
         }
         let subs = split_framed(&framed, K, P, 4, 0).unwrap();
         assert_eq!(subs.iter().map(|s| s.kmers).sum::<u64>(), expect);
+    }
+
+    /// A weighted record keeps its weight through the split, and the
+    /// sub-partition tallies count its copies: a partition combined by
+    /// the store splits into the counts of its uncombined twin.
+    #[test]
+    fn weighted_records_split_with_their_copies() {
+        let (framed, _) = framed_corpus(29, 30);
+        let twice: Vec<u8> = [&framed[..], &framed].concat();
+        // Every record twice in one raw buffer, combined into one frame.
+        let raw = frame_payloads_in(&twice, None).unwrap().concat();
+        let (mut collapse, mut frame) = (crate::RecordCollapse::default(), Vec::new());
+        for &(at, weight) in collapse.collapse_bytes(&raw, K).unwrap() {
+            let key = crate::view::RecordKey::at(&raw[at as usize..]);
+            crate::record::write_record(&key, weight, &mut frame);
+        }
+        assert!(frame.len() < raw.len(), "nothing combined");
+        let mut combined = Vec::new();
+        append_frame(&mut combined, &frame);
+        let want = split_framed(&twice, K, P, 4, 0).unwrap();
+        let got = split_framed(&combined, K, P, 4, 0).unwrap();
+        for (w, g) in want.iter().zip(&got) {
+            assert_eq!((g.superkmers, g.kmers), (w.superkmers, w.kmers));
+            let slices = PartitionSlices::index_framed(&g.bytes, K, P).unwrap();
+            assert_eq!(slices.total_kmers() as u64, w.kmers);
+        }
     }
 
     #[test]

@@ -17,12 +17,16 @@
 //! * [`RecordCollapse`] — the partition's distinct records with their
 //!   multiplicities, so Step 2 replays each distinct record once.
 //!
+//! A record may stand for several identical copies: flag bit 6 set, a
+//! LEB128 weight after the core ([`SuperkmerView::weight`]).
+//!
 //! Validation happens once, at indexing time ([`PartitionSlices::index`]
 //! checks every header against the buffer length and `core_len ≥ k`), so
 //! view accessors can be panic-free simple arithmetic afterwards.
 
 use dna::Base;
 
+use crate::record::{RESERVED, WEIGHTED};
 use crate::{MspError, Result};
 
 /// A borrowed, validated view of one encoded superkmer record.
@@ -54,6 +58,33 @@ pub struct SuperkmerView<'a> {
     core_len: usize,
     k: usize,
     flags: u8,
+    /// Copies of the record this one stands for (≥ 1).
+    weight: u32,
+}
+
+/// A [`MspError::CorruptRecord`] at `offset` into the record.
+fn corrupt(offset: usize, reason: String) -> MspError {
+    MspError::CorruptRecord { offset: offset as u64, reason }
+}
+
+/// Decodes the LEB128 `u32` weight starting at `at`, returning it and the
+/// record's end.
+fn parse_weight(bytes: &[u8], at: usize) -> Result<(u32, usize)> {
+    let mut value = 0u64;
+    for i in 0..5 {
+        let Some(&byte) = bytes.get(at + i) else {
+            return Err(corrupt(at + i, "weight suffix missing or truncated".into()));
+        };
+        value |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            return match u32::try_from(value) {
+                Ok(0) => Err(corrupt(at, "weight 0".into())),
+                Ok(weight) => Ok((weight, at + i + 1)),
+                Err(_) => Err(corrupt(at, format!("weight {value} exceeds u32"))),
+            };
+        }
+    }
+    Err(corrupt(at, "weight varint longer than 5 bytes".into()))
 }
 
 impl<'a> SuperkmerView<'a> {
@@ -65,38 +96,50 @@ impl<'a> SuperkmerView<'a> {
     /// # Errors
     ///
     /// Returns [`MspError::CorruptRecord`] if `bytes` is too short for
-    /// the header or the declared payload, or the core cannot hold one
-    /// k-mer. Offsets are relative to `bytes`; callers add their own.
+    /// the header or the declared payload, the core cannot hold one
+    /// k-mer, flag bit 7 is set, or a weighted record's suffix is
+    /// missing, longer than 5 bytes, 0 or above `u32::MAX`. Offsets are
+    /// relative to `bytes`; callers add their own.
     pub fn parse(bytes: &'a [u8], k: usize) -> Result<(SuperkmerView<'a>, usize)> {
         if bytes.len() < 3 {
-            return Err(MspError::CorruptRecord {
-                offset: 0,
-                reason: format!("{} bytes left, header needs 3", bytes.len()),
-            });
+            return Err(corrupt(0, format!("{} bytes left, header needs 3", bytes.len())));
         }
         let core_len = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
         let flags = bytes[2];
+        if flags & RESERVED != 0 {
+            return Err(corrupt(2, format!("flags {flags:#04x} set reserved bit 7")));
+        }
         let payload_len = core_len.div_ceil(4);
-        let total = 3 + payload_len;
-        if bytes.len() < total {
-            return Err(MspError::CorruptRecord {
-                offset: 0,
-                reason: format!(
-                    "payload of {payload_len} bytes truncated to {}",
-                    bytes.len() - 3
-                ),
-            });
+        let end = 3 + payload_len;
+        if bytes.len() < end {
+            return Err(corrupt(
+                0,
+                format!("payload of {payload_len} bytes truncated to {}", bytes.len() - 3),
+            ));
         }
         if core_len < k {
-            return Err(MspError::CorruptRecord {
-                offset: 0,
-                reason: format!("core of {core_len} bases cannot hold a {k}-mer"),
-            });
+            return Err(corrupt(0, format!("core of {core_len} bases cannot hold a {k}-mer")));
         }
+        let (weight, total) =
+            if flags & WEIGHTED == 0 { (1, end) } else { parse_weight(bytes, end)? };
         Ok((
-            SuperkmerView { payload: &bytes[3..total], core_len, k, flags },
+            SuperkmerView { payload: &bytes[3..end], core_len, k, flags, weight },
             total,
         ))
+    }
+
+    /// How many identical copies of this record it stands for: 1 unless
+    /// flag bit 6 is set, then its LEB128 suffix.
+    #[inline]
+    pub fn weight(&self) -> u32 {
+        self.weight
+    }
+
+    /// The record with its weight dropped: what two copies share.
+    #[inline]
+    pub(crate) fn key(&self) -> RecordKey<'a> {
+        let [lo, hi] = (self.core_len as u16).to_le_bytes();
+        RecordKey { head: [lo, hi, self.flags & !WEIGHTED], payload: self.payload }
     }
 
     /// Number of bases in the core.
@@ -348,9 +391,10 @@ impl<'a> PartitionSlices<'a> {
         self.p
     }
 
-    /// Total k-mers across all records (the kernel's work-item count).
+    /// Total k-mer occurrences across all records, each record counted
+    /// [`weight`](SuperkmerView::weight) times.
     pub fn total_kmers(&self) -> usize {
-        self.iter().map(|v| v.kmer_count()).sum()
+        self.iter().map(|v| v.kmer_count() * v.weight() as usize).sum()
     }
 
     /// Record `i` as a borrowed view. O(1), allocation-free.
@@ -373,33 +417,55 @@ impl<'a> PartitionSlices<'a> {
         (0..self.offsets.len()).map(|i| self.view(i))
     }
 
-    /// Record `i`'s encoded bytes: its 3-byte header (core length,
-    /// extension flags) and packed payload.
+    /// Record `i`'s key and weight, read without re-validating the
+    /// record: the collapse's per-record read.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[inline]
+    fn key_weight(&self, i: usize) -> (RecordKey<'a>, u32) {
+        let start = self.offsets[i] as usize;
+        let weight = if self.bytes[start + 2] & WEIGHTED == 0 { 1 } else { self.view(i).weight() };
+        (RecordKey::at(&self.bytes[start..]), weight)
+    }
+
+    /// Record `i`'s encoded bytes, weight suffix included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[cfg(test)]
     pub(crate) fn record_bytes(&self, i: usize) -> &'a [u8] {
         let start = self.offsets[i] as usize;
-        let core_len = u16::from_le_bytes([self.bytes[start], self.bytes[start + 1]]) as usize;
-        &self.bytes[start..start + crate::encoded_len(core_len)]
+        let (_, used) = SuperkmerView::parse(&self.bytes[start..], self.k)
+            .expect("record validated at index time");
+        &self.bytes[start..start + used]
     }
 }
 
 /// A partition's distinct superkmer records, each with its multiplicity.
 ///
-/// A record is a pure function of its bytes — core length, extension
-/// flags, payload — so two records with equal bytes add exactly the same
-/// k-mers and edges to a table. [`collapse`](Self::collapse) keys one
-/// open-addressing pass on those bytes and returns `(first index,
-/// weight)` pairs: the index of the record's first copy in the partition
-/// and how many copies there are, in first-occurrence order. Replaying
-/// each pair once with its weight fills a table exactly as replaying
-/// every record does, and — because every k-mer's first occurrence lies
-/// in the first copy of its record — inserts vertices in the same order.
+/// A record is a pure function of its key — core length, extension
+/// flags, payload — so two records with equal keys add exactly the same
+/// k-mers and edges per copy. [`collapse`](Self::collapse) keys one
+/// open-addressing pass on those keys (the record with flag bit 6
+/// masked and its weight suffix dropped) and returns `(first
+/// index, weight)` pairs: the index of the record's first copy in the
+/// partition and how many copies there are — the sum of the copies'
+/// [`weight`](SuperkmerView::weight)s — in first-occurrence order.
+/// Replaying each pair once with its weight fills a table exactly as
+/// replaying every copy does, and — because every k-mer's first
+/// occurrence lies in the first copy of its record — inserts vertices in
+/// the same order.
 ///
-/// The scratch (a `u32` slot array and the pairs, about 16 bytes a
+/// [`PartitionStore`](crate::PartitionStore) combines each frame it
+/// writes to disk with this same collapse; the pass over a whole
+/// partition stays because frames kept in memory hold every copy, and a
+/// partition that spans several frames holds a record once per frame it
+/// occurs in.
+///
+/// The scratch (a `u64` slot array and the pairs, about 20 bytes a
 /// record) is kept between calls, so a warm collapse allocates nothing.
 ///
 /// # Examples
@@ -422,9 +488,12 @@ impl<'a> PartitionSlices<'a> {
 /// ```
 #[derive(Debug, Default)]
 pub struct RecordCollapse {
-    /// Open-addressing set over the records seen so far: 0 is empty,
-    /// `d` names `distinct[d − 1]`.
-    slots: Vec<u32>,
+    /// Open-addressing set over the distinct records: 0 is empty, else
+    /// `tag << 32 | (d + 1)`, the high 32 bits of the record's key hash
+    /// and `distinct[d]`. The tag spares a key comparison on almost
+    /// every slot a probe passes, and growth re-places entries by their
+    /// tags alone. At most two thirds full.
+    slots: Vec<u64>,
     /// `(first index, weight)` per distinct record, in first-occurrence
     /// order.
     distinct: Vec<(u32, u32)>,
@@ -432,58 +501,149 @@ pub struct RecordCollapse {
 
 impl RecordCollapse {
     /// Collapses `slices` into `(first index, weight)` pairs in
-    /// first-occurrence order; the weights sum to `slices.len()`.
+    /// first-occurrence order; the weights sum to the records' weights.
+    /// A record whose copies number more than `u32::MAX` takes one more
+    /// pair for the excess.
     pub fn collapse(&mut self, slices: &PartitionSlices<'_>) -> &[(u32, u32)] {
-        let n = slices.len();
-        // At most two thirds full even when every record is distinct.
-        let size = (n + n / 2).next_power_of_two().max(16);
-        let shift = 64 - size.trailing_zeros();
-        self.slots.clear();
-        self.slots.resize(size, 0);
-        self.distinct.clear();
-        for i in 0..n {
-            let bytes = slices.record_bytes(i);
-            let mut slot = (record_hash(bytes) >> shift) as usize;
-            loop {
-                match self.slots[slot] {
-                    0 => {
-                        self.distinct.push((i as u32, 1));
-                        self.slots[slot] = self.distinct.len() as u32;
-                        break;
-                    }
-                    d => {
-                        let (first, weight) = &mut self.distinct[d as usize - 1];
-                        if slices.record_bytes(*first as usize) == bytes {
-                            *weight += 1;
-                            break;
-                        }
-                        slot = (slot + 1) & (size - 1);
-                    }
-                }
-            }
+        self.clear(slices.len());
+        for i in 0..slices.len() {
+            let (key, weight) = slices.key_weight(i);
+            self.add(i as u32, key, weight, |first| slices.key_weight(first as usize).0);
         }
         &self.distinct
     }
+
+    /// [`collapse`](Self::collapse) over a raw buffer of records cut for
+    /// `k`: `(offset, weight)` pairs, each offset that of a distinct
+    /// record's first copy in `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// [`MspError::CorruptRecord`] for a record that does not parse, its
+    /// offset relative to `bytes`.
+    pub(crate) fn collapse_bytes(&mut self, bytes: &[u8], k: usize) -> Result<&[(u32, u32)]> {
+        self.clear(bytes.len() / 16);
+        let mut at = 0;
+        while at < bytes.len() {
+            let (view, used) = SuperkmerView::parse(&bytes[at..], k).map_err(|e| match e {
+                MspError::CorruptRecord { offset, reason } => {
+                    MspError::CorruptRecord { offset: offset + at as u64, reason }
+                }
+                other => other,
+            })?;
+            self.add(at as u32, view.key(), view.weight(), |first| RecordKey::at(&bytes[first as usize..]));
+            at += used;
+        }
+        Ok(&self.distinct)
+    }
+
+    /// Empties the scratch, sized to take `n` distinct records without
+    /// growing.
+    fn clear(&mut self, n: usize) {
+        let size = (n + n / 2).next_power_of_two().max(16);
+        self.slots.clear();
+        self.slots.resize(size, 0);
+        self.distinct.clear();
+    }
+
+    /// Counts `weight` copies of the record `key`: onto its distinct
+    /// record's weight when one holds the key — `key_of(first)` resolving
+    /// a pair's key — or as a new pair `(first, weight)`.
+    fn add<'k>(
+        &mut self,
+        first: u32,
+        key: RecordKey<'_>,
+        weight: u32,
+        key_of: impl Fn(u32) -> RecordKey<'k>,
+    ) {
+        let tag = key.hash() >> 32;
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(tag);
+        while self.slots[slot] != 0 {
+            let entry = self.slots[slot];
+            let d = (entry as u32 - 1) as usize;
+            if entry >> 32 == tag && key_of(self.distinct[d].0) == key {
+                let sum = &mut self.distinct[d].1;
+                match sum.checked_add(weight) {
+                    Some(total) => *sum = total,
+                    None => self.distinct.push((first, weight)),
+                }
+                return;
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.distinct.push((first, weight));
+        self.slots[slot] = tag << 32 | self.distinct.len() as u64;
+        if self.distinct.len() * 3 > self.slots.len() * 2 {
+            let size = 2 * self.slots.len();
+            let old = std::mem::replace(&mut self.slots, vec![0; size]);
+            for entry in old.into_iter().filter(|&entry| entry != 0) {
+                let mut slot = self.home(entry >> 32);
+                while self.slots[slot] != 0 {
+                    slot = (slot + 1) & (self.slots.len() - 1);
+                }
+                self.slots[slot] = entry;
+            }
+        }
+    }
+
+    /// The home slot of a tag: its high bits.
+    #[inline]
+    fn home(&self, tag: u64) -> usize {
+        (tag << 32 >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
 }
 
-/// [`RecordCollapse`]'s hash of one record's bytes: 8 bytes a step,
-/// multiply-rotate mixing; the high bits pick the slot. The header leads
-/// with the core length, so zero-padding the tail word is unambiguous.
-/// Like the table's k-mer hash it is unkeyed: colliding records cost
-/// probes, never a wrong weight, because a hit compares the bytes.
-#[inline]
-fn record_hash(bytes: &[u8]) -> u64 {
-    const M: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mix = |h: u64, word: u64| (h.rotate_left(26) ^ word).wrapping_mul(M);
-    let mut words = bytes.chunks_exact(8);
-    let mut h = 0;
-    for word in &mut words {
-        h = mix(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+/// A record's identity with its weight dropped: the 3-byte header with
+/// flag bit 6 clear, and the packed core. Equal keys add equal k-mers
+/// and edges per copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordKey<'a> {
+    pub(crate) head: [u8; 3],
+    pub(crate) payload: &'a [u8],
+}
+
+impl<'a> RecordKey<'a> {
+    /// The key of the record `bytes` starts with, which has been parsed
+    /// before.
+    #[inline]
+    pub(crate) fn at(bytes: &'a [u8]) -> RecordKey<'a> {
+        let payload_len = (u16::from_le_bytes([bytes[0], bytes[1]]) as usize).div_ceil(4);
+        RecordKey { head: [bytes[0], bytes[1], bytes[2] & !WEIGHTED], payload: &bytes[3..3 + payload_len] }
     }
-    let tail = words.remainder();
-    let mut last = [0u8; 8];
-    last[..tail.len()].copy_from_slice(tail);
-    mix(h, u64::from_le_bytes(last))
+
+    /// The header as the first word, then the payload 8 bytes a step
+    /// and its tail as one more word, multiply-rotate mixing; the high
+    /// bits pick the slot. The header leads with the core length, which
+    /// fixes the payload's length, so the tail word (two overlapping
+    /// loads, no byte loop) is unambiguous. Like the table's k-mer hash
+    /// it is unkeyed: colliding records cost probes, never a wrong
+    /// weight, because a hit compares the keys.
+    #[inline]
+    fn hash(&self) -> u64 {
+        const M: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mix = |h: u64, word: u64| (h.rotate_left(26) ^ word).wrapping_mul(M);
+        let [a, b, c] = self.head;
+        let mut h = mix(0, u64::from(a) | u64::from(b) << 8 | u64::from(c) << 16);
+        let mut words = self.payload.chunks_exact(8);
+        for word in &mut words {
+            h = mix(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        mix(h, tail_word(words.remainder()))
+    }
+}
+
+/// Up to 7 bytes as one word, without a byte loop: two overlapping
+/// 4-byte loads, or for 1–3 bytes the first, middle and last.
+#[inline]
+fn tail_word(tail: &[u8]) -> u64 {
+    let n = tail.len();
+    let u32_at = |i: usize| u64::from(u32::from_le_bytes(tail[i..i + 4].try_into().expect("4 bytes")));
+    match n {
+        0 => 0,
+        1..=3 => u64::from(tail[0]) | u64::from(tail[n / 2]) << 8 | u64::from(tail[n - 1]) << 16,
+        _ => u32_at(0) | u32_at(n - 4) << 32,
+    }
 }
 
 #[cfg(test)]
@@ -613,6 +773,87 @@ mod tests {
         assert_eq!(slices.total_kmers(), 32 - 5 + 1);
     }
 
+    /// A frame payload of weighted records — weights 1, 2, 127, 128,
+    /// 300 and `u32::MAX`, so suffixes of every length — under every
+    /// truncation and every single-bit flip: indexing either fails with
+    /// a `CorruptRecord` naming an offset inside the bytes, or yields
+    /// records in range (a core that holds a k-mer, a weight ≥ 1).
+    #[test]
+    fn hostile_bytes_at_the_weight_suffix_fail_cleanly() {
+        let raw = encode_all("ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCA", 5, 3);
+        let slices = PartitionSlices::index(&raw, 5, 3).unwrap();
+        let weights = [1u32, 2, 127, 128, 300, u32::MAX];
+        assert!(slices.len() >= weights.len());
+        let mut payload = Vec::new();
+        for i in 0..slices.len() {
+            crate::record::write_record(&slices.view(i).key(), weights[i % weights.len()], &mut payload);
+        }
+        let check = |bytes: &[u8], what: &str| match PartitionSlices::index(bytes, 5, 3) {
+            Ok(got) => {
+                for v in got.iter() {
+                    assert!(v.weight() >= 1 && v.core_len() >= 5, "{what}");
+                    assert_eq!(v.bases().count(), v.core_len(), "{what}");
+                }
+            }
+            Err(MspError::CorruptRecord { offset, .. }) => {
+                assert!(offset <= bytes.len() as u64, "{what}: offset {offset} of {}", bytes.len());
+            }
+            Err(e) => panic!("{what}: {e}"),
+        };
+        for cut in 0..payload.len() {
+            check(&payload[..cut], &format!("cut at {cut}"));
+        }
+        for bit in 0..8 * payload.len() {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped, &format!("bit {bit} flipped"));
+        }
+        let slices = PartitionSlices::index(&payload, 5, 3).unwrap();
+        let got: Vec<u32> = slices.iter().map(|v| v.weight()).collect();
+        let want: Vec<u32> = (0..slices.len()).map(|i| weights[i % weights.len()]).collect();
+        assert_eq!(got, want);
+    }
+
+    /// Each malformed weight suffix by name, and the widest legal one.
+    #[test]
+    fn parse_rejects_bad_weight_suffixes() {
+        let raw = encode_all("GATTACAGATTACA", 5, 3);
+        let (_, used) = SuperkmerView::parse(&raw, 5).unwrap();
+        let weighted = |suffix: &[u8]| {
+            let mut record = raw[..used].to_vec();
+            record[2] |= WEIGHTED;
+            record.extend_from_slice(suffix);
+            record
+        };
+        let rejects = |bytes: &[u8]| match SuperkmerView::parse(bytes, 5) {
+            Err(MspError::CorruptRecord { offset, reason }) => (offset, reason),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("accepted {bytes:?}"),
+        };
+        let at = used as u64;
+        assert_eq!(rejects(&weighted(&[0])), (at, "weight 0".into()));
+        let (offset, why) = rejects(&weighted(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01]));
+        assert_eq!(offset, at);
+        assert!(why.contains("longer than 5 bytes"), "{why}");
+        let (offset, why) = rejects(&weighted(&[0xff, 0xff, 0xff, 0xff, 0x1f]));
+        assert_eq!(offset, at);
+        assert!(why.contains("exceeds u32"), "{why}");
+        let (offset, why) = rejects(&weighted(&[]));
+        assert_eq!(offset, at);
+        assert!(why.contains("missing"), "{why}");
+        let (offset, why) = rejects(&weighted(&[0x85]));
+        assert_eq!(offset, at + 1);
+        assert!(why.contains("truncated"), "{why}");
+        let mut reserved = raw[..used].to_vec();
+        reserved[2] |= RESERVED;
+        let (offset, why) = rejects(&reserved);
+        assert_eq!(offset, 2);
+        assert!(why.contains("reserved bit 7"), "{why}");
+        let widest = weighted(&[0xff, 0xff, 0xff, 0xff, 0x0f]);
+        let (view, consumed) = SuperkmerView::parse(&widest, 5).unwrap();
+        assert_eq!((view.weight(), consumed), (u32::MAX, used + 5));
+    }
+
     #[test]
     fn parse_rejects_truncated_header_and_payload() {
         assert!(matches!(SuperkmerView::parse(&[5, 0], 3), Err(MspError::CorruptRecord { .. })));
@@ -718,6 +959,27 @@ mod tests {
         assert!(slices.is_empty());
         assert_eq!(slices.len(), 0);
         assert!(RecordCollapse::default().collapse(&slices).is_empty());
+    }
+
+    /// A weighted copy and a plain copy of one record are one distinct
+    /// record: the collapse keys on the record without its weight and
+    /// sums the copies' weights.
+    #[test]
+    fn collapse_sums_the_weights_of_weighted_copies() {
+        let raw = encode_all("ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCA", 7, 3);
+        let slices = PartitionSlices::index(&raw, 7, 3).unwrap();
+        let mut collapse = RecordCollapse::default();
+        let once = collapse.collapse(&slices).to_vec();
+        let mut mixed = Vec::new();
+        for weight in [3, 1, 2] {
+            for i in 0..slices.len() {
+                crate::record::write_record(&slices.view(i).key(), weight, &mut mixed);
+            }
+        }
+        let mixed = PartitionSlices::index(&mixed, 7, 3).unwrap();
+        let want: Vec<(u32, u32)> = once.iter().map(|&(i, w)| (i, 6 * w)).collect();
+        assert_eq!(collapse.collapse(&mixed), want.as_slice());
+        assert_eq!(mixed.total_kmers(), 6 * slices.total_kmers());
     }
 
     /// The collapse against a map keyed on record bytes: the same

@@ -10,6 +10,9 @@ use crate::{MspError, PartitionSink, PartitionStats, PartitionStore, Result};
 /// (`part-00000.skm` …) plus a `manifest.txt` describing them: a
 /// [`PartitionStore`] at budget `0`, which keeps nothing resident and
 /// commits every partition's file when it is [finished](Self::finish).
+/// Unlike Step 1's store it frames records exactly as appended: it
+/// combines no copies, so its files hold the paper's one record per
+/// superkmer.
 ///
 /// # Examples
 ///
@@ -60,7 +63,8 @@ impl PartitionWriter {
         p: usize,
         run_token: &str,
     ) -> Result<PartitionWriter> {
-        let store = PartitionStore::create_scoped(dir, num_partitions, k, p, 0, run_token)?;
+        let store =
+            PartitionStore::create_scoped(dir, num_partitions, k, p, 0, run_token)?.without_combining();
         Ok(PartitionWriter { store })
     }
 

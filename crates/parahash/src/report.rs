@@ -20,6 +20,10 @@ pub struct Step1Stats {
     pub kmers: u64,
     /// Encoded bytes staged by workers and merged into partition files.
     pub staging_bytes: u64,
+    /// Partition payload bytes as stored: the staged bytes after the
+    /// partition store combined identical records into weighted ones
+    /// (frame headers excluded, as in the manifest).
+    pub stored_bytes: u64,
     /// Non-empty per-partition buffer drains performed by the output
     /// stage (each is one bulk `append_encoded` call).
     pub merge_flushes: u64,
@@ -235,6 +239,12 @@ impl RunReport {
                     rate / 1e6,
                 ));
             }
+            if stats.staging_bytes > 0 {
+                s.push_str(&format!(
+                    " | staged {} B, stored {} B",
+                    stats.staging_bytes, stats.stored_bytes
+                ));
+            }
         }
         if let Some(contention) = &self.step2.contention {
             s.push_str(&format!(
@@ -371,6 +381,11 @@ mod tests {
         let s = r.summary();
         assert!(s.contains("ingest 2000000 bases @"), "{s}");
         assert!(s.contains("Mbases/s"), "{s}");
+        assert!(!s.contains("staged"), "nothing staged, no staging line: {s}");
+        r.step1.step1_stats =
+            Some(Step1Stats { staging_bytes: 9000, stored_bytes: 3000, ..Default::default() });
+        let s = r.summary();
+        assert!(s.contains("staged 9000 B, stored 3000 B"), "{s}");
     }
 
     #[test]

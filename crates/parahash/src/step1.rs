@@ -176,8 +176,11 @@ pub(crate) fn step1_sealed(
     // Capacity = partition count: each partition is sealed exactly once,
     // so the queue never wraps and `push` never blocks.
     let feed = SharedCounterQueue::new(n);
-    let sealed = step1_into(config, input, io, &CancelToken::new(), &mut store).and_then(|step1| {
+    let sealed = step1_into(config, input, io, &CancelToken::new(), &mut store).and_then(|mut step1| {
         let manifest = store.finish_manifest()?;
+        if let Some(stats) = &mut step1.step1_stats {
+            stats.stored_bytes = manifest.total_bytes();
+        }
         seal_all(&mut store, journal, &feed)?;
         Ok((manifest, step1))
     });
@@ -617,11 +620,16 @@ pub(crate) mod tests {
         let rs = reads();
         let (manifest, _, _) = step1(&cfg, &rs);
 
-        // The pipeline may interleave batches; compare as record multisets.
+        // The pipeline may interleave batches; compare as record
+        // multisets, a record of weight w counted w times.
         let records = |slices: msp::PartitionSlices<'_>| {
             let mut all: Vec<_> = slices
                 .iter()
-                .map(|v| (v.bases().collect::<PackedSeq>().to_string(), v.left_ext(), v.right_ext()))
+                .flat_map(|v| {
+                    let record =
+                        (v.bases().collect::<PackedSeq>().to_string(), v.left_ext(), v.right_ext());
+                    std::iter::repeat_n(record, v.weight() as usize)
+                })
                 .collect();
             all.sort();
             all
@@ -692,6 +700,8 @@ pub(crate) mod tests {
         assert_eq!(stats.superkmers, manifest.total_superkmers());
         assert!(stats.superkmers > 0);
         assert!(stats.staging_bytes > 0);
+        assert_eq!(stats.stored_bytes, manifest.total_bytes());
+        assert!(stats.stored_bytes <= stats.staging_bytes);
         assert!(stats.merge_flushes >= 1);
         assert!(stats.batches >= 1);
         assert!(

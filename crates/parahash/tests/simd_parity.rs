@@ -188,8 +188,9 @@ fn gzip_framings_match_plain_input() {
 }
 
 /// One partition's identity: its `(core, left, right)` records as a
-/// sorted multiset (order inside a partition is scheduling-dependent;
-/// content is not).
+/// sorted multiset, a record of weight w counted w times (order inside
+/// a partition, and which copies Step 1 combined, is
+/// scheduling-dependent; content is not).
 type Records = Vec<(String, Option<Base>, Option<Base>)>;
 
 /// Every partition file a finished run left in `work`, as record
@@ -202,7 +203,11 @@ fn partition_records(work: &std::path::Path) -> Vec<Records> {
             let slices = msp::PartitionSlices::index_framed(&framed, K, P).unwrap();
             let mut records: Records = slices
                 .iter()
-                .map(|v| (v.bases().collect::<PackedSeq>().to_string(), v.left_ext(), v.right_ext()))
+                .flat_map(|v| {
+                    let record =
+                        (v.bases().collect::<PackedSeq>().to_string(), v.left_ext(), v.right_ext());
+                    std::iter::repeat_n(record, v.weight() as usize)
+                })
                 .collect();
             records.sort();
             records

@@ -80,8 +80,10 @@ use parking_lot::Mutex;
 /// denied. Version 3 dropped the config blob's `threads` key: a worker
 /// is one core. Version 4 appended the table counters (insertions,
 /// updates, probe steps, tag rejects, replayed k-mers) to a `result`'s
-/// detail.
-pub const PROTO_VERSION: u32 = 4;
+/// detail. Version 5 ships partition payloads whose records may be
+/// weighted (flag bit 6 and a LEB128 copy count), which a version-4
+/// worker would misread.
+pub const PROTO_VERSION: u32 = 5;
 
 /// Upper bound on a single *control* frame. Control messages are short
 /// text (the config blob is the largest, well under a kilobyte);

@@ -227,6 +227,52 @@ fn every_partition_of_a_budget_0_run_is_a_sealed_file() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A work dir written before Step 1 combined copies — one weight-1
+/// record per superkmer, as `msp::PartitionWriter` still writes them —
+/// resumes as it is: Step 1 skipped, every subgraph rebuilt from the old
+/// files byte-identical to a combined run's.
+#[test]
+fn partition_files_of_unweighted_records_resume_byte_identical() {
+    let dir = common::fresh_dir("unweighted-parts");
+    // Every read twice, so the combined run holds weighted records.
+    let rs: Vec<SeqRead> = [reads(), reads()].concat();
+    let full = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap().run(&rs).unwrap();
+    let before = common::subgraph_bytes(&dir);
+    let weights = |dir: &Path| -> Vec<u32> {
+        let manifest = msp::PartitionManifest::load(dir.join("superkmers")).unwrap();
+        (0..PARTITIONS)
+            .flat_map(|i| {
+                let framed = std::fs::read(manifest.partition_path(i)).unwrap();
+                let slices = msp::PartitionSlices::index_framed(&framed, K, P).unwrap();
+                slices.iter().map(|v| v.weight()).collect::<Vec<_>>()
+            })
+            .collect()
+    };
+    assert!(weights(&dir).iter().any(|&w| w > 1), "the combined run holds weighted records");
+
+    // Overwrite Step 1's output with the uncombined records of the same
+    // reads, the way the writer lays them out.
+    let seqs: Vec<dna::PackedSeq> = rs.iter().map(|r| r.seq().clone()).collect();
+    let mut writer = msp::PartitionWriter::create(dir.join("superkmers"), PARTITIONS, K, P).unwrap();
+    for (i, records) in msp::partition_in_memory(&seqs, K, P, PARTITIONS).unwrap().iter().enumerate() {
+        let slices = msp::PartitionSlices::index(records, K, P).unwrap();
+        writer.append_encoded(i, records, slices.len() as u64, slices.total_kmers() as u64).unwrap();
+    }
+    writer.finish().unwrap();
+    let old = weights(&dir);
+    assert!(old.iter().all(|&w| w == 1), "the writer combines nothing");
+    assert_eq!(old.len() as u64, full.report.step1.step1_stats.unwrap().superkmers);
+
+    drop_final_journal_record(&dir);
+    std::fs::remove_dir_all(dir.join("subgraphs")).unwrap();
+    let outcome = resuming(&dir, Flow::TwoPhase).run(&rs).unwrap();
+    assert_eq!(outcome.report.step1.step1_stats, Some(Step1Stats::default()), "Step 1 ran");
+    assert_eq!(outcome.graph, full.graph);
+    assert_eq!(common::subgraph_bytes(&dir), before);
+    assert!(RunJournal::replay(&dir).unwrap().complete);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A site registered but in neither list would never be crashed at.
 #[test]
 fn the_flows_cover_every_registered_site() {

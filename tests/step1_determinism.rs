@@ -32,8 +32,10 @@ fn corpus(seed: u64) -> Vec<SeqRead> {
 /// extension bases.
 type Record = (String, Option<Base>, Option<Base>);
 
-/// One partition's identity: its records as a sorted multiset (order
-/// inside a partition is scheduling-dependent; content is not).
+/// One partition's identity: its records as a sorted multiset, a
+/// record of weight w counted w times (order inside a partition, and
+/// which copies Step 1 combined, is scheduling-dependent; content is
+/// not).
 fn sorted(mut records: Vec<Record>) -> Vec<Record> {
     records.sort();
     records
@@ -43,7 +45,10 @@ fn records_of(slices: &PartitionSlices<'_>) -> Vec<Record> {
     sorted(
         slices
             .iter()
-            .map(|v| (v.bases().collect::<PackedSeq>().to_string(), v.left_ext(), v.right_ext()))
+            .flat_map(|v| {
+                let record = (v.bases().collect::<PackedSeq>().to_string(), v.left_ext(), v.right_ext());
+                std::iter::repeat_n(record, v.weight() as usize)
+            })
             .collect(),
     )
 }
@@ -94,9 +99,10 @@ fn pipelined(reads: &[SeqRead], k: usize, p: usize, threads: usize, dir: &str) -
         let framed = std::fs::read(manifest.partition_path(i)).unwrap();
         let slices = PartitionSlices::index_framed(&framed, k, p).unwrap();
         let stat = &manifest.stats()[i];
+        let copies: u64 = slices.iter().map(|v| u64::from(v.weight())).sum();
         assert_eq!(
             (stat.superkmers, stat.kmers),
-            (slices.len() as u64, slices.total_kmers() as u64),
+            (copies, slices.total_kmers() as u64),
             "partition {i} manifest counts at {threads} threads"
         );
         out.push(records_of(&slices));
