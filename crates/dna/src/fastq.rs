@@ -315,7 +315,9 @@ fn is_record_start(bytes: &[u8], start: usize) -> bool {
 ///
 /// Scans forward line by line (resynchronising at the next `\n` when
 /// `from` lands mid-line), skipping blank lines, and returns the offset
-/// of the first line that passes [`is_record_start`]. `None` when no
+/// of the first line that looks like a record start — an `@` line whose
+/// second line ahead begins with `+`, from which up to two records parse.
+/// `None` when no
 /// boundary exists before the end of the slice.
 ///
 /// Because FASTQ quality strings may contain any character — including a

@@ -193,11 +193,11 @@ type Pending = (u64, u64, [Option<u8>; 2], u32);
 /// rolling state spill and starves the probe of lookahead. The pipeline
 /// therefore splits the phases: [`record_view`](Self::record_view)
 /// appends each position's `(canonical word, hash, edge slots, weight)` to a
-/// [`BUF`]-entry buffer, and whenever the buffer fills, a tight drain
-/// loop walks it, prefetching position `i + `[`PIPE`]'s home slot
+/// 256-entry buffer (`BUF`), and whenever the buffer fills, a tight drain
+/// loop walks it, prefetching position `i + 16`'s home slot (`PIPE`)
 /// ([`Recorder::prefetch`]) before recording position `i`
 /// ([`Recorder::record_narrow`]) — by the time each probe
-/// runs, its lines have been in flight for [`PIPE`] probes' worth of
+/// runs, its lines have been in flight for 16 probes' worth of
 /// work. The buffer carries over between records, so batches stay full
 /// across superkmer boundaries (partition superkmers average only a
 /// handful of k-mers each). Call [`flush`](Self::flush) after the last

@@ -37,7 +37,8 @@ use parking_lot::Mutex;
 use crate::ConcurrentDbgTable;
 
 /// A pool of [`ConcurrentDbgTable`] backing allocations, shelved by
-/// capacity class. See the [module docs](self).
+/// capacity class: a checkout reuses a shelved allocation of its class
+/// when there is one, and dropping the guard shelves it again.
 ///
 /// # Examples
 ///

@@ -255,7 +255,7 @@ fn prefetch<T>(ptr: *const T) {
 /// the 64-bit division on every record with one widening multiply.
 ///
 /// Each slot's duplicity count and eight edge counters live together in
-/// one unpadded [`SlotCounters`] cell, and the record path
+/// one unpadded `SlotCounters` cell, and the record path
 /// issues software prefetches for the home slot's key and counter lines
 /// the moment the slot index is known — the probe's dependent loads then
 /// mostly hit L1.

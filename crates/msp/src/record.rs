@@ -43,7 +43,7 @@ pub(crate) fn write_record(key: &RecordKey<'_>, weight: u32, out: &mut Vec<u8>) 
 /// | bytes | content |
 /// |---|---|
 /// | 0–1 | core length in bases, little-endian `u16` |
-/// | 2 | flags: bit 0 = has left ext, bit 1 = has right ext, bits 2–3 = left base code, bits 4–5 = right base code, bit 6 = weighted ([`WEIGHTED`]), bit 7 reserved |
+/// | 2 | flags: bit 0 = has left ext, bit 1 = has right ext, bits 2–3 = left base code, bits 4–5 = right base code, bit 6 = weighted, bit 7 reserved |
 /// | 3… | core bases, 2-bit packed, 4 per byte, LSB-first |
 /// | then | weighted records only: the copy count, a LEB128 `u32` ≥ 1 |
 ///

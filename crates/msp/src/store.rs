@@ -137,7 +137,8 @@ impl Slot {
 }
 
 /// Budget-governed partition staging: resident framed buffers with
-/// spill-to-disk overflow. See the [module docs](self) for the policy.
+/// spill-to-disk overflow — the largest resident partitions spill first
+/// once the byte budget is exceeded.
 ///
 /// # Examples
 ///

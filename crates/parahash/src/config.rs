@@ -140,6 +140,13 @@ impl ParaHashConfig {
         &self.devices
     }
 
+    /// Whether Step 2 also runs on worker processes
+    /// ([`workers`](ParaHashConfigBuilder::workers) or
+    /// [`listen`](ParaHashConfigBuilder::listen)).
+    pub(crate) fn sharded(&self) -> bool {
+        self.workers > 0 || self.listen.is_some()
+    }
+
     /// The working directory for partition files.
     pub fn work_dir(&self) -> &std::path::Path {
         &self.work_dir

@@ -241,8 +241,8 @@ pub struct JournalState {
     pub torn_tail: bool,
 }
 
-/// Append-only, CRC-framed, fsync-per-record run journal. See the
-/// [module docs](self).
+/// Append-only, CRC-framed, fsync-per-record run journal; its records
+/// are listed in the repository's `docs/FORMATS.md`.
 #[derive(Debug)]
 pub struct RunJournal {
     path: PathBuf,
@@ -370,7 +370,7 @@ impl RunJournal {
 
     /// Replays the journal in `work_dir`: parses the longest valid
     /// record prefix into a [`JournalState`], tolerating a torn final
-    /// record (see the [module docs](self)).
+    /// record — the signature of a crash mid-append.
     ///
     /// # Errors
     ///

@@ -117,8 +117,10 @@ pub enum ParaHashError {
         /// The configured per-table budget it busted.
         budget: u64,
     },
-    /// The multi-process sharded Step 2 failed: a wire-protocol fault,
-    /// or a partition that exhausted its worker attempts in strict mode.
+    /// The multi-process sharded Step 2 failed: its listener could not be
+    /// bound or a worker not spawned, or — in a worker — a protocol,
+    /// configuration or connection failure. A partition a worker fails is
+    /// no error of this kind: the parent builds it.
     Shard(String),
 }
 

@@ -102,13 +102,6 @@ pub struct StepReport {
     /// Sorted by partition index (the build order is nondeterministic
     /// under multithreading; the report is not).
     pub sub_splits: Vec<(usize, usize)>,
-    /// Sharded Step 2 only: partitions whose leases burned every worker
-    /// attempt — who held the last lease, how many attempts, and the
-    /// final failure reason. Empty on non-sharded paths and on healthy
-    /// sharded runs. In strict mode exhaustion aborts instead, so this
-    /// is only ever populated alongside
-    /// [`quarantined`](Self::quarantined) entries.
-    pub exhausted_leases: Vec<pipeline::shard::ExhaustedLease>,
 }
 
 impl StepReport {
@@ -139,7 +132,6 @@ impl StepReport {
             peak_resident_store_bytes: 0,
             quarantined: Vec::new(),
             sub_splits: Vec::new(),
-            exhausted_leases: Vec::new(),
         }
     }
 
@@ -257,12 +249,6 @@ impl RunReport {
         if q > 0 {
             s.push_str(&format!(" | {q} partition(s) QUARANTINED — graph is incomplete"));
         }
-        for x in &self.step2.exhausted_leases {
-            s.push_str(&format!(
-                " | partition {} exhausted {} lease attempt(s) (last holder worker {}): {}",
-                x.partition, x.attempts, x.worker, x.reason
-            ));
-        }
         s
     }
 }
@@ -301,7 +287,6 @@ mod tests {
             peak_resident_store_bytes: 0,
             quarantined: Vec::new(),
             sub_splits: Vec::new(),
-            exhausted_leases: Vec::new(),
         }
     }
 
@@ -362,7 +347,7 @@ mod tests {
         }
         let s = r.summary();
         assert!(s.starts_with("step1 0.000s + step2 0.000s = 0.000s | 0 distinct"), "{s}");
-        assert!(!s.contains("ingest") && !s.contains("QUARANTINED") && !s.contains("exhausted"), "{s}");
+        assert!(!s.contains("ingest") && !s.contains("QUARANTINED"), "{s}");
     }
 
     #[test]
@@ -425,33 +410,5 @@ mod tests {
         assert_eq!(r.quarantined_partitions(), 1);
         let s = r.summary();
         assert!(s.contains("1 partition(s) QUARANTINED"), "{s}");
-    }
-
-    #[test]
-    fn summary_names_exhausted_leases() {
-        let mut r = RunReport {
-            step1: fake_step(10, 0, 1, 1, 2),
-            step2: fake_step(20, 0, 1, 1, 2),
-            total_elapsed: Duration::from_millis(35),
-            distinct_vertices: 10,
-            total_kmers: 50,
-            peak_host_bytes: 4 << 20,
-            partition_bytes: 1234,
-        };
-        assert!(!r.summary().contains("exhausted"), "healthy runs stay quiet");
-        r.step2.exhausted_leases.push(pipeline::shard::ExhaustedLease {
-            partition: 3,
-            worker: 1,
-            attempts: 2,
-            reason: "sent no heartbeat within 600ms; evicted as hung".into(),
-        });
-        let s = r.summary();
-        assert!(
-            s.contains(
-                "partition 3 exhausted 2 lease attempt(s) (last holder worker 1): \
-                 sent no heartbeat within 600ms; evicted as hung"
-            ),
-            "{s}"
-        );
     }
 }

@@ -2,30 +2,23 @@
 //! drivers behind [`workers(N)`](crate::ParaHashConfigBuilder::workers)
 //! and [`listen(addr)`](crate::ParaHashConfigBuilder::listen).
 //!
-//! A sharded Step 2 is the in-process Step 2 with some partitions built
-//! elsewhere. The parent runs Step 1 as usual, seals the partition
-//! directory and owns the step's one [`Step2Shared`] — the engine state
-//! that decides strict-vs-quarantine, journals, counts and assembles the
-//! report. Then, in three phases:
-//!
-//! 1. **Lease phase.** It binds a listener — a Unix socket in the work
-//!    directory, or a TCP socket when remote workers are expected —
-//!    spawns `N` copies of its own executable (the
-//!    `tests/crash_recovery.rs` self-exec pattern), and leases partitions
-//!    to whoever connects, one at a time in LPT (largest-first) order
-//!    over the [`pipeline::shard`] wire protocol. Each worker keeps one
-//!    [`PartitionBuilder`] — one table pool — for its whole session and
-//!    builds every lease with it; a partition a worker reports is read
-//!    back from `subgraphs/`, checked **once**, and settled on the spot
-//!    through the engine's own [`Step2Shared::settle`]: journaled,
-//!    counted and handed to the graph as the checked bytes.
-//! 2. **Fallback.** Whatever the cluster left unbuilt — every worker
-//!    died, or all drew `finished` while a failure was requeueing — runs
-//!    through the engine in this process: pipelined, journaled and
-//!    quarantining by the engine's own rules.
-//! 3. **Finish.** [`Step2Shared::finish`] turns the counters into the
-//!    report, journals the quarantines, or deletes partial output and
-//!    returns the first fatal error.
+//! A sharded Step 2 is the in-process Step 2 whose roster gains one device
+//! per worker connection. The parent runs Step 1 as usual and seals every
+//! partition onto Step 2's feed, largest first; then it binds a listener —
+//! a Unix socket in the work directory, or a TCP socket when remote
+//! workers are expected — and spawns `N` copies of its own executable
+//! (the `tests/crash_recovery.rs` self-exec pattern) before its pipeline
+//! starts. **A connection is a device**: its driver joins the pipeline's
+//! roster ([`pipeline::Roster`]) with parallelism 1, beside the parent's
+//! cores, and pops the same work queue — the paper's rule that every idle
+//! processor claims the next partition (Fig 11). Per claim it journals a
+//! `worker-lease`, sends the assignment over the [`pipeline::shard`] wire
+//! protocol, awaits the `result` under the heartbeat deadline, and reads
+//! the committed subgraph back from `subgraphs/`, checked **once**. What
+//! passes settles through the engine's own [`Step2Shared::settle`] like a
+//! partition built in process: journaled, counted and handed to the graph
+//! as the checked bytes. A worker keeps one [`PartitionBuilder`] — one
+//! table pool — for its whole session and builds every lease with it.
 //!
 //! **Local (Unix) workers** share the parent's filesystem: they read the
 //! partition files, commit `sub-<i>.dbg` themselves and journal into
@@ -39,24 +32,20 @@
 //! in-process build holds by construction — every path funnels through
 //! the canonical-order [`crate::encode_subgraph`].
 //!
-//! Failure handling: a worker that dies mid-lease drops its socket; one
-//! that *hangs* mid-lease stops heartbeating and is evicted when the
-//! parent's receive deadline lapses. Both requeue the worker's
-//! partitions (bounded by the board's attempt cap, so a partition that
-//! crashes builders cannot re-lease forever) — except a lease that was
-//! built and lost only its `result` frame, which is not a failed build:
-//! a local worker's lease whose `sub-<i>.dbg` is committed and verifies
-//! completes when its connection is released, and a remote worker's
-//! payload that arrives unannounced completes the one lease its
-//! connection has out — and a lease lost to a frame that failed its
-//! checksum is requeued with its attempt refunded (up to the cap again),
-//! since the link failed, not the build. Workers reconnect with
-//! bounded exponential backoff and deterministically jittered pacing;
-//! a reconnecting local worker's journal is *reopened*, not truncated,
-//! so its committed records survive for cluster-wide resume. A partition
-//! whose leases burned every attempt fails like an unreadable partition
-//! file does in-process: the run aborts (strict) or sets it aside
-//! (non-strict). A parent-side journal failure is fatal in both modes.
+//! Failure handling: a lease that does not come back verified is built
+//! by the parent, on that connection's driver thread, through the
+//! engine's own builder and failure router — whether the worker died
+//! (its socket drops), hung (no heartbeat within the deadline), garbled
+//! the link or reported `failed`. A partition that fails there fails as
+//! in process: the run aborts (strict) or sets it aside (non-strict). A
+//! lease whose `result` frame alone was lost is no failed build: a local
+//! worker's committed file that verifies counts as built, and a wire
+//! worker's payload that arrives unannounced is the one lease its
+//! connection holds. Workers reconnect with bounded exponential backoff
+//! and deterministically jittered pacing; a reconnecting local worker's
+//! journal is *reopened*, not truncated, so its committed records survive
+//! for cluster-wide resume. A parent-side journal failure is fatal in
+//! both modes.
 //!
 //! Worker processes are CPU-only and run with unthrottled I/O: the
 //! sharded path exists for real multi-process throughput (separate
@@ -66,25 +55,24 @@
 use std::collections::BTreeSet;
 use std::io::ErrorKind;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hashgraph::{ContentionStats, DeBruijnGraph};
+use hashgraph::ContentionStats;
+use hetsim::{CpuDevice, Device};
 use msp::{PartitionManifest, SealedPayload};
-use parking_lot::Mutex;
 use pipeline::shard::{
-    connect_tcp, connect_unix, decode_blob, encode_blob, FrameSender, LeaseBoard, Recv,
-    ShardListener, Transport, WireMsg, BLOB_TAG, MAX_FRAME, MAX_PAYLOAD_FRAME, PROTO_VERSION,
+    connect_tcp, connect_unix, decode_blob, encode_blob, FrameSender, Recv, ShardListener,
+    Transport, WireMsg, BLOB_TAG, MAX_FRAME, MAX_PAYLOAD_FRAME, PROTO_VERSION,
 };
-use pipeline::{failpoint, CancelToken, IoMode, RetryPolicy, ThrottledIo};
+use pipeline::{failpoint, IoMode, RetryPolicy, Seat, ThrottledIo};
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
 use crate::step2::{
-    check_committed, manifest_feed, persist, Built, Failure, PartitionBuilder, Resumed,
-    Step2Shared,
+    check_committed, persist, Built, Failure, Input, PartitionBuilder, Step2Roster, Step2Shared,
 };
-use crate::{ParaHashConfig, ParaHashError, Result, StepReport};
+use crate::{ParaHashConfig, ParaHashError, Result};
 
 /// Environment variable carrying the parent's Unix socket path into
 /// locally spawned workers.
@@ -95,11 +83,6 @@ pub(crate) const ENV_SOCKET: &str = "PARAHASH_SHARD_SOCKET";
 pub(crate) const ENV_CONNECT: &str = "PARAHASH_SHARD_CONNECT";
 /// Environment variable carrying the worker's parent-assigned id.
 pub(crate) const ENV_WORKER: &str = "PARAHASH_SHARD_WORKER";
-
-/// How many times one partition may be leased before it is given up on
-/// (worker crashes, evictions, and polite failures all consume
-/// attempts).
-const MAX_LEASE_ATTEMPTS: usize = 2;
 
 /// Socket filename inside the work directory.
 const SOCKET_FILE: &str = "shard.sock";
@@ -113,10 +96,6 @@ const RECONNECT: RetryPolicy = RetryPolicy {
     backoff: Duration::from_millis(100),
     max_backoff: Duration::from_secs(2),
 };
-
-/// How long a listen-only parent (no spawned children) waits for the
-/// first remote worker before building everything itself.
-const WAIT_FOR_FIRST: Duration = Duration::from_secs(30);
 
 fn shard_err(msg: impl Into<String>) -> ParaHashError {
     ParaHashError::Shard(msg.into())
@@ -200,7 +179,7 @@ fn config_blob(config: &ParaHashConfig, wire: bool) -> String {
 /// is the product, committed here or shipped). Every failure a worker
 /// meets goes back as a wire `failed` message: quarantine policy belongs
 /// to the parent. The third return says whether partition bytes travel
-/// over the wire (`transfer wire`).
+/// over the wire (`transfer wire`). Every error names the key it rejects.
 fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
     let mut k = None;
     let mut p = None;
@@ -213,17 +192,22 @@ fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
     let mut token = None;
     let mut wire = None;
     let mut work_dir = None;
+    let bad = |key: &str, why: String| shard_err(format!("config blob key `{key}`: {why}"));
     for line in blob.lines() {
         let (key, value) = line
             .split_once(' ')
-            .ok_or_else(|| shard_err(format!("config blob line without a value: `{line}`")))?;
+            .ok_or_else(|| shard_err(format!("config blob key `{line}` has no value")))?;
         let int = |what: &str| -> Result<u64> {
-            value.parse().map_err(|e| shard_err(format!("config blob: bad {what}: {e}")))
+            value.parse().map_err(|e| bad(what, format!("bad value `{value}`: {e}")))
         };
+        // A sizing parameter: its bits, and a positive finite value.
         let bits = |what: &str| -> Result<f64> {
-            u64::from_str_radix(value, 16)
+            let x = u64::from_str_radix(value, 16)
                 .map(f64::from_bits)
-                .map_err(|e| shard_err(format!("config blob: bad {what}: {e}")))
+                .map_err(|e| bad(what, format!("bad value `{value}`: {e}")))?;
+            (x.is_finite() && x > 0.0)
+                .then_some(x)
+                .ok_or_else(|| bad(what, format!("{x} is not a positive finite number")))
         };
         match key {
             "k" => k = Some(int("k")? as usize),
@@ -236,7 +220,7 @@ fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
             "digest" => {
                 digest = Some(
                     u64::from_str_radix(value, 16)
-                        .map_err(|e| shard_err(format!("config blob: bad digest: {e}")))?,
+                        .map_err(|e| bad("digest", format!("bad value `{value}`: {e}")))?,
                 )
             }
             "run-token" => token = Some(if value == "-" { String::new() } else { value.into() }),
@@ -244,16 +228,14 @@ fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
                 wire = Some(match value {
                     "wire" => true,
                     "fs" => false,
-                    other => {
-                        return Err(shard_err(format!("config blob: unknown transfer `{other}`")))
-                    }
+                    other => return Err(bad("transfer", format!("unknown value `{other}`"))),
                 })
             }
             "work-dir" => work_dir = Some(PathBuf::from(value)),
-            other => return Err(shard_err(format!("config blob: unknown key `{other}`"))),
+            other => return Err(bad(other, "unknown key".to_string())),
         }
     }
-    let missing = |what: &str| shard_err(format!("config blob is missing `{what}`"));
+    let missing = |what: &str| bad(what, "missing".to_string());
     let (k, p, partitions) = (
         k.ok_or_else(|| missing("k"))?,
         p.ok_or_else(|| missing("p"))?,
@@ -272,7 +254,8 @@ fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
         .cpu_threads(1)
         .work_dir(work_dir.ok_or_else(|| missing("work-dir"))?)
         .write_subgraphs(true)
-        .build()?;
+        .build()
+        .map_err(|e| shard_err(format!("config blob keys `k`, `p`, `partitions`: {e}")))?;
     config.run_token = token.ok_or_else(|| missing("run-token"))?;
     let fingerprint =
         Fingerprint { k, p, partitions, input_digest: digest.ok_or_else(|| missing("digest"))? };
@@ -397,8 +380,8 @@ enum SessionEnd {
 /// accumulate into a permanent exit while the parent keeps coming back.
 ///
 /// A `spawned` worker's parent bound its listener before spawning it, so
-/// a refused or missing socket means the parent stopped listening — the
-/// lease phase is over, and the worker exits cleanly at once. A remote
+/// a refused or missing socket means the parent stopped listening — its
+/// Step 2 is over, and the worker exits cleanly at once. A remote
 /// worker (`dbg worker --connect`) backs off instead: its address may be
 /// a typo, or a parent that is not up yet.
 fn run_worker_loop(endpoint: &Endpoint, worker: usize, spawned: bool) -> Result<()> {
@@ -429,9 +412,8 @@ fn run_worker_loop(endpoint: &Endpoint, worker: usize, spawned: bool) -> Result<
         if failures >= RECONNECT.attempts {
             if sess.served_any {
                 // The parent vanished for good after real work was
-                // served; its supervision loop already requeued our
-                // leases. Exit cleanly — a drained cluster is not a
-                // worker bug.
+                // served; it built whatever lease we lost. Exit cleanly
+                // — a drained cluster is not a worker bug.
                 return Ok(());
             }
             return Err(shard_err(format!(
@@ -599,7 +581,7 @@ fn serve_leases(
             // Desync, not protocol death: a dropped `assign` leaves the
             // next frame on the stream a raw partition blob, which is
             // not a text message. Drop the connection and resync with a
-            // fresh session; the parent requeues whatever it leased us.
+            // fresh session; the parent builds whatever it leased us.
             Err(e) => return SessionEnd::Lost(format!("undecodable claim reply: {e}")),
         };
         let (p, kmers) = match reply {
@@ -669,168 +651,75 @@ fn serve_leases(
 // Parent side.
 // ---------------------------------------------------------------------
 
-/// Step 2 as a multi-process (and optionally multi-node) shard: bind a
-/// listener, spawn [`workers`](crate::ParaHashConfigBuilder::workers)
-/// child processes, accept whoever connects (children and remote
-/// `dbg worker` joiners alike), lease them partitions largest-first,
-/// verify and merge their committed subgraphs as they are reported, and
-/// build whatever the cluster leaves behind through the engine. Drop-in
-/// replacement for [`step2_feed`](crate::step2::step2_feed) over
-/// a [`manifest_feed`] of sealed partition files — same journal records
-/// in the parent's `run.journal` (a worker's sub-split included),
-/// byte-identical subgraph files and graph, and the same [`Step2Shared`]
-/// deciding what a failure means.
-///
-/// [`StepReport::pipeline`]'s `elapsed` is the wall-clock of the whole
-/// step and `partitions` what it built, here or elsewhere; stage times,
-/// shares and spans are the fallback's (empty when the cluster built
-/// everything — the device meters of a leased build live in its worker).
+/// Runs `run` — Step 2's pipeline on `roster` — with worker processes
+/// beside the roster's devices: binds a listener, spawns
+/// [`workers`](crate::ParaHashConfigBuilder::workers) copies of this
+/// executable, and lets every connection — a child or a remote
+/// `dbg worker` joiner — join `roster` as a device of parallelism 1
+/// ([`Cluster::serve`]). The pipeline starts once every child has claimed
+/// its first partition or exited, for at most the request deadline, so
+/// `workers(N)` means N workers that build; remote joiners never hold it
+/// up. Afterwards the listener closes and every child is reaped, so no
+/// worker still writes under the work directory when the step ends.
 ///
 /// # Errors
 ///
-/// Socket/spawn failures, a partition that exhausted its lease attempts
-/// (strict mode), a parent-side journal failure, or any error of the
-/// fallback builds.
-pub(crate) fn step2_sharded(
+/// Socket and spawn failures.
+pub(crate) fn with_workers<R>(
     config: &ParaHashConfig,
-    manifest: &PartitionManifest,
-    io: &ThrottledIo,
-    journal: &RunJournal,
-    resumed: Resumed,
-) -> Result<(DeBruijnGraph, StepReport)> {
-    debug_assert!(config.workers > 0 || config.listen.is_some());
-    let Resumed { committed: skip, graph } = resumed;
-    let started = Instant::now();
-    let n = manifest.num_partitions();
-
-    // LPT dispatch order, as in the in-process scheduler: the biggest
-    // partitions start first so the tail stays short. Ties break to the
-    // lower index for deterministic assignment logs.
-    let mut order: Vec<usize> = (0..n).filter(|i| !skip.contains(i)).collect();
-    order.sort_by(|&a, &b| {
-        manifest.stats()[b].bytes.cmp(&manifest.stats()[a].bytes).then(a.cmp(&b))
-    });
-
-    // Nothing left to distribute — a resumed run whose every partition
-    // already committed (and re-verified). Don't bind a listener or
-    // spawn workers: children of a parent with no work would only wait
-    // out their config deadline against a drained cluster.
-    if order.is_empty() {
-        let mut report = StepReport::idle(2);
-        report.pipeline.elapsed = started.elapsed();
-        return Ok((graph, report));
-    }
-
-    // The committed files are the result channel, whatever the user
-    // asked to keep: the engine state persists every subgraph.
-    let mut persisting = config.clone();
-    persisting.write_subgraphs = true;
-    let sub_dir = config.work_dir.join("subgraphs");
-    std::fs::create_dir_all(&sub_dir)?;
-    let cancel = CancelToken::new();
-    let shared = Step2Shared::new(&persisting, &cancel, journal);
-    // Whatever is about to be leased has no verified file (the resume
-    // plan would have skipped it); an unverified leftover must not pass
-    // for this step's work when a lease is released.
-    for &p in &order {
-        let _ = std::fs::remove_file(shared.subgraph_path(p));
-    }
-
-    let tcp = config.listen.is_some();
-    let listener = if let Some(bind) = &config.listen {
-        ShardListener::bind_tcp(bind)
-            .map_err(|e| shard_err(format!("binding worker listener {bind}: {e}")))?
-    } else {
-        let socket_path = config.work_dir.join(SOCKET_FILE);
-        ShardListener::bind_unix(&socket_path).map_err(|e| {
-            shard_err(format!("binding worker socket {}: {e}", socket_path.display()))
-        })?
+    shared: &Step2Shared<'_>,
+    roster: &Step2Roster<'_>,
+    run: impl FnOnce() -> R,
+) -> Result<R> {
+    let listener = match &config.listen {
+        Some(bind) => ShardListener::bind_tcp(bind)
+            .map_err(|e| shard_err(format!("binding worker listener {bind}: {e}")))?,
+        None => {
+            let path = config.work_dir.join(SOCKET_FILE);
+            ShardListener::bind_unix(&path).map_err(|e| {
+                shard_err(format!("binding worker socket {}: {e}", path.display()))
+            })?
+        }
     };
     let addr = listener.addr();
-
     let exe = std::env::current_exe().map_err(ParaHashError::Io)?;
     let mut children = Vec::with_capacity(config.workers);
     for w in 0..config.workers {
         let mut cmd = std::process::Command::new(&exe);
         cmd.args(&config.worker_args).env(ENV_WORKER, w.to_string());
-        if tcp {
+        if config.listen.is_some() {
             cmd.env(ENV_CONNECT, &addr).env_remove(ENV_SOCKET);
         } else {
             cmd.env(ENV_SOCKET, &addr).env_remove(ENV_CONNECT);
         }
-        let child =
-            cmd.spawn().map_err(|e| shard_err(format!("spawning worker {w}: {e}")))?;
+        let child = cmd.spawn().map_err(|e| shard_err(format!("spawning worker {w}: {e}")))?;
         children.push(child);
     }
 
-    let phase = LeasePhase {
-        shared: &shared,
-        cancel: &cancel,
-        board: Mutex::new(LeaseBoard::new(order, n, MAX_LEASE_ATTEMPTS)),
-        merged: Mutex::new((graph, BTreeSet::new())),
-        manifest,
-        io,
-        tuning: ShardTuning::from_env(),
-        fs_blob: config_blob(config, false),
-        wire_blob: config_blob(config, true),
-    };
+    let cluster = &Cluster::new(config, shared, roster);
     let shutdown = AtomicBool::new(false);
-    let active = AtomicUsize::new(0);
-    let ever_connected = AtomicBool::new(false);
-
-    std::thread::scope(|s| {
+    let ran = std::thread::scope(|s| {
         let accept = s.spawn(|| {
             let mut handlers = Vec::new();
-            loop {
-                let conn = match listener.accept() {
-                    Ok(conn) => conn,
-                    Err(_) => break,
-                };
+            while let Ok(conn) = listener.accept() {
                 if shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                ever_connected.store(true, Ordering::SeqCst);
-                active.fetch_add(1, Ordering::SeqCst);
-                handlers.push(s.spawn(|| {
-                    phase.serve(conn);
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }));
+                handlers.push(s.spawn(move || cluster.serve(conn)));
             }
             for handler in handlers {
                 let _ = handler.join();
             }
         });
-        // Supervision: the lease phase ends when the board drains, when
-        // the run turns fatal, or when the cluster drains — no live child
-        // process and no active connection (remote joiners get
-        // `WAIT_FOR_FIRST` to show up when nothing was spawned locally).
-        loop {
-            if cancel.is_cancelled() || phase.board.lock().remaining() == 0 {
-                break;
-            }
-            let child_alive =
-                children.iter_mut().any(|c| matches!(c.try_wait(), Ok(None) | Err(_)));
-            if child_alive || active.load(Ordering::SeqCst) > 0 {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-            if children.is_empty()
-                && !ever_connected.load(Ordering::SeqCst)
-                && started.elapsed() < WAIT_FOR_FIRST
-            {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-            break;
-        }
-        shutdown.store(true, Ordering::SeqCst);
-        listener.unblock();
+        // Stops the accept loop however `run` ends, a panic included.
+        let stop = StopAccepting { listener: &listener, shutdown: &shutdown };
+        cluster.await_children(&mut children);
+        let ran = run();
+        drop(stop);
         let _ = accept.join();
+        ran
     });
-    // Stop listening, then reap every child before trusting shared
-    // state: an evicted-but-alive worker could otherwise still be writing
-    // under the work directory while the parent builds the leftovers. A
-    // worker that reconnects now is refused, runs out of attempts and
+    // A worker that reconnects now is refused, runs out of attempts and
     // exits.
     if let ShardListener::Unix(_, path) = &listener {
         let _ = std::fs::remove_file(path);
@@ -839,92 +728,87 @@ pub(crate) fn step2_sharded(
     for child in &mut children {
         let _ = child.wait();
     }
-
-    let LeasePhase { board, merged, .. } = phase;
-    let (mut graph, built) = merged.into_inner();
-    // Leases that burned every attempt fail like an unreadable partition
-    // file: the engine state aborts (strict) or sets them aside. De-race
-    // first: a worker's reconnection can cross its old connection's
-    // teardown, letting `release_worker` charge — and even exhaust — a
-    // lease whose build actually finished and verified. A partition that
-    // is both exhausted-on-paper and verified-built is built.
-    let mut exhausted_leases = board.into_inner().exhausted().to_vec();
-    exhausted_leases.retain(|x| !built.contains(&x.partition));
-    for x in &exhausted_leases {
-        let why = format!(
-            "partition {} failed {} worker attempt(s): {}",
-            x.partition, x.attempts, x.reason
-        );
-        shared.fail(x.partition, Failure::local(shard_err(why)));
-    }
-
-    // Fallback: whatever is neither merged nor given up on — the workers
-    // all died or were evicted, or all drew `finished` while a failure
-    // was requeueing — goes through the engine here, everything already
-    // settled in its skip set. Graceful degradation, not an error.
-    let mut settled = skip;
-    settled.extend(&built);
-    settled.extend(exhausted_leases.iter().map(|x| x.partition));
-    let leftover = n - settled.len();
-    let mut pipeline = StepReport::idle(2).pipeline;
-    if leftover > 0 && !cancel.is_cancelled() {
-        let offset = started.elapsed();
-        pipeline = shared.run(&manifest_feed(manifest), io, &settled, &mut graph);
-        for span in &mut pipeline.spans {
-            span.start += offset;
-            span.end += offset;
-        }
-    }
-    let (graph, mut report) = shared.finish(pipeline, graph)?;
-    if !config.write_subgraphs {
-        // The files were only ever the result channel; the user asked
-        // for none. (The resume skip-set is always empty in this
-        // configuration, so nothing downstream reads them.)
-        std::fs::remove_dir_all(&sub_dir)?;
-    }
-    report.pipeline.elapsed = started.elapsed();
-    report.pipeline.partitions = built.len() + leftover;
-    report.exhausted_leases = exhausted_leases;
-    Ok((graph, report))
+    Ok(ran)
 }
 
-/// What the lease phase's connection handlers share.
-struct LeasePhase<'a> {
-    /// The step's engine state: failure policy, journal, counters.
-    shared: &'a Step2Shared<'a>,
-    cancel: &'a CancelToken,
-    board: Mutex<LeaseBoard>,
-    /// The graph and the partitions this step has merged into it, under
-    /// one lock: a partition is in the set exactly when its vertices are
-    /// in the graph.
-    merged: Mutex<(DeBruijnGraph, BTreeSet<usize>)>,
-    manifest: &'a PartitionManifest,
-    io: &'a ThrottledIo,
+/// Ends the accept loop when dropped: flags the shutdown, then wakes the
+/// loop's blocked `accept`.
+struct StopAccepting<'l> {
+    listener: &'l ShardListener,
+    shutdown: &'l AtomicBool,
+}
+
+impl Drop for StopAccepting<'_> {
+    fn drop(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.listener.unblock();
+    }
+}
+
+/// What a sharded Step 2's connection drivers share.
+struct Cluster<'s, 'a> {
+    /// The step's engine state: builder, failure policy, journal, counts.
+    shared: &'s Step2Shared<'a>,
+    roster: &'s Step2Roster<'a>,
     tuning: ShardTuning,
     /// [`config_blob`] for workers on this filesystem, and for wire ones.
     fs_blob: String,
     wire_blob: String,
+    /// Hello ids whose connection has joined the roster and claimed: what
+    /// Step 2's start waits for ([`await_children`](Self::await_children)).
+    claimed: Mutex<BTreeSet<usize>>,
+    claimed_cv: Condvar,
 }
 
-impl LeasePhase<'_> {
-    /// One connection's server loop: handshake (with version check),
-    /// configure the worker, lease it partitions, verify and merge what
-    /// it reports back. A connection that closes, stalls past the
-    /// heartbeat deadline, or turns to garbage frees the worker's
-    /// outstanding leases — the *connection* is expendable.
+impl<'s, 'a> Cluster<'s, 'a> {
+    fn new(config: &ParaHashConfig, shared: &'s Step2Shared<'a>, roster: &'s Step2Roster<'a>) -> Self {
+        Cluster {
+            shared,
+            roster,
+            tuning: ShardTuning::from_env(),
+            fs_blob: config_blob(config, false),
+            wire_blob: config_blob(config, true),
+            claimed: Mutex::new(BTreeSet::new()),
+            claimed_cv: Condvar::new(),
+        }
+    }
+
+    /// Holds Step 2's start until each spawned child has claimed — its
+    /// connection then queues ahead of the devices, which have not
+    /// started — or exited, for at most the request deadline.
+    fn await_children(&self, children: &mut [std::process::Child]) {
+        let deadline = Instant::now() + self.tuning.request_timeout;
+        let mut claimed = self.claimed.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            let pending = children
+                .iter_mut()
+                .enumerate()
+                .any(|(w, child)| !claimed.contains(&w) && matches!(child.try_wait(), Ok(None)));
+            if !pending || Instant::now() >= deadline {
+                return;
+            }
+            // A child's exit wakes nobody; look again shortly.
+            let wait = self.claimed_cv.wait_timeout(claimed, Duration::from_millis(5));
+            claimed = wait.unwrap_or_else(|e| e.into_inner()).0;
+        }
+    }
+
+    /// One connection's driver: handshake (with version check) and
+    /// configure the worker; at its first claim, join the roster as a
+    /// device of parallelism 1, then lease it the partition each of its
+    /// claims pops from the one work queue. A lease that does not come
+    /// back verified is built right here by the engine
+    /// ([`collect`](Self::collect)); a connection that closes, stalls past
+    /// the heartbeat deadline or turns to garbage ends with its lease.
     fn serve(&self, mut conn: Box<dyn Transport>) {
         let tuning = &self.tuning;
         // Handshake. Nothing is leased yet, so every failure mode here —
         // the shutdown dummy connection, a garbled or dropped hello, a
         // version-skewed worker — just ends the connection.
-        let frame = match conn.recv(MAX_FRAME, Some(tuning.request_timeout)) {
-            Ok(Recv::Frame(frame)) => frame,
-            _ => return,
+        let Ok(Recv::Frame(frame)) = conn.recv(MAX_FRAME, Some(tuning.request_timeout)) else {
+            return;
         };
-        let (worker, version) = match WireMsg::decode(&frame) {
-            Ok(WireMsg::Hello(worker, version)) => (worker, version),
-            _ => return,
-        };
+        let Ok(WireMsg::Hello(worker, version)) = WireMsg::decode(&frame) else { return };
         if version != PROTO_VERSION {
             let why = format!(
                 "protocol version {version} does not match the parent's {PROTO_VERSION}; \
@@ -940,247 +824,151 @@ impl LeasePhase<'_> {
         if conn.send(&WireMsg::Config(blob.clone()).encode()).is_err() {
             return;
         }
-        // The lease a wire worker is building for this connection (a
-        // worker holds one at a time): the partition a subgraph payload
-        // belongs to when the `result` frame announcing it was lost.
-        let mut shipping: Option<usize> = None;
-        // The loop breaks with why the worker lost whatever it still
-        // holds; a lease that failed on its own merits is failed on the
-        // board and the connection simply returns.
-        let released = loop {
-            if self.cancel.is_cancelled() {
-                break "was dropped by an aborting run".to_string();
+        let name = format!("worker{worker}");
+        // Where this process builds a lease the worker loses.
+        let device = CpuDevice::new(name.as_str());
+        let mut seat = None;
+        while self.claimed_next(conn.as_mut()) {
+            if seat.is_none() {
+                seat = self.roster.join(name.as_str());
+                self.claimed.lock().unwrap_or_else(|e| e.into_inner()).insert(worker);
+                self.claimed_cv.notify_all();
             }
-            let cap = if shipping.is_some() { MAX_PAYLOAD_FRAME } else { MAX_FRAME };
-            let msg = match conn.recv(cap, Some(tuning.idle_timeout)) {
-                // A payload with no `result` ahead of it: the worker
-                // built the lease and that one frame went missing. A
-                // lost frame is not a failed build — take the payload
-                // through the same commit and verification.
-                Ok(Recv::Frame(frame)) if frame.first() == Some(&BLOB_TAG) => {
-                    let Some(p) = shipping.take() else {
-                        break "sent a payload no lease was waiting for".to_string();
-                    };
-                    self.accept_shipped(worker, p, frame, "");
-                    continue;
-                }
-                Ok(Recv::Frame(frame)) => match WireMsg::decode(&frame) {
-                    Ok(msg) => msg,
-                    // Garbled traffic costs the connection, never the
-                    // run: requeue and let the worker reconnect.
-                    Err(e) => break format!("sent an undecodable frame: {e}"),
-                },
-                // Clean exit and crash look the same from here: requeue
-                // whatever the worker still held (crash) — a no-op after
-                // a clean `finished` exit (it held nothing).
-                Ok(Recv::Eof) => break "disconnected holding the lease".to_string(),
-                // The heartbeat deadline lapsed: hung, not slow. Evict.
-                Ok(Recv::TimedOut) => {
-                    break format!(
-                        "sent no heartbeat within {}ms; evicted as hung",
-                        tuning.idle_timeout.as_millis()
-                    )
-                }
-                // The link damaged a frame: the connection goes, the
-                // attempt it cost comes back.
-                Ok(Recv::Damaged) => {
-                    return self.release(worker, wire, "sent a frame that failed its checksum", true)
-                }
-                Err(e) => break format!("connection failed: {e}"),
+            let Some((seat, (p, input))) = seat.as_mut().and_then(|s| next_input(s).map(|i| (s, i)))
+            else {
+                let _ = conn.send(&WireMsg::Finished.encode());
+                return;
             };
-            // A report is believed only from the connection holding the
-            // lease: anything else ends the connection, with nothing
-            // written or merged.
-            if let WireMsg::Result(p, _) | WireMsg::Failed(p, _) = msg {
-                let held = if wire {
-                    shipping == Some(p)
-                } else {
-                    self.board.lock().held_by(worker).contains(&p)
-                };
-                if !held {
-                    break format!("reported partition {p}, which it does not hold");
-                }
+            // Journaled *before* the assignment goes out: after a parent
+            // crash, replay shows exactly which partitions were in flight.
+            if !self.shared.journaled(p, JournalEvent::WorkerLease(worker, p)) {
+                return seat.deliver(p, None, 0);
             }
-            match msg {
-                // Liveness pulse: its arrival already reset the receive
-                // deadline; it carries nothing else.
-                WireMsg::Heartbeat(_) => continue,
-                // Leased under the hello id, whatever id the claim names:
-                // the release at the end frees that id's leases.
-                WireMsg::Claim(_) => {
-                    let leased = self.board.lock().claim(worker);
-                    let Some(p) = leased else {
-                        if conn.send(&WireMsg::Finished.encode()).is_err() {
-                            return;
-                        }
-                        continue;
-                    };
-                    // Journaled *before* the assignment goes out: after
-                    // a parent crash, replay shows exactly which
-                    // partitions were in flight.
-                    if !self.shared.journaled(p, JournalEvent::WorkerLease(worker, p)) {
-                        break "was leased a partition the parent could not journal".to_string();
-                    }
-                    let assign = WireMsg::Assign(p, self.manifest.stats()[p].kmers);
-                    if conn.send(&assign.encode()).is_err() {
-                        break "disconnected during assignment".to_string();
-                    }
-                    if wire {
-                        let bytes = match self.io.read_file(self.manifest.partition_path(p)) {
-                            Ok(bytes) => bytes,
-                            Err(e) => {
-                                // A parent-side read failure is the
-                                // partition's problem, not the worker's
-                                // — but the worker is now waiting for a
-                                // payload this connection can't deliver.
-                                self.board
-                                    .lock()
-                                    .fail(p, &format!("reading partition to ship: {e}"));
-                                return;
-                            }
-                        };
-                        if conn.send(&encode_blob(&bytes)).is_err() {
-                            break "disconnected mid-payload".to_string();
-                        }
-                        shipping = Some(p);
-                    }
-                }
-                WireMsg::Result(p, detail) => {
-                    if wire {
-                        shipping = None;
-                        // The subgraph payload follows the result frame;
-                        // a final heartbeat may still be queued ahead of
-                        // it.
-                        let payload = loop {
-                            match conn.recv(MAX_PAYLOAD_FRAME, Some(tuning.request_timeout)) {
-                                Ok(Recv::Frame(frame)) => {
-                                    if frame.first() == Some(&BLOB_TAG) {
-                                        break Some(frame);
-                                    }
-                                    match WireMsg::decode(&frame) {
-                                        Ok(WireMsg::Heartbeat(_)) => continue,
-                                        _ => break None,
-                                    }
-                                }
-                                Ok(Recv::Damaged) => {
-                                    let why = "sent a subgraph payload that failed its checksum";
-                                    return self.release(worker, wire, why, true);
-                                }
-                                _ => break None,
-                            }
-                        };
-                        let Some(payload) = payload else {
-                            self.board.lock().fail(
-                                p,
-                                &format!(
-                                    "worker {worker} reported success but its subgraph payload \
-                                     never arrived"
-                                ),
-                            );
-                            return;
-                        };
-                        self.accept_shipped(worker, p, payload, &detail);
-                    } else {
-                        self.accept(worker, p, &detail);
-                    }
-                }
-                WireMsg::Failed(p, detail) => {
-                    shipping = None;
-                    self.board.lock().fail(p, &detail);
-                }
-                other => break format!("sent an unexpected message: {other:?}"),
+            let (detail, in_step) = self.lease(conn.as_mut(), wire, p, &input.0, input.1);
+            let (built, units) = self.collect(&device, p, detail, input);
+            seat.deliver(p, built, units);
+            if !in_step {
+                return;
             }
+        }
+    }
+
+    /// Waits, up to the heartbeat deadline, for the worker's next
+    /// `claim`, whatever id it names: the connection's hello id is the
+    /// one its leases are journaled under.
+    fn claimed_next(&self, conn: &mut dyn Transport) -> bool {
+        loop {
+            let Ok(Recv::Frame(frame)) = conn.recv(MAX_FRAME, Some(self.tuning.idle_timeout)) else {
+                return false;
+            };
+            match WireMsg::decode(&frame) {
+                Ok(WireMsg::Claim(_)) => return true,
+                Ok(WireMsg::Heartbeat(_)) => {}
+                _ => return false,
+            }
+        }
+    }
+
+    /// Leases partition `p` — its `bytes`, of `kmers` k-mers — over
+    /// `conn`: the assignment (and, to a wire worker, the payload), then
+    /// the reply, each heartbeat resetting the deadline. A wire worker's
+    /// subgraph is committed here as it arrives — also one whose `result`
+    /// frame was lost: the connection holds this one lease. Returns the
+    /// `result` detail (empty when only the payload came) and whether the
+    /// connection is still in step — not after EOF, a lapsed deadline, a
+    /// damaged or undecodable frame, or a report about another partition.
+    fn lease(
+        &self,
+        conn: &mut dyn Transport,
+        wire: bool,
+        p: usize,
+        bytes: &[u8],
+        kmers: u64,
+    ) -> (Option<String>, bool) {
+        // No file may pass for this lease's but the one it produces.
+        let _ = std::fs::remove_file(self.shared.subgraph_path(p));
+        let assigned = conn.send(&WireMsg::Assign(p, kmers).encode());
+        if assigned.is_err() || (wire && conn.send(&encode_blob(bytes)).is_err()) {
+            return (None, false);
+        }
+        let cap = if wire { MAX_PAYLOAD_FRAME } else { MAX_FRAME };
+        let mut detail = None;
+        loop {
+            if self.shared.cancelled() {
+                return (None, false);
+            }
+            let Ok(Recv::Frame(frame)) = conn.recv(cap, Some(self.tuning.idle_timeout)) else {
+                return (None, false);
+            };
+            if frame.first() == Some(&BLOB_TAG) {
+                if !wire {
+                    return (None, false);
+                }
+                self.commit_shipped(p, frame);
+                return (Some(detail.unwrap_or_default()), true);
+            }
+            match WireMsg::decode(&frame) {
+                Ok(WireMsg::Heartbeat(_)) => {}
+                Ok(WireMsg::Result(q, reported)) if q == p && detail.is_none() => {
+                    if !wire {
+                        return (Some(reported), true);
+                    }
+                    // The subgraph payload follows.
+                    detail = Some(reported);
+                }
+                Ok(WireMsg::Failed(q, _)) if q == p && detail.is_none() => return (None, true),
+                _ => return (None, false),
+            }
+        }
+    }
+
+    /// A wire worker's subgraph for `p`, committed as shipped to this
+    /// process's `subgraphs/`; bytes that fail to commit fail to verify.
+    fn commit_shipped(&self, p: usize, payload: Vec<u8>) {
+        if let Ok(bytes) = decode_blob(payload) {
+            let _ = pipeline::commit::commit_bytes(&self.shared.subgraph_path(p), &bytes);
+        }
+    }
+
+    /// What lease `p` came to. Trust nothing: `sub-<p>.dbg` is read from
+    /// this process's `subgraphs/` and checked once — header, length, CRC
+    /// trailer — and the bytes that passed are what the graph absorbs,
+    /// with the accounting the worker's `result` detail carries
+    /// ([`parse_outcome`]; none when that frame was lost). When no file
+    /// verifies — the worker died, hung, garbled the link or failed the
+    /// build — this process builds the partition from `input` on `device`,
+    /// through the engine's builder and failure router.
+    fn collect(
+        &self,
+        device: &dyn Device,
+        p: usize,
+        detail: Option<String>,
+        input: (Vec<u8>, u64),
+    ) -> (Option<Built>, u64) {
+        let verified = std::fs::read(self.shared.subgraph_path(p))
+            .map_err(ParaHashError::Io)
+            .and_then(|image| check_committed(&image, p).map(|()| image));
+        let Ok(image) = verified else {
+            return self.shared.build(device, p, Some(input));
         };
-        self.release(worker, wire, &released, false);
+        let mut built = detail.as_deref().and_then(parse_outcome).unwrap_or_default();
+        // The checked header leads with the vertex count.
+        built.vertices = u64::from_le_bytes(image[..8].try_into().expect("a checked header"));
+        built.image = image;
+        built.partition_bytes = input.0.len() as u64;
+        built.on_disk = true;
+        let units = built.vertices;
+        (Some(built), units)
     }
+}
 
-    /// A connection ended holding leases; `why` says how. A worker on
-    /// this filesystem commits `sub-<p>.dbg` *before* it reports, so a
-    /// held lease whose file is there and passes [`accept`](Self::accept)'s
-    /// verification was built — only its `result` frame was lost — and
-    /// completes instead of being charged an attempt: two workers each
-    /// losing the `result` of the same partition must not abort a strict
-    /// run that has the subgraph on disk twice over. (The file cannot
-    /// predate this step: [`step2_sharded`] removes the file of every
-    /// partition it is about to lease.) Everything else the worker held —
-    /// and everything a wire worker held, whose result *is* the frame —
-    /// is requeued by the board: charged, or refunded when the connection
-    /// ended on a `damaged` frame ([`LeaseBoard::release_damaged`]) — so
-    /// two garbled frames of one wire lease cannot abort a strict run
-    /// either.
-    fn release(&self, worker: usize, wire: bool, why: &str, damaged: bool) {
-        if !wire {
-            let held = self.board.lock().held_by(worker);
-            for p in held {
-                if let Ok(image) = self.verified(p) {
-                    self.complete(p, image, "");
-                }
-            }
-        }
-        let mut board = self.board.lock();
-        if damaged {
-            board.release_damaged(worker, why);
-        } else {
-            board.release_worker(worker, why);
-        }
-    }
-
-    /// A wire worker's subgraph for `p`, as shipped: commit the bytes to
-    /// this process's `subgraphs/`, then [`accept`](Self::accept) them
-    /// like any worker's file.
-    fn accept_shipped(&self, worker: usize, p: usize, payload: Vec<u8>, detail: &str) {
-        let committed = decode_blob(payload).and_then(|bytes| {
-            pipeline::commit::commit_bytes(&self.shared.subgraph_path(p), &bytes)
-        });
-        match committed {
-            Ok(()) => self.accept(worker, p, detail),
-            // The connection is still framed correctly — only this lease
-            // failed.
-            Err(e) => self.board.lock().fail(p, &format!("committing shipped subgraph: {e}")),
-        }
-    }
-
-    /// A worker says partition `p` is built and committed. Trust nothing:
-    /// the file must exist in this process's `subgraphs/` and pass its
-    /// end-to-end checks before the lease completes — the same seam for
-    /// a local worker's commit and for shipped bytes this process just
-    /// committed. The file is read and checked once, outside the graph
-    /// lock, and the bytes that passed are what the graph absorbs. A
-    /// partition two connections report (a requeue race, see
-    /// [`step2_sharded`]) is merged — and journaled — the first time
-    /// only.
-    fn accept(&self, worker: usize, p: usize, detail: &str) {
-        match self.verified(p) {
-            Ok(image) => self.complete(p, image, detail),
-            Err(e) => self.board.lock().fail(
-                p,
-                &format!("worker {worker} reported success but the file fails: {e}"),
-            ),
-        }
-    }
-
-    /// The one verification: `sub-<p>.dbg` read from this process's
-    /// `subgraphs/` and checked — header, length, CRC trailer — but not
-    /// decoded: the checked bytes are what the graph keeps.
-    fn verified(&self, p: usize) -> Result<Vec<u8>> {
-        let bytes = std::fs::read(self.shared.subgraph_path(p)).map_err(ParaHashError::Io)?;
-        check_committed(&bytes, p)?;
-        Ok(bytes)
-    }
-
-    /// Completes `p`'s lease and, the first time only, settles the
-    /// verified image — already on disk — with the accounting the
-    /// worker's `result` `detail` carries ([`parse_outcome`]; none when
-    /// no `result` arrived).
-    fn complete(&self, p: usize, image: Vec<u8>, detail: &str) {
-        self.board.lock().complete(p);
-        let mut merged = self.merged.lock();
-        let (graph, built) = &mut *merged;
-        if built.insert(p) {
-            let mut built = parse_outcome(detail).unwrap_or_default();
-            built.image = image;
-            built.partition_bytes = self.manifest.stats()[p].bytes;
-            self.shared.settle(self.io, graph, p, built, true);
+/// The next partition `seat` claims that has bytes to build, delivering
+/// the settled ones (resumed, or a read already routed) on the way.
+fn next_input(seat: &mut Seat<'_, '_, Input, Option<Built>>) -> Option<(usize, (Vec<u8>, u64))> {
+    loop {
+        match seat.claim()? {
+            (p, Some(input)) => return Some((p, input)),
+            (p, None) => seat.deliver(p, None, 0),
         }
     }
 }
@@ -1291,12 +1079,59 @@ mod tests {
         assert!(config_from_blob(&missing).is_err(), "missing key must be rejected");
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Hostile config blobs: one line's value replaced by random
+        /// text, cut short, or with one byte changed; one line dropped or
+        /// repeated; or random text as the whole blob. `config_from_blob`
+        /// never panics, and when it rejects a damaged line the error
+        /// names that line's key.
+        #[test]
+        fn hostile_config_blobs_fail_naming_the_key(
+            line in 0usize..64,
+            damage in 0u8..5,
+            seed in 0u64..u64::MAX,
+            noise in proptest::prop::collection::vec(0u8..=255, 0..80),
+        ) {
+            let blob = config_blob(&config("parahash-shard-blob-fuzz"), seed & 1 == 1);
+            let lines: Vec<&str> = blob.lines().collect();
+            let at = line % lines.len();
+            let (key, value) = lines[at].split_once(' ').unwrap();
+            let text: String = String::from_utf8_lossy(&noise).replace(['\n', '\r'], "");
+            let cut = value.char_indices().map(|(i, _)| i).nth(seed as usize % (value.len() + 1));
+            let damaged = match damage {
+                0 => Some(format!("{key} {text}")),
+                1 => Some(format!("{key} {}", &value[..cut.unwrap_or(value.len())])),
+                2 => {
+                    let mut bytes = value.as_bytes().to_vec();
+                    if let Some(b) = bytes.get_mut(seed as usize % (value.len().max(1))) {
+                        *b = b"0fz- .9"[(seed >> 8) as usize % 7];
+                    }
+                    Some(format!("{key} {}", String::from_utf8_lossy(&bytes)))
+                }
+                3 => None,
+                _ => Some(format!("{}\n{key} {value}", lines[at])),
+            };
+            let mut hostile: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            match damaged {
+                Some(l) => hostile[at] = l,
+                None => {
+                    hostile.remove(at);
+                }
+            }
+            if let Err(e) = config_from_blob(&hostile.join("\n")) {
+                let e = e.to_string();
+                proptest::prop_assert!(e.contains(&format!("`{key}`")), "{}: {}", lines[at], e);
+            }
+            let _ = config_from_blob(&String::from_utf8_lossy(&noise));
+        }
+    }
+
     /// Four partitions built in process under `dir` — which leaves the
     /// committed `sub-<p>.dbg` files a local worker would — the graph
     /// they add up to, and a fresh journal for the step under test.
-    fn built_in_process(
-        dir: &str,
-    ) -> (ParaHashConfig, ThrottledIo, PartitionManifest, DeBruijnGraph, RunJournal) {
+    fn built_in_process(dir: &str) -> (ParaHashConfig, PartitionManifest, RunJournal) {
         let cfg = ParaHashConfig::builder()
             .k(9)
             .p(5)
@@ -1307,7 +1142,6 @@ mod tests {
             .build()
             .unwrap();
         let _ = std::fs::remove_dir_all(cfg.work_dir());
-        let io = ThrottledIo::new(IoMode::Unthrottled);
         let reads: Vec<dna::SeqRead> = [
             "ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGT",
             "TGATGGATGATGGATGGTAGCATACGTTGCATGGACCAG",
@@ -1316,11 +1150,11 @@ mod tests {
         .iter()
         .map(|s| dna::SeqRead::from_ascii("r", s.as_bytes()))
         .collect();
-        let reference = crate::ParaHash::new(cfg.clone()).unwrap().run(&reads).unwrap().graph;
+        crate::ParaHash::new(cfg.clone()).unwrap().run(&reads).unwrap();
         let manifest = PartitionManifest::load(cfg.work_dir().join("superkmers")).unwrap();
         let fingerprint = Fingerprint { k: 9, p: 5, partitions: 4, input_digest: 0 };
         let journal = RunJournal::create(cfg.work_dir(), fingerprint).unwrap();
-        (cfg, io, manifest, reference, journal)
+        (cfg, manifest, journal)
     }
 
     /// The next frame a scripted peer receives, heartbeats skipped.
@@ -1334,25 +1168,6 @@ mod tests {
                 }
                 other => panic!("expected a frame, got {other:?}"),
             }
-        }
-    }
-
-    fn lease_phase<'a>(
-        shared: &'a Step2Shared<'a>,
-        cancel: &'a CancelToken,
-        manifest: &'a PartitionManifest,
-        io: &'a ThrottledIo,
-    ) -> LeasePhase<'a> {
-        LeasePhase {
-            shared,
-            cancel,
-            board: Mutex::new(LeaseBoard::new((0..4).collect(), 4, MAX_LEASE_ATTEMPTS)),
-            merged: Mutex::new((DeBruijnGraph::new(9), BTreeSet::new())),
-            manifest,
-            io,
-            tuning: ShardTuning::from_env(),
-            fs_blob: String::new(),
-            wire_blob: String::new(),
         }
     }
 
@@ -1385,230 +1200,157 @@ mod tests {
         assert!(parse_outcome("ok 0 4096 0").is_none());
     }
 
-    /// A lease two connections report (the requeue race) is verified,
-    /// journaled and merged once: the second `result` leaves the graph
-    /// and the built set as they were. Every merged subgraph is the image
-    /// the verifying check passed, so the graph after one `result` per
-    /// partition is the in-process graph.
-    #[test]
-    fn a_second_result_for_a_built_partition_changes_nothing() {
-        let (cfg, io, manifest, reference, journal) = built_in_process("parahash-shard-absorb-once");
-        let cancel = CancelToken::new();
-        let shared = Step2Shared::new(&cfg, &cancel, &journal);
-        let phase = lease_phase(&shared, &cancel, &manifest, &io);
-        assert_eq!(phase.board.lock().claim(0), Some(0));
-        phase.accept(0, 0, "ok 0 4096 0 0 0 0 0 0");
-        let once = phase.merged.lock().clone();
-        assert_eq!(once.1, BTreeSet::from([0]));
-        assert!(once.0.distinct_vertices() > 0, "partition 0 is not empty");
-        // The same lease again, as the other side of the race reports it.
-        assert_eq!(phase.board.lock().claim(1), Some(1));
-        phase.accept(1, 0, "ok 3 8192 2 0 0 0 0 0");
-        assert!(*phase.merged.lock() == once, "graph and built set unchanged");
-        assert_eq!(phase.board.lock().remaining(), 3, "only partition 0 completed");
+    /// A cluster over the step of `cfg`, for driving one connection's
+    /// lease without a pipeline.
+    fn with_cluster<R>(
+        cfg: &ParaHashConfig,
+        journal: &RunJournal,
+        body: impl FnOnce(&Cluster<'_, '_>) -> R,
+    ) -> R {
+        let cancel = pipeline::CancelToken::new();
+        let shared = Step2Shared::new(cfg, &cancel, journal);
+        let roster = Step2Roster::new(cfg.devices(), &cancel, cfg.partitions());
+        body(&Cluster::new(cfg, &shared, &roster))
+    }
 
-        phase.accept(1, 1, "ok 0 4096 0 0 0 0 0 0");
-        for p in 2..4 {
-            assert_eq!(phase.board.lock().claim(0), Some(p));
-            phase.accept(0, p, "ok 0 4096 0 0 0 0 0 0");
-        }
-        let LeasePhase { merged, .. } = phase;
-        let (graph, built) = merged.into_inner();
-        assert_eq!(built.len(), 4);
-        assert_eq!(graph, reference);
-        let (_, report) =
-            shared.finish(StepReport::idle(2).pipeline, DeBruijnGraph::new(9)).unwrap();
-        assert_eq!((report.resizes, report.peak_table_bytes), (0, 4096), "counted once");
-        assert!(report.sub_splits.is_empty(), "the duplicate's fanout was not recorded");
-        let state = RunJournal::replay(cfg.work_dir()).unwrap();
-        assert_eq!(state.committed, BTreeSet::from([0, 1, 2, 3]));
-        let records = std::fs::read(RunJournal::path_in(cfg.work_dir())).unwrap();
-        let needle = b"subgraph-committed ";
-        assert_eq!(records.windows(needle.len()).filter(|w| w == needle).count(), 4);
+    /// Partition `p` as Step 2's input stage hands it over.
+    fn input(manifest: &PartitionManifest, p: usize) -> (Vec<u8>, u64) {
+        (std::fs::read(manifest.partition_path(p)).unwrap(), manifest.stats()[p].kmers)
+    }
+
+    /// A lease counts as the worker's exactly when its file verifies:
+    /// one whose `result` frame was lost but whose committed file checks
+    /// clean is taken from disk — no accounting, no rebuild — while a
+    /// missing or torn file is built here, by the engine, into the bytes
+    /// the worker would have committed.
+    #[test]
+    fn a_lease_is_the_workers_exactly_when_its_file_verifies() {
+        let (cfg, manifest, journal) = built_in_process("parahash-shard-collect");
+        let files: Vec<Vec<u8>> =
+            (0..3).map(|p| std::fs::read(crate::step2::subgraph_path(cfg.work_dir(), p)).unwrap()).collect();
+        with_cluster(&cfg, &journal, |cluster| {
+            let device = CpuDevice::new("worker7");
+            let path = |p| cluster.shared.subgraph_path(p);
+            // Committed, then the `result` frame went missing.
+            let (built, units) = cluster.collect(&device, 0, None, input(&manifest, 0));
+            let built = built.expect("the committed file is the lease's");
+            assert!(built.on_disk && built.image == files[0]);
+            assert_eq!(units, built.vertices);
+            assert!(units > 0 && built.contention == ContentionStats::default());
+            // Never committed, or torn: built here.
+            std::fs::remove_file(path(1)).unwrap();
+            std::fs::write(path(2), b"torn").unwrap();
+            for p in [1, 2] {
+                let built = cluster.collect(&device, p, Some("ok 0 0 0 0 0 0 0 0".into()), input(&manifest, p));
+                let built = built.0.expect("a clean partition builds");
+                assert!(!built.on_disk, "partition {p}");
+                assert_eq!(built.image, files[p], "partition {p}: the engine's bytes");
+            }
+        });
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 
-    /// The dropped-`result` scenario that used to abort strict runs:
-    /// partition 0's lease is lost twice — once before its file exists
-    /// (a real failure: charged and requeued), once after the worker
-    /// committed it and only the `result` frame went missing. The second
-    /// loss must complete the lease, not exhaust it; a wire worker's
-    /// leases, whose result *is* the frame, are charged as ever.
-    #[test]
-    fn a_lost_result_frame_completes_the_lease_if_the_file_verifies() {
-        let (cfg, io, manifest, reference, journal) = built_in_process("parahash-shard-lost-result");
-        let cancel = CancelToken::new();
-        let shared = Step2Shared::new(&cfg, &cancel, &journal);
-        let phase = lease_phase(&shared, &cancel, &manifest, &io);
-        let file = shared.subgraph_path(0);
-        let committed = std::fs::read(&file).unwrap();
+    /// A scripted worker over loopback TCP, `script` playing its side of
+    /// one lease of partition `p` that the cluster runs against it.
+    fn lease_over_tcp(
+        cluster: &Cluster<'_, '_>,
+        manifest: &PartitionManifest,
+        p: usize,
+        script: impl FnOnce(std::net::TcpStream) + Send,
+    ) -> (Option<String>, bool) {
+        let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
+        let worker = std::net::TcpStream::connect(listener.addr()).unwrap();
+        let mut conn = listener.accept().unwrap();
+        let (bytes, kmers) = input(manifest, p);
+        std::thread::scope(|s| {
+            s.spawn(move || script(worker));
+            cluster.lease(conn.as_mut(), true, p, &bytes, kmers)
+        })
+    }
 
-        // Worker 0 dies holding partition 0 before committing anything.
-        std::fs::remove_file(&file).unwrap();
-        assert_eq!(phase.board.lock().claim(0), Some(0));
-        phase.release(0, false, "disconnected holding the lease", false);
-        assert!(phase.merged.lock().1.is_empty());
-        // Requeued at the front with one attempt spent; worker 1 takes it
-        // (and partition 1), commits partition 0, loses the `result`.
-        assert_eq!(phase.board.lock().claim(1), Some(0));
-        assert_eq!(phase.board.lock().claim(1), Some(1));
-        std::fs::write(&file, &committed).unwrap();
-        std::fs::write(shared.subgraph_path(1), b"torn").unwrap();
-        phase.release(1, false, "disconnected holding the lease", false);
-        assert_eq!(phase.merged.lock().1, BTreeSet::from([0]), "the verified file was merged");
-        assert!(phase.board.lock().exhausted().is_empty(), "no attempt charged for partition 0");
-        assert_eq!(phase.board.lock().done(), &[0]);
-        // Partition 1's file does not verify: charged and requeued.
-        assert_eq!(phase.board.lock().claim(2), Some(1));
+    /// The worker's side of a scripted lease: the next frame it receives.
+    fn expect_frame(worker: &std::net::TcpStream, cap: u32) -> Vec<u8> {
+        match pipeline::shard::recv_frame(&mut &*worker, cap).unwrap() {
+            Recv::Frame(frame) => frame,
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
 
-        // A wire worker's lease is never completed from a local file.
-        assert_eq!(phase.board.lock().claim(3), Some(2));
-        phase.release(3, true, "disconnected holding the lease", false);
-        assert_eq!(phase.merged.lock().1, BTreeSet::from([0]));
-        assert_eq!(phase.board.lock().claim(3), Some(2), "requeued, attempt charged");
-        phase.release(3, true, "disconnected holding the lease", false);
-        let exhausted: Vec<usize> =
-            phase.board.lock().exhausted().iter().map(|x| x.partition).collect();
-        assert_eq!(exhausted, [2]);
-
-        // What was merged is what the in-process build has for that
-        // partition.
-        let merged = phase.merged.lock();
-        assert!(merged.0.distinct_vertices() > 0);
-        assert!(merged.0.iter().all(|(kmer, data)| reference.get(&kmer) == Some(data)));
-        drop(merged);
-        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    /// Sends `payload` from a scripted worker, its first byte flipped
+    /// after the checksum when `damage`.
+    fn send_frame(mut worker: &std::net::TcpStream, payload: &[u8], damage: bool) {
+        use std::io::Write;
+        let mut frame = Vec::new();
+        pipeline::shard::write_frame(&mut frame, payload).unwrap();
+        frame[8] ^= u8::from(damage);
+        let _ = worker.write_all(&frame);
     }
 
     /// The wire twin: a diskless worker's `result` frame is lost and its
     /// subgraph payload arrives unannounced. The connection holds one
-    /// lease, so the payload is that lease's — committed, verified and
-    /// merged like an announced one, no attempt charged. A scripted
-    /// worker over loopback TCP plays the frames.
+    /// lease, so the payload is that lease's — committed here, and taken
+    /// as the worker's — and the connection stays in step.
     #[test]
     fn a_wire_payload_whose_result_frame_was_lost_completes_the_lease() {
-        let (cfg, io, manifest, reference, journal) = built_in_process("parahash-shard-lost-wire-result");
-        let cancel = CancelToken::new();
-        let shared = Step2Shared::new(&cfg, &cancel, &journal);
-        let phase = lease_phase(&shared, &cancel, &manifest, &io);
-        let built = std::fs::read(shared.subgraph_path(0)).unwrap();
-        std::fs::remove_file(shared.subgraph_path(0)).unwrap();
-
-        let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
-        let mut worker = connect_tcp(&listener.addr()).unwrap();
-        let conn = listener.accept().unwrap();
-        assert!(conn.remote());
-        std::thread::scope(|s| {
-            s.spawn(|| phase.serve(conn));
-            let expect = |worker: &mut Box<dyn Transport>, cap: u32| {
-                match worker.recv(cap, Some(Duration::from_secs(10))) {
-                    Ok(Recv::Frame(frame)) => frame,
-                    other => panic!("expected a frame, got {other:?}"),
-                }
-            };
-            worker.send(&WireMsg::Hello(7, PROTO_VERSION).encode()).unwrap();
-            assert!(matches!(WireMsg::decode(&expect(&mut worker, MAX_FRAME)), Ok(WireMsg::Config(_))));
-            worker.send(&WireMsg::Claim(7).encode()).unwrap();
-            assert!(matches!(WireMsg::decode(&expect(&mut worker, MAX_FRAME)), Ok(WireMsg::Assign(0, _))));
-            assert_eq!(expect(&mut worker, MAX_PAYLOAD_FRAME).first(), Some(&BLOB_TAG), "partition 0's payload");
-            // `result 0 ok …` is the frame that goes missing.
-            worker.send(&encode_blob(&built)).unwrap();
-            // The next claim is answered normally: the stream stayed in
-            // step, and partition 0 is not what comes back.
-            worker.send(&WireMsg::Claim(7).encode()).unwrap();
-            assert!(matches!(WireMsg::decode(&expect(&mut worker, MAX_FRAME)), Ok(WireMsg::Assign(1, _))));
-            drop(worker);
+        let (cfg, manifest, journal) = built_in_process("parahash-shard-lost-wire-result");
+        let built = std::fs::read(crate::step2::subgraph_path(cfg.work_dir(), 0)).unwrap();
+        with_cluster(&cfg, &journal, |cluster| {
+            let outcome = lease_over_tcp(cluster, &manifest, 0, |worker| {
+                let assign = WireMsg::decode(&expect_frame(&worker, MAX_FRAME)).unwrap();
+                assert!(matches!(assign, WireMsg::Assign(0, _)), "{assign:?}");
+                assert_eq!(expect_frame(&worker, MAX_PAYLOAD_FRAME).first(), Some(&BLOB_TAG));
+                send_frame(&worker, &WireMsg::Heartbeat(7).encode(), false);
+                // `result 0 ok …` is the frame that goes missing.
+                send_frame(&worker, &encode_blob(&built), false);
+            });
+            assert_eq!(outcome, (Some(String::new()), true));
+            let (taken, _) = cluster.collect(&CpuDevice::new("w"), 0, outcome.0, input(&manifest, 0));
+            assert!(taken.is_some_and(|b| b.on_disk && b.image == built));
         });
-        assert_eq!(std::fs::read(shared.subgraph_path(0)).unwrap(), built, "committed by the parent");
-        assert_eq!(phase.board.lock().done(), &[0]);
-        let merged = phase.merged.lock();
-        assert_eq!(merged.1, BTreeSet::from([0]));
-        assert!(merged.0.iter().all(|(kmer, data)| reference.get(&kmer) == Some(data)));
-        drop(merged);
-        // Partition 1 went down with the connection: charged, requeued.
-        assert_eq!(phase.board.lock().claim(8), Some(1));
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 
-    /// A wire lease whose `result` arrives with a flipped byte is lost
-    /// with its connection but costs no attempt: one more damaged round
-    /// than the attempt cap, and partition 0 is still leasable. A scripted
-    /// worker on a raw loopback socket damages the frame.
+    /// A damaged lease is built by the parent: the wire worker's `result`
+    /// arrives with a flipped byte, the connection ends, no file is
+    /// committed, and the engine builds the partition here into the bytes
+    /// the worker would have shipped.
     #[test]
-    fn a_frame_that_fails_its_checksum_costs_no_attempt() {
-        use pipeline::shard::{recv_frame, write_frame};
-        use std::io::Write;
-
-        let (cfg, io, manifest, _, journal) = built_in_process("parahash-shard-damaged-frame");
-        let cancel = CancelToken::new();
-        let shared = Step2Shared::new(&cfg, &cancel, &journal);
-        let phase = lease_phase(&shared, &cancel, &manifest, &io);
-        let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
-        for _ in 0..=MAX_LEASE_ATTEMPTS {
-            let worker = std::net::TcpStream::connect(listener.addr()).unwrap();
-            let conn = listener.accept().unwrap();
-            std::thread::scope(|s| {
-                s.spawn(|| phase.serve(conn));
-                let send = |msg: WireMsg, damage: bool| {
-                    let mut frame = Vec::new();
-                    write_frame(&mut frame, &msg.encode()).unwrap();
-                    frame[8] ^= u8::from(damage);
-                    (&worker).write_all(&frame).unwrap();
-                };
-                send(WireMsg::Hello(7, PROTO_VERSION), false);
-                send(WireMsg::Claim(7), false);
-                let mut reader = &worker;
-                let replies = [("config", MAX_FRAME), ("assign", MAX_FRAME), ("payload", MAX_PAYLOAD_FRAME)];
-                for (what, cap) in replies {
-                    let frame = recv_frame(&mut reader, cap).unwrap();
-                    assert!(matches!(frame, Recv::Frame(_)), "{what}: {frame:?}");
-                }
-                send(WireMsg::Result(0, "ok 0 4096 0 0 0 0 0 0".into()), true);
+    fn a_damaged_lease_is_built_by_the_parent() {
+        let (cfg, manifest, journal) = built_in_process("parahash-shard-damaged-frame");
+        let want = std::fs::read(crate::step2::subgraph_path(cfg.work_dir(), 0)).unwrap();
+        with_cluster(&cfg, &journal, |cluster| {
+            let outcome = lease_over_tcp(cluster, &manifest, 0, |worker| {
+                expect_frame(&worker, MAX_FRAME);
+                expect_frame(&worker, MAX_PAYLOAD_FRAME);
+                send_frame(&worker, &WireMsg::Result(0, "ok 0 4096 0 0 0 0 0 0".into()).encode(), true);
             });
-        }
-        let mut board = phase.board.lock();
-        assert!(board.exhausted().is_empty(), "{:?}", board.exhausted());
-        assert_eq!(board.claim(8), Some(0), "requeued at the front");
-        drop(board);
+            assert_eq!(outcome, (None, false), "the link is no longer trusted");
+            assert!(!cluster.shared.subgraph_path(0).exists(), "nothing committed");
+            let (built, _) = cluster.collect(&CpuDevice::new("w"), 0, outcome.0, input(&manifest, 0));
+            assert!(built.is_some_and(|b| !b.on_disk && b.image == want));
+        });
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 
     /// A report for a partition the connection does not hold ends the
-    /// connection before anything is written or merged: a wire worker
-    /// holding partition 0 — claimed under another id than its hello's —
-    /// reports an out-of-range partition 99 with a valid payload, then
-    /// partition 2, which nobody holds. Neither file appears, nothing is
-    /// merged, and partition 0 is requeued from the hello id's release.
+    /// connection before anything is written: a wire worker holding
+    /// partition 0 reports an out-of-range partition 99 with a valid
+    /// payload. No file appears — neither 99's nor 0's — and partition 0
+    /// is left for the parent to build.
     #[test]
     fn a_report_for_a_partition_not_held_ends_the_connection() {
-        let (cfg, io, manifest, _, journal) = built_in_process("parahash-shard-unheld-report");
-        let cancel = CancelToken::new();
-        let shared = Step2Shared::new(&cfg, &cancel, &journal);
-        let phase = lease_phase(&shared, &cancel, &manifest, &io);
-        let built = std::fs::read(shared.subgraph_path(2)).unwrap();
-        std::fs::remove_file(shared.subgraph_path(2)).unwrap();
-
-        let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
-        let mut worker = connect_tcp(&listener.addr()).unwrap();
-        let conn = listener.accept().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(|| phase.serve(conn));
-            worker.send(&WireMsg::Hello(7, PROTO_VERSION).encode()).unwrap();
-            assert!(matches!(WireMsg::decode(&next_frame(worker.as_mut())), Ok(WireMsg::Config(_))));
-            worker.send(&WireMsg::Claim(8).encode()).unwrap();
-            assert!(matches!(WireMsg::decode(&next_frame(worker.as_mut())), Ok(WireMsg::Assign(0, _))));
-            assert_eq!(next_frame(worker.as_mut()).first(), Some(&BLOB_TAG), "partition 0's payload");
-            // The parent may hang up at any point from here on.
-            let _ = worker.send(&WireMsg::Result(99, "ok 0 0 0 0 0 0 0 0".into()).encode());
-            let _ = worker.send(&encode_blob(&built));
-            let _ = worker.send(&WireMsg::Result(2, "ok 0 0 0 0 0 0 0 0".into()).encode());
-            let _ = worker.send(&encode_blob(&built));
-            drop(worker);
+        let (cfg, manifest, journal) = built_in_process("parahash-shard-unheld-report");
+        let built = std::fs::read(crate::step2::subgraph_path(cfg.work_dir(), 2)).unwrap();
+        with_cluster(&cfg, &journal, |cluster| {
+            let outcome = lease_over_tcp(cluster, &manifest, 0, |worker| {
+                expect_frame(&worker, MAX_FRAME);
+                expect_frame(&worker, MAX_PAYLOAD_FRAME);
+                send_frame(&worker, &WireMsg::Result(99, "ok 0 0 0 0 0 0 0 0".into()).encode(), false);
+                send_frame(&worker, &encode_blob(&built), false);
+            });
+            assert_eq!(outcome, (None, false));
+            assert!(!cluster.shared.subgraph_path(99).exists() && !cluster.shared.subgraph_path(0).exists());
         });
-        assert!(!shared.subgraph_path(99).exists() && !shared.subgraph_path(2).exists());
-        assert!(phase.merged.lock().1.is_empty(), "nothing merged");
-        assert!(phase.board.lock().done().is_empty());
-        assert_eq!(phase.board.lock().claim(9), Some(0), "requeued from the hello id's release");
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 
@@ -1621,7 +1363,7 @@ mod tests {
     /// filesystem.
     #[test]
     fn a_worker_session_builds_its_leases_from_one_pool() {
-        let (cfg, _, manifest, _, _) = built_in_process("parahash-shard-session-pool");
+        let (cfg, manifest, _) = built_in_process("parahash-shard-session-pool");
         let class = |p: usize| {
             let kmers = manifest.stats()[p].kmers;
             hashgraph::TablePool::capacity_class(hashgraph::table_capacity_for(kmers, cfg.sizing))

@@ -173,28 +173,23 @@ pub(crate) fn step1_sealed(
     let n = config.partitions;
     let mut store =
         PartitionStore::create_scoped(&dir, n, config.k, config.p, budget, &config.run_token)?;
-    // Capacity = partition count: each partition is sealed exactly once,
-    // so the queue never wraps and `push` never blocks.
-    let feed = SharedCounterQueue::new(n);
     let sealed = step1_into(config, input, io, &CancelToken::new(), &mut store).and_then(|mut step1| {
         let manifest = store.finish_manifest()?;
         if let Some(stats) = &mut step1.step1_stats {
             stats.stored_bytes = manifest.total_bytes();
         }
-        seal_all(&mut store, journal, &feed)?;
-        Ok((manifest, step1))
+        let feed = SharedCounterQueue::filled(seal_all(&mut store, journal)?);
+        Ok((manifest, step1, feed))
     });
     drop(store);
-    let (manifest, step1) = sealed.inspect_err(|_| {
+    sealed.inspect_err(|_| {
         let _ = std::fs::remove_dir_all(&dir);
-    })?;
-    feed.finish();
-    Ok((manifest, step1, feed))
+    })
 }
 
-/// Seals every partition of `store` onto `feed`, journaling each durable
-/// one — only a *spilled* partition is: a resident one's bytes exist
-/// nowhere but in this process's memory.
+/// Seals every partition of `store`, in Step 2's feed order, journaling
+/// each durable one — only a *spilled* partition is: a resident one's
+/// bytes exist nowhere but in this process's memory.
 ///
 /// Hand-over order is chosen, not index order: spilled partitions first
 /// (their loads overlap compute on the resident ones, hiding T_IO per §IV
@@ -202,13 +197,10 @@ pub(crate) fn step1_sealed(
 /// (longest-processing-time ordering tightens the Eq. 1 makespan), index
 /// as the deterministic tiebreak. Order affects only scheduling — each
 /// partition's subgraph is canonical regardless.
-fn seal_all(
-    store: &mut PartitionStore,
-    journal: &RunJournal,
-    feed: &SharedCounterQueue<SealedPartition>,
-) -> Result<()> {
+fn seal_all(store: &mut PartitionStore, journal: &RunJournal) -> Result<Vec<SealedPartition>> {
     let mut order: Vec<usize> = (0..store.num_partitions()).collect();
     order.sort_by_key(|&i| (store.is_resident(i), std::cmp::Reverse(store.stats()[i].bytes), i));
+    let mut feed = Vec::with_capacity(order.len());
     for i in order {
         let sealed = store.seal(i)?;
         let durable = matches!(sealed.payload, SealedPayload::Spilled(_));
@@ -217,7 +209,7 @@ fn seal_all(
             journal.append(&JournalEvent::PartitionSealed(i))?;
         }
     }
-    Ok(())
+    Ok(feed)
 }
 
 /// The one body of Step 1: opens `input`, cuts it into batches — index
@@ -388,7 +380,6 @@ pub(crate) fn step1_into(
         peak_resident_store_bytes: store.peak_resident_bytes(),
         quarantined: Vec::new(),
         sub_splits: Vec::new(),
-        exhausted_leases: Vec::new(),
     })
 }
 

@@ -11,9 +11,7 @@ use hashgraph::{
 use hetsim::{Device, DeviceKind};
 use msp::{PartitionManifest, PartitionSlices, RecordCollapse, SealedPartition, SealedPayload};
 use parking_lot::Mutex;
-use pipeline::{
-    failpoint, run_pipeline, CancelToken, PipelineReport, SharedCounterQueue, ThrottledIo,
-};
+use pipeline::{failpoint, CancelToken, PipelineReport, Roster, SharedCounterQueue, ThrottledIo};
 
 use crate::journal::{JournalEvent, RunJournal};
 use crate::step1::{device_baselines, device_deltas, split_device_times};
@@ -46,6 +44,10 @@ pub(crate) struct Built {
     pub fanout: usize,
     /// Bytes of the partition it was built from.
     pub partition_bytes: u64,
+    /// Whether `image` is already committed as the partition's
+    /// `sub-<i>.dbg` — by a worker on this filesystem, or by this process
+    /// from a wire worker's payload — so settling it commits nothing.
+    pub on_disk: bool,
 }
 
 /// Why a partition did not build or settle, classed by how far it
@@ -154,21 +156,32 @@ impl Resumed {
     }
 }
 
-/// A finished manifest as a Step-2 feed: every partition, in index
-/// order, as a payload to read back from its file — exactly what a
-/// [`msp::PartitionStore`] seals for a partition it spilled. This is how
-/// a resumed run that skips Step 1 feeds Step 2.
+/// A finished manifest as a Step-2 feed: every partition as a payload to
+/// read back from its file — exactly what a [`msp::PartitionStore`] seals
+/// for a partition it spilled — largest first, index breaking ties, as
+/// Step 1 seals them. This is how a resumed run that skips Step 1 feeds
+/// Step 2.
 pub(crate) fn manifest_feed(manifest: &PartitionManifest) -> SharedCounterQueue<SealedPartition> {
-    SharedCounterQueue::filled(manifest.stats().iter().enumerate().map(|(index, stats)| {
-        SealedPartition {
-            index,
-            superkmers: stats.superkmers,
-            kmers: stats.kmers,
-            bytes: stats.bytes,
-            payload: SealedPayload::Spilled(manifest.partition_path(index)),
-        }
+    let stats = manifest.stats();
+    let mut order: Vec<usize> = (0..stats.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(stats[i].bytes), i));
+    SharedCounterQueue::filled(order.into_iter().map(|index| SealedPartition {
+        index,
+        superkmers: stats[index].superkmers,
+        kmers: stats[index].kmers,
+        bytes: stats[index].bytes,
+        payload: SealedPayload::Spilled(manifest.partition_path(index)),
     }))
 }
+
+/// What Step 2's input stage hands a device: a partition's bytes and its
+/// k-mer count, or `None` for a partition already settled (a resumed
+/// one, or one whose read failed and was routed).
+pub(crate) type Input = Option<(Vec<u8>, u64)>;
+
+/// Step 2's roster: the config's devices, and a driver per worker
+/// connection when the build is sharded.
+pub(crate) type Step2Roster<'a> = Roster<'a, Input, Option<Built>>;
 
 /// Step 2 of ParaHash, the one in-process runner: pipelined,
 /// co-processed construction of the subgraph of every
@@ -204,10 +217,16 @@ pub(crate) fn manifest_feed(manifest: &PartitionManifest) -> SharedCounterQueue<
 /// were committed by an interrupted run and are already in
 /// [`Resumed::graph`] — flow through as no-ops. The caller owns `feed`.
 ///
+/// Given [`workers`](crate::ParaHashConfigBuilder::workers) or
+/// [`listen`](crate::ParaHashConfigBuilder::listen), each worker
+/// connection joins the roster as one more device beside the config's
+/// ([`crate::shard`]); what a worker builds settles here like the rest.
+///
 /// # Errors
 ///
-/// Partition-file corruption and I/O failures (strict mode only), and
-/// device-memory exhaustion.
+/// Partition-file corruption and I/O failures (strict mode only),
+/// device-memory exhaustion, and a sharded build's socket and spawn
+/// failures.
 pub(crate) fn step2_feed(
     config: &ParaHashConfig,
     feed: &SharedCounterQueue<SealedPartition>,
@@ -215,14 +234,26 @@ pub(crate) fn step2_feed(
     journal: &RunJournal,
     resumed: Resumed,
 ) -> Result<(DeBruijnGraph, StepReport)> {
-    if config.write_subgraphs {
-        std::fs::create_dir_all(config.work_dir.join("subgraphs"))?;
+    let Resumed { committed: skip, mut graph } = resumed;
+    // A resumed run with every partition committed has nothing to lease.
+    let sharded = config.sharded() && skip.len() < feed.capacity();
+    let sub_dir = config.work_dir.join("subgraphs");
+    if config.write_subgraphs || sharded {
+        // A worker's committed file is its result, whatever the user keeps.
+        std::fs::create_dir_all(&sub_dir)?;
     }
     let cancel = CancelToken::new();
     let shared = Step2Shared::new(config, &cancel, journal);
-    let Resumed { committed: skip, mut graph } = resumed;
-    let pipeline_report = shared.run(feed, io, &skip, &mut graph);
-    shared.finish(pipeline_report, graph)
+    let roster = Step2Roster::new(config.devices(), &cancel, feed.capacity());
+    let mut run = || shared.run(&roster, feed, io, &skip, &mut graph);
+    let pipeline_report =
+        if sharded { crate::shard::with_workers(config, &shared, &roster, &mut run)? } else { run() };
+    let finished = shared.finish(pipeline_report, graph);
+    if sharded && !config.write_subgraphs {
+        // The files were only ever the workers' result channel.
+        let _ = std::fs::remove_dir_all(&sub_dir);
+    }
+    finished
 }
 
 /// Builds a partition on whichever device it is handed (several at once
@@ -512,10 +543,10 @@ pub(crate) fn persist(
 /// The Step-2 engine's state, one per step: the partition builder, the
 /// failure routing (strict / quarantine / fatal), the one output path
 /// ([`settle`](Self::settle)), the accounting and report assembly.
-/// [`step2_feed`] is [`run`](Self::run) then [`finish`](Self::finish);
-/// the sharded driver ([`crate::shard`]) puts a lease phase in front,
-/// whose partitions — built by other processes — settle through the same
-/// [`settle`](Self::settle).
+/// [`step2_feed`] is [`run`](Self::run) then [`finish`](Self::finish); a
+/// worker connection's driver ([`crate::shard`]) builds what its worker
+/// lost through the same [`build`](Self::build), and what it built
+/// settles through the same [`settle`](Self::settle).
 pub(crate) struct Step2Shared<'a> {
     config: &'a ParaHashConfig,
     cancel: &'a CancelToken,
@@ -566,19 +597,18 @@ impl<'a> Step2Shared<'a> {
         }
     }
 
-    /// The three stages over `feed`, merging into `graph`; partitions in
-    /// `skip` flow through as no-ops.
+    /// The three stages over `feed` on `roster`, merging into `graph`;
+    /// partitions in `skip` flow through as no-ops.
     pub(crate) fn run(
         &self,
+        roster: &Step2Roster<'_>,
         feed: &SharedCounterQueue<SealedPartition>,
         io: &ThrottledIo,
         skip: &BTreeSet<usize>,
         graph: &mut DeBruijnGraph,
     ) -> PipelineReport {
-        run_pipeline(
+        roster.run(
             feed,
-            self.config.devices(),
-            self.cancel,
             // Stage 1: materialise the sealed payload (spilled ones pay
             // input I/O, with transient-error retries inside
             // `ThrottledIo`). `None` is the sentinel for an
@@ -601,30 +631,35 @@ impl<'a> Step2Shared<'a> {
                 (idx, bytes.map(|b| (b, sealed.kmers)))
             },
             // Stage 2: build and format the partition on an idle device.
-            |device: &dyn Device, idx, input: Option<(Vec<u8>, u64)>| {
-                let Some((bytes, kmers)) = input else {
-                    return (None, 0);
-                };
-                match self.builder.build(device, idx, bytes, kmers) {
-                    Ok(built) => {
-                        let work = built.vertices;
-                        (Some(built), work)
-                    }
-                    Err(failure) => {
-                        self.fail(idx, failure);
-                        (None, 0)
-                    }
-                }
-            },
+            |device: &dyn Device, idx, input: Input| self.build(device, idx, input),
             // Stage 3: settle what built; failure sentinels are skipped
             // outright — an error partition must never leave a bogus
             // `sub-XXXXX.dbg` behind or leak empty entries into the graph.
             |idx, built: Option<Built>| {
                 if let Some(built) = built {
-                    self.settle(io, graph, idx, built, false);
+                    self.settle(io, graph, idx, built);
                 }
             },
         )
+    }
+
+    /// Builds partition `idx` from `input` on `device`, routing a failure
+    /// through [`fail`](Self::fail): what built, and its vertices — the
+    /// work units of the Fig 11 accounting.
+    pub(crate) fn build(&self, device: &dyn Device, idx: usize, input: Input) -> (Option<Built>, u64) {
+        let Some((bytes, kmers)) = input else {
+            return (None, 0);
+        };
+        match self.builder.build(device, idx, bytes, kmers) {
+            Ok(built) => {
+                let work = built.vertices;
+                (Some(built), work)
+            }
+            Err(failure) => {
+                self.fail(idx, failure);
+                (None, 0)
+            }
+        }
     }
 
     /// Routes partition `idx`'s failure: a fatal one — or any, in a
@@ -640,6 +675,11 @@ impl<'a> Step2Shared<'a> {
             let reason = failure.error.to_string();
             self.quarantined.lock().push(QuarantinedPartition { index: idx, reason });
         }
+    }
+
+    /// Whether the run was cancelled (it turned fatal).
+    pub(crate) fn cancelled(&self) -> bool {
+        self.cancel.is_cancelled()
     }
 
     /// Appends `event`, about partition `idx`, to the run journal. A
@@ -658,7 +698,8 @@ impl<'a> Step2Shared<'a> {
 
     /// The one output path, for a partition built here or by another
     /// process: [`persist`] it — the image committed unless it is
-    /// `on_disk` already or the user keeps no subgraph files, then its
+    /// [`on_disk`](Built::on_disk) already or the user keeps no subgraph
+    /// files, then its
     /// `sub-split` and `subgraph-committed` journaled — fold what
     /// building it measured into this step's accounting, and hand the
     /// image to the graph: one `Vec` changing owner
@@ -672,10 +713,9 @@ impl<'a> Step2Shared<'a> {
         graph: &mut DeBruijnGraph,
         idx: usize,
         built: Built,
-        on_disk: bool,
     ) {
         let keep = self.config.write_subgraphs;
-        let image = (keep && !on_disk).then_some(built.image.as_slice());
+        let image = (keep && !built.on_disk).then_some(built.image.as_slice());
         let work_dir = &self.config.work_dir;
         if let Err(failure) = persist(io, self.journal, work_dir, idx, image, built.fanout, keep) {
             return self.fail(idx, failure);
@@ -737,7 +777,6 @@ impl<'a> Step2Shared<'a> {
             peak_resident_store_bytes: 0,
             quarantined,
             sub_splits,
-            exhausted_leases: Vec::new(),
         };
         Ok((graph, report))
     }

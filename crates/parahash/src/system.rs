@@ -69,8 +69,8 @@ impl ParaHash {
     /// pipelined steps one after the other with the partitions handed
     /// over on disk: the fused build at partition budget `0`. Given
     /// [`workers`](crate::ParaHashConfigBuilder::workers) or
-    /// [`listen`](crate::ParaHashConfigBuilder::listen), Step 2 leases
-    /// the partition files to worker processes once all are sealed.
+    /// [`listen`](crate::ParaHashConfigBuilder::listen), worker processes
+    /// claim partition files in Step 2 beside this process's devices.
     ///
     /// # Errors
     ///
@@ -163,16 +163,11 @@ impl ParaHash {
         ThrottledIo::new(self.config.io_mode)
     }
 
-    /// Whether the config asks for Step 2 on worker processes.
-    fn sharded(&self) -> bool {
-        self.config.workers > 0 || self.config.listen.is_some()
-    }
-
     /// The fused entry points' partition budget, refusing a config that
     /// asks for worker processes: only the two-phase build leases its
     /// partitions, and a fused run must not drop the setting silently.
     fn fused_budget(&self) -> Result<u64> {
-        if !self.sharded() {
+        if !self.config.sharded() {
             return Ok(self.config.partition_memory_budget);
         }
         let setting = if self.config.workers > 0 { "workers" } else { "listen" };
@@ -185,9 +180,9 @@ impl ParaHash {
     /// The one run driver: a preamble that fixes the run's identity and
     /// resume plan, Step 1 into a store of `budget` resident bytes (unless
     /// the plan says its output survived whole), Step 2 over the sealed
-    /// partitions (leased to worker processes when the config asks for
-    /// them — only a two-phase run gets this far with such a config), and
-    /// a tail that makes the result durable and reports it.
+    /// partitions (with worker processes beside the devices when the
+    /// config asks for them — only a two-phase run gets this far with such
+    /// a config), and a tail that makes the result durable and reports it.
     fn execute(&self, input: Input<'_>, budget: u64, io: &ThrottledIo) -> Result<RunOutcome> {
         let started = Instant::now();
         let mut config = self.config.clone();
@@ -212,15 +207,7 @@ impl ParaHash {
         } else {
             step1_sealed(&config, input, budget, io, &plan.journal)?
         };
-        // `workers(N)` swaps the in-process Step 2 for the multi-process
-        // shard, which leases the partition files; the two produce
-        // byte-identical subgraphs and graphs (see `crate::shard`).
-        let journal = &plan.journal;
-        let (graph, step2) = if self.sharded() {
-            crate::shard::step2_sharded(&config, &manifest, io, journal, resumed)?
-        } else {
-            step2_feed(&config, &feed, io, journal, resumed)?
-        };
+        let (graph, step2) = step2_feed(&config, &feed, io, &plan.journal, resumed)?;
 
         plan.recheck_committed(&config)?;
         plan.journal.append(&JournalEvent::RunComplete)?;

@@ -49,6 +49,6 @@ mod scheduler;
 pub mod shard;
 
 pub use cancel::CancelToken;
-pub use io::{IoMode, IoOp, RetryPolicy, ThrottledIo};
+pub use io::{FaultHook, IoMode, IoOp, RetryPolicy, ThrottledIo};
 pub use queue::SharedCounterQueue;
-pub use scheduler::{run_pipeline, DeviceShare, PipelineReport, Span, Stage};
+pub use scheduler::{run_pipeline, DeviceShare, PipelineReport, Roster, Seat, Span, Stage};

@@ -1,20 +1,17 @@
-//! Multi-process Step-2 sharding: transports, the wire protocol, and
-//! the lease board.
+//! Multi-process Step-2 sharding: transports and the wire protocol.
 //!
 //! The parent process runs Step 1, seals the partition directory, then
 //! accepts worker connections over one of two [`Transport`]s: a Unix
-//! socket (local child processes, the PR-9 path) or TCP (remote
-//! machines running `dbg worker --connect <addr>`). Each worker
-//! *claims* partitions one at a time; the parent hands out leases in
-//! LPT (largest-processing-time-first) order — the same largest-first
-//! heuristic the in-process scheduler uses — so the biggest partitions
-//! start earliest and the tail stays short.
+//! socket (local child processes) or TCP (remote machines running
+//! `dbg worker --connect <addr>`). A connection is a device: its driver
+//! joins the Step-2 roster ([`crate::Roster`]) beside the parent's cores
+//! and claims from the same work queue, so a worker *claims* partitions
+//! one at a time in the order every processor does — largest first.
 //!
 //! This module is deliberately policy-free plumbing: a length-prefixed,
 //! CRC-checked frame codec over any `Read`/`Write` pair, a tiny
-//! line-oriented message grammar, the [`Transport`] abstraction with
-//! its two stream implementations, and a [`LeaseBoard`] that tracks who
-//! holds what with bounded retries. Everything ParaHash-specific (what a
+//! line-oriented message grammar, and the [`Transport`] abstraction with
+//! its two stream implementations. Everything ParaHash-specific (what a
 //! partition *is*, how a worker builds it, journaling, heartbeat and
 //! deadline policy) lives in the `parahash` crate; everything here is
 //! testable without processes.
@@ -40,7 +37,7 @@
 //! heartbeat <worker-id>        worker → parent: still alive mid-build
 //! finished                     parent → worker: no work left, exit cleanly
 //! result <partition> <detail>  worker → parent: built and committed
-//! failed <partition> <detail>  worker → parent: build failed, re-lease it
+//! failed <partition> <detail>  worker → parent: build failed, the parent builds it
 //! ```
 //!
 //! A *blob* payload carries raw bytes (a partition file on its way to a
@@ -50,11 +47,11 @@
 //! a NUL byte).
 //!
 //! A worker that dies mid-lease simply drops its connection; the parent
-//! observes EOF and requeues the worker's outstanding leases. A worker
-//! that *hangs* mid-lease is caught by the parent's receive deadline
-//! (no heartbeat within the timeout) and requeued the same way. A frame
-//! that fails its checksum ([`Recv::Damaged`]) ends the connection too,
-//! but the lease it cost is refunded ([`LeaseBoard::release_damaged`]).
+//! observes EOF and builds the lease itself. A worker that *hangs*
+//! mid-lease is caught by the parent's receive deadline (no heartbeat
+//! within the timeout) and its lease is built by the parent the same
+//! way. A frame that fails its checksum ([`Recv::Damaged`]) ends the
+//! connection too, and with it the lease.
 //!
 //! # Fault injection
 //!
@@ -138,7 +135,7 @@ pub enum Recv {
     /// One complete, CRC-verified frame payload.
     Frame(Vec<u8>),
     /// Clean EOF *between* frames — the peer closed deliberately (or
-    /// died; the lease board treats both the same).
+    /// died; the parent treats both the same).
     Eof,
     /// The receive deadline elapsed with no frame started. Only
     /// possible when the transport has a read timeout armed; the peer
@@ -146,9 +143,7 @@ pub enum Recv {
     TimedOut,
     /// A whole frame arrived but fails its checksum: damaged in transit.
     /// The link is no longer trusted (the damage may have hit the length
-    /// too), so the connection ends as on an error — but nothing the peer
-    /// *did* failed, which the lease board can tell apart
-    /// ([`LeaseBoard::release_damaged`]).
+    /// too), so the connection ends as on an error.
     Damaged,
 }
 
@@ -511,8 +506,8 @@ pub enum WireMsg {
     /// Worker built and committed the partition; `detail` is opaque
     /// accounting text relayed into the parent's report.
     Result(usize, String),
-    /// Worker failed the partition; `detail` says why. The parent
-    /// re-leases it (bounded by the board's attempt cap).
+    /// Worker failed the partition; `detail` says why. The parent builds
+    /// it.
     Failed(usize, String),
 }
 
@@ -601,179 +596,10 @@ impl WireMsg {
     }
 }
 
-/// One permanently failed partition: leased `attempts` times, failed
-/// every time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExhaustedLease {
-    /// The partition that kept failing.
-    pub partition: usize,
-    /// The worker holding the lease when it exhausted.
-    pub worker: usize,
-    /// Lease attempts consumed.
-    pub attempts: usize,
-    /// The *last* failure's detail text.
-    pub reason: String,
-}
-
-/// Who may build what: the parent's single source of truth for lease
-/// state. Pure bookkeeping — no I/O, no processes — so every corner
-/// (retry exhaustion, worker death mid-lease, heartbeat-loss eviction,
-/// claim-after-drain) is unit-testable.
-///
-/// Partitions are handed out in the order given to [`LeaseBoard::new`]
-/// (the caller passes an LPT order: largest first). A failed partition
-/// goes to the *front* of the queue — it has already burned wall-clock
-/// once, so it restarts before fresh work. A worker's death *or
-/// eviction* (heartbeat loss, deadline overrun) requeues all its
-/// outstanding leases the same way. A partition that fails
-/// `max_attempts` times moves to the exhausted list and is never
-/// leased again. A lease lost to a frame damaged in transit is requeued
-/// with its attempt refunded, up to `max_attempts` refunds per partition.
-#[derive(Debug)]
-pub struct LeaseBoard {
-    /// Partitions awaiting a lease, front = next out.
-    pending: std::collections::VecDeque<usize>,
-    /// `(partition, worker)` pairs currently leased.
-    leased: Vec<(usize, usize)>,
-    /// Lease attempts consumed per partition (indexed by partition id).
-    attempts: Vec<usize>,
-    /// Attempts refunded per partition by [`release_damaged`](Self::release_damaged).
-    refunds: Vec<usize>,
-    /// Last failure reason per partition (empty = never failed).
-    last_reason: Vec<String>,
-    /// Partitions that hit the attempt cap.
-    exhausted: Vec<ExhaustedLease>,
-    /// Completed partitions.
-    done: Vec<usize>,
-    max_attempts: usize,
-}
-
-impl LeaseBoard {
-    /// A fresh board. `order` is the dispatch order (LPT: largest
-    /// first); `n` the total partition-id space (ids in `order` must be
-    /// `< n`); `max_attempts ≥ 1` the per-partition lease cap.
-    pub fn new(order: Vec<usize>, n: usize, max_attempts: usize) -> LeaseBoard {
-        debug_assert!(order.iter().all(|&p| p < n));
-        debug_assert!(max_attempts >= 1);
-        LeaseBoard {
-            pending: order.into(),
-            leased: Vec::new(),
-            attempts: vec![0; n],
-            refunds: vec![0; n],
-            last_reason: vec![String::new(); n],
-            exhausted: Vec::new(),
-            done: Vec::new(),
-            max_attempts,
-        }
-    }
-
-    /// Leases the next pending partition to `worker`, consuming one
-    /// attempt. `None` when nothing is pending — which the caller must
-    /// *not* read as "all done": partitions may still be leased to other
-    /// workers (and may yet fail back into the queue). Use
-    /// [`remaining`](Self::remaining) for the done test.
-    pub fn claim(&mut self, worker: usize) -> Option<usize> {
-        let p = self.pending.pop_front()?;
-        self.attempts[p] += 1;
-        self.leased.push((p, worker));
-        Some(p)
-    }
-
-    /// Marks a leased partition built. Unknown/unleased partitions are
-    /// ignored (a dead worker's late message races its requeue).
-    pub fn complete(&mut self, partition: usize) {
-        if let Some(at) = self.leased.iter().position(|&(p, _)| p == partition) {
-            self.leased.swap_remove(at);
-            self.done.push(partition);
-        }
-    }
-
-    /// Marks a leased partition failed: requeued at the *front* while
-    /// attempts remain, moved to the exhausted list once the cap is hit.
-    pub fn fail(&mut self, partition: usize, reason: &str) {
-        let Some(at) = self.leased.iter().position(|&(p, _)| p == partition) else {
-            return;
-        };
-        let (_, worker) = self.leased.swap_remove(at);
-        self.last_reason[partition] = reason.to_string();
-        if self.attempts[partition] >= self.max_attempts {
-            self.exhausted.push(ExhaustedLease {
-                partition,
-                worker,
-                attempts: self.attempts[partition],
-                reason: reason.to_string(),
-            });
-        } else {
-            self.pending.push_front(partition);
-        }
-    }
-
-    /// The partitions currently leased to `worker`.
-    pub fn held_by(&self, worker: usize) -> Vec<usize> {
-        self.leased.iter().filter(|&&(_, w)| w == worker).map(|&(p, _)| p).collect()
-    }
-
-    /// Requeues every partition `worker` holds — the worker died (EOF
-    /// on its connection) or was evicted (`why` says which: heartbeat
-    /// loss, deadline overrun). Death and eviction both consume the
-    /// lease attempt the claim spent: a partition whose workers keep
-    /// dying or hanging hits the same cap as one that keeps failing
-    /// politely (a poison partition that *crashes* builders must not
-    /// re-lease forever).
-    pub fn release_worker(&mut self, worker: usize, why: &str) {
-        let held = self.held_by(worker);
-        self.leased.retain(|&(_, w)| w != worker);
-        for p in held {
-            let reason = format!("worker {worker} {why}");
-            self.last_reason[p] = reason.clone();
-            if self.attempts[p] >= self.max_attempts {
-                self.exhausted.push(ExhaustedLease {
-                    partition: p,
-                    worker,
-                    attempts: self.attempts[p],
-                    reason,
-                });
-            } else {
-                self.pending.push_front(p);
-            }
-        }
-    }
-
-    /// [`release_worker`](Self::release_worker) for a connection that
-    /// ended on a frame damaged in transit ([`Recv::Damaged`]): the link
-    /// failed, not the build, so each held lease gets its attempt back —
-    /// at most `max_attempts` times per partition, so a link that damages
-    /// every lease still exhausts it.
-    pub fn release_damaged(&mut self, worker: usize, why: &str) {
-        for p in self.held_by(worker) {
-            if self.refunds[p] < self.max_attempts {
-                self.refunds[p] += 1;
-                self.attempts[p] -= 1;
-            }
-        }
-        self.release_worker(worker, why);
-    }
-
-    /// Partitions not yet built or exhausted (pending + leased). Zero
-    /// means the run is settled.
-    pub fn remaining(&self) -> usize {
-        self.pending.len() + self.leased.len()
-    }
-
-    /// Partitions that hit the attempt cap, in exhaustion order.
-    pub fn exhausted(&self) -> &[ExhaustedLease] {
-        &self.exhausted
-    }
-
-    /// Completed partitions, in completion order.
-    pub fn done(&self) -> &[usize] {
-        &self.done
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The wire bytes of one frame, captured from the bit-at-a-time
     /// checksum this codec used to carry: same polynomial, init and
@@ -857,18 +683,7 @@ mod tests {
 
     #[test]
     fn messages_roundtrip() {
-        let msgs = [
-            WireMsg::Hello(2, PROTO_VERSION),
-            WireMsg::Deny("protocol version 1 != 2; rebuild the worker".to_string()),
-            WireMsg::Config("k 31\np 8\n".to_string()),
-            WireMsg::Claim(2),
-            WireMsg::Assign(17, 90210),
-            WireMsg::Heartbeat(2),
-            WireMsg::Finished,
-            WireMsg::Result(17, "ok 1 4096 0".to_string()),
-            WireMsg::Failed(9, "checksum mismatch".to_string()),
-        ];
-        for m in &msgs {
+        for m in &every_message() {
             assert_eq!(&WireMsg::decode(&m.encode()).unwrap(), m);
         }
     }
@@ -962,85 +777,96 @@ mod tests {
         assert_eq!(recv_frame(&mut &bent[..], MAX_FRAME).unwrap(), Recv::Damaged);
     }
 
-    #[test]
-    fn board_leases_in_given_order() {
-        let mut board = LeaseBoard::new(vec![2, 0, 1], 3, 2);
-        assert_eq!(board.claim(0), Some(2));
-        assert_eq!(board.claim(1), Some(0));
-        assert_eq!(board.claim(0), Some(1));
-        assert_eq!(board.claim(1), None, "drained");
-        assert_eq!(board.remaining(), 3, "all three still leased");
-        board.complete(2);
-        board.complete(0);
-        board.complete(1);
-        assert_eq!(board.remaining(), 0);
-        assert!(board.exhausted().is_empty());
-        assert_eq!(board.done(), &[2, 0, 1]);
+    /// Every message of the grammar, once.
+    fn every_message() -> Vec<WireMsg> {
+        vec![
+            WireMsg::Hello(2, PROTO_VERSION),
+            WireMsg::Deny("protocol version 1 != 2; rebuild the worker".to_string()),
+            WireMsg::Config("k 31\np 8\nwork-dir /tmp/a b".to_string()),
+            WireMsg::Claim(2),
+            WireMsg::Assign(17, 90210),
+            WireMsg::Heartbeat(2),
+            WireMsg::Finished,
+            WireMsg::Result(17, "ok 1 4096 0 5 6 7 8 9".to_string()),
+            WireMsg::Failed(9, "checksum mismatch".to_string()),
+        ]
     }
 
-    #[test]
-    fn failed_partition_retries_then_exhausts() {
-        let mut board = LeaseBoard::new(vec![0, 1], 2, 2);
-        assert_eq!(board.claim(0), Some(0));
-        board.fail(0, "boom");
-        // Requeued at the front: it restarts before fresh partition 1.
-        assert_eq!(board.claim(3), Some(0));
-        board.fail(0, "boom again");
-        // Second failure hits the cap: exhausted, never leased again.
-        assert_eq!(board.claim(0), Some(1));
-        assert_eq!(board.claim(0), None);
-        assert_eq!(board.exhausted().len(), 1);
-        assert_eq!(board.exhausted()[0].partition, 0);
-        assert_eq!(board.exhausted()[0].worker, 3, "the last holder is on record");
-        assert_eq!(board.exhausted()[0].attempts, 2);
-        assert_eq!(board.exhausted()[0].reason, "boom again");
-        board.complete(1);
-        assert_eq!(board.remaining(), 0);
-    }
-
-    #[test]
-    fn dead_worker_requeues_its_leases() {
-        let mut board = LeaseBoard::new(vec![0, 1, 2], 3, 3);
-        assert_eq!(board.claim(7), Some(0));
-        assert_eq!(board.claim(7), Some(1));
-        assert_eq!(board.claim(8), Some(2));
-        board.release_worker(7, "died holding the lease");
-        // Worker 8's lease is untouched; 7's two come back pending.
-        assert_eq!(board.remaining(), 3);
-        let requeued: Vec<_> = std::iter::from_fn(|| board.claim(8)).collect();
-        assert_eq!(requeued.len(), 2);
-        assert!(requeued.contains(&0) && requeued.contains(&1));
-    }
-
-    #[test]
-    fn repeated_worker_death_exhausts_the_partition() {
-        let mut board = LeaseBoard::new(vec![0], 1, 2);
-        assert_eq!(board.claim(0), Some(0));
-        board.release_worker(0, "died holding the lease");
-        assert_eq!(board.claim(1), Some(0));
-        board.release_worker(1, "lost heartbeat for 600 ms");
-        assert_eq!(board.claim(2), None, "poison partition must not re-lease forever");
-        assert_eq!(board.exhausted().len(), 1);
-        let ex = &board.exhausted()[0];
-        assert_eq!(ex.worker, 1, "the evicted holder is on record");
-        assert!(ex.reason.contains("heartbeat"), "{ex:?}");
-    }
-
-    /// A lease lost to a damaged frame costs no attempt — `max_attempts`
-    /// times per partition; after that damage is charged like death.
-    #[test]
-    fn damaged_frames_are_refunded_up_to_the_cap() {
-        let mut board = LeaseBoard::new(vec![0], 1, 2);
-        for worker in 0..2 {
-            assert_eq!(board.claim(worker), Some(0));
-            board.release_damaged(worker, "sent a damaged frame");
+    /// A wire stream of every message and one blob, as a peer sends it.
+    fn wire_stream() -> Vec<u8> {
+        let mut buf = Vec::new();
+        for msg in every_message() {
+            write_frame(&mut buf, &msg.encode()).unwrap();
         }
-        for worker in 2..4 {
-            assert!(board.exhausted().is_empty(), "refunds are spent before attempts");
-            assert_eq!(board.claim(worker), Some(0));
-            board.release_damaged(worker, "sent a damaged frame");
+        write_frame(&mut buf, &encode_blob(b"\x01\x02partition bytes\xff")).unwrap();
+        buf
+    }
+
+    /// Receives every frame `bytes` holds under a control-sized cap and
+    /// decodes each as a message and as a blob, until EOF or the first
+    /// error: the receive path a peer's bytes take. Returns the frames.
+    fn drain(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let mut r = bytes;
+        let mut frames = Vec::new();
+        loop {
+            match recv_frame(&mut r, 4096) {
+                Ok(Recv::Frame(payload)) => {
+                    let _ = WireMsg::decode(&payload);
+                    let _ = decode_blob(payload.clone());
+                    frames.push(payload);
+                }
+                Ok(Recv::Damaged) => {}
+                Ok(Recv::Eof | Recv::TimedOut) | Err(_) => return frames,
+            }
         }
-        assert_eq!(board.claim(4), None, "a link that damages everything still ends");
-        assert_eq!(board.exhausted()[0].attempts, 2);
+    }
+
+    /// Every truncation of a clean stream is a clean prefix of its
+    /// frames followed by EOF or a torn-frame error — never a panic, never
+    /// a frame that was not sent.
+    #[test]
+    fn every_truncation_of_a_stream_yields_a_prefix_of_its_frames() {
+        let stream = wire_stream();
+        let whole = drain(&stream);
+        assert_eq!(whole.len(), every_message().len() + 1);
+        for (frame, msg) in whole.iter().zip(every_message()) {
+            assert_eq!(WireMsg::decode(frame).unwrap(), msg);
+        }
+        for cut in 0..stream.len() {
+            let got = drain(&stream[..cut]);
+            assert!(whole.starts_with(&got), "cut at {cut}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hostile bytes at the shard decoders — a clean stream with one
+        /// bit flipped, random bytes as a stream, and random bytes as a
+        /// frame's payload, a message and a blob: `recv_frame`,
+        /// `WireMsg::decode` and `decode_blob` return or reject, and never
+        /// panic. A flipped bit never yields a frame that was not sent
+        /// (the checksum or the length check catches it).
+        #[test]
+        fn hostile_bytes_never_panic_the_shard_decoders(
+            at in 0usize..usize::MAX,
+            bit in 0u8..8,
+            noise in prop::collection::vec(0u8..=255, 0..300),
+        ) {
+            let stream = wire_stream();
+            let mut bent = stream.clone();
+            bent[at % stream.len()] ^= 1 << bit;
+            let sent = drain(&stream);
+            for frame in drain(&bent) {
+                prop_assert!(sent.contains(&frame), "a frame nobody sent: {:?}", frame);
+            }
+            drain(&noise);
+            let _ = WireMsg::decode(&noise);
+            let _ = decode_blob(noise.clone());
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &noise).unwrap();
+            let got = drain(&framed);
+            prop_assert_eq!(got.len(), usize::from(!noise.is_empty()));
+        }
     }
 }

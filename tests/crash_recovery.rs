@@ -194,7 +194,8 @@ fn a_fused_run_whose_partitions_all_spilled_resumes_without_step1() {
 
 /// A budget-0 run commits a file for every partition — one no record was
 /// routed to included — and journals each sealed, so a resume skips
-/// Step 1 and a worker process can lease any partition from its file.
+/// Step 1 and builds every partition from its file, whether a worker
+/// process leases it or the parent's cores claim it.
 #[test]
 fn every_partition_of_a_budget_0_run_is_a_sealed_file() {
     const MANY: usize = 64;
@@ -212,7 +213,7 @@ fn every_partition_of_a_budget_0_run_is_a_sealed_file() {
     let before = common::subgraph_bytes(&dir);
 
     // Interrupted with nothing of Step 2 left: every partition goes to the
-    // one worker, read from its file.
+    // one worker or to a parent core, read from its file.
     drop_final_journal_record(&dir);
     std::fs::remove_dir_all(dir.join("subgraphs")).unwrap();
     let resumed = builder().workers(1).resume(true).build().unwrap();
@@ -222,7 +223,10 @@ fn every_partition_of_a_budget_0_run_is_a_sealed_file() {
     assert_eq!(common::subgraph_bytes(&dir), before);
     let journal = RunJournal::replay(&dir).unwrap();
     let leased: std::collections::BTreeSet<usize> = journal.leases.iter().map(|&(_, p)| p).collect();
-    assert_eq!(leased.len(), MANY, "every partition leased");
+    assert!(!leased.is_empty() && leased.len() == journal.leases.len(), "{:?}", journal.leases);
+    let claimed: usize = outcome.report.step2.pipeline.shares.iter().map(|s| s.partitions).sum();
+    assert_eq!(claimed, MANY, "every partition claimed once");
+    assert_eq!(journal.committed, (0..MANY).collect(), "every partition committed");
     assert!(journal.complete);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -34,7 +34,7 @@ use datagen::{GenomeSpec, Sequencer, SequencingSpec};
 use dna::SeqRead;
 use hashgraph::DeBruijnGraph;
 use hetsim::SimGpuConfig;
-use parahash::{JournalState, ParaHash, RunJournal, RunOutcome};
+use parahash::{JournalState, ParaHash, RunJournal, RunOutcome, StepReport};
 
 pub use Entry::{FastqStreaming, Fused, FusedFastq, Run};
 pub use Roster::{Cpu, CpuGpu, Gpu};
@@ -274,7 +274,6 @@ pub fn check(name: &str, row: Row) {
     assert_eq!(common::subgraph_bytes(&dir), reference.subgraphs, "{name}: sub-*.dbg bytes");
     let step2 = &outcome.report.step2;
     assert!(step2.quarantined.is_empty(), "{name}: {:?}", step2.quarantined);
-    assert!(step2.exhausted_leases.is_empty(), "{name}: {:?}", step2.exhausted_leases);
     let journal = RunJournal::replay(&dir).unwrap();
     let outcome_of = |j: &JournalState| (j.committed.clone(), j.quarantined.clone(), j.complete);
     assert_eq!(outcome_of(&journal), outcome_of(&reference.journal), "{name}: journal");
@@ -306,10 +305,11 @@ pub fn check(name: &str, row: Row) {
         }
     }
 
+    // Every partition claimed once, by a processor of the roster: one of
+    // the parent's devices or, sharded, a worker connection.
+    let claimed: usize = step2.pipeline.shares.iter().map(|s| s.partitions).sum();
+    assert_eq!(claimed, PARTITIONS, "{name}");
     if row.workers == 0 {
-        // Every partition claimed once, by a processor of the roster.
-        let claimed: usize = step2.pipeline.shares.iter().map(|s| s.partitions).sum();
-        assert_eq!(claimed, PARTITIONS, "{name}");
         let (cpu, gpu) = (!step2.cpu_compute.is_zero(), !step2.gpu_compute.is_zero());
         match row.roster {
             Cpu => assert!(cpu && !gpu, "{name}: a CPU-only roster"),
@@ -317,14 +317,15 @@ pub fn check(name: &str, row: Row) {
             Gpu => assert!(gpu && !cpu, "{name}: a GPU-only roster"),
         }
     } else {
-        // The parent's lease log: every partition, to real worker ids.
-        let leased: BTreeSet<usize> = journal.leases.iter().map(|&(_, p)| p).collect();
-        assert_eq!(leased.len(), PARTITIONS, "{name}: every partition leased");
+        // The parent's lease log: real worker ids, each partition leased
+        // at most once — a lease that does not come back is built by the
+        // parent, never leased again.
         let ids = journal.leases.iter().all(|&(w, _)| w < row.workers);
         assert!(ids, "{name}: {:?}", journal.leases);
+        let leased: BTreeSet<usize> = journal.leases.iter().map(|&(_, p)| p).collect();
+        assert_eq!(leased.len(), journal.leases.len(), "{name}: {:?}", journal.leases);
         if row.failpoints.starts_with("shard.worker") {
-            let again = journal.leases.len() > leased.len();
-            assert!(again, "{name}: the lost worker's lease went out again: {:?}", journal.leases);
+            lost_lease(name, row, &dir, &journal, step2);
         }
         // A worker that was leased anything journals it on the parent's
         // filesystem; a wire worker is diskless.
@@ -353,6 +354,37 @@ pub fn check(name: &str, row: Row) {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The kill and stall rows: worker 1 was leased a partition at its first
+/// claim — the parent starts Step 2 only once every spawned worker has
+/// claimed — and lost that lease, which the parent then built and
+/// committed. A killed worker dies at the lease, so it holds that one
+/// lease and committed nothing; a stalled one held the lease past the
+/// heartbeat deadline, the span its connection spent on the partition.
+fn lost_lease(name: &str, row: Row, dir: &Path, journal: &JournalState, step2: &StepReport) {
+    let mine: Vec<usize> = journal.leases.iter().filter(|&&(w, _)| w == 1).map(|&(_, p)| p).collect();
+    let Some(&lost) = mine.first() else { panic!("{name}: worker 1 was never leased: {:?}", journal.leases) };
+    assert!(journal.committed.contains(&lost), "{name}: the parent committed {lost}");
+    let held = step2
+        .pipeline
+        .spans
+        .iter()
+        .find(|s| s.stage == pipeline::Stage::Compute && s.worker == "worker1" && s.partition == lost)
+        .unwrap_or_else(|| panic!("{name}: no span of worker 1's lease of {lost}"));
+    if row.failpoints.ends_with("abort@1") {
+        assert_eq!(mine, [lost], "{name}: a dead worker is leased nothing more");
+        let own = dir.join("worker-1");
+        if row.transport == Unix {
+            let commits = RunJournal::replay(&own).unwrap().committed;
+            assert!(commits.is_empty(), "{name}: worker 1 died before building: {commits:?}");
+        }
+    } else {
+        let deadline = row.deadlines.iter().find(|(var, _)| *var == "PARAHASH_SHARD_TIMEOUT_MS");
+        let deadline_ms: u64 = deadline.expect("a stall row sets the deadline").1.parse().unwrap();
+        let waited = held.end - held.start;
+        assert!(waited.as_millis() >= u128::from(deadline_ms), "{name}: held {waited:?}");
+    }
 }
 
 /// One `#[test]` per row, named after it.

@@ -4,10 +4,11 @@
 //! `tests/determinism.rs`): parent-side frame drops and garbles cost a
 //! reconnect, never the run; a parent restart mid-distribution resumes
 //! from the aggregated per-worker journals without re-leasing committed
-//! partitions; a cluster that drains before building anything degrades
-//! to the in-process engine, quarantine rules included; wire workers
-//! leave nothing on disk; and a parent whose journal fails aborts in
-//! either mode.
+//! partitions; a cluster whose only worker dies costs that worker's one
+//! lease, which the parent builds by the engine's rules, quarantine
+//! included; a listen-only parent with no joiner starts at once and
+//! builds everything itself; wire workers leave nothing on disk; and a
+//! parent whose journal fails aborts in either mode.
 //!
 //! The tests hold one lock: they arm the process-global failpoint
 //! registry, and one of them lists the temp dir. A test whose workers
@@ -31,8 +32,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The only worker dies on its first lease: the cluster drains before it
-/// builds anything.
+/// The only worker dies on its first lease, before it builds anything.
 const KILL_ONLY_WORKER: (&str, &str) = ("PARAHASH_FAILPOINTS", "shard.worker0.lease=abort@1");
 
 /// An in-process build of the corpus in `dir`: its graph and subgraph
@@ -80,11 +80,11 @@ fn dropped_and_garbled_parent_frames_recover() {
 }
 
 /// Cluster-wide resume: the parent crashes mid-distribution — after
-/// sealing Step 1, before recording any `subgraph-committed` of its
-/// own — while the workers' journals (and their committed subgraph
-/// files) survive. The restarted parent must aggregate the per-worker
-/// journals, verify the files, and finish without re-leasing a single
-/// partition.
+/// sealing Step 1 and committing what its own cores built, before
+/// recording the `subgraph-committed` of any partition a worker built —
+/// while the workers' journals (and their committed subgraph files)
+/// survive. The restarted parent must aggregate the per-worker journals,
+/// verify the files, and finish without re-leasing a single partition.
 #[test]
 fn parent_restart_resumes_from_aggregated_worker_journals() {
     let _guard = lock();
@@ -96,12 +96,19 @@ fn parent_restart_resumes_from_aggregated_worker_journals() {
     let fingerprint = RunJournal::replay(&dir).unwrap().fingerprint;
 
     // Rewind the *parent's* journal to the crash point: Step 1 sealed,
-    // zero subgraph commits recorded. Worker journals and subgraph
-    // files on disk are untouched — exactly what a parent crash during
-    // distribution leaves behind.
+    // the commits of the partitions no worker was leased recorded, none
+    // of the leased ones. Worker journals and subgraph files on disk are
+    // untouched — exactly what a parent crash during distribution leaves
+    // behind.
+    let first_run = RunJournal::replay(&dir).unwrap();
+    let leased: BTreeSet<usize> = first_run.leases.iter().map(|&(_, p)| p).collect();
+    assert!(!leased.is_empty(), "the workers built something");
     let journal = RunJournal::create(&dir, fingerprint).unwrap();
     for i in 0..PARTITIONS {
         journal.append(&JournalEvent::PartitionSealed(i)).unwrap();
+    }
+    for i in (0..PARTITIONS).filter(|i| !leased.contains(i)) {
+        journal.append(&JournalEvent::SubgraphCommitted(i)).unwrap();
     }
     drop(journal);
 
@@ -130,9 +137,11 @@ fn committed_records(dir: &Path) -> usize {
 }
 
 /// The cluster drains before it builds anything: the only worker dies
-/// on its first assignment. Everything falls back to the in-process
-/// engine — pipelined, journaled, byte-identical to a run that never
-/// asked for workers — and the report counts those builds.
+/// on its first assignment. The parent builds that lease on the
+/// connection's driver thread and its cores build the rest, all through
+/// the engine — journaled, byte-identical to a run that never asked for
+/// workers — and the report counts every build, the lost lease under the
+/// connection that claimed it.
 #[test]
 fn drained_cluster_falls_back_to_the_engine() {
     let _guard = lock();
@@ -148,8 +157,10 @@ fn drained_cluster_falls_back_to_the_engine() {
     assert_eq!(sharded.graph, ref_graph);
     assert_eq!(common::subgraph_bytes(&dir), ref_bytes);
     let step2 = &sharded.report.step2;
-    assert_eq!(step2.pipeline.partitions, PARTITIONS, "fallback builds are counted");
-    assert!(step2.quarantined.is_empty() && step2.exhausted_leases.is_empty());
+    assert_eq!(step2.pipeline.partitions, PARTITIONS, "the parent's builds are counted");
+    let worker = step2.pipeline.shares.iter().find(|s| s.name == "worker0").expect("a seat");
+    assert_eq!(worker.partitions, 1, "the lost lease, built by the parent");
+    assert!(step2.quarantined.is_empty());
     assert!(step2.pipeline.elapsed >= step2.pipeline.output_time, "elapsed spans the step");
     let state = RunJournal::replay(&dir).unwrap();
     assert!(state.complete);
@@ -161,8 +172,10 @@ fn drained_cluster_falls_back_to_the_engine() {
 }
 
 /// The same drained cluster over a damaged partition file, non-strict:
-/// the fallback quarantines by the engine's own rule — exactly the
-/// partition whose frames fail their checksum, nothing else.
+/// the parent quarantines by the engine's own rule — exactly the
+/// partition whose frames fail their checksum, nothing else — whether it
+/// was the dead worker's lease (the largest partition is claimed first)
+/// or the parent's own.
 #[test]
 fn fallback_quarantines_exactly_the_corrupt_partition() {
     let _guard = lock();
@@ -216,6 +229,33 @@ fn fallback_quarantines_exactly_the_corrupt_partition() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A listen-only parent — `listen` with no spawned worker, and no remote
+/// one joining — starts Step 2 at once instead of waiting for a first
+/// joiner: its cores build every partition, byte-identical to a run that
+/// never listened, and nothing is leased.
+#[test]
+fn a_listen_only_parent_starts_at_once() {
+    let _guard = lock();
+    let ref_dir = common::fresh_dir("chaos-listen-only-ref");
+    let (ref_graph, ref_bytes) = reference(&ref_dir);
+    let dir = common::fresh_dir("chaos-listen-only");
+    let config = common::builder(&dir).workers(0).listen("127.0.0.1:0").build().unwrap();
+    let started = std::time::Instant::now();
+    let outcome = ParaHash::new(config).unwrap().run(&common::corpus()).unwrap();
+    let took = started.elapsed();
+
+    assert!(took < std::time::Duration::from_secs(10), "waited {took:?} for a joiner");
+    assert_eq!(outcome.graph, ref_graph);
+    assert_eq!(common::subgraph_bytes(&dir), ref_bytes);
+    let shares = &outcome.report.step2.pipeline.shares;
+    assert!(shares.iter().all(|s| s.name.starts_with("cpu")), "only the parent's cores: {shares:?}");
+    assert_eq!(shares.iter().map(|s| s.partitions).sum::<usize>(), PARTITIONS);
+    let state = RunJournal::replay(&dir).unwrap();
+    assert!(state.complete && state.leases.is_empty(), "leased {:?}", state.leases);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
 /// Wire workers are diskless: a loopback-TCP build stays byte-identical
 /// to the in-process one while its workers leave no scratch directory
 /// under the temp dir, no journal of their own, and nothing in the
@@ -263,7 +303,8 @@ fn journal_failure_aborts_a_non_strict_sharded_run() {
     let rs = common::corpus();
     let step2_first = 1 + PARTITIONS as u64 + 1;
     // In-process the first Step-2 record is a `subgraph-committed`;
-    // sharded it is the `worker-lease`, and the commit record the next.
+    // sharded it is the `worker-lease` of the worker's first claim, which
+    // Step 2 waits for, and the commit record the next.
     for (tag, workers, trigger) in [
         ("inproc", 0, step2_first),
         ("lease", 1, step2_first),
