@@ -182,13 +182,19 @@ impl<'a> FastqSliceReader<'a> {
         self.pos
     }
 
+    /// Lines consumed so far, counted from the base line: the line
+    /// number of the last line read.
+    pub fn line(&self) -> u64 {
+        self.line
+    }
+
     /// Next line with trailing `\n`/`\r` trimmed; `None` at EOF.
     fn next_line(&mut self) -> Option<&'a [u8]> {
         if self.pos >= self.bytes.len() {
             return None;
         }
         let rest = &self.bytes[self.pos..];
-        let (line, advance) = match rest.iter().position(|&b| b == b'\n') {
+        let (line, advance) = match crate::simd::find_newline(rest) {
             Some(nl) => (&rest[..nl], nl + 1),
             None => (rest, rest.len()),
         };
@@ -275,7 +281,7 @@ impl<'a> Iterator for FastqSliceReader<'a> {
 /// Index just past the next `\n` at or after `start` (slice length if
 /// the last line is unterminated).
 fn line_after(bytes: &[u8], start: usize) -> usize {
-    match bytes[start.min(bytes.len())..].iter().position(|&b| b == b'\n') {
+    match crate::simd::find_newline(&bytes[start.min(bytes.len())..]) {
         Some(nl) => start + nl + 1,
         None => bytes.len(),
     }
@@ -368,17 +374,25 @@ pub fn next_record_start(bytes: &[u8], from: usize) -> Option<usize> {
 /// range, whose consumer then reports the same error a sequential read
 /// would.
 pub fn chunk_record_ranges(bytes: &[u8], target_bytes: usize) -> Vec<Range<usize>> {
-    let mut ranges = Vec::new();
+    chunk_records(bytes, target_bytes).into_iter().map(|(range, _)| range).collect()
+}
+
+/// [`chunk_record_ranges`], each range with the number of lines before
+/// it — what the anchored parse counted on its way there. A reader of
+/// one chunk alone reports whole-file line numbers when started there
+/// ([`FastqSliceReader::with_base_line`]).
+pub fn chunk_records(bytes: &[u8], target_bytes: usize) -> Vec<(Range<usize>, u64)> {
+    let mut chunks = Vec::new();
     if bytes.is_empty() {
-        return ranges;
+        return chunks;
     }
     let target = target_bytes.max(1);
     let mut reader = FastqSliceReader::new(bytes);
-    let mut start = 0usize;
+    let (mut start, mut line) = (0usize, 0u64);
     loop {
         let Some(goal) = start.checked_add(target).filter(|&g| g < bytes.len()) else {
-            ranges.push(start..bytes.len());
-            return ranges;
+            chunks.push((start..bytes.len(), line));
+            return chunks;
         };
         while reader.pos() < goal {
             match reader.read_record_view() {
@@ -386,18 +400,18 @@ pub fn chunk_record_ranges(bytes: &[u8], target_bytes: usize) -> Vec<Range<usize
                 // Clean EOF (trailing blank lines) or a malformed record:
                 // no further boundary is knowable.
                 _ => {
-                    ranges.push(start..bytes.len());
-                    return ranges;
+                    chunks.push((start..bytes.len(), line));
+                    return chunks;
                 }
             }
         }
         let cut = reader.pos();
         if cut >= bytes.len() {
-            ranges.push(start..bytes.len());
-            return ranges;
+            chunks.push((start..bytes.len(), line));
+            return chunks;
         }
-        ranges.push(start..cut);
-        start = cut;
+        chunks.push((start..cut, line));
+        (start, line) = (cut, reader.line());
     }
 }
 
@@ -661,6 +675,25 @@ mod tests {
                 expected,
                 "wrong boundary from offset {from}"
             );
+        }
+    }
+
+    /// Each chunk's line count is the newlines before it, so a reader
+    /// started there with that base line names whole-file lines — blank
+    /// separator lines and CRLF endings included.
+    #[test]
+    fn chunk_records_count_the_lines_before_each_chunk() {
+        let blanks = "@a\r\nACGT\r\n+\r\nIIII\r\n\n\n@b\nAC\n+\nII\n\n@c\nGGT\n+\nIII";
+        for text in [tricky_corpus(), blanks.to_owned()] {
+            for target in 1..=text.len() + 4 {
+                let chunks = chunk_records(text.as_bytes(), target);
+                let ranges: Vec<_> = chunks.iter().map(|(r, _)| r.clone()).collect();
+                assert_eq!(ranges, chunk_record_ranges(text.as_bytes(), target));
+                for (r, line) in chunks {
+                    let before = text.as_bytes()[..r.start].iter().filter(|&&b| b == b'\n');
+                    assert_eq!(line, before.count() as u64, "chunk {r:?} at target {target}");
+                }
+            }
         }
     }
 

@@ -46,8 +46,8 @@ pub use cursor::CanonicalKmerCursor;
 pub use error::DnaError;
 pub use fasta::{FastaReader, FastaWriter};
 pub use fastq::{
-    chunk_record_ranges, next_record_start, FastqReader, FastqSliceReader, FastqWriter,
-    RecordView,
+    chunk_record_ranges, chunk_records, next_record_start, FastqReader, FastqSliceReader,
+    FastqWriter, RecordView,
 };
 pub use input::InputBytes;
 pub use kmer::{Kmer, Orientation, MAX_K};

@@ -57,6 +57,23 @@ pub fn reverse_codes(mut w: u64) -> u64 {
     w.swap_bytes()
 }
 
+/// Index of the first `\n` in `bytes`, 8 bytes per `u64` step (an exact
+/// byte-equality mask, its lowest set byte the first hit), the last few
+/// bytes one at a time. The FASTQ line splitter's search.
+#[inline]
+pub fn find_newline(bytes: &[u8]) -> Option<usize> {
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in words.by_ref() {
+        let hits = byte_eq(u64::from_le_bytes(word.try_into().unwrap()), b'\n');
+        if hits != 0 {
+            return Some(at + hits.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    words.remainder().iter().position(|&b| b == b'\n').map(|i| at + i)
+}
+
 /// Exact SWAR zero-byte detector: `0x80` in every byte of `x` that is
 /// zero, `0x00` elsewhere. The `| HIGHS` pre-set keeps the per-byte
 /// subtraction borrow-free, so unlike the classic approximate
@@ -129,6 +146,28 @@ mod tests {
         if shift > 0 {
             words.push(word);
         }
+    }
+
+    /// The newline search against the byte loop it replaces: every line
+    /// length 0..=130 at every alignment of a word, each line followed by
+    /// a newline and more text, or ending the slice with none.
+    #[test]
+    fn find_newline_matches_the_byte_loop() {
+        let byte_loop = |bytes: &[u8]| bytes.iter().position(|&b| b == b'\n');
+        for len in 0..=130usize {
+            for align in 0..8 {
+                let mut text: Vec<u8> = (0..align).map(|i| b'A' + i as u8).collect();
+                text.extend((0..len).map(|i| b"ACGT+@I\r"[i % 8]));
+                let unterminated = text.len();
+                text.extend_from_slice(b"\nTTG\nA");
+                let (head, tail) = (&text[..unterminated], &text[align..unterminated]);
+                for bytes in [&text[..], &text[align..], head, tail] {
+                    assert_eq!(find_newline(bytes), byte_loop(bytes), "len={len} align={align}");
+                }
+            }
+        }
+        assert_eq!(find_newline(b""), None);
+        assert_eq!(find_newline(b"\n\n"), Some(0));
     }
 
     /// Packs with the SWAR kernel and checks it against the per-base

@@ -170,9 +170,8 @@ where
 }
 
 /// Prefetch lookahead of [`ReplayPipeline`]'s drain loop, in k-mer
-/// positions. Deep enough that a slot's three cache lines (state word,
-/// key cell, counter line) have a DRAM round-trip's worth of probe
-/// compute to arrive in.
+/// positions. Deep enough that a home slot's word has a DRAM
+/// round-trip's worth of probe compute to arrive in.
 const PIPE: usize = 16;
 
 /// Buffered positions per [`ReplayPipeline`] drain. Large enough that

@@ -175,8 +175,9 @@ mod tests {
     fn projection_matches_allocated_table() {
         // The admission check prices the Property-1 class at four key
         // words a slot; the table a pool checkout of that class hands out
-        // charges its own width — class rounding included in both. The
-        // two agree at k > 96.
+        // costs its slot words, and a cell of its own width a vertex —
+        // class rounding included in both. Full, it stays within the
+        // price at k <= 96; at k > 96, at Step 2's load.
         for k in [27, 33, 97, 128] {
             let pool = crate::TablePool::new(k);
             for n_kmers in [0u64, 3, 1_000, 97_959, 123_456] {
@@ -186,10 +187,10 @@ mod tests {
                 let projected = projected_table_bytes(n_kmers, params);
                 assert_eq!(projected, (class * crate::SLOT_BYTES) as u64, "{what}");
                 let table = pool.checkout(table_capacity_for(n_kmers, params));
-                assert_eq!(table.approx_bytes(), class * crate::slot_bytes(k), "{what}");
-                if k > 96 {
-                    assert_eq!(projected, table.approx_bytes() as u64, "{what}");
-                }
+                assert_eq!(table.approx_bytes(), class * 8, "{what}");
+                let load = if k > 96 { params.alpha } else { 1.0 };
+                let filled = class as f64 * (8.0 + load * crate::cell_bytes(k) as f64);
+                assert!(filled <= projected as f64, "{what}: {filled} > {projected}");
             }
         }
     }

@@ -290,7 +290,9 @@ impl Run {
     /// Appends a record, widening the run first if need be.
     fn push(&mut self, kmer: Kmer, data: VertexData) {
         self.fit(&data);
-        self.codec.pack(&mut self.bytes, [(kmer, data)].iter());
+        let at = self.bytes.len();
+        self.bytes.resize(at + self.codec.len(), 0);
+        self.codec.write(&mut self.bytes[at..], &kmer, &data);
     }
 
     /// Removes record `pos` by moving the last record into its place;
@@ -363,7 +365,8 @@ impl DeBruijnGraph {
         if sub.is_empty() {
             return;
         }
-        let (bytes, codec) = store::pack_run(self.k, 0, 0, sub.entries().iter());
+        let cells = crate::VertexCells::from(&sub);
+        let (bytes, codec) = store::pack_run(&cells, false, 0, 0, Vec::new());
         self.push_run(Run { bytes, start: 0, codec });
     }
 
@@ -658,8 +661,8 @@ mod tests {
     }
 
     /// Distinct canonical-looking k = 27 keys from a fixed xorshift
-    /// stream, recorded into a vertex table so the snapshot comes back in
-    /// the table's own slot order.
+    /// stream, recorded into a vertex table, the snapshot sorted into the
+    /// table's home-slot order (the order of the table's hash).
     fn slot_ordered_subgraph(n: usize) -> SubGraph {
         use crate::{ConcurrentDbgTable, VertexTable};
         let table = ConcurrentDbgTable::new(2 * n, 27);
@@ -671,7 +674,9 @@ mod tests {
             let key = Kmer::from_words([state, 0, 0, 0], 27).unwrap();
             table.record(&key, [Some((i % 8) as u8), None]).unwrap();
         }
-        table.snapshot()
+        let mut entries = table.snapshot().into_entries();
+        entries.sort_by_key(|(kmer, _)| kmer.hash64());
+        SubGraph::new(27, entries)
     }
 
     #[test]

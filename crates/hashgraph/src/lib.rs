@@ -7,13 +7,17 @@
 //! Its concurrency control is the paper's **state-transfer partial
 //! locking**:
 //!
-//! * each slot carries a one-byte occupancy flag — `empty`, `locked`,
-//!   `occupied`;
-//! * the multi-word k-mer key is written exactly once, by the thread that
-//!   wins the `empty → locked` CAS, and becomes immutable the moment the
-//!   flag turns `occupied`;
-//! * every later visit to the slot is a lock-free read of the key plus
-//!   atomic increments on the edge-multiplicity counters.
+//! * each slot is one word: an occupancy flag — `empty`, `locked`,
+//!   `occupied` — a hash tag, and the index of the vertex's cell;
+//! * the multi-word k-mer key is written exactly once, into the next free
+//!   cell, by the thread that wins the `empty → locked` CAS, and becomes
+//!   immutable the moment the flag turns `occupied`;
+//! * every later visit to the slot is a lock-free read of the cell's key
+//!   plus atomic increments on its edge-multiplicity counters.
+//!
+//! The cells are dense — one per distinct vertex, in claim order — so a
+//! table costs a word a slot plus a cell a vertex, and its cells are its
+//! snapshot ([`VertexCells`], which the one container encoder packs).
 //!
 //! A table with one writer — a CPU core building a partition on its own —
 //! is written through `&mut` instead ([`Recorder`]): the same probe walk
@@ -56,6 +60,7 @@
 
 mod ablation;
 mod build;
+mod cells;
 mod cleaning;
 mod contention;
 mod estimate;
@@ -69,6 +74,7 @@ mod unitig;
 
 pub use ablation::MutexDbgTable;
 pub use build::{build_subgraph_with, edge_slots_for, ReplayKernel, ReplayPipeline};
+pub use cells::{cell_bytes, VertexCells};
 pub use cleaning::{clip_tips, pop_bubbles};
 pub use contention::ContentionStats;
 pub use estimate::{

@@ -142,13 +142,14 @@ impl TablePool {
         self.reuses.load(Ordering::Relaxed)
     }
 
-    /// Approximate bytes currently shelved (idle tables awaiting reuse).
+    /// Bytes currently shelved (idle tables awaiting reuse): their slot
+    /// words and the cell segments their tenants allocated.
     pub fn shelved_bytes(&self) -> usize {
         self.shelves
             .lock()
             .values()
             .flat_map(|shelf| shelf.iter())
-            .map(ConcurrentDbgTable::approx_bytes)
+            .map(ConcurrentDbgTable::allocated_bytes)
             .sum()
     }
 
@@ -190,8 +191,42 @@ impl Drop for PooledTable<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{slot_bytes, VertexTable};
+    use crate::{Recorder, VertexTable};
     use dna::{Kmer, PackedSeq};
+
+    /// A tenant after a bigger one: the reset table snapshots the second
+    /// tenant's vertices alone, though the first one's cells (and the
+    /// segments holding them) are still there, and costs only its own.
+    #[test]
+    fn a_smaller_tenant_snapshots_only_its_own_vertices() {
+        let pool = TablePool::new(9);
+        let big = PackedSeq::from_ascii(
+            &"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCACCGTATGCAATG".repeat(6).into_bytes(),
+        );
+        let small = PackedSeq::from_ascii(b"TTGACCAGTACGGATCACCGTATGC");
+        let record = |table: &mut ConcurrentDbgTable, seq: &PackedSeq| {
+            for kmer in seq.kmers(9) {
+                (&mut *table).record_wide(&kmer.canonical().0, [Some(3), None], 1).unwrap();
+            }
+        };
+        {
+            let mut first = pool.checkout(200);
+            record(&mut first, &big);
+            assert!(first.distinct() > 40);
+        }
+        let allocated = pool.shelved_bytes();
+        let mut second = pool.checkout(200);
+        assert_eq!(pool.reuses(), 1);
+        record(&mut second, &small);
+        let fresh = ConcurrentDbgTable::new(second.capacity(), 9);
+        for kmer in small.kmers(9) {
+            fresh.record(&kmer.canonical().0, [Some(3), None]).unwrap();
+        }
+        assert_eq!(second.snapshot(), fresh.snapshot());
+        assert_eq!(second.contention(), fresh.contention());
+        assert_eq!(second.approx_bytes(), fresh.approx_bytes());
+        assert_eq!(second.allocated_bytes(), allocated, "the first tenant's segments are kept");
+    }
 
     #[test]
     fn checkout_allocates_then_reuses() {
@@ -241,8 +276,9 @@ mod tests {
     /// pool never holds more tables than the one checked out.
     #[test]
     fn a_miss_evicts_the_largest_shelved_class() {
+        // Nothing is recorded, so a table is its slot words.
         let pool = TablePool::new(7);
-        let slot = slot_bytes(7);
+        let slot = crate::table::SLOT_WORD_BYTES;
         for capacity in [8192, 4096, 2048] {
             let table = pool.checkout(capacity);
             assert_eq!(table.capacity(), capacity);

@@ -27,7 +27,8 @@ use std::path::Path;
 
 use dna::Kmer;
 
-use crate::{DeBruijnGraph, SubGraph, VertexData};
+use crate::cells::cell_key;
+use crate::{DeBruijnGraph, SubGraph, VertexCells, VertexData};
 
 /// `u64 count | u8 k | u8 w`.
 const HEADER_BYTES: usize = 10;
@@ -67,6 +68,7 @@ pub(crate) struct Codec {
     read: fn(&[u8], usize) -> (Kmer, VertexData),
     key: fn(&[u8], usize) -> Kmer,
     write: fn(&mut [u8], &Kmer, &VertexData),
+    pack: fn(&mut [u8], &VertexCells, bool),
     sum: fn(&[u8], Range<usize>) -> u64,
 }
 
@@ -103,6 +105,7 @@ impl Codec {
             read: read_record::<N, W>,
             key: read_key::<N>,
             write: write_record::<N, W>,
+            pack: pack_cells::<N, W>,
             sum: sum_counters::<N, W>,
         }
     }
@@ -147,17 +150,12 @@ impl Codec {
         (self.sum)(records, counters)
     }
 
-    /// Appends `entries` to `out` as records.
-    pub(crate) fn pack<'a>(
-        &self,
-        out: &mut Vec<u8>,
-        entries: impl ExactSizeIterator<Item = &'a (Kmer, VertexData)>,
-    ) {
-        let start = out.len();
-        out.resize(start + entries.len() * self.len, 0);
-        for (record, (kmer, data)) in out[start..].chunks_exact_mut(self.len).zip(entries) {
-            self.write(record, kmer, data);
-        }
+    /// Writes `cells` over `records`, one record each: in canonical
+    /// (sorted-by-k-mer) order when `canonical`, in cell order otherwise.
+    /// Counters must fit the width.
+    pub(crate) fn pack(&self, records: &mut [u8], cells: &VertexCells, canonical: bool) {
+        debug_assert_eq!((cells.k(), records.len()), (self.k, cells.len() * self.len));
+        (self.pack)(records, cells, canonical)
     }
 }
 
@@ -198,6 +196,42 @@ fn write_record<const N: usize, const W: usize>(record: &mut [u8], kmer: &Kmer, 
     }
 }
 
+/// One record from a cell: its key halves and counters, little-endian.
+#[inline(always)]
+fn write_cell<const N: usize, const W: usize>(record: &mut [u8], cell: &[u32]) {
+    let (keys, counters) = record[..8 * N + 9 * W].split_at_mut(8 * N);
+    for (dst, half) in keys.chunks_exact_mut(4).zip(&cell[..2 * N]) {
+        dst.copy_from_slice(&half.to_le_bytes());
+    }
+    for (dst, c) in counters.chunks_exact_mut(W).zip(&cell[2 * N..2 * N + 9]) {
+        dst.copy_from_slice(&c.to_le_bytes()[..W]);
+    }
+}
+
+fn pack_cells<const N: usize, const W: usize>(
+    records: &mut [u8],
+    cells: &VertexCells,
+    canonical: bool,
+) {
+    let records = records.chunks_exact_mut(8 * N + 9 * W);
+    if !canonical {
+        records.zip(cells.cells()).for_each(|(record, cell)| write_cell::<N, W>(record, cell));
+        return;
+    }
+    // Keys are distinct, so an unstable sort on the key alone is
+    // deterministic; only the key and the cell's index move.
+    let mut order: Vec<([u64; N], usize)> = cells
+        .cells()
+        .enumerate()
+        .map(|(i, cell)| (cell_key(cell, N)[..N].try_into().expect("N key words"), i))
+        .collect();
+    order.sort_unstable_by_key(|entry| entry.0);
+    let stride = cells.stride();
+    for (record, (_, i)) in records.zip(order) {
+        write_cell::<N, W>(record, &cells.words[i * stride..][..stride]);
+    }
+}
+
 fn sum_counters<const N: usize, const W: usize>(records: &[u8], counters: Range<usize>) -> u64 {
     records
         .chunks_exact(8 * N + 9 * W)
@@ -205,18 +239,26 @@ fn sum_counters<const N: usize, const W: usize>(records: &[u8], counters: Range<
         .sum()
 }
 
-/// `entries` as records at the narrowest counter width that holds every
-/// one of them, after `head` zero bytes, in a buffer with room for `tail`
-/// more — the one packer of a container image and of a graph's run.
-pub(crate) fn pack_run<'a, I>(k: usize, head: usize, tail: usize, entries: I) -> (Vec<u8>, Codec)
-where
-    I: ExactSizeIterator<Item = &'a (Kmer, VertexData)> + Clone,
-{
-    let bits = entries.clone().fold(0, |acc, (_, data)| acc | counter_bits(data));
-    let codec = Codec::new(k, width_of(bits));
-    let mut out = Vec::with_capacity(head + entries.len() * codec.len + tail);
-    out.resize(head, 0);
-    codec.pack(&mut out, entries);
+/// `cells` as records at the narrowest counter width that holds every
+/// one of them — canonical order or cell order, see [`Codec::pack`] —
+/// after `head` zero bytes, in `out`'s allocation (its bytes discarded)
+/// with room for `tail` more: the one packer of a container image and of
+/// a graph's run.
+pub(crate) fn pack_run(
+    cells: &VertexCells,
+    canonical: bool,
+    head: usize,
+    tail: usize,
+    mut out: Vec<u8>,
+) -> (Vec<u8>, Codec) {
+    let width = cells.width();
+    let bits = cells.cells().fold(0, |acc, cell| cell[2 * width..].iter().fold(acc, |a, &c| a | c));
+    let codec = Codec::new(cells.k(), width_of(bits));
+    let len = head + cells.len() * codec.len;
+    out.clear();
+    out.reserve_exact(len + tail);
+    out.resize(len, 0);
+    codec.pack(&mut out[head..], cells, canonical);
     (out, codec)
 }
 
@@ -266,18 +308,18 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// One container over `entries`, in the order given. The counter width
-/// is that of the largest counter.
-fn encode<'a, I>(k: usize, entries: I) -> Vec<u8>
-where
-    I: ExactSizeIterator<Item = &'a (Kmer, VertexData)> + Clone,
-{
-    let n = entries.len() as u64;
-    let (mut out, codec) = pack_run(k, HEADER_BYTES, TRAILER_BYTES, entries);
-    out[..8].copy_from_slice(&n.to_le_bytes());
-    out[8..HEADER_BYTES].copy_from_slice(&[k as u8, codec.w() as u8]);
+/// The one container encoder ([`VertexCells::encode_into`] and
+/// [`VertexCells::pack_into`]): `cells` as records, canonical order or
+/// cell order, under the header and over the CRC-32 trailer, in
+/// `buffer`'s allocation shrunk to fit. The counter width is that of the
+/// largest counter.
+pub(crate) fn encode(cells: &VertexCells, canonical: bool, buffer: Vec<u8>) -> Vec<u8> {
+    let (mut out, codec) = pack_run(cells, canonical, HEADER_BYTES, TRAILER_BYTES, buffer);
+    out[..8].copy_from_slice(&(cells.len() as u64).to_le_bytes());
+    out[8..HEADER_BYTES].copy_from_slice(&[cells.k() as u8, codec.w() as u8]);
     let crc = msp::crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
+    out.shrink_to_fit();
     out
 }
 
@@ -288,24 +330,22 @@ where
 /// frames) — all little-endian. See the module docs for the record.
 ///
 /// Records are written in **canonical (sorted-by-k-mer) order**, not the
-/// hash table's slot order: slot order depends on insertion interleaving
+/// hash table's order: a table's order depends on insertion interleaving
 /// under multithreaded construction, and the crash-recovery guarantee is
 /// that a resumed run's subgraph files are *byte-identical* to an
 /// uninterrupted run's — only a canonical order survives that comparison.
+/// The subgraph's entries are encoded as [`VertexCells`], by
+/// [`VertexCells::encode`].
 pub fn encode_subgraph(sub: &SubGraph) -> Vec<u8> {
-    // Keys are distinct, so an unstable sort on the key alone is
-    // deterministic.
-    let mut entries: Vec<&(Kmer, VertexData)> = sub.entries().iter().collect();
-    entries.sort_unstable_by_key(|entry| entry.0);
-    encode(sub.k(), entries.into_iter())
+    VertexCells::from(sub).encode()
 }
 
 /// [`encode_subgraph`] without the canonical sort: the same container,
-/// records in the snapshot's own order — what a graph holds when no file
-/// is written ([`DeBruijnGraph::absorb_encoded`] takes it). Only canonical
-/// order gives equal vertex sets equal bytes, so this is never a file.
+/// records in the snapshot's own order ([`VertexCells::pack`]). Only
+/// canonical order gives equal vertex sets equal bytes, so this is never a
+/// file.
 pub fn pack_subgraph(sub: &SubGraph) -> Vec<u8> {
-    encode(sub.k(), sub.entries().iter())
+    VertexCells::from(sub).pack()
 }
 
 /// A [`StoreError::Corrupt`] at `offset`: `fault` classifies it, `detail`
@@ -424,9 +464,11 @@ pub fn decode_subgraph(bytes: &[u8]) -> Result<SubGraph, StoreError> {
 ///
 /// Propagates I/O failures.
 pub fn write_graph<W: Write>(graph: &DeBruijnGraph, mut w: W) -> Result<(), StoreError> {
-    let mut entries: Vec<(Kmer, VertexData)> = graph.iter().collect();
-    entries.sort_unstable_by_key(|entry| entry.0);
-    w.write_all(&encode(graph.k(), entries.iter()))?;
+    let mut cells = VertexCells::new(graph.k());
+    for (kmer, data) in graph.iter() {
+        cells.push(&kmer, &data);
+    }
+    w.write_all(&cells.encode())?;
     w.flush()?;
     Ok(())
 }

@@ -1,21 +1,27 @@
-use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use dna::Kmer;
 
-use crate::{ContentionStats, HashGraphError, Result, SubGraph, VertexData};
+use crate::cells::cell_words;
+use crate::{cell_bytes, ContentionStats, HashGraphError, Result, SubGraph, VertexCells};
 
 /// Occupancy states of a hash slot (the paper's Fig 4: white / gray /
-/// black), stored in the low byte of the slot word. The high byte holds
-/// an 8-bit *fingerprint tag* of the key's hash, published atomically
-/// with the state so probe mismatches can be rejected without touching
-/// the slot's key words at all.
-const EMPTY: u16 = 0;
-const LOCKED: u16 = 1;
-const OCCUPIED: u16 = 2;
+/// black), stored in the low byte of the slot word. The next byte holds
+/// an 8-bit *fingerprint tag* of the key's hash, and the rest the index
+/// of the vertex's cell — all published with one atomic store, so probe
+/// mismatches are rejected without touching any cell at all.
+const EMPTY: u64 = 0;
+const LOCKED: u64 = 1;
+const OCCUPIED: u64 = 2;
 /// Mask selecting the occupancy state from a slot word.
-const STATE_MASK: u16 = 0x00FF;
+const STATE_MASK: u64 = 0x00FF;
 /// Mask selecting the fingerprint tag from a slot word.
-const TAG_MASK: u16 = 0xFF00;
+const TAG_MASK: u64 = 0xFF00;
+/// Where an `OCCUPIED` slot word keeps its cell index.
+const CELL_SHIFT: u32 = 16;
+/// Bytes of one slot word.
+pub(crate) const SLOT_WORD_BYTES: usize = std::mem::size_of::<AtomicU64>();
 
 /// How many spins on a `locked` slot before yielding the CPU. Keeps the
 /// wait cheap on real contention but avoids livelock when the locking
@@ -160,35 +166,19 @@ impl<T: VertexTable + ?Sized> Recorder for &T {
     }
 }
 
-/// Per-slot duplicity count and eight edge-multiplicity counters: 36
-/// bytes, unpadded. Packing them together (instead of two slot-major
-/// arrays) means the counter bumps after a successful probe touch one
-/// cell, at most two cache lines. Neighbouring slots may share a line;
-/// a production CPU table has one writer (one table per core-device),
-/// so there is no false sharing to pad against — the simulated GPU's
-/// SMs, which do share a table, pay for that in line traffic rather
-/// than in 28 idle bytes a slot.
-struct SlotCounters {
-    count: AtomicU32,
-    edges: [AtomicU32; 8],
-}
-
-impl SlotCounters {
-    fn new() -> SlotCounters {
-        SlotCounters { count: AtomicU32::new(0), edges: std::array::from_fn(|_| AtomicU32::new(0)) }
-    }
-}
-
-/// Key words a slot stores for `k`-mers: ⌈k/32⌉, the words a [`Kmer`]
-/// of that length uses (the rest of its four are zero).
+/// Key words a `k`-mer occupies: ⌈k/32⌉, the words a [`Kmer`] of that
+/// length uses (the rest of its four are zero).
 const fn key_words(k: usize) -> usize {
     k.div_ceil(32)
 }
 
-/// Bytes one slot of a `k`-mer table costs: the 2-byte tagged state word,
-/// ⌈k/32⌉ 8-byte key words, and the 36-byte counter cell — 46 at
-/// k ≤ 32, then 54, 62 and, past k = 96, [`SLOT_BYTES`]. The unit price
-/// behind [`ConcurrentDbgTable::approx_bytes`].
+/// Bytes one slot of the paper's slot-for-slot table costs at `k`: a
+/// 2-byte tagged state word, ⌈k/32⌉ 8-byte key words and a 36-byte
+/// counter cell — 46 at k ≤ 32, then 54, 62 and, past k = 96,
+/// [`SLOT_BYTES`]. Admission prices a slot at that four-word bound; a
+/// [`ConcurrentDbgTable`] keeps its vertices densely instead and costs an
+/// 8-byte slot word a slot plus a [`cell_bytes`] cell a vertex
+/// ([`ConcurrentDbgTable::approx_bytes`]).
 ///
 /// # Examples
 ///
@@ -200,14 +190,15 @@ const fn key_words(k: usize) -> usize {
 /// assert_eq!(slot_bytes(128), SLOT_BYTES);
 /// ```
 pub const fn slot_bytes(k: usize) -> usize {
-    2 + 8 * key_words(k) + std::mem::size_of::<SlotCounters>()
+    2 + 8 * key_words(k) + 36
 }
 
 /// Bytes a slot with a four-word key costs — 70, [`slot_bytes`] of
 /// [`dna::MAX_K`]. The pre-allocation projection
 /// [`crate::projected_table_bytes`] prices every slot at this, whatever
-/// the k, so the table a build checks out is at most what admission
-/// charged for it, and equal at k > 96.
+/// the k. A table at k ≤ 96 costs at most this a slot however full it
+/// is (8 + [`cell_bytes`] ≤ 68); at k > 96, while at most 91 % of its
+/// slots are taken.
 pub const SLOT_BYTES: usize = slot_bytes(dna::MAX_K);
 
 /// Best-effort prefetch of the cache line holding `ptr` into all levels.
@@ -231,38 +222,41 @@ fn prefetch<T>(ptr: *const T) {
 /// [`build_subgraph_with`](crate::build_subgraph_with) — or one core in
 /// a production CPU build (each core is its own device), which records
 /// through `&mut` (the [`Recorder`] for `&mut ConcurrentDbgTable`): the
-/// same probe walk with every atomic turned into plain memory. Each slot holds
-/// a 16-bit state word (occupancy flag in the low byte, an 8-bit
-/// hash *fingerprint tag* in the high byte), the k-mer key in ⌈k/32⌉
-/// words (one flat key array, [`slot_bytes`]), a duplicity counter and
-/// eight edge-multiplicity counters. Concurrency control is
+/// same probe walk with every atomic turned into plain memory.
+///
+/// Each slot is one 64-bit word: the occupancy state in the low byte, an
+/// 8-bit hash *fingerprint tag* in the next, and — once occupied — the
+/// index of the vertex's **cell**. The cells are a dense array beside the
+/// slots, one per distinct vertex in the order they were claimed: the key
+/// in ⌈k/32⌉ words, a duplicity counter and eight edge-multiplicity
+/// counters ([`cell_bytes`]). Empty slots cost their word and nothing
+/// else, and the cells are the snapshot. Concurrency control is
 /// **state-transfer partial locking**:
 ///
-/// * a thread that finds `empty` CASes it to `locked | tag`, stores the
-///   key words (Relaxed — the only key write the slot will ever see),
-///   and publishes with a release-store of `occupied | tag`;
+/// * a thread that finds `empty` CASes it to `locked | tag`, takes the
+///   next cell (a `fetch_add` on the claimed count), stores the key words
+///   and zeroes the counters (Relaxed — the only key write the cell will
+///   ever see), and publishes with a release-store of
+///   `occupied | tag | cell`;
 /// * a thread that finds `locked` spins until the key is published;
 /// * a thread that finds `occupied` first compares the 8-bit tag that
 ///   arrived with the very same atomic load — a mismatch rejects the
-///   slot without loading its key words (no extra cache line touched);
-///   on a tag match it loads the key words (Relaxed: the Acquire of
+///   slot without loading its cell (no extra cache line touched); on a
+///   tag match it loads the cell's key words (Relaxed: the Acquire of
 ///   `occupied` orders them after the claimant's stores, and the key can
-///   never change again) and on a key match bumps counters with atomic
-///   adds, otherwise probes the next slot linearly.
+///   never change again) and on a key match bumps the cell's counters
+///   with atomic adds, otherwise probes the next slot linearly.
 ///
 /// The home slot is derived by multiply-shift range reduction
 /// (`(hash × capacity) >> 64`) rather than `hash % capacity`, replacing
-/// the 64-bit division on every record with one widening multiply.
-///
-/// Each slot's duplicity count and eight edge counters live together in
-/// one unpadded `SlotCounters` cell, and the record path
-/// issues software prefetches for the home slot's key and counter lines
-/// the moment the slot index is known — the probe's dependent loads then
-/// mostly hit L1.
+/// the 64-bit division on every record with one widening multiply; the
+/// replay kernel prefetches it a few k-mers ahead.
 ///
 /// Capacity is fixed at construction (sized via Property 1 — see
 /// [`crate::table_capacity_for`]); exceeding it returns
-/// [`HashGraphError::CapacityExhausted`] rather than resizing.
+/// [`HashGraphError::CapacityExhausted`] rather than resizing. The cell
+/// array grows in segments of about a 64th of the capacity as vertices
+/// are claimed, so memory follows the distinct vertices, not the slots.
 ///
 /// # Examples
 ///
@@ -286,30 +280,116 @@ fn prefetch<T>(ptr: *const T) {
 pub struct ConcurrentDbgTable {
     k: usize,
     capacity: usize,
-    /// Key words a slot stores: ⌈k/32⌉.
-    width: usize,
-    /// Per-slot `state | tag << 8` words; see the type-level docs.
-    states: Box<[AtomicU16]>,
-    /// `capacity × width` key words, slot `s`'s at `s * width`.
-    keys: Box<[AtomicU64]>,
-    /// One counter cell per slot (count + 8 edge counters).
-    counters: Box<[SlotCounters]>,
+    /// Per-slot `state | tag << 8 | cell << 16` words; see the type-level
+    /// docs.
+    slots: Box<[AtomicU64]>,
+    /// The vertices' cells, in claim order.
+    cells: Cells,
+    /// Cells claimed so far: the next claim takes this index.
+    claimed: AtomicUsize,
     stats: Counters,
 }
 
+/// A table's cell array: [`cell_words`] `u32` words a vertex, in
+/// segments of `1 << shift` cells, each allocated by the first claim that
+/// lands in it. A pooled table keeps its segments across tenants; `claim`
+/// overwrites whatever a cell's last tenant left.
+struct Cells {
+    /// Key words a cell holds: ⌈k/32⌉.
+    width: usize,
+    /// `u32` words a cell spans.
+    stride: usize,
+    /// log2 of the cells a segment holds.
+    shift: u32,
+    segments: Box<[OnceLock<Box<[AtomicU32]>>]>,
+}
+
+impl Cells {
+    /// Room for `capacity` cells of `k`-mers — every slot's — in at most
+    /// 64 segments (of at least 16 cells), none allocated yet.
+    fn new(capacity: usize, k: usize) -> Cells {
+        let shift = (capacity.next_power_of_two() / 64).max(16).trailing_zeros();
+        let segments = capacity.div_ceil(1 << shift);
+        Cells {
+            width: key_words(k),
+            stride: cell_words(k),
+            shift,
+            segments: (0..segments).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Cell `index`'s segment and the cell's offset in it.
+    #[inline(always)]
+    fn locate(&self, index: usize) -> (usize, usize) {
+        (index >> self.shift, (index & ((1 << self.shift) - 1)) * self.stride)
+    }
+
+    fn allocate(&self) -> Box<[AtomicU32]> {
+        (0..self.stride << self.shift).map(|_| AtomicU32::new(0)).collect()
+    }
+
+    /// Claimed cell `index`. Its segment exists: the claimant allocated
+    /// it before publishing the index.
+    #[inline(always)]
+    fn get(&self, index: usize) -> &[AtomicU32] {
+        let (segment, at) = self.locate(index);
+        let segment = self.segments[segment].get().expect("a claimed cell's segment exists");
+        &segment[at..at + self.stride]
+    }
+
+    /// [`get`](Self::get) for a writer that owns the table.
+    #[inline(always)]
+    fn get_mut(&mut self, index: usize) -> &mut [AtomicU32] {
+        let (segment, at) = self.locate(index);
+        let stride = self.stride;
+        let segment = self.segments[segment].get_mut().expect("a claimed cell's segment exists");
+        &mut segment[at..at + stride]
+    }
+
+    /// Cell `index` for the writer that claimed it, its segment allocated
+    /// first if this is the segment's first claim.
+    #[inline(always)]
+    fn take(&self, index: usize) -> &[AtomicU32] {
+        let (segment, at) = self.locate(index);
+        &self.segments[segment].get_or_init(|| self.allocate())[at..at + self.stride]
+    }
+
+    /// [`take`](Self::take) for a writer that owns the table.
+    #[inline(always)]
+    fn take_mut(&mut self, index: usize) -> &mut [AtomicU32] {
+        let (segment, _) = self.locate(index);
+        if self.segments[segment].get().is_none() {
+            let _ = self.segments[segment].set(self.allocate());
+        }
+        self.get_mut(index)
+    }
+
+    /// The first `n` cells' words, in order. On a table still being
+    /// written, a claim in flight may not have allocated its segment yet:
+    /// the walk stops there rather than wait for it.
+    fn claimed(&self, n: usize) -> impl Iterator<Item = &AtomicU32> {
+        let per_segment = 1 << self.shift;
+        let segments = &self.segments[..n.div_ceil(per_segment)];
+        segments.iter().map_while(OnceLock::get).enumerate().flat_map(move |(s, seg)| {
+            let cells = (n - s * per_segment).min(per_segment);
+            seg[..cells * self.stride].iter()
+        })
+    }
+}
+
 /// Table-wide behaviour counters. `updates` is **derived** at read time
-/// (Σ slot duplicity counts − insertions) rather than maintained as its
-/// own atomic: every successful record already bumps its slot's count,
+/// (Σ cell duplicity counts − insertions) rather than maintained as its
+/// own atomic: every successful record already bumps its cell's count,
 /// so keeping a second shared-line RMW per k-mer in the hot path would
-/// only re-count what the slots record. See
+/// only re-count what the cells record. See
 /// [`ConcurrentDbgTable::contention`].
 #[derive(Default)]
 struct Counters {
-    insertions: std::sync::atomic::AtomicU64,
-    cas_failures: std::sync::atomic::AtomicU64,
-    lock_waits: std::sync::atomic::AtomicU64,
-    probe_steps: std::sync::atomic::AtomicU64,
-    tag_rejects: std::sync::atomic::AtomicU64,
+    insertions: AtomicU64,
+    cas_failures: AtomicU64,
+    lock_waits: AtomicU64,
+    probe_steps: AtomicU64,
+    tag_rejects: AtomicU64,
 }
 
 impl std::fmt::Debug for ConcurrentDbgTable {
@@ -323,7 +403,8 @@ impl std::fmt::Debug for ConcurrentDbgTable {
 }
 
 impl ConcurrentDbgTable {
-    /// Allocates a table with room for `capacity` distinct `k`-mers.
+    /// Allocates a table with room for `capacity` distinct `k`-mers: the
+    /// slot words now, the cells as vertices claim them.
     ///
     /// A minimum capacity of 16 is enforced so tiny partitions still
     /// leave probe headroom.
@@ -334,14 +415,12 @@ impl ConcurrentDbgTable {
     pub fn new(capacity: usize, k: usize) -> ConcurrentDbgTable {
         assert!((1..=dna::MAX_K).contains(&k), "invalid k {k}");
         let capacity = capacity.max(16);
-        let width = key_words(k);
         ConcurrentDbgTable {
             k,
             capacity,
-            width,
-            states: (0..capacity).map(|_| AtomicU16::new(EMPTY)).collect(),
-            keys: (0..capacity * width).map(|_| AtomicU64::new(0)).collect(),
-            counters: (0..capacity).map(|_| SlotCounters::new()).collect(),
+            slots: (0..capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
+            cells: Cells::new(capacity, k),
+            claimed: AtomicUsize::new(0),
             stats: Counters::default(),
         }
     }
@@ -351,57 +430,37 @@ impl ConcurrentDbgTable {
         self.capacity
     }
 
-    /// Approximate allocation size in bytes, for memory accounting
-    /// ([`slot_bytes`] of this table's k per slot: 2-byte tagged state
-    /// word, ⌈k/32⌉ key words, 36-byte counter cell).
+    /// Approximate size in bytes, for memory accounting: an 8-byte word a
+    /// slot plus a [`cell_bytes`] cell a claimed vertex.
     pub fn approx_bytes(&self) -> usize {
-        self.capacity * slot_bytes(self.k)
+        self.capacity * SLOT_WORD_BYTES + self.distinct() * cell_bytes(self.k)
+    }
+
+    /// Bytes the table holds allocated: its slot words and every cell
+    /// segment a claim ever allocated, reset or not.
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        let segment = 4 * (self.cells.stride << self.cells.shift);
+        let segments = self.cells.segments.iter().filter(|s| s.get().is_some()).count();
+        self.capacity * SLOT_WORD_BYTES + segments * segment
     }
 
     /// Clears the table for reuse without touching its allocations — the
     /// [`TablePool`](crate::TablePool) reset. Exclusive access (`&mut`)
     /// makes every atomic plain memory, so this is one memset of the
-    /// 2-byte state words.
+    /// 8-byte slot words and a zero claimed count.
     ///
-    /// Key words and counter lines are deliberately *not* cleared: both
-    /// are only ever read after observing `OCCUPIED` on their slot's state
-    /// word, every state word returns to `EMPTY` here, and the thread
-    /// that next claims a slot overwrites its key and zeroes its counter
-    /// line under the slot lock, before it publishes `OCCUPIED` (see
-    /// `Shared::claim`). A stale line is
-    /// unreachable until then — 2 bytes per slot to wipe instead of all
-    /// [`slot_bytes`].
+    /// The cells are deliberately *not* cleared: a cell is only ever read
+    /// through an `OCCUPIED` slot word that names it, or as one of the
+    /// first `claimed` cells, and the thread that next claims a cell
+    /// overwrites its key and zeroes its counters before it publishes
+    /// the slot word naming it (see `Shared::claim`). A stale cell is
+    /// unreachable until then.
     pub fn reset(&mut self) {
-        for s in self.states.iter_mut() {
+        for s in self.slots.iter_mut() {
             *s.get_mut() = EMPTY;
         }
+        *self.claimed.get_mut() = 0;
         self.stats = Counters::default();
-    }
-
-    /// The key words of `slot`, zero-padded to a [`Kmer`]'s four. The
-    /// caller must have observed `OCCUPIED` with Acquire ordering: the
-    /// key words are stored before the Release that publishes it, and
-    /// never again while the slot is occupied.
-    #[inline]
-    fn read_key(&self, slot: usize) -> [u64; 4] {
-        let mut key = [0u64; 4];
-        for (word, cell) in key.iter_mut().zip(self.key(slot)) {
-            *word = cell.load(Ordering::Relaxed);
-        }
-        key
-    }
-
-    /// The ⌈k/32⌉ key words of `slot`.
-    #[inline(always)]
-    fn key(&self, slot: usize) -> &[AtomicU64] {
-        &self.keys[slot * self.width..][..self.width]
-    }
-
-    /// [`key`](Self::key) for a writer that owns the table.
-    #[inline(always)]
-    fn key_mut(&mut self, slot: usize) -> &mut [AtomicU64] {
-        let width = self.width;
-        &mut self.keys[slot * width..][..width]
     }
 
     fn check_k(&self, key: &Kmer) -> Result<()> {
@@ -415,7 +474,6 @@ impl ConcurrentDbgTable {
     /// [`VertexTable::record_narrow_hashed`]).
     fn narrow_words(&self, word: u64, hash: u64) -> [u64; 4] {
         debug_assert!(self.k <= 32, "narrow keys require k <= 32, got {}", self.k);
-        debug_assert_eq!(self.width, 1, "a narrow key is one key word a slot");
         let words = [word, 0, 0, 0];
         debug_assert_eq!(
             hash,
@@ -440,8 +498,8 @@ impl ConcurrentDbgTable {
         probe_walk::<_, NARROW>(Shared(self), words, hash, edge_slots, weight)
     }
 
-    /// The same walk through `&mut self`: one writer, so every slot word,
-    /// key word and counter is plain memory ([`Owned`]).
+    /// The same walk through `&mut self`: one writer, so every slot word
+    /// and cell is plain memory ([`Owned`]).
     fn probe_record_owned<const NARROW: bool>(
         &mut self,
         words: [u64; 4],
@@ -452,47 +510,51 @@ impl ConcurrentDbgTable {
         probe_walk::<_, NARROW>(Owned(self), words, hash, edge_slots, weight)
     }
 
-    /// [`snapshot`](VertexTable::snapshot) and
-    /// [`contention`](VertexTable::contention) from **one** walk of the
-    /// table — the same values the two calls return on a quiescent
-    /// table. The snapshot already loads every occupied slot's duplicity
-    /// count, and Σ counts is all `contention` walks the table for, so
-    /// Step 2 (which wants both, once per partition) pays for the
-    /// counter lines once. The entry vector is sized up front from the
-    /// insertions counter.
-    pub fn snapshot_with_contention(&self) -> (SubGraph, ContentionStats) {
-        let r = Ordering::Relaxed;
-        let mut entries = Vec::with_capacity(self.stats.insertions.load(r) as usize);
-        let mut occurrences = 0u64;
-        for slot in 0..self.capacity {
-            if self.states[slot].load(Ordering::Acquire) & STATE_MASK != OCCUPIED {
-                continue;
-            }
-            let kmer = Kmer::from_words(self.read_key(slot), self.k)
-                .expect("stored keys are valid k-mers");
-            let counters = &self.counters[slot];
-            let mut edges = [0u32; 8];
-            for (e, out) in edges.iter_mut().enumerate() {
-                *out = counters.edges[e].load(r);
-            }
-            let count = counters.count.load(r);
-            occurrences += count as u64;
-            entries.push((kmer, VertexData { count, edges }));
-        }
-        (SubGraph::new(self.k, entries), self.contention_given(occurrences))
+    /// Appends every vertex to `out`, in claim order, and returns the
+    /// table's counters — [`contention`](VertexTable::contention) on a
+    /// quiescent table — from the same pass: Σ cell counts is all
+    /// `contention` reads the cells for. One copy of the dense cells; no
+    /// slot is visited. Step 2 appends the sub-tables of a split
+    /// partition into one `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` holds another k's cells.
+    pub fn snapshot_cells(&self, out: &mut VertexCells) -> ContentionStats {
+        assert_eq!(out.k(), self.k, "{}-mer cells for a {}-mer table", out.k(), self.k);
+        let n = self.claimed.load(Ordering::Acquire);
+        let start = out.words.len();
+        out.words.reserve(n * self.cells.stride);
+        out.words.extend(self.cells.claimed(n).map(|word| word.load(Ordering::Relaxed)));
+        let count = 2 * self.cells.width;
+        let occurrences = out.words[start..]
+            .chunks_exact(self.cells.stride)
+            .map(|cell| u64::from(cell[count]))
+            .sum();
+        self.contention_given(occurrences)
     }
 
-    /// The table-wide counters, with `updates` derived from the Σ of slot
-    /// duplicity counts the caller walked the table for.
+    /// [`snapshot`](VertexTable::snapshot) and
+    /// [`contention`](VertexTable::contention) from one pass over the
+    /// cells ([`snapshot_cells`](Self::snapshot_cells)) — the same values
+    /// the two calls return on a quiescent table.
+    pub fn snapshot_with_contention(&self) -> (SubGraph, ContentionStats) {
+        let mut cells = VertexCells::new(self.k);
+        let stats = self.snapshot_cells(&mut cells);
+        (cells.to_subgraph(), stats)
+    }
+
+    /// The table-wide counters, with `updates` derived from the Σ of cell
+    /// duplicity counts the caller summed.
     fn contention_given(&self, occurrences: u64) -> ContentionStats {
         let r = Ordering::Relaxed;
         let insertions = self.stats.insertions.load(r);
         ContentionStats {
             insertions,
-            // Every successful record bumps its slot's duplicity count
+            // Every successful record bumps its cell's duplicity count
             // exactly once, so Σ counts = insertions + updates; the
             // subtraction saturates because a record in flight bumps its
-            // slot count before the insertions counter.
+            // cell count before the insertions counter.
             updates: occurrences.saturating_sub(insertions),
             cas_failures: self.stats.cas_failures.load(r),
             lock_waits: self.stats.lock_waits.load(r),
@@ -510,6 +572,12 @@ fn home_slot(hash: u64, capacity: usize) -> usize {
     ((hash as u128 * capacity as u128) >> 64) as usize
 }
 
+/// The cell index an `OCCUPIED` slot word names.
+#[inline(always)]
+fn cell_of(word: u64) -> usize {
+    (word >> CELL_SHIFT) as usize
+}
+
 /// A table-wide behaviour counter, as [`SlotAccess::count`] names it.
 #[derive(Clone, Copy)]
 enum Stat {
@@ -521,7 +589,7 @@ enum Stat {
 }
 
 impl Counters {
-    fn get_mut(&mut self, stat: Stat) -> &mut std::sync::atomic::AtomicU64 {
+    fn get_mut(&mut self, stat: Stat) -> &mut AtomicU64 {
         match stat {
             Stat::Insertion => &mut self.insertions,
             Stat::CasFailure => &mut self.cas_failures,
@@ -531,7 +599,7 @@ impl Counters {
         }
     }
 
-    fn get(&self, stat: Stat) -> &std::sync::atomic::AtomicU64 {
+    fn get(&self, stat: Stat) -> &AtomicU64 {
         match stat {
             Stat::Insertion => &self.insertions,
             Stat::CasFailure => &self.cas_failures,
@@ -546,23 +614,34 @@ impl Counters {
 /// linear step — is written once; [`Shared`] runs it over the
 /// state-transfer protocol, [`Owned`] over plain memory. Every probe
 /// *decision* is the walk's, so both count the same `probe_steps`,
-/// `tag_rejects` and `insertions` and leave the same slot layout.
+/// `tag_rejects` and `insertions` and leave the same slots and cells.
 trait SlotAccess {
     fn capacity(&self) -> usize;
-    /// Starts pulling the home slot's key and counter lines toward the core.
-    fn prefetch_home(&self, slot: usize);
-    /// The slot's `state | tag` word.
-    fn state(&mut self, slot: usize) -> u16;
-    /// Whether the key in an `OCCUPIED` slot is `words`; with `NARROW`
-    /// (k ≤ 32: a slot stores one key word) word 0 alone decides.
-    fn key_matches<const NARROW: bool>(&mut self, slot: usize, words: &[u64; 4]) -> bool;
-    /// Claims an `EMPTY` slot for `words`: stores its ⌈k/32⌉ key words,
-    /// zeroes the counter line its last tenant left behind, publishes
-    /// `OCCUPIED | tag`. `false` when another writer got there first.
-    fn claim(&mut self, slot: usize, tag: u16, words: [u64; 4]) -> bool;
-    /// Adds `weight` to the slot's duplicity count and to each listed
-    /// edge counter, wrapping on overflow.
-    fn bump(&mut self, slot: usize, edge_slots: [Option<u8>; 2], weight: u32);
+    /// The slot's `state | tag | cell` word.
+    fn state(&mut self, slot: usize) -> u64;
+    /// If cell `cell` holds the key `words` — with `NARROW` (k ≤ 32: one
+    /// key word) word 0 alone decides — records the occurrence there:
+    /// `weight` added to the count and to each listed edge counter,
+    /// wrapping on overflow.
+    fn record_if_match<const NARROW: bool>(
+        &mut self,
+        cell: usize,
+        words: &[u64; 4],
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> bool;
+    /// Claims an `EMPTY` slot for `words`: takes the next cell, stores
+    /// its ⌈k/32⌉ key words and the occurrence's counters over whatever
+    /// its last tenant left, publishes `OCCUPIED | tag | cell`. `false`
+    /// when another writer got to the slot first.
+    fn claim(
+        &mut self,
+        slot: usize,
+        tag: u64,
+        words: &[u64; 4],
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> bool;
     fn count(&mut self, stat: Stat);
     /// Waits out a `LOCKED` slot (`spins` so far).
     fn wait_locked(&mut self, spins: u32);
@@ -581,14 +660,9 @@ fn probe_walk<A: SlotAccess, const NARROW: bool>(
 ) -> Result<()> {
     let capacity = access.capacity();
     let mut slot = home_slot(hash, capacity);
-    // Pull the home slot's key and counter lines toward the core while
-    // the state-word load below is still in flight — on a hit (the
-    // common, update-heavy case) both are needed within a few
-    // instructions.
-    access.prefetch_home(slot);
     // 8-bit fingerprint from the hash's low byte (the reduction above
     // consumes mostly high bits, keeping tag and slot independent).
-    let tag = ((hash & 0xFF) as u16) << 8;
+    let tag = (hash & 0xFF) << 8;
     for _probe in 0..capacity {
         let mut spins = 0u32;
         loop {
@@ -597,20 +671,18 @@ fn probe_walk<A: SlotAccess, const NARROW: bool>(
                 OCCUPIED => {
                     if word & TAG_MASK != tag {
                         // Fingerprint mismatch: provably a different key.
-                        // Reject on the state word alone — the key words
-                        // are never loaded.
+                        // Reject on the slot word alone — the cell is
+                        // never loaded.
                         access.count(Stat::TagReject);
                         break; // probe onwards
                     }
-                    if access.key_matches::<NARROW>(slot, &words) {
-                        access.bump(slot, edge_slots, weight);
+                    if access.record_if_match::<NARROW>(cell_of(word), &words, edge_slots, weight) {
                         return Ok(());
                     }
                     break; // tag collision, different key: probe on
                 }
                 EMPTY => {
-                    if access.claim(slot, tag, words) {
-                        access.bump(slot, edge_slots, weight);
+                    if access.claim(slot, tag, &words, edge_slots, weight) {
                         access.count(Stat::Insertion);
                         return Ok(());
                     }
@@ -632,6 +704,15 @@ fn probe_walk<A: SlotAccess, const NARROW: bool>(
     Err(HashGraphError::CapacityExhausted { capacity })
 }
 
+/// Whether a cell's key halves spell the first `n` of `words`. Relaxed
+/// loads: a shared reader's Acquire of `OCCUPIED` ordered the key's
+/// stores before them, and to an owning writer they are plain loads.
+#[inline(always)]
+fn key_is(key: &[AtomicU32], n: usize, words: &[u64; 4]) -> bool {
+    let half = |i: usize| u64::from(key[i].load(Ordering::Relaxed));
+    words[..n].iter().enumerate().all(|(i, &word)| half(2 * i) | half(2 * i + 1) << 32 == word)
+}
+
 /// [`SlotAccess`] through `&ConcurrentDbgTable`: the paper's
 /// state-transfer protocol, for tables whose writers share them.
 struct Shared<'t>(&'t ConcurrentDbgTable);
@@ -643,75 +724,82 @@ impl SlotAccess for Shared<'_> {
     }
 
     #[inline(always)]
-    fn prefetch_home(&self, slot: usize) {
-        prefetch(&self.0.keys[slot * self.0.width]);
-        prefetch(&self.0.counters[slot]);
-    }
-
-    #[inline(always)]
-    fn state(&mut self, slot: usize) -> u16 {
-        // SAFETY (both `get_unchecked` here): the walk's multiply-shift
-        // reduction and `% capacity` advance keep `slot` in
-        // `[0, capacity)`, and `states` and `counters` both have
-        // `capacity` entries. Dropping the bounds checks matters here:
+    fn state(&mut self, slot: usize) -> u64 {
+        // SAFETY: the walk's multiply-shift reduction and `% capacity`
+        // advance keep `slot` in `[0, capacity)`, and `slots` has
+        // `capacity` entries. Dropping the bounds check matters here:
         // this runs once per probe of the whole build.
-        unsafe { self.0.states.get_unchecked(slot) }.load(Ordering::Acquire)
+        unsafe { self.0.slots.get_unchecked(slot) }.load(Ordering::Acquire)
     }
 
     #[inline(always)]
-    fn key_matches<const NARROW: bool>(&mut self, slot: usize, words: &[u64; 4]) -> bool {
-        // The caller's Acquire load read OCCUPIED, which the claimant
-        // published after storing these words: Relaxed loads see them.
+    fn record_if_match<const NARROW: bool>(
+        &mut self,
+        cell: usize,
+        words: &[u64; 4],
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> bool {
         let relaxed = Ordering::Relaxed;
-        if NARROW {
-            self.0.keys[slot].load(relaxed) == words[0]
-        } else {
-            self.0.key(slot).iter().zip(words).all(|(cell, &word)| cell.load(relaxed) == word)
-        }
-    }
-
-    #[inline(always)]
-    fn claim(&mut self, slot: usize, tag: u16, words: [u64; 4]) -> bool {
-        let relaxed = Ordering::Relaxed;
-        let state = &self.0.states[slot];
-        let locked = LOCKED | tag;
-        if state.compare_exchange(EMPTY, locked, Ordering::AcqRel, Ordering::Acquire).is_err() {
+        let width = if NARROW { 1 } else { self.0.cells.width };
+        let (key, counters) = self.0.cells.get(cell).split_at(2 * self.0.cells.width);
+        if !key_is(key, width, words) {
             return false;
         }
-        // We own the slot: the single key write of its lifetime — and,
-        // since a recycled table's `reset` clears state words only, the
-        // zeroing of the counter line its last tenant left behind. Key
-        // words and counter line are read only after an Acquire load of
-        // the slot's state word read OCCUPIED (`key_matches`, `bump`,
-        // `snapshot_with_contention`, `contention`; `distinct` reads state
-        // words alone), and these Relaxed stores are sequenced before the
-        // Release store that publishes OCCUPIED, so every such access
-        // happens-after them. Pinned by
-        // `recycled_table_with_stale_counter_lines_equals_fresh`.
-        for (cell, word) in self.0.key(slot).iter().zip(words) {
-            cell.store(word, relaxed);
+        counters[0].fetch_add(weight, relaxed);
+        for e in edge_slots.into_iter().flatten() {
+            debug_assert!(e < 8, "edge slot {e} out of range");
+            // `& 7` keeps the index provably in range (and is a no-op
+            // for every slot `EdgeDir::slot` can produce).
+            counters[1 + (e & 7) as usize].fetch_add(weight, relaxed);
         }
-        let line = &self.0.counters[slot];
-        line.count.store(0, relaxed);
-        for edge in &line.edges {
-            edge.store(0, relaxed);
-        }
-        state.store(OCCUPIED | tag, Ordering::Release);
         true
     }
 
     #[inline(always)]
-    fn bump(&mut self, slot: usize, edge_slots: [Option<u8>; 2], weight: u32) {
-        // SAFETY: `slot < capacity`, as for `state`.
-        let counters = unsafe { self.0.counters.get_unchecked(slot) };
-        counters.count.fetch_add(weight, Ordering::Relaxed);
-        for e in edge_slots.into_iter().flatten() {
-            debug_assert!(e < 8, "edge slot {e} out of range");
-            // `& 7` keeps the index provably in range (and is a no-op
-            // for every slot `EdgeDir::slot` can produce) so the
-            // compiler drops the bounds check from the hot loop.
-            counters.edges[(e & 7) as usize].fetch_add(weight, Ordering::Relaxed);
+    fn claim(
+        &mut self,
+        slot: usize,
+        tag: u64,
+        words: &[u64; 4],
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> bool {
+        let relaxed = Ordering::Relaxed;
+        let table = self.0;
+        let state = &table.slots[slot];
+        if state.compare_exchange(EMPTY, LOCKED | tag, Ordering::AcqRel, Ordering::Acquire).is_err()
+        {
+            return false;
         }
+        // We own the slot, and with it the next cell: one claim per
+        // EMPTY slot keeps the index below `capacity`. The single key
+        // write of the cell's tenancy — and, since a recycled table's
+        // `reset` leaves cells alone, the overwriting of the counters its
+        // last tenant left behind. A cell is read only after an Acquire
+        // load of a slot word naming it read OCCUPIED
+        // (`record_if_match`), or by `snapshot_cells` on a quiescent
+        // table, and these Relaxed stores are sequenced before the
+        // Release store that publishes the name, so every such access
+        // happens-after them. Pinned by
+        // `recycled_table_with_stale_counter_lines_equals_fresh`.
+        let index = table.claimed.fetch_add(1, relaxed);
+        let (key, counters) = table.cells.take(index).split_at(2 * table.cells.width);
+        for (halves, &word) in key.chunks_exact(2).zip(words) {
+            halves[0].store(word as u32, relaxed);
+            halves[1].store((word >> 32) as u32, relaxed);
+        }
+        counters[0].store(weight, relaxed);
+        for edge in &counters[1..] {
+            edge.store(0, relaxed);
+        }
+        for e in edge_slots.into_iter().flatten() {
+            // Still ours alone: a plain add, for a slot listed twice.
+            let edge = &counters[1 + (e & 7) as usize];
+            edge.store(edge.load(relaxed).wrapping_add(weight), relaxed);
+        }
+        state.store(OCCUPIED | tag | (index as u64) << CELL_SHIFT, Ordering::Release);
+        true
     }
 
     #[inline(always)]
@@ -735,6 +823,18 @@ impl SlotAccess for Shared<'_> {
 /// lock waits stay 0.
 struct Owned<'t>(&'t mut ConcurrentDbgTable);
 
+/// Adds `weight` to a plain cell's count and listed edge counters.
+#[inline(always)]
+fn bump_owned(counters: &mut [AtomicU32], edge_slots: [Option<u8>; 2], weight: u32) {
+    let count = counters[0].get_mut();
+    *count = count.wrapping_add(weight);
+    for e in edge_slots.into_iter().flatten() {
+        debug_assert!(e < 8, "edge slot {e} out of range");
+        let edge = counters[1 + (e & 7) as usize].get_mut();
+        *edge = edge.wrapping_add(weight);
+    }
+}
+
 impl SlotAccess for Owned<'_> {
     #[inline(always)]
     fn capacity(&self) -> usize {
@@ -742,49 +842,53 @@ impl SlotAccess for Owned<'_> {
     }
 
     #[inline(always)]
-    fn prefetch_home(&self, slot: usize) {
-        prefetch(&self.0.keys[slot * self.0.width]);
-        prefetch(&self.0.counters[slot]);
+    fn state(&mut self, slot: usize) -> u64 {
+        *self.0.slots[slot].get_mut()
     }
 
     #[inline(always)]
-    fn state(&mut self, slot: usize) -> u16 {
-        *self.0.states[slot].get_mut()
-    }
-
-    #[inline(always)]
-    fn key_matches<const NARROW: bool>(&mut self, slot: usize, words: &[u64; 4]) -> bool {
-        if NARROW {
-            *self.0.keys[slot].get_mut() == words[0]
-        } else {
-            self.0.key_mut(slot).iter_mut().zip(words).all(|(cell, &word)| *cell.get_mut() == word)
+    fn record_if_match<const NARROW: bool>(
+        &mut self,
+        cell: usize,
+        words: &[u64; 4],
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> bool {
+        let cells_width = self.0.cells.width;
+        let width = if NARROW { 1 } else { cells_width };
+        let (key, counters) = self.0.cells.get_mut(cell).split_at_mut(2 * cells_width);
+        if !key_is(key, width, words) {
+            return false;
         }
-    }
-
-    #[inline(always)]
-    fn claim(&mut self, slot: usize, tag: u16, words: [u64; 4]) -> bool {
-        for (cell, word) in self.0.key_mut(slot).iter_mut().zip(words) {
-            *cell.get_mut() = word;
-        }
-        let line = &mut self.0.counters[slot];
-        *line.count.get_mut() = 0;
-        for edge in &mut line.edges {
-            *edge.get_mut() = 0;
-        }
-        *self.0.states[slot].get_mut() = OCCUPIED | tag;
+        bump_owned(counters, edge_slots, weight);
         true
     }
 
     #[inline(always)]
-    fn bump(&mut self, slot: usize, edge_slots: [Option<u8>; 2], weight: u32) {
-        let counters = &mut self.0.counters[slot];
-        let count = counters.count.get_mut();
-        *count = count.wrapping_add(weight);
-        for e in edge_slots.into_iter().flatten() {
-            debug_assert!(e < 8, "edge slot {e} out of range");
-            let edge = counters.edges[(e & 7) as usize].get_mut();
-            *edge = edge.wrapping_add(weight);
+    fn claim(
+        &mut self,
+        slot: usize,
+        tag: u64,
+        words: &[u64; 4],
+        edge_slots: [Option<u8>; 2],
+        weight: u32,
+    ) -> bool {
+        let table = &mut *self.0;
+        let claimed = table.claimed.get_mut();
+        let index = *claimed;
+        *claimed += 1;
+        let width = table.cells.width;
+        let (key, counters) = table.cells.take_mut(index).split_at_mut(2 * width);
+        for (halves, &word) in key.chunks_exact_mut(2).zip(words) {
+            *halves[0].get_mut() = word as u32;
+            *halves[1].get_mut() = (word >> 32) as u32;
         }
+        for counter in counters.iter_mut() {
+            *counter.get_mut() = 0;
+        }
+        bump_owned(counters, edge_slots, weight);
+        *table.slots[slot].get_mut() = OCCUPIED | tag | (index as u64) << CELL_SHIFT;
+        true
     }
 
     #[inline(always)]
@@ -813,16 +917,13 @@ impl VertexTable for ConcurrentDbgTable {
         self.probe_record::<false>(*key.words(), key.hash64(), edge_slots, weight)
     }
 
-    /// Pulls the home slot's state, key and counter lines toward the
-    /// core. Issued by the replay kernel several positions before the
-    /// matching [`record_narrow_hashed`](VertexTable::record_narrow_hashed),
-    /// so the (random-access) table lines arrive while the rolling scan
-    /// is still chewing through the next few bases.
+    /// Pulls the home slot's word toward the core. Issued by the replay
+    /// kernel several positions before the matching
+    /// [`record_narrow_hashed`](VertexTable::record_narrow_hashed), so
+    /// the (random-access) slot line arrives while the rolling scan is
+    /// still chewing through the next few bases.
     fn prefetch_narrow(&self, hash: u64) {
-        let slot = home_slot(hash, self.capacity);
-        prefetch(&self.states[slot]);
-        prefetch(&self.keys[slot * self.width]);
-        prefetch(&self.counters[slot]);
+        prefetch(&self.slots[home_slot(hash, self.capacity)]);
     }
 
     /// The narrow fast path: the caller hashed the single-word key array
@@ -844,24 +945,20 @@ impl VertexTable for ConcurrentDbgTable {
         self.snapshot_with_contention().0
     }
 
+    /// The cells claimed so far.
     fn distinct(&self) -> usize {
-        (0..self.capacity)
-            .filter(|&s| self.states[s].load(Ordering::Relaxed) & STATE_MASK == OCCUPIED)
-            .count()
+        self.claimed.load(Ordering::Relaxed)
     }
 
     fn contention(&self) -> ContentionStats {
-        let r = Ordering::Relaxed;
-        // A slot's count is only ever bumped once its state word reads
-        // OCCUPIED, so the 2-byte state array says which counter cells
-        // are worth loading at all — and, on a recycled table, which
-        // are not stale: the Acquire pairs with the claimant's Release.
-        let occurrences: u64 = self
-            .states
-            .iter()
-            .zip(self.counters.iter())
-            .filter(|(state, _)| state.load(Ordering::Acquire) & STATE_MASK == OCCUPIED)
-            .map(|(_, c)| c.count.load(r) as u64)
+        let n = self.claimed.load(Ordering::Acquire);
+        let (stride, count) = (self.cells.stride, 2 * self.cells.width);
+        let occurrences = self
+            .cells
+            .claimed(n)
+            .skip(count)
+            .step_by(stride)
+            .map(|c| u64::from(c.load(Ordering::Relaxed)))
             .sum();
         self.contention_given(occurrences)
     }
@@ -1070,6 +1167,47 @@ mod tests {
         let c = t.contention();
         assert_eq!(c.insertions, expected.len() as u64);
         assert_eq!(c.updates, (threads * kmers.len()) as u64 - expected.len() as u64);
+        // One cell per insertion, and each vertex in exactly one of them.
+        assert_eq!(t.distinct() as u64, c.insertions);
+        let mut cells = VertexCells::new(9);
+        assert_eq!(t.snapshot_cells(&mut cells), c);
+        let keys: std::collections::HashSet<Kmer> = cells.iter().map(|(k, _)| k).collect();
+        assert_eq!((cells.len(), keys.len()), (expected.len(), expected.len()));
+    }
+
+    /// Read while writers claim cells, a table reports what it can —
+    /// never more vertices than it has slots — and never panics on a
+    /// segment a claim in flight has not allocated yet.
+    #[test]
+    fn reading_a_table_while_it_is_written_never_panics() {
+        let t = ConcurrentDbgTable::new(1 << 14, 11);
+        let seq = PackedSeq::from_ascii(
+            &(0..6000).map(|i| b"ACGT"[(i * i / 5 + i / 3) % 4]).collect::<Vec<u8>>(),
+        );
+        let kmers: Vec<Kmer> = seq.kmers(11).map(|k| k.canonical().0).collect();
+        let (start, finished) = (std::sync::Barrier::new(4), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for tid in 0..3 {
+                let (t, kmers, start, finished) = (&t, &kmers, &start, &finished);
+                s.spawn(move || {
+                    start.wait();
+                    for c in kmers.iter().skip(tid) {
+                        t.record(c, [Some(1), None]).unwrap();
+                    }
+                    finished.fetch_add(1, Ordering::Release);
+                });
+            }
+            let mut cells = VertexCells::new(11);
+            start.wait();
+            while finished.load(Ordering::Acquire) < 3 {
+                let _ = t.contention();
+                cells.words.clear();
+                let _ = t.snapshot_cells(&mut cells);
+                assert!(cells.len() <= t.capacity());
+            }
+        });
+        let distinct: std::collections::HashSet<_> = kmers.iter().collect();
+        assert_eq!(t.distinct(), distinct.len());
     }
 
     #[test]
@@ -1217,19 +1355,71 @@ mod tests {
         assert_sync::<ConcurrentDbgTable>();
     }
 
-    /// A slot is the state word, ⌈k/32⌉ key words and the unpadded
-    /// counter cell — priced per width at each word boundary and at the
-    /// first k past it, and allocated at that price.
+    /// Admission still prices the paper's slot — the state word, ⌈k/32⌉
+    /// key words and the counter cell — while a table costs its 8-byte
+    /// slot words plus a cell per claimed vertex: nothing for an empty
+    /// slot, and never more than admission's [`SLOT_BYTES`] a slot at
+    /// k ≤ 96 however full, or at k > 96 at Step 2's load (α = 0.65).
     #[test]
-    fn slot_costs_its_key_width_unpadded() {
-        assert_eq!(std::mem::size_of::<SlotCounters>(), 36);
+    fn a_table_costs_its_slot_words_and_claimed_cells() {
         assert_eq!(SLOT_BYTES, 70);
         for (k, bytes) in [(1, 46), (32, 46), (33, 54), (64, 54), (65, 62), (96, 62), (97, 70)] {
             assert_eq!(slot_bytes(k), bytes, "k={k}");
-            let table = ConcurrentDbgTable::new(100, k);
-            assert_eq!(table.keys.len(), 100 * key_words(k), "k={k}");
-            assert_eq!(table.approx_bytes(), 100 * bytes, "k={k}");
         }
         assert_eq!(slot_bytes(128), SLOT_BYTES);
+        for k in [3usize, 32, 33, 40, 64, 65, 96, 97, 128] {
+            let mut table = ConcurrentDbgTable::new(200, k);
+            assert_eq!(table.approx_bytes(), 200 * 8, "k={k}: an empty table is its slot words");
+            let seq = PackedSeq::from_ascii(
+                &(0..k + 400).map(|i| b"ACGT"[(i * i / 7 + i / 3) % 4]).collect::<Vec<u8>>(),
+            );
+            let kmers: std::collections::BTreeSet<Kmer> =
+                seq.kmers(k).map(|kmer| kmer.canonical().0).collect();
+            let full = if k > 96 { 130 } else { 200 }; // α × 200 at k > 96
+            for kmer in kmers.iter().take(full) {
+                (&mut table).record_wide(kmer, [None, None], 1).unwrap();
+                assert_eq!(
+                    table.approx_bytes(),
+                    200 * 8 + table.distinct() * cell_bytes(k),
+                    "k={k}"
+                );
+            }
+            assert_eq!(table.distinct(), full.min(kmers.len()), "k={k}");
+            assert!(table.approx_bytes() <= 200 * SLOT_BYTES, "k={k}: {}", table.approx_bytes());
+            table.reset();
+            assert_eq!(table.approx_bytes(), 200 * 8, "k={k}: reset releases the cells' price");
+        }
+    }
+
+    /// Keys of two, three and four words live in their cells whole: the
+    /// shared and the owned walk agree with a map of the stream, vertex
+    /// for vertex and in claim order.
+    #[test]
+    fn wide_keys_fill_their_cells() {
+        let seq = PackedSeq::from_ascii(
+            &"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCACCGTATGCAATGCCGGATTAACGTA"
+                .repeat(3)
+                .into_bytes(),
+        );
+        for k in [33usize, 40, 64, 65, 100] {
+            let shared = ConcurrentDbgTable::new(512, k);
+            let mut owned = ConcurrentDbgTable::new(512, k);
+            let mut expected = std::collections::HashMap::new();
+            for (i, kmer) in seq.kmers(k).enumerate() {
+                let c = kmer.canonical().0;
+                let edges = [Some((i % 8) as u8), None];
+                shared.record(&c, edges).unwrap();
+                (&mut owned).record_wide(&c, edges, 1).unwrap();
+                *expected.entry(c).or_insert(0u32) += 1;
+            }
+            let (a, b) = (shared.snapshot(), owned.snapshot());
+            assert_eq!(a, b, "k={k}");
+            assert_eq!(a.len(), expected.len(), "k={k}");
+            for (kmer, data) in a.entries() {
+                assert_eq!(kmer.k(), k);
+                assert_eq!(data.count, expected[kmer], "k={k} {kmer}");
+            }
+            assert_eq!(shared.contention(), owned.contention(), "k={k}");
+        }
     }
 }

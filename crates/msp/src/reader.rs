@@ -3,16 +3,20 @@ use std::path::Path;
 
 use crate::{MspError, Result};
 
-/// A FASTQ input file prepared for parallel ingest: the whole file
-/// addressable as one byte slice (memory-mapped when possible, inflated
-/// into memory when gzip-compressed) plus precomputed record-aligned
-/// chunk ranges that Step-1 workers can parse independently.
+/// A FASTQ input file prepared for parallel ingest: record-aligned chunk
+/// ranges that Step-1 workers can parse independently, each with its
+/// first line number, and the bytes to read them from.
 ///
-/// Gzip inputs are detected by magic number. Multi-member streams (BGZF
-/// and plain concatenated gzip, the common layout for big sequencing
-/// runs) are inflated member-parallel across the machine's cores;
-/// single-member streams (and any stream on a one-core machine) inflate
-/// sequentially.
+/// The cuts come from one anchored parse of the whole file (see
+/// [`dna::chunk_records`]) over a memory mapping, which is dropped as
+/// soon as the cutting is done: a plain file's chunks are then read
+/// with positional reads, each into a buffer its reader supplies and
+/// reuses, so ingest holds only the chunks in flight. A gzip input is
+/// detected by magic number and inflated into memory, where its chunks
+/// stay. Multi-member streams (BGZF and plain concatenated gzip, the
+/// common layout for big sequencing runs) are inflated member-parallel
+/// across the machine's cores; single-member streams (and any stream on
+/// a one-core machine) inflate sequentially.
 ///
 /// # Examples
 ///
@@ -21,17 +25,30 @@ use crate::{MspError, Result};
 ///
 /// # fn main() -> msp::Result<()> {
 /// let chunks = FastqChunks::open("reads.fastq", 8 << 20)?;
+/// let mut buffer = Vec::new();
 /// for i in 0..chunks.n_chunks() {
-///     let bytes = chunks.chunk(i); // starts at a record boundary
-///     let _ = bytes.len();
+///     let bytes = chunks.chunk(i, &mut buffer)?; // starts at a record boundary
+///     let _ = (bytes.len(), chunks.first_line(i));
 /// }
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct FastqChunks {
-    bytes: dna::InputBytes,
-    ranges: Vec<Range<usize>>,
+    text: Text,
+    /// Each chunk's byte range and the lines before it.
+    chunks: Vec<(Range<usize>, u64)>,
+}
+
+/// Where a [`FastqChunks`]' bytes are read from.
+#[derive(Debug)]
+enum Text {
+    /// The plain input file, read at each chunk's offset.
+    #[cfg(unix)]
+    File(std::fs::File),
+    /// The whole text in memory: an inflated gzip stream (or, without
+    /// positional reads, the file's bytes).
+    Memory(Vec<u8>),
 }
 
 impl FastqChunks {
@@ -43,40 +60,81 @@ impl FastqChunks {
     /// Returns [`MspError::Io`] if the file cannot be read or its gzip
     /// framing is invalid.
     pub fn open(path: impl AsRef<Path>, target_bytes: usize) -> Result<FastqChunks> {
+        let path = path.as_ref();
+        let file = std::fs::File::open(path)?;
         let input = dna::InputBytes::open(path)?;
-        let input = if dna::gzip::is_gzip(input.as_bytes()) {
+        if dna::gzip::is_gzip(input.as_bytes()) {
             let inflated = decompress_parallel(input.as_bytes())
                 .map_err(|e| MspError::Io(std::io::Error::other(e)))?;
-            dna::InputBytes::from_vec(inflated)
-        } else {
-            input
+            drop(input);
+            let chunks = dna::chunk_records(&inflated, target_bytes);
+            return Ok(FastqChunks { text: Text::Memory(inflated), chunks });
+        }
+        let chunks = dna::chunk_records(input.as_bytes(), target_bytes);
+        #[cfg(unix)]
+        let text = {
+            drop(input);
+            Text::File(file)
         };
-        let ranges = dna::chunk_record_ranges(input.as_bytes(), target_bytes);
-        Ok(FastqChunks { bytes: input, ranges })
+        #[cfg(not(unix))]
+        let text = {
+            drop(file);
+            Text::Memory(input.as_bytes().to_vec())
+        };
+        Ok(FastqChunks { text, chunks })
     }
 
-    /// The whole (decompressed) file.
-    pub fn bytes(&self) -> &[u8] {
-        self.bytes.as_bytes()
-    }
-
-    /// The record-aligned chunk ranges; they tile `0..bytes().len()`.
-    pub fn ranges(&self) -> &[Range<usize>] {
-        &self.ranges
-    }
-
-    /// Number of chunks (zero for an empty file).
-    pub fn n_chunks(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// The bytes of chunk `index`; starts at a record boundary.
+    /// Chunk `index`'s byte range. The ranges are record-aligned and
+    /// tile the whole (decompressed) file.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn chunk(&self, index: usize) -> &[u8] {
-        &self.bytes.as_bytes()[self.ranges[index].clone()]
+    pub fn range(&self, index: usize) -> Range<usize> {
+        self.chunks[index].0.clone()
+    }
+
+    /// Number of chunks (zero for an empty file).
+    pub fn n_chunks(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// The lines before chunk `index`: a parser of the chunk alone
+    /// reports whole-file line numbers from this base
+    /// ([`dna::FastqSliceReader::with_base_line`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn first_line(&self, index: usize) -> u64 {
+        self.chunks[index].1
+    }
+
+    /// The bytes of chunk `index`, which start at a record boundary:
+    /// read into `buffer` (its capacity reused) from a plain file,
+    /// borrowed from memory otherwise.
+    ///
+    /// # Errors
+    ///
+    /// The positional read's I/O error — a file that shrank since it was
+    /// cut ends early.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn chunk<'s>(&'s self, index: usize, buffer: &'s mut Vec<u8>) -> std::io::Result<&'s [u8]> {
+        let range = self.range(index);
+        match &self.text {
+            #[cfg(unix)]
+            Text::File(file) => {
+                use std::os::unix::fs::FileExt;
+                buffer.clear();
+                buffer.resize(range.len(), 0);
+                file.read_exact_at(buffer, range.start as u64)?;
+                Ok(buffer)
+            }
+            Text::Memory(bytes) => Ok(&bytes[range]),
+        }
     }
 }
 
@@ -156,15 +214,19 @@ mod tests {
         let path = tmpdir("chunks-plain").with_extension("fastq");
         fs::write(&path, &text).unwrap();
         let chunks = FastqChunks::open(&path, 1024).unwrap();
-        assert_eq!(chunks.bytes(), text.as_bytes());
         assert!(chunks.n_chunks() > 3, "1 KiB target must split {} bytes", text.len());
         let whole = slurp_records(text.as_bytes());
         let mut rejoined = Vec::new();
         let mut end = 0;
-        for (i, r) in chunks.ranges().iter().enumerate() {
+        let mut buffer = Vec::new();
+        for (i, r) in (0..chunks.n_chunks()).map(|i| (i, chunks.range(i))) {
             assert_eq!(r.start, end, "chunks must tile");
             end = r.end;
-            rejoined.extend(slurp_records(chunks.chunk(i)));
+            let chunk = chunks.chunk(i, &mut buffer).unwrap();
+            assert_eq!(chunk, &text.as_bytes()[r.clone()]);
+            let before = text.as_bytes()[..r.start].iter().filter(|&&b| b == b'\n').count();
+            assert_eq!(chunks.first_line(i), before as u64);
+            rejoined.extend(slurp_records(chunk));
         }
         assert_eq!(end, text.len());
         assert_eq!(rejoined, whole);
@@ -179,9 +241,16 @@ mod tests {
         let path = tmpdir("chunks-bgzf").with_extension("fastq.gz");
         fs::write(&path, &gz).unwrap();
         let chunks = FastqChunks::open(&path, 16 << 10).unwrap();
-        assert_eq!(chunks.bytes(), text.as_bytes());
+        let mut buffer = Vec::new();
+        let mut rejoined = Vec::new();
+        for i in 0..chunks.n_chunks() {
+            rejoined.extend_from_slice(chunks.chunk(i, &mut buffer).unwrap());
+        }
+        assert_eq!(rejoined, text.as_bytes());
         assert_eq!(
-            chunks.ranges().iter().flat_map(|r| slurp_records(&text.as_bytes()[r.clone()])).count(),
+            (0..chunks.n_chunks())
+                .flat_map(|i| slurp_records(&text.as_bytes()[chunks.range(i)]))
+                .count(),
             1500
         );
         fs::remove_file(&path).unwrap();
@@ -207,8 +276,31 @@ mod tests {
         let path = tmpdir("chunks-gz").with_extension("fastq.gz");
         fs::write(&path, dna::gzip::compress_stored(text.as_bytes())).unwrap();
         let chunks = FastqChunks::open(&path, usize::MAX).unwrap();
-        assert_eq!(chunks.bytes(), text.as_bytes());
+        assert_eq!(chunks.chunk(0, &mut Vec::new()).unwrap(), text.as_bytes());
         assert_eq!(chunks.n_chunks(), 1);
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// Once cut, a plain file is no longer mapped: the process's maps
+    /// name it nowhere while its chunks are still readable.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_cut_file_is_no_longer_mapped() {
+        let text = fastq_text(300);
+        let path = tmpdir("chunks-unmapped").with_extension("fastq");
+        fs::write(&path, &text).unwrap();
+        let mapped = || {
+            let maps = fs::read_to_string("/proc/self/maps").unwrap();
+            maps.lines().any(|line| line.ends_with(path.to_str().unwrap()))
+        };
+        let input = dna::InputBytes::open(&path).unwrap();
+        assert!(input.is_mapped() && mapped(), "the check must see a live mapping");
+        drop(input);
+        let chunks = FastqChunks::open(&path, 1024).unwrap();
+        assert!(chunks.n_chunks() > 3);
+        assert!(!mapped(), "the mapping outlived the cut");
+        let last = chunks.n_chunks() - 1;
+        assert!(chunks.chunk(last, &mut Vec::new()).unwrap().ends_with(b"\n"));
         fs::remove_file(&path).unwrap();
     }
 

@@ -367,6 +367,11 @@ impl<'a> PartitionSlices<'a> {
         Ok(PartitionSlices { bytes, offsets, k, p })
     }
 
+    /// Bytes of the buffer the index covers, frame headers included.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
     /// Number of records in the partition.
     #[inline]
     pub fn len(&self) -> usize {

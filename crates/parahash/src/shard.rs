@@ -344,11 +344,11 @@ pub fn run_remote_worker(addr: &str, worker: usize) -> Result<()> {
 /// [`pipeline::failpoint::NET_SITES`]). Armed `abort`, the worker dies
 /// here as a crashed one would: no unwind, no cleanup, the lease left
 /// dangling. Armed `io-error`, it holds the lease in silence — no
-/// heartbeats run yet — for twice the parent's idle deadline, so the
-/// parent evicts it as hung.
+/// heartbeats run yet — for eight times the parent's idle deadline, so
+/// the parent evicts it as hung, and kills it once the build is over.
 fn lease_failpoint(worker: usize, tuning: &ShardTuning) {
     if failpoint::hit(&format!("shard.worker{worker}.lease")).is_err() {
-        std::thread::sleep(tuning.idle_timeout.saturating_mul(2));
+        std::thread::sleep(tuning.idle_timeout.saturating_mul(8));
     }
 }
 
@@ -725,10 +725,26 @@ pub(crate) fn with_workers<R>(
         let _ = std::fs::remove_file(path);
     }
     drop(listener);
-    for child in &mut children {
-        let _ = child.wait();
-    }
+    reap(&mut children, cluster.tuning.idle_timeout);
     Ok(ran)
+}
+
+/// Reaps the spawned workers once Step 2 is over. A worker that is done
+/// exits at once (its reconnect is refused); one still running when
+/// `grace` — the heartbeat deadline — has passed is as hung as the
+/// deadline says, and is killed rather than left holding the build.
+fn reap(children: &mut [std::process::Child], grace: Duration) {
+    let deadline = Instant::now() + grace;
+    for child in children {
+        while matches!(child.try_wait(), Ok(None)) {
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
 }
 
 /// Ends the accept loop when dropped: flags the shutdown, then wakes the
@@ -1423,8 +1439,8 @@ mod tests {
     }
 
     /// Armed for worker 1, the lease failpoint is passed by worker 0's
-    /// assignments without a hit and holds worker 1's first one for twice
-    /// the idle deadline.
+    /// assignments without a hit and holds worker 1's first one for eight
+    /// times the idle deadline.
     #[test]
     fn the_lease_failpoint_is_scoped_to_its_worker() {
         let tuning = ShardTuning {
@@ -1438,7 +1454,7 @@ mod tests {
         assert_eq!(failpoint::hits(site), 0, "worker 0 passes another site");
         let started = Instant::now();
         lease_failpoint(1, &tuning);
-        assert!(started.elapsed() >= Duration::from_millis(40), "the lease was held");
+        assert!(started.elapsed() >= Duration::from_millis(160), "the lease was held");
         assert_eq!(failpoint::hits(site), 1);
         failpoint::disarm(site);
     }

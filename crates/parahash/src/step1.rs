@@ -67,30 +67,32 @@ pub(crate) enum Input<'a> {
 /// input kind alone — never on the device roster or the kernel selection.
 enum Source<'a> {
     Reads(&'a [SeqRead], Vec<Range<usize>>),
-    Fastq(FastqChunks),
+    /// The chunks, and the idle text buffers their readers reuse: one a
+    /// device parsing at once.
+    Fastq(FastqChunks, Mutex<Vec<Vec<u8>>>),
 }
 
 impl<'a> Source<'a> {
     fn open(input: Input<'a>, batch_bytes: usize) -> Result<Source<'a>> {
         Ok(match input {
             Input::Reads(reads) => Source::Reads(reads, batch_ranges(reads, batch_bytes)),
-            Input::Fastq(path) => Source::Fastq(FastqChunks::open(path, batch_bytes)?),
+            Input::Fastq(path) => {
+                Source::Fastq(FastqChunks::open(path, batch_bytes)?, Mutex::new(Vec::new()))
+            }
         })
     }
 
     fn n_batches(&self) -> usize {
         match self {
             Source::Reads(_, ranges) => ranges.len(),
-            Source::Fastq(chunks) => chunks.n_chunks(),
+            Source::Fastq(chunks, _) => chunks.n_chunks(),
         }
     }
 
     fn batch(&self, i: usize) -> Batch<'_> {
         match self {
             Source::Reads(reads, ranges) => Batch::Reads(&reads[ranges[i].clone()]),
-            Source::Fastq(chunks) => {
-                Batch::Text { file: chunks.bytes(), at: chunks.ranges()[i].clone() }
-            }
+            Source::Fastq(chunks, texts) => Batch::Text { chunks, texts, index: i },
         }
     }
 }
@@ -98,9 +100,9 @@ impl<'a> Source<'a> {
 /// One input batch, as its [`Source`] holds it.
 enum Batch<'a> {
     Reads(&'a [SeqRead]),
-    /// The record-aligned range `at` of the FASTQ text `file`. The whole
-    /// file rides along so a parse error can name its absolute line.
-    Text { file: &'a [u8], at: Range<usize> },
+    /// Chunk `index` of a FASTQ file, read when a device parses it into
+    /// a buffer from `texts`.
+    Text { chunks: &'a FastqChunks, texts: &'a Mutex<Vec<Vec<u8>>>, index: usize },
 }
 
 impl<'a> Batch<'a> {
@@ -108,30 +110,26 @@ impl<'a> Batch<'a> {
     fn input_bytes(&self) -> u64 {
         match self {
             Batch::Reads(reads) => reads.iter().map(SeqRead::approx_bytes).sum::<usize>() as u64,
-            Batch::Text { at, .. } => at.len() as u64,
+            Batch::Text { chunks, index, .. } => chunks.range(*index).len() as u64,
         }
     }
 
     /// Hands every read of the batch to `f` as a 2-bit sequence: borrowed
-    /// from memory, or parsed from the text and packed into one reused
-    /// scratch sequence.
+    /// from memory, or parsed from the chunk's text and packed into one
+    /// reused scratch sequence.
     ///
     /// # Errors
     ///
-    /// A malformed record ends the batch; its line number is rebased from
-    /// the slice the parser saw onto the whole file.
+    /// A chunk that cannot be read, or a malformed record, ends the
+    /// batch; the record's line number counts from the file's start.
     fn for_each_read(&self, mut f: impl FnMut(&PackedSeq)) -> Result<()> {
         match self {
             Batch::Reads(reads) => reads.iter().for_each(|r| f(r.seq())),
-            Batch::Text { file, at } => {
-                let mut reader = dna::FastqSliceReader::new(&file[at.clone()]);
-                let rebase = |e| parse_error(offset_parse_lines(e, &file[..at.start]));
-                let mut scratch = PackedSeq::new();
-                while let Some(view) = reader.read_record_view().map_err(rebase)? {
-                    scratch.clear();
-                    scratch.extend_from_ascii(view.seq);
-                    f(&scratch);
-                }
+            Batch::Text { chunks, texts, index } => {
+                let mut text = texts.lock().pop().unwrap_or_default();
+                let parsed = parse_chunk(chunks, *index, &mut text, f);
+                texts.lock().push(text);
+                parsed?;
             }
         }
         Ok(())
@@ -214,8 +212,10 @@ fn seal_all(store: &mut PartitionStore, journal: &RunJournal) -> Result<Vec<Seal
 
 /// The one body of Step 1: opens `input`, cuts it into batches — index
 /// ranges of ~`read_batch_bytes` over reads in memory, or the
-/// record-aligned chunks of a FASTQ file that is mapped (or inflated, for
-/// gzip) exactly once — and streams them through the three-stage pipeline
+/// record-aligned chunks of a FASTQ file, cut over a mapping that is
+/// dropped before the first batch runs (or over the inflated text, for
+/// gzip), each chunk read by the device that parses it — and streams them
+/// through the three-stage pipeline
 /// into `store`. Returns the step report, its device times measured over
 /// this call alone; the caller owns sealing, manifest finalisation and
 /// error cleanup.
@@ -383,23 +383,30 @@ pub(crate) fn step1_into(
     })
 }
 
+/// Reads chunk `index` of `chunks` into `text` and hands each read to `f`,
+/// packed into one reused scratch sequence; a malformed record's line
+/// counts from the file's start.
+fn parse_chunk(
+    chunks: &FastqChunks,
+    index: usize,
+    text: &mut Vec<u8>,
+    mut f: impl FnMut(&PackedSeq),
+) -> Result<()> {
+    let bytes = chunks.chunk(index, text)?;
+    let mut reader = dna::FastqSliceReader::with_base_line(bytes, chunks.first_line(index));
+    let mut scratch = PackedSeq::new();
+    while let Some(view) = reader.read_record_view().map_err(parse_error)? {
+        scratch.clear();
+        scratch.extend_from_ascii(view.seq);
+        f(&scratch);
+    }
+    Ok(())
+}
+
 fn parse_error(e: dna::DnaError) -> ParaHashError {
     match e {
         dna::DnaError::Io(io) => ParaHashError::Io(io),
         other => ParaHashError::InvalidConfig(format!("bad fastq input: {other}")),
-    }
-}
-
-/// Rebases a chunk-relative [`dna::DnaError::MalformedRecord`] line
-/// number onto the whole file by counting the newlines before the chunk.
-/// Only runs on the (already doomed) error path.
-fn offset_parse_lines(e: dna::DnaError, prefix: &[u8]) -> dna::DnaError {
-    match e {
-        dna::DnaError::MalformedRecord { line, reason } => {
-            let before = prefix.iter().filter(|&&b| b == b'\n').count() as u64;
-            dna::DnaError::MalformedRecord { line: before + line, reason }
-        }
-        other => other,
     }
 }
 

@@ -5,8 +5,8 @@ use std::sync::OnceLock;
 
 pub use hashgraph::encode_subgraph;
 use hashgraph::{
-    table_capacity_for, ContentionStats, DeBruijnGraph, HashGraphError, Recorder, ReplayKernel,
-    ReplayPipeline, SubGraph, TablePool,
+    cell_bytes, table_capacity_for, ContentionStats, DeBruijnGraph, HashGraphError, Recorder,
+    ReplayKernel, ReplayPipeline, SubGraph, TablePool, VertexCells,
 };
 use hetsim::{Device, DeviceKind};
 use msp::{PartitionManifest, PartitionSlices, RecordCollapse, SealedPartition, SealedPayload};
@@ -23,11 +23,11 @@ use crate::{ParaHashConfig, ParaHashError, QuarantinedPartition, Result, StepRep
 #[derive(Default)]
 pub(crate) struct Built {
     /// The partition's vertices as one vertex-run container image: the
-    /// finished `sub-XXXXX.dbg` file ([`encode_subgraph`]: canonical
+    /// finished `sub-XXXXX.dbg` file ([`VertexCells::encode`]: canonical
     /// order, CRC trailer) when
     /// [`write_subgraphs`](crate::ParaHashConfigBuilder::write_subgraphs)
-    /// is on, the snapshot packed in table order
-    /// ([`hashgraph::pack_subgraph`]) when nothing will persist it.
+    /// is on, the cells packed in claim order ([`VertexCells::pack`])
+    /// when nothing will persist it.
     pub image: Vec<u8>,
     /// Vertices in the image: the work the scheduler's model is fed.
     pub vertices: u64,
@@ -37,7 +37,8 @@ pub(crate) struct Built {
     pub replayed_kmers: u64,
     /// Capacity-retry rebuilds this partition needed.
     pub resizes: usize,
-    /// Peak hash-table bytes (the largest sub-table when split).
+    /// Peak hash-table bytes, slot words and claimed cells, as each table
+    /// finished (the largest sub-table when split).
     pub peak_table_bytes: u64,
     /// Out-of-core fanout: 0 when the partition fit its budget and was
     /// built in one table, ≥ 2 when it was sub-partitioned.
@@ -80,15 +81,6 @@ impl Failure {
 /// split is best-effort, never recursive — see
 /// [`PartitionBuilder::build_split`]).
 const MAX_SUB_FANOUT: usize = 256;
-
-/// What the simulated device→host copy of a table snapshot charges per
-/// vertex of `k`-mers: the slot's ⌈k/32⌉ `u64` key words, `u32` count and
-/// 8×`u32` edge counters — 44 bytes at k ≤ 32, the width rule of
-/// [`hashgraph::slot_bytes`] without the state word — whatever width the
-/// subgraph file later stores.
-fn snapshot_vertex_bytes(k: usize) -> usize {
-    8 * k.div_ceil(32) + 4 + 32
-}
 
 /// Parses the format written by [`encode_subgraph`]. Used by tests and by
 /// downstream consumers of persisted subgraphs.
@@ -303,25 +295,26 @@ impl<'a> PartitionBuilder<'a> {
         let mut built = Built { partition_bytes: bytes.len() as u64, ..Built::default() };
         let projected_bytes = hashgraph::projected_table_bytes(n_kmers, self.config.sizing);
         let budget = self.config.table_memory_budget;
-        let subgraph = if projected_bytes <= budget {
-            self.build_one_table(device, &bytes, n_kmers, &mut built)?
+        let mut cells = VertexCells::new(self.config.k);
+        if projected_bytes <= budget {
+            self.build_one_table(device, &bytes, n_kmers, &mut built, &mut cells)?;
         } else if self.config.out_of_core {
-            self.build_split(device, idx, &bytes, projected_bytes, &mut built)?
+            self.build_split(device, idx, &bytes, projected_bytes, &mut built, &mut cells)?;
         } else {
             let error = ParaHashError::TableOverBudget { partition: idx, projected_bytes, budget };
             return Err(Failure::fatal(error));
-        };
-        // The partition buffer has been replayed: release it before the
-        // encoded copy of the subgraph is allocated, not after.
-        drop(bytes);
-        built.vertices = subgraph.len() as u64;
-        // The snapshot — 80 bytes a vertex — ends here, on this thread;
+        }
+        built.vertices = cells.len() as u64;
+        // The partition buffer has been replayed: the image is written
+        // over it, so the memory the partition held is what the graph
+        // holds next, not a second allocation beside freed pages. The
+        // cells — 44 bytes a vertex at k ≤ 32 — end here, on this thread;
         // the image keeps each vertex as one record (17 bytes at k ≤ 32
         // with counters under 256).
         built.image = if self.config.write_subgraphs {
-            encode_subgraph(&subgraph)
+            cells.encode_into(bytes)
         } else {
-            hashgraph::pack_subgraph(&subgraph)
+            cells.pack_into(bytes)
         };
         Ok(built)
     }
@@ -329,11 +322,11 @@ impl<'a> PartitionBuilder<'a> {
     /// Out-of-core build of one over-budget partition: split its records
     /// by the second-level minimizer hash ([`msp::split_framed`]), build
     /// each sub-partition with its own budget-sized table (one live at a
-    /// time — that is the point), and concatenate the sub-entries. The
-    /// sub-tables are key-disjoint because every copy of a k-mer shares a
-    /// minimizer, so the merged entry set — and after the canonical sort
-    /// in [`encode_subgraph`], the persisted bytes — is identical to the
-    /// unsplit build's.
+    /// time — that is the point), and append each sub-table's cells to
+    /// `cells`. The sub-tables are key-disjoint because every copy of a
+    /// k-mer shares a minimizer, so the concatenated vertex set — and
+    /// after the one canonical sort in [`VertexCells::encode`], the
+    /// persisted bytes — is identical to the unsplit build's.
     ///
     /// The fanout is `ceil(projected / budget)`, clamped to
     /// [`MAX_SUB_FANOUT`]; splitting happens **exactly once** (sub-builds
@@ -349,35 +342,33 @@ impl<'a> PartitionBuilder<'a> {
         bytes: &[u8],
         projected: u64,
         built: &mut Built,
-    ) -> std::result::Result<SubGraph, Failure> {
+        cells: &mut VertexCells,
+    ) -> std::result::Result<(), Failure> {
         let fanout = projected
             .div_ceil(self.config.table_memory_budget.max(1))
             .clamp(2, MAX_SUB_FANOUT as u64) as usize;
         let subs = msp::split_framed(bytes, self.config.k, self.config.p, fanout, idx)
             .map_err(|e| Failure::local(e.into()))?;
         built.fanout = fanout;
-        let mut entries = Vec::new();
         for sub in subs.iter().filter(|sub| sub.superkmers > 0) {
-            let subgraph = self.build_one_table(device, &sub.bytes, sub.kmers, built)?;
-            entries.extend(subgraph.into_entries());
+            self.build_one_table(device, &sub.bytes, sub.kmers, built, cells)?;
         }
-        // The merged entries wait in the output queue next: don't let
-        // the growth slack of `extend` (up to 2×) wait with them.
-        entries.shrink_to_fit();
-        Ok(SubGraph::new(self.config.k, entries))
+        Ok(())
     }
 
     /// One table build: index the framed bytes and collapse identical
     /// records once, then hash-construct with pooled tables sized from
     /// the collapsed records, retrying with a bigger checkout if the
-    /// sizing fell short. The cost lands in `built`.
+    /// sizing fell short. The cost lands in `built`, the vertices in
+    /// `cells`.
     fn build_one_table(
         &self,
         device: &dyn Device,
         bytes: &[u8],
         n_kmers: u64,
         built: &mut Built,
-    ) -> std::result::Result<SubGraph, Failure> {
+        cells: &mut VertexCells,
+    ) -> std::result::Result<(), Failure> {
         // Zero-copy decode of the framed bytes: verify every frame's
         // CRC32 once, index the record boundaries, then replay borrowed
         // `SuperkmerView`s straight out of the partition buffer — no
@@ -388,9 +379,9 @@ impl<'a> PartitionBuilder<'a> {
             .map_err(|e| Failure::local(e.into()))?;
         let mut collapse = self.collapses.lock().pop().unwrap_or_default();
         let records = collapse.collapse(&slices);
-        let subgraph = self.replay(device, &slices, records, bytes.len() as u64, n_kmers, built);
+        let replayed = self.replay(device, &slices, records, n_kmers, built, cells);
         self.collapses.lock().push(collapse);
-        subgraph
+        replayed
     }
 
     /// Replays each distinct record of `slices` once with its weight
@@ -398,17 +389,18 @@ impl<'a> PartitionBuilder<'a> {
     /// so the table ends up exactly as if every copy were replayed. A
     /// one-core device owns its checkout and records through `&mut`,
     /// plain memory; a device whose workers share the table runs the
-    /// state-transfer protocol. A GPU pays `transfer_in` bytes for the
-    /// partition's host→device copy.
+    /// state-transfer protocol. The table's cells are appended to
+    /// `cells`. A GPU pays for the host→device copy of the partition's
+    /// bytes.
     fn replay(
         &self,
         device: &dyn Device,
         slices: &PartitionSlices<'_>,
         records: &[(u32, u32)],
-        transfer_in: u64,
         n_kmers: u64,
         built: &mut Built,
-    ) -> std::result::Result<SubGraph, Failure> {
+        cells: &mut VertexCells,
+    ) -> std::result::Result<(), Failure> {
         let replayed: u64 =
             records.iter().map(|&(i, _)| slices.view(i as usize).kmer_count() as u64).sum();
         // Every vertex lies in some distinct record, so `replayed` bounds
@@ -423,12 +415,14 @@ impl<'a> PartitionBuilder<'a> {
             // of this capacity class is shelved, a fresh one otherwise.
             // Dropping the guard (every exit path below) shelves it.
             let mut table = self.pool.checkout(capacity);
-            let table_bytes = table.approx_bytes() as u64;
-            built.peak_table_bytes = built.peak_table_bytes.max(table_bytes);
+            // A device sizes its cell array before the kernel runs: every
+            // vertex lies in some replayed k-mer, and in some slot.
+            let vertices = (replayed as usize).min(table.capacity());
+            let reserved = (table.approx_bytes() + vertices * cell_bytes(self.config.k)) as u64;
             let is_gpu = device.kind() == DeviceKind::SimGpu;
             if is_gpu {
-                device.alloc(table_bytes).map_err(|e| Failure::fatal(e.into()))?;
-                device.transfer_to_device(transfer_in);
+                device.alloc(reserved).map_err(|e| Failure::fatal(e.into()))?;
+                device.transfer_to_device(slices.byte_len() as u64);
             }
             // The kernel: one distinct record per data-parallel item,
             // decoded in place from the partition buffer. Each worker's
@@ -452,21 +446,22 @@ impl<'a> PartitionBuilder<'a> {
                     replay_chunk(pipe, slices, &records[range], error);
                 });
             }
+            built.peak_table_bytes = built.peak_table_bytes.max(table.approx_bytes() as u64);
             match kernel_error.into_inner() {
                 None => {
-                    let (subgraph, contention) = table.snapshot_with_contention();
+                    let before = cells.approx_bytes();
+                    let contention = table.snapshot_cells(cells);
                     if is_gpu {
-                        let snapshot = subgraph.len() * snapshot_vertex_bytes(self.config.k);
-                        device.transfer_from_device(snapshot as u64);
-                        device.free(table_bytes);
+                        device.transfer_from_device((cells.approx_bytes() - before) as u64);
+                        device.free(reserved);
                     }
                     built.contention.merge(&contention);
                     built.replayed_kmers += replayed;
-                    return Ok(subgraph);
+                    return Ok(());
                 }
                 Some(HashGraphError::CapacityExhausted { .. }) => {
                     if is_gpu {
-                        device.free(table_bytes);
+                        device.free(reserved);
                     }
                     built.resizes += 1;
                     // Double from the capacity actually granted (the pool
@@ -476,7 +471,7 @@ impl<'a> PartitionBuilder<'a> {
                 }
                 Some(e) => {
                     if is_gpu {
-                        device.free(table_bytes);
+                        device.free(reserved);
                     }
                     return Err(Failure::fatal(e.into()));
                 }

@@ -151,12 +151,18 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
+/// Bytes a frame's payload buffer grows by as its bytes arrive, so a
+/// header alone — whatever length up to the cap it claims — never costs
+/// the receiver more than this before the bytes are there.
+const RECV_STEP: usize = 64 << 10;
+
 /// Reads one frame with an explicit size cap. Timeouts *between*
 /// frames surface as [`Recv::TimedOut`], a checksum mismatch as
 /// [`Recv::Damaged`]; a timeout, EOF, zero length or over-cap length
 /// *inside* a frame is a hard [`std::io::ErrorKind::InvalidData`] error —
 /// the stream cannot be resynchronised, so the connection is dead either
-/// way.
+/// way. The payload buffer grows 64 KiB at a time as the payload
+/// arrives, never by the length a header claims.
 ///
 /// # Errors
 ///
@@ -187,9 +193,12 @@ pub fn recv_frame(r: &mut impl Read, cap: u32) -> std::io::Result<Recv> {
     if len > cap {
         return Err(bad(format!("wire frame claims {len} bytes (cap {cap})")));
     }
-    let mut payload = vec![0u8; len as usize];
+    let mut payload = Vec::new();
     let mut got = 0;
-    while got < payload.len() {
+    while got < len as usize {
+        if got == payload.len() {
+            payload.resize((got + RECV_STEP).min(len as usize), 0);
+        }
         match r.read(&mut payload[got..]) {
             Ok(0) => return Err(bad(format!("torn wire frame: EOF after {got} of {len} payload bytes"))),
             Ok(n) => got += n,
@@ -802,14 +811,21 @@ mod tests {
         buf
     }
 
-    /// Receives every frame `bytes` holds under a control-sized cap and
-    /// decodes each as a message and as a blob, until EOF or the first
-    /// error: the receive path a peer's bytes take. Returns the frames.
+    /// Receives every frame `bytes` holds under each real cap — control
+    /// and payload — and decodes each as a message and as a blob, until
+    /// EOF or the first error: the receive path a peer's bytes take.
+    /// Returns the frames, which must not depend on the cap.
     fn drain(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let control = drain_under(bytes, MAX_FRAME);
+        assert_eq!(drain_under(bytes, MAX_PAYLOAD_FRAME), control);
+        control
+    }
+
+    fn drain_under(bytes: &[u8], cap: u32) -> Vec<Vec<u8>> {
         let mut r = bytes;
         let mut frames = Vec::new();
         loop {
-            match recv_frame(&mut r, 4096) {
+            match recv_frame(&mut r, cap) {
                 Ok(Recv::Frame(payload)) => {
                     let _ = WireMsg::decode(&payload);
                     let _ = decode_blob(payload.clone());
@@ -818,6 +834,29 @@ mod tests {
                 Ok(Recv::Damaged) => {}
                 Ok(Recv::Eof | Recv::TimedOut) | Err(_) => return frames,
             }
+        }
+    }
+
+    /// A header claiming the payload cap, then EOF: a torn frame, and the
+    /// receiver never asked for more than one growth step of buffer.
+    #[test]
+    fn a_header_alone_reserves_one_step() {
+        struct Widest<'a>(&'a [u8], usize);
+        impl Read for Widest<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.1 = self.1.max(buf.len());
+                self.0.read(buf)
+            }
+        }
+        let mut bytes = MAX_PAYLOAD_FRAME.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&[7; 100_000]);
+        for sent in [8, 9, 8 + RECV_STEP, bytes.len()] {
+            let mut r = Widest(&bytes[..sent], 0);
+            let err = recv_frame(&mut r, MAX_PAYLOAD_FRAME).unwrap_err().to_string();
+            let want = format!("torn wire frame: EOF after {} of {MAX_PAYLOAD_FRAME}", sent - 8);
+            assert!(err.starts_with(&want), "{sent}: {err}");
+            assert!(r.1 <= RECV_STEP, "{sent}: a read into {} bytes", r.1);
         }
     }
 

@@ -16,8 +16,9 @@ mod matrix;
 use common::{DELAY, DROP, GARBLE};
 use matrix::*;
 
-/// Worker 1 dies on its first lease, or holds it in silence for twice
-/// its idle deadline — 100 ms heartbeats, eviction after 600 ms.
+/// Worker 1 dies on its first lease, or holds it in silence for eight
+/// times its idle deadline — 100 ms heartbeats, eviction after 600 ms,
+/// and the finished build kills it.
 const KILL_WORKER_1: &str = "shard.worker1.lease=abort@1";
 const STALL_WORKER_1: &str = "shard.worker1.lease=io-error@1";
 const STALL_DEADLINES: Env =

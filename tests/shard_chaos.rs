@@ -171,6 +171,40 @@ fn drained_cluster_falls_back_to_the_engine() {
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
+/// A worker that hangs on its first lease — silent for eight idle
+/// deadlines, 4.8 s — is evicted at the deadline, its lease built by the
+/// parent, and it does not hold the finished build: the parent waits one
+/// more deadline for it to exit, then kills it. The build returns well
+/// before the worker would wake, byte-identical.
+#[test]
+fn a_hung_worker_does_not_hold_a_finished_build() {
+    let _guard = lock();
+    let env = [
+        ("PARAHASH_FAILPOINTS", "shard.worker1.lease=io-error@1"),
+        ("PARAHASH_SHARD_HEARTBEAT_MS", "100"),
+        ("PARAHASH_SHARD_TIMEOUT_MS", "600"),
+    ];
+    if common::rerun_in_child("a_hung_worker_does_not_hold_a_finished_build", &env) {
+        return;
+    }
+    let ref_dir = common::fresh_dir("chaos-hung-ref");
+    let (ref_graph, ref_bytes) = reference(&ref_dir);
+    let dir = common::fresh_dir("chaos-hung");
+    let config = common::builder(&dir).workers(2).build().unwrap();
+    let started = std::time::Instant::now();
+    let sharded = ParaHash::new(config).unwrap().run(&common::corpus()).unwrap();
+    let took = started.elapsed();
+
+    assert_eq!(sharded.graph, ref_graph);
+    assert_eq!(common::subgraph_bytes(&dir), ref_bytes);
+    let state = RunJournal::replay(&dir).unwrap();
+    assert!(state.leases.iter().any(|&(w, _)| w == 1), "worker 1 was leased a partition");
+    let bound = std::time::Duration::from_millis(3500);
+    assert!(took < bound, "the hung worker held the build: {took:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
 /// The same drained cluster over a damaged partition file, non-strict:
 /// the parent quarantines by the engine's own rule — exactly the
 /// partition whose frames fail their checksum, nothing else — whether it
