@@ -4,7 +4,7 @@
 //! in the reproduction (not just in the code) fail CI. Exits non-zero on
 //! any failure.
 
-use hashgraph::{projected_table_bytes, slot_bytes, table_capacity_for, SizingParams, TablePool};
+use hashgraph::{projected_table_bytes, slot_bytes, table_capacity_for, SizingParams};
 use msp::DistributionSummary;
 use pipeline::perfmodel::Regime;
 use pipeline::IoMode;
@@ -137,27 +137,11 @@ pub fn checks(scale: f64) -> i32 {
         ));
 
         // The same build keeps each table's vertices in dense cells beside
-        // one-word slots: its largest table costs less than the largest
-        // table it checks out would in the paper's slot-for-slot layout
-        // (`slot_bytes(K)` a slot — sized, as Step 2 sizes it, from the
-        // partition's distinct records), and the graph is unchanged.
-        let params = SizingParams::default();
-        let mut collapse = msp::RecordCollapse::default();
-        let slots = indexed
-            .iter()
-            .map(|part| {
-                let replayed: u64 = collapse
-                    .collapse(part)
-                    .iter()
-                    .map(|&(i, _)| part.view(i as usize).kmer_count() as u64)
-                    .sum();
-                let collapsed = (replayed as f64 / params.alpha).ceil() as usize;
-                let property1 = table_capacity_for(part.total_kmers() as u64, params);
-                TablePool::capacity_class(property1.min(collapsed))
-            })
-            .max()
-            .unwrap_or(0);
-        let slot_layout = (slots * slot_bytes(K)) as u64;
+        // one-word slots: its largest table holds less than that table
+        // would in the paper's slot-for-slot layout (`slot_bytes(K)` a
+        // slot), and the graph is unchanged.
+        let slots = s2.peak_table_slots;
+        let slot_layout = slots * slot_bytes(K) as u64;
         results.push(check(
             "dense: Step 2's largest table < slot_bytes(k) x its slots, graph unchanged",
             s2.peak_table_bytes < slot_layout && outcome.graph == reference,

@@ -49,7 +49,7 @@ pub use fastq::{
     chunk_record_ranges, chunk_records, next_record_start, FastqReader, FastqSliceReader,
     FastqWriter, RecordView,
 };
-pub use input::InputBytes;
+pub use input::{InputBytes, ZeroedWords};
 pub use kmer::{Kmer, Orientation, MAX_K};
 pub use packed::{Bases, Kmers, PackedSeq};
 pub use read::SeqRead;

@@ -77,22 +77,42 @@ pub fn table_capacity_for(n_kmers: u64, params: SizingParams) -> usize {
     (slots.ceil() as usize).max(16)
 }
 
-/// Projected allocation size of the Property-1 table a partition with
+/// Projected size of the Property-1 table a partition of `k`-mers with
 /// `n_kmers` k-mer occurrences would need, in bytes — the §IV-A capacity
 /// rule, rounded up to the [`TablePool`](crate::TablePool) class Step 2
-/// could check it out at, priced at [`SLOT_BYTES`](crate::SLOT_BYTES)
-/// (four key words) per slot.
+/// could check it out at, priced at [`slot_price`](crate::slot_price)
+/// `(k)` a slot.
 ///
 /// This is the out-of-core admission check: it can be computed from the
 /// Step-1 manifest alone, *before* any table is allocated. The table a
 /// build then checks out is at most this: Step 2 sizes it at the smaller
-/// of Property 1 and the partition's collapsed k-mers over α, and
-/// [`ConcurrentDbgTable::approx_bytes`](crate::ConcurrentDbgTable::approx_bytes)
-/// prices its slots at [`slot_bytes`](crate::slot_bytes)`(k)`, which is
-/// at most [`SLOT_BYTES`](crate::SLOT_BYTES). The two are equal at
-/// k > 96 when Property 1 binds — so a partition that passes the
-/// projection also fits the budget once built (capacity-doubling retries
-/// on pathological inputs excepted).
+/// of Property 1 and the partition's collapsed k-mers over α, and a
+/// table holds at most [`slot_price`](crate::slot_price)`(k)` a slot
+/// however full ([`ConcurrentDbgTable::held_bytes`](crate::ConcurrentDbgTable::held_bytes))
+/// — so a partition that passes the projection also fits the budget once
+/// built (capacity-doubling retries on pathological inputs excepted).
+///
+/// # Examples
+///
+/// ```
+/// use hashgraph::{projected_table_bytes_for, table_capacity_for, SizingParams, TablePool};
+///
+/// let params = SizingParams::default();
+/// let slots = TablePool::capacity_class(table_capacity_for(1_000_000, params));
+/// assert_eq!(projected_table_bytes_for(1_000_000, 27, params), slots as u64 * 70);
+/// assert_eq!(projected_table_bytes_for(1_000_000, 101, params), slots as u64 * 76);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `alpha` is not in `(0, 1]` or `lambda` is negative.
+pub fn projected_table_bytes_for(n_kmers: u64, k: usize, params: SizingParams) -> u64 {
+    let slots = crate::TablePool::capacity_class(table_capacity_for(n_kmers, params));
+    slots as u64 * crate::slot_price(k) as u64
+}
+
+/// [`projected_table_bytes_for`] at any k ≤ 96, where every slot is
+/// priced at [`SLOT_BYTES`](crate::SLOT_BYTES).
 ///
 /// # Examples
 ///
@@ -108,8 +128,7 @@ pub fn table_capacity_for(n_kmers: u64, params: SizingParams) -> usize {
 ///
 /// Panics if `alpha` is not in `(0, 1]` or `lambda` is negative.
 pub fn projected_table_bytes(n_kmers: u64, params: SizingParams) -> u64 {
-    let slots = crate::TablePool::capacity_class(table_capacity_for(n_kmers, params));
-    slots as u64 * crate::SLOT_BYTES as u64
+    projected_table_bytes_for(n_kmers, 1, params)
 }
 
 #[cfg(test)]
@@ -173,24 +192,29 @@ mod tests {
 
     #[test]
     fn projection_matches_allocated_table() {
-        // The admission check prices the Property-1 class at four key
-        // words a slot; the table a pool checkout of that class hands out
-        // costs its slot words, and a cell of its own width a vertex —
-        // class rounding included in both. Full, it stays within the
-        // price at k <= 96; at k > 96, at Step 2's load.
-        for k in [27, 33, 97, 128] {
+        // The admission check prices the Property-1 class at
+        // `slot_price(k)` a slot; the table a pool checkout of that class
+        // hands out costs its slot words, and a cell of its own width a
+        // vertex — class rounding included in both. Full, at any α, it
+        // stays within the price.
+        for k in [27, 33, 96, 97, 128] {
             let pool = crate::TablePool::new(k);
-            for n_kmers in [0u64, 3, 1_000, 97_959, 123_456] {
-                let params = SizingParams::default();
-                let class = crate::TablePool::capacity_class(table_capacity_for(n_kmers, params));
-                let what = format!("k={k} n_kmers={n_kmers}");
-                let projected = projected_table_bytes(n_kmers, params);
-                assert_eq!(projected, (class * crate::SLOT_BYTES) as u64, "{what}");
-                let table = pool.checkout(table_capacity_for(n_kmers, params));
-                assert_eq!(table.approx_bytes(), class * 8, "{what}");
-                let load = if k > 96 { params.alpha } else { 1.0 };
-                let filled = class as f64 * (8.0 + load * crate::cell_bytes(k) as f64);
-                assert!(filled <= projected as f64, "{what}: {filled} > {projected}");
+            for alpha in [0.65, 1.0] {
+                for n_kmers in [0u64, 3, 1_000, 97_959, 123_456] {
+                    let params = SizingParams { alpha, ..SizingParams::default() };
+                    let capacity = table_capacity_for(n_kmers, params);
+                    let class = crate::TablePool::capacity_class(capacity);
+                    let what = format!("k={k} α={alpha} n_kmers={n_kmers}");
+                    let projected = projected_table_bytes_for(n_kmers, k, params);
+                    assert_eq!(projected, (class * crate::slot_price(k)) as u64, "{what}");
+                    if k <= 96 {
+                        assert_eq!(projected, projected_table_bytes(n_kmers, params), "{what}");
+                    }
+                    let table = pool.checkout(capacity);
+                    assert_eq!(table.held_bytes(), class * 8, "{what}");
+                    let full = class * (8 + crate::cell_bytes(k));
+                    assert!(full as u64 <= projected, "{what}: {full} > {projected}");
+                }
             }
         }
     }

@@ -78,7 +78,8 @@ pub use cells::{cell_bytes, VertexCells};
 pub use cleaning::{clip_tips, pop_bubbles};
 pub use contention::ContentionStats;
 pub use estimate::{
-    expected_distinct_vertices, projected_table_bytes, table_capacity_for, SizingParams,
+    expected_distinct_vertices, projected_table_bytes, projected_table_bytes_for,
+    table_capacity_for, SizingParams,
 };
 pub use graph::{DeBruijnGraph, EdgeDir, SubGraph, VertexData};
 pub use pool::{PooledTable, TablePool};
@@ -88,7 +89,7 @@ pub use store::{
     check_subgraph, decode_subgraph, encode_subgraph, load_graph, pack_subgraph, read_graph,
     save_graph, write_graph, StoreError,
 };
-pub use table::{slot_bytes, ConcurrentDbgTable, Recorder, VertexTable, SLOT_BYTES};
+pub use table::{slot_bytes, slot_price, ConcurrentDbgTable, Recorder, VertexTable, SLOT_BYTES};
 pub use unitig::{unitigs, unitigs_with, Unitig};
 
 /// Errors from subgraph construction.

@@ -143,13 +143,14 @@ impl TablePool {
     }
 
     /// Bytes currently shelved (idle tables awaiting reuse): their slot
-    /// words and the cell segments their tenants allocated.
+    /// words and the cells their tenants touched
+    /// ([`ConcurrentDbgTable::held_bytes`]).
     pub fn shelved_bytes(&self) -> usize {
         self.shelves
             .lock()
             .values()
             .flat_map(|shelf| shelf.iter())
-            .map(ConcurrentDbgTable::allocated_bytes)
+            .map(ConcurrentDbgTable::held_bytes)
             .sum()
     }
 
@@ -195,8 +196,8 @@ mod tests {
     use dna::{Kmer, PackedSeq};
 
     /// A tenant after a bigger one: the reset table snapshots the second
-    /// tenant's vertices alone, though the first one's cells (and the
-    /// segments holding them) are still there, and costs only its own.
+    /// tenant's vertices alone, though the first one's cells are still
+    /// there (and held), and is priced at its own.
     #[test]
     fn a_smaller_tenant_snapshots_only_its_own_vertices() {
         let pool = TablePool::new(9);
@@ -214,7 +215,7 @@ mod tests {
             record(&mut first, &big);
             assert!(first.distinct() > 40);
         }
-        let allocated = pool.shelved_bytes();
+        let held = pool.shelved_bytes();
         let mut second = pool.checkout(200);
         assert_eq!(pool.reuses(), 1);
         record(&mut second, &small);
@@ -225,7 +226,7 @@ mod tests {
         assert_eq!(second.snapshot(), fresh.snapshot());
         assert_eq!(second.contention(), fresh.contention());
         assert_eq!(second.approx_bytes(), fresh.approx_bytes());
-        assert_eq!(second.allocated_bytes(), allocated, "the first tenant's segments are kept");
+        assert_eq!(second.held_bytes(), held, "the first tenant's cells are held");
     }
 
     #[test]

@@ -1,5 +1,4 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use dna::Kmer;
 
@@ -175,7 +174,7 @@ const fn key_words(k: usize) -> usize {
 /// Bytes one slot of the paper's slot-for-slot table costs at `k`: a
 /// 2-byte tagged state word, ⌈k/32⌉ 8-byte key words and a 36-byte
 /// counter cell — 46 at k ≤ 32, then 54, 62 and, past k = 96,
-/// [`SLOT_BYTES`]. Admission prices a slot at that four-word bound; a
+/// [`SLOT_BYTES`]. Admission prices a slot at [`slot_price`]; a
 /// [`ConcurrentDbgTable`] keeps its vertices densely instead and costs an
 /// 8-byte slot word a slot plus a [`cell_bytes`] cell a vertex
 /// ([`ConcurrentDbgTable::approx_bytes`]).
@@ -194,12 +193,34 @@ pub const fn slot_bytes(k: usize) -> usize {
 }
 
 /// Bytes a slot with a four-word key costs — 70, [`slot_bytes`] of
-/// [`dna::MAX_K`]. The pre-allocation projection
-/// [`crate::projected_table_bytes`] prices every slot at this, whatever
-/// the k. A table at k ≤ 96 costs at most this a slot however full it
-/// is (8 + [`cell_bytes`] ≤ 68); at k > 96, while at most 91 % of its
-/// slots are taken.
+/// [`dna::MAX_K`]. Admission prices every slot at this up to k = 96
+/// ([`slot_price`]), where a table costs at most 8 + [`cell_bytes`] ≤ 68
+/// a slot however full it is.
 pub const SLOT_BYTES: usize = slot_bytes(dna::MAX_K);
+
+/// Bytes admission prices a slot of a `k`-mer table at
+/// ([`crate::projected_table_bytes_for`]): [`SLOT_BYTES`], or past
+/// k = 96, where a full slot of a [`ConcurrentDbgTable`] — its word and a
+/// four-key-word cell — costs 76, that. No table holds more than this a
+/// slot, however full.
+///
+/// # Examples
+///
+/// ```
+/// use hashgraph::{slot_price, SLOT_BYTES};
+///
+/// assert_eq!(slot_price(27), SLOT_BYTES);
+/// assert_eq!(slot_price(96), SLOT_BYTES);
+/// assert_eq!(slot_price(97), 76);
+/// ```
+pub const fn slot_price(k: usize) -> usize {
+    let full = SLOT_WORD_BYTES + cell_bytes(k);
+    if full > SLOT_BYTES {
+        full
+    } else {
+        SLOT_BYTES
+    }
+}
 
 /// Best-effort prefetch of the cache line holding `ptr` into all levels.
 /// A no-op on non-x86 targets.
@@ -255,8 +276,11 @@ fn prefetch<T>(ptr: *const T) {
 /// Capacity is fixed at construction (sized via Property 1 — see
 /// [`crate::table_capacity_for`]); exceeding it returns
 /// [`HashGraphError::CapacityExhausted`] rather than resizing. The cell
-/// array grows in segments of about a 64th of the capacity as vertices
-/// are claimed, so memory follows the distinct vertices, not the slots.
+/// array is allocated with the table, one cell a slot, as
+/// [`dna::ZeroedWords`] whose pages are touched only as vertices claim
+/// cells, so the memory a table holds follows its distinct vertices, not
+/// its slots ([`held_bytes`](ConcurrentDbgTable::held_bytes)), and a
+/// replay allocates nothing.
 ///
 /// # Examples
 ///
@@ -287,93 +311,48 @@ pub struct ConcurrentDbgTable {
     cells: Cells,
     /// Cells claimed so far: the next claim takes this index.
     claimed: AtomicUsize,
+    /// The most cells any earlier tenant claimed: the cells a pooled
+    /// table has touched before its current tenant.
+    touched: usize,
     stats: Counters,
 }
 
-/// A table's cell array: [`cell_words`] `u32` words a vertex, in
-/// segments of `1 << shift` cells, each allocated by the first claim that
-/// lands in it. A pooled table keeps its segments across tenants; `claim`
-/// overwrites whatever a cell's last tenant left.
+/// A table's cell array: [`cell_words`] `u32` words a vertex, room for
+/// one cell a slot, allocated with the table as [`dna::ZeroedWords`] —
+/// zero pages until written, so the memory a table holds follows the
+/// cells claimed, not the slots. A pooled table keeps the cells its
+/// earlier tenants touched; `claim` overwrites whatever a cell's last
+/// tenant left.
 struct Cells {
     /// Key words a cell holds: ⌈k/32⌉.
     width: usize,
     /// `u32` words a cell spans.
     stride: usize,
-    /// log2 of the cells a segment holds.
-    shift: u32,
-    segments: Box<[OnceLock<Box<[AtomicU32]>>]>,
+    words: dna::ZeroedWords,
 }
 
 impl Cells {
-    /// Room for `capacity` cells of `k`-mers — every slot's — in at most
-    /// 64 segments (of at least 16 cells), none allocated yet.
+    /// Room for `capacity` cells of `k`-mers — every slot's.
     fn new(capacity: usize, k: usize) -> Cells {
-        let shift = (capacity.next_power_of_two() / 64).max(16).trailing_zeros();
-        let segments = capacity.div_ceil(1 << shift);
-        Cells {
-            width: key_words(k),
-            stride: cell_words(k),
-            shift,
-            segments: (0..segments).map(|_| OnceLock::new()).collect(),
-        }
+        let stride = cell_words(k);
+        Cells { width: key_words(k), stride, words: dna::ZeroedWords::new(capacity * stride) }
     }
 
-    /// Cell `index`'s segment and the cell's offset in it.
-    #[inline(always)]
-    fn locate(&self, index: usize) -> (usize, usize) {
-        (index >> self.shift, (index & ((1 << self.shift) - 1)) * self.stride)
-    }
-
-    fn allocate(&self) -> Box<[AtomicU32]> {
-        (0..self.stride << self.shift).map(|_| AtomicU32::new(0)).collect()
-    }
-
-    /// Claimed cell `index`. Its segment exists: the claimant allocated
-    /// it before publishing the index.
+    /// Cell `index`.
     #[inline(always)]
     fn get(&self, index: usize) -> &[AtomicU32] {
-        let (segment, at) = self.locate(index);
-        let segment = self.segments[segment].get().expect("a claimed cell's segment exists");
-        &segment[at..at + self.stride]
+        &self.words[index * self.stride..][..self.stride]
     }
 
     /// [`get`](Self::get) for a writer that owns the table.
     #[inline(always)]
     fn get_mut(&mut self, index: usize) -> &mut [AtomicU32] {
-        let (segment, at) = self.locate(index);
-        let stride = self.stride;
-        let segment = self.segments[segment].get_mut().expect("a claimed cell's segment exists");
-        &mut segment[at..at + stride]
+        &mut self.words[index * self.stride..][..self.stride]
     }
 
-    /// Cell `index` for the writer that claimed it, its segment allocated
-    /// first if this is the segment's first claim.
-    #[inline(always)]
-    fn take(&self, index: usize) -> &[AtomicU32] {
-        let (segment, at) = self.locate(index);
-        &self.segments[segment].get_or_init(|| self.allocate())[at..at + self.stride]
-    }
-
-    /// [`take`](Self::take) for a writer that owns the table.
-    #[inline(always)]
-    fn take_mut(&mut self, index: usize) -> &mut [AtomicU32] {
-        let (segment, _) = self.locate(index);
-        if self.segments[segment].get().is_none() {
-            let _ = self.segments[segment].set(self.allocate());
-        }
-        self.get_mut(index)
-    }
-
-    /// The first `n` cells' words, in order. On a table still being
-    /// written, a claim in flight may not have allocated its segment yet:
-    /// the walk stops there rather than wait for it.
-    fn claimed(&self, n: usize) -> impl Iterator<Item = &AtomicU32> {
-        let per_segment = 1 << self.shift;
-        let segments = &self.segments[..n.div_ceil(per_segment)];
-        segments.iter().map_while(OnceLock::get).enumerate().flat_map(move |(s, seg)| {
-            let cells = (n - s * per_segment).min(per_segment);
-            seg[..cells * self.stride].iter()
-        })
+    /// The first `n` cells' words, in order.
+    fn claimed(&self, n: usize) -> &[AtomicU32] {
+        &self.words[..n * self.stride]
     }
 }
 
@@ -404,7 +383,8 @@ impl std::fmt::Debug for ConcurrentDbgTable {
 
 impl ConcurrentDbgTable {
     /// Allocates a table with room for `capacity` distinct `k`-mers: the
-    /// slot words now, the cells as vertices claim them.
+    /// slot words, and a zeroed cell a slot whose pages vertices touch as
+    /// they claim them.
     ///
     /// A minimum capacity of 16 is enforced so tiny partitions still
     /// leave probe headroom.
@@ -421,6 +401,7 @@ impl ConcurrentDbgTable {
             slots: (0..capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
             cells: Cells::new(capacity, k),
             claimed: AtomicUsize::new(0),
+            touched: 0,
             stats: Counters::default(),
         }
     }
@@ -436,12 +417,14 @@ impl ConcurrentDbgTable {
         self.capacity * SLOT_WORD_BYTES + self.distinct() * cell_bytes(self.k)
     }
 
-    /// Bytes the table holds allocated: its slot words and every cell
-    /// segment a claim ever allocated, reset or not.
-    pub(crate) fn allocated_bytes(&self) -> usize {
-        let segment = 4 * (self.cells.stride << self.cells.shift);
-        let segments = self.cells.segments.iter().filter(|s| s.get().is_some()).count();
-        self.capacity * SLOT_WORD_BYTES + segments * segment
+    /// Bytes of memory the table holds: its slot words, and a cell for
+    /// each of the most vertices any of its tenants — the current one
+    /// included — claimed. The cells past those are zero pages no claim
+    /// has touched. At least [`approx_bytes`](Self::approx_bytes); more
+    /// for a pooled table whose earlier tenant was bigger.
+    pub fn held_bytes(&self) -> usize {
+        let cells = self.touched.max(self.distinct());
+        self.capacity * SLOT_WORD_BYTES + cells * cell_bytes(self.k)
     }
 
     /// Clears the table for reuse without touching its allocations — the
@@ -459,7 +442,7 @@ impl ConcurrentDbgTable {
         for s in self.slots.iter_mut() {
             *s.get_mut() = EMPTY;
         }
-        *self.claimed.get_mut() = 0;
+        self.touched = self.touched.max(std::mem::take(self.claimed.get_mut()));
         self.stats = Counters::default();
     }
 
@@ -525,7 +508,7 @@ impl ConcurrentDbgTable {
         let n = self.claimed.load(Ordering::Acquire);
         let start = out.words.len();
         out.words.reserve(n * self.cells.stride);
-        out.words.extend(self.cells.claimed(n).map(|word| word.load(Ordering::Relaxed)));
+        out.words.extend(self.cells.claimed(n).iter().map(|word| word.load(Ordering::Relaxed)));
         let count = 2 * self.cells.width;
         let occurrences = out.words[start..]
             .chunks_exact(self.cells.stride)
@@ -784,7 +767,7 @@ impl SlotAccess for Shared<'_> {
         // happens-after them. Pinned by
         // `recycled_table_with_stale_counter_lines_equals_fresh`.
         let index = table.claimed.fetch_add(1, relaxed);
-        let (key, counters) = table.cells.take(index).split_at(2 * table.cells.width);
+        let (key, counters) = table.cells.get(index).split_at(2 * table.cells.width);
         for (halves, &word) in key.chunks_exact(2).zip(words) {
             halves[0].store(word as u32, relaxed);
             halves[1].store((word >> 32) as u32, relaxed);
@@ -878,7 +861,7 @@ impl SlotAccess for Owned<'_> {
         let index = *claimed;
         *claimed += 1;
         let width = table.cells.width;
-        let (key, counters) = table.cells.take_mut(index).split_at_mut(2 * width);
+        let (key, counters) = table.cells.get_mut(index).split_at_mut(2 * width);
         for (halves, &word) in key.chunks_exact_mut(2).zip(words) {
             *halves[0].get_mut() = word as u32;
             *halves[1].get_mut() = (word >> 32) as u32;
@@ -956,9 +939,8 @@ impl VertexTable for ConcurrentDbgTable {
         let occurrences = self
             .cells
             .claimed(n)
-            .skip(count)
-            .step_by(stride)
-            .map(|c| u64::from(c.load(Ordering::Relaxed)))
+            .chunks_exact(stride)
+            .map(|cell| u64::from(cell[count].load(Ordering::Relaxed)))
             .sum();
         self.contention_given(occurrences)
     }
@@ -1177,7 +1159,7 @@ mod tests {
 
     /// Read while writers claim cells, a table reports what it can —
     /// never more vertices than it has slots — and never panics on a
-    /// segment a claim in flight has not allocated yet.
+    /// cell a claim in flight is still writing.
     #[test]
     fn reading_a_table_while_it_is_written_never_panics() {
         let t = ConcurrentDbgTable::new(1 << 14, 11);
@@ -1358,13 +1340,16 @@ mod tests {
     /// Admission still prices the paper's slot — the state word, ⌈k/32⌉
     /// key words and the counter cell — while a table costs its 8-byte
     /// slot words plus a cell per claimed vertex: nothing for an empty
-    /// slot, and never more than admission's [`SLOT_BYTES`] a slot at
-    /// k ≤ 96 however full, or at k > 96 at Step 2's load (α = 0.65).
+    /// slot, and never more than admission's [`slot_price`] a slot
+    /// however full. Reset, it prices only its slot words again, while
+    /// it still holds the cells its tenant touched.
     #[test]
     fn a_table_costs_its_slot_words_and_claimed_cells() {
         assert_eq!(SLOT_BYTES, 70);
         for (k, bytes) in [(1, 46), (32, 46), (33, 54), (64, 54), (65, 62), (96, 62), (97, 70)] {
             assert_eq!(slot_bytes(k), bytes, "k={k}");
+            let price = if k > 96 { 76 } else { SLOT_BYTES };
+            assert_eq!(slot_price(k), price, "k={k}");
         }
         assert_eq!(slot_bytes(128), SLOT_BYTES);
         for k in [3usize, 32, 33, 40, 64, 65, 96, 97, 128] {
@@ -1375,19 +1360,17 @@ mod tests {
             );
             let kmers: std::collections::BTreeSet<Kmer> =
                 seq.kmers(k).map(|kmer| kmer.canonical().0).collect();
-            let full = if k > 96 { 130 } else { 200 }; // α × 200 at k > 96
-            for kmer in kmers.iter().take(full) {
+            for kmer in kmers.iter().take(200) {
                 (&mut table).record_wide(kmer, [None, None], 1).unwrap();
-                assert_eq!(
-                    table.approx_bytes(),
-                    200 * 8 + table.distinct() * cell_bytes(k),
-                    "k={k}"
-                );
+                let bytes = 200 * 8 + table.distinct() * cell_bytes(k);
+                assert_eq!((table.approx_bytes(), table.held_bytes()), (bytes, bytes), "k={k}");
             }
-            assert_eq!(table.distinct(), full.min(kmers.len()), "k={k}");
-            assert!(table.approx_bytes() <= 200 * SLOT_BYTES, "k={k}: {}", table.approx_bytes());
+            assert_eq!(table.distinct(), kmers.len().min(200), "k={k}");
+            assert!(table.held_bytes() <= 200 * slot_price(k), "k={k}: {}", table.held_bytes());
+            let held = table.held_bytes();
             table.reset();
             assert_eq!(table.approx_bytes(), 200 * 8, "k={k}: reset releases the cells' price");
+            assert_eq!(table.held_bytes(), held, "k={k}: not the cells it touched");
         }
     }
 

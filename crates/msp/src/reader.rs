@@ -9,9 +9,11 @@ use crate::{MspError, Result};
 ///
 /// The cuts come from one anchored parse of the whole file (see
 /// [`dna::chunk_records`]) over a memory mapping, which is dropped as
-/// soon as the cutting is done: a plain file's chunks are then read
+/// soon as the cutting is done: a mapped file's chunks are then read
 /// with positional reads, each into a buffer its reader supplies and
-/// reuses, so ingest holds only the chunks in flight. A gzip input is
+/// reuses, so ingest holds only the chunks in flight. An input that
+/// cannot be mapped — a pipe, a FIFO, or a platform without `mmap` — is
+/// read into memory once, and its chunks stay there. A gzip input is
 /// detected by magic number and inflated into memory, where its chunks
 /// stay. Multi-member streams (BGZF and plain concatenated gzip, the
 /// common layout for big sequencing runs) are inflated member-parallel
@@ -43,12 +45,13 @@ pub struct FastqChunks {
 /// Where a [`FastqChunks`]' bytes are read from.
 #[derive(Debug)]
 enum Text {
-    /// The plain input file, read at each chunk's offset.
-    #[cfg(unix)]
+    /// A file that could be mapped: cut over its mapping, then read at
+    /// each chunk's offset.
+    #[cfg(all(unix, target_pointer_width = "64"))]
     File(std::fs::File),
-    /// The whole text in memory: an inflated gzip stream (or, without
-    /// positional reads, the file's bytes).
-    Memory(Vec<u8>),
+    /// The whole text in memory: an inflated gzip stream, or an input
+    /// that could not be mapped.
+    Memory(dna::InputBytes),
 }
 
 impl FastqChunks {
@@ -60,28 +63,20 @@ impl FastqChunks {
     /// Returns [`MspError::Io`] if the file cannot be read or its gzip
     /// framing is invalid.
     pub fn open(path: impl AsRef<Path>, target_bytes: usize) -> Result<FastqChunks> {
-        let path = path.as_ref();
         let file = std::fs::File::open(path)?;
-        let input = dna::InputBytes::open(path)?;
+        let mut input = dna::InputBytes::from_file(&file)?;
         if dna::gzip::is_gzip(input.as_bytes()) {
             let inflated = decompress_parallel(input.as_bytes())
                 .map_err(|e| MspError::Io(std::io::Error::other(e)))?;
-            drop(input);
-            let chunks = dna::chunk_records(&inflated, target_bytes);
-            return Ok(FastqChunks { text: Text::Memory(inflated), chunks });
+            input = dna::InputBytes::from_vec(inflated);
         }
         let chunks = dna::chunk_records(input.as_bytes(), target_bytes);
-        #[cfg(unix)]
-        let text = {
+        #[cfg(all(unix, target_pointer_width = "64"))]
+        if input.is_mapped() {
             drop(input);
-            Text::File(file)
-        };
-        #[cfg(not(unix))]
-        let text = {
-            drop(file);
-            Text::Memory(input.as_bytes().to_vec())
-        };
-        Ok(FastqChunks { text, chunks })
+            return Ok(FastqChunks { text: Text::File(file), chunks });
+        }
+        Ok(FastqChunks { text: Text::Memory(input), chunks })
     }
 
     /// Chunk `index`'s byte range. The ranges are record-aligned and
@@ -111,7 +106,7 @@ impl FastqChunks {
     }
 
     /// The bytes of chunk `index`, which start at a record boundary:
-    /// read into `buffer` (its capacity reused) from a plain file,
+    /// read into `buffer` (its capacity reused) from a mapped file,
     /// borrowed from memory otherwise.
     ///
     /// # Errors
@@ -125,7 +120,7 @@ impl FastqChunks {
     pub fn chunk<'s>(&'s self, index: usize, buffer: &'s mut Vec<u8>) -> std::io::Result<&'s [u8]> {
         let range = self.range(index);
         match &self.text {
-            #[cfg(unix)]
+            #[cfg(all(unix, target_pointer_width = "64"))]
             Text::File(file) => {
                 use std::os::unix::fs::FileExt;
                 buffer.clear();
@@ -133,7 +128,7 @@ impl FastqChunks {
                 file.read_exact_at(buffer, range.start as u64)?;
                 Ok(buffer)
             }
-            Text::Memory(bytes) => Ok(&bytes[range]),
+            Text::Memory(bytes) => Ok(&bytes.as_bytes()[range]),
         }
     }
 }
@@ -301,6 +296,34 @@ mod tests {
         assert!(!mapped(), "the mapping outlived the cut");
         let last = chunks.n_chunks() - 1;
         assert!(chunks.chunk(last, &mut Vec::new()).unwrap().ends_with(b"\n"));
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// A FIFO cannot be mapped or read at an offset: its bytes are read
+    /// once, as it streams, and its chunks are served from memory.
+    #[cfg(unix)]
+    #[test]
+    fn fastq_chunks_read_a_fifo_once() {
+        let text = fastq_text(300);
+        let path = tmpdir("chunks-fifo").with_extension("fastq");
+        let made = std::process::Command::new("mkfifo").arg(&path).status();
+        if !made.is_ok_and(|status| status.success()) {
+            eprintln!("skipping: mkfifo unavailable");
+            return;
+        }
+        let writer = {
+            let (path, text) = (path.clone(), text.clone());
+            std::thread::spawn(move || fs::write(path, text).unwrap())
+        };
+        let chunks = FastqChunks::open(&path, 1024).unwrap();
+        writer.join().unwrap();
+        assert!(chunks.n_chunks() > 3);
+        let mut rejoined = Vec::new();
+        let mut buffer = Vec::new();
+        for i in 0..chunks.n_chunks() {
+            rejoined.extend_from_slice(chunks.chunk(i, &mut buffer).unwrap());
+        }
+        assert_eq!(rejoined, text.as_bytes());
         fs::remove_file(&path).unwrap();
     }
 

@@ -344,7 +344,7 @@ impl ParaHashConfigBuilder {
 
     /// Sets the byte budget for a single partition's Property-1 hash
     /// table in Step 2. A partition whose projected table
-    /// ([`hashgraph::projected_table_bytes`] from its manifest k-mer
+    /// ([`hashgraph::projected_table_bytes_for`] from its manifest k-mer
     /// count) exceeds this budget is split by a second-level minimizer
     /// hash into sub-partitions, each built with its own (budget-sized)
     /// table and merged — byte-identical to the unsplit build. The

@@ -86,6 +86,8 @@ pub struct StepReport {
     /// buffer and the table coexist during a launch — host-memory
     /// accounting must *add* them, not take the max.
     pub peak_table_bytes: u64,
+    /// Step-2 only: slots of the largest hash table (0 in Step 1).
+    pub peak_table_slots: u64,
     /// Step-1 only: peak bytes held by the resident
     /// [`msp::PartitionStore`] (0 at partition budget 0 — every two-phase
     /// run — and in Step-2 reports). Resident partitions coexist with the in-flight
@@ -129,6 +131,7 @@ impl StepReport {
             resizes: 0,
             peak_partition_bytes: 0,
             peak_table_bytes: 0,
+            peak_table_slots: 0,
             peak_resident_store_bytes: 0,
             quarantined: Vec::new(),
             sub_splits: Vec::new(),
@@ -284,6 +287,7 @@ mod tests {
             resizes: 0,
             peak_partition_bytes: 0,
             peak_table_bytes: 0,
+            peak_table_slots: 0,
             peak_resident_store_bytes: 0,
             quarantined: Vec::new(),
             sub_splits: Vec::new(),

@@ -990,15 +990,17 @@ fn next_input(seat: &mut Seat<'_, '_, Input, Option<Built>>) -> Option<(usize, (
 }
 
 /// A worker's `result` detail for what it built: `ok <resizes> <peak
-/// table bytes> <fanout> <insertions> <updates> <probe steps> <tag
-/// rejects> <replayed k-mers>`. A worker is one core, whose tables take
-/// no CAS and wait on no lock, so those two counters are 0 and not sent.
+/// table bytes> <peak table slots> <fanout> <insertions> <updates> <probe
+/// steps> <tag rejects> <replayed k-mers>`. A worker is one core, whose
+/// tables take no CAS and wait on no lock, so those two counters are 0
+/// and not sent.
 fn outcome_detail(built: &Built) -> String {
     let c = &built.contention;
     format!(
-        "ok {} {} {} {} {} {} {} {}",
+        "ok {} {} {} {} {} {} {} {} {}",
         built.resizes,
         built.peak_table_bytes,
+        built.peak_table_slots,
         built.fanout,
         c.insertions,
         c.updates,
@@ -1009,12 +1011,13 @@ fn outcome_detail(built: &Built) -> String {
 }
 
 /// Parses [`outcome_detail`] back into the accounting of a [`Built`]
-/// (image and partition bytes left empty); `None` unless all eight
+/// (image and partition bytes left empty); `None` unless all nine
 /// counts are there.
 fn parse_outcome(detail: &str) -> Option<Built> {
     let mut fields = detail.strip_prefix("ok ")?.split_whitespace().map(str::parse::<u64>);
     let mut next = || fields.next()?.ok();
-    let (resizes, peak_table_bytes, fanout) = (next()? as usize, next()?, next()? as usize);
+    let (resizes, peak_table_bytes) = (next()? as usize, next()?);
+    let (peak_table_slots, fanout) = (next()?, next()? as usize);
     let contention = ContentionStats {
         insertions: next()?,
         updates: next()?,
@@ -1028,6 +1031,7 @@ fn parse_outcome(detail: &str) -> Option<Built> {
         replayed_kmers,
         resizes,
         peak_table_bytes,
+        peak_table_slots,
         fanout,
         ..Built::default()
     })
@@ -1204,14 +1208,21 @@ mod tests {
             replayed_kmers: 12,
             resizes: 1,
             peak_table_bytes: 4096,
+            peak_table_slots: 512,
             fanout: 2,
             ..Built::default()
         };
         let back = parse_outcome(&outcome_detail(&built)).expect("own detail parses");
         assert_eq!(back.contention, contention);
         assert_eq!(
-            (back.replayed_kmers, back.resizes, back.peak_table_bytes, back.fanout),
-            (12, 1, 4096, 2)
+            (
+                back.replayed_kmers,
+                back.resizes,
+                back.peak_table_bytes,
+                back.peak_table_slots,
+                back.fanout
+            ),
+            (12, 1, 4096, 512, 2)
         );
         assert!(parse_outcome("ok 0 4096 0").is_none());
     }

@@ -377,6 +377,7 @@ pub(crate) fn step1_into(
         resizes: 0,
         peak_partition_bytes: peak_batch,
         peak_table_bytes: 0, // Step 1 allocates no hash tables
+        peak_table_slots: 0,
         peak_resident_store_bytes: store.peak_resident_bytes(),
         quarantined: Vec::new(),
         sub_splits: Vec::new(),

@@ -37,9 +37,13 @@ pub(crate) struct Built {
     pub replayed_kmers: u64,
     /// Capacity-retry rebuilds this partition needed.
     pub resizes: usize,
-    /// Peak hash-table bytes, slot words and claimed cells, as each table
-    /// finished (the largest sub-table when split).
+    /// Peak hash-table bytes held, as each table finished: its slot words
+    /// and the cells its tenants touched
+    /// ([`ConcurrentDbgTable::held_bytes`](hashgraph::ConcurrentDbgTable::held_bytes);
+    /// the largest sub-table when split).
     pub peak_table_bytes: u64,
+    /// Slots of the largest table the partition's build checked out.
+    pub peak_table_slots: u64,
     /// Out-of-core fanout: 0 when the partition fit its budget and was
     /// built in one table, ≥ 2 when it was sub-partitioned.
     pub fanout: usize,
@@ -293,7 +297,8 @@ impl<'a> PartitionBuilder<'a> {
         n_kmers: u64,
     ) -> std::result::Result<Built, Failure> {
         let mut built = Built { partition_bytes: bytes.len() as u64, ..Built::default() };
-        let projected_bytes = hashgraph::projected_table_bytes(n_kmers, self.config.sizing);
+        let projected_bytes =
+            hashgraph::projected_table_bytes_for(n_kmers, self.config.k, self.config.sizing);
         let budget = self.config.table_memory_budget;
         let mut cells = VertexCells::new(self.config.k);
         if projected_bytes <= budget {
@@ -446,7 +451,8 @@ impl<'a> PartitionBuilder<'a> {
                     replay_chunk(pipe, slices, &records[range], error);
                 });
             }
-            built.peak_table_bytes = built.peak_table_bytes.max(table.approx_bytes() as u64);
+            built.peak_table_bytes = built.peak_table_bytes.max(table.held_bytes() as u64);
+            built.peak_table_slots = built.peak_table_slots.max(table.capacity() as u64);
             match kernel_error.into_inner() {
                 None => {
                     let before = cells.approx_bytes();
@@ -550,6 +556,7 @@ pub(crate) struct Step2Shared<'a> {
     total_replayed: AtomicU64,
     total_resizes: AtomicUsize,
     peak_table: AtomicU64,
+    peak_table_slots: AtomicU64,
     peak_partition: AtomicU64,
     first_error: OnceLock<ParaHashError>,
     quarantined: Mutex<Vec<QuarantinedPartition>>,
@@ -584,6 +591,7 @@ impl<'a> Step2Shared<'a> {
             total_replayed: AtomicU64::new(0),
             total_resizes: AtomicUsize::new(0),
             peak_table: AtomicU64::new(0),
+            peak_table_slots: AtomicU64::new(0),
             peak_partition: AtomicU64::new(0),
             first_error: OnceLock::new(),
             quarantined: Mutex::new(Vec::new()),
@@ -719,6 +727,7 @@ impl<'a> Step2Shared<'a> {
         self.total_replayed.fetch_add(built.replayed_kmers, Ordering::Relaxed);
         self.total_resizes.fetch_add(built.resizes, Ordering::Relaxed);
         self.peak_table.fetch_max(built.peak_table_bytes, Ordering::Relaxed);
+        self.peak_table_slots.fetch_max(built.peak_table_slots, Ordering::Relaxed);
         self.peak_partition.fetch_max(built.partition_bytes, Ordering::Relaxed);
         if built.fanout >= 2 {
             self.sub_splits.lock().push((idx, built.fanout));
@@ -769,6 +778,7 @@ impl<'a> Step2Shared<'a> {
             resizes: self.total_resizes.into_inner(),
             peak_partition_bytes: self.peak_partition.into_inner(),
             peak_table_bytes: self.peak_table.into_inner(),
+            peak_table_slots: self.peak_table_slots.into_inner(),
             peak_resident_store_bytes: 0,
             quarantined,
             sub_splits,

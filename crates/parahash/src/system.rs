@@ -776,7 +776,7 @@ mod tests {
         let (manifest, _, _) = crate::step1::tests::step1(&probe, &reads);
         let largest = manifest.stats().iter().map(|s| s.kmers).max().unwrap();
         std::fs::remove_dir_all(probe.work_dir()).unwrap();
-        let budget = hashgraph::projected_table_bytes(largest, probe.sizing);
+        let budget = hashgraph::projected_table_bytes_for(largest, probe.k, probe.sizing);
         let ph = ParaHash::new(
             corpus_builder("parahash-sys-budget").table_memory_budget(budget).build().unwrap(),
         )
@@ -826,7 +826,7 @@ mod tests {
         let (manifest, _, _) = crate::step1::tests::step1(&cfg, &reads);
         let largest = manifest.stats().iter().map(|s| s.kmers).max().unwrap();
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
-        let projected = hashgraph::projected_table_bytes(largest, cfg.sizing);
+        let projected = hashgraph::projected_table_bytes_for(largest, cfg.k, cfg.sizing);
         let step2 = ParaHash::new(cfg.clone()).unwrap().run_fused(&reads).unwrap().report.step2;
         assert_eq!(step2.resizes, 0, "every table held its partition");
         assert!(

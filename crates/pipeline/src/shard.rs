@@ -79,8 +79,9 @@ use parking_lot::Mutex;
 /// updates, probe steps, tag rejects, replayed k-mers) to a `result`'s
 /// detail. Version 5 ships partition payloads whose records may be
 /// weighted (flag bit 6 and a LEB128 copy count), which a version-4
-/// worker would misread.
-pub const PROTO_VERSION: u32 = 5;
+/// worker would misread. Version 6 added the slots of the largest table
+/// to a `result`'s detail, after its peak table bytes.
+pub const PROTO_VERSION: u32 = 6;
 
 /// Upper bound on a single *control* frame. Control messages are short
 /// text (the config blob is the largest, well under a kilobyte);

@@ -118,23 +118,17 @@ fn step2_replay_path_does_not_allocate() {
     for k in [K, 40] {
         let bytes = msp::partition_in_memory(&reads, k, P, 1).unwrap().remove(0);
         let slices = PartitionSlices::index(&bytes, k, P).unwrap();
-        let mut table = ConcurrentDbgTable::new(slices.total_kmers() * 2, k);
+        let table = ConcurrentDbgTable::new(slices.total_kmers() * 2, k);
         let kernel = ReplayKernel::new(k);
-        let replay = |table: &ConcurrentDbgTable| {
-            let mut pipe = ReplayPipeline::new(kernel, table);
+        // A cold table, so the counted window covers insertions as well
+        // as counter updates.
+        let (allocs, ()) = counted(|| {
+            let mut pipe = ReplayPipeline::new(kernel, &table);
             for i in 0..slices.len() {
                 pipe.record_view(&slices.view(i)).unwrap();
             }
             pipe.flush().unwrap();
-        };
-        // A cold table allocates its cells as vertices claim them, a
-        // segment (a 64th of the slots) at a time — per table, never per
-        // record. Reset, it keeps them: the counted window covers
-        // insertions as well as counter updates.
-        let (cold, ()) = counted(|| replay(&table));
-        assert!(cold <= 64, "k={k}: {cold} allocations for a cold table's cells");
-        table.reset();
-        let (allocs, ()) = counted(|| replay(&table));
+        });
         assert_eq!(allocs, 0, "k={k}: replay of {} records", slices.len());
         assert_eq!(table.contention().operations(), slices.total_kmers() as u64);
 
