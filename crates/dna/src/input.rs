@@ -7,7 +7,9 @@
 //! on 64-bit unix (falling back to an owned `std::fs::read` buffer on
 //! other platforms, for empty files, or when the map syscall fails), so
 //! the OS pages data in on demand instead of the reader copying it up
-//! front.
+//! front. The same mapping holds a graph's committed subgraph files
+//! ([`InputBytes::map`], with no read fallback), and [`InputBytes::to_mut`]
+//! turns a mapped view into an owned copy before anything changes it.
 //!
 //! [`ZeroedWords`] maps anonymous memory the same way on 64-bit Linux,
 //! so a large array costs pages only where words are written.
@@ -17,7 +19,9 @@
 //!
 //! Caveat inherent to mapping: if another process truncates the file
 //! while it is mapped, reads past the new end fault (`SIGBUS`). ParaHash
-//! treats input files as immutable for the duration of a run.
+//! treats input files as immutable for the duration of a run, and a
+//! graph's subgraph files as immutable while the graph lives; unlinking a
+//! mapped file, or renaming another over it, leaves the mapping intact.
 
 use std::io;
 use std::path::Path;
@@ -55,13 +59,31 @@ impl InputBytes {
     /// Returns the underlying I/O error if the file cannot be read. A
     /// failed `mmap` is not an error — it falls back to reading.
     pub fn from_file(file: &std::fs::File) -> io::Result<InputBytes> {
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        if let Some(mapping) = Mapping::map(file)? {
-            return Ok(InputBytes { data: Data::Mapped(mapping) });
+        if let Some(mapped) = InputBytes::map(file)? {
+            return Ok(mapped);
         }
         let mut bytes = Vec::new();
         io::Read::read_to_end(&mut &*file, &mut bytes)?;
         Ok(InputBytes { data: Data::Owned(bytes) })
+    }
+
+    /// A private read-only mapping of the whole of `file`, no byte of it
+    /// read; `Ok(None)` where there is none to be had — an empty file, a
+    /// pipe, a platform without `mmap`, or a refused syscall (say, the
+    /// process's map count at its limit).
+    ///
+    /// # Errors
+    ///
+    /// The `metadata` failure, when the file cannot be inspected.
+    pub fn map(file: &std::fs::File) -> io::Result<Option<InputBytes>> {
+        #[cfg(all(unix, target_pointer_width = "64"))]
+        let mapped = Mapping::map(file)?.map(|mapping| InputBytes { data: Data::Mapped(mapping) });
+        #[cfg(not(all(unix, target_pointer_width = "64")))]
+        let mapped = {
+            let _ = file;
+            None
+        };
+        Ok(mapped)
     }
 
     /// Wraps an already-materialised buffer (e.g. decompressed gzip).
@@ -75,6 +97,21 @@ impl InputBytes {
             Data::Owned(v) => v,
             #[cfg(all(unix, target_pointer_width = "64"))]
             Data::Mapped(m) => m.as_bytes(),
+        }
+    }
+
+    /// The bytes as an owned buffer to change, copied out of the mapping
+    /// first if they are mapped: the view becomes owned for good, and no
+    /// write ever reaches the file.
+    pub fn to_mut(&mut self) -> &mut Vec<u8> {
+        #[cfg(all(unix, target_pointer_width = "64"))]
+        if let Data::Mapped(mapping) = &self.data {
+            self.data = Data::Owned(mapping.as_bytes().to_vec());
+        }
+        match &mut self.data {
+            Data::Owned(bytes) => bytes,
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Data::Mapped(_) => unreachable!("copied out above"),
         }
     }
 
@@ -333,11 +370,27 @@ mod tests {
     }
 
     #[test]
+    fn to_mut_copies_a_mapping_and_leaves_the_file_alone() {
+        let contents: Vec<u8> = (0..10_000u32).map(|i| (i % 13) as u8).collect();
+        let p = tmpfile("cow", &contents);
+        let file = std::fs::File::open(&p).unwrap();
+        let mapped = InputBytes::map(&file).unwrap();
+        let mut bytes = mapped.unwrap_or_else(|| InputBytes::from_vec(contents.clone()));
+        bytes.to_mut()[5] = 0xFF;
+        bytes.to_mut().push(7);
+        assert!(!bytes.is_mapped(), "an owned copy from the first change on");
+        assert_eq!((bytes.as_bytes()[5], bytes.as_bytes().len()), (0xFF, contents.len() + 1));
+        assert_eq!(std::fs::read(&p).unwrap(), contents, "the file is untouched");
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
     fn empty_file_falls_back_to_owned() {
         let p = tmpfile("empty", b"");
         let input = InputBytes::open(&p).unwrap();
         assert!(input.as_bytes().is_empty());
         assert!(!input.is_mapped());
+        assert!(InputBytes::map(&std::fs::File::open(&p).unwrap()).unwrap().is_none());
         std::fs::remove_file(&p).unwrap();
     }
 

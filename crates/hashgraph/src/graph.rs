@@ -2,7 +2,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
-use dna::{Base, Kmer, Orientation};
+use dna::{Base, InputBytes, Kmer, Orientation};
 
 use crate::store::{self, Codec};
 
@@ -181,14 +181,25 @@ impl SubGraph {
 /// index, canonical k-mer → `(run, position)`, that exists only once
 /// somebody asks for a vertex by key.
 ///
-/// A committed subgraph file *is* a run: [`absorb_encoded`](Self::absorb_encoded)
-/// keeps its bytes, header and trailer trimmed, without a copy.
+/// A committed subgraph file *is* a run: [`absorb_file`](Self::absorb_file)
+/// maps the file read-only and keeps the mapping, so the graph a build
+/// returns holds no second copy of what it committed; the page cache holds
+/// the bytes, and nothing reads them until somebody walks or looks up the
+/// graph. [`absorb_encoded`](Self::absorb_encoded) keeps a container
+/// image's bytes, header and trailer trimmed, without a copy.
 /// [`absorb`](Self::absorb) packs a table snapshot into the same layout.
 /// Vertices come out by value ([`iter`](Self::iter), [`get`](Self::get)),
-/// decoded by a codec chosen once per run.
+/// decoded by a codec chosen once per run. A mutation copies a mapped run
+/// to an owned buffer first, and never writes to the file. The files a
+/// graph maps must not be cut short in place while it lives (reading
+/// past the new end faults with `SIGBUS`); unlinking them, or renaming
+/// another file over them, leaves the mapping as it was.
 ///
-/// Assembling a graph and walking all of it — the `absorb`s,
-/// [`iter`](Self::iter), the totals, [`crate::write_graph`] — never
+/// Assembling a graph and counting it — the `absorb`s,
+/// [`distinct_vertices`](Self::distinct_vertices),
+/// [`total_kmer_occurrences`](Self::total_kmer_occurrences) — reads no
+/// run, mapped or owned: the totals are kept as runs come and go.
+/// Walking all of it ([`iter`](Self::iter), [`crate::write_graph`]) never
 /// hashes a k-mer. The first keyed access ([`get`](Self::get),
 /// [`successors`](Self::successors) / [`predecessors`](Self::predecessors),
 /// `==`, [`merge_vertex`](Self::merge_vertex),
@@ -224,28 +235,48 @@ pub struct DeBruijnGraph {
     runs: Vec<Run>,
     /// Σ run lengths.
     len: usize,
+    /// Σ vertex counts, kept by every absorb and mutation.
+    kmers: u64,
     /// Position of every vertex in `runs`. Unset until the first keyed
     /// access; every `&mut` method either keeps it exact or unsets it.
     index: OnceLock<KmerIndex>,
 }
 
-/// One run of vertices: `bytes[start..]` is a whole number of records of
-/// `codec`'s shape. `start` skips the header of an absorbed container
-/// image; a run packed here starts at 0.
-#[derive(Debug, Clone)]
+/// One run of vertices: `bytes[start..end]` is a whole number of records
+/// of `codec`'s shape. `start` skips the header of an absorbed container
+/// image and `end` its trailer; a run packed here spans its whole buffer.
+/// The bytes are owned, or a private read-only mapping of a committed
+/// file ([`DeBruijnGraph::absorb_file`]); the first mutation turns a
+/// mapped run into an owned one ([`bytes_mut`](Self::bytes_mut)). An
+/// owned run's records end where its buffer does.
+#[derive(Debug)]
 struct Run {
-    bytes: Vec<u8>,
+    bytes: InputBytes,
     start: usize,
+    end: usize,
     codec: Codec,
 }
 
+impl Clone for Run {
+    /// An owned copy of the records, a mapped run's read from its mapping.
+    fn clone(&self) -> Run {
+        Run::owned(self.records().to_vec(), 0, self.codec)
+    }
+}
+
 impl Run {
+    /// A run over `bytes[start..]`, owned.
+    fn owned(bytes: Vec<u8>, start: usize, codec: Codec) -> Run {
+        let end = bytes.len();
+        Run { bytes: InputBytes::from_vec(bytes), start, end, codec }
+    }
+
     fn records(&self) -> &[u8] {
-        &self.bytes[self.start..]
+        &self.bytes.as_bytes()[self.start..self.end]
     }
 
     fn len(&self) -> usize {
-        self.records().len() / self.codec.len()
+        (self.end - self.start) / self.codec.len()
     }
 
     /// Where record `pos` sits in `bytes`.
@@ -255,12 +286,21 @@ impl Run {
     }
 
     fn vertex(&self, pos: usize) -> (Kmer, VertexData) {
-        self.codec.read(&self.bytes[self.span(pos)])
+        self.codec.read(&self.bytes.as_bytes()[self.span(pos)])
     }
 
     fn iter(&self) -> impl Iterator<Item = (Kmer, VertexData)> + '_ {
         let codec = self.codec;
         self.records().chunks_exact(codec.len()).map(move |record| codec.read(record))
+    }
+
+    /// The bytes to change, owned: a mapped run is copied out of its
+    /// mapping first (nothing is written through to the file) and its
+    /// trailer dropped. A caller that changes the length sets `end`.
+    fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        let bytes = self.bytes.to_mut();
+        bytes.truncate(self.end);
+        bytes
     }
 
     /// Repacks the run at the width `data`'s counters need, if that is
@@ -277,48 +317,65 @@ impl Run {
             let (kmer, vertex) = self.codec.read(src);
             wider.write(dst, &kmer, &vertex);
         }
-        *self = Run { bytes, start: 0, codec: wider };
+        *self = Run::owned(bytes, 0, wider);
     }
 
     /// Overwrites record `pos`, widening the run first if need be.
     fn set(&mut self, pos: usize, kmer: &Kmer, data: &VertexData) {
         self.fit(data);
-        let span = self.span(pos);
-        self.codec.write(&mut self.bytes[span], kmer, data);
+        let (span, codec) = (self.span(pos), self.codec);
+        codec.write(&mut self.bytes_mut()[span], kmer, data);
     }
 
     /// Appends a record, widening the run first if need be.
     fn push(&mut self, kmer: Kmer, data: VertexData) {
         self.fit(&data);
-        let at = self.bytes.len();
-        self.bytes.resize(at + self.codec.len(), 0);
-        self.codec.write(&mut self.bytes[at..], &kmer, &data);
+        let codec = self.codec;
+        let bytes = self.bytes_mut();
+        let at = bytes.len();
+        bytes.resize(at + codec.len(), 0);
+        codec.write(&mut bytes[at..], &kmer, &data);
+        self.end = bytes.len();
     }
 
     /// Removes record `pos` by moving the last record into its place;
     /// returns the moved record's k-mer, if one moved.
     fn swap_remove(&mut self, pos: usize) -> Option<Kmer> {
-        let (hole, last) = (self.span(pos), self.span(self.len() - 1));
+        let (hole, last, codec) = (self.span(pos), self.span(self.len() - 1), self.codec);
+        let bytes = self.bytes_mut();
         let moved = (hole != last).then(|| {
-            self.bytes.copy_within(last.clone(), hole.start);
-            self.codec.key(&self.bytes[hole])
+            bytes.copy_within(last.clone(), hole.start);
+            codec.key(&bytes[hole])
         });
-        self.bytes.truncate(last.start);
+        bytes.truncate(last.start);
+        self.end = last.start;
         moved
     }
 
     /// Keeps the records whose count is at least `min_count`, compacted
-    /// in place in their order.
-    fn retain(&mut self, min_count: u32) {
-        let len = self.codec.len();
-        let mut kept = self.start;
-        for at in (self.start..self.bytes.len()).step_by(len) {
-            if self.codec.sum(&self.bytes[at..at + len], 0..1) >= u64::from(min_count) {
-                self.bytes.copy_within(at..at + len, kept);
+    /// in place in their order; returns the occurrences dropped. A run
+    /// that keeps every record is left as it is, mapped or not.
+    fn retain(&mut self, min_count: u32) -> u64 {
+        let (len, codec) = (self.codec.len(), self.codec);
+        let count = |record: &[u8]| codec.sum(record, 0..1);
+        let min_count = u64::from(min_count);
+        let Some(first) = self.records().chunks_exact(len).position(|r| count(r) < min_count) else {
+            return 0;
+        };
+        let mut kept = self.start + first * len;
+        let (bytes, mut dropped) = (self.bytes_mut(), 0);
+        for at in (kept..bytes.len()).step_by(len) {
+            let n = count(&bytes[at..at + len]);
+            if n >= min_count {
+                bytes.copy_within(at..at + len, kept);
                 kept += len;
+            } else {
+                dropped += n;
             }
         }
-        self.bytes.truncate(kept);
+        bytes.truncate(kept);
+        self.end = kept;
+        dropped
     }
 }
 
@@ -337,7 +394,7 @@ impl Eq for DeBruijnGraph {}
 impl DeBruijnGraph {
     /// An empty graph for k-mers of length `k`.
     pub fn new(k: usize) -> DeBruijnGraph {
-        DeBruijnGraph { k, runs: Vec::new(), len: 0, index: OnceLock::new() }
+        DeBruijnGraph { k, runs: Vec::new(), len: 0, kmers: 0, index: OnceLock::new() }
     }
 
     /// The k-mer length.
@@ -365,16 +422,18 @@ impl DeBruijnGraph {
         if sub.is_empty() {
             return;
         }
+        let kmers = sub.entries().iter().map(|(_, data)| u64::from(data.count)).sum();
         let cells = crate::VertexCells::from(&sub);
         let (bytes, codec) = store::pack_run(&cells, false, 0, 0, Vec::new());
-        self.push_run(Run { bytes, start: 0, codec });
+        self.push_run(Run::owned(bytes, 0, codec), kmers);
     }
 
     /// Takes one vertex-run container image — a committed `sub-*.dbg`
     /// file's bytes, [`crate::encode_subgraph`]'s or
     /// [`crate::pack_subgraph`]'s — into the graph as one more run: the
     /// header and CRC trailer are trimmed off, the records stay where
-    /// they are. O(1), nothing is copied, decoded or hashed.
+    /// they are. Nothing is copied, decoded or hashed; the count column
+    /// is summed once for [`total_kmer_occurrences`](Self::total_kmer_occurrences).
     ///
     /// The caller has checked the image ([`crate::check_subgraph`], or it
     /// encoded the image itself); only the header is read here, and the
@@ -385,20 +444,56 @@ impl DeBruijnGraph {
     ///
     /// Panics if the header is malformed or does not match the image's
     /// length, or declares a different `k`.
-    pub fn absorb_encoded(&mut self, image: Vec<u8>) {
-        let (bytes, start, codec) = store::records_of(image)
-            .unwrap_or_else(|e| panic!("`absorb_encoded` takes a checked container: {e}"));
-        let k = codec.k();
-        assert_eq!(k, self.k, "cannot absorb a k={k} subgraph into a k={} graph", self.k);
-        let run = Run { bytes, start, codec };
-        if run.len() > 0 {
-            self.push_run(run);
-        }
+    pub fn absorb_encoded(&mut self, mut image: Vec<u8>) {
+        let (records, codec) = self.checked_span(&image);
+        let kmers = codec.sum(&image[records.clone()], 0..1);
+        image.truncate(records.end);
+        self.push_run(Run::owned(image, records.start, codec), kmers);
     }
 
-    fn push_run(&mut self, run: Run) {
+    /// Takes a committed container file into the graph as one more run,
+    /// mapped: `image` is the file's bytes, checked, as the caller read
+    /// or wrote them through `file`. The header, the records' span and
+    /// the k-mer total come from `image`; the run's bytes are a private
+    /// read-only mapping of `file` — the same handle, so no other file can
+    /// take its place in between — which nothing here reads. Once this
+    /// returns the caller may drop or reuse `image`. Where `file` cannot
+    /// be mapped (no `mmap`, a refused syscall) or no longer has
+    /// `image`'s length, the run is an owned copy of `image`.
+    ///
+    /// Keys must be new to the graph, as for [`absorb`](Self::absorb).
+    ///
+    /// # Panics
+    ///
+    /// As [`absorb_encoded`](Self::absorb_encoded).
+    pub fn absorb_file(&mut self, file: &std::fs::File, image: &[u8]) {
+        let (records, codec) = self.checked_span(image);
+        let kmers = codec.sum(&image[records.clone()], 0..1);
+        let mapped = InputBytes::map(file).ok().flatten();
+        let bytes = mapped
+            .filter(|bytes| bytes.as_bytes().len() == image.len())
+            .unwrap_or_else(|| InputBytes::from_vec(image[..records.end].to_vec()));
+        self.push_run(Run { bytes, start: records.start, end: records.end, codec }, kmers);
+    }
+
+    /// The records' span and codec of a checked container image for this
+    /// graph's `k`.
+    fn checked_span(&self, image: &[u8]) -> (std::ops::Range<usize>, Codec) {
+        let (records, codec) = store::records_span(image)
+            .unwrap_or_else(|e| panic!("the graph takes a checked container: {e}"));
+        let k = codec.k();
+        assert_eq!(k, self.k, "cannot absorb a k={k} subgraph into a k={} graph", self.k);
+        (records, codec)
+    }
+
+    /// Adds `run`, holding `kmers` occurrences, unless it is empty.
+    fn push_run(&mut self, run: Run, kmers: u64) {
+        if run.len() == 0 {
+            return;
+        }
         self.index.take();
         self.len += run.len();
+        self.kmers += kmers;
         self.runs.push(run);
     }
 
@@ -443,16 +538,18 @@ impl DeBruijnGraph {
             let mut merged = run.vertex(pos as usize).1;
             merged.merge(&data);
             run.set(pos as usize, &kmer, &merged);
+            self.kmers += u64::from(data.count);
             return;
         }
         assert!(self.len < u32::MAX as usize, "positions are (u32 run, u32 pos)");
         if self.runs.is_empty() {
-            self.runs.push(Run { bytes: Vec::new(), start: 0, codec: Codec::new(self.k, 1) });
+            self.runs.push(Run::owned(Vec::new(), 0, Codec::new(self.k, 1)));
         }
         let r = self.runs.len() - 1;
         index.insert(kmer, (r as u32, self.runs[r].len() as u32));
         self.runs[r].push(kmer, data);
         self.len += 1;
+        self.kmers += u64::from(data.count);
     }
 
     /// The data for a canonical k-mer, if present.
@@ -466,10 +563,10 @@ impl DeBruijnGraph {
         self.len
     }
 
-    /// Total k-mer occurrences merged into the graph: a read of the count
-    /// column, no vertex decoded.
+    /// Total k-mer occurrences merged into the graph: a total kept as
+    /// runs are absorbed and vertices change, so no run is read.
     pub fn total_kmer_occurrences(&self) -> u64 {
-        self.runs.iter().map(|run| run.codec.sum(run.records(), 0..1)).sum()
+        self.kmers
     }
 
     /// Occurrences that were duplicates of an already-present vertex
@@ -557,8 +654,10 @@ impl DeBruijnGraph {
         let Some((r, pos)) = index.remove(kmer) else {
             return false;
         };
+        let run = &mut self.runs[r as usize];
+        self.kmers -= u64::from(run.vertex(pos as usize).1.count);
         // The run's last vertex now sits where the removed one was.
-        if let Some(moved) = self.runs[r as usize].swap_remove(pos as usize) {
+        if let Some(moved) = run.swap_remove(pos as usize) {
             index.insert(moved, (r, pos));
         }
         self.len -= 1;
@@ -573,7 +672,7 @@ impl DeBruijnGraph {
     pub fn filter_min_count(&mut self, min_count: u32) -> usize {
         let before = self.len;
         for run in &mut self.runs {
-            run.retain(min_count);
+            self.kmers -= run.retain(min_count);
         }
         self.len = self.runs.iter().map(Run::len).sum();
         if self.len != before {
@@ -583,12 +682,15 @@ impl DeBruijnGraph {
     }
 
     /// Approximate in-memory footprint in bytes (used by the memory
-    /// accounting in the Table III experiment): what the runs have
-    /// allocated, plus the index once it exists.
+    /// accounting in the Table III experiment): the owned runs' bytes,
+    /// plus the index once it exists. A mapped run counts nothing: its
+    /// pages are the file's clean page cache, which the kernel can take
+    /// back.
     pub fn approx_bytes(&self) -> usize {
         // A map bucket: the entry and its control byte.
         let bucket = std::mem::size_of::<(Kmer, (u32, u32))>() + 1;
-        self.runs.iter().map(|run| run.bytes.capacity()).sum::<usize>()
+        let owned = |run: &Run| if run.bytes.is_mapped() { 0 } else { run.bytes.as_bytes().len() };
+        self.runs.iter().map(owned).sum::<usize>()
             + self.index.get().map_or(0, |index| index.capacity() * bucket)
     }
 }
@@ -752,6 +854,9 @@ mod tests {
         File,
         /// [`DeBruijnGraph::absorb_encoded`] of the unsorted packing.
         Packed,
+        /// [`DeBruijnGraph::absorb_file`] of the committed file, unlinked
+        /// once absorbed.
+        Mapped,
     }
 
     /// What the model test does to the graph and to its `BTreeMap` twin.
@@ -800,7 +905,12 @@ mod tests {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        let entry = prop_oneof![Just(Entry::Snapshot), Just(Entry::File), Just(Entry::Packed)];
+        let entry = prop_oneof![
+            Just(Entry::Snapshot),
+            Just(Entry::File),
+            Just(Entry::Packed),
+            Just(Entry::Mapped)
+        ];
         prop_oneof![
             (prop::collection::vec(0usize..48, 0..12), amount(), 0usize..9, entry)
                 .prop_map(|(keys, n, hot, entry)| Op::Absorb(keys, n, hot, entry)),
@@ -823,7 +933,7 @@ mod tests {
         /// swap left pointing at the wrong position, shows up as a wrong
         /// `get`. Runs enter as snapshots and as container images, and
         /// merges widen them from 1- to 2- to 4-byte counters between
-        /// removals and filters.
+        /// removals and filters — a mapped run's first change copying it.
         #[test]
         fn graph_agrees_with_a_btreemap_model(ops in prop::collection::vec(op(), 1..40)) {
             use std::collections::BTreeMap;
@@ -846,6 +956,10 @@ mod tests {
                                 Entry::Snapshot => g.absorb(sub),
                                 Entry::File => g.absorb_encoded(crate::encode_subgraph(&sub)),
                                 Entry::Packed => g.absorb_encoded(crate::pack_subgraph(&sub)),
+                                Entry::Mapped => {
+                                    let (file, image) = committed(&sub, "model");
+                                    g.absorb_file(&file, &image);
+                                }
                             }
                             prop_assert!(!(grew && g.is_indexed()));
                         }
@@ -908,6 +1022,79 @@ mod tests {
         let left: Vec<_> = g.iter().map(|(k, _)| k).collect();
         assert_eq!(left, [keys[6], keys[1]]);
         assert_eq!(g.total_kmer_occurrences(), 70_000 + 3);
+    }
+
+    /// `sub`'s committed container written to a file named after `tag`,
+    /// opened for reading and unlinked: the handle and the bytes written.
+    fn committed(sub: &SubGraph, tag: &str) -> (std::fs::File, Vec<u8>) {
+        let (pid, thread) = (std::process::id(), std::thread::current().id());
+        let path = std::env::temp_dir().join(format!("hashgraph-mapped-{tag}-{pid}-{thread:?}"));
+        let image = crate::encode_subgraph(sub);
+        std::fs::write(&path, &image).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        (file, image)
+    }
+
+    /// A run absorbed from its file is the file's mapping: the graph's
+    /// own memory does not count it and the totals do not read it, and
+    /// merging into it, widening it, removing from it and filtering it
+    /// change the graph's copy only — the committed file keeps its bytes.
+    #[test]
+    fn a_mapped_run_is_copied_before_it_changes_and_the_file_never_is() {
+        let keys = key_domain(27);
+        let sub = SubGraph::new(27, keys[..40].iter().map(|&k| (k, vertex(2, 0))).collect());
+        let path = std::env::temp_dir().join(format!("hashgraph-mapped-cow-{}", std::process::id()));
+        let image = crate::encode_subgraph(&sub);
+        std::fs::write(&path, &image).unwrap();
+        let mut g = DeBruijnGraph::new(27);
+        g.absorb_file(&std::fs::File::open(&path).unwrap(), &image);
+        let mapped = g.runs[0].bytes.is_mapped();
+        #[cfg(all(unix, target_pointer_width = "64"))]
+        assert!(mapped, "a committed file maps");
+        assert_eq!(g.approx_bytes(), if mapped { 0 } else { 40 * (8 + 9) });
+        assert_eq!((g.distinct_vertices(), g.total_kmer_occurrences()), (40, 80));
+        let mut model: std::collections::BTreeMap<_, _> = sub.entries().iter().copied().collect();
+        // A merge, a merge that widens, a removal, a filter.
+        let step = |g: &mut DeBruijnGraph, step: usize| match step {
+            0 => g.merge_vertex(keys[3], vertex(1, 2)),
+            1 => g.merge_vertex(keys[4], vertex(300, 0)),
+            2 => assert!(g.remove_vertex(&keys[5])),
+            _ => assert!(g.filter_min_count(3) > 0),
+        };
+        model.get_mut(&keys[3]).unwrap().merge(&vertex(1, 2));
+        model.get_mut(&keys[4]).unwrap().merge(&vertex(300, 0));
+        model.remove(&keys[5]);
+        model.retain(|_, v| v.count >= 3);
+        for i in 0..4 {
+            let mut copy = DeBruijnGraph::new(27);
+            copy.absorb_file(&std::fs::File::open(&path).unwrap(), &image);
+            step(&mut copy, i);
+            assert!(!copy.runs[0].bytes.is_mapped(), "step {i} changed the run, so copied it");
+            step(&mut g, i);
+            assert_eq!(std::fs::read(&path).unwrap(), image, "step {i}: the file is untouched");
+        }
+        assert_eq!((g.runs[0].codec.w(), g.distinct_vertices()), (2, 2), "widened, filtered");
+        let got: std::collections::BTreeMap<_, _> = g.iter().collect();
+        assert_eq!(got, model);
+        let occurrences: u64 = model.values().map(|v| u64::from(v.count)).sum();
+        assert_eq!(g.total_kmer_occurrences(), occurrences);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A filter that keeps every vertex of a run leaves the run mapped.
+    #[test]
+    fn a_filter_that_drops_nothing_keeps_the_mapping() {
+        let keys = key_domain(27);
+        let sub = SubGraph::new(27, keys[..8].iter().map(|&k| (k, vertex(3, 0))).collect());
+        let (file, image) = committed(&sub, "keep");
+        let mut g = DeBruijnGraph::new(27);
+        g.absorb_file(&file, &image);
+        let mapped = g.runs[0].bytes.is_mapped();
+        assert_eq!(g.filter_min_count(3), 0);
+        assert_eq!(g.runs[0].bytes.is_mapped(), mapped);
+        assert_eq!(g.clone(), g, "a clone is an owned copy of the same vertices");
+        assert!(!g.clone().runs[0].bytes.is_mapped());
     }
 
     #[test]

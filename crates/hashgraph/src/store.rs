@@ -416,14 +416,11 @@ fn checked(bytes: &[u8]) -> Result<Codec, StoreError> {
     Ok(codec)
 }
 
-/// A checked container image as a run's storage, without a copy: the
-/// image with its trailer cut off, the offset of its first record, and
-/// the records' codec. Only the header is read; the caller has checked
-/// the rest.
-pub(crate) fn records_of(mut image: Vec<u8>) -> Result<(Vec<u8>, usize, Codec), StoreError> {
-    let codec = header(&image)?;
-    image.truncate(image.len() - TRAILER_BYTES);
-    Ok((image, HEADER_BYTES, codec))
+/// Where a checked container image's records are, and their codec. Only
+/// the header is read; the caller has checked the rest.
+pub(crate) fn records_span(image: &[u8]) -> Result<(Range<usize>, Codec), StoreError> {
+    let codec = header(image)?;
+    Ok((HEADER_BYTES..image.len() - TRAILER_BYTES, codec))
 }
 
 /// The checks every reader makes before it trusts a vertex-run container,

@@ -122,17 +122,27 @@ impl Fingerprint {
     /// preserve the length. The same file named another way (relative,
     /// through `./`, from another working directory) digests the same.
     ///
+    /// An input that is not a regular file — an anonymous pipe
+    /// (`/dev/stdin`, `/proc/self/fd/N`), a FIFO — has no such identity:
+    /// it digests as a stream marker plus the path as given, and cannot
+    /// be resumed from ([`crate::ParaHashError::UnresumableInput`]).
+    ///
     /// # Errors
     ///
-    /// Propagates the `canonicalize` or `metadata` failure when the file
+    /// Propagates the `metadata` or `canonicalize` failure when the file
     /// is missing or unreadable.
     pub fn digest_path(path: &Path) -> std::io::Result<u64> {
-        let path = std::fs::canonicalize(path)?;
-        let len = std::fs::metadata(&path)?.len();
+        let meta = std::fs::metadata(path)?;
         let mut h = Fnv::new();
-        h.update(path.to_string_lossy().as_bytes());
-        h.sep();
-        h.update(&len.to_le_bytes());
+        if meta.is_file() {
+            h.update(std::fs::canonicalize(path)?.to_string_lossy().as_bytes());
+            h.sep();
+            h.update(&meta.len().to_le_bytes());
+        } else {
+            h.update(b"stream");
+            h.sep();
+            h.update(path.as_os_str().as_encoded_bytes());
+        }
         h.sep();
         Ok(h.0)
     }

@@ -105,6 +105,13 @@ pub enum ParaHashError {
         /// Fingerprint of the config/input the resume was asked to use.
         current: Fingerprint,
     },
+    /// A resume was requested for a streamed input that is not a regular
+    /// file — a pipe such as `/dev/stdin`, a FIFO: the first read
+    /// consumes it, so no rerun can read the same bytes again.
+    UnresumableInput {
+        /// The input as it was named.
+        path: std::path::PathBuf,
+    },
     /// A partition's projected Property-1 table exceeds
     /// [`table_memory_budget`](ParaHashConfigBuilder::table_memory_budget)
     /// and out-of-core sub-partitioning is disabled
@@ -141,6 +148,12 @@ impl std::fmt::Display for ParaHashError {
                 "refusing to resume: journal fingerprint {journal} does not match the \
                  current run's fingerprint {current} (config or input changed since the \
                  interrupted run — start a fresh run instead)"
+            ),
+            ParaHashError::UnresumableInput { path } => write!(
+                f,
+                "refusing to resume from {}: it is not a regular file, so a rerun cannot \
+                 read the same bytes again — build it without resume",
+                path.display()
             ),
             ParaHashError::TableOverBudget { partition, projected_bytes, budget } => write!(
                 f,

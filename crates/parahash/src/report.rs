@@ -94,6 +94,12 @@ pub struct StepReport {
     /// batch and, later, with Step-2's tables — host-memory accounting
     /// must *add* this component.
     pub peak_resident_store_bytes: u64,
+    /// Step-1 only: the time between the two step clocks — the partition
+    /// manifest finished and every partition sealed onto Step 2's feed,
+    /// each spilled one's commit journaled. Counted in
+    /// [`RunReport::total_elapsed`], not in either step's
+    /// [`pipeline`](Self::pipeline)`.elapsed`.
+    pub seal: Duration,
     /// Partitions set aside after repeated failures instead of aborting
     /// the run (non-strict mode only; always empty in strict mode).
     pub quarantined: Vec<QuarantinedPartition>,
@@ -133,6 +139,7 @@ impl StepReport {
             peak_table_bytes: 0,
             peak_table_slots: 0,
             peak_resident_store_bytes: 0,
+            seal: Duration::ZERO,
             quarantined: Vec::new(),
             sub_splits: Vec::new(),
         }
@@ -188,8 +195,11 @@ pub struct RunReport {
     pub distinct_vertices: usize,
     /// Total k-mer occurrences merged.
     pub total_kmers: u64,
-    /// Approximate peak host memory: the final graph plus the largest
-    /// in-flight table/batch (ParaHash never holds the whole input).
+    /// Approximate peak host memory: the final graph's owned bytes (a
+    /// run mapped from its committed file counts nothing,
+    /// [`DeBruijnGraph::approx_bytes`](hashgraph::DeBruijnGraph::approx_bytes))
+    /// plus the largest in-flight table/batch (ParaHash never holds the
+    /// whole input).
     pub peak_host_bytes: u64,
     /// Total superkmer partition bytes written and re-read.
     pub partition_bytes: u64,
@@ -224,6 +234,9 @@ impl RunReport {
             self.partition_bytes,
             self.peak_host_bytes >> 20,
         );
+        if !self.step1.seal.is_zero() {
+            s.push_str(&format!(" | sealed in {:.3}s", self.step1.seal.as_secs_f64()));
+        }
         if let Some(stats) = &self.step1.step1_stats {
             if stats.bases > 0 {
                 let secs = self.step1.pipeline.elapsed.as_secs_f64();
@@ -289,6 +302,7 @@ mod tests {
             peak_table_bytes: 0,
             peak_table_slots: 0,
             peak_resident_store_bytes: 0,
+            seal: Duration::ZERO,
             quarantined: Vec::new(),
             sub_splits: Vec::new(),
         }
@@ -375,6 +389,10 @@ mod tests {
             Some(Step1Stats { staging_bytes: 9000, stored_bytes: 3000, ..Default::default() });
         let s = r.summary();
         assert!(s.contains("staged 9000 B, stored 3000 B"), "{s}");
+        assert!(!s.contains("sealed"), "no seal time, no seal line: {s}");
+        r.step1.seal = Duration::from_millis(46);
+        let s = r.summary();
+        assert!(s.contains("~4 MiB peak | sealed in 0.046s |"), "{s}");
     }
 
     #[test]

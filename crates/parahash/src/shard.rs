@@ -70,7 +70,7 @@ use pipeline::{failpoint, IoMode, RetryPolicy, Seat, ThrottledIo};
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
 use crate::step2::{
-    check_committed, persist, Built, Failure, Input, PartitionBuilder, Step2Roster, Step2Shared,
+    persist, read_committed, Built, Failure, Input, PartitionBuilder, Step2Roster, Step2Shared,
 };
 use crate::{ParaHashConfig, ParaHashError, Result};
 
@@ -948,7 +948,8 @@ impl<'s, 'a> Cluster<'s, 'a> {
 
     /// What lease `p` came to. Trust nothing: `sub-<p>.dbg` is read from
     /// this process's `subgraphs/` and checked once — header, length, CRC
-    /// trailer — and the bytes that passed are what the graph absorbs,
+    /// trailer ([`read_committed`]) — and the file that passed, through the
+    /// handle it was read by, is what the graph maps,
     /// with the accounting the worker's `result` detail carries
     /// ([`parse_outcome`]; none when that frame was lost). When no file
     /// verifies — the worker died, hung, garbled the link or failed the
@@ -961,10 +962,8 @@ impl<'s, 'a> Cluster<'s, 'a> {
         detail: Option<String>,
         input: (Vec<u8>, u64),
     ) -> (Option<Built>, u64) {
-        let verified = std::fs::read(self.shared.subgraph_path(p))
-            .map_err(ParaHashError::Io)
-            .and_then(|image| check_committed(&image, p).map(|()| image));
-        let Ok(image) = verified else {
+        let mut image = Vec::new();
+        let Ok(file) = read_committed(&self.shared.subgraph_path(p), p, &mut image) else {
             return self.shared.build(device, p, Some(input));
         };
         let mut built = detail.as_deref().and_then(parse_outcome).unwrap_or_default();
@@ -972,7 +971,7 @@ impl<'s, 'a> Cluster<'s, 'a> {
         built.vertices = u64::from_le_bytes(image[..8].try_into().expect("a checked header"));
         built.image = image;
         built.partition_bytes = input.0.len() as u64;
-        built.on_disk = true;
+        built.on_disk = Some(file);
         let units = built.vertices;
         (Some(built), units)
     }
@@ -1261,7 +1260,7 @@ mod tests {
             // Committed, then the `result` frame went missing.
             let (built, units) = cluster.collect(&device, 0, None, input(&manifest, 0));
             let built = built.expect("the committed file is the lease's");
-            assert!(built.on_disk && built.image == files[0]);
+            assert!(built.on_disk.is_some() && built.image == files[0]);
             assert_eq!(units, built.vertices);
             assert!(units > 0 && built.contention == ContentionStats::default());
             // Never committed, or torn: built here.
@@ -1270,7 +1269,7 @@ mod tests {
             for p in [1, 2] {
                 let built = cluster.collect(&device, p, Some("ok 0 0 0 0 0 0 0 0".into()), input(&manifest, p));
                 let built = built.0.expect("a clean partition builds");
-                assert!(!built.on_disk, "partition {p}");
+                assert!(built.on_disk.is_none(), "partition {p}");
                 assert_eq!(built.image, files[p], "partition {p}: the engine's bytes");
             }
         });
@@ -1332,7 +1331,7 @@ mod tests {
             });
             assert_eq!(outcome, (Some(String::new()), true));
             let (taken, _) = cluster.collect(&CpuDevice::new("w"), 0, outcome.0, input(&manifest, 0));
-            assert!(taken.is_some_and(|b| b.on_disk && b.image == built));
+            assert!(taken.is_some_and(|b| b.on_disk.is_some() && b.image == built));
         });
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
@@ -1354,7 +1353,7 @@ mod tests {
             assert_eq!(outcome, (None, false), "the link is no longer trusted");
             assert!(!cluster.shared.subgraph_path(0).exists(), "nothing committed");
             let (built, _) = cluster.collect(&CpuDevice::new("w"), 0, outcome.0, input(&manifest, 0));
-            assert!(built.is_some_and(|b| !b.on_disk && b.image == want));
+            assert!(built.is_some_and(|b| b.on_disk.is_none() && b.image == want));
         });
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }

@@ -2,7 +2,7 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dna::{Kmer, PackedSeq, SeqRead};
 use hetsim::{Device, DeviceKind};
@@ -172,11 +172,13 @@ pub(crate) fn step1_sealed(
     let mut store =
         PartitionStore::create_scoped(&dir, n, config.k, config.p, budget, &config.run_token)?;
     let sealed = step1_into(config, input, io, &CancelToken::new(), &mut store).and_then(|mut step1| {
+        let started = Instant::now();
         let manifest = store.finish_manifest()?;
         if let Some(stats) = &mut step1.step1_stats {
             stats.stored_bytes = manifest.total_bytes();
         }
         let feed = SharedCounterQueue::filled(seal_all(&mut store, journal)?);
+        step1.seal = started.elapsed();
         Ok((manifest, step1, feed))
     });
     drop(store);
@@ -379,6 +381,7 @@ pub(crate) fn step1_into(
         peak_table_bytes: 0, // Step 1 allocates no hash tables
         peak_table_slots: 0,
         peak_resident_store_bytes: store.peak_resident_bytes(),
+        seal: Duration::ZERO,
         quarantined: Vec::new(),
         sub_splits: Vec::new(),
     })

@@ -1,7 +1,10 @@
 use std::collections::BTreeSet;
+use std::fs::File;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 pub use hashgraph::encode_subgraph;
 use hashgraph::{
@@ -49,10 +52,12 @@ pub(crate) struct Built {
     pub fanout: usize,
     /// Bytes of the partition it was built from.
     pub partition_bytes: u64,
-    /// Whether `image` is already committed as the partition's
-    /// `sub-<i>.dbg` — by a worker on this filesystem, or by this process
-    /// from a wire worker's payload — so settling it commits nothing.
-    pub on_disk: bool,
+    /// The partition's `sub-<i>.dbg`, open, when `image` is already
+    /// committed there — by a worker on this filesystem, or by this
+    /// process from a wire worker's payload — and was read and checked
+    /// through this handle ([`read_committed`]): settling it commits
+    /// nothing and maps this handle.
+    pub on_disk: Option<File>,
 }
 
 /// Why a partition did not build or settle, classed by how far it
@@ -112,11 +117,22 @@ pub fn decode_subgraph_checked(bytes: &[u8], partition: Option<usize>) -> Result
 }
 
 /// [`hashgraph::check_subgraph`] on partition `i`'s committed file, as
-/// this crate's error (see [`decode_subgraph_checked`]). What passes is
-/// what the resume plan and the sharded parent hand to
-/// [`DeBruijnGraph::absorb_encoded`] — nothing is decoded.
+/// this crate's error (see [`decode_subgraph_checked`]).
 pub(crate) fn check_committed(bytes: &[u8], i: usize) -> Result<()> {
     hashgraph::check_subgraph(bytes).map_err(|e| store_error(e, Some(i)))
+}
+
+/// Partition `i`'s committed subgraph file at `path`, read into `image`
+/// (cleared first) and checked ([`check_committed`]): the open handle it
+/// was read through, which the resume plan and the sharded parent hand
+/// with `image` to [`DeBruijnGraph::absorb_file`] — the graph maps the
+/// very file that was checked, and nothing is decoded.
+pub(crate) fn read_committed(path: &Path, i: usize, image: &mut Vec<u8>) -> Result<File> {
+    let mut file = File::open(path)?;
+    image.clear();
+    file.read_to_end(image)?;
+    check_committed(image, i)?;
+    Ok(file)
 }
 
 fn store_error(e: hashgraph::StoreError, partition: Option<usize>) -> ParaHashError {
@@ -705,10 +721,15 @@ impl<'a> Step2Shared<'a> {
     /// files, then its
     /// `sub-split` and `subgraph-committed` journaled — fold what
     /// building it measured into this step's accounting, and hand the
-    /// image to the graph: one `Vec` changing owner
-    /// ([`DeBruijnGraph::absorb_encoded`]; the MSP cut makes every
-    /// partition's keys new to it), nothing decoded, hashed or copied. A
-    /// partition that fails to persist is routed through
+    /// partition to the graph (the MSP cut makes every partition's keys
+    /// new to it), nothing decoded or hashed. A committed partition
+    /// enters as its file's mapping ([`DeBruijnGraph::absorb_file`]:
+    /// through the handle it was checked by, or the file reopened right
+    /// after its rename) and the image is dropped, so the graph holds no
+    /// second copy of the file. Without `write_subgraphs` the image
+    /// itself enters, one `Vec` changing owner
+    /// ([`DeBruijnGraph::absorb_encoded`]).
+    /// A partition that fails to persist is routed through
     /// [`fail`](Self::fail) and stays out of the graph and the counts.
     pub(crate) fn settle(
         &self,
@@ -718,7 +739,7 @@ impl<'a> Step2Shared<'a> {
         built: Built,
     ) {
         let keep = self.config.write_subgraphs;
-        let image = (keep && !built.on_disk).then_some(built.image.as_slice());
+        let image = (keep && built.on_disk.is_none()).then_some(built.image.as_slice());
         let work_dir = &self.config.work_dir;
         if let Err(failure) = persist(io, self.journal, work_dir, idx, image, built.fanout, keep) {
             return self.fail(idx, failure);
@@ -732,7 +753,17 @@ impl<'a> Step2Shared<'a> {
         if built.fanout >= 2 {
             self.sub_splits.lock().push((idx, built.fanout));
         }
-        graph.absorb_encoded(built.image);
+        // Without `write_subgraphs` a worker's file is only its result
+        // channel, removed after the step: the run stays owned.
+        let committed = match (keep, built.on_disk) {
+            (true, Some(file)) => Some(file),
+            (true, None) => File::open(self.subgraph_path(idx)).ok(),
+            (false, _) => None,
+        };
+        match committed {
+            Some(file) => graph.absorb_file(&file, &built.image),
+            None => graph.absorb_encoded(built.image),
+        }
     }
 
     /// Turns the accumulated counters into the step report — or, on the
@@ -780,6 +811,7 @@ impl<'a> Step2Shared<'a> {
             peak_table_bytes: self.peak_table.into_inner(),
             peak_table_slots: self.peak_table_slots.into_inner(),
             peak_resident_store_bytes: 0,
+            seal: Duration::ZERO,
             quarantined,
             sub_splits,
         };

@@ -9,7 +9,9 @@ use pipeline::ThrottledIo;
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
 use crate::step1::{step1_sealed, Input};
-use crate::step2::{check_committed, manifest_feed, step2_feed, subgraph_path, Resumed};
+use crate::step2::{
+    check_committed, manifest_feed, read_committed, step2_feed, subgraph_path, Resumed,
+};
 use crate::{ParaHashConfig, ParaHashError, Result, RunReport, Step1Stats, StepReport};
 
 /// The assembled system: run both steps against a read set and collect
@@ -189,8 +191,14 @@ impl ParaHash {
         let input_digest = match input {
             Input::Reads(reads) => Fingerprint::digest_reads(reads),
             // The streamed input is never all in hand, so its digest is
-            // the cheap path+length one.
-            Input::Fastq(path) => Fingerprint::digest_path(path)?,
+            // the cheap path+length one. A stream is read once, so a
+            // resume could never see its bytes again.
+            Input::Fastq(path) => {
+                if config.resume && !std::fs::metadata(path)?.is_file() {
+                    return Err(ParaHashError::UnresumableInput { path: path.to_path_buf() });
+                }
+                Fingerprint::digest_path(path)?
+            }
         };
         // This run's identity: the parameters whose artifacts a journal
         // describes, plus the input digest.
@@ -268,8 +276,8 @@ impl ResumePlan {
     /// * subgraphs journaled as committed *and* still checking clean on
     ///   disk are absorbed into the returned [`Resumed::graph`] right
     ///   here — each file is read and checked (header, length, CRC) once,
-    ///   and the bytes read become a run of the graph — instead of being
-    ///   rebuilt.
+    ///   into one reused buffer, and the file checked becomes a mapped run
+    ///   of the graph — instead of being rebuilt.
     fn prepare(config: &ParaHashConfig, fingerprint: Fingerprint) -> Result<(ResumePlan, Resumed)> {
         let fresh = |journal| {
             let plan = ResumePlan { journal, skip_step1: false, committed: BTreeMap::new() };
@@ -324,13 +332,14 @@ impl ResumePlan {
         let mut committed = BTreeMap::new();
         let mut resumed = Resumed::nothing(config.k);
         if config.write_subgraphs {
+            // One buffer for every check: what verifies enters the graph
+            // as its file's mapping, not as the bytes read.
+            let mut image = Vec::new();
             for i in claimed {
                 let path = subgraph_path(&config.work_dir, i);
-                let verified =
-                    std::fs::read(path).ok().filter(|bytes| check_committed(bytes, i).is_ok());
-                if let Some(bytes) = verified {
-                    committed.insert(i, bytes.len() as u64);
-                    resumed.graph.absorb_encoded(bytes);
+                if let Ok(file) = read_committed(&path, i, &mut image) {
+                    committed.insert(i, image.len() as u64);
+                    resumed.graph.absorb_file(&file, &image);
                     resumed.committed.insert(i);
                 }
             }
@@ -421,12 +430,15 @@ mod tests {
             assert!(report.duplicate_vertices() > 0, "{entry}: read d duplicates read a");
             assert!(report.partition_bytes > 0, "{entry}");
             assert!(
-                report.total_elapsed >= report.steps_elapsed(),
-                "{entry}: {:?} total < {:?} + {:?}",
+                report.total_elapsed >= report.steps_elapsed() + report.step1.seal,
+                "{entry}: {:?} total < {:?} + {:?} + {:?} sealing",
                 report.total_elapsed,
                 report.step1.pipeline.elapsed,
-                report.step2.pipeline.elapsed
+                report.step2.pipeline.elapsed,
+                report.step1.seal
             );
+            // Every entry point seals its partitions between the clocks.
+            assert!(!report.step1.seal.is_zero(), "{entry}: the seal is timed");
             assert!(report.summary().contains("distinct"), "{entry}");
         }
         std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
@@ -612,7 +624,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(cfg.work_dir());
         let ph = ParaHash::new(cfg.clone()).unwrap();
         let rs = reads();
-        let full = ph.run(&rs).unwrap();
+        // An owned copy: the run's graph maps the files damaged in place below.
+        let full = ph.run(&rs).unwrap().graph.clone();
         let sub = |i: usize| subgraph_path(cfg.work_dir(), i);
         let pristine: Vec<Vec<u8>> = (0..5).map(|i| std::fs::read(sub(i)).unwrap()).collect();
 
@@ -635,7 +648,9 @@ mod tests {
         assert_eq!(resumed.committed, (1..5).collect());
         assert_eq!(plan.committed.keys().copied().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
         let lost = crate::decode_subgraph(&pristine[0]).unwrap().len();
-        assert_eq!(resumed.graph.distinct_vertices() + lost, full.graph.distinct_vertices());
+        assert_eq!(resumed.graph.distinct_vertices() + lost, full.distinct_vertices());
+        #[cfg(all(unix, target_pointer_width = "64"))]
+        assert_eq!(resumed.graph.approx_bytes(), 0, "the committed files are mapped, not read in");
         plan.recheck_committed(&cfg).unwrap();
 
         // Cut short after verification: the check names the damage.
@@ -653,7 +668,7 @@ mod tests {
         // lands on the uninterrupted run's graph and files.
         let again = ph.run(&rs).unwrap();
         assert!(!again.graph.is_indexed(), "resuming looks no k-mer up");
-        assert_eq!(again.graph, full.graph);
+        assert_eq!(again.graph, full);
         for (i, bytes) in pristine.iter().enumerate() {
             assert_eq!(&std::fs::read(sub(i)).unwrap(), bytes, "sub-{i:05}.dbg");
         }

@@ -118,3 +118,35 @@ pub fn rerun_in_child(name: &str, env: &[(&str, &str)]) -> bool {
     assert!(status.success(), "`{name}` failed in its child process ({status})");
     true
 }
+
+/// Every `sub-*.dbg` file of `dir`'s `subgraphs/` this process has
+/// mapped, with how much of it is resident (the `Rss` of its
+/// `/proc/self/smaps` entry, in kB). A file unlinked or renamed over
+/// since it was mapped is listed under its old path.
+#[cfg(target_os = "linux")]
+pub fn mapped_subgraphs(dir: &Path) -> Vec<(String, u64)> {
+    let sub_dir = std::fs::canonicalize(dir).unwrap_or_else(|_| dir.to_path_buf()).join("subgraphs");
+    let prefix = format!("{}/sub-", sub_dir.display());
+    let smaps = std::fs::read_to_string("/proc/self/smaps").expect("/proc/self/smaps");
+    let mut mapped = Vec::new();
+    let mut current = None;
+    for line in smaps.lines() {
+        let mut fields = line.split_whitespace();
+        match fields.next() {
+            Some("Rss:") => {
+                if let Some(path) = current.take() {
+                    let kb = fields.next().and_then(|kb| kb.parse().ok()).expect("Rss in kB");
+                    mapped.push((path, kb));
+                }
+            }
+            // A mapping's header line: address range, perms, offset,
+            // device, inode, then the path.
+            Some(range) if range.contains('-') && !range.ends_with(':') => {
+                let path = fields.skip(4).collect::<Vec<_>>().join(" ");
+                current = path.starts_with(&prefix).then_some(path);
+            }
+            _ => {}
+        }
+    }
+    mapped
+}

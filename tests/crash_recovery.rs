@@ -19,12 +19,14 @@ mod common;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use common::{K, P};
 use dna::SeqRead;
 use parahash::{
     Fingerprint, ParaHash, ParaHashConfig, ParaHashError, Result, RunJournal, RunOutcome, Step1Stats,
 };
+use pipeline::{IoMode, IoOp, ThrottledIo};
 
 const PARTITIONS: usize = 6;
 
@@ -334,6 +336,101 @@ fn a_resume_may_name_the_same_fastq_by_another_path() {
     let _ = std::fs::remove_file(&fastq);
 }
 
+/// `reads` as FASTQ text.
+fn fastq_text(reads: &[SeqRead]) -> Vec<u8> {
+    let mut w = dna::FastqWriter::new(Vec::new());
+    for r in reads {
+        w.write_record(r).unwrap();
+    }
+    w.into_inner().unwrap()
+}
+
+/// An anonymous pipe (`/dev/stdin`, `<(zcat …)`) builds like the file it
+/// carries. It has no identity a rerun could read again, so a resume
+/// from one is refused up front, by name, before the pipe is read.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_anonymous_pipe_builds_and_refuses_to_resume() {
+    use std::io::Write;
+    use std::os::fd::AsRawFd;
+    let dir = common::fresh_dir("pipe");
+    let (reference, _) = reference(Flow::TwoPhase, "pipe-ref");
+    let (reader, mut writer) = std::io::pipe().unwrap();
+    let text = fastq_text(&reads());
+    let feeder = std::thread::spawn(move || writer.write_all(&text));
+    let path = format!("/proc/self/fd/{}", reader.as_raw_fd());
+    let built = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap().run_fastq_streaming(&path);
+    feeder.join().unwrap().unwrap();
+    assert_eq!(built.unwrap_or_else(|e| panic!("build from {path}: {e}")).graph, reference);
+
+    let (reader, _writer) = std::io::pipe().unwrap();
+    let path = format!("/proc/self/fd/{}", reader.as_raw_fd());
+    match resuming(&dir, Flow::TwoPhase).run_fastq_streaming(&path) {
+        Err(e @ ParaHashError::UnresumableInput { .. }) => {
+            let message = e.to_string();
+            assert!(message.contains(&path) && message.contains("not a regular file"), "{message}");
+        }
+        other => panic!("expected UnresumableInput, got {:?}", other.map(|_| ())),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A resume keeps the committed subgraphs that check clean as mappings:
+/// the graph it returns holds every committed file mapped, none of it
+/// resident, and is the uninterrupted run's graph.
+#[test]
+fn a_resumed_graph_maps_the_subgraphs_it_kept() {
+    let dir = common::fresh_dir("resume-mapped");
+    let rs = reads();
+    // An owned copy, so that only the resumed graph maps files here.
+    let full = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap().run(&rs).unwrap().graph.clone();
+    drop_final_journal_record(&dir);
+    for i in (0..PARTITIONS).step_by(2) {
+        std::fs::remove_file(dir.join("subgraphs").join(format!("sub-{i:05}.dbg"))).unwrap();
+    }
+    let resumed = resuming(&dir, Flow::TwoPhase).run(&rs).unwrap();
+    assert!(resumed.report.step2.pipeline.total_work() > 0, "half was rebuilt");
+    #[cfg(target_os = "linux")]
+    {
+        let mapped = common::mapped_subgraphs(&dir);
+        assert_eq!(mapped.len(), PARTITIONS, "{mapped:?}");
+        assert!(mapped.iter().all(|(_, rss)| *rss == 0), "{mapped:?}");
+        assert_eq!(resumed.graph.approx_bytes(), 0);
+    }
+    assert_eq!(resumed.graph, full);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A kept subgraph cut short in place while the resumed run rebuilds the
+/// rest — after the plan checked and mapped it, before the run's tail
+/// looks at it again — fails the run with the damage named. Nothing in
+/// the run reads the mapping past the cut, which would fault.
+#[test]
+fn a_kept_subgraph_cut_short_mid_run_fails_the_resume() {
+    let dir = common::fresh_dir("resume-cut");
+    let rs = reads();
+    ParaHash::new(config(&dir, Flow::FusedSpill)).unwrap().run_fused(&rs).unwrap();
+    drop_final_journal_record(&dir);
+    let sub = |i: usize| dir.join("subgraphs").join(format!("sub-{i:05}.dbg"));
+    std::fs::remove_file(sub(0)).unwrap();
+    let victim = sub(1);
+    // The first read through the run's I/O is Step 2 loading partition
+    // 0's file, which the resume rebuilds.
+    let io = ThrottledIo::new(IoMode::Unthrottled);
+    let cut = AtomicBool::new(false);
+    io.set_fault_hook(Box::new(move |_, op, _| {
+        if op == IoOp::Read && !cut.swap(true, Ordering::Relaxed) {
+            let bytes = std::fs::read(&victim).unwrap();
+            std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+        }
+        None
+    }));
+    let err = resuming(&dir, Flow::FusedSpill).run_fused_with_io(&rs, &io).map(|_| ()).unwrap_err();
+    let err = err.to_string();
+    assert!(err.contains("partition 1") && err.contains("truncated tail"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_without_a_journal_is_a_fresh_run() {
     let dir = common::fresh_dir("no-journal");
@@ -349,7 +446,8 @@ fn resume_skips_verified_subgraphs_and_redoes_damaged_ones() {
     let dir = common::fresh_dir("partial");
     let ph = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap();
     let rs = reads();
-    let full = ph.run(&rs).unwrap();
+    // An owned copy: the run's graph maps the files damaged in place below.
+    let full = ph.run(&rs).unwrap().graph.clone();
     let before = common::subgraph_bytes(&dir);
 
     // Simulate the interruption: drop the journal's trailing
@@ -363,7 +461,7 @@ fn resume_skips_verified_subgraphs_and_redoes_damaged_ones() {
     std::fs::write(&victim, &damaged).unwrap();
 
     let resumed = resuming(&dir, Flow::TwoPhase).run(&rs).unwrap();
-    assert_eq!(resumed.graph, full.graph);
+    assert_eq!(resumed.graph, full);
     assert_eq!(common::subgraph_bytes(&dir), before, "damaged partition must be rewritten identically");
     assert!(RunJournal::replay(&dir).unwrap().complete);
     let _ = std::fs::remove_dir_all(&dir);
@@ -376,7 +474,8 @@ fn resume_skips_verified_subgraphs_and_redoes_damaged_ones() {
 fn resume_rebuilds_subgraphs_of_the_68_byte_record_layout() {
     let dir = common::fresh_dir("old-layout");
     let rs = reads();
-    let full = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap().run(&rs).unwrap();
+    // An owned copy: the run's graph maps the files rewritten in place below.
+    let full = ParaHash::new(config(&dir, Flow::TwoPhase)).unwrap().run(&rs).unwrap().graph.clone();
     let before = common::subgraph_bytes(&dir);
     drop_final_journal_record(&dir);
     for (name, bytes) in &before {
@@ -385,7 +484,7 @@ fn resume_rebuilds_subgraphs_of_the_68_byte_record_layout() {
         std::fs::write(dir.join("subgraphs").join(name), old).unwrap();
     }
     let resumed = resuming(&dir, Flow::TwoPhase).run(&rs).unwrap();
-    assert_eq!(resumed.graph, full.graph);
+    assert_eq!(resumed.graph, full);
     assert_eq!(common::subgraph_bytes(&dir), before, "every partition must be rewritten identically");
     assert!(RunJournal::replay(&dir).unwrap().complete);
     let _ = std::fs::remove_dir_all(&dir);
