@@ -6,8 +6,9 @@
 //!           [--table-memory-budget bytes] [--out-of-core]
 //!     Construct the De Bruijn graph of a FASTQ file and store it.
 //!     `--workers n` shards Step 2 across n child processes (this same
-//!     binary, re-exec'ed); `--listen addr:port` additionally accepts
-//!     remote workers over TCP (see `dbg worker`), shipping partition
+//!     binary, re-exec'ed); `--listen addr:port` additionally admits
+//!     remote workers (see `dbg worker`) with no token asked — bind it
+//!     to a trusted interface — and ships every worker its partition
 //!     payloads over the wire; `--table-memory-budget` caps each
 //!     partition's hash table, aborting over-budget partitions unless
 //!     `--out-of-core` lets them build via sub-partitioning.
@@ -76,8 +77,9 @@ fn parse_args(takes_value: &[&str]) -> Args {
 
 fn main() {
     // A `--workers n` build re-execs this binary as its Step-2 workers
-    // (socket + worker id travel through the environment, no argv);
-    // serve the lease loop and exit before parsing anything.
+    // (run token, parent address and worker id travel through the
+    // environment, never argv); serve the lease loop and exit before
+    // parsing anything.
     if parahash::worker_from_env().unwrap_or_else(|e| die(&format!("shard worker failed: {e}"))) {
         return;
     }

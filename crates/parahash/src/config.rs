@@ -76,10 +76,12 @@ pub struct ParaHashConfig {
     pub(crate) table_memory_budget: u64,
     pub(crate) out_of_core: bool,
     pub(crate) workers: usize,
-    /// TCP listen address for the sharded Step 2 (`None` = Unix socket
-    /// in the work directory). `host:0` binds an ephemeral port. With a
-    /// listen address the parent also accepts *remote* workers
-    /// (`dbg worker --connect <addr>`) beyond its spawned children.
+    /// TCP listen address for the sharded Step 2 (`None` = a free
+    /// loopback port that admits only the spawned children). `host:0`
+    /// binds an ephemeral port. With a listen address the parent also
+    /// accepts *remote* workers (`dbg worker --connect <addr>`) beyond
+    /// its spawned children, and every worker gets its payloads over the
+    /// wire.
     pub(crate) listen: Option<String>,
     /// Argv passed to the self-exec'ed worker processes of the sharded
     /// Step 2 (after the program path). Empty for production binaries
@@ -368,14 +370,17 @@ impl ParaHashConfigBuilder {
         self
     }
 
-    /// Runs Step 2 across `n` child **worker processes** instead of in
-    /// process: the parent runs Step 1, seals the partitions, then
-    /// spawns `n` self-exec'ed workers that claim partitions
-    /// largest-first over a Unix-socket protocol, build subgraphs
-    /// locally (each with its own journal), and commit them to
+    /// Runs Step 2 on `n` child **worker processes** beside the
+    /// parent's own devices: the parent runs Step 1, seals the
+    /// partitions, then spawns `n` self-exec'ed workers that connect to
+    /// it over loopback TCP, authenticated by a per-run token, and claim
+    /// partitions largest-first like any idle device. Without
+    /// [`listen`](Self::listen) they read the partition files, build
+    /// subgraphs locally (each with its own journal) and commit them to
     /// `work_dir/subgraphs/`; the parent verifies and absorbs the
-    /// committed files and reassigns the leases of any worker that dies.
-    /// `0` (the default) keeps the classic in-process Step 2. Applies to
+    /// committed files, and builds the lease of any worker that dies,
+    /// hangs or fails it itself. `0` (the default) keeps the in-process
+    /// Step 2. Applies to
     /// the two-phase entry points ([`crate::ParaHash::run`],
     /// [`crate::ParaHash::run_fastq_streaming`]), whose partitions are all
     /// files once sealed; the fused ones reject it with
@@ -388,18 +393,18 @@ impl ParaHashConfigBuilder {
         self
     }
 
-    /// Serves the sharded Step 2 over **TCP** at `addr` (for example
-    /// `0.0.0.0:7700`, or `127.0.0.1:0` to pick a free loopback port)
-    /// instead of the default Unix socket. Spawned child workers connect
-    /// to the resolved address like remote ones would; additional
-    /// machines join with `dbg worker --connect <addr>` and get their
-    /// partition payloads shipped over the wire (and ship their subgraph
-    /// results back). Implies the sharded Step 2 even when
-    /// [`workers`](Self::workers) is `0` — a listen-only parent waits
-    /// 30 s for the first remote worker and falls back to the
-    /// in-process build if none shows up. Like `workers`, it applies to
-    /// the two-phase entry points; the fused ones reject it with
-    /// [`crate::ParaHashError::InvalidConfig`].
+    /// Serves the sharded Step 2 at `addr` (for example `0.0.0.0:7700`,
+    /// or `127.0.0.1:0` to pick a free loopback port) instead of a
+    /// private loopback port, and admits **joiners**: other machines join
+    /// with `dbg worker --connect <addr>`, no token asked, so bind it only
+    /// to an interface whose peers are trusted. Every worker, spawned
+    /// children included, then gets its partition payloads shipped over
+    /// the wire (and ships its subgraph results back). Implies the
+    /// sharded Step 2 even when [`workers`](Self::workers) is `0`; a
+    /// listen-only parent starts Step 2 at once on its own cores, and a
+    /// joiner that connects later claims what is left. Like
+    /// `workers`, it applies to the two-phase entry points; the fused
+    /// ones reject it with [`crate::ParaHashError::InvalidConfig`].
     pub fn listen(mut self, addr: impl Into<String>) -> Self {
         self.listen = Some(addr.into());
         self

@@ -4,9 +4,9 @@
 //!
 //! A sharded Step 2 is the in-process Step 2 whose roster gains one device
 //! per worker connection. The parent runs Step 1 as usual and seals every
-//! partition onto Step 2's feed, largest first; then it binds a listener —
-//! a Unix socket in the work directory, or a TCP socket when remote
-//! workers are expected — and spawns `N` copies of its own executable
+//! partition onto Step 2's feed, largest first; then it binds a TCP
+//! listener — a free loopback port, or the [`listen`] address when remote
+//! workers may join — and spawns `N` copies of its own executable
 //! (the `tests/crash_recovery.rs` self-exec pattern) before its pipeline
 //! starts. **A connection is a device**: its driver joins the pipeline's
 //! roster ([`pipeline::Roster`]) with parallelism 1, beside the parent's
@@ -20,10 +20,18 @@
 //! as the checked bytes. A worker keeps one [`PartitionBuilder`] — one
 //! table pool — for its whole session and builds every lease with it.
 //!
-//! **Local (Unix) workers** share the parent's filesystem: they read the
-//! partition files, commit `sub-<i>.dbg` themselves and journal into
-//! their own `worker-<id>/run.journal`; the committed file is the result
-//! channel. **Remote (TCP) workers** are diskless: partition payloads
+//! Admission: the parent draws a token per run and hands it to its
+//! children through their environment, never argv; `hello` carries it.
+//! Without `listen` only a hello with that token is configured, so a
+//! stranger on the loopback port is denied before it learns anything.
+//! With `listen`, a tokenless joiner is admitted; a wrong token never is.
+//!
+//! The config decides how partition bytes move. Without `listen`, every
+//! worker is a child on the parent's filesystem (`transfer fs`): it reads
+//! the partition files, commits `sub-<i>.dbg` itself and journals into
+//! its own `worker-<id>/run.journal`; the committed file is the result
+//! channel. Under `listen`, every worker is diskless (`transfer wire`),
+//! since a joiner may be on another machine: partition payloads
 //! arrive over the wire in the same CRC-framed format the partition store
 //! uses on disk, the worker builds from the received bytes and streams
 //! the formatted subgraph back, and the parent commits those bytes
@@ -35,14 +43,14 @@
 //! Failure handling: a lease that does not come back verified is built
 //! by the parent, on that connection's driver thread, through the
 //! engine's own builder and failure router — whether the worker died
-//! (its socket drops), hung (no heartbeat within the deadline), garbled
+//! (its connection drops), hung (no heartbeat within the deadline), garbled
 //! the link or reported `failed`. A partition that fails there fails as
 //! in process: the run aborts (strict) or sets it aside (non-strict). A
-//! lease whose `result` frame alone was lost is no failed build: a local
+//! lease whose `result` frame alone was lost is no failed build: an fs
 //! worker's committed file that verifies counts as built, and a wire
 //! worker's payload that arrives unannounced is the one lease its
 //! connection holds. Workers reconnect with bounded exponential backoff
-//! and deterministically jittered pacing; a reconnecting local worker's
+//! and deterministically jittered pacing; a reconnecting fs worker's
 //! journal is *reopened*, not truncated, so its committed records survive
 //! for cluster-wide resume. A parent-side journal failure is fatal in
 //! both modes.
@@ -51,9 +59,11 @@
 //! sharded path exists for real multi-process throughput (separate
 //! address spaces, separate page caches, overlapped fsyncs), not for
 //! the simulated-device regimes, which remain in-process features.
+//!
+//! [`listen`]: crate::ParaHashConfigBuilder::listen
 
 use std::collections::BTreeSet;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -63,8 +73,8 @@ use hashgraph::ContentionStats;
 use hetsim::{CpuDevice, Device};
 use msp::{PartitionManifest, SealedPayload};
 use pipeline::shard::{
-    connect_tcp, connect_unix, decode_blob, encode_blob, FrameSender, Recv, ShardListener,
-    Transport, WireMsg, BLOB_TAG, MAX_FRAME, MAX_PAYLOAD_FRAME, PROTO_VERSION,
+    decode_blob, encode_blob, Connection, FrameSender, Recv, ShardListener, WireMsg, BLOB_TAG,
+    MAX_FRAME, MAX_PAYLOAD_FRAME, PROTO_VERSION,
 };
 use pipeline::{failpoint, IoMode, RetryPolicy, Seat, ThrottledIo};
 
@@ -74,18 +84,13 @@ use crate::step2::{
 };
 use crate::{ParaHashConfig, ParaHashError, Result};
 
-/// Environment variable carrying the parent's Unix socket path into
-/// locally spawned workers.
-pub(crate) const ENV_SOCKET: &str = "PARAHASH_SHARD_SOCKET";
-/// Environment variable carrying the parent's TCP `host:port` into
-/// locally spawned workers when the run listens on TCP. Remote workers
-/// pass the address explicitly (`dbg worker --connect`).
+/// Environment variable carrying `<token>@<host:port>` — the run's
+/// token and the parent's listener — into spawned workers. The token
+/// travels here and not in argv, which any local user can read. Remote
+/// workers pass the address explicitly (`dbg worker --connect`).
 pub(crate) const ENV_CONNECT: &str = "PARAHASH_SHARD_CONNECT";
 /// Environment variable carrying the worker's parent-assigned id.
 pub(crate) const ENV_WORKER: &str = "PARAHASH_SHARD_WORKER";
-
-/// Socket filename inside the work directory.
-const SOCKET_FILE: &str = "shard.sock";
 
 /// Worker reconnect pacing: five consecutive unproductive sessions end
 /// the worker; between them it sleeps 100 ms doubling to a 2 s cap,
@@ -149,8 +154,9 @@ impl ShardTuning {
 /// reconstructs bit-identical sizing parameters (a decimal round-trip
 /// could move a table capacity by one and break byte-identity of the
 /// resize accounting). `transfer` says how partition bytes move:
-/// `fs` (shared filesystem — Unix workers) or `wire` (shipped in frames
-/// — TCP workers, which must not assume the parent's paths exist).
+/// `fs` (shared filesystem — spawned children of a parent without
+/// `listen`) or `wire` (shipped in frames — every worker under `listen`,
+/// which must not assume the parent's paths exist).
 /// `work-dir` is last and consumes the rest of its line — paths may
 /// contain spaces.
 fn config_blob(config: &ParaHashConfig, wire: bool) -> String {
@@ -267,30 +273,6 @@ fn config_from_blob(blob: &str) -> Result<(ParaHashConfig, Fingerprint, bool)> {
 // Worker side.
 // ---------------------------------------------------------------------
 
-/// Where a worker's parent lives.
-enum Endpoint {
-    /// Filesystem socket of a same-machine parent.
-    Unix(PathBuf),
-    /// `host:port` of a (possibly remote) TCP parent.
-    Tcp(String),
-}
-
-impl Endpoint {
-    fn connect(&self) -> std::io::Result<Box<dyn Transport>> {
-        match self {
-            Endpoint::Unix(path) => connect_unix(path),
-            Endpoint::Tcp(addr) => connect_tcp(addr),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            Endpoint::Unix(path) => path.display().to_string(),
-            Endpoint::Tcp(addr) => addr.clone(),
-        }
-    }
-}
-
 /// Routes a process into the shard-worker loop when the parent's
 /// environment marks it as one. **Call this first in `main`** (or in
 /// the dedicated worker-entry test of a test binary): a production
@@ -307,18 +289,17 @@ impl Endpoint {
 /// — they are reported to the parent as `failed` messages and retried
 /// or quarantined there.
 pub fn worker_from_env() -> Result<bool> {
-    let Ok(worker) = std::env::var(ENV_WORKER) else { return Ok(false) };
-    let endpoint = if let Ok(addr) = std::env::var(ENV_CONNECT) {
-        Endpoint::Tcp(addr)
-    } else if let Ok(socket) = std::env::var(ENV_SOCKET) {
-        Endpoint::Unix(PathBuf::from(socket))
-    } else {
+    let (Ok(worker), Ok(connect)) = (std::env::var(ENV_WORKER), std::env::var(ENV_CONNECT)) else {
         return Ok(false);
     };
     let worker: usize = worker
         .parse()
         .map_err(|e| shard_err(format!("{ENV_WORKER}=`{worker}` is not a worker id: {e}")))?;
-    run_worker_loop(&endpoint, worker, true)?;
+    let (token, addr) = match connect.split_once('@') {
+        Some((token, addr)) => (Some(token.to_string()), addr),
+        None => (None, connect.as_str()),
+    };
+    run_worker_loop(addr, token, worker, true)?;
     Ok(true)
 }
 
@@ -328,15 +309,17 @@ pub fn worker_from_env() -> Result<bool> {
 /// the parent's [`listen`](crate::ParaHashConfigBuilder::listen)
 /// address; partition payloads and subgraph results travel over the
 /// wire, so no shared filesystem is needed — the worker writes nothing
-/// to its own disk.
+/// to its own disk. It sends no token, so only a parent with
+/// `listen` admits it.
 ///
 /// # Errors
 ///
 /// An unreachable parent (after the bounded reconnect budget), a
-/// version-skew denial, or a protocol/configuration failure. Individual
-/// partition build failures are reported to the parent, not returned.
+/// version-skew or admission denial, or a protocol/configuration
+/// failure. Individual partition build failures are reported to the
+/// parent, not returned.
 pub fn run_remote_worker(addr: &str, worker: usize) -> Result<()> {
-    run_worker_loop(&Endpoint::Tcp(addr.to_string()), worker, false)
+    run_worker_loop(addr, None, worker, false)
 }
 
 /// Passes `shard.worker<worker>.lease`, the failpoint each assignment
@@ -355,6 +338,8 @@ fn lease_failpoint(worker: usize, tuning: &ShardTuning) {
 /// Worker state that must survive reconnects.
 struct WorkerSession {
     worker: usize,
+    /// The token this worker was spawned with, sent in every `hello`.
+    token: Option<String>,
     /// Whether any session ever received the config (the parent was
     /// reachable and sane at least once).
     served_any: bool,
@@ -380,23 +365,18 @@ enum SessionEnd {
 /// accumulate into a permanent exit while the parent keeps coming back.
 ///
 /// A `spawned` worker's parent bound its listener before spawning it, so
-/// a refused or missing socket means the parent stopped listening — its
-/// Step 2 is over, and the worker exits cleanly at once. A remote
-/// worker (`dbg worker --connect`) backs off instead: its address may be
-/// a typo, or a parent that is not up yet.
-fn run_worker_loop(endpoint: &Endpoint, worker: usize, spawned: bool) -> Result<()> {
+/// a refused connection means the parent stopped listening — its Step 2
+/// is over, and the worker exits cleanly at once. A remote worker
+/// (`dbg worker --connect`) backs off instead: its address may be a
+/// typo, or a parent that is not up yet.
+fn run_worker_loop(addr: &str, token: Option<String>, worker: usize, spawned: bool) -> Result<()> {
     let tuning = ShardTuning::from_env();
-    let mut sess = WorkerSession { worker, served_any: false, progressed: false };
+    let mut sess = WorkerSession { worker, token, served_any: false, progressed: false };
     let mut failures: u32 = 0;
     loop {
-        let end = match endpoint.connect() {
+        let end = match Connection::connect(addr) {
             Ok(conn) => serve_session(conn, &mut sess, &tuning)?,
-            Err(e)
-                if spawned
-                    && matches!(e.kind(), ErrorKind::ConnectionRefused | ErrorKind::NotFound) =>
-            {
-                return Ok(());
-            }
+            Err(e) if spawned && e.kind() == ErrorKind::ConnectionRefused => return Ok(()),
             Err(e) => SessionEnd::Lost(format!("connecting: {e}")),
         };
         let why = match end {
@@ -417,8 +397,7 @@ fn run_worker_loop(endpoint: &Endpoint, worker: usize, spawned: bool) -> Result<
                 return Ok(());
             }
             return Err(shard_err(format!(
-                "cannot reach shard parent at {}: {why} (after {failures} attempt(s))",
-                endpoint.describe()
+                "cannot reach shard parent at {addr}: {why} (after {failures} attempt(s))"
             )));
         }
         std::thread::sleep(RECONNECT.delay(failures, worker as u64));
@@ -435,7 +414,7 @@ struct HeartbeatTicker {
 }
 
 impl HeartbeatTicker {
-    fn start(mut sender: Box<dyn FrameSender>, worker: usize, period: Duration) -> HeartbeatTicker {
+    fn start(mut sender: FrameSender, worker: usize, period: Duration) -> HeartbeatTicker {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
@@ -478,7 +457,7 @@ impl Drop for HeartbeatTicker {
 /// One request-deadline-bounded receive on the worker side. Anything but
 /// a frame ends the session; `what` names the message that never came.
 fn recv_or_lost(
-    conn: &mut dyn Transport,
+    conn: &mut Connection,
     cap: u32,
     tuning: &ShardTuning,
     what: &str,
@@ -501,15 +480,16 @@ fn recv_or_lost(
 /// only non-retryable conditions — a `deny`, a corrupt config, a local
 /// setup failure — are `Err`.
 fn serve_session(
-    mut conn: Box<dyn Transport>,
+    mut conn: Connection,
     sess: &mut WorkerSession,
     tuning: &ShardTuning,
 ) -> Result<SessionEnd> {
     sess.progressed = false;
-    if let Err(e) = conn.send(&WireMsg::Hello(sess.worker, PROTO_VERSION).encode()) {
+    let hello = WireMsg::Hello(sess.worker, PROTO_VERSION, sess.token.clone());
+    if let Err(e) = conn.send(&hello.encode()) {
         return Ok(SessionEnd::Lost(format!("sending hello: {e}")));
     }
-    let frame = match recv_or_lost(conn.as_mut(), MAX_FRAME, tuning, "`config`") {
+    let frame = match recv_or_lost(&mut conn, MAX_FRAME, tuning, "`config`") {
         Ok(frame) => frame,
         Err(end) => return Ok(end),
     };
@@ -549,7 +529,7 @@ fn serve_session(
     };
     // One builder for the session: its leases share one table pool.
     let builder = PartitionBuilder::new(&config);
-    Ok(serve_leases(conn.as_mut(), sess.worker, tuning, &config, &builder, local.as_ref()))
+    Ok(serve_leases(&mut conn, sess.worker, tuning, &config, &builder, local.as_ref()))
 }
 
 /// A configured session's claim-build-report loop, until `finished` or
@@ -560,7 +540,7 @@ fn serve_session(
 /// without, the parent ships the partition's bytes and gets the formatted
 /// subgraph back, and nothing is written anywhere.
 fn serve_leases(
-    conn: &mut dyn Transport,
+    conn: &mut Connection,
     worker: usize,
     tuning: &ShardTuning,
     config: &ParaHashConfig,
@@ -652,10 +632,13 @@ fn serve_leases(
 // ---------------------------------------------------------------------
 
 /// Runs `run` — Step 2's pipeline on `roster` — with worker processes
-/// beside the roster's devices: binds a listener, spawns
+/// beside the roster's devices: binds a TCP listener (the
+/// [`listen`](crate::ParaHashConfigBuilder::listen) address, or a free
+/// loopback port), draws the run's token, spawns
 /// [`workers`](crate::ParaHashConfigBuilder::workers) copies of this
-/// executable, and lets every connection — a child or a remote
-/// `dbg worker` joiner — join `roster` as a device of parallelism 1
+/// executable with the token and the address in their environment, and
+/// lets every admitted connection — a child or a remote `dbg worker`
+/// joiner — join `roster` as a device of parallelism 1
 /// ([`Cluster::serve`]). The pipeline starts once every child has claimed
 /// its first partition or exited, for at most the request deadline, so
 /// `workers(N)` means N workers that build; remote joiners never hold it
@@ -664,39 +647,28 @@ fn serve_leases(
 ///
 /// # Errors
 ///
-/// Socket and spawn failures.
+/// Listener, token and spawn failures.
 pub(crate) fn with_workers<R>(
     config: &ParaHashConfig,
     shared: &Step2Shared<'_>,
     roster: &Step2Roster<'_>,
     run: impl FnOnce() -> R,
 ) -> Result<R> {
-    let listener = match &config.listen {
-        Some(bind) => ShardListener::bind_tcp(bind)
-            .map_err(|e| shard_err(format!("binding worker listener {bind}: {e}")))?,
-        None => {
-            let path = config.work_dir.join(SOCKET_FILE);
-            ShardListener::bind_unix(&path).map_err(|e| {
-                shard_err(format!("binding worker socket {}: {e}", path.display()))
-            })?
-        }
-    };
-    let addr = listener.addr();
+    let bind = config.listen.as_deref().unwrap_or("127.0.0.1:0");
+    let listener = ShardListener::bind(bind)
+        .map_err(|e| shard_err(format!("binding worker listener {bind}: {e}")))?;
+    let token = secret_token().map_err(|e| shard_err(format!("drawing the shard token: {e}")))?;
+    let connect = format!("{token}@{}", listener.addr());
     let exe = std::env::current_exe().map_err(ParaHashError::Io)?;
     let mut children = Vec::with_capacity(config.workers);
     for w in 0..config.workers {
         let mut cmd = std::process::Command::new(&exe);
-        cmd.args(&config.worker_args).env(ENV_WORKER, w.to_string());
-        if config.listen.is_some() {
-            cmd.env(ENV_CONNECT, &addr).env_remove(ENV_SOCKET);
-        } else {
-            cmd.env(ENV_SOCKET, &addr).env_remove(ENV_CONNECT);
-        }
+        cmd.args(&config.worker_args).env(ENV_WORKER, w.to_string()).env(ENV_CONNECT, &connect);
         let child = cmd.spawn().map_err(|e| shard_err(format!("spawning worker {w}: {e}")))?;
         children.push(child);
     }
 
-    let cluster = &Cluster::new(config, shared, roster);
+    let cluster = &Cluster::new(config, token, shared, roster);
     let shutdown = AtomicBool::new(false);
     let ran = std::thread::scope(|s| {
         let accept = s.spawn(|| {
@@ -719,14 +691,25 @@ pub(crate) fn with_workers<R>(
         let _ = accept.join();
         ran
     });
-    // A worker that reconnects now is refused, runs out of attempts and
-    // exits.
-    if let ShardListener::Unix(_, path) = &listener {
-        let _ = std::fs::remove_file(path);
-    }
+    // A worker that reconnects now is refused and exits.
     drop(listener);
     reap(&mut children, cluster.tuning.idle_timeout);
     Ok(ran)
+}
+
+/// The run's secret token: 16 bytes of `/dev/urandom`, as hex. Only the
+/// parent and the children it spawns know it.
+fn secret_token() -> std::io::Result<String> {
+    let mut bytes = [0u8; 16];
+    std::fs::File::open("/dev/urandom")?.read_exact(&mut bytes)?;
+    Ok(bytes.iter().map(|b| format!("{b:02x}")).collect())
+}
+
+/// Whether `given` is the run's `token`, in time that does not depend on
+/// where the two first differ.
+fn token_matches(given: &str, token: &str) -> bool {
+    let differ = given.bytes().zip(token.bytes()).fold(0, |d, (a, b)| d | (a ^ b));
+    given.len() == token.len() && differ == 0
 }
 
 /// Reaps the spawned workers once Step 2 is over. A worker that is done
@@ -767,9 +750,13 @@ struct Cluster<'s, 'a> {
     shared: &'s Step2Shared<'a>,
     roster: &'s Step2Roster<'a>,
     tuning: ShardTuning,
-    /// [`config_blob`] for workers on this filesystem, and for wire ones.
-    fs_blob: String,
-    wire_blob: String,
+    /// Whether the run listens for joiners: every worker then gets
+    /// `transfer wire`, and a tokenless hello is admitted.
+    wire: bool,
+    /// What every admitted connection is configured with: [`config_blob`].
+    blob: String,
+    /// The run's secret token ([`secret_token`]).
+    token: String,
     /// Hello ids whose connection has joined the roster and claimed: what
     /// Step 2's start waits for ([`await_children`](Self::await_children)).
     claimed: Mutex<BTreeSet<usize>>,
@@ -777,13 +764,20 @@ struct Cluster<'s, 'a> {
 }
 
 impl<'s, 'a> Cluster<'s, 'a> {
-    fn new(config: &ParaHashConfig, shared: &'s Step2Shared<'a>, roster: &'s Step2Roster<'a>) -> Self {
+    fn new(
+        config: &ParaHashConfig,
+        token: String,
+        shared: &'s Step2Shared<'a>,
+        roster: &'s Step2Roster<'a>,
+    ) -> Self {
+        let wire = config.listen.is_some();
         Cluster {
             shared,
             roster,
             tuning: ShardTuning::from_env(),
-            fs_blob: config_blob(config, false),
-            wire_blob: config_blob(config, true),
+            wire,
+            blob: config_blob(config, wire),
+            token,
             claimed: Mutex::new(BTreeSet::new()),
             claimed_cv: Condvar::new(),
         }
@@ -809,42 +803,34 @@ impl<'s, 'a> Cluster<'s, 'a> {
         }
     }
 
-    /// One connection's driver: handshake (with version check) and
-    /// configure the worker; at its first claim, join the roster as a
+    /// One connection's driver: handshake (version and token checks, see
+    /// [`admission`](Self::admission)) and configure the worker; at its
+    /// first claim, join the roster as a
     /// device of parallelism 1, then lease it the partition each of its
     /// claims pops from the one work queue. A lease that does not come
     /// back verified is built right here by the engine
     /// ([`collect`](Self::collect)); a connection that closes, stalls past
     /// the heartbeat deadline or turns to garbage ends with its lease.
-    fn serve(&self, mut conn: Box<dyn Transport>) {
-        let tuning = &self.tuning;
+    fn serve(&self, mut conn: Connection) {
         // Handshake. Nothing is leased yet, so every failure mode here —
         // the shutdown dummy connection, a garbled or dropped hello, a
-        // version-skewed worker — just ends the connection.
-        let Ok(Recv::Frame(frame)) = conn.recv(MAX_FRAME, Some(tuning.request_timeout)) else {
+        // denied worker — just ends the connection.
+        let Ok(Recv::Frame(frame)) = conn.recv(MAX_FRAME, Some(self.tuning.request_timeout)) else {
             return;
         };
-        let Ok(WireMsg::Hello(worker, version)) = WireMsg::decode(&frame) else { return };
-        if version != PROTO_VERSION {
-            let why = format!(
-                "protocol version {version} does not match the parent's {PROTO_VERSION}; \
-                 update the worker binary to the parent's build and reconnect"
-            );
+        let Ok(WireMsg::Hello(worker, version, token)) = WireMsg::decode(&frame) else { return };
+        if let Err(why) = self.admission(version, token.as_deref()) {
             let _ = conn.send(&WireMsg::Deny(why).encode());
             return;
         }
-        // Remote connections cannot read the parent's filesystem: they
-        // get the `transfer wire` config and shipped payloads.
-        let wire = conn.remote();
-        let blob = if wire { &self.wire_blob } else { &self.fs_blob };
-        if conn.send(&WireMsg::Config(blob.clone()).encode()).is_err() {
+        if conn.send(&WireMsg::Config(self.blob.clone()).encode()).is_err() {
             return;
         }
         let name = format!("worker{worker}");
         // Where this process builds a lease the worker loses.
         let device = CpuDevice::new(name.as_str());
         let mut seat = None;
-        while self.claimed_next(conn.as_mut()) {
+        while self.claimed_next(&mut conn) {
             if seat.is_none() {
                 seat = self.roster.join(name.as_str());
                 self.claimed.lock().unwrap_or_else(|e| e.into_inner()).insert(worker);
@@ -860,7 +846,7 @@ impl<'s, 'a> Cluster<'s, 'a> {
             if !self.shared.journaled(p, JournalEvent::WorkerLease(worker, p)) {
                 return seat.deliver(p, None, 0);
             }
-            let (detail, in_step) = self.lease(conn.as_mut(), wire, p, &input.0, input.1);
+            let (detail, in_step) = self.lease(&mut conn, p, &input.0, input.1);
             let (built, units) = self.collect(&device, p, detail, input);
             seat.deliver(p, built, units);
             if !in_step {
@@ -869,10 +855,32 @@ impl<'s, 'a> Cluster<'s, 'a> {
         }
     }
 
+    /// Whether a hello of protocol `version` carrying `token` is admitted;
+    /// if not, the `deny` text. A worker of another version is denied
+    /// first, whatever it sent. Without `listen` only the run's own
+    /// children, which know its token, are admitted; under `listen` a
+    /// tokenless joiner is too, but a wrong token is not.
+    fn admission(&self, version: u32, token: Option<&str>) -> std::result::Result<(), String> {
+        if version != PROTO_VERSION {
+            return Err(format!(
+                "protocol version {version} does not match the parent's {PROTO_VERSION}; \
+                 update the worker binary to the parent's build and reconnect"
+            ));
+        }
+        match token {
+            Some(token) if token_matches(token, &self.token) => Ok(()),
+            Some(_) => Err("wrong token; only the parent's own workers carry one".into()),
+            None if self.wire => Ok(()),
+            None => Err("no token; this parent admits only the workers it spawned \
+                         (a parent started with `listen` admits joiners)"
+                .into()),
+        }
+    }
+
     /// Waits, up to the heartbeat deadline, for the worker's next
     /// `claim`, whatever id it names: the connection's hello id is the
     /// one its leases are journaled under.
-    fn claimed_next(&self, conn: &mut dyn Transport) -> bool {
+    fn claimed_next(&self, conn: &mut Connection) -> bool {
         loop {
             let Ok(Recv::Frame(frame)) = conn.recv(MAX_FRAME, Some(self.tuning.idle_timeout)) else {
                 return false;
@@ -895,8 +903,7 @@ impl<'s, 'a> Cluster<'s, 'a> {
     /// damaged or undecodable frame, or a report about another partition.
     fn lease(
         &self,
-        conn: &mut dyn Transport,
-        wire: bool,
+        conn: &mut Connection,
         p: usize,
         bytes: &[u8],
         kmers: u64,
@@ -904,10 +911,10 @@ impl<'s, 'a> Cluster<'s, 'a> {
         // No file may pass for this lease's but the one it produces.
         let _ = std::fs::remove_file(self.shared.subgraph_path(p));
         let assigned = conn.send(&WireMsg::Assign(p, kmers).encode());
-        if assigned.is_err() || (wire && conn.send(&encode_blob(bytes)).is_err()) {
+        if assigned.is_err() || (self.wire && conn.send(&encode_blob(bytes)).is_err()) {
             return (None, false);
         }
-        let cap = if wire { MAX_PAYLOAD_FRAME } else { MAX_FRAME };
+        let cap = if self.wire { MAX_PAYLOAD_FRAME } else { MAX_FRAME };
         let mut detail = None;
         loop {
             if self.shared.cancelled() {
@@ -917,7 +924,7 @@ impl<'s, 'a> Cluster<'s, 'a> {
                 return (None, false);
             };
             if frame.first() == Some(&BLOB_TAG) {
-                if !wire {
+                if !self.wire {
                     return (None, false);
                 }
                 self.commit_shipped(p, frame);
@@ -926,7 +933,7 @@ impl<'s, 'a> Cluster<'s, 'a> {
             match WireMsg::decode(&frame) {
                 Ok(WireMsg::Heartbeat(_)) => {}
                 Ok(WireMsg::Result(q, reported)) if q == p && detail.is_none() => {
-                    if !wire {
+                    if !self.wire {
                         return (Some(reported), true);
                     }
                     // The subgraph payload follows.
@@ -1177,7 +1184,7 @@ mod tests {
     }
 
     /// The next frame a scripted peer receives, heartbeats skipped.
-    fn next_frame(conn: &mut dyn Transport) -> Vec<u8> {
+    fn next_frame(conn: &mut Connection) -> Vec<u8> {
         loop {
             match conn.recv(MAX_PAYLOAD_FRAME, Some(Duration::from_secs(10))) {
                 Ok(Recv::Frame(frame)) => {
@@ -1226,8 +1233,16 @@ mod tests {
         assert!(parse_outcome("ok 0 4096 0").is_none());
     }
 
+    /// The token of every test cluster.
+    const TOKEN: &str = "00ff3c9a5e71d2b8406f1e2d3c4b5a69";
+
+    /// `cfg` listening for joiners: its workers get `transfer wire`.
+    fn listening(cfg: &ParaHashConfig) -> ParaHashConfig {
+        ParaHashConfig { listen: Some("127.0.0.1:0".into()), ..cfg.clone() }
+    }
+
     /// A cluster over the step of `cfg`, for driving one connection's
-    /// lease without a pipeline.
+    /// handshake or lease without a pipeline.
     fn with_cluster<R>(
         cfg: &ParaHashConfig,
         journal: &RunJournal,
@@ -1236,7 +1251,67 @@ mod tests {
         let cancel = pipeline::CancelToken::new();
         let shared = Step2Shared::new(cfg, &cancel, journal);
         let roster = Step2Roster::new(cfg.devices(), &cancel, cfg.partitions());
-        body(&Cluster::new(cfg, &shared, &roster))
+        body(&Cluster::new(cfg, TOKEN.to_string(), &shared, &roster))
+    }
+
+    /// A scripted worker's handshake with `cluster`: it sends `hello` and
+    /// returns the parent's reply, then hangs up.
+    fn handshake(cluster: &Cluster<'_, '_>, hello: WireMsg) -> WireMsg {
+        let listener = ShardListener::bind("127.0.0.1:0").unwrap();
+        let mut worker = Connection::connect(&listener.addr()).unwrap();
+        let conn = listener.accept().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| cluster.serve(conn));
+            worker.send(&hello.encode()).unwrap();
+            let reply = WireMsg::decode(&next_frame(&mut worker)).unwrap();
+            drop(worker);
+            reply
+        })
+    }
+
+    /// Without `listen`, only a hello with the run's token is configured
+    /// (as `transfer fs`); a tokenless or wrong-token one is denied, and
+    /// a worker of another version is denied whatever it carries. Under
+    /// `listen` a tokenless joiner is configured as `transfer wire`, and
+    /// a wrong token is still denied.
+    #[test]
+    fn a_hello_is_admitted_by_its_token_or_by_listen() {
+        let (cfg, _, journal) = built_in_process("parahash-shard-admission");
+        let hello = |token: Option<&str>| WireMsg::Hello(3, PROTO_VERSION, token.map(String::from));
+        let transfer = |reply: WireMsg| match reply {
+            WireMsg::Config(blob) => {
+                blob.lines().find_map(|l| l.strip_prefix("transfer ")).unwrap().to_string()
+            }
+            WireMsg::Deny(why) => format!("deny: {why}"),
+            other => panic!("{other:?}"),
+        };
+        with_cluster(&cfg, &journal, |cluster| {
+            assert_eq!(transfer(handshake(cluster, hello(Some(TOKEN)))), "fs");
+            let tokenless = transfer(handshake(cluster, hello(None)));
+            assert!(tokenless.starts_with("deny: no token"), "{tokenless}");
+            let wrong = transfer(handshake(cluster, hello(Some("feed"))));
+            assert!(wrong.starts_with("deny: wrong token"), "{wrong}");
+            let old = transfer(handshake(cluster, WireMsg::Hello(3, 6, Some(TOKEN.into()))));
+            assert!(old.starts_with("deny: protocol version 6"), "{old}");
+        });
+        with_cluster(&listening(&cfg), &journal, |cluster| {
+            assert_eq!(transfer(handshake(cluster, hello(None))), "wire");
+            assert_eq!(transfer(handshake(cluster, hello(Some(TOKEN)))), "wire");
+            let wrong = transfer(handshake(cluster, hello(Some(&TOKEN[1..]))));
+            assert!(wrong.starts_with("deny: wrong token"), "{wrong}");
+        });
+        assert!(RunJournal::replay(cfg.work_dir()).unwrap().leases.is_empty(), "nobody was leased");
+        std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    #[test]
+    fn secret_tokens_are_fresh_hex() {
+        let (a, b) = (secret_token().unwrap(), secret_token().unwrap());
+        assert_eq!(a.len(), 32);
+        assert!(a.bytes().all(|c| c.is_ascii_hexdigit()), "{a}");
+        assert_ne!(a, b, "a token per run");
+        assert!(token_matches(&a, &a.clone()));
+        assert!(!token_matches(&a, &b) && !token_matches(&a, &a[1..]) && !token_matches("", &a));
     }
 
     /// Partition `p` as Step 2's input stage hands it over.
@@ -1276,21 +1351,22 @@ mod tests {
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
     }
 
-    /// A scripted worker over loopback TCP, `script` playing its side of
-    /// one lease of partition `p` that the cluster runs against it.
+    /// A scripted wire worker over loopback TCP, `script` playing its side
+    /// of one lease of partition `p` that the cluster — a listening one —
+    /// runs against it.
     fn lease_over_tcp(
         cluster: &Cluster<'_, '_>,
         manifest: &PartitionManifest,
         p: usize,
         script: impl FnOnce(std::net::TcpStream) + Send,
     ) -> (Option<String>, bool) {
-        let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
+        let listener = ShardListener::bind("127.0.0.1:0").unwrap();
         let worker = std::net::TcpStream::connect(listener.addr()).unwrap();
         let mut conn = listener.accept().unwrap();
         let (bytes, kmers) = input(manifest, p);
         std::thread::scope(|s| {
             s.spawn(move || script(worker));
-            cluster.lease(conn.as_mut(), true, p, &bytes, kmers)
+            cluster.lease(&mut conn, p, &bytes, kmers)
         })
     }
 
@@ -1319,6 +1395,7 @@ mod tests {
     #[test]
     fn a_wire_payload_whose_result_frame_was_lost_completes_the_lease() {
         let (cfg, manifest, journal) = built_in_process("parahash-shard-lost-wire-result");
+        let cfg = listening(&cfg);
         let built = std::fs::read(crate::step2::subgraph_path(cfg.work_dir(), 0)).unwrap();
         with_cluster(&cfg, &journal, |cluster| {
             let outcome = lease_over_tcp(cluster, &manifest, 0, |worker| {
@@ -1343,6 +1420,7 @@ mod tests {
     #[test]
     fn a_damaged_lease_is_built_by_the_parent() {
         let (cfg, manifest, journal) = built_in_process("parahash-shard-damaged-frame");
+        let cfg = listening(&cfg);
         let want = std::fs::read(crate::step2::subgraph_path(cfg.work_dir(), 0)).unwrap();
         with_cluster(&cfg, &journal, |cluster| {
             let outcome = lease_over_tcp(cluster, &manifest, 0, |worker| {
@@ -1366,6 +1444,7 @@ mod tests {
     #[test]
     fn a_report_for_a_partition_not_held_ends_the_connection() {
         let (cfg, manifest, journal) = built_in_process("parahash-shard-unheld-report");
+        let cfg = listening(&cfg);
         let built = std::fs::read(crate::step2::subgraph_path(cfg.work_dir(), 2)).unwrap();
         with_cluster(&cfg, &journal, |cluster| {
             let outcome = lease_over_tcp(cluster, &manifest, 0, |worker| {
@@ -1403,7 +1482,7 @@ mod tests {
         for p in [a, b] {
             std::fs::remove_file(sub(p)).unwrap();
         }
-        let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
+        let listener = ShardListener::bind("127.0.0.1:0").unwrap();
         for wire in [true, false] {
             let (config, fingerprint, _) = config_from_blob(&config_blob(&cfg, wire)).unwrap();
             let worker_dir = cfg.work_dir().join("worker-7");
@@ -1411,30 +1490,30 @@ mod tests {
                 (manifest.clone(), RunJournal::create(&worker_dir, fingerprint).unwrap())
             });
             let builder = PartitionBuilder::new(&config);
-            let mut worker = connect_tcp(&listener.addr()).unwrap();
+            let mut worker = Connection::connect(&listener.addr()).unwrap();
             let mut parent = listener.accept().unwrap();
             let tuning = ShardTuning::from_env();
             std::thread::scope(|s| {
                 let session = s.spawn(|| {
-                    serve_leases(worker.as_mut(), 7, &tuning, &config, &builder, local.as_ref())
+                    serve_leases(&mut worker, 7, &tuning, &config, &builder, local.as_ref())
                 });
                 for (p, file) in [a, b].into_iter().zip(&files) {
-                    assert!(matches!(WireMsg::decode(&next_frame(parent.as_mut())), Ok(WireMsg::Claim(7))));
+                    assert!(matches!(WireMsg::decode(&next_frame(&mut parent)), Ok(WireMsg::Claim(7))));
                     parent.send(&WireMsg::Assign(p, manifest.stats()[p].kmers).encode()).unwrap();
                     if wire {
                         let bytes = std::fs::read(manifest.partition_path(p)).unwrap();
                         parent.send(&encode_blob(&bytes)).unwrap();
                     }
-                    let reply = WireMsg::decode(&next_frame(parent.as_mut())).unwrap();
+                    let reply = WireMsg::decode(&next_frame(&mut parent)).unwrap();
                     assert!(matches!(&reply, WireMsg::Result(q, d) if *q == p && d.starts_with("ok 0 ")), "{reply:?}");
                     if wire {
-                        assert_eq!(&decode_blob(next_frame(parent.as_mut())).unwrap(), file, "shipped {p}");
+                        assert_eq!(&decode_blob(next_frame(&mut parent)).unwrap(), file, "shipped {p}");
                         assert!(!sub(p).exists(), "a wire worker writes nothing");
                     } else {
                         assert_eq!(&std::fs::read(sub(p)).unwrap(), file, "committed {p}");
                     }
                 }
-                assert!(matches!(WireMsg::decode(&next_frame(parent.as_mut())), Ok(WireMsg::Claim(7))));
+                assert!(matches!(WireMsg::decode(&next_frame(&mut parent)), Ok(WireMsg::Claim(7))));
                 parent.send(&WireMsg::Finished.encode()).unwrap();
                 assert!(matches!(session.join().unwrap(), SessionEnd::Finished));
             });
@@ -1469,18 +1548,18 @@ mod tests {
         failpoint::disarm(site);
     }
 
-    /// A spawned worker whose parent's socket is gone exits cleanly at
-    /// once; a remote worker pointed at a refused port backs off, then
-    /// fails naming the address.
+    /// A spawned worker whose parent stopped listening exits cleanly at
+    /// once; a remote worker pointed at the same refused port backs off,
+    /// then fails naming the address.
     #[test]
     fn only_a_remote_worker_treats_an_unreachable_parent_as_an_error() {
-        let gone = Endpoint::Unix(std::env::temp_dir().join("parahash-shard-no-such.sock"));
-        let started = Instant::now();
-        run_worker_loop(&gone, 0, true).expect("a vanished parent ends a spawned worker");
-        assert!(started.elapsed() < RECONNECT.delay(1, 0), "no backoff before exiting");
-
         let port = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
         let refused = format!("127.0.0.1:{port}");
+        let started = Instant::now();
+        run_worker_loop(&refused, Some(TOKEN.into()), 0, true)
+            .expect("a vanished parent ends a spawned worker");
+        assert!(started.elapsed() < RECONNECT.delay(1, 0), "no backoff before exiting");
+
         let err = run_remote_worker(&refused, 0).unwrap_err().to_string();
         assert!(err.contains("cannot reach shard parent") && err.contains(&refused), "{err}");
     }

@@ -1,20 +1,21 @@
-//! Multi-process Step-2 sharding: transports and the wire protocol.
+//! Multi-process Step-2 sharding: the worker connection and the wire
+//! protocol.
 //!
 //! The parent process runs Step 1, seals the partition directory, then
-//! accepts worker connections over one of two [`Transport`]s: a Unix
-//! socket (local child processes) or TCP (remote machines running
-//! `dbg worker --connect <addr>`). A connection is a device: its driver
+//! accepts worker connections on one TCP [`ShardListener`]: its own child
+//! processes over loopback, and remote machines running
+//! `dbg worker --connect <addr>`. A connection is a device: its driver
 //! joins the Step-2 roster ([`crate::Roster`]) beside the parent's cores
 //! and claims from the same work queue, so a worker *claims* partitions
 //! one at a time in the order every processor does — largest first.
 //!
 //! This module is deliberately policy-free plumbing: a length-prefixed,
 //! CRC-checked frame codec over any `Read`/`Write` pair, a tiny
-//! line-oriented message grammar, and the [`Transport`] abstraction with
-//! its two stream implementations. Everything ParaHash-specific (what a
-//! partition *is*, how a worker builds it, journaling, heartbeat and
-//! deadline policy) lives in the `parahash` crate; everything here is
-//! testable without processes.
+//! line-oriented message grammar, and the [`Connection`] that carries
+//! them. Everything ParaHash-specific (what a partition *is*, how a
+//! worker builds it, who is admitted, journaling, heartbeat and deadline
+//! policy) lives in the `parahash` crate; everything here is testable
+//! without processes.
 //!
 //! # Wire format
 //!
@@ -29,7 +30,8 @@
 //! (protocol version [`PROTO_VERSION`]):
 //!
 //! ```text
-//! hello <worker-id> <version>  worker → parent, once, on connect
+//! hello <worker-id> <version> [<token>]
+//!                              worker → parent, once, on connect
 //! deny <reason…>               parent → worker: handshake rejected, give up
 //! config\n<blob>               parent → worker, once; blob is opaque here
 //! claim <worker-id>            worker → parent: give me work
@@ -64,6 +66,7 @@
 //! and exercise exactly the recovery paths a flaky network would.
 
 use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,8 +83,11 @@ use parking_lot::Mutex;
 /// detail. Version 5 ships partition payloads whose records may be
 /// weighted (flag bit 6 and a LEB128 copy count), which a version-4
 /// worker would misread. Version 6 added the slots of the largest table
-/// to a `result`'s detail, after its peak table bytes.
-pub const PROTO_VERSION: u32 = 6;
+/// to a `result`'s detail, after its peak table bytes. Version 7 appends
+/// the parent's per-run token to `hello`, when the worker has one: every
+/// connection is TCP, and a parent that only spawned its workers admits
+/// no hello without it.
+pub const PROTO_VERSION: u32 = 7;
 
 /// Upper bound on a single *control* frame. Control messages are short
 /// text (the config blob is the largest, well under a kilobyte);
@@ -139,7 +145,7 @@ pub enum Recv {
     /// died; the parent treats both the same).
     Eof,
     /// The receive deadline elapsed with no frame started. Only
-    /// possible when the transport has a read timeout armed; the peer
+    /// possible when the connection has a read timeout armed; the peer
     /// is silent, not gone.
     TimedOut,
     /// A whole frame arrived but fails its checksum: damaged in transit.
@@ -244,29 +250,43 @@ pub fn decode_blob(mut payload: Vec<u8>) -> std::io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// A handle that can push frames to the peer from another thread (the
-/// heartbeat ticker), serialised with the owning transport's sends so
-/// frames never interleave.
-pub trait FrameSender: Send {
-    /// Sends one frame.
+/// A connected, frame-oriented, deadline-aware channel to one peer over
+/// TCP (`TCP_NODELAY` set: every frame is a whole message, sent at
+/// once). Reads go through the owned handle; writes through a
+/// mutex-shared duplicate, so the main thread and the heartbeat ticker
+/// ([`sender`](Self::sender)) never interleave frames.
+pub struct Connection {
+    reader: TcpStream,
+    writer: Arc<Mutex<TcpStream>>,
+    peer: String,
+}
+
+impl Connection {
+    /// Connects to a parent's listener at `addr` (`host:port`).
     ///
     /// # Errors
     ///
-    /// Propagates the underlying write failure.
-    fn send(&mut self, payload: &[u8]) -> std::io::Result<()>;
-}
+    /// Propagates the connect/clone failure.
+    pub fn connect(addr: &str) -> std::io::Result<Connection> {
+        Connection::new(TcpStream::connect(addr)?)
+    }
 
-/// A connected, frame-oriented, deadline-aware channel to one peer.
-/// Implemented by [`StreamTransport`] over Unix and TCP sockets; the
-/// protocol layer in `parahash` is written against this trait alone,
-/// so local and remote workers share every code path above the socket.
-pub trait Transport: Send {
+    fn new(stream: TcpStream) -> std::io::Result<Connection> {
+        // Latency only: a connection without it still works.
+        let _ = stream.set_nodelay(true);
+        let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "tcp".to_string());
+        let writer = Arc::new(Mutex::new(stream.try_clone()?));
+        Ok(Connection { reader: stream, writer, peer })
+    }
+
     /// Sends one frame (serialised with any live [`FrameSender`]).
     ///
     /// # Errors
     ///
     /// Propagates the underlying write failure.
-    fn send(&mut self, payload: &[u8]) -> std::io::Result<()>;
+    pub fn send(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        write_frame(&mut *self.writer.lock(), payload)
+    }
 
     /// Receives one frame of at most `cap` bytes, waiting at most
     /// `timeout` (`None` = forever) for it to *start*.
@@ -274,152 +294,53 @@ pub trait Transport: Send {
     /// # Errors
     ///
     /// Everything [`recv_frame`] rejects.
-    fn recv(&mut self, cap: u32, timeout: Option<Duration>) -> std::io::Result<Recv>;
+    pub fn recv(&mut self, cap: u32, timeout: Option<Duration>) -> std::io::Result<Recv> {
+        // `set_read_timeout(Some(ZERO))` is an error by contract; the
+        // smallest meaningful deadline stands in for "immediately".
+        self.reader.set_read_timeout(timeout.map(|t| t.max(Duration::from_millis(1))))?;
+        recv_frame(&mut self.reader, cap)
+    }
 
-    /// A clonable sending handle for side-channel frames (heartbeats).
-    fn sender(&self) -> Box<dyn FrameSender>;
+    /// A sending handle for side-channel frames (heartbeats) from
+    /// another thread.
+    pub fn sender(&self) -> FrameSender {
+        FrameSender(Arc::clone(&self.writer))
+    }
 
-    /// Human-readable peer name for diagnostics.
-    fn peer(&self) -> String;
-
-    /// Whether the peer may live on another machine (TCP). Remote
-    /// workers get their inputs shipped over the wire instead of
-    /// reading the parent's filesystem.
-    fn remote(&self) -> bool;
+    /// The peer's `host:port`, for diagnostics.
+    pub fn peer(&self) -> String {
+        self.peer.clone()
+    }
 }
 
-/// A byte stream a [`StreamTransport`] can ride on.
-pub trait ShardStream: Read + Write + Send + Sized + 'static {
-    /// Whether peers of this stream type may be on another machine.
-    const REMOTE: bool;
-    /// Duplicates the stream handle (shared socket, independent cursor).
+/// Pushes frames to a [`Connection`]'s peer from another thread (the
+/// heartbeat ticker), serialised with the connection's own sends.
+pub struct FrameSender(Arc<Mutex<TcpStream>>);
+
+impl FrameSender {
+    /// Sends one frame.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying clone failure.
-    fn try_clone_stream(&self) -> std::io::Result<Self>;
-    /// Arms (or clears) the read deadline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying setsockopt failure.
-    fn set_stream_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()>;
-    /// Human-readable peer name.
-    fn peer_name(&self) -> String;
-}
-
-impl ShardStream for std::os::unix::net::UnixStream {
-    const REMOTE: bool = false;
-    fn try_clone_stream(&self) -> std::io::Result<Self> {
-        self.try_clone()
-    }
-    fn set_stream_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(t)
-    }
-    fn peer_name(&self) -> String {
-        "unix".to_string()
-    }
-}
-
-impl ShardStream for std::net::TcpStream {
-    const REMOTE: bool = true;
-    fn try_clone_stream(&self) -> std::io::Result<Self> {
-        self.try_clone()
-    }
-    fn set_stream_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(t)
-    }
-    fn peer_name(&self) -> String {
-        self.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "tcp".to_string())
-    }
-}
-
-/// [`Transport`] over any [`ShardStream`]: reads on the owned handle,
-/// writes through a mutex-shared duplicate so the main thread and the
-/// heartbeat ticker never interleave frames.
-pub struct StreamTransport<S: ShardStream> {
-    reader: S,
-    writer: Arc<Mutex<S>>,
-    peer: String,
-}
-
-impl<S: ShardStream> StreamTransport<S> {
-    /// Wraps a connected stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the handle-duplication failure.
-    pub fn new(stream: S) -> std::io::Result<StreamTransport<S>> {
-        let writer = stream.try_clone_stream()?;
-        let peer = stream.peer_name();
-        Ok(StreamTransport { reader: stream, writer: Arc::new(Mutex::new(writer)), peer })
-    }
-}
-
-struct SharedSender<S: ShardStream>(Arc<Mutex<S>>);
-
-impl<S: ShardStream> FrameSender for SharedSender<S> {
-    fn send(&mut self, payload: &[u8]) -> std::io::Result<()> {
+    /// Propagates the underlying write failure.
+    pub fn send(&mut self, payload: &[u8]) -> std::io::Result<()> {
         write_frame(&mut *self.0.lock(), payload)
     }
 }
 
-impl<S: ShardStream> Transport for StreamTransport<S> {
-    fn send(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        write_frame(&mut *self.writer.lock(), payload)
-    }
-
-    fn recv(&mut self, cap: u32, timeout: Option<Duration>) -> std::io::Result<Recv> {
-        // `set_read_timeout(Some(ZERO))` is an error by contract; the
-        // smallest meaningful deadline stands in for "immediately".
-        let t = timeout.map(|t| t.max(Duration::from_millis(1)));
-        self.reader.set_stream_read_timeout(t)?;
-        recv_frame(&mut self.reader, cap)
-    }
-
-    fn sender(&self) -> Box<dyn FrameSender> {
-        Box::new(SharedSender(Arc::clone(&self.writer)))
-    }
-
-    fn peer(&self) -> String {
-        self.peer.clone()
-    }
-
-    fn remote(&self) -> bool {
-        S::REMOTE
-    }
-}
-
-/// The parent's accept side: a Unix socket in the work directory or a
-/// TCP socket for remote workers. Local children connect to
-/// [`addr`](Self::addr) exactly like remote ones — the transport is
-/// the only difference.
-pub enum ShardListener {
-    /// Local child processes over a filesystem socket.
-    Unix(std::os::unix::net::UnixListener, std::path::PathBuf),
-    /// Remote (or loopback) workers over TCP.
-    Tcp(std::net::TcpListener),
-}
+/// The parent's accept side: a TCP listener that spawned children and
+/// remote joiners alike connect to at [`addr`](Self::addr).
+pub struct ShardListener(TcpListener);
 
 impl ShardListener {
-    /// Binds a Unix socket at `path` (removing any stale one first).
+    /// Binds `addr` (e.g. `127.0.0.1:0` — port 0 picks a free port,
+    /// readable back via [`addr`](Self::addr)).
     ///
     /// # Errors
     ///
     /// Propagates the bind failure.
-    pub fn bind_unix(path: &std::path::Path) -> std::io::Result<ShardListener> {
-        let _ = std::fs::remove_file(path);
-        Ok(ShardListener::Unix(std::os::unix::net::UnixListener::bind(path)?, path.to_path_buf()))
-    }
-
-    /// Binds a TCP socket at `addr` (e.g. `127.0.0.1:0` — port 0 picks
-    /// a free port, readable back via [`addr`](Self::addr)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind_tcp(addr: &str) -> std::io::Result<ShardListener> {
-        Ok(ShardListener::Tcp(std::net::TcpListener::bind(addr)?))
+    pub fn bind(addr: &str) -> std::io::Result<ShardListener> {
+        Ok(ShardListener(TcpListener::bind(addr)?))
     }
 
     /// Accepts one worker connection.
@@ -427,77 +348,36 @@ impl ShardListener {
     /// # Errors
     ///
     /// Propagates the accept/clone failure.
-    pub fn accept(&self) -> std::io::Result<Box<dyn Transport>> {
-        match self {
-            ShardListener::Unix(l, _) => {
-                let (stream, _) = l.accept()?;
-                Ok(Box::new(StreamTransport::new(stream)?))
-            }
-            ShardListener::Tcp(l) => {
-                let (stream, _) = l.accept()?;
-                let _ = stream.set_nodelay(true);
-                Ok(Box::new(StreamTransport::new(stream)?))
-            }
-        }
+    pub fn accept(&self) -> std::io::Result<Connection> {
+        Connection::new(self.0.accept()?.0)
     }
 
-    /// The address workers connect to: the socket path (Unix) or the
-    /// resolved `host:port` (TCP — resolves a requested port 0).
+    /// The resolved `host:port` workers connect to (a requested port 0
+    /// reads back as the port picked).
     pub fn addr(&self) -> String {
-        match self {
-            ShardListener::Unix(_, path) => path.display().to_string(),
-            ShardListener::Tcp(l) => l
-                .local_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| "tcp".to_string()),
-        }
+        self.0.local_addr().map(|a| a.to_string()).unwrap_or_else(|_| "tcp".to_string())
     }
 
     /// Unblocks a thread parked in [`accept`](Self::accept) by making
     /// (and immediately dropping) a throwaway connection to ourselves.
     pub fn unblock(&self) {
-        match self {
-            ShardListener::Unix(_, path) => {
-                let _ = std::os::unix::net::UnixStream::connect(path);
-            }
-            ShardListener::Tcp(l) => {
-                if let Ok(addr) = l.local_addr() {
-                    let _ = std::net::TcpStream::connect(addr);
-                }
-            }
+        if let Ok(addr) = self.0.local_addr() {
+            let _ = TcpStream::connect(addr);
         }
     }
-}
-
-/// Connects to a parent's Unix socket.
-///
-/// # Errors
-///
-/// Propagates the connect/clone failure.
-pub fn connect_unix(path: &std::path::Path) -> std::io::Result<Box<dyn Transport>> {
-    Ok(Box::new(StreamTransport::new(std::os::unix::net::UnixStream::connect(path)?)?))
-}
-
-/// Connects to a parent's TCP listener.
-///
-/// # Errors
-///
-/// Propagates the connect/clone failure.
-pub fn connect_tcp(addr: &str) -> std::io::Result<Box<dyn Transport>> {
-    let stream = std::net::TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    Ok(Box::new(StreamTransport::new(stream)?))
 }
 
 /// The shard protocol's message set. See the module docs for the grammar.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
-    /// Worker's first message: its parent-assigned id and its protocol
+    /// Worker's first message: its parent-assigned id, its protocol
     /// version (a missing version field decodes as 1 — the PR-9
-    /// grammar — so skewed old workers are *denied*, not confused).
-    Hello(usize, u32),
-    /// Parent's refusal of a handshake (version skew, duplicate id);
-    /// the text says why and what to do. The worker must not retry.
+    /// grammar — so skewed old workers are *denied*, not confused) and
+    /// the token its parent spawned it with, if any.
+    Hello(usize, u32, Option<String>),
+    /// Parent's refusal of a handshake (version skew, a missing or wrong
+    /// token); the text says why and what to do. The worker must not
+    /// retry.
     Deny(String),
     /// Parent's reply to `hello`: the opaque run-config blob the worker
     /// needs to reconstruct the build configuration.
@@ -525,7 +405,10 @@ impl WireMsg {
     /// Serialises to the text payload of one wire frame.
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            WireMsg::Hello(id, version) => format!("hello {id} {version}").into_bytes(),
+            WireMsg::Hello(id, version, None) => format!("hello {id} {version}").into_bytes(),
+            WireMsg::Hello(id, version, Some(token)) => {
+                format!("hello {id} {version} {token}").into_bytes()
+            }
             WireMsg::Deny(why) => format!("deny {why}").into_bytes(),
             WireMsg::Config(blob) => format!("config\n{blob}").into_bytes(),
             WireMsg::Claim(id) => format!("claim {id}").into_bytes(),
@@ -572,7 +455,7 @@ impl WireMsg {
                         .parse()
                         .map_err(|e| bad(format!("wire message `hello`: bad version: {e}")))?,
                 };
-                Ok(WireMsg::Hello(id, version))
+                Ok(WireMsg::Hello(id, version, words.next().map(str::to_string)))
             }
             "deny" => {
                 let why = first.strip_prefix("deny").unwrap_or("").trim().to_string();
@@ -702,7 +585,7 @@ mod tests {
     fn versionless_hello_decodes_as_version_one() {
         // A PR-9 worker says `hello 3` with no version field; it must
         // decode (as version 1) so the parent can *deny* it politely.
-        assert_eq!(WireMsg::decode(b"hello 3").unwrap(), WireMsg::Hello(3, 1));
+        assert_eq!(WireMsg::decode(b"hello 3").unwrap(), WireMsg::Hello(3, 1, None));
         // Likewise an old parent's kmer-less assign.
         assert_eq!(WireMsg::decode(b"assign 7").unwrap(), WireMsg::Assign(7, 0));
     }
@@ -717,11 +600,11 @@ mod tests {
     }
 
     #[test]
-    fn tcp_transport_times_out_then_delivers() {
-        let listener = ShardListener::bind_tcp("127.0.0.1:0").unwrap();
+    fn a_connection_times_out_then_delivers() {
+        let listener = ShardListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.addr();
         let child = std::thread::spawn(move || {
-            let mut t = connect_tcp(&addr).unwrap();
+            let mut t = Connection::connect(&addr).unwrap();
             // Wait long enough for the parent's first recv to time out.
             std::thread::sleep(Duration::from_millis(120));
             t.send(&WireMsg::Heartbeat(5).encode()).unwrap();
@@ -732,7 +615,6 @@ mod tests {
             }
         });
         let mut conn = listener.accept().unwrap();
-        assert!(conn.remote(), "TCP peers count as remote");
         // First recv: deadline elapses before the peer says anything.
         assert_eq!(conn.recv(MAX_FRAME, Some(Duration::from_millis(20))).unwrap(), Recv::TimedOut);
         // Second recv: generous deadline, the heartbeat arrives.
@@ -745,26 +627,26 @@ mod tests {
     }
 
     #[test]
-    fn unix_transport_is_local_and_sender_shares_the_socket() {
-        let path = std::env::temp_dir().join(format!("parahash-shard-ut-{}.sock", std::process::id()));
-        let listener = ShardListener::bind_unix(&path).unwrap();
-        let addr = std::path::PathBuf::from(listener.addr());
+    fn a_sender_shares_the_connection() {
+        let listener = ShardListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.addr();
         let child = std::thread::spawn(move || {
-            let t = connect_unix(&addr).unwrap();
+            let t = Connection::connect(&addr).unwrap();
             // Send through a detached sender handle, as the heartbeat
             // ticker does, then drop everything (clean EOF).
             let mut s = t.sender();
-            s.send(&WireMsg::Hello(1, PROTO_VERSION).encode()).unwrap();
+            s.send(&WireMsg::Hello(1, PROTO_VERSION, None).encode()).unwrap();
         });
         let mut conn = listener.accept().unwrap();
-        assert!(!conn.remote(), "unix peers are local");
+        assert!(conn.peer().starts_with("127.0.0.1:"), "{}", conn.peer());
         match conn.recv(MAX_FRAME, Some(Duration::from_secs(5))).unwrap() {
-            Recv::Frame(p) => assert_eq!(WireMsg::decode(&p).unwrap(), WireMsg::Hello(1, PROTO_VERSION)),
+            Recv::Frame(p) => {
+                assert_eq!(WireMsg::decode(&p).unwrap(), WireMsg::Hello(1, PROTO_VERSION, None))
+            }
             other => panic!("expected hello, got {other:?}"),
         }
         assert_eq!(conn.recv(MAX_FRAME, Some(Duration::from_secs(5))).unwrap(), Recv::Eof);
         child.join().unwrap();
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -790,7 +672,8 @@ mod tests {
     /// Every message of the grammar, once.
     fn every_message() -> Vec<WireMsg> {
         vec![
-            WireMsg::Hello(2, PROTO_VERSION),
+            WireMsg::Hello(2, PROTO_VERSION, None),
+            WireMsg::Hello(2, PROTO_VERSION, Some("00ff3c9a5e71d2b8406f1e2d3c4b5a69".to_string())),
             WireMsg::Deny("protocol version 1 != 2; rebuild the worker".to_string()),
             WireMsg::Config("k 31\np 8\nwork-dir /tmp/a b".to_string()),
             WireMsg::Claim(2),

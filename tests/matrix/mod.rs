@@ -4,7 +4,7 @@
 //!
 //! A row names one way to build the corpus — entry point, roster, CPU
 //! threads, partition and table budgets, worker processes and their
-//! transport, failpoint spec, k and p — and must reproduce one in-process
+//! transfer mode, failpoint spec, k and p — and must reproduce one in-process
 //! reference run at its k and p (two-phase `run`, CPU-only, no budgets):
 //! its graph, every `sub-*.dbg` byte, and the outcome its journal
 //! records. The reference itself must equal `baselines::reference_graph`,
@@ -38,7 +38,7 @@ use parahash::{JournalState, ParaHash, RunJournal, RunOutcome, StepReport};
 
 pub use Entry::{FastqStreaming, Fused, FusedFastq, Run};
 pub use Roster::{Cpu, CpuGpu, Gpu};
-pub use Transport::{Tcp, Unix};
+pub use Transfer::{Fs, Wire};
 
 /// The corpus's default minimizer length, and its partition count.
 pub const P: usize = 7;
@@ -82,14 +82,15 @@ pub enum Roster {
     Gpu,
 }
 
-/// How worker processes reach the parent.
+/// How partition bytes move between the parent and its worker
+/// processes, which connect over loopback TCP either way.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Transport {
-    /// A socket in the work directory; workers share the filesystem.
-    Unix,
-    /// `listen("127.0.0.1:0")`; workers are diskless and payloads ship
+pub enum Transfer {
+    /// Spawned children without `listen`: workers share the filesystem.
+    Fs,
+    /// `listen("127.0.0.1:0")`: workers are diskless and payloads ship
     /// both ways.
-    Tcp,
+    Wire,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +104,7 @@ pub struct Row {
     pub table_budget: Option<u64>,
     /// Step-2 worker processes; 0 builds Step 2 in process.
     pub workers: usize,
-    pub transport: Transport,
+    pub transfer: Transfer,
     /// `PARAHASH_FAILPOINTS` of every process of the run; `""` for none.
     pub failpoints: &'static str,
     /// Shard deadlines short enough for the failpoints to play out in
@@ -125,7 +126,7 @@ pub const BASE: Row = Row {
     partition_budget: None,
     table_budget: None,
     workers: 0,
-    transport: Unix,
+    transfer: Fs,
     failpoints: "",
     deadlines: &[],
     k: common::K,
@@ -146,8 +147,8 @@ pub fn fused_fastq(partition_budget: u64) -> Row {
     Row { entry: FusedFastq, partition_budget: Some(partition_budget), ..BASE }
 }
 
-pub fn sharded(transport: Transport, workers: usize) -> Row {
-    Row { workers, transport, ..BASE }
+pub fn sharded(transfer: Transfer, workers: usize) -> Row {
+    Row { workers, transfer, ..BASE }
 }
 
 impl Row {
@@ -202,7 +203,7 @@ impl Row {
         if let Some(bytes) = self.table_budget {
             b = b.table_memory_budget(bytes);
         }
-        if self.transport == Tcp {
+        if self.transfer == Wire {
             // Port 0: the kernel picks a free port; spawned workers get
             // the resolved address through their environment.
             b = b.listen("127.0.0.1:0");
@@ -331,7 +332,7 @@ pub fn check(name: &str, row: Row) {
         // filesystem; a wire worker is diskless.
         for &(w, _) in &journal.leases {
             let kept = RunJournal::exists(&dir.join(format!("worker-{w}")));
-            assert_eq!(kept, row.transport == Unix, "{name}: worker {w}'s journal");
+            assert_eq!(kept, row.transfer == Fs, "{name}: worker {w}'s journal");
         }
     }
 
@@ -375,7 +376,7 @@ fn lost_lease(name: &str, row: Row, dir: &Path, journal: &JournalState, step2: &
     if row.failpoints.ends_with("abort@1") {
         assert_eq!(mine, [lost], "{name}: a dead worker is leased nothing more");
         let own = dir.join("worker-1");
-        if row.transport == Unix {
+        if row.transfer == Fs {
             let commits = RunJournal::replay(&own).unwrap().committed;
             assert!(commits.is_empty(), "{name}: worker 1 died before building: {commits:?}");
         }

@@ -1,7 +1,8 @@
 //! Multi-node robustness scenarios for the sharded Step 2, each with
-//! assertions of its own (the byte-identity matrix over transports,
+//! assertions of its own (the byte-identity matrix over transfer modes,
 //! worker counts, budgets, kills, stalls and network chaos is
-//! `tests/determinism.rs`): parent-side frame drops and garbles cost a
+//! `tests/determinism.rs`): a stranger on the loopback port is denied
+//! without a lease; parent-side frame drops and garbles cost a
 //! reconnect, never the run; a parent restart mid-distribution resumes
 //! from the aggregated per-worker journals without re-leasing committed
 //! partitions; a cluster whose only worker dies costs that worker's one
@@ -25,6 +26,7 @@ use common::PARTITIONS;
 use hashgraph::DeBruijnGraph;
 use parahash::{JournalEvent, ParaHash, RunJournal};
 use pipeline::failpoint;
+use pipeline::shard::{Connection, Recv, WireMsg, MAX_FRAME, PROTO_VERSION};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -41,6 +43,94 @@ fn reference(dir: &Path) -> (DeBruijnGraph, BTreeMap<String, Vec<u8>>) {
     let config = common::builder(dir).build().unwrap();
     let outcome = ParaHash::new(config).unwrap().run(&common::corpus()).unwrap();
     (outcome.graph, common::subgraph_bytes(dir))
+}
+
+/// The loopback ports this process listens on, from `/proc/self/net/tcp`
+/// (`LISTEN` rows whose socket inode is one of this process's fds).
+fn own_listening_ports() -> BTreeSet<u16> {
+    let inodes: BTreeSet<String> = std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter_map(|link| {
+            let link = link.to_string_lossy().into_owned();
+            Some(link.strip_prefix("socket:[")?.strip_suffix(']')?.to_string())
+        })
+        .collect();
+    let table = std::fs::read_to_string("/proc/self/net/tcp").unwrap();
+    table
+        .lines()
+        .skip(1)
+        .filter_map(|row| {
+            let cols: Vec<&str> = row.split_whitespace().collect();
+            let (local, state, inode) = (cols.get(1)?, cols.get(3)?, cols.get(9)?);
+            let (ip, port) = local.split_once(':')?;
+            let mine = *state == "0A" && ip == "0100007F" && inodes.contains(*inode);
+            mine.then(|| u16::from_str_radix(port, 16).ok()).flatten()
+        })
+        .collect()
+}
+
+/// A stranger on the loopback port: during a `workers(2)` build without
+/// `listen`, this process connects to the parent's listener and says
+/// `hello` without the run's token, then with a wrong one. Each gets
+/// `deny` and no `config`, no lease is journaled under its id, and the
+/// build stays byte-identical to the in-process one. (Worker 1 holds its
+/// first lease until it is evicted, so the listener is up for at least
+/// that deadline.)
+#[test]
+fn a_stranger_on_the_loopback_port_is_denied() {
+    let _guard = lock();
+    let env = [
+        ("PARAHASH_FAILPOINTS", "shard.worker1.lease=io-error@1"),
+        ("PARAHASH_SHARD_HEARTBEAT_MS", "100"),
+        ("PARAHASH_SHARD_TIMEOUT_MS", "1000"),
+    ];
+    if common::rerun_in_child("a_stranger_on_the_loopback_port_is_denied", &env) {
+        return;
+    }
+    const STRANGER: usize = 7;
+    let ref_dir = common::fresh_dir("chaos-stranger-ref");
+    let (ref_graph, ref_bytes) = reference(&ref_dir);
+    let dir = common::fresh_dir("chaos-stranger");
+    let config = common::builder(&dir).workers(2).build().unwrap();
+    let before = own_listening_ports();
+    let sharded = std::thread::scope(|s| {
+        let build = s.spawn(|| ParaHash::new(config).unwrap().run(&common::corpus()).unwrap());
+        let started = std::time::Instant::now();
+        let port = loop {
+            if let Some(&port) = own_listening_ports().difference(&before).next() {
+                break port;
+            }
+            assert!(started.elapsed().as_secs() < 30, "the parent never listened");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        };
+        let addr = format!("127.0.0.1:{port}");
+        let mut conns: Vec<Connection> =
+            (0..2).map(|_| Connection::connect(&addr).unwrap()).collect();
+        let tokens = [None, Some("0123456789abcdef0123456789abcdef".to_string())];
+        for (conn, token) in conns.iter_mut().zip(tokens) {
+            conn.send(&WireMsg::Hello(STRANGER, PROTO_VERSION, token.clone()).encode()).unwrap();
+            let wait = Some(std::time::Duration::from_secs(10));
+            match conn.recv(MAX_FRAME, wait).unwrap() {
+                Recv::Frame(frame) => {
+                    let reply = WireMsg::decode(&frame).unwrap();
+                    assert!(matches!(reply, WireMsg::Deny(_)), "token {token:?}: {reply:?}");
+                }
+                other => panic!("token {token:?}: {other:?}"),
+            }
+            let after = conn.recv(MAX_FRAME, wait).unwrap();
+            assert_eq!(after, Recv::Eof, "token {token:?}: no config");
+        }
+        build.join().unwrap()
+    });
+
+    assert_eq!(sharded.graph, ref_graph);
+    assert_eq!(common::subgraph_bytes(&dir), ref_bytes);
+    let state = RunJournal::replay(&dir).unwrap();
+    assert!(state.complete);
+    assert!(state.leases.iter().all(|&(w, _)| w != STRANGER), "{:?}", state.leases);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 /// Frame drop and frame garble on the parent's send side: the armed

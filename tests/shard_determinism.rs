@@ -1,8 +1,8 @@
 //! One status board for all three Step-2 flows (two-phase, fused,
-//! sharded over either transport, also under network chaos): what Step 2
+//! sharded in either transfer mode, also under network chaos): what Step 2
 //! did with a partition is a journal record that agrees with the step
 //! report, and `manifest.txt` stays what Step 1 wrote. (The sharded
-//! build's byte-identity across worker counts, transports and budgets is
+//! build's byte-identity across worker counts, transfer modes and budgets is
 //! a set of rows of `tests/determinism.rs`.)
 
 mod common;
@@ -26,21 +26,21 @@ fn journaled_sub_splits(dir: &Path) -> Vec<(usize, usize)> {
 enum Flow {
     TwoPhase,
     Fused,
-    /// Two worker processes on the Unix socket.
+    /// Two worker processes on the parent's filesystem (`transfer fs`).
     Workers,
-    /// Two diskless wire workers over `listen("127.0.0.1:0")`.
-    WorkersTcp,
+    /// Two diskless wire workers under `listen("127.0.0.1:0")`.
+    WorkersWire,
 }
 
 /// One status board: what Step 2 did with a partition — set it aside,
 /// built it out of core — is a `run.journal` record and a line of the
 /// step report, which agree; `manifest.txt` is Step 1's output, byte for
 /// byte the one a healthy unconstrained run over the same input writes.
-/// Two-phase, fused and sharded over both transports, each non-strict
+/// Two-phase, fused and sharded in both transfer modes, each non-strict
 /// with one corrupted partition and a table budget that splits the rest.
 #[test]
 fn step2_outcomes_are_journaled_and_the_manifest_stays_step1s() {
-    board(&[Flow::TwoPhase, Flow::Fused, Flow::Workers, Flow::WorkersTcp]);
+    board(&[Flow::TwoPhase, Flow::Fused, Flow::Workers, Flow::WorkersWire]);
 }
 
 /// A sharded build reports what its workers' tables did: the same Step-2
@@ -72,7 +72,7 @@ fn sharded_board_under(test: &str, failpoints: &'static str) {
     let mut env = NET_DEADLINES.to_vec();
     env.push(("PARAHASH_FAILPOINTS", failpoints));
     if !common::rerun_in_child(test, &env) {
-        board(&[Flow::Workers, Flow::WorkersTcp]);
+        board(&[Flow::Workers, Flow::WorkersWire]);
     }
 }
 
@@ -133,7 +133,7 @@ fn board(flows: &[Flow]) {
             corrupt(&dir.join("superkmers").join(format!("part-{victim:05}.skm")));
             let resumed = match flow {
                 Flow::Workers => unhealthy.workers(2),
-                Flow::WorkersTcp => unhealthy.workers(2).listen("127.0.0.1:0"),
+                Flow::WorkersWire => unhealthy.workers(2).listen("127.0.0.1:0"),
                 _ => unhealthy,
             };
             ParaHash::new(resumed.resume(true).build().unwrap()).unwrap().run(&rs).unwrap()
