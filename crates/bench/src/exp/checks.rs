@@ -156,9 +156,10 @@ pub fn checks(scale: f64) -> i32 {
         ));
 
         // The same build's Step 1 combines each partition's identical
-        // records into weighted ones before it stores them: on the
-        // chr14 shape that stores under half the bytes it staged, and
-        // the graph stays the reference's.
+        // records — a superkmer and its reverse complement among them,
+        // both stored in one orientation — into weighted ones before it
+        // stores them: on the chr14 shape that stores under half the
+        // bytes it staged, and the graph stays the reference's.
         let s1 = outcome.report.step1.step1_stats.expect("step 1 reports emit stats");
         results.push(check(
             "combining: Step 1 stores < 0.5x the bytes it staged, graph unchanged",
@@ -169,6 +170,30 @@ pub fn checks(scale: f64) -> i32 {
                 s1.stored_bytes,
                 s1.stored_bytes as f64 / s1.staging_bytes.max(1) as f64
             ),
+        ));
+    }
+
+    // orientation: Step 1 stores each superkmer in one orientation, so
+    // the reads reverse complemented build the reference graph, and the
+    // reads together with that copy replay exactly the k-mers the reads
+    // alone do — each superkmer and its twin combine into one record.
+    {
+        let flipped: Vec<dna::SeqRead> =
+            data.reads.iter().map(|r| dna::SeqRead::new(r.id().to_owned(), r.seq().revcomp())).collect();
+        let both: Vec<dna::SeqRead> = data.reads.iter().chain(&flipped).cloned().collect();
+        let build = |reads: &[dna::SeqRead]| {
+            let ph = workloads::runner("chk-orient", Setup::CpuOnly, 8, IoMode::Unthrottled);
+            let outcome = ph.run(reads).expect("build");
+            workloads::cleanup(&ph);
+            (outcome.report.step2.replayed_kmers, outcome.graph)
+        };
+        let (alone, _) = build(&data.reads);
+        let (reversed, graph) = build(&flipped);
+        let (together, _) = build(&both);
+        results.push(check(
+            "orientation: reads + their reverse complements replay as many k-mers, graph unchanged",
+            together == alone && reversed == alone && graph == reference,
+            format!("replayed {alone} (reads), {reversed} (reverse complemented), {together} (both)"),
         ));
     }
 

@@ -1,3 +1,4 @@
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::{Base, DnaError, Kmer};
@@ -225,6 +226,90 @@ impl PackedSeq {
         }
     }
 
+    /// Appends the 2-bit codes of whichever of bases `[start, start+len)`
+    /// and their reverse complement is the smaller string, in the
+    /// [`write_packed_range`](Self::write_packed_range) layout, and
+    /// returns how the range compares with its reverse complement:
+    /// `Greater` when it wrote the reverse complement, `Less` when it
+    /// wrote the range, `Equal` for a reverse-complement palindrome (the
+    /// two are the same bases).
+    ///
+    /// Neither orientation is copied out first. Each 32-base step loads
+    /// the range's next codes from the left and, for the reverse
+    /// complement, the codes ending where the previous step's began,
+    /// reversed with [`reverse_codes`](crate::simd::reverse_codes) and
+    /// complemented by one XOR; the first step's pair, compared field by
+    /// field, decides the orientation on all but ranges that open with 32
+    /// palindromic bases, and a mask then selects the word to write — no
+    /// branch on the orientation. This is how Step 1 writes every
+    /// superkmer in canonical orientation (`msp::encode_superkmer_slice`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start + len > self.len()`.
+    #[inline]
+    pub fn write_canonical_range(&self, start: usize, len: usize, out: &mut Vec<u8>) -> Ordering {
+        assert!(
+            start + len <= self.len,
+            "write_canonical_range({start}, {len}) out of bounds for length {}",
+            self.len
+        );
+        if len == 0 {
+            return Ordering::Equal;
+        }
+        let end = start + len;
+        let mut n = len.min(BASES_PER_WORD);
+        let mut fwd = self.load_codes(start) & low_fields(n);
+        let mut rev = self.load_revcomp_codes(end, n);
+        let order = if fwd == rev {
+            self.cmp_revcomp_after(start, len, n)
+        } else {
+            first_field_order(fwd, rev)
+        };
+        let reverse = u64::from(order == Ordering::Greater).wrapping_neg();
+        let mut at = 0;
+        loop {
+            let codes = (rev & reverse) | (fwd & !reverse);
+            // A whole word stored, then the length cut back to the range's
+            // bytes: a fixed-size store rather than a variable-length copy.
+            let written = out.len() + n.div_ceil(4);
+            out.extend_from_slice(&codes.to_le_bytes());
+            out.truncate(written);
+            at += n;
+            if at == len {
+                return order;
+            }
+            n = (len - at).min(BASES_PER_WORD);
+            fwd = self.load_codes(start + at) & low_fields(n);
+            rev = self.load_revcomp_codes(end - at, n);
+        }
+    }
+
+    /// How bases `[start, start+len)` compare with their reverse
+    /// complement, given that their first `at` bases compare equal.
+    fn cmp_revcomp_after(&self, start: usize, len: usize, mut at: usize) -> Ordering {
+        while at < len {
+            let n = (len - at).min(BASES_PER_WORD);
+            let fwd = self.load_codes(start + at) & low_fields(n);
+            let rev = self.load_revcomp_codes(start + len - at, n);
+            if fwd != rev {
+                return first_field_order(fwd, rev);
+            }
+            at += n;
+        }
+        Ordering::Equal
+    }
+
+    /// The reverse complement of the `n ≤ 32` bases ending before `end`,
+    /// as codes LSB-first with the fields past `n` zero: their codes
+    /// reversed and complemented.
+    #[inline]
+    fn load_revcomp_codes(&self, end: usize, n: usize) -> u64 {
+        let mask = low_fields(n);
+        let reversed = crate::simd::reverse_codes(self.load_codes(end - n) & mask);
+        (reversed >> (2 * (BASES_PER_WORD - n))) ^ mask
+    }
+
     /// Up to 32 base codes starting at `pos`, LSB-first in a single word:
     /// the shift-and-merge load shared by the word-batched serializer.
     /// Codes past the end of the sequence read as zero.
@@ -232,11 +317,28 @@ impl PackedSeq {
     fn load_codes(&self, pos: usize) -> u64 {
         let bit = 2 * pos;
         let (w, sh) = (bit / 64, (bit % 64) as u32);
-        let mut chunk = self.words[w] >> sh;
-        if sh > 0 {
-            chunk |= self.words.get(w + 1).copied().unwrap_or(0) << (64 - sh);
-        }
-        chunk
+        let next = self.words.get(w + 1).copied().unwrap_or(0);
+        // `next << (64 − sh)` in two shifts, so `sh = 0` shifts it out
+        // instead of overflowing.
+        (self.words[w] >> sh) | ((next << 1) << (63 - sh))
+    }
+}
+
+/// How two unequal words of LSB-first base codes compare as strings: by
+/// their lowest differing two-bit field.
+#[inline]
+fn first_field_order(a: u64, b: u64) -> Ordering {
+    let shift = (a ^ b).trailing_zeros() & !1;
+    ((a >> shift) & 3).cmp(&((b >> shift) & 3))
+}
+
+/// A word whose low `n` two-bit fields (`n ≤ 32`) are all ones.
+#[inline]
+fn low_fields(n: usize) -> u64 {
+    if n >= BASES_PER_WORD {
+        u64::MAX
+    } else {
+        (1u64 << (2 * n)) - 1
     }
 }
 
@@ -523,6 +625,113 @@ mod tests {
                 assert_eq!(fast, scalar, "start={start} len={len}");
             }
         }
+    }
+
+    /// The base-at-a-time reverse-complement serializer that the
+    /// word-batched reverse-complement steps of
+    /// [`write_canonical_range`](PackedSeq::write_canonical_range) must
+    /// match: read the range from its right end, complement each base,
+    /// pack four to a byte.
+    fn write_revcomp_range_scalar(s: &PackedSeq, start: usize, len: usize, out: &mut Vec<u8>) {
+        let mut byte = 0u8;
+        for i in 0..len {
+            byte |= s.base(start + len - 1 - i).complement().code() << (2 * (i % 4));
+            if i % 4 == 3 {
+                out.push(byte);
+                byte = 0;
+            }
+        }
+        if !len.is_multiple_of(4) {
+            out.push(byte);
+        }
+    }
+
+    /// 100 bases: a range of any start and length up to 96 within it
+    /// spans up to four words, and every alignment occurs.
+    fn three_words() -> PackedSeq {
+        let ascii: Vec<u8> = (0..100).map(|i| b"ACGTTGCATGGACCAGTTA"[(i * 7 + i / 3) % 19]).collect();
+        PackedSeq::from_ascii(&ascii)
+    }
+
+    /// What `write_canonical_range` writes and returns, by the
+    /// definition: the range and its reverse complement copied out and
+    /// compared, the smaller packed a base at a time.
+    fn write_canonical_range_scalar(
+        s: &PackedSeq,
+        start: usize,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Ordering {
+        let range = s.slice(start, len);
+        let order = range.cmp(&range.revcomp());
+        if order == Ordering::Greater {
+            write_revcomp_range_scalar(s, start, len, out);
+        } else {
+            write_packed_range_scalar(s, start, len, out);
+        }
+        order
+    }
+
+    #[test]
+    fn write_canonical_range_matches_scalar_at_every_start_and_length() {
+        // The sequence and its reverse complement: a range written forward
+        // in one is written reverse complemented in the other, so both
+        // word paths run at every start and length.
+        for s in [three_words(), three_words().revcomp()] {
+            let mut flipped = 0;
+            for start in 0..=s.len() {
+                for len in 0..=(s.len() - start).min(96) {
+                    let mut fast = vec![0xCD]; // pre-existing bytes are appended to
+                    let order = s.write_canonical_range(start, len, &mut fast);
+                    let mut scalar = vec![0xCD];
+                    let want = write_canonical_range_scalar(&s, start, len, &mut scalar);
+                    assert_eq!(order, want, "start={start} len={len}");
+                    assert_eq!(fast, scalar, "start={start} len={len}");
+                    flipped += usize::from(order == Ordering::Greater);
+                }
+            }
+            assert!(flipped > 1000, "{flipped} ranges reverse complemented");
+        }
+    }
+
+    #[test]
+    fn write_canonical_range_writes_a_range_and_its_reverse_complement_alike() {
+        let s = three_words();
+        let twin = s.revcomp();
+        for start in 0..=s.len() {
+            for len in 0..=(s.len() - start).min(96) {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                let order = s.write_canonical_range(start, len, &mut a);
+                let mirror = s.len() - start - len;
+                assert_eq!(twin.write_canonical_range(mirror, len, &mut b), order.reverse());
+                assert_eq!(a, b, "start={start} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn palindromes_compare_equal_past_the_first_word() {
+        // Palindromes whose first word is equal to its twin's, the last
+        // word part-filled or whole; one base more in front breaks them.
+        let word = "ACGTTGCATGGACCAGTTACGGATCAGGCATT";
+        for half in ["A", "ACG", &word[..31], word, &format!("{word}AGC")] {
+            let left = PackedSeq::from_ascii(half.as_bytes());
+            let mut pal = PackedSeq::from_ascii(b"G");
+            pal.extend(left.bases().chain(left.revcomp().bases()));
+            let mut out = Vec::new();
+            assert_eq!(pal.write_canonical_range(1, pal.len() - 1, &mut out), Ordering::Equal, "{pal}");
+            let mut forward = Vec::new();
+            pal.write_packed_range(1, pal.len() - 1, &mut forward);
+            assert_eq!(out, forward, "{pal}");
+            let whole = pal.write_canonical_range(0, pal.len(), &mut Vec::new());
+            assert_ne!(whole, Ordering::Equal, "{pal}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn write_canonical_range_rejects_overrun() {
+        PackedSeq::from_ascii(b"ACGT").write_canonical_range(1, 4, &mut Vec::new());
     }
 
     #[test]

@@ -462,6 +462,17 @@ impl PartitionStore {
         Ok(())
     }
 
+    /// Frames every partition's pending records, so the stats hold the
+    /// bytes each partition stores. Sealing frames them too; call this
+    /// first to order partitions by their final sizes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates frame and I/O failures.
+    pub fn frame_pending(&mut self) -> Result<()> {
+        (0..self.slots.len()).try_for_each(|i| self.flush_frame(i))
+    }
+
     /// Frames every partition's pending records, then builds and saves
     /// the manifest from the stats. Call once appends are complete.
     ///
@@ -470,54 +481,97 @@ impl PartitionStore {
     /// Propagates frame and I/O failures, those from writing
     /// `manifest.txt` included.
     pub fn finish_manifest(&mut self) -> Result<PartitionManifest> {
-        for i in 0..self.slots.len() {
-            self.flush_frame(i)?;
-        }
-        PartitionManifest::commit(self.dir.clone(), self.k, self.p, self.stats.clone())
+        self.frame_pending()?;
+        let (manifest, staged) =
+            PartitionManifest::stage(self.dir.clone(), self.k, self.p, self.stats.clone())?;
+        commit::commit_batch(&[staged])?;
+        Ok(manifest)
     }
 
     /// Flushes and hands off one partition for Step 2: resident bytes
     /// move out by value (no disk round-trip), spilled partitions flush
-    /// their file and return its path.
+    /// their file, commit it (fsync, rename `*.skm.tmp` → `*.skm`, fsync
+    /// the directory) and return its path.
     ///
     /// # Errors
     ///
-    /// Propagates flush failures.
+    /// Propagates flush and commit failures.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range or already sealed.
     pub fn seal(&mut self, index: usize) -> Result<SealedPartition> {
+        let (sealed, staged) = self.take(index)?;
+        commit::commit_batch(staged.as_slice())?;
+        Ok(sealed)
+    }
+
+    /// Seals every partition, handed off in `order`, and writes the
+    /// manifest, as one group commit: the manifest is staged beside the
+    /// spill files, then one fsync pass over them all, one rename pass
+    /// (partitions in `order`, the manifest last) and one fsync of the
+    /// directory ([`commit::commit_batch`]). A partition file's final
+    /// name is durable only once this returns, for every spilled
+    /// partition at once. What each partition hands off is as from
+    /// [`seal`](Self::seal).
+    ///
+    /// # Errors
+    ///
+    /// Propagates frame, write, fsync and rename failures; staged files
+    /// not yet renamed stay staged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` names a partition out of range or twice.
+    pub fn seal_all(&mut self, order: &[usize]) -> Result<(PartitionManifest, Vec<SealedPartition>)> {
+        self.frame_pending()?;
+        let mut staged = Vec::new();
+        let mut sealed = Vec::with_capacity(order.len());
+        for &index in order {
+            let (partition, file) = self.take(index)?;
+            staged.extend(file);
+            sealed.push(partition);
+        }
+        let (manifest, file) =
+            PartitionManifest::stage(self.dir.clone(), self.k, self.p, self.stats.clone())?;
+        staged.push(file);
+        commit::commit_batch(&staged)?;
+        Ok((manifest, sealed))
+    }
+
+    /// Seals partition `index` up to its commit: its last frame written,
+    /// its payload moved out — and, for a spilled partition, its file
+    /// flushed and handed back staged, for the caller to commit before
+    /// the path it returns names anything.
+    fn take(&mut self, index: usize) -> Result<(SealedPartition, Option<commit::Staged>)> {
         self.flush_frame(index)?;
         let cost = self.slots[index].resident_cost();
         let slot = &mut self.slots[index];
         // A sealed slot takes no more records: free its pending buffer's
         // capacity now rather than when the store is dropped.
         slot.pending = Vec::new();
-        let payload = match std::mem::replace(&mut slot.backing, Backing::Sealed) {
+        let (payload, staged) = match std::mem::replace(&mut slot.backing, Backing::Sealed) {
             Backing::Resident(v) => {
                 self.resident_bytes -= cost;
-                SealedPayload::Resident(v)
+                (SealedPayload::Resident(v), None)
             }
             Backing::Spilled(file) => {
-                // Commit the staged spill: flush buffers, then fsync the
-                // data, rename `*.skm.tmp` → `*.skm`, fsync the directory.
-                // Only now does the final name exist.
-                drop(file.into_inner().map_err(|e| MspError::Io(e.into()))?);
+                let file = file.into_inner().map_err(|e| MspError::Io(e.into()))?;
                 let path = partition_path(&self.dir, index);
-                commit::commit_staged(&commit::tmp_path_scoped(&path, &self.run_token), &path)?;
-                SealedPayload::Spilled(path)
+                let tmp = commit::tmp_path_scoped(&path, &self.run_token);
+                (SealedPayload::Spilled(path.clone()), Some(commit::Staged { file, tmp, path }))
             }
             Backing::Sealed => panic!("partition {index} sealed twice"),
         };
         let s = &self.stats[index];
-        Ok(SealedPartition {
+        let sealed = SealedPartition {
             index,
             superkmers: s.superkmers,
             kmers: s.kmers,
             bytes: s.bytes,
             payload,
-        })
+        };
+        Ok((sealed, staged))
     }
 }
 

@@ -325,11 +325,14 @@ mod tests {
                 for seed in 0..40u64 {
                     // Cores from exactly k bases up to several words long.
                     let core = lcg_read(seed * 131 + (k * 37 + p) as u64, k + (seed as usize * 7) % 90);
-                    let first = core.kmer_at(0, k).unwrap();
-                    let minimizer = minimizer_of_kmer(&first, p);
-                    want.push(sub_route(&minimizer, 5));
                     let last = core.len() - k;
+                    let at = pending.len();
                     encode_superkmer_slice(&core, 0, last, k, None, Some(Base::G), &mut pending);
+                    // The record's first k-mer, in the orientation it was
+                    // stored in.
+                    let (view, _) = SuperkmerView::parse(&pending[at..], k).unwrap();
+                    let first = Kmer::from_bases(k, view.bases().take(k)).unwrap();
+                    want.push(sub_route(&minimizer_of_kmer(&first, p), 5));
                 }
                 append_frame(&mut framed, &pending);
                 for payload in frame_payloads_in(&framed, None).unwrap() {

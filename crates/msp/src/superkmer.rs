@@ -12,7 +12,8 @@ use crate::{MinimizerCursor, MspError, Result};
 /// covering k-mer positions `i..=j` of read `S` the core is
 /// `S[i, j+K−1]`, and ParaHash's *adjacency extensions* are `S[i−1]` and
 /// `S[j+K]` where they exist. [`encode_superkmer_slice`](crate::encode_superkmer_slice)
-/// writes exactly that as one partition record.
+/// writes exactly that as one partition record, on whichever strand
+/// makes it canonical.
 ///
 /// # Examples
 ///

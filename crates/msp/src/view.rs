@@ -750,17 +750,19 @@ mod tests {
             assert_eq!(slices.total_kmers(), read.len() - k + 1, "k={k} p={p}");
             let mut first = 0usize; // k-mer index of the record's first k-mer
             for v in slices.iter() {
-                let core: String = v.bases().map(|b| b.to_ascii() as char).collect();
-                assert_eq!(core, read[first..first + v.core_len()], "k={k} p={p}");
+                // The read's span, and the record's spelling of it on the
+                // strand where its core is the smaller string.
+                let span = PackedSeq::from_ascii(&text[first..first + v.core_len()]);
+                let left = first.checked_sub(1).map(|i| Base::from_ascii(text[i]));
+                let right = text.get(first + v.core_len()).map(|&b| Base::from_ascii(b));
+                let twin = (span.revcomp(), right.map(Base::complement), left.map(Base::complement));
+                let want = (span, left, right).min(twin);
+                let record = (v.bases().collect::<PackedSeq>(), v.left_ext(), v.right_ext());
+                assert_eq!(record, want, "k={k} p={p}");
                 for (i, b) in v.bases().enumerate() {
                     assert_eq!(v.base(i), b);
                 }
                 assert_eq!(v.k(), k);
-                assert_eq!(v.left_ext(), first.checked_sub(1).map(|i| Base::from_ascii(text[i])));
-                assert_eq!(
-                    v.right_ext(),
-                    text.get(first + v.core_len()).map(|&b| Base::from_ascii(b))
-                );
                 first += v.kmer_count();
             }
         }

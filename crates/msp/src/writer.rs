@@ -95,20 +95,18 @@ impl PartitionWriter {
     }
 
     /// Seals every partition — its last frame written, its staged file
-    /// committed to its final `part-NNNNN.skm` name — then writes
-    /// `manifest.txt` (also atomically) and returns the manifest. Until
-    /// this returns, the directory holds no manifest, so a crash anywhere
-    /// before the manifest commit leaves nothing a later run could mistake
-    /// for a complete Step-1 output.
+    /// committed to its final `part-NNNNN.skm` name — and `manifest.txt`
+    /// in one batch ([`PartitionStore::seal_all`]), and returns the
+    /// manifest. The manifest is renamed into place last, so a crash
+    /// anywhere before it leaves nothing a later run could mistake for a
+    /// complete Step-1 output.
     ///
     /// # Errors
     ///
     /// Propagates flush/fsync/rename failures.
     pub fn finish(mut self) -> Result<PartitionManifest> {
-        for i in 0..self.store.num_partitions() {
-            self.store.seal(i)?;
-        }
-        self.store.finish_manifest()
+        let order: Vec<usize> = (0..self.store.num_partitions()).collect();
+        Ok(self.store.seal_all(&order)?.0)
     }
 }
 
@@ -117,8 +115,9 @@ impl PartitionWriter {
 /// Step 2 beyond the partition bytes. Persisted as a small text file so
 /// Step 2 (possibly a different process) can size its hash tables from
 /// the kmer counts without rescanning. The file is written once, by
-/// [`PartitionStore::finish_manifest`], and never rewritten: what Step 2
-/// later does with a partition is recorded in the run journal.
+/// [`PartitionStore::seal_all`] (or [`PartitionStore::finish_manifest`]),
+/// and never rewritten: what Step 2 later does with a partition is
+/// recorded in the run journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionManifest {
     dir: PathBuf,
@@ -182,26 +181,35 @@ impl PartitionManifest {
         dir.join("manifest.txt")
     }
 
-    /// A finished partition directory's manifest, written to its
-    /// `manifest.txt` atomically: the full contents are staged to
-    /// `manifest.txt.tmp`, fsynced, and renamed into place, so a reader
-    /// sees a whole manifest or none.
-    pub(crate) fn commit(
+    /// A finished partition directory's manifest, its contents written
+    /// to `manifest.txt.tmp` for [`commit::commit_batch`] to fsync and
+    /// rename into place — with the partition files it describes, or
+    /// alone — so a reader sees a whole manifest or none.
+    pub(crate) fn stage(
         dir: PathBuf,
         k: usize,
         p: usize,
         stats: Vec<PartitionStats>,
-    ) -> Result<PartitionManifest> {
-        let mut out = Vec::with_capacity(64 + 32 * stats.len());
-        writeln!(out, "parahash-msp-manifest v1")?;
-        writeln!(out, "k {k}")?;
-        writeln!(out, "p {p}")?;
-        writeln!(out, "partitions {}", stats.len())?;
-        for (i, s) in stats.iter().enumerate() {
-            writeln!(out, "part {i} {} {} {}", s.superkmers, s.kmers, s.bytes)?;
+    ) -> Result<(PartitionManifest, commit::Staged)> {
+        let manifest = PartitionManifest { dir, k, p, stats };
+        let path = Self::manifest_path(&manifest.dir);
+        let tmp = commit::tmp_path(&path);
+        let mut file = File::create(&tmp)?;
+        file.write_all(&manifest.render())?;
+        Ok((manifest, commit::Staged { file, tmp, path }))
+    }
+
+    /// The `manifest.txt` text.
+    fn render(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64 + 32 * self.stats.len());
+        out.extend_from_slice(b"parahash-msp-manifest v1\n");
+        let head = format!("k {}\np {}\npartitions {}\n", self.k, self.p, self.stats.len());
+        out.extend_from_slice(head.as_bytes());
+        for (i, s) in self.stats.iter().enumerate() {
+            let line = format!("part {i} {} {} {}\n", s.superkmers, s.kmers, s.bytes);
+            out.extend_from_slice(line.as_bytes());
         }
-        commit::commit_bytes(&Self::manifest_path(&dir), &out)?;
-        Ok(PartitionManifest { dir, k, p, stats })
+        out
     }
 
     /// Loads the manifest from a partition directory.

@@ -30,6 +30,27 @@ fn naive_runs(k: usize, p: usize, read: &PackedSeq) -> Vec<(usize, usize, Kmer)>
     out
 }
 
+/// Bases `first..first + len` of `read` between the read's neighbouring
+/// bases, spelled as a record of `k`-mers stores them: at odd `k` on the
+/// strand where the core is the smaller string, then the smaller
+/// extension pair — the reverse complement complements the extensions
+/// and swaps their sides; at even `k` as read.
+fn canonical_span(
+    read: &PackedSeq,
+    first: usize,
+    len: usize,
+    k: usize,
+) -> (PackedSeq, Option<Base>, Option<Base>) {
+    let core = read.slice(first, len);
+    let left = first.checked_sub(1).map(|i| read.base(i));
+    let right = read.get(first + len);
+    if k.is_multiple_of(2) {
+        return (core, left, right);
+    }
+    let twin = (core.revcomp(), right.map(Base::complement), left.map(Base::complement));
+    (core, left, right).min(twin)
+}
+
 /// Collects the streaming cursor's runs for one read.
 fn streamed_runs(scanner: &SuperkmerScanner, read: &PackedSeq) -> Vec<(usize, usize, Kmer)> {
     let mut cursor = scanner.cursor();
@@ -52,9 +73,10 @@ proptest! {
     }
 
     /// The cover property: one read's records, in scan order, overlap by
-    /// K−1 bases and reassemble to the read; each carries the read's
-    /// neighbouring bases as extensions, and all of its k-mers share one
-    /// minimizer that differs from the next record's.
+    /// K−1 bases and reassemble to the read, each on the strand that
+    /// makes it canonical; each carries the read's neighbouring bases as
+    /// extensions, and all of its k-mers share one minimizer that differs
+    /// from the next record's.
     #[test]
     fn records_cover_every_kmer_exactly_once(read in seq(250), k in 2usize..28, p_frac in 1usize..100) {
         let p = 1 + (p_frac * (k - 1)) / 100;
@@ -65,10 +87,8 @@ proptest! {
         let mut previous: Option<Kmer> = None;
         for view in slices.iter() {
             let core: PackedSeq = view.bases().collect();
-            prop_assert_eq!(&core, &read.slice(first, view.core_len()));
-            prop_assert_eq!(view.left_ext(), first.checked_sub(1).map(|i| read.base(i)));
-            let end = first + view.core_len();
-            prop_assert_eq!(view.right_ext(), (end < read.len()).then(|| read.base(end)));
+            let record = (core.clone(), view.left_ext(), view.right_ext());
+            prop_assert_eq!(record, canonical_span(&read, first, view.core_len(), k));
             let shared = minimizer_of_kmer(&core.kmer_at(0, k).unwrap(), p);
             for kmer in core.kmers(k) {
                 prop_assert_eq!(minimizer_of_kmer(&kmer, p), shared);
@@ -83,26 +103,39 @@ proptest! {
 
     /// Every run of a read, encoded straight from the packed words and
     /// read back through `SuperkmerView`, spells the read's bases and
-    /// neighbours — including the first/last runs whose left/right
-    /// extensions are absent, for wide k and every core alignment.
+    /// neighbours in canonical orientation — including the first/last
+    /// runs whose left/right extensions are absent, for wide k and every
+    /// core alignment — and the same run cut from the reverse-complement
+    /// read encodes to the same bytes.
     #[test]
     fn slice_encoding_round_trips_through_views(read in seq(260), k in 1usize..=48, p_frac in 0usize..=100) {
         let p = 1 + (p_frac * (k - 1)).div_ceil(100).min(k - 1);
         let scanner = SuperkmerScanner::new(k, p).unwrap();
-        for (first, last, _) in streamed_runs(&scanner, &read) {
+        let encode = |read: &PackedSeq, first: usize, last: usize| {
             let left = first.checked_sub(1).map(|i| read.base(i));
             let right = (last + k < read.len()).then(|| read.base(last + k));
             let mut record = Vec::new();
-            encode_superkmer_slice(&read, first, last, k, left, right, &mut record);
+            encode_superkmer_slice(read, first, last, k, left, right, &mut record);
+            record
+        };
+        let twin = read.revcomp();
+        for (first, last, _) in streamed_runs(&scanner, &read) {
+            let record = encode(&read, first, last);
             prop_assert_eq!(record.len(), msp::encoded_len(last - first + k));
             let (view, used) = SuperkmerView::parse(&record, k).unwrap();
             prop_assert_eq!(used, record.len());
             prop_assert_eq!(view.kmer_count(), last - first + 1);
+            let (core, left, right) = canonical_span(&read, first, last - first + k, k);
             prop_assert_eq!((view.left_ext(), view.right_ext()), (left, right));
-            let core: PackedSeq = view.bases().collect();
-            prop_assert_eq!(core, read.slice(first, last - first + k), "run {}..={} of k={} p={}", first, last, k, p);
+            let bases: PackedSeq = view.bases().collect();
+            prop_assert_eq!(bases, core.clone(), "run {}..={} of k={} p={}", first, last, k, p);
             for i in 0..view.core_len() {
-                prop_assert_eq!(view.base(i), read.base(first + i));
+                prop_assert_eq!(view.base(i), core.base(i));
+            }
+            if !k.is_multiple_of(2) {
+                let mirror = read.len() - k;
+                let twin_record = encode(&twin, mirror - last, mirror - first);
+                prop_assert_eq!(twin_record, record, "run {}..={} of k={} p={}", first, last, k, p);
             }
         }
     }

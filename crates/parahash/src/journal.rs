@@ -3,8 +3,10 @@
 //! A ParaHash run on a big input takes hours; without a durable record
 //! of progress, any process death throws away every completed partition
 //! and subgraph. The journal is that record: an **append-only** file in
-//! the work directory, one CRC-framed record per event, fsynced after
-//! every append so a record either survives whole or not at all.
+//! the work directory, one CRC-framed record per event. Each append call
+//! writes its records whole and fsyncs once, after the last, before it
+//! returns; a record either survives whole or not at all, and one a call
+//! returned from is durable.
 //!
 //! ```text
 //! record  := u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
@@ -251,8 +253,8 @@ pub struct JournalState {
     pub torn_tail: bool,
 }
 
-/// Append-only, CRC-framed, fsync-per-record run journal; its records
-/// are listed in the repository's `docs/FORMATS.md`.
+/// Append-only, CRC-framed run journal, fsynced once per append call;
+/// its records are listed in the repository's `docs/FORMATS.md`.
 #[derive(Debug)]
 pub struct RunJournal {
     path: PathBuf,
@@ -315,9 +317,17 @@ impl RunJournal {
         self.append_all([event])
     }
 
-    /// Appends `events` in order, each record fsynced as by
-    /// [`append`](Self::append), with no other thread's record between
-    /// them.
+    /// Appends `events` in order, with no other thread's record between
+    /// them, and fsyncs once for all of them: each record is written
+    /// whole, after its own pass through the `journal.append` failpoint,
+    /// and the one `fdatasync` follows the last. A call appending nothing
+    /// syncs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures (including an armed `journal.append`
+    /// failpoint: the records before it are synced, and it and those
+    /// after it are not written).
     pub(crate) fn append_all<'e>(
         &self,
         events: impl IntoIterator<Item = &'e JournalEvent>,
@@ -328,14 +338,22 @@ impl RunJournal {
     fn append_lines(&self, lines: impl IntoIterator<Item = String>) -> Result<()> {
         let file = self.file.lock();
         let mut f = &*file;
+        let mut written = false;
+        let mut appended = Ok(());
         for line in lines {
-            failpoint::hit("journal.append")?;
+            appended = failpoint::hit("journal.append");
+            if appended.is_err() {
+                break;
+            }
             let mut record = Vec::with_capacity(msp::FRAME_HEADER_LEN + line.len());
             msp::append_frame(&mut record, line.as_bytes());
             f.write_all(&record)?;
+            written = true;
+        }
+        if written {
             f.sync_data()?;
         }
-        Ok(())
+        Ok(appended?)
     }
 
     /// Reopens the journal in `work_dir` when it belongs to this run

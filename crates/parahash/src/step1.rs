@@ -173,13 +173,12 @@ pub(crate) fn step1_sealed(
         PartitionStore::create_scoped(&dir, n, config.k, config.p, budget, &config.run_token)?;
     let sealed = step1_into(config, input, io, &CancelToken::new(), &mut store).and_then(|mut step1| {
         let started = Instant::now();
-        let manifest = store.finish_manifest()?;
+        let (manifest, feed) = seal_all(&mut store, journal)?;
         if let Some(stats) = &mut step1.step1_stats {
             stats.stored_bytes = manifest.total_bytes();
         }
-        let feed = SharedCounterQueue::filled(seal_all(&mut store, journal)?);
         step1.seal = started.elapsed();
-        Ok((manifest, step1, feed))
+        Ok((manifest, step1, SharedCounterQueue::filled(feed)))
     });
     drop(store);
     sealed.inspect_err(|_| {
@@ -187,9 +186,12 @@ pub(crate) fn step1_sealed(
     })
 }
 
-/// Seals every partition of `store`, in Step 2's feed order, journaling
-/// each durable one — only a *spilled* partition is: a resident one's
-/// bytes exist nowhere but in this process's memory.
+/// Seals every partition of `store` and commits its manifest in one
+/// group commit ([`PartitionStore::seal_all`]), then journals every
+/// durable partition in one append — only a *spilled* partition is: a
+/// resident one's bytes exist nowhere but in this process's memory. The
+/// records follow the directory fsync that makes every rename durable.
+/// Returns the manifest and Step 2's feed.
 ///
 /// Hand-over order is chosen, not index order: spilled partitions first
 /// (their loads overlap compute on the resident ones, hiding T_IO per §IV
@@ -197,19 +199,21 @@ pub(crate) fn step1_sealed(
 /// (longest-processing-time ordering tightens the Eq. 1 makespan), index
 /// as the deterministic tiebreak. Order affects only scheduling — each
 /// partition's subgraph is canonical regardless.
-fn seal_all(store: &mut PartitionStore, journal: &RunJournal) -> Result<Vec<SealedPartition>> {
+fn seal_all(
+    store: &mut PartitionStore,
+    journal: &RunJournal,
+) -> Result<(PartitionManifest, Vec<SealedPartition>)> {
+    store.frame_pending()?;
     let mut order: Vec<usize> = (0..store.num_partitions()).collect();
     order.sort_by_key(|&i| (store.is_resident(i), std::cmp::Reverse(store.stats()[i].bytes), i));
-    let mut feed = Vec::with_capacity(order.len());
-    for i in order {
-        let sealed = store.seal(i)?;
-        let durable = matches!(sealed.payload, SealedPayload::Spilled(_));
-        feed.push(sealed);
-        if durable {
-            journal.append(&JournalEvent::PartitionSealed(i))?;
-        }
-    }
-    Ok(feed)
+    let (manifest, feed) = store.seal_all(&order)?;
+    let durable: Vec<JournalEvent> = feed
+        .iter()
+        .filter(|sealed| matches!(sealed.payload, SealedPayload::Spilled(_)))
+        .map(|sealed| JournalEvent::PartitionSealed(sealed.index))
+        .collect();
+    journal.append_all(&durable)?;
+    Ok((manifest, feed))
 }
 
 /// The one body of Step 1: opens `input`, cuts it into batches — index

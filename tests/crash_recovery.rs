@@ -45,26 +45,33 @@ enum Flow {
     Fused,
     /// `run_fused` at budget 0: the two-phase data path, fused entry.
     FusedSpill,
+    /// `run` over [`MANY`] partitions: the benchmark's `resume_half`
+    /// shape, a seal batch of 64 files.
+    TwoPhaseMany,
 }
 
 impl Flow {
-    const ALL: [Flow; 3] = [Flow::TwoPhase, Flow::Fused, Flow::FusedSpill];
+    const ALL: [Flow; 4] = [Flow::TwoPhase, Flow::Fused, Flow::FusedSpill, Flow::TwoPhaseMany];
 
     fn name(self) -> &'static str {
         match self {
             Flow::TwoPhase => "two-phase",
             Flow::Fused => "fused",
             Flow::FusedSpill => "fused-spill",
+            Flow::TwoPhaseMany => "two-phase-many",
         }
     }
 
     fn build(self, ph: &ParaHash, rs: &[SeqRead]) -> Result<RunOutcome> {
         match self {
-            Flow::TwoPhase => ph.run(rs),
+            Flow::TwoPhase | Flow::TwoPhaseMany => ph.run(rs),
             Flow::Fused | Flow::FusedSpill => ph.run_fused(rs),
         }
     }
 }
+
+/// [`Flow::TwoPhaseMany`]'s partition count.
+const MANY: usize = 64;
 
 /// The sites each flow passes, every one a crash point below; together
 /// they are `pipeline::failpoint::SITES`.
@@ -94,6 +101,7 @@ fn builder(dir: &Path, flow: Flow) -> parahash::ParaHashConfigBuilder {
         Flow::TwoPhase => b,
         Flow::Fused => b.partition_memory_budget(PARTIAL_BUDGET),
         Flow::FusedSpill => b.partition_memory_budget(0),
+        Flow::TwoPhaseMany => b.partitions(MANY),
     }
 }
 
@@ -177,6 +185,54 @@ fn fused_crash_at_every_site_resumes_byte_identical() {
     crash_matrix(Flow::Fused, FUSED_SITES, &[1, 2, 3]);
 }
 
+/// Step 1 seals a budget-0 run's partitions as one group commit — every
+/// file renamed, then one directory fsync — and journals them in one
+/// append. Killed after the renames, before the first `partition-sealed`
+/// record (the 2nd `journal.append`; `config` is the 1st), the run has
+/// every file at its final name and none journaled; killed amid the
+/// records (the 33rd), it has the first 31 journaled. Either way the
+/// resume re-runs Step 1 and ends byte-identical.
+#[test]
+fn a_crash_in_the_batched_seal_resumes_byte_identical() {
+    let flow = Flow::TwoPhaseMany;
+    let (ref_graph, ref_bytes) = reference(flow, "ref-seal-batch");
+    for (trigger, journaled) in [(2, 0), (33, 31)] {
+        let dir = common::fresh_dir(&format!("seal-batch-{trigger}"));
+        assert!(spawn_crashing_child(&dir, flow, "journal.append", trigger), "child must die");
+        let state = RunJournal::replay(&dir).unwrap();
+        assert_eq!(state.sealed.len(), journaled, "journal.append@{trigger}");
+        let parts = dir.join("superkmers");
+        assert!(parts.join("manifest.txt").exists(), "journal.append@{trigger}: the batch committed");
+        for i in 0..MANY {
+            let part = parts.join(format!("part-{i:05}.skm"));
+            assert!(part.exists(), "journal.append@{trigger}: part {i}");
+        }
+        let outcome = flow.build(&resuming(&dir, flow), &reads()).unwrap();
+        assert!(outcome.report.step1.step1_stats.unwrap().superkmers > 0, "Step 1 re-ran");
+        assert_eq!(outcome.graph, ref_graph, "graph after journal.append@{trigger}");
+        assert_eq!(common::subgraph_bytes(&dir), ref_bytes, "files after journal.append@{trigger}");
+        assert!(RunJournal::replay(&dir).unwrap().complete);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The benchmark's `resume_half` set-up contract: a two-phase build of 64
+/// partitions killed at its 33rd subgraph write has journaled all 64
+/// partitions sealed and exactly 32 subgraphs committed — the same in
+/// every repetition.
+#[test]
+fn a_crash_at_the_33rd_subgraph_write_leaves_64_sealed_and_32_committed() {
+    for rep in 0..3 {
+        let dir = common::fresh_dir(&format!("half-crash-{rep}"));
+        let died = spawn_crashing_child(&dir, Flow::TwoPhaseMany, "step2.subgraph.write", 33);
+        assert!(died, "child must die");
+        let state = RunJournal::replay(&dir).unwrap();
+        assert_eq!(state.sealed, (0..MANY).collect(), "repetition {rep}");
+        assert_eq!(state.committed.len(), 32, "repetition {rep}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// One resume rule for every entry point: a fused run at budget 0 killed
 /// in Step 2 has journaled every partition sealed, so its resume skips
 /// Step 1 — an idle Step-1 report — and still ends byte-identical.
@@ -200,7 +256,6 @@ fn a_fused_run_whose_partitions_all_spilled_resumes_without_step1() {
 /// process leases it or the parent's cores claim it.
 #[test]
 fn every_partition_of_a_budget_0_run_is_a_sealed_file() {
-    const MANY: usize = 64;
     let dir = common::fresh_dir("budget0-every-file");
     let builder = || common::builder(&dir).partitions(MANY);
     let rs = reads();

@@ -37,6 +37,47 @@ fn parahash_matches_reference_on_profile_data() {
     assert_eq!(outcome.report.distinct_vertices, reference.distinct_vertices());
 }
 
+/// Step 1 stores each superkmer in one orientation, so a corpus and its
+/// reverse-complemented copy hand Step 2 the same records: the same
+/// subgraph files byte for byte, and as many k-mers replayed. The two
+/// together replay no more k-mers than either alone: every superkmer
+/// and its reverse complement combine into one record.
+#[test]
+fn a_corpus_and_its_reverse_complement_build_the_same_files() {
+    let d = data();
+    let flipped: Vec<dna::SeqRead> =
+        d.reads.iter().map(|r| dna::SeqRead::new(r.id().to_owned(), r.seq().revcomp())).collect();
+    let build = |tag: &str, reads: &[dna::SeqRead]| {
+        let config =
+            base_config(tag).cpu_threads(1).write_subgraphs(true).build().expect("valid config");
+        let ph = ParaHash::new(config).expect("work dir");
+        let report = ph.run(reads).expect("run succeeds").report;
+        let sub = ph.config().work_dir().join("subgraphs");
+        let mut files: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&sub)
+            .expect("subgraphs/")
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path.strip_prefix(&sub).unwrap().to_path_buf(), bytes)
+            })
+            .collect();
+        files.sort();
+        let _ = std::fs::remove_dir_all(ph.config().work_dir());
+        (files, report.step2.replayed_kmers, report.step2.contention.expect("contention"))
+    };
+    let (files, replayed, ops) = build("orient-fwd", &d.reads);
+    let (flipped_files, flipped_replayed, flipped_ops) = build("orient-rev", &flipped);
+    assert_eq!(files.len(), 16);
+    assert!(files == flipped_files, "subgraph files differ");
+    assert_eq!(replayed, flipped_replayed);
+    assert_eq!((ops.insertions, ops.updates), (flipped_ops.insertions, flipped_ops.updates));
+    assert!(replayed < ops.operations(), "copies combine: {replayed} of {}", ops.operations());
+    let both: Vec<dna::SeqRead> = d.reads.iter().chain(&flipped).cloned().collect();
+    let (_, both_replayed, both_ops) = build("orient-both", &both);
+    assert_eq!(both_ops.operations(), 2 * ops.operations());
+    assert_eq!(both_replayed, replayed, "twins combine");
+}
+
 #[test]
 fn device_mixes_agree() {
     let d = data();

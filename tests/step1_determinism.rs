@@ -3,8 +3,9 @@
 //! cores — must emit, partition by partition, exactly the record
 //! multiset of an independent implementation: the sort-merge oracle's own
 //! allocating two-strand scan (`baselines::reference_partition`), which
-//! shares only the routing hash with `msp`. Fuzzed corpora; narrow and
-//! wide k (k = 33 included); p = k.
+//! shares only the routing hash with `msp`, each of its superkmers turned
+//! to canonical orientation here by copying out its reverse complement.
+//! Fuzzed corpora; narrow and wide k (k = 33 included); p = k.
 //! A root test: it is the one suite that sees both `parahash` and
 //! `baselines`.
 
@@ -53,6 +54,18 @@ fn records_of(slices: &PartitionSlices<'_>) -> Vec<Record> {
     )
 }
 
+/// A superkmer of `k`-mers as Step 1 stores it: at odd `k`, itself or
+/// its reverse complement (core reversed and complemented, extensions
+/// complemented and swapped), whichever is smaller — core first, then
+/// extensions; at even `k`, as read.
+fn canonical(core: &PackedSeq, left: Option<Base>, right: Option<Base>, k: usize) -> Record {
+    let read = (core.to_string(), left, right);
+    if k.is_multiple_of(2) {
+        return read;
+    }
+    read.min((core.revcomp().to_string(), right.map(Base::complement), left.map(Base::complement)))
+}
+
 /// The independent implementation's partitioning of `reads`.
 fn reference(reads: &[SeqRead], k: usize, p: usize) -> Vec<Vec<Record>> {
     let seqs: Vec<PackedSeq> = reads.iter().map(|r| r.seq().clone()).collect();
@@ -60,7 +73,7 @@ fn reference(reads: &[SeqRead], k: usize, p: usize) -> Vec<Vec<Record>> {
         .unwrap()
         .into_iter()
         .map(|part| {
-            sorted(part.into_iter().map(|sk| (sk.core.to_string(), sk.left_ext, sk.right_ext)).collect())
+            sorted(part.into_iter().map(|sk| canonical(&sk.core, sk.left_ext, sk.right_ext, k)).collect())
         })
         .collect()
 }
